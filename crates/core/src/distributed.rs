@@ -18,14 +18,14 @@
 //! affecting the numerical results"*).
 
 use crate::calibrate::Calibrator;
-use crate::ekfac::precondition_ekfac;
+use crate::ekfac;
 use crate::elastic::{ElasticPolicy, FactorCheckpoint, MembershipSpan, TrainCheckpoint};
 use crate::factors::{local_factor_a, local_factor_g, FactorState};
 use crate::fusion::{self, FactorPipeline, FusionStrategy};
 use crate::optimizer::KfacConfig;
 use crate::perf::{AlphaBetaModel, ExpInverseModel};
-use crate::placement::{self, PlacementStrategy, TensorAssignment};
-use crate::precond::{apply_kl_clip, build_directions};
+use crate::placement::{self, Placement, PlacementStrategy, TensorAssignment};
+use crate::precond::{self, apply_kl_clip};
 use crate::runtime::{self, ReplanController, ReplanPolicy};
 use spdkfac_collectives::{
     connect_elastic, elastic_poll, Backend, CommError, CommGroup, JoinIntent, PendingOp, TcpConfig,
@@ -37,13 +37,30 @@ use spdkfac_nn::optim::Sgd;
 use spdkfac_nn::Sequential;
 use spdkfac_obs::{Phase, Recorder, SpanGuard};
 use spdkfac_tensor::eig::sym_eig;
+use spdkfac_tensor::sym::packed_len;
 use spdkfac_tensor::{chol, Matrix, SymPacked};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// An in-flight fused factor all-reduce: the `(layer, side)` tensors it
-/// carries, their packed lengths, and the async handle to wait on.
-type PendingFactors = (Vec<(usize, Side)>, Vec<usize>, PendingOp);
+/// One `(layer, param, len)` run of a WFBP gradient bucket.
+type GradSegment = (usize, usize, usize);
+
+/// What an in-flight collective of the current iteration carries. Tensors
+/// are numbered as in the placement: `2·state` is `A`, `2·state + 1` is `G`.
+enum Arrival {
+    /// A fused factor all-reduce: these tensors' packed triangles, back to
+    /// back.
+    Factors(Vec<usize>),
+    /// A WFBP gradient bucket.
+    Grads(Vec<GradSegment>),
+    /// The broadcast of a CT's inverse (EKFAC: of its eigenbasis `Q‖λ`).
+    Inverse(usize),
+}
+
+/// The iteration's in-flight collectives in submission order — which is
+/// completion order, the comm thread being FIFO.
+type InFlight = VecDeque<(Arrival, PendingOp)>;
 
 /// Which training algorithm the workers run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,16 +103,21 @@ pub struct DistributedConfig {
     pub comm_model: AlphaBetaModel,
     /// WFBP gradient fusion-buffer capacity in elements: gradients are
     /// all-reduced asynchronously during backward once this many elements
-    /// have accumulated (Horovod's 64 MB buffer ≙ 16 M fp32 elements).
+    /// have accumulated (Horovod's 64 MB buffer ≙ 16 M fp32 elements). For
+    /// S-SGD, D-KFAC and MPD-KFAC this is the only flush rule. The pipelined
+    /// algorithms (SPD-KFAC, EKFAC-SPD) also flush whenever a G-factor
+    /// bucket flushes — Eq. 15 already decided a message boundary there
+    /// pays its α — so each layer group's gradients follow its factors on
+    /// the wire and can be preconditioned as they land; the cap still
+    /// applies within a group.
     pub grad_fusion_elems: usize,
     /// Adaptive re-planning policy (see [`crate::runtime`]). At each due
     /// inter-iteration barrier every rank refits its calibrator, the fitted
     /// coefficients are agreement-all-reduced, and placement + fusion plans
     /// are deterministically recomputed from the agreed models; a changed
     /// plan is swapped in atomically with a generation bump. Calibration
-    /// samples come off the recorder, so under [`train`] (no recorder) a
-    /// due barrier still synchronizes but re-plans from the baseline models
-    /// — a fixed point.
+    /// samples come off the recorder, so without one a due barrier still
+    /// synchronizes but re-plans from the baseline models — a fixed point.
     pub replan: ReplanPolicy,
     /// Per-op-kind wire encoding for the collectives (see
     /// [`spdkfac_collectives::wire`]). Defaults to the bit-exact f64
@@ -180,12 +202,10 @@ pub struct RunResult {
 /// Modes (chosen by which builder methods were called):
 ///
 /// - **Local** (default): spawns `config.world` worker threads over the
-///   in-process backend — the replacement for the deprecated [`train`] /
-///   [`train_with_recorder`].
+///   in-process backend.
 /// - **Endpoint** ([`TrainSession::endpoint`]): runs this process as one
-///   rank of an already-connected group — the replacement for the
-///   deprecated [`train_worker`]. Peer failures surface as `Err` instead
-///   of a panic.
+///   rank of an already-connected group. Peer failures surface as `Err`
+///   instead of a panic.
 /// - **Elastic** ([`TrainSession::elastic`]): joins an
 ///   [`spdkfac_collectives::ElasticRendezvous`] and survives membership
 ///   changes — rank death shrinks the world at the next barrier, joiners
@@ -302,43 +322,6 @@ impl TrainSession {
     }
 }
 
-/// Trains `iters` iterations of `cfg.algorithm` on `dataset` with one model
-/// replica per rank (built by `build`, which must be deterministic so all
-/// replicas start identical) and `batch` samples per rank per iteration.
-///
-/// # Panics
-///
-/// Panics if any rank's data shard is smaller than `batch`, or if a damped
-/// factor fails to invert (raise `cfg.kfac.damping`).
-#[deprecated(note = "use TrainSession::builder(cfg).run(...)")]
-pub fn train(
-    cfg: &DistributedConfig,
-    build: &(dyn Fn() -> Sequential + Sync),
-    dataset: &Dataset,
-    iters: usize,
-    batch: usize,
-) -> RunResult {
-    local_train_impl(cfg, build, dataset, iters, batch, None)
-}
-
-/// [`train`], instrumented: every worker records phase-tagged spans and
-/// metrics into `rec` (see [`TrainSession::recorder`] for the layout).
-///
-/// # Panics
-///
-/// As [`train`].
-#[deprecated(note = "use TrainSession::builder(cfg).recorder(rec).run(...)")]
-pub fn train_with_recorder(
-    cfg: &DistributedConfig,
-    build: &(dyn Fn() -> Sequential + Sync),
-    dataset: &Dataset,
-    iters: usize,
-    batch: usize,
-    rec: &Arc<Recorder>,
-) -> RunResult {
-    local_train_impl(cfg, build, dataset, iters, batch, Some(rec))
-}
-
 fn local_train_impl(
     cfg: &DistributedConfig,
     build: &(dyn Fn() -> Sequential + Sync),
@@ -376,14 +359,6 @@ fn local_train_impl(
     result.expect("rank 0 result missing")
 }
 
-/// Per-factor bookkeeping for the SPD pipeline: which state and side a
-/// pipeline position refers to.
-#[derive(Debug, Clone, Copy)]
-enum Side {
-    A,
-    G,
-}
-
 /// Per-worker span handle: phase spans on the worker's compute track
 /// (`track == rank`), all no-ops when no recorder is attached.
 struct WorkerObs {
@@ -415,9 +390,9 @@ impl WorkerObs {
     /// Records one realized fused-message flush (satellite of §IV-A): the
     /// planned bucket counts are published as gauges once, but the bytes
     /// actually moved per flush are only known here. `pass` is `"a"` or
-    /// `"g"`.
+    /// `"g"`. Rank 0 reports for the group (every rank flushes alike).
     fn record_flush(&self, pass: &str, elems: usize) {
-        if let Some(r) = &self.rec {
+        if let Some(r) = self.rec.as_ref().filter(|_| self.track == 0) {
             let m = r.metrics();
             m.histogram("fusion/realized/elems").observe(elems as f64);
             m.counter(&format!("fusion/{pass}/flushes")).inc();
@@ -425,29 +400,6 @@ impl WorkerObs {
                 .add(elems as u64);
         }
     }
-}
-
-/// Runs one rank's full training loop over an already-connected communicator
-/// endpoint — the backend-agnostic entry point beneath the local trainer.
-///
-/// # Panics
-///
-/// Panics on any communication failure (the historical behavior). The
-/// replacement — `TrainSession::builder(cfg).endpoint(comm)` — surfaces
-/// those as `Err` instead.
-#[deprecated(note = "use TrainSession::builder(cfg).endpoint(comm).run(...)")]
-pub fn train_worker(
-    cfg: &DistributedConfig,
-    build: &(dyn Fn() -> Sequential + Sync),
-    dataset: &Dataset,
-    iters: usize,
-    batch: usize,
-    comm: WorkerComm,
-    rec: Option<Arc<Recorder>>,
-) -> RunResult {
-    let rank = comm.rank();
-    worker_impl(cfg, build, dataset, iters, batch, comm, rec)
-        .unwrap_or_else(|e| panic!("rank {rank}: {e}"))
 }
 
 /// One rank over an already-connected endpoint: fresh state, one segment.
@@ -569,6 +521,286 @@ fn allreduce_avg_checked(comm: &WorkerComm, buf: &mut [f64]) -> Result<(), CommE
     Ok(())
 }
 
+/// Submits the buffered `(tensor, packed factor)` pairs as one fused
+/// all-reduce and returns its element count.
+fn submit_factors(
+    comm: &WorkerComm,
+    buf: &mut Vec<(usize, SymPacked)>,
+    in_flight: &mut InFlight,
+) -> usize {
+    let mut payload = Vec::with_capacity(buf.iter().map(|(_, f)| f.len()).sum());
+    let mut tensors = Vec::with_capacity(buf.len());
+    for (t, factor) in buf.drain(..) {
+        tensors.push(t);
+        payload.extend_from_slice(factor.as_slice());
+    }
+    let elems = payload.len();
+    comm.set_phase(Phase::FactorComm);
+    in_flight.push_back((Arrival::Factors(tensors), comm.allreduce_avg_async(payload)));
+    elems
+}
+
+/// Submits the WFBP fusion buffer (if it holds anything) as one all-reduce.
+fn submit_grads(
+    comm: &WorkerComm,
+    segments: &mut Vec<GradSegment>,
+    buf: &mut Vec<f64>,
+    in_flight: &mut InFlight,
+) {
+    if buf.is_empty() {
+        return;
+    }
+    comm.set_phase(Phase::GradComm);
+    in_flight.push_back((
+        Arrival::Grads(std::mem::take(segments)),
+        comm.allreduce_avg_async(std::mem::take(buf)),
+    ));
+}
+
+/// The dependency-driven tail of one iteration, shared by every algorithm:
+/// blocks on the in-flight collectives in completion order, installs what
+/// each delivers and at once runs whatever that arrival unblocked (DESIGN
+/// "Iteration tail"):
+///
+/// | arrival | installs | unblocks |
+/// |---|---|---|
+/// | factor bucket | running `A`/`G` averages | this rank's inversions of the bucket's tensors; CT broadcasts |
+/// | gradient bucket | averaged gradients | the bucket's layers whose two inverses are fresh |
+/// | CT broadcast | the inverse | its layer, if the gradient is in |
+///
+/// What is left after the last arrival is the KL clip (a global sum) and
+/// the SGD step.
+struct Tail<'a> {
+    cfg: &'a DistributedConfig,
+    rank: usize,
+    comm: &'a WorkerComm,
+    obs: &'a WorkerObs,
+    placement: &'a Placement,
+    /// Dimension of every tensor (`A_l`, `G_l` interleaved).
+    inv_dims: &'a [usize],
+    state_of_layer: &'a [Option<usize>],
+    net: &'a mut Sequential,
+    states: &'a mut [FactorState],
+    ekfac_bases: &'a mut [Option<(Matrix, Vec<f64>)>],
+    ekfac_scales: &'a mut [Option<Matrix>],
+    in_flight: InFlight,
+    /// Whether this iteration recomputes the inverses.
+    refresh: bool,
+    /// Per tensor: is its installed inverse the one this iteration
+    /// preconditions with? All true from the start between refreshes.
+    fresh: Vec<bool>,
+}
+
+impl Tail<'_> {
+    /// Drains the in-flight collectives; with `precondition`, returns the
+    /// update directions in the model's flat parameter order.
+    fn run(mut self, precondition: bool) -> Result<Vec<Matrix>, CommError> {
+        // Flat index of each layer's first parameter, then the total.
+        let mut param_base: Vec<usize> = Vec::with_capacity(self.net.len() + 1);
+        param_base.push(0);
+        for layer in self.net.layers() {
+            param_base.push(param_base[param_base.len() - 1] + layer.params().len());
+        }
+        let nparams = if precondition {
+            param_base[self.net.len()]
+        } else {
+            0
+        };
+        let mut directions: Vec<Option<Matrix>> = vec![None; nparams];
+        let mut grad_in = vec![false; self.net.len()];
+
+        while let Some((arrival, op)) = self.in_flight.pop_front() {
+            let data = op.wait()?.data;
+            // Layers this arrival may have completed the inputs of.
+            let touched: Vec<usize> = match arrival {
+                Arrival::Factors(tensors) => {
+                    self.install_factors(&tensors, &data);
+                    if self.refresh {
+                        self.refresh_inverses(tensors)
+                    } else {
+                        Vec::new()
+                    }
+                }
+                Arrival::Grads(segments) => {
+                    let mut off = 0usize;
+                    // A layer's parameters always share a bucket, so one
+                    // bucket completes a layer's gradient.
+                    for &(li, pi, len) in &segments {
+                        let mut params = self.net.layers_mut()[li].params_mut();
+                        let grad = params[pi].grad.as_mut_slice();
+                        grad.copy_from_slice(&data[off..off + len]);
+                        off += len;
+                        grad_in[li] = true;
+                    }
+                    debug_assert_eq!(off, data.len(), "gradient bucket mis-sized");
+                    segments.into_iter().map(|(li, _, _)| li).collect()
+                }
+                Arrival::Inverse(t) => {
+                    self.install_inverse(t, &data);
+                    vec![self.states[t / 2].layer()]
+                }
+            };
+            if !precondition {
+                continue;
+            }
+            for li in touched {
+                let si = self.state_of_layer[li];
+                let slots = &mut directions[param_base[li]..param_base[li + 1]];
+                let ready =
+                    grad_in[li] && si.is_none_or(|si| self.fresh[2 * si] && self.fresh[2 * si + 1]);
+                if ready && slots.iter().all(Option::is_none) {
+                    let _up = self.obs.span(Phase::Update);
+                    for (slot, d) in slots.iter_mut().zip(self.layer_directions(li, si)) {
+                        *slot = Some(d);
+                    }
+                }
+            }
+        }
+        Ok(directions
+            .into_iter()
+            .map(|d| d.expect("every arrival consumed, yet a layer has no direction"))
+            .collect())
+    }
+
+    /// Folds an aggregated factor bucket into the running averages.
+    fn install_factors(&mut self, tensors: &[usize], data: &[f64]) {
+        let decay = self.cfg.kfac.stat_decay;
+        let mut rest = data;
+        for &t in tensors {
+            let dim = self.inv_dims[t];
+            let (packed, tail) = rest.split_at(packed_len(dim));
+            rest = tail;
+            let factor = SymPacked::unpack(dim, packed);
+            if t.is_multiple_of(2) {
+                self.states[t / 2].update_a(factor, decay);
+            } else {
+                self.states[t / 2].update_g(factor, decay);
+            }
+        }
+        debug_assert!(rest.is_empty(), "factor bucket mis-sized");
+    }
+
+    /// Inverts the tensors of a just-landed factor bucket that the
+    /// placement gives this rank, while later buckets are still on the
+    /// wire. NCT results are installed on the spot; every CT is broadcast
+    /// the moment its owner has it. Returns the layers that got an inverse.
+    ///
+    /// §V-B order: CTs before NCTs, smallest first. SPMD-safe because the
+    /// order is a function of the agreed fusion plan and placement alone:
+    /// every rank walks it identically and submits each CT's broadcast —
+    /// the owner with the data, the others with a placeholder — at the same
+    /// position in it.
+    fn refresh_inverses(&mut self, mut tensors: Vec<usize>) -> Vec<usize> {
+        tensors.sort_by_key(|&t| (self.placement.is_nct(t), self.inv_dims[t], t));
+        let mut touched = Vec::new();
+        for t in tensors {
+            match self.placement.assignments()[t] {
+                TensorAssignment::AllGpus => {
+                    let payload = self.invert(t);
+                    self.install_inverse(t, &payload);
+                    touched.push(self.states[t / 2].layer());
+                }
+                TensorAssignment::Gpu(owner) => {
+                    let payload = if owner == self.rank {
+                        self.invert(t)
+                    } else {
+                        vec![0.0; self.inverse_len(t)]
+                    };
+                    self.comm.set_phase(Phase::InverseComm);
+                    let op = self.comm.broadcast_async(payload, owner);
+                    self.in_flight.push_back((Arrival::Inverse(t), op));
+                }
+            }
+        }
+        touched
+    }
+
+    fn ekfac(&self) -> bool {
+        self.cfg.algorithm == Algorithm::EkfacSpd
+    }
+
+    /// Wire length of tensor `t`'s inverse: the packed triangle, or `Q‖λ`
+    /// under EKFAC.
+    fn inverse_len(&self, t: usize) -> usize {
+        let d = self.inv_dims[t];
+        if self.ekfac() {
+            d * d + d
+        } else {
+            packed_len(d)
+        }
+    }
+
+    /// Inverts (EKFAC: eigendecomposes) tensor `t` into its wire form.
+    fn invert(&self, t: usize) -> Vec<f64> {
+        // One sized span per tensor: the calibrator reads (dimension,
+        // duration) pairs off these.
+        let _inv = self.obs.sized_span(Phase::InverseComp, self.inv_dims[t]);
+        let (st, rank, gamma) = (&self.states[t / 2], self.rank, self.cfg.kfac.damping);
+        if self.ekfac() {
+            let factor = if t.is_multiple_of(2) {
+                st.factor_a()
+            } else {
+                st.factor_g()
+            };
+            let e = sym_eig(factor.expect("no factor statistics")).unwrap_or_else(|err| {
+                panic!("rank {rank}: eigendecomposition of tensor {t} failed: {err}")
+            });
+            let mut payload = e.vectors.into_vec();
+            payload.extend_from_slice(&e.values);
+            payload
+        } else {
+            let damped = if t.is_multiple_of(2) {
+                st.damped_a(gamma)
+            } else {
+                st.damped_g(gamma)
+            };
+            let inv = chol::spd_inverse(&damped)
+                .unwrap_or_else(|e| panic!("rank {rank}: inversion of tensor {t} failed: {e}"));
+            SymPacked::from_matrix(&inv).into_vec()
+        }
+    }
+
+    /// Installs tensor `t`'s inverse from its wire form. Under EKFAC the
+    /// layer's second basis to land also reseeds its scales from the
+    /// eigenvalue products (the K-FAC spectrum), to be moment-corrected by
+    /// the per-step EMA in [`ekfac::layer_directions`].
+    fn install_inverse(&mut self, t: usize, data: &[f64]) {
+        let (si, d) = (t / 2, self.inv_dims[t]);
+        self.fresh[t] = true;
+        if self.ekfac() {
+            let (q, values) = data.split_at(d * d);
+            self.ekfac_bases[t] = Some((Matrix::from_vec(d, d, q.to_vec()), values.to_vec()));
+            // `t ^ 1` is the layer's other tensor.
+            if self.fresh[t ^ 1] {
+                let (_, va) = self.ekfac_bases[2 * si].as_ref().expect("A basis");
+                let (_, vg) = self.ekfac_bases[2 * si + 1].as_ref().expect("G basis");
+                self.ekfac_scales[si] = Some(Matrix::from_fn(vg.len(), va.len(), |i, j| {
+                    (vg[i] * va[j]).max(0.0)
+                }));
+            }
+        } else if t.is_multiple_of(2) {
+            self.states[si].set_a_inv(SymPacked::unpack(d, data));
+        } else {
+            self.states[si].set_g_inv(SymPacked::unpack(d, data));
+        }
+    }
+
+    /// Update directions of layer `li`'s parameters, all inputs being in.
+    fn layer_directions(&mut self, li: usize, si: Option<usize>) -> Vec<Matrix> {
+        let params = self.net.layers()[li].params();
+        match si {
+            Some(si) if self.ekfac() && self.ekfac_scales[si].is_some() => {
+                let (q_a, _) = self.ekfac_bases[2 * si].as_ref().expect("A basis");
+                let (q_g, _) = self.ekfac_bases[2 * si + 1].as_ref().expect("G basis");
+                let scale = self.ekfac_scales[si].as_mut().expect("scale");
+                let kfac = &self.cfg.kfac;
+                ekfac::layer_directions(&params, q_a, q_g, scale, kfac.stat_decay, kfac.damping)
+            }
+            _ => precond::layer_directions(&params, si.map(|si| &self.states[si])),
+        }
+    }
+}
+
 /// Runs iterations `ws.next_iter..iters` of one rank's training loop over
 /// `comm`, mutating `ws` in place so the caller can hand the state to a
 /// successor group on membership changes. Communication failures surface as
@@ -613,9 +845,12 @@ fn train_segment(
         state_of_layer[li] = Some(si);
         assert_eq!(states[si].layer(), li, "factor state layer mismatch");
     }
-    let dims = net.kfac_dims(); // (a_dim, g_dim) per state
-    let a_sizes: Vec<usize> = dims.iter().map(|&(a, _)| a * (a + 1) / 2).collect();
-    let g_sizes: Vec<usize> = dims.iter().map(|&(_, g)| g * (g + 1) / 2).collect();
+    // (a_dim, g_dim) per state.
+    let dims = net.kfac_dims();
+    // Packed factor sizes in pipeline order: A front-to-back (forward pass),
+    // G back-to-front (backward pass).
+    let a_sizes: Vec<usize> = dims.iter().map(|&(a, _)| packed_len(a)).collect();
+    let g_sizes_rev: Vec<usize> = dims.iter().rev().map(|&(_, g)| packed_len(g)).collect();
 
     // Inverse placement over the 2L tensors (A_l, G_l interleaved). The
     // generation-0 plan goes into the epoch-versioned store; re-plan
@@ -643,7 +878,22 @@ fn train_segment(
             }
         }
     }
-    let mut store = runtime::PlanStore::new(inv_placement, None, None);
+    // SPD / EKFAC-SPD pipeline factor communication behind the passes.
+    // Until the first iteration's measured ready times are agreed on, every
+    // factor is its own message.
+    let pipelined =
+        matches!(cfg.algorithm, Algorithm::SpdKfac | Algorithm::EkfacSpd) && nlayers > 0;
+    let layer_wise = |sizes: &[usize]| {
+        pipelined.then(|| {
+            let pipe = FactorPipeline::new(vec![0.0; nlayers], sizes.to_vec()).expect("valid");
+            fusion::plan(&pipe, &cfg.comm_model, FusionStrategy::LayerWise)
+        })
+    };
+    let mut store = runtime::PlanStore::new(
+        inv_placement,
+        layer_wise(&a_sizes),
+        layer_wise(&g_sizes_rev),
+    );
     let mut controller = ReplanController::new(cfg.replan);
     let mut calibrator = Calibrator::new(cfg.comp_model, cfg.comm_model);
     // Recorder high-water mark: spans ending before this were already fed
@@ -673,44 +923,30 @@ fn train_segment(
         let (x, y) = shard.batch(start, batch);
         let capture = cfg.algorithm != Algorithm::SSgd;
 
+        // Everything this iteration puts on the wire, in submission order,
+        // for the tail consumer below.
+        let mut in_flight = InFlight::new();
+        let mut factor_buf: Vec<(usize, SymPacked)> = Vec::new();
+
         // ---------- Forward (+ pipelined A-factor aggregation for SPD) ----
         let mut a_ready = vec![0.0f64; nlayers];
-        let mut pending: Vec<PendingFactors> = Vec::new();
-        let pipelined = matches!(cfg.algorithm, Algorithm::SpdKfac | Algorithm::EkfacSpd);
-        // Collectives submitted during the forward pass are the pipelined
-        // A-factor all-reduces.
-        comm.set_phase(Phase::FactorComm);
         let forward_span = obs.span(Phase::FfBp);
         let out = if pipelined {
-            let plan = store.current().a_fusion.clone().unwrap_or_else(|| {
-                fusion::plan(
-                    &FactorPipeline::new(vec![0.0; nlayers], a_sizes.clone()).expect("valid"),
-                    &cfg.comm_model,
-                    FusionStrategy::LayerWise,
-                )
-            });
+            let plan = store.current().a_fusion.as_ref().expect("A plan");
+            let mut ctl = fusion::FusionController::new(plan);
             let t0 = Instant::now();
             let mut pos = 0usize;
-            let mut ctl = fusion::FusionController::new(plan);
-            let mut buf: Vec<SymPacked> = Vec::new();
             let out = net.forward_each(&x, capture, |_, layer| {
                 if let Some(a_rows) = layer.take_a_stat() {
                     a_ready[pos] = t0.elapsed().as_secs_f64();
-                    let factor = {
+                    {
                         let _fc = obs.span(Phase::FactorComp);
-                        SymPacked::from_matrix(&local_factor_a(&a_rows))
-                    };
-                    buf.push(factor);
-                    if let Some(positions) = ctl.offer(pos) {
-                        let members: Vec<(usize, Side)> =
-                            positions.iter().map(|&p| (p, Side::A)).collect();
-                        let sizes: Vec<usize> = buf.iter().map(|s| s.len()).collect();
-                        let concat: Vec<f64> =
-                            buf.drain(..).flat_map(SymPacked::into_vec).collect();
-                        if rank == 0 {
-                            obs.record_flush("a", concat.len());
-                        }
-                        pending.push((members, sizes, comm.allreduce_avg_async(concat)));
+                        let factor = SymPacked::from_matrix(&local_factor_a(&a_rows));
+                        factor_buf.push((2 * pos, factor));
+                    }
+                    if ctl.offer(pos).is_some() {
+                        let elems = submit_factors(comm, &mut factor_buf, &mut in_flight);
+                        obs.record_flush("a", elems);
                     }
                     pos += 1;
                 }
@@ -729,292 +965,96 @@ fn train_segment(
         // and pipelined G-factor aggregation (SPD). Gradients of each layer
         // become ready as its backward runs; they join a fusion buffer and
         // are all-reduced asynchronously once `grad_fusion_elems` is reached
-        // — the wait-free back-propagation of §II-A.
+        // — the wait-free back-propagation of §II-A. The pipelined
+        // algorithms also cut the buffer wherever Eq. 15 cut the G factors,
+        // so each layer group's gradients travel right behind its factors
+        // and the tail can precondition it while later groups are in flight.
         let mut g_ready = vec![0.0f64; nlayers];
-        let mut spd_g = if pipelined {
-            let plan = store.current().g_fusion.clone().unwrap_or_else(|| {
-                let rev_sizes: Vec<usize> = g_sizes.iter().rev().copied().collect();
-                fusion::plan(
-                    &FactorPipeline::new(vec![0.0; nlayers], rev_sizes).expect("valid"),
-                    &cfg.comm_model,
-                    FusionStrategy::LayerWise,
-                )
-            });
-            Some((
-                fusion::FusionController::new(plan),
-                Vec::<SymPacked>::new(),
-                0usize,
-            ))
-        } else {
-            None
-        };
-        // In-flight gradient buckets: (segments = (layer, param, len), handle).
-        type GradSegment = (usize, usize, usize);
-        let mut grad_pending: Vec<(Vec<GradSegment>, PendingOp)> = Vec::new();
+        let mut g_ctl = store
+            .current()
+            .g_fusion
+            .as_ref()
+            .map(fusion::FusionController::new);
+        let mut g_pos = 0usize;
         let mut grad_buf: Vec<f64> = Vec::new();
         let mut grad_segments: Vec<GradSegment> = Vec::new();
         let t0 = Instant::now();
         let backward_span = obs.span(Phase::FfBp);
         net.backward_each(&grad, |li, layer| {
-            // (a) SPD: G-factor capture + fused async all-reduce.
-            if let Some((ctl, buf, pos)) = spd_g.as_mut() {
+            let mut g_flushed = false;
+            // Only the pipelined algorithms take the G statistic here; the
+            // bulk path leaves it for `take_captures`.
+            if let Some(ctl) = g_ctl.as_mut() {
                 if let Some((g_rows, n)) = layer.take_g_stat() {
-                    g_ready[*pos] = t0.elapsed().as_secs_f64();
-                    let factor = {
+                    g_ready[g_pos] = t0.elapsed().as_secs_f64();
+                    {
                         let _fc = obs.span(Phase::FactorComp);
-                        SymPacked::from_matrix(&local_factor_g(&g_rows, n))
-                    };
-                    buf.push(factor);
-                    if let Some(positions) = ctl.offer(*pos) {
-                        let members: Vec<(usize, Side)> =
-                            positions.iter().map(|&p| (p, Side::G)).collect();
-                        let sizes: Vec<usize> = buf.iter().map(|s| s.len()).collect();
-                        let concat: Vec<f64> =
-                            buf.drain(..).flat_map(SymPacked::into_vec).collect();
-                        if rank == 0 {
-                            obs.record_flush("g", concat.len());
-                        }
-                        comm.set_phase(Phase::FactorComm);
-                        pending.push((members, sizes, comm.allreduce_avg_async(concat)));
+                        let factor = SymPacked::from_matrix(&local_factor_g(&g_rows, n));
+                        factor_buf.push((2 * (nlayers - 1 - g_pos) + 1, factor));
                     }
-                    *pos += 1;
+                    if ctl.offer(g_pos).is_some() {
+                        let elems = submit_factors(comm, &mut factor_buf, &mut in_flight);
+                        obs.record_flush("g", elems);
+                        g_flushed = true;
+                    }
+                    g_pos += 1;
                 }
             }
-            // (b) WFBP: this layer's gradients join the fusion buffer.
             for (pi, p) in layer.params().iter().enumerate() {
                 grad_segments.push((li, pi, p.grad.as_slice().len()));
                 grad_buf.extend_from_slice(p.grad.as_slice());
             }
-            if grad_buf.len() >= cfg.grad_fusion_elems {
-                comm.set_phase(Phase::GradComm);
-                grad_pending.push((
-                    std::mem::take(&mut grad_segments),
-                    comm.allreduce_avg_async(std::mem::take(&mut grad_buf)),
-                ));
+            if g_flushed || grad_buf.len() >= cfg.grad_fusion_elems {
+                submit_grads(comm, &mut grad_segments, &mut grad_buf, &mut in_flight);
             }
         });
         drop(backward_span);
-        if let Some((ctl, _, _)) = &spd_g {
+        if let Some(ctl) = &g_ctl {
             assert!(ctl.is_drained(), "unflushed G-factor bucket");
         }
-        if !grad_buf.is_empty() {
-            comm.set_phase(Phase::GradComm);
-            grad_pending.push((
-                std::mem::take(&mut grad_segments),
-                comm.allreduce_avg_async(std::mem::take(&mut grad_buf)),
-            ));
-        }
+        submit_grads(comm, &mut grad_segments, &mut grad_buf, &mut in_flight);
 
         // ---------- Factor aggregation (bulk path for D/MPD) --------------
         if matches!(cfg.algorithm, Algorithm::DKfac | Algorithm::MpdKfac) {
             let fc = obs.span(Phase::FactorComp);
-            let caps = net.take_captures();
-            let mut concat = Vec::new();
-            let mut members = Vec::new();
-            let mut sizes = Vec::new();
-            for (li, cap) in &caps {
-                let si = state_of_layer[*li].expect("capture from unknown layer");
-                let a = SymPacked::from_matrix(&cap.factor_a());
-                let g = SymPacked::from_matrix(&cap.factor_g());
-                members.push((si, Side::A));
-                sizes.push(a.len());
-                concat.extend_from_slice(a.as_slice());
-                members.push((si, Side::G));
-                sizes.push(g.len());
-                concat.extend_from_slice(g.as_slice());
+            for (li, cap) in net.take_captures() {
+                let si = state_of_layer[li].expect("capture from unknown layer");
+                factor_buf.push((2 * si, SymPacked::from_matrix(&cap.factor_a())));
+                factor_buf.push((2 * si + 1, SymPacked::from_matrix(&cap.factor_g())));
             }
             drop(fc);
-            comm.set_phase(Phase::FactorComm);
-            pending.push((members, sizes, comm.allreduce_avg_async(concat)));
+            submit_factors(comm, &mut factor_buf, &mut in_flight);
+        } else if pipelined {
+            // The passes consumed the per-layer stats; drain any leftover
+            // capture state.
+            let _ = net.take_captures();
         }
 
-        // ---------- Install averaged gradients ---------------------------
-        for (segments, handle) in grad_pending.drain(..) {
-            let data = handle.wait()?.data;
-            let mut off = 0usize;
-            let layers = net.layers_mut();
-            for (li, pi, len) in segments {
-                let mut params = layers[li].params_mut();
-                let p = &mut *params[pi];
-                p.grad.as_mut_slice().copy_from_slice(&data[off..off + len]);
-                off += len;
-            }
-            debug_assert_eq!(off, data.len(), "gradient bucket mis-sized");
-        }
-
-        // ---------- Install averaged factors ------------------------------
-        if capture {
-            if pipelined {
-                // The pipelined path consumed the per-layer stats during the
-                // passes; drain any leftover capture state.
-                let _ = net.take_captures();
-            }
-            for (members, sizes, handle) in pending.drain(..) {
-                let data = handle.wait()?.data;
-                let mut off = 0usize;
-                for ((pos_or_state, side), sz) in members.into_iter().zip(sizes) {
-                    let packed_slice = &data[off..off + sz];
-                    off += sz;
-                    let (si, dim) = match side {
-                        // SPD A-pass positions run front-to-back; G-pass
-                        // positions run back-to-front. Bulk-path members
-                        // already carry state indices.
-                        Side::A => {
-                            let si = pos_or_state;
-                            (si, dims[si].0)
-                        }
-                        Side::G => {
-                            let si = if pipelined {
-                                nlayers - 1 - pos_or_state
-                            } else {
-                                pos_or_state
-                            };
-                            (si, dims[si].1)
-                        }
-                    };
-                    let packed = SymPacked::from_vec(dim, packed_slice.to_vec());
-                    match side {
-                        Side::A => states[si].update_a(packed.to_matrix(), cfg.kfac.stat_decay),
-                        Side::G => states[si].update_g(packed.to_matrix(), cfg.kfac.stat_decay),
-                    }
-                }
-            }
-
-            // ---------- Distributed eigendecomposition (EKFAC extension) ---
-            if cfg.algorithm == Algorithm::EkfacSpd {
-                if iter % cfg.kfac.inv_update_freq.max(1) == 0 {
-                    let mine: Vec<usize> = store.current().placement.set_for_gpu(rank);
-                    let mut computed: Vec<Option<(Matrix, Vec<f64>)>> = vec![None; 2 * nlayers];
-                    for &t in &mine {
-                        // One sized span per tensor: the calibrator reads
-                        // (dimension, duration) pairs off these.
-                        let _inv = obs.sized_span(Phase::InverseComp, inv_dims[t]);
-                        let si = t / 2;
-                        let factor = if t % 2 == 0 {
-                            states[si].factor_a().expect("no A statistics").clone()
-                        } else {
-                            states[si].factor_g().expect("no G statistics").clone()
-                        };
-                        let e = sym_eig(&factor).unwrap_or_else(|err| {
-                            panic!("rank {rank}: eigendecomposition of tensor {t} failed: {err}")
-                        });
-                        computed[t] = Some((e.vectors, e.values));
-                    }
-                    // Broadcast Q‖λ for CT tensors (d² + d elements each).
-                    comm.set_phase(Phase::InverseComm);
-                    let mut bcasts: Vec<(usize, PendingOp)> = Vec::new();
-                    for t in 0..2 * nlayers {
-                        if let TensorAssignment::Gpu(owner) =
-                            store.current().placement.assignments()[t]
-                        {
-                            let d = inv_dims[t];
-                            let buf = match &computed[t] {
-                                Some((q, v)) => {
-                                    let mut b = q.as_slice().to_vec();
-                                    b.extend_from_slice(v);
-                                    b
-                                }
-                                None => vec![0.0; d * d + d],
-                            };
-                            bcasts.push((t, comm.broadcast_async(buf, owner)));
-                        }
-                    }
-                    for (t, h) in bcasts {
-                        let d = inv_dims[t];
-                        let data = h.wait()?.data;
-                        let q = Matrix::from_vec(d, d, data[..d * d].to_vec());
-                        let v = data[d * d..].to_vec();
-                        computed[t] = Some((q, v));
-                    }
-                    for t in 0..2 * nlayers {
-                        ekfac_bases[t] = Some(
-                            computed[t]
-                                .take()
-                                .expect("basis neither computed nor received"),
-                        );
-                    }
-                    // Reseed the eigenbasis scales from the eigenvalue
-                    // products (the K-FAC spectrum), to be moment-corrected
-                    // by the per-step EMA below.
-                    for si in 0..nlayers {
-                        let (_, va) = ekfac_bases[2 * si].as_ref().expect("A basis");
-                        let (_, vg) = ekfac_bases[2 * si + 1].as_ref().expect("G basis");
-                        ekfac_scales[si] = Some(Matrix::from_fn(vg.len(), va.len(), |i, j| {
-                            (vg[i] * va[j]).max(0.0)
-                        }));
-                    }
-                }
-            } else
-            // ---------- Distributed inversion per placement ---------------
-            if iter % cfg.kfac.inv_update_freq.max(1) == 0 {
-                // Compute this rank's assigned inverses (NCTs + own CTs).
-                let mine: Vec<usize> = store.current().placement.set_for_gpu(rank);
-                let mut computed: Vec<Option<SymPacked>> = vec![None; 2 * nlayers];
-                for &t in &mine {
-                    // One sized span per tensor: the calibrator reads
-                    // (dimension, duration) pairs off these.
-                    let _inv = obs.sized_span(Phase::InverseComp, inv_dims[t]);
-                    let si = t / 2;
-                    let damped = if t % 2 == 0 {
-                        states[si].damped_a(cfg.kfac.damping)
-                    } else {
-                        states[si].damped_g(cfg.kfac.damping)
-                    };
-                    let inv = chol::spd_inverse(&damped).unwrap_or_else(|e| {
-                        panic!("rank {rank}: inversion of tensor {t} failed: {e}")
-                    });
-                    computed[t] = Some(SymPacked::from_matrix(&inv));
-                }
-                // Broadcast CT results (everyone issues in tensor order).
-                comm.set_phase(Phase::InverseComm);
-                let mut bcasts: Vec<(usize, PendingOp)> = Vec::new();
-                for t in 0..2 * nlayers {
-                    if let TensorAssignment::Gpu(owner) = store.current().placement.assignments()[t]
-                    {
-                        let d = inv_dims[t];
-                        let buf = match &computed[t] {
-                            Some(p) => p.as_slice().to_vec(),
-                            None => vec![0.0; d * (d + 1) / 2],
-                        };
-                        bcasts.push((t, comm.broadcast_async(buf, owner)));
-                    }
-                }
-                for (t, h) in bcasts {
-                    let data = h.wait()?.data;
-                    computed[t] = Some(SymPacked::from_vec(inv_dims[t], data));
-                }
-                // Install all inverses.
-                for (t, slot) in computed.iter_mut().enumerate() {
-                    let si = t / 2;
-                    let inv = slot
-                        .take()
-                        .expect("inverse neither computed nor received")
-                        .to_matrix();
-                    if t % 2 == 0 {
-                        states[si].set_a_inv(inv);
-                    } else {
-                        states[si].set_g_inv(inv);
-                    }
-                }
-            }
-        }
+        // ---------- Tail: consume arrivals, run what each one unblocks -----
+        let refresh = capture && iter % cfg.kfac.inv_update_freq.max(1) == 0;
+        let tail = Tail {
+            cfg,
+            rank,
+            comm,
+            obs,
+            placement: &store.current().placement,
+            inv_dims: &inv_dims,
+            state_of_layer: &state_of_layer,
+            net: &mut *net,
+            states: &mut *states,
+            ekfac_bases: &mut *ekfac_bases,
+            ekfac_scales: &mut *ekfac_scales,
+            in_flight,
+            refresh,
+            fresh: vec![!refresh; 2 * nlayers],
+        };
+        let mut directions = tail.run(capture)?;
 
         // ---------- Update -------------------------------------------------
         let update_span = obs.labeled_span(Phase::Update, format!("iter{iter}"));
         if capture {
-            let (mut directions, raw) = if cfg.algorithm == Algorithm::EkfacSpd {
-                build_ekfac_directions(
-                    net,
-                    &state_of_layer,
-                    ekfac_bases,
-                    ekfac_scales,
-                    cfg.kfac.stat_decay,
-                    cfg.kfac.damping,
-                )
-            } else {
-                build_directions(net, &state_of_layer, states)
-            };
             if let Some(clip) = cfg.kfac.kl_clip {
+                let raw: Vec<Matrix> = net.parameters().iter().map(|p| p.grad.clone()).collect();
                 apply_kl_clip(&mut directions, &raw, cfg.kfac.lr, clip);
             }
             sgd.step_with_directions(&mut net.parameters_mut(), &directions);
@@ -1066,15 +1106,14 @@ fn train_segment(
         // "First" is per segment: fusion plans are derived from measured
         // ready-times under the *current* world size, so each membership
         // epoch re-agrees from its own first iteration.
-        if pipelined && iter == seg_start && nlayers > 0 {
+        if pipelined && iter == seg_start {
             let mut times: Vec<f64> = a_ready.iter().chain(g_ready.iter()).copied().collect();
             allreduce_avg_checked(comm, &mut times)?;
             let (a_avg, g_avg) = times.split_at(nlayers);
             let a_pipe =
                 FactorPipeline::new(monotonize(a_avg), a_sizes.clone()).expect("A pipeline valid");
-            let rev_g_sizes: Vec<usize> = g_sizes.iter().rev().copied().collect();
-            let g_pipe =
-                FactorPipeline::new(monotonize(g_avg), rev_g_sizes).expect("G pipeline valid");
+            let g_pipe = FactorPipeline::new(monotonize(g_avg), g_sizes_rev.clone())
+                .expect("G pipeline valid");
             let a = fusion::plan(&a_pipe, &cfg.comm_model, cfg.fusion);
             let g = fusion::plan(&g_pipe, &cfg.comm_model, cfg.fusion);
             // Publish the tensor-fusion verdict (Eq. 15) once, on rank 0:
@@ -1323,61 +1362,6 @@ fn run_elastic(
     }
 }
 
-/// Builds EKFAC update directions: every preconditioned layer's gradient is
-/// projected into its Kronecker eigenbasis, the basis second moments are
-/// EMA-updated with the squared projection, and the rescaled projection is
-/// mapped back (see [`crate::ekfac`]). Biases use row-mean denominators.
-fn build_ekfac_directions(
-    net: &Sequential,
-    state_of_layer: &[Option<usize>],
-    bases: &[Option<(Matrix, Vec<f64>)>],
-    scales: &mut [Option<Matrix>],
-    stat_decay: f64,
-    damping: f64,
-) -> (Vec<Matrix>, Vec<Matrix>) {
-    let mut directions = Vec::new();
-    let mut raw = Vec::new();
-    for (li, layer) in net.layers().iter().enumerate() {
-        let params = layer.params();
-        match state_of_layer.get(li).copied().flatten() {
-            Some(si) if scales[si].is_some() => {
-                let (q_a, _) = bases[2 * si].as_ref().expect("A basis");
-                let (q_g, _) = bases[2 * si + 1].as_ref().expect("G basis");
-                // Moment-correct the scales with this step's weight gradient.
-                let grad_w = &params[0].grad;
-                let projected = q_g.matmul_tn(grad_w).matmul(q_a);
-                let sq = Matrix::from_fn(projected.rows(), projected.cols(), |i, j| {
-                    projected[(i, j)] * projected[(i, j)]
-                });
-                let scale = scales[si].as_mut().expect("scale");
-                scale.ema_update(stat_decay, &sq);
-                let scale = scales[si].as_ref().expect("scale");
-                for (pi, p) in params.iter().enumerate() {
-                    raw.push(p.grad.clone());
-                    if pi == 0 {
-                        directions.push(precondition_ekfac(&p.grad, q_a, q_g, scale, damping));
-                    } else {
-                        let proj = q_g.matmul_tn(&p.grad);
-                        let cols = scale.cols() as f64;
-                        let rescaled = Matrix::from_fn(proj.rows(), 1, |i, _| {
-                            let row_mean: f64 = scale.row(i).iter().sum::<f64>() / cols;
-                            proj[(i, 0)] / (row_mean + damping)
-                        });
-                        directions.push(q_g.matmul(&rescaled));
-                    }
-                }
-            }
-            _ => {
-                for p in params {
-                    raw.push(p.grad.clone());
-                    directions.push(p.grad.clone());
-                }
-            }
-        }
-    }
-    (directions, raw)
-}
-
 /// Clamps a measured time series to be non-decreasing (averaging across
 /// ranks can introduce tiny inversions).
 fn monotonize(ts: &[f64]) -> Vec<f64> {
@@ -1422,24 +1406,6 @@ mod tests {
                 from_iter: 0
             }]
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_train_session() {
-        // The legacy entry points are thin wrappers over the same impl and
-        // must stay bit-identical until removed.
-        let mut cfg = DistributedConfig::new(2, Algorithm::DKfac);
-        cfg.kfac.damping = 0.1;
-        cfg.kfac.momentum = 0.0;
-        let data = gaussian_blobs(3, 6, 16, 0.3, 17);
-        let build = || mlp(&[6, 12, 3], 3);
-        let old = train(&cfg, &build, &data, 4, 4);
-        let new = TrainSession::builder(cfg)
-            .run(&build, &data, 4, 4)
-            .expect("local run");
-        assert_eq!(old.final_params, new.final_params);
-        assert_eq!(old.losses, new.losses);
     }
 
     #[test]

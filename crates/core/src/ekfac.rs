@@ -16,7 +16,7 @@
 
 use crate::error::{FactorSide, KfacError};
 use spdkfac_nn::optim::Sgd;
-use spdkfac_nn::Sequential;
+use spdkfac_nn::{Param, Sequential};
 use spdkfac_tensor::eig::sym_eig;
 use spdkfac_tensor::Matrix;
 
@@ -84,6 +84,42 @@ pub fn precondition_ekfac(
         projected[(i, j)] / (scale[(i, j)] + damping)
     });
     q_g.matmul(&rescaled).matmul_nt(q_a)
+}
+
+/// Update directions of one EKFAC-preconditioned layer's parameters (weight
+/// first, then bias): moment-corrects `scale` with this step's weight
+/// gradient (step 2 of the module docs), then rescales both gradients in the
+/// eigenbasis — the bias on the `G` side only, with row-mean denominators.
+pub(crate) fn layer_directions(
+    params: &[&Param],
+    q_a: &Matrix,
+    q_g: &Matrix,
+    scale: &mut Matrix,
+    stat_decay: f64,
+    damping: f64,
+) -> Vec<Matrix> {
+    let projected = q_g.matmul_tn(&params[0].grad).matmul(q_a);
+    let sq = Matrix::from_fn(projected.rows(), projected.cols(), |i, j| {
+        projected[(i, j)] * projected[(i, j)]
+    });
+    scale.ema_update(stat_decay, &sq);
+    let scale = &*scale;
+    params
+        .iter()
+        .enumerate()
+        .map(|(pi, p)| {
+            if pi == 0 {
+                return precondition_ekfac(&p.grad, q_a, q_g, scale, damping);
+            }
+            let proj = q_g.matmul_tn(&p.grad);
+            let cols = scale.cols() as f64;
+            let rescaled = Matrix::from_fn(proj.rows(), 1, |i, _| {
+                let row_mean: f64 = scale.row(i).iter().sum::<f64>() / cols;
+                proj[(i, 0)] / (row_mean + damping)
+            });
+            q_g.matmul(&rescaled)
+        })
+        .collect()
 }
 
 /// Single-process EKFAC optimizer (extension; mirrors
@@ -189,48 +225,15 @@ impl EkfacOptimizer {
             let params = layer.params();
             match self.state_of_layer[li] {
                 Some(si) if self.states[si].q_a.is_some() => {
-                    // Update scale from the weight gradient.
-                    let (q_a, q_g) = {
-                        let st = &self.states[si];
-                        (
-                            st.q_a.as_ref().expect("basis").clone(),
-                            st.q_g.as_ref().expect("basis").clone(),
-                        )
-                    };
-                    let grad_w = &params[0].grad;
-                    let projected = q_g.matmul_tn(grad_w).matmul(&q_a);
-                    {
-                        let st = &mut self.states[si];
-                        let sq = Matrix::from_fn(projected.rows(), projected.cols(), |i, j| {
-                            projected[(i, j)] * projected[(i, j)]
-                        });
-                        match &mut st.scale {
-                            Some(s) => s.ema_update(self.cfg.stat_decay, &sq),
-                            None => st.scale = Some(sq),
-                        }
-                    }
-                    let st = &self.states[si];
-                    for (pi, p) in params.iter().enumerate() {
-                        if pi == 0 {
-                            directions.push(precondition_ekfac(
-                                &p.grad,
-                                &q_a,
-                                &q_g,
-                                st.scale.as_ref().expect("scale"),
-                                self.cfg.damping,
-                            ));
-                        } else {
-                            // Bias: G-side basis only, with row-mean scales.
-                            let proj = q_g.matmul_tn(&p.grad);
-                            let scale = st.scale.as_ref().expect("scale");
-                            let cols = scale.cols() as f64;
-                            let rescaled = Matrix::from_fn(proj.rows(), 1, |i, _| {
-                                let row_mean: f64 = scale.row(i).iter().sum::<f64>() / cols;
-                                proj[(i, 0)] / (row_mean + self.cfg.damping)
-                            });
-                            directions.push(q_g.matmul(&rescaled));
-                        }
-                    }
+                    let st = &mut self.states[si];
+                    directions.extend(layer_directions(
+                        &params,
+                        st.q_a.as_ref().expect("basis"),
+                        st.q_g.as_ref().expect("basis"),
+                        st.scale.as_mut().expect("scale is seeded with the basis"),
+                        self.cfg.stat_decay,
+                        self.cfg.damping,
+                    ));
                 }
                 _ => {
                     for p in params {

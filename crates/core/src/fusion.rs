@@ -297,15 +297,15 @@ fn optimal_buckets(pipeline: &FactorPipeline, comm: &AlphaBetaModel) -> Vec<Vec<
 /// exactly when the plan's bucket is complete — the caller then issues one
 /// fused all-reduce for it.
 #[derive(Debug, Clone)]
-pub struct FusionController {
-    plan: FusionPlan,
+pub struct FusionController<'a> {
+    plan: &'a FusionPlan,
     bucket_idx: usize,
     pending: Vec<usize>,
 }
 
-impl FusionController {
+impl<'a> FusionController<'a> {
     /// Creates a controller over `plan`.
-    pub fn new(plan: FusionPlan) -> Self {
+    pub fn new(plan: &'a FusionPlan) -> Self {
         FusionController {
             plan,
             bucket_idx: 0,
@@ -557,7 +557,7 @@ mod tests {
         let p = pipeline(&[0.0, 0.1, 10.0], &[1, 1, 1]);
         let pl = plan(&p, &comm(), FusionStrategy::Optimal);
         assert_eq!(pl.buckets(), &[vec![0, 1], vec![2]]);
-        let mut ctl = FusionController::new(pl);
+        let mut ctl = FusionController::new(&pl);
         assert_eq!(ctl.offer(0), None);
         assert_eq!(ctl.offer(1), Some(vec![0, 1]));
         assert!(!ctl.is_drained());
@@ -570,7 +570,7 @@ mod tests {
     fn controller_rejects_out_of_order() {
         let p = pipeline(&[0.0, 1.0], &[1, 1]);
         let pl = plan(&p, &comm(), FusionStrategy::LayerWise);
-        let mut ctl = FusionController::new(pl);
+        let mut ctl = FusionController::new(&pl);
         let _ = ctl.offer(1);
     }
 

@@ -1,6 +1,7 @@
 //! Gradient preconditioning with inverted Kronecker factors (Eq. 11).
 
 use crate::factors::FactorState;
+use spdkfac_nn::layer::Param;
 use spdkfac_tensor::{kron, Matrix};
 
 /// Preconditions a weight gradient: `∇̃W = G⁻¹ · ∇W · A⁻¹`.
@@ -29,14 +30,30 @@ pub fn precondition_bias(state: &FactorState, grad: &Matrix) -> Matrix {
     g_inv.matmul(grad)
 }
 
-/// Builds per-parameter update directions for a whole model: weight/bias
-/// gradients of preconditioned layers pass through their factor inverses,
-/// everything else passes through unchanged. Returns `(directions, raw)`
-/// in the model's flat parameter order (`raw` feeds the KL clip).
+/// Update directions of one layer's parameters (weight first, then bias):
+/// through the factor inverses when `state` has them, the raw gradients
+/// otherwise. Layers are independent, so a caller may build them in any
+/// order — e.g. as each layer's averaged gradient arrives.
+pub fn layer_directions(params: &[&Param], state: Option<&FactorState>) -> Vec<Matrix> {
+    match state.filter(|st| st.a_inv().is_some()) {
+        Some(st) => params
+            .iter()
+            .enumerate()
+            .map(|(pi, p)| match pi {
+                0 => precondition_weight(st, &p.grad),
+                _ => precondition_bias(st, &p.grad),
+            })
+            .collect(),
+        None => params.iter().map(|p| p.grad.clone()).collect(),
+    }
+}
+
+/// Builds per-parameter update directions for a whole model, layer by layer
+/// with [`layer_directions`]. Returns `(directions, raw)` in the model's
+/// flat parameter order (`raw` feeds the KL clip).
 ///
 /// `state_of_layer[l]` maps layer index to an index into `states` (or `None`
-/// for non-preconditioned layers). States without computed inverses fall
-/// back to the raw gradient.
+/// for non-preconditioned layers).
 pub fn build_directions(
     net: &spdkfac_nn::Sequential,
     state_of_layer: &[Option<usize>],
@@ -46,25 +63,9 @@ pub fn build_directions(
     let mut raw = Vec::new();
     for (li, layer) in net.layers().iter().enumerate() {
         let params = layer.params();
-        match state_of_layer.get(li).copied().flatten() {
-            Some(si) if states[si].a_inv().is_some() => {
-                let st = &states[si];
-                for (pi, p) in params.iter().enumerate() {
-                    raw.push(p.grad.clone());
-                    if pi == 0 {
-                        directions.push(precondition_weight(st, &p.grad));
-                    } else {
-                        directions.push(precondition_bias(st, &p.grad));
-                    }
-                }
-            }
-            _ => {
-                for p in params {
-                    raw.push(p.grad.clone());
-                    directions.push(p.grad.clone());
-                }
-            }
-        }
+        let state = state_of_layer.get(li).copied().flatten();
+        directions.extend(layer_directions(&params, state.map(|si| &states[si])));
+        raw.extend(params.iter().map(|p| p.grad.clone()));
     }
     (directions, raw)
 }
@@ -159,6 +160,62 @@ mod tests {
         let out = precondition_bias(&st, &grad);
         let manual = st.g_inv().unwrap().matmul(&grad);
         assert!(out.max_abs_diff(&manual) < 1e-14);
+    }
+
+    #[test]
+    fn layer_by_layer_assembly_in_any_order_is_bitwise_build_directions() {
+        use spdkfac_nn::data::gaussian_blobs;
+        use spdkfac_nn::loss::softmax_cross_entropy;
+        use spdkfac_nn::models::deep_mlp;
+
+        let mut net = deep_mlp(6, 9, 3, 4, 11);
+        let (x, y) = gaussian_blobs(4, 6, 8, 0.3, 5).batch(0, 16);
+        let out = net.forward(&x, true);
+        let (_, grad) = softmax_cross_entropy(&out, &y);
+        net.backward(&grad);
+        let mut state_of_layer = vec![None; net.len()];
+        let mut states = Vec::new();
+        for (li, cap) in net.take_captures() {
+            state_of_layer[li] = Some(states.len());
+            let mut st = FactorState::new(li);
+            st.update_from_capture(&cap, 0.95);
+            // The last preconditionable layer keeps no inverses: it must
+            // fall back to its raw gradient in both paths.
+            if states.len() < 3 {
+                st.refresh_inverses(0.2).unwrap();
+            }
+            states.push(st);
+        }
+        assert_eq!(states.len(), 4);
+        let (whole, raw) = build_directions(&net, &state_of_layer, &states);
+        assert_eq!(whole.len(), net.parameters().len());
+
+        // Arrival order of a backward pass with out-of-order stragglers.
+        let mut order: Vec<usize> = (0..net.len()).rev().collect();
+        order.swap(0, 3);
+        let mut base = vec![0usize; net.len() + 1];
+        for (li, layer) in net.layers().iter().enumerate() {
+            base[li + 1] = base[li] + layer.params().len();
+        }
+        let mut slots: Vec<Option<Matrix>> = vec![None; whole.len()];
+        for li in order {
+            let params = net.layers()[li].params();
+            let state = state_of_layer[li].map(|si| &states[si]);
+            for (slot, d) in slots[base[li]..]
+                .iter_mut()
+                .zip(layer_directions(&params, state))
+            {
+                *slot = Some(d);
+            }
+        }
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (i, (slot, want)) in slots.iter().zip(&whole).enumerate() {
+            let got = slot.as_ref().expect("every parameter got a direction");
+            assert_eq!(got.shape(), want.shape(), "param {i}");
+            assert_eq!(bits(got), bits(want), "param {i}");
+        }
+        // The uninverted layer passed its gradient through.
+        assert_eq!(bits(whole.last().unwrap()), bits(raw.last().unwrap()));
     }
 
     #[test]

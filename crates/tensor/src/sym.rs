@@ -136,8 +136,34 @@ impl SymPacked {
 
     /// Expands back to a full dense symmetric matrix.
     pub fn to_matrix(&self) -> Matrix {
-        let d = self.dim;
-        Matrix::from_fn(d, d, |i, j| self.get(i, j))
+        SymPacked::unpack(self.dim, &self.data)
+    }
+
+    /// Expands a borrowed packed upper triangle — e.g. one tensor's slice of
+    /// a fused all-reduce payload — straight into a dense symmetric matrix,
+    /// without first copying it into an owned [`SymPacked`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `packed.len() != dim*(dim+1)/2`.
+    pub fn unpack(dim: usize, packed: &[f64]) -> Matrix {
+        assert_eq!(
+            packed.len(),
+            packed_len(dim),
+            "SymPacked::unpack: buffer length mismatch for dim {dim}"
+        );
+        let mut m = Matrix::zeros(dim, dim);
+        let out = m.as_mut_slice();
+        let mut rest = packed;
+        for i in 0..dim {
+            let (row, tail) = rest.split_at(dim - i);
+            out[i * dim + i..(i + 1) * dim].copy_from_slice(row);
+            for (k, &v) in row.iter().enumerate().skip(1) {
+                out[(i + k) * dim + i] = v;
+            }
+            rest = tail;
+        }
+        m
     }
 
     /// `self += alpha * other`, element-wise on the packed buffers (what a
@@ -210,6 +236,26 @@ mod tests {
             assert_eq!(p.len(), packed_len(d));
             assert!(p.to_matrix().max_abs_diff(&m) < 1e-15);
         }
+    }
+
+    #[test]
+    fn unpack_from_slice_matches_to_matrix() {
+        // Two tensors back to back, as in a fused factor bucket.
+        let a = SymPacked::from_matrix(&random_sym(7, 3));
+        let b = SymPacked::from_matrix(&random_sym(4, 5));
+        let fused = [a.as_slice(), b.as_slice()].concat();
+        let (head, tail) = fused.split_at(a.len());
+        // Element-wise oracle, independent of `unpack`.
+        let dense = |p: &SymPacked| Matrix::from_fn(p.dim(), p.dim(), |i, j| p.get(i, j));
+        assert_eq!(SymPacked::unpack(7, head), dense(&a));
+        assert_eq!(SymPacked::unpack(4, tail), dense(&b));
+        assert_eq!(SymPacked::unpack(0, &[]).shape(), (0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer length mismatch")]
+    fn unpack_validates_length() {
+        let _ = SymPacked::unpack(3, &[0.0; 5]);
     }
 
     #[test]

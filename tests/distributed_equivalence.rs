@@ -2,8 +2,11 @@
 //! numerically equivalent to each other and to single-process K-FAC — over
 //! MLPs and CNNs, multiple world sizes, and with inverse-update intervals.
 
+use spdkfac::collectives::{Backend, CommGroup};
 use spdkfac::core::distributed::{Algorithm, DistributedConfig, RunResult, TrainSession};
 use spdkfac::core::optimizer::{KfacConfig, KfacOptimizer};
+use spdkfac::core::perf::{AlphaBetaModel, ExpInverseModel};
+use spdkfac::core::placement::{self, PlacementStrategy};
 use spdkfac::nn::data::{gaussian_blobs, synthetic_images, Dataset};
 use spdkfac::nn::loss::softmax_cross_entropy;
 use spdkfac::nn::models::{deep_mlp, small_cnn};
@@ -148,4 +151,94 @@ fn spd_moves_less_inverse_traffic_than_mpd_when_ncts_exist() {
     // ...possibly different communication profile (SPD ≤ MPD + its extra
     // fusion/plan ops). This is a smoke check that the counters move.
     assert!(m.traffic_elements > 0 && s.traffic_elements > 0);
+}
+
+/// Runs every rank of a local `cfg.world`-rank group through the endpoint
+/// API, so each replica's own result comes back (a plain local run reports
+/// rank 0's only).
+fn run_every_rank(
+    cfg: &DistributedConfig,
+    build: &(dyn Fn() -> Sequential + Sync),
+    data: &Dataset,
+    iters: usize,
+    batch: usize,
+) -> Vec<RunResult> {
+    let endpoints = CommGroup::builder()
+        .world_size(cfg.world)
+        .backend(Backend::Local)
+        .build()
+        .expect("local group")
+        .into_endpoints();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = endpoints
+            .into_iter()
+            .map(|comm| {
+                let session = TrainSession::builder(cfg.clone()).endpoint(comm);
+                s.spawn(move || session.run(build, data, iters, batch).expect("rank run"))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
+#[test]
+fn dependency_driven_tail_with_cts_keeps_replicas_bit_identical() {
+    // The paths a 2-rank all-NCT run never reaches: four ranks, a placement
+    // mixing CTs with NCTs (so inverses are broadcast the moment their
+    // owner has them, in the CT-first order every rank must walk alike),
+    // stale inverses every other iteration, and the KL clip after the last
+    // arrival.
+    let world = 4;
+    let build = || deep_mlp(8, 24, 3, 3, 29);
+    let data = gaussian_blobs(3, 8, 6 * world, 0.3, 59);
+    // Inverting d >= 24 is modelled dearer than broadcasting it; d <= 9 not.
+    let comp = ExpInverseModel::new(1e-4, 0.1);
+    let comm = AlphaBetaModel::new(3e-4, 1e-9);
+    let dims: Vec<usize> = build()
+        .kfac_dims()
+        .iter()
+        .flat_map(|&(a, g)| [a, g])
+        .collect();
+    let placed = placement::place(&dims, world, &comp, &comm, PlacementStrategy::default());
+    assert!(
+        (1..dims.len()).contains(&placed.num_nct()),
+        "want a mixed placement, got {:?}",
+        placed.assignments()
+    );
+
+    let config = |algo| {
+        let mut cfg = DistributedConfig::new(world, algo);
+        cfg.kfac.damping = 0.1;
+        cfg.kfac.lr = 0.05;
+        cfg.kfac.momentum = 0.0;
+        cfg.kfac.inv_update_freq = 2;
+        cfg.kfac.kl_clip = Some(1e-3);
+        cfg.comp_model = comp;
+        cfg.comm_model = comm;
+        cfg
+    };
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for algo in [Algorithm::SpdKfac, Algorithm::EkfacSpd] {
+        let ranks = run_every_rank(&config(algo), &build, &data, 7, 4);
+        assert!(ranks[0].losses.iter().all(|l| l.is_finite()), "{algo:?}");
+        for (r, replica) in ranks.iter().enumerate().skip(1) {
+            assert_eq!(
+                bits(&replica.losses),
+                bits(&ranks[0].losses),
+                "{algo:?}: rank {r} losses"
+            );
+            assert_eq!(
+                bits(&replica.final_params),
+                bits(&ranks[0].final_params),
+                "{algo:?}: rank {r} parameters"
+            );
+        }
+        if algo == Algorithm::SpdKfac {
+            let d = TrainSession::builder(config(Algorithm::DKfac))
+                .run(&build, &data, 7, 4)
+                .expect("local run");
+            let diff = max_diff(&d.final_params, &ranks[0].final_params);
+            assert!(diff < 1e-8, "D vs SPD with CTs: {diff}");
+        }
+    }
 }

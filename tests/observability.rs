@@ -1,8 +1,8 @@
 //! Cross-crate integration: the unified instrumentation layer observing the
-//! real trainers — measured breakdowns account for wall time, SPD-KFAC's
-//! pipelining visibly hides factor communication relative to D-KFAC, and
-//! the exported Chrome trace is valid Perfetto-loadable JSON with one row
-//! per rank plus one per phase category.
+//! real trainers — measured breakdowns account for wall time, and the
+//! exported Chrome trace is valid Perfetto-loadable JSON with one row per
+//! rank plus one per phase category. (That SPD-KFAC overlaps what D-KFAC
+//! serializes is checked on recorded structure in `tests/overlap.rs`.)
 
 use spdkfac::core::calibrate::Calibrator;
 use spdkfac::core::distributed::{Algorithm, DistributedConfig, TrainSession};
@@ -59,26 +59,6 @@ fn measured_breakdown_accounts_for_wall_time() {
     // All major phases of an SPD-KFAC iteration were observed.
     assert!(b.ff_bp > 0.0, "no FF&BP time attributed");
     assert!(b.inverse_comp > 0.0, "no inversion time attributed");
-}
-
-#[test]
-fn spd_hides_factor_comm_better_than_dkfac() {
-    // The paper's headline mechanism: D-KFAC all-reduces every factor in
-    // one bulk message after backward (fully exposed), SPD-KFAC pipelines
-    // per-bucket all-reduces behind FF&BP — so the non-overlapped factor
-    // communication share must be lower under SPD-KFAC on the same model.
-    let world = 4;
-    let (_, d, _) = run_with_recorder(world, Algorithm::DKfac, 10);
-    let (_, s, _) = run_with_recorder(world, Algorithm::SpdKfac, 10);
-    let d_share = d.factor_comm / d.total();
-    let s_share = s.factor_comm / s.total();
-    assert!(
-        s_share < d_share,
-        "SPD factor_comm share {s_share:.4} not below D-KFAC {d_share:.4} \
-         (abs: spd {:.6}s vs dkfac {:.6}s)",
-        s.factor_comm,
-        d.factor_comm
-    );
 }
 
 #[test]
