@@ -119,106 +119,49 @@ impl PendingOp {
     }
 }
 
-/// One queued collective (the payload of a [`Request::Op`]).
-#[derive(Debug)]
-enum CollOp {
-    AllReduceSum {
-        data: Vec<f64>,
-        reply: Sender<OpResult>,
-    },
-    AllReduceAvg {
-        data: Vec<f64>,
-        reply: Sender<OpResult>,
-    },
-    Broadcast {
-        data: Vec<f64>,
-        root: usize,
-        reply: Sender<OpResult>,
-    },
-    ReduceScatterAvg {
-        data: Vec<f64>,
-        reply: Sender<OpResult>,
-    },
-    AllGather {
-        data: Vec<f64>,
-        reply: Sender<OpResult>,
-    },
-    ReduceSum {
-        data: Vec<f64>,
-        root: usize,
-        reply: Sender<OpResult>,
-    },
-    Gather {
-        data: Vec<f64>,
-        root: usize,
-        reply: Sender<OpResult>,
-    },
+/// Which collective a queued [`CollOp`] runs.
+#[derive(Debug, Clone, Copy)]
+enum Call {
+    AllReduceSum,
+    AllReduceAvg,
+    Broadcast { root: usize },
+    ReduceScatterAvg,
+    AllGather,
+    ReduceSum { root: usize },
+    Gather { root: usize },
 }
 
-impl CollOp {
-    fn kind(&self) -> OpKind {
+impl Call {
+    fn kind(self) -> OpKind {
         match self {
-            CollOp::AllReduceSum { .. } | CollOp::AllReduceAvg { .. } => OpKind::AllReduce,
-            CollOp::Broadcast { .. } => OpKind::Broadcast,
-            CollOp::ReduceScatterAvg { .. } => OpKind::ReduceScatter,
-            CollOp::AllGather { .. } => OpKind::AllGather,
-            CollOp::ReduceSum { .. } => OpKind::Reduce,
-            CollOp::Gather { .. } => OpKind::Gather,
-        }
-    }
-
-    fn elements(&self) -> usize {
-        match self {
-            CollOp::AllReduceSum { data, .. }
-            | CollOp::AllReduceAvg { data, .. }
-            | CollOp::Broadcast { data, .. }
-            | CollOp::ReduceScatterAvg { data, .. }
-            | CollOp::AllGather { data, .. }
-            | CollOp::ReduceSum { data, .. }
-            | CollOp::Gather { data, .. } => data.len(),
-        }
-    }
-
-    fn data_mut(&mut self) -> &mut Vec<f64> {
-        match self {
-            CollOp::AllReduceSum { data, .. }
-            | CollOp::AllReduceAvg { data, .. }
-            | CollOp::Broadcast { data, .. }
-            | CollOp::ReduceScatterAvg { data, .. }
-            | CollOp::AllGather { data, .. }
-            | CollOp::ReduceSum { data, .. }
-            | CollOp::Gather { data, .. } => data,
+            Call::AllReduceSum | Call::AllReduceAvg => OpKind::AllReduce,
+            Call::Broadcast { .. } => OpKind::Broadcast,
+            Call::ReduceScatterAvg => OpKind::ReduceScatter,
+            Call::AllGather => OpKind::AllGather,
+            Call::ReduceSum { .. } => OpKind::Reduce,
+            Call::Gather { .. } => OpKind::Gather,
         }
     }
 
     /// Cross-rank causal role of the op, for the span metadata consumed by
     /// the causal-graph builder.
-    fn edge(&self) -> CollEdge {
+    fn edge(self) -> CollEdge {
         match self {
-            CollOp::AllReduceSum { .. }
-            | CollOp::AllReduceAvg { .. }
-            | CollOp::ReduceScatterAvg { .. }
-            | CollOp::AllGather { .. } => CollEdge::Join,
-            CollOp::Broadcast { root, .. } => CollEdge::FanOut { root: *root },
-            CollOp::ReduceSum { root, .. } | CollOp::Gather { root, .. } => {
-                CollEdge::FanIn { root: *root }
-            }
+            Call::Broadcast { root } => CollEdge::FanOut { root },
+            Call::ReduceSum { root } | Call::Gather { root } => CollEdge::FanIn { root },
+            _ => CollEdge::Join,
         }
     }
+}
 
-    /// Fails the op without executing it (poisoned ring).
-    fn fail(self, err: CommError) {
-        let reply = match self {
-            CollOp::AllReduceSum { reply, .. }
-            | CollOp::AllReduceAvg { reply, .. }
-            | CollOp::Broadcast { reply, .. }
-            | CollOp::ReduceScatterAvg { reply, .. }
-            | CollOp::AllGather { reply, .. }
-            | CollOp::ReduceSum { reply, .. }
-            | CollOp::Gather { reply, .. } => reply,
-        };
-        let _ = reply.send(Err(err));
-    }
+/// One queued collective (the payload of a [`Request::Op`]): the buffer it
+/// consumes — and, where the result has its shape, returns — and where the
+/// result goes.
+#[derive(Debug)]
+struct CollOp {
+    call: Call,
+    data: Vec<f64>,
+    reply: Sender<OpResult>,
 }
 
 #[derive(Debug)]
@@ -312,81 +255,54 @@ impl WorkerComm {
         self.plan_generation.load(Ordering::Relaxed)
     }
 
-    fn submit(&self, op: CollOp, reply: Receiver<OpResult>) -> PendingOp {
+    fn submit(&self, call: Call, data: Vec<f64>) -> PendingOp {
+        let (reply, result) = channel();
         self.req_tx
             .send(Request::Op {
-                op,
+                op: CollOp { call, data, reply },
                 phase: self.phase(),
                 generation: self.generation(),
             })
             .expect("communication thread terminated");
-        PendingOp { reply }
+        PendingOp { reply: result }
     }
 
     /// Asynchronous averaging all-reduce; consumes the buffer and returns a
     /// handle producing the averaged buffer.
     pub fn allreduce_avg_async(&self, data: Vec<f64>) -> PendingOp {
-        let (tx, rx) = channel();
-        self.submit(CollOp::AllReduceAvg { data, reply: tx }, rx)
+        self.submit(Call::AllReduceAvg, data)
     }
 
     /// Asynchronous summing all-reduce.
     pub fn allreduce_sum_async(&self, data: Vec<f64>) -> PendingOp {
-        let (tx, rx) = channel();
-        self.submit(CollOp::AllReduceSum { data, reply: tx }, rx)
+        self.submit(Call::AllReduceSum, data)
     }
 
     /// Asynchronous broadcast from `root`; non-root payloads are replaced by
     /// the root's data (they must still be sized correctly).
     pub fn broadcast_async(&self, data: Vec<f64>, root: usize) -> PendingOp {
-        let (tx, rx) = channel();
-        self.submit(
-            CollOp::Broadcast {
-                data,
-                root,
-                reply: tx,
-            },
-            rx,
-        )
+        self.submit(Call::Broadcast { root }, data)
     }
 
     /// Asynchronous averaging reduce-scatter; the result's `offset` gives the
     /// shard position.
     pub fn reduce_scatter_avg_async(&self, data: Vec<f64>) -> PendingOp {
-        let (tx, rx) = channel();
-        self.submit(CollOp::ReduceScatterAvg { data, reply: tx }, rx)
+        self.submit(Call::ReduceScatterAvg, data)
     }
 
     /// Asynchronous all-gather of a (possibly rank-dependent-length) shard.
     pub fn allgather_async(&self, data: Vec<f64>) -> PendingOp {
-        let (tx, rx) = channel();
-        self.submit(CollOp::AllGather { data, reply: tx }, rx)
+        self.submit(Call::AllGather, data)
     }
 
     /// Asynchronous summing reduce to `root`; non-root results are empty.
     pub fn reduce_sum_async(&self, data: Vec<f64>, root: usize) -> PendingOp {
-        let (tx, rx) = channel();
-        self.submit(
-            CollOp::ReduceSum {
-                data,
-                root,
-                reply: tx,
-            },
-            rx,
-        )
+        self.submit(Call::ReduceSum { root }, data)
     }
 
     /// Asynchronous gather to `root`; non-root results are empty.
     pub fn gather_async(&self, data: Vec<f64>, root: usize) -> PendingOp {
-        let (tx, rx) = channel();
-        self.submit(
-            CollOp::Gather {
-                data,
-                root,
-                reply: tx,
-            },
-            rx,
-        )
+        self.submit(Call::Gather { root }, data)
     }
 
     /// Shared completion path of every synchronous wrapper: one span /
@@ -709,7 +625,6 @@ struct CommTelemetry {
     wire_byte_counts: Vec<Arc<spdkfac_obs::Counter>>,
     codec_secs_hist: Arc<spdkfac_obs::Histogram>,
     max_abs_err_hist: Arc<spdkfac_obs::Histogram>,
-    max_rel_err_hist: Arc<spdkfac_obs::Histogram>,
 }
 
 impl CommTelemetry {
@@ -733,7 +648,6 @@ impl CommTelemetry {
             .collect();
         let codec_secs_hist = m.histogram("wire/codec_secs");
         let max_abs_err_hist = m.histogram("wire/max_abs_err");
-        let max_rel_err_hist = m.histogram("wire/max_rel_err");
         CommTelemetry {
             rec,
             track,
@@ -744,7 +658,6 @@ impl CommTelemetry {
             wire_byte_counts,
             codec_secs_hist,
             max_abs_err_hist,
-            max_rel_err_hist,
         }
     }
 
@@ -789,7 +702,6 @@ impl CommTelemetry {
         if !lossless {
             self.codec_secs_hist.observe(codec.codec_secs);
             self.max_abs_err_hist.observe(codec.max_abs_err);
-            self.max_rel_err_hist.observe(codec.max_rel_err);
         }
     }
 }
@@ -801,70 +713,32 @@ impl CommTelemetry {
 /// after a barrier), and the span of the op that woke it must already be
 /// there.
 fn execute(ring: &mut RingEndpoint, op: CollOp) -> (Sender<OpResult>, OpResult) {
-    let rank = ring.rank;
-    let (reply, out) = match op {
-        CollOp::AllReduceSum { mut data, reply } => {
-            let r = ring.allreduce_sum(&mut data);
-            (reply, r.map(|()| OpOutput { offset: 0, data }))
-        }
-        CollOp::AllReduceAvg { mut data, reply } => {
-            let r = ring.allreduce_avg(&mut data);
-            (reply, r.map(|()| OpOutput { offset: 0, data }))
-        }
-        CollOp::Broadcast {
-            mut data,
-            root,
-            reply,
-        } => {
-            let r = ring.broadcast(&mut data, root);
-            (reply, r.map(|()| OpOutput { offset: 0, data }))
-        }
-        CollOp::ReduceScatterAvg { data, reply } => {
-            let r = ring.reduce_scatter_avg(&data);
-            (
-                reply,
-                r.map(|(offset, shard)| OpOutput {
-                    offset,
-                    data: shard,
-                }),
-            )
-        }
-        CollOp::AllGather { data, reply } => {
-            let r = ring.allgather(&data);
-            (
-                reply,
-                r.map(|gathered| OpOutput {
-                    offset: 0,
-                    data: gathered,
-                }),
-            )
-        }
-        CollOp::ReduceSum {
-            mut data,
-            root,
-            reply,
-        } => {
-            let r = ring.reduce_sum(&mut data, root);
-            (
-                reply,
-                r.map(|()| OpOutput {
-                    offset: 0,
-                    data: if rank == root { data } else { Vec::new() },
-                }),
-            )
-        }
-        CollOp::Gather { data, root, reply } => {
-            let r = ring.gather(&data, root);
-            (
-                reply,
-                r.map(|gathered| OpOutput {
-                    offset: 0,
-                    data: gathered.unwrap_or_default(),
-                }),
-            )
-        }
+    let CollOp {
+        call,
+        mut data,
+        reply,
+    } = op;
+    let mut offset = 0;
+    let done = match call {
+        Call::AllReduceSum => ring.allreduce_sum(&mut data),
+        Call::AllReduceAvg => ring.allreduce_avg(&mut data),
+        Call::Broadcast { root } => ring.broadcast(&mut data, root),
+        Call::ReduceScatterAvg => ring.reduce_scatter_avg(&mut data).map(|shard| {
+            data.truncate(shard.end);
+            data.drain(..shard.start);
+            offset = shard.start;
+        }),
+        Call::AllGather => ring.allgather(&data).map(|all| data = all),
+        Call::ReduceSum { root } => ring.reduce_sum(&mut data, root).map(|()| {
+            if ring.rank != root {
+                data.clear();
+            }
+        }),
+        Call::Gather { root } => ring
+            .gather(&data, root)
+            .map(|all| data = all.unwrap_or_default()),
     };
-    (reply, out)
+    (reply, done.map(|()| OpOutput { offset, data }))
 }
 
 fn comm_thread_main(mut ring: RingEndpoint, req_rx: Receiver<Request>, policy: WirePolicy) {
@@ -908,9 +782,9 @@ fn comm_thread_main(mut ring: RingEndpoint, req_rx: Receiver<Request>, policy: W
                 generation,
             } => {
                 if let Some(first) = &poison {
-                    op.fail(CommError::Disconnected(format!(
+                    let _ = op.reply.send(Err(CommError::Disconnected(format!(
                         "collective skipped: ring transport failed earlier ({first})"
-                    )));
+                    ))));
                     continue;
                 }
                 if let Some(k) = &kill {
@@ -926,9 +800,9 @@ fn comm_thread_main(mut ring: RingEndpoint, req_rx: Receiver<Request>, policy: W
                     residuals.clear();
                     last_generation = generation;
                 }
-                let kind = op.kind();
-                let elements = op.elements();
-                let edge = op.edge();
+                let kind = op.call.kind();
+                let elements = op.data.len();
+                let edge = op.call.edge();
                 let mut fmt = policy.format_for(phase, kind);
                 if let WireFormat::TopK { ratio } = fmt {
                     if kind == OpKind::AllReduce {
@@ -938,7 +812,7 @@ fn comm_thread_main(mut ring: RingEndpoint, req_rx: Receiver<Request>, policy: W
                         let key = (phase.index() as u8, elements);
                         let queue = residuals.entry(key).or_default();
                         let mut residual = queue.pop_front().unwrap_or_default();
-                        wire::sparsify_with_residual(op.data_mut(), ratio, &mut residual);
+                        wire::sparsify_with_residual(&mut op.data, ratio, &mut residual);
                         residuals.entry(key).or_default().push_back(residual);
                     } else {
                         // Sparsification only composes with the summing
@@ -1045,30 +919,13 @@ mod tests {
     use std::thread;
 
     fn local_endpoints(world: usize) -> Vec<WorkerComm> {
-        CommGroup::builder()
-            .world_size(world)
-            .backend(Backend::Local)
-            .build()
-            .expect("local build")
-            .into_endpoints()
+        policy_endpoints(world, WirePolicy::default())
     }
 
     /// Runs `f(comm)` on every rank of a fresh `world`-rank group and
     /// collects the per-rank return values in rank order.
     fn run_spmd<T: Send>(world: usize, f: impl Fn(&WorkerComm) -> T + Sync) -> Vec<T> {
-        let endpoints = local_endpoints(world);
-        let mut out: Vec<Option<T>> = (0..world).map(|_| None).collect();
-        thread::scope(|s| {
-            let mut handles = Vec::new();
-            for comm in &endpoints {
-                let f = &f;
-                handles.push(s.spawn(move || f(comm)));
-            }
-            for (i, h) in handles.into_iter().enumerate() {
-                out[i] = Some(h.join().expect("worker panicked"));
-            }
-        });
-        out.into_iter().map(|v| v.unwrap()).collect()
+        run_spmd_policy(world, WirePolicy::default(), f)
     }
 
     #[test]

@@ -14,15 +14,16 @@
 //!   separate OS *process* (joined via rendezvous, see [`tcp`]) and the
 //!   builder yields this process's single endpoint. Each endpoint is owned
 //!   by one worker (SPMD style, exactly like an MPI rank).
-//! - The ring algorithms ([`ring`]) are written against the point-to-point
-//!   [`Transport`] trait ([`transport`]) — send one framed chunk to the
-//!   right neighbour, receive one from the left — so the exact same
-//!   algorithm code produces **bit-identical** results over channels or
-//!   sockets.
-//! - A wire-format layer ([`wire`]) sits between the ring algorithms and
-//!   the transport: payloads can travel as raw f64, f32, software f16, or
-//!   residual-compensated top-k sparsified frames, selected per operation
-//!   kind via [`CommGroupBuilder::wire_policy`]. All ranks stay
+//! - The ring algorithms ([`ring`]) are all built from one streaming
+//!   primitive, the *hop* — send at most one frame right, receive at most
+//!   one left, bodies travelling in 64 KiB slices through reusable buffers —
+//!   written against the byte-stream [`Transport`] trait ([`transport`]),
+//!   so the exact same algorithm code produces **bit-identical** results
+//!   over in-process pipes or sockets.
+//! - A wire-format codec ([`wire`]) runs inside the hop, slice by slice:
+//!   payloads can travel as raw f64, f32, f16 (F16C/AVX2 where available),
+//!   or residual-compensated top-k / packed-symmetric bodies, selected per
+//!   operation kind via [`CommGroupBuilder::wire_policy`]. All ranks stay
 //!   bit-identical under lossy formats (encode-once-at-origin relays).
 //! - Each endpoint owns a background **communication thread**. Asynchronous
 //!   operations are queued to it and executed strictly in submission order —

@@ -8,21 +8,14 @@
 //!
 //! ## Wire framing
 //!
-//! Each [`RingMsg`] is one length-prefixed frame, all little-endian. The
-//! body is the encoded [`WirePayload`](crate::wire::WirePayload) and the
-//! tag names its format (0 = f64, 1 = f32, 2 = f16, 3 = sparse), so a
-//! receiver never needs out-of-band format agreement and relays can
-//! forward frames verbatim:
-//!
-//! ```text
-//! +---------------+----------+---------------+------------------------+
-//! | origin: u64   | tag: u8  | nbytes: u64   | nbytes encoded payload |
-//! +---------------+----------+---------------+------------------------+
-//! ```
-//!
-//! Frames are written through a `BufWriter` and flushed once per message
-//! (one syscall per ring hop, `TCP_NODELAY` set), and read through a
-//! `BufReader` with `read_exact` — partial reads cannot tear a frame.
+//! The socket is a plain byte stream ([`Transport`]); the ring endpoint
+//! frames it. Each chunk is one [`FrameHeader`](crate::transport::FrameHeader)
+//! (origin, format tag, body length) followed by the encoded body, written
+//! in slices: the header leaves in the same vectored write as the first
+//! slice (`TCP_NODELAY` set), reads go through a `BufReader` with
+//! `read_exact` — partial reads cannot tear a frame — and the receiver
+//! checks the header against what the hop must carry before it reads a
+//! body byte (see [`crate::ring`]).
 //!
 //! ## Rendezvous protocol
 //!
@@ -52,8 +45,8 @@
 //!    one connection from its **left** neighbour, validating both fields
 //!    (the epoch check keeps a stale pre-resize dial from wiring into a
 //!    new epoch's ring). The one-shot server always forms epoch 0. With
-//!    `world == 1` no sockets are made at all
-//!    ([`crate::transport::LoopbackTransport`]).
+//!    `world == 1` no sockets are made at all (a one-rank
+//!    [`channel_ring`]).
 //!
 //! Every blocking step (rendezvous dial, neighbour dial, accept, handshake
 //! read) is bounded by [`TcpConfig`] deadlines, so a missing peer surfaces
@@ -71,10 +64,8 @@
 //! tables). See the type-level docs for the full protocol.
 
 use crate::error::CommError;
-use crate::ring::RingMsg;
-use crate::transport::Transport;
-use crate::wire::WirePayload;
-use std::io::{BufReader, BufWriter, Read, Write};
+use crate::transport::{channel_ring, Transport};
+use std::io::{BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -172,61 +163,8 @@ impl TcpConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Frame I/O
+// Rendezvous field I/O
 // ---------------------------------------------------------------------------
-
-fn write_frame(w: &mut impl Write, msg: &RingMsg) -> std::io::Result<()> {
-    let body_len = msg.payload.wire_bytes();
-    let mut buf = Vec::with_capacity(17 + body_len);
-    buf.extend_from_slice(&(msg.origin as u64).to_le_bytes());
-    buf.push(msg.payload.tag());
-    buf.extend_from_slice(&(body_len as u64).to_le_bytes());
-    match &msg.payload {
-        WirePayload::F64(v) => {
-            for x in v {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-        WirePayload::F32(b)
-        | WirePayload::F16(b)
-        | WirePayload::Sparse(b)
-        | WirePayload::PackedSym(b) => {
-            buf.extend_from_slice(b);
-        }
-    }
-    w.write_all(&buf)?;
-    w.flush()
-}
-
-fn read_frame(r: &mut impl Read) -> std::io::Result<RingMsg> {
-    let mut hdr = [0u8; 17];
-    r.read_exact(&mut hdr)?;
-    let origin = u64::from_le_bytes(hdr[..8].try_into().expect("8 bytes")) as usize;
-    let tag = hdr[8];
-    let nbytes = u64::from_le_bytes(hdr[9..].try_into().expect("8 bytes")) as usize;
-    let mut bytes = vec![0u8; nbytes];
-    r.read_exact(&mut bytes)?;
-    let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-    let payload = match tag {
-        0 => {
-            if !nbytes.is_multiple_of(8) {
-                return Err(bad(format!("f64 frame body of {nbytes} bytes")));
-            }
-            WirePayload::F64(
-                bytes
-                    .chunks_exact(8)
-                    .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-                    .collect(),
-            )
-        }
-        1 => WirePayload::F32(bytes),
-        2 => WirePayload::F16(bytes),
-        3 => WirePayload::Sparse(bytes),
-        4 => WirePayload::PackedSym(bytes),
-        t => return Err(bad(format!("unknown wire payload tag {t}"))),
-    };
-    Ok(RingMsg { origin, payload })
-}
 
 fn write_u32(w: &mut impl Write, v: u32) -> std::io::Result<()> {
     w.write_all(&v.to_le_bytes())
@@ -486,25 +424,45 @@ fn accept_deadline(
     }
 }
 
-/// The fully-connected TCP transport of one rank: a framed writer to the
-/// right neighbour and a framed reader from the left neighbour. Error
-/// contexts carry the peer *rank*, precomputed at connect time, so a
-/// poisoning log line names the broken ring edge without a trace.
+/// The fully-connected TCP transport of one rank: a socket to the right
+/// neighbour and a buffered reader from the left neighbour. Error contexts
+/// carry the peer *rank*, precomputed at connect time, so a poisoning log
+/// line names the broken ring edge without a trace.
 #[derive(Debug)]
 pub struct TcpTransport {
-    to_right: BufWriter<TcpStream>,
+    to_right: TcpStream,
     from_left: BufReader<TcpStream>,
     send_ctx: String,
     recv_ctx: String,
 }
 
+/// `write_all` over two parts with one vectored write while both remain.
+fn write_all_parts(w: &mut TcpStream, mut head: &[u8], mut body: &[u8]) -> std::io::Result<()> {
+    while !head.is_empty() {
+        match w.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) if n < head.len() => head = &head[n..],
+            Ok(n) => {
+                body = &body[n - head.len()..];
+                head = &[];
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    w.write_all(body)
+}
+
 impl Transport for TcpTransport {
-    fn send(&mut self, msg: RingMsg) -> Result<(), CommError> {
-        write_frame(&mut self.to_right, &msg).map_err(|e| CommError::from_io(&self.send_ctx, e))
+    fn send(&mut self, head: &[u8], body: &[u8]) -> Result<(), CommError> {
+        write_all_parts(&mut self.to_right, head, body)
+            .map_err(|e| CommError::from_io(&self.send_ctx, e))
     }
 
-    fn recv(&mut self) -> Result<RingMsg, CommError> {
-        read_frame(&mut self.from_left).map_err(|e| CommError::from_io(&self.recv_ctx, e))
+    fn recv(&mut self, buf: &mut [u8]) -> Result<(), CommError> {
+        self.from_left
+            .read_exact(buf)
+            .map_err(|e| CommError::from_io(&self.recv_ctx, e))
     }
 
     fn kind(&self) -> &'static str {
@@ -529,13 +487,13 @@ pub struct TcpJoin {
 /// Joins a `world`-rank TCP group: hosts/dials the rendezvous, exchanges
 /// listener addresses, and wires up the ring neighbours. Returns the
 /// assigned rank, the connected transport, and the aux-address table
-/// (`world == 1` short-circuits to a loopback with no sockets).
+/// (`world == 1` short-circuits to a one-rank channel ring, no sockets).
 pub fn connect(cfg: &TcpConfig, world: usize) -> Result<TcpJoin, CommError> {
     assert!(world > 0, "tcp::connect: zero-rank group");
     if world == 1 {
         return Ok(TcpJoin {
             rank: cfg.rank.unwrap_or(0),
-            transport: Box::new(crate::transport::LoopbackTransport::default()),
+            transport: Box::new(channel_ring(1).remove(0)),
             aux_addrs: vec![cfg.aux_addr.clone().unwrap_or_default()],
         });
     }
@@ -650,7 +608,7 @@ fn wire_ring(
     left.set_read_timeout(cfg.read_timeout)
         .map_err(|e| CommError::from_io("set read timeout", e))?;
     Ok(Box::new(TcpTransport {
-        to_right: BufWriter::new(right),
+        to_right: right,
         from_left: BufReader::new(left),
         send_ctx: format!("send to right neighbour (rank {right_rank})"),
         recv_ctx: format!("recv from left neighbour (rank {left_rank})"),
@@ -1085,7 +1043,8 @@ pub fn elastic_poll(cfg: &TcpConfig) -> Result<ElasticStatus, CommError> {
 /// Joins (or rejoins) an elastic TCP group: registers the intent at the
 /// long-lived rendezvous, blocks until the membership epoch forms, and
 /// wires the epoch's ring. Unlike [`connect`], the world size is decided by
-/// the server — a single-member epoch degenerates to a socketless loopback.
+/// the server — a single-member epoch degenerates to a socketless one-rank
+/// channel ring.
 pub fn elastic_connect(cfg: &TcpConfig, intent: &JoinIntent) -> Result<ElasticJoin, CommError> {
     let deadline = Instant::now() + cfg.handshake_timeout;
 
@@ -1148,7 +1107,7 @@ pub fn elastic_connect(cfg: &TcpConfig, intent: &JoinIntent) -> Result<ElasticJo
     drop(rdv);
 
     let transport: Box<dyn Transport> = if world == 1 {
-        Box::new(crate::transport::LoopbackTransport::default())
+        Box::new(channel_ring(1).remove(0))
     } else {
         wire_ring(cfg, &listener, deadline, rank, world, epoch, &peers)?
     };
@@ -1165,56 +1124,6 @@ pub fn elastic_connect(cfg: &TcpConfig, intent: &JoinIntent) -> Result<ElasticJo
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn frames_round_trip() {
-        let msg = RingMsg::f64(3, vec![1.5, -2.25, f64::MIN_POSITIVE, 0.0]);
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &msg).unwrap();
-        assert_eq!(buf.len(), 17 + 8 * 4);
-        let got = read_frame(&mut &buf[..]).unwrap();
-        assert_eq!(got.origin, 3);
-        assert_eq!(got.payload, msg.payload);
-    }
-
-    #[test]
-    fn encoded_frames_round_trip_verbatim() {
-        // Non-f64 payloads travel as opaque bytes with their format tag.
-        let (payload, _) = crate::wire::encode(
-            crate::wire::WireFormat::F16,
-            vec![1.0, -2.0, 0.5, 1024.0, -0.25],
-        );
-        let msg = RingMsg { origin: 2, payload };
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &msg).unwrap();
-        assert_eq!(buf.len(), 17 + 2 * 5);
-        let got = read_frame(&mut &buf[..]).unwrap();
-        assert_eq!(got, msg);
-
-        // Unknown tags are rejected, not misread.
-        buf[8] = 9;
-        let err = read_frame(&mut &buf[..]).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn empty_frame_round_trips() {
-        let msg = RingMsg::f64(0, vec![]);
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &msg).unwrap();
-        let got = read_frame(&mut &buf[..]).unwrap();
-        assert_eq!(got.payload.elems(), 0);
-    }
-
-    #[test]
-    fn truncated_frame_is_unexpected_eof() {
-        let msg = RingMsg::f64(1, vec![4.0, 5.0]);
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &msg).unwrap();
-        buf.truncate(buf.len() - 3);
-        let err = read_frame(&mut &buf[..]).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
-    }
 
     #[test]
     fn oversized_rendezvous_string_rejected() {
@@ -1282,11 +1191,10 @@ mod tests {
             let cfg = TcpConfig::new(addr1);
             let join = connect(&cfg, 2).unwrap();
             let (rank, mut t) = (join.rank, join.transport);
-            // Echo service: receive one frame, send one frame.
-            let got = t.recv().unwrap();
-            let (vals, _) = crate::wire::decode(got.payload);
-            t.send(RingMsg::f64(rank, vals.iter().map(|v| v * 2.0).collect()))
-                .unwrap();
+            // Echo service: receive four bytes, send them back doubled.
+            let mut got = [0u8; 4];
+            t.recv(&mut got).unwrap();
+            t.send(&[], &got.map(|b| b * 2)).unwrap();
             rank
         });
         let mut cfg = TcpConfig::new(addr);
@@ -1296,9 +1204,11 @@ mod tests {
         // The aux table is rank-indexed and carries this member's entry.
         assert_eq!(join.aux_addrs.len(), 2);
         assert_eq!(join.aux_addrs[rank], "me:1234");
-        t.send(RingMsg::f64(rank, vec![1.0, 2.0])).unwrap();
-        let back = t.recv().unwrap();
-        assert_eq!(back.payload, WirePayload::F64(vec![2.0, 4.0]));
+        // Head and body parts arrive as one stream.
+        t.send(&[1, 2], &[3, 4]).unwrap();
+        let mut back = [0u8; 4];
+        t.recv(&mut back).unwrap();
+        assert_eq!(back, [2, 4, 6, 8]);
         let peer_rank = peer.join().unwrap();
         assert_ne!(rank, peer_rank);
         assert_eq!(t.kind(), "tcp");
@@ -1309,7 +1219,7 @@ mod tests {
         let cfg = TcpConfig::new("127.0.0.1:1"); // never dialled
         let join = connect(&cfg, 1).unwrap();
         assert_eq!(join.rank, 0);
-        assert_eq!(join.transport.kind(), "loopback");
+        assert_eq!(join.transport.kind(), "channel");
         assert_eq!(join.aux_addrs, vec![String::new()]);
     }
 
@@ -1392,7 +1302,7 @@ mod tests {
         .unwrap();
         assert_eq!((e1.epoch, e1.rank, e1.world), (1, 0, 1));
         assert_eq!(e1.state_source, Some(0));
-        assert_eq!(e1.transport.kind(), "loopback");
+        assert_eq!(e1.transport.kind(), "channel");
         assert_eq!(
             handle.status(),
             ElasticStatus {
@@ -1431,15 +1341,18 @@ mod tests {
         assert_eq!(joined.state_source, Some(0));
         assert_eq!(handle.status().epoch, 2);
 
-        // The epoch-2 ring actually carries frames.
+        // The epoch-2 ring actually carries bytes.
         let mut ta = e2.transport;
         let mut tb = joined.transport;
         let echo = std::thread::spawn(move || {
-            let got = tb.recv().unwrap();
-            tb.send(got).unwrap();
+            let mut got = [0u8; 2];
+            tb.recv(&mut got).unwrap();
+            tb.send(&[], &got).unwrap();
         });
-        ta.send(RingMsg::f64(0, vec![7.0, 8.0])).unwrap();
-        assert_eq!(ta.recv().unwrap().payload, WirePayload::F64(vec![7.0, 8.0]));
+        ta.send(&[], &[7, 8]).unwrap();
+        let mut back = [0u8; 2];
+        ta.recv(&mut back).unwrap();
+        assert_eq!(back, [7, 8]);
         echo.join().unwrap();
         handle.stop();
     }

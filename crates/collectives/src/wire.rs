@@ -2,33 +2,28 @@
 //!
 //! Every payload a ring collective puts on the wire passes through this
 //! module: the comm thread picks a [`WireFormat`] per operation (via
-//! [`WirePolicy`]), the ring endpoint encodes outgoing chunks with
-//! [`encode`] and decodes incoming ones with [`decode`] /
-//! [`decode_ref`]. The default format is [`WireFormat::F64`], a bit-exact
-//! pass-through that moves the `Vec<f64>` without copying, so runs that
-//! never opt in pay nothing.
+//! [`WirePolicy`]) and the ring endpoint runs the codec slice by slice
+//! between its reusable send/receive buffers and the caller's `f64`s.
 //!
-//! Lossy formats are first-class citizens, not casts:
+//! - **Dense formats** (f64 / f32 / f16) are slice-to-slice kernels:
+//!   [`encode_into`] writes wire bytes and reports the max absolute rounding
+//!   error it introduced, [`decode_into`] / [`decode_add`] / [`decode`] land
+//!   wire bytes in place (store, reduce, or store-scaled). f32 and f16 have
+//!   an F16C/AVX2 path behind a runtime probe; the software converters
+//!   ([`f32_to_f16_bits`], [`f16_bits_to_f32`], round-to-nearest-even) are
+//!   the fallback and the oracle — both paths produce the same bytes.
+//! - **Self-describing bodies** are encoded and decoded whole
+//!   ([`encode_body`] / [`decode_body`]): **top-k**
+//!   ([`WireFormat::TopK`]) ships index/value pairs of what
+//!   [`sparsify_with_residual`] kept (the dropped mass moves, bit-exactly,
+//!   into a residual the comm thread carries to the next same-shape
+//!   operation) and falls back to dense f32 when that is smaller;
+//!   **packed-sym** ships the upper triangle of an exactly symmetric matrix
+//!   in f16. Their decoders reject any body that contradicts its own header
+//!   — the bytes come off a socket.
 //!
-//! - **f32 / f16** round every element (f16 with round-to-nearest-even via
-//!   a software converter — the container has no `half` crate and needs
-//!   none), and the encoder reports the max absolute/relative rounding
-//!   error it introduced so the comm thread can publish per-op error
-//!   metrics.
-//! - **top-k** ([`WireFormat::TopK`]) sends only the `ratio` fraction of
-//!   largest-magnitude elements. The dropped mass is *moved*, bit-exactly,
-//!   into a residual buffer ([`sparsify_with_residual`]) that the comm
-//!   thread carries to the next operation of the same shape — the
-//!   error-feedback scheme of gradient-sparsification practice. The sparse
-//!   payload self-describes (index/value pairs in f32) and falls back to a
-//!   dense f32 body whenever that is smaller.
-//!
-//! SPMD parity matters more than byte counts: whenever a collective's
-//! result must be identical on every rank (broadcast, all-gather, the
-//! all-gather phase of all-reduce), the *originating* rank encodes once,
-//! decodes its own bytes, and relays the encoded payload verbatim — every
-//! rank then derives its result from the same bytes, so ranks agree
-//! bit-for-bit even under lossy formats.
+//! [`encode`] / [`decode_ref`] wrap the same kernels over fresh allocations
+//! for callers outside the ring (benchmarks, tests).
 
 use std::time::Instant;
 
@@ -217,355 +212,560 @@ impl WirePolicy {
     }
 }
 
-/// An encoded payload as it travels between ring neighbours.
+impl WireFormat {
+    /// Frame tag naming the body encoding (0 = f64, 1 = f32, 2 = f16,
+    /// 3 = sparse, 4 = packed-sym).
+    pub fn tag(&self) -> u8 {
+        match self {
+            WireFormat::F64 => 0,
+            WireFormat::F32 => 1,
+            WireFormat::F16 => 2,
+            WireFormat::TopK { .. } => 3,
+            WireFormat::PackedSymF16 => 4,
+        }
+    }
+
+    /// Wire bytes per element of the dense formats, whose bodies stream
+    /// slice by slice; `None` for the self-describing bodies (sparse,
+    /// packed-sym), which are encoded and decoded whole.
+    pub fn dense_elem_bytes(&self) -> Option<usize> {
+        match self {
+            WireFormat::F64 => Some(8),
+            WireFormat::F32 => Some(4),
+            WireFormat::F16 => Some(2),
+            WireFormat::TopK { .. } | WireFormat::PackedSymF16 => None,
+        }
+    }
+
+    /// Largest self-describing body `elems` logical elements can encode
+    /// to — the bound a receiver checks a frame length against.
+    pub fn max_body_bytes(&self, elems: usize) -> usize {
+        match self {
+            // Sparse pairs are only chosen when smaller than dense f32.
+            WireFormat::TopK { .. } => 9 + 4 * elems,
+            WireFormat::PackedSymF16 => BODY_HEADER + 2 * elems,
+            dense => dense.dense_elem_bytes().expect("dense format") * elems,
+        }
+    }
+}
+
+/// How decoded values land in their destination.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Sink {
+    /// `dst = v`.
+    Store,
+    /// `dst += v` (the reducing hops).
+    Add,
+    /// `dst = v * s` (an averaging all-reduce's final pass).
+    Scaled(f64),
+}
+
+impl Sink {
+    #[inline(always)]
+    fn land(self, d: &mut f64, v: f64) {
+        match self {
+            Sink::Store => *d = v,
+            Sink::Add => *d += v,
+            Sink::Scaled(s) => *d = v * s,
+        }
+    }
+
+    /// Lands already-decoded values.
+    pub fn land_all(self, dst: &mut [f64], vals: &[f64]) {
+        for (d, v) in dst.iter_mut().zip(vals) {
+            self.land(d, *v);
+        }
+    }
+}
+
+/// The slice kernels take dense formats only; self-describing bodies go
+/// through [`encode_body`] / [`decode_body`].
+const DENSE_ONLY: &str = "slice kernel called with a self-describing format";
+
+/// Encodes `src` into `dst` in a dense format and returns the max absolute
+/// rounding error introduced. `dst.len()` must be `src.len()` times the
+/// format's element size. Uses the F16C/AVX2 path when the CPU has it; the
+/// scalar converters are the fallback and produce the same bytes.
+pub fn encode_into(fmt: WireFormat, src: &[f64], dst: &mut [u8]) -> f64 {
+    let eb = fmt.dense_elem_bytes().expect(DENSE_ONLY);
+    assert_eq!(dst.len(), src.len() * eb, "encode_into: length mismatch");
+    match fmt {
+        WireFormat::F64 => {
+            for (d, x) in dst.chunks_exact_mut(8).zip(src) {
+                d.copy_from_slice(&x.to_le_bytes());
+            }
+            0.0
+        }
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `available` verified AVX2 + F16C; lengths asserted above.
+        WireFormat::F32 if simd::available() => unsafe { simd::encode_f32(src, dst) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        WireFormat::F16 if simd::available() => unsafe { simd::encode_f16(src, dst) },
+        WireFormat::F32 => encode_f32_scalar(src, dst),
+        _ => encode_f16_scalar(src, dst),
+    }
+}
+
+fn encode_f32_scalar(src: &[f64], dst: &mut [u8]) -> f64 {
+    let mut err = 0.0f64;
+    for (d, &x) in dst.chunks_exact_mut(4).zip(src) {
+        let f = x as f32;
+        d.copy_from_slice(&f.to_le_bytes());
+        err = max_ignoring_nan(err, (x - f as f64).abs());
+    }
+    err
+}
+
+fn encode_f16_scalar(src: &[f64], dst: &mut [u8]) -> f64 {
+    let mut err = 0.0f64;
+    for (d, &x) in dst.chunks_exact_mut(2).zip(src) {
+        let h = f32_to_f16_bits(x as f32);
+        d.copy_from_slice(&h.to_le_bytes());
+        err = max_ignoring_nan(err, (x - f16_bits_to_f32(h) as f64).abs());
+    }
+    err
+}
+
+#[inline(always)]
+fn max_ignoring_nan(acc: f64, v: f64) -> f64 {
+    if v > acc {
+        v
+    } else {
+        acc
+    }
+}
+
+/// `dst = decode(src)` for a dense format.
+pub fn decode_into(fmt: WireFormat, src: &[u8], dst: &mut [f64]) {
+    decode(fmt, src, dst, Sink::Store);
+}
+
+/// `dst += decode(src)` for a dense format — the reducing hop, straight
+/// from the receive buffer.
+pub fn decode_add(fmt: WireFormat, src: &[u8], dst: &mut [f64]) {
+    decode(fmt, src, dst, Sink::Add);
+}
+
+/// Decodes a dense slice and lands it through `sink`. `src.len()` must be
+/// `dst.len()` times the format's element size.
+pub fn decode(fmt: WireFormat, src: &[u8], dst: &mut [f64], sink: Sink) {
+    let eb = fmt.dense_elem_bytes().expect(DENSE_ONLY);
+    assert_eq!(src.len(), dst.len() * eb, "decode: length mismatch");
+    match fmt {
+        WireFormat::F64 => {
+            for (d, c) in dst.iter_mut().zip(src.chunks_exact(8)) {
+                sink.land(d, f64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `available` verified AVX2 + F16C; lengths asserted above.
+        WireFormat::F32 if simd::available() => unsafe { simd::decode_f32(src, dst, sink) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        WireFormat::F16 if simd::available() => unsafe { simd::decode_f16(src, dst, sink) },
+        WireFormat::F32 => decode_f32_scalar(src, dst, sink),
+        _ => decode_f16_scalar(src, dst, sink),
+    }
+}
+
+fn decode_f32_scalar(src: &[u8], dst: &mut [f64], sink: Sink) {
+    for (d, c) in dst.iter_mut().zip(src.chunks_exact(4)) {
+        sink.land(
+            d,
+            f32::from_le_bytes(c.try_into().expect("4-byte chunk")) as f64,
+        );
+    }
+}
+
+fn decode_f16_scalar(src: &[u8], dst: &mut [f64], sink: Sink) {
+    for (d, c) in dst.iter_mut().zip(src.chunks_exact(2)) {
+        let h = u16::from_le_bytes(c.try_into().expect("2-byte chunk"));
+        sink.land(d, f16_bits_to_f32(h) as f64);
+    }
+}
+
+/// F16C/AVX2 slice kernels behind a one-time CPUID probe (the dispatch
+/// `tensor::gemm` uses). Each converts the bulk in vectors and hands the
+/// tail — and any vector holding a NaN, whose payload the hardware
+/// converter treats differently — to the scalar converters, so the bytes
+/// are the scalar path's bytes.
+#[cfg(target_arch = "x86_64")]
+mod simd {
+    use super::Sink;
+    use std::arch::x86_64::*;
+    use std::sync::OnceLock;
+
+    /// One-time CPUID probe for the F16C + AVX2 path.
+    pub fn available() -> bool {
+        static AVAIL: OnceLock<bool> = OnceLock::new();
+        *AVAIL.get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("f16c"))
+    }
+
+    /// `max(|x - back|, acc)` per lane. `_mm256_max_pd` returns its second
+    /// operand when the first is NaN (inf − inf), which is how the scalar
+    /// `if err > acc` treats it.
+    #[inline]
+    #[target_feature(enable = "avx2,f16c")]
+    fn abs_err(x: __m256d, back: __m256d, acc: __m256d) -> __m256d {
+        let sign = _mm256_set1_pd(-0.0);
+        _mm256_max_pd(_mm256_andnot_pd(sign, _mm256_sub_pd(x, back)), acc)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2,f16c")]
+    fn hmax(v: __m256d, tail: f64) -> f64 {
+        let mut lanes = [0.0f64; 4];
+        // SAFETY: `lanes` holds exactly the four doubles stored.
+        unsafe { _mm256_storeu_pd(lanes.as_mut_ptr(), v) };
+        lanes
+            .iter()
+            .fold(tail, |a, &b| super::max_ignoring_nan(a, b))
+    }
+
+    /// # Safety
+    /// `d` must be valid for reading and writing four `f64`s.
+    #[inline]
+    #[target_feature(enable = "avx2,f16c")]
+    unsafe fn land(sink: Sink, d: *mut f64, v: __m256d) {
+        // SAFETY: the caller guarantees `d[..4]`.
+        unsafe {
+            let out = match sink {
+                Sink::Store => v,
+                Sink::Add => _mm256_add_pd(_mm256_loadu_pd(d), v),
+                Sink::Scaled(s) => _mm256_mul_pd(v, _mm256_set1_pd(s)),
+            };
+            _mm256_storeu_pd(d, out);
+        }
+    }
+
+    /// # Safety
+    /// Caller must have verified [`available`]; `dst.len() == 4 * src.len()`.
+    #[target_feature(enable = "avx2,f16c")]
+    pub unsafe fn encode_f32(src: &[f64], dst: &mut [u8]) -> f64 {
+        let body = src.len() / 4 * 4;
+        let mut err = _mm256_setzero_pd();
+        for i in (0..body).step_by(4) {
+            // SAFETY: `i + 4 <= src.len()` and `4 * (i + 4) <= dst.len()`.
+            unsafe {
+                let x = _mm256_loadu_pd(src.as_ptr().add(i));
+                let f = _mm256_cvtpd_ps(x);
+                _mm_storeu_ps(dst.as_mut_ptr().add(4 * i).cast(), f);
+                err = abs_err(x, _mm256_cvtps_pd(f), err);
+            }
+        }
+        let tail = super::encode_f32_scalar(&src[body..], &mut dst[4 * body..]);
+        hmax(err, tail)
+    }
+
+    /// # Safety
+    /// Caller must have verified [`available`]; `dst.len() == 2 * src.len()`.
+    #[target_feature(enable = "avx2,f16c")]
+    pub unsafe fn encode_f16(src: &[f64], dst: &mut [u8]) -> f64 {
+        let body = src.len() / 8 * 8;
+        let mut err = _mm256_setzero_pd();
+        let mut scalar_err = 0.0f64;
+        for i in (0..body).step_by(8) {
+            // SAFETY: `i + 8 <= src.len()`.
+            let (lo, hi) = unsafe {
+                (
+                    _mm256_loadu_pd(src.as_ptr().add(i)),
+                    _mm256_loadu_pd(src.as_ptr().add(i + 4)),
+                )
+            };
+            let nan = _mm256_or_pd(
+                _mm256_cmp_pd::<_CMP_UNORD_Q>(lo, lo),
+                _mm256_cmp_pd::<_CMP_UNORD_Q>(hi, hi),
+            );
+            if _mm256_movemask_pd(nan) != 0 {
+                // VCVTPS2PH truncates a NaN payload; the software converter
+                // also sets its low bit. Keep the software bytes.
+                let e = super::encode_f16_scalar(&src[i..i + 8], &mut dst[2 * i..2 * i + 16]);
+                scalar_err = super::max_ignoring_nan(scalar_err, e);
+                continue;
+            }
+            let f = _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo));
+            let h = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(f);
+            // SAFETY: `2 * (i + 8) <= dst.len()`.
+            unsafe { _mm_storeu_si128(dst.as_mut_ptr().add(2 * i).cast(), h) };
+            let back = _mm256_cvtph_ps(h);
+            err = abs_err(lo, _mm256_cvtps_pd(_mm256_castps256_ps128(back)), err);
+            err = abs_err(hi, _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(back)), err);
+        }
+        let tail = super::encode_f16_scalar(&src[body..], &mut dst[2 * body..]);
+        hmax(err, super::max_ignoring_nan(scalar_err, tail))
+    }
+
+    /// # Safety
+    /// Caller must have verified [`available`]; `src.len() == 4 * dst.len()`.
+    #[target_feature(enable = "avx2,f16c")]
+    pub unsafe fn decode_f32(src: &[u8], dst: &mut [f64], sink: Sink) {
+        let body = dst.len() / 4 * 4;
+        for i in (0..body).step_by(4) {
+            // SAFETY: `4 * (i + 4) <= src.len()` and `i + 4 <= dst.len()`.
+            unsafe {
+                let f = _mm_loadu_ps(src.as_ptr().add(4 * i).cast());
+                land(sink, dst.as_mut_ptr().add(i), _mm256_cvtps_pd(f));
+            }
+        }
+        super::decode_f32_scalar(&src[4 * body..], &mut dst[body..], sink);
+    }
+
+    /// # Safety
+    /// Caller must have verified [`available`]; `src.len() == 2 * dst.len()`.
+    #[target_feature(enable = "avx2,f16c")]
+    pub unsafe fn decode_f16(src: &[u8], dst: &mut [f64], sink: Sink) {
+        let body = dst.len() / 8 * 8;
+        for i in (0..body).step_by(8) {
+            // SAFETY: `2 * (i + 8) <= src.len()` and `i + 8 <= dst.len()`.
+            unsafe {
+                let f = _mm256_cvtph_ps(_mm_loadu_si128(src.as_ptr().add(2 * i).cast()));
+                let d = dst.as_mut_ptr().add(i);
+                land(sink, d, _mm256_cvtps_pd(_mm256_castps256_ps128(f)));
+                land(
+                    sink,
+                    d.add(4),
+                    _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(f)),
+                );
+            }
+        }
+        super::decode_f16_scalar(&src[2 * body..], &mut dst[body..], sink);
+    }
+}
+
+/// Kind byte + u32 length/dimension that open every self-describing body.
+const BODY_HEADER: usize = 5;
+
+fn push_body_header(out: &mut Vec<u8>, kind: u8, n: usize) {
+    out.clear();
+    out.push(kind);
+    out.extend_from_slice(&(n as u32).to_le_bytes());
+}
+
+/// Appends `data` to `out` through a dense slice kernel.
+fn push_dense(fmt: WireFormat, data: &[f64], out: &mut Vec<u8>) -> f64 {
+    let at = out.len();
+    out.resize(at + data.len() * fmt.dense_elem_bytes().expect("dense"), 0);
+    encode_into(fmt, data, &mut out[at..])
+}
+
+/// Encodes a whole self-describing body (top-k → sparse, packed-sym) into
+/// `out`, reusing its capacity; returns the max absolute rounding error.
 ///
-/// The variant tag is part of the frame on the TCP backend, so a receiver
-/// decodes without out-of-band format agreement — which also lets relays
-/// forward payloads verbatim.
+/// The top-k path assumes sparsification already happened upstream (the
+/// comm thread owns the residual state) and serialises whatever
+/// zeros/non-zeros it is handed, picking index/value pairs only when they
+/// are smaller than a dense f32 body. The packed-sym path ships the upper
+/// triangle of an exactly symmetric square matrix and dense f16 otherwise.
+pub fn encode_body(fmt: WireFormat, data: &[f64], out: &mut Vec<u8>) -> f64 {
+    let len = data.len();
+    match fmt {
+        WireFormat::TopK { .. } => {
+            let nnz = data.iter().filter(|v| **v != 0.0).count();
+            // Sparse body: 8 bytes/non-zero vs. 4 bytes/element dense.
+            if 8 * nnz >= 4 * len {
+                push_body_header(out, 0, len);
+                return push_dense(WireFormat::F32, data, out);
+            }
+            push_body_header(out, 1, len);
+            out.extend_from_slice(&(nnz as u32).to_le_bytes());
+            let mut err = 0.0f64;
+            for (i, &x) in data.iter().enumerate() {
+                if x != 0.0 {
+                    let f = x as f32;
+                    err = max_ignoring_nan(err, (x - f as f64).abs());
+                    out.extend_from_slice(&(i as u32).to_le_bytes());
+                    out.extend_from_slice(&f.to_le_bytes());
+                }
+            }
+            err
+        }
+        WireFormat::PackedSymF16 => {
+            let d = (len as f64).sqrt().round() as usize;
+            let symmetric_square = d > 0
+                && d * d == len
+                && (0..d).all(|r| (r + 1..d).all(|c| data[r * d + c] == data[c * d + r]));
+            if !symmetric_square {
+                push_body_header(out, 0, len);
+                return push_dense(WireFormat::F16, data, out);
+            }
+            push_body_header(out, 1, d);
+            // Row r of the triangle is the contiguous run (r, r..d).
+            (0..d).fold(0.0, |err, r| {
+                let row = &data[r * d + r..(r + 1) * d];
+                max_ignoring_nan(err, push_dense(WireFormat::F16, row, out))
+            })
+        }
+        dense => unreachable!("{dense} bodies stream through the slice kernels"),
+    }
+}
+
+/// Logical element count a self-describing body claims to carry.
+pub fn body_elems(fmt: WireFormat, body: &[u8]) -> Result<usize, String> {
+    if body.len() < BODY_HEADER {
+        return Err(format!("{fmt} body of {} bytes has no header", body.len()));
+    }
+    let n = u32::from_le_bytes(body[1..5].try_into().expect("4-byte len")) as usize;
+    match (fmt, body[0]) {
+        (WireFormat::PackedSymF16, 1) => n
+            .checked_mul(n)
+            .ok_or_else(|| format!("packed-sym dimension {n} overflows")),
+        (WireFormat::TopK { .. }, 0 | 1) | (WireFormat::PackedSymF16, 0) => Ok(n),
+        (_, kind) => Err(format!("unknown {fmt} body kind {kind}")),
+    }
+}
+
+/// Decodes a whole self-describing body into `out` (resized to the
+/// body's logical length, capacity reused). `expect` is the element count
+/// the receiver knows the hop carries, when it knows one. A body that
+/// contradicts its own header or that expectation — wrong size, index out
+/// of range, unknown kind — is an error, never a panic or an allocation
+/// sized by an unbacked length: the bytes come off a socket.
+pub fn decode_body(
+    fmt: WireFormat,
+    body: &[u8],
+    expect: Option<usize>,
+    out: &mut Vec<f64>,
+) -> Result<(), String> {
+    let len = body_elems(fmt, body)?;
+    if let Some(want) = expect.filter(|&want| want != len) {
+        return Err(format!(
+            "{fmt} body carries {len} elements, hop expects {want}"
+        ));
+    }
+    let payload = &body[BODY_HEADER..];
+    let want = |bytes: usize, what: &str| {
+        (payload.len() == bytes).then_some(()).ok_or_else(|| {
+            format!(
+                "{fmt} {what} body holds {} bytes, header implies {bytes}",
+                payload.len()
+            )
+        })
+    };
+    out.clear();
+    match (fmt, body[0]) {
+        (WireFormat::TopK { .. }, 0) => {
+            want(len.saturating_mul(4), "dense")?;
+            out.resize(len, 0.0);
+            decode_into(WireFormat::F32, payload, out);
+        }
+        (WireFormat::TopK { .. }, _) => {
+            // Pairs do not back `len`, so only a hop that knows its length
+            // may size the output from it (top-k composes with the
+            // fixed-shape all-reduce only).
+            if expect.is_none() {
+                return Err(format!("{fmt} sparse body on a hop of unknown length"));
+            }
+            let Some((count, pairs)) = payload.split_first_chunk::<4>() else {
+                return Err(format!("{fmt} sparse body has no pair count"));
+            };
+            let nnz = u32::from_le_bytes(*count) as usize;
+            if pairs.len() != nnz.saturating_mul(8) {
+                return Err(format!(
+                    "{fmt} sparse body holds {} bytes, header implies {nnz} pairs",
+                    pairs.len()
+                ));
+            }
+            out.resize(len, 0.0);
+            for pair in pairs.chunks_exact(8) {
+                let idx = u32::from_le_bytes(pair[..4].try_into().expect("idx")) as usize;
+                let val = f32::from_le_bytes(pair[4..].try_into().expect("val"));
+                *out.get_mut(idx)
+                    .ok_or_else(|| format!("sparse index {idx} out of range {len}"))? = val as f64;
+            }
+        }
+        (_, 0) => {
+            want(len.saturating_mul(2), "dense")?;
+            out.resize(len, 0.0);
+            decode_into(WireFormat::F16, payload, out);
+        }
+        _ => {
+            let d = u32::from_le_bytes(body[1..5].try_into().expect("4-byte dim")) as usize;
+            want(d.saturating_mul(d + 1), "triangle")?;
+            out.resize(len, 0.0);
+            let mut at = 0;
+            for r in 0..d {
+                let run = 2 * (d - r);
+                decode_into(
+                    WireFormat::F16,
+                    &payload[at..at + run],
+                    &mut out[r * d + r..(r + 1) * d],
+                );
+                at += run;
+                for c in r + 1..d {
+                    out[c * d + r] = out[r * d + c];
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One encoded chunk body with the format and element count that a frame
+/// header and the receiver's expectation would carry — what [`encode`]
+/// returns and [`decode_ref`] reads.
 #[derive(Debug, Clone, PartialEq)]
-pub enum WirePayload {
-    /// Bit-exact doubles (the pass-through fast path keeps the `Vec`).
-    F64(Vec<f64>),
-    /// Little-endian f32 bytes.
-    F32(Vec<u8>),
-    /// Little-endian f16 bytes.
-    F16(Vec<u8>),
-    /// Self-describing sparse/dense-f32 body (see module docs).
-    Sparse(Vec<u8>),
-    /// Self-describing packed-symmetric/dense-f16 body: kind byte 1 = u32
-    /// dimension + upper-triangle halves, kind byte 0 = u32 length + dense
-    /// halves.
-    PackedSym(Vec<u8>),
+pub struct WirePayload {
+    fmt: WireFormat,
+    elems: usize,
+    body: Vec<u8>,
 }
 
 impl WirePayload {
     /// Logical element count carried by this payload.
     pub fn elems(&self) -> usize {
-        match self {
-            WirePayload::F64(v) => v.len(),
-            WirePayload::F32(b) => b.len() / 4,
-            WirePayload::F16(b) => b.len() / 2,
-            WirePayload::Sparse(b) => sparse_logical_len(b),
-            WirePayload::PackedSym(b) => packed_sym_logical_len(b),
-        }
+        self.elems
     }
 
     /// Actual bytes this payload occupies on the wire (body only).
     pub fn wire_bytes(&self) -> usize {
-        match self {
-            WirePayload::F64(v) => v.len() * 8,
-            WirePayload::F32(b)
-            | WirePayload::F16(b)
-            | WirePayload::Sparse(b)
-            | WirePayload::PackedSym(b) => b.len(),
-        }
+        self.body.len()
     }
 
-    /// Frame tag used by the TCP backend (0=f64, 1=f32, 2=f16, 3=sparse,
-    /// 4=packed-sym).
+    /// Frame tag of the body encoding (see [`WireFormat::tag`]).
     pub fn tag(&self) -> u8 {
-        match self {
-            WirePayload::F64(_) => 0,
-            WirePayload::F32(_) => 1,
-            WirePayload::F16(_) => 2,
-            WirePayload::Sparse(_) => 3,
-            WirePayload::PackedSym(_) => 4,
-        }
+        self.fmt.tag()
     }
 }
 
 /// Codec-side cost and error of one [`encode`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CodecStats {
-    /// CPU seconds spent converting (0 for the f64 pass-through).
+    /// CPU seconds spent converting.
     pub secs: f64,
     /// Max absolute error vs. the input introduced by this encode.
     pub max_abs_err: f64,
-    /// Max relative error (|err| / |input|) over non-zero inputs.
-    pub max_rel_err: f64,
 }
 
-impl CodecStats {
-    fn observe(&mut self, input: f64, encoded: f64) {
-        let abs = (input - encoded).abs();
-        if abs > self.max_abs_err {
-            self.max_abs_err = abs;
-        }
-        if input != 0.0 {
-            let rel = abs / input.abs();
-            if rel > self.max_rel_err {
-                self.max_rel_err = rel;
-            }
-        }
-    }
-}
-
-/// Encodes `data` in `fmt`, reporting codec time and rounding error.
-///
-/// The f64 path moves the vector (zero cost, zero error). The top-k path
-/// assumes sparsification already happened upstream (the comm thread owns
-/// the residual state) and simply serialises whatever zeros/non-zeros it
-/// is handed, picking the sparse body only when it is smaller than a
-/// dense f32 one.
+/// Encodes a whole buffer in `fmt` — [`encode_into`] / [`encode_body`]
+/// over a fresh allocation, for callers outside the ring's buffers.
 pub fn encode(fmt: WireFormat, data: Vec<f64>) -> (WirePayload, CodecStats) {
-    let mut cs = CodecStats::default();
-    match fmt {
-        WireFormat::F64 => (WirePayload::F64(data), cs),
-        WireFormat::F32 => {
-            let t0 = Instant::now();
-            let mut bytes = Vec::with_capacity(data.len() * 4);
-            for &x in &data {
-                let f = x as f32;
-                cs.observe(x, f as f64);
-                bytes.extend_from_slice(&f.to_le_bytes());
-            }
-            cs.secs = t0.elapsed().as_secs_f64();
-            (WirePayload::F32(bytes), cs)
-        }
-        WireFormat::F16 => {
-            let t0 = Instant::now();
-            let mut bytes = Vec::with_capacity(data.len() * 2);
-            for &x in &data {
-                let h = f32_to_f16_bits(x as f32);
-                cs.observe(x, f16_bits_to_f32(h) as f64);
-                bytes.extend_from_slice(&h.to_le_bytes());
-            }
-            cs.secs = t0.elapsed().as_secs_f64();
-            (WirePayload::F16(bytes), cs)
-        }
-        WireFormat::TopK { .. } => {
-            let t0 = Instant::now();
-            let len = data.len();
-            let nnz = data.iter().filter(|v| **v != 0.0).count();
-            // Sparse body: 8 bytes/non-zero vs. 4 bytes/element dense.
-            let mut bytes;
-            if 8 * nnz < 4 * len {
-                bytes = Vec::with_capacity(9 + 8 * nnz);
-                bytes.push(1u8);
-                bytes.extend_from_slice(&(len as u32).to_le_bytes());
-                bytes.extend_from_slice(&(nnz as u32).to_le_bytes());
-                for (i, &x) in data.iter().enumerate() {
-                    if x != 0.0 {
-                        let f = x as f32;
-                        cs.observe(x, f as f64);
-                        bytes.extend_from_slice(&(i as u32).to_le_bytes());
-                        bytes.extend_from_slice(&f.to_le_bytes());
-                    }
-                }
-            } else {
-                bytes = Vec::with_capacity(6 + 4 * len);
-                bytes.push(0u8);
-                bytes.extend_from_slice(&(len as u32).to_le_bytes());
-                for &x in &data {
-                    let f = x as f32;
-                    cs.observe(x, f as f64);
-                    bytes.extend_from_slice(&f.to_le_bytes());
-                }
-            }
-            cs.secs = t0.elapsed().as_secs_f64();
-            (WirePayload::Sparse(bytes), cs)
-        }
-        WireFormat::PackedSymF16 => {
-            let t0 = Instant::now();
-            let len = data.len();
-            let d = (len as f64).sqrt().round() as usize;
-            let symmetric_square = d > 0 && d * d == len && {
-                let mut sym = true;
-                'rows: for r in 0..d {
-                    for c in (r + 1)..d {
-                        if data[r * d + c] != data[c * d + r] {
-                            sym = false;
-                            break 'rows;
-                        }
-                    }
-                }
-                sym
-            };
-            let mut bytes;
-            if symmetric_square {
-                let tri = d * (d + 1) / 2;
-                bytes = Vec::with_capacity(5 + 2 * tri);
-                bytes.push(1u8);
-                bytes.extend_from_slice(&(d as u32).to_le_bytes());
-                for r in 0..d {
-                    for c in r..d {
-                        let x = data[r * d + c];
-                        let h = f32_to_f16_bits(x as f32);
-                        cs.observe(x, f16_bits_to_f32(h) as f64);
-                        bytes.extend_from_slice(&h.to_le_bytes());
-                    }
-                }
-            } else {
-                bytes = Vec::with_capacity(5 + 2 * len);
-                bytes.push(0u8);
-                bytes.extend_from_slice(&(len as u32).to_le_bytes());
-                for &x in &data {
-                    let h = f32_to_f16_bits(x as f32);
-                    cs.observe(x, f16_bits_to_f32(h) as f64);
-                    bytes.extend_from_slice(&h.to_le_bytes());
-                }
-            }
-            cs.secs = t0.elapsed().as_secs_f64();
-            (WirePayload::PackedSym(bytes), cs)
-        }
-    }
+    let t0 = Instant::now();
+    let mut body = Vec::new();
+    let max_abs_err = match fmt.dense_elem_bytes() {
+        Some(_) => push_dense(fmt, &data, &mut body),
+        None => encode_body(fmt, &data, &mut body),
+    };
+    let payload = WirePayload {
+        fmt,
+        elems: data.len(),
+        body,
+    };
+    let secs = t0.elapsed().as_secs_f64();
+    (payload, CodecStats { secs, max_abs_err })
 }
 
-/// Decodes an owned payload into doubles; returns the codec seconds spent.
-///
-/// The f64 variant moves the vector back out — the lossless round trip is
-/// allocation-free in both directions.
-pub fn decode(payload: WirePayload) -> (Vec<f64>, f64) {
-    match payload {
-        WirePayload::F64(v) => (v, 0.0),
-        other => decode_ref(&other),
-    }
-}
-
-/// Decodes a borrowed payload (for relay paths that also forward it).
+/// Decodes a payload produced by [`encode`]; returns the values and the
+/// codec seconds spent.
 pub fn decode_ref(payload: &WirePayload) -> (Vec<f64>, f64) {
-    match payload {
-        WirePayload::F64(v) => (v.clone(), 0.0),
-        WirePayload::F32(b) => {
-            let t0 = Instant::now();
-            let out: Vec<f64> = b
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")) as f64)
-                .collect();
-            (out, t0.elapsed().as_secs_f64())
-        }
-        WirePayload::F16(b) => {
-            let t0 = Instant::now();
-            let out: Vec<f64> = b
-                .chunks_exact(2)
-                .map(|c| {
-                    f16_bits_to_f32(u16::from_le_bytes(c.try_into().expect("2-byte chunk"))) as f64
-                })
-                .collect();
-            (out, t0.elapsed().as_secs_f64())
-        }
-        WirePayload::Sparse(b) => {
-            let t0 = Instant::now();
-            let out = decode_sparse(b);
-            (out, t0.elapsed().as_secs_f64())
-        }
-        WirePayload::PackedSym(b) => {
-            let t0 = Instant::now();
-            let out = decode_packed_sym(b);
-            (out, t0.elapsed().as_secs_f64())
-        }
+    let t0 = Instant::now();
+    let mut out = vec![0.0; payload.elems];
+    match payload.fmt.dense_elem_bytes() {
+        Some(_) => decode_into(payload.fmt, &payload.body, &mut out),
+        None => decode_body(payload.fmt, &payload.body, Some(payload.elems), &mut out)
+            .expect("payload produced by wire::encode"),
     }
-}
-
-fn sparse_logical_len(b: &[u8]) -> usize {
-    assert!(b.len() >= 5, "sparse payload shorter than its header");
-    u32::from_le_bytes(b[1..5].try_into().expect("4-byte len")) as usize
-}
-
-fn decode_sparse(b: &[u8]) -> Vec<f64> {
-    let len = sparse_logical_len(b);
-    match b[0] {
-        0 => {
-            let body = &b[5..];
-            assert_eq!(body.len(), 4 * len, "dense sparse-fallback body mismatch");
-            body.chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")) as f64)
-                .collect()
-        }
-        1 => {
-            let nnz = u32::from_le_bytes(b[5..9].try_into().expect("4-byte nnz")) as usize;
-            let body = &b[9..];
-            assert_eq!(body.len(), 8 * nnz, "sparse body mismatch");
-            let mut out = vec![0.0f64; len];
-            for pair in body.chunks_exact(8) {
-                let idx = u32::from_le_bytes(pair[0..4].try_into().expect("idx")) as usize;
-                let val = f32::from_le_bytes(pair[4..8].try_into().expect("val"));
-                assert!(idx < len, "sparse index {idx} out of range {len}");
-                out[idx] = val as f64;
-            }
-            out
-        }
-        t => panic!("unknown sparse payload tag {t}"),
-    }
-}
-
-fn packed_sym_logical_len(b: &[u8]) -> usize {
-    assert!(b.len() >= 5, "packed-sym payload shorter than its header");
-    let n = u32::from_le_bytes(b[1..5].try_into().expect("4-byte len")) as usize;
-    match b[0] {
-        1 => n * n,
-        0 => n,
-        t => panic!("unknown packed-sym payload kind {t}"),
-    }
-}
-
-fn decode_packed_sym(b: &[u8]) -> Vec<f64> {
-    let n = u32::from_le_bytes(b[1..5].try_into().expect("4-byte len")) as usize;
-    let body = &b[5..];
-    match b[0] {
-        1 => {
-            let d = n;
-            let tri = d * (d + 1) / 2;
-            assert_eq!(body.len(), 2 * tri, "packed-sym triangle body mismatch");
-            let mut out = vec![0.0f64; d * d];
-            let mut it = body.chunks_exact(2);
-            for r in 0..d {
-                for c in r..d {
-                    let h = u16::from_le_bytes(
-                        it.next().expect("triangle element").try_into().expect("2B"),
-                    );
-                    let v = f16_bits_to_f32(h) as f64;
-                    out[r * d + c] = v;
-                    out[c * d + r] = v;
-                }
-            }
-            out
-        }
-        0 => {
-            assert_eq!(body.len(), 2 * n, "packed-sym dense body mismatch");
-            body.chunks_exact(2)
-                .map(|c| f16_bits_to_f32(u16::from_le_bytes(c.try_into().expect("2B"))) as f64)
-                .collect()
-        }
-        t => panic!("unknown packed-sym payload kind {t}"),
-    }
-}
-
-/// Packs the upper triangle (row-major, diagonal included) of a symmetric
-/// `d × d` matrix into `d(d+1)/2` elements.
-///
-/// # Panics
-///
-/// Panics if `full.len() != d * d`.
-pub fn pack_sym_upper(full: &[f64], d: usize) -> Vec<f64> {
-    assert_eq!(full.len(), d * d, "matrix length mismatch");
-    let mut out = Vec::with_capacity(d * (d + 1) / 2);
-    for r in 0..d {
-        for c in r..d {
-            out.push(full[r * d + c]);
-        }
-    }
-    out
-}
-
-/// Expands a packed upper triangle back into the full symmetric `d × d`
-/// matrix (the inverse of [`pack_sym_upper`]).
-///
-/// # Panics
-///
-/// Panics if `packed.len() != d * (d + 1) / 2`.
-pub fn unpack_sym_upper(packed: &[f64], d: usize) -> Vec<f64> {
-    assert_eq!(packed.len(), d * (d + 1) / 2, "triangle length mismatch");
-    let mut out = vec![0.0f64; d * d];
-    let mut k = 0;
-    for r in 0..d {
-        for c in r..d {
-            out[r * d + c] = packed[k];
-            out[c * d + r] = packed[k];
-            k += 1;
-        }
-    }
-    out
+    (out, t0.elapsed().as_secs_f64())
 }
 
 /// Moves all but the top `ratio` fraction (by |value|) of `data + residual`
@@ -685,7 +885,7 @@ mod tests {
         assert_eq!(cs.max_abs_err, 0.0);
         assert_eq!(payload.wire_bytes(), data.len() * 8);
         assert_eq!(payload.elems(), data.len());
-        let (back, _) = decode(payload);
+        let (back, _) = decode_ref(&payload);
         assert_eq!(back, data);
     }
 
@@ -694,11 +894,16 @@ mod tests {
         let data = vec![1.0, -0.333_333_333_333, 1e20, 1e-20, 0.125];
         let (payload, cs) = encode(WireFormat::F32, data.clone());
         assert_eq!(payload.wire_bytes(), data.len() * 4);
-        let (back, _) = decode(payload);
+        let (back, _) = decode_ref(&payload);
         for (x, y) in data.iter().zip(back.iter()) {
             assert_eq!(*y, (*x as f32) as f64);
         }
-        assert!(cs.max_rel_err < 1e-6, "f32 rel err {}", cs.max_rel_err);
+        // Worst case is 1e20: half an f32 ulp at that magnitude.
+        assert!(
+            cs.max_abs_err <= 1e20 * 2f64.powi(-24),
+            "{}",
+            cs.max_abs_err
+        );
     }
 
     #[test]
@@ -730,11 +935,14 @@ mod tests {
         let data: Vec<f64> = (1..200).map(|i| (i as f64) * 0.137 - 13.0).collect();
         let (payload, cs) = encode(WireFormat::F16, data.clone());
         assert_eq!(payload.wire_bytes(), data.len() * 2);
-        assert!(cs.max_rel_err <= 1.0 / 2048.0, "rel {}", cs.max_rel_err);
-        let (back, _) = decode(payload);
+        let (back, _) = decode_ref(&payload);
+        let mut worst = 0.0f64;
         for (x, y) in data.iter().zip(back.iter()) {
             assert!((x - y).abs() <= x.abs() / 2048.0, "{x} -> {y}");
+            worst = worst.max((x - y).abs());
         }
+        // The encoder reports exactly the error the decoder will see.
+        assert_eq!(cs.max_abs_err, worst);
     }
 
     #[test]
@@ -776,13 +984,13 @@ mod tests {
         let (payload, _) = encode(WireFormat::TopK { ratio: 0.05 }, sparse_vec.clone());
         assert!(payload.wire_bytes() < 64 * 4, "sparse should beat dense");
         assert_eq!(payload.elems(), 64);
-        let (back, _) = decode(payload);
+        let (back, _) = decode_ref(&payload);
         assert_eq!(back, sparse_vec);
         // Dense vector: codec must fall back to the dense f32 body.
         let dense_vec: Vec<f64> = (0..64).map(|i| i as f64 + 0.5).collect();
         let (payload, _) = encode(WireFormat::TopK { ratio: 0.05 }, dense_vec.clone());
         assert_eq!(payload.wire_bytes(), 5 + 64 * 4);
-        let (back, _) = decode(payload);
+        let (back, _) = decode_ref(&payload);
         for (x, y) in dense_vec.iter().zip(back.iter()) {
             assert_eq!(*y, (*x as f32) as f64);
         }
@@ -806,8 +1014,8 @@ mod tests {
         assert_eq!(payload.wire_bytes(), 5 + tri * 2);
         assert_eq!(payload.elems(), d * d);
         assert_eq!(payload.tag(), 4);
-        assert!(cs.max_rel_err <= 1.0 / 2048.0, "rel {}", cs.max_rel_err);
-        let (back, _) = decode(payload);
+        assert!(cs.max_abs_err <= 3.0 / 2048.0, "abs {}", cs.max_abs_err);
+        let (back, _) = decode_ref(&payload);
         assert_eq!(back.len(), d * d);
         for r in 0..d {
             for c in 0..d {
@@ -828,7 +1036,7 @@ mod tests {
         m[1] = 100.0; // m[0][1] != m[1][0]
         let (payload, _) = encode(WireFormat::PackedSymF16, m.clone());
         assert_eq!(payload.wire_bytes(), 5 + d * d * 2);
-        let (back, _) = decode(payload);
+        let (back, _) = decode_ref(&payload);
         for (x, y) in m.iter().zip(back.iter()) {
             assert_eq!(*y, (f16_bits_to_f32(f32_to_f16_bits(*x as f32))) as f64);
         }
@@ -837,7 +1045,7 @@ mod tests {
         let (payload, _) = encode(WireFormat::PackedSymF16, chunk.clone());
         assert_eq!(payload.wire_bytes(), 5 + 10 * 2);
         assert_eq!(payload.elems(), 10);
-        let (back, _) = decode(payload);
+        let (back, _) = decode_ref(&payload);
         assert_eq!(back, chunk);
         // An off-diagonal NaN compares unequal to its mirror (even to
         // another NaN), so the probe calls the matrix asymmetric and the
@@ -850,20 +1058,44 @@ mod tests {
     }
 
     #[test]
-    fn pack_and_unpack_sym_upper_are_inverses() {
-        let d = 5usize;
-        let mut m = vec![0.0f64; d * d];
-        for r in 0..d {
-            for c in r..d {
-                let v = (r * d + c) as f64 * 0.25;
-                m[r * d + c] = v;
-                m[c * d + r] = v;
-            }
-        }
-        let packed = pack_sym_upper(&m, d);
-        assert_eq!(packed.len(), d * (d + 1) / 2);
-        let full = unpack_sym_upper(&packed, d);
-        assert_eq!(full, m);
+    fn malformed_bodies_are_errors_not_panics() {
+        let topk = WireFormat::TopK { ratio: 0.25 };
+        let mut out = Vec::new();
+        // A sparse body whose index points past its own length.
+        let mut v = vec![0.0f64; 16];
+        v[3] = 1.0;
+        let (good, _) = encode(topk, v);
+        let mut body = good.body.clone();
+        assert_eq!(body[0], 1, "sparse kind");
+        body[9..13].copy_from_slice(&99u32.to_le_bytes());
+        let err = decode_body(topk, &body, Some(16), &mut out).unwrap_err();
+        assert!(err.contains("out of range"), "{err}");
+        // Pairs do not back the length they claim; a hop that does not know
+        // its length must not size a buffer from it.
+        assert!(decode_body(topk, &good.body, None, &mut out).is_err());
+        // The hop's own expectation wins over the body's header.
+        assert!(decode_body(topk, &good.body, Some(17), &mut out).is_err());
+        // A length field the payload cannot back, an unknown kind, a
+        // missing header, a torn pair.
+        let mut huge = good.body.clone();
+        huge[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_body(topk, &huge, Some(16), &mut out).is_err());
+        let mut kind = good.body.clone();
+        kind[0] = 7;
+        assert!(decode_body(topk, &kind, Some(16), &mut out).is_err());
+        assert!(decode_body(topk, &good.body[..3], Some(16), &mut out).is_err());
+        assert!(decode_body(topk, &good.body[..good.body.len() - 1], Some(16), &mut out).is_err());
+        // Packed-sym: a dimension whose triangle the payload cannot back
+        // must be refused before d * d elements are allocated.
+        let sym = WireFormat::PackedSymF16;
+        let mut tri = vec![1u8];
+        tri.extend_from_slice(&60_000u32.to_le_bytes());
+        tri.extend_from_slice(&[0u8; 6]);
+        let err = decode_body(sym, &tri, None, &mut out).unwrap_err();
+        assert!(err.contains("triangle"), "{err}");
+        // And the intact body still decodes.
+        decode_body(topk, &good.body, Some(16), &mut out).expect("intact body");
+        assert_eq!(out[3], 1.0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
-use spdkfac_collectives::wire::{decode, encode, sparsify_with_residual};
+use spdkfac_collectives::wire::{decode_ref, encode, sparsify_with_residual};
 use spdkfac_collectives::{Backend, CommGroup, WireFormat, WirePolicy};
 use std::thread;
 
@@ -149,7 +149,7 @@ proptest! {
         let (payload, stats) = encode(WireFormat::F64, data.clone());
         prop_assert_eq!(payload.wire_bytes(), data.len() * 8);
         prop_assert_eq!(stats.max_abs_err, 0.0);
-        let (back, _) = decode(payload);
+        let (back, _) = decode_ref(&payload);
         prop_assert_eq!(back.len(), data.len());
         for (a, b) in back.iter().zip(data.iter()) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
@@ -160,7 +160,7 @@ proptest! {
     fn f32_wire_round_trip_is_within_half_ulp(data in pvec(-1e30f64..1e30, 0..64)) {
         let (payload, _) = encode(WireFormat::F32, data.clone());
         prop_assert_eq!(payload.wire_bytes(), data.len() * 4);
-        let (back, _) = decode(payload);
+        let (back, _) = decode_ref(&payload);
         for (a, b) in back.iter().zip(data.iter()) {
             // Round-to-nearest f64 -> f32: relative error <= 2^-24.
             prop_assert!((a - b).abs() <= b.abs() * 2f64.powi(-24));
@@ -171,7 +171,7 @@ proptest! {
     fn f16_wire_round_trip_is_within_documented_bound(data in pvec(-6e4f64..6e4, 0..64)) {
         let (payload, _) = encode(WireFormat::F16, data.clone());
         prop_assert_eq!(payload.wire_bytes(), data.len() * 2);
-        let (back, _) = decode(payload);
+        let (back, _) = decode_ref(&payload);
         for (a, b) in back.iter().zip(data.iter()) {
             // f64 -> f32 -> f16 double rounding: relative error <= 2^-11
             // in the normal range plus 2^-25 absolute for subnormals,
@@ -203,7 +203,7 @@ proptest! {
         // Only the upper triangle travels: header + one f16 per slot.
         prop_assert_eq!(payload.wire_bytes(), 5 + d * (d + 1) / 2 * 2);
         prop_assert_eq!(payload.elems(), d * d);
-        let (back, _) = decode(payload);
+        let (back, _) = decode_ref(&payload);
         for r in 0..d {
             for c in 0..d {
                 // Mirrored slots decode from the same wire value, so the
@@ -296,7 +296,7 @@ proptest! {
         // The sparse payload then carries each kept value at f32
         // precision and zeros exactly.
         let (payload, _) = encode(WireFormat::TopK { ratio }, sent.clone());
-        let (back, _) = decode(payload);
+        let (back, _) = decode_ref(&payload);
         for (a, b) in back.iter().zip(sent.iter()) {
             prop_assert_eq!(a.to_bits(), ((*b as f32) as f64).to_bits());
         }

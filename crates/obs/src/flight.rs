@@ -147,7 +147,9 @@ struct Ring {
 impl Ring {
     fn new(capacity: usize) -> Ring {
         Ring {
-            events: Vec::new(),
+            // Sized once: the ring is always on, and doubling its way up
+            // would put a reallocation on the collective hot path.
+            events: Vec::with_capacity(capacity),
             head: 0,
             dropped: 0,
             capacity,

@@ -7,15 +7,21 @@
 //! Each rank runs an endpoint-mode `TrainSession` on its own thread over its own socket
 //! pair, which is exactly the code path `spdkfac_node` executes per
 //! process; only the rendezvous host differs (the test, not rank 0).
+//!
+//! Also here, because tier-1 runs this crate's tests: messages far larger
+//! than the socket buffers cross the TCP ring and match the in-process
+//! backend bit for bit.
+
+mod common;
 
 use spdkfac::collectives::tcp::RendezvousServer;
-use spdkfac::collectives::{Backend, CommGroup, TcpConfig};
+use spdkfac::collectives::{Backend, CommGroup, TcpConfig, WirePolicy, WorkerComm};
 use spdkfac::core::distributed::{Algorithm, DistributedConfig, RunResult, TrainSession};
 use spdkfac::nn::data::{gaussian_blobs, Dataset};
 use spdkfac::nn::models::deep_mlp;
 use spdkfac::obs::{CriticalReport, RankMap, Recorder};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const ITERS: usize = 6;
 const BATCH: usize = 4;
@@ -140,4 +146,80 @@ fn critical_path_analyzer_covers_tcp_run() {
             r.total()
         );
     }
+}
+
+/// Runs `op` on every rank of a `world`-rank group — over TCP with 5 s
+/// frame timeouts, or in process — and returns the per-rank outputs.
+fn large_message_run(
+    world: usize,
+    over_tcp: bool,
+    op: impl Fn(&WorkerComm, Vec<f64>) -> Vec<f64> + Sync,
+) -> Vec<Vec<f64>> {
+    /// 4M doubles: a 16 MB chunk per direction on two ranks, far beyond
+    /// what a socket pair buffers.
+    const ELEMS: usize = 4 << 20;
+    let short_timeouts = |tcp: &mut TcpConfig| {
+        tcp.read_timeout = Some(Duration::from_secs(5));
+        tcp.write_timeout = Some(Duration::from_secs(5));
+    };
+    common::spmd(
+        world,
+        over_tcp,
+        WirePolicy::default(),
+        short_timeouts,
+        |comm| {
+            let data = (0..ELEMS)
+                .map(|i| ((i * 2_654_435_761 + comm.rank() * 97) % 1_000_003) as f64 * 1e-3 - 500.0)
+                .collect();
+            op(comm, data)
+        },
+    )
+}
+
+fn assert_bits_equal(tcp: &[Vec<f64>], local: &[Vec<f64>]) {
+    assert_eq!(tcp.len(), local.len());
+    for (rank, (t, l)) in tcp.iter().zip(local).enumerate() {
+        assert_eq!(t.len(), l.len(), "rank {rank}");
+        if let Some(i) = (0..t.len()).find(|&i| t[i].to_bits() != l[i].to_bits()) {
+            panic!(
+                "rank {rank} element {i}: tcp {:e} vs local {:e}",
+                t[i], l[i]
+            );
+        }
+    }
+}
+
+#[test]
+fn large_allreduce_crosses_tcp_without_deadlock() {
+    // Regression: with send-everything-then-receive hops both ranks of a
+    // 2-rank ring blocked in `write_all` once a chunk outgrew the socket
+    // buffers (2M doubles already did) and died on the write timeout.
+    let op = |comm: &WorkerComm, data: Vec<f64>| {
+        comm.allreduce_sum_async(data)
+            .wait()
+            .unwrap_or_else(|e| panic!("rank {}: {e}", comm.rank()))
+            .data
+    };
+    let tcp = large_message_run(2, true, op);
+    let local = large_message_run(2, false, op);
+    assert_bits_equal(&tcp, &local);
+    assert_eq!(tcp[0], tcp[1]);
+}
+
+#[test]
+fn large_broadcast_crosses_a_three_rank_tcp_ring() {
+    let op = |comm: &WorkerComm, mut data: Vec<f64>| {
+        if comm.rank() != 1 {
+            data.fill(0.0);
+        }
+        comm.broadcast_async(data, 1)
+            .wait()
+            .unwrap_or_else(|e| panic!("rank {}: {e}", comm.rank()))
+            .data
+    };
+    let tcp = large_message_run(3, true, op);
+    let local = large_message_run(3, false, op);
+    assert_bits_equal(&tcp, &local);
+    assert_eq!(tcp[0], tcp[1]);
+    assert_eq!(tcp[0], tcp[2]);
 }
