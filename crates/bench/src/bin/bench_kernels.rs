@@ -1,11 +1,11 @@
-//! Kernel throughput: packed pooled kernels vs the pre-PR serial reference.
+//! Kernel throughput: the level-3 core vs the serial seed kernels.
 //!
-//! Times GEMM, SYRK (`XᵀX` vs the old `transpose().matmul`) and the blocked
-//! Cholesky SPD inverse at K-FAC-relevant dimensions, plus one full real
-//! 4-rank SPD-KFAC trainer iteration, in both kernel modes
-//! (`set_reference_kernels` switches the whole hot path back to the seed
-//! implementation in-process). Results go to `BENCH_kernels.json` at the
-//! repo root, self-validated through the shared JSON checker.
+//! Times GEMM, SYRK (`XᵀX`) and the blocked Cholesky SPD inverse at
+//! K-FAC-relevant dimensions against their oracles (`matmul_reference`,
+//! `gramian_reference`, `cholesky_unblocked` + `inverse_unblocked`, called
+//! directly), plus one full real 4-rank SPD-KFAC trainer iteration.
+//! Results go to `BENCH_kernels.json` at the repo root, self-validated
+//! through the shared JSON checker.
 //!
 //! ```text
 //! cargo run --release -p spdkfac-bench --bin bench_kernels            # full sweep
@@ -18,7 +18,7 @@ use spdkfac_core::distributed::{Algorithm, DistributedConfig, TrainSession};
 use spdkfac_nn::data::gaussian_blobs;
 use spdkfac_nn::models::deep_mlp;
 use spdkfac_tensor::rng::MatrixRng;
-use spdkfac_tensor::{chol, pool, set_reference_kernels};
+use spdkfac_tensor::{chol, gemm, pool, Matrix};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -60,19 +60,16 @@ fn reps_for(dim: usize) -> usize {
     }
 }
 
-/// Times one kernel in optimized and (size permitting) reference mode.
-fn bench_pair(kernel: &'static str, dim: usize, mut run: impl FnMut()) -> KernelRow {
+/// Times one kernel and (size permitting) its oracle.
+fn bench_pair(
+    kernel: &'static str,
+    dim: usize,
+    optimized: impl FnMut(),
+    reference: impl FnMut(),
+) -> KernelRow {
     let reps = reps_for(dim);
-    set_reference_kernels(false);
-    let optimized_s = best_of(reps, &mut run);
-    let reference_s = if dim <= MAX_REFERENCE_DIM {
-        set_reference_kernels(true);
-        let r = best_of(reps, &mut run);
-        set_reference_kernels(false);
-        Some(r)
-    } else {
-        None
-    };
+    let optimized_s = best_of(reps, optimized);
+    let reference_s = (dim <= MAX_REFERENCE_DIM).then(|| best_of(reps, reference));
     KernelRow {
         kernel,
         dim,
@@ -88,24 +85,44 @@ fn bench_kernels(dims: &[usize]) -> Vec<KernelRow> {
     for &d in dims {
         let a = rng.uniform_matrix(d, d, -1.0, 1.0);
         let b = rng.uniform_matrix(d, d, -1.0, 1.0);
-        rows.push(bench_pair("gemm", d, || {
-            black_box(black_box(&a).matmul(black_box(&b)));
-        }));
+        rows.push(bench_pair(
+            "gemm",
+            d,
+            || {
+                black_box(black_box(&a).matmul(black_box(&b)));
+            },
+            || {
+                black_box(gemm::matmul_reference(d, d, d, a.as_slice(), b.as_slice()));
+            },
+        ));
         note(&row_line(rows.last().expect("row")));
 
-        // SYRK input: 2d × d activation-style matrix; the reference mode
-        // routes gramian() through the seed scalar kernel, exactly the
-        // pre-PR `transpose().matmul` FLOP count's replacement.
+        // SYRK input: 2d × d activation-style matrix.
         let x = rng.uniform_matrix(2 * d, d, -1.0, 1.0);
-        rows.push(bench_pair("syrk", d, || {
-            black_box(black_box(&x).gramian());
-        }));
+        rows.push(bench_pair(
+            "syrk",
+            d,
+            || {
+                black_box(black_box(&x).gramian());
+            },
+            || {
+                black_box(gemm::gramian_reference(2 * d, d, x.as_slice()));
+            },
+        ));
         note(&row_line(rows.last().expect("row")));
 
         let spd = x.gramian_scaled(2.0 * d as f64).damped(0.5);
-        rows.push(bench_pair("cholesky_inverse", d, || {
-            black_box(chol::spd_inverse(black_box(&spd)).expect("SPD"));
-        }));
+        let unblocked = |a: &Matrix| chol::cholesky_unblocked(a).map(|ch| ch.inverse_unblocked());
+        rows.push(bench_pair(
+            "cholesky_inverse",
+            d,
+            || {
+                black_box(chol::spd_inverse(black_box(&spd)).expect("SPD"));
+            },
+            || {
+                black_box(unblocked(black_box(&spd)).expect("SPD"));
+            },
+        ));
         note(&row_line(rows.last().expect("row")));
     }
     rows
@@ -156,7 +173,6 @@ fn render_json(
     rows: &[KernelRow],
     world: usize,
     trainer_iters: usize,
-    reference_iter_s: f64,
     optimized_iter_s: f64,
 ) -> String {
     let mut out = String::from("{\n");
@@ -180,12 +196,10 @@ fn render_json(
     }
     out.push_str("  ],\n");
     out.push_str(&format!(
-        "  \"trainer\": {{\"algo\": \"spdkfac\", \"world\": {}, \"iters\": {}, \"reference_s_per_iter\": {}, \"optimized_s_per_iter\": {}, \"speedup\": {}}}\n",
+        "  \"trainer\": {{\"algo\": \"spdkfac\", \"world\": {}, \"iters\": {}, \"optimized_s_per_iter\": {}}}\n",
         world,
         trainer_iters,
-        json_f64(reference_iter_s),
-        json_f64(optimized_iter_s),
-        json_f64(reference_iter_s / optimized_iter_s)
+        json_f64(optimized_iter_s)
     ));
     out.push('}');
     out
@@ -215,25 +229,12 @@ fn main() {
 
     let (world, hidden, depth, iters) = if smoke { (2, 16, 2, 1) } else { (4, 256, 6, 3) };
     header(&format!(
-        "Real {world}-rank SPD-KFAC trainer, {iters} iteration(s) per mode"
+        "Real {world}-rank SPD-KFAC trainer, {iters} iteration(s)"
     ));
-    set_reference_kernels(true);
-    let reference_iter_s = trainer_seconds_per_iter(world, hidden, depth, iters);
-    set_reference_kernels(false);
     let optimized_iter_s = trainer_seconds_per_iter(world, hidden, depth, iters);
-    note(&format!(
-        "reference {reference_iter_s:.4}s/iter  optimized {optimized_iter_s:.4}s/iter  speedup {:.2}x",
-        reference_iter_s / optimized_iter_s
-    ));
+    note(&format!("{optimized_iter_s:.4}s/iter"));
 
-    let json = render_json(
-        smoke,
-        &rows,
-        world,
-        iters,
-        reference_iter_s,
-        optimized_iter_s,
-    );
+    let json = render_json(smoke, &rows, world, iters, optimized_iter_s);
     if let Err(e) = spdkfac_obs::validate_json(&json) {
         eprintln!("bench_kernels: generated invalid JSON: {e}");
         std::process::exit(1);

@@ -696,8 +696,15 @@ impl Tail<'_> {
         for t in tensors {
             match self.placement.assignments()[t] {
                 TensorAssignment::AllGpus => {
-                    let payload = self.invert(t);
-                    self.install_inverse(t, &payload);
+                    // Never on the wire: the K-FAC inverse is installed as
+                    // computed, without a round trip through its packed form.
+                    if self.ekfac() {
+                        let payload = self.invert(t);
+                        self.install_inverse(t, &payload);
+                    } else {
+                        let inv = self.kfac_inverse(t);
+                        self.set_kfac_inverse(t, inv);
+                    }
                     touched.push(self.states[t / 2].layer());
                 }
                 TensorAssignment::Gpu(owner) => {
@@ -732,11 +739,11 @@ impl Tail<'_> {
 
     /// Inverts (EKFAC: eigendecomposes) tensor `t` into its wire form.
     fn invert(&self, t: usize) -> Vec<f64> {
-        // One sized span per tensor: the calibrator reads (dimension,
-        // duration) pairs off these.
-        let _inv = self.obs.sized_span(Phase::InverseComp, self.inv_dims[t]);
-        let (st, rank, gamma) = (&self.states[t / 2], self.rank, self.cfg.kfac.damping);
         if self.ekfac() {
+            // One sized span per tensor: the calibrator reads (dimension,
+            // duration) pairs off these.
+            let _inv = self.obs.sized_span(Phase::InverseComp, self.inv_dims[t]);
+            let (st, rank) = (&self.states[t / 2], self.rank);
             let factor = if t.is_multiple_of(2) {
                 st.factor_a()
             } else {
@@ -749,14 +756,32 @@ impl Tail<'_> {
             payload.extend_from_slice(&e.values);
             payload
         } else {
-            let damped = if t.is_multiple_of(2) {
-                st.damped_a(gamma)
-            } else {
-                st.damped_g(gamma)
-            };
-            let inv = chol::spd_inverse(&damped)
-                .unwrap_or_else(|e| panic!("rank {rank}: inversion of tensor {t} failed: {e}"));
-            SymPacked::from_matrix(&inv).into_vec()
+            SymPacked::from_matrix(&self.kfac_inverse(t)).into_vec()
+        }
+    }
+
+    /// The inverse of tensor `t`'s damped factor (exactly symmetric, so
+    /// packing it for the wire loses nothing).
+    fn kfac_inverse(&self, t: usize) -> Matrix {
+        // A sized span, as in `invert`.
+        let _inv = self.obs.sized_span(Phase::InverseComp, self.inv_dims[t]);
+        let (st, rank, gamma) = (&self.states[t / 2], self.rank, self.cfg.kfac.damping);
+        let damped = if t.is_multiple_of(2) {
+            st.damped_a(gamma)
+        } else {
+            st.damped_g(gamma)
+        };
+        chol::spd_inverse(&damped)
+            .unwrap_or_else(|e| panic!("rank {rank}: inversion of tensor {t} failed: {e}"))
+    }
+
+    /// Installs tensor `t`'s K-FAC inverse.
+    fn set_kfac_inverse(&mut self, t: usize, inv: Matrix) {
+        self.fresh[t] = true;
+        if t.is_multiple_of(2) {
+            self.states[t / 2].set_a_inv(inv);
+        } else {
+            self.states[t / 2].set_g_inv(inv);
         }
     }
 
@@ -766,8 +791,8 @@ impl Tail<'_> {
     /// the per-step EMA in [`ekfac::layer_directions`].
     fn install_inverse(&mut self, t: usize, data: &[f64]) {
         let (si, d) = (t / 2, self.inv_dims[t]);
-        self.fresh[t] = true;
         if self.ekfac() {
+            self.fresh[t] = true;
             let (q, values) = data.split_at(d * d);
             self.ekfac_bases[t] = Some((Matrix::from_vec(d, d, q.to_vec()), values.to_vec()));
             // `t ^ 1` is the layer's other tensor.
@@ -778,10 +803,8 @@ impl Tail<'_> {
                     (vg[i] * va[j]).max(0.0)
                 }));
             }
-        } else if t.is_multiple_of(2) {
-            self.states[si].set_a_inv(SymPacked::unpack(d, data));
         } else {
-            self.states[si].set_g_inv(SymPacked::unpack(d, data));
+            self.set_kfac_inverse(t, SymPacked::unpack(d, data));
         }
     }
 

@@ -3,29 +3,37 @@
 //! The paper inverts every damped Kronecker factor `(A + γI)` and `(G + γI)`
 //! with cuSolver's Cholesky path (§V-B). This module is the CPU analogue:
 //! `LLᵀ` factorization ([`cholesky`]), triangular solves, and a full SPD
-//! inverse ([`spd_inverse`]) via inversion of the triangular factor
-//! (the POTRF + POTRI sequence).
+//! inverse ([`spd_inverse`]) via inversion of the triangular factor — the
+//! POTRF + POTRI (= TRTRI + LAUUM) sequence. It is blocked so that all but
+//! `O(n · nb²)` of the FLOPs are calls into the level-3 core
+//! ([`crate::gemm::gemm`]), and runs in place: one `n × n` buffer holds
+//! `A`'s lower triangle, then `L`, then `M = L⁻¹`, then `A⁻¹`.
 //!
-//! Matrices larger than one block use a blocked right-looking factorization:
-//! the diagonal block is factored unblocked, then the panel solve and the
-//! trailing-matrix rank-`nb` update are distributed row-wise over the
-//! persistent pool ([`crate::pool`]). Each row of the output is produced by
-//! exactly one task in serial loop order, so the result is bit-identical for
-//! any `SPDKFAC_THREADS` setting. The pre-pool unblocked kernels remain as
-//! the small-matrix path and as the serial reference selected by
-//! [`crate::gemm::set_reference_kernels`].
+//! | step | per block `I = [i0, i1)`, top to bottom | core calls |
+//! |---|---|---|
+//! | POTRF | factor `L[I,I]` unblocked, invert it | — |
+//! | | panel `L[i1:,I] = A[i1:,I] · L[I,I]⁻ᵀ` | 1 |
+//! | | trailing `A[i1:,i1:] −= L[i1:,I] · L[i1:,I]ᵀ` | 1, [`Mask::Lower`] |
+//! | TRTRI | `M[I,I] = L[I,I]⁻¹` unblocked; `P = −M[I,I] · L[I,0:i0]` | 1 |
+//! | | `M[I,J] = P[:,j0:i0] · M[j0:i0,J]` for each block `J` left of `I` | `i0 / nb` |
+//! | LAUUM | `A⁻¹[I,0:i1] = M[I,I]ᵀ · M[I,0:i1] + M[i1:,I]ᵀ · M[i1:,0:i1]`, then mirror | 2 |
+//!
+//! Depth ranges are clipped to the triangles (`M[p,J] = 0` for `p < j0`,
+//! `M[p,I] = 0` for `p < i0`). An operand that shares rows with the block
+//! being written (the solved panel, `P`, `M[I,0:i1]`) goes through a
+//! scratch of at most `n × nb` elements; everything else is read where it
+//! lies. The core keeps results bit-identical for any `SPDKFAC_THREADS` and
+//! across AVX2 / AVX-512 hosts. [`cholesky_unblocked`] and
+//! [`Cholesky::inverse_unblocked`] are the leaf kernels (diagonal blocks,
+//! matrices of at most one block) and the oracles of the parity tests.
 
 use crate::error::TensorError;
-use crate::gemm;
+use crate::gemm::{gemm, mirror_lower, Mask, Operand};
 use crate::matrix::Matrix;
-use crate::pool::{self, SharedSlice};
 
-/// Default block edge for the blocked factorization/inverse; matrices up to
-/// this size use the unblocked kernels.
-const CHOL_NB: usize = 64;
-
-/// Minimum panel/trailing elements before a parallel dispatch is worth it.
-const CHOL_PAR_ELEMS: usize = 16 * 1024;
+/// Block edge of the factorization and the inverse; matrices up to this
+/// size use the unblocked kernels.
+const CHOL_NB: usize = 24;
 
 /// A lower-triangular Cholesky factor `L` with `A = L Lᵀ`.
 ///
@@ -60,57 +68,26 @@ pub struct Cholesky {
 /// # }
 /// ```
 pub fn cholesky(a: &Matrix) -> Result<Cholesky, TensorError> {
-    if gemm::reference_kernels() {
-        return cholesky_unblocked(a);
-    }
     cholesky_with_block(a, CHOL_NB)
 }
 
 /// The seed factorization: serial unblocked column-by-column `LLᵀ`.
 ///
-/// Kept as the small-matrix path of [`cholesky`], the serial reference for
-/// `bench_kernels`, and the parity baseline for the proptests.
+/// The leaf of [`cholesky`] for diagonal blocks and matrices of at most one
+/// block, and the oracle of the parity tests and `bench_kernels`.
 ///
 /// # Errors
 ///
 /// Same contract as [`cholesky`].
 pub fn cholesky_unblocked(a: &Matrix) -> Result<Cholesky, TensorError> {
-    if !a.is_square() {
-        return Err(TensorError::NotSquare {
-            op: "cholesky",
-            shape: a.shape(),
-        });
-    }
-    let n = a.rows();
-    let mut l = Matrix::zeros(n, n);
-    for j in 0..n {
-        // Diagonal entry.
-        let mut d = a[(j, j)];
-        for k in 0..j {
-            d -= l[(j, k)] * l[(j, k)];
-        }
-        if d <= 0.0 || !d.is_finite() {
-            return Err(TensorError::NotPositiveDefinite { pivot: j });
-        }
-        let dj = d.sqrt();
-        l[(j, j)] = dj;
-        // Column below the diagonal.
-        for i in (j + 1)..n {
-            let mut s = a[(i, j)];
-            for k in 0..j {
-                s -= l[(i, k)] * l[(j, k)];
-            }
-            l[(i, j)] = s / dj;
-        }
-    }
-    Ok(Cholesky { l })
+    cholesky_with_block(a, a.rows().max(1))
 }
 
 /// Blocked right-looking Cholesky with an explicit block edge `nb`.
 ///
 /// Exposed (rather than hard-wiring [`cholesky`]'s default) so tests can
 /// force the blocked code path on small matrices. Matrices with
-/// `n <= nb` fall back to [`cholesky_unblocked`].
+/// `n <= nb` are one unblocked block.
 ///
 /// # Errors
 ///
@@ -128,115 +105,98 @@ pub fn cholesky_with_block(a: &Matrix, nb: usize) -> Result<Cholesky, TensorErro
         });
     }
     let n = a.rows();
-    if n <= nb {
-        return cholesky_unblocked(a);
-    }
-    // Working copy of the lower triangle (the upper triangle is ignored,
-    // matching the unblocked kernel's read pattern).
+    // Working copy of the lower triangle (the upper one is never read).
     let mut w = vec![0.0; n * n];
-    let src = a.as_slice();
     for i in 0..n {
-        w[i * n..i * n + i + 1].copy_from_slice(&src[i * n..i * n + i + 1]);
+        w[i * n..=i * n + i].copy_from_slice(&a.as_slice()[i * n..=i * n + i]);
     }
+    let (mut dinv, mut panel) = (Vec::new(), Vec::new());
     for j0 in (0..n).step_by(nb) {
         let j1 = (j0 + nb).min(n);
-        let bw = j1 - j0;
-        // Factor the diagonal block in place (unblocked; its columns only
-        // depend on columns within the block after prior trailing updates).
-        for j in j0..j1 {
-            let mut d = w[j * n + j];
-            for k in j0..j {
-                d -= w[j * n + k] * w[j * n + k];
-            }
-            if d <= 0.0 || !d.is_finite() {
-                return Err(TensorError::NotPositiveDefinite { pivot: j });
-            }
-            let dj = d.sqrt();
-            w[j * n + j] = dj;
-            for i in (j + 1)..j1 {
-                let mut s = w[i * n + j];
-                for k in j0..j {
-                    s -= w[i * n + k] * w[j * n + k];
-                }
-                w[i * n + j] = s / dj;
-            }
-        }
-        if j1 == n {
+        let (bw, below) = (j1 - j0, n - j1);
+        potf2(&mut w[j0 * n + j0..], n, bw)
+            .map_err(|pivot| TensorError::NotPositiveDefinite { pivot: j0 + pivot })?;
+        if below == 0 {
             break;
         }
-        // Snapshot the factored diagonal block: panel tasks read it while
-        // holding mutable windows onto their own (disjoint) row ranges.
-        let mut l11 = vec![0.0; bw * bw];
-        for (r, row) in l11.chunks_mut(bw).enumerate() {
-            row.copy_from_slice(&w[(j0 + r) * n + j0..(j0 + r) * n + j1]);
+        dinv.clear();
+        dinv.resize(bw * bw, 0.0);
+        trti2(&w[j0 * n + j0..], n, &mut dinv, bw, bw);
+        // Panel solve L21 · L11ᵀ = A21 as a product with L11⁻ᵀ.
+        panel.clear();
+        panel.resize(below * bw, 0.0);
+        let (a21, l11_inv) = (Operand::new(&w[j1 * n + j0..], n), Operand::new(&dinv, bw));
+        gemm(
+            1.0,
+            below,
+            bw,
+            bw,
+            a21,
+            l11_inv.t(),
+            &mut panel,
+            bw,
+            Mask::Full,
+        );
+        for (wrow, prow) in w[j1 * n + j0..].chunks_mut(n).zip(panel.chunks(bw)) {
+            wrow[..bw].copy_from_slice(prow);
         }
-        let rows_below = n - j1;
-        let tasks = rows_below.div_ceil(CHOL_NB);
-        let parallel = pool::is_parallel() && tasks > 1 && rows_below * bw >= CHOL_PAR_ELEMS;
-        // Panel solve: L21 · L11ᵀ = A21, row by row (each row independent).
-        {
-            let shared = SharedSlice::new(&mut w);
-            let body = |t: usize| {
-                let r0 = j1 + t * CHOL_NB;
-                let r1 = (r0 + CHOL_NB).min(n);
-                // SAFETY: task t owns rows [r0, r1) exclusively.
-                let rows = unsafe { shared.slice_mut(r0 * n..r1 * n) };
-                for row in rows.chunks_mut(n) {
-                    for j in j0..j1 {
-                        let jb = j - j0;
-                        let lrow = &l11[jb * bw..jb * bw + jb];
-                        let mut s = row[j];
-                        for (k, &lv) in lrow.iter().enumerate() {
-                            s -= row[j0 + k] * lv;
-                        }
-                        row[j] = s / l11[jb * bw + jb];
-                    }
-                }
-            };
-            if parallel {
-                pool::parallel_for(tasks, body);
-            } else {
-                for t in 0..tasks {
-                    body(t);
-                }
-            }
-        }
-        // Snapshot the solved panel: the trailing update of row i reads the
-        // panel rows of every j ≤ i, which other tasks own.
-        let mut panel = vec![0.0; rows_below * bw];
-        for (r, prow) in panel.chunks_mut(bw).enumerate() {
-            prow.copy_from_slice(&w[(j1 + r) * n + j0..(j1 + r) * n + j1]);
-        }
-        // Trailing update: A22 -= L21 · L21ᵀ (lower triangle only).
-        {
-            let shared = SharedSlice::new(&mut w);
-            let body = |t: usize| {
-                let r0 = j1 + t * CHOL_NB;
-                let r1 = (r0 + CHOL_NB).min(n);
-                // SAFETY: task t owns rows [r0, r1) exclusively; reads go to
-                // the immutable `panel` snapshot.
-                let rows = unsafe { shared.slice_mut(r0 * n..r1 * n) };
-                for (ri, row) in rows.chunks_mut(n).enumerate() {
-                    let i = r0 + ri;
-                    let pi = &panel[(i - j1) * bw..(i - j1 + 1) * bw];
-                    for j in j1..=i {
-                        let pj = &panel[(j - j1) * bw..(j - j1 + 1) * bw];
-                        row[j] -= gemm::dot(pi, pj);
-                    }
-                }
-            };
-            if parallel {
-                pool::parallel_for(tasks, body);
-            } else {
-                for t in 0..tasks {
-                    body(t);
-                }
-            }
-        }
+        // Trailing update A22 −= L21 · L21ᵀ, lower-triangle tiles only.
+        let l21 = Operand::new(&panel, bw);
+        let a22 = &mut w[j1 * n + j1..];
+        gemm(-1.0, below, bw, below, l21, l21.t(), a22, n, Mask::Lower);
+    }
+    // Trailing-update tiles that straddle the diagonal spilled above it.
+    for i in 0..n {
+        w[i * n + i + 1..(i + 1) * n].fill(0.0);
     }
     Ok(Cholesky {
         l: Matrix::from_vec(n, n, w),
     })
+}
+
+/// Unblocked in-place `LLᵀ` of the `n × n` block at the start of `w` (rows
+/// `ld` apart; only the lower triangle is read or written). `Err` carries
+/// the block-local index of the first non-positive or non-finite pivot.
+fn potf2(w: &mut [f64], ld: usize, n: usize) -> Result<(), usize> {
+    for j in 0..n {
+        // (The slice may end with the block's last row, short of `ld`.)
+        let (above, below) = w.split_at_mut(((j + 1) * ld).min(w.len()));
+        let rowj = &mut above[j * ld..=j * ld + j];
+        let d = rowj[..j].iter().fold(rowj[j], |d, &v| d - v * v);
+        if d <= 0.0 || !d.is_finite() {
+            return Err(j);
+        }
+        let dj = d.sqrt();
+        rowj[j] = dj;
+        for rowi in below.chunks_mut(ld).take(n - j - 1) {
+            let s = rowi[..j]
+                .iter()
+                .zip(&rowj[..j])
+                .fold(rowi[j], |s, (&x, &y)| s - x * y);
+            rowi[j] = s / dj;
+        }
+    }
+    Ok(())
+}
+
+/// Unblocked inverse of the lower-triangular `n × n` block at the start of
+/// `l` into the block at the start of `m` (which must be zero on entry;
+/// only its lower triangle is written).
+fn trti2(l: &[f64], ldl: usize, m: &mut [f64], ldm: usize, n: usize) {
+    for i in 0..n {
+        let (done, rest) = m.split_at_mut(i * ldm);
+        let (li, mi) = (&l[i * ldl..=i * ldl + i], &mut rest[..=i]);
+        // Row i of −L[i,i]·M is Σ_k L[i,k]·(row k of M), k < i.
+        for (k, &lik) in li[..i].iter().enumerate() {
+            for (s, &mkj) in mi.iter_mut().zip(&done[k * ldm..=k * ldm + k]) {
+                *s += lik * mkj;
+            }
+        }
+        for s in &mut mi[..i] {
+            *s = -*s / li[i];
+        }
+        mi[i] = 1.0 / li[i];
+    }
 }
 
 impl Cholesky {
@@ -302,33 +262,20 @@ impl Cholesky {
 
     /// Computes the full inverse `A⁻¹ = L⁻ᵀ L⁻¹` (POTRI-style).
     ///
-    /// The result is exactly symmetric by construction. Dimensions above one
-    /// block dispatch to [`Cholesky::inverse_with_block`].
+    /// The result is exactly symmetric by construction.
     pub fn inverse(&self) -> Matrix {
-        if gemm::reference_kernels() || self.dim() <= CHOL_NB {
-            return self.inverse_unblocked();
-        }
         self.inverse_with_block(CHOL_NB)
     }
 
-    /// The seed inverse: serial scalar triangular inversion followed by the
-    /// scalar `MᵀM` product. Kept as the small-matrix path of
-    /// [`Cholesky::inverse`], the serial reference for `bench_kernels`, and
-    /// the parity baseline for the proptests.
+    /// The seed inverse: serial triangular inversion followed by the scalar
+    /// `MᵀM` product. The leaf of [`Cholesky::inverse`] for matrices of at
+    /// most one block, and the oracle of the parity tests and
+    /// `bench_kernels`.
     pub fn inverse_unblocked(&self) -> Matrix {
         let n = self.dim();
         // Invert the lower-triangular factor: M = L⁻¹ (lower triangular).
         let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0 / self.l[(i, i)];
-            for j in 0..i {
-                let mut s = 0.0;
-                for k in j..i {
-                    s += self.l[(i, k)] * m[(k, j)];
-                }
-                m[(i, j)] = -s / self.l[(i, i)];
-            }
-        }
+        trti2(self.l.as_slice(), n, m.as_mut_slice(), n, n);
         // A⁻¹ = Mᵀ M, computed on the upper triangle then mirrored.
         let mut inv = Matrix::zeros(n, n);
         for i in 0..n {
@@ -345,91 +292,80 @@ impl Cholesky {
         inv
     }
 
-    /// Pool-parallel inverse with an explicit block edge `nb`.
+    /// Blocked inverse (TRTRI + LAUUM on the level-3 core, see the module
+    /// docs) with an explicit block edge `nb`.
     ///
     /// Exposed so tests can force the blocked code path on small matrices.
-    /// Each column of `M = L⁻¹` is an independent forward substitution
-    /// (columns are distributed over the pool in `nb`-wide chunks), and the
-    /// symmetric product `A⁻¹ = MᵀM` is computed over upper-triangle blocks
-    /// exploiting the triangular sparsity of `M`.
+    /// Matrices with `n <= nb` fall back to
+    /// [`Cholesky::inverse_unblocked`].
     ///
     /// # Panics
     ///
     /// Panics if `nb == 0`.
     pub fn inverse_with_block(&self, nb: usize) -> Matrix {
+        self.clone().into_inverse(nb)
+    }
+
+    /// [`Cholesky::inverse_with_block`] in the factor's own storage.
+    fn into_inverse(self, nb: usize) -> Matrix {
         assert!(nb >= 1, "inverse_with_block: block edge must be positive");
         let n = self.dim();
-        let l = self.l.as_slice();
-        // `mt` holds Mᵀ row-major: row j of `mt` is column j of M = L⁻¹,
-        // contiguous for the forward substitution and the dots below.
-        let mut mt = vec![0.0; n * n];
-        {
-            let shared = SharedSlice::new(&mut mt);
-            let tasks = n.div_ceil(nb);
-            let parallel = pool::is_parallel() && tasks > 1 && n * n >= CHOL_PAR_ELEMS;
-            let body = |t: usize| {
-                let c0 = t * nb;
-                let c1 = (c0 + nb).min(n);
-                // SAFETY: task t owns columns [c0, c1) = `mt` rows [c0, c1).
-                let cols = unsafe { shared.slice_mut(c0 * n..c1 * n) };
-                for (ci, y) in cols.chunks_mut(n).enumerate() {
-                    let j = c0 + ci;
-                    // Forward substitution L y = e_j; y is zero above row j.
-                    y[j] = 1.0 / l[j * n + j];
-                    for i in (j + 1)..n {
-                        let s = gemm::dot(&l[i * n + j..i * n + i], &y[j..i]);
-                        y[i] = -s / l[i * n + i];
-                    }
-                }
-            };
-            if parallel {
-                pool::parallel_for(tasks, body);
-            } else {
-                for t in 0..tasks {
-                    body(t);
-                }
+        if n <= nb {
+            return self.inverse_unblocked();
+        }
+        let mut w = self.l.into_vec();
+        let mut dinv = vec![0.0; nb * nb];
+        let mut scratch = vec![0.0; nb * n];
+        // TRTRI: rows above i0 already hold M, rows from i0 on still L.
+        for i0 in (0..n).step_by(nb) {
+            let bh = nb.min(n - i0);
+            let (done, rows) = w.split_at_mut(i0 * n);
+            dinv.fill(0.0);
+            trti2(&rows[i0..], n, &mut dinv, bh, bh);
+            // P = −M[I,I] · L[I,0:i0], then M[I,J] = P[:,j0:i0] · M[j0:i0,J].
+            let p = &mut scratch[..bh * i0];
+            p.fill(0.0);
+            gemm(
+                -1.0,
+                bh,
+                bh,
+                i0,
+                Operand::new(&dinv, bh),
+                Operand::new(rows, n),
+                p,
+                i0,
+                Mask::Full,
+            );
+            for (row, drow) in rows.chunks_mut(n).zip(dinv.chunks(bh)).take(bh) {
+                row[..i0].fill(0.0);
+                row[i0..i0 + bh].copy_from_slice(drow);
+            }
+            for j0 in (0..i0).step_by(nb) {
+                let (pj, mj) = (
+                    Operand::new(&p[j0..], i0),
+                    Operand::new(&done[j0 * n + j0..], n),
+                );
+                gemm(1.0, bh, i0 - j0, nb, pj, mj, &mut rows[j0..], n, Mask::Full);
             }
         }
-        // A⁻¹(i, j) = Σ_k M(k, i) M(k, j); both columns are zero above
-        // max(i, j), so for i ≤ j the dot starts at k = j.
-        let mut inv = vec![0.0; n * n];
-        {
-            let shared = SharedSlice::new(&mut inv);
-            let blocks = n.div_ceil(nb);
-            let pairs: Vec<(usize, usize)> = (0..blocks)
-                .flat_map(|bi| (bi..blocks).map(move |bj| (bi, bj)))
-                .collect();
-            let parallel = pool::is_parallel() && pairs.len() > 1 && n * n >= CHOL_PAR_ELEMS;
-            let body = |t: usize| {
-                let (bi, bj) = pairs[t];
-                let i0 = bi * nb;
-                let i1 = (i0 + nb).min(n);
-                let j0 = bj * nb;
-                let j1 = (j0 + nb).min(n);
-                // SAFETY: upper-triangle block (bi, bj) is owned by this task.
-                let c = unsafe { shared.slice_mut(0..n * n) };
-                for i in i0..i1 {
-                    for j in j0.max(i)..j1 {
-                        c[i * n + j] =
-                            gemm::dot(&mt[i * n + j..(i + 1) * n], &mt[j * n + j..(j + 1) * n]);
-                    }
-                }
-            };
-            if parallel {
-                pool::parallel_for(pairs.len(), body);
-            } else {
-                for t in 0..pairs.len() {
-                    body(t);
-                }
+        // LAUUM: rows above i0 already hold A⁻¹, rows from i0 on still M.
+        for i0 in (0..n).step_by(nb) {
+            let i1 = (i0 + nb).min(n);
+            let (rows, below) = w[i0 * n..].split_at_mut((i1 - i0) * n);
+            let mi = &mut scratch[..(i1 - i0) * i1];
+            for (row, srow) in rows.chunks_mut(n).zip(mi.chunks_mut(i1)) {
+                srow.copy_from_slice(&row[..i1]);
+                row[..i1].fill(0.0);
+            }
+            let (mii, mi) = (Operand::new(&mi[i0..], i1), Operand::new(mi, i1));
+            gemm(1.0, i1 - i0, i1 - i0, i1, mii.t(), mi, rows, n, Mask::Full);
+            if i1 < n {
+                let (mki, mk) = (Operand::new(&below[i0..], n), Operand::new(below, n));
+                gemm(1.0, i1 - i0, n - i1, i1, mki.t(), mk, rows, n, Mask::Full);
             }
         }
-        // Mirror the upper triangle.
-        for i in 0..n {
-            for j in (i + 1)..n {
-                inv[j * n + i] = inv[i * n + j];
-            }
-        }
-        Matrix::from_vec(n, n, inv)
+        mirror_lower(&mut w, n);
+        Matrix::from_vec(n, n, w)
     }
 
     /// Log-determinant of `A`: `2 Σ log L_ii`.
@@ -460,7 +396,7 @@ impl Cholesky {
 /// # }
 /// ```
 pub fn spd_inverse(a: &Matrix) -> Result<Matrix, TensorError> {
-    Ok(cholesky(a)?.inverse())
+    Ok(cholesky(a)?.into_inverse(CHOL_NB))
 }
 
 #[cfg(test)]

@@ -1,200 +1,604 @@
-//! Packed, cache-blocked GEMM / SYRK kernels with pool dispatch.
+//! The level-3 core: one packed, cache-blocked, register-tiled
+//! `C += α·op(A)·op(B)` over strided row-major operands.
 //!
-//! This is the compute substrate behind every hot `Matrix` operation:
+//! Everything dense in this crate is a call into [`gemm`]:
 //!
-//! - [`gemm`]: `C += op(A) · op(B)` with a register-tiled `MR × NR`
-//!   microkernel over panels packed once per cache block (the
-//!   BLIS/GotoBLAS structure). Transposition is absorbed by the packing
-//!   routines, so `AᵀB` / `ABᵀ` products never materialize a transpose.
-//! - [`syrk_tn`] / [`syrk_nt`]: symmetric rank-k products `XᵀX` / `XXᵀ`
-//!   computing only the upper triangle (half the FLOPs of the equivalent
-//!   GEMM) and mirroring it — the kernel behind the Kronecker-factor
-//!   statistics `E[aaᵀ]` / `E[ggᵀ]`. Large products run on the packed
-//!   microkernel restricted to the diagonal-and-right panels of each row
-//!   block; small ones use an unpacked block-pair loop.
+//! - `Matrix::{matmul, matmul_nt, matmul_tn}`: one unmasked call.
+//! - `Matrix::{gramian, syrk_nt}` (`XᵀX` / `XXᵀ`, the Kronecker-factor
+//!   statistics `E[aaᵀ]` / `E[ggᵀ]`): one [`Mask::Lower`] call — tiles
+//!   wholly above the diagonal are skipped, half the FLOPs — then
+//!   [`mirror_lower`].
+//! - The blocked Cholesky factorization and SPD inverse in [`crate::chol`]:
+//!   panel solve, trailing update, triangular inversion and `MᵀM` are core
+//!   calls on sub-blocks (an operand is a slice that starts at the block's
+//!   first element plus a leading dimension, so no block is ever copied
+//!   out to be multiplied).
 //!
-//! The inner loops (microkernel, dot, axpy) dispatch once at runtime to
-//! AVX2+FMA versions when the CPU supports them; the portable fallbacks
-//! compile on every architecture.
+//! Structure (BLIS/GotoBLAS): `op(B)` is packed once per `KC × NC` cache
+//! block into `NR`-wide panels, each `MC`-row block of `op(A)` into
+//! `MR`-tall panels, and an `MR × NR` microkernel runs over panel pairs,
+//! adding its register tile straight into `C`. Packing absorbs
+//! transposition, `α` and the zero padding of ragged panels; the pack
+//! buffers are per-thread, grow to the largest block seen and are never
+//! cleared. The microkernel is chosen once per process from CPUID:
+//! AVX-512F 8×24, AVX2+FMA 4×8, or a portable 4×8 (the crate itself stays
+//! compiled for baseline x86-64).
 //!
-//! Row blocks of the output are distributed over the persistent pool
-//! ([`crate::pool`]); each output element is produced by exactly one task in
-//! serial loop order, so results are bit-identical for any thread count.
+//! Two invariants every caller relies on:
 //!
-//! [`set_reference_kernels`] routes every entry point back to the pre-pool
-//! serial kernels (the seed implementation). It exists so benchmarks and
-//! parity tests can measure/verify optimized-vs-reference on the same build;
-//! production code should never enable it.
+//! - **Thread count.** Row blocks of `C` are pool tasks
+//!   ([`crate::pool`]); each element of `C` is produced by exactly one
+//!   task, its depth blocks in order, so results are bit-identical for any
+//!   `SPDKFAC_THREADS`.
+//! - **ISA.** Both vector microkernels compute each element as one FMA
+//!   chain over `p` from zero, in order, over the same depth split, and add
+//!   it to `C` once per depth block — AVX2 and AVX-512 hosts produce
+//!   identical bits. (The portable kernel multiplies and adds separately
+//!   and rounds differently.)
+//!
+//! [`matmul_reference`] and [`gramian_reference`] are the serial seed
+//! kernels, kept as oracles for the parity tests and `bench_kernels`.
 
 use crate::pool::{self, SharedSlice};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::RefCell;
+use std::sync::OnceLock;
+use std::thread::LocalKey;
 
-/// Runtime-dispatched AVX2+FMA inner loops. The crate is compiled for
-/// baseline x86-64 (SSE2), so the hot loops here are duplicated behind
-/// `#[target_feature]` and selected once at runtime; every other
-/// architecture (and pre-AVX2 hardware) falls back to the portable
-/// kernels below.
+/// Rows of `op(A)` per pool task; a multiple of every kernel's `MR`.
+const MC: usize = 64;
+/// Largest depth of one packed block. `k` is split into `⌈k / KC⌉` equal
+/// blocks, so `k = 257` is one pass and no block is ever a thin leftover.
+pub const KC: usize = 384;
+/// Columns of `op(B)` per packed block (bounds the pack buffer at
+/// `KC · NC` doubles); a multiple of every kernel's `NR`.
+const NC: usize = 2040;
+/// Minimum multiply-adds before a parallel dispatch is worth it (a
+/// dispatch costs about what 2M of them do).
+const PAR_FLOPS: usize = 4 << 20;
+/// Edge of the square tiles [`mirror_lower`] walks (both tiles of a pair
+/// stay in L1).
+const MIRROR_TILE: usize = 32;
+/// Largest `MR · NR` of any microkernel: scratch for ragged edge tiles.
+const MAX_TILE: usize = 8 * 24;
+
+/// A strided row-major operand: element `(i, j)` of the stored matrix is
+/// `data[i * ld + j]`, and `trans` makes the core read its transpose. A
+/// sub-block of a larger matrix is the slice from its first element on,
+/// with the parent's leading dimension.
+#[derive(Debug, Clone, Copy)]
+pub struct Operand<'a> {
+    pub data: &'a [f64],
+    pub ld: usize,
+    pub trans: bool,
+}
+
+impl<'a> Operand<'a> {
+    /// `data` read as stored, rows `ld` apart.
+    pub fn new(data: &'a [f64], ld: usize) -> Self {
+        Operand {
+            data,
+            ld,
+            trans: false,
+        }
+    }
+
+    /// The same storage read transposed.
+    pub fn t(self) -> Self {
+        Operand {
+            trans: !self.trans,
+            ..self
+        }
+    }
+
+    /// Panics unless `op(self)` holds `rows × cols` elements.
+    fn check(&self, name: &str, rows: usize, cols: usize) {
+        let (r, c) = if self.trans {
+            (cols, rows)
+        } else {
+            (rows, cols)
+        };
+        assert!(
+            self.ld >= c && (r == 0 || (r - 1) * self.ld + c <= self.data.len()),
+            "gemm: operand {name} ({r}x{c} stored, ld {}) overruns its {} elements",
+            self.ld,
+            self.data.len()
+        );
+    }
+}
+
+/// Which tiles of `C` the core computes. A tile that straddles the
+/// diagonal is computed in full, so the elements of the other triangle
+/// next to the diagonal hold partial garbage: callers mirror over them
+/// ([`mirror_lower`]) or ignore them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mask {
+    /// Every tile.
+    Full,
+    /// Skip tiles wholly above the diagonal (`j > i` for all elements).
+    Lower,
+    /// Skip tiles wholly below the diagonal.
+    Upper,
+}
+
+/// A register-tile microkernel over packed panels.
+trait Micro {
+    const MR: usize;
+    const NR: usize;
+
+    /// `c[r * ldc + j] += Σ_p a[p * MR + r] · b[p * NR + j]` for the whole
+    /// `MR × NR` tile: the sum runs over `p` in order from zero and is
+    /// added to `c` once.
+    ///
+    /// # Safety
+    /// The CPU supports the kernel's ISA; `a` and `b` are readable for
+    /// `kc * MR` / `kc * NR` elements and `c` is writable for
+    /// `(MR - 1) * ldc + NR`.
+    unsafe fn tile(kc: usize, a: *const f64, b: *const f64, c: *mut f64, ldc: usize);
+
+    /// Transposing pack of four equally long source rows:
+    /// `dst[p * w + r] = alpha · rows[r][p]` for `r < 4`.
+    ///
+    /// # Safety
+    /// The CPU supports the kernel's ISA.
+    unsafe fn gather4(dst: &mut [f64], w: usize, rows: [&[f64]; 4], alpha: f64) {
+        for (r, row) in rows.iter().enumerate() {
+            for (d, &v) in dst[r..].iter_mut().step_by(w).zip(*row) {
+                *d = alpha * v;
+            }
+        }
+    }
+}
+
+/// AVX-512F and AVX2+FMA microkernels. The crate is compiled for baseline
+/// x86-64 (SSE2), so they sit behind `#[target_feature]` and [`Kernel`]
+/// picks one at runtime.
 #[cfg(target_arch = "x86_64")]
 mod simd {
-    use super::{MR, NR};
+    use super::Micro;
     use std::arch::x86_64::*;
-    use std::sync::OnceLock;
 
-    /// One-time CPUID probe for the AVX2+FMA fast path.
-    pub fn available() -> bool {
-        static AVAIL: OnceLock<bool> = OnceLock::new();
-        *AVAIL.get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"))
-    }
-
-    /// `MR × NR` rank-`kc` update on packed panels: 8 × 256-bit FMA
-    /// accumulators (4 rows × 2 vectors of 4 doubles).
-    ///
-    /// # Safety
-    /// Caller must have verified [`available`]; panels must hold at least
-    /// `kc * MR` / `kc * NR` elements.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn microkernel(
-        kc: usize,
-        apanel: &[f64],
-        bpanel: &[f64],
-        acc: &mut [[f64; NR]; MR],
-    ) {
-        unsafe {
-            let ap = apanel.as_ptr();
-            let bp = bpanel.as_ptr();
-            let mut c = [[_mm256_setzero_pd(); 2]; MR];
-            for p in 0..kc {
-                let b0 = _mm256_loadu_pd(bp.add(p * NR));
-                let b1 = _mm256_loadu_pd(bp.add(p * NR + 4));
-                for (r, cr) in c.iter_mut().enumerate() {
-                    let a = _mm256_set1_pd(*ap.add(p * MR + r));
-                    cr[0] = _mm256_fmadd_pd(a, b0, cr[0]);
-                    cr[1] = _mm256_fmadd_pd(a, b1, cr[1]);
+    /// [`Micro::gather4`] as 4×4 in-register transposes. Safe to declare:
+    /// only code compiled with AVX2 enabled can call it without `unsafe`.
+    #[target_feature(enable = "avx2")]
+    fn gather4(dst: &mut [f64], w: usize, rows: [&[f64]; 4], alpha: f64) {
+        let kc = rows[0].len();
+        assert!(rows.iter().all(|r| r.len() == kc) && (kc == 0 || dst.len() >= (kc - 1) * w + 4));
+        let av = _mm256_set1_pd(alpha);
+        for p in (0..kc - kc % 4).step_by(4) {
+            // SAFETY: `p + 4 <= kc`, the length of every row, and (asserted)
+            // `dst` holds four elements from `(kc - 1) * w` on.
+            unsafe {
+                let [r0, r1, r2, r3] = rows.map(|r| _mm256_loadu_pd(r.as_ptr().add(p)));
+                let (t0, t1) = (_mm256_unpacklo_pd(r0, r1), _mm256_unpackhi_pd(r0, r1));
+                let (t2, t3) = (_mm256_unpacklo_pd(r2, r3), _mm256_unpackhi_pd(r2, r3));
+                let cols = [
+                    _mm256_permute2f128_pd::<0x20>(t0, t2),
+                    _mm256_permute2f128_pd::<0x20>(t1, t3),
+                    _mm256_permute2f128_pd::<0x31>(t0, t2),
+                    _mm256_permute2f128_pd::<0x31>(t1, t3),
+                ];
+                for (q, &col) in cols.iter().enumerate() {
+                    _mm256_storeu_pd(dst.as_mut_ptr().add((p + q) * w), _mm256_mul_pd(av, col));
                 }
             }
-            for (dst, cr) in acc.iter_mut().zip(c.iter()) {
-                _mm256_storeu_pd(dst.as_mut_ptr(), cr[0]);
-                _mm256_storeu_pd(dst.as_mut_ptr().add(4), cr[1]);
+        }
+        for p in kc - kc % 4..kc {
+            for (r, row) in rows.iter().enumerate() {
+                dst[p * w + r] = alpha * row[p];
             }
         }
     }
 
-    /// FMA dot product with four independent vector accumulators.
-    ///
-    /// # Safety
-    /// Caller must have verified [`available`]; `x.len() == y.len()`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot(x: &[f64], y: &[f64]) -> f64 {
-        unsafe {
-            let n = x.len();
-            let xp = x.as_ptr();
-            let yp = y.as_ptr();
-            let mut a0 = _mm256_setzero_pd();
-            let mut a1 = _mm256_setzero_pd();
-            let mut a2 = _mm256_setzero_pd();
-            let mut a3 = _mm256_setzero_pd();
-            let chunks = n / 16;
-            for c in 0..chunks {
-                let i = c * 16;
-                a0 = _mm256_fmadd_pd(_mm256_loadu_pd(xp.add(i)), _mm256_loadu_pd(yp.add(i)), a0);
-                a1 = _mm256_fmadd_pd(
-                    _mm256_loadu_pd(xp.add(i + 4)),
-                    _mm256_loadu_pd(yp.add(i + 4)),
-                    a1,
-                );
-                a2 = _mm256_fmadd_pd(
-                    _mm256_loadu_pd(xp.add(i + 8)),
-                    _mm256_loadu_pd(yp.add(i + 8)),
-                    a2,
-                );
-                a3 = _mm256_fmadd_pd(
-                    _mm256_loadu_pd(xp.add(i + 12)),
-                    _mm256_loadu_pd(yp.add(i + 12)),
-                    a3,
-                );
+    /// 8×24: 24 zmm accumulators (8 rows × 3 vectors of 8 doubles), 3 for
+    /// the B row and one broadcast of A.
+    pub struct Avx512;
+
+    impl Micro for Avx512 {
+        const MR: usize = 8;
+        const NR: usize = 24;
+
+        #[target_feature(enable = "avx512f")]
+        unsafe fn tile(kc: usize, a: *const f64, b: *const f64, c: *mut f64, ldc: usize) {
+            // SAFETY: the caller guarantees AVX-512F and the extents every
+            // offset below stays within (`p < kc`, `r < 8`, three 8-wide
+            // vectors per 24-wide row).
+            unsafe {
+                let mut acc = [[_mm512_setzero_pd(); 3]; 8];
+                for p in 0..kc {
+                    let bp = b.add(p * 24);
+                    let bv = [
+                        _mm512_loadu_pd(bp),
+                        _mm512_loadu_pd(bp.add(8)),
+                        _mm512_loadu_pd(bp.add(16)),
+                    ];
+                    for (r, row) in acc.iter_mut().enumerate() {
+                        let av = _mm512_set1_pd(*a.add(p * 8 + r));
+                        for (x, &bx) in row.iter_mut().zip(&bv) {
+                            *x = _mm512_fmadd_pd(av, bx, *x);
+                        }
+                    }
+                }
+                for (r, row) in acc.iter().enumerate() {
+                    for (v, &x) in row.iter().enumerate() {
+                        let cp = c.add(r * ldc + v * 8);
+                        _mm512_storeu_pd(cp, _mm512_add_pd(_mm512_loadu_pd(cp), x));
+                    }
+                }
             }
-            let mut acc = _mm256_add_pd(_mm256_add_pd(a0, a1), _mm256_add_pd(a2, a3));
-            let mut i = chunks * 16;
-            while i + 4 <= n {
-                acc = _mm256_fmadd_pd(_mm256_loadu_pd(xp.add(i)), _mm256_loadu_pd(yp.add(i)), acc);
-                i += 4;
-            }
-            let mut buf = [0.0f64; 4];
-            _mm256_storeu_pd(buf.as_mut_ptr(), acc);
-            let mut s = (buf[0] + buf[1]) + (buf[2] + buf[3]);
-            while i < n {
-                s += *xp.add(i) * *yp.add(i);
-                i += 1;
-            }
-            s
+        }
+
+        // SAFETY (of the call below): AVX-512F, which the caller
+        // guarantees, implies the AVX2 the shared transposer needs.
+        #[target_feature(enable = "avx512f")]
+        unsafe fn gather4(dst: &mut [f64], w: usize, rows: [&[f64]; 4], alpha: f64) {
+            gather4(dst, w, rows, alpha);
         }
     }
 
-    /// `y += alpha * x` with FMA.
-    ///
-    /// # Safety
-    /// Caller must have verified [`available`]; `x.len() == y.len()`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-        unsafe {
-            let n = x.len();
-            let xp = x.as_ptr();
-            let yp = y.as_mut_ptr();
-            let a = _mm256_set1_pd(alpha);
-            let mut i = 0;
-            while i + 4 <= n {
-                let yv = _mm256_loadu_pd(yp.add(i));
-                let xv = _mm256_loadu_pd(xp.add(i));
-                _mm256_storeu_pd(yp.add(i), _mm256_fmadd_pd(a, xv, yv));
-                i += 4;
+    /// 4×8: 8 ymm accumulators (4 rows × 2 vectors of 4 doubles).
+    pub struct Avx2;
+
+    impl Micro for Avx2 {
+        const MR: usize = 4;
+        const NR: usize = 8;
+
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn tile(kc: usize, a: *const f64, b: *const f64, c: *mut f64, ldc: usize) {
+            // SAFETY: the caller guarantees AVX2+FMA and the extents every
+            // offset below stays within (`p < kc`, `r < 4`, two 4-wide
+            // vectors per 8-wide row).
+            unsafe {
+                let mut acc = [[_mm256_setzero_pd(); 2]; 4];
+                for p in 0..kc {
+                    let bp = b.add(p * 8);
+                    let bv = [_mm256_loadu_pd(bp), _mm256_loadu_pd(bp.add(4))];
+                    for (r, row) in acc.iter_mut().enumerate() {
+                        let av = _mm256_set1_pd(*a.add(p * 4 + r));
+                        for (x, &bx) in row.iter_mut().zip(&bv) {
+                            *x = _mm256_fmadd_pd(av, bx, *x);
+                        }
+                    }
+                }
+                for (r, row) in acc.iter().enumerate() {
+                    for (v, &x) in row.iter().enumerate() {
+                        let cp = c.add(r * ldc + v * 4);
+                        _mm256_storeu_pd(cp, _mm256_add_pd(_mm256_loadu_pd(cp), x));
+                    }
+                }
             }
-            while i < n {
-                *yp.add(i) += alpha * *xp.add(i);
-                i += 1;
+        }
+
+        // SAFETY (of the call below): the caller guarantees AVX2.
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn gather4(dst: &mut [f64], w: usize, rows: [&[f64]; 4], alpha: f64) {
+            gather4(dst, w, rows, alpha);
+        }
+    }
+}
+
+/// Portable 4×8 microkernel; the fixed-size accumulator array keeps the
+/// inner loop fully unrolled and autovectorized.
+struct Portable;
+
+impl Micro for Portable {
+    const MR: usize = 4;
+    const NR: usize = 8;
+
+    unsafe fn tile(kc: usize, a: *const f64, b: *const f64, c: *mut f64, ldc: usize) {
+        let mut acc = [[0.0f64; 8]; 4];
+        // SAFETY: the caller guarantees `kc * 4`, `kc * 8` and
+        // `3 * ldc + 8` elements behind `a`, `b` and `c`.
+        let (a, b) = unsafe {
+            (
+                std::slice::from_raw_parts(a, kc * 4),
+                std::slice::from_raw_parts(b, kc * 8),
+            )
+        };
+        for (av, bv) in a.chunks_exact(4).zip(b.chunks_exact(8)) {
+            for (row, &ar) in acc.iter_mut().zip(av) {
+                for (x, &bx) in row.iter_mut().zip(bv) {
+                    *x += ar * bx;
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            // SAFETY: as above, row `r < 4` of the tile.
+            let crow = unsafe { std::slice::from_raw_parts_mut(c.add(r * ldc), 8) };
+            for (cv, &x) in crow.iter_mut().zip(row) {
+                *cv += x;
             }
         }
     }
 }
 
-/// Microkernel tile height (rows of C per register tile).
-const MR: usize = 4;
-/// Microkernel tile width (cols of C per register tile).
-const NR: usize = 8;
-/// Rows of `op(A)` packed per task block; multiple of `MR`.
-const MC: usize = 64;
-/// Depth (k) packed per cache block.
-const KC: usize = 256;
-/// Columns of `op(B)` packed per cache block.
-const NC: usize = 2048;
-/// Below this many multiply-adds, packing costs more than it saves.
-const SMALL_FLOPS: usize = 256 * 1024;
-/// Minimum multiply-adds before a parallel dispatch is worth it.
-const PAR_FLOPS: usize = 128 * 1024;
-/// Column-block edge for the small-size SYRK path.
-const SYRK_BLOCK: usize = 64;
-/// Above this many multiply-adds a SYRK routes through the packed
-/// microkernel (below it, the unpacked block-pair loop wins).
-const SYRK_PACK_FLOPS: usize = 512 * 1024;
-
-static REFERENCE: AtomicBool = AtomicBool::new(false);
-
-/// Routes `Matrix` products, Gramians and Cholesky/SPD-inverse through the
-/// pre-optimization serial kernels (`true`) or the packed pooled kernels
-/// (`false`, the default). For benchmarking and parity testing only.
-pub fn set_reference_kernels(on: bool) {
-    REFERENCE.store(on, Ordering::SeqCst);
+/// The microkernels, best first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    Portable,
 }
 
-/// `true` while [`set_reference_kernels`] has selected the serial seed
-/// kernels.
-pub fn reference_kernels() -> bool {
-    REFERENCE.load(Ordering::SeqCst)
+impl Kernel {
+    const ALL: &'static [Kernel] = &[
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx512,
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2,
+        Kernel::Portable,
+    ];
+
+    /// Whether this CPU can run the kernel.
+    fn supported(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => is_x86_feature_detected!("avx512f"),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
+            Kernel::Portable => true,
+        }
+    }
+
+    /// One-time CPUID probe: the best kernel this CPU supports.
+    fn detect() -> Kernel {
+        static BEST: OnceLock<Kernel> = OnceLock::new();
+        *BEST.get_or_init(|| {
+            *Kernel::ALL
+                .iter()
+                .find(|k| k.supported())
+                .expect("the portable kernel is always supported")
+        })
+    }
+}
+
+thread_local! {
+    static PACK_A: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+    static PACK_B: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on `len` elements of this thread's pack buffer, cache-line
+/// aligned. The buffer only ever grows (zero-filled then, never per call:
+/// packing writes every element the microkernel reads).
+fn with_pack(key: &'static LocalKey<RefCell<Vec<f64>>>, len: usize, f: impl FnOnce(&mut [f64])) {
+    key.with(|cell| {
+        let mut buf = cell.borrow_mut();
+        if buf.len() < len + 8 {
+            buf.resize(len + 8, 0.0);
+        }
+        // A `Vec<f64>` is 8-byte aligned, so at most 7 elements are skipped.
+        let off = buf.as_ptr().align_offset(64).min(8);
+        f(&mut buf[off..off + len])
+    })
+}
+
+/// `c[i * ldc + j] += α · Σ_p op(A)(i, p) · op(B)(p, j)` for `i < m`,
+/// `j < n`, `p < k`, restricted to the tiles `mask` keeps (see the module
+/// docs for the structure and the bit-identity invariants).
+///
+/// # Panics
+///
+/// Panics if an operand or `c` is too short for its shape and leading
+/// dimension.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm(
+    alpha: f64,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: Operand,
+    b: Operand,
+    c: &mut [f64],
+    ldc: usize,
+    mask: Mask,
+) {
+    gemm_with(Kernel::detect(), alpha, m, k, n, a, b, c, ldc, mask);
+}
+
+/// [`gemm`] on an explicit microkernel (the cross-ISA bit-identity test
+/// runs every supported one).
+#[allow(clippy::too_many_arguments)]
+fn gemm_with(
+    kernel: Kernel,
+    alpha: f64,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: Operand,
+    b: Operand,
+    c: &mut [f64],
+    ldc: usize,
+    mask: Mask,
+) {
+    assert!(
+        kernel.supported(),
+        "gemm: {kernel:?} needs an ISA this CPU lacks"
+    );
+    a.check("A", m, k);
+    b.check("B", k, n);
+    assert!(
+        ldc >= n && (m == 0 || (m - 1) * ldc + n <= c.len()),
+        "gemm: C ({m}x{n}, ld {ldc}) overruns its {} elements",
+        c.len()
+    );
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx512 => run::<simd::Avx512>(alpha, m, k, n, a, b, c, ldc, mask),
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 => run::<simd::Avx2>(alpha, m, k, n, a, b, c, ldc, mask),
+        Kernel::Portable => run::<Portable>(alpha, m, k, n, a, b, c, ldc, mask),
+    }
+}
+
+/// The blocked loop nest around microkernel `K`; shapes already checked.
+#[allow(clippy::too_many_arguments)]
+fn run<K: Micro>(
+    alpha: f64,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: Operand,
+    b: Operand,
+    c: &mut [f64],
+    ldc: usize,
+    mask: Mask,
+) {
+    let c_len = c.len();
+    let shared = SharedSlice::new(c);
+    let kc_max = k.div_ceil(k.div_ceil(KC));
+    let row_blocks = m.div_ceil(MC);
+    let parallel = pool::is_parallel() && row_blocks > 1 && m * n * k >= PAR_FLOPS;
+    for jc in (0..n).step_by(NC) {
+        let nc = NC.min(n - jc);
+        for kb in (0..k).step_by(kc_max) {
+            let kc = kc_max.min(k - kb);
+            with_pack(&PACK_B, nc.div_ceil(K::NR) * K::NR * kc, |bpack| {
+                pack::<K>(K::NR, bpack, b.data, b.ld, b.trans, jc, nc, kb, kc, 1.0);
+                let bpack = &*bpack;
+                let body = |blk: usize| {
+                    let i0 = blk * MC;
+                    let mc = MC.min(m - i0);
+                    // SAFETY: each task owns rows [i0, i0 + mc) of C.
+                    let rows = unsafe { shared.slice_mut(i0 * ldc..c_len.min((i0 + mc) * ldc)) };
+                    with_pack(&PACK_A, mc.div_ceil(K::MR) * K::MR * kc, |apack| {
+                        pack::<K>(K::MR, apack, a.data, a.ld, !a.trans, i0, mc, kb, kc, alpha);
+                        block::<K>(apack, bpack, mc, nc, kc, rows, ldc, i0, jc, mask);
+                    });
+                };
+                if parallel {
+                    pool::parallel_for(row_blocks, body);
+                } else {
+                    (0..row_blocks).for_each(body);
+                }
+            });
+        }
+    }
+}
+
+/// Packs `len` vectors × `kc` depth of an operand into `w`-wide panels:
+/// `dst[(q * kc + p) * w + r] = alpha · x(o0 + q * w + r, p0 + p)`, zero
+/// where the last panel runs past `len`. `x(o, p)` is `src[o * ld + p]`
+/// when `outer_major`, else `src[p * ld + o]`.
+#[allow(clippy::too_many_arguments)]
+fn pack<K: Micro>(
+    w: usize,
+    dst: &mut [f64],
+    src: &[f64],
+    ld: usize,
+    outer_major: bool,
+    o0: usize,
+    len: usize,
+    p0: usize,
+    kc: usize,
+    alpha: f64,
+) {
+    for (q, panel) in dst.chunks_exact_mut(kc * w).enumerate() {
+        let o = o0 + q * w;
+        let valid = w.min(o0 + len - o);
+        if outer_major {
+            let row = |r: usize| &src[(o + r) * ld + p0..][..kc];
+            for r in (0..valid - valid % 4).step_by(4) {
+                let rows = [row(r), row(r + 1), row(r + 2), row(r + 3)];
+                // SAFETY: `run` dispatched on a supported kernel.
+                unsafe { K::gather4(&mut panel[r..], w, rows, alpha) };
+            }
+            for r in valid - valid % 4..w {
+                for (p, d) in panel[r..].iter_mut().step_by(w).enumerate() {
+                    *d = if r < valid { alpha * row(r)[p] } else { 0.0 };
+                }
+            }
+        } else {
+            for (p, d) in panel.chunks_exact_mut(w).enumerate() {
+                let row = &src[(p0 + p) * ld + o..][..valid];
+                for (dv, &v) in d.iter_mut().zip(row) {
+                    *dv = alpha * v;
+                }
+                d[valid..].fill(0.0);
+            }
+        }
+    }
+}
+
+/// One packed `mc × kc` A block times the packed `kc × nc` B block into
+/// the task's rows of C (`c` starts at row `i0`, column 0; the block's
+/// first column is `jc`). `i0` / `jc` place the tiles for `mask`.
+#[allow(clippy::too_many_arguments)]
+fn block<K: Micro>(
+    apack: &[f64],
+    bpack: &[f64],
+    mc: usize,
+    nc: usize,
+    kc: usize,
+    c: &mut [f64],
+    ldc: usize,
+    i0: usize,
+    jc: usize,
+    mask: Mask,
+) {
+    const { assert!(K::MR * K::NR <= MAX_TILE) };
+    for (bpanel, jr) in bpack.chunks_exact(kc * K::NR).zip((0..nc).step_by(K::NR)) {
+        let cols = K::NR.min(nc - jr);
+        for (apanel, ir) in apack.chunks_exact(kc * K::MR).zip((0..mc).step_by(K::MR)) {
+            let rows = K::MR.min(mc - ir);
+            let (i, j) = (i0 + ir, jc + jr);
+            match mask {
+                Mask::Lower if j >= i + rows => continue,
+                Mask::Upper if i >= j + cols => continue,
+                _ => {}
+            }
+            let at = ir * ldc + j;
+            if rows == K::MR && cols == K::NR {
+                let tile = &mut c[at..at + (K::MR - 1) * ldc + K::NR];
+                // SAFETY: `run` dispatched on a supported kernel; the
+                // panels hold `kc * MR` / `kc * NR` elements and `tile`
+                // spans the full register tile.
+                unsafe { K::tile(kc, apanel.as_ptr(), bpanel.as_ptr(), tile.as_mut_ptr(), ldc) };
+            } else {
+                let mut edge = [0.0f64; MAX_TILE];
+                // SAFETY: as above, with the tile landing in `edge`
+                // (`MR * NR <= MAX_TILE`, rows `NR` apart).
+                unsafe {
+                    K::tile(
+                        kc,
+                        apanel.as_ptr(),
+                        bpanel.as_ptr(),
+                        edge.as_mut_ptr(),
+                        K::NR,
+                    )
+                };
+                for (r, erow) in edge.chunks_exact(K::NR).take(rows).enumerate() {
+                    let crow = &mut c[at + r * ldc..][..cols];
+                    for (cv, &e) in crow.iter_mut().zip(erow) {
+                        *cv += e;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Copies the strict lower triangle of a square row-major `n × n` buffer
+/// over the upper one, tile by tile.
+pub(crate) fn mirror_lower(c: &mut [f64], n: usize) {
+    for i0 in (0..n).step_by(MIRROR_TILE) {
+        let i1 = (i0 + MIRROR_TILE).min(n);
+        for j0 in (i0..n).step_by(MIRROR_TILE) {
+            let j1 = (j0 + MIRROR_TILE).min(n);
+            for i in i0..i1 {
+                for j in j0.max(i + 1)..j1 {
+                    c[i * n + j] = c[j * n + i];
+                }
+            }
+        }
+    }
 }
 
 /// The seed GEMM: serial cache-blocked i-k-j loop over row-major storage.
-///
-/// Kept callable as the comparison baseline for `bench_kernels` and the
-/// parity proptests.
+/// An oracle for the parity tests and `bench_kernels`' `reference_s`.
 pub fn matmul_reference(m: usize, k: usize, n: usize, a: &[f64], b: &[f64]) -> Vec<f64> {
     const BLOCK: usize = 64;
     let mut out = vec![0.0; m * n];
@@ -223,8 +627,8 @@ pub fn matmul_reference(m: usize, k: usize, n: usize, a: &[f64], b: &[f64]) -> V
     out
 }
 
-/// The seed Gramian: serial upper-triangle `XᵀX` accumulation. Comparison
-/// baseline for `bench_kernels` and the parity proptests.
+/// The seed Gramian: serial upper-triangle `XᵀX` accumulation. An oracle
+/// for the parity tests and `bench_kernels`' `reference_s`.
 pub fn gramian_reference(rows: usize, d: usize, x: &[f64]) -> Vec<f64> {
     let mut out = vec![0.0; d * d];
     for s in 0..rows {
@@ -248,464 +652,24 @@ pub fn gramian_reference(rows: usize, d: usize, x: &[f64]) -> Vec<f64> {
     out
 }
 
-/// `C = op(A) · op(B)` into a fresh row-major `m × n` buffer.
-///
-/// `trans_a == false` reads `a` as row-major `m × k`; `true` reads it as
-/// row-major `k × m` (i.e. computes `AᵀB` without materializing `Aᵀ`).
-/// Likewise `trans_b` for `b` (`false`: `k × n`; `true`: `n × k`).
-pub(crate) fn gemm(
-    trans_a: bool,
-    trans_b: bool,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f64],
-    b: &[f64],
-) -> Vec<f64> {
-    let mut out = vec![0.0; m * n];
-    if m == 0 || n == 0 || k == 0 {
-        return out;
-    }
-    if m * n * k <= SMALL_FLOPS {
-        gemm_small(trans_a, trans_b, m, k, n, a, b, &mut out);
-        return out;
-    }
-    let shared = SharedSlice::new(&mut out);
-    let row_blocks = m.div_ceil(MC);
-    let parallel = pool::is_parallel() && row_blocks > 1 && m * n * k >= PAR_FLOPS;
-    for jc in (0..n).step_by(NC) {
-        let nc = (jc + NC).min(n) - jc;
-        let n_panels = nc.div_ceil(NR);
-        let mut bpack = vec![0.0; KC * n_panels * NR];
-        for kb in (0..k).step_by(KC) {
-            let kc = (kb + KC).min(k) - kb;
-            pack_b(trans_b, b, k, n, kb, kc, jc, nc, &mut bpack);
-            let body = |blk: usize| {
-                let i0 = blk * MC;
-                let mc = (i0 + MC).min(m) - i0;
-                let mut apack = vec![0.0; KC * MC];
-                pack_a(trans_a, a, m, k, i0, mc, kb, kc, &mut apack);
-                // SAFETY: each task owns row range [i0, i0 + mc).
-                let c = unsafe { shared.slice_mut(i0 * n..(i0 + mc) * n) };
-                block_multiply(&apack, &bpack, mc, kc, nc, jc, n, c, 0);
-            };
-            if parallel {
-                pool::parallel_for(row_blocks, body);
-            } else {
-                for blk in 0..row_blocks {
-                    body(blk);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Unpacked triple-loop for small products (still transpose-free).
-#[allow(clippy::too_many_arguments)]
-fn gemm_small(
-    trans_a: bool,
-    trans_b: bool,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-) {
-    let at = |i: usize, p: usize| {
-        if trans_a {
-            a[p * m + i]
-        } else {
-            a[i * k + p]
-        }
-    };
-    match (trans_a, trans_b) {
-        (_, false) => {
-            // k-major accumulation over contiguous B rows.
-            for i in 0..m {
-                let orow = &mut out[i * n..(i + 1) * n];
-                for p in 0..k {
-                    let av = at(i, p);
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let brow = &b[p * n..(p + 1) * n];
-                    axpy(av, brow, orow);
-                }
-            }
-        }
-        (false, true) => {
-            // Row-dot-row: both operands contiguous along k.
-            for i in 0..m {
-                let arow = &a[i * k..(i + 1) * k];
-                for j in 0..n {
-                    let brow = &b[j * k..(j + 1) * k];
-                    out[i * n + j] = dot(arow, brow);
-                }
-            }
-        }
-        (true, true) => {
-            for i in 0..m {
-                for j in 0..n {
-                    let mut s = 0.0;
-                    for p in 0..k {
-                        s += a[p * m + i] * b[j * k + p];
-                    }
-                    out[i * n + j] = s;
-                }
-            }
-        }
-    }
-}
-
-/// Pipelined dot product: AVX2+FMA when the CPU has it, otherwise four
-/// independent scalar partial accumulators.
-#[inline]
-pub(crate) fn dot(x: &[f64], y: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), y.len());
-    #[cfg(target_arch = "x86_64")]
-    if simd::available() {
-        // SAFETY: AVX2+FMA presence checked above; lengths equal.
-        return unsafe { simd::dot(x, y) };
-    }
-    dot_generic(x, y)
-}
-
-/// Portable dot product (four independent partial accumulators).
-#[inline]
-fn dot_generic(x: &[f64], y: &[f64]) -> f64 {
-    // Four independent partial sums so the accumulation chain pipelines.
-    let mut acc = [0.0f64; 4];
-    let chunks = x.len() / 4;
-    for c in 0..chunks {
-        let xi = &x[c * 4..c * 4 + 4];
-        let yi = &y[c * 4..c * 4 + 4];
-        for l in 0..4 {
-            acc[l] += xi[l] * yi[l];
-        }
-    }
-    let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for i in chunks * 4..x.len() {
-        s += x[i] * y[i];
-    }
-    s
-}
-
-/// `y += alpha * x`: AVX2+FMA when available, portable loop otherwise.
-#[inline]
-pub(crate) fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    #[cfg(target_arch = "x86_64")]
-    if simd::available() {
-        // SAFETY: AVX2+FMA presence checked above; lengths equal.
-        unsafe { simd::axpy(alpha, x, y) };
-        return;
-    }
-    for (o, &v) in y.iter_mut().zip(x.iter()) {
-        *o += alpha * v;
-    }
-}
-
-/// Packs `mc` rows × `kc` depth of `op(A)` into `MR`-row panels,
-/// zero-padding the row remainder.
-#[allow(clippy::too_many_arguments)]
-fn pack_a(
-    trans_a: bool,
-    a: &[f64],
-    m: usize,
-    k: usize,
-    i0: usize,
-    mc: usize,
-    kb: usize,
-    kc: usize,
-    apack: &mut [f64],
-) {
-    let _ = m;
-    for (panel, ir) in (0..mc).step_by(MR).enumerate() {
-        let rows = (ir + MR).min(mc) - ir;
-        let dst = &mut apack[panel * KC * MR..];
-        for p in 0..kc {
-            let d = &mut dst[p * MR..p * MR + MR];
-            if trans_a {
-                // op(A)(i, p) = a[(kb + p) * m + i]  (contiguous in i).
-                let src = &a[(kb + p) * m + i0 + ir..];
-                d[..rows].copy_from_slice(&src[..rows]);
-            } else {
-                for (r, dv) in d.iter_mut().enumerate().take(rows) {
-                    *dv = a[(i0 + ir + r) * k + kb + p];
-                }
-            }
-            for dv in d.iter_mut().skip(rows) {
-                *dv = 0.0;
-            }
-        }
-    }
-}
-
-/// Packs `kc` depth × `nc` cols of `op(B)` into `NR`-col panels,
-/// zero-padding the column remainder.
-#[allow(clippy::too_many_arguments)]
-fn pack_b(
-    trans_b: bool,
-    b: &[f64],
-    k: usize,
-    n: usize,
-    kb: usize,
-    kc: usize,
-    jc: usize,
-    nc: usize,
-    bpack: &mut [f64],
-) {
-    let _ = n;
-    for (panel, jr) in (0..nc).step_by(NR).enumerate() {
-        let cols = (jr + NR).min(nc) - jr;
-        let dst = &mut bpack[panel * KC * NR..];
-        for p in 0..kc {
-            let d = &mut dst[p * NR..p * NR + NR];
-            if trans_b {
-                // op(B)(p, j) = b[(jc + j) * k + kb + p].
-                for (c, dv) in d.iter_mut().enumerate().take(cols) {
-                    *dv = b[(jc + jr + c) * k + kb + p];
-                }
-            } else {
-                let ldb = n;
-                let src = &b[(kb + p) * ldb + jc + jr..];
-                d[..cols].copy_from_slice(&src[..cols]);
-            }
-            for dv in d.iter_mut().skip(cols) {
-                *dv = 0.0;
-            }
-        }
-    }
-}
-
-/// Multiplies one packed `mc × kc` A block against the packed `kc × nc` B
-/// block, accumulating into the caller's row slice of C (`mc` full rows,
-/// leading dimension `ldc`, starting at column `jc`). `jr0` (`NR`-aligned)
-/// skips B panels left of it — the SYRK kernels use this to compute only
-/// the upper-triangle column range of each row block.
-#[allow(clippy::too_many_arguments)]
-fn block_multiply(
-    apack: &[f64],
-    bpack: &[f64],
-    mc: usize,
-    kc: usize,
-    nc: usize,
-    jc: usize,
-    ldc: usize,
-    c: &mut [f64],
-    jr0: usize,
-) {
-    debug_assert_eq!(jr0 % NR, 0);
-    for jr in (jr0..nc).step_by(NR) {
-        let bp = jr / NR;
-        let cols = (jr + NR).min(nc) - jr;
-        let bpanel = &bpack[bp * KC * NR..bp * KC * NR + kc * NR];
-        for (ap, ir) in (0..mc).step_by(MR).enumerate() {
-            let rows = (ir + MR).min(mc) - ir;
-            let apanel = &apack[ap * KC * MR..ap * KC * MR + kc * MR];
-            let mut acc = [[0.0f64; NR]; MR];
-            microkernel(kc, apanel, bpanel, &mut acc);
-            for r in 0..rows {
-                let crow = &mut c[(ir + r) * ldc + jc + jr..(ir + r) * ldc + jc + jr + cols];
-                for (cv, av) in crow.iter_mut().zip(acc[r].iter()) {
-                    *cv += av;
-                }
-            }
-        }
-    }
-}
-
-/// Register-tiled `MR × NR` rank-`kc` update: AVX2+FMA path when the CPU
-/// has it, portable fixed-size-array path otherwise.
-#[inline]
-fn microkernel(kc: usize, apanel: &[f64], bpanel: &[f64], acc: &mut [[f64; NR]; MR]) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::available() {
-        // SAFETY: AVX2+FMA presence checked above; panel sizes are
-        // guaranteed by the packing layout (kc*MR / kc*NR elements).
-        unsafe { simd::microkernel(kc, apanel, bpanel, acc) };
-        return;
-    }
-    microkernel_generic(kc, apanel, bpanel, acc)
-}
-
-/// Portable microkernel; the fixed-size accumulator array keeps the inner
-/// loop fully unrolled and autovectorized.
-#[inline(always)]
-fn microkernel_generic(kc: usize, apanel: &[f64], bpanel: &[f64], acc: &mut [[f64; NR]; MR]) {
-    for p in 0..kc {
-        let av: &[f64; MR] = apanel[p * MR..p * MR + MR].try_into().expect("MR panel");
-        let bv: &[f64; NR] = bpanel[p * NR..p * NR + NR].try_into().expect("NR panel");
-        for r in 0..MR {
-            let ar = av[r];
-            for cc in 0..NR {
-                acc[r][cc] += ar * bv[cc];
-            }
-        }
-    }
-}
-
-/// Packed-microkernel SYRK: `C = XᵀX` (`nt == false`, `n = d`) or
-/// `C = XXᵀ` (`nt == true`, `n = rows`) over the same panel machinery as
-/// [`gemm`], visiting only the B panels at or right of each row block's
-/// diagonal (≈ half the FLOPs) and mirroring the result. Bit-identical
-/// for any thread count: each row block is owned by one task and k blocks
-/// stay sequential.
-fn syrk_packed(nt: bool, rows: usize, d: usize, x: &[f64], out: &mut [f64]) {
-    let (n, k) = if nt { (rows, d) } else { (d, rows) };
-    let (ta, tb) = if nt { (false, true) } else { (true, false) };
-    let row_blocks = n.div_ceil(MC);
-    let parallel = pool::is_parallel() && row_blocks > 1 && n * n * k / 2 >= PAR_FLOPS;
-    let shared = SharedSlice::new(out);
-    for jc in (0..n).step_by(NC) {
-        let nc = (jc + NC).min(n) - jc;
-        let n_panels = nc.div_ceil(NR);
-        let mut bpack = vec![0.0; KC * n_panels * NR];
-        for kb in (0..k).step_by(KC) {
-            let kc = (kb + KC).min(k) - kb;
-            pack_b(tb, x, k, n, kb, kc, jc, nc, &mut bpack);
-            let body = |blk: usize| {
-                let i0 = blk * MC;
-                // Upper triangle: this row block only needs columns
-                // j ≥ i0, rounded down to the owning NR panel. (`jc` is a
-                // multiple of NC, itself a multiple of NR, so the local
-                // offset stays panel-aligned.)
-                let j_lo = (i0 / NR) * NR;
-                if j_lo >= jc + nc {
-                    return;
-                }
-                let jr0 = j_lo.saturating_sub(jc);
-                let mc = (i0 + MC).min(n) - i0;
-                let mut apack = vec![0.0; KC * MC];
-                pack_a(ta, x, n, k, i0, mc, kb, kc, &mut apack);
-                // SAFETY: each task owns row range [i0, i0 + mc).
-                let c = unsafe { shared.slice_mut(i0 * n..(i0 + mc) * n) };
-                block_multiply(&apack, &bpack, mc, kc, nc, jc, n, c, jr0);
-            };
-            if parallel {
-                pool::parallel_for(row_blocks, body);
-            } else {
-                for blk in 0..row_blocks {
-                    body(blk);
-                }
-            }
-        }
-    }
-    mirror_upper(out, n);
-}
-
-/// Symmetric rank-k product `XᵀX` (`x` row-major `rows × d`) into a fresh
-/// `d × d` buffer, computing the upper triangle block-wise (half the FLOPs
-/// of the equivalent GEMM) and mirroring it.
-pub(crate) fn syrk_tn(rows: usize, d: usize, x: &[f64]) -> Vec<f64> {
-    let mut out = vec![0.0; d * d];
-    if rows == 0 || d == 0 {
-        return out;
-    }
-    if rows * d * d / 2 > SYRK_PACK_FLOPS {
-        syrk_packed(false, rows, d, x, &mut out);
-        return out;
-    }
-    let nb = d.div_ceil(SYRK_BLOCK);
-    // Upper-triangle block pairs (bi ≤ bj), each owned by exactly one task.
-    let pairs: Vec<(usize, usize)> = (0..nb)
-        .flat_map(|bi| (bi..nb).map(move |bj| (bi, bj)))
-        .collect();
-    let shared = SharedSlice::new(&mut out);
-    let work = rows * d * d / 2;
-    let body = |t: usize| {
-        let (bi, bj) = pairs[t];
-        let i0 = bi * SYRK_BLOCK;
-        let i1 = (i0 + SYRK_BLOCK).min(d);
-        let j0 = bj * SYRK_BLOCK;
-        let j1 = (j0 + SYRK_BLOCK).min(d);
-        // SAFETY: block (bi, bj) rows i0..i1 columns j0..j1 are written by
-        // this task only (distinct pairs → disjoint index sets).
-        let c = unsafe { shared.slice_mut(0..d * d) };
-        for s in 0..rows {
-            let row = &x[s * d..(s + 1) * d];
-            for i in i0..i1 {
-                let v = row[i];
-                if v == 0.0 {
-                    continue;
-                }
-                let lo = j0.max(i);
-                let crow = &mut c[i * d + lo..i * d + j1];
-                axpy(v, &row[lo..j1], crow);
-            }
-        }
-    };
-    if pool::is_parallel() && pairs.len() > 1 && work >= PAR_FLOPS {
-        pool::parallel_for(pairs.len(), body);
-    } else {
-        for t in 0..pairs.len() {
-            body(t);
-        }
-    }
-    mirror_upper(&mut out, d);
-    out
-}
-
-/// Symmetric rank-k product `XXᵀ` (`x` row-major `rows × d`) into a fresh
-/// `rows × rows` buffer: upper triangle of row-dot-row products, mirrored.
-pub(crate) fn syrk_nt(rows: usize, d: usize, x: &[f64]) -> Vec<f64> {
-    let n = rows;
-    let mut out = vec![0.0; n * n];
-    if n == 0 || d == 0 {
-        return out;
-    }
-    if n * n * d / 2 > SYRK_PACK_FLOPS {
-        syrk_packed(true, rows, d, x, &mut out);
-        return out;
-    }
-    let nb = n.div_ceil(SYRK_BLOCK);
-    let pairs: Vec<(usize, usize)> = (0..nb)
-        .flat_map(|bi| (bi..nb).map(move |bj| (bi, bj)))
-        .collect();
-    let shared = SharedSlice::new(&mut out);
-    let work = n * n * d / 2;
-    let body = |t: usize| {
-        let (bi, bj) = pairs[t];
-        let i0 = bi * SYRK_BLOCK;
-        let i1 = (i0 + SYRK_BLOCK).min(n);
-        let j0 = bj * SYRK_BLOCK;
-        let j1 = (j0 + SYRK_BLOCK).min(n);
-        // SAFETY: see `syrk_tn` — disjoint upper-triangle blocks per task.
-        let c = unsafe { shared.slice_mut(0..n * n) };
-        for i in i0..i1 {
-            let xi = &x[i * d..(i + 1) * d];
-            for j in j0.max(i)..j1 {
-                let xj = &x[j * d..(j + 1) * d];
-                c[i * n + j] = dot(xi, xj);
-            }
-        }
-    };
-    if pool::is_parallel() && pairs.len() > 1 && work >= PAR_FLOPS {
-        pool::parallel_for(pairs.len(), body);
-    } else {
-        for t in 0..pairs.len() {
-            body(t);
-        }
-    }
-    mirror_upper(&mut out, n);
-    out
-}
-
-/// Copies the strictly-upper triangle of a square `d × d` buffer into the
-/// lower one.
-fn mirror_upper(out: &mut [f64], d: usize) {
-    for i in 0..d {
-        for j in (i + 1)..d {
-            out[j * d + i] = out[i * d + j];
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
+
+    fn product(m: usize, k: usize, n: usize, a: Operand, b: Operand) -> Vec<f64> {
+        let mut out = vec![0.0; m * n];
+        gemm(1.0, m, k, n, a, b, &mut out, n, Mask::Full);
+        out
+    }
+
+    fn syrk_tn(rows: usize, d: usize, x: &[f64]) -> Vec<f64> {
+        Matrix::from_vec(rows, d, x.to_vec()).gramian().into_vec()
+    }
+
+    fn syrk_nt(rows: usize, d: usize, x: &[f64]) -> Vec<f64> {
+        Matrix::from_vec(rows, d, x.to_vec()).syrk_nt().into_vec()
+    }
 
     fn seq(n: usize, scale: f64) -> Vec<f64> {
         (0..n)
@@ -737,6 +701,15 @@ mod tests {
         out
     }
 
+    /// Dense operand of `op(X)` shape `rows × cols`.
+    fn dense(data: &[f64], rows: usize, cols: usize, trans: bool) -> Operand<'_> {
+        Operand {
+            data,
+            ld: if trans { rows } else { cols },
+            trans,
+        }
+    }
+
     fn max_diff(a: &[f64], b: &[f64]) -> f64 {
         a.iter()
             .zip(b.iter())
@@ -756,16 +729,13 @@ mod tests {
             (64, 256, 64),
             (65, 257, 67),
             (130, 40, 90),
+            (9, KC + 1, 25),
         ] {
-            let a_n = seq(m * k, 0.01);
-            let a_t = seq(k * m, 0.01);
-            let b_n = seq(k * n, 0.02);
-            let b_t = seq(n * k, 0.02);
+            let a = seq(m * k, 0.01);
+            let b = seq(k * n, 0.02);
             for &(ta, tb) in &[(false, false), (false, true), (true, false), (true, true)] {
-                let a = if ta { &a_t } else { &a_n };
-                let b = if tb { &b_t } else { &b_n };
-                let got = gemm(ta, tb, m, k, n, a, b);
-                let want = naive(ta, tb, m, k, n, a, b);
+                let got = product(m, k, n, dense(&a, m, k, ta), dense(&b, k, n, tb));
+                let want = naive(ta, tb, m, k, n, &a, &b);
                 assert!(
                     max_diff(&got, &want) < 1e-10,
                     "mismatch at {m}x{k}x{n} ta={ta} tb={tb}"
@@ -815,24 +785,70 @@ mod tests {
     }
 
     #[test]
-    fn reference_kernels_match_packed() {
+    fn oracles_match_the_core() {
         let (m, k, n) = (37, 53, 29);
         let a = seq(m * k, 0.01);
         let b = seq(k * n, 0.02);
-        let packed = gemm(false, false, m, k, n, &a, &b);
-        let reference = matmul_reference(m, k, n, &a, &b);
-        assert!(max_diff(&packed, &reference) < 1e-11);
+        let core = product(m, k, n, Operand::new(&a, k), Operand::new(&b, n));
+        assert!(max_diff(&core, &matmul_reference(m, k, n, &a, &b)) < 1e-11);
 
         let x = seq(41 * 23, 0.01);
         assert!(max_diff(&syrk_tn(41, 23, &x), &gramian_reference(41, 23, &x)) < 1e-11);
     }
 
+    /// The ISA invariant: every vector microkernel the host supports gives
+    /// the same bits on ragged, strided, masked, multi-depth-block shapes.
     #[test]
-    fn reference_mode_toggle() {
-        assert!(!reference_kernels());
-        set_reference_kernels(true);
-        assert!(reference_kernels());
-        set_reference_kernels(false);
-        assert!(!reference_kernels());
+    fn vector_kernels_agree_bit_for_bit() {
+        let kernels: Vec<Kernel> = Kernel::ALL
+            .iter()
+            .copied()
+            .filter(|&k| k != Kernel::Portable && k.supported())
+            .collect();
+        if kernels.len() < 2 {
+            eprintln!("skipped: host supports {kernels:?} only");
+            return;
+        }
+        for &(m, k, n) in &[
+            (1usize, 1usize, 1usize),
+            (7, 33, 23),
+            (9, 257, 25),
+            (65, KC + 1, 49),
+            (130, 2 * KC + 3, 71),
+        ] {
+            // Leading dimensions wider than the rows they hold.
+            let (lda, ldb, ldc) = (m.max(k) + 3, k.max(n) + 5, n + 2);
+            let a = seq(lda * lda, 0.013);
+            let b = seq(ldb * ldb, 0.007);
+            for &(ta, tb) in &[(false, false), (false, true), (true, false), (true, true)] {
+                for (mask, alpha) in [(Mask::Full, 1.0), (Mask::Lower, -1.0), (Mask::Upper, 1.0)] {
+                    let run = |kernel| {
+                        let mut c = seq(m * ldc, 0.5);
+                        let (oa, ob) = (Operand::new(&a, lda), Operand::new(&b, ldb));
+                        let (oa, ob) = (if ta { oa.t() } else { oa }, if tb { ob.t() } else { ob });
+                        gemm_with(kernel, alpha, m, k, n, oa, ob, &mut c, ldc, mask);
+                        // What a masked call leaves in the other triangle
+                        // depends on the tile shape; callers never read it.
+                        let kept = |i: usize, j: usize| match mask {
+                            Mask::Full => true,
+                            Mask::Lower => j <= i,
+                            Mask::Upper => j >= i,
+                        };
+                        (0..m * ldc)
+                            .filter(|&at| kept(at / ldc, at % ldc))
+                            .map(|at| c[at].to_bits())
+                            .collect::<Vec<u64>>()
+                    };
+                    let first = run(kernels[0]);
+                    for &other in &kernels[1..] {
+                        assert!(
+                            first == run(other),
+                            "{:?} vs {other:?} differ at {m}x{k}x{n} ta={ta} tb={tb} {mask:?}",
+                            kernels[0]
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -7,15 +7,18 @@
 //! - [`Matrix`]: a row-major dense `f64` matrix with GEMM, transpose-free
 //!   `AᵀB`/`ABᵀ` products, Gramian/SYRK accumulation (`XᵀX`, `XXᵀ`),
 //!   transpose and element-wise arithmetic.
-//! - [`gemm`](mod@gemm): the packed, cache-blocked compute kernels behind
-//!   `Matrix` — register-tiled GEMM microkernel, half-FLOP SYRK, and the
-//!   serial reference kernels used for benchmarking/parity testing.
+//! - [`gemm`](mod@gemm): the level-3 core behind everything dense — one
+//!   packed, cache-blocked, register-tiled `C += α·op(A)·op(B)` over strided
+//!   operands (AVX-512 / AVX2 / portable microkernels, bit-identical
+//!   across the two vector ISAs) — and the serial seed kernels kept as test
+//!   oracles.
 //! - [`pool`]: the shared persistent worker pool (sized by `SPDKFAC_THREADS`)
 //!   that every parallel kernel dispatches through; results are bit-identical
 //!   for any thread count.
-//! - [`chol`]: blocked Cholesky factorization and SPD inversion — the CPU
-//!   analogue of the cuSolver path the paper uses to invert damped Kronecker
-//!   factors `(A + γI)⁻¹` and `(G + γI)⁻¹`.
+//! - [`chol`]: blocked Cholesky factorization and SPD inversion
+//!   (POTRF / TRTRI / LAUUM on the core) — the CPU analogue of the cuSolver
+//!   path the paper uses to invert damped Kronecker factors `(A + γI)⁻¹` and
+//!   `(G + γI)⁻¹`.
 //! - [`SymPacked`]: upper-triangle packed storage with `d(d+1)/2` elements —
 //!   the wire format of §V-B ("we only need to send their upper triangle
 //!   elements").
@@ -53,7 +56,6 @@ pub mod sym;
 
 pub use chol::{cholesky, spd_inverse, Cholesky};
 pub use error::TensorError;
-pub use gemm::{reference_kernels, set_reference_kernels};
 pub use kron::{kron, precondition_gradient};
 pub use matrix::Matrix;
 pub use sym::SymPacked;

@@ -3,13 +3,13 @@
 //!
 //! Products ([`Matrix::matmul`], the transpose-free [`Matrix::matmul_nt`] /
 //! [`Matrix::matmul_tn`] variants) and symmetric rank-k accumulations
-//! ([`Matrix::gramian`], [`Matrix::syrk_nt`]) dispatch to the packed,
-//! pool-parallel kernels in [`crate::gemm`]; results are bit-identical for
-//! any `SPDKFAC_THREADS` setting (see [`crate::pool`] for the determinism
+//! ([`Matrix::gramian`], [`Matrix::syrk_nt`]) are calls into the level-3
+//! core in [`crate::gemm`]; results are bit-identical for any
+//! `SPDKFAC_THREADS` setting (see [`crate::pool`] for the determinism
 //! contract).
 
 use crate::error::TensorError;
-use crate::gemm;
+use crate::gemm::{self, Mask, Operand};
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
@@ -187,6 +187,11 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// The whole matrix as an operand of the level-3 core.
+    fn operand(&self) -> Operand<'_> {
+        Operand::new(&self.data, self.cols)
+    }
+
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -199,8 +204,6 @@ impl Matrix {
     }
 
     /// Dense matrix product `self · rhs`.
-    ///
-    /// Dispatches to the packed, pool-parallel GEMM in [`crate::gemm`].
     ///
     /// # Panics
     ///
@@ -224,13 +227,8 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        let (m, k, n) = (self.rows, self.cols, rhs.cols);
-        let data = if gemm::reference_kernels() {
-            gemm::matmul_reference(m, k, n, &self.data, &rhs.data)
-        } else {
-            gemm::gemm(false, false, m, k, n, &self.data, &rhs.data)
-        };
-        Ok(Matrix::from_vec(m, n, data))
+        let (a, b) = (self.operand(), rhs.operand());
+        Ok(product(self.rows, self.cols, rhs.cols, a, b, Mask::Full))
     }
 
     /// Transpose-free product `self · rhsᵀ`.
@@ -247,15 +245,8 @@ impl Matrix {
             "matmul_nt: shape mismatch {}x{} · ({}x{})ᵀ",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        if gemm::reference_kernels() {
-            return self.matmul(&rhs.transpose());
-        }
-        let (m, k, n) = (self.rows, self.cols, rhs.rows);
-        Matrix::from_vec(
-            m,
-            n,
-            gemm::gemm(false, true, m, k, n, &self.data, &rhs.data),
-        )
+        let (a, b) = (self.operand(), rhs.operand().t());
+        product(self.rows, self.cols, rhs.rows, a, b, Mask::Full)
     }
 
     /// Transpose-free product `selfᵀ · rhs`.
@@ -272,42 +263,30 @@ impl Matrix {
             "matmul_tn: shape mismatch ({}x{})ᵀ · {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        if gemm::reference_kernels() {
-            return self.transpose().matmul(rhs);
-        }
-        let (m, k, n) = (self.cols, self.rows, rhs.cols);
-        Matrix::from_vec(
-            m,
-            n,
-            gemm::gemm(true, false, m, k, n, &self.data, &rhs.data),
-        )
+        let (a, b) = (self.operand().t(), rhs.operand());
+        product(self.cols, self.rows, rhs.cols, a, b, Mask::Full)
     }
 
-    /// Gramian `selfᵀ · self` exploiting symmetry (computes the upper triangle
+    /// Gramian `selfᵀ · self` exploiting symmetry (computes the lower triangle
     /// at half the FLOPs of the equivalent GEMM and mirrors it).
     ///
     /// This is the kernel behind the Kronecker-factor computations
     /// `A = E[a aᵀ]` and `G = E[g gᵀ]` (Eq. 7/8), where the rows of `self`
-    /// are per-sample activation / gradient vectors. Dispatches to the
-    /// blocked, pool-parallel SYRK in [`crate::gemm`].
+    /// are per-sample activation / gradient vectors.
     pub fn gramian(&self) -> Matrix {
-        let (n, d) = (self.rows, self.cols);
-        let data = if gemm::reference_kernels() {
-            gemm::gramian_reference(n, d, &self.data)
-        } else {
-            gemm::syrk_tn(n, d, &self.data)
-        };
-        Matrix::from_vec(d, d, data)
+        let x = self.operand();
+        let mut g = product(self.cols, self.rows, self.cols, x.t(), x, Mask::Lower);
+        gemm::mirror_lower(&mut g.data, self.cols);
+        g
     }
 
     /// Symmetric rank-k product `self · selfᵀ` (the `AAᵀ` companion of
     /// [`Matrix::gramian`]) at half the FLOPs of the equivalent GEMM.
     pub fn syrk_nt(&self) -> Matrix {
-        if gemm::reference_kernels() {
-            return self.matmul(&self.transpose());
-        }
-        let (n, d) = (self.rows, self.cols);
-        Matrix::from_vec(n, n, gemm::syrk_nt(n, d, &self.data))
+        let x = self.operand();
+        let mut g = product(self.rows, self.cols, self.rows, x, x.t(), Mask::Lower);
+        gemm::mirror_lower(&mut g.data, self.rows);
+        g
     }
 
     /// Gramian scaled by `1/scale`: `selfᵀ·self / scale`.
@@ -450,6 +429,14 @@ impl Matrix {
             }
         }
     }
+}
+
+/// The tiles `mask` keeps of `op(a) · op(b)` (`m × k` times `k × n`), as a
+/// fresh matrix.
+fn product(m: usize, k: usize, n: usize, a: Operand, b: Operand, mask: Mask) -> Matrix {
+    let mut out = Matrix::zeros(m, n);
+    gemm::gemm(1.0, m, k, n, a, b, &mut out.data, n, mask);
+    out
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {

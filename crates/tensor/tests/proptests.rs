@@ -1,8 +1,11 @@
-//! Property-based tests for the linear-algebra substrate.
+//! Property-based tests for the linear-algebra substrate, and the parity
+//! and determinism oracles of the level-3 core at real factor sizes.
 
 use proptest::prelude::*;
+use spdkfac_tensor::gemm::{gemm, Mask, Operand, KC};
 use spdkfac_tensor::rng::MatrixRng;
-use spdkfac_tensor::{chol, kron, Matrix, SymPacked};
+use spdkfac_tensor::{chol, kron, pool, Matrix, SymPacked, TensorError};
+use std::sync::Mutex;
 
 /// Strategy: a dimension in a range small enough for exhaustive checks.
 fn dim() -> impl Strategy<Value = usize> {
@@ -22,6 +25,127 @@ fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     let (m, k) = a.shape();
     let n = b.cols();
     Matrix::from_fn(m, n, |i, j| (0..k).map(|p| a[(i, p)] * b[(p, j)]).sum())
+}
+
+/// Block edges the level-3 Cholesky / inverse are forced through: below,
+/// at and above the default, and not a multiple of any register tile.
+const BLOCK_EDGES: [usize; 4] = [8, 24, 32, 64];
+
+/// Factor dimensions straddling the block edges and the trainer's real
+/// sizes (256 for the workload MLP, 257 with a bias column).
+const EDGE_DIMS: [usize; 9] = [31, 32, 33, 63, 64, 65, 255, 256, 257];
+
+/// Largest element-wise difference, relative to the oracle's largest
+/// element.
+fn rel_diff(got: &Matrix, oracle: &Matrix) -> f64 {
+    let scale = oracle.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    got.max_abs_diff(oracle) / scale
+}
+
+/// Level-3 `cholesky` / `spd_inverse` of one SPD matrix, at the default
+/// block edge and every forced one, against the unblocked oracles.
+fn level3_matches_oracles(d: usize, seed: u64) -> Result<(), String> {
+    let a = MatrixRng::new(seed).spd_matrix(d, 0.5);
+    let oracle = chol::cholesky_unblocked(&a).map_err(|e| e.to_string())?;
+    let oracle_inv = oracle.inverse_unblocked();
+    let check = |what: String, l: &Matrix, inv: &Matrix| {
+        let (dl, di) = (rel_diff(l, oracle.factor()), rel_diff(inv, &oracle_inv));
+        if dl > 1e-12 || di > 1e-12 {
+            return Err(format!(
+                "d={d} {what}: factor off by {dl:e}, inverse by {di:e}"
+            ));
+        }
+        if inv.max_asymmetry() != 0.0 {
+            return Err(format!("d={d} {what}: asymmetric inverse"));
+        }
+        Ok(())
+    };
+    let ch = chol::cholesky(&a).map_err(|e| e.to_string())?;
+    let inv = chol::spd_inverse(&a).map_err(|e| e.to_string())?;
+    check("default".into(), ch.factor(), &inv)?;
+    for nb in BLOCK_EDGES {
+        let ch = chol::cholesky_with_block(&a, nb).map_err(|e| e.to_string())?;
+        check(format!("nb={nb}"), ch.factor(), &ch.inverse_with_block(nb))?;
+    }
+    Ok(())
+}
+
+#[test]
+fn level3_inverse_matches_oracles_at_block_and_factor_edges() {
+    for (i, d) in EDGE_DIMS.into_iter().enumerate() {
+        level3_matches_oracles(d, 40 + i as u64).unwrap();
+    }
+}
+
+#[test]
+fn blocked_cholesky_rejects_indefinite_and_nan_input() {
+    let spd = MatrixRng::new(9).spd_matrix(100, 0.5);
+    let all_paths = |a: &Matrix| {
+        let mut out = vec![chol::cholesky(a), chol::cholesky_unblocked(a)];
+        out.extend(BLOCK_EDGES.map(|nb| chol::cholesky_with_block(a, nb)));
+        out
+    };
+    // Indefinite beyond the first block of every edge: the pivot is global.
+    let mut indefinite = spd.clone();
+    indefinite[(70, 70)] = -100.0;
+    for got in all_paths(&indefinite) {
+        assert_eq!(got, Err(TensorError::NotPositiveDefinite { pivot: 70 }));
+    }
+    let mut poisoned = spd;
+    poisoned[(50, 20)] = f64::NAN;
+    for got in all_paths(&poisoned) {
+        assert!(matches!(got, Err(TensorError::NotPositiveDefinite { .. })));
+        assert!(chol::spd_inverse(&poisoned).is_err());
+    }
+}
+
+/// The thread-count invariant: a product issued at top level (row blocks
+/// fan out over the pool) and the same product issued from inside a pool
+/// task (serial, by the nesting rule) give the same bits.
+#[test]
+fn pooled_and_serial_kernels_agree_bit_for_bit() {
+    let bits = |m: &Matrix| -> Vec<u64> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+    for d in [257usize, 600] {
+        let mut rng = MatrixRng::new(d as u64);
+        let (a, b) = (
+            rng.uniform_matrix(d, d, -1.0, 1.0),
+            rng.uniform_matrix(d, d, -1.0, 1.0),
+        );
+        let spd = rng.spd_matrix(d, 0.5);
+        let kernels = || {
+            [
+                a.matmul(&b),
+                a.gramian(),
+                chol::spd_inverse(&spd).expect("SPD"),
+            ]
+        };
+        let pooled = kernels();
+        // Two tasks, so the pool really dispatches (one task runs inline).
+        let serial = Mutex::new(Vec::new());
+        pool::parallel_for(2, |_| {
+            let out = kernels();
+            serial.lock().expect("no panics").push(out);
+        });
+        for nested in serial.into_inner().expect("no panics") {
+            for (p, s) in pooled.iter().zip(&nested) {
+                assert!(bits(p) == bits(s), "pooled and serial bits differ at d={d}");
+            }
+        }
+    }
+}
+
+/// A GEMM depth: a third of the time one that straddles the packed depth
+/// block (or the bias-augmented factor size), otherwise small.
+fn gemm_depth() -> impl Strategy<Value = usize> {
+    (0usize..12, 1usize..80)
+        .prop_map(|(pick, small)| *[KC - 1, KC, KC + 1, 257].get(pick).unwrap_or(&small))
+}
+
+/// A GEMM edge: half of the time one off a register tile (4, 8, 24) or the
+/// row block (64), otherwise anything small.
+fn gemm_edge() -> impl Strategy<Value = usize> {
+    (0usize..16, 1usize..70)
+        .prop_map(|(pick, small)| *[3, 5, 7, 9, 23, 25, 63, 65].get(pick).unwrap_or(&small))
 }
 
 proptest! {
@@ -147,6 +271,42 @@ proptest! {
     }
 
     #[test]
+    fn strided_core_matches_naive(
+        m in gemm_edge(), k in gemm_depth(), n in gemm_edge(),
+        ta in 0usize..2, tb in 0usize..2, pad in (1usize..6, 0usize..6, 0usize..6),
+        negate in 0usize..2, mask in 0usize..3, seed in 0u64..1_000_000,
+    ) {
+        let (ta, tb) = (ta == 1, tb == 1);
+        let alpha = if negate == 1 { -1.0 } else { 1.0 };
+        let mask = [Mask::Full, Mask::Lower, Mask::Upper][mask];
+        // Stored shapes of A and B, each row `pad` elements longer.
+        let (ar, ac) = if ta { (k, m) } else { (m, k) };
+        let (br, bc) = if tb { (n, k) } else { (k, n) };
+        let (lda, ldb, ldc) = (ac + pad.0, bc + pad.1, n + pad.2);
+        let mut rng = MatrixRng::new(seed);
+        let a = rng.uniform_matrix(ar, lda, -1.0, 1.0);
+        let b = rng.uniform_matrix(br, ldb, -1.0, 1.0);
+        let c0 = rng.uniform_matrix(m, ldc, -1.0, 1.0);
+        let mut c = c0.clone();
+        let (oa, ob) = (Operand::new(a.as_slice(), lda), Operand::new(b.as_slice(), ldb));
+        let (oa, ob) = (if ta { oa.t() } else { oa }, if tb { ob.t() } else { ob });
+        gemm(alpha, m, k, n, oa, ob, c.as_mut_slice(), ldc, mask);
+        for i in 0..m {
+            for j in 0..ldc {
+                let kept = match mask { Mask::Full => true, Mask::Lower => j <= i, Mask::Upper => j >= i };
+                if j >= n {
+                    prop_assert_eq!(c[(i, j)], c0[(i, j)]);
+                } else if kept {
+                    let dot: f64 = (0..k)
+                        .map(|p| (if ta { a[(p, i)] } else { a[(i, p)] }) * (if tb { b[(j, p)] } else { b[(p, j)] }))
+                        .sum();
+                    prop_assert!((c[(i, j)] - (c0[(i, j)] + alpha * dot)).abs() < 1e-11);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn blocked_cholesky_matches_serial_reference(d in 2usize..40, nb in 1usize..17, seed in 0u64..1_000_000) {
         let mut rng = MatrixRng::new(seed);
         let a = rng.spd_matrix(d, 0.5);
@@ -163,5 +323,16 @@ proptest! {
         let blocked = ch.inverse_with_block(nb);
         prop_assert!(blocked.max_abs_diff(&ch.inverse_unblocked()) < 1e-12);
         prop_assert_eq!(blocked.max_asymmetry(), 0.0);
+    }
+}
+
+proptest! {
+    // The oracles are scalar O(d³): fewer, larger cases.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn level3_inverse_matches_oracles(d in 1usize..301, seed in 0u64..1_000_000) {
+        let outcome = level3_matches_oracles(d, seed);
+        prop_assert!(outcome.is_ok(), "{:?}", outcome);
     }
 }

@@ -11,56 +11,16 @@
 //!   the in-process backend; and the rate is read per group, not latched.
 
 mod common;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
 use common::spmd;
+use counting_alloc::{CountingAlloc, ARMED, BIG, BIG_ALLOCS};
 use spdkfac::collectives::{WirePolicy, WorkerComm, PACE_ENV};
 use spdkfac::obs::Phase;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
-
-/// Allocations of at least this size are what the gate counts: chunk-,
-/// slice- and frame-sized buffers, not the few dozen bytes of a reply
-/// channel or a trace label.
-const BIG: usize = 4096;
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static BIG_ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-struct CountingAlloc;
-
-impl CountingAlloc {
-    fn note(size: usize) {
-        if size >= BIG && ARMED.load(Ordering::Relaxed) {
-            BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the counters are
-// plain atomics and never allocate.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::note(layout.size());
-        // SAFETY: the caller's contract is `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::note(layout.size());
-        // SAFETY: as above.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::note(new_size);
-        // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;

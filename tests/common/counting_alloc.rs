@@ -1,0 +1,51 @@
+//! A counting global allocator for the allocation gates. A test binary
+//! that wants it declares
+//! `#[global_allocator] static ALLOC: CountingAlloc = CountingAlloc;`
+//! and owns its process: the counters are process-wide.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+/// Allocations of at least this size are what the gates count: chunk-,
+/// slice-, frame- and panel-sized buffers, not the few dozen bytes of a
+/// reply channel or a trace label.
+pub const BIG: usize = 4096;
+
+/// Counting happens only while this is set.
+pub static ARMED: AtomicBool = AtomicBool::new(false);
+/// Allocations of at least [`BIG`] bytes seen while [`ARMED`].
+pub static BIG_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+pub struct CountingAlloc;
+
+impl CountingAlloc {
+    fn note(size: usize) {
+        if size >= BIG && ARMED.load(Ordering::Relaxed) {
+            BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters are
+// plain atomics and never allocate.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::note(layout.size());
+        // SAFETY: the caller's contract is `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::note(layout.size());
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::note(new_size);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
