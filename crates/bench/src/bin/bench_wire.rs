@@ -64,7 +64,7 @@ const SPEEDUP_GATE: f64 = 1.5;
 
 /// "Matched loss" bound for the gated lossy rows: absolute difference of
 /// the *final* loss vs. the same-mode f64 row — same bound the
-/// `spdkfac_node --smoke` lossy gate documents. (Mid-trajectory losses are
+/// `spdkfac_node smoke` lossy gate documents. (Mid-trajectory losses are
 /// not compared: this workload's loss curve has a non-monotone transient
 /// whose exact position shifts under ulp-level perturbation, so pointwise
 /// deltas there measure bump alignment, not convergence quality.)

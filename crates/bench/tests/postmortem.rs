@@ -40,7 +40,7 @@ fn killed_rank_is_identified_by_the_merged_postmortem() {
     let world = 4;
     let dir = temp_dir("postmortem");
     let status = Command::new(env!("CARGO_BIN_EXE_spdkfac_node"))
-        .args(["--spawn-local", "4", "--iters", "20", "--trace-dir", &dir])
+        .args(["spawn-local", "4", "--iters", "20", "--trace-dir", &dir])
         .env("SPDKFAC_KILL", KILL_SPEC)
         .stdout(Stdio::null())
         .stderr(Stdio::null())
@@ -149,7 +149,7 @@ fn http_get(addr: &str, path: &str) -> (String, String) {
 fn live_run_serves_prometheus_health_over_http() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_spdkfac_node"))
         .args([
-            "--spawn-local",
+            "spawn-local",
             "2",
             "--iters",
             "400",

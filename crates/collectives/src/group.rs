@@ -417,9 +417,9 @@ fn spawn_comm(
     }
 }
 
-/// One membership epoch's endpoint of an elastic TCP group: the worker
-/// communicator plus the epoch metadata the trainer needs to decide whether
-/// (and from whom) to receive a state handoff.
+/// One membership epoch's endpoint of a TCP group: the worker communicator
+/// plus the epoch metadata the trainer needs to decide whether (and from
+/// whom) to receive a state handoff.
 ///
 /// Produced by [`connect_elastic`]. On a resize trigger the owner drops the
 /// endpoint — tearing down the comm thread and its sockets, which is what
@@ -439,9 +439,20 @@ pub struct ElasticEndpoint {
     pub aux_addrs: Vec<String>,
 }
 
-/// Joins (or rejoins) an elastic TCP group (see
-/// [`crate::tcp::ElasticRendezvous`]) and spawns the epoch's communication
-/// thread. The world size is decided by the rendezvous, not the caller.
+/// Spawns the communication thread of a joined epoch.
+fn endpoint(join: tcp::Join, policy: WirePolicy) -> ElasticEndpoint {
+    let stats = Arc::new(TrafficStats::new());
+    ElasticEndpoint {
+        comm: spawn_comm(join.rank, join.world, join.transport, stats, policy),
+        epoch: join.epoch,
+        state_source: join.state_source,
+        aux_addrs: join.aux_addrs,
+    }
+}
+
+/// Joins (or rejoins) a TCP group through its rendezvous (see
+/// [`tcp::join`]) and spawns the epoch's communication thread. The world
+/// size is decided by the rendezvous, not the caller.
 ///
 /// Unlike the poison-forever model of a fixed group (DESIGN §2.10), an
 /// elastic trainer treats a failed collective as a resize signal: drop the
@@ -451,15 +462,44 @@ pub fn connect_elastic(
     intent: &tcp::JoinIntent,
     policy: WirePolicy,
 ) -> Result<ElasticEndpoint, CommError> {
-    let join = tcp::elastic_connect(cfg, intent)?;
-    let stats = Arc::new(TrafficStats::new());
-    let comm = spawn_comm(join.rank, join.world, join.transport, stats, policy);
-    Ok(ElasticEndpoint {
-        comm,
-        epoch: join.epoch,
-        state_source: join.state_source,
-        aux_addrs: join.aux_addrs,
-    })
+    Ok(endpoint(tcp::join(cfg, intent)?, policy))
+}
+
+/// [`Backend::Tcp`]: joins as a founder of a fixed `world`-rank group and
+/// checks the three things a fixed world promises its caller. One rank
+/// needs no sockets at all.
+fn join_fixed(cfg: &TcpConfig, world: usize) -> Result<tcp::Join, CommError> {
+    if world == 1 {
+        return Ok(tcp::Join {
+            epoch: 0,
+            rank: cfg.rank.unwrap_or(0),
+            world,
+            state_source: None,
+            transport: Box::new(channel_ring(1).remove(0)),
+            aux_addrs: vec![cfg.aux_addr.clone().unwrap_or_default()],
+        });
+    }
+    if cfg.host_rendezvous {
+        tcp::RendezvousServer::spawn(&cfg.rendezvous, world)?;
+    }
+    let join = tcp::join(cfg, &tcp::JoinIntent::Fresh)?;
+    let broken = if join.world != world {
+        format!(
+            "server formed a {}-rank group, expected {world}",
+            join.world
+        )
+    } else if cfg.rank.is_some_and(|claimed| claimed != join.rank) {
+        format!("claimed {:?} but was assigned rank {}", cfg.rank, join.rank)
+    } else if join.epoch != 0 || join.state_source.is_some() {
+        format!(
+            "assigned into epoch {} of a running elastic group; a fixed-world member \
+             cannot take its state handoff",
+            join.epoch
+        )
+    } else {
+        return Ok(join);
+    };
+    Err(CommError::Rendezvous(broken))
 }
 
 /// Which transport a [`CommGroup`] runs over.
@@ -535,13 +575,11 @@ impl CommGroupBuilder {
                 })
             }
             Backend::Tcp(cfg) => {
-                let join = tcp::connect(&cfg, world)?;
-                let stats = Arc::new(TrafficStats::new());
-                let comm = spawn_comm(join.rank, world, join.transport, stats, policy);
+                let ep = endpoint(join_fixed(&cfg, world)?, policy);
                 Ok(CommGroup {
                     world,
-                    endpoints: vec![comm],
-                    aux_addrs: join.aux_addrs,
+                    endpoints: vec![ep.comm],
+                    aux_addrs: ep.aux_addrs,
                 })
             }
         }
@@ -1413,5 +1451,61 @@ mod tests {
         assert_eq!(snap.counters["coll/broadcast/ops"], world as u64);
         assert_eq!(snap.counters["coll/allreduce/elements"], 256 * world as u64);
         assert_eq!(snap.histograms["coll/allreduce/secs"].count, world as u64);
+    }
+
+    fn tcp_group(cfg: TcpConfig, world: usize) -> Result<CommGroup, CommError> {
+        let backend = Backend::Tcp(cfg);
+        CommGroup::builder()
+            .world_size(world)
+            .backend(backend)
+            .build()
+    }
+
+    #[test]
+    fn world_one_needs_no_sockets() {
+        let mut cfg = TcpConfig::new("127.0.0.1:1"); // never dialled
+        cfg.aux_addr = Some("me:7".into());
+        let group = tcp_group(cfg, 1).unwrap();
+        assert_eq!(group.aux_addrs(), ["me:7"]);
+        let comm = group.into_single();
+        assert_eq!((comm.rank(), comm.world_size()), (0, 1));
+        let mut buf = vec![3.0, 4.0];
+        comm.allreduce_avg(&mut buf);
+        assert_eq!(buf, [3.0, 4.0]);
+    }
+
+    #[test]
+    fn fixed_world_member_refuses_an_epoch_of_a_running_elastic_group() {
+        // A one-rank elastic group is running; a fixed-world launch of two
+        // is pointed at its rendezvous by mistake and queues as a joiner.
+        let handle = tcp::RendezvousServer::bind("127.0.0.1:0", 1)
+            .unwrap()
+            .serve()
+            .unwrap();
+        let cfg = TcpConfig::new(handle.addr().to_string());
+        let founder = tcp::join(&cfg, &tcp::JoinIntent::Fresh).unwrap();
+        assert_eq!((founder.epoch, founder.world), (0, 1));
+        let stray = {
+            let cfg = cfg.clone();
+            thread::spawn(move || tcp_group(cfg, 2))
+        };
+        while tcp::elastic_poll(&cfg).unwrap().pending == 0 {
+            thread::sleep(std::time::Duration::from_millis(1));
+        }
+        // The founder absorbs it: epoch 1 has the world the stray asked
+        // for, but state it cannot take.
+        let rejoin = tcp::JoinIntent::Rejoin {
+            epoch: 0,
+            old_rank: 0,
+        };
+        let grown = tcp::join(&cfg, &rejoin).unwrap();
+        assert_eq!((grown.epoch, grown.world), (1, 2));
+        match stray.join().unwrap() {
+            Err(CommError::Rendezvous(msg)) => {
+                assert!(msg.contains("running elastic group"), "{msg}")
+            }
+            other => panic!("expected a Rendezvous error, got {other:?}"),
+        }
+        handle.stop();
     }
 }

@@ -90,8 +90,8 @@ pub use error::CommError;
 pub use ring::{OpCodecStats, PACE_ENV};
 pub use stats::{OpKind, TrafficStats};
 pub use tcp::{
-    elastic_poll, env_token, ElasticHandle, ElasticRendezvous, ElasticStatus, JoinIntent,
-    TcpConfig, TcpJoin, TOKEN_ENV,
+    elastic_poll, env_token, ElasticStatus, Join, JoinIntent, RendezvousHandle, RendezvousServer,
+    TcpConfig, TOKEN_ENV,
 };
 pub use telemetry::{SpanStreamer, TelemetryClient, TelemetryServer};
 pub use transport::{DelayInjection, KillInjection, Transport, KILL_EXIT_CODE};

@@ -1,4 +1,4 @@
-//! Multi-process TCP ring transport with a rank-0 rendezvous server.
+//! Multi-process TCP ring transport and the rendezvous that forms it.
 //!
 //! This is the backend that lets the SPMD trainers in `spdkfac-core` run
 //! unchanged across OS processes (one rank per process, `spdkfac_node`
@@ -17,65 +17,78 @@
 //! checks the header against what the hop must carry before it reads a
 //! body byte (see [`crate::ring`]).
 //!
-//! ## Rendezvous protocol
+//! ## Group formation
 //!
-//! Group formation is a one-shot star through a rendezvous server (hosted
-//! by rank 0, or by a launcher parent). Little-endian binary, one TCP
-//! connection per joining rank:
+//! One protocol forms every group (DESIGN §2.10 has the frame, state and
+//! failure tables). A member [`join`]s by dialling the [`RendezvousServer`]
+//! — hosted by rank 0 or by a launcher parent — with one little-endian
+//! frame on its own connection, and blocks for the reply:
 //!
-//! 1. client → server: `HELLO_MAGIC: u64`, a length-prefixed **auth
-//!    token** (the shared secret from `SPDKFAC_TOKEN`; both sides empty
-//!    disables the check — a mismatch is answered with a `REJECT` frame
-//!    and the connection closed, without consuming a world slot), then
-//!    `proposed_rank: i64` (`-1` = assign for me), `addr_len: u32`,
-//!    `addr_len` UTF-8 bytes of the client's ring listener address
-//!    (`ip:port`), then one more length-prefixed string: the client's
-//!    **auxiliary service address** (empty = none; rank 0 advertises its
-//!    telemetry collector here).
-//! 2. Server waits until exactly `world` clients registered, assigns ranks
-//!    (explicit claims win, duplicates are an error; unclaimed slots fill
-//!    in arrival order), then answers every client:
-//!    server → client: `ASSIGN_MAGIC: u64`, `rank: u32`, `world: u32`,
-//!    then `world` × (`addr_len: u32` + bytes) — the ring listener
-//!    addresses in rank order — then `world` × length-prefixed strings:
-//!    the auxiliary addresses in rank order.
-//! 3. Each rank dials its **right** neighbour's listener (connect retried
-//!    with exponential backoff — peers may still be starting), writes a
-//!    16-byte `(membership_epoch, rank)` handshake, and accepts exactly
-//!    one connection from its **left** neighbour, validating both fields
-//!    (the epoch check keeps a stale pre-resize dial from wiring into a
-//!    new epoch's ring). The one-shot server always forms epoch 0. With
-//!    `world == 1` no sockets are made at all (a one-rank
-//!    [`channel_ring`]).
+//! | frame | magic | fields after the magic |
+//! |---|---|---|
+//! | `HELLO` | `SPDKFAC1` | token, `claim: i64` (−1 = any rank), ring listener address, aux address |
+//! | `REJOIN` | `SPDKFAC3` | token, `epoch: u64`, `old_rank: u64`, ring listener address, aux address |
+//! | `POLL` | `SPDKFAC4` | token |
+//! | `REJECT` | `SPDKFAC5` | reason |
+//! | `POLL_REPLY` | `SPDKFAC6` | `epoch: u64`, `world: u32`, `pending: u32` |
+//! | `ASSIGNMENT` | `SPDKFAC7` | `epoch: u64`, `rank: u32`, `world: u32`, `state_source: i64` (−1 = none), `world` ring addresses, `world` aux addresses |
 //!
-//! Every blocking step (rendezvous dial, neighbour dial, accept, handshake
-//! read) is bounded by [`TcpConfig`] deadlines, so a missing peer surfaces
-//! as [`CommError::Timeout`] instead of a hang.
+//! Strings are `u32` length (≤ 4096) + UTF-8. The token is the shared
+//! secret of `SPDKFAC_TOKEN` (both sides empty disables the check). The
+//! aux address is a service the member advertises to the group (rank 0's
+//! telemetry collector); empty = none.
 //!
-//! ## Elastic rendezvous
+//! The server holds `HELLO`s until the founding world is complete and
+//! assigns **epoch 0** (claims first, free ranks in arrival order).
+//! [`RendezvousServer::spawn`] stops there — a fixed world is a group with
+//! one epoch. [`RendezvousServer::serve`] keeps going: a `REJOIN` from a
+//! member of the current epoch opens the rejoin window, the next epoch
+//! forms when every member has reported or the window ends (absentees are
+//! dead), survivors keep their order, queued `HELLO`s are appended, and
+//! the new rank 0 is the state source. What the server decides lives in
+//! the socket-free `membership` module; this file moves the bytes. A
+//! connection that sends garbage, a wrong token, half a frame or nothing
+//! costs only itself.
 //!
-//! [`ElasticRendezvous`] is the long-lived variant serving successive
-//! **membership epochs** for world resize: `REJOIN` frames open a
-//! transition window after a rank death (or a voluntary leave), `HELLO`s
-//! arriving after epoch 0 queue as pending joiners, and `POLL` answers a
-//! non-blocking status query. Each transition re-ranks survivors in old
-//! rank order, appends joiners, bumps the epoch, and distributes
-//! `EASSIGN` frames (epoch, rank, world, state-source rank, peer + aux
-//! tables). See the type-level docs for the full protocol.
+//! With the assignment in hand each rank dials its **right** neighbour's
+//! listener (retried with back-off — peers may still be starting), writes
+//! a 16-byte `(epoch, rank)` handshake, and accepts one connection from
+//! its **left** neighbour, validating both fields (the epoch keeps a stale
+//! pre-resize dial out of a new epoch's ring). A one-rank epoch makes no
+//! sockets (a one-rank [`channel_ring`]).
+//!
+//! Everything from the first dial to the last handshake byte is bounded by
+//! one deadline, [`TcpConfig::handshake_timeout`] after [`join`] was
+//! called, so a missing server or peer surfaces as [`CommError::Timeout`]
+//! instead of a hang.
+
+mod membership;
 
 use crate::error::CommError;
 use crate::transport::{channel_ring, Transport};
-use std::io::{BufReader, IoSlice, Read, Write};
+pub use membership::{ElasticStatus, MAX_WORLD};
+use membership::{Membership, Registration, Reply};
+use std::io::{BufReader, BufWriter, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const HELLO_MAGIC: u64 = 0x5350_444b_4641_4331; // "SPDKFAC1"
-const ASSIGN_MAGIC: u64 = 0x5350_444b_4641_4332; // "SPDKFAC2"
 const REJOIN_MAGIC: u64 = 0x5350_444b_4641_4333; // "SPDKFAC3"
 const POLL_MAGIC: u64 = 0x5350_444b_4641_4334; // "SPDKFAC4"
 const REJECT_MAGIC: u64 = 0x5350_444b_4641_4335; // "SPDKFAC5"
 const POLL_REPLY_MAGIC: u64 = 0x5350_444b_4641_4336; // "SPDKFAC6"
-const EASSIGN_MAGIC: u64 = 0x5350_444b_4641_4337; // "SPDKFAC7"
+const ASSIGNMENT_MAGIC: u64 = 0x5350_444b_4641_4337; // "SPDKFAC7"
+
+/// Per-attempt dial timeout, and the back-off between attempts (doubling
+/// from the first value to the second) while a peer is not listening yet.
+const DIAL_ATTEMPT: Duration = Duration::from_secs(1);
+const DIAL_BACKOFF: (Duration, Duration) = (Duration::from_millis(10), Duration::from_secs(1));
+/// Sleep between polls of a non-blocking accept, doubling likewise.
+const ACCEPT_BACKOFF: (Duration, Duration) = (Duration::from_micros(100), Duration::from_millis(2));
+/// How long the server waits for an accepted connection's registration.
+const REGISTRATION_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Environment variable carrying the shared rendezvous secret. Every HELLO /
 /// REJOIN / POLL frame carries the client's token; the server rejects
@@ -95,22 +108,17 @@ pub struct TcpConfig {
     /// [`TcpConfig::host_rendezvous`] set this rank binds and serves it;
     /// otherwise it dials it (with retry — the server may start late).
     pub rendezvous: String,
-    /// Rank to claim at rendezvous; `None` lets the server assign one in
-    /// arrival order.
+    /// Rank to claim as a founder; `None` lets the server assign one in
+    /// arrival order. Ignored when joining a group that already runs.
     pub rank: Option<usize>,
     /// Host the rendezvous server from this process (conventionally rank
-    /// 0, or a launcher parent that is not itself a rank).
+    /// 0, or a launcher parent that is not itself a rank). Read by
+    /// [`Backend::Tcp`](crate::Backend), which knows the world to host.
     pub host_rendezvous: bool,
     /// Local IP the ring listener binds to (an ephemeral port is chosen).
     pub bind_ip: String,
-    /// Per-attempt connect timeout.
-    pub connect_timeout: Duration,
-    /// Additional connect attempts after the first failure.
-    pub connect_retries: u32,
-    /// Initial retry backoff; doubles per attempt, capped at one second.
-    pub connect_backoff: Duration,
-    /// Overall deadline for group formation (rendezvous + neighbour
-    /// handshake).
+    /// Overall deadline for group formation: rendezvous dial, assignment
+    /// and neighbour handshake all end this long after [`join`] began.
     pub handshake_timeout: Duration,
     /// Socket read timeout for ring frames; `None` blocks forever.
     pub read_timeout: Option<Duration>,
@@ -118,7 +126,7 @@ pub struct TcpConfig {
     pub write_timeout: Option<Duration>,
     /// Auxiliary service address advertised through the rendezvous (e.g.
     /// rank 0's telemetry collector). Every member learns the whole aux
-    /// table from the assignment reply ([`TcpJoin::aux_addrs`]).
+    /// table from the assignment reply ([`Join::aux_addrs`]).
     pub aux_addr: Option<String>,
     /// Shared rendezvous secret sent with every HELLO / REJOIN / POLL.
     /// `None` falls back to [`env_token`] (`SPDKFAC_TOKEN`); the server
@@ -127,17 +135,14 @@ pub struct TcpConfig {
 }
 
 impl TcpConfig {
-    /// Defaults tuned for single-machine loopback rings: 1 s per connect
-    /// attempt, 100 retries from 10 ms backoff, 30 s frame timeouts.
+    /// Defaults tuned for single-machine loopback rings: 30 s to form the
+    /// group, 30 s frame timeouts.
     pub fn new(rendezvous: impl Into<String>) -> Self {
         TcpConfig {
             rendezvous: rendezvous.into(),
             rank: None,
             host_rendezvous: false,
             bind_ip: "127.0.0.1".into(),
-            connect_timeout: Duration::from_secs(1),
-            connect_retries: 100,
-            connect_backoff: Duration::from_millis(10),
             handshake_timeout: Duration::from_secs(30),
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
@@ -205,31 +210,145 @@ fn read_str(r: &mut impl Read) -> std::io::Result<String> {
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
 }
 
+/// Writes a rejection frame (magic + reason) to a client and flushes.
+fn reject(stream: &mut TcpStream, reason: &str) -> std::io::Result<()> {
+    write_u64(stream, REJECT_MAGIC)?;
+    write_str(stream, reason)?;
+    stream.flush()
+}
+
+/// A decoded `ASSIGNMENT` frame.
+#[derive(Debug)]
+struct Assignment {
+    epoch: u64,
+    rank: usize,
+    state_source: Option<usize>,
+    /// Ring listener addresses in rank order; its length is the world.
+    peers: Vec<String>,
+    aux_addrs: Vec<String>,
+}
+
+impl Assignment {
+    fn write(&self, w: &mut impl Write) -> std::io::Result<()> {
+        write_u64(w, ASSIGNMENT_MAGIC)?;
+        write_u64(w, self.epoch)?;
+        write_u32(w, self.rank as u32)?;
+        write_u32(w, self.peers.len() as u32)?;
+        write_u64(w, self.state_source.map_or(-1, |s| s as i64) as u64)?;
+        for s in self.peers.iter().chain(&self.aux_addrs) {
+            write_str(w, s)?;
+        }
+        w.flush()
+    }
+
+    /// Reads the server's answer to a registration. The three numbers are
+    /// checked against each other and [`MAX_WORLD`] before anything is
+    /// sized or indexed by them.
+    fn read(r: &mut impl Read) -> Result<Assignment, CommError> {
+        let io = |e| CommError::from_io("rendezvous assignment", e);
+        let magic = read_u64(r).map_err(io)?;
+        if magic == REJECT_MAGIC {
+            let reason = read_str(r).unwrap_or_else(|_| "no reason given".into());
+            return Err(CommError::Rendezvous(format!(
+                "rendezvous rejected this member: {reason}"
+            )));
+        }
+        if magic != ASSIGNMENT_MAGIC {
+            return Err(CommError::Rendezvous(format!(
+                "rendezvous assignment: bad magic {magic:#x}"
+            )));
+        }
+        let epoch = read_u64(r).map_err(io)?;
+        let rank = read_u32(r).map_err(io)? as usize;
+        let world = read_u32(r).map_err(io)? as usize;
+        let source = read_u64(r).map_err(io)? as i64;
+        if world == 0 || world > MAX_WORLD || rank >= world || !(-1..world as i64).contains(&source)
+        {
+            return Err(CommError::Rendezvous(format!(
+                "rendezvous assignment: rank {rank} of world {world} with state source \
+                 {source} is no membership"
+            )));
+        }
+        let mut table =
+            || -> std::io::Result<Vec<String>> { (0..world).map(|_| read_str(r)).collect() };
+        Ok(Assignment {
+            epoch,
+            rank,
+            state_source: (source >= 0).then_some(source as usize),
+            peers: table().map_err(io)?,
+            aux_addrs: table().map_err(io)?,
+        })
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Rendezvous server
 // ---------------------------------------------------------------------------
 
-/// One-shot rendezvous: accepts `world` registrations, assigns ranks, and
-/// sends every member the full peer-address table.
+/// A member connection the server holds until its epoch forms.
+#[derive(Debug)]
+struct Held {
+    stream: TcpStream,
+    addr: String,
+    aux: String,
+}
+
+/// The rendezvous server: accepts registrations, lets the membership state
+/// machine decide (see the [module docs](self)), and answers every member
+/// of a formed epoch with the epoch's peer table.
 #[derive(Debug)]
 pub struct RendezvousServer {
     listener: TcpListener,
     world: usize,
     token: String,
+    rejoin_window: Duration,
+}
+
+/// Handle to a serving [`RendezvousServer`]: the bound address, the live
+/// [`ElasticStatus`] (shared with the serving thread) and a stop switch.
+#[derive(Debug, Clone)]
+pub struct RendezvousHandle {
+    addr: SocketAddr,
+    status: Arc<Mutex<ElasticStatus>>,
+    stop: Arc<AtomicBool>,
+}
+
+impl RendezvousHandle {
+    /// The rendezvous address members dial.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Live status, updated before the members of a new epoch are answered.
+    pub fn status(&self) -> ElasticStatus {
+        *self.status.lock().expect("status writers do not panic")
+    }
+
+    /// Ends the serving thread and frees the port. The thread may be
+    /// blocked in `accept`; a throw-away dial wakes it.
+    pub fn stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.addr, DIAL_ATTEMPT);
+    }
 }
 
 impl RendezvousServer {
-    /// Binds the rendezvous listener for a `world`-rank group. The expected
-    /// shared secret is the ambient `SPDKFAC_TOKEN` (override with
-    /// [`RendezvousServer::with_token`]).
+    /// Binds the rendezvous listener for a group founding at `world`
+    /// ranks. The expected shared secret is the ambient `SPDKFAC_TOKEN`
+    /// (override with [`RendezvousServer::with_token`]); the rejoin window
+    /// defaults to 5 s.
     pub fn bind(addr: &str, world: usize) -> Result<Self, CommError> {
-        assert!(world > 0, "rendezvous for a zero-rank group");
+        assert!(
+            (1..=MAX_WORLD).contains(&world),
+            "rendezvous for a {world}-rank group"
+        );
         let listener = TcpListener::bind(addr)
             .map_err(|e| CommError::from_io(&format!("bind rendezvous {addr}"), e))?;
         Ok(RendezvousServer {
             listener,
             world,
             token: env_token(),
+            rejoin_window: Duration::from_secs(5),
         })
     }
 
@@ -239,123 +358,158 @@ impl RendezvousServer {
         self
     }
 
+    /// Overrides the transition window: after the first REJOIN of a
+    /// transition, members have this long to report before being declared
+    /// dead. Must exceed the members' frame read timeout, or a rank blocked
+    /// in a collective when a peer dies can miss the window.
+    pub fn with_rejoin_window(mut self, window: Duration) -> Self {
+        self.rejoin_window = window;
+        self
+    }
+
     /// The bound address (useful after binding port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.listener.local_addr().expect("bound listener has addr")
     }
 
-    /// Serves exactly one group formation, then returns the rank-ordered
-    /// ring listener addresses. Registration reads are bounded by a 30 s
-    /// per-client timeout.
-    pub fn serve(self) -> Result<Vec<String>, CommError> {
-        let world = self.world;
-        let mut clients: Vec<(TcpStream, Option<usize>, String, String)> =
-            Vec::with_capacity(world);
-        while clients.len() < world {
-            let (stream, peer) = self
-                .listener
-                .accept()
-                .map_err(|e| CommError::from_io("rendezvous accept", e))?;
-            stream
-                .set_read_timeout(Some(Duration::from_secs(30)))
-                .map_err(|e| CommError::from_io("rendezvous set timeout", e))?;
-            let mut stream = stream;
-            let ctx = format!("rendezvous registration from {peer}");
-            let magic = read_u64(&mut stream).map_err(|e| CommError::from_io(&ctx, e))?;
-            if magic != HELLO_MAGIC {
-                return Err(CommError::Rendezvous(format!(
-                    "{ctx}: bad magic {magic:#x}"
-                )));
-            }
-            let token = read_str(&mut stream).map_err(|e| CommError::from_io(&ctx, e))?;
-            let proposed = read_u64(&mut stream).map_err(|e| CommError::from_io(&ctx, e))? as i64;
-            let addr = read_str(&mut stream).map_err(|e| CommError::from_io(&ctx, e))?;
-            let aux = read_str(&mut stream).map_err(|e| CommError::from_io(&ctx, e))?;
-            if token != self.token {
-                // Auth failure: reject this client without consuming a
-                // world slot, and keep waiting for authorized members.
-                eprintln!("rendezvous: rejecting {peer}: bad token");
-                let _ = reject(&mut stream, "rendezvous token mismatch");
-                continue;
-            }
-            let claim = if proposed < 0 {
-                None
-            } else if (proposed as usize) < world {
-                Some(proposed as usize)
-            } else {
-                return Err(CommError::Rendezvous(format!(
-                    "{ctx}: rank {proposed} out of range for world {world}"
-                )));
-            };
-            clients.push((stream, claim, addr, aux));
-        }
-        // Assign ranks: explicit claims first, then fill free slots in
-        // arrival order.
-        let mut taken = vec![false; world];
-        let mut ranks = vec![usize::MAX; world]; // client index -> rank
-        for (i, (_, claim, _, _)) in clients.iter().enumerate() {
-            if let Some(r) = claim {
-                if taken[*r] {
-                    return Err(CommError::Rendezvous(format!(
-                        "rank {r} claimed by two members"
-                    )));
-                }
-                taken[*r] = true;
-                ranks[i] = *r;
-            }
-        }
-        let mut free = (0..world).filter(|&r| !taken[r]);
-        for (i, (_, claim, _, _)) in clients.iter().enumerate() {
-            if claim.is_none() {
-                ranks[i] = free.next().expect("free slot per unclaimed member");
-            }
-        }
-        let mut peers = vec![String::new(); world];
-        let mut auxes = vec![String::new(); world];
-        for (i, (_, _, addr, aux)) in clients.iter().enumerate() {
-            peers[ranks[i]] = addr.clone();
-            auxes[ranks[i]] = aux.clone();
-        }
-        for (i, (stream, _, _, _)) in clients.iter_mut().enumerate() {
-            let ctx = "rendezvous assignment reply";
-            write_u64(stream, ASSIGN_MAGIC).map_err(|e| CommError::from_io(ctx, e))?;
-            write_u32(stream, ranks[i] as u32).map_err(|e| CommError::from_io(ctx, e))?;
-            write_u32(stream, world as u32).map_err(|e| CommError::from_io(ctx, e))?;
-            for p in &peers {
-                write_str(stream, p).map_err(|e| CommError::from_io(ctx, e))?;
-            }
-            for a in &auxes {
-                write_str(stream, a).map_err(|e| CommError::from_io(ctx, e))?;
-            }
-            stream.flush().map_err(|e| CommError::from_io(ctx, e))?;
-        }
-        Ok(peers)
+    /// Binds `addr` and forms one fixed `world`-rank group on a background
+    /// thread. Returns the bound address immediately; the thread exits and
+    /// the port closes once the founders are answered.
+    pub fn spawn(addr: &str, world: usize) -> Result<SocketAddr, CommError> {
+        Ok(RendezvousServer::bind(addr, world)?.launch(true)?.addr)
     }
 
-    /// Binds `addr` and serves one group formation on a background thread.
-    /// Returns the bound address immediately; the thread exits after the
-    /// group forms (or the formation fails — members see the error through
-    /// their own deadlines).
-    pub fn spawn(addr: &str, world: usize) -> Result<SocketAddr, CommError> {
-        let server = RendezvousServer::bind(addr, world)?;
-        let bound = server.local_addr();
+    /// Serves membership epochs on a background thread until
+    /// [`RendezvousHandle::stop`] (or the process exits).
+    pub fn serve(self) -> Result<RendezvousHandle, CommError> {
+        self.launch(false)
+    }
+
+    fn launch(self, one_epoch: bool) -> Result<RendezvousHandle, CommError> {
+        let handle = RendezvousHandle {
+            addr: self.local_addr(),
+            status: Arc::default(),
+            stop: Arc::default(),
+        };
+        let mirror = handle.clone();
         std::thread::Builder::new()
             .name("spdkfac-rendezvous".into())
             .spawn(move || {
-                if let Err(e) = server.serve() {
+                if let Err(e) = self.run(one_epoch, &mirror) {
                     eprintln!("rendezvous server failed: {e}");
                 }
             })
             .map_err(|e| CommError::Io(format!("spawn rendezvous thread: {e}")))?;
-        Ok(bound)
+        Ok(handle)
+    }
+
+    /// accept → decode one frame → feed the state machine → write its
+    /// replies. Blocks in `accept` unless a rejoin window is open.
+    fn run(self, one_epoch: bool, handle: &RendezvousHandle) -> Result<(), CommError> {
+        let mut group = Membership::new(self.world, self.rejoin_window, one_epoch);
+        while !group.finished() {
+            let accepted = match accept_until(&self.listener, group.deadline(), "a member") {
+                Ok(stream) => Some(stream),
+                Err(CommError::Timeout(_)) => None,
+                Err(e) => return Err(e),
+            };
+            if handle.stop.load(Ordering::SeqCst) {
+                break;
+            }
+            let arrival = accepted.and_then(|stream| self.registration(stream));
+            let replies = group.feed(arrival, Instant::now());
+            // Before the replies: a member back from `join` never reads a
+            // status older than its own epoch.
+            *handle.status.lock().expect("status readers do not panic") = group.status();
+            replies.into_iter().for_each(answer);
+        }
+        Ok(())
+    }
+
+    /// Reads one registration frame. Anything but a well-formed,
+    /// authorised one ends that connection (with a `REJECT` where the peer
+    /// may still be listening) and nothing else.
+    fn registration(&self, mut stream: TcpStream) -> Option<(Held, Registration)> {
+        stream.set_read_timeout(Some(REGISTRATION_TIMEOUT)).ok()?;
+        let magic = read_u64(&mut stream).ok()?;
+        if ![HELLO_MAGIC, REJOIN_MAGIC, POLL_MAGIC].contains(&magic) {
+            let _ = reject(&mut stream, &format!("bad magic {magic:#x}"));
+            return None;
+        }
+        if read_str(&mut stream).ok()? != self.token {
+            eprintln!("rendezvous: rejecting a connection: bad token");
+            let _ = reject(&mut stream, "rendezvous token mismatch");
+            return None;
+        }
+        let registration = match magic {
+            POLL_MAGIC => Registration::Poll,
+            HELLO_MAGIC => {
+                let claim = read_u64(&mut stream).ok()? as i64;
+                Registration::Hello {
+                    claim: (claim >= 0).then_some(claim as usize),
+                }
+            }
+            _ => Registration::Rejoin {
+                epoch: read_u64(&mut stream).ok()?,
+                old_rank: read_u64(&mut stream).ok()? as usize,
+            },
+        };
+        let (addr, aux) = match registration {
+            Registration::Poll => Default::default(),
+            _ => (read_str(&mut stream).ok()?, read_str(&mut stream).ok()?),
+        };
+        Some((Held { stream, addr, aux }, registration))
     }
 }
 
-/// Writes a rejection frame (magic + reason) to a client and flushes.
-fn reject(stream: &mut TcpStream, reason: &str) -> std::io::Result<()> {
-    write_u64(stream, REJECT_MAGIC)?;
-    write_str(stream, reason)?;
-    stream.flush()
+/// Writes one reply of the state machine. A write that fails is logged
+/// and skipped — a member that died between registering and its answer is
+/// shed by the next transition.
+fn answer(reply: Reply<Held>) {
+    match reply {
+        Reply::Assign {
+            epoch,
+            state_source,
+            members,
+        } => {
+            let mut frame = Assignment {
+                epoch,
+                rank: 0,
+                state_source,
+                peers: members.iter().map(|m| m.addr.clone()).collect(),
+                aux_addrs: members.iter().map(|m| m.aux.clone()).collect(),
+            };
+            if epoch > 0 {
+                eprintln!(
+                    "rendezvous: epoch {epoch} formed at world {}",
+                    members.len()
+                );
+            }
+            for (rank, m) in members.iter().enumerate() {
+                frame.rank = rank;
+                if let Err(e) = frame.write(&mut BufWriter::new(&m.stream)) {
+                    eprintln!("rendezvous: epoch {epoch} assignment to rank {rank} failed: {e}");
+                }
+            }
+        }
+        Reply::Reject { members, reason } => {
+            eprintln!(
+                "rendezvous: rejecting {} member(s): {reason}",
+                members.len()
+            );
+            for mut m in members {
+                let _ = reject(&mut m.stream, &reason);
+            }
+        }
+        Reply::Status { to, status } => {
+            let mut w = BufWriter::new(&to.stream);
+            let _ = write_u64(&mut w, POLL_REPLY_MAGIC)
+                .and_then(|()| write_u64(&mut w, status.epoch))
+                .and_then(|()| write_u32(&mut w, status.world as u32))
+                .and_then(|()| write_u32(&mut w, status.pending as u32))
+                .and_then(|()| w.flush());
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -369,41 +523,51 @@ fn resolve(addr: &str) -> Result<SocketAddr, CommError> {
         .ok_or_else(|| CommError::Io(format!("resolve {addr}: no addresses")))
 }
 
-/// Dials `addr` with per-attempt timeout and exponential backoff — the
-/// peer (rendezvous server or ring neighbour) may not be listening yet.
-fn connect_retry(addr: &str, cfg: &TcpConfig, what: &str) -> Result<TcpStream, CommError> {
+/// What is left until `deadline`, never zero (a zero socket timeout is an
+/// error, not "no time").
+fn time_left(deadline: Instant) -> Duration {
+    deadline
+        .saturating_duration_since(Instant::now())
+        .max(Duration::from_millis(1))
+}
+
+/// Dials `addr` until it answers or `deadline` passes, backing off
+/// between attempts — the peer (rendezvous server or ring neighbour) may
+/// not be listening yet.
+fn dial_until(addr: &str, deadline: Instant, what: &str) -> Result<TcpStream, CommError> {
     let target = resolve(addr)?;
-    let mut delay = cfg.connect_backoff.max(Duration::from_millis(1));
-    let mut last: Option<std::io::Error> = None;
-    for attempt in 0..=cfg.connect_retries {
-        match TcpStream::connect_timeout(&target, cfg.connect_timeout) {
+    let mut nap = DIAL_BACKOFF.0;
+    loop {
+        let error = match TcpStream::connect_timeout(&target, time_left(deadline).min(DIAL_ATTEMPT))
+        {
             Ok(s) => {
                 let _ = s.set_nodelay(true);
                 return Ok(s);
             }
-            Err(e) => last = Some(e),
+            Err(e) => e,
+        };
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(CommError::Timeout(format!(
+                "connect to {what} {addr} failed until the formation deadline: {error}"
+            )));
         }
-        if attempt < cfg.connect_retries {
-            std::thread::sleep(delay);
-            delay = (delay * 2).min(Duration::from_secs(1));
-        }
+        std::thread::sleep(nap.min(left));
+        nap = (nap * 2).min(DIAL_BACKOFF.1);
     }
-    let last = last.expect("at least one attempt");
-    Err(CommError::Timeout(format!(
-        "connect to {what} {addr} failed after {} attempts: {last}",
-        cfg.connect_retries + 1
-    )))
 }
 
-/// Accepts one connection, polling until `deadline`.
-fn accept_deadline(
+/// Accepts one connection: blocking without a deadline, else polling (with
+/// back-off) until it.
+fn accept_until(
     listener: &TcpListener,
-    deadline: Instant,
+    deadline: Option<Instant>,
     what: &str,
 ) -> Result<TcpStream, CommError> {
     listener
-        .set_nonblocking(true)
+        .set_nonblocking(deadline.is_some())
         .map_err(|e| CommError::from_io("listener set_nonblocking", e))?;
+    let mut nap = ACCEPT_BACKOFF.0;
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -414,10 +578,12 @@ fn accept_deadline(
                 return Ok(stream);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
+                let left = deadline.map_or(nap, |d| d.saturating_duration_since(Instant::now()));
+                if left.is_zero() {
                     return Err(CommError::Timeout(format!("accept from {what} timed out")));
                 }
-                std::thread::sleep(Duration::from_millis(2));
+                std::thread::sleep(nap.min(left));
+                nap = (nap * 2).min(ACCEPT_BACKOFF.1);
             }
             Err(e) => return Err(CommError::from_io(&format!("accept from {what}"), e)),
         }
@@ -470,37 +636,74 @@ impl Transport for TcpTransport {
     }
 }
 
-/// The result of joining a TCP group: the assigned rank, the connected
-/// ring transport, and the rendezvous-distributed auxiliary address table
-/// (rank-indexed; empty string = that rank advertised nothing).
+/// What a member tells the rendezvous when it (re-)connects.
+#[derive(Debug, Clone)]
+pub enum JoinIntent {
+    /// First contact: a founder of epoch 0 (its [`TcpConfig::rank`] claim
+    /// is honoured there), or a late joiner queued for the next epoch.
+    Fresh,
+    /// A member of membership epoch `epoch` reporting for the next epoch
+    /// after a resize trigger (peer death or a pending joiner). Survivors
+    /// keep their relative rank order; the lowest surviving old rank
+    /// becomes the state source (new rank 0).
+    Rejoin { epoch: u64, old_rank: usize },
+}
+
+/// The result of joining (or rejoining) a TCP group.
 #[derive(Debug)]
-pub struct TcpJoin {
-    /// The rank the rendezvous assigned (or confirmed).
+pub struct Join {
+    /// The membership epoch this assignment belongs to (monotonically
+    /// increasing; 0 is the founding epoch).
+    pub epoch: u64,
+    /// The rank assigned within this epoch.
     pub rank: usize,
+    /// World size of this epoch.
+    pub world: usize,
+    /// The rank holding authoritative training state for this epoch
+    /// (rank 0 of every epoch after the founding one); `None` on a fresh
+    /// start with no state to hand off.
+    pub state_source: Option<usize>,
     /// The connected ring transport.
     pub transport: Box<dyn Transport>,
-    /// Per-rank auxiliary service addresses ([`TcpConfig::aux_addr`]);
+    /// Per-rank auxiliary service addresses ([`TcpConfig::aux_addr`],
+    /// re-distributed every epoch; empty = that rank advertised none);
     /// `aux_addrs[0]` is where rank 0's telemetry collector listens.
     pub aux_addrs: Vec<String>,
 }
 
-/// Joins a `world`-rank TCP group: hosts/dials the rendezvous, exchanges
-/// listener addresses, and wires up the ring neighbours. Returns the
-/// assigned rank, the connected transport, and the aux-address table
-/// (`world == 1` short-circuits to a one-rank channel ring, no sockets).
-pub fn connect(cfg: &TcpConfig, world: usize) -> Result<TcpJoin, CommError> {
-    assert!(world > 0, "tcp::connect: zero-rank group");
-    if world == 1 {
-        return Ok(TcpJoin {
-            rank: cfg.rank.unwrap_or(0),
-            transport: Box::new(channel_ring(1).remove(0)),
-            aux_addrs: vec![cfg.aux_addr.clone().unwrap_or_default()],
-        });
-    }
+/// Polls the rendezvous without blocking group formation: returns the
+/// current (epoch, world, pending-joiner count). Rank 0 calls this from
+/// the training loop to detect planned grows.
+pub fn elastic_poll(cfg: &TcpConfig) -> Result<ElasticStatus, CommError> {
     let deadline = Instant::now() + cfg.handshake_timeout;
-    if cfg.host_rendezvous {
-        RendezvousServer::spawn(&cfg.rendezvous, world)?;
+    let mut s = dial_until(&cfg.rendezvous, deadline, "rendezvous server")?;
+    let io = |e| CommError::from_io("rendezvous poll", e);
+    s.set_read_timeout(Some(time_left(deadline))).map_err(io)?;
+    write_u64(&mut s, POLL_MAGIC).map_err(io)?;
+    write_str(&mut s, &cfg.effective_token()).map_err(io)?;
+    let magic = read_u64(&mut s).map_err(io)?;
+    if magic == REJECT_MAGIC {
+        let reason = read_str(&mut s).unwrap_or_else(|_| "no reason given".into());
+        return Err(CommError::Rendezvous(format!("poll rejected: {reason}")));
     }
+    if magic != POLL_REPLY_MAGIC {
+        return Err(CommError::Rendezvous(format!(
+            "rendezvous poll: bad magic {magic:#x}"
+        )));
+    }
+    Ok(ElasticStatus {
+        epoch: read_u64(&mut s).map_err(io)?,
+        world: read_u32(&mut s).map_err(io)? as usize,
+        pending: read_u32(&mut s).map_err(io)? as usize,
+    })
+}
+
+/// Joins (or rejoins) a TCP group: registers `intent` at the rendezvous,
+/// blocks until the server forms the epoch this member belongs to, and
+/// wires that epoch's ring. The server decides rank and world; a
+/// fixed-world caller checks them ([`Backend::Tcp`](crate::Backend)).
+pub fn join(cfg: &TcpConfig, intent: &JoinIntent) -> Result<Join, CommError> {
+    let deadline = Instant::now() + cfg.handshake_timeout;
 
     // Ring listener first, so its address can be registered.
     let listener = TcpListener::bind((cfg.bind_ip.as_str(), 0))
@@ -510,87 +713,67 @@ pub fn connect(cfg: &TcpConfig, world: usize) -> Result<TcpJoin, CommError> {
         .map_err(|e| CommError::from_io("ring listener addr", e))?
         .to_string();
 
-    // Register at the rendezvous and learn (rank, peer table).
-    let mut rdv = connect_retry(&cfg.rendezvous, cfg, "rendezvous server")?;
-    rdv.set_read_timeout(Some(cfg.handshake_timeout))
-        .map_err(|e| CommError::from_io("rendezvous set timeout", e))?;
-    let reg = "rendezvous registration";
-    write_u64(&mut rdv, HELLO_MAGIC).map_err(|e| CommError::from_io(reg, e))?;
-    write_str(&mut rdv, &cfg.effective_token()).map_err(|e| CommError::from_io(reg, e))?;
-    let proposed = cfg.rank.map(|r| r as i64).unwrap_or(-1);
-    write_u64(&mut rdv, proposed as u64).map_err(|e| CommError::from_io(reg, e))?;
-    write_str(&mut rdv, &my_addr).map_err(|e| CommError::from_io(reg, e))?;
-    write_str(&mut rdv, cfg.aux_addr.as_deref().unwrap_or(""))
-        .map_err(|e| CommError::from_io(reg, e))?;
-    rdv.flush().map_err(|e| CommError::from_io(reg, e))?;
-    let asn = "rendezvous assignment";
-    let magic = read_u64(&mut rdv).map_err(|e| CommError::from_io(asn, e))?;
-    if magic == REJECT_MAGIC {
-        let reason = read_str(&mut rdv).unwrap_or_else(|_| "no reason given".into());
-        return Err(CommError::Rendezvous(format!(
-            "rendezvous rejected this member: {reason}"
-        )));
-    }
-    if magic != ASSIGN_MAGIC {
-        return Err(CommError::Rendezvous(format!(
-            "{asn}: bad magic {magic:#x}"
-        )));
-    }
-    let rank = read_u32(&mut rdv).map_err(|e| CommError::from_io(asn, e))? as usize;
-    let got_world = read_u32(&mut rdv).map_err(|e| CommError::from_io(asn, e))? as usize;
-    if got_world != world {
-        return Err(CommError::Rendezvous(format!(
-            "server formed a {got_world}-rank group, expected {world}"
-        )));
-    }
-    if let Some(claimed) = cfg.rank {
-        if claimed != rank {
-            return Err(CommError::Rendezvous(format!(
-                "claimed rank {claimed} but was assigned {rank}"
-            )));
+    let mut rdv = dial_until(&cfg.rendezvous, deadline, "rendezvous server")?;
+    let register = |w: &mut BufWriter<&TcpStream>| {
+        match *intent {
+            JoinIntent::Fresh => {
+                write_u64(w, HELLO_MAGIC)?;
+                write_str(w, &cfg.effective_token())?;
+                write_u64(w, cfg.rank.map_or(-1, |r| r as i64) as u64)?;
+            }
+            JoinIntent::Rejoin { epoch, old_rank } => {
+                write_u64(w, REJOIN_MAGIC)?;
+                write_str(w, &cfg.effective_token())?;
+                write_u64(w, epoch)?;
+                write_u64(w, old_rank as u64)?;
+            }
         }
-    }
-    let mut peers = Vec::with_capacity(world);
-    for _ in 0..world {
-        peers.push(read_str(&mut rdv).map_err(|e| CommError::from_io(asn, e))?);
-    }
-    let mut aux_addrs = Vec::with_capacity(world);
-    for _ in 0..world {
-        aux_addrs.push(read_str(&mut rdv).map_err(|e| CommError::from_io(asn, e))?);
-    }
+        write_str(w, &my_addr)?;
+        write_str(w, cfg.aux_addr.as_deref().unwrap_or(""))?;
+        w.flush()
+    };
+    rdv.set_read_timeout(Some(time_left(deadline)))
+        .and_then(|()| register(&mut BufWriter::new(&rdv)))
+        .map_err(|e| CommError::from_io("rendezvous registration", e))?;
+    let assigned = Assignment::read(&mut rdv)?;
     drop(rdv);
 
-    let transport = wire_ring(cfg, &listener, deadline, rank, world, 0, &peers)?;
-    Ok(TcpJoin {
-        rank,
+    let world = assigned.peers.len();
+    let transport: Box<dyn Transport> = if world == 1 {
+        Box::new(channel_ring(1).remove(0))
+    } else {
+        wire_ring(cfg, &listener, deadline, &assigned)?
+    };
+    Ok(Join {
+        epoch: assigned.epoch,
+        rank: assigned.rank,
+        world,
+        state_source: assigned.state_source,
         transport,
-        aux_addrs,
+        aux_addrs: assigned.aux_addrs,
     })
 }
 
 /// Dials the right neighbour, accepts the left, and exchanges
-/// `(epoch, rank)` handshakes — the shared ring-wiring step of both the
-/// one-shot and the elastic connect paths. The epoch in the handshake keeps
-/// a stale dial from a previous membership epoch from being mistaken for
-/// the current left neighbour.
+/// `(epoch, rank)` handshakes. The epoch in the handshake keeps a stale
+/// dial from a previous membership epoch from being mistaken for the
+/// current left neighbour.
 fn wire_ring(
     cfg: &TcpConfig,
     listener: &TcpListener,
     deadline: Instant,
-    rank: usize,
-    world: usize,
-    epoch: u64,
-    peers: &[String],
+    assigned: &Assignment,
 ) -> Result<Box<dyn Transport>, CommError> {
+    let (rank, epoch, world) = (assigned.rank, assigned.epoch, assigned.peers.len());
     let right_rank = (rank + 1) % world;
     let left_rank = (rank + world - 1) % world;
-    let mut right = connect_retry(&peers[right_rank], cfg, "right neighbour")?;
+    let mut right = dial_until(&assigned.peers[right_rank], deadline, "right neighbour")?;
     write_u64(&mut right, epoch)
         .and_then(|()| write_u64(&mut right, rank as u64))
         .and_then(|()| right.flush())
         .map_err(|e| CommError::from_io("handshake to right neighbour", e))?;
-    let mut left = accept_deadline(listener, deadline, "left neighbour")?;
-    left.set_read_timeout(Some(cfg.handshake_timeout))
+    let mut left = accept_until(listener, Some(deadline), "left neighbour")?;
+    left.set_read_timeout(Some(time_left(deadline)))
         .map_err(|e| CommError::from_io("handshake set timeout", e))?;
     let peer_epoch = read_u64(&mut left).map_err(|e| CommError::from_io("left handshake", e))?;
     let who = read_u64(&mut left).map_err(|e| CommError::from_io("left handshake", e))? as usize;
@@ -615,515 +798,47 @@ fn wire_ring(
     }))
 }
 
-// ---------------------------------------------------------------------------
-// Elastic rendezvous: membership epochs, rejoin, and world resize
-// ---------------------------------------------------------------------------
-
-/// What a member tells the elastic rendezvous when it (re-)connects.
-#[derive(Debug, Clone)]
-pub enum JoinIntent {
-    /// First contact: a founder of epoch 0 (rank claims honored there), or
-    /// a late joiner queued for the next membership epoch.
-    Fresh { claim: Option<usize> },
-    /// A member of membership epoch `epoch` reporting for the next epoch
-    /// after a resize trigger (peer death or a pending joiner). Survivors
-    /// keep their relative rank order; the lowest surviving old rank
-    /// becomes the state source (new rank 0).
-    Rejoin { epoch: u64, old_rank: usize },
-}
-
-/// The result of joining (or rejoining) an elastic TCP group.
-#[derive(Debug)]
-pub struct ElasticJoin {
-    /// The membership epoch this assignment belongs to (monotonically
-    /// increasing; 0 is the founding epoch).
-    pub epoch: u64,
-    /// The rank assigned within this epoch.
-    pub rank: usize,
-    /// World size of this epoch.
-    pub world: usize,
-    /// The rank holding authoritative training state for this epoch
-    /// (always 0 when any prior-epoch survivor is present); `None` on a
-    /// fresh start with no state to hand off.
-    pub state_source: Option<usize>,
-    /// The connected ring transport.
-    pub transport: Box<dyn Transport>,
-    /// Per-rank auxiliary service addresses, re-distributed every epoch.
-    pub aux_addrs: Vec<String>,
-}
-
-/// A non-blocking view of the elastic rendezvous, answered to `POLL`
-/// requests and exposed by [`ElasticHandle`] for in-process launchers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ElasticStatus {
-    /// Current membership epoch.
-    pub epoch: u64,
-    /// World size of the current epoch (0 before epoch 0 forms).
-    pub world: usize,
-    /// Joiners queued for the next epoch.
-    pub pending: usize,
-}
-
-/// Handle to a spawned [`ElasticRendezvous`]: the bound address plus live
-/// epoch/world/pending counters (shared with the serving thread), and a
-/// stop flag for clean teardown in tests.
-#[derive(Debug, Clone)]
-pub struct ElasticHandle {
-    addr: SocketAddr,
-    epoch: std::sync::Arc<std::sync::atomic::AtomicU64>,
-    world: std::sync::Arc<std::sync::atomic::AtomicU64>,
-    pending: std::sync::Arc<std::sync::atomic::AtomicU64>,
-    stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
-}
-
-impl ElasticHandle {
-    /// The rendezvous address members dial.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Live status, mirrored by the serving thread after every transition.
-    pub fn status(&self) -> ElasticStatus {
-        use std::sync::atomic::Ordering;
-        ElasticStatus {
-            epoch: self.epoch.load(Ordering::SeqCst),
-            world: self.world.load(Ordering::SeqCst) as usize,
-            pending: self.pending.load(Ordering::SeqCst) as usize,
-        }
-    }
-
-    /// Asks the serving thread to exit at its next poll tick.
-    pub fn stop(&self) {
-        self.stop.store(true, std::sync::atomic::Ordering::SeqCst);
-    }
-}
-
-/// A member connection held by the elastic server until its epoch forms.
-#[derive(Debug)]
-struct HeldMember {
-    stream: TcpStream,
-    /// Rank claim (founders only) or old rank (rejoiners).
-    old_rank: Option<usize>,
-    addr: String,
-    aux: String,
-}
-
-/// Long-lived rendezvous serving successive membership epochs.
-///
-/// Epoch 0 forms exactly like the one-shot server: `initial_world`
-/// authorized HELLOs arrive, ranks are assigned (claims honored), and the
-/// peer table is distributed — with the epoch and a state-source marker
-/// prepended. The server then stays up:
-///
-/// - a `HELLO` after epoch 0 queues the client as a **pending joiner**
-///   (its reply is deferred to the next epoch transition);
-/// - a `REJOIN` from a current member opens a **transition window**
-///   ([`ElasticRendezvous::with_rejoin_window`]); the next epoch forms
-///   when every current member has rejoined or the window expires —
-///   members that never rejoined are declared dead;
-/// - a `POLL` is answered immediately with (epoch, world, pending), so
-///   rank 0 can piggyback a "resize pending" flag onto the training loop
-///   without blocking.
-///
-/// Survivors are re-ranked in old-rank order (so the lowest surviving rank
-/// becomes rank 0, the state source); pending joiners are appended behind
-/// them. A `REJOIN` carrying a stale epoch — a member that missed a
-/// transition because it was blocked past the window — is demoted to a
-/// pending joiner: it re-enters at the next transition and receives the
-/// authoritative state broadcast like any fresh member.
-#[derive(Debug)]
-pub struct ElasticRendezvous {
-    listener: TcpListener,
-    initial_world: usize,
-    token: String,
-    rejoin_window: Duration,
-}
-
-impl ElasticRendezvous {
-    /// Binds the elastic rendezvous for a group founding at
-    /// `initial_world` ranks. Token defaults to the ambient
-    /// `SPDKFAC_TOKEN`; the rejoin window defaults to 5 s.
-    pub fn bind(addr: &str, initial_world: usize) -> Result<Self, CommError> {
-        assert!(
-            initial_world > 0,
-            "elastic rendezvous for a zero-rank group"
-        );
-        let listener = TcpListener::bind(addr)
-            .map_err(|e| CommError::from_io(&format!("bind elastic rendezvous {addr}"), e))?;
-        Ok(ElasticRendezvous {
-            listener,
-            initial_world,
-            token: env_token(),
-            rejoin_window: Duration::from_secs(5),
-        })
-    }
-
-    /// Overrides the expected shared secret (empty disables the check).
-    pub fn with_token(mut self, token: impl Into<String>) -> Self {
-        self.token = token.into();
-        self
-    }
-
-    /// Overrides the transition window: after the first REJOIN of a
-    /// transition, members have this long to report before being declared
-    /// dead. Must exceed the members' frame read timeout, or a rank blocked
-    /// in a collective when a peer dies can miss the window.
-    pub fn with_rejoin_window(mut self, window: Duration) -> Self {
-        self.rejoin_window = window;
-        self
-    }
-
-    /// The bound address (useful after binding port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.listener.local_addr().expect("bound listener has addr")
-    }
-
-    /// Serves membership epochs on a background thread until the handle's
-    /// stop flag is raised (or the process exits).
-    pub fn spawn(self) -> Result<ElasticHandle, CommError> {
-        use std::sync::atomic::{AtomicBool, AtomicU64};
-        use std::sync::Arc;
-        let handle = ElasticHandle {
-            addr: self.local_addr(),
-            epoch: Arc::new(AtomicU64::new(0)),
-            world: Arc::new(AtomicU64::new(0)),
-            pending: Arc::new(AtomicU64::new(0)),
-            stop: Arc::new(AtomicBool::new(false)),
-        };
-        let mirror = handle.clone();
-        std::thread::Builder::new()
-            .name("spdkfac-elastic-rendezvous".into())
-            .spawn(move || {
-                if let Err(e) = self.serve_loop(&mirror) {
-                    eprintln!("elastic rendezvous failed: {e}");
-                }
-            })
-            .map_err(|e| CommError::Io(format!("spawn elastic rendezvous thread: {e}")))?;
-        Ok(handle)
-    }
-
-    /// Reads one registration frame; replies + closes for POLL, rejects on
-    /// auth failure. Returns the held member and whether it is a rejoin.
-    fn register(
-        &self,
-        mut stream: TcpStream,
-        status: ElasticStatus,
-    ) -> Option<(HeldMember, Option<u64>)> {
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .ok()?;
-        let magic = read_u64(&mut stream).ok()?;
-        let token = read_str(&mut stream).ok()?;
-        if magic == POLL_MAGIC {
-            if token != self.token {
-                let _ = reject(&mut stream, "rendezvous token mismatch");
-                return None;
-            }
-            let _ = write_u64(&mut stream, POLL_REPLY_MAGIC)
-                .and_then(|()| write_u64(&mut stream, status.epoch))
-                .and_then(|()| write_u32(&mut stream, status.world as u32))
-                .and_then(|()| write_u32(&mut stream, status.pending as u32))
-                .and_then(|()| stream.flush());
-            return None;
-        }
-        if token != self.token {
-            eprintln!("elastic rendezvous: rejecting member: bad token");
-            let _ = reject(&mut stream, "rendezvous token mismatch");
-            return None;
-        }
-        match magic {
-            HELLO_MAGIC => {
-                let proposed = read_u64(&mut stream).ok()? as i64;
-                let addr = read_str(&mut stream).ok()?;
-                let aux = read_str(&mut stream).ok()?;
-                let claim = (proposed >= 0).then_some(proposed as usize);
-                Some((
-                    HeldMember {
-                        stream,
-                        old_rank: claim,
-                        addr,
-                        aux,
-                    },
-                    None,
-                ))
-            }
-            REJOIN_MAGIC => {
-                let old_epoch = read_u64(&mut stream).ok()?;
-                let old_rank = read_u64(&mut stream).ok()? as usize;
-                let addr = read_str(&mut stream).ok()?;
-                let aux = read_str(&mut stream).ok()?;
-                Some((
-                    HeldMember {
-                        stream,
-                        old_rank: Some(old_rank),
-                        addr,
-                        aux,
-                    },
-                    Some(old_epoch),
-                ))
-            }
-            m => {
-                let _ = reject(&mut stream, &format!("bad magic {m:#x}"));
-                None
-            }
-        }
-    }
-
-    /// Replies to every member of a freshly formed epoch. Write failures
-    /// are logged and skipped — a member that died between registering and
-    /// assignment will be shed by the next transition.
-    fn assign_epoch(
-        epoch: u64,
-        members: &mut [HeldMember],
-        state_source: i64,
-    ) -> Result<(), CommError> {
-        let world = members.len();
-        let peers: Vec<String> = members.iter().map(|m| m.addr.clone()).collect();
-        let auxes: Vec<String> = members.iter().map(|m| m.aux.clone()).collect();
-        for (rank, m) in members.iter_mut().enumerate() {
-            let reply = (|| -> std::io::Result<()> {
-                write_u64(&mut m.stream, EASSIGN_MAGIC)?;
-                write_u64(&mut m.stream, epoch)?;
-                write_u32(&mut m.stream, rank as u32)?;
-                write_u32(&mut m.stream, world as u32)?;
-                write_u64(&mut m.stream, state_source as u64)?;
-                for p in &peers {
-                    write_str(&mut m.stream, p)?;
-                }
-                for a in &auxes {
-                    write_str(&mut m.stream, a)?;
-                }
-                m.stream.flush()
-            })();
-            if let Err(e) = reply {
-                eprintln!(
-                    "elastic rendezvous: epoch {epoch} assignment to rank {rank} failed: {e}"
-                );
-            }
-        }
-        Ok(())
-    }
-
-    fn serve_loop(self, handle: &ElasticHandle) -> Result<(), CommError> {
-        use std::sync::atomic::Ordering;
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| CommError::from_io("elastic listener set_nonblocking", e))?;
-        let mut epoch: u64 = 0;
-        let mut world: usize = 0; // 0 until epoch 0 forms
-        let mut founders: Vec<HeldMember> = Vec::new();
-        let mut pending: Vec<HeldMember> = Vec::new();
-        let mut rejoined: Vec<HeldMember> = Vec::new();
-        let mut window_ends: Option<Instant> = None;
-        loop {
-            if handle.stop.load(Ordering::SeqCst) {
-                return Ok(());
-            }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let status = ElasticStatus {
-                        epoch,
-                        world,
-                        pending: pending.len(),
-                    };
-                    if let Some((member, rejoin_epoch)) = self.register(stream, status) {
-                        match rejoin_epoch {
-                            None if world == 0 => founders.push(member),
-                            None => pending.push(member),
-                            Some(e) if world > 0 && e == epoch => {
-                                if window_ends.is_none() {
-                                    window_ends = Some(Instant::now() + self.rejoin_window);
-                                }
-                                rejoined.push(member);
-                            }
-                            // Stale rejoin (missed a transition) or rejoin
-                            // before any epoch formed: demote to joiner —
-                            // it re-enters with handed-off state.
-                            Some(_) if world == 0 => founders.push(member),
-                            Some(_) => pending.push(member),
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => return Err(CommError::from_io("elastic rendezvous accept", e)),
-            }
-
-            // Epoch 0: founders assemble exactly like the one-shot server.
-            if world == 0 && founders.len() == self.initial_world {
-                let n = founders.len();
-                // Honor explicit claims; out-of-range or duplicate claims
-                // demote to arrival-order assignment of the free slots.
-                let mut ordered: Vec<Option<HeldMember>> = (0..n).map(|_| None).collect();
-                let mut unclaimed = Vec::new();
-                for m in founders.drain(..) {
-                    match m.old_rank {
-                        Some(r) if r < n && ordered[r].is_none() => ordered[r] = Some(m),
-                        _ => unclaimed.push(m),
-                    }
-                }
-                let mut free = (0..n).filter(|&r| ordered[r].is_none()).collect::<Vec<_>>();
-                free.reverse();
-                for m in unclaimed {
-                    let slot = free.pop().expect("free slot per unclaimed founder");
-                    ordered[slot] = Some(m);
-                }
-                let mut members: Vec<HeldMember> = ordered
-                    .into_iter()
-                    .map(|m| m.expect("slot filled"))
-                    .collect();
-                world = n;
-                // Mirror before replying so a member that returns from
-                // connect never observes a stale status.
-                handle.world.store(world as u64, Ordering::SeqCst);
-                Self::assign_epoch(0, &mut members, -1)?;
-            }
-
-            // Transition: complete when all members rejoined or the window
-            // expired (absentees are dead).
-            let complete = match window_ends {
-                Some(ends) => rejoined.len() >= world || Instant::now() >= ends,
-                None => false,
-            };
-            if complete {
-                rejoined.sort_by_key(|m| m.old_rank.unwrap_or(usize::MAX));
-                let survivors = rejoined.len();
-                let mut members: Vec<HeldMember> = std::mem::take(&mut rejoined);
-                members.append(&mut pending);
-                epoch += 1;
-                world = members.len();
-                let state_source = if survivors > 0 { 0 } else { -1 };
-                eprintln!(
-                    "elastic rendezvous: epoch {epoch} formed — {survivors} survivors, \
-                     {} joiners, world {world}",
-                    world - survivors
-                );
-                handle.epoch.store(epoch, Ordering::SeqCst);
-                handle.world.store(world as u64, Ordering::SeqCst);
-                Self::assign_epoch(epoch, &mut members, state_source)?;
-                window_ends = None;
-            }
-            handle.pending.store(pending.len() as u64, Ordering::SeqCst);
-        }
-    }
-}
-
-/// Polls the elastic rendezvous without blocking group formation: returns
-/// the current (epoch, world, pending-joiner count). Rank 0 calls this from
-/// the training loop to detect planned grows.
-pub fn elastic_poll(cfg: &TcpConfig) -> Result<ElasticStatus, CommError> {
-    let mut s = connect_retry(&cfg.rendezvous, cfg, "elastic rendezvous")?;
-    s.set_read_timeout(Some(cfg.handshake_timeout))
-        .map_err(|e| CommError::from_io("poll set timeout", e))?;
-    let ctx = "elastic poll";
-    write_u64(&mut s, POLL_MAGIC).map_err(|e| CommError::from_io(ctx, e))?;
-    write_str(&mut s, &cfg.effective_token()).map_err(|e| CommError::from_io(ctx, e))?;
-    s.flush().map_err(|e| CommError::from_io(ctx, e))?;
-    let magic = read_u64(&mut s).map_err(|e| CommError::from_io(ctx, e))?;
-    if magic == REJECT_MAGIC {
-        let reason = read_str(&mut s).unwrap_or_else(|_| "no reason given".into());
-        return Err(CommError::Rendezvous(format!("poll rejected: {reason}")));
-    }
-    if magic != POLL_REPLY_MAGIC {
-        return Err(CommError::Rendezvous(format!(
-            "{ctx}: bad magic {magic:#x}"
-        )));
-    }
-    let epoch = read_u64(&mut s).map_err(|e| CommError::from_io(ctx, e))?;
-    let world = read_u32(&mut s).map_err(|e| CommError::from_io(ctx, e))? as usize;
-    let pending = read_u32(&mut s).map_err(|e| CommError::from_io(ctx, e))? as usize;
-    Ok(ElasticStatus {
-        epoch,
-        world,
-        pending,
-    })
-}
-
-/// Joins (or rejoins) an elastic TCP group: registers the intent at the
-/// long-lived rendezvous, blocks until the membership epoch forms, and
-/// wires the epoch's ring. Unlike [`connect`], the world size is decided by
-/// the server — a single-member epoch degenerates to a socketless one-rank
-/// channel ring.
-pub fn elastic_connect(cfg: &TcpConfig, intent: &JoinIntent) -> Result<ElasticJoin, CommError> {
-    let deadline = Instant::now() + cfg.handshake_timeout;
-
-    // Ring listener first, so its address can be registered.
-    let listener = TcpListener::bind((cfg.bind_ip.as_str(), 0))
-        .map_err(|e| CommError::from_io(&format!("bind ring listener on {}", cfg.bind_ip), e))?;
-    let my_addr = listener
-        .local_addr()
-        .map_err(|e| CommError::from_io("ring listener addr", e))?
-        .to_string();
-
-    let mut rdv = connect_retry(&cfg.rendezvous, cfg, "elastic rendezvous")?;
-    rdv.set_read_timeout(Some(cfg.handshake_timeout))
-        .map_err(|e| CommError::from_io("rendezvous set timeout", e))?;
-    let reg = "elastic registration";
-    match intent {
-        JoinIntent::Fresh { claim } => {
-            write_u64(&mut rdv, HELLO_MAGIC).map_err(|e| CommError::from_io(reg, e))?;
-            write_str(&mut rdv, &cfg.effective_token()).map_err(|e| CommError::from_io(reg, e))?;
-            let proposed = claim.map(|r| r as i64).unwrap_or(-1);
-            write_u64(&mut rdv, proposed as u64).map_err(|e| CommError::from_io(reg, e))?;
-        }
-        JoinIntent::Rejoin { epoch, old_rank } => {
-            write_u64(&mut rdv, REJOIN_MAGIC).map_err(|e| CommError::from_io(reg, e))?;
-            write_str(&mut rdv, &cfg.effective_token()).map_err(|e| CommError::from_io(reg, e))?;
-            write_u64(&mut rdv, *epoch).map_err(|e| CommError::from_io(reg, e))?;
-            write_u64(&mut rdv, *old_rank as u64).map_err(|e| CommError::from_io(reg, e))?;
-        }
-    }
-    write_str(&mut rdv, &my_addr).map_err(|e| CommError::from_io(reg, e))?;
-    write_str(&mut rdv, cfg.aux_addr.as_deref().unwrap_or(""))
-        .map_err(|e| CommError::from_io(reg, e))?;
-    rdv.flush().map_err(|e| CommError::from_io(reg, e))?;
-
-    let asn = "elastic assignment";
-    let magic = read_u64(&mut rdv).map_err(|e| CommError::from_io(asn, e))?;
-    if magic == REJECT_MAGIC {
-        let reason = read_str(&mut rdv).unwrap_or_else(|_| "no reason given".into());
-        return Err(CommError::Rendezvous(format!(
-            "elastic rendezvous rejected this member: {reason}"
-        )));
-    }
-    if magic != EASSIGN_MAGIC {
-        return Err(CommError::Rendezvous(format!(
-            "{asn}: bad magic {magic:#x}"
-        )));
-    }
-    let epoch = read_u64(&mut rdv).map_err(|e| CommError::from_io(asn, e))?;
-    let rank = read_u32(&mut rdv).map_err(|e| CommError::from_io(asn, e))? as usize;
-    let world = read_u32(&mut rdv).map_err(|e| CommError::from_io(asn, e))? as usize;
-    let source = read_u64(&mut rdv).map_err(|e| CommError::from_io(asn, e))? as i64;
-    let mut peers = Vec::with_capacity(world);
-    for _ in 0..world {
-        peers.push(read_str(&mut rdv).map_err(|e| CommError::from_io(asn, e))?);
-    }
-    let mut aux_addrs = Vec::with_capacity(world);
-    for _ in 0..world {
-        aux_addrs.push(read_str(&mut rdv).map_err(|e| CommError::from_io(asn, e))?);
-    }
-    drop(rdv);
-
-    let transport: Box<dyn Transport> = if world == 1 {
-        Box::new(channel_ring(1).remove(0))
-    } else {
-        wire_ring(cfg, &listener, deadline, rank, world, epoch, &peers)?
-    };
-    Ok(ElasticJoin {
-        epoch,
-        rank,
-        world,
-        state_source: (source >= 0).then_some(source as usize),
-        transport,
-        aux_addrs,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const FRESH: &JoinIntent = &JoinIntent::Fresh;
+
+    fn rejoin(epoch: u64, old_rank: usize) -> JoinIntent {
+        JoinIntent::Rejoin { epoch, old_rank }
+    }
+
+    /// A raw `HELLO` on a fresh connection, as [`join`] writes it.
+    fn hello(addr: SocketAddr, token: &str, claim: i64, ring: &str, aux: &str) -> TcpStream {
+        let mut s = TcpStream::connect(addr).unwrap();
+        write_u64(&mut s, HELLO_MAGIC).unwrap();
+        write_str(&mut s, token).unwrap();
+        write_u64(&mut s, claim as u64).unwrap();
+        write_str(&mut s, ring).unwrap();
+        write_str(&mut s, aux).unwrap();
+        s
+    }
+
+    /// Joins `n` claim-less members on threads and returns their joins.
+    fn join_all(addr: &str, n: usize) -> Vec<Result<Join, CommError>> {
+        let members: Vec<_> = (0..n)
+            .map(|_| {
+                let cfg = TcpConfig::new(addr);
+                std::thread::spawn(move || join(&cfg, FRESH))
+            })
+            .collect();
+        members.into_iter().map(|m| m.join().unwrap()).collect()
+    }
+
+    /// Dials until the port refuses: the listener is closed, so whatever
+    /// owned it has returned.
+    fn assert_port_closes(addr: SocketAddr) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_ok() {
+            assert!(Instant::now() < deadline, "{addr} still accepts");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
 
     #[test]
     fn oversized_rendezvous_string_rejected() {
@@ -1135,62 +850,32 @@ mod tests {
 
     #[test]
     fn rendezvous_assigns_explicit_and_auto_ranks() {
-        let server = RendezvousServer::bind("127.0.0.1:0", 3).unwrap();
-        let addr = server.local_addr();
-        let serve = std::thread::spawn(move || server.serve());
-        // Register sequentially (the server reads each registration as it
-        // accepts, so arrival order is the connect order), then read the
-        // replies — the server only replies once the whole group is present.
-        let register = |proposed: i64, my: &str, aux: &str| -> TcpStream {
-            let mut s = TcpStream::connect(addr).unwrap();
-            write_u64(&mut s, HELLO_MAGIC).unwrap();
-            write_str(&mut s, "").unwrap(); // no token configured
-            write_u64(&mut s, proposed as u64).unwrap();
-            write_str(&mut s, my).unwrap();
-            write_str(&mut s, aux).unwrap();
-            s.flush().unwrap();
-            s
-        };
-        let assignment = |mut s: TcpStream| -> (usize, Vec<String>, Vec<String>) {
-            assert_eq!(read_u64(&mut s).unwrap(), ASSIGN_MAGIC);
-            let rank = read_u32(&mut s).unwrap() as usize;
-            let world = read_u32(&mut s).unwrap() as usize;
-            let peers = (0..world).map(|_| read_str(&mut s).unwrap()).collect();
-            let auxes = (0..world).map(|_| read_str(&mut s).unwrap()).collect();
-            (rank, peers, auxes)
-        };
-        // Claim rank 2 explicitly; the other two auto-assign to 0 and 1 in
-        // arrival order. The first arrival (assigned rank 0) advertises a
+        let addr = RendezvousServer::spawn("127.0.0.1:0", 3).unwrap();
+        // The server decodes each registration as it accepts, so arrival
+        // order is connect order. Claim rank 2 explicitly; the other two
+        // fill 0 and 1 in arrival order. The first of them advertises a
         // telemetry address; everyone must see it at slot 0.
-        let sc = register(2, "c:2", "");
-        let sa = register(-1, "a:1", "telemetry:9");
-        let sb = register(-1, "b:1", "");
-        let (r2, _, aux2) = assignment(sc);
-        assert_eq!(r2, 2);
-        assert_eq!(
-            aux2,
-            vec!["telemetry:9".to_string(), String::new(), String::new()]
-        );
-        let (ra, _, _) = assignment(sa);
-        assert_eq!(ra, 0);
-        let (rb, peers, auxes) = assignment(sb);
-        assert_eq!(rb, 1);
-        assert_eq!(peers, vec!["a:1".to_string(), "b:1".into(), "c:2".into()]);
-        assert_eq!(auxes[0], "telemetry:9");
-        let served = serve.join().unwrap().unwrap();
-        assert_eq!(served.len(), 3);
+        let sc = hello(addr, "", 2, "c:2", "");
+        let sa = hello(addr, "", -1, "a:1", "telemetry:9");
+        let sb = hello(addr, "", -1, "b:1", "");
+        let [c, a, b] = [sc, sa, sb].map(|mut s| Assignment::read(&mut s).unwrap());
+        assert_eq!((c.rank, a.rank, b.rank), (2, 0, 1));
+        for got in [&a, &b, &c] {
+            assert_eq!((got.epoch, got.state_source), (0, None));
+            assert_eq!(got.peers, ["a:1", "b:1", "c:2"]);
+            assert_eq!(got.aux_addrs, ["telemetry:9", "", ""]);
+        }
     }
 
     #[test]
     fn connect_forms_a_two_rank_ring() {
-        let server = RendezvousServer::bind("127.0.0.1:0", 2).unwrap();
-        let addr = server.local_addr().to_string();
-        std::thread::spawn(move || server.serve().unwrap());
+        let addr = RendezvousServer::spawn("127.0.0.1:0", 2)
+            .unwrap()
+            .to_string();
         let addr1 = addr.clone();
         let peer = std::thread::spawn(move || {
-            let cfg = TcpConfig::new(addr1);
-            let join = connect(&cfg, 2).unwrap();
-            let (rank, mut t) = (join.rank, join.transport);
+            let j = join(&TcpConfig::new(addr1), FRESH).unwrap();
+            let (rank, mut t) = (j.rank, j.transport);
             // Echo service: receive four bytes, send them back doubled.
             let mut got = [0u8; 4];
             t.recv(&mut got).unwrap();
@@ -1199,151 +884,319 @@ mod tests {
         });
         let mut cfg = TcpConfig::new(addr);
         cfg.aux_addr = Some("me:1234".into());
-        let join = connect(&cfg, 2).unwrap();
-        let (rank, mut t) = (join.rank, join.transport);
+        let j = join(&cfg, FRESH).unwrap();
+        assert_eq!((j.epoch, j.world, j.state_source), (0, 2, None));
+        let (rank, mut t) = (j.rank, j.transport);
         // The aux table is rank-indexed and carries this member's entry.
-        assert_eq!(join.aux_addrs.len(), 2);
-        assert_eq!(join.aux_addrs[rank], "me:1234");
+        assert_eq!(j.aux_addrs.len(), 2);
+        assert_eq!(j.aux_addrs[rank], "me:1234");
         // Head and body parts arrive as one stream.
         t.send(&[1, 2], &[3, 4]).unwrap();
         let mut back = [0u8; 4];
         t.recv(&mut back).unwrap();
         assert_eq!(back, [2, 4, 6, 8]);
-        let peer_rank = peer.join().unwrap();
-        assert_ne!(rank, peer_rank);
+        assert_ne!(rank, peer.join().unwrap());
         assert_eq!(t.kind(), "tcp");
-    }
-
-    #[test]
-    fn world_one_needs_no_sockets() {
-        let cfg = TcpConfig::new("127.0.0.1:1"); // never dialled
-        let join = connect(&cfg, 1).unwrap();
-        assert_eq!(join.rank, 0);
-        assert_eq!(join.transport.kind(), "channel");
-        assert_eq!(join.aux_addrs, vec![String::new()]);
     }
 
     #[test]
     fn rendezvous_rejects_token_mismatch() {
         // A wrong token is refused with a Rendezvous error and does NOT
         // consume a world slot: the correctly-authed pair still forms.
-        let server = RendezvousServer::bind("127.0.0.1:0", 2)
+        let handle = RendezvousServer::bind("127.0.0.1:0", 2)
             .unwrap()
-            .with_token("sesame");
-        let addr = server.local_addr().to_string();
-        let serve = std::thread::spawn(move || server.serve());
-
-        let mut bad = TcpConfig::new(addr.clone());
-        bad.token = Some("wrong".into());
-        match connect(&bad, 2) {
-            Err(CommError::Rendezvous(msg)) => {
-                assert!(msg.contains("token mismatch"), "unexpected reason: {msg}")
+            .with_token("sesame")
+            .serve()
+            .unwrap();
+        let mut cfg = TcpConfig::new(handle.addr().to_string());
+        cfg.token = Some("wrong".into());
+        for refused in [
+            join(&cfg, FRESH).map(|_| ()),
+            elastic_poll(&cfg).map(|_| ()),
+        ] {
+            match refused {
+                Err(CommError::Rendezvous(msg)) => {
+                    assert!(msg.contains("token mismatch"), "unexpected reason: {msg}")
+                }
+                other => panic!("expected Rendezvous rejection, got {other:?}"),
             }
-            other => panic!("expected Rendezvous rejection, got {other:?}"),
         }
-
-        let addr1 = addr.clone();
-        let peer = std::thread::spawn(move || {
-            let mut cfg = TcpConfig::new(addr1);
-            cfg.token = Some("sesame".into());
-            connect(&cfg, 2).unwrap().rank
-        });
-        let mut cfg = TcpConfig::new(addr);
         cfg.token = Some("sesame".into());
-        let join = connect(&cfg, 2).unwrap();
-        let peer_rank = peer.join().unwrap();
-        assert_ne!(join.rank, peer_rank);
-        assert_eq!(serve.join().unwrap().unwrap().len(), 2);
+        let cfg1 = cfg.clone();
+        let peer = std::thread::spawn(move || join(&cfg1, FRESH).unwrap().rank);
+        let rank = join(&cfg, FRESH).unwrap().rank;
+        assert_ne!(rank, peer.join().unwrap());
+        assert_eq!(elastic_poll(&cfg).unwrap().world, 2);
+        handle.stop();
     }
 
-    /// Founds a 2-member elastic epoch 0 over loopback.
-    fn found_elastic_pair(addr: &str) -> (ElasticJoin, ElasticJoin) {
-        let a1 = addr.to_string();
-        let t = std::thread::spawn(move || {
-            let cfg = TcpConfig::new(a1);
-            elastic_connect(&cfg, &JoinIntent::Fresh { claim: None }).unwrap()
+    #[test]
+    fn stray_connections_cost_only_themselves() {
+        // Fails at the parent commit: its fixed-world server ended the
+        // whole formation on the first of these.
+        let addr = RendezvousServer::spawn("127.0.0.1:0", 2).unwrap();
+        let mut garbage = TcpStream::connect(addr).unwrap();
+        write_u64(&mut garbage, 0xdead_beef).unwrap();
+        match Assignment::read(&mut garbage) {
+            Err(CommError::Rendezvous(msg)) => assert!(msg.contains("bad magic"), "{msg}"),
+            other => panic!("garbage must be rejected, got {other:?}"),
+        }
+        let mut truncated = TcpStream::connect(addr).unwrap();
+        write_u64(&mut truncated, HELLO_MAGIC).unwrap();
+        truncated.write_all(&[3, 0]).unwrap(); // half a length prefix
+        drop(truncated);
+        drop(TcpStream::connect(addr).unwrap()); // connect-and-close
+        let ranks: Vec<usize> = join_all(&addr.to_string(), 2)
+            .into_iter()
+            .map(|j| j.expect("a valid pair still forms").rank)
+            .collect();
+        assert!(ranks == [0, 1] || ranks == [1, 0], "{ranks:?}");
+    }
+
+    #[test]
+    fn conflicting_founder_claims_reject_every_founder() {
+        for (claims, world) in [([Some(1), None, Some(1)], 3), ([None, Some(3), None], 3)] {
+            let addr = RendezvousServer::spawn("127.0.0.1:0", world)
+                .unwrap()
+                .to_string();
+            let t0 = Instant::now();
+            let founders: Vec<_> = claims
+                .into_iter()
+                .map(|claim| {
+                    let mut cfg = TcpConfig::new(addr.clone());
+                    cfg.rank = claim;
+                    std::thread::spawn(move || join(&cfg, FRESH))
+                })
+                .collect();
+            for f in founders {
+                match f.join().unwrap() {
+                    Err(CommError::Rendezvous(msg)) => {
+                        assert!(msg.contains("rank claim"), "unexpected reason: {msg}")
+                    }
+                    other => panic!("expected every founder rejected, got {other:?}"),
+                }
+            }
+            // One round trip, not a handshake timeout (30 s here).
+            assert!(t0.elapsed() < Duration::from_secs(5));
+        }
+    }
+
+    #[test]
+    fn dead_rendezvous_times_out_at_the_formation_deadline() {
+        // Fails at the parent commit: 101 dial attempts, ≈ 94 s.
+        let mut cfg = TcpConfig::new("127.0.0.1:1"); // tcpmux: nobody listens
+        cfg.handshake_timeout = Duration::from_millis(300);
+        let t0 = Instant::now();
+        for outcome in [
+            join(&cfg, FRESH).map(|_| ()),
+            elastic_poll(&cfg).map(|_| ()),
+        ] {
+            assert!(matches!(outcome, Err(CommError::Timeout(_))), "{outcome:?}");
+        }
+        let took = t0.elapsed();
+        assert!(
+            took >= Duration::from_millis(600) && took < Duration::from_secs(2),
+            "two 300 ms deadlines took {took:?}"
+        );
+    }
+
+    /// A scripted server: answers the first registration with `reply`
+    /// verbatim and hangs up.
+    fn scripted_server(reply: Vec<u8>) -> String {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            // Drain the HELLO so the close is a FIN, not a reset.
+            assert_eq!(read_u64(&mut s).unwrap(), HELLO_MAGIC);
+            read_str(&mut s).unwrap();
+            read_u64(&mut s).unwrap();
+            read_str(&mut s).unwrap();
+            read_str(&mut s).unwrap();
+            s.write_all(&reply).unwrap();
         });
-        let cfg = TcpConfig::new(addr.to_string());
-        let mine = elastic_connect(&cfg, &JoinIntent::Fresh { claim: Some(0) }).unwrap();
-        let theirs = t.join().unwrap();
-        (mine, theirs)
+        addr
+    }
+
+    /// The fixed part of an assignment frame, then raw table bytes.
+    fn assignment_bytes(rank: u32, world: u32, source: i64, tables: &[u8]) -> Vec<u8> {
+        let mut b = Vec::new();
+        write_u64(&mut b, ASSIGNMENT_MAGIC).unwrap();
+        write_u64(&mut b, 0).unwrap();
+        write_u32(&mut b, rank).unwrap();
+        write_u32(&mut b, world).unwrap();
+        write_u64(&mut b, source as u64).unwrap();
+        b.extend_from_slice(tables);
+        b
+    }
+
+    #[test]
+    fn malformed_assignments_are_typed_errors() {
+        let mut reject_frame = Vec::new();
+        write_u64(&mut reject_frame, REJECT_MAGIC).unwrap();
+        write_str(&mut reject_frame, "not today").unwrap();
+        let mut oversize = Vec::new();
+        write_u32(&mut oversize, 4097).unwrap();
+        oversize.resize(4 + 4097, b'a');
+        type Check = fn(&CommError) -> bool;
+        let rendezvous: Check = |e| matches!(e, CommError::Rendezvous(_));
+        let io: Check = |e| matches!(e, CommError::Io(_));
+        let hangup: Check = |e| matches!(e, CommError::Disconnected(_));
+        let cases: Vec<(&str, Vec<u8>, Check)> = vec![
+            // Panics at the parent commit (`% world` in `wire_ring`).
+            ("world 0", assignment_bytes(0, 0, -1, &[]), rendezvous),
+            (
+                "world u32::MAX",
+                assignment_bytes(0, u32::MAX, -1, &[]),
+                rendezvous,
+            ),
+            (
+                "world over the cap",
+                assignment_bytes(0, MAX_WORLD as u32 + 1, -1, &[]),
+                rendezvous,
+            ),
+            ("rank >= world", assignment_bytes(2, 2, -1, &[]), rendezvous),
+            (
+                "state source >= world",
+                assignment_bytes(0, 2, 2, &[]),
+                rendezvous,
+            ),
+            (
+                "state source < -1",
+                assignment_bytes(0, 2, -2, &[]),
+                rendezvous,
+            ),
+            (
+                "unknown magic",
+                0x1234_u64.to_le_bytes().to_vec(),
+                rendezvous,
+            ),
+            ("REJECT", reject_frame, |e| {
+                e.message().contains("not today")
+            }),
+            ("empty reply", Vec::new(), hangup),
+            (
+                "truncated header",
+                assignment_bytes(0, 2, -1, &[])[..20].to_vec(),
+                hangup,
+            ),
+            (
+                "truncated table",
+                assignment_bytes(0, 2, -1, &[3, 0, 0, 0, b'a']),
+                hangup,
+            ),
+            (
+                "non-UTF-8 peer",
+                assignment_bytes(0, 2, -1, &[2, 0, 0, 0, 0xff, 0xfe]),
+                io,
+            ),
+            ("oversize peer", assignment_bytes(0, 2, -1, &oversize), io),
+        ];
+        for (name, reply, expected) in cases {
+            let cfg = TcpConfig::new(scripted_server(reply));
+            let err = join(&cfg, FRESH).expect_err(name);
+            assert!(expected(&err), "{name}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn assignment_frame_round_trips() {
+        let sent = Assignment {
+            epoch: 7,
+            rank: 1,
+            state_source: Some(0),
+            peers: vec!["a:1".into(), "b:2".into()],
+            aux_addrs: vec![String::new(), "t:9".into()],
+        };
+        let mut bytes = Vec::new();
+        sent.write(&mut bytes).unwrap();
+        let got = Assignment::read(&mut &bytes[..]).unwrap();
+        assert_eq!(
+            (got.epoch, got.rank, got.state_source),
+            (sent.epoch, sent.rank, sent.state_source)
+        );
+        assert_eq!((got.peers, got.aux_addrs), (sent.peers, sent.aux_addrs));
+    }
+
+    #[test]
+    fn spawned_server_exits_and_frees_its_port_once_the_group_forms() {
+        let addr = RendezvousServer::spawn("127.0.0.1:0", 2).unwrap();
+        for j in join_all(&addr.to_string(), 2) {
+            j.unwrap();
+        }
+        assert_port_closes(addr);
+    }
+
+    #[test]
+    fn stop_ends_a_server_blocked_in_accept() {
+        let handle = RendezvousServer::bind("127.0.0.1:0", 2)
+            .unwrap()
+            .serve()
+            .unwrap();
+        // Nobody ever dials: no window is open, so the thread sits in a
+        // blocking accept.
+        std::thread::sleep(Duration::from_millis(20));
+        handle.stop();
+        assert_port_closes(handle.addr());
     }
 
     #[test]
     fn elastic_epochs_form_shrink_and_grow() {
-        let handle = ElasticRendezvous::bind("127.0.0.1:0", 2)
+        let handle = RendezvousServer::bind("127.0.0.1:0", 2)
             .unwrap()
-            .with_rejoin_window(Duration::from_millis(600))
-            .spawn()
+            .with_rejoin_window(Duration::from_millis(250))
+            .serve()
             .unwrap();
         let addr = handle.addr().to_string();
-
-        // Epoch 0: two founders; the explicit claim is honored and there is
-        // no state to hand off.
-        let (j0, j1) = found_elastic_pair(&addr);
-        assert_eq!((j0.epoch, j0.rank, j0.world), (0, 0, 2));
-        assert_eq!((j1.epoch, j1.rank, j1.world), (0, 1, 2));
-        assert_eq!(j0.state_source, None);
-        assert_eq!(handle.status().epoch, 0);
-        assert_eq!(handle.status().world, 2);
-
-        // Rank 0 "dies" (drops its transport); rank 1 rejoins alone. The
-        // window expires, forming a shrunk single-rank epoch 1 whose
-        // survivor is the state source.
-        drop(j0);
         let cfg = TcpConfig::new(addr.clone());
-        let e1 = elastic_connect(
-            &cfg,
-            &JoinIntent::Rejoin {
-                epoch: 0,
-                old_rank: 1,
-            },
-        )
-        .unwrap();
+
+        // Epoch 0: two founders, no state to hand off.
+        let mut founders = join_all(&addr, 2).into_iter().map(Result::unwrap);
+        let (j0, j1) = (founders.next().unwrap(), founders.next().unwrap());
+        assert_eq!((j0.epoch, j0.world, j0.state_source), (0, 2, None));
+        assert_eq!(j0.rank + j1.rank, 1);
+        let status = |epoch, world, pending| ElasticStatus {
+            epoch,
+            world,
+            pending,
+        };
+        assert_eq!(handle.status(), status(0, 2, 0));
+
+        // One member "dies" (drops its transport); the other rejoins
+        // alone. The window expires, forming a shrunk single-rank epoch 1
+        // whose survivor is the state source.
+        let survivor = j1.rank;
+        drop((j0, j1));
+        let t0 = Instant::now();
+        let e1 = join(&cfg, &rejoin(0, survivor)).unwrap();
+        assert!(
+            t0.elapsed() >= Duration::from_millis(250),
+            "window cut short"
+        );
         assert_eq!((e1.epoch, e1.rank, e1.world), (1, 0, 1));
         assert_eq!(e1.state_source, Some(0));
         assert_eq!(e1.transport.kind(), "channel");
-        assert_eq!(
-            handle.status(),
-            ElasticStatus {
-                epoch: 1,
-                world: 1,
-                pending: 0
-            }
-        );
+        assert_eq!(handle.status(), status(1, 1, 0));
 
         // A replacement HELLOs in: it queues as pending (visible to POLL),
-        // and the survivor's next rejoin forms epoch 2 at world 2 with the
-        // survivor as rank 0 / state source.
-        let a1 = addr.clone();
-        let joiner = std::thread::spawn(move || {
-            let cfg = TcpConfig::new(a1);
-            elastic_connect(&cfg, &JoinIntent::Fresh { claim: None }).unwrap()
-        });
+        // and the survivor's next rejoin forms epoch 2 at world 2 — at
+        // once, everyone reported — with the survivor as rank 0.
+        let joiner = std::thread::spawn(move || join(&TcpConfig::new(addr), FRESH).unwrap());
         let deadline = Instant::now() + Duration::from_secs(5);
         while elastic_poll(&cfg).unwrap().pending == 0 {
             assert!(Instant::now() < deadline, "joiner never became pending");
-            std::thread::sleep(Duration::from_millis(5));
+            std::thread::sleep(Duration::from_millis(1));
         }
         drop(e1);
-        let e2 = elastic_connect(
-            &cfg,
-            &JoinIntent::Rejoin {
-                epoch: 1,
-                old_rank: 0,
-            },
-        )
-        .unwrap();
+        let e2 = join(&cfg, &rejoin(1, 0)).unwrap();
         let joined = joiner.join().unwrap();
         assert_eq!((e2.epoch, e2.rank, e2.world), (2, 0, 2));
         assert_eq!((joined.epoch, joined.rank, joined.world), (2, 1, 2));
-        assert_eq!(e2.state_source, Some(0));
-        assert_eq!(joined.state_source, Some(0));
-        assert_eq!(handle.status().epoch, 2);
+        assert_eq!((e2.state_source, joined.state_source), (Some(0), Some(0)));
+        assert_eq!(handle.status(), status(2, 2, 0));
 
         // The epoch-2 ring actually carries bytes.
-        let mut ta = e2.transport;
-        let mut tb = joined.transport;
+        let (mut ta, mut tb) = (e2.transport, joined.transport);
         let echo = std::thread::spawn(move || {
             let mut got = [0u8; 2];
             tb.recv(&mut got).unwrap();
@@ -1354,67 +1207,6 @@ mod tests {
         ta.recv(&mut back).unwrap();
         assert_eq!(back, [7, 8]);
         echo.join().unwrap();
-        handle.stop();
-    }
-
-    #[test]
-    fn stale_rejoin_is_demoted_to_joiner() {
-        // A member that missed a transition (its rejoin carries an old
-        // epoch) must not corrupt the current epoch: it queues as pending.
-        let handle = ElasticRendezvous::bind("127.0.0.1:0", 2)
-            .unwrap()
-            .with_rejoin_window(Duration::from_millis(400))
-            .spawn()
-            .unwrap();
-        let addr = handle.addr().to_string();
-        let (j0, j1) = found_elastic_pair(&addr);
-        drop(j1);
-        let cfg = TcpConfig::new(addr.clone());
-        // Rank 0 rejoins alone → epoch 1, world 1.
-        drop(j0);
-        let e1 = elastic_connect(
-            &cfg,
-            &JoinIntent::Rejoin {
-                epoch: 0,
-                old_rank: 0,
-            },
-        )
-        .unwrap();
-        assert_eq!((e1.epoch, e1.world), (1, 1));
-        // The long-dead rank 1 now rejoins claiming epoch 0: stale, so it
-        // becomes a pending joiner for epoch 2.
-        let a1 = addr.clone();
-        let stale = std::thread::spawn(move || {
-            let cfg = TcpConfig::new(a1);
-            elastic_connect(
-                &cfg,
-                &JoinIntent::Rejoin {
-                    epoch: 0,
-                    old_rank: 1,
-                },
-            )
-            .unwrap()
-        });
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while elastic_poll(&cfg).unwrap().pending == 0 {
-            assert!(
-                Instant::now() < deadline,
-                "stale rejoin never became pending"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        drop(e1);
-        let e2 = elastic_connect(
-            &cfg,
-            &JoinIntent::Rejoin {
-                epoch: 1,
-                old_rank: 0,
-            },
-        )
-        .unwrap();
-        let back = stale.join().unwrap();
-        assert_eq!((e2.epoch, e2.rank, e2.world), (2, 0, 2));
-        assert_eq!((back.epoch, back.rank), (2, 1));
         handle.stop();
     }
 }

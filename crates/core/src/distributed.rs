@@ -28,7 +28,7 @@ use crate::placement::{self, Placement, PlacementStrategy, TensorAssignment};
 use crate::precond::{self, apply_kl_clip};
 use crate::runtime::{self, ReplanController, ReplanPolicy};
 use spdkfac_collectives::{
-    connect_elastic, elastic_poll, Backend, CommError, CommGroup, JoinIntent, PendingOp, TcpConfig,
+    connect_elastic, elastic_poll, Backend, CommError, CommGroup, JoinIntent, PendingOp,
     WirePolicy, WorkerComm,
 };
 use spdkfac_nn::data::Dataset;
@@ -206,11 +206,11 @@ pub struct RunResult {
 /// - **Endpoint** ([`TrainSession::endpoint`]): runs this process as one
 ///   rank of an already-connected group. Peer failures surface as `Err`
 ///   instead of a panic.
-/// - **Elastic** ([`TrainSession::elastic`]): joins an
-///   [`spdkfac_collectives::ElasticRendezvous`] and survives membership
+/// - **Elastic** ([`TrainSession::elastic`]): joins a long-lived
+///   [`spdkfac_collectives::RendezvousServer`] and survives membership
 ///   changes — rank death shrinks the world at the next barrier, joiners
 ///   are absorbed with a full state handoff (see [`crate::elastic`] and
-///   DESIGN §2.15).
+///   DESIGN §2.10).
 ///
 /// `build` must be deterministic so all replicas start identical.
 #[derive(Debug)]
@@ -292,24 +292,6 @@ impl TrainSession {
             (Some(_), Some(_)) => Err(CommError::Rendezvous(
                 "TrainSession: endpoint and elastic modes are mutually exclusive".into(),
             )),
-            (None, Some(policy)) => run_elastic(
-                &self.config,
-                &policy,
-                build,
-                dataset,
-                iters,
-                batch,
-                self.recorder,
-            ),
-            (Some(comm), None) => worker_impl(
-                &self.config,
-                build,
-                dataset,
-                iters,
-                batch,
-                comm,
-                self.recorder,
-            ),
             (None, None) => Ok(local_train_impl(
                 &self.config,
                 build,
@@ -318,6 +300,16 @@ impl TrainSession {
                 batch,
                 self.recorder.as_ref(),
             )),
+            (endpoint, policy) => run_epochs(
+                &self.config,
+                endpoint,
+                policy.as_ref(),
+                build,
+                dataset,
+                iters,
+                batch,
+                self.recorder,
+            ),
         }
     }
 }
@@ -345,7 +337,7 @@ fn local_train_impl(
             let rec = rec.map(Arc::clone);
             handles.push(s.spawn(move || {
                 let rank = comm.rank();
-                worker_impl(&cfg, build, dataset, iters, batch, comm, rec)
+                run_epochs(&cfg, Some(comm), None, build, dataset, iters, batch, rec)
                     .unwrap_or_else(|e| panic!("rank {rank}: {e}"))
             }));
         }
@@ -400,42 +392,6 @@ impl WorkerObs {
                 .add(elems as u64);
         }
     }
-}
-
-/// One rank over an already-connected endpoint: fresh state, one segment.
-fn worker_impl(
-    cfg: &DistributedConfig,
-    build: &(dyn Fn() -> Sequential + Sync),
-    dataset: &Dataset,
-    iters: usize,
-    batch: usize,
-    comm: WorkerComm,
-    rec: Option<Arc<Recorder>>,
-) -> Result<RunResult, CommError> {
-    let rank = comm.rank();
-    let world = comm.world_size();
-    // Communication threads record on tracks `world..2*world`
-    // (TrackLayout::trainer); the phase of each collective is captured at
-    // submission time from the worker's current phase tag.
-    if let Some(r) = &rec {
-        comm.set_recorder(Arc::clone(r), world + rank);
-    }
-    let obs = WorkerObs { rec, track: rank };
-    let mut ws = WorkerState::fresh(cfg, build);
-    train_segment(cfg, &mut ws, dataset, iters, batch, &comm, &obs, None)?;
-    let stats = comm.stats();
-    Ok(RunResult {
-        losses: ws.losses,
-        final_params: ws.net.flat_params(),
-        traffic_elements: stats.elements_sent(),
-        traffic_wire_bytes: stats.wire_bytes_sent(),
-        collective_ops: stats.ops_executed(),
-        membership: vec![MembershipSpan {
-            epoch: 0,
-            world,
-            from_iter: 0,
-        }],
-    })
 }
 
 /// A rank's complete mutable training state, detached from any communicator
@@ -502,14 +458,6 @@ enum SegmentEnd {
     /// This rank's `leave_after` budget is spent; the caller should drop
     /// the endpoint without rejoining.
     Leave,
-}
-
-/// Elastic context of one segment; `None` runs the loop in classic
-/// fixed-membership mode (bit-identical to the historical trainer).
-struct SegmentElastic {
-    tcp: TcpConfig,
-    poll_every: usize,
-    leave_after: Option<usize>,
 }
 
 /// Fallible sync all-reduce: the async op plus an error-propagating wait
@@ -828,7 +776,8 @@ impl Tail<'_> {
 /// `comm`, mutating `ws` in place so the caller can hand the state to a
 /// successor group on membership changes. Communication failures surface as
 /// `Err` with `ws` left at the last completed iteration boundary; numeric
-/// failures stay panics in every mode.
+/// failures stay panics in every mode. `elastic: None` is the classic
+/// fixed-membership loop (bit-identical to the historical trainer).
 #[allow(clippy::too_many_arguments)]
 fn train_segment(
     cfg: &DistributedConfig,
@@ -838,7 +787,7 @@ fn train_segment(
     batch: usize,
     comm: &WorkerComm,
     obs: &WorkerObs,
-    elastic: Option<&SegmentElastic>,
+    elastic: Option<&ElasticPolicy>,
 ) -> Result<SegmentEnd, CommError> {
     let rank = comm.rank();
     let world = comm.world_size();
@@ -1238,11 +1187,14 @@ fn train_segment(
     Ok(SegmentEnd::Done)
 }
 
-/// The elastic driver: joins the rendezvous, hands off / receives state at
-/// each membership epoch, and runs segments until the iteration budget is
-/// spent (see `TrainSession::elastic`).
+/// One rank's run, epoch by epoch. A `handed` endpoint is a fixed world: one
+/// epoch, nothing to hand off, and a failed collective is final (see
+/// `TrainSession::endpoint`). With a `policy` the rank joins the elastic
+/// rendezvous instead, hands off / receives state at each membership epoch,
+/// and runs segments until the iteration budget is spent (see
+/// `TrainSession::elastic`).
 ///
-/// Recovery flow on any segment exit short of `Done`:
+/// Recovery flow on any elastic segment exit short of `Done`:
 /// 1. drop the endpoint (closing ring sockets — peers blocked on a dead
 ///    rank's collective fail over to the same path),
 /// 2. re-dial the rendezvous with `Rejoin { epoch, old_rank }`,
@@ -1252,9 +1204,10 @@ fn train_segment(
 ///    construction, which keeps the next epoch SPMD-safe),
 /// 4. run the next segment from the checkpoint's iteration.
 #[allow(clippy::too_many_arguments)]
-fn run_elastic(
+fn run_epochs(
     cfg: &DistributedConfig,
-    policy: &ElasticPolicy,
+    mut handed: Option<WorkerComm>,
+    policy: Option<&ElasticPolicy>,
     build: &(dyn Fn() -> Sequential + Sync),
     dataset: &Dataset,
     iters: usize,
@@ -1262,33 +1215,40 @@ fn run_elastic(
     rec: Option<Arc<Recorder>>,
 ) -> Result<RunResult, CommError> {
     let flight = spdkfac_obs::flight::global();
-    let mut ws: Option<WorkerState> = None;
+    let mut state = WorkerState::fresh(cfg, build);
     let mut membership: Vec<MembershipSpan> = Vec::new();
     let mut traffic_elements = 0u64;
     let mut traffic_wire_bytes = 0u64;
     let mut collective_ops = 0u64;
-    let mut intent = JoinIntent::Fresh {
-        claim: policy.claim,
-    };
-    let mut epochs_joined = 0u64;
+    let mut intent = JoinIntent::Fresh;
     loop {
-        epochs_joined += 1;
-        if epochs_joined > policy.max_epochs {
-            return Err(CommError::Rendezvous(format!(
-                "elastic run exceeded its budget of {} membership epochs",
-                policy.max_epochs
-            )));
-        }
-        let ep = connect_elastic(&policy.tcp, &intent, cfg.wire)?;
-        let comm = ep.comm;
+        let (comm, epoch, state_source) = match (handed.take(), policy) {
+            (Some(comm), _) => (comm, 0, None),
+            (None, Some(policy)) => {
+                if membership.len() as u64 >= policy.max_epochs {
+                    return Err(CommError::Rendezvous(format!(
+                        "elastic run exceeded its budget of {} membership epochs",
+                        policy.max_epochs
+                    )));
+                }
+                let ep = connect_elastic(&policy.tcp, &intent, cfg.wire)?;
+                if ep.comm.world_size() < policy.min_world {
+                    return Err(CommError::Rendezvous(format!(
+                        "epoch {}: world shrank to {}, below min_world {}",
+                        ep.epoch,
+                        ep.comm.world_size(),
+                        policy.min_world
+                    )));
+                }
+                (ep.comm, ep.epoch, ep.state_source)
+            }
+            (None, None) => unreachable!("a fixed world has no second epoch"),
+        };
         let rank = comm.rank();
         let world = comm.world_size();
-        if world < policy.min_world {
-            return Err(CommError::Rendezvous(format!(
-                "epoch {}: world shrank to {world}, below min_world {}",
-                ep.epoch, policy.min_world
-            )));
-        }
+        // Communication threads record on tracks `world..2*world`
+        // (TrackLayout::trainer); the phase of each collective is captured
+        // at submission time from the worker's current phase tag.
         if let Some(r) = &rec {
             comm.set_recorder(Arc::clone(r), world + rank);
         }
@@ -1296,62 +1256,45 @@ fn run_elastic(
             rec: rec.clone(),
             track: rank,
         };
-        flight.set_member_epoch(ep.epoch);
+        flight.set_member_epoch(epoch);
 
-        let mut state = ws.take().unwrap_or_else(|| WorkerState::fresh(cfg, build));
         // ---------- State handoff -----------------------------------------
         // After any transition with survivors, the new rank 0 broadcasts its
         // full checkpoint (length first — joiners cannot size the payload)
         // and everyone restores from it.
-        if ep.epoch > 0 {
-            if let Some(src) = ep.state_source {
-                let _handoff = obs.labeled_span(Phase::Update, format!("handoff-e{}", ep.epoch));
-                comm.set_phase(Phase::Update);
-                let packed = if rank == src {
-                    state.checkpoint().pack()
-                } else {
-                    Vec::new()
-                };
-                let len_buf = vec![packed.len() as f64];
-                let len = comm.broadcast_async(len_buf, src).wait()?.data[0] as usize;
-                let payload = if rank == src { packed } else { vec![0.0; len] };
-                let data = comm.broadcast_async(payload, src).wait()?.data;
-                if rank != src {
-                    let ckpt = TrainCheckpoint::unpack(&data).map_err(|e| {
-                        CommError::Io(format!("epoch {}: state handoff corrupt: {e}", ep.epoch))
-                    })?;
-                    state.restore(&ckpt);
-                }
+        if let Some(src) = state_source {
+            let _handoff = obs.labeled_span(Phase::Update, format!("handoff-e{epoch}"));
+            comm.set_phase(Phase::Update);
+            let packed = if rank == src {
+                state.checkpoint().pack()
+            } else {
+                Vec::new()
+            };
+            let len_buf = vec![packed.len() as f64];
+            let len = comm.broadcast_async(len_buf, src).wait()?.data[0] as usize;
+            let payload = if rank == src { packed } else { vec![0.0; len] };
+            let data = comm.broadcast_async(payload, src).wait()?.data;
+            if rank != src {
+                let ckpt = TrainCheckpoint::unpack(&data).map_err(|e| {
+                    CommError::Io(format!("epoch {epoch}: state handoff corrupt: {e}"))
+                })?;
+                state.restore(&ckpt);
             }
         }
         membership.push(MembershipSpan {
-            epoch: ep.epoch,
+            epoch,
             world,
             from_iter: state.next_iter,
         });
 
-        let seg_cfg = SegmentElastic {
-            tcp: policy.tcp.clone(),
-            poll_every: policy.poll_every,
-            leave_after: policy.leave_after,
-        };
-        let end = train_segment(
-            cfg,
-            &mut state,
-            dataset,
-            iters,
-            batch,
-            &comm,
-            &obs,
-            Some(&seg_cfg),
-        );
+        let end = train_segment(cfg, &mut state, dataset, iters, batch, &comm, &obs, policy);
         let stats = comm.stats();
         traffic_elements += stats.elements_sent();
         traffic_wire_bytes += stats.wire_bytes_sent();
         collective_ops += stats.ops_executed();
+        drop(comm);
         match end {
             Ok(SegmentEnd::Done) | Ok(SegmentEnd::Leave) => {
-                drop(comm);
                 return Ok(RunResult {
                     final_params: state.net.flat_params(),
                     losses: state.losses,
@@ -1361,27 +1304,16 @@ fn run_elastic(
                     membership,
                 });
             }
-            Ok(SegmentEnd::ResizeRequested) => {
-                intent = JoinIntent::Rejoin {
-                    epoch: ep.epoch,
-                    old_rank: rank,
-                };
-                ws = Some(state);
-                drop(comm);
-            }
-            Err(e) => {
-                eprintln!(
-                    "[spdkfac] epoch {} rank {rank}: peer failure ({e}); rejoining rendezvous",
-                    ep.epoch
-                );
-                intent = JoinIntent::Rejoin {
-                    epoch: ep.epoch,
-                    old_rank: rank,
-                };
-                ws = Some(state);
-                drop(comm);
-            }
+            Err(e) if policy.is_none() => return Err(e),
+            Err(e) => eprintln!(
+                "[spdkfac] epoch {epoch} rank {rank}: peer failure ({e}); rejoining rendezvous"
+            ),
+            Ok(SegmentEnd::ResizeRequested) => {}
         }
+        intent = JoinIntent::Rejoin {
+            epoch,
+            old_rank: rank,
+        };
     }
 }
 

@@ -335,7 +335,9 @@ pub struct MembershipSpan {
 #[derive(Debug, Clone)]
 pub struct ElasticPolicy {
     /// The long-lived rendezvous to join
-    /// ([`spdkfac_collectives::tcp::ElasticRendezvous`]) and ring wiring
+    /// ([`spdkfac_collectives::tcp::RendezvousServer::serve`]), the rank to
+    /// claim as a founder ([`TcpConfig::rank`]; `None` = arrival order,
+    /// ignored on rejoin, where survivor order rules) and the ring wiring
     /// parameters.
     pub tcp: TcpConfig,
     /// Poll the rendezvous for pending joiners every this many iterations
@@ -351,9 +353,6 @@ pub struct ElasticPolicy {
     /// graceful half of fault injection — peers observe it exactly like a
     /// crash. `None` = run to completion.
     pub leave_after: Option<usize>,
-    /// Epoch-0 rank claim forwarded to the rendezvous (`None` = arrival
-    /// order). Ignored on rejoin, where survivor order rules.
-    pub claim: Option<usize>,
 }
 
 impl ElasticPolicy {
@@ -365,7 +364,6 @@ impl ElasticPolicy {
             max_epochs: 16,
             min_world: 1,
             leave_after: None,
-            claim: None,
         }
     }
 }

@@ -9,7 +9,7 @@
 //! boundary differs (threads here, so one test binary owns the whole
 //! story).
 
-use spdkfac::collectives::tcp::ElasticRendezvous;
+use spdkfac::collectives::tcp::RendezvousServer;
 use spdkfac::collectives::TcpConfig;
 use spdkfac::core::distributed::{Algorithm, DistributedConfig, RunResult, TrainSession};
 use spdkfac::core::elastic::ElasticPolicy;
@@ -41,17 +41,17 @@ fn workload() -> (DistributedConfig, Dataset) {
 
 #[test]
 fn rank_death_shrinks_then_rejoin_regrows_with_loss_parity() {
-    let server = ElasticRendezvous::bind("127.0.0.1:0", WORLD)
+    let server = RendezvousServer::bind("127.0.0.1:0", WORLD)
         .expect("bind elastic rendezvous")
         .with_rejoin_window(Duration::from_millis(800));
     let addr = server.local_addr().to_string();
-    let handle = server.spawn().expect("spawn elastic rendezvous");
+    let handle = server.serve().expect("spawn elastic rendezvous");
     let (cfg, data) = workload();
     let build = || deep_mlp(8, 24, 8, 3, 5);
 
     let member = |claim: Option<usize>, leave_after: Option<usize>| -> RunResult {
         let mut policy = ElasticPolicy::new(TcpConfig::new(addr.clone()));
-        policy.claim = claim;
+        policy.tcp.rank = claim;
         policy.leave_after = leave_after;
         TrainSession::builder(cfg.clone())
             .elastic(policy)
