@@ -42,14 +42,6 @@
 //! *percentage points* (default 5.0) — "the candidate hides less
 //! communication than the baseline did".
 //!
-//! `--critical --history` generalizes the two-file diff to a *trend* over
-//! N chronologically ordered reports (oldest first): each rank's exposed
-//! and idle shares are fit with a least-squares line over report index,
-//! and the gate trips when the **net drift** across the window (slope x
-//! (N - 1)) exceeds the threshold in percentage points — "this rank's
-//! communication has been steadily un-hiding across recent runs", which a
-//! pairwise diff under the same threshold would never catch.
-//!
 //! Exit codes: `0` ok, `1` regression past threshold, `2` usage / parse /
 //! schema error.
 
@@ -80,29 +72,17 @@ const DEFAULT_CRIT_THRESHOLD_PP: f64 = 5.0;
 /// One `(kernel, dim) -> optimized_s` mapping extracted from a bench file.
 type KernelTimes = BTreeMap<(String, usize), f64>;
 
-/// Parsed command line. `inputs` holds exactly two files except in
-/// `--history` mode, where it holds the full chronological window.
+/// Parsed command line.
 struct Args {
-    inputs: Vec<String>,
+    baseline: String,
+    candidate: String,
     threshold: f64,
     check: bool,
     critical: bool,
-    history: bool,
-}
-
-impl Args {
-    fn baseline(&self) -> &str {
-        &self.inputs[0]
-    }
-
-    fn candidate(&self) -> &str {
-        &self.inputs[1]
-    }
 }
 
 fn usage() -> String {
-    "usage: bench_diff <baseline.json> <candidate.json> [--threshold X] [--check] [--critical]\n\
-     \x20      bench_diff --critical --history <oldest.json> ... <newest.json> [--threshold X]"
+    "usage: bench_diff <baseline.json> <candidate.json> [--threshold X] [--check] [--critical]"
         .to_string()
 }
 
@@ -111,7 +91,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut threshold: Option<f64> = None;
     let mut check = false;
     let mut critical = false;
-    let mut history = false;
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
@@ -130,33 +109,25 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--check" => check = true,
             "--critical" => critical = true,
-            "--history" => history = true,
             other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
             other => positional.push(other.to_string()),
         }
         i += 1;
     }
-    if history && !critical {
-        return Err("--history requires --critical".to_string());
-    }
-    if history {
-        if positional.len() < 2 {
-            return Err(usage());
-        }
-    } else if positional.len() != 2 {
+    let Ok([baseline, candidate]) = <[String; 2]>::try_from(positional) else {
         return Err(usage());
-    }
+    };
     let threshold = threshold.unwrap_or(if critical {
         DEFAULT_CRIT_THRESHOLD_PP
     } else {
         DEFAULT_THRESHOLD
     });
     Ok(Args {
-        inputs: positional,
+        baseline,
+        candidate,
         threshold,
         check,
         critical,
-        history,
     })
 }
 
@@ -509,143 +480,9 @@ fn report_critical(rows: &[CritRow], threshold_pp: f64) -> Vec<String> {
     regressed
 }
 
-/// One `(rank, category)` trend row of `--history` mode.
-struct TrendRow {
-    rank: usize,
-    category: &'static str,
-    first: f64,
-    last: f64,
-    /// Least-squares slope of the share, in percentage points per report.
-    slope_pp: f64,
-    /// Net fitted drift across the window: `slope * (N - 1)`, in pp.
-    net_pp: f64,
-    gated: bool,
-}
-
-/// Least-squares slope of `ys` against `x = 0, 1, ..`. Zero for fewer than
-/// two points (no trend is observable).
-fn ls_slope(ys: &[f64]) -> f64 {
-    let n = ys.len() as f64;
-    if ys.len() < 2 {
-        return 0.0;
-    }
-    let xbar = (n - 1.0) / 2.0;
-    let ybar = ys.iter().sum::<f64>() / n;
-    let (mut num, mut den) = (0.0, 0.0);
-    for (i, y) in ys.iter().enumerate() {
-        let dx = i as f64 - xbar;
-        num += dx * (y - ybar);
-        den += dx * dx;
-    }
-    num / den
-}
-
-/// Fits per-rank category-share trends over a chronological window of
-/// reports. Only ranks present in *every* snapshot are compared.
-fn trend_critical(history: &[RankShares]) -> Vec<TrendRow> {
-    let Some(first) = history.first() else {
-        return Vec::new();
-    };
-    let n = history.len();
-    first
-        .keys()
-        .filter(|rank| history.iter().all(|h| h.contains_key(rank)))
-        .flat_map(|&rank| {
-            CRIT_CATEGORIES
-                .iter()
-                .enumerate()
-                .map(move |(k, &category)| {
-                    let ys: Vec<f64> = history.iter().map(|h| h[&rank][k]).collect();
-                    let slope = ls_slope(&ys);
-                    TrendRow {
-                        rank,
-                        category,
-                        first: ys[0],
-                        last: ys[n - 1],
-                        slope_pp: slope * 100.0,
-                        net_pp: slope * (n - 1) as f64 * 100.0,
-                        gated: category == "exposed" || category == "idle",
-                    }
-                })
-        })
-        .collect()
-}
-
-/// Renders the trend table and returns the drifting rows.
-fn report_trend(rows: &[TrendRow], threshold_pp: f64) -> Vec<String> {
-    let mut t = Table::new([
-        "rank", "category", "first", "last", "trend", "net", "status",
-    ]);
-    let mut regressed = Vec::new();
-    for r in rows {
-        let status = if r.gated && r.net_pp > threshold_pp {
-            regressed.push(format!(
-                "rank {} {} share drifting +{:.1}pp over the window ({:.1}% -> {:.1}%)",
-                r.rank,
-                r.category,
-                r.net_pp,
-                r.first * 100.0,
-                r.last * 100.0
-            ));
-            "DRIFTING"
-        } else if r.gated && r.net_pp < -threshold_pp {
-            "improved"
-        } else {
-            "ok"
-        };
-        t.push_row([
-            r.rank.to_string(),
-            r.category.to_string(),
-            format!("{:.1}%", r.first * 100.0),
-            format!("{:.1}%", r.last * 100.0),
-            format!("{:+.2}pp/run", r.slope_pp),
-            format!("{:+.1}pp", r.net_pp),
-            status.to_string(),
-        ]);
-    }
-    print!("{}", t.render_text());
-    regressed
-}
-
-fn run_history(args: &Args) -> Result<ExitCode, String> {
-    let history: Vec<RankShares> = args
-        .inputs
-        .iter()
-        .map(|p| load_critical(p))
-        .collect::<Result<_, _>>()?;
-    let rows = trend_critical(&history);
-    if rows.is_empty() {
-        if args.check {
-            println!("bench_diff --check: schemas ok, no rank present in every report");
-            return Ok(ExitCode::SUCCESS);
-        }
-        return Err("no rank is present in every report of the history window".to_string());
-    }
-    let regressed = report_trend(&rows, args.threshold);
-    println!(
-        "{} rank(s) over {} report(s), threshold {:.1}pp net drift on exposed/idle shares, \
-         {} drift(s)",
-        rows.len() / CRIT_CATEGORIES.len(),
-        history.len(),
-        args.threshold,
-        regressed.len()
-    );
-    if regressed.is_empty() {
-        Ok(ExitCode::SUCCESS)
-    } else {
-        for r in &regressed {
-            eprintln!("regression: {r}");
-        }
-        Ok(ExitCode::FAILURE)
-    }
-}
-
 fn run_critical(args: &Args) -> Result<ExitCode, String> {
-    if args.history {
-        return run_history(args);
-    }
-    let baseline = load_critical(args.baseline())?;
-    let candidate = load_critical(args.candidate())?;
+    let baseline = load_critical(&args.baseline)?;
+    let candidate = load_critical(&args.candidate)?;
     let rows = diff_critical(&baseline, &candidate);
     if rows.is_empty() {
         if args.check {
@@ -654,8 +491,7 @@ fn run_critical(args: &Args) -> Result<ExitCode, String> {
         }
         return Err(format!(
             "no overlapping ranks between {} and {}",
-            args.baseline(),
-            args.candidate()
+            args.baseline, args.candidate
         ));
     }
     let regressed = report_critical(&rows, args.threshold);
@@ -689,16 +525,16 @@ fn run(args: &Args) -> Result<ExitCode, String> {
     if args.critical {
         return run_critical(args);
     }
-    let base_doc = load_doc(args.baseline())?;
-    let cand_doc = load_doc(args.candidate())?;
+    let base_doc = load_doc(&args.baseline)?;
+    let cand_doc = load_doc(&args.candidate)?;
     if is_wire(&base_doc) || is_wire(&cand_doc) {
         return run_wire(args, &base_doc, &cand_doc);
     }
     if is_scale(&base_doc) || is_scale(&cand_doc) {
         return run_scale(args, &base_doc, &cand_doc);
     }
-    let baseline = extract(&base_doc, args.baseline())?;
-    let candidate = extract(&cand_doc, args.candidate())?;
+    let baseline = extract(&base_doc, &args.baseline)?;
+    let candidate = extract(&cand_doc, &args.candidate)?;
     let rows = diff(&baseline, &candidate);
     if rows.is_empty() {
         if args.check {
@@ -709,8 +545,7 @@ fn run(args: &Args) -> Result<ExitCode, String> {
         }
         return Err(format!(
             "no overlapping (kernel, dim) rows between {} and {}",
-            args.baseline(),
-            args.candidate()
+            args.baseline, args.candidate
         ));
     }
     let regressed = report(&rows, args.threshold, ["kernel", "dim"]);
@@ -734,8 +569,8 @@ fn run(args: &Args) -> Result<ExitCode, String> {
 /// `--check` the files are validated and the timing gate is skipped (see
 /// the module doc for why smoke-vs-full times are not comparable).
 fn run_wire(args: &Args, base_doc: &JsonValue, cand_doc: &JsonValue) -> Result<ExitCode, String> {
-    let baseline = extract_wire(base_doc, args.baseline())?;
-    let candidate = extract_wire(cand_doc, args.candidate())?;
+    let baseline = extract_wire(base_doc, &args.baseline)?;
+    let candidate = extract_wire(cand_doc, &args.candidate)?;
     if args.check {
         println!(
             "bench_diff --check: wire schemas ok ({} baseline / {} candidate rows)",
@@ -748,8 +583,7 @@ fn run_wire(args: &Args, base_doc: &JsonValue, cand_doc: &JsonValue) -> Result<E
     if rows.is_empty() {
         return Err(format!(
             "no overlapping (format|mode, world) rows between {} and {}",
-            args.baseline(),
-            args.candidate()
+            args.baseline, args.candidate
         ));
     }
     let regressed = report(&rows, args.threshold, ["row", "world"]);
@@ -776,8 +610,8 @@ fn run_wire(args: &Args, base_doc: &JsonValue, cand_doc: &JsonValue) -> Result<E
 /// simulator's scaling behaviour moved, which is exactly what the CI gate
 /// exists to catch.
 fn run_scale(args: &Args, base_doc: &JsonValue, cand_doc: &JsonValue) -> Result<ExitCode, String> {
-    let baseline = extract_scale(base_doc, args.baseline())?;
-    let candidate = extract_scale(cand_doc, args.candidate())?;
+    let baseline = extract_scale(base_doc, &args.baseline)?;
+    let candidate = extract_scale(cand_doc, &args.candidate)?;
     let rows = diff(&baseline, &candidate);
     if rows.is_empty() {
         if args.check {
@@ -786,8 +620,7 @@ fn run_scale(args: &Args, base_doc: &JsonValue, cand_doc: &JsonValue) -> Result<
         }
         return Err(format!(
             "no overlapping (model|topology|policy, world) rows between {} and {}",
-            args.baseline(),
-            args.candidate()
+            args.baseline, args.candidate
         ));
     }
     let regressed = report(&rows, args.threshold, ["row", "world"]);
@@ -981,8 +814,8 @@ mod tests {
             "--check".into(),
         ])
         .expect("valid args");
-        assert_eq!(ok.baseline(), "a.json");
-        assert_eq!(ok.candidate(), "b.json");
+        assert_eq!(ok.baseline, "a.json");
+        assert_eq!(ok.candidate, "b.json");
         assert!((ok.threshold - 1.5).abs() < 1e-12);
         assert!(ok.check);
         assert!(parse_args(&["a.json".into()]).is_err());
@@ -995,56 +828,7 @@ mod tests {
         let plain = parse_args(&["a".into(), "b".into()]).expect("valid");
         assert!(!plain.critical);
         assert!((plain.threshold - DEFAULT_THRESHOLD).abs() < 1e-12);
-        // --history needs --critical and accepts > 2 inputs.
-        assert!(parse_args(&["a".into(), "b".into(), "--history".into()]).is_err());
-        let hist = parse_args(&[
-            "a".into(),
-            "b".into(),
-            "c".into(),
-            "--critical".into(),
-            "--history".into(),
-        ])
-        .expect("valid");
-        assert!(hist.history);
-        assert_eq!(hist.inputs.len(), 3);
-        assert!(parse_args(&["a".into(), "--critical".into(), "--history".into()]).is_err());
-    }
-
-    #[test]
-    fn ls_slope_fits_lines_exactly() {
-        assert!((ls_slope(&[0.1, 0.2, 0.3, 0.4]) - 0.1).abs() < 1e-12);
-        assert!(ls_slope(&[0.5]).abs() < 1e-12);
-        // A palindromic sequence has zero net trend.
-        assert!(ls_slope(&[0.2, 0.4, 0.4, 0.2]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn steady_exposed_drift_trips_the_history_gate() {
-        // Exposed comm creeping 0.5 s -> 1.7 s of a 10 s wall over four
-        // runs: +12pp net on both ranks, past the default 5pp gate —
-        // while each *adjacent pair* only moves 4pp and would pass a
-        // pairwise diff at the same threshold.
-        let window: Vec<RankShares> = [0.5, 0.9, 1.3, 1.7].map(crit_shares).into_iter().collect();
-        for pair in window.windows(2) {
-            let rows = diff_critical(&pair[0], &pair[1]);
-            assert!(report_critical(&rows, DEFAULT_CRIT_THRESHOLD_PP).is_empty());
-        }
-        let rows = trend_critical(&window);
-        assert_eq!(rows.len(), 2 * CRIT_CATEGORIES.len());
-        let regressed = report_trend(&rows, DEFAULT_CRIT_THRESHOLD_PP);
-        assert_eq!(regressed.len(), 2);
-        assert!(regressed.iter().all(|r| r.contains("exposed")));
-    }
-
-    #[test]
-    fn flat_history_and_improvements_pass() {
-        let flat: Vec<RankShares> = [1.0, 1.0, 1.0].map(crit_shares).into_iter().collect();
-        assert!(report_trend(&trend_critical(&flat), DEFAULT_CRIT_THRESHOLD_PP).is_empty());
-        // Exposed shrinking over the window is an improvement, not a drift
-        // (idle grows by construction of the fixture, so keep it within
-        // the gate: 1.5 s -> 1.2 s is a 3pp idle rise).
-        let better: Vec<RankShares> = [1.5, 1.35, 1.2].map(crit_shares).into_iter().collect();
-        assert!(report_trend(&trend_critical(&better), DEFAULT_CRIT_THRESHOLD_PP).is_empty());
+        assert!(parse_args(&["a".into(), "b".into(), "c".into()]).is_err());
     }
 
     /// A minimal `bench_wire` artifact with every row's `comm_s` scaled.

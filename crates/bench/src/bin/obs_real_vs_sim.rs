@@ -1,44 +1,88 @@
-//! Observability: measured vs simulated iteration breakdowns, side by side.
+//! Observability: a measured iteration and the simulator's prediction of
+//! the *same schedule*, side by side.
 //!
-//! Runs the *real* multi-threaded trainers (D-KFAC and SPD-KFAC) under a
-//! [`Recorder`], builds the measured [`IterationBreakdown`] from the spans,
-//! and prints it in the same CSV schema as the simulator's breakdown of the
-//! paper testbed — the two columns are literally the same type, produced by
-//! the same attribution code. Also exports the measured SPD-KFAC timeline as
-//! Chrome-trace JSON through the one shared serializer.
+//! Runs the real multi-threaded trainers (D-KFAC and SPD-KFAC) under a
+//! [`Recorder`] and builds the measured [`IterationBreakdown`] from the
+//! spans. The simulated rows come from [`simulate_graph`] on the iteration
+//! graph those runs executed — same layer shapes, same plan, the trainer's
+//! `DataDeps` dependencies — so both columns describe one schedule, are
+//! literally the same type, and come out of the same attribution code. The
+//! graph's collectives are printed beside the ones rank 0's comm thread
+//! recorded. Also exports the measured SPD-KFAC timeline as Chrome-trace
+//! JSON through the one shared serializer.
 //!
 //! ```text
 //! cargo run --release -p spdkfac-bench --bin obs_real_vs_sim -- 4 /tmp/real.json
 //! ```
 
 use spdkfac_bench::{header, note};
-use spdkfac_core::distributed::{Algorithm, DistributedConfig, TrainSession};
-use spdkfac_models::resnet50;
+use spdkfac_core::distributed::{
+    initial_plan, iteration_graph, Algorithm, DistributedConfig, TrainSession,
+};
+use spdkfac_core::iteration::IterationGraph;
+use spdkfac_core::FusionStrategy;
+use spdkfac_models::{LayerSpec, ModelProfile};
 use spdkfac_nn::data::gaussian_blobs;
 use spdkfac_nn::models::deep_mlp;
+use spdkfac_nn::Sequential;
 use spdkfac_obs::summary::render_summary;
 use spdkfac_obs::{chrome_trace, IterationBreakdown, Recorder, TrackLayout};
-use spdkfac_sim::{simulate_iteration, Algo, SimConfig};
+use spdkfac_sim::{simulate_graph, SimConfig};
 use std::sync::Arc;
 
-fn real_breakdown(
-    world: usize,
-    algorithm: Algorithm,
-    iters: usize,
-) -> (Arc<Recorder>, IterationBreakdown) {
-    let rec = Arc::new(Recorder::new(2 * world));
+const ITERS: usize = 8;
+const BATCH: usize = 4;
+
+fn build() -> Sequential {
+    deep_mlp(8, 24, 8, 3, 5)
+}
+
+fn config(world: usize, algorithm: Algorithm) -> DistributedConfig {
     let mut cfg = DistributedConfig::new(world, algorithm);
     cfg.kfac.damping = 0.1;
     cfg.kfac.lr = 0.05;
     cfg.kfac.momentum = 0.0;
+    // One message per factor: the plan the run agrees on after its first
+    // iteration is then the one it starts with, whatever it measures, so
+    // the executed graph is known here without instrumenting the run.
+    cfg.fusion = FusionStrategy::LayerWise;
+    cfg
+}
+
+fn real_breakdown(cfg: &DistributedConfig) -> (Arc<Recorder>, IterationBreakdown) {
+    let world = cfg.world;
+    let rec = Arc::new(Recorder::new(2 * world));
     let data = gaussian_blobs(3, 8, 8 * world, 0.3, 42);
-    let _ = TrainSession::builder(cfg)
+    let _ = TrainSession::builder(cfg.clone())
         .recorder(Arc::clone(&rec))
-        .run(&|| deep_mlp(8, 24, 8, 3, 5), &data, iters, 4)
+        .run(&build, &data, ITERS, BATCH)
         .expect("local run");
     let mut b = IterationBreakdown::from_recorder(&rec, world);
-    b.scale(1.0 / iters as f64); // per-iteration average
+    b.scale(1.0 / ITERS as f64); // per-iteration average
     (rec, b)
+}
+
+/// Prints the graph's collectives beside what rank 0's comm thread
+/// recorded in the run's last iteration.
+fn print_collectives(name: &str, graph: &IterationGraph, rec: &Recorder, world: usize) {
+    let planned = graph.collectives();
+    let spans = rec.spans();
+    let mut recorded: Vec<_> = spans
+        .iter()
+        .filter(|s| s.track == world && s.phase.is_comm())
+        .collect();
+    recorded.sort_by_key(|s| s.meta.seq);
+    assert_eq!(recorded.len(), ITERS * planned.len(), "{name}: op count");
+    let last = recorded[(ITERS - 1) * planned.len()..].iter();
+    let comm = "a comm span carries its edge and size";
+    let last: Vec<_> = last
+        .map(|s| (s.phase, s.meta.edge.expect(comm), s.meta.size.expect(comm)))
+        .collect();
+    for (k, (planned, recorded)) in planned.iter().zip(&last).enumerate() {
+        let ((phase, edge, elems), (r_phase, r_edge, r_elems)) = (planned, recorded);
+        println!("{name},{k},{phase},{edge:?},{elems},{r_phase},{r_edge:?},{r_elems}");
+    }
+    assert_eq!(planned, last, "{name}: the graph vs the comm thread");
 }
 
 fn main() {
@@ -49,25 +93,35 @@ fn main() {
         .unwrap_or(4);
     let trace_path = args.next();
     assert!(world >= 1, "world must be at least 1, got {world}");
-    let iters = 8;
 
     header(&format!(
-        "Observability: measured ({world}-rank real trainers, per-iteration avg) vs simulated (paper testbed)"
+        "Observability: measured ({world}-rank real trainers, per-iteration avg) vs the same schedule simulated"
     ));
 
+    let net = build();
+    let specs = net.kfac_dims().into_iter().enumerate();
+    let specs = specs.map(|(i, (a, g))| LayerSpec::linear(format!("fc{i}"), a, g));
+    let model = ModelProfile::new("deep_mlp", specs.collect(), BATCH);
+    let sim_cfg = SimConfig::paper_testbed(world);
+
     println!("source,algo,{}", IterationBreakdown::csv_header());
-    let (_, d_real) = real_breakdown(world, Algorithm::DKfac, iters);
-    let (spd_rec, s_real) = real_breakdown(world, Algorithm::SpdKfac, iters);
-    println!("measured,dkfac,{}", d_real.csv_row());
-    println!("measured,spdkfac,{}", s_real.csv_row());
-
-    let cfg = SimConfig::paper_testbed(world);
-    let m = resnet50();
-    for (name, algo) in [("dkfac", Algo::DKfac), ("spdkfac", Algo::SpdKfac)] {
-        let r = simulate_iteration(&m, &cfg, algo);
-        println!("simulated,{name},{}", r.breakdown.csv_row());
+    let mut runs = Vec::new();
+    for (name, algorithm) in [("dkfac", Algorithm::DKfac), ("spdkfac", Algorithm::SpdKfac)] {
+        let cfg = config(world, algorithm);
+        let (rec, real) = real_breakdown(&cfg);
+        println!("measured,{name},{}", real.csv_row());
+        // What every iteration of that run executed (inverses are
+        // refreshed each iteration).
+        let graph = iteration_graph(&cfg, &net, initial_plan(&cfg, &net, world).current(), true);
+        let sim = simulate_graph(&graph, &model, &sim_cfg);
+        println!("simulated,{name},{}", sim.breakdown.csv_row());
+        runs.push((name, graph, rec, real));
     }
-
+    note(
+        "absolute times are not comparable: the simulated rows price the schedule with the \
+         paper's GPU-testbed models, the measured rows ran it on this CPU",
+    );
+    let (d_real, s_real) = (&runs[0].3, &runs[1].3);
     note(&format!(
         "measured exposed comm: dkfac {:.6}s vs spdkfac {:.6}s per iteration",
         d_real.exposed_comm(),
@@ -78,8 +132,15 @@ fn main() {
         d_real.factor_comm, s_real.factor_comm
     ));
 
+    header("Collectives of one iteration: the graph vs rank 0's comm thread");
+    println!("algo,k,phase,edge,elements,recorded_phase,recorded_edge,recorded_elements");
+    for (name, graph, rec, _) in &runs {
+        print_collectives(name, graph, rec, world);
+    }
+
+    let spd_rec = &runs[1].2;
     header("SPD-KFAC measured run summary");
-    print!("{}", render_summary(&spd_rec, world));
+    print!("{}", render_summary(spd_rec, world));
 
     if let Some(path) = trace_path {
         let json = chrome_trace(&spd_rec.spans(), &TrackLayout::trainer(world));

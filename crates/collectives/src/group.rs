@@ -205,8 +205,11 @@ impl WorkerComm {
     }
 
     /// Traffic counters: shared by the whole group on the in-process
-    /// backend, per-process (this rank's sends only) on TCP.
-    pub fn stats(&self) -> &TrafficStats {
+    /// backend, per-process (this rank's sends only) on TCP. A comm thread
+    /// counts an operation after handing its result over, so the group's
+    /// totals are final only once every endpoint has been dropped — keep a
+    /// clone of the handle to read them then.
+    pub fn stats(&self) -> &Arc<TrafficStats> {
         &self.stats
     }
 

@@ -16,17 +16,24 @@
 //! which is the paper's premise for comparing them on wall-clock time only
 //! (§VI: *"our proposed algorithms are systemic optimizations without
 //! affecting the numerical results"*).
+//!
+//! Those two columns are all an algorithm chooses, and it chooses them once:
+//! [`iteration_graph`] turns them into a [`crate::iteration`] graph, and
+//! every worker executes that graph node by node, whatever the algorithm.
 
 use crate::calibrate::Calibrator;
 use crate::ekfac;
 use crate::elastic::{ElasticPolicy, FactorCheckpoint, MembershipSpan, TrainCheckpoint};
 use crate::factors::{local_factor_a, local_factor_g, FactorState};
 use crate::fusion::{self, FactorPipeline, FusionStrategy};
+use crate::iteration::{
+    Deps, FactorComm, GradCut, IterationGraph, LayerShape, NodeId, Op, Spec, Who,
+};
 use crate::optimizer::KfacConfig;
 use crate::perf::{AlphaBetaModel, ExpInverseModel};
-use crate::placement::{self, Placement, PlacementStrategy, TensorAssignment};
+use crate::placement::{self, PlacementStrategy};
 use crate::precond::{self, apply_kl_clip};
-use crate::runtime::{self, ReplanController, ReplanPolicy};
+use crate::runtime::{self, PlanEpoch, PlanStore, ReplanController, ReplanPolicy};
 use spdkfac_collectives::{
     connect_elastic, elastic_poll, Backend, CommError, CommGroup, JoinIntent, PendingOp,
     WirePolicy, WorkerComm,
@@ -42,25 +49,6 @@ use spdkfac_tensor::{chol, Matrix, SymPacked};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// One `(layer, param, len)` run of a WFBP gradient bucket.
-type GradSegment = (usize, usize, usize);
-
-/// What an in-flight collective of the current iteration carries. Tensors
-/// are numbered as in the placement: `2·state` is `A`, `2·state + 1` is `G`.
-enum Arrival {
-    /// A fused factor all-reduce: these tensors' packed triangles, back to
-    /// back.
-    Factors(Vec<usize>),
-    /// A WFBP gradient bucket.
-    Grads(Vec<GradSegment>),
-    /// The broadcast of a CT's inverse (EKFAC: of its eigenbasis `Q‖λ`).
-    Inverse(usize),
-}
-
-/// The iteration's in-flight collectives in submission order — which is
-/// completion order, the comm thread being FIFO.
-type InFlight = VecDeque<(Arrival, PendingOp)>;
 
 /// Which training algorithm the workers run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -329,6 +317,8 @@ fn local_train_impl(
         .build()
         .expect("local backend is infallible")
         .into_endpoints();
+    // The in-process group shares one set of traffic counters.
+    let stats = Arc::clone(endpoints[0].stats());
     let mut result: Option<RunResult> = None;
     std::thread::scope(|s| {
         let mut handles = Vec::new();
@@ -348,7 +338,15 @@ fn local_train_impl(
             }
         }
     });
-    result.expect("rank 0 result missing")
+    // Rank 0 read the counters when *its* run ended, with other ranks' comm
+    // threads still counting the last collective; they are final only now
+    // that every rank (and with it its comm thread) has been joined.
+    RunResult {
+        traffic_elements: stats.elements_sent(),
+        traffic_wire_bytes: stats.wire_bytes_sent(),
+        collective_ops: stats.ops_executed(),
+        ..result.expect("rank 0 result missing")
+    }
 }
 
 /// Per-worker span handle: phase spans on the worker's compute track
@@ -469,148 +467,137 @@ fn allreduce_avg_checked(comm: &WorkerComm, buf: &mut [f64]) -> Result<(), CommE
     Ok(())
 }
 
-/// Submits the buffered `(tensor, packed factor)` pairs as one fused
-/// all-reduce and returns its element count.
-fn submit_factors(
-    comm: &WorkerComm,
-    buf: &mut Vec<(usize, SymPacked)>,
-    in_flight: &mut InFlight,
-) -> usize {
-    let mut payload = Vec::with_capacity(buf.iter().map(|(_, f)| f.len()).sum());
-    let mut tensors = Vec::with_capacity(buf.len());
-    for (t, factor) in buf.drain(..) {
-        tensors.push(t);
-        payload.extend_from_slice(factor.as_slice());
-    }
-    let elems = payload.len();
-    comm.set_phase(Phase::FactorComm);
-    in_flight.push_back((Arrival::Factors(tensors), comm.allreduce_avg_async(payload)));
-    elems
+/// The standing decisions a segment starts from: the inverse placement over
+/// the 2L tensors (`A_l`, `G_l` interleaved) and, for the algorithms that
+/// pipeline factor communication behind the passes (SPD, EKFAC-SPD), one
+/// message per factor — until the first iteration's measured ready times
+/// are agreed on.
+pub fn initial_plan(cfg: &DistributedConfig, net: &Sequential, world: usize) -> PlanStore {
+    let dims = net.kfac_dims();
+    let inv_dims: Vec<usize> = dims.iter().flat_map(|&(a, g)| [a, g]).collect();
+    let inv_placement = placement::place(
+        &inv_dims,
+        world,
+        &cfg.comp_model,
+        &cfg.comm_model,
+        cfg.effective_placement(),
+    );
+    let pipelined =
+        matches!(cfg.algorithm, Algorithm::SpdKfac | Algorithm::EkfacSpd) && !dims.is_empty();
+    let layer_wise = |sizes: Vec<usize>| {
+        pipelined.then(|| {
+            let pipe = FactorPipeline::new(vec![0.0; sizes.len()], sizes).expect("valid");
+            fusion::plan(&pipe, &cfg.comm_model, FusionStrategy::LayerWise)
+        })
+    };
+    PlanStore::new(
+        inv_placement,
+        layer_wise(dims.iter().map(|&(a, _)| packed_len(a)).collect()),
+        layer_wise(dims.iter().rev().map(|&(_, g)| packed_len(g)).collect()),
+    )
 }
 
-/// Submits the WFBP fusion buffer (if it holds anything) as one all-reduce.
-fn submit_grads(
-    comm: &WorkerComm,
-    segments: &mut Vec<GradSegment>,
-    buf: &mut Vec<f64>,
-    in_flight: &mut InFlight,
-) {
-    if buf.is_empty() {
-        return;
-    }
-    comm.set_phase(Phase::GradComm);
-    in_flight.push_back((
-        Arrival::Grads(std::mem::take(segments)),
-        comm.allreduce_avg_async(std::mem::take(buf)),
-    ));
+/// The schedule of one iteration of `cfg.algorithm` on `net` under `plan` —
+/// what [`TrainSession`]'s workers execute. The algorithm decides here, once,
+/// how statistics travel and where gradient messages are cut; `refresh`
+/// says whether the iteration recomputes the inverses.
+pub fn iteration_graph(
+    cfg: &DistributedConfig,
+    net: &Sequential,
+    plan: &PlanEpoch,
+    refresh: bool,
+) -> IterationGraph {
+    let capture = cfg.algorithm != Algorithm::SSgd;
+    let layers: Vec<LayerShape> = net
+        .layers()
+        .iter()
+        .map(|l| LayerShape {
+            grad_elems: l.params().iter().map(|p| p.numel()).sum(),
+            factor: l.kfac_dims().filter(|_| capture),
+        })
+        .collect();
+    let factor_comm = match (cfg.algorithm, &plan.a_fusion, &plan.g_fusion) {
+        (Algorithm::DKfac | Algorithm::MpdKfac, ..) => FactorComm::Bulk,
+        (_, Some(a), Some(g)) => FactorComm::Pipelined { a, g },
+        // S-SGD takes no statistics; a pipelined algorithm without a
+        // preconditionable layer has none to send.
+        _ => FactorComm::Local,
+    };
+    IterationGraph::build(&Spec {
+        layers: &layers,
+        factor_comm,
+        grad_cut: match factor_comm {
+            FactorComm::Pipelined { .. } => GradCut::CapAndGBuckets(cfg.grad_fusion_elems),
+            _ => GradCut::Cap(cfg.grad_fusion_elems),
+        },
+        placement: &plan.placement,
+        refresh,
+        inverse_len: match cfg.algorithm {
+            // An eigenbasis travels as `Q‖λ`.
+            Algorithm::EkfacSpd => |d| d * d + d,
+            _ => packed_len,
+        },
+        deps: Deps::DataDeps,
+    })
 }
 
-/// The dependency-driven tail of one iteration, shared by every algorithm:
-/// blocks on the in-flight collectives in completion order, installs what
-/// each delivers and at once runs whatever that arrival unblocked (DESIGN
-/// "Iteration tail"):
+/// The two graphs of a plan: `[between refreshes, on a refresh]`.
+fn plan_graphs(cfg: &DistributedConfig, net: &Sequential, plan: &PlanEpoch) -> [IterationGraph; 2] {
+    [false, true].map(|refresh| iteration_graph(cfg, net, plan, refresh))
+}
+
+/// One rank executing one iteration's graph (DESIGN "Iteration graph"): the
+/// collectives it has submitted and not yet landed, what its compute nodes
+/// left for a later node, and the kernels behind the nodes.
 ///
-/// | arrival | installs | unblocks |
-/// |---|---|---|
-/// | factor bucket | running `A`/`G` averages | this rank's inversions of the bucket's tensors; CT broadcasts |
-/// | gradient bucket | averaged gradients | the bucket's layers whose two inverses are fresh |
-/// | CT broadcast | the inverse | its layer, if the gradient is in |
-///
-/// What is left after the last arrival is the KL clip (a global sum) and
-/// the SGD step.
-struct Tail<'a> {
+/// | collective | landing it installs |
+/// |---|---|
+/// | factor message | the running `A`/`G` averages |
+/// | gradient message | the averaged gradients |
+/// | CT broadcast | the inverse |
+struct Executor<'a> {
     cfg: &'a DistributedConfig,
     rank: usize,
-    comm: &'a WorkerComm,
     obs: &'a WorkerObs,
-    placement: &'a Placement,
+    graph: &'a IterationGraph,
     /// Dimension of every tensor (`A_l`, `G_l` interleaved).
     inv_dims: &'a [usize],
-    state_of_layer: &'a [Option<usize>],
     net: &'a mut Sequential,
     states: &'a mut [FactorState],
     ekfac_bases: &'a mut [Option<(Matrix, Vec<f64>)>],
     ekfac_scales: &'a mut [Option<Matrix>],
-    in_flight: InFlight,
-    /// Whether this iteration recomputes the inverses.
-    refresh: bool,
-    /// Per tensor: is its installed inverse the one this iteration
-    /// preconditions with? All true from the start between refreshes.
+    /// Submitted collectives in submission order — which is completion
+    /// order, the comm thread being FIFO.
+    in_flight: VecDeque<(NodeId, PendingOp)>,
+    /// Per tensor: this iteration's local statistic, until its message
+    /// takes it.
+    stats: Vec<Option<SymPacked>>,
+    /// Per tensor: the inverse this rank owns, in wire form, until its
+    /// broadcast takes it.
+    owned: Vec<Option<Vec<f64>>>,
+    /// Per tensor (EKFAC): has this iteration's eigenbasis been installed?
     fresh: Vec<bool>,
 }
 
-impl Tail<'_> {
-    /// Drains the in-flight collectives; with `precondition`, returns the
-    /// update directions in the model's flat parameter order.
-    fn run(mut self, precondition: bool) -> Result<Vec<Matrix>, CommError> {
-        // Flat index of each layer's first parameter, then the total.
-        let mut param_base: Vec<usize> = Vec::with_capacity(self.net.len() + 1);
-        param_base.push(0);
-        for layer in self.net.layers() {
-            param_base.push(param_base[param_base.len() - 1] + layer.params().len());
-        }
-        let nparams = if precondition {
-            param_base[self.net.len()]
-        } else {
-            0
-        };
-        let mut directions: Vec<Option<Matrix>> = vec![None; nparams];
-        let mut grad_in = vec![false; self.net.len()];
-
-        while let Some((arrival, op)) = self.in_flight.pop_front() {
+impl Executor<'_> {
+    /// Blocks on the in-flight collectives up to node `upto`, in completion
+    /// order, and installs what each delivers.
+    fn land_through(&mut self, upto: NodeId) -> Result<(), CommError> {
+        let graph = self.graph;
+        while self.in_flight.front().is_some_and(|(c, _)| *c <= upto) {
+            let (c, op) = self.in_flight.pop_front().expect("front checked");
             let data = op.wait()?.data;
-            // Layers this arrival may have completed the inputs of.
-            let touched: Vec<usize> = match arrival {
-                Arrival::Factors(tensors) => {
-                    self.install_factors(&tensors, &data);
-                    if self.refresh {
-                        self.refresh_inverses(tensors)
-                    } else {
-                        Vec::new()
-                    }
-                }
-                Arrival::Grads(segments) => {
-                    let mut off = 0usize;
-                    // A layer's parameters always share a bucket, so one
-                    // bucket completes a layer's gradient.
-                    for &(li, pi, len) in &segments {
-                        let mut params = self.net.layers_mut()[li].params_mut();
-                        let grad = params[pi].grad.as_mut_slice();
-                        grad.copy_from_slice(&data[off..off + len]);
-                        off += len;
-                        grad_in[li] = true;
-                    }
-                    debug_assert_eq!(off, data.len(), "gradient bucket mis-sized");
-                    segments.into_iter().map(|(li, _, _)| li).collect()
-                }
-                Arrival::Inverse(t) => {
-                    self.install_inverse(t, &data);
-                    vec![self.states[t / 2].layer()]
-                }
-            };
-            if !precondition {
-                continue;
-            }
-            for li in touched {
-                let si = self.state_of_layer[li];
-                let slots = &mut directions[param_base[li]..param_base[li + 1]];
-                let ready =
-                    grad_in[li] && si.is_none_or(|si| self.fresh[2 * si] && self.fresh[2 * si + 1]);
-                if ready && slots.iter().all(Option::is_none) {
-                    let _up = self.obs.span(Phase::Update);
-                    for (slot, d) in slots.iter_mut().zip(self.layer_directions(li, si)) {
-                        *slot = Some(d);
-                    }
-                }
+            match &graph.nodes()[c].op {
+                Op::AllReduceFactors(tensors) => self.install_factors(tensors, &data),
+                Op::AllReduceGrads(layers) => self.install_grads(layers, &data),
+                Op::Broadcast { tensor, .. } => self.install_inverse(*tensor, &data),
+                _ => unreachable!("only collectives are in flight"),
             }
         }
-        Ok(directions
-            .into_iter()
-            .map(|d| d.expect("every arrival consumed, yet a layer has no direction"))
-            .collect())
+        Ok(())
     }
 
-    /// Folds an aggregated factor bucket into the running averages.
+    /// Folds an aggregated factor message into the running averages.
     fn install_factors(&mut self, tensors: &[usize], data: &[f64]) {
         let decay = self.cfg.kfac.stat_decay;
         let mut rest = data;
@@ -625,63 +612,37 @@ impl Tail<'_> {
                 self.states[t / 2].update_g(factor, decay);
             }
         }
-        debug_assert!(rest.is_empty(), "factor bucket mis-sized");
+        debug_assert!(rest.is_empty(), "factor message mis-sized");
     }
 
-    /// Inverts the tensors of a just-landed factor bucket that the
-    /// placement gives this rank, while later buckets are still on the
-    /// wire. NCT results are installed on the spot; every CT is broadcast
-    /// the moment its owner has it. Returns the layers that got an inverse.
-    ///
-    /// §V-B order: CTs before NCTs, smallest first. SPMD-safe because the
-    /// order is a function of the agreed fusion plan and placement alone:
-    /// every rank walks it identically and submits each CT's broadcast —
-    /// the owner with the data, the others with a placeholder — at the same
-    /// position in it.
-    fn refresh_inverses(&mut self, mut tensors: Vec<usize>) -> Vec<usize> {
-        tensors.sort_by_key(|&t| (self.placement.is_nct(t), self.inv_dims[t], t));
-        let mut touched = Vec::new();
-        for t in tensors {
-            match self.placement.assignments()[t] {
-                TensorAssignment::AllGpus => {
-                    // Never on the wire: the K-FAC inverse is installed as
-                    // computed, without a round trip through its packed form.
-                    if self.ekfac() {
-                        let payload = self.invert(t);
-                        self.install_inverse(t, &payload);
-                    } else {
-                        let inv = self.kfac_inverse(t);
-                        self.set_kfac_inverse(t, inv);
-                    }
-                    touched.push(self.states[t / 2].layer());
-                }
-                TensorAssignment::Gpu(owner) => {
-                    let payload = if owner == self.rank {
-                        self.invert(t)
-                    } else {
-                        vec![0.0; self.inverse_len(t)]
-                    };
-                    self.comm.set_phase(Phase::InverseComm);
-                    let op = self.comm.broadcast_async(payload, owner);
-                    self.in_flight.push_back((Arrival::Inverse(t), op));
-                }
+    /// Scatters an averaged gradient message back into its layers.
+    fn install_grads(&mut self, layers: &[usize], data: &[f64]) {
+        let mut rest = data;
+        for &li in layers {
+            for p in self.net.layers_mut()[li].params_mut() {
+                let grad = p.grad.as_mut_slice();
+                let (head, tail) = rest.split_at(grad.len());
+                grad.copy_from_slice(head);
+                rest = tail;
             }
         }
-        touched
+        debug_assert!(rest.is_empty(), "gradient message mis-sized");
     }
 
     fn ekfac(&self) -> bool {
         self.cfg.algorithm == Algorithm::EkfacSpd
     }
 
-    /// Wire length of tensor `t`'s inverse: the packed triangle, or `Q‖λ`
-    /// under EKFAC.
-    fn inverse_len(&self, t: usize) -> usize {
-        let d = self.inv_dims[t];
+    /// Inverts an NCT and installs the result on the spot: it is never on
+    /// the wire, so the K-FAC inverse skips the round trip through its
+    /// packed form.
+    fn invert_in_place(&mut self, t: usize) {
         if self.ekfac() {
-            d * d + d
+            let payload = self.invert(t);
+            self.install_inverse(t, &payload);
         } else {
-            packed_len(d)
+            let inv = self.kfac_inverse(t);
+            self.set_kfac_inverse(t, inv);
         }
     }
 
@@ -725,7 +686,6 @@ impl Tail<'_> {
 
     /// Installs tensor `t`'s K-FAC inverse.
     fn set_kfac_inverse(&mut self, t: usize, inv: Matrix) {
-        self.fresh[t] = true;
         if t.is_multiple_of(2) {
             self.states[t / 2].set_a_inv(inv);
         } else {
@@ -823,22 +783,23 @@ fn train_segment(
     // G back-to-front (backward pass).
     let a_sizes: Vec<usize> = dims.iter().map(|&(a, _)| packed_len(a)).collect();
     let g_sizes_rev: Vec<usize> = dims.iter().rev().map(|&(_, g)| packed_len(g)).collect();
-
-    // Inverse placement over the 2L tensors (A_l, G_l interleaved). The
-    // generation-0 plan goes into the epoch-versioned store; re-plan
-    // barriers may swap it later (see `crate::runtime`).
+    // Dimension of every tensor (A_l, G_l interleaved).
     let inv_dims: Vec<usize> = dims.iter().flat_map(|&(a, g)| [a, g]).collect();
-    let inv_placement = placement::place(
-        &inv_dims,
-        world,
-        &cfg.comp_model,
-        &cfg.comm_model,
-        cfg.effective_placement(),
-    );
+    // Flat index of each layer's first parameter, then the total.
+    let mut param_base: Vec<usize> = Vec::with_capacity(net.len() + 1);
+    param_base.push(0);
+    for layer in net.layers() {
+        param_base.push(param_base[param_base.len() - 1] + layer.params().len());
+    }
+
+    // The generation-0 plan goes into the epoch-versioned store; re-plan
+    // barriers may swap it later (see `crate::runtime`).
+    let mut store = initial_plan(cfg, net, world);
     // Publish the load balancer's verdict once (rank 0): CT/NCT counts and
     // the modelled per-GPU load it balanced (Eq. 21).
     if rank == 0 {
         if let Some(r) = &obs.rec {
+            let inv_placement = &store.current().placement;
             let m = r.metrics();
             let ncts = inv_placement.num_nct();
             m.gauge("placement/nct").set(ncts as f64);
@@ -850,22 +811,12 @@ fn train_segment(
             }
         }
     }
-    // SPD / EKFAC-SPD pipeline factor communication behind the passes.
-    // Until the first iteration's measured ready times are agreed on, every
-    // factor is its own message.
-    let pipelined =
-        matches!(cfg.algorithm, Algorithm::SpdKfac | Algorithm::EkfacSpd) && nlayers > 0;
-    let layer_wise = |sizes: &[usize]| {
-        pipelined.then(|| {
-            let pipe = FactorPipeline::new(vec![0.0; nlayers], sizes.to_vec()).expect("valid");
-            fusion::plan(&pipe, &cfg.comm_model, FusionStrategy::LayerWise)
-        })
-    };
-    let mut store = runtime::PlanStore::new(
-        inv_placement,
-        layer_wise(&a_sizes),
-        layer_wise(&g_sizes_rev),
-    );
+    // SPD / EKFAC-SPD agree on fusion plans from the first iteration's
+    // measured ready times.
+    let pipelined = store.current().a_fusion.is_some();
+    // What the workers execute: rebuilt whenever the plan changes, not per
+    // iteration.
+    let mut graphs = plan_graphs(cfg, net, store.current());
     let mut controller = ReplanController::new(cfg.replan);
     let mut calibrator = Calibrator::new(cfg.comp_model, cfg.comm_model);
     // Recorder high-water mark: spans ending before this were already fed
@@ -889,151 +840,182 @@ fn train_segment(
     // last completed iteration. SPMD-safe: every rank resumes from the same
     // handed-off state.
     losses.truncate(seg_start);
+    // Per tensor: seconds into its pass at which its statistic was taken.
+    let mut ready = vec![0.0f64; 2 * nlayers];
     for iter in seg_start..iters {
         let flight_iter_start = flight.now();
         let start = (iter * batch) % (shard.len() - batch + 1);
         let (x, y) = shard.batch(start, batch);
         let capture = cfg.algorithm != Algorithm::SSgd;
-
-        // Everything this iteration puts on the wire, in submission order,
-        // for the tail consumer below.
-        let mut in_flight = InFlight::new();
-        let mut factor_buf: Vec<(usize, SymPacked)> = Vec::new();
-
-        // ---------- Forward (+ pipelined A-factor aggregation for SPD) ----
-        let mut a_ready = vec![0.0f64; nlayers];
-        let forward_span = obs.span(Phase::FfBp);
-        let out = if pipelined {
-            let plan = store.current().a_fusion.as_ref().expect("A plan");
-            let mut ctl = fusion::FusionController::new(plan);
-            let t0 = Instant::now();
-            let mut pos = 0usize;
-            let out = net.forward_each(&x, capture, |_, layer| {
-                if let Some(a_rows) = layer.take_a_stat() {
-                    a_ready[pos] = t0.elapsed().as_secs_f64();
-                    {
-                        let _fc = obs.span(Phase::FactorComp);
-                        let factor = SymPacked::from_matrix(&local_factor_a(&a_rows));
-                        factor_buf.push((2 * pos, factor));
-                    }
-                    if ctl.offer(pos).is_some() {
-                        let elems = submit_factors(comm, &mut factor_buf, &mut in_flight);
-                        obs.record_flush("a", elems);
-                    }
-                    pos += 1;
-                }
-            });
-            assert!(ctl.is_drained(), "unflushed A-factor bucket");
-            out
-        } else {
-            net.forward(&x, capture)
-        };
-        drop(forward_span);
-
-        // ---------- Loss ------------------------------------------------
-        let (local_loss, grad) = softmax_cross_entropy(&out, &y);
-
-        // ---------- Backward: WFBP gradient aggregation (all algorithms)
-        // and pipelined G-factor aggregation (SPD). Gradients of each layer
-        // become ready as its backward runs; they join a fusion buffer and
-        // are all-reduced asynchronously once `grad_fusion_elems` is reached
-        // — the wait-free back-propagation of §II-A. The pipelined
-        // algorithms also cut the buffer wherever Eq. 15 cut the G factors,
-        // so each layer group's gradients travel right behind its factors
-        // and the tail can precondition it while later groups are in flight.
-        let mut g_ready = vec![0.0f64; nlayers];
-        let mut g_ctl = store
-            .current()
-            .g_fusion
-            .as_ref()
-            .map(fusion::FusionController::new);
-        let mut g_pos = 0usize;
-        let mut grad_buf: Vec<f64> = Vec::new();
-        let mut grad_segments: Vec<GradSegment> = Vec::new();
-        let t0 = Instant::now();
-        let backward_span = obs.span(Phase::FfBp);
-        net.backward_each(&grad, |li, layer| {
-            let mut g_flushed = false;
-            // Only the pipelined algorithms take the G statistic here; the
-            // bulk path leaves it for `take_captures`.
-            if let Some(ctl) = g_ctl.as_mut() {
-                if let Some((g_rows, n)) = layer.take_g_stat() {
-                    g_ready[g_pos] = t0.elapsed().as_secs_f64();
-                    {
-                        let _fc = obs.span(Phase::FactorComp);
-                        let factor = SymPacked::from_matrix(&local_factor_g(&g_rows, n));
-                        factor_buf.push((2 * (nlayers - 1 - g_pos) + 1, factor));
-                    }
-                    if ctl.offer(g_pos).is_some() {
-                        let elems = submit_factors(comm, &mut factor_buf, &mut in_flight);
-                        obs.record_flush("g", elems);
-                        g_flushed = true;
-                    }
-                    g_pos += 1;
-                }
-            }
-            for (pi, p) in layer.params().iter().enumerate() {
-                grad_segments.push((li, pi, p.grad.as_slice().len()));
-                grad_buf.extend_from_slice(p.grad.as_slice());
-            }
-            if g_flushed || grad_buf.len() >= cfg.grad_fusion_elems {
-                submit_grads(comm, &mut grad_segments, &mut grad_buf, &mut in_flight);
-            }
-        });
-        drop(backward_span);
-        if let Some(ctl) = &g_ctl {
-            assert!(ctl.is_drained(), "unflushed G-factor bucket");
-        }
-        submit_grads(comm, &mut grad_segments, &mut grad_buf, &mut in_flight);
-
-        // ---------- Factor aggregation (bulk path for D/MPD) --------------
-        if matches!(cfg.algorithm, Algorithm::DKfac | Algorithm::MpdKfac) {
-            let fc = obs.span(Phase::FactorComp);
-            for (li, cap) in net.take_captures() {
-                let si = state_of_layer[li].expect("capture from unknown layer");
-                factor_buf.push((2 * si, SymPacked::from_matrix(&cap.factor_a())));
-                factor_buf.push((2 * si + 1, SymPacked::from_matrix(&cap.factor_g())));
-            }
-            drop(fc);
-            submit_factors(comm, &mut factor_buf, &mut in_flight);
-        } else if pipelined {
-            // The passes consumed the per-layer stats; drain any leftover
-            // capture state.
-            let _ = net.take_captures();
-        }
-
-        // ---------- Tail: consume arrivals, run what each one unblocks -----
         let refresh = capture && iter % cfg.kfac.inv_update_freq.max(1) == 0;
-        let tail = Tail {
+
+        // ---------- The iteration: walk the graph front to back -----------
+        // Every rank walks the same nodes in the same order and submits
+        // every collective at the same position (DESIGN "Iteration graph").
+        let graph = &graphs[usize::from(refresh)];
+        let mut ex = Executor {
             cfg,
             rank,
-            comm,
             obs,
-            placement: &store.current().placement,
+            graph,
             inv_dims: &inv_dims,
-            state_of_layer: &state_of_layer,
             net: &mut *net,
             states: &mut *states,
             ekfac_bases: &mut *ekfac_bases,
             ekfac_scales: &mut *ekfac_scales,
-            in_flight,
-            refresh,
-            fresh: vec![!refresh; 2 * nlayers],
+            in_flight: VecDeque::new(),
+            stats: vec![None; 2 * nlayers],
+            owned: vec![None; 2 * nlayers],
+            fresh: vec![false; 2 * nlayers],
         };
-        let mut directions = tail.run(capture)?;
-
-        // ---------- Update -------------------------------------------------
-        let update_span = obs.labeled_span(Phase::Update, format!("iter{iter}"));
-        if capture {
-            if let Some(clip) = cfg.kfac.kl_clip {
-                let raw: Vec<Matrix> = net.parameters().iter().map(|p| p.grad.clone()).collect();
-                apply_kl_clip(&mut directions, &raw, cfg.kfac.lr, clip);
+        // The activations on the way forward, the loss gradient on the way
+        // back.
+        let mut flow = x;
+        let mut local_loss = None;
+        // Update directions in the model's flat parameter order.
+        let mut directions: Vec<Option<Matrix>> = vec![None; param_base[ex.net.len()]];
+        // One FfBp span per pass, statistics and submissions nested in it.
+        let mut pass: Option<SpanGuard<'_>> = None;
+        let mut pass_start = Instant::now();
+        for (id, node) in graph.nodes().iter().enumerate() {
+            if matches!(node.who, Who::Rank(r) if r != rank) {
+                continue;
             }
-            sgd.step_with_directions(&mut net.parameters_mut(), &directions);
-        } else {
-            sgd.step(&mut net.parameters_mut());
+            // A pass ends with its last layer's nodes: statistics taken
+            // after backward (the bulk message's) are not part of it.
+            let in_pass = match node.op {
+                Op::FactorA(_) => local_loss.is_none(),
+                Op::Invert(_) | Op::Broadcast { .. } | Op::Precondition(_) | Op::Update => false,
+                _ => true,
+            };
+            if !in_pass {
+                drop(pass.take());
+            }
+            // What the node needs off the wire has to land first; whatever
+            // was submitted before that lands with it.
+            if let Some(upto) = graph.awaits(id) {
+                ex.land_through(upto)?;
+            }
+            match &node.op {
+                Op::Forward(l) => {
+                    if *l == 0 {
+                        pass = obs.span(Phase::FfBp);
+                        pass_start = Instant::now();
+                    }
+                    flow = ex.net.layers_mut()[*l].forward(&flow, capture);
+                }
+                Op::Backward(l) => {
+                    if *l + 1 == ex.net.len() {
+                        drop(pass.take());
+                        let (loss, grad) = softmax_cross_entropy(&flow, &y);
+                        (local_loss, flow) = (Some(loss), grad);
+                        pass = obs.span(Phase::FfBp);
+                        pass_start = Instant::now();
+                    }
+                    flow = ex.net.layers_mut()[*l].backward(&flow);
+                }
+                Op::FactorA(l) | Op::FactorG(l) => {
+                    let g_side = matches!(node.op, Op::FactorG(_));
+                    let state = state_of_layer[*l].expect("statistic of a layer without factors");
+                    let t = 2 * state + usize::from(g_side);
+                    let layer = &mut ex.net.layers_mut()[*l];
+                    ready[t] = pass_start.elapsed().as_secs_f64();
+                    let _fc = obs.span(Phase::FactorComp);
+                    let factor = if g_side {
+                        let (rows, n) = layer.take_g_stat().expect("G statistic not captured");
+                        local_factor_g(&rows, n)
+                    } else {
+                        local_factor_a(&layer.take_a_stat().expect("A statistic not captured"))
+                    };
+                    ex.stats[t] = Some(SymPacked::from_matrix(&factor));
+                }
+                Op::AllReduceFactors(tensors) => {
+                    let mut payload = Vec::with_capacity(node.elems);
+                    for &t in tensors {
+                        let stat = ex.stats[t].take().expect("statistic precedes its message");
+                        payload.extend_from_slice(stat.as_slice());
+                    }
+                    comm.set_phase(node.op.phase());
+                    ex.in_flight
+                        .push_back((id, comm.allreduce_avg_async(payload)));
+                    // A message of one pass's statistics is a realized
+                    // Eq. 15 flush; the bulk message mixes both.
+                    let side = |s: usize| tensors.iter().all(|t| t % 2 == s);
+                    match (side(0), side(1)) {
+                        (true, false) => obs.record_flush("a", node.elems),
+                        (false, true) => obs.record_flush("g", node.elems),
+                        _ => {}
+                    }
+                }
+                Op::AllReduceGrads(layers) => {
+                    // Grown by doubling, as the WFBP buffer always was, not
+                    // sized to `node.elems`: freeing the over-sized chunk
+                    // lifts glibc's mmap threshold past the model's size,
+                    // without which a process that runs several sessions
+                    // re-faults every session's state in its first iteration
+                    // (EXPERIMENTS "Iteration graph", `setup_s`).
+                    let mut payload = Vec::new();
+                    for &li in layers {
+                        for p in ex.net.layers()[li].params() {
+                            payload.extend_from_slice(p.grad.as_slice());
+                        }
+                    }
+                    comm.set_phase(node.op.phase());
+                    ex.in_flight
+                        .push_back((id, comm.allreduce_avg_async(payload)));
+                }
+                Op::Invert(t) => match node.who {
+                    Who::Every => ex.invert_in_place(*t),
+                    Who::Rank(_) => ex.owned[*t] = Some(ex.invert(*t)),
+                },
+                // Every rank submits at the same position: the owner with
+                // the data, the others with a placeholder of its length.
+                // All ranks — the owner included — install a CT from the
+                // broadcast *result*, so replicas stay bit-identical under
+                // lossy wire formats too.
+                Op::Broadcast { tensor, root } => {
+                    let payload = ex.owned[*tensor].take();
+                    let payload = payload.unwrap_or_else(|| vec![0.0; node.elems]);
+                    comm.set_phase(node.op.phase());
+                    ex.in_flight
+                        .push_back((id, comm.broadcast_async(payload, *root)));
+                }
+                Op::Precondition(layers) => {
+                    for &li in layers {
+                        let _up = obs.span(Phase::Update);
+                        let slots = &mut directions[param_base[li]..param_base[li + 1]];
+                        let dirs = ex.layer_directions(li, state_of_layer[li]);
+                        for (slot, d) in slots.iter_mut().zip(dirs) {
+                            *slot = Some(d);
+                        }
+                    }
+                }
+                // What needs everything: the KL clip (a global sum) and the
+                // step. `capture` selects the update rule.
+                Op::Update => {
+                    let _update = obs.labeled_span(Phase::Update, format!("iter{iter}"));
+                    if capture {
+                        let mut directions: Vec<Matrix> = directions
+                            .drain(..)
+                            .map(|d| d.expect("a parameter was left without a direction"))
+                            .collect();
+                        if let Some(clip) = cfg.kfac.kl_clip {
+                            let raw: Vec<Matrix> =
+                                ex.net.parameters().iter().map(|p| p.grad.clone()).collect();
+                            apply_kl_clip(&mut directions, &raw, cfg.kfac.lr, clip);
+                        }
+                        sgd.step_with_directions(&mut ex.net.parameters_mut(), &directions);
+                    } else {
+                        sgd.step(&mut ex.net.parameters_mut());
+                    }
+                }
+            }
         }
-        drop(update_span);
+        debug_assert!(
+            ex.in_flight.is_empty(),
+            "a collective outlived its iteration"
+        );
+        let local_loss = local_loss.expect("an iteration runs a backward pass");
 
         // ---------- Loss reporting ----------------------------------------
         // Elastic mode piggybacks a resize flag on the loss all-reduce:
@@ -1079,7 +1061,12 @@ fn train_segment(
         // ready-times under the *current* world size, so each membership
         // epoch re-agrees from its own first iteration.
         if pipelined && iter == seg_start {
-            let mut times: Vec<f64> = a_ready.iter().chain(g_ready.iter()).copied().collect();
+            // Pipeline order: A statistics front to back, then G back to front.
+            let g_times = (0..nlayers).rev().map(|si| ready[2 * si + 1]);
+            let mut times: Vec<f64> = (0..nlayers)
+                .map(|si| ready[2 * si])
+                .chain(g_times)
+                .collect();
             allreduce_avg_checked(comm, &mut times)?;
             let (a_avg, g_avg) = times.split_at(nlayers);
             let a_pipe =
@@ -1104,6 +1091,7 @@ fn train_segment(
                 }
             }
             store.install_fusion(Some(a), Some(g));
+            graphs = plan_graphs(cfg, net, store.current());
             a_pipeline = Some(a_pipe);
             g_pipeline = Some(g_pipe);
         }
@@ -1150,6 +1138,7 @@ fn train_segment(
             let outcome = controller.consider(&mut store, placement, a_f, g_f);
             if outcome.swapped {
                 comm.set_generation(store.generation());
+                graphs = plan_graphs(cfg, net, store.current());
             }
             drop(replan_span);
             if rank == 0 {
@@ -1487,6 +1476,29 @@ mod tests {
             s.collective_ops,
             m.collective_ops
         );
+    }
+
+    #[test]
+    fn local_traffic_counters_are_read_after_every_rank_has_finished() {
+        // The in-process group shares its counters; read while other ranks'
+        // comm threads were still counting the last loss reduce, they used
+        // to differ from run to run.
+        let world = 4;
+        let mut cfg = DistributedConfig::new(world, Algorithm::DKfac);
+        cfg.kfac.damping = 0.1;
+        cfg.kfac.momentum = 0.0;
+        let data = gaussian_blobs(3, 6, 8, 0.3, 7);
+        let counters = |r: &RunResult| (r.collective_ops, r.traffic_elements, r.traffic_wire_bytes);
+        let run = || {
+            TrainSession::builder(cfg.clone())
+                .run(&|| deep_mlp(6, 12, 2, 3, 3), &data, 4, 4)
+                .expect("local run")
+        };
+        let first = counters(&run());
+        assert_eq!(first.0 % world as u64, 0, "every rank executes every op");
+        for repeat in 1..20 {
+            assert_eq!(counters(&run()), first, "repeat {repeat}");
+        }
     }
 
     fn max_diff(a: &[f64], b: &[f64]) -> f64 {

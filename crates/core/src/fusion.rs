@@ -290,62 +290,6 @@ fn optimal_buckets(pipeline: &FactorPipeline, comm: &AlphaBetaModel) -> Vec<Vec<
     best.expect("at least one seed").0
 }
 
-/// Runtime companion of a [`FusionPlan`]: the §V-A `TensorFusionController`.
-///
-/// Factors are offered in pipeline order; the controller buffers them and
-/// returns a flushed bucket (the member indices and their payload sizes)
-/// exactly when the plan's bucket is complete — the caller then issues one
-/// fused all-reduce for it.
-#[derive(Debug, Clone)]
-pub struct FusionController<'a> {
-    plan: &'a FusionPlan,
-    bucket_idx: usize,
-    pending: Vec<usize>,
-}
-
-impl<'a> FusionController<'a> {
-    /// Creates a controller over `plan`.
-    pub fn new(plan: &'a FusionPlan) -> Self {
-        FusionController {
-            plan,
-            bucket_idx: 0,
-            pending: Vec::new(),
-        }
-    }
-
-    /// Offers the next factor (pipeline position `pos`); returns the
-    /// complete bucket's positions when this factor fills it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if positions are offered out of pipeline order or beyond the
-    /// plan.
-    pub fn offer(&mut self, pos: usize) -> Option<Vec<usize>> {
-        let bucket = self
-            .plan
-            .buckets()
-            .get(self.bucket_idx)
-            .unwrap_or_else(|| panic!("factor {pos} offered beyond the plan"));
-        let expect = bucket[self.pending.len()];
-        assert_eq!(
-            pos, expect,
-            "factor {pos} offered out of order (expected {expect})"
-        );
-        self.pending.push(pos);
-        if self.pending.len() == bucket.len() {
-            self.bucket_idx += 1;
-            Some(std::mem::take(&mut self.pending))
-        } else {
-            None
-        }
-    }
-
-    /// `true` when every planned bucket has been flushed.
-    pub fn is_drained(&self) -> bool {
-        self.bucket_idx == self.plan.buckets().len() && self.pending.is_empty()
-    }
-}
-
 /// Timeline of one simulated pass: when each message starts/ends and how
 /// much communication failed to hide behind compute.
 #[derive(Debug, Clone, PartialEq)]
@@ -550,28 +494,6 @@ mod tests {
         let ot = simulate(&p, &plan(&p, &c, FusionStrategy::Optimal), &c, 0.0);
         assert!(ot.finish < nv.finish);
         assert!(ot.non_overlapped < nv.non_overlapped);
-    }
-
-    #[test]
-    fn controller_flushes_on_plan_boundaries() {
-        let p = pipeline(&[0.0, 0.1, 10.0], &[1, 1, 1]);
-        let pl = plan(&p, &comm(), FusionStrategy::Optimal);
-        assert_eq!(pl.buckets(), &[vec![0, 1], vec![2]]);
-        let mut ctl = FusionController::new(&pl);
-        assert_eq!(ctl.offer(0), None);
-        assert_eq!(ctl.offer(1), Some(vec![0, 1]));
-        assert!(!ctl.is_drained());
-        assert_eq!(ctl.offer(2), Some(vec![2]));
-        assert!(ctl.is_drained());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of order")]
-    fn controller_rejects_out_of_order() {
-        let p = pipeline(&[0.0, 1.0], &[1, 1]);
-        let pl = plan(&p, &comm(), FusionStrategy::LayerWise);
-        let mut ctl = FusionController::new(&pl);
-        let _ = ctl.offer(1);
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //!   least-squares fitters (the Fig. 7/8 methodology).
 //! - [`fusion`]: pipelining of factor communication with **dynamic tensor
 //!   fusion** (§IV-A, Eq. 15) and the three baselines of Fig. 10.
+//! - [`iteration`]: **one iteration as a value** — the task graph of
+//!   Fig. 1/4 (passes, statistics, fused all-reduces, inversions, CT
+//!   broadcasts, preconditioning, update), built once per plan by a pure
+//!   function and executed by the [`distributed`] workers and lowered by the
+//!   simulator.
 //! - [`placement`]: **load-balancing placement** of the `2L` matrix
 //!   inversions (Algorithm 1) with CT/NCT classification, plus the
 //!   Seq-Dist (Eq. 22) and Non-Dist baselines of Fig. 12.
@@ -58,6 +63,7 @@ pub mod elastic;
 pub mod error;
 pub mod factors;
 pub mod fusion;
+pub mod iteration;
 pub mod optimizer;
 pub mod perf;
 pub mod placement;

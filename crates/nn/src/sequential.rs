@@ -62,40 +62,6 @@ impl Sequential {
         cur
     }
 
-    /// Forward pass invoking `hook(layer_index, layer)` right after each
-    /// layer runs — the `register_forward_pre_hook` pipeline point of §V-A
-    /// (the hook can drain `take_a_stat` and hand the factor to the fusion
-    /// controller while later layers are still computing).
-    pub fn forward_each(
-        &mut self,
-        x: &Tensor4,
-        capture: bool,
-        mut hook: impl FnMut(usize, &mut dyn Layer),
-    ) -> Tensor4 {
-        let mut cur = x.clone();
-        for (i, l) in self.layers.iter_mut().enumerate() {
-            cur = l.forward(&cur, capture);
-            hook(i, l.as_mut());
-        }
-        cur
-    }
-
-    /// Backward pass invoking `hook(layer_index, layer)` right after each
-    /// layer's backward runs (layers are visited back-to-front) — the
-    /// `register_backward_hook` pipeline point of §V-A.
-    pub fn backward_each(
-        &mut self,
-        grad: &Tensor4,
-        mut hook: impl FnMut(usize, &mut dyn Layer),
-    ) -> Tensor4 {
-        let mut cur = grad.clone();
-        for (i, l) in self.layers.iter_mut().enumerate().rev() {
-            cur = l.backward(&cur);
-            hook(i, l.as_mut());
-        }
-        cur
-    }
-
     /// Immutable parameter views in layer order.
     pub fn parameters(&self) -> Vec<&Param> {
         self.layers.iter().flat_map(|l| l.params()).collect()

@@ -7,49 +7,7 @@
 //! queue, and makes simulation a single deterministic forward pass over the
 //! issue order.
 
-use spdkfac_obs::SpanMeta;
-
-/// Category of a task, used for the Fig. 2 / Fig. 9 breakdown accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Tag {
-    /// Feed-forward and back-propagation compute (green blocks in Fig. 1).
-    FfBp,
-    /// Gradient all-reduce (light brown).
-    GradComm,
-    /// Kronecker-factor construction compute (blue).
-    FactorComp,
-    /// Kronecker-factor all-reduce (dark brown).
-    FactorComm,
-    /// Matrix-inversion compute (the `f(T_i)` of §IV-B).
-    InverseComp,
-    /// Inverse-result broadcast (red).
-    InverseComm,
-    /// Anything else (preconditioning, update).
-    Other,
-}
-
-impl Tag {
-    /// `true` for network (communication) tags.
-    pub fn is_comm(self) -> bool {
-        matches!(self, Tag::GradComm | Tag::FactorComm | Tag::InverseComm)
-    }
-
-    /// The shared observability [`Phase`](spdkfac_obs::Phase) this tag maps
-    /// to (`Other` ↔ `Update`); measured and simulated timelines use the
-    /// same categories.
-    pub fn phase(self) -> spdkfac_obs::Phase {
-        use spdkfac_obs::Phase;
-        match self {
-            Tag::FfBp => Phase::FfBp,
-            Tag::GradComm => Phase::GradComm,
-            Tag::FactorComp => Phase::FactorComp,
-            Tag::FactorComm => Phase::FactorComm,
-            Tag::InverseComp => Phase::InverseComp,
-            Tag::InverseComm => Phase::InverseComm,
-            Tag::Other => Phase::Update,
-        }
-    }
-}
+use spdkfac_obs::{Phase, SpanMeta};
 
 /// Converts simulated spans into the shared observability span type (track =
 /// resource id), for the shared exporters and breakdown attribution. Span
@@ -61,7 +19,7 @@ pub fn to_obs_spans(spans: &[TaskSpan]) -> Vec<spdkfac_obs::Span> {
         .iter()
         .map(|s| spdkfac_obs::Span {
             track: s.resource,
-            phase: s.tag.phase(),
+            phase: s.phase,
             label: std::borrow::Cow::Borrowed(""),
             start: s.start,
             end: s.end,
@@ -81,7 +39,7 @@ pub struct Task {
     /// smaller than this task's id (issue order is causal).
     pub deps: Vec<usize>,
     /// Breakdown category.
-    pub tag: Tag,
+    pub phase: Phase,
     /// Collective metadata (edge/seq/size/generation) mirrored onto the
     /// produced span; default for compute tasks.
     pub meta: SpanMeta,
@@ -97,7 +55,7 @@ pub struct TaskSpan {
     /// Resource the task ran on.
     pub resource: usize,
     /// Category.
-    pub tag: Tag,
+    pub phase: Phase,
     /// Collective metadata inherited from the task.
     pub meta: SpanMeta,
 }
@@ -107,11 +65,12 @@ pub struct TaskSpan {
 /// # Example
 ///
 /// ```
-/// use spdkfac_sim::graph::{Tag, TaskGraph};
+/// use spdkfac_obs::Phase;
+/// use spdkfac_sim::graph::TaskGraph;
 ///
 /// let mut g = TaskGraph::new(2); // one GPU stream + one network
-/// let a = g.push(0, 1.0, &[], Tag::FfBp);
-/// let b = g.push(1, 0.5, &[a], Tag::GradComm); // comm waits for compute
+/// let a = g.push(0, 1.0, &[], Phase::FfBp);
+/// let b = g.push(1, 0.5, &[a], Phase::GradComm); // comm waits for compute
 /// let spans = g.simulate();
 /// assert_eq!(spans[b].start, 1.0);
 /// assert_eq!(spans[b].end, 1.5);
@@ -152,8 +111,8 @@ impl TaskGraph {
     ///
     /// Panics if `resource` is out of range, `duration` is negative/NaN, or
     /// any dependency id is not smaller than the new task's id.
-    pub fn push(&mut self, resource: usize, duration: f64, deps: &[usize], tag: Tag) -> usize {
-        self.push_meta(resource, duration, deps, tag, SpanMeta::default())
+    pub fn push(&mut self, resource: usize, duration: f64, deps: &[usize], phase: Phase) -> usize {
+        self.push_meta(resource, duration, deps, phase, SpanMeta::default())
     }
 
     /// As [`TaskGraph::push`], attaching collective metadata that the
@@ -167,7 +126,7 @@ impl TaskGraph {
         resource: usize,
         duration: f64,
         deps: &[usize],
-        tag: Tag,
+        phase: Phase,
         meta: SpanMeta,
     ) -> usize {
         assert!(
@@ -186,7 +145,7 @@ impl TaskGraph {
             resource,
             duration,
             deps: deps.to_vec(),
-            tag,
+            phase,
             meta,
         });
         id
@@ -232,7 +191,7 @@ impl TaskGraph {
                 start,
                 end,
                 resource: t.resource,
-                tag: t.tag,
+                phase: t.phase,
                 meta: t.meta,
             });
         }
@@ -252,8 +211,8 @@ mod tests {
     #[test]
     fn serial_tasks_on_one_resource() {
         let mut g = TaskGraph::new(1);
-        g.push(0, 1.0, &[], Tag::FfBp);
-        g.push(0, 2.0, &[], Tag::FfBp);
+        g.push(0, 1.0, &[], Phase::FfBp);
+        g.push(0, 2.0, &[], Phase::FfBp);
         let s = g.simulate();
         assert_eq!(s[0].end, 1.0);
         assert_eq!(s[1].start, 1.0);
@@ -264,8 +223,8 @@ mod tests {
     #[test]
     fn parallel_resources_overlap() {
         let mut g = TaskGraph::new(2);
-        g.push(0, 3.0, &[], Tag::FfBp);
-        g.push(1, 2.0, &[], Tag::GradComm);
+        g.push(0, 3.0, &[], Phase::FfBp);
+        g.push(1, 2.0, &[], Phase::GradComm);
         let s = g.simulate();
         assert_eq!(s[0].start, 0.0);
         assert_eq!(s[1].start, 0.0);
@@ -275,8 +234,8 @@ mod tests {
     #[test]
     fn dependencies_delay_start() {
         let mut g = TaskGraph::new(2);
-        let a = g.push(0, 2.0, &[], Tag::FfBp);
-        let b = g.push(1, 1.0, &[a], Tag::GradComm);
+        let a = g.push(0, 2.0, &[], Phase::FfBp);
+        let b = g.push(1, 1.0, &[a], Phase::GradComm);
         let s = g.simulate();
         assert_eq!(s[b].start, 2.0);
     }
@@ -285,10 +244,10 @@ mod tests {
     fn cross_resource_diamond() {
         // c depends on both a (res 0) and b (res 1); d queues behind c.
         let mut g = TaskGraph::new(2);
-        let a = g.push(0, 1.0, &[], Tag::FfBp);
-        let b = g.push(1, 5.0, &[], Tag::GradComm);
-        let c = g.push(0, 1.0, &[a, b], Tag::FactorComp);
-        let d = g.push(0, 1.0, &[], Tag::FactorComp);
+        let a = g.push(0, 1.0, &[], Phase::FfBp);
+        let b = g.push(1, 5.0, &[], Phase::GradComm);
+        let c = g.push(0, 1.0, &[a, b], Phase::FactorComp);
+        let d = g.push(0, 1.0, &[], Phase::FactorComp);
         let s = g.simulate();
         assert_eq!(s[c].start, 5.0);
         assert_eq!(s[d].start, 6.0); // stream order, even without deps
@@ -297,7 +256,7 @@ mod tests {
     #[test]
     fn zero_duration_tasks_are_fine() {
         let mut g = TaskGraph::new(1);
-        let a = g.push(0, 0.0, &[], Tag::Other);
+        let a = g.push(0, 0.0, &[], Phase::Update);
         let s = g.simulate();
         assert_eq!(s[a].start, s[a].end);
     }
@@ -306,7 +265,7 @@ mod tests {
     #[should_panic(expected = "must precede")]
     fn forward_dependency_rejected() {
         let mut g = TaskGraph::new(1);
-        g.push(0, 1.0, &[0], Tag::FfBp);
+        g.push(0, 1.0, &[0], Phase::FfBp);
     }
 
     #[test]
@@ -317,7 +276,7 @@ mod tests {
             let mut prev = None;
             for i in 0..10 {
                 let deps: Vec<usize> = prev.into_iter().collect();
-                let id = g.push(i % 3, 1.0 * scale + i as f64 * 0.1, &deps, Tag::FfBp);
+                let id = g.push(i % 3, 1.0 * scale + i as f64 * 0.1, &deps, Phase::FfBp);
                 prev = Some(id);
             }
             g.makespan()

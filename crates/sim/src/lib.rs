@@ -5,7 +5,8 @@
 //!
 //! The simulator is the substitution for the hardware gate (DESIGN.md §1):
 //! every wall-clock experiment in the paper (Fig. 2, Table III, Fig. 9–13)
-//! is regenerated by scheduling the *real* fusion plans
+//! is regenerated by lowering the *real* iteration graph
+//! ([`spdkfac_core::iteration`]) of the *real* fusion plans
 //! ([`spdkfac_core::fusion`]) and placements ([`spdkfac_core::placement`])
 //! onto a simulated cluster whose cost models are exactly the ones the
 //! paper itself fits and publishes:
@@ -46,7 +47,7 @@ pub mod sched;
 pub mod schedule;
 pub mod trace;
 
-pub use graph::{Tag, Task, TaskGraph, TaskSpan};
+pub use graph::{Task, TaskGraph, TaskSpan};
 pub use hardware::HardwareProfile;
 pub use net::{HierSpec, HierarchicalModel, NetTopology, NetworkModel, SerializedQueue};
 pub use report::{Breakdown, SimReport};
@@ -54,7 +55,7 @@ pub use sched::{
     policy_registry, HeftPolicy, MemoryAwarePolicy, PolicyHandle, TopologyAwarePolicy,
 };
 pub use schedule::{
-    simulate_amortized_iteration, simulate_drift_replay, simulate_inverse_phase,
+    simulate_amortized_iteration, simulate_drift_replay, simulate_graph, simulate_inverse_phase,
     simulate_iteration, simulate_iteration_planned, Algo, DriftReplay, FactorCommMode,
     GradFusionMode, SimConfig,
 };

@@ -23,10 +23,10 @@
 
 use std::collections::VecDeque;
 
-use crate::graph::{Tag, TaskGraph, TaskSpan};
+use crate::graph::{TaskGraph, TaskSpan};
 use crate::hardware::HardwareProfile;
 use spdkfac_core::perf::AlphaBetaModel;
-use spdkfac_obs::SpanMeta;
+use spdkfac_obs::{Phase, SpanMeta};
 
 /// Parameters of the two-level hierarchical topology.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,7 +143,7 @@ pub trait NetworkModel {
         g: &mut TaskGraph,
         elems: usize,
         deps: &[usize],
-        tag: Tag,
+        phase: Phase,
         meta: SpanMeta,
     ) -> usize;
 
@@ -155,7 +155,7 @@ pub trait NetworkModel {
         dim: usize,
         root: usize,
         deps: &[usize],
-        tag: Tag,
+        phase: Phase,
         meta: SpanMeta,
     ) -> usize;
 
@@ -245,10 +245,10 @@ impl NetworkModel for SerializedQueue {
         g: &mut TaskGraph,
         elems: usize,
         deps: &[usize],
-        tag: Tag,
+        phase: Phase,
         meta: SpanMeta,
     ) -> usize {
-        g.push_meta(self.world, self.allreduce.time(elems), deps, tag, meta)
+        g.push_meta(self.world, self.allreduce.time(elems), deps, phase, meta)
     }
 
     fn push_bcast(
@@ -257,7 +257,7 @@ impl NetworkModel for SerializedQueue {
         dim: usize,
         root: usize,
         deps: &[usize],
-        tag: Tag,
+        phase: Phase,
         meta: SpanMeta,
     ) -> usize {
         let link = if self.root_parallel {
@@ -265,7 +265,7 @@ impl NetworkModel for SerializedQueue {
         } else {
             self.world
         };
-        g.push_meta(link, self.bcast.time_packed(dim), deps, tag, meta)
+        g.push_meta(link, self.bcast.time_packed(dim), deps, phase, meta)
     }
 
     fn execute(&self, g: &mut TaskGraph) -> Vec<TaskSpan> {
@@ -441,7 +441,7 @@ impl NetworkModel for HierarchicalModel {
         g: &mut TaskGraph,
         elems: usize,
         deps: &[usize],
-        tag: Tag,
+        phase: Phase,
         meta: SpanMeta,
     ) -> usize {
         let gpn = self.spec.gpus_per_node as f64;
@@ -451,7 +451,7 @@ impl NetworkModel for HierarchicalModel {
         let inter = m * 2.0 * (n - 1.0) / n * self.allreduce_inter.beta / gpn;
         let alpha = 2.0 * self.spec.alpha_intra + self.allreduce_inter.alpha;
         let solo = alpha + intra + inter;
-        let id = g.push_meta(self.world, solo, deps, tag, meta);
+        let id = g.push_meta(self.world, solo, deps, phase, meta);
         self.transfers.insert(
             id,
             Transfer {
@@ -477,7 +477,7 @@ impl NetworkModel for HierarchicalModel {
         dim: usize,
         root: usize,
         deps: &[usize],
-        tag: Tag,
+        phase: Phase,
         meta: SpanMeta,
     ) -> usize {
         let tri = (dim * (dim + 1) / 2) as f64;
@@ -495,7 +495,7 @@ impl NetworkModel for HierarchicalModel {
             });
         }
         let solo = alpha + segments.iter().map(|s| s.work).sum::<f64>();
-        let id = g.push_meta(self.world, solo, deps, tag, meta);
+        let id = g.push_meta(self.world, solo, deps, phase, meta);
         self.transfers.insert(id, Transfer { alpha, segments });
         id
     }
@@ -795,7 +795,7 @@ impl HierarchicalModel {
                 start: start[i],
                 end: end[i],
                 resource: t.resource,
-                tag: t.tag,
+                phase: t.phase,
                 meta: t.meta,
             })
             .collect()
@@ -823,7 +823,7 @@ mod tests {
         let reference = hw().with_hierarchical_allreduce(4, 64, spec.beta_intra, spec.alpha_intra);
         for elems in [1usize, 10_000, 2_500_000, 77_000_000] {
             let mut g = TaskGraph::new(net.num_resources());
-            let id = net.push_allreduce(&mut g, elems, &[], Tag::FactorComm, SpanMeta::default());
+            let id = net.push_allreduce(&mut g, elems, &[], Phase::FactorComm, SpanMeta::default());
             let spans = net.execute(&mut g);
             let got = spans[id].end - spans[id].start;
             let want = reference.allreduce.time(elems);
@@ -842,15 +842,15 @@ mod tests {
         let mut net = hier(64, 4);
         let d = 2048usize;
         let mut g1 = TaskGraph::new(net.num_resources());
-        let solo_id = net.push_bcast(&mut g1, d, 0, &[], Tag::InverseComm, SpanMeta::default());
+        let solo_id = net.push_bcast(&mut g1, d, 0, &[], Phase::InverseComm, SpanMeta::default());
         let solo = {
             let spans = net.execute(&mut g1);
             spans[solo_id].end - spans[solo_id].start
         };
         let mut net2 = hier(64, 4);
         let mut g2 = TaskGraph::new(net2.num_resources());
-        let a = net2.push_bcast(&mut g2, d, 0, &[], Tag::InverseComm, SpanMeta::default());
-        let b = net2.push_bcast(&mut g2, d, 1, &[], Tag::InverseComm, SpanMeta::default());
+        let a = net2.push_bcast(&mut g2, d, 0, &[], Phase::InverseComm, SpanMeta::default());
+        let b = net2.push_bcast(&mut g2, d, 1, &[], Phase::InverseComm, SpanMeta::default());
         let spans = net2.execute(&mut g2);
         let alpha = net2.spec.alpha_intra + net2.bcast_inter.alpha;
         for id in [a, b] {
@@ -873,7 +873,14 @@ mod tests {
             let mut g = TaskGraph::new(net.num_resources());
             let mut ids = Vec::new();
             for r in roots {
-                ids.push(net.push_bcast(&mut g, d, r, &[], Tag::InverseComm, SpanMeta::default()));
+                ids.push(net.push_bcast(
+                    &mut g,
+                    d,
+                    r,
+                    &[],
+                    Phase::InverseComm,
+                    SpanMeta::default(),
+                ));
             }
             let spans = net.execute(&mut g);
             ids.iter().map(|&i| spans[i].end).fold(0.0, f64::max)
@@ -893,10 +900,17 @@ mod tests {
         // order holds for the unrelated second task on the same stream.
         let mut net = hier(8, 4);
         let mut g = TaskGraph::new(net.num_resources());
-        let c0 = g.push(0, 1e-3, &[], Tag::InverseComp);
-        let bc = net.push_bcast(&mut g, 512, 0, &[c0], Tag::InverseComm, SpanMeta::default());
-        let c1 = g.push(0, 2e-3, &[], Tag::FfBp);
-        let c2 = g.push(1, 1e-3, &[bc], Tag::Other);
+        let c0 = g.push(0, 1e-3, &[], Phase::InverseComp);
+        let bc = net.push_bcast(
+            &mut g,
+            512,
+            0,
+            &[c0],
+            Phase::InverseComm,
+            SpanMeta::default(),
+        );
+        let c1 = g.push(0, 2e-3, &[], Phase::FfBp);
+        let c2 = g.push(1, 1e-3, &[bc], Phase::Update);
         let spans = net.execute(&mut g);
         assert!((spans[bc].start - spans[c0].end).abs() < 1e-12);
         assert!((spans[c1].start - spans[c0].end).abs() < 1e-12);
@@ -911,8 +925,8 @@ mod tests {
         let mut net =
             SerializedQueue::new(4, hw().allreduce, hw().bcast, hw().overlap_penalty, false);
         let mut g = TaskGraph::new(net.num_resources());
-        let ar = net.push_allreduce(&mut g, 1000, &[], Tag::GradComm, SpanMeta::default());
-        let bc = net.push_bcast(&mut g, 100, 2, &[], Tag::InverseComm, SpanMeta::default());
+        let ar = net.push_allreduce(&mut g, 1000, &[], Phase::GradComm, SpanMeta::default());
+        let bc = net.push_bcast(&mut g, 100, 2, &[], Phase::InverseComm, SpanMeta::default());
         assert_eq!(g.tasks()[ar].resource, 4);
         assert_eq!(g.tasks()[bc].resource, 4);
         assert!((g.tasks()[ar].duration - hw().allreduce.time(1000)).abs() < 1e-15);

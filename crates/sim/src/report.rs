@@ -62,13 +62,14 @@ pub fn attribute(spans: Vec<TaskSpan>, num_gpus: usize) -> SimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{Tag, TaskGraph, TaskSpan};
+    use crate::graph::{TaskGraph, TaskSpan};
+    use spdkfac_obs::Phase;
 
     #[test]
     fn breakdown_sums_to_total() {
         let mut g = TaskGraph::new(2);
-        let a = g.push(0, 1.0, &[], Tag::FfBp);
-        g.push(1, 3.0, &[a], Tag::GradComm);
+        let a = g.push(0, 1.0, &[], Phase::FfBp);
+        g.push(1, 3.0, &[a], Phase::GradComm);
         let r = attribute(g.simulate(), 1);
         assert!((r.breakdown.total() - r.total).abs() < 1e-12);
         assert_eq!(r.total, 4.0);
@@ -79,8 +80,8 @@ mod tests {
         // Comm runs 0..2 entirely under compute 0..3 ⇒ zero non-overlapped
         // comm time.
         let mut g = TaskGraph::new(2);
-        g.push(0, 3.0, &[], Tag::FfBp);
-        g.push(1, 2.0, &[], Tag::FactorComm);
+        g.push(0, 3.0, &[], Phase::FfBp);
+        g.push(1, 2.0, &[], Phase::FactorComm);
         let r = attribute(g.simulate(), 1);
         assert_eq!(r.breakdown.factor_comm, 0.0);
         assert_eq!(r.breakdown.ff_bp, 3.0);
@@ -89,8 +90,8 @@ mod tests {
     #[test]
     fn exposed_comm_counts() {
         let mut g = TaskGraph::new(2);
-        let a = g.push(0, 1.0, &[], Tag::FfBp);
-        g.push(1, 2.0, &[a], Tag::FactorComm);
+        let a = g.push(0, 1.0, &[], Phase::FfBp);
+        g.push(1, 2.0, &[a], Phase::FactorComm);
         let r = attribute(g.simulate(), 1);
         assert_eq!(r.breakdown.ff_bp, 1.0);
         assert_eq!(r.breakdown.factor_comm, 2.0);
@@ -100,7 +101,7 @@ mod tests {
     fn other_gpu_inverse_compute_counts_when_gpu0_idle() {
         // GPU 1 (resource 1) inverts while GPU 0 idles; network silent.
         let mut g = TaskGraph::new(3);
-        g.push(1, 2.0, &[], Tag::InverseComp);
+        g.push(1, 2.0, &[], Phase::InverseComp);
         let r = attribute(g.simulate(), 2);
         assert_eq!(r.breakdown.inverse_comp, 2.0);
         assert_eq!(r.breakdown.idle, 0.0);
@@ -109,8 +110,8 @@ mod tests {
     #[test]
     fn gaps_become_idle() {
         let mut g = TaskGraph::new(2);
-        let a = g.push(1, 1.0, &[], Tag::GradComm);
-        let _b = g.push(0, 1.0, &[a], Tag::FfBp);
+        let a = g.push(1, 1.0, &[], Phase::GradComm);
+        let _b = g.push(0, 1.0, &[a], Phase::FfBp);
         let r = attribute(g.simulate(), 1);
         assert_eq!(r.breakdown.idle, 0.0); // comm covers 0..1, compute 1..2
         assert_eq!(r.total, 2.0);
@@ -132,7 +133,7 @@ mod tests {
             start: 2.0,
             end: 3.0,
             resource: 0,
-            tag: Tag::FfBp,
+            phase: Phase::FfBp,
             meta: spdkfac_obs::SpanMeta::default(),
         }];
         let r = attribute(spans, 1);

@@ -1,33 +1,20 @@
-//! Iteration builders: scheduling one training iteration of each algorithm
-//! onto the simulated cluster.
+//! Simulating one training iteration: plan it (analytic ready times, Eq. 15
+//! fusion plans, inverse placement), build the paper's schedule of those
+//! plans as a [`spdkfac_core::iteration`] graph, and lower the graph's nodes
+//! to tasks on the simulated cluster.
 
-use crate::graph::{Tag, TaskGraph, TaskSpan};
+use crate::graph::{TaskGraph, TaskSpan};
 use crate::hardware::HardwareProfile;
-use crate::net::{self, NetTopology};
+use crate::net::{self, NetTopology, NetworkModel};
 use crate::report::{attribute, SimReport};
 use crate::sched::PolicyHandle;
 use spdkfac_core::fusion::{self, FactorPipeline, FusionStrategy};
-use spdkfac_core::placement::{
-    PlacementContext, PlacementPolicy, PlacementStrategy, TensorAssignment,
+use spdkfac_core::iteration::{
+    packed_len, Deps, FactorComm, GradCut, IterationGraph, LayerShape, Op, Spec, Who,
 };
-use spdkfac_models::ModelProfile;
-use spdkfac_obs::{CollEdge, SpanMeta};
-
-/// Builds the collective metadata for the next network task: `seq` is the
-/// running k-th-collective index of the simulated Horovod queue (mirroring
-/// the per-thread counter `CommTelemetry` keeps on real comm tracks), so
-/// the causal analyzer groups simulated collectives exactly like measured
-/// ones.
-fn coll_meta(edge: CollEdge, seq: &mut u64, size: usize) -> SpanMeta {
-    let m = SpanMeta {
-        edge: Some(edge),
-        seq: Some(*seq),
-        size: Some(size),
-        ..SpanMeta::default()
-    };
-    *seq += 1;
-    m
-}
+use spdkfac_core::placement::{PlacementContext, PlacementPolicy, PlacementStrategy};
+use spdkfac_models::{LayerSpec, ModelProfile};
+use spdkfac_obs::SpanMeta;
 
 /// Training algorithms that can be simulated (the bars of Fig. 2 plus the
 /// Table III columns).
@@ -149,52 +136,32 @@ pub fn simulate_iteration_planned(
     let single = matches!(algo, Algo::SgdSingle | Algo::KfacSingle);
     let precond = !matches!(algo, Algo::SgdSingle | Algo::SSgd);
     let world = if single { 1 } else { cfg.world.max(1) };
-    let adjust = |profile: &HardwareProfile| -> HardwareProfile {
-        let mut h = if single {
-            profile.single_gpu()
+    let adjust = |profile: &HardwareProfile| {
+        if single {
+            on_the_wire(&profile.single_gpu(), cfg)
         } else {
-            profile.clone()
-        };
-        // Wire precision: β terms are calibrated for 4-byte elements, and
-        // a compressed format adds its codec CPU cost per element.
-        let wire = cfg.wire_bytes / 4.0;
-        h.allreduce.beta = h.allreduce.beta * wire + cfg.codec_s_per_elem;
-        h.bcast.beta = h.bcast.beta * wire + cfg.codec_s_per_elem;
-        h
+            on_the_wire(profile, cfg)
+        }
     };
     let hw = adjust(&cfg.hw);
     let phw = plan_hw.map(adjust).unwrap_or_else(|| hw.clone());
 
-    let factor_mode = if !precond || single {
-        FactorCommMode::LocalOnly
-    } else {
-        match algo {
-            Algo::DKfac | Algo::MpdKfac => cfg.factor_mode.unwrap_or(FactorCommMode::Bulk),
-            Algo::SpdKfac => cfg
-                .factor_mode
-                .unwrap_or(FactorCommMode::Pipelined(FusionStrategy::Optimal)),
-            _ => FactorCommMode::LocalOnly,
-        }
+    // What the algorithm does unless `cfg` overrides it; only a distributed
+    // K-FAC aggregates statistics or distributes inversions.
+    let (default_mode, default_policy) = match algo {
+        Algo::DKfac => (FactorCommMode::Bulk, PlacementStrategy::NonDist),
+        Algo::MpdKfac => (FactorCommMode::Bulk, PlacementStrategy::SeqDist),
+        Algo::SpdKfac => (
+            FactorCommMode::Pipelined(FusionStrategy::Optimal),
+            PlacementStrategy::default(),
+        ),
+        _ => (FactorCommMode::LocalOnly, PlacementStrategy::NonDist),
     };
-    let policy: PolicyHandle = if !precond || single {
-        PlacementStrategy::NonDist.into()
-    } else {
-        match algo {
-            Algo::DKfac => cfg
-                .placement
-                .clone()
-                .unwrap_or_else(|| PlacementStrategy::NonDist.into()),
-            Algo::MpdKfac => cfg
-                .placement
-                .clone()
-                .unwrap_or_else(|| PlacementStrategy::SeqDist.into()),
-            Algo::SpdKfac => cfg
-                .placement
-                .clone()
-                .unwrap_or_else(|| PlacementStrategy::default().into()),
-            _ => PlacementStrategy::NonDist.into(),
-        }
-    };
+    let overridable = precond && !single;
+    let factor_mode = cfg.factor_mode.filter(|_| overridable);
+    let factor_mode = factor_mode.unwrap_or(default_mode);
+    let policy = cfg.placement.clone().filter(|_| overridable);
+    let policy: PolicyHandle = policy.unwrap_or_else(|| default_policy.into());
 
     // The network model owns resource layout and collective timing:
     // resources 0..world are the GPU streams, the rest belong to the model
@@ -203,17 +170,14 @@ pub fn simulate_iteration_planned(
     // collectives with the planner's (possibly stale) beliefs.
     let mut exec_net = net::build(&cfg.topology, &hw, world);
     let plan_net = net::build(&cfg.topology, &phw, world);
-    let mut g = TaskGraph::new(exec_net.num_resources());
     let batch = model.batch_size();
     let layers = model.layers();
-    let nl = layers.len();
 
-    let a_sizes: Vec<usize> = layers.iter().map(|l| l.packed_a()).collect();
-    let g_sizes_rev: Vec<usize> = layers.iter().rev().map(|l| l.packed_g()).collect();
-
-    // ---------------- Forward pass (+ A factors) --------------------------
-    // Analytic ready times on the (contention-free) representative stream.
-    let mut a_ready = Vec::with_capacity(nl);
+    // ---------------- Planning --------------------------------------------
+    // Analytic ready times on the (contention-free) representative stream,
+    // in the paper's order: a layer's A statistic before its forward, its G
+    // statistic after its backward.
+    let (mut a_ready, mut g_ready, mut grad_ready) = (Vec::new(), Vec::new(), Vec::new());
     let mut cursor = 0.0f64;
     for l in layers {
         if precond {
@@ -222,65 +186,6 @@ pub fn simulate_iteration_planned(
         }
         cursor += hw.ff_time(l, batch);
     }
-    // Fusion plans are computed against the planning network's all-reduce
-    // model: for the flat queue that is the *contended* cost (the paper
-    // fits its models from measurements taken during training, which
-    // include compute contention); for hierarchical topologies it is the
-    // closed-form effective model, since contention is simulated directly.
-    let plan_comm = plan_net.plan_allreduce();
-    // Running k-th-collective index of the network queue.
-    let mut coll_seq: u64 = 0;
-    let a_plan = match factor_mode {
-        FactorCommMode::Pipelined(strategy) => Some(fusion::plan(
-            &FactorPipeline::new(a_ready.clone(), a_sizes.clone()).expect("A pipeline"),
-            &plan_comm,
-            strategy,
-        )),
-        _ => None,
-    };
-
-    let mut a_comp_ids = Vec::with_capacity(nl);
-    let mut factor_comm_ids: Vec<usize> = Vec::new();
-    {
-        let mut bucket_idx = 0usize;
-        let mut in_bucket = 0usize;
-        for l in layers {
-            if precond {
-                let id = g.push(0, hw.factor_a_time(l, batch), &[], Tag::FactorComp);
-                a_comp_ids.push(id);
-                if let Some(plan) = &a_plan {
-                    in_bucket += 1;
-                    if in_bucket == plan.buckets()[bucket_idx].len() {
-                        let elems: usize =
-                            plan.buckets()[bucket_idx].iter().map(|&i| a_sizes[i]).sum();
-                        let dep = a_comp_ids[*plan.buckets()[bucket_idx].last().expect("bucket")];
-                        let meta = coll_meta(CollEdge::Join, &mut coll_seq, elems);
-                        factor_comm_ids.push(exec_net.push_allreduce(
-                            &mut g,
-                            elems,
-                            &[dep],
-                            Tag::FactorComm,
-                            meta,
-                        ));
-                        bucket_idx += 1;
-                        in_bucket = 0;
-                    }
-                }
-            }
-            g.push(0, hw.ff_time(l, batch), &[], Tag::FfBp);
-        }
-    }
-    if precond && matches!(factor_mode, FactorCommMode::Naive) {
-        let elems: usize = a_sizes.iter().sum();
-        let dep = *a_comp_ids.last().expect("layers non-empty");
-        let meta = coll_meta(CollEdge::Join, &mut coll_seq, elems);
-        factor_comm_ids.push(exec_net.push_allreduce(&mut g, elems, &[dep], Tag::FactorComm, meta));
-    }
-
-    // ---------------- Backward pass (+ G factors + WFBP gradients) --------
-    // Analytic G ready times, continuing the stream cursor.
-    let mut g_ready = Vec::with_capacity(nl);
-    let mut grad_ready = Vec::with_capacity(nl);
     for l in layers.iter().rev() {
         cursor += hw.bp_time(l, batch);
         grad_ready.push(cursor);
@@ -289,206 +194,188 @@ pub fn simulate_iteration_planned(
             g_ready.push(cursor);
         }
     }
-    let g_plan = match factor_mode {
-        FactorCommMode::Pipelined(strategy) => Some(fusion::plan(
-            &FactorPipeline::new(g_ready.clone(), g_sizes_rev.clone()).expect("G pipeline"),
-            &plan_comm,
-            strategy,
+    // Fusion plans are computed against the planning network's all-reduce
+    // model: for the flat queue that is the *contended* cost (the paper
+    // fits its models from measurements taken during training, which
+    // include compute contention); for hierarchical topologies it is the
+    // closed-form effective model, since contention is simulated directly.
+    let plan_comm = plan_net.plan_allreduce();
+    let eq15 = |ready: Vec<f64>, sizes: Vec<usize>, strategy: FusionStrategy| {
+        let pipeline = FactorPipeline::new(ready, sizes).expect("ready times increase");
+        fusion::plan(&pipeline, &plan_comm, strategy)
+    };
+    let factor_plans = match factor_mode {
+        FactorCommMode::Pipelined(strategy) => Some((
+            eq15(
+                a_ready,
+                layers.iter().map(|l| l.packed_a()).collect(),
+                strategy,
+            ),
+            eq15(
+                g_ready,
+                layers.iter().rev().map(|l| l.packed_g()).collect(),
+                strategy,
+            ),
         )),
         _ => None,
     };
-
-    let grad_sizes_rev: Vec<usize> = layers.iter().rev().map(|l| l.params()).collect();
-    let grad_plan = if !single && cfg.grad_fusion == GradFusionMode::Optimal {
-        Some(fusion::plan(
-            &FactorPipeline::new(grad_ready.clone(), grad_sizes_rev.clone())
-                .expect("grad pipeline"),
-            &plan_comm,
-            FusionStrategy::Optimal,
-        ))
+    // MG-WFBP: the same Eq. 15 rule over the gradients' ready times.
+    let grad_plan = (!single && cfg.grad_fusion == GradFusionMode::Optimal).then(|| {
+        let sizes = layers.iter().rev().map(|l| l.params()).collect();
+        eq15(grad_ready, sizes, FusionStrategy::Optimal)
+    });
+    let inv_dims = if precond {
+        model.all_factor_dims()
     } else {
-        None
+        Vec::new()
     };
+    let plan_bcast = plan_net.plan_bcast();
+    let ctx = PlacementContext::new(&inv_dims, world, &phw.inverse, &plan_bcast)
+        .with_gpus_per_node(plan_net.gpus_per_node());
+    let placement = policy.place(&ctx);
 
-    let mut last_bwd_id = 0usize;
-    let mut g_comp_ids = Vec::with_capacity(nl);
-    {
-        let mut bucket_idx = 0usize;
-        let mut in_bucket = 0usize;
-        let mut grad_acc = 0usize;
-        let mut grad_bucket_idx = 0usize;
-        let mut grad_in_bucket = 0usize;
-        for l in layers.iter().rev() {
-            let bp_id = g.push(0, hw.bp_time(l, batch), &[], Tag::FfBp);
-            last_bwd_id = bp_id;
-            if precond {
-                let gid = g.push(0, hw.factor_g_time(l, batch), &[], Tag::FactorComp);
-                g_comp_ids.push(gid);
-                last_bwd_id = gid;
-                if let Some(plan) = &g_plan {
-                    in_bucket += 1;
-                    if in_bucket == plan.buckets()[bucket_idx].len() {
-                        let elems: usize = plan.buckets()[bucket_idx]
-                            .iter()
-                            .map(|&i| g_sizes_rev[i])
-                            .sum();
-                        let dep = g_comp_ids[*plan.buckets()[bucket_idx].last().expect("bucket")];
-                        let meta = coll_meta(CollEdge::Join, &mut coll_seq, elems);
-                        factor_comm_ids.push(exec_net.push_allreduce(
-                            &mut g,
-                            elems,
-                            &[dep],
-                            Tag::FactorComm,
-                            meta,
-                        ));
-                        bucket_idx += 1;
-                        in_bucket = 0;
-                    }
-                }
+    // ---------------- The paper's schedule of those plans ------------------
+    let shapes: Vec<LayerShape> = layers
+        .iter()
+        .map(|l| LayerShape {
+            // A single GPU aggregates nothing.
+            grad_elems: if single { 0 } else { l.params() },
+            factor: precond.then(|| (l.a_dim(), l.g_dim())),
+        })
+        .collect();
+    let graph = IterationGraph::build(&Spec {
+        layers: &shapes,
+        factor_comm: match (factor_mode, &factor_plans) {
+            (FactorCommMode::Bulk, _) => FactorComm::Bulk,
+            (FactorCommMode::Naive, _) => FactorComm::Naive,
+            (FactorCommMode::Pipelined(_), Some((a, g))) => FactorComm::Pipelined { a, g },
+            _ => FactorComm::Local,
+        },
+        grad_cut: match &grad_plan {
+            Some(plan) => GradCut::Planned(plan),
+            None => GradCut::Cap(cfg.grad_fusion_elems),
+        },
+        placement: &placement,
+        refresh: true,
+        inverse_len: packed_len,
+        deps: Deps::PaperBarrier,
+    });
+    lower(
+        &graph,
+        |l| layers.get(l),
+        &inv_dims,
+        batch,
+        &hw,
+        exec_net.as_mut(),
+        world,
+    )
+}
+
+/// `profile` at `cfg`'s wire precision: β terms are calibrated for 4-byte
+/// elements, and a compressed format adds its codec CPU cost per element.
+fn on_the_wire(profile: &HardwareProfile, cfg: &SimConfig) -> HardwareProfile {
+    let mut h = profile.clone();
+    let wire = cfg.wire_bytes / 4.0;
+    h.allreduce.beta = h.allreduce.beta * wire + cfg.codec_s_per_elem;
+    h.bcast.beta = h.bcast.beta * wire + cfg.codec_s_per_elem;
+    h
+}
+
+/// Simulates one iteration of *any* schedule — in particular the `DataDeps`
+/// graph a real trainer executed — on `cfg`'s cluster. `model` describes the
+/// layers statistics are taken for, in order (as [`ModelProfile`]s do); a
+/// layer of the graph it has no [`LayerSpec`] for — an activation, say — is
+/// priced at zero.
+pub fn simulate_graph(graph: &IterationGraph, model: &ModelProfile, cfg: &SimConfig) -> SimReport {
+    let world = cfg.world.max(1);
+    let hw = on_the_wire(&cfg.hw, cfg);
+    let mut exec_net = net::build(&cfg.topology, &hw, world);
+    let factor_layers = graph.factor_layers();
+    let spec_of = |l: usize| {
+        let s = factor_layers.iter().position(|&fl| fl == l)?;
+        model.layers().get(s)
+    };
+    lower(
+        graph,
+        spec_of,
+        &model.all_factor_dims(),
+        model.batch_size(),
+        &hw,
+        exec_net.as_mut(),
+        world,
+    )
+}
+
+/// Lowers every node of `graph` to tasks on `net`'s resources and runs them.
+///
+/// | node | task |
+/// |---|---|
+/// | `Forward`, `Backward`, `FactorA`, `FactorG` | the layer's FLOPs through `hw`, on the representative GPU 0 (data-parallel symmetry) |
+/// | `AllReduce*`, `Broadcast` | `net`'s collective of `elems`, stamped with the running k-th-collective `seq` of the simulated Horovod queue (mirroring the counter `CommTelemetry` keeps on real comm tracks, so the causal analyzer groups simulated collectives like measured ones) |
+/// | `Invert` | Eq. 26 on the owner, or on every GPU |
+/// | `Precondition` | the listed layers' GEMMs, on GPU 0 |
+/// | `Update` | one kernel launch — unless something was preconditioned: the paper's preconditioning block already carries it |
+fn lower<'m>(
+    graph: &IterationGraph,
+    spec_of: impl Fn(usize) -> Option<&'m LayerSpec>,
+    inv_dims: &[usize],
+    batch: usize,
+    hw: &HardwareProfile,
+    net: &mut dyn NetworkModel,
+    world: usize,
+) -> SimReport {
+    let mut g = TaskGraph::new(net.num_resources());
+    let layer = |l: usize, cost: fn(&HardwareProfile, &LayerSpec, usize) -> f64| {
+        spec_of(l).map_or(0.0, |spec| cost(hw, spec, batch))
+    };
+    let nodes = graph.nodes();
+    let preconditions = nodes.iter().any(|n| matches!(n.op, Op::Precondition(_)));
+    // Per node: its task — of an `Every` node, the one on GPU 0.
+    let mut task: Vec<usize> = Vec::with_capacity(nodes.len());
+    let mut seq = 0u64;
+    for node in nodes {
+        let deps: Vec<usize> = node.deps.iter().map(|&d| task[d]).collect();
+        let phase = node.op.phase();
+        let meta = SpanMeta {
+            edge: node.op.edge(),
+            seq: node.op.edge().map(|_| seq),
+            size: node.op.edge().map(|_| node.elems),
+            ..SpanMeta::default()
+        };
+        seq += u64::from(meta.edge.is_some());
+        task.push(match &node.op {
+            Op::Forward(l) => g.push(0, layer(*l, HardwareProfile::ff_time), &deps, phase),
+            Op::Backward(l) => g.push(0, layer(*l, HardwareProfile::bp_time), &deps, phase),
+            Op::FactorA(l) => g.push(0, layer(*l, HardwareProfile::factor_a_time), &deps, phase),
+            Op::FactorG(l) => g.push(0, layer(*l, HardwareProfile::factor_g_time), &deps, phase),
+            Op::AllReduceFactors(_) | Op::AllReduceGrads(_) => {
+                net.push_allreduce(&mut g, node.elems, &deps, phase, meta)
             }
-            if !single {
-                match &grad_plan {
-                    // MG-WFBP: buckets follow the Eq. 15 plan over gradient
-                    // ready times.
-                    Some(plan) => {
-                        grad_acc += l.params();
-                        grad_in_bucket += 1;
-                        if grad_in_bucket == plan.buckets()[grad_bucket_idx].len() {
-                            let meta = coll_meta(CollEdge::Join, &mut coll_seq, grad_acc);
-                            exec_net.push_allreduce(
-                                &mut g,
-                                grad_acc,
-                                &[bp_id],
-                                Tag::GradComm,
-                                meta,
-                            );
-                            grad_acc = 0;
-                            grad_in_bucket = 0;
-                            grad_bucket_idx += 1;
-                        }
-                    }
-                    // WFBP: gradients of this layer join the fusion buffer;
-                    // flush when the Horovod buffer capacity is reached.
-                    None => {
-                        grad_acc += l.params();
-                        if grad_acc >= cfg.grad_fusion_elems {
-                            let meta = coll_meta(CollEdge::Join, &mut coll_seq, grad_acc);
-                            exec_net.push_allreduce(
-                                &mut g,
-                                grad_acc,
-                                &[bp_id],
-                                Tag::GradComm,
-                                meta,
-                            );
-                            grad_acc = 0;
-                        }
-                    }
-                }
+            Op::Broadcast { tensor, root } => {
+                net.push_bcast(&mut g, inv_dims[*tensor], *root, &deps, phase, meta)
             }
-        }
-        if !single && grad_acc > 0 {
-            let meta = coll_meta(CollEdge::Join, &mut coll_seq, grad_acc);
-            exec_net.push_allreduce(&mut g, grad_acc, &[last_bwd_id], Tag::GradComm, meta);
-        }
+            Op::Invert(t) => {
+                let gpus = match node.who {
+                    Who::Every => 0..world,
+                    Who::Rank(r) => r..r + 1,
+                };
+                let time = hw.inverse_time(inv_dims[*t]);
+                let tasks = gpus.map(|p| g.push(p, time, &deps, phase));
+                tasks.reduce(|first, _| first).expect("some GPU inverts")
+            }
+            Op::Precondition(layers) => {
+                let time = |&l: &usize| {
+                    spec_of(l).map_or(0.0, |spec| {
+                        spec.precond_flops() / hw.gemm_flops + hw.kernel_overhead
+                    })
+                };
+                g.push(0, layers.iter().map(time).sum(), &deps, phase)
+            }
+            Op::Update if preconditions => continue,
+            Op::Update => g.push(0, hw.kernel_overhead, &deps, phase),
+        });
     }
-    match factor_mode {
-        FactorCommMode::Bulk => {
-            let elems: usize = a_sizes.iter().sum::<usize>() + g_sizes_rev.iter().sum::<usize>();
-            let dep = *g_comp_ids.last().expect("layers non-empty");
-            let meta = coll_meta(CollEdge::Join, &mut coll_seq, elems);
-            factor_comm_ids.push(exec_net.push_allreduce(
-                &mut g,
-                elems,
-                &[dep],
-                Tag::FactorComm,
-                meta,
-            ));
-        }
-        FactorCommMode::Naive => {
-            let elems: usize = g_sizes_rev.iter().sum();
-            let dep = *g_comp_ids.last().expect("layers non-empty");
-            let meta = coll_meta(CollEdge::Join, &mut coll_seq, elems);
-            factor_comm_ids.push(exec_net.push_allreduce(
-                &mut g,
-                elems,
-                &[dep],
-                Tag::FactorComm,
-                meta,
-            ));
-        }
-        _ => {}
-    }
-
-    // ---------------- Inverse phase ---------------------------------------
-    if precond {
-        let inv_dims = model.all_factor_dims();
-        let plan_bcast = plan_net.plan_bcast();
-        let ctx = PlacementContext::new(&inv_dims, world, &phw.inverse, &plan_bcast)
-            .with_gpus_per_node(plan_net.gpus_per_node());
-        let plc = policy.place(&ctx);
-        // Barrier: all factors aggregated (and backward finished).
-        let mut barrier = factor_comm_ids.clone();
-        barrier.push(last_bwd_id);
-
-        // Per-GPU inversion order (§V-B): communicated tensors first
-        // (smallest first) so their broadcasts hit the network early, then
-        // the replicated NCTs, which overlap the remaining broadcasts.
-        let mut comp_id_of_tensor: Vec<Vec<(usize, usize)>> = vec![Vec::new(); world];
-        for (p, ids) in comp_id_of_tensor.iter_mut().enumerate() {
-            let mut mine = plc.set_for_gpu(p);
-            mine.sort_by(|&a, &b| {
-                plc.is_nct(a)
-                    .cmp(&plc.is_nct(b))
-                    .then(inv_dims[a].cmp(&inv_dims[b]))
-                    .then(a.cmp(&b))
-            });
-            for t in mine {
-                let id = g.push(p, hw.inverse_time(inv_dims[t]), &barrier, Tag::InverseComp);
-                ids.push((t, id));
-            }
-        }
-        // Broadcasts of CT results, issued round-robin across owners so the
-        // network picks them up roughly in completion order.
-        let mut bcast_ids = Vec::new();
-        let max_len = comp_id_of_tensor.iter().map(|v| v.len()).max().unwrap_or(0);
-        for k in 0..max_len {
-            for (p, ids) in comp_id_of_tensor.iter().enumerate() {
-                if let Some(&(t, comp_id)) = ids.get(k) {
-                    if let TensorAssignment::Gpu(owner) = plc.assignments()[t] {
-                        debug_assert_eq!(owner, p);
-                        let d = inv_dims[t];
-                        let meta = coll_meta(
-                            CollEdge::FanOut { root: owner },
-                            &mut coll_seq,
-                            d * (d + 1) / 2,
-                        );
-                        bcast_ids.push(exec_net.push_bcast(
-                            &mut g,
-                            d,
-                            owner,
-                            &[comp_id],
-                            Tag::InverseComm,
-                            meta,
-                        ));
-                    }
-                }
-            }
-        }
-        // Preconditioning + update on the representative GPU.
-        let mut update_deps: Vec<usize> = comp_id_of_tensor[0].iter().map(|&(_, id)| id).collect();
-        update_deps.extend(&bcast_ids);
-        let precond_time: f64 = layers
-            .iter()
-            .map(|l| l.precond_flops() / hw.gemm_flops + hw.kernel_overhead)
-            .sum();
-        g.push(0, precond_time, &update_deps, Tag::Other);
-    } else {
-        // SGD-style update.
-        g.push(0, hw.kernel_overhead, &[], Tag::Other);
-    }
-
-    let spans = exec_net.execute(&mut g);
-    attribute(spans, world)
+    attribute(net.execute(&mut g), world)
 }
 
 /// Simulates the *average* iteration time when K-FAC's second-order work
@@ -536,47 +423,14 @@ pub fn simulate_inverse_phase(
     policy: &dyn PlacementPolicy,
 ) -> SimReport {
     let world = cfg.world.max(1);
-    let mut hw = cfg.hw.clone();
-    hw.bcast.beta = hw.bcast.beta * (cfg.wire_bytes / 4.0) + cfg.codec_s_per_elem;
+    let hw = on_the_wire(&cfg.hw, cfg);
     let mut exec_net = net::build(&cfg.topology, &hw, world);
-    let mut g = TaskGraph::new(exec_net.num_resources());
     let plan_bcast = exec_net.plan_bcast();
     let ctx = PlacementContext::new(dims, world, &hw.inverse, &plan_bcast)
         .with_gpus_per_node(exec_net.gpus_per_node());
-    let plc = policy.place(&ctx);
-    let mut comp_id_of_tensor: Vec<Vec<(usize, usize)>> = vec![Vec::new(); world];
-    for (p, ids) in comp_id_of_tensor.iter_mut().enumerate() {
-        let mut mine = plc.set_for_gpu(p);
-        mine.sort_by(|&a, &b| {
-            plc.is_nct(a)
-                .cmp(&plc.is_nct(b))
-                .then(dims[a].cmp(&dims[b]))
-                .then(a.cmp(&b))
-        });
-        for t in mine {
-            let id = g.push(p, hw.inverse_time(dims[t]), &[], Tag::InverseComp);
-            ids.push((t, id));
-        }
-    }
-    let max_len = comp_id_of_tensor.iter().map(|v| v.len()).max().unwrap_or(0);
-    let mut coll_seq: u64 = 0;
-    for k in 0..max_len {
-        for ids in comp_id_of_tensor.iter() {
-            if let Some(&(t, comp_id)) = ids.get(k) {
-                if let TensorAssignment::Gpu(owner) = plc.assignments()[t] {
-                    let d = dims[t];
-                    let meta = coll_meta(
-                        CollEdge::FanOut { root: owner },
-                        &mut coll_seq,
-                        d * (d + 1) / 2,
-                    );
-                    exec_net.push_bcast(&mut g, d, owner, &[comp_id], Tag::InverseComm, meta);
-                }
-            }
-        }
-    }
-    let spans = exec_net.execute(&mut g);
-    attribute(spans, world)
+    // The paper's tail behind an empty barrier.
+    let graph = IterationGraph::inverse_phase(dims, &policy.place(&ctx), packed_len);
+    lower(&graph, |_| None, dims, 1, &hw, exec_net.as_mut(), world)
 }
 
 /// Outcome of the drifting-hardware replay (see [`simulate_drift_replay`]).
@@ -891,7 +745,7 @@ mod tests {
         // (not via the EPS start-time heuristic).
         let r = simulate_iteration(&resnet50(), &cfg(), Algo::SpdKfac);
         let world = cfg().world;
-        let comm: Vec<_> = r.spans.iter().filter(|s| s.tag.is_comm()).collect();
+        let comm: Vec<_> = r.spans.iter().filter(|s| s.phase.is_comm()).collect();
         assert!(!comm.is_empty());
         let mut seqs: Vec<u64> = Vec::new();
         for s in &comm {

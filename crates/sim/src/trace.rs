@@ -6,9 +6,9 @@
 //! stream plus one row for the network, with the task categories as named
 //! slices.
 
-use crate::graph::{to_obs_spans, Tag};
+use crate::graph::to_obs_spans;
 use crate::report::SimReport;
-use spdkfac_obs::{chrome_trace, TrackLayout};
+use spdkfac_obs::{chrome_trace, Phase, TrackLayout};
 
 /// Serialises the schedule as a Chrome Tracing JSON document.
 ///
@@ -16,7 +16,7 @@ use spdkfac_obs::{chrome_trace, TrackLayout};
 /// network row (the iteration builders use the highest resource id).
 /// Delegates to the shared [`spdkfac_obs::chrome_trace`] serializer, so
 /// simulated and measured traces have the identical JSON shape; slice names
-/// come from each tag's [`Phase`](spdkfac_obs::Phase).
+/// come from each task's [`Phase`].
 pub fn to_chrome_trace(report: &SimReport, network_resource: usize) -> String {
     let max_res = report
         .spans
@@ -44,14 +44,14 @@ pub fn ascii_timeline(report: &SimReport, network_resource: usize, width: usize)
         .max()
         .unwrap_or(0)
         .max(network_resource);
-    let letter = |tag: Tag| match tag {
-        Tag::FfBp => 'F',
-        Tag::GradComm => 'g',
-        Tag::FactorComp => 'C',
-        Tag::FactorComm => 'c',
-        Tag::InverseComp => 'I',
-        Tag::InverseComm => 'i',
-        Tag::Other => 'U',
+    let letter = |phase: Phase| match phase {
+        Phase::FfBp => 'F',
+        Phase::GradComm => 'g',
+        Phase::FactorComp => 'C',
+        Phase::FactorComm => 'c',
+        Phase::InverseComp => 'I',
+        Phase::InverseComm => 'i',
+        Phase::Update => 'U',
     };
     let mut out = String::new();
     for res in 0..=max_res {
@@ -67,7 +67,7 @@ pub fn ascii_timeline(report: &SimReport, network_resource: usize, width: usize)
             let c0 = ((s.start / total) * width as f64).floor() as usize;
             let c1 = (((s.end / total) * width as f64).ceil() as usize).min(width);
             for cell in row.iter_mut().take(c1).skip(c0.min(width)) {
-                *cell = letter(s.tag);
+                *cell = letter(s.phase);
             }
         }
         out.push_str(&format!("{label:<8}|"));

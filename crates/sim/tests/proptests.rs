@@ -5,7 +5,8 @@ use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use spdkfac_core::placement::{PlacementContext, TensorAssignment};
 use spdkfac_models::resnet50;
-use spdkfac_sim::graph::{Tag, TaskGraph};
+use spdkfac_obs::Phase;
+use spdkfac_sim::graph::TaskGraph;
 use spdkfac_sim::{policy_registry, simulate_iteration, Algo, SimConfig};
 
 /// Strategy: a random but causally-valid task graph.
@@ -19,7 +20,7 @@ fn graph_strategy() -> impl Strategy<Value = TaskGraph> {
             let mut g = TaskGraph::new(resources + 1);
             for (i, (res, dur, deps)) in tasks.into_iter().enumerate() {
                 let deps: Vec<usize> = deps.into_iter().filter(|&d| d < i).collect();
-                g.push(res, dur, &deps, Tag::FfBp);
+                g.push(res, dur, &deps, Phase::FfBp);
             }
             g
         })
