@@ -43,14 +43,16 @@
 //! rank 0's per-iteration rendezvous poll detects and absorbs at the next
 //! epoch, growing the world back with the handed-off state.
 //!
-//! The epoch-0 rank-0 child records spans across *all* its epochs and,
-//! with `--trace-dir DIR`, writes `DIR/merged_trace.json` (one Chrome
+//! With `--trace-dir DIR` every member records spans across *all* its
+//! epochs (a survivor's post-mortem dump is its recorder's newest spans);
+//! the epoch-0 rank-0 child also writes `DIR/merged_trace.json` (one Chrome
 //! trace covering every epoch, with `handoff-e<N>` spans marking the
 //! transitions) and `DIR/resize_timeline.json`
 //! (`spdkfac-resize-timeline-v1`: one entry per membership epoch with its
 //! world size and starting iteration). After a kill the parent fails the
-//! run unless the timeline shows exactly the expected shrink → regrow and
-//! the merged trace spans both epochs; `smoke --elastic` additionally
+//! run unless the timeline shows exactly the expected shrink → regrow, the
+//! merged trace spans both epochs and every surviving founder left a dump
+//! with spans in it; `smoke --elastic` additionally
 //! requires the final loss within [`LOSSY_LOSS_TOL`] of a never-resized
 //! in-process baseline (a resize re-shards the batch, so bit-parity is
 //! not defined across one).
@@ -114,7 +116,7 @@
 
 use spdkfac_bench::{header, note};
 use spdkfac_collectives::tcp::RendezvousServer;
-use spdkfac_collectives::telemetry::{feed_op_durations, SpanStreamer, TelemetryServer};
+use spdkfac_collectives::telemetry::{SpanStreamer, TelemetryServer};
 use spdkfac_collectives::transport::{INJECT_DELAY_ENV, INJECT_KILL_ENV, KILL_EXIT_CODE};
 use spdkfac_collectives::{Backend, CommGroup, TcpConfig, WirePolicy};
 use spdkfac_core::distributed::{Algorithm, DistributedConfig, RunResult, TrainSession};
@@ -123,14 +125,13 @@ use spdkfac_core::runtime::ReplanPolicy;
 use spdkfac_nn::data::{gaussian_blobs, Dataset};
 use spdkfac_nn::models::deep_mlp;
 use spdkfac_nn::Sequential;
-use spdkfac_obs::collect::{comm_edge_violations, ClockModel, CollectorState};
-use spdkfac_obs::export::{render_health_json, render_prometheus, HealthRegistry, HttpExporter};
+use spdkfac_obs::collect::comm_edge_violations;
+use spdkfac_obs::export::{render_health_json, render_prometheus, HttpExporter};
 use spdkfac_obs::{
     chrome_trace, parse_json, CriticalReport, JsonValue, Phase, RankMap, Recorder, TrackLayout,
 };
 use std::process::{Child, Command, ExitCode};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Loss agreement bound between the TCP and in-process backends under a
@@ -187,12 +188,6 @@ const COVERAGE_MIN: f64 = 0.95;
 /// Floor on the clock tolerance used for cross-rank edge checks (loopback
 /// uncertainties are sub-100 µs; scheduling noise still deserves slack).
 const EDGE_TOL_FLOOR: f64 = 1e-4;
-
-/// Rank-0 local pump cadence (mirrors the remote streamers).
-const PUMP_INTERVAL: Duration = Duration::from_millis(50);
-
-/// Live dashboard refresh period.
-const MONITOR_INTERVAL: Duration = Duration::from_millis(500);
 
 /// How long rank 0 waits after its own training for the other ranks'
 /// final telemetry flushes.
@@ -452,96 +447,6 @@ fn check_drift_demo(rec: &Recorder, iters: usize, ops: u64) -> Result<(), String
     Ok(())
 }
 
-/// Rank 0's telemetry pump: drains this process's recorder into the shared
-/// collector state (clock model = identity — the collector clock *is* rank
-/// 0's recorder) and, with `--monitor`, prints the live dashboard.
-struct LocalPump {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl LocalPump {
-    fn spawn(
-        rec: Arc<Recorder>,
-        state: Arc<Mutex<CollectorState>>,
-        health: Arc<Mutex<HealthRegistry>>,
-        monitor: bool,
-    ) -> LocalPump {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("spdkfac-telemetry-pump".into())
-            .spawn(move || {
-                let mut cursor = rec.flush_cursor();
-                let mut last_monitor = Instant::now();
-                loop {
-                    let done = stop2.load(Ordering::SeqCst);
-                    let spans = rec.flush_since(&mut cursor);
-                    let now = rec.now();
-                    // Rank 0 has no streamer, so its heartbeat and comm-op
-                    // durations are fed to the health registry here — the
-                    // same feed the reader threads do for remote ranks.
-                    {
-                        let hb = spdkfac_obs::flight::global().heartbeat();
-                        let mut h = health.lock().expect("health registry");
-                        feed_op_durations(&mut h, 0, &spans);
-                        h.record_heartbeat(
-                            0,
-                            hb.iteration,
-                            hb.loss,
-                            hb.phase_idx,
-                            hb.generation,
-                            hb.epoch,
-                            hb.rss_bytes,
-                            now,
-                        );
-                    }
-                    {
-                        let mut st = state.lock().expect("collector state");
-                        st.hello(0);
-                        st.ingest(0, ClockModel::identity(), rec.dropped(), spans, now);
-                        if done {
-                            st.bye(0);
-                        }
-                    }
-                    if done {
-                        // Always leave one final dashboard behind — short
-                        // runs can finish inside the first refresh period.
-                        if monitor {
-                            let text = state
-                                .lock()
-                                .expect("collector state")
-                                .monitor_text(rec.now());
-                            eprintln!("{text}");
-                        }
-                        return;
-                    }
-                    if monitor && last_monitor.elapsed() >= MONITOR_INTERVAL {
-                        last_monitor = Instant::now();
-                        let text = state
-                            .lock()
-                            .expect("collector state")
-                            .monitor_text(rec.now());
-                        eprintln!("{text}");
-                    }
-                    std::thread::sleep(PUMP_INTERVAL);
-                }
-            })
-            .expect("spawn telemetry pump");
-        LocalPump {
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    fn finish(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 /// Rank 0 post-run: waits for every rank's final flush, merges, writes
 /// artifacts, and enforces the coverage + causal-consistency gates.
 fn finalize_telemetry(args: &Args, world: usize, server: TelemetryServer) -> Result<(), String> {
@@ -685,18 +590,17 @@ fn run_rank(args: &Args) -> Result<RunResult, String> {
     flight.configure(rank, world, args.trace_dir.as_deref());
 
     let mut streamer = None;
-    let mut pump = None;
     let mut exporter = None;
     if let Some(rec) = &rec {
         flight.set_recorder(Arc::clone(rec));
         if rank == 0 {
             let srv = server.as_ref().expect("rank 0 binds the collector");
-            pump = Some(LocalPump::spawn(
-                Arc::clone(rec),
-                srv.state(),
-                srv.health(),
-                args.monitor,
-            ));
+            // No socket to itself: the same streamer loop hands rank 0's
+            // batches and heartbeats straight to the collector state.
+            streamer = Some(
+                SpanStreamer::local(srv, rank, Arc::clone(rec), args.monitor)
+                    .map_err(|e| format!("start rank-0 telemetry stream: {e}"))?,
+            );
             if let Some(addr) = &args.metrics_addr {
                 let health = srv.health();
                 let mrec = Arc::clone(rec);
@@ -756,9 +660,6 @@ fn run_rank(args: &Args) -> Result<RunResult, String> {
         s.finish()
             .map_err(|e| format!("telemetry stream shutdown: {e}"))?;
     }
-    if let Some(p) = pump {
-        p.finish();
-    }
     drop(exporter);
     if let Some(srv) = server {
         finalize_telemetry(args, world, srv)?;
@@ -811,8 +712,12 @@ fn run_elastic_rank(args: &Args) -> Result<RunResult, String> {
     policy.tcp.rank = args.rank;
     // The recorder outlives every epoch; per-epoch track registration
     // happens inside the trainer. 4x the initial world leaves headroom for
-    // the comm tracks of epochs that grow past the founding size.
-    let rec = (args.trace_dir.is_some() && args.rank == Some(0))
+    // the comm tracks of epochs that grow past the founding size. Every
+    // member records — a post-mortem dump is its recorder's newest spans —
+    // but only the founding rank 0 writes the merged trace.
+    let rec = args
+        .trace_dir
+        .is_some()
         .then(|| Arc::new(Recorder::new(4 * world)));
     if let Some(r) = &rec {
         flight.set_recorder(Arc::clone(r));
@@ -831,7 +736,7 @@ fn run_elastic_rank(args: &Args) -> Result<RunResult, String> {
             span.epoch, span.world, span.from_iter
         );
     }
-    if let (Some(dir), Some(rec)) = (&args.trace_dir, &rec) {
+    if let (Some(dir), Some(rec), Some(0)) = (&args.trace_dir, &rec, args.rank) {
         std::fs::create_dir_all(dir).map_err(|e| format!("create {dir}: {e}"))?;
         let trace = chrome_trace(&rec.spans(), &TrackLayout::trainer(world));
         let path = format!("{dir}/merged_trace.json");
@@ -935,12 +840,12 @@ fn child_command(
 }
 
 /// Hosts the rendezvous, launches one `run` child per founding rank and
-/// supervises them to the end. Returns rank 0's losses and how many kills
-/// were absorbed. A fixed world tolerates no death. An elastic one
-/// replaces a child that died with the kill-injection exit code
+/// supervises them to the end. Returns rank 0's losses and the founding
+/// ranks whose kill was absorbed. A fixed world tolerates no death. An
+/// elastic one replaces a child that died with the kill-injection exit code
 /// ([`KILL_EXIT_CODE`]) by a fresh joiner — only once the shrunk epoch has
 /// committed, so the world visibly contracts before it regrows.
-fn spawn_local(args: &Args) -> Result<(Vec<f64>, usize), String> {
+fn spawn_local(args: &Args) -> Result<(Vec<f64>, Vec<usize>), String> {
     let handle = RendezvousServer::bind("127.0.0.1:0", args.world)
         .map_err(|e| format!("rendezvous bind: {e}"))?
         .with_rejoin_window(ELASTIC_REJOIN_WINDOW)
@@ -955,11 +860,12 @@ fn spawn_local(args: &Args) -> Result<(Vec<f64>, usize), String> {
             .map_err(|e| format!("spawn rank {rank:?}: {e}"))
     };
 
-    let mut children: Vec<(String, Child)> = Vec::new();
+    // (founding rank, or `None` for a replacement joiner; the process)
+    let mut children: Vec<(Option<usize>, Child)> = Vec::new();
     for rank in 0..args.world {
-        children.push((format!("rank {rank}"), launch(Some(rank))?));
+        children.push((Some(rank), launch(Some(rank))?));
     }
-    let mut killed = 0usize;
+    let mut killed = Vec::new();
     let mut failures = Vec::new();
     while !children.is_empty() {
         std::thread::sleep(Duration::from_millis(30));
@@ -968,12 +874,13 @@ fn spawn_local(args: &Args) -> Result<(Vec<f64>, usize), String> {
             let status = children[i]
                 .1
                 .try_wait()
-                .map_err(|e| format!("wait {}: {e}", children[i].0))?;
+                .map_err(|e| format!("wait {:?}: {e}", children[i].0))?;
             let Some(status) = status else {
                 i += 1;
                 continue;
             };
-            let (label, _) = children.remove(i);
+            let (founder, _) = children.remove(i);
+            let label = founder.map_or("replacement".to_string(), |r| format!("rank {r}"));
             if status.success() {
                 continue;
             }
@@ -981,7 +888,7 @@ fn spawn_local(args: &Args) -> Result<(Vec<f64>, usize), String> {
                 failures.push(format!("{label} exited with {status}"));
                 continue;
             }
-            killed += 1;
+            killed.extend(founder);
             let target = handle.status().epoch + 1;
             eprintln!(
                 "elastic: {label} was hard-killed (exit {KILL_EXIT_CODE}); waiting for \
@@ -1001,7 +908,7 @@ fn spawn_local(args: &Args) -> Result<(Vec<f64>, usize), String> {
                 "elastic: epoch {} committed at world {}; spawning a replacement joiner",
                 st.epoch, st.world
             );
-            children.push(("replacement".into(), launch(None)?));
+            children.push((None, launch(None)?));
         }
     }
     handle.stop();
@@ -1070,17 +977,29 @@ fn check_artifacts(dir: &str, world: usize) -> Result<(), String> {
 }
 
 /// Elastic parent, after a kill: the rank-0 timeline shrank and regrew
-/// around it and the rank-0 trace spans the epochs.
-fn check_resize(dir: &str, world: usize, killed: usize) -> Result<(), String> {
+/// around it, the rank-0 trace spans the epochs, and every surviving
+/// founder's comm thread left a post-mortem dump with spans in it.
+fn check_resize(dir: &str, world: usize, killed: &[usize]) -> Result<(), String> {
     let timeline = read_timeline(dir)?;
     println!("membership timeline (rank 0):");
     println!("{:>6} {:>6} {:>10}", "epoch", "world", "from_iter");
     for s in &timeline {
         println!("{:>6} {:>6} {:>10}", s.epoch, s.world, s.from_iter);
     }
-    if killed == 0 {
+    if killed.is_empty() {
         return Ok(());
     }
+    for rank in (0..world).filter(|r| !killed.contains(r)) {
+        let path = format!("{dir}/postmortem.rank{rank}.json");
+        let body =
+            std::fs::read_to_string(&path).map_err(|e| format!("survivor dump {path}: {e}"))?;
+        let doc = parse_json(&body).map_err(|e| format!("{path}: {e}"))?;
+        match doc.get("spans") {
+            Some(JsonValue::Array(spans)) if !spans.is_empty() => {}
+            _ => return Err(format!("{path}: the dump carries no span window")),
+        }
+    }
+    let killed = killed.len();
     let worlds: Vec<usize> = timeline.iter().map(|s| s.world).collect();
     let expected: Vec<usize> = std::iter::once(world)
         .chain((0..killed).flat_map(|_| [world - 1, world]))
@@ -1177,7 +1096,7 @@ fn parent(args: &Args) -> Result<(), String> {
     let (losses, killed) = spawn_local(args)?;
     if args.elastic {
         let dir = args.trace_dir.as_deref().expect("defaulted by parse_args");
-        check_resize(dir, world, killed)?;
+        check_resize(dir, world, &killed)?;
     } else {
         println!("{:>5} {:>22}", "iter", "loss (TCP, P procs)");
         for (i, l) in losses.iter().enumerate() {

@@ -3,9 +3,10 @@
 //!
 //! When a rank of a multi-process run dies (killed, OOM, panic), the
 //! surviving ranks each write `postmortem.rank{N}.json` into the trace
-//! directory: the last seconds of their flight window, the first transport
+//! directory: the newest spans of their recorder, the first transport
 //! failure their comm thread saw, a heartbeat snapshot, and the clock model
-//! their telemetry session agreed on (`DESIGN.md` §2.13). This tool reads
+//! their telemetry session agreed on (`DESIGN.md` "Event pipeline"). This
+//! tool reads
 //! whatever dumps survived and answers the forensic questions:
 //!
 //! - **Who died?** Ranks in `0..world` with no dump are presumed killed
@@ -26,7 +27,9 @@
 //! usage: `spdkfac_postmortem DIR [--out FILE]`
 
 use spdkfac_obs::collect::ClockModel;
-use spdkfac_obs::{chrome_trace, parse_json, JsonValue, Phase, Span, SpanMeta, TrackLayout};
+use spdkfac_obs::flight::{parse_span, POSTMORTEM_SCHEMA};
+use spdkfac_obs::json::JsonWriter;
+use spdkfac_obs::{chrome_trace, parse_json, JsonValue, Span, TrackLayout};
 use std::borrow::Cow;
 use std::process::ExitCode;
 
@@ -59,14 +62,6 @@ struct Failure {
     error: String,
 }
 
-fn phase_by_name(name: &str) -> Phase {
-    Phase::ALL
-        .iter()
-        .copied()
-        .find(|p| p.name() == name)
-        .unwrap_or(Phase::Update)
-}
-
 fn get_f64(v: &JsonValue, key: &str) -> Option<f64> {
     v.get(key).and_then(|x| x.as_f64())
 }
@@ -75,14 +70,14 @@ fn get_str<'a>(v: &'a JsonValue, key: &str) -> Option<&'a str> {
     v.get(key).and_then(|x| x.as_str())
 }
 
-/// Parses one `postmortem.rank{N}.json` document. Events are converted to
-/// [`Span`]s on the trainer track layout (compute events keep their stored
-/// track; comm events land on `world + rank`), already rebased onto the
-/// collector clock via the dump's stored clock model.
+/// Parses one `postmortem.rank{N}.json` document. Spans keep the track
+/// they were recorded on (the trainer layout) and come back rebased onto
+/// the collector clock via the dump's stored clock model; the span of the
+/// pinned failing collective is relabeled `FAILED <op>`.
 fn parse_dump(body: &str, path: &str) -> Result<Dump, String> {
     let doc = parse_json(body).map_err(|e| format!("{path}: {e}"))?;
     match get_str(&doc, "schema") {
-        Some("spdkfac-postmortem-v1") => {}
+        Some(POSTMORTEM_SCHEMA) => {}
         other => return Err(format!("{path}: unexpected schema {other:?}")),
     }
     let rank = get_f64(&doc, "rank").ok_or_else(|| format!("{path}: missing rank"))? as usize;
@@ -105,7 +100,9 @@ fn parse_dump(body: &str, path: &str) -> Result<Dump, String> {
     };
     let failure = match doc.get("failure") {
         Some(f @ JsonValue::Object(_)) => Some(Failure {
-            t: clock.rebase(get_f64(f, "t").unwrap_or(0.0)),
+            // A failure pinned with no recorder attached has no time
+            // (`null`): it must never win "earliest".
+            t: clock.rebase(get_f64(f, "t").unwrap_or(f64::INFINITY)),
             rank,
             op: get_str(f, "op").unwrap_or("?").to_string(),
             seq: get_f64(f, "seq").unwrap_or(0.0) as u64,
@@ -116,45 +113,18 @@ fn parse_dump(body: &str, path: &str) -> Result<Dump, String> {
         _ => None,
     };
     let mut spans = Vec::new();
-    if let Some(JsonValue::Array(events)) = doc.get("events") {
-        for e in events {
-            let (start, end) = match (get_f64(e, "t"), get_f64(e, "end")) {
-                (Some(t), Some(end)) => (clock.rebase(t), clock.rebase(end)),
-                _ => continue,
-            };
-            match get_str(e, "type") {
-                Some("span") => spans.push(Span {
-                    track: get_f64(e, "track").unwrap_or(rank as f64) as usize,
-                    phase: phase_by_name(get_str(e, "phase").unwrap_or("")),
-                    label: Cow::Owned(get_str(e, "label").unwrap_or("").to_string()),
-                    start,
-                    end,
-                    meta: SpanMeta::default(),
-                }),
-                Some("comm") => {
-                    let failed = matches!(e.get("error"), Some(JsonValue::String(_)));
-                    let op = get_str(e, "op").unwrap_or("?");
-                    let label = if failed {
-                        format!("FAILED {op}")
-                    } else {
-                        op.to_string()
-                    };
-                    spans.push(Span {
-                        track: world + rank,
-                        phase: phase_by_name(get_str(e, "phase").unwrap_or("")),
-                        label: Cow::Owned(label),
-                        start,
-                        end,
-                        meta: SpanMeta {
-                            seq: get_f64(e, "seq").map(|s| s as u64),
-                            generation: get_f64(e, "generation").map(|g| g as u64),
-                            size: get_f64(e, "elements").map(|n| n as usize),
-                            ..SpanMeta::default()
-                        },
-                    })
-                }
-                _ => {}
+    if let Some(JsonValue::Array(dumped)) = doc.get("spans") {
+        for v in dumped {
+            let mut span = parse_span(v).ok_or_else(|| format!("{path}: malformed span"))?;
+            span.start = clock.rebase(span.start);
+            span.end = clock.rebase(span.end);
+            let failed = failure.as_ref().is_some_and(|f| {
+                span.meta.seq == Some(f.seq) && span.meta.generation == Some(f.generation)
+            });
+            if failed {
+                span.label = Cow::Owned(format!("FAILED {}", span.display_name()));
             }
+            spans.push(span);
         }
     }
     Ok(Dump {
@@ -171,70 +141,45 @@ fn parse_dump(body: &str, path: &str) -> Result<Dump, String> {
     })
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn render_timeline(
     world: usize,
     killed: &[usize],
     first: &Option<Failure>,
     dumps: &[Dump],
 ) -> String {
-    let mut out = String::from("{\"schema\":\"");
-    out.push_str(TIMELINE_SCHEMA);
-    out.push_str(&format!("\",\"world\":{world},\"killed\":["));
-    for (i, r) in killed.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&r.to_string());
-    }
-    out.push_str("],\"first_failure\":");
-    match first {
-        None => out.push_str("null"),
-        Some(f) => out.push_str(&format!(
-            "{{\"t\":{:.9},\"rank\":{},\"op\":\"{}\",\"seq\":{},\"generation\":{},\
-             \"phase\":\"{}\",\"error\":\"{}\"}}",
-            f.t,
-            f.rank,
-            json_escape(&f.op),
-            f.seq,
-            f.generation,
-            json_escape(&f.phase),
-            json_escape(&f.error)
-        )),
-    }
-    out.push_str(",\"ranks\":[");
-    for (i, d) in dumps.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"rank\":{},\"reason\":\"{}\",\"iteration\":{},\"phase\":\"{}\",\
-             \"generation\":{},\"clock_offset\":{:.9},\"dumped_at\":{:.9}}}",
-            d.rank,
-            json_escape(&d.reason),
-            d.iteration,
-            json_escape(&d.phase),
-            d.generation,
-            d.clock.offset,
-            d.wall_now
-        ));
-    }
-    out.push_str("]}");
+    let mut out = String::new();
+    JsonWriter::new(&mut out).object(|w| {
+        w.key("schema").str(TIMELINE_SCHEMA);
+        w.key("world").int(world as u64);
+        w.key("killed").array(|w| {
+            for r in killed {
+                w.int(*r as u64);
+            }
+        });
+        w.key("first_failure");
+        match first {
+            None => w.null(),
+            Some(f) => w.object(|w| {
+                w.key("t").fixed(f.t, 9).key("rank").int(f.rank as u64);
+                w.key("op").str(&f.op).key("seq").int(f.seq);
+                w.key("generation").int(f.generation);
+                w.key("phase").str(&f.phase).key("error").str(&f.error);
+            }),
+        };
+        w.key("ranks").array(|w| {
+            for d in dumps {
+                w.object(|w| {
+                    w.key("rank").int(d.rank as u64);
+                    w.key("reason").str(&d.reason);
+                    w.key("iteration").int(d.iteration);
+                    w.key("phase").str(&d.phase);
+                    w.key("generation").int(d.generation);
+                    w.key("clock_offset").fixed(d.clock.offset, 9);
+                    w.key("dumped_at").fixed(d.wall_now, 9);
+                });
+            }
+        });
+    });
     out
 }
 
@@ -267,7 +212,7 @@ fn run(dir: &str, out_path: Option<&str>) -> Result<(), String> {
     let first: Option<Failure> = dumps
         .iter()
         .filter_map(|d| d.failure.clone())
-        .min_by(|a, b| a.t.partial_cmp(&b.t).expect("failure times are finite"));
+        .min_by(|a, b| a.t.total_cmp(&b.t));
 
     println!(
         "post-mortem: {}/{world} ranks left dumps in {dir}",

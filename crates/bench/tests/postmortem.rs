@@ -57,8 +57,12 @@ fn killed_rank_is_identified_by_the_merged_postmortem() {
         let body = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("surviving rank {rank} left no dump at {path}: {e}"));
         let doc = parse_json(&body).expect("dump is valid JSON");
-        assert_eq!(get_str(&doc, "schema"), Some("spdkfac-postmortem-v1"));
+        assert_eq!(get_str(&doc, "schema"), Some("spdkfac-postmortem-v2"));
         assert_eq!(get_f64(&doc, "rank"), Some(rank as f64));
+        let Some(JsonValue::Array(spans)) = doc.get("spans") else {
+            panic!("rank {rank}: dump has no spans array");
+        };
+        assert!(!spans.is_empty(), "rank {rank}: empty span window");
     }
     assert!(
         !std::path::Path::new(&format!("{dir}/postmortem.rank2.json")).exists(),

@@ -655,11 +655,6 @@ impl CommGroup {
 struct CommTelemetry {
     rec: Arc<Recorder>,
     track: usize,
-    /// Collective submission sequence number; the SPMD contract makes the
-    /// k-th collective on every rank's comm thread the same logical op, so
-    /// stamping `seq` onto each span lets the causal builder match them
-    /// across ranks without any wire protocol.
-    seq: u64,
     hists: Vec<Arc<spdkfac_obs::Histogram>>,
     op_counts: Vec<Arc<spdkfac_obs::Counter>>,
     elem_counts: Vec<Arc<spdkfac_obs::Counter>>,
@@ -692,7 +687,6 @@ impl CommTelemetry {
         CommTelemetry {
             rec,
             track,
-            seq: 0,
             hists,
             op_counts,
             elem_counts,
@@ -702,21 +696,25 @@ impl CommTelemetry {
         }
     }
 
+    /// The one record of an executed collective. `seq` is its submission
+    /// sequence number: the SPMD contract makes the k-th collective on
+    /// every rank's comm thread the same logical op, so stamping it onto
+    /// each span lets the causal builder match them across ranks without
+    /// any wire protocol.
     #[allow(clippy::too_many_arguments)]
     fn record(
-        &mut self,
+        &self,
         kind: OpKind,
         elements: usize,
         edge: CollEdge,
         phase: Phase,
         generation: u64,
+        seq: u64,
         start: f64,
         end: f64,
         codec: OpCodecStats,
         lossless: bool,
     ) {
-        let seq = self.seq;
-        self.seq += 1;
         self.rec.record(Span {
             track: self.track,
             phase,
@@ -796,9 +794,7 @@ fn comm_thread_main(mut ring: RingEndpoint, req_rx: Receiver<Request>, policy: W
     static KILL_ARMED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
     let kill = crate::transport::KillInjection::from_env()
         .filter(|_| !KILL_ARMED.swap(true, std::sync::atomic::Ordering::SeqCst));
-    // The always-on flight recorder: every executed collective leaves a
-    // bounded-window comm event, and the first failure is pinned as the
-    // post-mortem anchor.
+    // Pins the first failure as the post-mortem anchor and dumps.
     let flight = spdkfac_obs::flight::global();
     // First transport failure observed; once set, the ring is broken and
     // every further op fails fast without touching the transport.
@@ -871,8 +867,9 @@ fn comm_thread_main(mut ring: RingEndpoint, req_rx: Receiver<Request>, policy: W
                         std::thread::sleep(std::time::Duration::from_secs_f64(busy * (mult - 1.0)));
                     }
                 };
-                let flight_start = flight.now();
-                let (reply, out) = match &mut telemetry {
+                let seq = executed;
+                executed += 1;
+                let (reply, out) = match &telemetry {
                     Some(t) => {
                         let start = t.rec.now();
                         let (reply, out) = execute(&mut ring, op);
@@ -885,6 +882,7 @@ fn comm_thread_main(mut ring: RingEndpoint, req_rx: Receiver<Request>, policy: W
                             edge,
                             phase,
                             generation,
+                            seq,
                             start,
                             end,
                             codec,
@@ -900,8 +898,6 @@ fn comm_thread_main(mut ring: RingEndpoint, req_rx: Receiver<Request>, policy: W
                         (reply, out)
                     }
                 };
-                let seq = executed;
-                executed += 1;
                 // Stamp the failing collective's identity onto the error:
                 // the poisoning log line (and every queued op failed after
                 // it) then names the broken edge without a trace.
@@ -912,37 +908,18 @@ fn comm_thread_main(mut ring: RingEndpoint, req_rx: Receiver<Request>, policy: W
                         kind.name()
                     ))
                 });
-                match out.as_ref().err() {
-                    Some(e) => {
-                        eprintln!(
-                            "rank {}: collective failed, poisoning comm thread: {e}",
-                            ring.rank
-                        );
-                        flight.note_comm_failure(
-                            kind.name(),
-                            seq,
-                            generation,
-                            phase,
-                            &e.to_string(),
-                        );
-                        // Dump the post-mortem right here: the worker may
-                        // panic (wait_sync) or hang on a later barrier, and
-                        // the first-wins guard makes a later panic-hook dump
-                        // a no-op anyway.
-                        let _ = flight.dump(&format!("comm thread poisoned: {e}"));
-                        poison = Some(e.clone());
-                    }
-                    None => {
-                        flight.record_comm(
-                            kind.name(),
-                            seq,
-                            generation,
-                            phase,
-                            elements,
-                            flight_start,
-                            flight.now(),
-                        );
-                    }
+                if let Err(e) = &out {
+                    eprintln!(
+                        "rank {}: collective failed, poisoning comm thread: {e}",
+                        ring.rank
+                    );
+                    flight.note_comm_failure(kind.name(), seq, generation, phase, &e.to_string());
+                    // Dump the post-mortem right here: the worker may panic
+                    // (wait_sync) or hang on a later barrier, and the
+                    // first-wins guard makes a later panic-hook dump a no-op
+                    // anyway.
+                    let _ = flight.dump(&format!("comm thread poisoned: {e}"));
+                    poison = Some(e.clone());
                 }
                 let _ = reply.send(out);
             }

@@ -18,7 +18,8 @@
 //!   [`Recorder`] through the incremental flush cursor every
 //!   [`STREAM_INTERVAL`], re-pinging every [`RESYNC_INTERVAL`] so drift
 //!   stays tracked on long runs, and sending a final flush plus `Bye` on
-//!   shutdown.
+//!   shutdown. Rank 0 runs the same loop ([`SpanStreamer::local`]) with the
+//!   collector's own state as the sink instead of a socket.
 //!
 //! The channel is deliberately independent of the ring: telemetry loss or
 //! latency can never corrupt training collectives, and the collector can
@@ -29,14 +30,13 @@ use spdkfac_obs::collect::{
     Heartbeat,
 };
 use spdkfac_obs::export::HealthRegistry;
-use spdkfac_obs::flight::HeartbeatState;
-use spdkfac_obs::Recorder;
+use spdkfac_obs::{Recorder, Span};
 use std::io::{BufReader, BufWriter, ErrorKind, Result as IoResult, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How often a [`SpanStreamer`] flushes newly completed spans.
 pub const STREAM_INTERVAL: Duration = Duration::from_millis(50);
@@ -48,6 +48,9 @@ pub const RESYNC_INTERVAL: Duration = Duration::from_secs(2);
 /// Exchanges per ping burst (the estimator keeps the tightest; more
 /// exchanges shrink the uncertainty floor toward the true one-way delay).
 pub const PING_BURST: usize = 8;
+
+/// Live dashboard refresh period ([`SpanStreamer::local`] with `monitor`).
+const MONITOR_INTERVAL: Duration = Duration::from_millis(500);
 
 /// Reader-side poll timeout: how stale a blocking read may go before the
 /// thread rechecks the stop flag.
@@ -176,7 +179,7 @@ fn accept_loop(
 /// Feeds the comm-op spans of a batch into the health registry's rolling
 /// per-op durations (durations are offset-invariant, so the sender-clock
 /// stamps are fine as-is).
-pub fn feed_op_durations(health: &mut HealthRegistry, rank: usize, spans: &[spdkfac_obs::Span]) {
+fn feed_op_durations(health: &mut HealthRegistry, rank: usize, spans: &[Span]) {
     for s in spans {
         if s.phase.is_comm() && s.meta.seq.is_some() {
             health.record_op_duration(rank, &s.label, s.end - s.start);
@@ -243,16 +246,10 @@ fn reader_loop(
             }
             Frame::Heartbeat(hb) => {
                 let now = clock.now();
-                health.lock().expect("health registry").record_heartbeat(
-                    hb.rank as usize,
-                    hb.iteration,
-                    hb.loss,
-                    hb.phase as usize,
-                    hb.generation,
-                    hb.epoch,
-                    hb.rss_bytes,
-                    now,
-                );
+                health
+                    .lock()
+                    .expect("health registry")
+                    .record_heartbeat(&hb, now);
             }
             Frame::Pong { .. } => return, // protocol violation
         }
@@ -336,7 +333,7 @@ impl TelemetryClient {
     }
 
     /// Sends one span batch stamped with the current clock model.
-    pub fn send_batch(&mut self, spans: Vec<spdkfac_obs::Span>, dropped: u64) -> IoResult<()> {
+    pub fn send_batch(&mut self, spans: Vec<Span>, dropped: u64) -> IoResult<()> {
         let batch = Frame::Batch(Batch {
             rank: self.rank as u32,
             model: self.model(),
@@ -347,20 +344,9 @@ impl TelemetryClient {
         self.writer.flush()
     }
 
-    /// Sends one liveness heartbeat built from the flight recorder's
-    /// lock-free state, stamped with the local send time.
-    pub fn send_heartbeat(&mut self, hb: HeartbeatState) -> IoResult<()> {
-        let frame = Frame::Heartbeat(Heartbeat {
-            rank: self.rank as u32,
-            iteration: hb.iteration,
-            generation: hb.generation,
-            epoch: hb.epoch,
-            phase: hb.phase_idx as u8,
-            loss: hb.loss,
-            rss_bytes: hb.rss_bytes,
-            sent_at: self.rec.now(),
-        });
-        write_frame(&mut self.writer, &frame)?;
+    /// Sends one liveness heartbeat.
+    pub fn send_heartbeat(&mut self, hb: Heartbeat) -> IoResult<()> {
+        write_frame(&mut self.writer, &Frame::Heartbeat(hb))?;
         self.writer.flush()
     }
 
@@ -380,6 +366,70 @@ impl TelemetryClient {
 // Background streamer
 // ---------------------------------------------------------------------------
 
+/// Where a [`SpanStreamer`] delivers: the collector's socket, or — on the
+/// rank that hosts the collector — its state directly (clock model =
+/// identity: the collector clock *is* that rank's recorder).
+enum Sink {
+    Remote(TelemetryClient),
+    Local {
+        state: Arc<Mutex<CollectorState>>,
+        health: Arc<Mutex<HealthRegistry>>,
+        /// Print the live dashboard to stderr every [`MONITOR_INTERVAL`].
+        monitor: Option<Instant>,
+    },
+}
+
+impl Sink {
+    /// Delivers one tick: the new spans, the heartbeat and, on the last
+    /// tick (`done`), the end-of-stream marker.
+    fn deliver(
+        &mut self,
+        rec: &Recorder,
+        spans: Vec<Span>,
+        hb: Heartbeat,
+        done: bool,
+    ) -> IoResult<()> {
+        match self {
+            Sink::Remote(client) => {
+                if !spans.is_empty() || done {
+                    client.send_batch(spans, rec.dropped())?;
+                }
+                // Heartbeat piggybacks on every tick — cheaper than a span
+                // batch and the collector's staleness detector keys off its
+                // arrival cadence.
+                client.send_heartbeat(hb)?;
+                if done {
+                    client.bye()?;
+                }
+            }
+            Sink::Local {
+                state,
+                health,
+                monitor,
+            } => {
+                let (rank, now) = (hb.rank as usize, rec.now());
+                {
+                    let mut h = health.lock().expect("health registry");
+                    feed_op_durations(&mut h, rank, &spans);
+                    h.record_heartbeat(&hb, now);
+                }
+                let mut st = state.lock().expect("collector state");
+                st.ingest(rank, ClockModel::identity(), rec.dropped(), spans, now);
+                if done {
+                    st.bye(rank);
+                }
+                // Always leave one final dashboard behind — short runs can
+                // finish inside the first refresh period.
+                if monitor.is_some_and(|last| done || last.elapsed() >= MONITOR_INTERVAL) {
+                    *monitor = Some(Instant::now());
+                    eprintln!("{}", st.monitor_text(now));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Streams a rank's recorder to the collector from a background thread:
 /// incremental flushes every [`STREAM_INTERVAL`], clock re-sync every
 /// [`RESYNC_INTERVAL`], final flush + `Bye` on [`SpanStreamer::finish`].
@@ -397,13 +447,36 @@ impl SpanStreamer {
         world: usize,
         rec: Arc<Recorder>,
     ) -> IoResult<SpanStreamer> {
-        let mut client = TelemetryClient::connect(addr, rank, world, Arc::clone(&rec))?;
+        let client = TelemetryClient::connect(addr, rank, world, Arc::clone(&rec))?;
         // Publish the synchronized clock model to the flight recorder so a
         // post-mortem dump can be rebased onto the collector clock even
         // though the merge pipeline never ran.
         spdkfac_obs::flight::global().set_clock_model(client.model());
+        Self::start(Sink::Remote(client), rank, rec)
+    }
+
+    /// Streams `rec` — the recorder of the rank hosting `server`, whose
+    /// clock is the collector clock — straight into the collector's state.
+    /// With `monitor`, also prints the live dashboard to stderr.
+    pub fn local(
+        server: &TelemetryServer,
+        rank: usize,
+        rec: Arc<Recorder>,
+        monitor: bool,
+    ) -> IoResult<SpanStreamer> {
+        server.state.lock().expect("collector state").hello(rank);
+        let sink = Sink::Local {
+            state: server.state(),
+            health: server.health(),
+            monitor: monitor.then(Instant::now),
+        };
+        Self::start(sink, rank, rec)
+    }
+
+    fn start(mut sink: Sink, rank: usize, rec: Arc<Recorder>) -> IoResult<SpanStreamer> {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
+        let flight = spdkfac_obs::flight::global();
         let handle = std::thread::Builder::new()
             .name(format!("spdkfac-telemetry-stream-{rank}"))
             .spawn(move || {
@@ -412,21 +485,21 @@ impl SpanStreamer {
                 loop {
                     let done = stop2.load(Ordering::SeqCst);
                     let spans = rec.flush_since(&mut cursor);
-                    if !spans.is_empty() || done {
-                        client.send_batch(spans, rec.dropped())?;
-                    }
-                    // Heartbeat piggybacks on every tick — cheaper than a
-                    // span batch and the collector's staleness detector
-                    // keys off its arrival cadence.
-                    client.send_heartbeat(spdkfac_obs::flight::global().heartbeat())?;
+                    let hb = Heartbeat {
+                        rank: rank as u32,
+                        sent_at: rec.now(),
+                        ..flight.heartbeat()
+                    };
+                    sink.deliver(&rec, spans, hb, done)?;
                     if done {
-                        client.bye()?;
                         return Ok(());
                     }
                     if since_sync >= RESYNC_INTERVAL {
                         since_sync = Duration::ZERO;
-                        client.ping_burst(PING_BURST)?;
-                        spdkfac_obs::flight::global().set_clock_model(client.model());
+                        if let Sink::Remote(client) = &mut sink {
+                            client.ping_burst(PING_BURST)?;
+                            flight.set_clock_model(client.model());
+                        }
                     }
                     std::thread::sleep(STREAM_INTERVAL);
                     since_sync += STREAM_INTERVAL;
@@ -526,13 +599,15 @@ mod tests {
         let client_rec = Arc::new(Recorder::new(2));
         let mut client = TelemetryClient::connect(&addr, 1, 2, client_rec).unwrap();
         client
-            .send_heartbeat(HeartbeatState {
+            .send_heartbeat(Heartbeat {
+                rank: 1,
                 iteration: 9,
-                loss: 0.25,
-                phase_idx: 3,
                 generation: 2,
                 epoch: 1,
+                phase: 3,
+                loss: 0.25,
                 rss_bytes: 1 << 20,
+                sent_at: 0.0,
             })
             .unwrap();
 
@@ -541,12 +616,12 @@ mod tests {
         loop {
             let snap = health.lock().unwrap().snapshot(server_rec.now());
             if snap.ranks[1].heartbeats > 0 {
-                assert_eq!(snap.ranks[1].iteration, 9);
-                assert_eq!(snap.ranks[1].loss, 0.25);
-                assert_eq!(snap.ranks[1].phase_idx, 3);
-                assert_eq!(snap.ranks[1].generation, 2);
-                assert_eq!(snap.ranks[1].epoch, 1);
-                assert_eq!(snap.ranks[1].rss_bytes, 1 << 20);
+                assert_eq!(snap.ranks[1].last.iteration, 9);
+                assert_eq!(snap.ranks[1].last.loss, 0.25);
+                assert_eq!(snap.ranks[1].last.phase, 3);
+                assert_eq!(snap.ranks[1].last.generation, 2);
+                assert_eq!(snap.ranks[1].last.epoch, 1);
+                assert_eq!(snap.ranks[1].last.rss_bytes, 1 << 20);
                 assert!(!snap.ranks[1].is_stale());
                 // Rank 0 never sent one.
                 assert_eq!(snap.ranks[0].staleness, None);
@@ -611,5 +686,24 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         server.shutdown();
+    }
+
+    #[test]
+    fn local_streamer_feeds_the_collector_it_lives_with() {
+        let rec = Arc::new(Recorder::new(2));
+        let server = TelemetryServer::spawn("127.0.0.1", 1, Arc::clone(&rec)).unwrap();
+        let streamer = SpanStreamer::local(&server, 0, Arc::clone(&rec), false).unwrap();
+        for _ in 0..3 {
+            let _g = rec.span(1, Phase::GradComm);
+        }
+        streamer.finish().unwrap();
+        // No socket in between: the final flush has landed when finish returns.
+        let st = server.state();
+        let st = st.lock().unwrap();
+        assert!(st.all_done());
+        assert_eq!(st.merged_spans().len(), 3);
+        assert_eq!(st.clock_model(0), ClockModel::identity());
+        let snap = server.health().lock().unwrap().snapshot(rec.now());
+        assert!(snap.ranks[0].heartbeats > 0);
     }
 }

@@ -646,6 +646,28 @@ mod tests {
     }
 
     #[test]
+    fn consecutive_barriers_ingest_each_span_once() {
+        // What the re-plan barrier does: drain the recorder through one
+        // flush cursor. The second barrier sees only what was recorded
+        // since the first — including a span that *ended* before the first
+        // barrier but was written after it (another rank's late writer),
+        // which a "newer than the last barrier" time filter would lose.
+        let rec = Recorder::new(1);
+        let mut c = Calibrator::new(comp(), comm());
+        let mut cursor = rec.flush_cursor();
+        let join =
+            |size, start, end| span(Phase::FactorComm, Some(CollEdge::Join), size, start, end);
+        rec.record(join(64, 0.0, 0.1));
+        rec.record(join(128, 0.1, 0.3));
+        assert_eq!(c.ingest_spans(&rec.flush_since(&mut cursor)), 2);
+        rec.record(join(256, 0.05, 0.2));
+        rec.record(join(512, 0.3, 0.6));
+        assert_eq!(c.ingest_spans(&rec.flush_since(&mut cursor)), 2);
+        assert_eq!(c.ingest_spans(&rec.flush_since(&mut cursor)), 0);
+        assert_eq!(c.len(SampleKind::AllReduce), 4);
+    }
+
+    #[test]
     fn refit_recovers_planted_models() {
         let mut c = Calibrator::new(comp(), comm());
         let true_comm = AlphaBetaModel::new(1e-3, 5e-8);

@@ -819,9 +819,9 @@ fn train_segment(
     let mut graphs = plan_graphs(cfg, net, store.current());
     let mut controller = ReplanController::new(cfg.replan);
     let mut calibrator = Calibrator::new(cfg.comp_model, cfg.comm_model);
-    // Recorder high-water mark: spans ending before this were already fed
-    // to the calibrator at an earlier barrier.
-    let mut ingested_until = 0.0f64;
+    // What the calibrator has already been fed: each re-plan barrier
+    // ingests only the spans recorded since the previous one.
+    let mut calibrated = obs.rec.as_ref().map(|r| r.flush_cursor());
     // Measured pipelines saved from the iteration-0 plan agreement, so
     // re-plan barriers can recompute fusion plans from the agreed models.
     let mut a_pipeline: Option<FactorPipeline> = None;
@@ -843,7 +843,6 @@ fn train_segment(
     // Per tensor: seconds into its pass at which its statistic was taken.
     let mut ready = vec![0.0f64; 2 * nlayers];
     for iter in seg_start..iters {
-        let flight_iter_start = flight.now();
         let start = (iter * batch) % (shard.len() - batch + 1);
         let (x, y) = shard.batch(start, batch);
         let capture = cfg.algorithm != Algorithm::SSgd;
@@ -1044,17 +1043,9 @@ fn train_segment(
             loss_buf[0]
         };
         losses.push(loss);
-        // Flight-recorder iteration boundary: the heartbeat picks up the
-        // new (iteration, loss) pair and the bounded window keeps one span
-        // per completed iteration on this rank's compute track.
+        // Iteration boundary: the heartbeat picks up the new (iteration,
+        // loss) pair.
         flight.record_iteration(iter as u64 + 1, loss);
-        flight.record_span(
-            rank,
-            Phase::Update,
-            &format!("iter{iter}"),
-            flight_iter_start,
-            flight.now(),
-        );
 
         // ---------- Agree on SPD fusion plans after the first iteration ----
         // "First" is per segment: fusion plans are derived from measured
@@ -1104,14 +1095,8 @@ fn train_segment(
         if controller.due(iter) {
             let t_barrier = Instant::now();
             let replan_span = obs.span(Phase::Update);
-            if let Some(r) = &obs.rec {
-                let fresh: Vec<spdkfac_obs::Span> = r
-                    .spans()
-                    .into_iter()
-                    .filter(|s| s.end > ingested_until)
-                    .collect();
-                ingested_until = r.now();
-                calibrator.ingest_spans(&fresh);
+            if let (Some(r), Some(cursor)) = (&obs.rec, &mut calibrated) {
+                calibrator.ingest_spans(&r.flush_since(cursor));
             }
             let mut agree = runtime::encode_models(calibrator.refit()).to_vec();
             comm.set_phase(Phase::Update);

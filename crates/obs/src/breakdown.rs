@@ -204,17 +204,9 @@ pub fn attribute(spans: &[Span], num_compute: usize) -> IterationBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::borrow::Cow;
 
     fn sp(track: usize, phase: Phase, start: f64, end: f64) -> Span {
-        Span {
-            track,
-            phase,
-            label: Cow::Borrowed(""),
-            start,
-            end,
-            meta: crate::recorder::SpanMeta::default(),
-        }
+        Span::new(track, phase, start, end)
     }
 
     #[test]

@@ -338,16 +338,11 @@ mod tests {
     use super::*;
     use crate::phase::Phase;
     use crate::recorder::SpanMeta;
-    use std::borrow::Cow;
 
     fn sp(track: usize, phase: Phase, start: f64, end: f64, meta: SpanMeta) -> Span {
         Span {
-            track,
-            phase,
-            label: Cow::Borrowed(""),
-            start,
-            end,
             meta,
+            ..Span::new(track, phase, start, end)
         }
     }
 

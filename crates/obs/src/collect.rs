@@ -40,10 +40,10 @@ use crate::causal::RankMap;
 use crate::critical::CriticalReport;
 use crate::phase::Phase;
 use crate::recorder::{CollEdge, Span, SpanMeta};
+use crate::ring::Ring;
 use crate::table::Table;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::io::{Error, ErrorKind, Read, Result as IoResult, Write};
 
 // ---------------------------------------------------------------------------
@@ -127,32 +127,28 @@ const DRIFT_MIN_SPREAD: f64 = 0.5;
 /// discarded from the fit (the NTP trick: short round trips bound the
 /// offset best), and the sample window is capped so long runs hold O(1)
 /// memory.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ClockEstimator {
-    samples: VecDeque<ClockSample>,
-    capacity: usize,
+    samples: Ring<ClockSample>,
+}
+
+impl Default for ClockEstimator {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ClockEstimator {
     /// An empty estimator with the default sample window (1024).
     pub fn new() -> ClockEstimator {
         ClockEstimator {
-            samples: VecDeque::new(),
-            capacity: 1024,
+            samples: Ring::new(1024),
         }
     }
 
     /// Records one exchange, evicting the oldest past the window.
     pub fn add(&mut self, sample: ClockSample) {
-        let cap = if self.capacity == 0 {
-            1024
-        } else {
-            self.capacity
-        };
-        if self.samples.len() >= cap {
-            self.samples.pop_front();
-        }
-        self.samples.push_back(sample);
+        self.samples.push(sample);
     }
 
     /// Number of retained samples.
@@ -292,8 +288,11 @@ pub enum Frame {
     Heartbeat(Heartbeat),
 }
 
-/// Per-rank liveness sample carried by [`Frame::Heartbeat`].
-#[derive(Debug, Clone, PartialEq)]
+/// Per-rank liveness sample: read off the flight recorder's atomics
+/// ([`crate::flight::FlightRecorder::heartbeat`]), carried by
+/// [`Frame::Heartbeat`], kept by the health registry
+/// ([`crate::export::HealthRegistry`]).
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Heartbeat {
     /// Sending rank.
     pub rank: u32,
@@ -375,10 +374,14 @@ fn encode_span(buf: &mut Vec<u8>, s: &Span) {
     if let Some(v) = s.meta.codec_secs {
         put_f64(buf, v);
     }
-    let label = s.label.as_bytes();
-    let take = label.len().min(MAX_LABEL_BYTES);
+    // Cut an over-long label at a character boundary: a split multi-byte
+    // character would make the decoder reject the whole batch.
+    let mut take = s.label.len().min(MAX_LABEL_BYTES);
+    while !s.label.is_char_boundary(take) {
+        take -= 1;
+    }
     put_u16(buf, take as u16);
-    buf.extend_from_slice(&label[..take]);
+    buf.extend_from_slice(&s.label.as_bytes()[..take]);
 }
 
 /// Serialises one frame (length prefix included).
@@ -607,10 +610,10 @@ pub const DRIFT_FLAG_THRESHOLD: f64 = 200e-6;
 
 #[derive(Debug)]
 struct RankWindow {
-    spans: VecDeque<Span>,
+    /// Rebased spans; what the ring overwrites is the eviction count.
+    spans: Ring<Span>,
     model: ClockModel,
     dropped: u64,
-    evicted: u64,
     batches: u64,
     last_seen: f64,
     connected: bool,
@@ -618,12 +621,11 @@ struct RankWindow {
 }
 
 impl RankWindow {
-    fn new() -> RankWindow {
+    fn new(capacity: usize) -> RankWindow {
         RankWindow {
-            spans: VecDeque::new(),
+            spans: Ring::new(capacity),
             model: ClockModel::identity(),
             dropped: 0,
-            evicted: 0,
             batches: 0,
             last_seen: 0.0,
             connected: false,
@@ -640,7 +642,6 @@ impl RankWindow {
 #[derive(Debug)]
 pub struct CollectorState {
     world: usize,
-    capacity: usize,
     windows: Vec<RankWindow>,
 }
 
@@ -649,14 +650,14 @@ impl CollectorState {
     /// rank (0 selects [`DEFAULT_WINDOW_CAPACITY`]).
     pub fn new(world: usize, capacity: usize) -> CollectorState {
         assert!(world > 0, "collector for a zero-rank group");
+        let capacity = if capacity == 0 {
+            DEFAULT_WINDOW_CAPACITY
+        } else {
+            capacity
+        };
         CollectorState {
             world,
-            capacity: if capacity == 0 {
-                DEFAULT_WINDOW_CAPACITY
-            } else {
-                capacity
-            },
-            windows: (0..world).map(|_| RankWindow::new()).collect(),
+            windows: (0..world).map(|_| RankWindow::new(capacity)).collect(),
         }
     }
 
@@ -702,11 +703,7 @@ impl CollectorState {
         for mut s in spans {
             s.start = model.rebase(s.start);
             s.end = model.rebase(s.end);
-            w.spans.push_back(s);
-            if w.spans.len() > self.capacity {
-                w.spans.pop_front();
-                w.evicted += 1;
-            }
+            w.spans.push(s);
         }
     }
 
@@ -719,11 +716,7 @@ impl CollectorState {
             .iter()
             .flat_map(|w| w.spans.iter().cloned())
             .collect();
-        out.sort_by(|a, b| {
-            a.track
-                .cmp(&b.track)
-                .then_with(|| a.start.total_cmp(&b.start))
-        });
+        out.sort_by(Span::by_track_then_start);
         out
     }
 
@@ -745,7 +738,7 @@ impl CollectorState {
     /// Spans evicted from the collector-side windows (bounded-memory
     /// trade-off; non-zero means the merged trace is a suffix window).
     pub fn evicted(&self) -> u64 {
-        self.windows.iter().map(|w| w.evicted).sum()
+        self.windows.iter().map(|w| w.spans.dropped()).sum()
     }
 
     /// The clock model `rank`'s last batch carried.
@@ -828,7 +821,7 @@ impl CollectorState {
             if w.dropped > 0 {
                 flags.push("drops");
             }
-            if w.evicted > 0 {
+            if w.spans.dropped() > 0 {
                 flags.push("window");
             }
             t.push_row([
@@ -1036,8 +1029,9 @@ mod tests {
 
     #[test]
     fn estimator_is_bounded_and_filters_noisy_samples() {
-        let mut est = ClockEstimator::new();
-        est.capacity = 8;
+        let mut est = ClockEstimator {
+            samples: Ring::new(8),
+        };
         // One tight sample among noisy ones: the fit must stay near the
         // tight sample's offset, not the noisy mean.
         for i in 0..20 {
@@ -1083,14 +1077,7 @@ mod tests {
     }
 
     fn compute_span(track: usize, start: f64, end: f64) -> Span {
-        Span {
-            track,
-            phase: Phase::FfBp,
-            label: Cow::Borrowed(""),
-            start,
-            end,
-            meta: SpanMeta::default(),
-        }
+        Span::new(track, Phase::FfBp, start, end)
     }
 
     /// Two-rank trainer-layout timeline (tracks 0,1 compute; 2,3 comm)
@@ -1170,11 +1157,7 @@ mod tests {
         }
         // Rebased span times match the coherent original to fp precision.
         let mut coherent = coherent;
-        coherent.sort_by(|a, b| {
-            a.track
-                .cmp(&b.track)
-                .then_with(|| a.start.total_cmp(&b.start))
-        });
+        coherent.sort_by(Span::by_track_then_start);
         assert_eq!(merged.len(), coherent.len());
         for (m, c) in merged.iter().zip(coherent.iter()) {
             assert_eq!(m.track, c.track);
@@ -1263,6 +1246,22 @@ mod tests {
             read_frame(&mut r).unwrap_err().kind(),
             ErrorKind::UnexpectedEof
         );
+
+        // An over-long label whose byte cap falls inside a multi-byte
+        // character is cut at the character boundary before it; the batch
+        // still decodes.
+        let mut long = compute_span(0, 0.0, 1.0);
+        long.label = Cow::Owned("a".repeat(MAX_LABEL_BYTES - 1) + "é");
+        let wire = encode_frame(&Frame::Batch(Batch {
+            rank: 0,
+            model: ClockModel::identity(),
+            dropped: 0,
+            spans: vec![long],
+        }));
+        let Frame::Batch(back) = read_frame(&mut &wire[..]).expect("batch decodes") else {
+            panic!("not a batch");
+        };
+        assert_eq!(back.spans[0].label, "a".repeat(MAX_LABEL_BYTES - 1));
     }
 
     #[test]

@@ -447,8 +447,10 @@ fn walk_path(graph: &CausalGraph) -> Vec<CritSegment> {
     segments
 }
 
-/// Merged union of `(start, end)` intervals.
-fn union(mut iv: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
+/// Merged union of `(start, end)` intervals (inputs need not be sorted) —
+/// also the per-phase aggregate rows of [`crate::trace`] and the comm-busy
+/// time of [`crate::summary`].
+pub(crate) fn union(mut iv: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
     iv.sort_by(|a, b| a.0.total_cmp(&b.0));
     let mut out: Vec<(f64, f64)> = Vec::with_capacity(iv.len());
     for (s, e) in iv {
@@ -479,7 +481,7 @@ fn intersect(a: &[(f64, f64)], b: &[(f64, f64)]) -> Vec<(f64, f64)> {
     out
 }
 
-fn total_len(iv: &[(f64, f64)]) -> f64 {
+pub(crate) fn total_len(iv: &[(f64, f64)]) -> f64 {
     iv.iter().map(|(s, e)| e - s).sum()
 }
 
@@ -535,14 +537,7 @@ mod tests {
     use crate::recorder::CollEdge;
 
     fn sp(track: usize, phase: Phase, start: f64, end: f64) -> Span {
-        Span {
-            track,
-            phase,
-            label: Cow::Borrowed(""),
-            start,
-            end,
-            meta: SpanMeta::default(),
-        }
+        Span::new(track, phase, start, end)
     }
 
     fn coll(track: usize, start: f64, end: f64, seq: u64, edge: CollEdge) -> Span {

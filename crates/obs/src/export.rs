@@ -20,7 +20,8 @@
 //! rank consistently 3σ slower on `allreduce` stands out immediately, long
 //! before it times the group out.
 
-use crate::json::escape_json_into;
+use crate::collect::Heartbeat;
+use crate::json::JsonWriter;
 use crate::metrics::MetricsSnapshot;
 use crate::phase::Phase;
 use std::collections::BTreeMap;
@@ -39,13 +40,9 @@ pub const STALE_AFTER_SECS: f64 = 5.0;
 
 #[derive(Debug, Clone, Default)]
 struct RankHealth {
-    iteration: u64,
-    loss: f64,
-    phase_idx: usize,
-    generation: u64,
-    epoch: u64,
-    rss_bytes: u64,
-    /// Collector-clock time of the last heartbeat; `None` = never seen.
+    /// The last heartbeat received (all zero until the first).
+    last: Heartbeat,
+    /// Collector-clock time it arrived at; `None` = never seen.
     last_heartbeat: Option<f64>,
     heartbeats: u64,
     /// Rolling mean duration (seconds) per collective-op name.
@@ -76,27 +73,11 @@ impl HealthRegistry {
     }
 
     /// Folds in one heartbeat received at collector time `now`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_heartbeat(
-        &mut self,
-        rank: usize,
-        iteration: u64,
-        loss: f64,
-        phase_idx: usize,
-        generation: u64,
-        epoch: u64,
-        rss_bytes: u64,
-        now: f64,
-    ) {
-        let Some(r) = self.ranks.get_mut(rank) else {
+    pub fn record_heartbeat(&mut self, hb: &Heartbeat, now: f64) {
+        let Some(r) = self.ranks.get_mut(hb.rank as usize) else {
             return;
         };
-        r.iteration = iteration;
-        r.loss = loss;
-        r.phase_idx = phase_idx;
-        r.generation = generation;
-        r.epoch = epoch;
-        r.rss_bytes = rss_bytes;
+        r.last = hb.clone();
         r.last_heartbeat = Some(now);
         r.heartbeats += 1;
     }
@@ -156,12 +137,7 @@ impl HealthRegistry {
                     .fold(0.0f64, f64::max);
                 RankHealthSnapshot {
                     rank,
-                    iteration: r.iteration,
-                    loss: r.loss,
-                    phase_idx: r.phase_idx,
-                    generation: r.generation,
-                    epoch: r.epoch,
-                    rss_bytes: r.rss_bytes,
+                    last: r.last.clone(),
                     staleness: r.last_heartbeat.map(|t| (now - t).max(0.0)),
                     heartbeats: r.heartbeats,
                     straggler_z,
@@ -181,18 +157,9 @@ impl HealthRegistry {
 pub struct RankHealthSnapshot {
     /// The rank.
     pub rank: usize,
-    /// Last reported training iteration.
-    pub iteration: u64,
-    /// Last reported loss.
-    pub loss: f64,
-    /// Last reported pipeline phase ([`Phase::index`]).
-    pub phase_idx: usize,
-    /// Last reported plan generation.
-    pub generation: u64,
-    /// Last reported elastic membership epoch (0 on fixed-world runs).
-    pub epoch: u64,
-    /// Last reported resident set size, bytes.
-    pub rss_bytes: u64,
+    /// The last heartbeat it sent: iteration, loss, phase, generation,
+    /// membership epoch, RSS (all zero while `staleness` is `None`).
+    pub last: Heartbeat,
     /// Seconds since the last heartbeat; `None` = never heard from.
     pub staleness: Option<f64>,
     /// Heartbeats received in total.
@@ -276,128 +243,62 @@ pub fn render_prometheus(
         }
     }
     if let Some(h) = health {
-        out.push_str("# TYPE spdkfac_heartbeat_staleness_seconds gauge\n");
-        for r in &h.ranks {
-            let v = r.staleness.unwrap_or(f64::INFINITY);
-            out.push_str(&format!(
-                "spdkfac_heartbeat_staleness_seconds{{rank=\"{}\"}} {}\n",
-                r.rank,
-                prom_num(v)
-            ));
-        }
-        out.push_str("# TYPE spdkfac_straggler_zscore gauge\n");
-        for r in &h.ranks {
-            out.push_str(&format!(
-                "spdkfac_straggler_zscore{{rank=\"{}\"}} {}\n",
-                r.rank,
-                prom_num(r.straggler_z)
-            ));
-        }
-        out.push_str("# TYPE spdkfac_rank_iteration gauge\n");
-        for r in &h.ranks {
-            out.push_str(&format!(
-                "spdkfac_rank_iteration{{rank=\"{}\"}} {}\n",
-                r.rank, r.iteration
-            ));
-        }
-        out.push_str("# TYPE spdkfac_rank_loss gauge\n");
-        for r in &h.ranks {
-            out.push_str(&format!(
-                "spdkfac_rank_loss{{rank=\"{}\"}} {}\n",
-                r.rank,
-                prom_num(r.loss)
-            ));
-        }
-        out.push_str("# TYPE spdkfac_rank_rss_bytes gauge\n");
-        for r in &h.ranks {
-            out.push_str(&format!(
-                "spdkfac_rank_rss_bytes{{rank=\"{}\"}} {}\n",
-                r.rank, r.rss_bytes
-            ));
-        }
-        out.push_str("# TYPE spdkfac_rank_generation gauge\n");
-        for r in &h.ranks {
-            out.push_str(&format!(
-                "spdkfac_rank_generation{{rank=\"{}\"}} {}\n",
-                r.rank, r.generation
-            ));
-        }
-        out.push_str("# TYPE spdkfac_rank_epoch gauge\n");
-        for r in &h.ranks {
-            out.push_str(&format!(
-                "spdkfac_rank_epoch{{rank=\"{}\"}} {}\n",
-                r.rank, r.epoch
-            ));
-        }
-        out.push_str("# TYPE spdkfac_rank_phase gauge\n");
-        for r in &h.ranks {
-            out.push_str(&format!(
-                "spdkfac_rank_phase{{rank=\"{}\"}} {}\n",
-                r.rank, r.phase_idx
-            ));
-        }
-        out.push_str("# TYPE spdkfac_rank_heartbeats_total counter\n");
-        for r in &h.ranks {
-            out.push_str(&format!(
-                "spdkfac_rank_heartbeats_total{{rank=\"{}\"}} {}\n",
-                r.rank, r.heartbeats
-            ));
+        type Column = fn(&RankHealthSnapshot) -> String;
+        let per_rank: [(&str, &str, Column); 9] = [
+            ("heartbeat_staleness_seconds", "gauge", |r| {
+                prom_num(r.staleness.unwrap_or(f64::INFINITY))
+            }),
+            ("straggler_zscore", "gauge", |r| prom_num(r.straggler_z)),
+            ("rank_iteration", "gauge", |r| r.last.iteration.to_string()),
+            ("rank_loss", "gauge", |r| prom_num(r.last.loss)),
+            ("rank_rss_bytes", "gauge", |r| r.last.rss_bytes.to_string()),
+            ("rank_generation", "gauge", |r| {
+                r.last.generation.to_string()
+            }),
+            ("rank_epoch", "gauge", |r| r.last.epoch.to_string()),
+            ("rank_phase", "gauge", |r| r.last.phase.to_string()),
+            ("rank_heartbeats_total", "counter", |r| {
+                r.heartbeats.to_string()
+            }),
+        ];
+        for (name, kind, value) in per_rank {
+            out.push_str(&format!("# TYPE spdkfac_{name} {kind}\n"));
+            for r in &h.ranks {
+                out.push_str(&format!(
+                    "spdkfac_{name}{{rank=\"{}\"}} {}\n",
+                    r.rank,
+                    value(r)
+                ));
+            }
         }
     }
     out
 }
 
-fn json_num(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
 /// Renders the `/health` JSON document.
 pub fn render_health_json(h: &HealthSnapshot) -> String {
     let mut out = String::with_capacity(256 + h.ranks.len() * 192);
-    out.push_str("{\"now\":");
-    json_num(&mut out, h.now);
-    out.push_str(",\"world\":");
-    out.push_str(&h.world.to_string());
-    out.push_str(",\"ranks\":[");
-    for (i, r) in h.ranks.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"rank\":");
-        out.push_str(&r.rank.to_string());
-        out.push_str(",\"iteration\":");
-        out.push_str(&r.iteration.to_string());
-        out.push_str(",\"loss\":");
-        json_num(&mut out, r.loss);
-        out.push_str(",\"phase\":\"");
-        let name = Phase::from_index(r.phase_idx)
-            .unwrap_or(Phase::Update)
-            .name();
-        escape_json_into(&mut out, name);
-        out.push_str("\",\"generation\":");
-        out.push_str(&r.generation.to_string());
-        out.push_str(",\"epoch\":");
-        out.push_str(&r.epoch.to_string());
-        out.push_str(",\"rss_bytes\":");
-        out.push_str(&r.rss_bytes.to_string());
-        out.push_str(",\"staleness\":");
-        match r.staleness {
-            Some(s) => json_num(&mut out, s),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"heartbeats\":");
-        out.push_str(&r.heartbeats.to_string());
-        out.push_str(",\"straggler_z\":");
-        json_num(&mut out, r.straggler_z);
-        out.push_str(",\"stale\":");
-        out.push_str(if r.is_stale() { "true" } else { "false" });
-        out.push('}');
-    }
-    out.push_str("]}");
+    JsonWriter::new(&mut out).object(|w| {
+        w.key("now").num(h.now).key("world").int(h.world as u64);
+        w.key("ranks").array(|w| {
+            for r in &h.ranks {
+                let phase = Phase::from_index(r.last.phase as usize).unwrap_or(Phase::Update);
+                w.object(|w| {
+                    w.key("rank").int(r.rank as u64);
+                    w.key("iteration").int(r.last.iteration);
+                    w.key("loss").num(r.last.loss);
+                    w.key("phase").str(phase.name());
+                    w.key("generation").int(r.last.generation);
+                    w.key("epoch").int(r.last.epoch);
+                    w.key("rss_bytes").int(r.last.rss_bytes);
+                    w.key("staleness").num(r.staleness.unwrap_or(f64::NAN));
+                    w.key("heartbeats").int(r.heartbeats);
+                    w.key("straggler_z").num(r.straggler_z);
+                    w.key("stale").bool(r.is_stale());
+                });
+            }
+        });
+    });
     out
 }
 
@@ -521,10 +422,23 @@ mod tests {
     use std::io::{BufRead, BufReader};
     use std::net::TcpStream;
 
+    fn beat(rank: usize, iteration: u64) -> Heartbeat {
+        Heartbeat {
+            rank: rank as u32,
+            iteration,
+            generation: 2,
+            epoch: 1,
+            phase: 1,
+            loss: 0.5,
+            rss_bytes: 1 << 20,
+            sent_at: 0.0,
+        }
+    }
+
     fn filled_registry() -> HealthRegistry {
         let mut reg = HealthRegistry::new(4);
         for rank in 0..4 {
-            reg.record_heartbeat(rank, 10 + rank as u64, 0.5, 1, 2, 1, 1 << 20, 100.0);
+            reg.record_heartbeat(&beat(rank, 10 + rank as u64), 100.0);
             // Rank 2 is consistently 10x slower on allreduce.
             let d = if rank == 2 { 0.10 } else { 0.01 };
             for _ in 0..20 {
@@ -551,7 +465,7 @@ mod tests {
     #[test]
     fn missing_rank_is_stale_with_no_staleness_value() {
         let mut reg = HealthRegistry::new(3);
-        reg.record_heartbeat(0, 1, 0.9, 0, 0, 0, 0, 10.0);
+        reg.record_heartbeat(&beat(0, 1), 10.0);
         let snap = reg.snapshot(20.0);
         assert_eq!(snap.ranks[1].staleness, None);
         assert!(snap.ranks[1].is_stale());

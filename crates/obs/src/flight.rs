@@ -1,112 +1,50 @@
-//! Always-on flight recorder and post-mortem dumps — the black box.
+//! Post-mortem state and dump-on-failure — the third drain of the recorder.
 //!
 //! The streaming telemetry pipeline ([`crate::collect`]) only produces its
 //! merged artifacts on *clean* exits: a dead rank poisons the group and the
 //! evidence of what happened — which collective, at which plan generation,
-//! on which rank first — dies with the process. This module is the
-//! complementary crash recorder: a process-global, fixed-capacity,
-//! overwrite-oldest ring of recent events (spans, metric samples, comm
-//! events) that is cheap enough to run unconditionally, plus a dump path
-//! that serializes the window to `<trace-dir>/postmortem.rank{N}.json` when
-//! things go wrong (panic hook, comm-thread poisoning, launcher teardown).
+//! on which rank first — dies with the process. The spans themselves already
+//! sit in the attached [`Recorder`]'s bounded lanes; this module keeps the
+//! little that is *not* a span and writes both out when things go wrong
+//! (comm-thread poisoning, panic hook, launcher teardown):
 //!
-//! Design constraints, in order:
-//!
-//! 1. **Always on.** No opt-in flag on the hot path; the `obs_overhead`
-//!    bench gates the cost (< 5% wall-clock next to an uninstrumented run).
-//! 2. **Bounded.** The ring never grows past its capacity; old events are
-//!    overwritten and counted in [`FlightRecorder::dropped`].
-//! 3. **Lock-light.** Heartbeat state (iteration, loss, phase, generation)
-//!    lives in atomics read by the telemetry streamer without locking; the
-//!    event ring takes one short mutex per event at collective/iteration
-//!    granularity (hundreds of Hz, not per-element).
-//! 4. **First failure wins.** The first recorded comm failure is the one a
-//!    post-mortem cares about (later errors are cascade noise), and only
-//!    the first dump request writes the file.
+//! 1. **Heartbeat atomics** (iteration, loss, phase, generation, membership
+//!    epoch), read lock-free by the telemetry streamer every tick.
+//! 2. **First failure wins.** The first recorded comm failure is the one a
+//!    post-mortem cares about (later errors are cascade noise). It is
+//!    pinned with or without a recorder attached, and stamped on the
+//!    attached recorder's clock — the clock the stored [`ClockModel`] was
+//!    fitted for, so the merger can rebase it exactly.
+//! 3. **Dump once.** Only the first dump request writes
+//!    `<trace-dir>/postmortem.rank{N}.json`: the heartbeat, the clock model,
+//!    the pinned failure, the newest [`DUMP_WINDOW`] spans of the recorder
+//!    by end time with their [`SpanMeta`], and a metrics snapshot.
 //!
 //! The companion `spdkfac_postmortem` bin merges surviving ranks' dumps
 //! using each dump's embedded [`ClockModel`] and reconstructs the failure
 //! timeline.
 
-use crate::collect::ClockModel;
+use crate::collect::{ClockModel, Heartbeat};
+use crate::json::{JsonValue, JsonWriter};
 use crate::metrics::MetricsSnapshot;
 use crate::phase::Phase;
-use crate::recorder::Recorder;
+use crate::recorder::{CollEdge, Recorder, Span, SpanMeta};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Once, OnceLock};
-use std::time::Instant;
 
-/// Default event capacity of the global recorder's ring.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
+/// Spans a dump carries: the newest this many of the attached recorder.
+pub const DUMP_WINDOW: usize = 4096;
 
 /// Dump-file schema identifier (bumped on breaking layout changes).
-pub const POSTMORTEM_SCHEMA: &str = "spdkfac-postmortem-v1";
-
-/// One event in the flight window. Times are seconds on the recorder's
-/// local monotonic epoch ([`FlightRecorder::now`]); the post-mortem merger
-/// rebases them through the dump's [`ClockModel`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum FlightEvent {
-    /// A compute/communication timeline slice (one iteration, one phase
-    /// section — coarse, not per-span-guard).
-    Span {
-        /// Start time.
-        t: f64,
-        /// End time.
-        end: f64,
-        /// Track in the [`crate::causal::RankMap::trainer`] convention.
-        track: usize,
-        /// Task category.
-        phase: Phase,
-        /// Human label (`iter3`, `allreduce`, …).
-        label: String,
-    },
-    /// A point metric sample.
-    Metric {
-        /// Sample time.
-        t: f64,
-        /// Metric name.
-        name: String,
-        /// Sampled value.
-        value: f64,
-    },
-    /// One collective executed (or failed) on the communication thread.
-    Comm {
-        /// Submit/start time.
-        t: f64,
-        /// Completion (or failure-detection) time.
-        end: f64,
-        /// Op kind name (`allreduce`, `broadcast`, …).
-        op: String,
-        /// Per-rank collective sequence number.
-        seq: u64,
-        /// Plan generation the op ran under.
-        generation: u64,
-        /// Pipeline phase that submitted the op.
-        phase: Phase,
-        /// Logical `f64` elements moved.
-        elements: usize,
-        /// `None` on success; the transport error string on failure.
-        error: Option<String>,
-    },
-}
-
-impl FlightEvent {
-    /// The event's primary timestamp (start time for ranged events).
-    pub fn time(&self) -> f64 {
-        match self {
-            FlightEvent::Span { t, .. }
-            | FlightEvent::Metric { t, .. }
-            | FlightEvent::Comm { t, .. } => *t,
-        }
-    }
-}
+pub const POSTMORTEM_SCHEMA: &str = "spdkfac-postmortem-v2";
 
 /// The first comm failure observed by this rank — the forensic anchor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailureInfo {
-    /// Detection time ([`FlightRecorder::now`] epoch).
-    pub t: f64,
+    /// Detection time on the attached recorder's clock (`None` when the
+    /// failure was pinned with no recorder attached).
+    pub t: Option<f64>,
     /// Op kind name of the failing collective.
     pub op: String,
     /// Per-rank sequence number of the failing collective.
@@ -119,77 +57,16 @@ pub struct FailureInfo {
     pub error: String,
 }
 
-/// Lock-free heartbeat snapshot for the live health plane.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HeartbeatState {
-    /// Last completed training iteration.
-    pub iteration: u64,
-    /// Last recorded loss (NaN until the first iteration completes).
-    pub loss: f64,
-    /// Current pipeline phase index ([`Phase::index`]).
-    pub phase_idx: usize,
-    /// Current plan generation.
-    pub generation: u64,
-    /// Membership epoch of the elastic runtime (0 on fixed-world runs).
-    pub epoch: u64,
-    /// Resident set size in bytes (0 where unsupported).
-    pub rss_bytes: u64,
-}
-
-#[derive(Debug)]
-struct Ring {
-    events: Vec<FlightEvent>,
-    head: usize,
-    dropped: u64,
-    capacity: usize,
-}
-
-impl Ring {
-    fn new(capacity: usize) -> Ring {
-        Ring {
-            // Sized once: the ring is always on, and doubling its way up
-            // would put a reallocation on the collective hot path.
-            events: Vec::with_capacity(capacity),
-            head: 0,
-            dropped: 0,
-            capacity,
-        }
-    }
-
-    fn push(&mut self, e: FlightEvent) {
-        if self.events.len() < self.capacity {
-            self.events.push(e);
-        } else {
-            self.events[self.head] = e;
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
-        }
-    }
-
-    fn ordered(&self) -> Vec<FlightEvent> {
-        let mut out = Vec::with_capacity(self.events.len());
-        out.extend_from_slice(&self.events[self.head..]);
-        out.extend_from_slice(&self.events[..self.head]);
-        out
-    }
-}
-
-/// The flight recorder: bounded event ring + heartbeat atomics + first
-/// failure + dump machinery. One per process via [`global`]; constructible
-/// directly for tests.
+/// Heartbeat atomics + first failure + dump machinery. One per process via
+/// [`global`]; constructible directly for tests.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    epoch: Instant,
-    enabled: AtomicBool,
-    ring: Mutex<Ring>,
     failure: Mutex<Option<FailureInfo>>,
     /// `usize::MAX` until [`FlightRecorder::configure`] runs.
     rank: AtomicUsize,
     world: AtomicUsize,
     trace_dir: Mutex<Option<String>>,
     generation: AtomicU64,
-    /// Elastic membership epoch (distinct from `epoch: Instant`, the
-    /// recorder's *time* origin).
     member_epoch: AtomicU64,
     iteration: AtomicU64,
     loss_bits: AtomicU64,
@@ -199,14 +76,16 @@ pub struct FlightRecorder {
     dumped: AtomicBool,
 }
 
+impl Default for FlightRecorder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl FlightRecorder {
-    /// A fresh recorder with the given event-ring capacity.
-    pub fn new(capacity: usize) -> FlightRecorder {
-        assert!(capacity > 0, "flight recorder with zero capacity");
+    /// A fresh, unconfigured recorder.
+    pub fn new() -> FlightRecorder {
         FlightRecorder {
-            epoch: Instant::now(),
-            enabled: AtomicBool::new(true),
-            ring: Mutex::new(Ring::new(capacity)),
             failure: Mutex::new(None),
             rank: AtomicUsize::new(usize::MAX),
             world: AtomicUsize::new(0),
@@ -220,23 +99,6 @@ impl FlightRecorder {
             clock: Mutex::new(None),
             dumped: AtomicBool::new(false),
         }
-    }
-
-    /// Seconds since this recorder's epoch (the timestamp base of every
-    /// event it stores).
-    pub fn now(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64()
-    }
-
-    /// Enables or disables event recording (heartbeat atomics keep
-    /// updating either way). Used by `obs_overhead` for the A/B gate.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether events are currently recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Identifies this process's rank/world and, optionally, the directory
@@ -258,10 +120,18 @@ impl FlightRecorder {
         }
     }
 
-    /// Attaches the span [`Recorder`] whose metrics registry is snapshotted
-    /// into dumps.
+    /// Attaches the span [`Recorder`]: its clock stamps failures and dumps,
+    /// its lanes are the dump's span window, its metrics the dump's
+    /// snapshot.
     pub fn set_recorder(&self, rec: Arc<Recorder>) {
         *self.recorder.lock().expect("flight recorder poisoned") = Some(rec);
+    }
+
+    fn recorder(&self) -> Option<Arc<Recorder>> {
+        self.recorder
+            .lock()
+            .expect("flight recorder poisoned")
+            .clone()
     }
 
     /// Publishes the latest rank-0-relative clock model (from the telemetry
@@ -275,20 +145,10 @@ impl FlightRecorder {
         self.generation.store(generation, Ordering::Relaxed);
     }
 
-    /// The current plan generation.
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Relaxed)
-    }
-
     /// Updates the elastic membership epoch (heartbeat + dump field;
     /// stays 0 on fixed-world runs).
     pub fn set_member_epoch(&self, epoch: u64) {
         self.member_epoch.store(epoch, Ordering::Relaxed);
-    }
-
-    /// The current elastic membership epoch.
-    pub fn member_epoch(&self) -> u64 {
-        self.member_epoch.load(Ordering::Relaxed)
     }
 
     /// Updates the current pipeline phase (heartbeat field; atomics only).
@@ -296,70 +156,15 @@ impl FlightRecorder {
         self.phase_idx.store(phase.index(), Ordering::Relaxed);
     }
 
-    /// Records a completed training iteration: heartbeat atomics plus a
-    /// `train/loss` metric sample in the ring.
+    /// Records a completed training iteration in the heartbeat atomics.
     pub fn record_iteration(&self, iteration: u64, loss: f64) {
         self.iteration.store(iteration, Ordering::Relaxed);
         self.loss_bits.store(loss.to_bits(), Ordering::Relaxed);
-        self.record_metric("train/loss", loss);
     }
 
-    /// Records a timeline slice.
-    pub fn record_span(&self, track: usize, phase: Phase, label: &str, start: f64, end: f64) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.push(FlightEvent::Span {
-            t: start,
-            end,
-            track,
-            phase,
-            label: label.to_string(),
-        });
-    }
-
-    /// Records a point metric sample at the current time.
-    pub fn record_metric(&self, name: &str, value: f64) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.push(FlightEvent::Metric {
-            t: self.now(),
-            name: name.to_string(),
-            value,
-        });
-    }
-
-    /// Records one executed collective (success path).
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_comm(
-        &self,
-        op: &str,
-        seq: u64,
-        generation: u64,
-        phase: Phase,
-        elements: usize,
-        start: f64,
-        end: f64,
-    ) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.push(FlightEvent::Comm {
-            t: start,
-            end,
-            op: op.to_string(),
-            seq,
-            generation,
-            phase,
-            elements,
-            error: None,
-        });
-    }
-
-    /// Records a failed collective and, if it is the first failure this
-    /// process has seen, pins it as the forensic anchor. Recorded even when
-    /// event recording is disabled — a failure is never droppable.
+    /// Pins a failed collective as the forensic anchor if it is the first
+    /// failure this process has seen. Works with no recorder attached (the
+    /// time is then unknown) — a failure is never droppable.
     pub fn note_comm_failure(
         &self,
         op: &str,
@@ -368,17 +173,7 @@ impl FlightRecorder {
         phase: Phase,
         error: &str,
     ) {
-        let t = self.now();
-        self.push(FlightEvent::Comm {
-            t,
-            end: t,
-            op: op.to_string(),
-            seq,
-            generation,
-            phase,
-            elements: 0,
-            error: Some(error.to_string()),
-        });
+        let t = self.recorder().map(|r| r.now());
         let mut slot = self.failure.lock().expect("flight failure poisoned");
         if slot.is_none() {
             *slot = Some(FailureInfo {
@@ -400,30 +195,23 @@ impl FlightRecorder {
             .clone()
     }
 
-    /// Events overwritten since start (window overflow count).
-    pub fn dropped(&self) -> u64 {
-        self.ring.lock().expect("flight ring poisoned").dropped
-    }
-
-    /// The current window, oldest event first.
-    pub fn events(&self) -> Vec<FlightEvent> {
-        self.ring.lock().expect("flight ring poisoned").ordered()
-    }
-
-    /// Lock-free heartbeat snapshot (reads atomics plus `/proc` for RSS).
-    pub fn heartbeat(&self) -> HeartbeatState {
-        HeartbeatState {
+    /// Lock-free heartbeat snapshot (reads atomics plus `/proc` for RSS)
+    /// under the configured rank (`u32::MAX` before [`configure`]). The
+    /// sender stamps `sent_at` — and the rank it streams as — on its own
+    /// clock.
+    ///
+    /// [`configure`]: FlightRecorder::configure
+    pub fn heartbeat(&self) -> Heartbeat {
+        Heartbeat {
+            rank: self.rank().map_or(u32::MAX, |r| r as u32),
             iteration: self.iteration.load(Ordering::Relaxed),
-            loss: f64::from_bits(self.loss_bits.load(Ordering::Relaxed)),
-            phase_idx: self.phase_idx.load(Ordering::Relaxed),
             generation: self.generation.load(Ordering::Relaxed),
             epoch: self.member_epoch.load(Ordering::Relaxed),
+            phase: self.phase_idx.load(Ordering::Relaxed) as u8,
+            loss: f64::from_bits(self.loss_bits.load(Ordering::Relaxed)),
             rss_bytes: rss_bytes(),
+            sent_at: 0.0,
         }
-    }
-
-    fn push(&self, e: FlightEvent) {
-        self.ring.lock().expect("flight ring poisoned").push(e);
     }
 
     /// Serializes the full post-mortem document (always available, even
@@ -431,101 +219,70 @@ impl FlightRecorder {
     ///
     /// [`dump`]: FlightRecorder::dump
     pub fn render_json(&self, reason: &str) -> String {
-        let rank = self.rank.load(Ordering::Relaxed);
-        let world = self.world.load(Ordering::Relaxed);
         let hb = self.heartbeat();
+        let rec = self.recorder();
         let clock = *self.clock.lock().expect("flight clock poisoned");
         let failure = self.failure();
-        let (events, dropped) = {
-            let ring = self.ring.lock().expect("flight ring poisoned");
-            (ring.ordered(), ring.dropped)
-        };
-        let metrics = self
-            .recorder
-            .lock()
-            .expect("flight recorder poisoned")
-            .as_ref()
-            .map(|r| r.metrics().snapshot());
+        let spans = rec.as_ref().map_or(Vec::new(), |r| r.newest(DUMP_WINDOW));
 
-        let mut out = String::with_capacity(4096 + events.len() * 96);
-        out.push_str("{\"schema\":\"");
-        out.push_str(POSTMORTEM_SCHEMA);
-        out.push_str("\",\"rank\":");
-        if rank == usize::MAX {
-            out.push_str("null");
-        } else {
-            out.push_str(&rank.to_string());
-        }
-        out.push_str(",\"world\":");
-        out.push_str(&world.to_string());
-        out.push_str(",\"reason\":");
-        json_str(&mut out, reason);
-        out.push_str(",\"wall_now\":");
-        json_num(&mut out, self.now());
-        out.push_str(",\"heartbeat\":{\"iteration\":");
-        out.push_str(&hb.iteration.to_string());
-        out.push_str(",\"loss\":");
-        json_num(&mut out, hb.loss);
-        out.push_str(",\"phase\":");
-        let phase_name = Phase::from_index(hb.phase_idx)
-            .unwrap_or(Phase::Update)
-            .name();
-        json_str(&mut out, phase_name);
-        out.push_str(",\"generation\":");
-        out.push_str(&hb.generation.to_string());
-        out.push_str(",\"epoch\":");
-        out.push_str(&hb.epoch.to_string());
-        out.push_str(",\"rss_bytes\":");
-        out.push_str(&hb.rss_bytes.to_string());
-        out.push_str("},\"clock\":");
-        match clock {
-            None => out.push_str("null"),
-            Some(m) => {
-                out.push_str("{\"offset\":");
-                json_num(&mut out, m.offset);
-                out.push_str(",\"drift\":");
-                json_num(&mut out, m.drift);
-                out.push_str(",\"reference\":");
-                json_num(&mut out, m.reference);
-                out.push_str(",\"uncertainty\":");
-                json_num(&mut out, m.uncertainty);
-                out.push('}');
+        let mut out = String::with_capacity(4096 + spans.len() * 160);
+        JsonWriter::new(&mut out).object(|w| {
+            w.key("schema").str(POSTMORTEM_SCHEMA).key("rank");
+            match self.rank() {
+                Some(r) => w.int(r as u64),
+                None => w.null(),
+            };
+            w.key("world")
+                .int(self.world.load(Ordering::Relaxed) as u64);
+            w.key("reason").str(reason);
+            w.key("wall_now")
+                .num(rec.as_ref().map_or(f64::NAN, |r| r.now()));
+            w.key("heartbeat").object(|w| {
+                w.key("iteration").int(hb.iteration);
+                w.key("loss").num(hb.loss);
+                let phase = Phase::from_index(hb.phase as usize).unwrap_or(Phase::Update);
+                w.key("phase").str(phase.name());
+                w.key("generation").int(hb.generation);
+                w.key("epoch").int(hb.epoch);
+                w.key("rss_bytes").int(hb.rss_bytes);
+            });
+            w.key("clock");
+            match clock {
+                None => w.null(),
+                Some(m) => w.object(|w| {
+                    w.key("offset").num(m.offset);
+                    w.key("drift").num(m.drift);
+                    w.key("reference").num(m.reference);
+                    w.key("uncertainty").num(m.uncertainty);
+                }),
+            };
+            w.key("failure");
+            match &failure {
+                None => w.null(),
+                Some(f) => w.object(|w| {
+                    w.key("t").num(f.t.unwrap_or(f64::NAN));
+                    w.key("op").str(&f.op);
+                    w.key("seq").int(f.seq);
+                    w.key("generation").int(f.generation);
+                    w.key("phase").str(f.phase.name());
+                    w.key("error").str(&f.error);
+                }),
+            };
+            w.key("dropped")
+                .int(rec.as_ref().map_or(0, |r| r.dropped()));
+            w.key("spans").array(|w| {
+                for s in &spans {
+                    write_span(w, s);
+                }
+            });
+            w.key("metrics");
+            match rec.as_ref().map(|r| r.metrics().snapshot()) {
+                None => {
+                    w.null();
+                }
+                Some(m) => write_metrics(w, &m),
             }
-        }
-        out.push_str(",\"failure\":");
-        match &failure {
-            None => out.push_str("null"),
-            Some(f) => {
-                out.push_str("{\"t\":");
-                json_num(&mut out, f.t);
-                out.push_str(",\"op\":");
-                json_str(&mut out, &f.op);
-                out.push_str(",\"seq\":");
-                out.push_str(&f.seq.to_string());
-                out.push_str(",\"generation\":");
-                out.push_str(&f.generation.to_string());
-                out.push_str(",\"phase\":");
-                json_str(&mut out, f.phase.name());
-                out.push_str(",\"error\":");
-                json_str(&mut out, &f.error);
-                out.push('}');
-            }
-        }
-        out.push_str(",\"dropped\":");
-        out.push_str(&dropped.to_string());
-        out.push_str(",\"events\":[");
-        for (i, e) in events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            render_event(&mut out, e);
-        }
-        out.push_str("],\"metrics\":");
-        match &metrics {
-            None => out.push_str("null"),
-            Some(m) => render_metrics(&mut out, m),
-        }
-        out.push('}');
+        });
         out
     }
 
@@ -549,7 +306,7 @@ impl FlightRecorder {
         let _ = std::fs::create_dir_all(&dir);
         match std::fs::write(&path, doc) {
             Ok(()) => {
-                eprintln!("rank {rank}: post-mortem flight window written to {path}");
+                eprintln!("rank {rank}: post-mortem window written to {path}");
                 Some(path)
             }
             Err(e) => {
@@ -560,123 +317,93 @@ impl FlightRecorder {
     }
 }
 
-fn render_event(out: &mut String, e: &FlightEvent) {
-    match e {
-        FlightEvent::Span {
-            t,
-            end,
-            track,
-            phase,
-            label,
-        } => {
-            out.push_str("{\"type\":\"span\",\"t\":");
-            json_num(out, *t);
-            out.push_str(",\"end\":");
-            json_num(out, *end);
-            out.push_str(",\"track\":");
-            out.push_str(&track.to_string());
-            out.push_str(",\"phase\":");
-            json_str(out, phase.name());
-            out.push_str(",\"label\":");
-            json_str(out, label);
-            out.push('}');
-        }
-        FlightEvent::Metric { t, name, value } => {
-            out.push_str("{\"type\":\"metric\",\"t\":");
-            json_num(out, *t);
-            out.push_str(",\"name\":");
-            json_str(out, name);
-            out.push_str(",\"value\":");
-            json_num(out, *value);
-            out.push('}');
-        }
-        FlightEvent::Comm {
-            t,
-            end,
-            op,
-            seq,
-            generation,
-            phase,
-            elements,
-            error,
-        } => {
-            out.push_str("{\"type\":\"comm\",\"t\":");
-            json_num(out, *t);
-            out.push_str(",\"end\":");
-            json_num(out, *end);
-            out.push_str(",\"op\":");
-            json_str(out, op);
-            out.push_str(",\"seq\":");
-            out.push_str(&seq.to_string());
-            out.push_str(",\"generation\":");
-            out.push_str(&generation.to_string());
-            out.push_str(",\"phase\":");
-            json_str(out, phase.name());
-            out.push_str(",\"elements\":");
-            out.push_str(&elements.to_string());
-            out.push_str(",\"error\":");
-            match error {
-                None => out.push_str("null"),
-                Some(msg) => json_str(out, msg),
+/// One span of a dump: times on the dumping rank's recorder clock, every
+/// [`SpanMeta`] field that is set. [`parse_span`] is the inverse.
+fn write_span(w: &mut JsonWriter<'_>, s: &Span) {
+    w.object(|w| {
+        w.key("track").int(s.track as u64);
+        w.key("phase").str(s.phase.name());
+        w.key("label").str(&s.label);
+        w.key("t").num(s.start).key("end").num(s.end);
+        match s.meta.edge {
+            None => {}
+            Some(CollEdge::Join) => {
+                w.key("edge").str("join");
             }
-            out.push('}');
+            Some(CollEdge::FanOut { root }) => {
+                w.key("edge").str("fanout").key("root").int(root as u64);
+            }
+            Some(CollEdge::FanIn { root }) => {
+                w.key("edge").str("fanin").key("root").int(root as u64);
+            }
         }
-    }
+        let ints = [
+            ("seq", s.meta.seq),
+            ("size", s.meta.size.map(|n| n as u64)),
+            ("generation", s.meta.generation),
+            ("wire_bytes", s.meta.wire_bytes),
+        ];
+        for (key, v) in ints {
+            if let Some(v) = v {
+                w.key(key).int(v);
+            }
+        }
+        if let Some(v) = s.meta.codec_secs {
+            w.key("codec_secs").num(v);
+        }
+    });
 }
 
-fn render_metrics(out: &mut String, m: &MetricsSnapshot) {
-    out.push_str("{\"counters\":{");
-    for (i, (k, v)) in m.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json_str(out, k);
-        out.push(':');
-        out.push_str(&v.to_string());
-    }
-    out.push_str("},\"gauges\":{");
-    for (i, (k, v)) in m.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json_str(out, k);
-        out.push(':');
-        json_num(out, *v);
-    }
-    out.push_str("},\"histograms\":{");
-    for (i, (k, h)) in m.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json_str(out, k);
-        out.push_str(":{\"count\":");
-        out.push_str(&h.count.to_string());
-        out.push_str(",\"sum\":");
-        json_num(out, h.sum);
-        out.push_str(",\"p50\":");
-        json_num(out, h.p50());
-        out.push_str(",\"p95\":");
-        json_num(out, h.p95());
-        out.push_str(",\"p99\":");
-        json_num(out, h.p99());
-        out.push('}');
-    }
-    out.push_str("}}");
+/// Reads back one element of a dump's `spans` array (`None` when a
+/// required field is missing or malformed).
+pub fn parse_span(v: &JsonValue) -> Option<Span> {
+    let num = |key: &str| v.get(key).and_then(JsonValue::as_f64);
+    let name = v.get("phase")?.as_str()?;
+    let root = num("root").map_or(0, |r| r as usize);
+    Some(Span {
+        track: num("track")? as usize,
+        phase: Phase::ALL.iter().copied().find(|p| p.name() == name)?,
+        label: Cow::Owned(v.get("label")?.as_str()?.to_string()),
+        start: num("t")?,
+        end: num("end")?,
+        meta: SpanMeta {
+            edge: match v.get("edge").and_then(JsonValue::as_str) {
+                Some("join") => Some(CollEdge::Join),
+                Some("fanout") => Some(CollEdge::FanOut { root }),
+                Some("fanin") => Some(CollEdge::FanIn { root }),
+                _ => None,
+            },
+            seq: num("seq").map(|n| n as u64),
+            size: num("size").map(|n| n as usize),
+            generation: num("generation").map(|n| n as u64),
+            wire_bytes: num("wire_bytes").map(|n| n as u64),
+            codec_secs: num("codec_secs"),
+        },
+    })
 }
 
-fn json_str(out: &mut String, s: &str) {
-    out.push('"');
-    crate::json::escape_json_into(out, s);
-    out.push('"');
-}
-
-/// JSON has no NaN/Infinity; non-finite samples dump as `null`.
-fn json_num(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
-    }
+fn write_metrics(w: &mut JsonWriter<'_>, m: &MetricsSnapshot) {
+    w.object(|w| {
+        w.key("counters").object(|w| {
+            for (k, v) in &m.counters {
+                w.key(k).int(*v);
+            }
+        });
+        w.key("gauges").object(|w| {
+            for (k, v) in &m.gauges {
+                w.key(k).num(*v);
+            }
+        });
+        w.key("histograms").object(|w| {
+            for (k, h) in &m.histograms {
+                w.key(k).object(|w| {
+                    w.key("count").int(h.count).key("sum").num(h.sum);
+                    w.key("p50").num(h.p50()).key("p95").num(h.p95());
+                    w.key("p99").num(h.p99());
+                });
+            }
+        });
+    });
 }
 
 /// Resident set size of this process in bytes (0 where `/proc` is absent).
@@ -694,11 +421,10 @@ pub fn rss_bytes() -> u64 {
     0
 }
 
-/// The process-global flight recorder (lazily created, always enabled
-/// until told otherwise).
+/// The process-global flight recorder (lazily created).
 pub fn global() -> &'static FlightRecorder {
     static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
-    GLOBAL.get_or_init(|| FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY))
+    GLOBAL.get_or_init(FlightRecorder::new)
 }
 
 /// Installs a chaining panic hook that dumps the global recorder's window
@@ -730,75 +456,62 @@ mod tests {
     use super::*;
     use crate::json::parse_json;
 
-    #[test]
-    fn ring_overwrites_oldest_and_stays_ordered() {
-        let fr = FlightRecorder::new(3);
-        for i in 0..5 {
-            fr.record_metric(&format!("m{i}"), i as f64);
+    fn comm_span(start: f64, end: f64, seq: u64) -> Span {
+        Span {
+            track: 5,
+            phase: Phase::GradComm,
+            label: Cow::Borrowed("allreduce"),
+            start,
+            end,
+            meta: SpanMeta {
+                edge: Some(CollEdge::FanOut { root: 1 }),
+                seq: Some(seq),
+                size: Some(100),
+                generation: Some(1),
+                wire_bytes: Some(800),
+                codec_secs: Some(0.0),
+            },
         }
-        let events = fr.events();
-        assert_eq!(events.len(), 3);
-        assert_eq!(fr.dropped(), 2);
-        let names: Vec<String> = events
+    }
+
+    fn dumped_spans(doc: &JsonValue) -> Vec<Span> {
+        let spans = doc.get("spans").and_then(|s| s.as_array()).expect("spans");
+        spans
             .iter()
-            .map(|e| match e {
-                FlightEvent::Metric { name, .. } => name.clone(),
-                other => panic!("unexpected event {other:?}"),
-            })
-            .collect();
-        assert_eq!(names, vec!["m2", "m3", "m4"]);
-        let times: Vec<f64> = events.iter().map(|e| e.time()).collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
+            .map(|s| parse_span(s).expect("span parses"))
+            .collect()
     }
 
     #[test]
     fn first_failure_wins() {
-        let fr = FlightRecorder::new(16);
+        // No recorder attached: still pinned, time unknown.
+        let fr = FlightRecorder::new();
         fr.note_comm_failure("allreduce", 7, 2, Phase::GradComm, "boom");
+        fr.set_recorder(Arc::new(Recorder::new(1)));
         fr.note_comm_failure("broadcast", 8, 2, Phase::InverseComm, "cascade");
         let f = fr.failure().expect("failure pinned");
-        assert_eq!(f.op, "allreduce");
-        assert_eq!(f.seq, 7);
-        assert_eq!(f.generation, 2);
-        assert_eq!(f.phase, Phase::GradComm);
-        // Both failures are still in the window as events.
-        let comm_errors = fr
-            .events()
-            .iter()
-            .filter(|e| matches!(e, FlightEvent::Comm { error: Some(_), .. }))
-            .count();
-        assert_eq!(comm_errors, 2);
-    }
-
-    #[test]
-    fn disabled_recorder_drops_events_but_keeps_failures() {
-        let fr = FlightRecorder::new(16);
-        fr.set_enabled(false);
-        fr.record_metric("m", 1.0);
-        fr.record_span(0, Phase::FfBp, "iter0", 0.0, 1.0);
-        fr.record_comm("allreduce", 1, 0, Phase::GradComm, 10, 0.0, 0.1);
-        assert!(fr.events().is_empty());
-        fr.note_comm_failure("gather", 3, 1, Phase::FactorComm, "down");
-        assert_eq!(fr.events().len(), 1);
-        assert!(fr.failure().is_some());
+        assert_eq!((f.op.as_str(), f.seq, f.generation), ("allreduce", 7, 2));
+        assert_eq!((f.phase, f.t), (Phase::GradComm, None));
     }
 
     #[test]
     fn heartbeat_reflects_latest_state() {
-        let fr = FlightRecorder::new(16);
+        let fr = FlightRecorder::new();
+        assert_eq!(fr.heartbeat().rank, u32::MAX);
+        fr.configure(3, 4, None);
         fr.record_iteration(12, 0.75);
         fr.set_phase(Phase::InverseComp);
         fr.set_generation(4);
+        fr.set_member_epoch(2);
         let hb = fr.heartbeat();
-        assert_eq!(hb.iteration, 12);
-        assert_eq!(hb.loss, 0.75);
-        assert_eq!(hb.phase_idx, Phase::InverseComp.index());
-        assert_eq!(hb.generation, 4);
+        assert_eq!((hb.rank, hb.iteration, hb.loss), (3, 12, 0.75));
+        assert_eq!(hb.phase as usize, Phase::InverseComp.index());
+        assert_eq!((hb.generation, hb.epoch), (4, 2));
     }
 
     #[test]
     fn render_json_is_valid_and_complete() {
-        let fr = FlightRecorder::new(16);
+        let fr = FlightRecorder::new();
         fr.configure(1, 4, None);
         fr.set_clock_model(ClockModel {
             offset: 0.5,
@@ -806,9 +519,12 @@ mod tests {
             reference: 2.0,
             uncertainty: 1e-4,
         });
+        let rec = Arc::new(Recorder::new(8));
+        fr.set_recorder(Arc::clone(&rec));
         fr.record_iteration(3, f64::NAN); // non-finite must dump as null
-        fr.record_span(1, Phase::FfBp, "iter3", 0.1, 0.2);
-        fr.record_comm("allreduce", 5, 1, Phase::GradComm, 100, 0.2, 0.25);
+        rec.span_labeled(1, Phase::Update, "iter3").finish();
+        rec.record(comm_span(0.2, 0.25, 5));
+        rec.metrics().counter("coll/allreduce/ops").inc();
         fr.note_comm_failure("broadcast", 6, 1, Phase::InverseComm, "peer \"gone\"");
         let doc = fr.render_json("test reason");
         let v = parse_json(&doc).expect("postmortem dump must be valid JSON");
@@ -818,16 +534,53 @@ mod tests {
         );
         assert_eq!(v.get("rank").and_then(|r| r.as_f64()), Some(1.0));
         assert_eq!(v.get("world").and_then(|w| w.as_f64()), Some(4.0));
+        let hb = v.get("heartbeat").expect("heartbeat object");
+        assert_eq!(hb.get("loss"), Some(&JsonValue::Null));
         let failure = v.get("failure").expect("failure object");
         assert_eq!(
             failure.get("op").and_then(|o| o.as_str()),
             Some("broadcast")
         );
         assert_eq!(failure.get("seq").and_then(|s| s.as_f64()), Some(6.0));
-        let events = v.get("events").and_then(|e| e.as_array()).expect("events");
-        assert_eq!(events.len(), 4);
+        assert_eq!(
+            failure.get("error").and_then(|e| e.as_str()),
+            Some("peer \"gone\"")
+        );
+        // Spans come back with every meta field they were recorded with.
+        let spans = dumped_spans(&v);
+        assert_eq!(spans.len(), 2);
+        assert!(spans.contains(&comm_span(0.2, 0.25, 5)));
         let clock = v.get("clock").expect("clock model");
         assert_eq!(clock.get("offset").and_then(|o| o.as_f64()), Some(0.5));
+        let counters = v.get("metrics").and_then(|m| m.get("counters"));
+        assert!(counters.and_then(|c| c.get("coll/allreduce/ops")).is_some());
+    }
+
+    #[test]
+    fn one_clock_stamps_failures_spans_and_dumps() {
+        // The flight recorder exists long before the span recorder; nothing
+        // it writes may be timed from its own creation.
+        let fr = FlightRecorder::new();
+        fr.configure(0, 2, None);
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let rec = Arc::new(Recorder::new(8));
+        fr.set_recorder(Arc::clone(&rec));
+        rec.span(0, Phase::FfBp).finish();
+        rec.record(comm_span(rec.now(), rec.now() + 1e-3, 0));
+        let before = rec.now();
+        fr.note_comm_failure("allreduce", 1, 0, Phase::GradComm, "down");
+        let doc = parse_json(&fr.render_json("clock test")).expect("valid JSON");
+        let after = rec.now();
+        let within = |t: f64| t >= before - 1e-3 && t <= after + 1e-3;
+        let t = doc.get("failure").and_then(|f| f.get("t"));
+        assert!(within(t.and_then(|t| t.as_f64()).expect("failure.t")));
+        assert!(within(
+            doc.get("wall_now").and_then(|t| t.as_f64()).expect("now")
+        ));
+        // Dumped span times are the recorder's, bit for bit.
+        let mut recorded = rec.spans();
+        recorded.sort_by(|a, b| a.end.total_cmp(&b.end));
+        assert_eq!(dumped_spans(&doc), recorded);
     }
 
     #[test]
@@ -835,11 +588,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("spdkfac-flight-test-{}", std::process::id()));
         let dir_s = dir.to_string_lossy().to_string();
         let _ = std::fs::remove_dir_all(&dir);
-        let fr = FlightRecorder::new(16);
+        let fr = FlightRecorder::new();
         // No rank/trace-dir yet: dump is a no-op.
         assert!(fr.dump("early").is_none());
         fr.configure(2, 4, Some(&dir_s));
-        fr.record_metric("m", 1.0);
         let path = fr.dump("test crash").expect("first dump writes");
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(parse_json(&body).is_ok());

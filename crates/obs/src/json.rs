@@ -1,10 +1,13 @@
-//! Minimal JSON helpers: string escaping shared by every exporter, and a
-//! validating parser for tests (the trace files must load in Perfetto, so
-//! "looks like JSON" is not good enough).
+//! Minimal JSON support: the one compact writer every exporter in this
+//! crate serializes through ([`JsonWriter`]), and a validating parser for
+//! reading documents back (the trace files must load in Perfetto, so "looks
+//! like JSON" is not good enough).
+
+use std::fmt::Write;
 
 /// Appends `s` to `out` with JSON string escaping (quotes, backslash,
 /// control characters; everything else passes through verbatim as UTF-8).
-pub fn escape_json_into(out: &mut String, s: &str) {
+fn escape_json_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -15,7 +18,7 @@ pub fn escape_json_into(out: &mut String, s: &str) {
             '\u{08}' => out.push_str("\\b"),
             '\u{0c}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -27,6 +30,133 @@ pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     escape_json_into(&mut out, s);
     out
+}
+
+/// Compact (no whitespace) JSON writer appending to a `String`.
+///
+/// Values are written in call order; the writer places the commas. Inside
+/// an object every value is preceded by [`JsonWriter::key`]; containers
+/// nest through closures, so brackets always balance:
+///
+/// ```
+/// use spdkfac_obs::json::JsonWriter;
+/// let mut out = String::new();
+/// JsonWriter::new(&mut out).object(|w| {
+///     w.key("rank").int(2).key("loss").num(f64::NAN);
+///     w.key("ops").array(|w| {
+///         w.str("allreduce").str("broadcast");
+///     });
+/// });
+/// assert_eq!(out, r#"{"rank":2,"loss":null,"ops":["allreduce","broadcast"]}"#);
+/// ```
+#[derive(Debug)]
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    /// The open container already holds a member, so the next one needs a
+    /// comma first.
+    comma: bool,
+    /// A key was just written; the value that follows takes no comma.
+    after_key: bool,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// A writer appending one top-level value to `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        JsonWriter {
+            out,
+            comma: false,
+            after_key: false,
+        }
+    }
+
+    fn sep(&mut self) {
+        if self.after_key {
+            self.after_key = false;
+        } else if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+    }
+
+    fn nest(&mut self, open: char, close: char, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.sep();
+        self.out.push(open);
+        self.comma = false;
+        body(self);
+        self.out.push(close);
+        self.comma = true;
+        self
+    }
+
+    /// Writes an object whose members `body` emits as `key` + value pairs.
+    pub fn object(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.nest('{', '}', body)
+    }
+
+    /// Writes an array whose elements `body` emits.
+    pub fn array(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.nest('[', ']', body)
+    }
+
+    /// Writes a member name; the next call writes its value.
+    pub fn key(&mut self, name: &str) -> &mut Self {
+        self.str(name);
+        self.out.push(':');
+        self.after_key = true;
+        self
+    }
+
+    /// Writes an escaped string.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.sep();
+        self.out.push('"');
+        escape_json_into(self.out, s);
+        self.out.push('"');
+        self
+    }
+
+    /// Writes a number in shortest round-trip form. JSON has no
+    /// NaN/Infinity: non-finite values are written as `null`.
+    pub fn num(&mut self, v: f64) -> &mut Self {
+        self.fmt_num(v, format_args!("{v}"))
+    }
+
+    /// Writes a number with exactly `decimals` fractional digits (`null`
+    /// when non-finite).
+    pub fn fixed(&mut self, v: f64, decimals: usize) -> &mut Self {
+        self.fmt_num(v, format_args!("{v:.decimals$}"))
+    }
+
+    fn fmt_num(&mut self, v: f64, text: std::fmt::Arguments<'_>) -> &mut Self {
+        self.sep();
+        if v.is_finite() {
+            let _ = self.out.write_fmt(text);
+        } else {
+            self.out.push_str("null");
+        }
+        self
+    }
+
+    /// Writes an unsigned integer.
+    pub fn int(&mut self, v: u64) -> &mut Self {
+        self.sep();
+        let _ = write!(self.out, "{v}");
+        self
+    }
+
+    /// Writes `true` / `false`.
+    pub fn bool(&mut self, v: bool) -> &mut Self {
+        self.sep();
+        self.out.push_str(if v { "true" } else { "false" });
+        self
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.sep();
+        self.out.push_str("null");
+        self
+    }
 }
 
 /// A parsed JSON value.

@@ -49,23 +49,15 @@ pub mod json;
 pub mod metrics;
 pub mod phase;
 pub mod recorder;
+pub mod ring;
 pub mod summary;
 pub mod table;
 pub mod trace;
 
 pub use breakdown::{attribute, IterationBreakdown};
 pub use causal::{CausalGraph, RankMap};
-pub use collect::{
-    comm_edge_violations, read_frame, write_frame, Batch, ClockEstimator, ClockModel, ClockSample,
-    CollectorState, Frame, Heartbeat,
-};
 pub use critical::{CriticalReport, RankAttribution};
-pub use export::{
-    render_health_json, render_prometheus, HealthRegistry, HealthSnapshot, HttpExporter,
-    RankHealthSnapshot,
-};
-pub use flight::{FailureInfo, FlightEvent, FlightRecorder, HeartbeatState};
-pub use json::{escape_json, escape_json_into, parse_json, validate_json, JsonValue};
+pub use json::{escape_json, parse_json, validate_json, JsonValue};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use phase::Phase;
 pub use recorder::{CollEdge, FlushCursor, Recorder, Span, SpanGuard, SpanMeta};

@@ -2,6 +2,7 @@
 
 use crate::metrics::MetricsRegistry;
 use crate::phase::Phase;
+use crate::ring::Ring;
 use std::borrow::Cow;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -100,9 +101,29 @@ pub struct Span {
 }
 
 impl Span {
+    /// A plain span: no label (the phase names it), no metadata.
+    pub fn new(track: usize, phase: Phase, start: f64, end: f64) -> Span {
+        Span {
+            track,
+            phase,
+            label: Cow::Borrowed(""),
+            start,
+            end,
+            meta: SpanMeta::default(),
+        }
+    }
+
     /// Slice duration in seconds.
     pub fn duration(&self) -> f64 {
         self.end - self.start
+    }
+
+    /// `(track, start)` order — the order every drain and merge returns
+    /// spans in (ties keep their input order under a stable sort).
+    pub(crate) fn by_track_then_start(a: &Span, b: &Span) -> std::cmp::Ordering {
+        a.track
+            .cmp(&b.track)
+            .then_with(|| a.start.total_cmp(&b.start))
     }
 
     /// The name exporters should show.
@@ -115,47 +136,9 @@ impl Span {
     }
 }
 
-/// A fixed-capacity span ring: the newest spans win, the drop count is kept.
-#[derive(Debug)]
-struct Lane {
-    spans: Vec<Span>,
-    head: usize,
-    dropped: u64,
-    capacity: usize,
-}
-
-impl Lane {
-    fn new(capacity: usize) -> Self {
-        Lane {
-            spans: Vec::new(),
-            head: 0,
-            dropped: 0,
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn push(&mut self, span: Span) {
-        if self.spans.len() < self.capacity {
-            self.spans.push(span);
-        } else {
-            self.spans[self.head] = span;
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
-        }
-    }
-
-    /// Spans in recording order.
-    fn ordered(&self) -> Vec<Span> {
-        let mut out = Vec::with_capacity(self.spans.len());
-        out.extend_from_slice(&self.spans[self.head..]);
-        out.extend_from_slice(&self.spans[..self.head]);
-        out
-    }
-}
-
 /// Span recorder shared by every instrumented thread of a run.
 ///
-/// Each track's ring buffer sits behind its own mutex; with the one-thread-
+/// Each track's [`Ring`] sits behind its own mutex; with the one-thread-
 /// per-track discipline the trainers use (track `r` = rank `r`'s compute
 /// stream, track `world + r` = rank `r`'s communication thread) those
 /// mutexes are never contended, so recording costs two `Instant::now()`
@@ -163,7 +146,7 @@ impl Lane {
 #[derive(Debug)]
 pub struct Recorder {
     epoch: Instant,
-    lanes: Vec<Mutex<Lane>>,
+    lanes: Vec<Mutex<Ring<Span>>>,
     metrics: MetricsRegistry,
 }
 
@@ -181,7 +164,7 @@ impl Recorder {
         Recorder {
             epoch: Instant::now(),
             lanes: (0..tracks)
-                .map(|_| Mutex::new(Lane::new(capacity)))
+                .map(|_| Mutex::new(Ring::new(capacity)))
                 .collect(),
             metrics: MetricsRegistry::new(),
         }
@@ -239,6 +222,20 @@ impl Recorder {
         }
     }
 
+    /// Clones the spans of every lane from the write index `from` picks for
+    /// it, into `(track, start)` order — the one read path under
+    /// [`Recorder::spans`], [`Recorder::flush_since`] and
+    /// [`Recorder::newest`].
+    fn drain(&self, mut from: impl FnMut(usize, &Ring<Span>) -> u64) -> Vec<Span> {
+        let mut out = Vec::new();
+        for (track, lane) in self.lanes.iter().enumerate() {
+            let ring = lane.lock().expect("recorder lane poisoned");
+            out.extend(ring.since(from(track, &ring)).cloned());
+        }
+        out.sort_by(Span::by_track_then_start);
+        out
+    }
+
     /// All recorded spans in deterministic `(track, start-time)` order.
     ///
     /// The sort is part of the API contract: exporters and the causal-graph
@@ -247,65 +244,44 @@ impl Recorder {
     /// start time keep recording order (stable sort). Dropped-by-ring-
     /// overflow spans are simply absent; see [`Recorder::dropped`].
     pub fn spans(&self) -> Vec<Span> {
-        let mut out = Vec::new();
-        for lane in &self.lanes {
-            out.extend(lane.lock().expect("recorder lane poisoned").ordered());
-        }
-        out.sort_by(|a, b| {
-            a.track
-                .cmp(&b.track)
-                .then_with(|| a.start.total_cmp(&b.start))
-        });
-        out
+        self.drain(|_, _| 0)
     }
 
     /// Creates a flush cursor positioned at "nothing flushed yet".
     ///
     /// Pair with [`Recorder::flush_since`] for incremental, non-destructive
-    /// reads: telemetry streamers poll new spans without clearing the rings
-    /// (other consumers — the online calibrator, end-of-run exporters — keep
-    /// seeing the full window).
+    /// reads: the telemetry streamer and the re-plan barrier's calibrator
+    /// poll new spans without clearing the rings (end-of-run exporters and
+    /// the post-mortem dump keep seeing the full window).
     pub fn flush_cursor(&self) -> FlushCursor {
         FlushCursor {
-            per_track: vec![f64::NEG_INFINITY; self.lanes.len()],
+            per_track: vec![0; self.lanes.len()],
         }
     }
 
-    /// Returns every span that completed since the cursor's last flush and
+    /// Returns every span recorded since the cursor's last flush and
     /// advances the cursor, in the same `(track, start)` order as
     /// [`Recorder::spans`].
     ///
-    /// Each track is cut at its own watermark — the maximum *end* time
-    /// already flushed. Within a lane spans are recorded at their end time
-    /// by a single writer thread, so end times are non-decreasing in ring
-    /// order and the per-track watermark yields every span exactly once
-    /// (a global timestamp cut could miss a span whose recording was
-    /// delayed past the cut). Spans evicted by ring overflow between
-    /// flushes are simply absent; see [`Recorder::dropped`].
+    /// The cursor holds each lane's write index, so a flush visits only the
+    /// new slots and yields every span exactly once whatever its timestamps
+    /// — a span whose recording was delayed past a later-ending one is new
+    /// when it is written, not when it ended. Spans evicted by ring
+    /// overflow between flushes are simply absent; see
+    /// [`Recorder::dropped`].
     pub fn flush_since(&self, cursor: &mut FlushCursor) -> Vec<Span> {
-        let mut out = Vec::new();
-        for (track, lane) in self.lanes.iter().enumerate() {
-            let mark = cursor
-                .per_track
-                .get(track)
-                .copied()
-                .unwrap_or(f64::NEG_INFINITY);
-            let mut new_mark = mark;
-            for span in lane.lock().expect("recorder lane poisoned").ordered() {
-                if span.end > mark {
-                    new_mark = new_mark.max(span.end);
-                    out.push(span);
-                }
-            }
-            if let Some(m) = cursor.per_track.get_mut(track) {
-                *m = new_mark;
-            }
-        }
-        out.sort_by(|a, b| {
-            a.track
-                .cmp(&b.track)
-                .then_with(|| a.start.total_cmp(&b.start))
-        });
+        self.drain(|track, ring| match cursor.per_track.get_mut(track) {
+            Some(mark) => std::mem::replace(mark, ring.written()),
+            None => 0,
+        })
+    }
+
+    /// The newest `n` (or fewer) spans by end time, oldest first: the
+    /// window a post-mortem dump carries. Reads at most `n` slots per lane.
+    pub fn newest(&self, n: usize) -> Vec<Span> {
+        let mut out = self.drain(|_, ring| ring.written().saturating_sub(n as u64));
+        out.sort_by(|a, b| a.end.total_cmp(&b.end));
+        out.drain(..out.len().saturating_sub(n));
         out
     }
 
@@ -313,7 +289,7 @@ impl Recorder {
     pub fn dropped(&self) -> u64 {
         self.lanes
             .iter()
-            .map(|l| l.lock().expect("recorder lane poisoned").dropped)
+            .map(|l| l.lock().expect("recorder lane poisoned").dropped())
             .sum()
     }
 
@@ -321,19 +297,16 @@ impl Recorder {
     /// the epoch and metrics; use between measured iterations.
     pub fn clear(&self) {
         for lane in &self.lanes {
-            let mut l = lane.lock().expect("recorder lane poisoned");
-            l.spans.clear();
-            l.head = 0;
-            l.dropped = 0;
+            lane.lock().expect("recorder lane poisoned").clear();
         }
     }
 }
 
-/// Per-track high-water marks for incremental span flushing; see
+/// Per-track write indices for incremental span flushing; see
 /// [`Recorder::flush_cursor`] / [`Recorder::flush_since`].
 #[derive(Debug, Clone)]
 pub struct FlushCursor {
-    per_track: Vec<f64>,
+    per_track: Vec<u64>,
 }
 
 /// RAII timer: records a [`Span`] from construction to drop.
@@ -445,14 +418,7 @@ mod tests {
     }
 
     fn raw(track: usize, start: f64, end: f64) -> Span {
-        Span {
-            track,
-            phase: Phase::Update,
-            label: Cow::Borrowed(""),
-            start,
-            end,
-            meta: SpanMeta::default(),
-        }
+        Span::new(track, Phase::Update, start, end)
     }
 
     #[test]
@@ -561,6 +527,17 @@ mod tests {
         assert_eq!(got.len(), 4);
         assert!(got.iter().all(|s| s.end > 1.0));
         assert_eq!(rec.dropped(), 6);
+    }
+
+    #[test]
+    fn newest_is_the_latest_ending_spans_across_tracks() {
+        let rec = Recorder::new(2);
+        for i in 0..6 {
+            rec.record(raw(i % 2, i as f64, i as f64 + 0.5));
+        }
+        let ends: Vec<f64> = rec.newest(3).iter().map(|s| s.end).collect();
+        assert_eq!(ends, vec![3.5, 4.5, 5.5]);
+        assert_eq!(rec.newest(100).len(), 6);
     }
 
     #[test]

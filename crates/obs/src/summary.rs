@@ -5,31 +5,15 @@
 //! both stay in one code path.
 
 use crate::breakdown::{attribute, IterationBreakdown};
+use crate::critical::{total_len, union};
 use crate::metrics::MetricsSnapshot;
 use crate::phase::Phase;
 use crate::recorder::{Recorder, Span};
 use crate::table::{fmt_secs, Table};
 
 /// Union length of the given `(start, end)` intervals.
-fn union_len(mut iv: Vec<(f64, f64)>) -> f64 {
-    iv.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
-    let mut total = 0.0;
-    let mut cur: Option<(f64, f64)> = None;
-    for (s, e) in iv {
-        match cur {
-            Some((cs, ce)) if s <= ce => cur = Some((cs, ce.max(e))),
-            Some((cs, ce)) => {
-                total += ce - cs;
-                cur = Some((s, e));
-                let _ = cs;
-            }
-            None => cur = Some((s, e)),
-        }
-    }
-    if let Some((cs, ce)) = cur {
-        total += ce - cs;
-    }
-    total
+fn union_len(iv: Vec<(f64, f64)>) -> f64 {
+    total_len(&union(iv))
 }
 
 /// Per-rank phase breakdowns, when the track layout is the symmetric
@@ -225,8 +209,6 @@ fn render_summary_parts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::SpanMeta;
-    use std::borrow::Cow;
 
     #[test]
     fn union_len_merges() {
@@ -235,14 +217,7 @@ mod tests {
     }
 
     fn sp(track: usize, phase: Phase, start: f64, end: f64) -> Span {
-        Span {
-            track,
-            phase,
-            label: Cow::Borrowed(""),
-            start,
-            end,
-            meta: SpanMeta::default(),
-        }
+        Span::new(track, phase, start, end)
     }
 
     #[test]

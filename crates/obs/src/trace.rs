@@ -7,7 +7,8 @@
 //! with microsecond `ts`/`dur` — exists in exactly one place. Load the
 //! output at <https://ui.perfetto.dev> or `chrome://tracing`.
 
-use crate::json::escape_json_into;
+use crate::critical::union;
+use crate::json::JsonWriter;
 use crate::phase::Phase;
 use crate::recorder::Span;
 
@@ -109,25 +110,22 @@ impl TrackLayout {
     }
 }
 
-fn push_meta(out: &mut String, first: &mut bool, tid: usize, label: &str) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    out.push_str(&format!(
-        "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"args\":{{\"name\":\""
-    ));
-    escape_json_into(out, label);
-    out.push_str("\"}}");
+fn write_meta(w: &mut JsonWriter<'_>, tid: usize, label: &str) {
+    w.object(|w| {
+        w.key("name").str("thread_name").key("ph").str("M");
+        w.key("pid").int(0).key("tid").int(tid as u64);
+        w.key("args").object(|w| {
+            w.key("name").str(label);
+        });
+    });
 }
 
-fn push_slice(out: &mut String, name: &str, ts_us: f64, dur_us: f64, tid: usize) {
-    out.push(',');
-    out.push_str("{\"name\":\"");
-    escape_json_into(out, name);
-    out.push_str(&format!(
-        "\",\"ph\":\"X\",\"ts\":{ts_us:.3},\"dur\":{dur_us:.3},\"pid\":0,\"tid\":{tid}}}"
-    ));
+fn write_slice(w: &mut JsonWriter<'_>, name: &str, ts_us: f64, dur_us: f64, tid: usize) {
+    w.object(|w| {
+        w.key("name").str(name).key("ph").str("X");
+        w.key("ts").fixed(ts_us, 3).key("dur").fixed(dur_us, 3);
+        w.key("pid").int(0).key("tid").int(tid as u64);
+    });
 }
 
 /// One Chrome-trace flow arrow (a `ph:"s"` → `ph:"f"` pair) between two
@@ -146,38 +144,25 @@ pub struct FlowArrow {
     pub to_ts: f64,
 }
 
-fn push_flow(out: &mut String, name: &str, id: usize, arrow: &FlowArrow, origin: f64) {
-    let from_us = (arrow.from_ts - origin) * 1e6;
-    let to_us = (arrow.to_ts - origin) * 1e6;
-    out.push(',');
-    out.push_str("{\"name\":\"");
-    escape_json_into(out, name);
-    out.push_str(&format!(
-        "\",\"cat\":\"crit\",\"ph\":\"s\",\"id\":{id},\"ts\":{from_us:.3},\"pid\":0,\"tid\":{}}}",
-        arrow.from_track
-    ));
-    out.push_str(",{\"name\":\"");
-    escape_json_into(out, name);
+fn write_flow(w: &mut JsonWriter<'_>, name: &str, id: usize, arrow: &FlowArrow, origin: f64) {
     // bp:"e" binds the finish to the slice *enclosing* ts, not the next
     // slice boundary — the arrow lands on the consuming slice itself.
-    out.push_str(&format!(
-        "\",\"cat\":\"crit\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{id},\"ts\":{to_us:.3},\"pid\":0,\"tid\":{}}}",
-        arrow.to_track
-    ));
-}
-
-/// Merges `(start, end)` intervals into their union (inputs need not be
-/// sorted); used for the per-phase aggregate rows.
-fn merge_intervals(mut iv: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
-    iv.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
-    let mut out: Vec<(f64, f64)> = Vec::with_capacity(iv.len());
-    for (s, e) in iv {
-        match out.last_mut() {
-            Some(last) if s <= last.1 => last.1 = last.1.max(e),
-            _ => out.push((s, e)),
-        }
+    let ends = [
+        ("s", arrow.from_ts, arrow.from_track),
+        ("f", arrow.to_ts, arrow.to_track),
+    ];
+    for (ph, ts, track) in ends {
+        w.object(|w| {
+            w.key("name").str(name).key("cat").str("crit");
+            w.key("ph").str(ph);
+            if ph == "f" {
+                w.key("bp").str("e");
+            }
+            w.key("id").int(id as u64);
+            w.key("ts").fixed((ts - origin) * 1e6, 3);
+            w.key("pid").int(0).key("tid").int(track as u64);
+        });
     }
-    out
 }
 
 /// Serializes `spans` as a Chrome Tracing JSON document.
@@ -202,22 +187,6 @@ pub fn chrome_trace_with_flows(
     layout: &TrackLayout,
     flows: &[FlowArrow],
 ) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    for tid in 0..layout.len() {
-        push_meta(&mut out, &mut first, tid, &layout.name(tid));
-    }
-    if layout.phase_rows {
-        for p in Phase::ALL {
-            push_meta(
-                &mut out,
-                &mut first,
-                layout.len() + p.index(),
-                &format!("phase:{}", p.name()),
-            );
-        }
-    }
-
     let origin = spans
         .iter()
         .filter(|s| s.end > s.start)
@@ -225,45 +194,46 @@ pub fn chrome_trace_with_flows(
         .fold(f64::INFINITY, f64::min);
     let origin = if origin.is_finite() { origin } else { 0.0 };
 
-    for s in spans {
-        if s.end <= s.start {
-            continue; // zero-length slices clutter the view
+    let mut out = String::new();
+    let events = |w: &mut JsonWriter<'_>| {
+        for tid in 0..layout.len() {
+            write_meta(w, tid, &layout.name(tid));
         }
-        push_slice(
-            &mut out,
-            s.display_name(),
-            (s.start - origin) * 1e6,
-            (s.end - s.start) * 1e6,
-            s.track,
-        );
-    }
-
-    if layout.phase_rows {
-        for p in Phase::ALL {
-            let merged = merge_intervals(
-                spans
-                    .iter()
-                    .filter(|s| s.phase == p && s.end > s.start)
-                    .map(|s| (s.start, s.end))
-                    .collect(),
-            );
-            for (s, e) in merged {
-                push_slice(
-                    &mut out,
-                    p.name(),
-                    (s - origin) * 1e6,
-                    (e - s) * 1e6,
-                    layout.len() + p.index(),
-                );
+        if layout.phase_rows {
+            for p in Phase::ALL {
+                let row = layout.len() + p.index();
+                write_meta(w, row, &format!("phase:{}", p.name()));
             }
         }
-    }
-
-    for (id, arrow) in flows.iter().enumerate() {
-        push_flow(&mut out, "critical path", id, arrow, origin);
-    }
-
-    out.push_str("]}");
+        for s in spans {
+            if s.end <= s.start {
+                continue; // zero-length slices clutter the view
+            }
+            let (ts, dur) = ((s.start - origin) * 1e6, (s.end - s.start) * 1e6);
+            write_slice(w, s.display_name(), ts, dur, s.track);
+        }
+        if layout.phase_rows {
+            for p in Phase::ALL {
+                let merged = union(
+                    spans
+                        .iter()
+                        .filter(|s| s.phase == p && s.end > s.start)
+                        .map(|s| (s.start, s.end))
+                        .collect(),
+                );
+                for (s, e) in merged {
+                    let row = layout.len() + p.index();
+                    write_slice(w, p.name(), (s - origin) * 1e6, (e - s) * 1e6, row);
+                }
+            }
+        }
+        for (id, arrow) in flows.iter().enumerate() {
+            write_flow(w, "critical path", id, arrow, origin);
+        }
+    };
+    JsonWriter::new(&mut out).object(|w| {
+        w.key("traceEvents").array(events);
+    });
     out
 }
 
@@ -274,14 +244,7 @@ mod tests {
     use std::borrow::Cow;
 
     fn sp(track: usize, phase: Phase, start: f64, end: f64) -> Span {
-        Span {
-            track,
-            phase,
-            label: Cow::Borrowed(""),
-            start,
-            end,
-            meta: crate::recorder::SpanMeta::default(),
-        }
+        Span::new(track, phase, start, end)
     }
 
     #[test]
@@ -354,7 +317,7 @@ mod tests {
 
     #[test]
     fn merge_intervals_unions() {
-        let m = merge_intervals(vec![(2.0, 3.0), (0.0, 1.0), (0.5, 2.5)]);
+        let m = union(vec![(2.0, 3.0), (0.0, 1.0), (0.5, 2.5)]);
         assert_eq!(m, vec![(0.0, 3.0)]);
     }
 
