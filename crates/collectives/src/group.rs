@@ -43,7 +43,7 @@
 //! recorder's metrics registry.
 
 use crate::error::CommError;
-use crate::ring::{OpCodecStats, RingEndpoint};
+use crate::ring::{Collective, Lookahead, OpCodecStats, Queued, RingEndpoint};
 use crate::stats::{OpKind, TrafficStats};
 use crate::tcp::{self, TcpConfig};
 use crate::transport::{channel_ring, Transport};
@@ -119,38 +119,13 @@ impl PendingOp {
     }
 }
 
-/// Which collective a queued [`CollOp`] runs.
-#[derive(Debug, Clone, Copy)]
-enum Call {
-    AllReduceSum,
-    AllReduceAvg,
-    Broadcast { root: usize },
-    ReduceScatterAvg,
-    AllGather,
-    ReduceSum { root: usize },
-    Gather { root: usize },
-}
-
-impl Call {
-    fn kind(self) -> OpKind {
-        match self {
-            Call::AllReduceSum | Call::AllReduceAvg => OpKind::AllReduce,
-            Call::Broadcast { .. } => OpKind::Broadcast,
-            Call::ReduceScatterAvg => OpKind::ReduceScatter,
-            Call::AllGather => OpKind::AllGather,
-            Call::ReduceSum { .. } => OpKind::Reduce,
-            Call::Gather { .. } => OpKind::Gather,
-        }
-    }
-
-    /// Cross-rank causal role of the op, for the span metadata consumed by
-    /// the causal-graph builder.
-    fn edge(self) -> CollEdge {
-        match self {
-            Call::Broadcast { root } => CollEdge::FanOut { root },
-            Call::ReduceSum { root } | Call::Gather { root } => CollEdge::FanIn { root },
-            _ => CollEdge::Join,
-        }
+/// Cross-rank causal role of a collective, for the span metadata consumed
+/// by the causal-graph builder.
+fn edge(call: Collective) -> CollEdge {
+    match call {
+        Collective::Broadcast { root } => CollEdge::FanOut { root },
+        Collective::ReduceSum { root } | Collective::Gather { root } => CollEdge::FanIn { root },
+        _ => CollEdge::Join,
     }
 }
 
@@ -159,17 +134,22 @@ impl Call {
 /// result goes.
 #[derive(Debug)]
 struct CollOp {
-    call: Call,
+    call: Collective,
     data: Vec<f64>,
     reply: Sender<OpResult>,
 }
 
 #[derive(Debug)]
 enum Request {
+    /// A collective with what was captured at submission: the phase and
+    /// plan generation in force, and the wire format the policy gives a
+    /// collective of this kind in that phase — a property of the request,
+    /// so a frame staged ahead of its collective travels under its own.
     Op {
         op: CollOp,
         phase: Phase,
         generation: u64,
+        fmt: WireFormat,
     },
     SetRecorder {
         rec: Arc<Recorder>,
@@ -188,6 +168,7 @@ pub struct WorkerComm {
     world: usize,
     req_tx: Sender<Request>,
     stats: Arc<TrafficStats>,
+    policy: WirePolicy,
     comm_phase: AtomicU8,
     plan_generation: AtomicU64,
     comm_thread: Option<JoinHandle<()>>,
@@ -258,12 +239,14 @@ impl WorkerComm {
         self.plan_generation.load(Ordering::Relaxed)
     }
 
-    fn submit(&self, call: Call, data: Vec<f64>) -> PendingOp {
+    fn submit(&self, call: Collective, data: Vec<f64>) -> PendingOp {
         let (reply, result) = channel();
+        let phase = self.phase();
         self.req_tx
             .send(Request::Op {
+                fmt: self.policy.format_for(phase, call.kind()),
                 op: CollOp { call, data, reply },
-                phase: self.phase(),
+                phase,
                 generation: self.generation(),
             })
             .expect("communication thread terminated");
@@ -273,39 +256,39 @@ impl WorkerComm {
     /// Asynchronous averaging all-reduce; consumes the buffer and returns a
     /// handle producing the averaged buffer.
     pub fn allreduce_avg_async(&self, data: Vec<f64>) -> PendingOp {
-        self.submit(Call::AllReduceAvg, data)
+        self.submit(Collective::AllReduceAvg, data)
     }
 
     /// Asynchronous summing all-reduce.
     pub fn allreduce_sum_async(&self, data: Vec<f64>) -> PendingOp {
-        self.submit(Call::AllReduceSum, data)
+        self.submit(Collective::AllReduceSum, data)
     }
 
     /// Asynchronous broadcast from `root`; non-root payloads are replaced by
     /// the root's data (they must still be sized correctly).
     pub fn broadcast_async(&self, data: Vec<f64>, root: usize) -> PendingOp {
-        self.submit(Call::Broadcast { root }, data)
+        self.submit(Collective::Broadcast { root }, data)
     }
 
     /// Asynchronous averaging reduce-scatter; the result's `offset` gives the
     /// shard position.
     pub fn reduce_scatter_avg_async(&self, data: Vec<f64>) -> PendingOp {
-        self.submit(Call::ReduceScatterAvg, data)
+        self.submit(Collective::ReduceScatterAvg, data)
     }
 
     /// Asynchronous all-gather of a (possibly rank-dependent-length) shard.
     pub fn allgather_async(&self, data: Vec<f64>) -> PendingOp {
-        self.submit(Call::AllGather, data)
+        self.submit(Collective::AllGather, data)
     }
 
     /// Asynchronous summing reduce to `root`; non-root results are empty.
     pub fn reduce_sum_async(&self, data: Vec<f64>, root: usize) -> PendingOp {
-        self.submit(Call::ReduceSum { root }, data)
+        self.submit(Collective::ReduceSum { root }, data)
     }
 
     /// Asynchronous gather to `root`; non-root results are empty.
     pub fn gather_async(&self, data: Vec<f64>, root: usize) -> PendingOp {
-        self.submit(Call::Gather { root }, data)
+        self.submit(Collective::Gather { root }, data)
     }
 
     /// Shared completion path of every synchronous wrapper: one span /
@@ -407,13 +390,14 @@ fn spawn_comm(
     let (req_tx, req_rx) = channel::<Request>();
     let comm_thread = std::thread::Builder::new()
         .name(format!("spdkfac-comm-{rank}"))
-        .spawn(move || comm_thread_main(ring, req_rx, policy))
+        .spawn(move || comm_thread_main(ring, Inbox::new(req_rx)))
         .expect("failed to spawn communication thread");
     WorkerComm {
         rank,
         world,
         req_tx,
         stats,
+        policy,
         comm_phase: AtomicU8::new(Phase::GradComm.index() as u8),
         plan_generation: AtomicU64::new(0),
         comm_thread: Some(comm_thread),
@@ -661,6 +645,14 @@ struct CommTelemetry {
     wire_byte_counts: Vec<Arc<spdkfac_obs::Counter>>,
     codec_secs_hist: Arc<spdkfac_obs::Histogram>,
     max_abs_err_hist: Arc<spdkfac_obs::Histogram>,
+    /// Per collective, the seconds of emulated link it booked and the
+    /// seconds the link sat drained while it was there to be sent: the
+    /// histograms' sums are the running totals, and booked ÷ (booked +
+    /// idle) is the link's utilisation. All zeros on an un-paced ring.
+    link_booked_hist: Arc<spdkfac_obs::Histogram>,
+    link_idle_hist: Arc<spdkfac_obs::Histogram>,
+    /// Hops whose first slice was booked before the hop began.
+    staged_hops: Arc<spdkfac_obs::Counter>,
 }
 
 impl CommTelemetry {
@@ -684,6 +676,9 @@ impl CommTelemetry {
             .collect();
         let codec_secs_hist = m.histogram("wire/codec_secs");
         let max_abs_err_hist = m.histogram("wire/max_abs_err");
+        let link_booked_hist = m.histogram("coll/link/booked_seconds");
+        let link_idle_hist = m.histogram("coll/link/idle_seconds");
+        let staged_hops = m.counter("coll/link/staged_hops");
         CommTelemetry {
             rec,
             track,
@@ -693,6 +688,9 @@ impl CommTelemetry {
             wire_byte_counts,
             codec_secs_hist,
             max_abs_err_hist,
+            link_booked_hist,
+            link_idle_hist,
+            staged_hops,
         }
     }
 
@@ -735,6 +733,9 @@ impl CommTelemetry {
         self.op_counts[i].inc();
         self.elem_counts[i].add(elements as u64);
         self.wire_byte_counts[i].add(codec.wire_bytes);
+        self.link_booked_hist.observe(codec.link_booked_secs);
+        self.link_idle_hist.observe(codec.link_idle_secs);
+        self.staged_hops.add(codec.staged_hops);
         // Codec cost and rounding error are only meaningful (and non-zero)
         // for compressed formats; keep the f64 fast path out of the
         // distributions so they describe the codec, not the mix.
@@ -745,13 +746,111 @@ impl CommTelemetry {
     }
 }
 
+/// The comm thread's end of the request channel, with a one-request
+/// look-ahead: the ring asks for the collective queued behind the running
+/// one ([`Lookahead::peek`]) when it is about to release that one's last
+/// slice, and stages the queued one's first slice behind it.
+///
+/// Whichever way a request leaves the channel, what has to happen once per
+/// collective in submission order — the top-k error feedback — happens as
+/// it does.
+struct Inbox {
+    requests: Receiver<Request>,
+    /// The request after the running collective, once the ring has asked.
+    peeked: Option<Request>,
+    /// Top-k error-feedback state: residuals carried to the next collective
+    /// of the same (phase, length) shape, in round-robin submission order
+    /// (the SPMD contract makes the k-th same-shape op line up across
+    /// iterations). Cleared on plan-generation changes: a re-plan changes
+    /// the op sequence, so carried residuals would pair with the wrong
+    /// buffers.
+    residuals: HashMap<(u8, usize), VecDeque<Vec<f64>>>,
+    last_generation: u64,
+}
+
+impl Inbox {
+    fn new(requests: Receiver<Request>) -> Self {
+        Inbox {
+            requests,
+            peeked: None,
+            residuals: HashMap::new(),
+            last_generation: 0,
+        }
+    }
+
+    /// The next request and whether the thread had to wait for it; `None`
+    /// once every sender is gone.
+    fn next(&mut self) -> Option<(Request, bool)> {
+        if let Some(req) = self.peeked.take() {
+            return Some((req, false));
+        }
+        let (req, waited) = match self.requests.try_recv() {
+            Ok(req) => (req, false),
+            Err(TryRecvError::Empty) => (self.requests.recv().ok()?, true),
+            Err(TryRecvError::Disconnected) => return None,
+        };
+        Some((self.dequeued(req), waited))
+    }
+
+    /// Per-collective preparation, as a request leaves the channel.
+    fn dequeued(&mut self, mut req: Request) -> Request {
+        if let Request::Op {
+            op,
+            phase,
+            generation,
+            fmt,
+        } = &mut req
+        {
+            if *generation != self.last_generation {
+                self.residuals.clear();
+                self.last_generation = *generation;
+            }
+            if let WireFormat::TopK { ratio } = *fmt {
+                // Error feedback: fold in the residual carried from the
+                // previous same-shape all-reduce, keep the top-k of the
+                // sum, carry the rest forward.
+                let queue = self
+                    .residuals
+                    .entry((phase.index() as u8, op.data.len()))
+                    .or_default();
+                let mut residual = queue.pop_front().unwrap_or_default();
+                wire::sparsify_with_residual(&mut op.data, ratio, &mut residual);
+                queue.push_back(residual);
+            }
+        }
+        req
+    }
+}
+
+impl Lookahead for Inbox {
+    fn peek(&mut self) -> Option<Queued<'_>> {
+        if self.peeked.is_none() {
+            let req = self.requests.try_recv().ok()?;
+            self.peeked = Some(self.dequeued(req));
+        }
+        match &mut self.peeked {
+            Some(Request::Op { op, fmt, .. }) => Some(Queued {
+                call: op.call,
+                fmt: *fmt,
+                data: &mut op.data,
+            }),
+            _ => None,
+        }
+    }
+}
+
 /// Runs one collective on the ring, returning the submitter's reply
 /// channel and the un-sent result. The caller sends the reply *after*
 /// recording the telemetry span — a waiter resumed by the reply may
 /// immediately flush the recorder (e.g. a final telemetry flush right
 /// after a barrier), and the span of the op that woke it must already be
 /// there.
-fn execute(ring: &mut RingEndpoint, op: CollOp) -> (Sender<OpResult>, OpResult) {
+fn execute(
+    ring: &mut RingEndpoint,
+    op: CollOp,
+    fmt: WireFormat,
+    ahead: &mut dyn Lookahead,
+) -> (Sender<OpResult>, OpResult) {
     let CollOp {
         call,
         mut data,
@@ -759,28 +858,30 @@ fn execute(ring: &mut RingEndpoint, op: CollOp) -> (Sender<OpResult>, OpResult) 
     } = op;
     let mut offset = 0;
     let done = match call {
-        Call::AllReduceSum => ring.allreduce_sum(&mut data),
-        Call::AllReduceAvg => ring.allreduce_avg(&mut data),
-        Call::Broadcast { root } => ring.broadcast(&mut data, root),
-        Call::ReduceScatterAvg => ring.reduce_scatter_avg(&mut data).map(|shard| {
-            data.truncate(shard.end);
-            data.drain(..shard.start);
-            offset = shard.start;
-        }),
-        Call::AllGather => ring.allgather(&data).map(|all| data = all),
-        Call::ReduceSum { root } => ring.reduce_sum(&mut data, root).map(|()| {
+        Collective::AllReduceSum => ring.allreduce_sum(fmt, &mut data, ahead),
+        Collective::AllReduceAvg => ring.allreduce_avg(fmt, &mut data, ahead),
+        Collective::Broadcast { root } => ring.broadcast(fmt, &mut data, root, ahead),
+        Collective::ReduceScatterAvg => {
+            ring.reduce_scatter_avg(fmt, &mut data, ahead).map(|shard| {
+                data.truncate(shard.end);
+                data.drain(..shard.start);
+                offset = shard.start;
+            })
+        }
+        Collective::AllGather => ring.allgather(fmt, &mut data, ahead).map(|all| data = all),
+        Collective::ReduceSum { root } => ring.reduce_sum(fmt, &mut data, root, ahead).map(|()| {
             if ring.rank != root {
                 data.clear();
             }
         }),
-        Call::Gather { root } => ring
-            .gather(&data, root)
+        Collective::Gather { root } => ring
+            .gather(fmt, &data, root, ahead)
             .map(|all| data = all.unwrap_or_default()),
     };
     (reply, done.map(|()| OpOutput { offset, data }))
 }
 
-fn comm_thread_main(mut ring: RingEndpoint, req_rx: Receiver<Request>, policy: WirePolicy) {
+fn comm_thread_main(mut ring: RingEndpoint, mut inbox: Inbox) {
     let mut telemetry: Option<CommTelemetry> = None;
     // Straggler fault injection (SPDKFAC_INJECT_DELAY): stretches this
     // rank's matching collectives so peers — and the telemetry pipeline —
@@ -799,24 +900,17 @@ fn comm_thread_main(mut ring: RingEndpoint, req_rx: Receiver<Request>, policy: W
     // First transport failure observed; once set, the ring is broken and
     // every further op fails fast without touching the transport.
     let mut poison: Option<CommError> = None;
-    // Collectives executed so far — the clock `@afterN` delay rules and
-    // the top-k residual round-robin both key off deterministic, SPMD-
-    // identical submission order.
+    // Collectives executed so far — the clock of the `@afterN` delay rules
+    // and of the kill injection: deterministic, SPMD-identical submission
+    // order.
     let mut executed: u64 = 0;
-    // Top-k error-feedback state: residuals carried to the next collective
-    // of the same (phase, length) shape, in round-robin submission order
-    // (the SPMD contract makes the k-th same-shape op line up across
-    // iterations). Cleared on plan-generation changes: a re-plan changes
-    // the op sequence, so carried residuals would pair with the wrong
-    // buffers.
-    let mut residuals: HashMap<(u8, usize), VecDeque<Vec<f64>>> = HashMap::new();
-    let mut last_generation: u64 = 0;
-    while let Ok(req) = req_rx.recv() {
+    while let Some((req, waited)) = inbox.next() {
         match req {
             Request::Op {
-                mut op,
+                op,
                 phase,
                 generation,
+                fmt,
             } => {
                 if let Some(first) = &poison {
                     let _ = op.reply.send(Err(CommError::Disconnected(format!(
@@ -833,31 +927,12 @@ fn comm_thread_main(mut ring: RingEndpoint, req_rx: Receiver<Request>, policy: W
                         std::process::exit(crate::transport::KILL_EXIT_CODE);
                     }
                 }
-                if generation != last_generation {
-                    residuals.clear();
-                    last_generation = generation;
+                if waited {
+                    ring.nothing_was_ready();
                 }
                 let kind = op.call.kind();
                 let elements = op.data.len();
-                let edge = op.call.edge();
-                let mut fmt = policy.format_for(phase, kind);
-                if let WireFormat::TopK { ratio } = fmt {
-                    if kind == OpKind::AllReduce {
-                        // Error feedback: fold in the residual carried from
-                        // the previous same-shape all-reduce, keep the top-k
-                        // of the sum, carry the rest forward.
-                        let key = (phase.index() as u8, elements);
-                        let queue = residuals.entry(key).or_default();
-                        let mut residual = queue.pop_front().unwrap_or_default();
-                        wire::sparsify_with_residual(&mut op.data, ratio, &mut residual);
-                        residuals.entry(key).or_default().push_back(residual);
-                    } else {
-                        // Sparsification only composes with the summing
-                        // ring; everything else degrades to dense f32.
-                        fmt = WireFormat::F32;
-                    }
-                }
-                ring.set_wire_format(fmt);
+                let edge = edge(op.call);
                 let mult = inject
                     .as_ref()
                     .map(|d| d.multiplier(ring.rank, kind, executed))
@@ -872,7 +947,7 @@ fn comm_thread_main(mut ring: RingEndpoint, req_rx: Receiver<Request>, policy: W
                 let (reply, out) = match &telemetry {
                     Some(t) => {
                         let start = t.rec.now();
-                        let (reply, out) = execute(&mut ring, op);
+                        let (reply, out) = execute(&mut ring, op, fmt, &mut inbox);
                         stretch(t.rec.now() - start);
                         let end = t.rec.now();
                         let codec = ring.take_codec();
@@ -892,7 +967,7 @@ fn comm_thread_main(mut ring: RingEndpoint, req_rx: Receiver<Request>, policy: W
                     }
                     None => {
                         let start = std::time::Instant::now();
-                        let (reply, out) = execute(&mut ring, op);
+                        let (reply, out) = execute(&mut ring, op, fmt, &mut inbox);
                         stretch(start.elapsed().as_secs_f64());
                         let _ = ring.take_codec();
                         (reply, out)

@@ -16,7 +16,9 @@
 //!   by one worker (SPMD style, exactly like an MPI rank).
 //! - The ring algorithms ([`ring`]) are all built from one streaming
 //!   primitive, the *hop* — send at most one frame right, receive at most
-//!   one left, bodies travelling in 64 KiB slices through reusable buffers —
+//!   one left, bodies travelling in slices of at most 64 KiB through reusable
+//!   buffers, the first slice of the next hop or of the next queued
+//!   collective staged before the last one of this hop is released —
 //!   written against the byte-stream [`Transport`] trait ([`transport`]),
 //!   so the exact same algorithm code produces **bit-identical** results
 //!   over in-process pipes or sockets.

@@ -8,20 +8,27 @@
 //! and relays exposed individually — and every one of them is a sequence
 //! of calls to one primitive, [`RingEndpoint::hop`]: *send at most one
 //! frame right and receive at most one frame left, streaming both bodies
-//! in [`SLICE_BYTES`] slices*. Per slice the comm thread runs
+//! in slices* ([`slices`]: near-equal pieces of at most [`SLICE_BYTES`]).
+//! Per slice the comm thread runs
 //!
 //! ```text
 //!  encode i+1 ─▶ wait(link) ─▶ write i ─▶ read i ─▶ decode/reduce i
-//!  (send buf B)               (send buf A)  (recv buf)   (in place)
+//!  (other send buf)           (send buf)   (recv buf)   (in place)
 //! ```
 //!
 //! so sends and receives interleave — no rank has more than one slice in
 //! flight per direction, which is what keeps an 8 MB chunk from wedging
 //! every rank in `write` — and the codec work of one slice runs while the
-//! (emulated) link carries the next. A chain relay (broadcast, gather)
-//! runs the slot as read → write → decode from the same receive buffer.
-//! All buffers belong to the endpoint and are reused: a steady-state
-//! collective allocates nothing. DESIGN.md §2.10 has the full picture.
+//! (emulated) link carries the one before. "The next slice" does not stop
+//! at the end of a frame: before a hop releases its *last* slice it stages
+//! and books slice 0 of whatever this rank sends next ([`Then`]) — the
+//! next hop's frame once the bytes it is made of have landed, or the first
+//! frame of the collective queued behind this one ([`Lookahead`]) — so the
+//! link stays booked across hops and across collectives. A chain relay
+//! (broadcast, gather) runs the slot as read → write → decode from the
+//! same receive buffer. All buffers belong to the endpoint and are reused:
+//! a steady-state collective allocates nothing. DESIGN.md §2.10 has the
+//! full picture.
 //!
 //! The same hop sequence runs whether the neighbours are threads (byte
 //! pipes) or processes (TCP sockets), which is what makes the two backends
@@ -45,8 +52,9 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Wire/codec accounting for the collective(s) since the last
-/// [`RingEndpoint::take_codec`] call.
+/// Wire, codec and link accounting of one collective: everything booked,
+/// encoded or sent *for* it since the last [`RingEndpoint::take_codec`],
+/// including what the collective before it staged on its behalf.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OpCodecStats {
     /// Actual encoded bytes this endpoint put on the wire.
@@ -55,6 +63,27 @@ pub struct OpCodecStats {
     pub codec_secs: f64,
     /// Max absolute rounding error introduced by encoding.
     pub max_abs_err: f64,
+    /// Seconds of the emulated link this collective's slices booked (0
+    /// when un-paced).
+    pub link_booked_secs: f64,
+    /// Seconds the emulated link sat drained before one of this
+    /// collective's bookings although the collective was there to be sent
+    /// (see [`RingEndpoint::nothing_was_ready`]).
+    pub link_idle_secs: f64,
+    /// Hops whose first slice was staged before the hop began.
+    pub staged_hops: u64,
+}
+
+impl OpCodecStats {
+    /// Adds what another hop staged on this collective's account.
+    fn absorb(&mut self, staged: &OpCodecStats) {
+        self.wire_bytes += staged.wire_bytes;
+        self.codec_secs += staged.codec_secs;
+        self.max_abs_err = self.max_abs_err.max(staged.max_abs_err);
+        self.link_booked_secs += staged.link_booked_secs;
+        self.link_idle_secs += staged.link_idle_secs;
+        self.staged_hops += staged.staged_hops;
+    }
 }
 
 /// Environment variable naming an emulated NIC rate in Gb/s, read when an
@@ -70,16 +99,20 @@ pub const PACE_ENV: &str = "SPDKFAC_PACE_GBPS";
 /// transport only at the end of that interval. Invariant: **no byte is
 /// readable by the peer before the serialised link would have finished
 /// transmitting it, and no collective completes on any rank before that.**
+/// A slice is booked only once it is encoded, never before `link_free`.
 /// Reserving at hand-over and waiting at release is what lets the codec
-/// work on slice *i+1* overlap the link time of slice *i*, the way a NIC's
-/// send queue does; deadlines chain off `link_free`, not off "now", so a
-/// late wake-up is not paid again by the slices queued behind it.
+/// work on the next slice overlap the link time of this one, the way a
+/// NIC's send queue does; deadlines chain off `link_free`, not off "now",
+/// so a late wake-up is not paid again by the slices queued behind it.
 #[derive(Debug)]
 struct Pacer {
     /// Seconds per wire byte (0 = un-paced).
     s_per_byte: f64,
     /// When the link finishes everything booked so far.
     link_free: Instant,
+    /// Until when a drained link is not the transport's doing: the comm
+    /// thread had nothing to send.
+    excused: Instant,
 }
 
 impl Pacer {
@@ -89,20 +122,27 @@ impl Pacer {
             .and_then(|v| v.parse::<f64>().ok())
             .filter(|g| *g > 0.0)
             .map_or(0.0, |gbps| 8.0 / (gbps * 1e9));
+        let now = Instant::now();
         Pacer {
             s_per_byte,
-            link_free: Instant::now(),
+            link_free: now,
+            excused: now,
         }
     }
 
-    /// Books `bytes` on the link behind everything already booked; returns
-    /// when their last byte leaves it (`None` when un-paced).
-    fn reserve(&mut self, bytes: usize) -> Option<Instant> {
+    /// Books `bytes` on the link behind everything already booked, on
+    /// `acct`'s account; returns when their last byte leaves it (`None`
+    /// when un-paced).
+    fn reserve(&mut self, bytes: usize, acct: &mut OpCodecStats) -> Option<Instant> {
         if self.s_per_byte == 0.0 {
             return None;
         }
-        let start = self.link_free.max(Instant::now());
-        self.link_free = start + Duration::from_secs_f64(bytes as f64 * self.s_per_byte);
+        let now = Instant::now();
+        let booked = Duration::from_secs_f64(bytes as f64 * self.s_per_byte);
+        let drained = now.saturating_duration_since(self.link_free.max(self.excused));
+        acct.link_idle_secs += drained.as_secs_f64();
+        acct.link_booked_secs += booked.as_secs_f64();
+        self.link_free = self.link_free.max(now) + booked;
         Some(self.link_free)
     }
 
@@ -150,23 +190,6 @@ struct Rx<'a> {
     dst: Dst<'a>,
     /// How they land there.
     sink: Sink,
-    /// Keep the encoded body for a [`Tx::Carry`] at the next hop.
-    keep: bool,
-}
-
-impl<'a> Rx<'a> {
-    fn new(origin: usize, dst: Dst<'a>, sink: Sink) -> Self {
-        Rx {
-            origin,
-            dst,
-            sink,
-            keep: false,
-        }
-    }
-
-    fn keep_if(self, keep: bool) -> Self {
-        Rx { keep, ..self }
-    }
 }
 
 enum Dst<'a> {
@@ -178,15 +201,140 @@ enum Dst<'a> {
     Discard,
 }
 
-/// Byte range of slice `i` of a `total`-byte body.
-fn slice(i: usize, total: usize) -> Range<usize> {
-    (i * SLICE_BYTES).min(total)..((i + 1) * SLICE_BYTES).min(total)
+/// The frame this rank sends *after* the current hop's, as far as the hop
+/// can know it — what it stages slice 0 of before releasing its own last
+/// slice (DESIGN.md §2.10, "The slot").
+///
+/// | next frame | slice 0 is final | staged |
+/// |---|---|---|
+/// | `Fresh` / `Replicated`: the next hop encodes what this one receives | once receive-slice 0 has landed (dense formats, a hop of ≥ 2 slices) | encoded into the free `tx` half, booked |
+/// | `Carry`: the next hop relays the body this one keeps | once receive-slice 0 has arrived | booked (the bytes stay where they are) |
+/// | `Queued`: the first frame of the collective behind this one | it was submitted whole | encoded under *its* format into the free `tx` half, booked |
+enum Then<'q> {
+    /// Nothing this hop can stage.
+    Nothing,
+    /// The next hop sends what this one receives as [`Tx::Fresh`].
+    Fresh,
+    /// The next hop sends what this one receives as [`Tx::Replicated`].
+    Replicated(Sink),
+    /// The next hop sends the body this one receives as [`Tx::Carry`]:
+    /// keep it.
+    Carry,
+    /// This is the collective's last hop on this rank.
+    Queued(&'q mut dyn Lookahead),
 }
 
-/// Slices a `total`-byte body travels in; an empty body still has the one
-/// its header rides with.
+impl<'q> Then<'q> {
+    /// Hands the value over, leaving `Nothing` (for the one hop of a loop
+    /// that gets it).
+    fn take(&mut self) -> Then<'q> {
+        std::mem::replace(self, Then::Nothing)
+    }
+
+    /// `Queued(ahead)` after a collective's last hop, `Nothing` otherwise.
+    fn queued_if(last: bool, ahead: &'q mut dyn Lookahead) -> Then<'q> {
+        if last {
+            Then::Queued(ahead)
+        } else {
+            Then::Nothing
+        }
+    }
+}
+
+/// The seven ring collectives, as a queued request names them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Collective {
+    /// [`RingEndpoint::allreduce_sum`].
+    AllReduceSum,
+    /// [`RingEndpoint::allreduce_avg`].
+    AllReduceAvg,
+    /// [`RingEndpoint::broadcast`].
+    Broadcast {
+        /// The rank whose data every rank ends up with.
+        root: usize,
+    },
+    /// [`RingEndpoint::reduce_scatter_avg`].
+    ReduceScatterAvg,
+    /// [`RingEndpoint::allgather`].
+    AllGather,
+    /// [`RingEndpoint::reduce_sum`].
+    ReduceSum {
+        /// The rank that ends up with the sum.
+        root: usize,
+    },
+    /// [`RingEndpoint::gather`].
+    Gather {
+        /// The rank that ends up with every shard.
+        root: usize,
+    },
+}
+
+impl Collective {
+    /// The traffic-accounting kind of the collective.
+    pub fn kind(self) -> OpKind {
+        match self {
+            Collective::AllReduceSum | Collective::AllReduceAvg => OpKind::AllReduce,
+            Collective::Broadcast { .. } => OpKind::Broadcast,
+            Collective::ReduceScatterAvg => OpKind::ReduceScatter,
+            Collective::AllGather => OpKind::AllGather,
+            Collective::ReduceSum { .. } => OpKind::Reduce,
+            Collective::Gather { .. } => OpKind::Gather,
+        }
+    }
+}
+
+/// A collective waiting behind the running one: which it is, the format
+/// it travels in, and the buffer it was submitted with.
+pub struct Queued<'a> {
+    /// The collective.
+    pub call: Collective,
+    /// Its wire format — a property of its frames, not of the endpoint.
+    pub fmt: WireFormat,
+    /// Its buffer, as [`RingEndpoint`]'s method of the same name takes it.
+    pub data: &'a mut [f64],
+}
+
+/// The caller's queue of collectives, as far as the ring needs to see it.
+pub trait Lookahead {
+    /// The collective that runs next on this endpoint, if it is known by
+    /// now. Asked at most once per collective, when its last hop is about
+    /// to release its last slice; whatever is returned must be the next
+    /// collective run, with that buffer.
+    fn peek(&mut self) -> Option<Queued<'_>>;
+}
+
+/// Nothing is queued behind a collective run on its own.
+#[derive(Debug)]
+pub struct Idle;
+
+impl Lookahead for Idle {
+    fn peek(&mut self) -> Option<Queued<'_>> {
+        None
+    }
+}
+
+/// Smallest body cut in two: from here on a hop has a second slice, hence
+/// a slice in flight while the next hop's first one is staged. A constant
+/// like [`SLICE_BYTES`], and for its reason: sender and receiver derive the
+/// cut from the body length alone.
+const SPLIT_FLOOR_BYTES: usize = 16 * 1024;
+
+/// Slices a `total`-byte body travels in: as few as keep each within
+/// [`SLICE_BYTES`], two from [`SPLIT_FLOOR_BYTES`] up; an empty body still
+/// has the one its header rides with.
 fn slices(total: usize) -> usize {
-    total.div_ceil(SLICE_BYTES).max(1)
+    total
+        .div_ceil(SLICE_BYTES)
+        .max(1 + usize::from(total >= SPLIT_FLOOR_BYTES))
+}
+
+/// Byte range of slice `i` of a `total`-byte body: [`slices`] near-equal
+/// pieces, every cut on an 8-byte boundary (a whole element in any dense
+/// format), the last piece the shortest.
+fn slice(i: usize, total: usize) -> Range<usize> {
+    let n = slices(total);
+    let cut = |k: usize| (k * total).div_ceil(n).next_multiple_of(8).min(total);
+    cut(i)..cut(i + 1)
 }
 
 /// `buf[at..at + n]`, growing `buf` when needed (never shrinking: the
@@ -196,6 +344,24 @@ fn window(buf: &mut Vec<u8>, at: usize, n: usize) -> &mut [u8] {
         buf.resize(at + n, 0);
     }
     &mut buf[at..at + n]
+}
+
+/// Slice 0 of an outgoing frame, encoded where it will be sent from and
+/// booked on the link — by the hop that sends the frame, or ahead of it by
+/// the hop before.
+#[derive(Debug)]
+struct Staged {
+    /// The frame's wire format.
+    fmt: WireFormat,
+    /// The frame's body length.
+    total: usize,
+    /// The `tx` half slice 0 sits in (a self-describing body: all of it).
+    half: usize,
+    /// When the link releases slice 0.
+    ready: Option<Instant>,
+    /// What staging it cost and booked, when that is another collective's
+    /// account than the one that was running.
+    codec: OpCodecStats,
 }
 
 /// One rank's view of the ring: its identity, its transport to the
@@ -210,15 +376,17 @@ pub struct RingEndpoint {
     transport: Box<dyn Transport>,
     /// Shared traffic counters.
     pub stats: Arc<TrafficStats>,
-    /// Wire format applied to payloads this endpoint originates.
-    fmt: WireFormat,
-    /// Codec accounting since the last `take_codec`.
+    /// Accounting of the running collective since the last `take_codec`.
     codec: OpCodecStats,
     pacer: Pacer,
-    /// Send staging: slice `i` of a dense body is encoded into `tx[i % 2]`
-    /// while slice `i - 1` waits for the link in the other; a
-    /// self-describing body sits whole in `tx[0]`.
+    /// Send staging: slice `i` of the outgoing dense body is encoded into
+    /// `tx[(half + i) % 2]` while slice `i - 1` waits for the link in the
+    /// other; a self-describing body sits whole in `tx[half]`. The half the
+    /// last slice does not use takes slice 0 of the frame after it.
     tx: [Vec<u8>; 2],
+    half: usize,
+    /// Slice 0 of the next outgoing frame, when the previous hop staged it.
+    staged: Option<Staged>,
     /// Receive buffer: one slice of a dense body, or the whole of a body
     /// that is self-describing or kept for relay.
     rx: Vec<u8>,
@@ -230,8 +398,8 @@ pub struct RingEndpoint {
 }
 
 impl RingEndpoint {
-    /// Assembles an endpoint from its parts (wire format defaults to the
-    /// bit-exact f64 pass-through; pacing is read from [`PACE_ENV`]).
+    /// Assembles an endpoint from its parts (pacing is read from
+    /// [`PACE_ENV`]).
     pub fn new(
         rank: usize,
         world: usize,
@@ -244,10 +412,11 @@ impl RingEndpoint {
             world,
             transport,
             stats,
-            fmt: WireFormat::F64,
             codec: OpCodecStats::default(),
             pacer: Pacer::from_env(),
             tx: [Vec::new(), Vec::new()],
+            half: 0,
+            staged: None,
             rx: Vec::new(),
             carry: Vec::new(),
             carry_elems: 0,
@@ -260,14 +429,18 @@ impl RingEndpoint {
         self.transport.kind()
     }
 
-    /// Sets the wire format for subsequently originated payloads.
-    pub fn set_wire_format(&mut self, fmt: WireFormat) {
-        self.fmt = fmt;
-    }
-
-    /// Drains the wire/codec accounting accumulated since the last call.
+    /// Drains the accounting of the collective that just ran. What it
+    /// staged for its successor is not in it: that travels with the staged
+    /// slice and is drained after the successor.
     pub fn take_codec(&mut self) -> OpCodecStats {
         std::mem::take(&mut self.codec)
+    }
+
+    /// The caller found its queue empty and waited for the collective it
+    /// is about to run: the link having drained up to now is not counted
+    /// as idle ([`OpCodecStats::link_idle_secs`]).
+    pub fn nothing_was_ready(&mut self) {
+        self.pacer.excused = Instant::now();
     }
 
     fn left(&self) -> usize {
@@ -283,15 +456,16 @@ impl RingEndpoint {
         self.codec.max_abs_err = self.codec.max_abs_err.max(err);
     }
 
-    /// Encodes a whole self-describing body into `tx[0]` (adopting its
+    /// Encodes a whole self-describing body into `tx[half]` (adopting its
     /// decode for [`Tx::Replicated`]) and returns its length.
-    fn encode_whole(&mut self, tx: &mut Tx<'_>) -> usize {
+    fn encode_whole(&mut self, fmt: WireFormat, tx: &mut Tx<'_>, half: usize) -> usize {
         let t0 = Instant::now();
+        let body = &mut self.tx[half];
         let err = match tx {
-            Tx::Fresh(vals) => wire::encode_body(self.fmt, vals, &mut self.tx[0]),
+            Tx::Fresh(vals) => wire::encode_body(fmt, vals, body),
             Tx::Replicated(vals, sink) => {
-                let err = wire::encode_body(self.fmt, vals, &mut self.tx[0]);
-                wire::decode_body(self.fmt, &self.tx[0], Some(vals.len()), &mut self.scratch)
+                let err = wire::encode_body(fmt, vals, body);
+                wire::decode_body(fmt, body, Some(vals.len()), &mut self.scratch)
                     .expect("own encoding decodes");
                 sink.land_all(vals, &self.scratch);
                 err
@@ -299,43 +473,145 @@ impl RingEndpoint {
             Tx::Carry { .. } | Tx::Forward => unreachable!("relays are never re-encoded"),
         };
         self.note_codec(t0, err);
-        self.tx[0].len()
+        self.tx[half].len()
     }
 
-    /// Makes slice `i` of a `total`-byte outgoing body ready to write —
-    /// for fresh dense values, encodes it into `tx[i % 2]` — and books it
-    /// on the link. Returns when the link releases it.
-    fn stage(&mut self, tx: &mut Tx<'_>, i: usize, total: usize) -> Option<Instant> {
+    /// Makes slice `i` of a `total`-byte outgoing body whose slice 0 sits
+    /// in `tx[half]` ready to write — for fresh dense values, encodes it
+    /// into `tx[(half + i) % 2]` — and books it on the link. Returns when
+    /// the link releases it.
+    fn stage(
+        &mut self,
+        fmt: WireFormat,
+        tx: &mut Tx<'_>,
+        half: usize,
+        i: usize,
+        total: usize,
+    ) -> Option<Instant> {
         let bytes = slice(i, total);
-        if let (Some(eb), Tx::Fresh(_) | Tx::Replicated(..)) = (self.fmt.dense_elem_bytes(), &*tx) {
+        if let (Some(eb), Tx::Fresh(_) | Tx::Replicated(..)) = (fmt.dense_elem_bytes(), &*tx) {
             let elems = bytes.start / eb..bytes.end / eb;
-            let buf = window(&mut self.tx[i % 2], 0, bytes.len());
+            let buf = window(&mut self.tx[(half + i) % 2], 0, bytes.len());
             let t0 = Instant::now();
             let err = match tx {
                 Tx::Replicated(vals, sink) => {
-                    let err = wire::encode_into(self.fmt, &vals[elems.clone()], buf);
+                    let err = wire::encode_into(fmt, &vals[elems.clone()], buf);
                     // The lossless round trip is the identity.
-                    if !(self.fmt.is_lossless() && *sink == Sink::Store) {
-                        wire::decode(self.fmt, buf, &mut vals[elems], *sink);
+                    if !(fmt.is_lossless() && *sink == Sink::Store) {
+                        wire::decode(fmt, buf, &mut vals[elems], *sink);
                     }
                     err
                 }
-                Tx::Fresh(vals) => wire::encode_into(self.fmt, &vals[elems], buf),
+                Tx::Fresh(vals) => wire::encode_into(fmt, &vals[elems], buf),
                 Tx::Carry { .. } | Tx::Forward => unreachable!("matched above"),
             };
             self.note_codec(t0, err);
         }
-        self.pacer.reserve(bytes.len())
+        self.pacer.reserve(bytes.len(), &mut self.codec)
+    }
+
+    /// Opens an outgoing frame from `tx[half]`: sizes it (a self-describing
+    /// body is encoded whole to learn its length), stages slice 0 and books
+    /// it.
+    fn open(&mut self, fmt: WireFormat, tx: &mut Tx<'_>, half: usize) -> Staged {
+        let total = match (&*tx, fmt.dense_elem_bytes()) {
+            (Tx::Carry { .. }, _) => self.carry.len(),
+            (_, Some(eb)) => tx.fresh_elems() * eb,
+            (_, None) => self.encode_whole(fmt, tx, half),
+        };
+        Staged {
+            fmt,
+            total,
+            half,
+            ready: self.stage(fmt, tx, half, 0, total),
+            codec: OpCodecStats::default(),
+        }
+    }
+
+    /// The frame a queued collective opens with on this rank, if its first
+    /// hop sends one of its own.
+    fn first_tx<'a>(&self, call: Collective, data: &'a mut [f64]) -> Option<Tx<'a>> {
+        let (p, rank) = (self.world, self.rank);
+        if p == 1 {
+            return None;
+        }
+        match call {
+            Collective::AllReduceSum | Collective::AllReduceAvg | Collective::ReduceScatterAvg => {
+                let data: &'a [f64] = data;
+                Some(Tx::Fresh(&data[chunk_range(data.len(), p, rank)]))
+            }
+            Collective::Broadcast { root } => {
+                (rank == root).then_some(Tx::Replicated(data, Sink::Store))
+            }
+            Collective::AllGather => Some(Tx::Replicated(data, Sink::Store)),
+            Collective::ReduceSum { root } => (rank == (root + 1) % p).then_some(Tx::Fresh(data)),
+            Collective::Gather { root } => (rank != root).then_some(Tx::Fresh(data)),
+        }
+    }
+
+    /// The look-ahead: called when everything the running hop sends has
+    /// been staged, stages slice 0 of the frame this rank sends next (see
+    /// [`Then`] for when that is possible) into `tx[half]`. `landed` counts
+    /// the receive slices this hop has decoded so far.
+    fn stage_next(
+        &mut self,
+        fmt: WireFormat,
+        half: usize,
+        then: &mut Then<'_>,
+        rx: Option<&mut Rx<'_>>,
+        landed: usize,
+        in_total: usize,
+    ) {
+        self.staged = match then {
+            Then::Nothing => None,
+            Then::Queued(queue) => queue.peek().and_then(|next| {
+                let mut tx = self.first_tx(next.call, next.data)?;
+                // Encoded and booked on the queued collective's account.
+                let running = std::mem::take(&mut self.codec);
+                let mut staged = self.open(next.fmt, &mut tx, half);
+                staged.codec = std::mem::replace(&mut self.codec, running);
+                Some(staged)
+            }),
+            _ if landed == 0 => None,
+            Then::Carry => Some(Staged {
+                fmt,
+                total: in_total,
+                half,
+                ready: self
+                    .pacer
+                    .reserve(slice(0, in_total).len(), &mut self.codec),
+                codec: OpCodecStats::default(),
+            }),
+            Then::Fresh | Then::Replicated(_) => {
+                let Some(Rx {
+                    dst: Dst::Fixed(got),
+                    ..
+                }) = rx
+                else {
+                    unreachable!("a hop re-sends only what it receives into a fixed destination")
+                };
+                let mut tx = match then {
+                    Then::Replicated(sink) => Tx::Replicated(got, *sink),
+                    _ => Tx::Fresh(got),
+                };
+                // A self-describing body needs every value to be final.
+                fmt.dense_elem_bytes()
+                    .map(|_| self.open(fmt, &mut tx, half))
+            }
+        };
     }
 
     /// Reads the next frame header and checks it against what the hop must
     /// carry — before a single body byte is read or buffered for. Returns
     /// the raw header and the body length.
-    fn read_header(&mut self, rx: &Rx<'_>) -> Result<([u8; FRAME_HEADER_BYTES], usize), CommError> {
+    fn read_header(
+        &mut self,
+        fmt: WireFormat,
+        rx: &Rx<'_>,
+    ) -> Result<([u8; FRAME_HEADER_BYTES], usize), CommError> {
         let mut raw = [0u8; FRAME_HEADER_BYTES];
         self.transport.recv(&mut raw)?;
         let h = FrameHeader::from_bytes(&raw);
-        let fmt = self.fmt;
         if h.tag != fmt.tag() {
             return Err(self.malformed(format!("tag {} on a {fmt} hop", h.tag)));
         }
@@ -366,67 +642,112 @@ impl RingEndpoint {
 
     /// The streaming primitive under every collective: sends at most one
     /// frame to the right neighbour and receives at most one from the left,
-    /// both in slices, interleaved (see the module docs for the slot).
+    /// both in slices of `fmt`, interleaved (see the module docs for the
+    /// slot), then stages the first slice of `then`. A hop that fails
+    /// discards whatever was staged.
     fn hop(
         &mut self,
         kind: OpKind,
+        fmt: WireFormat,
+        tx: Option<Tx<'_>>,
+        rx: Option<Rx<'_>>,
+        then: Then<'_>,
+    ) -> Result<(), CommError> {
+        let done = self.stream(kind, fmt, tx, rx, then);
+        if done.is_err() {
+            self.staged = None;
+        }
+        done
+    }
+
+    fn stream(
+        &mut self,
+        kind: OpKind,
+        fmt: WireFormat,
         mut tx: Option<Tx<'_>>,
         mut rx: Option<Rx<'_>>,
+        mut then: Then<'_>,
     ) -> Result<(), CommError> {
-        let fmt = self.fmt;
         let dense = fmt.dense_elem_bytes();
         let forward = matches!(tx, Some(Tx::Forward));
         debug_assert!(!forward || rx.is_some(), "forwarding needs a frame");
+        let keep = matches!(then, Then::Carry);
 
-        // The outgoing frame, unless it is the incoming one.
+        // The outgoing frame, unless it is the incoming one: its slice 0
+        // was staged by the hop before this one, or is now.
         let (mut out_head, mut out_total, mut out_elems) = ([0u8; FRAME_HEADER_BYTES], 0, 0);
-        let mut ready = None;
+        let (mut ready, mut n_out) = (None, 0);
         if let Some(tx) = tx.as_mut().filter(|_| !forward) {
-            let origin = if let Tx::Carry { origin } = *tx {
-                (out_total, out_elems) = (self.carry.len(), self.carry_elems);
-                origin
-            } else {
-                out_elems = tx.fresh_elems();
-                out_total = match dense {
-                    Some(eb) => out_elems * eb,
-                    None => self.encode_whole(tx),
-                };
-                self.rank
+            let staged = match self.staged.take() {
+                Some(ahead) => {
+                    self.codec.absorb(&ahead.codec);
+                    self.codec.staged_hops += 1;
+                    ahead
+                }
+                None => self.open(fmt, tx, self.half),
             };
+            let origin;
+            (origin, out_elems) = match *tx {
+                Tx::Carry { origin } => (origin, self.carry_elems),
+                _ => (self.rank, tx.fresh_elems()),
+            };
+            let expected = match (&*tx, dense) {
+                (Tx::Carry { .. }, _) => Some(self.carry.len()),
+                (_, eb) => eb.map(|eb| out_elems * eb),
+            };
+            assert!(
+                staged.fmt == fmt && expected.is_none_or(|n| n == staged.total),
+                "rank {}: a {} frame of {} bytes was staged where a {fmt} frame of {expected:?} \
+                 is sent",
+                self.rank,
+                staged.fmt,
+                staged.total
+            );
+            (self.half, out_total, ready) = (staged.half, staged.total, staged.ready);
+            n_out = slices(out_total);
             out_head = FrameHeader {
                 origin: origin as u64,
                 tag: fmt.tag(),
                 nbytes: out_total as u64,
             }
             .to_bytes();
-            ready = self.stage(tx, 0, out_total);
-        }
-        let mut n_out = if tx.is_some() && !forward {
-            slices(out_total)
         } else {
-            0
-        };
+            debug_assert!(self.staged.is_none(), "a staged frame nobody sends");
+            if tx.is_none() {
+                // Nothing of its own to send: nothing to wait for either.
+                self.stage_next(fmt, self.half, &mut then, None, 0, 0);
+            }
+        }
         let (mut n_in, mut in_total) = (usize::from(rx.is_some()), 0);
 
         let mut i = 0;
         while i < n_out.max(n_in) {
             if let Some(tx) = tx.as_mut().filter(|_| !forward && i < n_out) {
-                // Slice i+1 is encoded and booked behind slice i before
-                // slice i is released: its codec time hides in link time.
-                let next = (i + 1 < n_out).then(|| self.stage(tx, i + 1, out_total));
+                // The next slice — of this frame, or after its last slice
+                // of whatever this rank sends next — is encoded and booked
+                // before slice i is released: its codec time hides in link
+                // time, and the link is never left to drain in between.
+                let next = if i + 1 < n_out {
+                    self.stage(fmt, tx, self.half, i + 1, out_total)
+                } else {
+                    let used = if dense.is_some() { n_out } else { 1 };
+                    let free = (self.half + used) % 2;
+                    self.stage_next(fmt, free, &mut then, rx.as_mut(), i.min(n_in), in_total);
+                    None
+                };
                 Pacer::release_at(ready);
                 let body = match (&*tx, dense) {
                     (Tx::Carry { .. }, _) => &self.carry[slice(i, out_total)],
-                    (_, Some(_)) => &self.tx[i % 2][..slice(i, out_total).len()],
-                    (_, None) => &self.tx[0][slice(i, out_total)],
+                    (_, Some(_)) => &self.tx[(self.half + i) % 2][..slice(i, out_total).len()],
+                    (_, None) => &self.tx[self.half][slice(i, out_total)],
                 };
                 let head = if i == 0 { &out_head[..] } else { &[] };
                 self.transport.send(head, body)?;
-                ready = next.flatten();
+                ready = next;
             }
             if let Some(rx) = rx.as_mut() {
                 if i == 0 {
-                    let (raw, n) = self.read_header(rx)?;
+                    let (raw, n) = self.read_header(fmt, rx)?;
                     (in_total, n_in) = (n, slices(n));
                     if forward {
                         (out_head, out_total, n_out) = (raw, n, n_in);
@@ -435,13 +756,15 @@ impl RingEndpoint {
                 if i < n_in {
                     let bytes = slice(i, in_total);
                     // Whole bodies accumulate; dense slices reuse the front.
-                    let at = if rx.keep || dense.is_none() {
+                    let at = if keep || dense.is_none() {
                         bytes.start
                     } else {
                         0
                     };
                     self.transport.recv(window(&mut self.rx, at, bytes.len()))?;
-                    let released = forward.then(|| self.pacer.reserve(bytes.len())).flatten();
+                    let released = forward
+                        .then(|| self.pacer.reserve(bytes.len(), &mut self.codec))
+                        .flatten();
                     let got = &self.rx[at..at + bytes.len()];
                     let t0 = Instant::now();
                     if let Some(eb) = dense {
@@ -472,6 +795,10 @@ impl RingEndpoint {
                     }
                     self.codec.codec_secs += t0.elapsed().as_secs_f64();
                     if forward {
+                        if i + 1 == n_in {
+                            // A relay sends from `rx`: both halves are free.
+                            self.stage_next(fmt, self.half, &mut then, None, 0, 0);
+                        }
                         Pacer::release_at(released);
                         let head = if i == 0 { &out_head[..] } else { &[] };
                         self.transport.send(head, &self.rx[at..at + bytes.len()])?;
@@ -491,7 +818,7 @@ impl RingEndpoint {
         if forward {
             out_elems = in_elems;
         }
-        if rx.is_some_and(|rx| rx.keep) {
+        if keep {
             self.rx.truncate(in_total);
             std::mem::swap(&mut self.rx, &mut self.carry);
             self.carry_elems = in_elems;
@@ -504,41 +831,75 @@ impl RingEndpoint {
         Ok(())
     }
 
-    /// In-place ring all-reduce (sum) over `buf`.
+    /// In-place ring all-reduce (sum) over `buf`, travelling as `fmt`.
     ///
     /// After the call every rank holds the element-wise sum of all ranks'
     /// buffers — bit-identical across ranks even under lossy wire formats
     /// (module docs, "Bit parity"). All ranks must pass buffers of
-    /// identical length.
-    pub fn allreduce_sum(&mut self, buf: &mut [f64]) -> Result<(), CommError> {
-        self.allreduce(buf, Sink::Store)
+    /// identical length. `ahead` is what the caller has queued behind this
+    /// collective ([`Idle`]: nothing), here and in every method below.
+    pub fn allreduce_sum(
+        &mut self,
+        fmt: WireFormat,
+        buf: &mut [f64],
+        ahead: &mut dyn Lookahead,
+    ) -> Result<(), CommError> {
+        self.allreduce(fmt, buf, Sink::Store, ahead)
     }
 
     /// In-place ring all-reduce (average): the `1/P` rides the final decode
     /// pass of every chunk instead of a sweep over the finished buffer.
-    pub fn allreduce_avg(&mut self, buf: &mut [f64]) -> Result<(), CommError> {
-        self.allreduce(buf, Sink::Scaled(1.0 / self.world as f64))
+    pub fn allreduce_avg(
+        &mut self,
+        fmt: WireFormat,
+        buf: &mut [f64],
+        ahead: &mut dyn Lookahead,
+    ) -> Result<(), CommError> {
+        self.allreduce(fmt, buf, Sink::Scaled(1.0 / self.world as f64), ahead)
     }
 
     /// Reduce-scatter steps: after step `s`, chunk `rank - s` has been
     /// forwarded; at the end, chunk `(rank + 1) % p` is fully reduced here.
-    /// Partial sums change at every hop, so every hop sends fresh bytes.
-    fn reduce_scatter(&mut self, kind: OpKind, buf: &mut [f64]) -> Result<(), CommError> {
+    /// Partial sums change at every hop, so every hop sends fresh bytes —
+    /// of the chunk the hop before it received. `last` is what follows the
+    /// final step.
+    fn reduce_scatter(
+        &mut self,
+        kind: OpKind,
+        fmt: WireFormat,
+        buf: &mut [f64],
+        mut last: Then<'_>,
+    ) -> Result<(), CommError> {
         let (p, left) = (self.world, self.left());
         for step in 0..p - 1 {
             let send = chunk_range(buf.len(), p, (self.rank + p - step) % p);
             let recv = chunk_range(buf.len(), p, (self.rank + p - step - 1) % p);
             let (send, recv) = disjoint(buf, send, recv);
-            let rx = Rx::new(left, Dst::Fixed(recv), Sink::Add);
-            self.hop(kind, Some(Tx::Fresh(send)), Some(rx))?;
+            let rx = Rx {
+                origin: left,
+                dst: Dst::Fixed(recv),
+                sink: Sink::Add,
+            };
+            let then = if step + 2 < p {
+                Then::Fresh
+            } else {
+                last.take()
+            };
+            self.hop(kind, fmt, Some(Tx::Fresh(send)), Some(rx), then)?;
         }
         Ok(())
     }
 
-    fn allreduce(&mut self, buf: &mut [f64], land: Sink) -> Result<(), CommError> {
+    fn allreduce(
+        &mut self,
+        fmt: WireFormat,
+        buf: &mut [f64],
+        land: Sink,
+        ahead: &mut dyn Lookahead,
+    ) -> Result<(), CommError> {
         let (p, left) = (self.world, self.left());
         if p > 1 {
-            self.reduce_scatter(OpKind::AllReduce, buf)?;
+            self.reduce_scatter(OpKind::AllReduce, fmt, buf, Then::Replicated(land))?;
             // All-gather the fully-reduced chunks: step 0 originates ours,
             // later steps forward what the previous step received.
             for step in 0..p - 1 {
@@ -550,8 +911,17 @@ impl RingEndpoint {
                 } else {
                     Tx::Carry { origin: self.rank }
                 };
-                let rx = Rx::new(left, Dst::Fixed(recv), land).keep_if(step + 2 < p);
-                self.hop(OpKind::AllReduce, Some(tx), Some(rx))?;
+                let rx = Rx {
+                    origin: left,
+                    dst: Dst::Fixed(recv),
+                    sink: land,
+                };
+                let then = if step + 2 < p {
+                    Then::Carry
+                } else {
+                    Then::Queued(&mut *ahead)
+                };
+                self.hop(OpKind::AllReduce, fmt, Some(tx), Some(rx), then)?;
             }
         }
         self.stats.record_op_kind(OpKind::AllReduce);
@@ -567,17 +937,27 @@ impl RingEndpoint {
     /// # Panics
     ///
     /// Panics if `root >= world`.
-    pub fn broadcast(&mut self, buf: &mut [f64], root: usize) -> Result<(), CommError> {
+    pub fn broadcast(
+        &mut self,
+        fmt: WireFormat,
+        buf: &mut [f64],
+        root: usize,
+        ahead: &mut dyn Lookahead,
+    ) -> Result<(), CommError> {
         assert!(root < self.world, "broadcast: root {root} out of range");
         if self.world > 1 {
             let (tx, rx) = if self.rank == root {
                 (Some(Tx::Replicated(buf, Sink::Store)), None)
             } else {
                 let last = (self.rank + 1) % self.world == root;
-                let rx = Rx::new(root, Dst::Fixed(buf), Sink::Store);
+                let rx = Rx {
+                    origin: root,
+                    dst: Dst::Fixed(buf),
+                    sink: Sink::Store,
+                };
                 ((!last).then_some(Tx::Forward), Some(rx))
             };
-            self.hop(OpKind::Broadcast, tx, rx)?;
+            self.hop(OpKind::Broadcast, fmt, tx, rx, Then::Queued(ahead))?;
         }
         self.stats.record_op_kind(OpKind::Broadcast);
         Ok(())
@@ -589,10 +969,15 @@ impl RingEndpoint {
     ///
     /// The shard assigned to rank `r` is chunk `(r + 1) % world` of the equal
     /// partition (the chunk the ring algorithm completes on rank `r`).
-    pub fn reduce_scatter_avg(&mut self, buf: &mut [f64]) -> Result<Range<usize>, CommError> {
+    pub fn reduce_scatter_avg(
+        &mut self,
+        fmt: WireFormat,
+        buf: &mut [f64],
+        ahead: &mut dyn Lookahead,
+    ) -> Result<Range<usize>, CommError> {
         let p = self.world;
         if p > 1 {
-            self.reduce_scatter(OpKind::ReduceScatter, buf)?;
+            self.reduce_scatter(OpKind::ReduceScatter, fmt, buf, Then::Queued(ahead))?;
         }
         let own = chunk_range(buf.len(), p, (self.rank + 1) % p);
         let inv = 1.0 / p as f64;
@@ -611,17 +996,29 @@ impl RingEndpoint {
     /// # Panics
     ///
     /// Panics if `root >= world`.
-    pub fn reduce_sum(&mut self, buf: &mut [f64], root: usize) -> Result<(), CommError> {
+    pub fn reduce_sum(
+        &mut self,
+        fmt: WireFormat,
+        buf: &mut [f64],
+        root: usize,
+        ahead: &mut dyn Lookahead,
+    ) -> Result<(), CommError> {
         assert!(root < self.world, "reduce: root {root} out of range");
         let p = self.world;
         if p > 1 {
             // The relay starts at the rank after the root.
             if self.rank != (root + 1) % p {
-                let rx = Rx::new(self.left(), Dst::Fixed(buf), Sink::Add);
-                self.hop(OpKind::Reduce, None, Some(rx))?;
+                let rx = Rx {
+                    origin: self.left(),
+                    dst: Dst::Fixed(buf),
+                    sink: Sink::Add,
+                };
+                let then = Then::queued_if(self.rank == root, &mut *ahead);
+                self.hop(OpKind::Reduce, fmt, None, Some(rx), then)?;
             }
             if self.rank != root {
-                self.hop(OpKind::Reduce, Some(Tx::Fresh(buf)), None)?;
+                let tx = Some(Tx::Fresh(buf));
+                self.hop(OpKind::Reduce, fmt, tx, None, Then::Queued(ahead))?;
             }
         }
         self.stats.record_op_kind(OpKind::Reduce);
@@ -635,7 +1032,13 @@ impl RingEndpoint {
     /// # Panics
     ///
     /// Panics if `root >= world`.
-    pub fn gather(&mut self, shard: &[f64], root: usize) -> Result<Option<Vec<f64>>, CommError> {
+    pub fn gather(
+        &mut self,
+        fmt: WireFormat,
+        shard: &[f64],
+        root: usize,
+        ahead: &mut dyn Lookahead,
+    ) -> Result<Option<Vec<f64>>, CommError> {
         assert!(root < self.world, "gather: root {root} out of range");
         let p = self.world;
         // Every non-root sends its own shard, then forwards everything its
@@ -647,17 +1050,28 @@ impl RingEndpoint {
         if self.rank == root {
             let mut by_origin = vec![Vec::new(); p];
             by_origin[root] = shard.to_vec();
-            for origin in (0..p - 1).map(upstream) {
-                let rx = Rx::new(origin, Dst::Grow(&mut by_origin[origin]), Sink::Store);
-                self.hop(OpKind::Gather, None, Some(rx))?;
+            for (k, origin) in (0..p - 1).map(upstream).enumerate() {
+                let rx = Rx {
+                    origin,
+                    dst: Dst::Grow(&mut by_origin[origin]),
+                    sink: Sink::Store,
+                };
+                let then = Then::queued_if(k + 2 == p, &mut *ahead);
+                self.hop(OpKind::Gather, fmt, None, Some(rx), then)?;
             }
             gathered = Some(by_origin.concat());
         } else {
-            self.hop(OpKind::Gather, Some(Tx::Fresh(shard)), None)?;
-            let hops_to_root = (root + p - self.rank) % p;
-            for origin in (0..p - 1 - hops_to_root).map(upstream) {
-                let rx = Rx::new(origin, Dst::Discard, Sink::Store);
-                self.hop(OpKind::Gather, Some(Tx::Forward), Some(rx))?;
+            let relayed = p - 1 - (root + p - self.rank) % p;
+            let then = Then::queued_if(relayed == 0, &mut *ahead);
+            self.hop(OpKind::Gather, fmt, Some(Tx::Fresh(shard)), None, then)?;
+            for (k, origin) in (0..relayed).map(upstream).enumerate() {
+                let rx = Rx {
+                    origin,
+                    dst: Dst::Discard,
+                    sink: Sink::Store,
+                };
+                let then = Then::queued_if(k + 1 == relayed, &mut *ahead);
+                self.hop(OpKind::Gather, fmt, Some(Tx::Forward), Some(rx), then)?;
             }
         }
         self.stats.record_op_kind(OpKind::Gather);
@@ -667,25 +1081,39 @@ impl RingEndpoint {
     /// Ring all-gather of variable-length shards.
     ///
     /// Returns the concatenation of all ranks' shards in rank order,
-    /// bit-identical on every rank.
-    pub fn allgather(&mut self, shard: &[f64]) -> Result<Vec<f64>, CommError> {
+    /// bit-identical on every rank: `shard` itself is overwritten with the
+    /// decode of its own encoding.
+    pub fn allgather(
+        &mut self,
+        fmt: WireFormat,
+        shard: &mut [f64],
+        ahead: &mut dyn Lookahead,
+    ) -> Result<Vec<f64>, CommError> {
         let p = self.world;
         let mut by_origin = vec![Vec::new(); p];
-        let mut own = shard.to_vec();
         // Pass shards around the ring; at step s we forward what we received
         // at step s-1 (starting with our own shard).
         for step in 0..p - 1 {
             let sent = (self.rank + p - step) % p;
             let origin = (sent + p - 1) % p;
             let tx = if step == 0 {
-                Tx::Replicated(&mut own, Sink::Store)
+                Tx::Replicated(&mut *shard, Sink::Store)
             } else {
                 Tx::Carry { origin: sent }
             };
-            let rx = Rx::new(origin, Dst::Grow(&mut by_origin[origin]), Sink::Store);
-            self.hop(OpKind::AllGather, Some(tx), Some(rx.keep_if(step + 2 < p)))?;
+            let rx = Rx {
+                origin,
+                dst: Dst::Grow(&mut by_origin[origin]),
+                sink: Sink::Store,
+            };
+            let then = if step + 2 < p {
+                Then::Carry
+            } else {
+                Then::Queued(&mut *ahead)
+            };
+            self.hop(OpKind::AllGather, fmt, Some(tx), Some(rx), then)?;
         }
-        by_origin[self.rank] = own;
+        by_origin[self.rank] = shard.to_vec();
         self.stats.record_op_kind(OpKind::AllGather);
         Ok(by_origin.concat())
     }
@@ -747,6 +1175,52 @@ mod tests {
     }
 
     #[test]
+    fn slices_cut_a_body_into_even_aligned_pieces() {
+        let check = |total: usize| {
+            let n = slices(total);
+            let floor = 1 + usize::from(total >= SPLIT_FLOOR_BYTES);
+            assert_eq!(n, total.div_ceil(SLICE_BYTES).max(floor), "{total}");
+            let pieces: Vec<Range<usize>> = (0..n).map(|i| slice(i, total)).collect();
+            // In order, nothing lost, nothing twice.
+            assert_eq!((pieces[0].start, pieces[n - 1].end), (0, total), "{total}");
+            for w in pieces.windows(2) {
+                assert_eq!(w[0].end, w[1].start, "{total}");
+            }
+            let longest = pieces.iter().map(|p| p.len()).max().expect("a piece");
+            assert!(longest <= SLICE_BYTES, "{total}: a piece of {longest}");
+            for p in &pieces {
+                assert!(!p.is_empty() || total == 0, "{total}: {p:?}");
+                // Every cut falls between elements of any dense format.
+                assert!(
+                    p.end % 8 == 0 || p.end == total,
+                    "{total}: cut at {}",
+                    p.end
+                );
+            }
+            let short = pieces.iter().filter(|p| p.len() + 8 < longest).count();
+            assert!(short <= 1, "{total}: {short} short pieces in {pieces:?}");
+        };
+        for total in [0, 1, 7, 8] {
+            check(total);
+        }
+        for total in SPLIT_FLOOR_BYTES - 8..=SPLIT_FLOOR_BYTES + 8 {
+            check(total);
+        }
+        for k in 1..=6 {
+            for total in k * SLICE_BYTES - 8..=k * SLICE_BYTES + 8 {
+                check(total);
+            }
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..20_000 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            check((state >> 33) as usize % (4 << 20));
+        }
+    }
+
+    #[test]
     fn endpoint_surfaces_transport_failure() {
         // A 2-rank ring where the peer endpoint is dropped: the survivor's
         // collective must return Disconnected, not panic.
@@ -757,16 +1231,14 @@ mod tests {
         let stats = Arc::new(TrafficStats::new());
         let mut ep = RingEndpoint::new(0, 2, Box::new(t0), stats);
         let mut buf = vec![1.0; 8];
-        let err = ep.allreduce_sum(&mut buf).unwrap_err();
+        let err = ep
+            .allreduce_sum(WireFormat::F64, &mut buf, &mut Idle)
+            .unwrap_err();
         assert!(matches!(err, CommError::Disconnected(_)), "{err}");
     }
 
     /// Runs `body` on every rank of a `world`-sized channel ring.
-    fn spmd<T: Send>(
-        world: usize,
-        fmt: WireFormat,
-        body: impl Fn(&mut RingEndpoint) -> T + Sync,
-    ) -> Vec<T> {
+    fn spmd<T: Send>(world: usize, body: impl Fn(&mut RingEndpoint) -> T + Sync) -> Vec<T> {
         let transports = crate::transport::channel_ring(world);
         let mut out: Vec<Option<T>> = (0..world).map(|_| None).collect();
         std::thread::scope(|scope| {
@@ -775,7 +1247,6 @@ mod tests {
                 scope.spawn(move || {
                     let stats = Arc::new(TrafficStats::new());
                     let mut ep = RingEndpoint::new(rank, world, Box::new(t), stats);
-                    ep.set_wire_format(fmt);
                     *slot = Some(body(&mut ep));
                 });
             }
@@ -786,11 +1257,12 @@ mod tests {
     #[test]
     fn lossy_allreduce_is_bit_identical_across_ranks() {
         for fmt in [WireFormat::F32, WireFormat::F16] {
-            let results = spmd(4, fmt, |ep| {
+            let results = spmd(4, |ep| {
                 let mut buf: Vec<f64> = (0..23)
                     .map(|i| (i as f64 + 1.3) * (ep.rank as f64 - 1.1))
                     .collect();
-                ep.allreduce_sum(&mut buf).expect("allreduce");
+                ep.allreduce_sum(fmt, &mut buf, &mut Idle)
+                    .expect("allreduce");
                 buf
             });
             for r in &results[1..] {
@@ -809,11 +1281,12 @@ mod tests {
 
     #[test]
     fn lossy_broadcast_and_allgather_agree_across_ranks() {
-        let results = spmd(3, WireFormat::F16, |ep| {
+        let fmt = WireFormat::F16;
+        let results = spmd(3, |ep| {
             let mut b: Vec<f64> = (0..17).map(|i| i as f64 * 0.31 - 2.0).collect();
-            ep.broadcast(&mut b, 1).expect("broadcast");
-            let shard = vec![ep.rank as f64 + 0.123; 5];
-            let g = ep.allgather(&shard).expect("allgather");
+            ep.broadcast(fmt, &mut b, 1, &mut Idle).expect("broadcast");
+            let mut shard = vec![ep.rank as f64 + 0.123; 5];
+            let g = ep.allgather(fmt, &mut shard, &mut Idle).expect("allgather");
             (b, g)
         });
         for r in &results[1..] {
@@ -823,9 +1296,10 @@ mod tests {
 
     #[test]
     fn codec_accounting_tracks_wire_bytes() {
-        let results = spmd(2, WireFormat::F16, |ep| {
+        let results = spmd(2, |ep| {
             let mut buf = vec![1.0; 16];
-            ep.allreduce_sum(&mut buf).expect("allreduce");
+            ep.allreduce_sum(WireFormat::F16, &mut buf, &mut Idle)
+                .expect("allreduce");
             let codec = ep.take_codec();
             let wire = ep.stats.wire_bytes_sent();
             let logical = ep.stats.bytes_sent();
@@ -840,5 +1314,100 @@ mod tests {
             // 1.0 and 2.0 are exact halves.
             assert_eq!(codec.max_abs_err, 0.0);
         }
+    }
+
+    /// A queue of collectives in front of one endpoint, as the comm thread
+    /// holds it: `peek` exposes the head, the test pops it to run it.
+    struct Script(std::collections::VecDeque<(Collective, WireFormat, Vec<f64>)>);
+
+    impl Lookahead for Script {
+        fn peek(&mut self) -> Option<Queued<'_>> {
+            self.0.front_mut().map(|(call, fmt, data)| Queued {
+                call: *call,
+                fmt: *fmt,
+                data,
+            })
+        }
+    }
+
+    #[test]
+    fn a_frame_staged_ahead_travels_under_its_own_format_and_account() {
+        // An f64 broadcast, then an f16 all-reduce with chunks of two
+        // slices, then an f32 all-gather: the last hop of each stages the
+        // first slice of the next, under the next one's format.
+        const ELEMS: usize = 24_000;
+        let results = spmd(2, |ep| {
+            let rank = ep.rank as f64;
+            let mut script = Script(
+                [
+                    (
+                        Collective::Broadcast { root: 0 },
+                        WireFormat::F64,
+                        vec![rank + 0.5; 5],
+                    ),
+                    (
+                        Collective::AllReduceSum,
+                        WireFormat::F16,
+                        vec![rank + 1.0; ELEMS],
+                    ),
+                    (Collective::AllGather, WireFormat::F32, vec![rank + 0.25; 3]),
+                ]
+                .into(),
+            );
+            let mut accounts = Vec::new();
+            let mut outputs = Vec::new();
+            while let Some((call, fmt, mut data)) = script.0.pop_front() {
+                match call {
+                    Collective::Broadcast { root } => {
+                        ep.broadcast(fmt, &mut data, root, &mut script).unwrap()
+                    }
+                    Collective::AllReduceSum => {
+                        ep.allreduce_sum(fmt, &mut data, &mut script).unwrap()
+                    }
+                    _ => data = ep.allgather(fmt, &mut data, &mut script).unwrap(),
+                }
+                accounts.push(ep.take_codec());
+                outputs.push(data);
+            }
+            (accounts, outputs)
+        });
+        for (rank, (accounts, outputs)) in results.iter().enumerate() {
+            assert_eq!(outputs[0], vec![0.5; 5]);
+            assert_eq!(outputs[1], vec![3.0; ELEMS]);
+            assert_eq!(outputs[2], vec![0.25, 0.25, 0.25, 1.25, 1.25, 1.25]);
+            // Bytes are counted where they are sent, whoever staged them:
+            // the root's 5 doubles, one f16 chunk per all-reduce hop, 3 f32.
+            let sent: Vec<u64> = accounts.iter().map(|a| a.wire_bytes).collect();
+            let root_bytes = if rank == 0 { 40 } else { 0 };
+            assert_eq!(sent, [root_bytes, ELEMS as u64 * 2, 12], "rank {rank}");
+            // The broadcast had nothing staged for it; both hops of the
+            // all-reduce were (by the broadcast's only hop — also on the
+            // rank that only receives it — and by its own first hop, two
+            // slices long); the all-gather's one hop was.
+            let staged: Vec<u64> = accounts.iter().map(|a| a.staged_hops).collect();
+            assert_eq!(staged, [0, 2, 1], "rank {rank}");
+            // f64 travels bit-exactly, so no rounding error may have leaked
+            // from the f16 slice the broadcast staged into its account.
+            assert_eq!(accounts[0].max_abs_err, 0.0, "rank {rank}");
+        }
+    }
+
+    #[test]
+    fn a_failed_hop_discards_what_it_staged() {
+        // Rank 0's peer hangs up after the all-reduce's first slice went
+        // out: whatever rank 0 staged for the queued collective is dropped
+        // with the failure.
+        let mut transports = crate::transport::channel_ring(2);
+        let t1 = transports.pop().unwrap();
+        let t0 = transports.pop().unwrap();
+        drop(t1);
+        let mut ep = RingEndpoint::new(0, 2, Box::new(t0), Arc::new(TrafficStats::new()));
+        let mut script = Script([(Collective::AllReduceSum, WireFormat::F64, vec![1.0; 8])].into());
+        let mut buf = vec![1.0; 8];
+        let err = ep
+            .broadcast(WireFormat::F64, &mut buf, 0, &mut script)
+            .unwrap_err();
+        assert!(matches!(err, CommError::Disconnected(_)), "{err}");
+        assert!(ep.staged.is_none());
     }
 }

@@ -28,13 +28,14 @@ use crate::stats::OpKind;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Wire bytes per slice of a streamed chunk body. One slice is the unit of
-/// everything the hop pipelines: a blocking write, a blocking read, a codec
-/// kernel call, a pacer reservation. 64 KiB keeps a slice (8k doubles)
-/// inside L2 next to its destination, amortises the two syscalls and the
-/// pacer wake-up over ~10 µs of copying, and is below what any socket
-/// buffers per direction — the property that lets every rank write before
-/// it reads without a large message wedging the ring.
+/// Most wire bytes a slice of a streamed chunk body carries (the ring cuts a
+/// body into the fewest near-equal slices that stay within it). One slice is
+/// the unit of everything the hop pipelines: a blocking write, a blocking
+/// read, a codec kernel call, a pacer reservation. 64 KiB keeps a slice (8k
+/// doubles) inside L2 next to its destination, amortises the two syscalls
+/// and the pacer wake-up over ~10 µs of copying, and is below what any
+/// socket buffers per direction — the property that lets every rank write
+/// before it reads without a large message wedging the ring.
 pub const SLICE_BYTES: usize = 64 * 1024;
 
 /// Size of an encoded [`FrameHeader`].

@@ -197,17 +197,23 @@ impl WirePolicy {
             && self.control.is_lossless()
     }
 
-    /// The format for a collective of `kind` submitted under `phase`.
+    /// The format a collective of `kind` submitted under `phase` travels
+    /// in. Sparsification only composes with the summing ring: under a
+    /// top-k entry everything but an all-reduce degrades to dense f32.
     pub fn format_for(&self, phase: spdkfac_obs::Phase, kind: crate::stats::OpKind) -> WireFormat {
         use crate::stats::OpKind;
         use spdkfac_obs::Phase;
-        match kind {
+        let fmt = match kind {
             OpKind::Broadcast => self.broadcast,
             _ => match phase {
                 Phase::GradComm => self.grad,
                 Phase::FactorComm => self.factor,
                 _ => self.control,
             },
+        };
+        match fmt {
+            WireFormat::TopK { .. } if kind != OpKind::AllReduce => WireFormat::F32,
+            fmt => fmt,
         }
     }
 }
@@ -1142,6 +1148,15 @@ mod tests {
         assert_eq!(p.grad, WireFormat::TopK { ratio: 0.1 });
         assert_eq!(p.factor, WireFormat::F32);
         assert_eq!(p.broadcast, WireFormat::F64);
+        // Only the summing ring sparsifies.
+        assert_eq!(
+            p.format_for(Phase::GradComm, OpKind::AllReduce),
+            WireFormat::TopK { ratio: 0.1 }
+        );
+        assert_eq!(
+            p.format_for(Phase::GradComm, OpKind::AllGather),
+            WireFormat::F32
+        );
 
         // Top-k uniform policies keep broadcasts dense.
         let p = WirePolicy::uniform(WireFormat::TopK { ratio: 0.01 });

@@ -7,7 +7,7 @@
 //! Rank 1 of a 2-rank in-process ring is driven by hand through its raw
 //! [`Transport`]; rank 0 is a real [`RingEndpoint`] running a collective.
 
-use spdkfac_collectives::ring::RingEndpoint;
+use spdkfac_collectives::ring::{Idle, RingEndpoint};
 use spdkfac_collectives::transport::{
     channel_ring, ChannelTransport, FrameHeader, Transport, SLICE_BYTES,
 };
@@ -15,13 +15,12 @@ use spdkfac_collectives::wire::WireFormat;
 use spdkfac_collectives::{CommError, TrafficStats};
 use std::sync::Arc;
 
-/// Rank 0's endpoint in `fmt` and rank 1's raw transport.
-fn victim_and_peer(fmt: WireFormat) -> (RingEndpoint, ChannelTransport) {
+/// Rank 0's endpoint and rank 1's raw transport.
+fn victim_and_peer() -> (RingEndpoint, ChannelTransport) {
     let mut ring = channel_ring(2);
     let peer = ring.pop().expect("rank 1");
     let t0 = ring.pop().expect("rank 0");
-    let mut ep = RingEndpoint::new(0, 2, Box::new(t0), Arc::new(TrafficStats::new()));
-    ep.set_wire_format(fmt);
+    let ep = RingEndpoint::new(0, 2, Box::new(t0), Arc::new(TrafficStats::new()));
     (ep, peer)
 }
 
@@ -43,7 +42,7 @@ fn broadcast_against(
     body: &[u8],
     hang_up: bool,
 ) -> Result<Vec<f64>, CommError> {
-    let (mut ep, mut peer) = victim_and_peer(fmt);
+    let (mut ep, mut peer) = victim_and_peer();
     std::thread::scope(|s| {
         s.spawn(move || {
             // The victim may reject the header and drop its end first.
@@ -54,7 +53,7 @@ fn broadcast_against(
             }
         });
         let mut buf = vec![0.0; elems];
-        let r = ep.broadcast(&mut buf, 1).map(|()| buf);
+        let r = ep.broadcast(fmt, &mut buf, 1, &mut Idle).map(|()| buf);
         drop(ep);
         r
     })
@@ -131,11 +130,13 @@ fn short_body_and_mid_slice_truncation_are_typed_errors() {
     );
     assert!(matches!(r, Err(CommError::Disconnected(_))), "{r:?}");
     // A header torn in half.
-    let (mut ep, mut peer) = victim_and_peer(WireFormat::F64);
+    let (mut ep, mut peer) = victim_and_peer();
     peer.send(&[], &header(1, 0, 24)[..9])
         .expect("partial header");
     drop(peer);
-    let err = ep.broadcast(&mut [0.0; 3], 1).unwrap_err();
+    let err = ep
+        .broadcast(WireFormat::F64, &mut [0.0; 3], 1, &mut Idle)
+        .unwrap_err();
     assert!(matches!(err, CommError::Disconnected(_)), "{err}");
 }
 
@@ -143,14 +144,16 @@ fn short_body_and_mid_slice_truncation_are_typed_errors() {
 fn reduce_hop_rejects_a_short_chunk_instead_of_reducing_a_prefix() {
     // The release-mode bug the `debug_assert_eq!(vals.len(), dst.len())`
     // hid: a 3-element frame on a 4-element reduce hop was zipped short.
-    let (mut ep, mut peer) = victim_and_peer(WireFormat::F64);
+    let (mut ep, mut peer) = victim_and_peer();
     std::thread::scope(|s| {
         s.spawn(move || {
             let _ = peer.send(&header(1, 0, 24), &[0u8; 24]);
             let _ = peer.recv(&mut [0u8; 1]);
         });
         let mut buf = vec![1.0; 8];
-        let err = ep.allreduce_sum(&mut buf).unwrap_err();
+        let err = ep
+            .allreduce_sum(WireFormat::F64, &mut buf, &mut Idle)
+            .unwrap_err();
         assert!(
             err.message().starts_with("malformed frame from rank 1"),
             "{err}"
@@ -168,13 +171,15 @@ fn unknown_length_hops_still_check_what_they_can() {
         (header(0, 0, 16), "origin 0"),
         (header(1, 1, 16), "tag 1"),
     ] {
-        let (mut ep, mut peer) = victim_and_peer(WireFormat::F64);
+        let (mut ep, mut peer) = victim_and_peer();
         std::thread::scope(|s| {
             s.spawn(move || {
                 let _ = peer.send(&head, &[0u8; 16]);
                 let _ = peer.recv(&mut [0u8; 1]);
             });
-            let err = ep.allgather(&[1.0, 2.0]).unwrap_err();
+            let err = ep
+                .allgather(WireFormat::F64, &mut [1.0, 2.0], &mut Idle)
+                .unwrap_err();
             assert!(
                 matches!(&err, CommError::Io(m) if m.contains(needle)),
                 "{err}"

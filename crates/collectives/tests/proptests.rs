@@ -4,41 +4,192 @@
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
+use spdkfac_collectives::tcp::RendezvousServer;
 use spdkfac_collectives::wire::{decode_ref, encode, sparsify_with_residual};
-use spdkfac_collectives::{Backend, CommGroup, WireFormat, WirePolicy};
+use spdkfac_collectives::{
+    Backend, CommGroup, PendingOp, TcpConfig, WireFormat, WirePolicy, WorkerComm,
+};
+use spdkfac_obs::Phase;
 use std::thread;
 
-fn run_spmd<T: Send>(
-    world: usize,
-    f: impl Fn(&spdkfac_collectives::WorkerComm) -> T + Sync,
-) -> Vec<T> {
+fn run_spmd<T: Send>(world: usize, f: impl Fn(&WorkerComm) -> T + Sync) -> Vec<T> {
     run_spmd_wire(world, WirePolicy::default(), f)
 }
 
 fn run_spmd_wire<T: Send>(
     world: usize,
     wire: WirePolicy,
-    f: impl Fn(&spdkfac_collectives::WorkerComm) -> T + Sync,
+    f: impl Fn(&WorkerComm) -> T + Sync,
 ) -> Vec<T> {
-    let endpoints = CommGroup::builder()
-        .world_size(world)
-        .wire_policy(wire)
-        .backend(Backend::Local)
-        .build()
-        .expect("local backend is infallible")
-        .into_endpoints();
-    let mut out: Vec<Option<T>> = (0..world).map(|_| None).collect();
-    thread::scope(|s| {
-        let mut handles = Vec::new();
-        for comm in &endpoints {
-            let f = &f;
-            handles.push(s.spawn(move || f(comm)));
-        }
-        for (i, h) in handles.into_iter().enumerate() {
-            out[i] = Some(h.join().expect("worker panicked"));
-        }
+    run_spmd_on(world, false, wire, f)
+}
+
+/// Runs `f(comm)` on a thread per rank of a fresh group: in process, or
+/// over 127.0.0.1 sockets with the rendezvous hosted here.
+fn run_spmd_on<T: Send>(
+    world: usize,
+    over_tcp: bool,
+    wire: WirePolicy,
+    f: impl Fn(&WorkerComm) -> T + Sync,
+) -> Vec<T> {
+    let builder = || CommGroup::builder().world_size(world).wire_policy(wire);
+    let mut local = (!over_tcp).then(|| {
+        let group = builder().build().expect("local backend is infallible");
+        group.into_endpoints().into_iter()
     });
-    out.into_iter().map(|v| v.unwrap()).collect()
+    // A one-rank group dials nobody.
+    let addr = (over_tcp && world > 1).then(|| {
+        RendezvousServer::spawn("127.0.0.1:0", world)
+            .expect("bind rendezvous")
+            .to_string()
+    });
+    thread::scope(|s| {
+        let handles: Vec<_> = (0..world)
+            .map(|rank| {
+                let comm = local.as_mut().map(|eps| eps.next().expect("endpoint"));
+                let (addr, f) = (addr.as_deref(), &f);
+                s.spawn(move || {
+                    let comm = comm.unwrap_or_else(|| {
+                        let mut cfg = TcpConfig::new(addr.unwrap_or("127.0.0.1:1")).with_rank(rank);
+                        cfg.host_rendezvous = false;
+                        builder()
+                            .backend(Backend::Tcp(cfg))
+                            .build()
+                            .unwrap_or_else(|e| panic!("rank {rank} failed to join: {e}"))
+                            .into_single()
+                    });
+                    f(&comm)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked"))
+            .collect()
+    })
+}
+
+/// One collective of a queue: which, under which phase (hence format), of
+/// which size.
+#[derive(Debug, Clone, Copy)]
+struct QueuedOp {
+    /// 0/1 all-reduce avg/sum, 2 broadcast, 3 reduce-scatter, 4 all-gather,
+    /// 5 gather.
+    kind: usize,
+    phase: Phase,
+    elems: usize,
+    root: usize,
+}
+
+/// Wire policies that put a different format on consecutive phases: the
+/// control phase stays f64 in all of them.
+const MIXED_POLICIES: [&str; 3] = [
+    "grad=topk:0.25,factor=f16,broadcast=packed-f16",
+    "grad=f16,factor=f32,broadcast=f16",
+    "grad=f32,factor=f64,broadcast=f32",
+];
+
+/// Element counts from nothing through one element, a body under the split
+/// floor, one of two slices, to chunks of several slices.
+const QUEUED_ELEMS: [usize; 7] = [0, 1, 2, 700, 2_100, 9_000, 40_000];
+
+fn queued_op() -> impl Strategy<Value = QueuedOp> {
+    (0usize..6, 0usize..3, 0usize..QUEUED_ELEMS.len(), 0usize..5).prop_map(
+        |(kind, phase, size, root)| QueuedOp {
+            kind,
+            phase: [Phase::GradComm, Phase::FactorComm, Phase::Update][phase],
+            elems: QUEUED_ELEMS[size],
+            root,
+        },
+    )
+}
+
+/// Submits `op` as the `k`-th collective of `comm`'s queue.
+fn submit(comm: &WorkerComm, k: usize, op: QueuedOp) -> PendingOp {
+    let (rank, world) = (comm.rank(), comm.world_size());
+    let root = op.root % world;
+    let values = |n: usize| -> Vec<f64> {
+        (0..n)
+            .map(|i| ((i % 89) as f64 - 44.0) * 0.37 * (rank + 1) as f64 + k as f64)
+            .collect()
+    };
+    comm.set_phase(op.phase);
+    match op.kind {
+        0 => comm.allreduce_avg_async(values(op.elems)),
+        1 => comm.allreduce_sum_async(values(op.elems)),
+        2 => comm.broadcast_async(values(op.elems), root),
+        3 => comm.reduce_scatter_avg_async(values(op.elems)),
+        // Shards of rank-dependent length.
+        4 => comm.allgather_async(values(op.elems + rank)),
+        _ => comm.gather_async(values(op.elems + 2 * rank), root),
+    }
+}
+
+/// Per rank, per collective: the bits of what it returned. `queued` submits
+/// every collective before waiting on the first; otherwise each is waited
+/// on before the next is submitted.
+fn run_queue(
+    world: usize,
+    over_tcp: bool,
+    policy: WirePolicy,
+    ops: &[QueuedOp],
+    queued: bool,
+) -> Vec<Vec<Vec<u64>>> {
+    let bits = |op: PendingOp| -> Vec<u64> {
+        let out = op.wait().expect("collective");
+        std::iter::once(out.offset as u64)
+            .chain(out.data.iter().map(|v| v.to_bits()))
+            .collect()
+    };
+    run_spmd_on(world, over_tcp, policy, |comm| {
+        if queued {
+            // Staggered, so that every rank but the last has its whole
+            // queue in place while its first collective waits for a peer.
+            thread::sleep(std::time::Duration::from_micros(300 * comm.rank() as u64));
+            let pending: Vec<PendingOp> = ops
+                .iter()
+                .enumerate()
+                .map(|(k, op)| submit(comm, k, *op))
+                .collect();
+            pending.into_iter().map(bits).collect()
+        } else {
+            ops.iter()
+                .enumerate()
+                .map(|(k, op)| bits(submit(comm, k, *op)))
+                .collect()
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The look-ahead cannot hand a slice to the wrong frame: a queue of
+    /// collectives of mixed kind, format and size, all submitted before the
+    /// first is waited on — so every one after the first has its first
+    /// slice staged by the one before — returns what the same collectives
+    /// return run one at a time.
+    #[test]
+    fn queued_collectives_equal_the_same_collectives_one_at_a_time(
+        world in 1usize..6,
+        backend in 0usize..2,
+        policy in 0usize..MIXED_POLICIES.len(),
+        ops in pvec(queued_op(), 2..7),
+    ) {
+        let policy = WirePolicy::parse(MIXED_POLICIES[policy]).expect("policy");
+        let over_tcp = backend == 1;
+        let together = run_queue(world, over_tcp, policy, &ops, true);
+        let one_by_one = run_queue(world, over_tcp, policy, &ops, false);
+        prop_assert_eq!(&together, &one_by_one);
+        // What every rank receives whole, every rank receives the same.
+        for (k, op) in ops.iter().enumerate() {
+            if matches!(op.kind, 0 | 1 | 2 | 4) {
+                for rank in 1..world {
+                    prop_assert_eq!(&together[rank][k], &together[0][k], "op {} {:?}", k, op);
+                }
+            }
+        }
+    }
 }
 
 proptest! {

@@ -451,7 +451,7 @@ enum SegmentEnd {
     /// All requested iterations are complete.
     Done,
     /// The group agreed (via the loss all-reduce's piggybacked flag) to
-    /// pause at this barrier and re-form with pending joiners.
+    /// pause at the end of this iteration and re-form with pending joiners.
     ResizeRequested,
     /// This rank's `leave_after` budget is spent; the caller should drop
     /// the endpoint without rejoining.
@@ -834,11 +834,11 @@ fn train_segment(
 
     let flight = spdkfac_obs::flight::global();
     let seg_start = *next_iter;
-    // A mid-iteration abort records the interrupted iteration's loss (it is
-    // pushed before the factor/inverse ops that may fail) without advancing
-    // the resume point; the retry re-records it, so drop any tail past the
-    // last completed iteration. SPMD-safe: every rank resumes from the same
-    // handed-off state.
+    // An abort between an iteration's loss and its resume point (the plan
+    // agreement or a re-plan barrier failed) leaves that loss recorded; the
+    // retry re-records it, so drop any tail past the last completed
+    // iteration. SPMD-safe: every rank resumes from the same handed-off
+    // state.
     losses.truncate(seg_start);
     // Per tensor: seconds into its pass at which its statistic was taken.
     let mut ready = vec![0.0f64; 2 * nlayers];
@@ -870,7 +870,8 @@ fn train_segment(
         // The activations on the way forward, the loss gradient on the way
         // back.
         let mut flow = x;
-        let mut local_loss = None;
+        // The loss all-reduce, in flight from the start of backward.
+        let mut loss_op: Option<PendingOp> = None;
         // Update directions in the model's flat parameter order.
         let mut directions: Vec<Option<Matrix>> = vec![None; param_base[ex.net.len()]];
         // One FfBp span per pass, statistics and submissions nested in it.
@@ -883,7 +884,7 @@ fn train_segment(
             // A pass ends with its last layer's nodes: statistics taken
             // after backward (the bulk message's) are not part of it.
             let in_pass = match node.op {
-                Op::FactorA(_) => local_loss.is_none(),
+                Op::FactorA(_) => loss_op.is_none(),
                 Op::Invert(_) | Op::Broadcast { .. } | Op::Precondition(_) | Op::Update => false,
                 _ => true,
             };
@@ -907,7 +908,23 @@ fn train_segment(
                     if *l + 1 == ex.net.len() {
                         drop(pass.take());
                         let (loss, grad) = softmax_cross_entropy(&flow, &y);
-                        (local_loss, flow) = (Some(loss), grad);
+                        flow = grad;
+                        // The loss travels now, not after `Update`: the last
+                        // gradient message is then the iteration's barrier.
+                        // Elastic mode piggybacks a resize flag on it: rank 0
+                        // polls the rendezvous for pending joiners and sets
+                        // element 1, so every rank reaches the same verdict
+                        // at the same iteration with zero extra collectives.
+                        let mut message = vec![loss];
+                        if let Some(el) = elastic {
+                            let poll =
+                                rank == 0 && el.poll_every > 0 && (iter + 1) % el.poll_every == 0;
+                            let pending = poll
+                                && elastic_poll(&el.tcp).is_ok_and(|status| status.pending > 0);
+                            message.push(f64::from(u8::from(pending)));
+                        }
+                        comm.set_phase(Phase::Update);
+                        loss_op = Some(comm.allreduce_avg_async(message));
                         pass = obs.span(Phase::FfBp);
                         pass_start = Instant::now();
                     }
@@ -1014,34 +1031,19 @@ fn train_segment(
             ex.in_flight.is_empty(),
             "a collective outlived its iteration"
         );
-        let local_loss = local_loss.expect("an iteration runs a backward pass");
-
-        // ---------- Loss reporting ----------------------------------------
-        // Elastic mode piggybacks a resize flag on the loss all-reduce:
-        // rank 0 polls the rendezvous for pending joiners and sets element
-        // 1, so every rank reaches the same verdict at the same barrier
-        // with zero extra collectives. Non-elastic mode keeps the 1-element
-        // reduce bit-exactly as before.
+        // The loss message was submitted when the loss existed and is ahead
+        // of every gradient message in the comm thread's queue: it landed
+        // long ago, and nothing travels between `Update` and the next
+        // forward pass.
+        let agreed = loss_op
+            .expect("an iteration runs a backward pass")
+            .wait()?
+            .data;
+        let loss = agreed[0];
+        let resize_requested = agreed.get(1).is_some_and(|flag| *flag > 0.0);
+        // Whatever else travels before the next forward pass (the plan
+        // agreement, a re-plan barrier) is control traffic.
         comm.set_phase(Phase::Update);
-        let mut resize_requested = false;
-        let loss = if let Some(el) = elastic {
-            let mut flag = 0.0;
-            if rank == 0 && el.poll_every > 0 && (iter + 1) % el.poll_every == 0 {
-                if let Ok(status) = elastic_poll(&el.tcp) {
-                    if status.pending > 0 {
-                        flag = 1.0;
-                    }
-                }
-            }
-            let mut loss_buf = [local_loss, flag];
-            allreduce_avg_checked(comm, &mut loss_buf)?;
-            resize_requested = loss_buf[1] > 0.0;
-            loss_buf[0]
-        } else {
-            let mut loss_buf = [local_loss];
-            allreduce_avg_checked(comm, &mut loss_buf)?;
-            loss_buf[0]
-        };
         losses.push(loss);
         // Iteration boundary: the heartbeat picks up the new (iteration,
         // loss) pair.
@@ -1144,9 +1146,9 @@ fn train_segment(
             }
         }
 
-        // The iteration is complete on every rank (the loss all-reduce was
-        // the barrier); advance the resume point before acting on any
-        // membership decision.
+        // The iteration is complete on every rank (its last gradient
+        // all-reduce was the barrier); advance the resume point before
+        // acting on any membership decision.
         *next_iter = iter + 1;
         if let Some(el) = elastic {
             if el.leave_after.is_some_and(|n| iter + 1 >= n) {

@@ -1,14 +1,18 @@
-//! Two properties of the collective hot path that need a process to
+//! Three properties of the collective hot path that need a process to
 //! themselves — a counting global allocator and the `SPDKFAC_PACE_GBPS`
 //! environment variable — hence this binary:
 //!
-//! - **Allocation gate.** Steady-state collectives over 2-rank TCP perform
-//!   no heap allocation of 4 KiB or more, process-wide: every chunk, frame
-//!   and codec buffer is reused.
+//! - **Allocation gate.** Steady-state collectives over 2-rank TCP, queued
+//!   behind one another, perform no heap allocation of 4 KiB or more,
+//!   process-wide: every chunk, frame and codec buffer is reused.
 //! - **Pacer faithfulness.** Under an emulated link rate, no rank finishes
-//!   a collective before the serialised link would have carried its bytes
-//!   (a one-sided bound: a slow host only makes it easier), on TCP and on
-//!   the in-process backend; and the rate is read per group, not latched.
+//!   a collective — or a queue of them — before the serialised link would
+//!   have carried its bytes (a one-sided bound: a slow host only makes it
+//!   easier), on TCP and on the in-process backend; and the rate is read
+//!   per group, not latched.
+//! - **The link stays booked.** With a collective queued behind the running
+//!   one, every hop after the first has its first slice booked before the
+//!   hop begins — counted, not timed.
 
 mod common;
 #[path = "common/counting_alloc.rs"]
@@ -17,9 +21,9 @@ mod counting_alloc;
 use common::spmd;
 use counting_alloc::{CountingAlloc, ARMED, BIG, BIG_ALLOCS};
 use spdkfac::collectives::{WirePolicy, WorkerComm, PACE_ENV};
-use spdkfac::obs::Phase;
+use spdkfac::obs::{Phase, Recorder};
 use std::sync::atomic::Ordering;
-use std::sync::{Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 #[global_allocator]
@@ -34,8 +38,9 @@ fn steady_state_collectives_do_not_allocate() {
     std::env::remove_var(PACE_ENV);
     const WARMUP: usize = 3;
     const ROUNDS: usize = 50;
-    // Gradient all-reduces travel as f16, factor all-reduces and
-    // broadcasts as f64: both codecs are on the path.
+    // Gradient all-reduces travel as f16, factor all-reduces, broadcasts
+    // and the control message as f64: both codecs are on the path, and each
+    // collective's first slice is staged by the one queued before it.
     let policy = WirePolicy::parse("grad=f16").expect("policy");
     let sync = Barrier::new(2);
     spmd(
@@ -47,19 +52,27 @@ fn steady_state_collectives_do_not_allocate() {
             let mut grad: Vec<f64> = (0..66_049).map(|i| (i % 251) as f64 * 0.01 - 1.0).collect();
             let mut factor = grad.clone();
             let mut inverse = vec![0.5; 33_025];
+            let mut loss = vec![0.25];
             let mut round = |comm: &WorkerComm| {
                 let wait = |op: spdkfac::collectives::PendingOp| {
                     op.wait()
                         .unwrap_or_else(|e| panic!("rank {}: {e}", comm.rank()))
                         .data
                 };
-                // Re-submit the returned buffers, as the trainer does.
+                // Re-submit the returned buffers, as the trainer does, and
+                // queue the whole round before waiting on any of it.
+                comm.set_phase(Phase::Update);
+                let loss_op = comm.allreduce_avg_async(std::mem::take(&mut loss));
                 comm.set_phase(Phase::GradComm);
-                grad = wait(comm.allreduce_avg_async(std::mem::take(&mut grad)));
+                let grad_op = comm.allreduce_avg_async(std::mem::take(&mut grad));
                 comm.set_phase(Phase::FactorComm);
-                factor = wait(comm.allreduce_avg_async(std::mem::take(&mut factor)));
+                let factor_op = comm.allreduce_avg_async(std::mem::take(&mut factor));
                 comm.set_phase(Phase::InverseComm);
-                inverse = wait(comm.broadcast_async(std::mem::take(&mut inverse), 0));
+                let inverse_op = comm.broadcast_async(std::mem::take(&mut inverse), 0);
+                loss = wait(loss_op);
+                grad = wait(grad_op);
+                factor = wait(factor_op);
+                inverse = wait(inverse_op);
             };
             for _ in 0..WARMUP {
                 round(comm);
@@ -171,4 +184,102 @@ fn pacer_never_delivers_ahead_of_the_emulated_link() {
             assert!(e < floor, "tcp={over_tcp}: un-paced group took {e:?}");
         }
     }
+}
+
+#[test]
+fn pacer_holds_a_queue_of_collectives_to_the_link_rate() {
+    // The queued extension of the bound above: with every collective's
+    // first slice booked while the one before it is still on the link, the
+    // bookings must still chain — no rank is done before the link has
+    // carried the bytes of the whole queue.
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const GBPS: f64 = 0.05;
+    let s_per_byte = 8.0 / (GBPS * 1e9);
+    // One slice, two slices and three slices per all-reduce chunk.
+    const QUEUE: [usize; 4] = [20_000, 1_500, 40_000, 9_000];
+
+    std::env::set_var(PACE_ENV, GBPS.to_string());
+    for over_tcp in [true, false] {
+        let elapsed = timed(2, over_tcp, |comm| {
+            let pending: Vec<_> = QUEUE
+                .iter()
+                .map(|&elems| comm.allreduce_sum_async(vec![comm.rank() as f64 + 0.5; elems]))
+                .collect();
+            for (op, &elems) in pending.into_iter().zip(&QUEUE) {
+                let sum = op.wait().expect("all-reduce").data;
+                assert!(sum.len() == elems && sum.iter().all(|v| *v == 2.0));
+            }
+        });
+        // On two ranks every rank's link carries each buffer once.
+        let bytes: usize = QUEUE.iter().map(|elems| elems * 8).sum();
+        let floor = Duration::from_secs_f64(bytes as f64 * s_per_byte);
+        for (rank, e) in elapsed.iter().enumerate() {
+            assert!(
+                *e >= floor,
+                "tcp={over_tcp}: rank {rank} finished the queue in {e:?}, link needs {floor:?}"
+            );
+        }
+    }
+    std::env::remove_var(PACE_ENV);
+}
+
+#[test]
+fn queued_hops_book_their_first_slice_while_the_link_is_busy() {
+    // Two all-reduces of two-slice chunks, the second queued behind the
+    // first. A hop's first slice is "staged" when it was encoded and booked
+    // before the hop began — that is, before the previous hop released its
+    // last slice, while the link was still carrying it. Of the four hops a
+    // rank runs, all but the very first must be: the all-gather step behind
+    // its reduce-scatter step (the chunk it sends is the one that step
+    // receives), and the queued collective behind the running one. The pace
+    // only makes sure the second all-reduce is queued (microseconds after
+    // the first) long before the first reaches its last slice (tens of
+    // milliseconds in); nothing here is timed.
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const WORLD: usize = 2;
+    const ELEMS: usize = 20_000;
+    std::env::set_var(PACE_ENV, "0.05");
+    for over_tcp in [true, false] {
+        let rec = Arc::new(Recorder::new(2 * WORLD));
+        spmd(
+            WORLD,
+            over_tcp,
+            WirePolicy::default(),
+            |_| {},
+            |comm| {
+                comm.set_recorder(Arc::clone(&rec), WORLD + comm.rank());
+                // Returns once this rank's comm thread is past the barrier's
+                // last hop: nothing of what follows can be staged by it.
+                comm.barrier();
+                let first = comm.allreduce_sum_async(vec![1.0; ELEMS]);
+                let second = comm.allreduce_sum_async(vec![2.0; ELEMS]);
+                assert!(first.wait().expect("first").data.iter().all(|v| *v == 2.0));
+                assert!(second
+                    .wait()
+                    .expect("second")
+                    .data
+                    .iter()
+                    .all(|v| *v == 4.0));
+            },
+        );
+        let metrics = rec.metrics().snapshot();
+        assert_eq!(
+            metrics.counters["coll/link/staged_hops"],
+            (3 * WORLD) as u64,
+            "tcp={over_tcp}: hops with a first slice booked ahead, of {} after the first",
+            3 * WORLD
+        );
+        // The link's ledger has one entry per collective and rank (the
+        // barrier's too: one element from each rank), and booked every byte
+        // they sent.
+        let booked = &metrics.histograms["coll/link/booked_seconds"];
+        assert_eq!(booked.count, (3 * WORLD) as u64);
+        let wire_s = ((2 * ELEMS + 1) * 8 * WORLD) as f64 * 8.0 / 0.05e9;
+        assert!(
+            (booked.sum - wire_s).abs() < 1e-6 * wire_s,
+            "tcp={over_tcp}: booked {} s for {wire_s} s of wire time",
+            booked.sum
+        );
+    }
+    std::env::remove_var(PACE_ENV);
 }

@@ -126,3 +126,49 @@ fn dkfac_inverts_only_after_its_bulk_factor_message() {
         }
     }
 }
+
+#[test]
+fn nothing_travels_between_an_update_and_the_next_forward_pass() {
+    // The loss all-reduce is submitted when the loss exists (the start of
+    // backward) and landed after `Update`, so the iteration's last gradient
+    // message is its barrier. The boundary after the segment's first
+    // iteration carries the one-off plan agreement and is not looked at.
+    let spans = paced_spans(Algorithm::SpdKfac);
+    for rank in 0..WORLD {
+        let mut updates: Vec<f64> = spans
+            .iter()
+            .filter(|s| s.track == rank && s.label.starts_with("iter"))
+            .map(|s| s.end)
+            .collect();
+        updates.sort_by(f64::total_cmp);
+        let mut checked = 0;
+        for &update_end in &updates[1..] {
+            let next_pass = spans
+                .iter()
+                .filter(|s| s.track == rank && s.phase == Phase::FfBp && s.start >= update_end)
+                .map(|s| s.start)
+                .fold(f64::INFINITY, f64::min);
+            if next_pass.is_infinite() {
+                continue; // the last iteration
+            }
+            checked += 1;
+            for s in spans.iter().filter(|s| s.track == WORLD + rank) {
+                assert!(
+                    s.phase != Phase::Update || s.end <= update_end || s.start >= next_pass,
+                    "rank {rank}: a {} of phase Update ran {:.6}..{:.6} s, between the update \
+                     that ended at {update_end:.6} s and the pass that began at {next_pass:.6} s",
+                    s.label,
+                    s.start,
+                    s.end
+                );
+            }
+        }
+        assert_eq!(checked, ITERS - 2, "rank {rank}: iteration boundaries");
+        // The loss did travel: once per iteration, plus the plan agreement.
+        let control = spans
+            .iter()
+            .filter(|s| s.track == WORLD + rank && s.phase == Phase::Update)
+            .count();
+        assert_eq!(control, ITERS + 1, "rank {rank}: control messages");
+    }
+}
