@@ -16,10 +16,9 @@
 //! ```
 
 use spdkfac_bench::{header, note};
-use spdkfac_core::distributed::{
-    initial_plan, iteration_graph, Algorithm, DistributedConfig, TrainSession,
-};
+use spdkfac_core::distributed::{iteration_graph, Algorithm, DistributedConfig, TrainSession};
 use spdkfac_core::iteration::IterationGraph;
+use spdkfac_core::runtime::{Costs, Planner};
 use spdkfac_core::FusionStrategy;
 use spdkfac_models::{LayerSpec, ModelProfile};
 use spdkfac_nn::data::gaussian_blobs;
@@ -112,7 +111,8 @@ fn main() {
         println!("measured,{name},{}", real.csv_row());
         // What every iteration of that run executed (inverses are
         // refreshed each iteration).
-        let graph = iteration_graph(&cfg, &net, initial_plan(&cfg, &net, world).current(), true);
+        let plan = Planner::new(&cfg, &net.kfac_dims(), world).plan(&Costs::default(), None);
+        let graph = iteration_graph(&cfg, &net, &plan, true);
         let sim = simulate_graph(&graph, &model, &sim_cfg);
         println!("simulated,{name},{}", sim.breakdown.csv_row());
         runs.push((name, graph, rec, real));

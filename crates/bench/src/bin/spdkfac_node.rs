@@ -387,7 +387,7 @@ fn apply_overrides(cfg: &mut DistributedConfig, args: &Args) -> Result<(), Strin
 /// rate, and the rate recovered by the tail of the run. Iteration starts
 /// are the forward-pass span starts (two `FfBp` spans per iteration on
 /// the compute track: forward then backward).
-fn check_drift_demo(rec: &Recorder, iters: usize, ops: u64) -> Result<(), String> {
+fn assert_drift_demo(rec: &Recorder, iters: usize, ops: u64) -> Result<(), String> {
     let snap = rec.metrics().snapshot();
     let swaps = snap.counters.get("runtime/swaps").copied().unwrap_or(0);
     let mut starts: Vec<f64> = rec
@@ -668,7 +668,7 @@ fn run_rank(args: &Args) -> Result<RunResult, String> {
         let rec = rec
             .as_ref()
             .ok_or("drift demo requires telemetry (--trace-dir)")?;
-        check_drift_demo(rec, args.iters(), result.collective_ops)?;
+        assert_drift_demo(rec, args.iters(), result.collective_ops)?;
     }
     eprintln!(
         "rank {rank}/{world}: {} iterations done, final loss {:.6}",

@@ -87,7 +87,9 @@ const DIAL_ATTEMPT: Duration = Duration::from_secs(1);
 const DIAL_BACKOFF: (Duration, Duration) = (Duration::from_millis(10), Duration::from_secs(1));
 /// Sleep between polls of a non-blocking accept, doubling likewise.
 const ACCEPT_BACKOFF: (Duration, Duration) = (Duration::from_micros(100), Duration::from_millis(2));
-/// How long the server waits for an accepted connection's registration.
+/// How long the server waits for an accepted connection's registration —
+/// less while a rejoin window is open, which a silent dialer must not
+/// outlast.
 const REGISTRATION_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Environment variable carrying the shared rendezvous secret. Every HELLO /
@@ -416,7 +418,7 @@ impl RendezvousServer {
             if handle.stop.load(Ordering::SeqCst) {
                 break;
             }
-            let arrival = accepted.and_then(|stream| self.registration(stream));
+            let arrival = accepted.and_then(|stream| self.registration(stream, group.deadline()));
             let replies = group.feed(arrival, Instant::now());
             // Before the replies: a member back from `join` never reads a
             // status older than its own epoch.
@@ -426,11 +428,19 @@ impl RendezvousServer {
         Ok(())
     }
 
-    /// Reads one registration frame. Anything but a well-formed,
-    /// authorised one ends that connection (with a `REJECT` where the peer
-    /// may still be listening) and nothing else.
-    fn registration(&self, mut stream: TcpStream) -> Option<(Held, Registration)> {
-        stream.set_read_timeout(Some(REGISTRATION_TIMEOUT)).ok()?;
+    /// Reads one registration frame, giving up at the open rejoin window's
+    /// `deadline` if that comes first. Anything but a well-formed,
+    /// authorised frame ends that connection (with a `REJECT` where the
+    /// peer may still be listening) and nothing else.
+    fn registration(
+        &self,
+        mut stream: TcpStream,
+        deadline: Option<Instant>,
+    ) -> Option<(Held, Registration)> {
+        let patience = deadline.map_or(REGISTRATION_TIMEOUT, time_left);
+        stream
+            .set_read_timeout(Some(patience.min(REGISTRATION_TIMEOUT)))
+            .ok()?;
         let magic = read_u64(&mut stream).ok()?;
         if ![HELLO_MAGIC, REJOIN_MAGIC, POLL_MAGIC].contains(&magic) {
             let _ = reject(&mut stream, &format!("bad magic {magic:#x}"));
@@ -1138,6 +1148,46 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         handle.stop();
         assert_port_closes(handle.addr());
+    }
+
+    #[test]
+    fn a_silent_dialer_cannot_hold_a_rejoin_window_open() {
+        // Fails at the parent commit: a connection that sends nothing kept
+        // the accept loop in its registration read for a fixed 10 s,
+        // however close the window's end was.
+        let window = Duration::from_millis(300);
+        let handle = RendezvousServer::bind("127.0.0.1:0", 2)
+            .unwrap()
+            .with_rejoin_window(window)
+            .serve()
+            .unwrap();
+        let founders: Vec<Join> = join_all(&handle.addr().to_string(), 2)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
+        let survivor = founders[1].rank;
+        drop(founders);
+        // Arrival order is connect order: the survivor's REJOIN opens the
+        // window, the silent connection is accepted inside it.
+        let t0 = Instant::now();
+        let mut rejoining = TcpStream::connect(handle.addr()).unwrap();
+        write_u64(&mut rejoining, REJOIN_MAGIC).unwrap();
+        write_str(&mut rejoining, "").unwrap();
+        write_u64(&mut rejoining, 0).unwrap();
+        write_u64(&mut rejoining, survivor as u64).unwrap();
+        write_str(&mut rejoining, "survivor:1").unwrap();
+        write_str(&mut rejoining, "").unwrap();
+        let silent = TcpStream::connect(handle.addr()).unwrap();
+        let assigned = Assignment::read(&mut rejoining).unwrap();
+        let took = t0.elapsed();
+        assert_eq!((assigned.epoch, assigned.rank), (1, 0));
+        assert_eq!(assigned.peers, ["survivor:1"]);
+        assert!(
+            took >= window && took < window + Duration::from_secs(1),
+            "a {window:?} window took {took:?}"
+        );
+        drop(silent);
+        handle.stop();
     }
 
     #[test]

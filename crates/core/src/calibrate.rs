@@ -15,16 +15,15 @@
 //!    samples, a single distinct size, non-positive times) keeps the
 //!    previous fit instead of panicking.
 //! 3. **Report** — predicted-vs-measured residuals and parameter drift are
-//!    exported through a [`MetricsRegistry`], and [`Calibrator::check_drift`]
-//!    answers the question that actually matters: *would the drift flip a
-//!    decision?* It re-runs the NCT/CT classification and the Eq. 15 fusion
-//!    plan under the refit models and reports every flip — report-only; the
-//!    running plan is never mutated mid-run.
+//!    exported through a [`MetricsRegistry`]. The refit is a
+//!    [`Costs`] record: *would the drift flip a decision?* is
+//!    [`Planner::plan`](crate::runtime::Planner::plan) under it compared
+//!    with the plan in force, and acting on the answer is the re-plan
+//!    barrier's job (see [`crate::runtime`]).
 
-use crate::fusion::{self, FactorPipeline, FusionStrategy};
-use crate::perf::{AlphaBetaModel, CubicCostModel, ExpInverseModel};
-use crate::placement::{self, PlacementStrategy};
-use spdkfac_obs::{CollEdge, MetricsRegistry, Phase, Recorder, Span, Table};
+use crate::perf::{AlphaBetaModel, ExpInverseModel};
+use crate::runtime::Costs;
+use spdkfac_obs::{CollEdge, MetricsRegistry, Phase, Recorder, Span};
 
 /// Which rolling sample window a measurement belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,154 +104,8 @@ impl SampleWindow {
     }
 }
 
-/// Fit models from the latest refit, where the windows allowed one.
-#[derive(Debug, Clone, Default)]
-pub struct RefitModels {
-    /// All-reduce α-β line over raw element counts.
-    pub allreduce: Option<AlphaBetaModel>,
-    /// Broadcast α-β line over raw element counts.
-    pub broadcast: Option<AlphaBetaModel>,
-    /// `true` when [`RefitModels::broadcast`] was seeded from the all-reduce
-    /// fit rather than fit from broadcast samples. All-NCT runs (small
-    /// models, no CT tensors) never execute an inverse broadcast, so their
-    /// broadcast window stays empty; the all-reduce line is the best
-    /// available stand-in for `t_comm` and keeps re-planning well-posed.
-    /// A genuine broadcast fit clears the flag.
-    pub broadcast_is_prior: bool,
-    /// Exponential inversion model over tensor dimensions (Eq. 26).
-    pub inverse: Option<ExpInverseModel>,
-    /// Cubic inversion model over tensor dimensions (the O(d³) sanity fit).
-    pub inverse_cubic: Option<CubicCostModel>,
-    /// All-reduce α-β line over post-encoding *wire bytes* (β in s/byte).
-    pub allreduce_wire: Option<AlphaBetaModel>,
-    /// Codec α-β line over element counts (β in s/element of encode+decode
-    /// CPU time). Only fits under lossy/compressed wire formats.
-    pub encode: Option<AlphaBetaModel>,
-}
-
-impl RefitModels {
-    /// Composes the wire-byte fit and the codec fit into an *effective
-    /// per-element* all-reduce model for a format moving `bytes_per_elem`
-    /// bytes per `f64`: `β_elem = β_byte · bytes_per_elem + β_encode` and
-    /// `α = α_wire + α_encode`. This is what Eq. 15 fusion and LBP should
-    /// plan with when the wire is compressed — the plain per-element refit
-    /// would bake the current format's compression ratio into β and
-    /// mispredict any op using a different format. Returns `None` without a
-    /// wire-byte fit; a missing codec fit contributes zero cost.
-    pub fn wire_effective_allreduce(&self, bytes_per_elem: f64) -> Option<AlphaBetaModel> {
-        let wire = self.allreduce_wire.as_ref()?;
-        let (enc_alpha, enc_beta) = match &self.encode {
-            Some(e) => (e.alpha, e.beta),
-            None => (0.0, 0.0),
-        };
-        Some(AlphaBetaModel::new(
-            wire.alpha + enc_alpha,
-            wire.beta * bytes_per_elem + enc_beta,
-        ))
-    }
-}
-
-/// One decision flip found by the counterfactual re-plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecisionFlip {
-    /// Tensor `tensor` (of dimension `dim`) changed NCT/CT class.
-    NctFlip {
-        /// Index into the `dims` slice passed to `check_drift`.
-        tensor: usize,
-        /// Tensor dimension.
-        dim: usize,
-        /// `true` when the baseline classified it NCT and the refit CT;
-        /// `false` for the opposite direction.
-        was_nct: bool,
-    },
-    /// The Eq. 15 fusion plan changed message count under the refit
-    /// communication model.
-    FusionFlip {
-        /// Messages under the baseline model.
-        baseline_messages: usize,
-        /// Messages under the refit model.
-        refit_messages: usize,
-    },
-}
-
-/// Report-only outcome of a counterfactual re-plan under refit models.
-#[derive(Debug, Clone, Default)]
-pub struct DriftReport {
-    /// Every decision the drift would flip.
-    pub flips: Vec<DecisionFlip>,
-    /// Largest NCT dimension under the baseline models, per
-    /// [`ExpInverseModel::nct_threshold`].
-    pub baseline_nct_threshold: Option<usize>,
-    /// Largest NCT dimension under the refit models (None when the refit
-    /// models are unavailable or no dimension qualifies).
-    pub refit_nct_threshold: Option<usize>,
-}
-
-impl DriftReport {
-    /// Number of tensors whose NCT/CT class flipped.
-    pub fn nct_flips(&self) -> usize {
-        self.flips
-            .iter()
-            .filter(|f| matches!(f, DecisionFlip::NctFlip { .. }))
-            .count()
-    }
-
-    /// `true` when the fusion plan changed message count.
-    pub fn fusion_flipped(&self) -> bool {
-        self.flips
-            .iter()
-            .any(|f| matches!(f, DecisionFlip::FusionFlip { .. }))
-    }
-
-    /// `true` when any decision flipped.
-    pub fn any(&self) -> bool {
-        !self.flips.is_empty()
-    }
-
-    /// Human-readable flip listing.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "drift re-plan: {} flip(s); NCT threshold {:?} -> {:?}\n",
-            self.flips.len(),
-            self.baseline_nct_threshold,
-            self.refit_nct_threshold,
-        ));
-        if self.flips.is_empty() {
-            return out;
-        }
-        let mut t = Table::new(["flip", "detail"]);
-        for f in &self.flips {
-            match f {
-                DecisionFlip::NctFlip {
-                    tensor,
-                    dim,
-                    was_nct,
-                } => {
-                    let dir = if *was_nct { "NCT -> CT" } else { "CT -> NCT" };
-                    t.push_row([
-                        "nct".to_string(),
-                        format!("tensor {tensor} (d={dim}) {dir}"),
-                    ]);
-                }
-                DecisionFlip::FusionFlip {
-                    baseline_messages,
-                    refit_messages,
-                } => {
-                    t.push_row([
-                        "fusion".to_string(),
-                        format!("{baseline_messages} -> {refit_messages} messages"),
-                    ]);
-                }
-            }
-        }
-        out.push_str(&t.render_text());
-        out
-    }
-}
-
-/// Streams measured span durations into rolling model refits and flags
-/// decision-flipping drift. See the module docs for the pipeline.
+/// Streams measured span durations into rolling model refits. See the
+/// module docs for the pipeline.
 #[derive(Debug, Clone)]
 pub struct Calibrator {
     baseline_comp: ExpInverseModel,
@@ -262,7 +115,10 @@ pub struct Calibrator {
     inverse: SampleWindow,
     allreduce_wire: SampleWindow,
     encode: SampleWindow,
-    refit: RefitModels,
+    /// The latest fit of every line whose window allowed one (never ready
+    /// times: those are the trainer's to measure).
+    refit: Costs,
+    broadcast_is_prior: bool,
 }
 
 /// Default rolling-window capacity (samples per kind).
@@ -289,7 +145,8 @@ impl Calibrator {
             inverse: SampleWindow::new(window),
             allreduce_wire: SampleWindow::new(window),
             encode: SampleWindow::new(window),
-            refit: RefitModels::default(),
+            refit: Costs::default(),
+            broadcast_is_prior: false,
         }
     }
 
@@ -377,24 +234,23 @@ impl Calibrator {
     /// (all-NCT runs never broadcast inverse results) but an all-reduce fit
     /// exists, the broadcast model is seeded from the all-reduce line as a
     /// prior — both are α-β collectives over the same wire — and
-    /// [`RefitModels::broadcast_is_prior`] is set. A later genuine
+    /// [`Calibrator::broadcast_is_prior`] reads `true`. A later genuine
     /// broadcast fit replaces the prior and clears the flag.
-    pub fn refit(&mut self) -> &RefitModels {
+    pub fn refit(&mut self) -> &Costs {
         if self.allreduce.fittable() {
             self.refit.allreduce = Some(AlphaBetaModel::fit(&self.allreduce.samples));
         }
         if self.broadcast.fittable() {
             self.refit.broadcast = Some(AlphaBetaModel::fit(&self.broadcast.samples));
-            self.refit.broadcast_is_prior = false;
-        } else if self.refit.broadcast.is_none() || self.refit.broadcast_is_prior {
+            self.broadcast_is_prior = false;
+        } else if self.refit.broadcast.is_none() || self.broadcast_is_prior {
             if let Some(ar) = self.refit.allreduce {
                 self.refit.broadcast = Some(ar);
-                self.refit.broadcast_is_prior = true;
+                self.broadcast_is_prior = true;
             }
         }
         if self.inverse.fittable() {
             self.refit.inverse = Some(ExpInverseModel::fit(&self.inverse.samples));
-            self.refit.inverse_cubic = Some(CubicCostModel::fit(&self.inverse.samples));
         }
         if self.allreduce_wire.fittable() {
             self.refit.allreduce_wire = Some(AlphaBetaModel::fit(&self.allreduce_wire.samples));
@@ -406,13 +262,17 @@ impl Calibrator {
     }
 
     /// The latest refit models (possibly all `None` before any refit).
-    pub fn models(&self) -> &RefitModels {
+    pub fn models(&self) -> &Costs {
         &self.refit
     }
 
-    /// The baseline models the calibrator compares against.
-    pub fn baselines(&self) -> (&ExpInverseModel, &AlphaBetaModel) {
-        (&self.baseline_comp, &self.baseline_comm)
+    /// `true` when the broadcast line was seeded from the all-reduce fit
+    /// rather than fit from broadcast samples. All-NCT runs (small models,
+    /// no CT tensors) never execute an inverse broadcast, so their
+    /// broadcast window stays empty; the all-reduce line is the best
+    /// available stand-in for `t_comm` and keeps re-planning well-posed.
+    pub fn broadcast_is_prior(&self) -> bool {
+        self.broadcast_is_prior
     }
 
     /// Exports calibration health to `m`:
@@ -500,11 +360,7 @@ impl Calibrator {
         }
         if self.refit.broadcast.is_some() {
             m.gauge("calib/broadcast/prior")
-                .set(if self.refit.broadcast_is_prior {
-                    1.0
-                } else {
-                    0.0
-                });
+                .set(f64::from(u8::from(self.broadcast_is_prior)));
         }
         if let Some(inv) = &self.refit.inverse {
             m.gauge("calib/inverse/alpha_ratio")
@@ -513,74 +369,13 @@ impl Calibrator {
                 .set(inv.beta - self.baseline_comp.beta);
         }
     }
-
-    /// Counterfactual re-plan: would the refit models decide differently?
-    ///
-    /// Re-runs LBP's NCT/CT classification over `dims` on `world` GPUs and,
-    /// when `pipeline` is given, the Eq. 15 fusion plan, once with the
-    /// baseline models and once with the refit models. The broadcast refit
-    /// stands in for the communication side of the NCT test (that test
-    /// compares inversion vs broadcast, Fig. 11); the all-reduce refit
-    /// drives the fusion re-plan. Missing refits fall back to the baseline
-    /// for that role, so a calibrator that only saw inversion samples still
-    /// reports inversion-driven flips.
-    ///
-    /// Report-only: nothing about the running trainer is changed.
-    pub fn check_drift(
-        &self,
-        dims: &[usize],
-        world: usize,
-        pipeline: Option<&FactorPipeline>,
-    ) -> DriftReport {
-        let refit_comp = self.refit.inverse.as_ref().unwrap_or(&self.baseline_comp);
-        let refit_bcast = self.refit.broadcast.as_ref().unwrap_or(&self.baseline_comm);
-        let refit_ar = self.refit.allreduce.as_ref().unwrap_or(&self.baseline_comm);
-
-        let mut report = DriftReport::default();
-        let max_d = dims.iter().copied().max().unwrap_or(0).max(1);
-        report.baseline_nct_threshold =
-            self.baseline_comp.nct_threshold(&self.baseline_comm, max_d);
-        report.refit_nct_threshold = refit_comp.nct_threshold(refit_bcast, max_d);
-
-        if !dims.is_empty() && world > 0 {
-            let strategy = PlacementStrategy::default();
-            let base = placement::place(
-                dims,
-                world,
-                &self.baseline_comp,
-                &self.baseline_comm,
-                strategy,
-            );
-            let refit = placement::place(dims, world, refit_comp, refit_bcast, strategy);
-            for (i, &d) in dims.iter().enumerate() {
-                let was = base.is_nct(i);
-                if was != refit.is_nct(i) {
-                    report.flips.push(DecisionFlip::NctFlip {
-                        tensor: i,
-                        dim: d,
-                        was_nct: was,
-                    });
-                }
-            }
-        }
-
-        if let Some(p) = pipeline {
-            let base = fusion::plan(p, &self.baseline_comm, FusionStrategy::Optimal);
-            let refit = fusion::plan(p, refit_ar, FusionStrategy::Optimal);
-            if base.num_messages() != refit.num_messages() {
-                report.flips.push(DecisionFlip::FusionFlip {
-                    baseline_messages: base.num_messages(),
-                    refit_messages: refit.num_messages(),
-                });
-            }
-        }
-        report
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributed::{Algorithm, DistributedConfig};
+    use crate::runtime::{count_placement_flips, PlanEpoch, Planner};
     use spdkfac_obs::SpanMeta;
     use std::borrow::Cow;
 
@@ -685,12 +480,11 @@ mod tests {
         let inv = models.inverse.as_ref().expect("inverse fit");
         assert!((inv.alpha - true_comp.alpha).abs() / true_comp.alpha < 1e-6);
         assert!((inv.beta - true_comp.beta).abs() < 1e-9);
-        assert!(models.inverse_cubic.is_some());
         // No broadcast samples: the all-reduce fit stands in as a prior.
         let bc = models.broadcast.as_ref().expect("broadcast prior seeded");
-        assert!(models.broadcast_is_prior);
         assert!((bc.alpha - ar.alpha).abs() < 1e-18);
         assert!((bc.beta - ar.beta).abs() < 1e-18);
+        assert!(c.broadcast_is_prior());
     }
 
     #[test]
@@ -701,7 +495,7 @@ mod tests {
             c.push(SampleKind::AllReduce, m, true_ar.time(m));
         }
         c.refit();
-        assert!(c.models().broadcast_is_prior);
+        assert!(c.broadcast_is_prior());
         // Real broadcast samples arrive (e.g. drift made some tensors CT):
         // the genuine fit replaces the prior.
         let true_bc = AlphaBetaModel::new(3e-3, 9e-8);
@@ -709,10 +503,10 @@ mod tests {
             c.push(SampleKind::Broadcast, m, true_bc.time(m));
         }
         let models = c.refit();
-        assert!(!models.broadcast_is_prior);
         let bc = models.broadcast.as_ref().expect("broadcast fit");
         assert!((bc.alpha - true_bc.alpha).abs() / true_bc.alpha < 1e-6);
         assert!((bc.beta - true_bc.beta).abs() / true_bc.beta < 1e-6);
+        assert!(!c.broadcast_is_prior());
     }
 
     #[test]
@@ -765,6 +559,25 @@ mod tests {
         assert_eq!(snap.histograms["calib/allreduce/drift"].count, 3);
     }
 
+    /// The planner of a `world`-rank SPD-KFAC run whose baselines are the
+    /// calibrator's, over layers with `dims[l] × dims[l]` factors on both
+    /// sides (so either pass pipelines one factor per entry of `dims`).
+    fn planner(c: &Calibrator, dims: &[usize], world: usize) -> Planner {
+        let mut cfg = DistributedConfig::new(world, Algorithm::SpdKfac);
+        cfg.comp_model = c.baseline_comp;
+        cfg.comm_model = c.baseline_comm;
+        let dims: Vec<(usize, usize)> = dims.iter().map(|&d| (d, d)).collect();
+        Planner::new(&cfg, &dims, world)
+    }
+
+    /// `ready` for the forward pipeline, mirrored onto the backward one.
+    fn timed(costs: &Costs, ready: &[f64]) -> Costs {
+        Costs {
+            ready: Some([ready, ready].concat()),
+            ..costs.clone()
+        }
+    }
+
     #[test]
     fn well_calibrated_run_flags_nothing() {
         let mut c = Calibrator::new(comp(), comm());
@@ -774,13 +587,18 @@ mod tests {
             c.push(SampleKind::Broadcast, m, comm().time(m));
             c.push(SampleKind::AllReduce, m, comm().time(m));
         }
-        c.refit();
-        let dims = vec![16usize, 64, 256, 1024];
-        let pipe = FactorPipeline::new(vec![0.0, 0.1, 0.2, 0.3], vec![136, 2080, 32896, 524800])
-            .expect("valid pipeline");
-        let report = c.check_drift(&dims, 4, Some(&pipe));
-        assert!(!report.any(), "flips: {:?}", report.flips);
-        assert_eq!(report.baseline_nct_threshold, report.refit_nct_threshold);
+        let refit = c.refit().clone();
+        // Packed sizes 136, 2080, 32896, 524800 per pass.
+        let planner = planner(&c, &[16, 64, 256, 1024], 4);
+        let ready = [0.0, 0.1, 0.2, 0.3];
+        let standing = planner.plan(&timed(&Costs::default(), &ready), None);
+        let candidate = planner.plan(&timed(&refit, &ready), None);
+        assert_eq!(candidate, standing, "the refit would decide differently");
+        let (inverse, broadcast) = (refit.inverse.unwrap(), refit.broadcast.unwrap());
+        assert_eq!(
+            comp().nct_threshold(&comm(), 1024),
+            inverse.nct_threshold(&broadcast, 1024)
+        );
     }
 
     #[test]
@@ -794,13 +612,13 @@ mod tests {
         for d in [16usize, 64, 256, 1024] {
             c.push(SampleKind::Inverse, d, comp().time(d) * 1e6);
         }
-        c.refit();
-        let dims = vec![16usize, 64, 256];
-        let report = c.check_drift(&dims, 2, None);
-        assert!(report.nct_flips() >= 1, "report: {report:?}");
-        assert!(report.any());
-        let text = report.render_text();
-        assert!(text.contains("NCT -> CT"), "text was:\n{text}");
+        let refit = c.refit().clone();
+        let planner = planner(&c, &[16, 64, 256], 2);
+        let standing = planner.plan(&Costs::default(), None).placement;
+        let candidate = planner.plan(&refit, None).placement;
+        assert_eq!(standing.num_nct(), 6);
+        assert_eq!(candidate.num_nct(), 0, "candidate: {candidate:?}");
+        assert_eq!(count_placement_flips(&standing, &candidate), 6);
     }
 
     fn wire_span(size: usize, wire_bytes: u64, codec_secs: f64, start: f64, end: f64) -> Span {
@@ -844,7 +662,7 @@ mod tests {
         let enc = models.encode.as_ref().expect("encode fit");
         assert!((enc.beta - 1e-9).abs() / 1e-9 < 1e-6, "beta {}", enc.beta);
         // Effective per-element model at 2 B/element folds codec cost in.
-        let eff = models.wire_effective_allreduce(2.0).expect("effective");
+        let eff = models.effective_allreduce(2.0).expect("effective");
         assert!((eff.beta - (2e-9 * 2.0 + 1e-9)).abs() < 1e-15);
     }
 
@@ -856,7 +674,7 @@ mod tests {
         assert_eq!(c.len(SampleKind::AllReduce), 1);
         assert_eq!(c.len(SampleKind::AllReduceWire), 1);
         assert_eq!(c.len(SampleKind::Encode), 0);
-        assert!(c.models().wire_effective_allreduce(8.0).is_none());
+        assert!(c.models().effective_allreduce(8.0).is_none());
     }
 
     #[test]
@@ -869,11 +687,17 @@ mod tests {
         for m in [100usize, 1000, 10000, 100000] {
             c.push(SampleKind::AllReduce, m, measured.time(m));
         }
-        c.refit();
-        let pipe = FactorPipeline::new(vec![0.0, 1.0, 2.0, 3.0], vec![10, 10, 10, 10])
-            .expect("valid pipeline");
-        let report = c.check_drift(&[], 1, Some(&pipe));
-        assert!(report.fusion_flipped(), "report: {report:?}");
-        assert!(report.render_text().contains("messages"));
+        let refit = c.refit().clone();
+        // Four factors of 10 packed elements per pass.
+        let planner = planner(&c, &[4, 4, 4, 4], 1);
+        let ready = [0.0, 1.0, 2.0, 3.0];
+        let standing = planner.plan(&timed(&Costs::default(), &ready), None);
+        let candidate = planner.plan(&timed(&refit, &ready), None);
+        assert!(standing.plan_differs(&candidate));
+        let messages = |p: &PlanEpoch| p.a_fusion.as_ref().unwrap().num_messages();
+        assert!(
+            messages(&candidate) < messages(&standing),
+            "standing {standing:?}, candidate {candidate:?}"
+        );
     }
 }

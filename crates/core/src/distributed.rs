@@ -25,15 +25,15 @@ use crate::calibrate::Calibrator;
 use crate::ekfac;
 use crate::elastic::{ElasticPolicy, FactorCheckpoint, MembershipSpan, TrainCheckpoint};
 use crate::factors::{local_factor_a, local_factor_g, FactorState};
-use crate::fusion::{self, FactorPipeline, FusionStrategy};
+use crate::fusion::FusionStrategy;
 use crate::iteration::{
     Deps, FactorComm, GradCut, IterationGraph, LayerShape, NodeId, Op, Spec, Who,
 };
 use crate::optimizer::KfacConfig;
 use crate::perf::{AlphaBetaModel, ExpInverseModel};
-use crate::placement::{self, PlacementStrategy};
+use crate::placement::PlacementStrategy;
 use crate::precond::{self, apply_kl_clip};
-use crate::runtime::{self, PlanEpoch, PlanStore, ReplanController, ReplanPolicy};
+use crate::runtime::{self, Costs, PlanEpoch, Planner, ReplanController, ReplanPolicy};
 use spdkfac_collectives::{
     connect_elastic, elastic_poll, Backend, CommError, CommGroup, JoinIntent, PendingOp,
     WirePolicy, WorkerComm,
@@ -137,7 +137,7 @@ impl DistributedConfig {
         }
     }
 
-    fn effective_placement(&self) -> PlacementStrategy {
+    pub(crate) fn effective_placement(&self) -> PlacementStrategy {
         self.placement.unwrap_or(match self.algorithm {
             Algorithm::SSgd | Algorithm::DKfac => PlacementStrategy::NonDist,
             Algorithm::MpdKfac => PlacementStrategy::SeqDist,
@@ -378,9 +378,10 @@ impl WorkerObs {
     }
 
     /// Records one realized fused-message flush (satellite of §IV-A): the
-    /// planned bucket counts are published as gauges once, but the bytes
-    /// actually moved per flush are only known here. `pass` is `"a"` or
-    /// `"g"`. Rank 0 reports for the group (every rank flushes alike).
+    /// planned bucket counts are gauges written when a plan is installed,
+    /// but the bytes actually moved per flush are only known here. `pass`
+    /// is `"a"` or `"g"`. Rank 0 reports for the group (every rank flushes
+    /// alike).
     fn record_flush(&self, pass: &str, elems: usize) {
         if let Some(r) = self.rec.as_ref().filter(|_| self.track == 0) {
             let m = r.metrics();
@@ -456,45 +457,6 @@ enum SegmentEnd {
     /// This rank's `leave_after` budget is spent; the caller should drop
     /// the endpoint without rejoining.
     Leave,
-}
-
-/// Fallible sync all-reduce: the async op plus an error-propagating wait
-/// (the `WorkerComm` sync wrappers panic instead, which elastic segments
-/// must not).
-fn allreduce_avg_checked(comm: &WorkerComm, buf: &mut [f64]) -> Result<(), CommError> {
-    let out = comm.allreduce_avg_async(buf.to_vec()).wait()?;
-    buf.copy_from_slice(&out.data);
-    Ok(())
-}
-
-/// The standing decisions a segment starts from: the inverse placement over
-/// the 2L tensors (`A_l`, `G_l` interleaved) and, for the algorithms that
-/// pipeline factor communication behind the passes (SPD, EKFAC-SPD), one
-/// message per factor — until the first iteration's measured ready times
-/// are agreed on.
-pub fn initial_plan(cfg: &DistributedConfig, net: &Sequential, world: usize) -> PlanStore {
-    let dims = net.kfac_dims();
-    let inv_dims: Vec<usize> = dims.iter().flat_map(|&(a, g)| [a, g]).collect();
-    let inv_placement = placement::place(
-        &inv_dims,
-        world,
-        &cfg.comp_model,
-        &cfg.comm_model,
-        cfg.effective_placement(),
-    );
-    let pipelined =
-        matches!(cfg.algorithm, Algorithm::SpdKfac | Algorithm::EkfacSpd) && !dims.is_empty();
-    let layer_wise = |sizes: Vec<usize>| {
-        pipelined.then(|| {
-            let pipe = FactorPipeline::new(vec![0.0; sizes.len()], sizes).expect("valid");
-            fusion::plan(&pipe, &cfg.comm_model, FusionStrategy::LayerWise)
-        })
-    };
-    PlanStore::new(
-        inv_placement,
-        layer_wise(dims.iter().map(|&(a, _)| packed_len(a)).collect()),
-        layer_wise(dims.iter().rev().map(|&(_, g)| packed_len(g)).collect()),
-    )
 }
 
 /// The schedule of one iteration of `cfg.algorithm` on `net` under `plan` —
@@ -777,14 +739,6 @@ fn train_segment(
         state_of_layer[li] = Some(si);
         assert_eq!(states[si].layer(), li, "factor state layer mismatch");
     }
-    // (a_dim, g_dim) per state.
-    let dims = net.kfac_dims();
-    // Packed factor sizes in pipeline order: A front-to-back (forward pass),
-    // G back-to-front (backward pass).
-    let a_sizes: Vec<usize> = dims.iter().map(|&(a, _)| packed_len(a)).collect();
-    let g_sizes_rev: Vec<usize> = dims.iter().rev().map(|&(_, g)| packed_len(g)).collect();
-    // Dimension of every tensor (A_l, G_l interleaved).
-    let inv_dims: Vec<usize> = dims.iter().flat_map(|&(a, g)| [a, g]).collect();
     // Flat index of each layer's first parameter, then the total.
     let mut param_base: Vec<usize> = Vec::with_capacity(net.len() + 1);
     param_base.push(0);
@@ -792,40 +746,24 @@ fn train_segment(
         param_base.push(param_base[param_base.len() - 1] + layer.params().len());
     }
 
-    // The generation-0 plan goes into the epoch-versioned store; re-plan
-    // barriers may swap it later (see `crate::runtime`).
-    let mut store = initial_plan(cfg, net, world);
-    // Publish the load balancer's verdict once (rank 0): CT/NCT counts and
-    // the modelled per-GPU load it balanced (Eq. 21).
-    if rank == 0 {
-        if let Some(r) = &obs.rec {
-            let inv_placement = &store.current().placement;
-            let m = r.metrics();
-            let ncts = inv_placement.num_nct();
-            m.gauge("placement/nct").set(ncts as f64);
-            m.gauge("placement/ct")
-                .set((inv_placement.assignments().len() - ncts) as f64);
-            let loads = inv_placement.per_gpu_load(&inv_dims, &cfg.comp_model, &cfg.comm_model);
-            for (g, load) in loads.iter().enumerate() {
-                m.gauge(&format!("placement/gpu{g}/load")).set(*load);
-            }
-        }
-    }
-    // SPD / EKFAC-SPD agree on fusion plans from the first iteration's
-    // measured ready times.
-    let pipelined = store.current().a_fusion.is_some();
+    // Every plan of the segment comes out of this planner (see
+    // `crate::runtime`). It starts with nothing measured: `cfg`'s models and
+    // one message per factor.
+    let planner = Planner::new(cfg, &net.kfac_dims(), world);
+    let inv_dims = planner.inv_dims();
+    // What the standing plan was decided from.
+    let mut costs = Costs::default();
+    let mut epoch = planner.plan(&costs, None);
+    // SPD / EKFAC-SPD cut their factor messages from measured ready times.
+    let pipelined = epoch.a_fusion.is_some();
     // What the workers execute: rebuilt whenever the plan changes, not per
     // iteration.
-    let mut graphs = plan_graphs(cfg, net, store.current());
+    let mut graphs = plan_graphs(cfg, net, &epoch);
     let mut controller = ReplanController::new(cfg.replan);
     let mut calibrator = Calibrator::new(cfg.comp_model, cfg.comm_model);
     // What the calibrator has already been fed: each re-plan barrier
     // ingests only the spans recorded since the previous one.
     let mut calibrated = obs.rec.as_ref().map(|r| r.flush_cursor());
-    // Measured pipelines saved from the iteration-0 plan agreement, so
-    // re-plan barriers can recompute fusion plans from the agreed models.
-    let mut a_pipeline: Option<FactorPipeline> = None;
-    let mut g_pipeline: Option<FactorPipeline> = None;
 
     // EKFAC extension state (per-tensor eigenbases and per-layer scales)
     // lives in `ws` alongside the optimizer; assert shapes after a restore.
@@ -857,7 +795,7 @@ fn train_segment(
             rank,
             obs,
             graph,
-            inv_dims: &inv_dims,
+            inv_dims,
             net: &mut *net,
             states: &mut *states,
             ekfac_bases: &mut *ekfac_bases,
@@ -1049,94 +987,74 @@ fn train_segment(
         // loss) pair.
         flight.record_iteration(iter as u64 + 1, loss);
 
-        // ---------- Agree on SPD fusion plans after the first iteration ----
-        // "First" is per segment: fusion plans are derived from measured
-        // ready-times under the *current* world size, so each membership
-        // epoch re-agrees from its own first iteration.
-        if pipelined && iter == seg_start {
-            // Pipeline order: A statistics front to back, then G back to front.
-            let g_times = (0..nlayers).rev().map(|si| ready[2 * si + 1]);
-            let mut times: Vec<f64> = (0..nlayers)
-                .map(|si| ready[2 * si])
-                .chain(g_times)
-                .collect();
-            allreduce_avg_checked(comm, &mut times)?;
-            let (a_avg, g_avg) = times.split_at(nlayers);
-            let a_pipe =
-                FactorPipeline::new(monotonize(a_avg), a_sizes.clone()).expect("A pipeline valid");
-            let g_pipe = FactorPipeline::new(monotonize(g_avg), g_sizes_rev.clone())
-                .expect("G pipeline valid");
-            let a = fusion::plan(&a_pipe, &cfg.comm_model, cfg.fusion);
-            let g = fusion::plan(&g_pipe, &cfg.comm_model, cfg.fusion);
-            // Publish the tensor-fusion verdict (Eq. 15) once, on rank 0:
-            // how many factors each pass fused into how many messages.
-            if rank == 0 {
-                if let Some(r) = &obs.rec {
-                    let m = r.metrics();
-                    m.gauge("fusion/a/factors").set(nlayers as f64);
-                    m.gauge("fusion/a/messages").set(a.num_messages() as f64);
-                    m.gauge("fusion/a/merges")
-                        .set((nlayers - a.num_messages()) as f64);
-                    m.gauge("fusion/g/factors").set(nlayers as f64);
-                    m.gauge("fusion/g/messages").set(g.num_messages() as f64);
-                    m.gauge("fusion/g/merges")
-                        .set((nlayers - g.num_messages()) as f64);
-                }
-            }
-            store.install_fusion(Some(a), Some(g));
-            graphs = plan_graphs(cfg, net, store.current());
-            a_pipeline = Some(a_pipe);
-            g_pipeline = Some(g_pipe);
-        }
-
-        // ---------- Adaptive re-plan barrier (see `crate::runtime`) --------
-        // SPMD-safe by construction: entry depends only on `iter`, the
-        // models are agreement-all-reduced (doubling as the barrier), and
-        // the re-plan + hysteresis are pure functions of rank-identical
-        // inputs — so every rank swaps (or doesn't) together.
-        if controller.due(iter) {
+        // ---------- Planning barrier (see `crate::runtime`) ----------------
+        // SPMD-safe by construction: entry and the layout of the agreement
+        // vector depend only on `iter`, the costs are agreed by one averaging
+        // all-reduce (doubling as the barrier), and the plan + hysteresis
+        // are pure functions of rank-identical inputs — so every rank
+        // installs (or doesn't) together. "First" is per segment: Eq. 15 is
+        // cut from ready times measured under the *current* world size, so
+        // each membership epoch re-agrees from its own first iteration.
+        let (first, due) = (iter == seg_start, controller.due(iter));
+        if first || due {
             let t_barrier = Instant::now();
-            let replan_span = obs.span(Phase::Update);
-            if let (Some(r), Some(cursor)) = (&obs.rec, &mut calibrated) {
-                calibrator.ingest_spans(&r.flush_since(cursor));
-            }
-            let mut agree = runtime::encode_models(calibrator.refit()).to_vec();
-            comm.set_phase(Phase::Update);
-            allreduce_avg_checked(comm, &mut agree)?;
-            let mut agreed = runtime::decode_models(&agree, &cfg.comp_model, &cfg.comm_model);
-            // Plan fusion with the model for what the factor all-reduces
-            // actually cost on this wire format: β re-expressed per element
-            // through the agreed per-byte line plus the codec line. Under
-            // f64 (or before any wire fit exists) this is the identity.
-            agreed.allreduce = agreed.effective_allreduce(cfg.wire.factor.bytes_per_elem());
-            // The standing placement prices migration: a CT only moves if
-            // the rebalancing win exceeds one broadcast of its state.
-            let prev = store.current().placement.clone();
-            let (placement, a_f, g_f) = runtime::replan(
-                &agreed,
-                &inv_dims,
-                world,
-                cfg.effective_placement(),
-                Some(&prev),
-                a_pipeline.as_ref(),
-                g_pipeline.as_ref(),
-                cfg.fusion,
-            );
-            let outcome = controller.consider(&mut store, placement, a_f, g_f);
-            if outcome.swapped {
-                comm.set_generation(store.generation());
-                graphs = plan_graphs(cfg, net, store.current());
-            }
-            drop(replan_span);
-            if rank == 0 {
-                if let Some(r) = &obs.rec {
-                    runtime::publish_replan_metrics(
-                        r.metrics(),
-                        &outcome,
-                        t_barrier.elapsed().as_secs_f64(),
-                    );
-                    calibrator.publish_metrics(r.metrics());
+            let barrier_span = if due { obs.span(Phase::Update) } else { None };
+            let metrics = obs.rec.as_ref().filter(|_| rank == 0).map(|r| r.metrics());
+            let mut local = Costs::default();
+            if due {
+                if let (Some(r), Some(cursor)) = (&obs.rec, &mut calibrated) {
+                    calibrator.ingest_spans(&r.flush_since(cursor));
                 }
+                local = calibrator.refit().clone();
+            }
+            if first && pipelined {
+                let g_times = (0..nlayers).rev().map(|si| ready[2 * si + 1]);
+                let a_times = (0..nlayers).map(|si| ready[2 * si]);
+                local.ready = Some(a_times.chain(g_times).collect());
+            }
+            // The cost lines travel only when a re-plan is due, the ready
+            // times only after a segment's first iteration; a barrier with
+            // neither (a bulk algorithm's first iteration) sends nothing.
+            let mut message = local.encode(due);
+            if !message.is_empty() {
+                message = comm.allreduce_avg_async(message).wait()?.data;
+            }
+            let mut agreed = Costs::decode(&message, due);
+            // Later barriers cut Eq. 15 from the segment's first-iteration
+            // ready times.
+            agreed.ready = agreed.ready.or_else(|| costs.ready.clone());
+            if first {
+                // The segment's first measured plan: the ready times under
+                // the models the segment started from. It replaces the
+                // one-message-per-factor start rather than re-planning it,
+                // so it stays generation 0.
+                costs.ready = agreed.ready.clone();
+                epoch = planner.plan(&costs, None);
+            }
+            // A due barrier re-plans from everything agreed. The standing
+            // placement prices migration: a CT only moves if the rebalancing
+            // win exceeds one broadcast of its state.
+            let outcome = due.then(|| {
+                let candidate = planner.plan(&agreed, Some(&epoch.placement));
+                controller.consider(&mut epoch, candidate)
+            });
+            let swapped = outcome.is_some_and(|o| o.swapped);
+            if swapped {
+                costs = agreed;
+            }
+            // The one place a plan is installed.
+            if first || swapped {
+                comm.set_generation(epoch.generation);
+                graphs = plan_graphs(cfg, net, &epoch);
+                if let Some(m) = metrics {
+                    planner.publish(m, &epoch, &costs);
+                }
+            }
+            drop(barrier_span);
+            if let (Some(outcome), Some(m)) = (&outcome, metrics) {
+                let latency = t_barrier.elapsed().as_secs_f64();
+                runtime::publish_replan_metrics(m, outcome, latency);
+                calibrator.publish_metrics(m);
             }
         }
 
@@ -1291,18 +1209,6 @@ fn run_epochs(
             old_rank: rank,
         };
     }
-}
-
-/// Clamps a measured time series to be non-decreasing (averaging across
-/// ranks can introduce tiny inversions).
-fn monotonize(ts: &[f64]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(ts.len());
-    let mut cur = f64::NEG_INFINITY;
-    for &t in ts {
-        cur = cur.max(t);
-        out.push(cur);
-    }
-    out
 }
 
 #[cfg(test)]

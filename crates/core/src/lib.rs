@@ -21,15 +21,15 @@
 //! - [`optimizer`]: a single-process [`optimizer::KfacOptimizer`] — the
 //!   "one extra line of code" API of §V.
 //! - [`calibrate`]: **online cost-model calibration** — measured span
-//!   durations re-fit the α-β / exponential models at runtime, with
-//!   report-only detection of drift large enough to flip an Eq. 15 fusion
-//!   or NCT/CT placement decision.
-//! - [`runtime`]: the **adaptive re-planning runtime** — an epoch-versioned
-//!   plan store plus a barrier-synchronized controller that all-reduces each
-//!   rank's calibration refits, deterministically recomputes the fusion plan
-//!   and LBP placement from the agreed models, and atomically swaps the
-//!   active [`runtime::PlanEpoch`] (SPMD-safe: collectives are tagged with
-//!   their plan generation).
+//!   durations re-fit the α-β / exponential models at runtime into a
+//!   [`runtime::Costs`] record, with residual and drift metrics.
+//! - [`runtime`]: **planning** — one [`runtime::Planner`] whose pure
+//!   `plan(&Costs, prev)` makes every [`runtime::PlanEpoch`] of a run (the
+//!   starting plan, the first measured one, every re-plan), the `Costs`
+//!   record with its agreement encoding (one averaging all-reduce at an
+//!   inter-iteration barrier), and the barrier-synchronized
+//!   [`runtime::ReplanController`] that swaps the active epoch (SPMD-safe:
+//!   collectives are tagged with their plan generation).
 //! - [`distributed`]: multi-worker trainers running real collectives:
 //!   [`distributed::Algorithm::DKfac`], [`distributed::Algorithm::MpdKfac`]
 //!   and [`distributed::Algorithm::SpdKfac`], which produce numerically

@@ -1,45 +1,50 @@
-//! Adaptive re-planning runtime: barrier-synchronized actuation of
-//! calibration drift.
+//! Planning: the one place SPD-KFAC's two standing decisions — the Eq. 15
+//! fusion plans and the Algorithm 1 inverse placement — are made, from
+//! whatever the run knows about its costs at that moment.
 //!
-//! SPD-KFAC's two standing decisions — the Eq. 15 fusion plan and the
-//! Algorithm 1 LBP inverse placement — are computed from α-β/exponential
-//! cost models that [`crate::calibrate`] shows drift at runtime. This
-//! module is the control plane that closes the loop *safely*:
-//!
-//! 1. **Plan store** — the active [`PlanEpoch`] (fusion plans + placement,
-//!    versioned by a monotonically increasing `generation`).
-//! 2. **Model agreement** — at a synchronized inter-iteration barrier every
-//!    rank refits its local [`Calibrator`](crate::calibrate::Calibrator),
-//!    encodes the fitted coefficients into a fixed-size vector
-//!    ([`encode_models`]), and an averaging all-reduce makes every rank see
-//!    the *identical* agreed coefficients ([`decode_models`]). The
-//!    all-reduce doubles as the barrier.
-//! 3. **Deterministic re-plan** — each rank recomputes the placement and
-//!    fusion plans from the agreed models ([`replan`]). Determinism plus
-//!    identical inputs means every rank derives the identical candidate
-//!    plan with no further coordination.
-//! 4. **Atomic swap** — [`ReplanController::consider`] applies the policy
-//!    (hysteresis under [`ReplanPolicy::OnDrift`]) and, on a swap,
-//!    [`PlanStore::swap`] installs the new epoch and bumps the generation.
-//!    The trainer then tags subsequent collectives with the new generation
-//!    (`WorkerComm::set_generation`), so the causal analyzer's SPMD
-//!    k-th-collective matching stays sound per `(generation, seq)`.
+//! 1. **One cost record** — [`Costs`]: the α-β / exponential lines of
+//!    Eq. 14/26/27 (plus the wire-byte and codec lines), each optional, and
+//!    optional measured ready times. `DistributedConfig` supplies the
+//!    baselines, [`Calibrator::refit`](crate::calibrate::Calibrator::refit)
+//!    a rank's measured lines, and the agreement below the rank-identical
+//!    ones.
+//! 2. **One function** — [`Planner::plan`]`(costs, prev)`, pure and
+//!    rank-free: LBP and the Eq. 15 planner both break ties
+//!    deterministically, so identical costs yield the identical
+//!    [`PlanEpoch`] on every rank with no further coordination. Without
+//!    ready times it cuts one message per factor; with them, Eq. 15 under
+//!    the configured strategy.
+//! 3. **One agreement** — at an inter-iteration barrier every rank encodes
+//!    its local costs ([`Costs::encode`]), one *averaging* all-reduce —
+//!    which doubles as the barrier — makes every rank see the same vector,
+//!    and [`Costs::decode`] turns it back into a record: each line averaged
+//!    over exactly the ranks that fitted it.
+//! 4. **One install** — the trainer replaces its [`PlanEpoch`], rebuilds
+//!    its iteration graphs, stamps the generation onto subsequent
+//!    collectives (`WorkerComm::set_generation`, so the causal analyzer's
+//!    k-th-collective matching stays sound per `(generation, seq)`) and
+//!    publishes the plan gauges ([`Planner::publish`]). A segment's first
+//!    measured plan is installed as generation 0; a due barrier goes
+//!    through [`ReplanController::consider`] (hysteresis under
+//!    [`ReplanPolicy::OnDrift`]) and bumps the generation when it swaps.
 //!
 //! **SPMD-safety argument.** A mid-iteration re-plan would change the
 //! number and order of collectives on some ranks before others, deadlocking
-//! the group. Here every input to the swap decision is rank-identical: the
-//! barrier entry condition depends only on the iteration number
-//! ([`ReplanController::due`]), the models are agreed by all-reduce, the
-//! re-plan is a pure function of the agreed models, and the hysteresis
-//! counter advances in lockstep because its input (plan-changed?) is
-//! rank-identical. Therefore all ranks swap (or don't) together, and the
-//! submission order stays identical on every rank within each generation.
+//! the group. Here every input to an install is rank-identical: the barrier
+//! entry condition and the layout of the agreement vector depend only on
+//! the iteration number ([`ReplanController::due`], "first of the
+//! segment"), the costs are agreed by all-reduce, the plan is a pure
+//! function of the agreed costs, and the hysteresis counter advances in
+//! lockstep because its input (plan-changed?) is rank-identical. Therefore
+//! all ranks install (or don't) together, and the submission order stays
+//! identical on every rank within each generation.
 
-use crate::calibrate::RefitModels;
+use crate::distributed::{Algorithm, DistributedConfig};
 use crate::fusion::{self, FactorPipeline, FusionPlan, FusionStrategy};
 use crate::perf::{AlphaBetaModel, ExpInverseModel};
-use crate::placement::{self, Placement, PlacementStrategy};
+use crate::placement::{Placement, PlacementContext, PlacementPolicy, PlacementStrategy};
 use spdkfac_obs::MetricsRegistry;
+use spdkfac_tensor::sym::packed_len;
 
 /// One versioned set of standing decisions: what the data plane is running.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,7 +56,8 @@ pub struct PlanEpoch {
     pub g_fusion: Option<FusionPlan>,
     /// Algorithm 1 inverse placement.
     pub placement: Placement,
-    /// Epoch version; bumped by every [`PlanStore::swap`].
+    /// Epoch version: 0 from [`Planner::plan`], bumped by every swap of
+    /// [`ReplanController::consider`].
     pub generation: u64,
 }
 
@@ -65,64 +71,266 @@ impl PlanEpoch {
     }
 }
 
-/// Owner of the active [`PlanEpoch`]. Each rank holds its own store; the
-/// agreement protocol (module docs) keeps the contents rank-identical, so a
-/// local swap *is* the global swap.
-#[derive(Debug, Clone)]
-pub struct PlanStore {
-    epoch: PlanEpoch,
+/// Number of `f64`s the cost lines occupy in the agreement vector: five
+/// lines × `(presence, α, β)`.
+pub const MODEL_SLOTS: usize = 15;
+
+/// What a plan is decided from. Every line is optional — a rank whose
+/// calibrator could not fit one, or a run that measured nothing yet, leaves
+/// it `None` — and [`Planner::plan`] prices absent lines with its baselines.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Costs {
+    /// All-reduce α-β line over elements (Eq. 14; fusion planning).
+    pub allreduce: Option<AlphaBetaModel>,
+    /// Broadcast α-β line over elements (Eq. 27; NCT test / placement).
+    pub broadcast: Option<AlphaBetaModel>,
+    /// Exponential inversion model over tensor dimensions (Eq. 26).
+    pub inverse: Option<ExpInverseModel>,
+    /// All-reduce α-β line over post-encoding *wire bytes* (β in s/byte).
+    /// No baseline: absent on a cold start, or when spans carry no wire
+    /// meta.
+    pub allreduce_wire: Option<AlphaBetaModel>,
+    /// Wire-codec α-β line over elements (encode+decode CPU s/element). No
+    /// baseline: absent under the f64 pass-through, whose codec is free.
+    pub encode: Option<AlphaBetaModel>,
+    /// Seconds into its pass at which each factor's statistic was taken, in
+    /// pipeline order: the `A` statistics front to back, then the `G`
+    /// statistics back to front. Absent until an iteration has been timed.
+    pub ready: Option<Vec<f64>>,
 }
 
-impl PlanStore {
-    /// Creates a store with generation-0 decisions.
-    pub fn new(
-        placement: Placement,
-        a_fusion: Option<FusionPlan>,
-        g_fusion: Option<FusionPlan>,
-    ) -> Self {
-        PlanStore {
-            epoch: PlanEpoch {
-                a_fusion,
-                g_fusion,
-                placement,
-                generation: 0,
-            },
+impl Costs {
+    /// Flattens the record into an agreement vector. With `models`, the
+    /// five lines come first, each as `[has, α·has, β·has]`: a rank lacking
+    /// a fit contributes zeros, so after an *averaging* all-reduce the mean
+    /// of a coefficient over the ranks that do have one is
+    /// `avg(α·has) / avg(has)` — see [`Costs::decode`]. The ready times, if
+    /// any, follow. `models` and the presence of ready times decide the
+    /// layout, so both must be rank-identical.
+    pub fn encode(&self, models: bool) -> Vec<f64> {
+        let mut v = Vec::new();
+        if models {
+            let inverse = self.inverse.map(|m| AlphaBetaModel::new(m.alpha, m.beta));
+            let lines = [
+                self.allreduce,
+                self.broadcast,
+                inverse,
+                self.allreduce_wire,
+                self.encode,
+            ];
+            for line in lines {
+                v.extend(line.map_or([0.0; 3], |m| [1.0, m.alpha, m.beta]));
+            }
+        }
+        v.extend(self.ready.iter().flatten());
+        v
+    }
+
+    /// Reconstructs the record from the *averaged* agreement vector of
+    /// [`Costs::encode`]`(models)`. A line no rank fitted decodes to `None`
+    /// — not to a zero-coefficient model that would predict free
+    /// communication; [`Costs::or`] then puts a baseline behind it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `models` is set and `avg` is shorter than [`MODEL_SLOTS`].
+    pub fn decode(avg: &[f64], models: bool) -> Costs {
+        let (slots, ready) = if models {
+            assert!(avg.len() >= MODEL_SLOTS, "short agreement vector");
+            avg.split_at(MODEL_SLOTS)
+        } else {
+            avg.split_at(0)
+        };
+        let line = |i: usize| {
+            let s = slots.get(3 * i..3 * i + 3)?;
+            (s[0] > 0.0).then(|| AlphaBetaModel::new(s[1] / s[0], s[2] / s[0]))
+        };
+        Costs {
+            allreduce: line(0),
+            broadcast: line(1),
+            inverse: line(2).map(|m| ExpInverseModel::new(m.alpha, m.beta)),
+            allreduce_wire: line(3),
+            encode: line(4),
+            ready: (!ready.is_empty()).then(|| ready.to_vec()),
         }
     }
 
-    /// The active epoch.
-    pub fn current(&self) -> &PlanEpoch {
-        &self.epoch
+    /// `self`, with every absent entry taken from `fallback`.
+    pub fn or(&self, fallback: &Costs) -> Costs {
+        Costs {
+            allreduce: self.allreduce.or(fallback.allreduce),
+            broadcast: self.broadcast.or(fallback.broadcast),
+            inverse: self.inverse.or(fallback.inverse),
+            allreduce_wire: self.allreduce_wire.or(fallback.allreduce_wire),
+            encode: self.encode.or(fallback.encode),
+            ready: self.ready.as_ref().or(fallback.ready.as_ref()).cloned(),
+        }
     }
 
-    /// The active generation.
-    pub fn generation(&self) -> u64 {
-        self.epoch.generation
-    }
-
-    /// Replaces the fusion plans without a generation bump — used for the
-    /// iteration-0 measurement-driven plan agreement, which installs the
-    /// *first* real plan rather than re-planning an existing one.
-    pub fn install_fusion(&mut self, a_fusion: Option<FusionPlan>, g_fusion: Option<FusionPlan>) {
-        self.epoch.a_fusion = a_fusion;
-        self.epoch.g_fusion = g_fusion;
-    }
-
-    /// Installs a new epoch and bumps the generation; returns the new
-    /// generation. Call only after the agreement barrier (module docs).
-    pub fn swap(
-        &mut self,
-        placement: Placement,
-        a_fusion: Option<FusionPlan>,
-        g_fusion: Option<FusionPlan>,
-    ) -> u64 {
-        self.epoch = PlanEpoch {
-            a_fusion,
-            g_fusion,
-            placement,
-            generation: self.epoch.generation + 1,
+    /// The per-element all-reduce line for a wire format moving
+    /// `bytes_per_elem` bytes per `f64`: `β_elem = β_byte · bytes_per_elem +
+    /// β_encode`, α terms summed (a missing codec line costs nothing). The
+    /// plain per-element fit would bake the current format's compression
+    /// ratio into β. Without a wire-byte line it is the plain line as is,
+    /// so f64 runs and cold starts plan exactly as before.
+    pub fn effective_allreduce(&self, bytes_per_elem: f64) -> Option<AlphaBetaModel> {
+        let Some(wire) = self.allreduce_wire else {
+            return self.allreduce;
         };
-        self.epoch.generation
+        let codec = self.encode.unwrap_or(AlphaBetaModel::new(0.0, 0.0));
+        Some(AlphaBetaModel::new(
+            wire.alpha + codec.alpha,
+            wire.beta * bytes_per_elem + codec.beta,
+        ))
+    }
+}
+
+/// Clamps a measured time series to be non-decreasing (averaging across
+/// ranks can introduce tiny inversions).
+fn monotonize(ts: &[f64]) -> Vec<f64> {
+    let mut cur = f64::NEG_INFINITY;
+    ts.iter()
+        .map(|&t| {
+            cur = cur.max(t);
+            cur
+        })
+        .collect()
+}
+
+/// Everything about a segment that planning needs and that does not change
+/// while it runs: the configuration's strategies and baseline models, the
+/// model's factor dimensions and the world size. Built once per segment.
+#[derive(Debug)]
+pub struct Planner {
+    baselines: Costs,
+    inv_dims: Vec<usize>,
+    world: usize,
+    placement: PlacementStrategy,
+    fusion: FusionStrategy,
+    pipelined: bool,
+    bytes_per_elem: f64,
+}
+
+impl Planner {
+    /// A planner for `cfg` on a model whose preconditionable layers have
+    /// the `(a_dim, g_dim)` factor dimensions `dims`, across `world` ranks.
+    pub fn new(cfg: &DistributedConfig, dims: &[(usize, usize)], world: usize) -> Self {
+        Planner {
+            baselines: Costs {
+                allreduce: Some(cfg.comm_model),
+                broadcast: Some(cfg.comm_model),
+                inverse: Some(cfg.comp_model),
+                ..Costs::default()
+            },
+            inv_dims: dims.iter().flat_map(|&(a, g)| [a, g]).collect(),
+            world,
+            placement: cfg.effective_placement(),
+            fusion: cfg.fusion,
+            pipelined: matches!(cfg.algorithm, Algorithm::SpdKfac | Algorithm::EkfacSpd)
+                && !dims.is_empty(),
+            bytes_per_elem: cfg.wire.factor.bytes_per_elem(),
+        }
+    }
+
+    /// Dimension of every tensor (`A_l`, `G_l` interleaved).
+    pub fn inv_dims(&self) -> &[usize] {
+        &self.inv_dims
+    }
+
+    /// The `(inversion, broadcast, factor all-reduce)` lines `costs` stands
+    /// for: absent lines fall back to the baselines, and the all-reduce is
+    /// priced for the factor wire format in force.
+    fn lines(&self, costs: &Costs) -> (ExpInverseModel, AlphaBetaModel, AlphaBetaModel) {
+        let priced = costs.or(&self.baselines);
+        let baselined = "the baselines price every line";
+        (
+            priced.inverse.expect(baselined),
+            priced.broadcast.expect(baselined),
+            priced
+                .effective_allreduce(self.bytes_per_elem)
+                .expect(baselined),
+        )
+    }
+
+    /// The standing decisions `costs` imply, as generation 0.
+    ///
+    /// Pure and rank-free. The placement is the configured policy's over
+    /// the 2L tensors; `prev` is the standing placement (identical on every
+    /// rank — it is part of the agreed epoch): with it, LBP charges a
+    /// broadcast-priced migration cost before moving tensor ownership, so
+    /// marginal refits keep assignments sticky. The algorithms that
+    /// pipeline factor communication behind the passes (SPD, EKFAC-SPD)
+    /// also get a fusion plan per pass: one message per factor while
+    /// `costs` holds no ready times, Eq. 15 under the configured strategy
+    /// once it does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `costs.ready` does not hold one time per factor.
+    pub fn plan(&self, costs: &Costs, prev: Option<&Placement>) -> PlanEpoch {
+        let (inverse, broadcast, allreduce) = self.lines(costs);
+        let ctx = PlacementContext::new(&self.inv_dims, self.world, &inverse, &broadcast)
+            .with_prev(prev.map(Placement::assignments));
+        let layers = self.inv_dims.len() / 2;
+        let ready = costs.ready.as_deref().map(|r| {
+            assert_eq!(r.len(), 2 * layers, "one ready time per factor");
+            r.split_at(layers)
+        });
+        let fuse = |sizes: Vec<usize>, ready: Option<&[f64]>| {
+            let (ready, strategy) = match ready {
+                Some(r) => (monotonize(r), self.fusion),
+                None => (vec![0.0; layers], FusionStrategy::LayerWise),
+            };
+            let pipe = FactorPipeline::new(ready, sizes).expect("monotone, one per factor");
+            fusion::plan(&pipe, &allreduce, strategy)
+        };
+        // Packed factor sizes in pipeline order: A front to back (forward
+        // pass), G back to front (backward pass).
+        let packed = |d: &usize| packed_len(*d);
+        let a_sizes = self.inv_dims.iter().step_by(2).map(packed).collect();
+        let g_sizes_rev = self.inv_dims.iter().skip(1).step_by(2).rev();
+        let g_sizes_rev = g_sizes_rev.map(packed).collect();
+        let (a_ready, g_ready) = ready.unzip();
+        PlanEpoch {
+            a_fusion: self.pipelined.then(|| fuse(a_sizes, a_ready)),
+            g_fusion: self.pipelined.then(|| fuse(g_sizes_rev, g_ready)),
+            placement: self.placement.place(&ctx),
+            generation: 0,
+        }
+    }
+
+    /// Publishes the plan gauges for an installed `plan`, priced with the
+    /// `costs` that made it:
+    ///
+    /// - `placement/{nct,ct}` — the load balancer's verdict;
+    /// - `placement/gpu{g}/load` — the modelled per-GPU load it balanced
+    ///   (Eq. 21);
+    /// - `fusion/{a,g}/{factors,messages,merges}` — the tensor-fusion
+    ///   verdict (Eq. 15): how many factors each pass fused into how many
+    ///   messages.
+    pub fn publish(&self, m: &MetricsRegistry, plan: &PlanEpoch, costs: &Costs) {
+        let (inverse, broadcast, _) = self.lines(costs);
+        let ncts = plan.placement.num_nct();
+        m.gauge("placement/nct").set(ncts as f64);
+        m.gauge("placement/ct")
+            .set((self.inv_dims.len() - ncts) as f64);
+        let loads = plan
+            .placement
+            .per_gpu_load(&self.inv_dims, &inverse, &broadcast);
+        for (g, load) in loads.iter().enumerate() {
+            m.gauge(&format!("placement/gpu{g}/load")).set(*load);
+        }
+        let factors = self.inv_dims.len() / 2;
+        for (pass, fusion) in [("a", &plan.a_fusion), ("g", &plan.g_fusion)] {
+            if let Some(f) = fusion {
+                m.gauge(&format!("fusion/{pass}/factors"))
+                    .set(factors as f64);
+                m.gauge(&format!("fusion/{pass}/messages"))
+                    .set(f.num_messages() as f64);
+                m.gauge(&format!("fusion/{pass}/merges"))
+                    .set((factors - f.num_messages()) as f64);
+            }
+        }
     }
 }
 
@@ -159,159 +367,6 @@ impl ReplanPolicy {
     }
 }
 
-/// Number of `f64`s in the model-agreement vector: five models ×
-/// `(count, α, β)`.
-pub const AGREEMENT_LEN: usize = 15;
-
-/// Flattens a rank's refit models into the agreement vector.
-///
-/// Layout per model (all-reduce α-β, broadcast α-β, inverse exp, wire-byte
-/// all-reduce α-β, codec α-β): `[has, α·has, β·has]`. Ranks lacking a fit
-/// contribute zeros, so after an *averaging* all-reduce the group mean of
-/// each coefficient over the ranks that do have a fit is
-/// `avg(α·has) / avg(has)` — see [`decode_models`].
-pub fn encode_models(models: &RefitModels) -> [f64; AGREEMENT_LEN] {
-    let mut v = [0.0f64; AGREEMENT_LEN];
-    if let Some(ar) = &models.allreduce {
-        v[0] = 1.0;
-        v[1] = ar.alpha;
-        v[2] = ar.beta;
-    }
-    if let Some(bc) = &models.broadcast {
-        v[3] = 1.0;
-        v[4] = bc.alpha;
-        v[5] = bc.beta;
-    }
-    if let Some(inv) = &models.inverse {
-        v[6] = 1.0;
-        v[7] = inv.alpha;
-        v[8] = inv.beta;
-    }
-    if let Some(w) = &models.allreduce_wire {
-        v[9] = 1.0;
-        v[10] = w.alpha;
-        v[11] = w.beta;
-    }
-    if let Some(e) = &models.encode {
-        v[12] = 1.0;
-        v[13] = e.alpha;
-        v[14] = e.beta;
-    }
-    v
-}
-
-/// The rank-identical models a re-plan decides from.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AgreedModels {
-    /// Agreed all-reduce α-β line (fusion planning), per element.
-    pub allreduce: AlphaBetaModel,
-    /// Agreed broadcast α-β line (NCT test / placement).
-    pub broadcast: AlphaBetaModel,
-    /// Agreed exponential inversion model (NCT test / placement).
-    pub inverse: ExpInverseModel,
-    /// Agreed all-reduce line over *wire bytes* (β in s/byte); `None` when
-    /// no rank fit one (cold start, or spans carried no wire meta).
-    pub allreduce_wire: Option<AlphaBetaModel>,
-    /// Agreed wire-codec line over elements (encode+decode CPU s/element);
-    /// `None` under the f64 pass-through, whose codec cost is zero.
-    pub encode: Option<AlphaBetaModel>,
-}
-
-impl AgreedModels {
-    /// The per-element all-reduce model the planners should use for a wire
-    /// format moving `bytes_per_elem` bytes per `f64`:
-    /// `β_elem = β_byte · bytes_per_elem + β_encode`, α terms summed. Falls
-    /// back to the plain per-element line when no wire-byte fit was agreed,
-    /// so f64 runs and cold starts plan exactly as before.
-    pub fn effective_allreduce(&self, bytes_per_elem: f64) -> AlphaBetaModel {
-        match &self.allreduce_wire {
-            Some(wire) => {
-                let (enc_alpha, enc_beta) = match &self.encode {
-                    Some(e) => (e.alpha, e.beta),
-                    None => (0.0, 0.0),
-                };
-                AlphaBetaModel::new(
-                    wire.alpha + enc_alpha,
-                    wire.beta * bytes_per_elem + enc_beta,
-                )
-            }
-            None => self.allreduce,
-        }
-    }
-}
-
-/// Reconstructs the agreed models from the *averaged* agreement vector.
-///
-/// Models no rank could fit fall back to the trainer's baselines, so a
-/// cold-start group re-plans from the same models it planned with — a
-/// fixed point, not a churn. The wire-byte and codec lines have no
-/// baseline: they decode to `None` instead, and
-/// [`AgreedModels::effective_allreduce`] degrades to the per-element line.
-pub fn decode_models(
-    avg: &[f64],
-    baseline_comp: &ExpInverseModel,
-    baseline_comm: &AlphaBetaModel,
-) -> AgreedModels {
-    assert!(avg.len() >= AGREEMENT_LEN, "short agreement vector");
-    let line = |base: usize, fallback: AlphaBetaModel| -> AlphaBetaModel {
-        if avg[base] > 0.0 {
-            AlphaBetaModel::new(avg[base + 1] / avg[base], avg[base + 2] / avg[base])
-        } else {
-            fallback
-        }
-    };
-    let opt_line = |base: usize| -> Option<AlphaBetaModel> {
-        (avg[base] > 0.0)
-            .then(|| AlphaBetaModel::new(avg[base + 1] / avg[base], avg[base + 2] / avg[base]))
-    };
-    let allreduce = line(0, *baseline_comm);
-    let broadcast = line(3, *baseline_comm);
-    let inverse = if avg[6] > 0.0 {
-        ExpInverseModel::new(avg[7] / avg[6], avg[8] / avg[6])
-    } else {
-        *baseline_comp
-    };
-    AgreedModels {
-        allreduce,
-        broadcast,
-        inverse,
-        allreduce_wire: opt_line(9),
-        encode: opt_line(12),
-    }
-}
-
-/// Deterministically recomputes the standing decisions from agreed models.
-///
-/// Pure function of its arguments: identical inputs on every rank yield the
-/// identical candidate plan (LBP and the Eq. 15 planner both break ties
-/// deterministically). `prev` is the standing placement (identical on every
-/// rank — it is part of the agreed epoch): with it, LBP charges a
-/// broadcast-priced migration cost before moving tensor ownership, so
-/// marginal model refits keep assignments sticky.
-#[allow(clippy::too_many_arguments)]
-pub fn replan(
-    agreed: &AgreedModels,
-    inv_dims: &[usize],
-    world: usize,
-    placement_strategy: PlacementStrategy,
-    prev: Option<&Placement>,
-    a_pipeline: Option<&FactorPipeline>,
-    g_pipeline: Option<&FactorPipeline>,
-    fusion_strategy: FusionStrategy,
-) -> (Placement, Option<FusionPlan>, Option<FusionPlan>) {
-    let placement = placement::place_with_prev(
-        inv_dims,
-        world,
-        &agreed.inverse,
-        &agreed.broadcast,
-        placement_strategy,
-        prev.map(|p| p.assignments()),
-    );
-    let a_fusion = a_pipeline.map(|p| fusion::plan(p, &agreed.allreduce, fusion_strategy));
-    let g_fusion = g_pipeline.map(|p| fusion::plan(p, &agreed.allreduce, fusion_strategy));
-    (placement, a_fusion, g_fusion)
-}
-
 /// Outcome of one re-plan barrier, for logging and metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplanOutcome {
@@ -341,11 +396,6 @@ impl ReplanController {
         ReplanController { policy, pending: 0 }
     }
 
-    /// The controller's policy.
-    pub fn policy(&self) -> ReplanPolicy {
-        self.policy
-    }
-
     /// `true` when ranks must enter the re-plan barrier after (0-based)
     /// iteration `iter`. Deterministic in `iter` alone — the SPMD-safe
     /// entry condition.
@@ -356,57 +406,41 @@ impl ReplanController {
         }
     }
 
-    /// Applies the policy to a candidate plan and swaps the store when the
-    /// policy says so. Call on every rank with rank-identical inputs,
-    /// inside the barrier.
+    /// Applies the policy to a `candidate` plan and, when the policy says
+    /// so, replaces `current` with it under the next generation. Call on
+    /// every rank with rank-identical inputs, inside the barrier.
     ///
-    /// Re-planning from models that reproduce the current plan is a fixed
-    /// point: no swap, no generation bump, and the hysteresis counter
-    /// resets.
-    pub fn consider(
-        &mut self,
-        store: &mut PlanStore,
-        placement: Placement,
-        a_fusion: Option<FusionPlan>,
-        g_fusion: Option<FusionPlan>,
-    ) -> ReplanOutcome {
-        let current = store.current();
-        let changed = current.placement != placement
-            || current.a_fusion != a_fusion
-            || current.g_fusion != g_fusion;
-        if !changed {
-            self.pending = 0;
-            return ReplanOutcome {
-                swapped: false,
-                generation: store.generation(),
-                placement_flips: 0,
-                fusion_changed: false,
-            };
-        }
-        self.pending += 1;
+    /// A candidate that reproduces the current plan is a fixed point: no
+    /// swap, no generation bump, and the hysteresis counter resets.
+    pub fn consider(&mut self, current: &mut PlanEpoch, candidate: PlanEpoch) -> ReplanOutcome {
         let need = match self.policy {
             ReplanPolicy::OnDrift { hysteresis, .. } => hysteresis.max(1),
             _ => 1,
         };
-        if self.pending < need {
-            return ReplanOutcome {
-                swapped: false,
-                generation: store.generation(),
-                placement_flips: 0,
-                fusion_changed: false,
+        self.pending = if current.plan_differs(&candidate) {
+            self.pending + 1
+        } else {
+            0
+        };
+        let mut outcome = ReplanOutcome {
+            swapped: self.pending >= need,
+            generation: current.generation,
+            placement_flips: 0,
+            fusion_changed: false,
+        };
+        if outcome.swapped {
+            self.pending = 0;
+            outcome.generation += 1;
+            outcome.placement_flips =
+                count_placement_flips(&current.placement, &candidate.placement);
+            outcome.fusion_changed =
+                current.a_fusion != candidate.a_fusion || current.g_fusion != candidate.g_fusion;
+            *current = PlanEpoch {
+                generation: outcome.generation,
+                ..candidate
             };
         }
-        self.pending = 0;
-        let placement_flips = count_placement_flips(&store.current().placement, &placement);
-        let fusion_changed =
-            store.current().a_fusion != a_fusion || store.current().g_fusion != g_fusion;
-        let generation = store.swap(placement, a_fusion, g_fusion);
-        ReplanOutcome {
-            swapped: true,
-            generation,
-            placement_flips,
-            fusion_changed,
-        }
+        outcome
     }
 }
 
@@ -461,58 +495,76 @@ mod tests {
         ExpInverseModel::new(5e-5, 2e-3)
     }
 
-    fn agreed_from_baselines() -> AgreedModels {
-        AgreedModels {
-            allreduce: comm(),
-            broadcast: comm(),
-            inverse: comp(),
-            allreduce_wire: None,
-            encode: None,
+    fn baselines() -> Costs {
+        Costs {
+            allreduce: Some(comm()),
+            broadcast: Some(comm()),
+            inverse: Some(comp()),
+            ..Costs::default()
         }
     }
 
-    fn strategy() -> PlacementStrategy {
-        PlacementStrategy::Lbp {
+    /// An SPD-KFAC planner over tensors of dimensions `inv_dims` (`A_l`,
+    /// `G_l` interleaved) with the baselines above.
+    fn planner(inv_dims: &[usize], world: usize) -> Planner {
+        let mut cfg = DistributedConfig::new(world, Algorithm::SpdKfac);
+        cfg.comp_model = comp();
+        cfg.comm_model = comm();
+        cfg.placement = Some(PlacementStrategy::Lbp {
             weight: LbpWeight::DimSquared,
-        }
+        });
+        let dims: Vec<(usize, usize)> = inv_dims.chunks(2).map(|c| (c[0], c[1])).collect();
+        Planner::new(&cfg, &dims, world)
     }
 
     #[test]
     fn encode_decode_roundtrip() {
-        let models = RefitModels {
+        let costs = Costs {
             allreduce: Some(AlphaBetaModel::new(1e-3, 5e-8)),
             broadcast: Some(AlphaBetaModel::new(2e-3, 7e-8)),
-            broadcast_is_prior: false,
             inverse: Some(ExpInverseModel::new(3e-4, 1.5e-3)),
-            inverse_cubic: None,
             allreduce_wire: Some(AlphaBetaModel::new(9e-4, 6e-9)),
             encode: Some(AlphaBetaModel::new(1e-6, 1.2e-9)),
+            ready: None,
         };
-        let v = encode_models(&models);
-        let agreed = decode_models(&v, &comp(), &comm());
-        assert!((agreed.allreduce.alpha - 1e-3).abs() < 1e-15);
-        assert!((agreed.broadcast.beta - 7e-8).abs() < 1e-20);
-        assert!((agreed.inverse.alpha - 3e-4).abs() < 1e-15);
+        let v = costs.encode(true);
+        assert_eq!(v.len(), MODEL_SLOTS);
+        let agreed = Costs::decode(&v, true);
+        assert!((agreed.allreduce.expect("line").alpha - 1e-3).abs() < 1e-15);
+        assert!((agreed.broadcast.expect("line").beta - 7e-8).abs() < 1e-20);
+        assert!((agreed.inverse.expect("line").alpha - 3e-4).abs() < 1e-15);
         let wire = agreed.allreduce_wire.expect("wire line agreed");
         assert!((wire.beta - 6e-9).abs() < 1e-20);
         let enc = agreed.encode.expect("codec line agreed");
         assert!((enc.beta - 1.2e-9).abs() < 1e-20);
+        // Ready times ride behind the lines, or alone.
+        let timed = Costs {
+            ready: Some(vec![0.0, 0.5, 0.25, 0.75]),
+            ..costs.clone()
+        };
+        assert_eq!(Costs::decode(&timed.encode(true), true), timed);
+        assert_eq!(timed.encode(false), [0.0, 0.5, 0.25, 0.75]);
+        assert_eq!(
+            Costs::decode(&timed.encode(false), false).ready,
+            timed.ready
+        );
+        assert!(Costs::default().encode(false).is_empty());
     }
 
     #[test]
     fn effective_allreduce_composes_wire_and_codec() {
-        let mut agreed = agreed_from_baselines();
+        let mut agreed = baselines();
         // Without a wire fit the plain per-element line is returned as-is.
         assert_eq!(agreed.effective_allreduce(2.0), agreed.allreduce);
         agreed.allreduce_wire = Some(AlphaBetaModel::new(1e-4, 3e-9));
         agreed.encode = Some(AlphaBetaModel::new(2e-5, 1e-9));
         // f16 (2 B/element): β_elem = 3e-9·2 + 1e-9, α terms summed.
-        let eff = agreed.effective_allreduce(2.0);
+        let eff = agreed.effective_allreduce(2.0).expect("line");
         assert!((eff.alpha - 1.2e-4).abs() < 1e-15);
         assert!((eff.beta - 7e-9).abs() < 1e-20);
         // Codec-free wire fit still composes.
         agreed.encode = None;
-        let eff = agreed.effective_allreduce(8.0);
+        let eff = agreed.effective_allreduce(8.0).expect("line");
         assert!((eff.beta - 24e-9).abs() < 1e-20);
     }
 
@@ -520,11 +572,12 @@ mod tests {
     fn wireless_ranks_decode_to_no_wire_line() {
         // No rank fit wire/codec lines: agreement must decode them to None,
         // not to a zero-coefficient model that would predict free comm.
-        let v = encode_models(&RefitModels {
+        let v = Costs {
             allreduce: Some(AlphaBetaModel::new(1e-3, 5e-8)),
-            ..RefitModels::default()
-        });
-        let agreed = decode_models(&v, &comp(), &comm());
+            ..Costs::default()
+        }
+        .encode(true);
+        let agreed = Costs::decode(&v, true).or(&baselines());
         assert!(agreed.allreduce_wire.is_none());
         assert!(agreed.encode.is_none());
     }
@@ -533,167 +586,97 @@ mod tests {
     fn decode_averages_only_over_fitted_ranks() {
         // Rank A fit (α=2e-3), ranks B,C did not: the averaged vector is
         // the element-wise mean; decode must recover rank A's α exactly.
-        let fitted = RefitModels {
+        let fitted = Costs {
             allreduce: Some(AlphaBetaModel::new(2e-3, 4e-8)),
-            ..RefitModels::default()
+            ..Costs::default()
         };
-        let unfitted = RefitModels::default();
+        let unfitted = Costs::default();
         let vecs = [
-            encode_models(&fitted),
-            encode_models(&unfitted),
-            encode_models(&unfitted),
+            fitted.encode(true),
+            unfitted.encode(true),
+            unfitted.encode(true),
         ];
-        let mut avg = [0.0f64; AGREEMENT_LEN];
+        let mut avg = [0.0f64; MODEL_SLOTS];
         for v in &vecs {
             for (a, x) in avg.iter_mut().zip(v) {
                 *a += x / vecs.len() as f64;
             }
         }
-        let agreed = decode_models(&avg, &comp(), &comm());
-        assert!((agreed.allreduce.alpha - 2e-3).abs() < 1e-12);
-        assert!((agreed.allreduce.beta - 4e-8).abs() < 1e-18);
+        let agreed = Costs::decode(&avg, true);
+        let allreduce = agreed.allreduce.expect("one rank fitted it");
+        assert!((allreduce.alpha - 2e-3).abs() < 1e-12);
+        assert!((allreduce.beta - 4e-8).abs() < 1e-18);
         // No rank fit broadcast/inverse: baselines stand in.
-        assert_eq!(agreed.broadcast, comm());
-        assert_eq!(agreed.inverse.alpha, comp().alpha);
+        assert_eq!((agreed.broadcast, agreed.inverse), (None, None));
+        let agreed = agreed.or(&baselines());
+        assert_eq!(agreed.broadcast, Some(comm()));
+        assert_eq!(agreed.inverse, Some(comp()));
+    }
+
+    #[test]
+    #[should_panic(expected = "short agreement vector")]
+    fn decode_rejects_a_short_vector() {
+        Costs::decode(&[1.0; MODEL_SLOTS - 1], true);
     }
 
     #[test]
     fn replan_from_identical_models_is_fixed_point() {
-        let dims = vec![64usize, 256, 1024, 2048, 32, 512];
-        let agreed = agreed_from_baselines();
-        let (p0, _, _) = replan(
-            &agreed,
-            &dims,
-            4,
-            strategy(),
-            None,
-            None,
-            None,
-            FusionStrategy::Optimal,
-        );
-        let mut store = PlanStore::new(p0.clone(), None, None);
+        let planner = planner(&[64, 256, 1024, 2048, 32, 512], 4);
+        let agreed = baselines();
+        let p0 = planner.plan(&agreed, None);
+        let mut epoch = p0.clone();
         let mut ctl = ReplanController::new(ReplanPolicy::EveryN(1));
         for _ in 0..5 {
-            let (p, a, g) = replan(
-                &agreed,
-                &dims,
-                4,
-                strategy(),
-                None,
-                None,
-                None,
-                FusionStrategy::Optimal,
-            );
-            let out = ctl.consider(&mut store, p, a, g);
+            let out = ctl.consider(&mut epoch, planner.plan(&agreed, None));
             assert!(!out.swapped, "identical models must not churn the plan");
             assert_eq!(out.generation, 0);
         }
-        assert_eq!(store.current().placement, p0);
+        assert_eq!(epoch, p0);
+    }
+
+    /// Inversion ~1e6x slower than the baselines believe.
+    fn drifted() -> Costs {
+        Costs {
+            inverse: Some(ExpInverseModel::new(comp().alpha * 1e6, comp().beta)),
+            ..baselines()
+        }
     }
 
     #[test]
     fn drifted_models_swap_and_bump_generation() {
-        let dims = vec![64usize, 256, 1024, 2048, 32, 512];
-        let base = agreed_from_baselines();
-        let (p0, _, _) = replan(
-            &base,
-            &dims,
-            4,
-            strategy(),
-            None,
-            None,
-            None,
-            FusionStrategy::Optimal,
-        );
-        let mut store = PlanStore::new(p0, None, None);
+        let planner = planner(&[64, 256, 1024, 2048, 32, 512], 4);
+        let mut epoch = planner.plan(&baselines(), None);
         let mut ctl = ReplanController::new(ReplanPolicy::EveryN(1));
-        // Inversion now ~1e6x slower than the baseline believed: NCTs flip
-        // to CT, the placement changes.
-        let drifted = AgreedModels {
-            inverse: ExpInverseModel::new(comp().alpha * 1e6, comp().beta),
-            ..base
-        };
-        let (p, a, g) = replan(
-            &drifted,
-            &dims,
-            4,
-            strategy(),
-            None,
-            None,
-            None,
-            FusionStrategy::Optimal,
-        );
-        let out = ctl.consider(&mut store, p, a, g);
+        // NCTs flip to CT, the placement changes.
+        let candidate = planner.plan(&drifted(), None);
+        let out = ctl.consider(&mut epoch, candidate.clone());
         assert!(out.swapped);
         assert_eq!(out.generation, 1);
         assert!(out.placement_flips > 0);
-        assert_eq!(store.generation(), 1);
+        assert_eq!(epoch.generation, 1);
+        assert!(!epoch.plan_differs(&candidate));
     }
 
     #[test]
     fn hysteresis_defers_swap_until_consecutive_flags() {
-        let dims = vec![64usize, 2048];
-        let base = agreed_from_baselines();
-        let (p0, _, _) = replan(
-            &base,
-            &dims,
-            2,
-            strategy(),
-            None,
-            None,
-            None,
-            FusionStrategy::Optimal,
-        );
-        let mut store = PlanStore::new(p0, None, None);
+        let planner = planner(&[64, 2048], 2);
+        let mut epoch = planner.plan(&baselines(), None);
         let mut ctl = ReplanController::new(ReplanPolicy::OnDrift {
             check_every: 1,
             hysteresis: 3,
         });
-        let drifted = AgreedModels {
-            inverse: ExpInverseModel::new(comp().alpha * 1e6, comp().beta),
-            ..base
-        };
         for round in 0..2 {
-            let (p, a, g) = replan(
-                &drifted,
-                &dims,
-                2,
-                strategy(),
-                None,
-                None,
-                None,
-                FusionStrategy::Optimal,
-            );
-            let out = ctl.consider(&mut store, p, a, g);
+            let out = ctl.consider(&mut epoch, planner.plan(&drifted(), None));
             assert!(!out.swapped, "round {round} swapped before hysteresis");
         }
         // A clean check in between resets the streak.
-        let (p, a, g) = replan(
-            &base,
-            &dims,
-            2,
-            strategy(),
-            None,
-            None,
-            None,
-            FusionStrategy::Optimal,
-        );
-        assert!(!ctl.consider(&mut store, p, a, g).swapped);
+        let clean = planner.plan(&baselines(), None);
+        assert!(!ctl.consider(&mut epoch, clean).swapped);
         for round in 0..3 {
-            let (p, a, g) = replan(
-                &drifted,
-                &dims,
-                2,
-                strategy(),
-                None,
-                None,
-                None,
-                FusionStrategy::Optimal,
-            );
-            let out = ctl.consider(&mut store, p, a, g);
+            let out = ctl.consider(&mut epoch, planner.plan(&drifted(), None));
             assert_eq!(out.swapped, round == 2, "round {round}");
         }
-        assert_eq!(store.generation(), 1);
+        assert_eq!(epoch.generation, 1);
     }
 
     #[test]
@@ -715,25 +698,35 @@ mod tests {
     }
 
     #[test]
-    fn install_fusion_does_not_bump_generation() {
-        let dims = vec![64usize, 2048];
-        let base = agreed_from_baselines();
-        let (p0, _, _) = replan(
-            &base,
-            &dims,
-            2,
-            strategy(),
-            None,
-            None,
-            None,
-            FusionStrategy::Optimal,
-        );
-        let mut store = PlanStore::new(p0, None, None);
-        let pipe = FactorPipeline::new(vec![0.0, 0.1], vec![100, 200]).expect("pipeline");
-        let plan = fusion::plan(&pipe, &comm(), FusionStrategy::Optimal);
-        store.install_fusion(Some(plan.clone()), None);
-        assert_eq!(store.generation(), 0);
-        assert_eq!(store.current().a_fusion.as_ref(), Some(&plan));
+    fn plan_gauges_describe_the_plan_and_the_costs_given() {
+        let planner = planner(&[64, 2048], 2);
+        let m = MetricsRegistry::new();
+        let costs = Costs {
+            ready: Some(vec![0.0, 0.0]),
+            ..Costs::default()
+        };
+        let plan = planner.plan(&costs, None);
+        planner.publish(&m, &plan, &costs);
+        let snap = m.snapshot();
+        assert_eq!(snap.gauges["placement/nct"], 2.0);
+        assert_eq!(snap.gauges["placement/ct"], 0.0);
+        assert_eq!(snap.gauges["fusion/a/factors"], 1.0);
+        assert_eq!(snap.gauges["fusion/g/messages"], 1.0);
+        assert_eq!(snap.gauges["fusion/g/merges"], 0.0);
+        // Everything CT under the drifted costs, and the loads priced with
+        // them, not with the baselines.
+        let plan = planner.plan(&drifted(), None);
+        planner.publish(&m, &plan, &drifted());
+        let snap = m.snapshot();
+        assert_eq!(snap.gauges["placement/nct"], 0.0);
+        assert_eq!(snap.gauges["placement/ct"], 2.0);
+        let loads = snap.gauges["placement/gpu0/load"] + snap.gauges["placement/gpu1/load"];
+        let inverse = drifted().inverse.expect("line");
+        let modelled: f64 = [64, 2048]
+            .iter()
+            .map(|&d| inverse.time(d) + comm().time_packed(d))
+            .sum();
+        assert!((loads - modelled).abs() <= 1e-9 * modelled);
     }
 
     #[test]

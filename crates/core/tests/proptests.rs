@@ -1,12 +1,13 @@
 //! Property tests for the fusion planner, the load-balancing placement,
-//! and the adaptive re-planning runtime.
+//! and the planner (`core::runtime`) that calls both.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
+use spdkfac_core::distributed::{Algorithm, DistributedConfig};
 use spdkfac_core::fusion::{self, FactorPipeline, FusionStrategy};
 use spdkfac_core::perf::{AlphaBetaModel, ExpInverseModel};
 use spdkfac_core::placement::{self, LbpWeight, PlacementStrategy, TensorAssignment};
-use spdkfac_core::runtime::{self, AgreedModels, PlanStore, ReplanController, ReplanPolicy};
+use spdkfac_core::runtime::{Costs, Planner, ReplanController, ReplanPolicy};
 
 /// Strategy: a pipeline of 1..40 factors with non-decreasing ready times.
 fn pipeline_strategy() -> impl Strategy<Value = FactorPipeline> {
@@ -25,6 +26,63 @@ fn pipeline_strategy() -> impl Strategy<Value = FactorPipeline> {
 
 fn comm_strategy() -> impl Strategy<Value = AlphaBetaModel> {
     (1e-5f64..5e-3, 1e-11f64..1e-8).prop_map(|(a, b)| AlphaBetaModel::new(a, b))
+}
+
+fn inverse_strategy() -> impl Strategy<Value = ExpInverseModel> {
+    (1e-6f64..1e-2, 1e-4f64..3e-3).prop_map(|(a, b)| ExpInverseModel::new(a, b))
+}
+
+/// Running sums of `gaps`: a non-decreasing series of ready times.
+fn cumulative(gaps: &[f64]) -> impl Iterator<Item = f64> + '_ {
+    gaps.iter().scan(0.0, |t, g| {
+        *t += g;
+        Some(*t)
+    })
+}
+
+/// Strategy: the `(a_dim, g_dim)` factor dimensions of 1..20 layers, and a
+/// ready time per factor in pipeline order (non-decreasing within a pass).
+fn layers_strategy() -> impl Strategy<Value = (Vec<(usize, usize)>, Vec<f64>)> {
+    (1usize..20).prop_flat_map(|n| {
+        let dims = pvec((8usize..4096, 8usize..4096), n);
+        (dims, pvec(0.0f64..0.5, 2 * n)).prop_map(move |(dims, gaps)| {
+            let (a, g) = gaps.split_at(n);
+            (dims, cumulative(a).chain(cumulative(g)).collect())
+        })
+    })
+}
+
+/// Strategy: `None` or a value of `s`, evenly.
+fn maybe<S: Strategy>(s: S) -> impl Strategy<Value = Option<S::Value>> {
+    (0usize..2, s).prop_map(|(present, v)| (present == 1).then_some(v))
+}
+
+/// Strategy: a cost record with any subset of its lines present, with or
+/// without `ready` times for `factors` factors.
+fn costs_strategy(factors: usize) -> impl Strategy<Value = Costs> {
+    let comm = || maybe(comm_strategy());
+    let lines = (comm(), comm(), maybe(inverse_strategy()), comm(), comm());
+    (lines, maybe(pvec(0.0f64..2.0, factors))).prop_map(|(lines, ready)| {
+        let (allreduce, broadcast, inverse, allreduce_wire, encode) = lines;
+        Costs {
+            allreduce,
+            broadcast,
+            inverse,
+            allreduce_wire,
+            encode,
+            ready,
+        }
+    })
+}
+
+/// An SPD-KFAC planner with time-weighted LBP and Eq. 15 fusion.
+fn spd_planner(dims: &[(usize, usize)], world: usize) -> Planner {
+    let mut cfg = DistributedConfig::new(world, Algorithm::SpdKfac);
+    cfg.placement = Some(PlacementStrategy::Lbp {
+        weight: LbpWeight::ModeledTime,
+    });
+    cfg.fusion = FusionStrategy::Optimal;
+    Planner::new(&cfg, dims, world)
 }
 
 proptest! {
@@ -247,47 +305,108 @@ proptest! {
 
     #[test]
     fn replanning_from_identical_models_is_a_fixed_point(
-        dims in pvec(8usize..4096, 1..40),
+        layers in layers_strategy(),
         world in 1usize..12,
-        comm_alpha in 1e-5f64..5e-3,
-        comm_beta in 1e-11f64..1e-8,
+        allreduce in comm_strategy(),
         bcast_scale in 0.5f64..2.0,
-        inv_alpha in 1e-6f64..1e-2,
-        inv_beta in 1e-4f64..3e-3,
-        p in pipeline_strategy(),
+        inverse in inverse_strategy(),
     ) {
-        // The SPMD-safety argument of `core::runtime` rests on re-planning
-        // being a pure function of the agreed models: for *any* models,
-        // pipeline, and placement problem, re-planning from the models that
+        // The SPMD-safety argument of `core::runtime` rests on planning
+        // being a pure function of the agreed costs: for *any* costs,
+        // pipelines, and placement problem, re-planning from the costs that
         // produced the active epoch must reproduce it exactly — no swap, no
         // generation bump, no placement churn, ever.
-        let agreed = AgreedModels {
-            allreduce: AlphaBetaModel::new(comm_alpha, comm_beta),
-            broadcast: AlphaBetaModel::new(comm_alpha * bcast_scale, comm_beta),
-            inverse: ExpInverseModel::new(inv_alpha, inv_beta),
-            allreduce_wire: None,
-            encode: None,
+        let (dims, ready) = layers;
+        let agreed = Costs {
+            allreduce: Some(allreduce),
+            broadcast: Some(AlphaBetaModel::new(allreduce.alpha * bcast_scale, allreduce.beta)),
+            inverse: Some(inverse),
+            ready: Some(ready),
+            ..Costs::default()
         };
-        let strategy = PlacementStrategy::Lbp { weight: LbpWeight::ModeledTime };
-        let (p0, a0, g0) = runtime::replan(
-            &agreed, &dims, world, strategy, None, Some(&p), Some(&p), FusionStrategy::Optimal,
-        );
-        let mut store = PlanStore::new(p0.clone(), a0, g0);
+        let planner = spd_planner(&dims, world);
+        let p0 = planner.plan(&agreed, None);
+        prop_assert!(p0.a_fusion.is_some() && p0.g_fusion.is_some());
+        let mut epoch = p0.clone();
         let mut ctl = ReplanController::new(ReplanPolicy::EveryN(1));
         for round in 0..3 {
             // Re-planning with the standing placement as `prev` must also be
             // a fixed point: migration pricing only ever reinforces it.
-            let standing = store.current().placement.clone();
-            let (pl, a, g) = runtime::replan(
-                &agreed, &dims, world, strategy, Some(&standing), Some(&p), Some(&p),
-                FusionStrategy::Optimal,
-            );
-            let out = ctl.consider(&mut store, pl, a, g);
+            let candidate = planner.plan(&agreed, Some(&epoch.placement));
+            let out = ctl.consider(&mut epoch, candidate);
             prop_assert!(!out.swapped, "round {round}: identical models swapped the epoch");
             prop_assert_eq!(out.generation, 0);
             prop_assert_eq!(out.placement_flips, 0);
         }
-        prop_assert_eq!(&store.current().placement, &p0);
+        prop_assert_eq!(&epoch, &p0);
+    }
+
+    #[test]
+    fn plan_is_deterministic_and_starts_one_message_per_factor(
+        layers in layers_strategy(),
+        world in 1usize..12,
+        lines in costs_strategy(0),
+        strategy_pick in 0usize..3,
+    ) {
+        let (dims, ready) = layers;
+        let lines = Costs { ready: None, ..lines };
+        let strategy = [
+            PlacementStrategy::SeqDist,
+            PlacementStrategy::default(),
+            PlacementStrategy::Lbp { weight: LbpWeight::ModeledTime },
+        ][strategy_pick];
+        let mut cfg = DistributedConfig::new(world, Algorithm::SpdKfac);
+        cfg.placement = Some(strategy);
+        let planner = Planner::new(&cfg, &dims, world);
+        let timed = Costs { ready: Some(ready), ..lines.clone() };
+        for costs in [&lines, &timed] {
+            let plan = planner.plan(costs, None);
+            prop_assert_eq!(&planner.plan(costs, None), &plan);
+            let prev = Some(&plan.placement);
+            prop_assert_eq!(planner.plan(costs, prev), planner.plan(costs, prev));
+            prop_assert_eq!(plan.generation, 0);
+        }
+        // No ready times: one message per factor, and the placement the
+        // configured strategy gives under the lines, baselines behind them.
+        let plan = planner.plan(&lines, None);
+        let singletons: Vec<Vec<usize>> = (0..dims.len()).map(|i| vec![i]).collect();
+        for fusion in [&plan.a_fusion, &plan.g_fusion] {
+            let fusion = fusion.as_ref().expect("SPD pipelines its factors");
+            prop_assert_eq!(fusion.buckets(), &singletons[..]);
+        }
+        let inv_dims: Vec<usize> = dims.iter().flat_map(|&(a, g)| [a, g]).collect();
+        prop_assert_eq!(planner.inv_dims(), &inv_dims[..]);
+        let comp = lines.inverse.unwrap_or(cfg.comp_model);
+        let comm = lines.broadcast.unwrap_or(cfg.comm_model);
+        prop_assert_eq!(plan.placement, placement::place(&inv_dims, world, &comp, &comm, strategy));
+    }
+
+    #[test]
+    fn agreement_of_identical_ranks_is_the_identity(
+        costs in (0usize..12).prop_flat_map(costs_strategy),
+        k in 1usize..7,
+    ) {
+        // What an averaging all-reduce over `k` ranks holding the same
+        // record leaves on every one of them.
+        let mean = |v: &[f64]| -> Vec<f64> {
+            v.iter().map(|x| (0..k).map(|_| x).sum::<f64>() / k as f64).collect()
+        };
+        for models in [true, false] {
+            // A record's encoding names its present lines, their
+            // coefficients and its ready times, so equal encodings are
+            // equal records (an empty series being "no ready times").
+            let sent = costs.encode(models);
+            let agreed = Costs::decode(&mean(&sent), models);
+            let back = agreed.encode(models);
+            prop_assert_eq!(back.len(), sent.len());
+            for (got, want) in back.iter().zip(&sent) {
+                prop_assert!((got - want).abs() <= 1e-12 * want.abs(), "{got} vs {want}");
+            }
+            // Without the model slots only the ready times travel.
+            if !models {
+                prop_assert_eq!(Costs { ready: None, ..agreed }, Costs::default());
+            }
+        }
     }
 
     #[test]

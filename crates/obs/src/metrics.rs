@@ -6,7 +6,7 @@
 //! get-or-create and snapshot time.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Monotonic event counter.
@@ -36,14 +36,12 @@ impl Counter {
 #[derive(Debug)]
 pub struct Gauge {
     bits: AtomicU64,
-    delta: AtomicI64,
 }
 
 impl Default for Gauge {
     fn default() -> Self {
         Gauge {
             bits: AtomicU64::new(0.0f64.to_bits()),
-            delta: AtomicI64::new(0),
         }
     }
 }
@@ -57,16 +55,6 @@ impl Gauge {
     /// Current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-
-    /// Integer add/subtract convenience (e.g. in-flight operation count).
-    pub fn add_i64(&self, d: i64) {
-        self.delta.fetch_add(d, Ordering::Relaxed);
-    }
-
-    /// The accumulated integer delta (independent of [`Gauge::set`]).
-    pub fn get_i64(&self) -> i64 {
-        self.delta.load(Ordering::Relaxed)
     }
 }
 
@@ -328,9 +316,6 @@ mod tests {
         let g = Gauge::default();
         g.set(2.5);
         assert_eq!(g.get(), 2.5);
-        g.add_i64(3);
-        g.add_i64(-1);
-        assert_eq!(g.get_i64(), 2);
     }
 
     #[test]

@@ -292,14 +292,6 @@ impl Recorder {
             .map(|l| l.lock().expect("recorder lane poisoned").dropped())
             .sum()
     }
-
-    /// Clears all recorded spans (ring contents and drop counters), keeping
-    /// the epoch and metrics; use between measured iterations.
-    pub fn clear(&self) {
-        for lane in &self.lanes {
-            lane.lock().expect("recorder lane poisoned").clear();
-        }
-    }
 }
 
 /// Per-track write indices for incremental span flushing; see
@@ -455,8 +447,6 @@ mod tests {
         }
         assert_eq!(rec.spans().len(), 16);
         assert_eq!(rec.dropped(), 2 * (50 - 8));
-        rec.clear();
-        assert_eq!(rec.dropped(), 0);
     }
 
     #[test]
@@ -466,18 +456,6 @@ mod tests {
         let spans = rec.spans();
         assert_eq!(spans[0].meta.size, Some(128));
         assert_eq!(spans[0].meta.edge, None);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let rec = Recorder::with_capacity(2, 2);
-        for _ in 0..5 {
-            rec.span(0, Phase::FfBp).finish();
-        }
-        assert!(rec.dropped() > 0 || !rec.spans().is_empty());
-        rec.clear();
-        assert_eq!(rec.spans().len(), 0);
-        assert_eq!(rec.dropped(), 0);
     }
 
     #[test]

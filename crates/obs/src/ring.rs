@@ -15,7 +15,7 @@ pub struct Ring<T> {
     /// retained. Grows on demand up to `capacity`; never beyond.
     slots: Vec<T>,
     capacity: usize,
-    /// Values pushed since creation (or the last [`Ring::clear`]).
+    /// Values pushed since creation.
     written: u64,
     /// `written % capacity`, kept beside it so that neither a push — the
     /// recording hot path — nor a drain divides to find a slot.
@@ -71,15 +71,10 @@ impl<T> Ring<T> {
 
     /// The retained values with write index `>= cursor`, oldest first.
     /// Values evicted since `cursor` are simply absent (they are counted in
-    /// [`Ring::dropped`]); a cursor from before a [`Ring::clear`] restarts
-    /// at the oldest retained value.
+    /// [`Ring::dropped`]).
     pub fn since(&self, cursor: u64) -> impl Iterator<Item = &T> {
         let oldest = self.written - self.slots.len() as u64;
-        let from = if cursor > self.written {
-            oldest
-        } else {
-            cursor.max(oldest)
-        };
+        let from = cursor.max(oldest);
         // Once full, the oldest value sits where the next push will land.
         let first = if self.slots.len() == self.capacity {
             self.head
@@ -93,13 +88,6 @@ impl<T> Ring<T> {
     /// Every retained value, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.since(0)
-    }
-
-    /// Forgets the contents, the write index and the drop count.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.written = 0;
-        self.head = 0;
     }
 }
 
@@ -194,18 +182,5 @@ mod tests {
             let evicted = |w: &Vec<f64>| w.len().saturating_sub(capacity) as u64;
             prop_assert_eq!(rec.dropped(), written.iter().map(evicted).sum::<u64>());
         }
-    }
-
-    #[test]
-    fn clear_rewinds_stale_cursors() {
-        let mut ring = Ring::new(4);
-        for i in 0..6 {
-            ring.push(i);
-        }
-        let cursor = ring.written();
-        ring.clear();
-        assert_eq!((ring.len(), ring.dropped(), ring.written()), (0, 0, 0));
-        ring.push(7);
-        assert_eq!(ring.since(cursor).copied().collect::<Vec<_>>(), vec![7]);
     }
 }

@@ -11,7 +11,7 @@ use spdkfac::core::perf::ExpInverseModel;
 use spdkfac::core::runtime::ReplanPolicy;
 use spdkfac::nn::data::gaussian_blobs;
 use spdkfac::nn::models::deep_mlp;
-use spdkfac::obs::{CriticalReport, RankMap, Recorder, Span};
+use spdkfac::obs::{CollEdge, CriticalReport, Phase, RankMap, Recorder, Span};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -49,6 +49,42 @@ fn generations_for_rank(spans: &[Span], world: usize, rank: usize) -> BTreeSet<u
         .collect()
 }
 
+/// Every rank stamped the identical set of generations onto its
+/// collectives — the observable form of "all ranks swapped together".
+/// Returns that set.
+fn generations_all_ranks_agree_on(spans: &[Span], world: usize) -> BTreeSet<u64> {
+    let gen0 = generations_for_rank(spans, world, 0);
+    assert!(gen0.contains(&0));
+    for r in 1..world {
+        assert_eq!(
+            generations_for_rank(spans, world, r),
+            gen0,
+            "rank {r} disagrees on plan generations"
+        );
+    }
+    gen0
+}
+
+/// Re-planning is numerically transparent: same losses and parameters as
+/// the static-plan baseline (placement/fusion move work and messages
+/// around, never values).
+fn assert_matches_static_baseline(run: (&[f64], &[f64]), baseline: (&[f64], &[f64])) {
+    let ((losses, params), (base_losses, base_params)) = (run, baseline);
+    assert_eq!(losses.len(), base_losses.len());
+    for (i, (a, b)) in losses.iter().zip(base_losses).enumerate() {
+        assert!(
+            (a - b).abs() < 1e-8,
+            "iteration {i}: loss {a} vs static baseline {b}"
+        );
+    }
+    let dp = params
+        .iter()
+        .zip(base_params)
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0, f64::max);
+    assert!(dp < 1e-8, "final params drifted {dp:.3e} from baseline");
+}
+
 #[test]
 fn miscalibrated_run_replans_at_barrier_and_all_ranks_agree() {
     let world = 4;
@@ -72,37 +108,21 @@ fn miscalibrated_run_replans_at_barrier_and_all_ranks_agree() {
     assert_eq!(snap.histograms["runtime/swap_latency_s"].count, {
         snap.counters["runtime/checks"]
     });
+    // The plan gauges follow the swap: every tensor started CT, so the
+    // flips applied can only have made NCTs. (Fails at the parent commit,
+    // which published the gauges with the first plan and never again.)
+    let tensors = 2 * deep_mlp(8, 24, 8, 3, 5).kfac_dims().len();
+    let (nct, ct) = (snap.gauges["placement/nct"], snap.gauges["placement/ct"]);
+    assert!(nct >= 1.0, "placement/nct still describes the first plan");
+    assert_eq!(nct + ct, tensors as f64);
 
-    // Every rank stamped the identical set of generations onto its
-    // collectives — the observable form of "all ranks swapped together".
     let spans = rec.spans();
-    let gen0 = generations_for_rank(&spans, world, 0);
-    assert!(gen0.len() >= 2, "no generation boundary in the trace");
-    assert!(gen0.contains(&0));
-    for r in 1..world {
-        assert_eq!(
-            generations_for_rank(&spans, world, r),
-            gen0,
-            "rank {r} disagrees on plan generations"
-        );
-    }
-
-    // Re-planning is numerically transparent: same losses and parameters
-    // as the static-plan baseline (placement/fusion move work and
-    // messages around, never values).
-    assert_eq!(losses.len(), base_losses.len());
-    for (i, (a, b)) in losses.iter().zip(&base_losses).enumerate() {
-        assert!(
-            (a - b).abs() < 1e-8,
-            "iteration {i}: loss {a} vs static baseline {b}"
-        );
-    }
-    let dp = params
-        .iter()
-        .zip(&base_params)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0, f64::max);
-    assert!(dp < 1e-8, "final params drifted {dp:.3e} from baseline");
+    let generations = generations_all_ranks_agree_on(&spans, world);
+    assert!(
+        generations.len() >= 2,
+        "no generation boundary in the trace"
+    );
+    assert_matches_static_baseline((&losses, &params), (&base_losses, &base_params));
 
     // The causal analyzer keeps per-(generation, seq) collective matching
     // sound across the swap: the critical path still tiles >=95% of the
@@ -162,4 +182,44 @@ fn on_drift_policy_swaps_and_respects_hysteresis_cadence() {
         "persistent mis-calibration never survived hysteresis"
     );
     assert!(swaps <= checks / 2, "swaps {swaps} exceed hysteresis bound");
+}
+
+#[test]
+fn first_iteration_barrier_carries_ready_times_and_models_in_one_message() {
+    // EveryN(1): the segment's first iteration is also due, so its barrier
+    // agrees on the ready times *and* the cost lines — in one all-reduce.
+    let world = 4;
+    let iters = 5;
+    let (rec, losses, params) = run(&miscalibrated_cfg(world, ReplanPolicy::EveryN(1)), iters);
+    let (_, base_losses, base_params) = run(&miscalibrated_cfg(world, ReplanPolicy::Off), iters);
+
+    let snap = rec.metrics().snapshot();
+    assert_eq!(snap.counters["runtime/checks"], iters as u64);
+    let spans = rec.spans();
+    generations_all_ranks_agree_on(&spans, world);
+    assert_matches_static_baseline((&losses, &params), (&base_losses, &base_params));
+
+    // Rank 0, between the end of iteration 0's `Update` and the start of
+    // iteration 1's forward pass: exactly one control all-reduce, holding
+    // the 15 model slots and a ready time per factor. (Two at the parent
+    // commit: 2L floats, then 15.)
+    let update_end = spans
+        .iter()
+        .find(|s| s.track == 0 && s.label == "iter0")
+        .expect("iteration 0's update span")
+        .end;
+    let next_forward = spans
+        .iter()
+        .filter(|s| s.track == 0 && s.phase == Phase::FfBp && s.start >= update_end)
+        .map(|s| s.start)
+        .fold(f64::INFINITY, f64::min);
+    let control: Vec<&Span> = spans
+        .iter()
+        .filter(|s| s.track == world && s.phase == Phase::Update)
+        .filter(|s| s.start >= update_end && s.start < next_forward)
+        .collect();
+    let factors = 2 * deep_mlp(8, 24, 8, 3, 5).kfac_dims().len();
+    assert_eq!(control.len(), 1, "{control:?}");
+    assert_eq!(control[0].meta.edge, Some(CollEdge::Join));
+    assert_eq!(control[0].meta.size, Some(15 + factors));
 }

@@ -6,15 +6,14 @@
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
-use spdkfac::core::distributed::{
-    initial_plan, iteration_graph, Algorithm, DistributedConfig, TrainSession,
-};
+use spdkfac::core::distributed::{iteration_graph, Algorithm, DistributedConfig, TrainSession};
 use spdkfac::core::fusion::{self, FactorPipeline, FusionPlan, FusionStrategy};
 use spdkfac::core::iteration::{
     packed_len, Deps, FactorComm, GradCut, IterationGraph, LayerShape, Node, Op, Spec, Who,
 };
 use spdkfac::core::perf::{AlphaBetaModel, ExpInverseModel};
 use spdkfac::core::placement::{Placement, TensorAssignment};
+use spdkfac::core::runtime::{Costs, Planner};
 use spdkfac::models::{LayerSpec, ModelProfile};
 use spdkfac::nn::data::gaussian_blobs;
 use spdkfac::nn::models::deep_mlp;
@@ -44,13 +43,13 @@ fn real_ranks_and_the_simulator_emit_exactly_the_graphs_collectives() {
 
         // The graphs, through the function the trainer calls.
         let net = build();
-        let plan = initial_plan(&cfg, &net, world);
-        let placement = &plan.current().placement;
+        let plan = Planner::new(&cfg, &net.kfac_dims(), world).plan(&Costs::default(), None);
+        let placement = &plan.placement;
         if algorithm == Algorithm::SpdKfac {
             let ncts = placement.num_nct();
             assert!((1..placement.assignments().len()).contains(&ncts));
         }
-        let graphs = [false, true].map(|r| iteration_graph(&cfg, &net, plan.current(), r));
+        let graphs = [false, true].map(|r| iteration_graph(&cfg, &net, &plan, r));
         let expected: Vec<Collective> = (0..iters)
             .flat_map(|iter: usize| graphs[usize::from(iter.is_multiple_of(2))].collectives())
             .collect();

@@ -7,6 +7,7 @@
 use spdkfac::core::calibrate::Calibrator;
 use spdkfac::core::distributed::{Algorithm, DistributedConfig, TrainSession};
 use spdkfac::core::perf::ExpInverseModel;
+use spdkfac::core::runtime::{Costs, Planner};
 use spdkfac::nn::data::gaussian_blobs;
 use spdkfac::nn::models::deep_mlp;
 use spdkfac::obs::{
@@ -183,12 +184,17 @@ fn drift_detector_flags_miscalibrated_inverse_model_only() {
     let world = 4;
     let (rec, _, _) = run_with_recorder(world, Algorithm::SpdKfac, 6);
     let cfg = DistributedConfig::new(world, Algorithm::SpdKfac);
-    let dims: Vec<usize> = deep_mlp(8, 24, 8, 3, 5)
-        .kfac_dims()
-        .iter()
-        .flat_map(|&(a, g)| [a, g])
-        .collect();
+    let dims = deep_mlp(8, 24, 8, 3, 5).kfac_dims();
     assert!(!dims.is_empty());
+    // What a run configured with `cfg` stands on, and what it would stand
+    // on had it known `refit`.
+    let plans = |cfg: &DistributedConfig, refit: &Costs| {
+        let planner = Planner::new(cfg, &dims, world);
+        (
+            planner.plan(&Costs::default(), None),
+            planner.plan(refit, None),
+        )
+    };
 
     // Two opposite mis-calibrations bracket the measured truth: one
     // baseline thinks inversion is ~1e9x cheaper than modelled (classifies
@@ -197,12 +203,17 @@ fn drift_detector_flags_miscalibrated_inverse_model_only() {
     // the two baselines must disagree on at least one tensor.
     let mut flips = 0usize;
     for scale in [1e-9, 1e9] {
-        let mis = ExpInverseModel::new(cfg.comp_model.alpha * scale, cfg.comp_model.beta);
-        let mut cal = Calibrator::new(mis, cfg.comm_model);
+        let mut mis = cfg.clone();
+        mis.comp_model = ExpInverseModel::new(cfg.comp_model.alpha * scale, cfg.comp_model.beta);
+        let mut cal = Calibrator::new(mis.comp_model, mis.comm_model);
         assert!(cal.ingest_recorder(&rec) > 0, "no calibration samples");
         cal.refit();
         assert!(cal.models().inverse.is_some(), "inverse refit missing");
-        flips += cal.check_drift(&dims, world, None).nct_flips();
+        let (standing, candidate) = plans(&mis, cal.models());
+        let (standing, candidate) = (standing.placement, candidate.placement);
+        flips += (0..2 * dims.len())
+            .filter(|&t| standing.is_nct(t) != candidate.is_nct(t))
+            .count();
     }
     assert!(flips >= 1, "mis-calibrated baselines produced no NCT flip");
 
@@ -211,19 +222,27 @@ fn drift_detector_flags_miscalibrated_inverse_model_only() {
     let mut seed = Calibrator::new(cfg.comp_model, cfg.comm_model);
     seed.ingest_recorder(&rec);
     let models = seed.refit();
-    let comp = models.inverse.expect("inverse refit");
-    let comm = models.broadcast.unwrap_or(cfg.comm_model);
-    let mut well = Calibrator::new(comp, comm);
+    let mut calibrated = cfg.clone();
+    calibrated.comp_model = models.inverse.expect("inverse refit");
+    calibrated.comm_model = models.broadcast.unwrap_or(cfg.comm_model);
+    let mut well = Calibrator::new(calibrated.comp_model, calibrated.comm_model);
     well.ingest_recorder(&rec);
-    well.refit();
-    let report = well.check_drift(&dims, world, None);
+    let refit = well.refit().clone();
+    let (standing, candidate) = plans(&calibrated, &refit);
     assert_eq!(
-        report.nct_flips(),
-        0,
-        "well-calibrated run flagged flips: {:?}",
-        report.flips
+        candidate, standing,
+        "a well-calibrated run would re-plan differently"
     );
-    assert_eq!(report.baseline_nct_threshold, report.refit_nct_threshold);
+    let max_d = dims.iter().map(|&(a, g)| a.max(g)).max().expect("layers");
+    assert_eq!(
+        calibrated
+            .comp_model
+            .nct_threshold(&calibrated.comm_model, max_d),
+        refit
+            .inverse
+            .expect("inverse refit")
+            .nct_threshold(&refit.broadcast.unwrap_or(cfg.comm_model), max_d)
+    );
 
     // Calibration health is exported through the shared metrics registry.
     well.publish_metrics(rec.metrics());
