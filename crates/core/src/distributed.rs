@@ -24,29 +24,33 @@
 use crate::calibrate::Calibrator;
 use crate::ekfac;
 use crate::elastic::{ElasticPolicy, FactorCheckpoint, MembershipSpan, TrainCheckpoint};
-use crate::factors::{local_factor_a, local_factor_g, FactorState};
+use crate::error::FactorSide;
+use crate::factors::{local_factor_a_into, local_factor_g_into, FactorState};
 use crate::fusion::FusionStrategy;
 use crate::iteration::{
-    Deps, FactorComm, GradCut, IterationGraph, LayerShape, NodeId, Op, Spec, Who,
+    Deps, FactorComm, GradCut, IterationGraph, LayerShape, Node, NodeId, Op, Spec, Who,
 };
 use crate::optimizer::KfacConfig;
 use crate::perf::{AlphaBetaModel, ExpInverseModel};
 use crate::placement::PlacementStrategy;
-use crate::precond::{self, apply_kl_clip};
+use crate::precond;
 use crate::runtime::{self, Costs, PlanEpoch, Planner, ReplanController, ReplanPolicy};
 use spdkfac_collectives::{
     connect_elastic, elastic_poll, Backend, CommError, CommGroup, JoinIntent, PendingOp,
     WirePolicy, WorkerComm,
 };
 use spdkfac_nn::data::Dataset;
+use spdkfac_nn::layer::Param;
 use spdkfac_nn::loss::softmax_cross_entropy;
 use spdkfac_nn::optim::Sgd;
-use spdkfac_nn::Sequential;
+use spdkfac_nn::{Sequential, Tensor4};
 use spdkfac_obs::{Phase, Recorder, SpanGuard};
-use spdkfac_tensor::eig::sym_eig;
+use spdkfac_tensor::eig::{sym_eig, SymEig};
 use spdkfac_tensor::sym::packed_len;
-use spdkfac_tensor::{chol, Matrix, SymPacked};
+use spdkfac_tensor::{Matrix, SymPacked};
+use std::cmp::Reverse;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -368,13 +372,14 @@ impl WorkerObs {
         self.span(phase).map(|g| g.sized(size))
     }
 
-    /// As [`WorkerObs::span`], with a display label. The per-iteration
-    /// update spans are labeled `iter<N>` so the live telemetry monitor
-    /// and merged traces have explicit iteration boundaries.
-    fn labeled_span(&self, phase: Phase, label: String) -> Option<SpanGuard<'_>> {
+    /// As [`WorkerObs::span`], with a display label, formatted only when a
+    /// recorder is attached. The per-iteration update spans are labeled
+    /// `iter<N>` so the live telemetry monitor and merged traces have
+    /// explicit iteration boundaries.
+    fn labeled_span(&self, phase: Phase, label: impl FnOnce() -> String) -> Option<SpanGuard<'_>> {
         self.rec
             .as_deref()
-            .map(|r| r.span_labeled(self.track, phase, label))
+            .map(|r| r.span_labeled(self.track, phase, label()))
     }
 
     /// Records one realized fused-message flush (satellite of §IV-A): the
@@ -459,6 +464,15 @@ enum SegmentEnd {
     Leave,
 }
 
+/// Wire length of a `d × d` tensor's inverse under `algorithm`.
+fn inverse_len(algorithm: Algorithm) -> fn(usize) -> usize {
+    match algorithm {
+        // An eigenbasis travels as `Q‖λ`.
+        Algorithm::EkfacSpd => |d| d * d + d,
+        _ => packed_len,
+    }
+}
+
 /// The schedule of one iteration of `cfg.algorithm` on `net` under `plan` —
 /// what [`TrainSession`]'s workers execute. The algorithm decides here, once,
 /// how statistics travel and where gradient messages are cut; `refresh`
@@ -494,23 +508,232 @@ pub fn iteration_graph(
         },
         placement: &plan.placement,
         refresh,
-        inverse_len: match cfg.algorithm {
-            // An eigenbasis travels as `Q‖λ`.
-            Algorithm::EkfacSpd => |d| d * d + d,
-            _ => packed_len,
-        },
+        inverse_len: inverse_len(cfg.algorithm),
         deps: Deps::DataDeps,
     })
 }
 
-/// The two graphs of a plan: `[between refreshes, on a refresh]`.
-fn plan_graphs(cfg: &DistributedConfig, net: &Sequential, plan: &PlanEpoch) -> [IterationGraph; 2] {
-    [false, true].map(|refresh| iteration_graph(cfg, net, plan, refresh))
+/// Installs a plan: its two graphs, `[between refreshes, on a refresh]`,
+/// with `arena` sized for them as `rank` runs them.
+fn plan_graphs(
+    cfg: &DistributedConfig,
+    net: &Sequential,
+    plan: &PlanEpoch,
+    rank: usize,
+    arena: &mut MessageArena,
+) -> [IterationGraph; 2] {
+    let graphs = [false, true].map(|refresh| iteration_graph(cfg, net, plan, refresh));
+    arena.install(&graphs, rank);
+    graphs
+}
+
+/// Message payloads kept from one iteration to the next (DESIGN §2.6
+/// "Buffers"): one buffer per *slot*, and each payload of a plan's graphs
+/// travels in the slot [`MessageArena::install`] gave it. Two payloads of
+/// one graph share a slot only if one lands before the other is taken, so
+/// a slot is free whenever its payload is taken.
+#[derive(Debug, Default)]
+struct MessageArena {
+    /// Per slot: its buffer, `None` while a payload is out in it.
+    slots: Vec<Option<Vec<f64>>>,
+    /// Per graph of the plan, per node: the slot of the payload the node
+    /// takes or sends.
+    slot_of: [Vec<Option<usize>>; 2],
+    /// The graph the running iteration executes.
+    graph: usize,
+}
+
+impl MessageArena {
+    /// Packs `graphs`' payloads on `rank` into slots, largest first, each
+    /// into the first slot holding no payload of its graph that is out at
+    /// the same time (a slot's capacity is its first payload's length), and
+    /// sizes the buffers. A buffer it holds is kept for a slot of exactly
+    /// its capacity — every one when the plan's messages did not change.
+    /// Nothing may be out.
+    fn install(&mut self, graphs: &[IterationGraph; 2], rank: usize) {
+        let mut all: Vec<(usize, Payload)> = (0..2)
+            .flat_map(|g| payloads(&graphs[g], rank).into_iter().map(move |p| (g, p)))
+            .collect();
+        all.sort_by_key(|(_, p)| Reverse(p.len));
+        self.slot_of = [0, 1].map(|g| vec![None; graphs[g].nodes().len()]);
+        // Per slot: its capacity, and its payloads' graphs and lifetimes.
+        let (mut caps, mut busy) = (Vec::new(), Vec::<Vec<(usize, Range<usize>)>>::new());
+        for (g, p) in all {
+            let clash = |(h, out): &(usize, Range<usize>)| {
+                *h == g && out.start < p.out.end && p.out.start < out.end
+            };
+            let slot = busy.iter().position(|on| !on.iter().any(clash));
+            let slot = slot.unwrap_or_else(|| {
+                caps.push(p.len);
+                busy.push(Vec::new());
+                caps.len() - 1
+            });
+            busy[slot].push((g, p.out));
+            self.slot_of[g][p.taken_by] = Some(slot);
+            self.slot_of[g][p.sent_by] = Some(slot);
+        }
+        let mut old: Vec<Vec<f64>> = self
+            .slots
+            .drain(..)
+            .map(|b| b.expect("nothing out"))
+            .collect();
+        let mut keep = |cap: usize| {
+            let at = old.iter().position(|b| b.capacity() == cap)?;
+            Some(old.swap_remove(at))
+        };
+        let kept: Vec<Option<Vec<f64>>> = caps.iter().map(|&cap| keep(cap)).collect();
+        // Free what the new plan does not use before allocating what it
+        // lacks, so an install never holds two plans' buffers.
+        drop(old);
+        let fresh =
+            |(kept, &cap): (Option<Vec<f64>>, _)| kept.unwrap_or_else(|| Vec::with_capacity(cap));
+        self.slots = kept.into_iter().zip(&caps).map(fresh).map(Some).collect();
+    }
+
+    /// The buffer of the payload node `id` of the running iteration's graph
+    /// writes, cut to `len` elements of stale contents; it stays here until
+    /// its collective takes it.
+    fn fill(&mut self, id: NodeId, len: usize) -> &mut [f64] {
+        let slot = self.slot_of[self.graph][id].expect("the node has a slot");
+        let buf = self.slots[slot]
+            .as_mut()
+            .expect("a slot is free when its payload is taken");
+        buf.resize(len, 0.0);
+        buf
+    }
+
+    /// [`MessageArena::fill`]'s buffer, handed to collective `id`.
+    fn take(&mut self, id: NodeId, len: usize) -> Vec<f64> {
+        self.fill(id, len);
+        let slot = self.slot_of[self.graph][id].expect("the node has a slot");
+        self.slots[slot].take().expect("filled just now")
+    }
+
+    /// Takes back the buffer collective `c` landed.
+    fn give(&mut self, c: NodeId, buf: Vec<f64>) {
+        let slot = self.slot_of[self.graph][c].expect("the node has a slot");
+        self.slots[slot] = Some(buf);
+    }
+}
+
+/// One message payload of an iteration on one rank.
+struct Payload {
+    /// The node that takes it from the arena.
+    taken_by: NodeId,
+    /// The collective that sends it; its landing gives it back.
+    sent_by: NodeId,
+    len: usize,
+    /// When it is out, on a clock of the executor's steps: `0` opens the
+    /// iteration, `2 id + 2` lands what node `id` awaits, `2 id + 3` runs it.
+    out: Range<usize>,
+}
+
+/// The payloads of an iteration of `graph` on `rank`, each out from the
+/// node that first writes it — for a factor message the iteration's start
+/// (its statistics are packed in as they are taken), for a CT owner's
+/// inverse its `Invert`, for any other payload its submission.
+fn payloads(graph: &IterationGraph, rank: usize) -> Vec<Payload> {
+    let nodes = graph.nodes();
+    let payload = |taken_by, sent_by, len, start| Payload {
+        taken_by,
+        sent_by,
+        len,
+        out: start..usize::MAX,
+    };
+    let mut payloads: Vec<Payload> = (nodes.iter().enumerate())
+        .filter(|(_, n)| matches!(n.op, Op::AllReduceFactors(_)))
+        .map(|(c, n)| payload(c, c, n.elems, 0))
+        .collect();
+    for (id, node) in nodes.iter().enumerate() {
+        if matches!(node.who, Who::Rank(r) if r != rank) {
+            continue;
+        }
+        // What the node awaits lands first, with everything sent before it.
+        if let Some(upto) = graph.awaits(id) {
+            for p in payloads.iter_mut().filter(|p| p.sent_by <= upto) {
+                p.out.end = p.out.end.min(2 * id + 2);
+            }
+        }
+        let taken = match node.op {
+            Op::AllReduceGrads(_) => Some((id, node.elems)),
+            Op::Invert(t) if node.who != Who::Every => {
+                let bcast = |n: &Node| matches!(n.op, Op::Broadcast { tensor, .. } if tensor == t);
+                let b = nodes.iter().position(bcast).expect("a CT is broadcast");
+                Some((b, nodes[b].elems))
+            }
+            Op::Broadcast { .. } if payloads.iter().all(|p| p.sent_by != id) => {
+                Some((id, node.elems))
+            }
+            _ => None,
+        };
+        if let Some((sent_by, len)) = taken {
+            payloads.push(payload(id, sent_by, len, 2 * id + 3));
+        }
+    }
+    payloads
+}
+
+/// The buffers a rank's iterations write, created with the segment and
+/// reused until it ends (DESIGN §2.6 "Buffers").
+struct Buffers {
+    /// Message payloads.
+    arena: MessageArena,
+    /// Per tensor: the node of its factor message and its offset there;
+    /// statistics are packed straight into the message.
+    stat_at: Vec<(NodeId, usize)>,
+    /// Submitted collectives in submission order — which is completion
+    /// order, the comm thread being FIFO.
+    in_flight: VecDeque<(NodeId, PendingOp)>,
+    /// Per tensor (EKFAC): has this iteration's eigenbasis been installed?
+    fresh: Vec<bool>,
+    /// The KL clip's term of each parameter, in the model's flat order
+    /// (its direction replaces its gradient before `Update`).
+    kl_terms: Vec<f64>,
+    /// Results between two kernels: a statistic between its Gramian and
+    /// its message, `G⁻¹ · ∇W` between the two preconditioning products;
+    /// with a KL clip, the raw gradient until its term is taken.
+    scratch: [Matrix; 2],
+}
+
+impl Buffers {
+    fn new(tensors: usize, params: usize) -> Buffers {
+        Buffers {
+            arena: MessageArena::default(),
+            stat_at: vec![(0, 0); tensors],
+            in_flight: VecDeque::new(),
+            fresh: vec![false; tensors],
+            kl_terms: vec![0.0; params],
+            scratch: [Matrix::zeros(0, 0), Matrix::zeros(0, 0)],
+        }
+    }
+
+    /// Opens an iteration of the plan's graph `g` (`graph`).
+    fn begin(&mut self, g: usize, graph: &IterationGraph, inv_dims: &[usize]) {
+        self.arena.graph = g;
+        self.fresh.fill(false);
+        for (c, node) in graph.nodes().iter().enumerate() {
+            if let Op::AllReduceFactors(tensors) = &node.op {
+                let mut at = 0;
+                for &t in tensors {
+                    self.stat_at[t] = (c, at);
+                    at += packed_len(inv_dims[t]);
+                }
+            }
+        }
+    }
+}
+
+/// Which factor tensor `t` is (`A_l`, `G_l` interleaved).
+fn side(t: usize) -> FactorSide {
+    if t.is_multiple_of(2) {
+        FactorSide::A
+    } else {
+        FactorSide::G
+    }
 }
 
 /// One rank executing one iteration's graph (DESIGN "Iteration graph"): the
-/// collectives it has submitted and not yet landed, what its compute nodes
-/// left for a later node, and the kernels behind the nodes.
+/// kernels behind the nodes, over the segment's [`Buffers`].
 ///
 /// | collective | landing it installs |
 /// |---|---|
@@ -528,35 +751,43 @@ struct Executor<'a> {
     states: &'a mut [FactorState],
     ekfac_bases: &'a mut [Option<(Matrix, Vec<f64>)>],
     ekfac_scales: &'a mut [Option<Matrix>],
-    /// Submitted collectives in submission order — which is completion
-    /// order, the comm thread being FIFO.
-    in_flight: VecDeque<(NodeId, PendingOp)>,
-    /// Per tensor: this iteration's local statistic, until its message
-    /// takes it.
-    stats: Vec<Option<SymPacked>>,
-    /// Per tensor: the inverse this rank owns, in wire form, until its
-    /// broadcast takes it.
-    owned: Vec<Option<Vec<f64>>>,
-    /// Per tensor (EKFAC): has this iteration's eigenbasis been installed?
-    fresh: Vec<bool>,
+    bufs: &'a mut Buffers,
 }
 
 impl Executor<'_> {
     /// Blocks on the in-flight collectives up to node `upto`, in completion
-    /// order, and installs what each delivers.
+    /// order, and lands what each delivers.
     fn land_through(&mut self, upto: NodeId) -> Result<(), CommError> {
-        let graph = self.graph;
-        while self.in_flight.front().is_some_and(|(c, _)| *c <= upto) {
-            let (c, op) = self.in_flight.pop_front().expect("front checked");
-            let data = op.wait()?.data;
-            match &graph.nodes()[c].op {
-                Op::AllReduceFactors(tensors) => self.install_factors(tensors, &data),
-                Op::AllReduceGrads(layers) => self.install_grads(layers, &data),
-                Op::Broadcast { tensor, .. } => self.install_inverse(*tensor, &data),
-                _ => unreachable!("only collectives are in flight"),
-            }
+        while self.bufs.in_flight.front().is_some_and(|(c, _)| *c <= upto) {
+            let (c, op) = self.bufs.in_flight.pop_front().expect("front checked");
+            self.land(c, op.wait()?.data);
         }
         Ok(())
+    }
+
+    /// Installs what collective `c` delivered, then takes its buffer back.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before installing anything, unless `data` is as long as the
+    /// node's message.
+    fn land(&mut self, c: NodeId, data: Vec<f64>) {
+        let node = &self.graph.nodes()[c];
+        assert!(
+            data.len() == node.elems,
+            "rank {}: node {c} ({:?}) landed {} elements, its message has {}",
+            self.rank,
+            node.op,
+            data.len(),
+            node.elems
+        );
+        match &node.op {
+            Op::AllReduceFactors(tensors) => self.install_factors(tensors, &data),
+            Op::AllReduceGrads(layers) => self.install_grads(layers, &data),
+            Op::Broadcast { tensor, .. } => self.install_inverse(*tensor, &data),
+            _ => unreachable!("only collectives are in flight"),
+        }
+        self.bufs.arena.give(c, data);
     }
 
     /// Folds an aggregated factor message into the running averages.
@@ -567,14 +798,8 @@ impl Executor<'_> {
             let dim = self.inv_dims[t];
             let (packed, tail) = rest.split_at(packed_len(dim));
             rest = tail;
-            let factor = SymPacked::unpack(dim, packed);
-            if t.is_multiple_of(2) {
-                self.states[t / 2].update_a(factor, decay);
-            } else {
-                self.states[t / 2].update_g(factor, decay);
-            }
+            self.states[t / 2].update_packed(side(t), dim, packed, decay);
         }
-        debug_assert!(rest.is_empty(), "factor message mis-sized");
     }
 
     /// Scatters an averaged gradient message back into its layers.
@@ -588,7 +813,6 @@ impl Executor<'_> {
                 rest = tail;
             }
         }
-        debug_assert!(rest.is_empty(), "gradient message mis-sized");
     }
 
     fn ekfac(&self) -> bool {
@@ -596,100 +820,127 @@ impl Executor<'_> {
     }
 
     /// Inverts an NCT and installs the result on the spot: it is never on
-    /// the wire, so the K-FAC inverse skips the round trip through its
-    /// packed form.
+    /// the wire, so it skips the round trip through its wire form.
     fn invert_in_place(&mut self, t: usize) {
         if self.ekfac() {
-            let payload = self.invert(t);
-            self.install_inverse(t, &payload);
+            let e = self.eig(t);
+            self.install_basis(t, e.vectors, e.values);
         } else {
-            let inv = self.kfac_inverse(t);
-            self.set_kfac_inverse(t, inv);
+            self.kfac_invert(t);
         }
     }
 
-    /// Inverts (EKFAC: eigendecomposes) tensor `t` into its wire form.
-    fn invert(&self, t: usize) -> Vec<f64> {
+    /// Inverts (EKFAC: eigendecomposes) CT `t` into its wire form, in the
+    /// payload its broadcast sends (`Invert` node `id`'s slot).
+    fn invert_to_wire(&mut self, id: NodeId, t: usize) {
+        let len = inverse_len(self.cfg.algorithm)(self.inv_dims[t]);
         if self.ekfac() {
-            // One sized span per tensor: the calibrator reads (dimension,
-            // duration) pairs off these.
-            let _inv = self.obs.sized_span(Phase::InverseComp, self.inv_dims[t]);
-            let (st, rank) = (&self.states[t / 2], self.rank);
-            let factor = if t.is_multiple_of(2) {
-                st.factor_a()
-            } else {
-                st.factor_g()
+            let e = self.eig(t);
+            let wire = self.bufs.arena.fill(id, len);
+            let (q, values) = wire.split_at_mut(e.vectors.rows() * e.vectors.cols());
+            q.copy_from_slice(e.vectors.as_slice());
+            values.copy_from_slice(&e.values);
+        } else {
+            self.kfac_invert(t);
+            let st = &self.states[t / 2];
+            let inv = match side(t) {
+                FactorSide::A => st.a_inv(),
+                FactorSide::G => st.g_inv(),
             };
-            let e = sym_eig(factor.expect("no factor statistics")).unwrap_or_else(|err| {
-                panic!("rank {rank}: eigendecomposition of tensor {t} failed: {err}")
-            });
-            let mut payload = e.vectors.into_vec();
-            payload.extend_from_slice(&e.values);
-            payload
-        } else {
-            SymPacked::from_matrix(&self.kfac_inverse(t)).into_vec()
+            SymPacked::pack_into(inv.expect("just inverted"), self.bufs.arena.fill(id, len));
         }
     }
 
-    /// The inverse of tensor `t`'s damped factor (exactly symmetric, so
-    /// packing it for the wire loses nothing).
-    fn kfac_inverse(&self, t: usize) -> Matrix {
-        // A sized span, as in `invert`.
+    /// The eigendecomposition of tensor `t`'s running factor.
+    fn eig(&self, t: usize) -> SymEig {
+        // One sized span per tensor: the calibrator reads (dimension,
+        // duration) pairs off these.
         let _inv = self.obs.sized_span(Phase::InverseComp, self.inv_dims[t]);
-        let (st, rank, gamma) = (&self.states[t / 2], self.rank, self.cfg.kfac.damping);
-        let damped = if t.is_multiple_of(2) {
-            st.damped_a(gamma)
-        } else {
-            st.damped_g(gamma)
+        let (st, rank) = (&self.states[t / 2], self.rank);
+        let factor = match side(t) {
+            FactorSide::A => st.factor_a(),
+            FactorSide::G => st.factor_g(),
         };
-        chol::spd_inverse(&damped)
-            .unwrap_or_else(|e| panic!("rank {rank}: inversion of tensor {t} failed: {e}"))
+        sym_eig(factor.expect("no factor statistics")).unwrap_or_else(|err| {
+            panic!("rank {rank}: eigendecomposition of tensor {t} failed: {err}")
+        })
     }
 
-    /// Installs tensor `t`'s K-FAC inverse.
-    fn set_kfac_inverse(&mut self, t: usize, inv: Matrix) {
-        if t.is_multiple_of(2) {
-            self.states[t / 2].set_a_inv(inv);
-        } else {
-            self.states[t / 2].set_g_inv(inv);
-        }
+    /// Inverts tensor `t`'s damped factor into its inverse's storage
+    /// (exactly symmetric, so packing it for the wire loses nothing).
+    fn kfac_invert(&mut self, t: usize) {
+        // A sized span, as in `eig`.
+        let _inv = self.obs.sized_span(Phase::InverseComp, self.inv_dims[t]);
+        let (rank, gamma) = (self.rank, self.cfg.kfac.damping);
+        self.states[t / 2]
+            .invert(side(t), gamma)
+            .unwrap_or_else(|e| panic!("rank {rank}: inversion of tensor {t} failed: {e}"));
     }
 
-    /// Installs tensor `t`'s inverse from its wire form. Under EKFAC the
-    /// layer's second basis to land also reseeds its scales from the
-    /// eigenvalue products (the K-FAC spectrum), to be moment-corrected by
-    /// the per-step EMA in [`ekfac::layer_directions`].
+    /// Installs tensor `t`'s inverse from its wire form.
     fn install_inverse(&mut self, t: usize, data: &[f64]) {
-        let (si, d) = (t / 2, self.inv_dims[t]);
+        let d = self.inv_dims[t];
         if self.ekfac() {
-            self.fresh[t] = true;
             let (q, values) = data.split_at(d * d);
-            self.ekfac_bases[t] = Some((Matrix::from_vec(d, d, q.to_vec()), values.to_vec()));
-            // `t ^ 1` is the layer's other tensor.
-            if self.fresh[t ^ 1] {
-                let (_, va) = self.ekfac_bases[2 * si].as_ref().expect("A basis");
-                let (_, vg) = self.ekfac_bases[2 * si + 1].as_ref().expect("G basis");
-                self.ekfac_scales[si] = Some(Matrix::from_fn(vg.len(), va.len(), |i, j| {
-                    (vg[i] * va[j]).max(0.0)
-                }));
-            }
+            self.install_basis(t, Matrix::from_vec(d, d, q.to_vec()), values.to_vec());
         } else {
-            self.set_kfac_inverse(t, SymPacked::unpack(d, data));
+            self.states[t / 2].set_inv_packed(side(t), d, data);
         }
     }
 
-    /// Update directions of layer `li`'s parameters, all inputs being in.
-    fn layer_directions(&mut self, li: usize, si: Option<usize>) -> Vec<Matrix> {
-        let params = self.net.layers()[li].params();
+    /// Installs tensor `t`'s eigenbasis. The layer's second basis to land
+    /// also reseeds its scales from the eigenvalue products (the K-FAC
+    /// spectrum), to be moment-corrected by the per-step EMA in
+    /// [`ekfac::layer_directions`].
+    fn install_basis(&mut self, t: usize, q: Matrix, values: Vec<f64>) {
+        let si = t / 2;
+        self.bufs.fresh[t] = true;
+        self.ekfac_bases[t] = Some((q, values));
+        // `t ^ 1` is the layer's other tensor.
+        if self.bufs.fresh[t ^ 1] {
+            let (_, va) = self.ekfac_bases[2 * si].as_ref().expect("A basis");
+            let (_, vg) = self.ekfac_bases[2 * si + 1].as_ref().expect("G basis");
+            self.ekfac_scales[si] = Some(Matrix::from_fn(vg.len(), va.len(), |i, j| {
+                (vg[i] * va[j]).max(0.0)
+            }));
+        }
+    }
+
+    /// Turns layer `li`'s averaged gradients into its update directions in
+    /// place (`Param::grad`), all inputs being in. With a KL clip, each
+    /// parameter's term goes to its slot of `kl` (the layer's range of the
+    /// flat parameter order) first.
+    fn precondition(&mut self, li: usize, si: Option<usize>, kl: Range<usize>) {
+        let ekfac = self.ekfac();
+        let clip = self.cfg.kfac.kl_clip.is_some();
+        let mut kl = clip.then(|| &mut self.bufs.kl_terms[kl]);
+        let mut params = self.net.layers_mut()[li].params_mut();
         match si {
-            Some(si) if self.ekfac() && self.ekfac_scales[si].is_some() => {
+            Some(si) if ekfac && self.ekfac_scales[si].is_some() => {
                 let (q_a, _) = self.ekfac_bases[2 * si].as_ref().expect("A basis");
                 let (q_g, _) = self.ekfac_bases[2 * si + 1].as_ref().expect("G basis");
                 let scale = self.ekfac_scales[si].as_mut().expect("scale");
                 let kfac = &self.cfg.kfac;
-                ekfac::layer_directions(&params, q_a, q_g, scale, kfac.stat_decay, kfac.damping)
+                let shared: Vec<&Param> = params.iter().map(|p| &**p).collect();
+                let dirs = ekfac::layer_directions(
+                    &shared,
+                    q_a,
+                    q_g,
+                    scale,
+                    kfac.stat_decay,
+                    kfac.damping,
+                );
+                for (pi, (p, d)) in params.iter_mut().zip(dirs).enumerate() {
+                    if let Some(kl) = kl.as_deref_mut() {
+                        kl[pi] = precond::kl_term(&d, &p.grad);
+                    }
+                    p.grad = d;
+                }
             }
-            _ => precond::layer_directions(&params, si.map(|si| &self.states[si])),
+            _ => {
+                let state = si.map(|si| &self.states[si]);
+                precond::precondition_in_place(&mut params, state, &mut self.bufs.scratch, kl);
+            }
         }
     }
 }
@@ -745,6 +996,9 @@ fn train_segment(
     for layer in net.layers() {
         param_base.push(param_base[param_base.len() - 1] + layer.params().len());
     }
+    let mut bufs = Buffers::new(2 * nlayers, param_base[net.len()]);
+    // The batch, copied in every iteration.
+    let (mut x, mut y) = (Tensor4::zeros(0, 0, 0, 0), Vec::new());
 
     // Every plan of the segment comes out of this planner (see
     // `crate::runtime`). It starts with nothing measured: `cfg`'s models and
@@ -758,7 +1012,7 @@ fn train_segment(
     let pipelined = epoch.a_fusion.is_some();
     // What the workers execute: rebuilt whenever the plan changes, not per
     // iteration.
-    let mut graphs = plan_graphs(cfg, net, &epoch);
+    let mut graphs = plan_graphs(cfg, net, &epoch, rank, &mut bufs.arena);
     let mut controller = ReplanController::new(cfg.replan);
     let mut calibrator = Calibrator::new(cfg.comp_model, cfg.comm_model);
     // What the calibrator has already been fed: each re-plan barrier
@@ -782,7 +1036,7 @@ fn train_segment(
     let mut ready = vec![0.0f64; 2 * nlayers];
     for iter in seg_start..iters {
         let start = (iter * batch) % (shard.len() - batch + 1);
-        let (x, y) = shard.batch(start, batch);
+        shard.batch_into(start, batch, &mut x, &mut y);
         let capture = cfg.algorithm != Algorithm::SSgd;
         let refresh = capture && iter % cfg.kfac.inv_update_freq.max(1) == 0;
 
@@ -790,6 +1044,7 @@ fn train_segment(
         // Every rank walks the same nodes in the same order and submits
         // every collective at the same position (DESIGN "Iteration graph").
         let graph = &graphs[usize::from(refresh)];
+        bufs.begin(usize::from(refresh), graph, inv_dims);
         let mut ex = Executor {
             cfg,
             rank,
@@ -800,18 +1055,13 @@ fn train_segment(
             states: &mut *states,
             ekfac_bases: &mut *ekfac_bases,
             ekfac_scales: &mut *ekfac_scales,
-            in_flight: VecDeque::new(),
-            stats: vec![None; 2 * nlayers],
-            owned: vec![None; 2 * nlayers],
-            fresh: vec![false; 2 * nlayers],
+            bufs: &mut bufs,
         };
         // The activations on the way forward, the loss gradient on the way
         // back.
-        let mut flow = x;
+        let mut flow = Tensor4::zeros(0, 0, 0, 0);
         // The loss all-reduce, in flight from the start of backward.
         let mut loss_op: Option<PendingOp> = None;
-        // Update directions in the model's flat parameter order.
-        let mut directions: Vec<Option<Matrix>> = vec![None; param_base[ex.net.len()]];
         // One FfBp span per pass, statistics and submissions nested in it.
         let mut pass: Option<SpanGuard<'_>> = None;
         let mut pass_start = Instant::now();
@@ -840,7 +1090,8 @@ fn train_segment(
                         pass = obs.span(Phase::FfBp);
                         pass_start = Instant::now();
                     }
-                    flow = ex.net.layers_mut()[*l].forward(&flow, capture);
+                    let input = if *l == 0 { &x } else { &flow };
+                    flow = ex.net.layers_mut()[*l].forward(input, capture);
                 }
                 Op::Backward(l) => {
                     if *l + 1 == ex.net.len() {
@@ -875,22 +1126,25 @@ fn train_segment(
                     let layer = &mut ex.net.layers_mut()[*l];
                     ready[t] = pass_start.elapsed().as_secs_f64();
                     let _fc = obs.span(Phase::FactorComp);
-                    let factor = if g_side {
+                    let stat = &mut ex.bufs.scratch[0];
+                    if g_side {
                         let (rows, n) = layer.take_g_stat().expect("G statistic not captured");
-                        local_factor_g(&rows, n)
+                        local_factor_g_into(&rows, n, stat);
                     } else {
-                        local_factor_a(&layer.take_a_stat().expect("A statistic not captured"))
-                    };
-                    ex.stats[t] = Some(SymPacked::from_matrix(&factor));
+                        let rows = layer.take_a_stat().expect("A statistic not captured");
+                        local_factor_a_into(&rows, stat);
+                    }
+                    // Packed straight into the statistic's slice of its
+                    // message.
+                    let (c, at) = ex.bufs.stat_at[t];
+                    let msg = ex.bufs.arena.fill(c, graph.nodes()[c].elems);
+                    SymPacked::pack_into(stat, &mut msg[at..at + packed_len(inv_dims[t])]);
                 }
                 Op::AllReduceFactors(tensors) => {
-                    let mut payload = Vec::with_capacity(node.elems);
-                    for &t in tensors {
-                        let stat = ex.stats[t].take().expect("statistic precedes its message");
-                        payload.extend_from_slice(stat.as_slice());
-                    }
+                    let payload = ex.bufs.arena.take(id, node.elems);
                     comm.set_phase(node.op.phase());
-                    ex.in_flight
+                    ex.bufs
+                        .in_flight
                         .push_back((id, comm.allreduce_avg_async(payload)));
                     // A message of one pass's statistics is a realized
                     // Eq. 15 flush; the bulk message mixes both.
@@ -902,71 +1156,66 @@ fn train_segment(
                     }
                 }
                 Op::AllReduceGrads(layers) => {
-                    // Grown by doubling, as the WFBP buffer always was, not
-                    // sized to `node.elems`: freeing the over-sized chunk
-                    // lifts glibc's mmap threshold past the model's size,
-                    // without which a process that runs several sessions
-                    // re-faults every session's state in its first iteration
-                    // (EXPERIMENTS "Iteration graph", `setup_s`).
-                    let mut payload = Vec::new();
+                    let mut payload = ex.bufs.arena.take(id, node.elems);
+                    let mut rest = &mut payload[..];
                     for &li in layers {
                         for p in ex.net.layers()[li].params() {
-                            payload.extend_from_slice(p.grad.as_slice());
+                            let (head, tail) = rest.split_at_mut(p.numel());
+                            head.copy_from_slice(p.grad.as_slice());
+                            rest = tail;
                         }
                     }
+                    assert!(rest.is_empty(), "node {id}: gradient message mis-sized");
                     comm.set_phase(node.op.phase());
-                    ex.in_flight
+                    ex.bufs
+                        .in_flight
                         .push_back((id, comm.allreduce_avg_async(payload)));
                 }
                 Op::Invert(t) => match node.who {
                     Who::Every => ex.invert_in_place(*t),
-                    Who::Rank(_) => ex.owned[*t] = Some(ex.invert(*t)),
+                    Who::Rank(_) => ex.invert_to_wire(id, *t),
                 },
                 // Every rank submits at the same position: the owner with
-                // the data, the others with a placeholder of its length.
-                // All ranks — the owner included — install a CT from the
+                // the inverse its `Invert` wrote into the payload, the others
+                // with stale contents that the broadcast overwrites. All
+                // ranks — the owner included — install a CT from the
                 // broadcast *result*, so replicas stay bit-identical under
                 // lossy wire formats too.
-                Op::Broadcast { tensor, root } => {
-                    let payload = ex.owned[*tensor].take();
-                    let payload = payload.unwrap_or_else(|| vec![0.0; node.elems]);
+                Op::Broadcast { root, .. } => {
+                    let payload = ex.bufs.arena.take(id, node.elems);
                     comm.set_phase(node.op.phase());
-                    ex.in_flight
+                    ex.bufs
+                        .in_flight
                         .push_back((id, comm.broadcast_async(payload, *root)));
                 }
                 Op::Precondition(layers) => {
                     for &li in layers {
                         let _up = obs.span(Phase::Update);
-                        let slots = &mut directions[param_base[li]..param_base[li + 1]];
-                        let dirs = ex.layer_directions(li, state_of_layer[li]);
-                        for (slot, d) in slots.iter_mut().zip(dirs) {
-                            *slot = Some(d);
-                        }
+                        ex.precondition(li, state_of_layer[li], param_base[li]..param_base[li + 1]);
                     }
                 }
                 // What needs everything: the KL clip (a global sum) and the
                 // step. `capture` selects the update rule.
                 Op::Update => {
-                    let _update = obs.labeled_span(Phase::Update, format!("iter{iter}"));
-                    if capture {
-                        let mut directions: Vec<Matrix> = directions
-                            .drain(..)
-                            .map(|d| d.expect("a parameter was left without a direction"))
-                            .collect();
-                        if let Some(clip) = cfg.kfac.kl_clip {
-                            let raw: Vec<Matrix> =
-                                ex.net.parameters().iter().map(|p| p.grad.clone()).collect();
-                            apply_kl_clip(&mut directions, &raw, cfg.kfac.lr, clip);
+                    let _update = obs.labeled_span(Phase::Update, || format!("iter{iter}"));
+                    // Under K-FAC every gradient is its direction by now.
+                    let mut params = ex.net.parameters_mut();
+                    if let Some(clip) = cfg.kfac.kl_clip.filter(|_| capture) {
+                        let nu = precond::kl_clip_scale(
+                            ex.bufs.kl_terms.iter().copied(),
+                            cfg.kfac.lr,
+                            clip,
+                        );
+                        if nu < 1.0 {
+                            params.iter_mut().for_each(|p| p.grad.scale(nu));
                         }
-                        sgd.step_with_directions(&mut ex.net.parameters_mut(), &directions);
-                    } else {
-                        sgd.step(&mut ex.net.parameters_mut());
                     }
+                    sgd.step(&mut params);
                 }
             }
         }
         debug_assert!(
-            ex.in_flight.is_empty(),
+            ex.bufs.in_flight.is_empty(),
             "a collective outlived its iteration"
         );
         // The loss message was submitted when the loss existed and is ahead
@@ -1045,7 +1294,7 @@ fn train_segment(
             // The one place a plan is installed.
             if first || swapped {
                 comm.set_generation(epoch.generation);
-                graphs = plan_graphs(cfg, net, &epoch);
+                graphs = plan_graphs(cfg, net, &epoch, rank, &mut bufs.arena);
                 if let Some(m) = metrics {
                     planner.publish(m, &epoch, &costs);
                 }
@@ -1157,7 +1406,7 @@ fn run_epochs(
         // full checkpoint (length first — joiners cannot size the payload)
         // and everyone restores from it.
         if let Some(src) = state_source {
-            let _handoff = obs.labeled_span(Phase::Update, format!("handoff-e{epoch}"));
+            let _handoff = obs.labeled_span(Phase::Update, || format!("handoff-e{epoch}"));
             comm.set_phase(Phase::Update);
             let packed = if rank == src {
                 state.checkpoint().pack()
@@ -1541,5 +1790,83 @@ mod tests {
             .spans()
             .iter()
             .any(|s| s.phase == Phase::InverseComm && s.track >= world));
+    }
+
+    #[test]
+    fn the_arena_shares_a_buffer_only_between_payloads_never_out_together() {
+        let net = deep_mlp(16, 32, 2, 4, 7);
+        for algorithm in [Algorithm::DKfac, Algorithm::MpdKfac] {
+            let cfg = DistributedConfig::new(2, algorithm);
+            let plan = Planner::new(&cfg, &net.kfac_dims(), 2).plan(&Costs::default(), None);
+            let graphs = [false, true].map(|refresh| iteration_graph(&cfg, &net, &plan, refresh));
+            let mut arena = MessageArena::default();
+            arena.install(&graphs, 0);
+            let held: usize = arena.slots.iter().flatten().map(Vec::capacity).sum();
+            let messages = graphs[1].nodes().iter().filter(|n| n.op.edge().is_some());
+            let sent: usize = messages.map(|n| n.elems).sum();
+            if algorithm == Algorithm::DKfac {
+                // Every message is out at the end of backward.
+                assert_eq!(held, sent);
+            } else {
+                // The broadcasts travel in the landed factor messages'
+                // buffers.
+                assert!(held < sent, "{algorithm:?}: {held} held for {sent} sent");
+            }
+        }
+    }
+
+    #[test]
+    fn a_mis_sized_message_is_refused_before_anything_is_installed() {
+        let cfg = DistributedConfig::new(2, Algorithm::DKfac);
+        let mut ws = WorkerState::fresh(&cfg, &|| mlp(&[6, 12, 3], 3));
+        let planner = Planner::new(&cfg, &ws.net.kfac_dims(), 2);
+        let graph = iteration_graph(&cfg, &ws.net, &planner.plan(&Costs::default(), None), true);
+        let obs = WorkerObs {
+            rec: None,
+            track: 0,
+        };
+        let params = ws.net.flat_params().len();
+        let messages = graph
+            .nodes()
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| matches!(n.op, Op::AllReduceFactors(_) | Op::AllReduceGrads(_)));
+        for (c, node) in messages {
+            for len in [node.elems - 1, node.elems + 1] {
+                let mut bufs = Buffers::new(ws.states.len() * 2, params);
+                let mut ex = Executor {
+                    cfg: &cfg,
+                    rank: 0,
+                    obs: &obs,
+                    graph: &graph,
+                    inv_dims: planner.inv_dims(),
+                    net: &mut ws.net,
+                    states: &mut ws.states,
+                    ekfac_bases: &mut ws.ekfac_bases,
+                    ekfac_scales: &mut ws.ekfac_scales,
+                    bufs: &mut bufs,
+                };
+                let landing = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    ex.land(c, vec![1.0; len]);
+                }));
+                let panic = landing.expect_err("a mis-sized message landed");
+                assert_eq!(
+                    panic.downcast_ref::<String>().map(String::as_str),
+                    Some(
+                        format!(
+                            "rank 0: node {c} ({:?}) landed {len} elements, its message has {}",
+                            node.op, node.elems
+                        )
+                        .as_str()
+                    )
+                );
+                // Nothing was installed: no factor, no gradient moved.
+                assert!(ws.states.iter().all(|st| st.factor_a().is_none()));
+                let grads = ws.net.parameters();
+                assert!(grads
+                    .iter()
+                    .all(|p| p.grad.as_slice().iter().all(|&g| g == 0.0)));
+            }
+        }
     }
 }

@@ -95,25 +95,70 @@ impl FactorState {
     /// # Errors
     ///
     /// Returns [`KfacError::FactorInversion`] when a damped factor is not
-    /// positive definite (damping too small).
+    /// positive definite (damping too small); both inverses are then
+    /// cleared.
     pub fn refresh_inverses(&mut self, gamma: f64) -> Result<(), KfacError> {
-        let a_inv = chol::spd_inverse(&self.damped_a(gamma)).map_err(|source| {
+        let done = self
+            .invert(FactorSide::A, gamma)
+            .and_then(|()| self.invert(FactorSide::G, gamma));
+        if done.is_err() {
+            (self.a_inv, self.g_inv) = (None, None);
+        }
+        done
+    }
+
+    /// The running factor of `side` and its inverse.
+    fn side_mut(&mut self, side: FactorSide) -> (&mut Option<Matrix>, &mut Option<Matrix>) {
+        match side {
+            FactorSide::A => (&mut self.a, &mut self.a_inv),
+            FactorSide::G => (&mut self.g, &mut self.g_inv),
+        }
+    }
+
+    /// Folds an aggregated statistic of `side`, given as its packed
+    /// triangle (its slice of a factor message), into the running average
+    /// in place; the first one is installed as it is.
+    pub fn update_packed(&mut self, side: FactorSide, dim: usize, packed: &[f64], stat_decay: f64) {
+        match self.side_mut(side).0 {
+            Some(f) => f.ema_update_packed(stat_decay, packed),
+            slot => *slot = Some(SymPacked::unpack(dim, packed)),
+        }
+    }
+
+    /// Inverts the damped factor of `side` (Eq. 12) in its inverse's
+    /// storage, which only the first call allocates.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KfacError::FactorInversion`] when the damped factor is not
+    /// positive definite; the inverse of `side` is then cleared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no statistics have been accumulated yet.
+    pub fn invert(&mut self, side: FactorSide, gamma: f64) -> Result<(), KfacError> {
+        let layer = self.layer;
+        let (factor, slot) = self.side_mut(side);
+        let inv = slot.get_or_insert_with(|| Matrix::zeros(0, 0));
+        factor
+            .as_ref()
+            .expect("no statistics yet")
+            .damped_into(gamma, inv);
+        chol::spd_inverse_in_place(inv).map_err(|source| {
+            *slot = None;
             KfacError::FactorInversion {
-                layer: self.layer,
-                factor: FactorSide::A,
+                layer,
+                factor: side,
                 source,
             }
-        })?;
-        let g_inv = chol::spd_inverse(&self.damped_g(gamma)).map_err(|source| {
-            KfacError::FactorInversion {
-                layer: self.layer,
-                factor: FactorSide::G,
-                source,
-            }
-        })?;
-        self.a_inv = Some(a_inv);
-        self.g_inv = Some(g_inv);
-        Ok(())
+        })
+    }
+
+    /// Installs an externally-computed inverse of `side` from its packed
+    /// wire form (a broadcast's payload), in its storage.
+    pub fn set_inv_packed(&mut self, side: FactorSide, dim: usize, packed: &[f64]) {
+        let inv = self.side_mut(side).1;
+        SymPacked::unpack_into(packed, inv.get_or_insert_with(|| Matrix::zeros(dim, dim)));
     }
 
     /// Installs an externally-computed (e.g. broadcast) inverse of `A`.
@@ -160,15 +205,29 @@ impl FactorState {
 /// Computes the local `A` factor from captured input rows:
 /// `A = aᵀa / rows` (Eq. 7 averaged over batch × spatial positions).
 pub fn local_factor_a(a_rows: &Matrix) -> Matrix {
-    a_rows.gramian_scaled(a_rows.rows() as f64)
+    let mut a = Matrix::zeros(0, 0);
+    local_factor_a_into(a_rows, &mut a);
+    a
+}
+
+/// [`local_factor_a`] into `out`, its storage reused.
+pub fn local_factor_a_into(a_rows: &Matrix, out: &mut Matrix) {
+    a_rows.gramian_scaled_into(a_rows.rows() as f64, out);
 }
 
 /// Computes the local `G` factor from captured (mean-reduced) output-gradient
 /// rows: `G = N²/rows · gᵀg` (Eq. 8 with per-sample rescaling, see
 /// `spdkfac_nn::KfacCapture::factor_g`).
 pub fn local_factor_g(g_rows: &Matrix, batch: usize) -> Matrix {
+    let mut g = Matrix::zeros(0, 0);
+    local_factor_g_into(g_rows, batch, &mut g);
+    g
+}
+
+/// [`local_factor_g`] into `out`, its storage reused.
+pub fn local_factor_g_into(g_rows: &Matrix, batch: usize, out: &mut Matrix) {
     let n = batch as f64;
-    g_rows.gramian_scaled(g_rows.rows() as f64 / (n * n))
+    g_rows.gramian_scaled_into(g_rows.rows() as f64 / (n * n), out);
 }
 
 #[cfg(test)]

@@ -35,16 +35,69 @@ pub fn precondition_bias(state: &FactorState, grad: &Matrix) -> Matrix {
 /// otherwise. Layers are independent, so a caller may build them in any
 /// order — e.g. as each layer's averaged gradient arrives.
 pub fn layer_directions(params: &[&Param], state: Option<&FactorState>) -> Vec<Matrix> {
-    match state.filter(|st| st.a_inv().is_some()) {
-        Some(st) => params
-            .iter()
-            .enumerate()
-            .map(|(pi, p)| match pi {
-                0 => precondition_weight(st, &p.grad),
-                _ => precondition_bias(st, &p.grad),
-            })
-            .collect(),
-        None => params.iter().map(|p| p.grad.clone()).collect(),
+    let inverses = state.and_then(inverses);
+    let mut scratch = Matrix::zeros(0, 0);
+    let mut direction = |(pi, p): (usize, &&Param)| {
+        let mut d = p.grad.clone();
+        to_direction(pi, &mut d, inverses, &mut scratch);
+        d
+    };
+    params.iter().enumerate().map(&mut direction).collect()
+}
+
+/// [`layer_directions`] in place: each parameter's gradient becomes its
+/// update direction, `G⁻¹ · ∇W` formed in `scratch[0]`. With `kl_terms`,
+/// parameter `i`'s KL clip term ([`kl_term`] of its direction and raw
+/// gradient, which `scratch[1]` keeps meanwhile) goes to `kl_terms[i]`.
+///
+/// # Panics
+///
+/// Panics if `kl_terms` is shorter than `params`.
+pub fn precondition_in_place(
+    params: &mut [&mut Param],
+    state: Option<&FactorState>,
+    scratch: &mut [Matrix; 2],
+    mut kl_terms: Option<&mut [f64]>,
+) {
+    let inverses = state.and_then(inverses);
+    let [g_inv_grad, raw] = scratch;
+    for (pi, p) in params.iter_mut().enumerate() {
+        if kl_terms.is_some() {
+            raw.clone_from(&p.grad);
+        }
+        to_direction(pi, &mut p.grad, inverses, g_inv_grad);
+        if let Some(kl) = kl_terms.as_deref_mut() {
+            kl[pi] = kl_term(&p.grad, raw);
+        }
+    }
+}
+
+/// `state`'s `(A⁻¹, G⁻¹)`, once computed.
+fn inverses(state: &FactorState) -> Option<(&Matrix, &Matrix)> {
+    Some((
+        state.a_inv()?,
+        state.g_inv().expect("G inverse not computed"),
+    ))
+}
+
+/// Turns parameter `pi`'s gradient into its update direction in place:
+/// `G⁻¹ · ∇W · A⁻¹` for the weight, `G⁻¹ · ∇b` for the bias (both through
+/// `scratch`), the gradient itself without inverses.
+fn to_direction(
+    pi: usize,
+    grad: &mut Matrix,
+    inverses: Option<(&Matrix, &Matrix)>,
+    scratch: &mut Matrix,
+) {
+    match inverses {
+        Some((a_inv, g_inv)) if pi == 0 => {
+            kron::precondition_gradient_in_place(grad, a_inv, g_inv, scratch);
+        }
+        Some((_, g_inv)) => {
+            g_inv.matmul_into(grad, scratch);
+            grad.clone_from(scratch);
+        }
+        None => {}
     }
 }
 
@@ -86,27 +139,38 @@ pub fn apply_kl_clip(
         raw_grads.len(),
         "kl_clip: length mismatch"
     );
-    let mut vg_sum = 0.0;
-    for (d, g) in directions.iter().zip(raw_grads.iter()) {
-        let dot: f64 = d
-            .as_slice()
-            .iter()
-            .zip(g.as_slice().iter())
-            .map(|(a, b)| a * b)
-            .sum();
-        vg_sum += dot * lr * lr;
-    }
-    let nu = if vg_sum > 0.0 {
-        (kl_clip / vg_sum).sqrt().min(1.0)
-    } else {
-        1.0
-    };
+    let terms = directions.iter().zip(raw_grads).map(|(d, g)| kl_term(d, g));
+    let nu = kl_clip_scale(terms, lr, kl_clip);
     if nu < 1.0 {
         for d in directions.iter_mut() {
             d.scale(nu);
         }
     }
     nu
+}
+
+/// One parameter's term `⟨∇̃, ∇⟩` of the KL clip.
+pub fn kl_term(direction: &Matrix, grad: &Matrix) -> f64 {
+    direction
+        .as_slice()
+        .iter()
+        .zip(grad.as_slice().iter())
+        .map(|(a, b)| a * b)
+        .sum()
+}
+
+/// The KL clip's ν from its per-parameter terms ([`kl_term`]) in the
+/// model's flat parameter order; [`apply_kl_clip`] scales by it.
+pub fn kl_clip_scale(terms: impl IntoIterator<Item = f64>, lr: f64, kl_clip: f64) -> f64 {
+    let mut vg_sum = 0.0;
+    for dot in terms {
+        vg_sum += dot * lr * lr;
+    }
+    if vg_sum > 0.0 {
+        (kl_clip / vg_sum).sqrt().min(1.0)
+    } else {
+        1.0
+    }
 }
 
 #[cfg(test)]

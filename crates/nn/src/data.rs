@@ -55,14 +55,29 @@ impl Dataset {
     ///
     /// Panics if the range exceeds the dataset.
     pub fn batch(&self, start: usize, len: usize) -> (Tensor4, Vec<usize>) {
+        let (mut x, mut y) = (Tensor4::zeros(0, 0, 0, 0), Vec::new());
+        self.batch_into(start, len, &mut x, &mut y);
+        (x, y)
+    }
+
+    /// [`Dataset::batch`] into caller-kept buffers, their storage reused.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds the dataset.
+    pub fn batch_into(&self, start: usize, len: usize, x: &mut Tensor4, y: &mut Vec<usize>) {
         assert!(start + len <= self.len(), "batch out of range");
         let f = self.x.features();
         let (_, c, h, w) = self.x.shape();
-        let data = self.x.as_slice()[start * f..(start + len) * f].to_vec();
-        (
-            Tensor4::from_vec(len, c, h, w, data),
-            self.y[start..start + len].to_vec(),
-        )
+        x.assign(
+            len,
+            c,
+            h,
+            w,
+            &self.x.as_slice()[start * f..(start + len) * f],
+        );
+        y.clear();
+        y.extend_from_slice(&self.y[start..start + len]);
     }
 
     /// Returns a copy with samples permuted by a seeded Fisher–Yates

@@ -161,15 +161,15 @@ impl Layer for Conv2d {
             }
         }
         // dW = gᵀ · patches.
-        self.weight.grad = g.matmul_tn(&patches);
+        g.matmul_tn_into(&patches, &mut self.weight.grad);
         if let Some(b) = &mut self.bias {
-            let mut db = Matrix::zeros(self.c_out, 1);
+            let db = &mut b.grad;
+            db.as_mut_slice().fill(0.0);
             for r in 0..g.rows() {
                 for co in 0..self.c_out {
                     db[(co, 0)] += g[(r, co)];
                 }
             }
-            b.grad = db;
         }
         if self.capture_armed {
             self.pending_g = Some((g.clone(), n));

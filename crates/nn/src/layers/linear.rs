@@ -112,15 +112,15 @@ impl Layer for Linear {
         assert_eq!(g.cols(), self.d_out, "{}: bad grad width", self.name);
 
         // dW = gᵀ · x (d_out × d_in).
-        self.weight.grad = g.matmul_tn(&x_mat);
+        g.matmul_tn_into(&x_mat, &mut self.weight.grad);
         if let Some(b) = &mut self.bias {
-            let mut db = Matrix::zeros(self.d_out, 1);
+            let db = &mut b.grad;
+            db.as_mut_slice().fill(0.0);
             for r in 0..g.rows() {
                 for cc in 0..self.d_out {
                     db[(cc, 0)] += g[(r, cc)];
                 }
             }
-            b.grad = db;
         }
         if self.capture_armed {
             self.pending_g = Some((g.clone(), g.rows()));

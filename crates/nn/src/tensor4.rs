@@ -50,6 +50,23 @@ impl Tensor4 {
         Tensor4 { n, c, h, w, data }
     }
 
+    /// Overwrites this tensor with `data` as shape `(n, c, h, w)`, reusing
+    /// its storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != n * c * h * w`.
+    pub fn assign(&mut self, n: usize, c: usize, h: usize, w: usize, data: &[f64]) {
+        assert_eq!(
+            data.len(),
+            n * c * h * w,
+            "Tensor4::assign: length mismatch"
+        );
+        (self.n, self.c, self.h, self.w) = (n, c, h, w);
+        self.data.clear();
+        self.data.extend_from_slice(data);
+    }
+
     /// Builds a flat `(N, D, 1, 1)` tensor from a row-major `N × D` matrix.
     pub fn from_matrix(m: &Matrix) -> Self {
         Tensor4::from_vec(m.rows(), m.cols(), 1, 1, m.as_slice().to_vec())

@@ -21,19 +21,41 @@
 //! Depth ranges are clipped to the triangles (`M[p,J] = 0` for `p < j0`,
 //! `M[p,I] = 0` for `p < i0`). An operand that shares rows with the block
 //! being written (the solved panel, `P`, `M[I,0:i1]`) goes through a
-//! scratch of at most `n × nb` elements; everything else is read where it
-//! lies. The core keeps results bit-identical for any `SPDKFAC_THREADS` and
-//! across AVX2 / AVX-512 hosts. [`cholesky_unblocked`] and
-//! [`Cholesky::inverse_unblocked`] are the leaf kernels (diagonal blocks,
-//! matrices of at most one block) and the oracles of the parity tests.
+//! per-thread scratch of `nb × nb + n × nb` elements, kept across calls
+//! (it only ever grows); everything else is read where it lies, so a warm
+//! [`spd_inverse_in_place`] allocates nothing. The core keeps results
+//! bit-identical for any `SPDKFAC_THREADS` and across AVX2 / AVX-512 hosts.
+//! [`cholesky_unblocked`] and [`Cholesky::inverse_unblocked`] are the
+//! leaf kernels (diagonal blocks, matrices of at most one block) run on
+//! the whole matrix: the oracles of the parity tests.
 
 use crate::error::TensorError;
 use crate::gemm::{gemm, mirror_lower, Mask, Operand};
 use crate::matrix::Matrix;
+use std::cell::RefCell;
 
 /// Block edge of the factorization and the inverse; matrices up to this
 /// size use the unblocked kernels.
-const CHOL_NB: usize = 24;
+pub const CHOL_NB: usize = 24;
+
+thread_local! {
+    /// This thread's working storage of the blocked kernels (see the
+    /// module docs): grown to the largest matrix seen, never freed.
+    static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on this thread's scratch, grown to what an `n × n` matrix at
+/// block edge `nb` needs.
+fn with_scratch<R>(n: usize, nb: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+    SCRATCH.with(|cell| {
+        let mut scratch = cell.borrow_mut();
+        let len = nb.min(n) * (nb.min(n) + n);
+        if scratch.len() < len {
+            scratch.resize(len, 0.0);
+        }
+        f(&mut scratch[..len])
+    })
+}
 
 /// A lower-triangular Cholesky factor `L` with `A = L Lᵀ`.
 ///
@@ -98,60 +120,56 @@ pub fn cholesky_unblocked(a: &Matrix) -> Result<Cholesky, TensorError> {
 /// Panics if `nb == 0`.
 pub fn cholesky_with_block(a: &Matrix, nb: usize) -> Result<Cholesky, TensorError> {
     assert!(nb >= 1, "cholesky_with_block: block edge must be positive");
-    if !a.is_square() {
+    let mut l = a.clone();
+    potrf(&mut l, nb)?;
+    Ok(Cholesky { l })
+}
+
+/// Factors the SPD matrix in `w` in place: on success `w` holds `L` with a
+/// zero upper triangle (only the lower triangle of `A` is read).
+fn potrf(w: &mut Matrix, nb: usize) -> Result<(), TensorError> {
+    if !w.is_square() {
         return Err(TensorError::NotSquare {
             op: "cholesky",
-            shape: a.shape(),
+            shape: w.shape(),
         });
     }
-    let n = a.rows();
-    // Working copy of the lower triangle (the upper one is never read).
-    let mut w = vec![0.0; n * n];
-    for i in 0..n {
-        w[i * n..=i * n + i].copy_from_slice(&a.as_slice()[i * n..=i * n + i]);
-    }
-    let (mut dinv, mut panel) = (Vec::new(), Vec::new());
-    for j0 in (0..n).step_by(nb) {
-        let j1 = (j0 + nb).min(n);
-        let (bw, below) = (j1 - j0, n - j1);
-        potf2(&mut w[j0 * n + j0..], n, bw)
-            .map_err(|pivot| TensorError::NotPositiveDefinite { pivot: j0 + pivot })?;
-        if below == 0 {
-            break;
+    let n = w.rows();
+    let w = w.as_mut_slice();
+    with_scratch(n, nb, |scratch| {
+        let (dinv, panel) = scratch.split_at_mut(nb.min(n) * nb.min(n));
+        for j0 in (0..n).step_by(nb) {
+            let j1 = (j0 + nb).min(n);
+            let (bw, below) = (j1 - j0, n - j1);
+            potf2(&mut w[j0 * n + j0..], n, bw)
+                .map_err(|pivot| TensorError::NotPositiveDefinite { pivot: j0 + pivot })?;
+            if below == 0 {
+                break;
+            }
+            let dinv = &mut dinv[..bw * bw];
+            dinv.fill(0.0);
+            trti2(&w[j0 * n + j0..], n, dinv, bw, bw);
+            // Panel solve L21 · L11ᵀ = A21 as a product with L11⁻ᵀ.
+            let panel = &mut panel[..below * bw];
+            panel.fill(0.0);
+            let (a21, l11_inv) = (Operand::new(&w[j1 * n + j0..], n), Operand::new(dinv, bw));
+            gemm(1.0, below, bw, bw, a21, l11_inv.t(), panel, bw, Mask::Full);
+            for (wrow, prow) in w[j1 * n + j0..].chunks_mut(n).zip(panel.chunks(bw)) {
+                wrow[..bw].copy_from_slice(prow);
+            }
+            // Trailing update A22 −= L21 · L21ᵀ, lower-triangle tiles only.
+            let l21 = Operand::new(panel, bw);
+            let a22 = &mut w[j1 * n + j1..];
+            gemm(-1.0, below, bw, below, l21, l21.t(), a22, n, Mask::Lower);
         }
-        dinv.clear();
-        dinv.resize(bw * bw, 0.0);
-        trti2(&w[j0 * n + j0..], n, &mut dinv, bw, bw);
-        // Panel solve L21 · L11ᵀ = A21 as a product with L11⁻ᵀ.
-        panel.clear();
-        panel.resize(below * bw, 0.0);
-        let (a21, l11_inv) = (Operand::new(&w[j1 * n + j0..], n), Operand::new(&dinv, bw));
-        gemm(
-            1.0,
-            below,
-            bw,
-            bw,
-            a21,
-            l11_inv.t(),
-            &mut panel,
-            bw,
-            Mask::Full,
-        );
-        for (wrow, prow) in w[j1 * n + j0..].chunks_mut(n).zip(panel.chunks(bw)) {
-            wrow[..bw].copy_from_slice(prow);
-        }
-        // Trailing update A22 −= L21 · L21ᵀ, lower-triangle tiles only.
-        let l21 = Operand::new(&panel, bw);
-        let a22 = &mut w[j1 * n + j1..];
-        gemm(-1.0, below, bw, below, l21, l21.t(), a22, n, Mask::Lower);
-    }
-    // Trailing-update tiles that straddle the diagonal spilled above it.
+        Ok(())
+    })?;
+    // The upper triangle still holds `A`, and trailing-update tiles that
+    // straddle the diagonal spilled above it.
     for i in 0..n {
         w[i * n + i + 1..(i + 1) * n].fill(0.0);
     }
-    Ok(Cholesky {
-        l: Matrix::from_vec(n, n, w),
-    })
+    Ok(())
 }
 
 /// Unblocked in-place `LLᵀ` of the `n × n` block at the start of `w` (rows
@@ -197,6 +215,85 @@ fn trti2(l: &[f64], ldl: usize, m: &mut [f64], ldm: usize, n: usize) {
         }
         mi[i] = 1.0 / li[i];
     }
+}
+
+/// Turns the square `L` in `w` (zero upper triangle) into `A⁻¹ = L⁻ᵀL⁻¹`
+/// in place: blocked TRTRI + LAUUM when `n > nb`, the unblocked seed
+/// kernels otherwise.
+fn potri(w: &mut Matrix, nb: usize) {
+    let n = w.rows();
+    let w = w.as_mut_slice();
+    with_scratch(n, nb, |scratch| {
+        if n <= nb {
+            // M = L⁻¹ (lower triangular), then A⁻¹ = MᵀM computed on the
+            // upper triangle and mirrored.
+            let m = &mut scratch[..n * n];
+            m.fill(0.0);
+            trti2(w, n, m, n, n);
+            for i in 0..n {
+                for j in i..n {
+                    // Column i of M dotted with column j, rows ≥ max(i, j) = j.
+                    let mut s = 0.0;
+                    for k in j..n {
+                        s += m[k * n + i] * m[k * n + j];
+                    }
+                    w[i * n + j] = s;
+                    w[j * n + i] = s;
+                }
+            }
+            return;
+        }
+        let (dinv, scratch) = scratch.split_at_mut(nb * nb);
+        // TRTRI: rows above i0 already hold M, rows from i0 on still L.
+        for i0 in (0..n).step_by(nb) {
+            let bh = nb.min(n - i0);
+            let (done, rows) = w.split_at_mut(i0 * n);
+            dinv.fill(0.0);
+            trti2(&rows[i0..], n, dinv, bh, bh);
+            // P = −M[I,I] · L[I,0:i0], then M[I,J] = P[:,j0:i0] · M[j0:i0,J].
+            let p = &mut scratch[..bh * i0];
+            p.fill(0.0);
+            gemm(
+                -1.0,
+                bh,
+                bh,
+                i0,
+                Operand::new(dinv, bh),
+                Operand::new(rows, n),
+                p,
+                i0,
+                Mask::Full,
+            );
+            for (row, drow) in rows.chunks_mut(n).zip(dinv.chunks(bh)).take(bh) {
+                row[..i0].fill(0.0);
+                row[i0..i0 + bh].copy_from_slice(drow);
+            }
+            for j0 in (0..i0).step_by(nb) {
+                let (pj, mj) = (
+                    Operand::new(&p[j0..], i0),
+                    Operand::new(&done[j0 * n + j0..], n),
+                );
+                gemm(1.0, bh, i0 - j0, nb, pj, mj, &mut rows[j0..], n, Mask::Full);
+            }
+        }
+        // LAUUM: rows above i0 already hold A⁻¹, rows from i0 on still M.
+        for i0 in (0..n).step_by(nb) {
+            let i1 = (i0 + nb).min(n);
+            let (rows, below) = w[i0 * n..].split_at_mut((i1 - i0) * n);
+            let mi = &mut scratch[..(i1 - i0) * i1];
+            for (row, srow) in rows.chunks_mut(n).zip(mi.chunks_mut(i1)) {
+                srow.copy_from_slice(&row[..i1]);
+                row[..i1].fill(0.0);
+            }
+            let (mii, mi) = (Operand::new(&mi[i0..], i1), Operand::new(mi, i1));
+            gemm(1.0, i1 - i0, i1 - i0, i1, mii.t(), mi, rows, n, Mask::Full);
+            if i1 < n {
+                let (mki, mk) = (Operand::new(&below[i0..], n), Operand::new(below, n));
+                gemm(1.0, i1 - i0, n - i1, i1, mki.t(), mk, rows, n, Mask::Full);
+            }
+        }
+        mirror_lower(w, n);
+    });
 }
 
 impl Cholesky {
@@ -272,24 +369,7 @@ impl Cholesky {
     /// most one block, and the oracle of the parity tests and
     /// `bench_kernels`.
     pub fn inverse_unblocked(&self) -> Matrix {
-        let n = self.dim();
-        // Invert the lower-triangular factor: M = L⁻¹ (lower triangular).
-        let mut m = Matrix::zeros(n, n);
-        trti2(self.l.as_slice(), n, m.as_mut_slice(), n, n);
-        // A⁻¹ = Mᵀ M, computed on the upper triangle then mirrored.
-        let mut inv = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in i..n {
-                // Column i of M dotted with column j of M, rows ≥ max(i, j)=j.
-                let mut s = 0.0;
-                for k in j..n {
-                    s += m[(k, i)] * m[(k, j)];
-                }
-                inv[(i, j)] = s;
-                inv[(j, i)] = s;
-            }
-        }
-        inv
+        self.inverse_with_block(self.dim().max(1))
     }
 
     /// Blocked inverse (TRTRI + LAUUM on the level-3 core, see the module
@@ -303,69 +383,10 @@ impl Cholesky {
     ///
     /// Panics if `nb == 0`.
     pub fn inverse_with_block(&self, nb: usize) -> Matrix {
-        self.clone().into_inverse(nb)
-    }
-
-    /// [`Cholesky::inverse_with_block`] in the factor's own storage.
-    fn into_inverse(self, nb: usize) -> Matrix {
         assert!(nb >= 1, "inverse_with_block: block edge must be positive");
-        let n = self.dim();
-        if n <= nb {
-            return self.inverse_unblocked();
-        }
-        let mut w = self.l.into_vec();
-        let mut dinv = vec![0.0; nb * nb];
-        let mut scratch = vec![0.0; nb * n];
-        // TRTRI: rows above i0 already hold M, rows from i0 on still L.
-        for i0 in (0..n).step_by(nb) {
-            let bh = nb.min(n - i0);
-            let (done, rows) = w.split_at_mut(i0 * n);
-            dinv.fill(0.0);
-            trti2(&rows[i0..], n, &mut dinv, bh, bh);
-            // P = −M[I,I] · L[I,0:i0], then M[I,J] = P[:,j0:i0] · M[j0:i0,J].
-            let p = &mut scratch[..bh * i0];
-            p.fill(0.0);
-            gemm(
-                -1.0,
-                bh,
-                bh,
-                i0,
-                Operand::new(&dinv, bh),
-                Operand::new(rows, n),
-                p,
-                i0,
-                Mask::Full,
-            );
-            for (row, drow) in rows.chunks_mut(n).zip(dinv.chunks(bh)).take(bh) {
-                row[..i0].fill(0.0);
-                row[i0..i0 + bh].copy_from_slice(drow);
-            }
-            for j0 in (0..i0).step_by(nb) {
-                let (pj, mj) = (
-                    Operand::new(&p[j0..], i0),
-                    Operand::new(&done[j0 * n + j0..], n),
-                );
-                gemm(1.0, bh, i0 - j0, nb, pj, mj, &mut rows[j0..], n, Mask::Full);
-            }
-        }
-        // LAUUM: rows above i0 already hold A⁻¹, rows from i0 on still M.
-        for i0 in (0..n).step_by(nb) {
-            let i1 = (i0 + nb).min(n);
-            let (rows, below) = w[i0 * n..].split_at_mut((i1 - i0) * n);
-            let mi = &mut scratch[..(i1 - i0) * i1];
-            for (row, srow) in rows.chunks_mut(n).zip(mi.chunks_mut(i1)) {
-                srow.copy_from_slice(&row[..i1]);
-                row[..i1].fill(0.0);
-            }
-            let (mii, mi) = (Operand::new(&mi[i0..], i1), Operand::new(mi, i1));
-            gemm(1.0, i1 - i0, i1 - i0, i1, mii.t(), mi, rows, n, Mask::Full);
-            if i1 < n {
-                let (mki, mk) = (Operand::new(&below[i0..], n), Operand::new(below, n));
-                gemm(1.0, i1 - i0, n - i1, i1, mki.t(), mk, rows, n, Mask::Full);
-            }
-        }
-        mirror_lower(&mut w, n);
-        Matrix::from_vec(n, n, w)
+        let mut w = self.l.clone();
+        potri(&mut w, nb);
+        w
     }
 
     /// Log-determinant of `A`: `2 Σ log L_ii`.
@@ -396,7 +417,23 @@ impl Cholesky {
 /// # }
 /// ```
 pub fn spd_inverse(a: &Matrix) -> Result<Matrix, TensorError> {
-    Ok(cholesky(a)?.into_inverse(CHOL_NB))
+    let mut inv = a.clone();
+    spd_inverse_in_place(&mut inv)?;
+    Ok(inv)
+}
+
+/// [`spd_inverse`] in the matrix's own storage: `a` holds the SPD matrix
+/// on entry (only its lower triangle is read) and its inverse on success.
+/// With this thread's scratch warm (one earlier call at this size) it
+/// allocates nothing. On error `a` holds a partial factorization.
+///
+/// # Errors
+///
+/// Same contract as [`cholesky`].
+pub fn spd_inverse_in_place(a: &mut Matrix) -> Result<(), TensorError> {
+    potrf(a, CHOL_NB)?;
+    potri(a, CHOL_NB);
+    Ok(())
 }
 
 #[cfg(test)]

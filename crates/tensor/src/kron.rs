@@ -81,6 +81,23 @@ pub fn unvec_col_major(v: &[f64], rows: usize, cols: usize) -> Matrix {
 /// assert_eq!(p[(0, 1)], 0.5);
 /// ```
 pub fn precondition_gradient(grad: &Matrix, a_inv: &Matrix, g_inv: &Matrix) -> Matrix {
+    let mut out = grad.clone();
+    precondition_gradient_in_place(&mut out, a_inv, g_inv, &mut Matrix::zeros(0, 0));
+    out
+}
+
+/// [`precondition_gradient`] in the gradient's own storage, with
+/// `G⁻¹ · ∇W` formed in `scratch` (reshaped, its storage reused).
+///
+/// # Panics
+///
+/// Panics on shape mismatch.
+pub fn precondition_gradient_in_place(
+    grad: &mut Matrix,
+    a_inv: &Matrix,
+    g_inv: &Matrix,
+    scratch: &mut Matrix,
+) {
     assert_eq!(
         grad.cols(),
         a_inv.rows(),
@@ -95,7 +112,8 @@ pub fn precondition_gradient(grad: &Matrix, a_inv: &Matrix, g_inv: &Matrix) -> M
         grad.rows(),
         g_inv.rows()
     );
-    g_inv.matmul(grad).matmul(a_inv)
+    g_inv.matmul_into(grad, scratch);
+    scratch.matmul_into(a_inv, grad);
 }
 
 #[cfg(test)]

@@ -7,6 +7,11 @@
 //! core in [`crate::gemm`]; results are bit-identical for any
 //! `SPDKFAC_THREADS` setting (see [`crate::pool`] for the determinism
 //! contract).
+//!
+//! A kernel the trainer runs every iteration has an `_into` form that
+//! writes into a caller-kept matrix, reshaping it and reusing its storage
+//! (no allocation once the storage is large enough); the allocating form
+//! is that call on an empty matrix, so the two give the same bits.
 
 use crate::error::TensorError;
 use crate::gemm::{self, Mask, Operand};
@@ -24,11 +29,28 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 /// let b = Matrix::identity(2);
 /// assert_eq!(a.matmul(&b), a);
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies `source` into this matrix's storage (no allocation when it
+    /// is large enough).
+    fn clone_from(&mut self, source: &Self) {
+        (self.rows, self.cols) = source.shape();
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl fmt::Debug for Matrix {
@@ -62,6 +84,18 @@ impl Matrix {
             rows,
             cols,
             data: vec![0.0; rows * cols],
+        }
+    }
+
+    /// Reshapes to `rows × cols` of zeros, reusing the storage when it is
+    /// large enough (a fresh zeroed allocation otherwise).
+    fn reset_zeros(&mut self, rows: usize, cols: usize) {
+        if self.data.capacity() < rows * cols {
+            *self = Matrix::zeros(rows, cols);
+        } else {
+            self.data.clear();
+            self.data.resize(rows * cols, 0.0);
+            (self.rows, self.cols) = (rows, cols);
         }
     }
 
@@ -227,8 +261,24 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
+        let mut out = Matrix::zeros(0, 0);
+        self.matmul_into(rhs, &mut out);
+        Ok(out)
+    }
+
+    /// [`Matrix::matmul`] into `out`, reshaped to the product's shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != rhs.rows()`.
+    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
+        assert_eq!(
+            self.cols, rhs.rows,
+            "matmul: shape mismatch {}x{} · {}x{}",
+            self.rows, self.cols, rhs.rows, rhs.cols
+        );
         let (a, b) = (self.operand(), rhs.operand());
-        Ok(product(self.rows, self.cols, rhs.cols, a, b, Mask::Full))
+        product_into(self.rows, self.cols, rhs.cols, a, b, Mask::Full, out);
     }
 
     /// Transpose-free product `self · rhsᵀ`.
@@ -246,7 +296,9 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let (a, b) = (self.operand(), rhs.operand().t());
-        product(self.rows, self.cols, rhs.rows, a, b, Mask::Full)
+        let mut out = Matrix::zeros(0, 0);
+        product_into(self.rows, self.cols, rhs.rows, a, b, Mask::Full, &mut out);
+        out
     }
 
     /// Transpose-free product `selfᵀ · rhs`.
@@ -258,13 +310,24 @@ impl Matrix {
     ///
     /// Panics if `self.rows() != rhs.rows()`.
     pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        self.matmul_tn_into(rhs, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul_tn`] into `out`, reshaped to the product's shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows() != rhs.rows()`.
+    pub fn matmul_tn_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, rhs.rows,
             "matmul_tn: shape mismatch ({}x{})ᵀ · {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let (a, b) = (self.operand().t(), rhs.operand());
-        product(self.cols, self.rows, rhs.cols, a, b, Mask::Full)
+        product_into(self.cols, self.rows, rhs.cols, a, b, Mask::Full, out);
     }
 
     /// Gramian `selfᵀ · self` exploiting symmetry (computes the lower triangle
@@ -274,17 +337,23 @@ impl Matrix {
     /// `A = E[a aᵀ]` and `G = E[g gᵀ]` (Eq. 7/8), where the rows of `self`
     /// are per-sample activation / gradient vectors.
     pub fn gramian(&self) -> Matrix {
-        let x = self.operand();
-        let mut g = product(self.cols, self.rows, self.cols, x.t(), x, Mask::Lower);
-        gemm::mirror_lower(&mut g.data, self.cols);
-        g
+        self.gramian_scaled(1.0)
     }
 
     /// Symmetric rank-k product `self · selfᵀ` (the `AAᵀ` companion of
     /// [`Matrix::gramian`]) at half the FLOPs of the equivalent GEMM.
     pub fn syrk_nt(&self) -> Matrix {
         let x = self.operand();
-        let mut g = product(self.rows, self.cols, self.rows, x, x.t(), Mask::Lower);
+        let mut g = Matrix::zeros(0, 0);
+        product_into(
+            self.rows,
+            self.cols,
+            self.rows,
+            x,
+            x.t(),
+            Mask::Lower,
+            &mut g,
+        );
         gemm::mirror_lower(&mut g.data, self.rows);
         g
     }
@@ -294,9 +363,19 @@ impl Matrix {
     /// K-FAC averages the factor statistics over the mini-batch (and over the
     /// spatial positions for convolutions), so this saves a second pass.
     pub fn gramian_scaled(&self, scale: f64) -> Matrix {
-        let mut g = self.gramian();
-        g.scale(1.0 / scale);
+        let mut g = Matrix::zeros(0, 0);
+        self.gramian_scaled_into(scale, &mut g);
         g
+    }
+
+    /// [`Matrix::gramian_scaled`] into `out`, reshaped to `cols × cols`.
+    pub fn gramian_scaled_into(&self, scale: f64, out: &mut Matrix) {
+        let x = self.operand();
+        product_into(self.cols, self.rows, self.cols, x.t(), x, Mask::Lower, out);
+        gemm::mirror_lower(&mut out.data, self.cols);
+        if scale != 1.0 {
+            out.scale(1.0 / scale);
+        }
     }
 
     /// Matrix–vector product `self · v`.
@@ -332,9 +411,19 @@ impl Matrix {
     ///
     /// Panics if the matrix is not square.
     pub fn damped(&self, gamma: f64) -> Matrix {
-        let mut m = self.clone();
-        m.add_scaled_identity(gamma);
+        let mut m = Matrix::zeros(0, 0);
+        self.damped_into(gamma, &mut m);
         m
+    }
+
+    /// [`Matrix::damped`] into `out` (its storage reused).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix is not square.
+    pub fn damped_into(&self, gamma: f64, out: &mut Matrix) {
+        out.clone_from(self);
+        out.add_scaled_identity(gamma);
     }
 
     /// Scales every element in place.
@@ -364,8 +453,39 @@ impl Matrix {
     /// Panics on shape mismatch.
     pub fn ema_update(&mut self, decay: f64, other: &Matrix) {
         assert_eq!(self.shape(), other.shape(), "ema_update: shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a = decay * *a + (1.0 - decay) * b;
+        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
+            *a = ema(decay, *a, b);
+        }
+    }
+
+    /// [`Matrix::ema_update`] against a symmetric matrix given as its
+    /// packed upper triangle ([`crate::SymPacked`] layout) — the landing of
+    /// an aggregated factor message, without expanding it first. Each
+    /// element is updated exactly as against the expanded matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix is not square or `packed` is not its triangle.
+    pub fn ema_update_packed(&mut self, decay: f64, packed: &[f64]) {
+        let n = self.rows;
+        assert!(
+            self.is_square() && packed.len() == crate::sym::packed_len(n),
+            "ema_update_packed: {} packed elements for a {}x{} matrix",
+            packed.len(),
+            self.rows,
+            self.cols
+        );
+        let mut rest = packed;
+        for i in 0..n {
+            let (row, tail) = rest.split_at(n - i);
+            rest = tail;
+            for (k, &b) in row.iter().enumerate() {
+                let j = i + k;
+                self.data[i * n + j] = ema(decay, self.data[i * n + j], b);
+                if k > 0 {
+                    self.data[j * n + i] = ema(decay, self.data[j * n + i], b);
+                }
+            }
         }
     }
 
@@ -431,12 +551,24 @@ impl Matrix {
     }
 }
 
-/// The tiles `mask` keeps of `op(a) · op(b)` (`m × k` times `k × n`), as a
-/// fresh matrix.
-fn product(m: usize, k: usize, n: usize, a: Operand, b: Operand, mask: Mask) -> Matrix {
-    let mut out = Matrix::zeros(m, n);
+/// The tiles `mask` keeps of `op(a) · op(b)` (`m × k` times `k × n`), into
+/// `out` reshaped to `m × n` (zero elsewhere).
+fn product_into(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: Operand,
+    b: Operand,
+    mask: Mask,
+    out: &mut Matrix,
+) {
+    out.reset_zeros(m, n);
     gemm::gemm(1.0, m, k, n, a, b, &mut out.data, n, mask);
-    out
+}
+
+/// One exponential-moving-average step: `decay · a + (1 − decay) · b`.
+fn ema(decay: f64, a: f64, b: f64) -> f64 {
+    decay * a + (1.0 - decay) * b
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {

@@ -53,15 +53,35 @@ impl SymPacked {
     ///
     /// Panics if `m` is not square.
     pub fn from_matrix(m: &Matrix) -> Self {
+        let mut data = vec![0.0; packed_len(m.rows())];
+        SymPacked::pack_into(m, &mut data);
+        SymPacked {
+            dim: m.rows(),
+            data,
+        }
+    }
+
+    /// Packs the upper triangle of a square matrix into `dst` — e.g. its
+    /// slice of a fused all-reduce payload — without an owned
+    /// [`SymPacked`] in between.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is not square or `dst` is not `d(d+1)/2` long.
+    pub fn pack_into(m: &Matrix, dst: &mut [f64]) {
         assert!(m.is_square(), "SymPacked::from_matrix requires square");
         let d = m.rows();
-        let mut data = Vec::with_capacity(packed_len(d));
+        assert_eq!(
+            dst.len(),
+            packed_len(d),
+            "SymPacked::pack_into: buffer length mismatch for dim {d}"
+        );
+        let mut rest = dst;
         for i in 0..d {
-            for j in i..d {
-                data.push(m[(i, j)]);
-            }
+            let (row, tail) = rest.split_at_mut(d - i);
+            row.copy_from_slice(&m.row(i)[i..]);
+            rest = tail;
         }
-        SymPacked { dim: d, data }
     }
 
     /// Wraps an existing packed buffer.
@@ -147,13 +167,24 @@ impl SymPacked {
     ///
     /// Panics if `packed.len() != dim*(dim+1)/2`.
     pub fn unpack(dim: usize, packed: &[f64]) -> Matrix {
-        assert_eq!(
-            packed.len(),
-            packed_len(dim),
+        let mut m = Matrix::zeros(dim, dim);
+        SymPacked::unpack_into(packed, &mut m);
+        m
+    }
+
+    /// [`SymPacked::unpack`] into an existing `dim × dim` matrix (every
+    /// element is overwritten).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not square or `packed` is not its triangle.
+    pub fn unpack_into(packed: &[f64], out: &mut Matrix) {
+        let dim = out.rows();
+        assert!(
+            out.is_square() && packed.len() == packed_len(dim),
             "SymPacked::unpack: buffer length mismatch for dim {dim}"
         );
-        let mut m = Matrix::zeros(dim, dim);
-        let out = m.as_mut_slice();
+        let out = out.as_mut_slice();
         let mut rest = packed;
         for i in 0..dim {
             let (row, tail) = rest.split_at(dim - i);
@@ -163,7 +194,6 @@ impl SymPacked {
             }
             rest = tail;
         }
-        m
     }
 
     /// `self += alpha * other`, element-wise on the packed buffers (what a

@@ -326,6 +326,101 @@ proptest! {
     }
 }
 
+/// Bit patterns, for `to_bits` equality.
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// A dirty output of an unrelated shape: an `_into` kernel must reshape and
+/// overwrite it, not accumulate into it.
+fn dirty(rng: &mut MatrixRng, rows: usize, cols: usize) -> Matrix {
+    rng.uniform_matrix(rows, cols, -1.0, 1.0)
+}
+
+/// A factor dimension: a third of the time one at or around the block edge
+/// (one block, exactly one, a partial second) or a partial fourth block,
+/// otherwise anything up to three blocks.
+fn factor_dim() -> impl Strategy<Value = usize> {
+    let nb = chol::CHOL_NB;
+    (0usize..12, 1usize..3 * nb)
+        .prop_map(move |(pick, any)| *[nb - 1, nb, nb + 1, 3 * nb + 5].get(pick).unwrap_or(&any))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn into_products_are_bit_identical_to_allocating_ones(
+        m in gemm_dim(), k in gemm_dim(), n in gemm_dim(), seed in 0u64..1_000_000,
+    ) {
+        let mut rng = MatrixRng::new(seed);
+        let (a, b, at) = (
+            rng.uniform_matrix(m, k, -1.0, 1.0),
+            rng.uniform_matrix(k, n, -1.0, 1.0),
+            rng.uniform_matrix(k, m, -1.0, 1.0),
+        );
+        let mut out = dirty(&mut rng, n + 1, m + 2);
+        a.matmul_into(&b, &mut out);
+        prop_assert_eq!(bits(out.as_slice()), bits(a.matmul(&b).as_slice()));
+        prop_assert_eq!(out.shape(), (m, n));
+        at.matmul_tn_into(&b, &mut out);
+        prop_assert_eq!(bits(out.as_slice()), bits(at.matmul_tn(&b).as_slice()));
+        prop_assert_eq!(out.shape(), (m, n));
+    }
+
+    #[test]
+    fn packed_statistic_and_its_landing_are_bit_identical(
+        rows in 1usize..40, d in factor_dim(), decay in 0.0f64..1.0, seed in 0u64..1_000_000,
+    ) {
+        let mut rng = MatrixRng::new(seed);
+        let x = rng.uniform_matrix(rows, d, -1.0, 1.0);
+        // The trainer's statistic: a Gramian in a reused scratch, packed
+        // straight into its slice of a message.
+        let mut stat = dirty(&mut rng, d + 3, 2);
+        x.gramian_scaled_into(rows as f64, &mut stat);
+        let mut packed = vec![f64::NAN; d * (d + 1) / 2];
+        SymPacked::pack_into(&stat, &mut packed);
+        let fresh = SymPacked::from_matrix(&x.gramian_scaled(rows as f64));
+        prop_assert_eq!(bits(&packed), bits(fresh.as_slice()));
+        // Its landing: folded into the running factor without unpacking.
+        let running = rng.spd_matrix(d, 0.1);
+        let mut in_place = running.clone();
+        in_place.ema_update_packed(decay, &packed);
+        let mut expanded = running;
+        expanded.ema_update(decay, &SymPacked::unpack(d, &packed));
+        prop_assert_eq!(bits(in_place.as_slice()), bits(expanded.as_slice()));
+        let mut unpacked = dirty(&mut rng, d, d);
+        SymPacked::unpack_into(&packed, &mut unpacked);
+        prop_assert_eq!(bits(unpacked.as_slice()), bits(fresh.to_matrix().as_slice()));
+    }
+
+    #[test]
+    fn in_place_inverse_is_bit_identical(d in factor_dim(), gamma in 0.0f64..1.0, seed in 0u64..1_000_000) {
+        let mut rng = MatrixRng::new(seed);
+        let a = rng.spd_matrix(d, 0.1);
+        // What the trainer runs: the damped factor written into the
+        // inverse's (dirty) storage, then inverted there.
+        let mut inv = dirty(&mut rng, d + 1, d);
+        a.damped_into(gamma, &mut inv);
+        chol::spd_inverse_in_place(&mut inv).unwrap();
+        let damped = a.damped(gamma);
+        let twin = chol::cholesky(&damped).unwrap().inverse();
+        prop_assert_eq!(bits(inv.as_slice()), bits(twin.as_slice()));
+        prop_assert_eq!(bits(inv.as_slice()), bits(chol::spd_inverse(&damped).unwrap().as_slice()));
+    }
+
+    #[test]
+    fn in_place_inverse_reports_the_same_pivot(d in factor_dim(), at in 0usize..1000, seed in 0u64..1_000_000) {
+        let mut a = MatrixRng::new(seed).spd_matrix(d, 0.5);
+        let p = at % d;
+        a[(p, p)] = -100.0;
+        let expect = chol::cholesky(&a).map(|_| ());
+        prop_assert_eq!(&expect, &Err(TensorError::NotPositiveDefinite { pivot: p }));
+        let mut in_place = a.clone();
+        prop_assert_eq!(chol::spd_inverse_in_place(&mut in_place), expect);
+    }
+}
+
 proptest! {
     // The oracles are scalar O(d³): fewer, larger cases.
     #![proptest_config(ProptestConfig::with_cases(12))]

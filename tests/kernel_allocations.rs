@@ -1,20 +1,24 @@
 //! Allocation gate of the dense kernels, in a process of its own (a
 //! counting global allocator): once every pool lane's pack buffers have
 //! grown to the shapes in use, a product allocates its result and nothing
-//! else of 4 KiB or more — no per-call pack buffer, no per-block scratch.
+//! else of 4 KiB or more — no per-call pack buffer, no per-block scratch —
+//! and an `_into` product or an in-place inverse allocates nothing.
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
 
 use counting_alloc::{CountingAlloc, ARMED, BIG, BIG_ALLOCS};
 use spdkfac::tensor::rng::MatrixRng;
-use spdkfac::tensor::{pool, Matrix};
+use spdkfac::tensor::{chol, pool, Matrix};
 use std::hint::black_box;
 use std::sync::atomic::Ordering;
-use std::sync::Barrier;
+use std::sync::{Barrier, Mutex};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// The tests share the allocator counters.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Allocations of at least [`BIG`] bytes during `f`, process-wide.
 fn big_allocs_during(f: impl FnOnce()) -> usize {
@@ -27,6 +31,7 @@ fn big_allocs_during(f: impl FnOnce()) -> usize {
 
 #[test]
 fn warm_products_allocate_only_their_result() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // The factor dimension of the benchmark model with a bias column, and
     // one batch of its activations.
     const D: usize = 257;
@@ -61,5 +66,51 @@ fn warm_products_allocate_only_their_result() {
     assert_eq!(
         gramian, 1,
         "gramian {BATCH}x{D}: allocations of >= {BIG} bytes"
+    );
+}
+
+#[test]
+fn warm_in_place_kernels_allocate_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // The trainer's per-iteration kernels at the benchmark's sizes, into
+    // storage kept from the previous iteration.
+    const D: usize = 257;
+    const BATCH: usize = 32;
+    let mut rng = MatrixRng::new(23);
+    let (a, b) = (
+        rng.uniform_matrix(D, D, -1.0, 1.0),
+        rng.uniform_matrix(D, D, -1.0, 1.0),
+    );
+    let (x, g) = (
+        rng.uniform_matrix(BATCH, D, -1.0, 1.0),
+        rng.uniform_matrix(BATCH, D - 1, -1.0, 1.0),
+    );
+    let factor = rng.spd_matrix(D, 0.1);
+    let (mut product, mut grad, mut stat, mut inv) = (
+        Matrix::zeros(0, 0),
+        Matrix::zeros(0, 0),
+        Matrix::zeros(0, 0),
+        Matrix::zeros(0, 0),
+    );
+    let mut kernels = || {
+        a.matmul_into(&b, &mut product);
+        g.matmul_tn_into(&x, &mut grad);
+        x.gramian_scaled_into(BATCH as f64, &mut stat);
+        factor.damped_into(0.1, &mut inv);
+        chol::spd_inverse_in_place(&mut inv).expect("SPD");
+    };
+    // Warm-up, on every lane of the pool as in the test above, then on
+    // this thread: pack buffers, the inverse's scratch and the outputs.
+    let lanes = Barrier::new(pool::threads());
+    pool::parallel_for(pool::threads(), |_| {
+        lanes.wait();
+        black_box(a.matmul(&b));
+        black_box(x.gramian());
+    });
+    kernels();
+    let warm = big_allocs_during(&mut kernels);
+    assert_eq!(
+        warm, 0,
+        "warm in-place kernels: allocations of >= {BIG} bytes"
     );
 }
