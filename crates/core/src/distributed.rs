@@ -483,15 +483,7 @@ pub fn iteration_graph(
     plan: &PlanEpoch,
     refresh: bool,
 ) -> IterationGraph {
-    let capture = cfg.algorithm != Algorithm::SSgd;
-    let layers: Vec<LayerShape> = net
-        .layers()
-        .iter()
-        .map(|l| LayerShape {
-            grad_elems: l.params().iter().map(|p| p.numel()).sum(),
-            factor: l.kfac_dims().filter(|_| capture),
-        })
-        .collect();
+    let layers = layer_shapes(cfg, net);
     let factor_comm = match (cfg.algorithm, &plan.a_fusion, &plan.g_fusion) {
         (Algorithm::DKfac | Algorithm::MpdKfac, ..) => FactorComm::Bulk,
         (_, Some(a), Some(g)) => FactorComm::Pipelined { a, g },
@@ -511,6 +503,18 @@ pub fn iteration_graph(
         inverse_len: inverse_len(cfg.algorithm),
         deps: Deps::DataDeps,
     })
+}
+
+/// `net`'s layers as the schedule of `cfg.algorithm` sees them.
+fn layer_shapes(cfg: &DistributedConfig, net: &Sequential) -> Vec<LayerShape> {
+    let capture = cfg.algorithm != Algorithm::SSgd;
+    net.layers()
+        .iter()
+        .map(|l| LayerShape {
+            grad_elems: l.params().iter().map(|p| p.numel()).sum(),
+            factor: l.kfac_dims().filter(|_| capture),
+        })
+        .collect()
 }
 
 /// Installs a plan: its two graphs, `[between refreshes, on a refresh]`,
@@ -1003,7 +1007,7 @@ fn train_segment(
     // Every plan of the segment comes out of this planner (see
     // `crate::runtime`). It starts with nothing measured: `cfg`'s models and
     // one message per factor.
-    let planner = Planner::new(cfg, &net.kfac_dims(), world);
+    let planner = Planner::new(cfg, &net.kfac_dims(), world).with_layers(&layer_shapes(cfg, net));
     let inv_dims = planner.inv_dims();
     // What the standing plan was decided from.
     let mut costs = Costs::default();
@@ -1032,13 +1036,17 @@ fn train_segment(
     // iteration. SPMD-safe: every rank resumes from the same handed-off
     // state.
     losses.truncate(seg_start);
-    // Per tensor: seconds into its pass at which its statistic was taken.
+    // Per tensor: seconds into its pass at which its statistic was taken,
+    // and seconds of compute its landing unblocked — its inversion and, for
+    // a `G`, its layer's preconditioning.
     let mut ready = vec![0.0f64; 2 * nlayers];
+    let mut tail = vec![0.0f64; 2 * nlayers];
     for iter in seg_start..iters {
         let start = (iter * batch) % (shard.len() - batch + 1);
         shard.batch_into(start, batch, &mut x, &mut y);
         let capture = cfg.algorithm != Algorithm::SSgd;
         let refresh = capture && iter % cfg.kfac.inv_update_freq.max(1) == 0;
+        tail.fill(0.0);
 
         // ---------- The iteration: walk the graph front to back -----------
         // Every rank walks the same nodes in the same order and submits
@@ -1171,10 +1179,14 @@ fn train_segment(
                         .in_flight
                         .push_back((id, comm.allreduce_avg_async(payload)));
                 }
-                Op::Invert(t) => match node.who {
-                    Who::Every => ex.invert_in_place(*t),
-                    Who::Rank(_) => ex.invert_to_wire(id, *t),
-                },
+                Op::Invert(t) => {
+                    let started = Instant::now();
+                    match node.who {
+                        Who::Every => ex.invert_in_place(*t),
+                        Who::Rank(_) => ex.invert_to_wire(id, *t),
+                    }
+                    tail[*t] += started.elapsed().as_secs_f64();
+                }
                 // Every rank submits at the same position: the owner with
                 // the inverse its `Invert` wrote into the payload, the others
                 // with stale contents that the broadcast overwrites. All
@@ -1191,7 +1203,11 @@ fn train_segment(
                 Op::Precondition(layers) => {
                     for &li in layers {
                         let _up = obs.span(Phase::Update);
+                        let started = Instant::now();
                         ex.precondition(li, state_of_layer[li], param_base[li]..param_base[li + 1]);
+                        if let Some(si) = state_of_layer[li] {
+                            tail[2 * si + 1] += started.elapsed().as_secs_f64();
+                        }
                     }
                 }
                 // What needs everything: the KL clip (a global sum) and the
@@ -1242,8 +1258,8 @@ fn train_segment(
         // all-reduce (doubling as the barrier), and the plan + hysteresis
         // are pure functions of rank-identical inputs — so every rank
         // installs (or doesn't) together. "First" is per segment: Eq. 15 is
-        // cut from ready times measured under the *current* world size, so
-        // each membership epoch re-agrees from its own first iteration.
+        // cut from times measured under the *current* world size, so each
+        // membership epoch re-agrees from its own first iteration.
         let (first, due) = (iter == seg_start, controller.due(iter));
         if first || due {
             let t_barrier = Instant::now();
@@ -1256,28 +1272,30 @@ fn train_segment(
                 }
                 local = calibrator.refit().clone();
             }
-            if first && pipelined {
-                let g_times = (0..nlayers).rev().map(|si| ready[2 * si + 1]);
-                let a_times = (0..nlayers).map(|si| ready[2 * si]);
-                local.ready = Some(a_times.chain(g_times).collect());
+            if pipelined {
+                // This iteration's times, in pipeline order.
+                let order = (0..nlayers).map(|si| 2 * si);
+                let order: Vec<usize> = order
+                    .chain((0..nlayers).rev().map(|si| 2 * si + 1))
+                    .collect();
+                local.ready = Some(order.iter().map(|&t| ready[t]).collect());
+                local.tail = Some(order.iter().map(|&t| tail[t]).collect());
             }
-            // The cost lines travel only when a re-plan is due, the ready
-            // times only after a segment's first iteration; a barrier with
-            // neither (a bulk algorithm's first iteration) sends nothing.
+            // The cost lines travel only when a re-plan is due, the times
+            // only for a pipelined algorithm; a barrier with neither (a bulk
+            // algorithm's first iteration) sends nothing.
             let mut message = local.encode(due);
             if !message.is_empty() {
                 message = comm.allreduce_avg_async(message).wait()?.data;
             }
-            let mut agreed = Costs::decode(&message, due);
-            // Later barriers cut Eq. 15 from the segment's first-iteration
-            // ready times.
-            agreed.ready = agreed.ready.or_else(|| costs.ready.clone());
+            let agreed = Costs::decode(&message, due);
             if first {
-                // The segment's first measured plan: the ready times under
-                // the models the segment started from. It replaces the
+                // The segment's first measured plan: the times under the
+                // models the segment started from. It replaces the
                 // one-message-per-factor start rather than re-planning it,
                 // so it stays generation 0.
                 costs.ready = agreed.ready.clone();
+                costs.tail = agreed.tail.clone();
                 epoch = planner.plan(&costs, None);
             }
             // A due barrier re-plans from everything agreed. The standing

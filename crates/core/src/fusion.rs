@@ -10,8 +10,14 @@
 //!
 //! This module computes **fusion plans** (which consecutive factors share an
 //! all-reduce) for the four strategies of Fig. 10 and simulates the
-//! resulting communication timeline to obtain non-overlapped communication
-//! time.
+//! resulting timeline to obtain non-overlapped communication time.
+//!
+//! Eq. 15 asks only when the last byte lands. What a merge serialises after
+//! it is priced by an optional per-factor *tail* ([`FactorPipeline::with_tail`]):
+//! the compute a factor's landing unblocks, queued on one compute thread
+//! beside the serial link. Every plan is scored by `finish = max(link end,
+//! compute end)`; with zero tails and no trailing messages that is the
+//! paper's timeline, so every plan is too.
 
 use crate::error::KfacError;
 use crate::perf::AlphaBetaModel;
@@ -42,38 +48,93 @@ pub enum FusionStrategy {
 
 /// A pipeline of factors in communication order: factor `i` becomes ready
 /// at `ready[i]` (seconds into the pass) and occupies `sizes[i]` packed
-/// elements on the wire.
+/// elements on the wire. Once its message lands, `tail[i]` seconds of
+/// compute become runnable — after `trailing[i]` more elements, sent right
+/// behind the factor's message, have landed too — on a compute thread that
+/// is free from `compute_free_at` on. All zero unless set by
+/// [`FactorPipeline::with_tail`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FactorPipeline {
     /// Monotonically non-decreasing ready times.
     pub ready: Vec<f64>,
     /// Packed element count per factor.
     pub sizes: Vec<usize>,
+    tail: Vec<f64>,
+    trailing: Vec<usize>,
+    compute_free_at: f64,
+}
+
+/// `Err` naming `what` unless every entry of `times` is finite and ≥ 0.
+fn check_times(what: &str, times: &[f64]) -> Result<(), KfacError> {
+    match times.iter().position(|t| !(t.is_finite() && *t >= 0.0)) {
+        Some(i) => Err(KfacError::InvalidPlanInput {
+            reason: format!("{what}[{i}] = {} is not a finite time ≥ 0", times[i]),
+        }),
+        None => Ok(()),
+    }
+}
+
+/// `Err` unless `len` is the pipeline's length `n`.
+fn check_len(what: &str, len: usize, n: usize) -> Result<(), KfacError> {
+    if len == n {
+        return Ok(());
+    }
+    Err(KfacError::InvalidPlanInput {
+        reason: format!("{what} has {len} entries for {n} factors"),
+    })
 }
 
 impl FactorPipeline {
-    /// Creates a pipeline after validating the invariants.
+    /// Creates a pipeline, with no tails, after validating the invariants.
     ///
     /// # Errors
     ///
-    /// Returns [`KfacError::InvalidPlanInput`] when lengths mismatch or
-    /// ready times decrease.
+    /// Returns [`KfacError::InvalidPlanInput`] when lengths mismatch, a
+    /// ready time is not finite or negative, or ready times decrease.
     pub fn new(ready: Vec<f64>, sizes: Vec<usize>) -> Result<Self, KfacError> {
-        if ready.len() != sizes.len() {
-            return Err(KfacError::InvalidPlanInput {
-                reason: format!(
-                    "ready/sizes length mismatch: {} vs {}",
-                    ready.len(),
-                    sizes.len()
-                ),
-            });
-        }
+        check_len("sizes", sizes.len(), ready.len())?;
+        check_times("ready", &ready)?;
         if ready.windows(2).any(|w| w[1] < w[0]) {
             return Err(KfacError::InvalidPlanInput {
                 reason: "ready times must be non-decreasing".into(),
             });
         }
-        Ok(FactorPipeline { ready, sizes })
+        let n = ready.len();
+        Ok(FactorPipeline {
+            ready,
+            sizes,
+            tail: vec![0.0; n],
+            trailing: vec![0; n],
+            compute_free_at: 0.0,
+        })
+    }
+
+    /// The pipeline with a tail per factor: `tail[i]` seconds of compute
+    /// that factor `i`'s landing unblocks, which also wait for
+    /// `trailing[i]` elements sent right behind the factor's bucket (its
+    /// layer's gradients, say), on a compute thread that can first run a
+    /// tail at `compute_free_at`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KfacError::InvalidPlanInput`] when a length is not the
+    /// pipeline's, or a time is not finite or negative.
+    pub fn with_tail(
+        self,
+        tail: Vec<f64>,
+        trailing: Vec<usize>,
+        compute_free_at: f64,
+    ) -> Result<Self, KfacError> {
+        check_len("tail", tail.len(), self.len())?;
+        check_len("trailing", trailing.len(), self.len())?;
+        check_times("tail", &tail)?;
+        check_times("compute_free_at", &[compute_free_at])?;
+        Ok(FactorPipeline {
+            tail,
+            trailing,
+            compute_free_at,
+            ..self
+        })
     }
 
     /// Number of factors.
@@ -95,6 +156,13 @@ pub struct FusionPlan {
 }
 
 impl FusionPlan {
+    /// One message per factor of an `n`-factor pass (`LayerWise`).
+    pub(crate) fn one_each(n: usize) -> FusionPlan {
+        FusionPlan {
+            buckets: (0..n).map(|i| vec![i]).collect(),
+        }
+    }
+
     /// The buckets, each a run of consecutive factor indices.
     pub fn buckets(&self) -> &[Vec<usize>] {
         &self.buckets
@@ -129,7 +197,8 @@ impl FusionPlan {
 /// order, factor `l+1` is merged into the current bucket iff it becomes
 /// ready before the bucket's message could effectively start
 /// (`ready[l+1] < bucket_start + α_ar`), where the bucket start accounts for
-/// the network still being busy with the previous message.
+/// the network still being busy with the previous message — then refines
+/// that cut on the [`simulate`]d finish, tails included.
 pub fn plan(
     pipeline: &FactorPipeline,
     comm: &AlphaBetaModel,
@@ -141,7 +210,7 @@ pub fn plan(
     }
     let buckets = match strategy {
         FusionStrategy::Naive => vec![(0..n).collect()],
-        FusionStrategy::LayerWise => (0..n).map(|i| vec![i]).collect(),
+        FusionStrategy::LayerWise => return FusionPlan::one_each(n),
         FusionStrategy::Threshold { elems, cycle_s } => {
             let mut out: Vec<Vec<usize>> = Vec::new();
             let mut cur = vec![0usize];
@@ -193,22 +262,32 @@ fn greedy_eq15_buckets(pipeline: &FactorPipeline, comm: &AlphaBetaModel) -> Vec<
 }
 
 /// Optimal fusion: the Eq. 15 greedy solution refined by merge/split local
-/// search on the analytic pipeline objective (finish time, then message
-/// count), seeded with every baseline partition so the result never loses to
-/// them on the model. MG-WFBP proves the greedy rule optimal under its
-/// assumptions; the refinement recovers optimality when ready-time gaps and
-/// message sizes interact (e.g. a huge late factor behind a busy network).
+/// search on the analytic pipeline objective (finish time — when the last
+/// tail is done or the last byte lands, whichever is later — then link end,
+/// then message count), seeded with every baseline partition so the result
+/// never loses to them on the model. MG-WFBP proves the greedy rule optimal
+/// under its assumptions; the refinement recovers optimality when ready-time
+/// gaps and message sizes interact (e.g. a huge late factor behind a busy
+/// network) and when a merge would serialise tails behind the last byte.
+/// Without tails the finish is the link end, so the ordering is Eq. 15's.
 fn optimal_buckets(pipeline: &FactorPipeline, comm: &AlphaBetaModel) -> Vec<Vec<usize>> {
     let n = pipeline.len();
-    let score = |buckets: &[Vec<usize>]| -> (f64, usize) {
+    let score = |buckets: &[Vec<usize>]| -> (f64, f64, usize) {
         let plan = FusionPlan {
             buckets: buckets.to_vec(),
         };
         let out = simulate(pipeline, &plan, comm, 0.0);
-        (out.finish, buckets.len())
+        (out.finish, out.link_end, buckets.len())
     };
-    let better = |a: (f64, usize), b: (f64, usize)| -> bool {
-        a.0 < b.0 - 1e-12 || (a.0 < b.0 + 1e-12 && a.1 < b.1)
+    let better = |a: (f64, f64, usize), b: (f64, f64, usize)| -> bool {
+        let tie = |x: f64, y: f64| (x - y).abs() < 1e-12;
+        if !tie(a.0, b.0) {
+            return a.0 < b.0;
+        }
+        if !tie(a.1, b.1) {
+            return a.1 < b.1;
+        }
+        a.2 < b.2
     };
 
     let mut seeds: Vec<Vec<Vec<usize>>> = vec![
@@ -234,8 +313,8 @@ fn optimal_buckets(pipeline: &FactorPipeline, comm: &AlphaBetaModel) -> Vec<Vec<
         seeds.push(out);
     }
 
-    // Candidate bucketing with its `(modelled time, message count)` score.
-    type Scored = (Vec<Vec<usize>>, (f64, usize));
+    // Candidate bucketing with its `(finish, link end, message count)` score.
+    type Scored = (Vec<Vec<usize>>, (f64, f64, usize));
     let mut best: Option<Scored> = None;
     for seed in seeds {
         let mut cur = seed;
@@ -290,35 +369,47 @@ fn optimal_buckets(pipeline: &FactorPipeline, comm: &AlphaBetaModel) -> Vec<Vec<
     best.expect("at least one seed").0
 }
 
-/// Timeline of one simulated pass: when each message starts/ends and how
-/// much communication failed to hide behind compute.
+/// Timeline of one simulated pass: when each message starts/ends, when each
+/// bucket's tail runs, and how much failed to hide behind compute.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineOutcome {
-    /// Per-bucket `(start, end)` network occupation, in issue order.
+    /// Per-bucket `(start, end)` network occupation — its factor message
+    /// and, right behind it, its trailing message — in issue order.
     pub spans: Vec<(f64, f64)>,
-    /// Time the last message completes.
+    /// Per-bucket `(start, end)` of its tail on the compute thread.
+    pub tails: Vec<(f64, f64)>,
+    /// Time the last byte lands.
+    pub link_end: f64,
+    /// Time the last tail is done (`link_end` when there are none).
+    pub tail_end: f64,
+    /// `max(link_end, tail_end)`: what the `Optimal` strategy minimises.
     pub finish: f64,
     /// Time the compute pass completes (`ready.last()`).
     pub compute_end: f64,
-    /// Communication time not hidden by compute: `max(0, finish − compute_end)`.
+    /// Communication and tail time not hidden by the pass:
+    /// `max(0, finish − compute_end)`.
     pub non_overlapped: f64,
 }
 
-/// Simulates the serialised network executing `plan` over `pipeline`
-/// starting with the network free at `net_free_at`.
+/// Simulates `plan` over `pipeline` on two serial resources: the network,
+/// free from `net_free_at`, and the compute thread that runs the tails, free
+/// from the pipeline's `compute_free_at`.
 ///
 /// Each message starts when its last member factor is ready and the network
 /// is free; messages never overlap each other but freely overlap compute —
 /// exactly the Horovod single-queue model the trainers and the simulator
-/// share (DESIGN.md §4).
+/// share (DESIGN.md §4). A bucket's trailing elements go out as one more
+/// message right behind it, and its members' tails run, one bucket after
+/// another, once both have landed and the compute thread is free.
 pub fn simulate(
     pipeline: &FactorPipeline,
     plan: &FusionPlan,
     comm: &AlphaBetaModel,
     net_free_at: f64,
 ) -> PipelineOutcome {
-    let mut net_free = net_free_at;
+    let (mut net_free, mut compute_free) = (net_free_at, pipeline.compute_free_at);
     let mut spans = Vec::with_capacity(plan.buckets.len());
+    let mut tails = Vec::with_capacity(plan.buckets.len());
     for bucket in &plan.buckets {
         let ready = bucket
             .iter()
@@ -326,14 +417,27 @@ pub fn simulate(
             .fold(f64::NEG_INFINITY, f64::max);
         let start = ready.max(net_free);
         let elems: usize = bucket.iter().map(|&i| pipeline.sizes[i]).sum();
-        let end = start + comm.time(elems);
+        let trailing: usize = bucket.iter().map(|&i| pipeline.trailing[i]).sum();
+        let mut end = start + comm.time(elems);
+        if trailing > 0 {
+            end += comm.time(trailing);
+        }
         spans.push((start, end));
         net_free = end;
+        let tail: f64 = bucket.iter().map(|&i| pipeline.tail[i]).sum();
+        let tail_start = compute_free.max(end);
+        compute_free = tail_start + tail;
+        tails.push((tail_start, compute_free));
     }
     let compute_end = pipeline.ready.last().copied().unwrap_or(0.0);
-    let finish = spans.last().map(|&(_, e)| e).unwrap_or(net_free_at);
+    let link_end = spans.last().map_or(net_free_at, |&(_, e)| e);
+    let tail_end = tails.last().map_or(link_end, |&(_, e)| e);
+    let finish = link_end.max(tail_end);
     PipelineOutcome {
         spans,
+        tails,
+        link_end,
+        tail_end,
         finish,
         compute_end,
         non_overlapped: (finish - compute_end).max(0.0),
@@ -356,6 +460,109 @@ mod tests {
     fn rejects_inconsistent_inputs() {
         assert!(FactorPipeline::new(vec![0.0, 1.0], vec![1]).is_err());
         assert!(FactorPipeline::new(vec![1.0, 0.5], vec![1, 1]).is_err());
+        let p = pipeline(&[0.0, 1.0], &[1, 1]);
+        assert!(p.clone().with_tail(vec![0.0], vec![0, 0], 0.0).is_err());
+        assert!(p.clone().with_tail(vec![0.0, 0.0], vec![0], 0.0).is_err());
+    }
+
+    #[test]
+    fn rejects_times_that_are_not_finite_or_negative() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e-3] {
+            // `w[1] < w[0]` is false for NaN: the order check alone let it in.
+            assert!(
+                FactorPipeline::new(vec![0.0, bad], vec![1, 1]).is_err(),
+                "{bad}"
+            );
+            assert!(
+                FactorPipeline::new(vec![bad, 1.0], vec![1, 1]).is_err(),
+                "{bad}"
+            );
+            let p = pipeline(&[0.0, 1.0], &[1, 1]);
+            let tail = p.clone().with_tail(vec![0.5, bad], vec![0, 0], 0.0);
+            assert!(
+                matches!(tail, Err(KfacError::InvalidPlanInput { .. })),
+                "{bad}"
+            );
+            assert!(
+                p.with_tail(vec![0.5, 0.5], vec![0, 0], bad).is_err(),
+                "{bad}"
+            );
+        }
+    }
+
+    /// Every strategy's plan and every [`simulate`] outcome of `p`.
+    fn plans(p: &FactorPipeline) -> Vec<(FusionPlan, PipelineOutcome)> {
+        let strategies = [
+            FusionStrategy::Naive,
+            FusionStrategy::LayerWise,
+            FusionStrategy::Threshold {
+                elems: 40_000,
+                cycle_s: 1e-3,
+            },
+            FusionStrategy::Optimal,
+        ];
+        let c = AlphaBetaModel::new(1e-4, 8e-8);
+        strategies
+            .into_iter()
+            .map(|s| {
+                let plan = plan(p, &c, s);
+                let out = simulate(p, &plan, &c, 0.0);
+                (plan, out)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_benchmarks_f16_g_pass_does_not_end_in_three_wide_layers() {
+        // The `G` pass of `deep_mlp(32, 256, 4, 10)` at 2 B/element on a
+        // 0.2 Gbit/s link: the 10-wide last layer, then four 256-wide ones
+        // (layer 0's `G` last), each followed on the wire by its gradients.
+        let ready = [0.10e-3, 0.45e-3, 0.85e-3, 1.30e-3, 1.74e-3];
+        let sizes = [55, 32896, 32896, 32896, 32896];
+        let trailing = vec![2570, 65792, 65792, 65792, 8448];
+        // Inversion + preconditioning per layer; the `A` inversions run
+        // ahead of them.
+        let tail = vec![0.05e-3, 1.5e-3, 1.5e-3, 1.5e-3, 0.7e-3];
+        let bare = pipeline(&ready, &sizes);
+        let with_tail = bare.clone().with_tail(tail, trailing, 4.2e-3).unwrap();
+        let c = AlphaBetaModel::new(1e-4, 8e-8);
+        // Without tails, Eq. 15 fuses the three layers behind the busy link.
+        let eq15 = plan(&bare, &c, FusionStrategy::Optimal);
+        assert_eq!(eq15.buckets(), &[vec![0], vec![1], vec![2, 3, 4]]);
+        // With them, the last bucket no longer carries three wide layers.
+        let seen = plan(&with_tail, &c, FusionStrategy::Optimal);
+        let last = seen.buckets().last().unwrap();
+        assert!(last.len() < 3, "{:?}", seen.buckets());
+        // …and its modelled finish beats the tail-free plan's by more than
+        // a layer's preconditioning.
+        let finish = |plan| simulate(&with_tail, plan, &c, 0.0).finish;
+        assert!(finish(&seen) + 1.5e-3 < finish(&eq15));
+        // Zero tails and no trailing elements: the tail-free plans exactly,
+        // under every strategy.
+        let zero = bare.clone().with_tail(vec![0.0; 5], vec![0; 5], 4.2e-3);
+        let zero = plans(&zero.unwrap()).into_iter().map(|(p, _)| p);
+        assert!(zero.eq(plans(&bare).into_iter().map(|(p, _)| p)));
+    }
+
+    #[test]
+    fn a_tail_waits_for_its_bucket_its_trailing_message_and_the_compute_thread() {
+        let p = pipeline(&[0.0, 0.1, 5.0], &[10, 10, 10])
+            .with_tail(vec![1.0, 2.0, 0.5], vec![5, 0, 100], 3.0)
+            .unwrap();
+        let c = comm();
+        let lw = plan(&p, &c, FusionStrategy::LayerWise);
+        let out = simulate(&p, &lw, &c, 0.0);
+        // Bucket 0: 0 → 0.6 (factor) → 1.15 (trailing); its tail waits for
+        // the compute thread (free at 3) and runs 3 → 4.
+        assert!((out.spans[0].1 - 1.15).abs() < 1e-12);
+        assert_eq!(out.tails[0], (3.0, 4.0));
+        // Bucket 1 lands at 1.75, runs after bucket 0's tail: 4 → 6.
+        assert_eq!(out.tails[1], (4.0, 6.0));
+        // Bucket 2 lands at 5 + 0.6 + 1.5 = 7.1 and runs 7.1 → 7.6.
+        assert!((out.tails[2].0 - 7.1).abs() < 1e-12);
+        assert!((out.finish - 7.6).abs() < 1e-12);
+        assert!((out.link_end - 7.1).abs() < 1e-12);
+        assert_eq!(out.tail_end, out.finish);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! 1. **One cost record** — [`Costs`]: the α-β / exponential lines of
 //!    Eq. 14/26/27 (plus the wire-byte and codec lines), each optional, and
-//!    optional measured ready times. `DistributedConfig` supplies the
-//!    baselines, [`Calibrator::refit`](crate::calibrate::Calibrator::refit)
+//!    optional measured ready and tail times. `DistributedConfig` supplies
+//!    the baselines, [`Calibrator::refit`](crate::calibrate::Calibrator::refit)
 //!    a rank's measured lines, and the agreement below the rank-identical
 //!    ones.
 //! 2. **One function** — [`Planner::plan`]`(costs, prev)`, pure and
@@ -13,7 +13,8 @@
 //!    deterministically, so identical costs yield the identical
 //!    [`PlanEpoch`] on every rank with no further coordination. Without
 //!    ready times it cuts one message per factor; with them, Eq. 15 under
-//!    the configured strategy.
+//!    the configured strategy, the `G` pass priced with the compute its
+//!    buckets unblock.
 //! 3. **One agreement** — at an inter-iteration barrier every rank encodes
 //!    its local costs ([`Costs::encode`]), one *averaging* all-reduce —
 //!    which doubles as the barrier — makes every rank see the same vector,
@@ -41,6 +42,7 @@
 
 use crate::distributed::{Algorithm, DistributedConfig};
 use crate::fusion::{self, FactorPipeline, FusionPlan, FusionStrategy};
+use crate::iteration::LayerShape;
 use crate::perf::{AlphaBetaModel, ExpInverseModel};
 use crate::placement::{Placement, PlacementContext, PlacementPolicy, PlacementStrategy};
 use spdkfac_obs::MetricsRegistry;
@@ -97,6 +99,11 @@ pub struct Costs {
     /// pipeline order: the `A` statistics front to back, then the `G`
     /// statistics back to front. Absent until an iteration has been timed.
     pub ready: Option<Vec<f64>>,
+    /// Seconds of compute each factor's landing unblocks, in the pipeline
+    /// order of `ready`: an `A` factor's inversion; a `G` factor's
+    /// inversion plus its layer's preconditioning. Read only beside `ready`;
+    /// absent means zero.
+    pub tail: Option<Vec<f64>>,
 }
 
 impl Costs {
@@ -105,8 +112,9 @@ impl Costs {
     /// a fit contributes zeros, so after an *averaging* all-reduce the mean
     /// of a coefficient over the ranks that do have one is
     /// `avg(α·has) / avg(has)` — see [`Costs::decode`]. The ready times, if
-    /// any, follow. `models` and the presence of ready times decide the
-    /// layout, so both must be rank-identical.
+    /// any, follow, and then as many tail times (zeros when absent).
+    /// `models` and the presence of ready times decide the layout, so both
+    /// must be rank-identical.
     pub fn encode(&self, models: bool) -> Vec<f64> {
         let mut v = Vec::new();
         if models {
@@ -122,20 +130,28 @@ impl Costs {
                 v.extend(line.map_or([0.0; 3], |m| [1.0, m.alpha, m.beta]));
             }
         }
-        v.extend(self.ready.iter().flatten());
+        if let Some(ready) = &self.ready {
+            v.extend(ready);
+            match &self.tail {
+                Some(tail) => v.extend(tail),
+                None => v.resize(v.len() + ready.len(), 0.0),
+            }
+        }
         v
     }
 
     /// Reconstructs the record from the *averaged* agreement vector of
     /// [`Costs::encode`]`(models)`. A line no rank fitted decodes to `None`
     /// — not to a zero-coefficient model that would predict free
-    /// communication; [`Costs::or`] then puts a baseline behind it.
+    /// communication; [`Costs::or`] then puts a baseline behind it. Timings
+    /// that are not finite times ≥ 0 (or do not split into ready and tail
+    /// halves) decode to `None`: the cold start's one message per factor.
     ///
     /// # Panics
     ///
     /// Panics if `models` is set and `avg` is shorter than [`MODEL_SLOTS`].
     pub fn decode(avg: &[f64], models: bool) -> Costs {
-        let (slots, ready) = if models {
+        let (slots, timings) = if models {
             assert!(avg.len() >= MODEL_SLOTS, "short agreement vector");
             avg.split_at(MODEL_SLOTS)
         } else {
@@ -145,25 +161,33 @@ impl Costs {
             let s = slots.get(3 * i..3 * i + 3)?;
             (s[0] > 0.0).then(|| AlphaBetaModel::new(s[1] / s[0], s[2] / s[0]))
         };
+        let valid = !timings.is_empty()
+            && timings.len().is_multiple_of(2)
+            && timings.iter().all(|t| t.is_finite() && *t >= 0.0);
+        let (ready, tail) = timings.split_at(timings.len() / 2);
         Costs {
             allreduce: line(0),
             broadcast: line(1),
             inverse: line(2).map(|m| ExpInverseModel::new(m.alpha, m.beta)),
             allreduce_wire: line(3),
             encode: line(4),
-            ready: (!ready.is_empty()).then(|| ready.to_vec()),
+            ready: valid.then(|| ready.to_vec()),
+            tail: valid.then(|| tail.to_vec()),
         }
     }
 
-    /// `self`, with every absent entry taken from `fallback`.
+    /// `self`, with every absent entry taken from `fallback`. Ready and
+    /// tail times are taken together.
     pub fn or(&self, fallback: &Costs) -> Costs {
+        let timed = if self.ready.is_some() { self } else { fallback };
         Costs {
             allreduce: self.allreduce.or(fallback.allreduce),
             broadcast: self.broadcast.or(fallback.broadcast),
             inverse: self.inverse.or(fallback.inverse),
             allreduce_wire: self.allreduce_wire.or(fallback.allreduce_wire),
             encode: self.encode.or(fallback.encode),
-            ready: self.ready.as_ref().or(fallback.ready.as_ref()).cloned(),
+            ready: timed.ready.clone(),
+            tail: timed.tail.clone(),
         }
     }
 
@@ -199,21 +223,26 @@ fn monotonize(ts: &[f64]) -> Vec<f64> {
 
 /// Everything about a segment that planning needs and that does not change
 /// while it runs: the configuration's strategies and baseline models, the
-/// model's factor dimensions and the world size. Built once per segment.
+/// model's factor dimensions and gradient lengths, and the world size. Built
+/// once per segment.
 #[derive(Debug)]
 pub struct Planner {
     baselines: Costs,
     inv_dims: Vec<usize>,
+    /// Per `G`-pass position: the gradient elements sent right behind it.
+    trailing: Vec<usize>,
     world: usize,
     placement: PlacementStrategy,
     fusion: FusionStrategy,
     pipelined: bool,
     bytes_per_elem: f64,
+    grad_bytes_per_elem: f64,
 }
 
 impl Planner {
     /// A planner for `cfg` on a model whose preconditionable layers have
     /// the `(a_dim, g_dim)` factor dimensions `dims`, across `world` ranks.
+    /// It prices no gradient messages until [`Planner::with_layers`].
     pub fn new(cfg: &DistributedConfig, dims: &[(usize, usize)], world: usize) -> Self {
         Planner {
             baselines: Costs {
@@ -223,13 +252,48 @@ impl Planner {
                 ..Costs::default()
             },
             inv_dims: dims.iter().flat_map(|&(a, g)| [a, g]).collect(),
+            trailing: vec![0; dims.len()],
             world,
             placement: cfg.effective_placement(),
             fusion: cfg.fusion,
             pipelined: matches!(cfg.algorithm, Algorithm::SpdKfac | Algorithm::EkfacSpd)
                 && !dims.is_empty(),
             bytes_per_elem: cfg.wire.factor.bytes_per_elem(),
+            grad_bytes_per_elem: cfg.wire.grad.bytes_per_elem(),
         }
+    }
+
+    /// The planner, told the model's `layers` (front to back): the `G` pass
+    /// then prices the gradient message that `GradCut::CapAndGBuckets`
+    /// sends behind each of its buckets — a factor layer's gradients and
+    /// those of the factor-less layers behind it, the layers in front of
+    /// the first factor layer going with the last message.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `layers` take statistics for the planner's factors
+    /// (when it plans fusion at all).
+    pub fn with_layers(mut self, layers: &[LayerShape]) -> Self {
+        if !self.pipelined {
+            return self;
+        }
+        let (mut trailing, mut open) = (Vec::new(), 0);
+        for layer in layers.iter().rev() {
+            open += layer.grad_elems;
+            if layer.factor.is_some() {
+                trailing.push(std::mem::take(&mut open));
+            }
+        }
+        if let Some(last) = trailing.last_mut() {
+            *last += open;
+        }
+        assert_eq!(
+            trailing.len(),
+            self.trailing.len(),
+            "one layer per factor pair"
+        );
+        self.trailing = trailing;
+        self
     }
 
     /// Dimension of every tensor (`A_l`, `G_l` interleaved).
@@ -237,19 +301,71 @@ impl Planner {
         &self.inv_dims
     }
 
-    /// The `(inversion, broadcast, factor all-reduce)` lines `costs` stands
-    /// for: absent lines fall back to the baselines, and the all-reduce is
-    /// priced for the factor wire format in force.
-    fn lines(&self, costs: &Costs) -> (ExpInverseModel, AlphaBetaModel, AlphaBetaModel) {
+    /// The `(inversion, broadcast, factor all-reduce, gradient all-reduce)`
+    /// lines `costs` stands for: absent lines fall back to the baselines,
+    /// and each all-reduce is priced for its wire format.
+    fn lines(
+        &self,
+        costs: &Costs,
+    ) -> (
+        ExpInverseModel,
+        AlphaBetaModel,
+        AlphaBetaModel,
+        AlphaBetaModel,
+    ) {
         let priced = costs.or(&self.baselines);
         let baselined = "the baselines price every line";
+        let allreduce = |bytes| priced.effective_allreduce(bytes).expect(baselined);
         (
             priced.inverse.expect(baselined),
             priced.broadcast.expect(baselined),
-            priced
-                .effective_allreduce(self.bytes_per_elem)
-                .expect(baselined),
+            allreduce(self.bytes_per_elem),
+            allreduce(self.grad_bytes_per_elem),
         )
+    }
+
+    /// The `[A, G]` pipelines `costs` times, `None` while it holds no ready
+    /// times. The `A` pass has no tails. The `G` pass's tails run once the
+    /// pass is through and the `A` inversions queued ahead of them are
+    /// done, and its gradient messages are expressed in elements of the
+    /// factor line `allreduce` (the gradient line `grads` may move other
+    /// bytes per element).
+    fn pipelines(
+        &self,
+        costs: &Costs,
+        allreduce: &AlphaBetaModel,
+        grads: &AlphaBetaModel,
+    ) -> Option<[FactorPipeline; 2]> {
+        let ready = costs.ready.as_deref()?;
+        let layers = self.trailing.len();
+        assert_eq!(ready.len(), 2 * layers, "one ready time per factor");
+        let none = vec![0.0; 2 * layers];
+        let tail = costs.tail.as_deref().unwrap_or(&none);
+        assert_eq!(tail.len(), 2 * layers, "one tail per factor");
+        let ((a_ready, g_ready), (a_tail, g_tail)) =
+            (ready.split_at(layers), tail.split_at(layers));
+        // Packed factor sizes in pipeline order: A front to back (forward
+        // pass), G back to front (backward pass).
+        let packed = |d: &usize| packed_len(*d);
+        let a_sizes = self.inv_dims.iter().step_by(2).map(packed).collect();
+        let g_sizes = self.inv_dims.iter().skip(1).step_by(2).rev();
+        let g_sizes = g_sizes.map(packed).collect();
+        let g_ready = monotonize(g_ready);
+        let free_at = g_ready.last().copied().unwrap_or(0.0) + a_tail.iter().sum::<f64>();
+        let scale = if allreduce.beta > 0.0 {
+            grads.beta / allreduce.beta
+        } else {
+            1.0
+        };
+        let trailing = self.trailing.iter();
+        let trailing = trailing.map(|&n| (n as f64 * scale).round() as usize);
+        let times = "finite times ≥ 0, one per factor";
+        Some([
+            FactorPipeline::new(monotonize(a_ready), a_sizes).expect(times),
+            FactorPipeline::new(g_ready, g_sizes)
+                .and_then(|g| g.with_tail(g_tail.to_vec(), trailing.collect(), free_at))
+                .expect(times),
+        ])
     }
 
     /// The standing decisions `costs` imply, as generation 0.
@@ -262,38 +378,27 @@ impl Planner {
     /// pipeline factor communication behind the passes (SPD, EKFAC-SPD)
     /// also get a fusion plan per pass: one message per factor while
     /// `costs` holds no ready times, Eq. 15 under the configured strategy
-    /// once it does.
+    /// once it does — the `G` pass scored by when its last tail is done.
     ///
     /// # Panics
     ///
-    /// Panics if `costs.ready` does not hold one time per factor.
+    /// Panics unless `costs.ready` (and `costs.tail`, if present) hold one
+    /// finite time ≥ 0 per factor.
     pub fn plan(&self, costs: &Costs, prev: Option<&Placement>) -> PlanEpoch {
-        let (inverse, broadcast, allreduce) = self.lines(costs);
+        let (inverse, broadcast, allreduce, grads) = self.lines(costs);
         let ctx = PlacementContext::new(&self.inv_dims, self.world, &inverse, &broadcast)
             .with_prev(prev.map(Placement::assignments));
-        let layers = self.inv_dims.len() / 2;
-        let ready = costs.ready.as_deref().map(|r| {
-            assert_eq!(r.len(), 2 * layers, "one ready time per factor");
-            r.split_at(layers)
+        let fusion = self.pipelined.then(|| {
+            let layers = self.trailing.len();
+            match self.pipelines(costs, &allreduce, &grads) {
+                Some(pipes) => pipes.map(|pipe| fusion::plan(&pipe, &allreduce, self.fusion)),
+                None => [(); 2].map(|()| FusionPlan::one_each(layers)),
+            }
         });
-        let fuse = |sizes: Vec<usize>, ready: Option<&[f64]>| {
-            let (ready, strategy) = match ready {
-                Some(r) => (monotonize(r), self.fusion),
-                None => (vec![0.0; layers], FusionStrategy::LayerWise),
-            };
-            let pipe = FactorPipeline::new(ready, sizes).expect("monotone, one per factor");
-            fusion::plan(&pipe, &allreduce, strategy)
-        };
-        // Packed factor sizes in pipeline order: A front to back (forward
-        // pass), G back to front (backward pass).
-        let packed = |d: &usize| packed_len(*d);
-        let a_sizes = self.inv_dims.iter().step_by(2).map(packed).collect();
-        let g_sizes_rev = self.inv_dims.iter().skip(1).step_by(2).rev();
-        let g_sizes_rev = g_sizes_rev.map(packed).collect();
-        let (a_ready, g_ready) = ready.unzip();
+        let [a_fusion, g_fusion] = fusion.map_or([None, None], |f| f.map(Some));
         PlanEpoch {
-            a_fusion: self.pipelined.then(|| fuse(a_sizes, a_ready)),
-            g_fusion: self.pipelined.then(|| fuse(g_sizes_rev, g_ready)),
+            a_fusion,
+            g_fusion,
             placement: self.placement.place(&ctx),
             generation: 0,
         }
@@ -307,9 +412,18 @@ impl Planner {
     ///   (Eq. 21);
     /// - `fusion/{a,g}/{factors,messages,merges}` — the tensor-fusion
     ///   verdict (Eq. 15): how many factors each pass fused into how many
-    ///   messages.
+    ///   messages;
+    /// - `fusion/g/exposed_tail_s` — what the `G` plan leaves after its
+    ///   last byte: the modelled end of its tails minus the end of its
+    ///   link (when `costs` times the passes).
     pub fn publish(&self, m: &MetricsRegistry, plan: &PlanEpoch, costs: &Costs) {
-        let (inverse, broadcast, _) = self.lines(costs);
+        let (inverse, broadcast, allreduce, grads) = self.lines(costs);
+        let pipes = self.pipelines(costs, &allreduce, &grads);
+        if let (Some([_, pipe]), Some(g)) = (pipes, &plan.g_fusion) {
+            let out = fusion::simulate(&pipe, g, &allreduce, 0.0);
+            m.gauge("fusion/g/exposed_tail_s")
+                .set(out.tail_end - out.link_end);
+        }
         let ncts = plan.placement.num_nct();
         m.gauge("placement/nct").set(ncts as f64);
         m.gauge("placement/ct")
@@ -526,6 +640,7 @@ mod tests {
             allreduce_wire: Some(AlphaBetaModel::new(9e-4, 6e-9)),
             encode: Some(AlphaBetaModel::new(1e-6, 1.2e-9)),
             ready: None,
+            tail: None,
         };
         let v = costs.encode(true);
         assert_eq!(v.len(), MODEL_SLOTS);
@@ -537,18 +652,111 @@ mod tests {
         assert!((wire.beta - 6e-9).abs() < 1e-20);
         let enc = agreed.encode.expect("codec line agreed");
         assert!((enc.beta - 1.2e-9).abs() < 1e-20);
-        // Ready times ride behind the lines, or alone.
+        // Ready and tail times ride behind the lines, or alone.
         let timed = Costs {
             ready: Some(vec![0.0, 0.5, 0.25, 0.75]),
+            tail: Some(vec![1e-3, 2e-3, 3e-3, 4e-3]),
             ..costs.clone()
         };
         assert_eq!(Costs::decode(&timed.encode(true), true), timed);
-        assert_eq!(timed.encode(false), [0.0, 0.5, 0.25, 0.75]);
-        assert_eq!(
-            Costs::decode(&timed.encode(false), false).ready,
-            timed.ready
-        );
+        let alone = timed.encode(false);
+        assert_eq!(alone, [0.0, 0.5, 0.25, 0.75, 1e-3, 2e-3, 3e-3, 4e-3]);
+        let agreed = Costs::decode(&alone, false);
+        assert_eq!((&agreed.ready, &agreed.tail), (&timed.ready, &timed.tail));
+        // Untimed tails travel as zeros: the layout is 2 × the ready times.
+        let untimed = Costs {
+            tail: None,
+            ..timed.clone()
+        };
+        assert_eq!(untimed.encode(false)[4..], [0.0; 4]);
         assert!(Costs::default().encode(false).is_empty());
+    }
+
+    #[test]
+    fn timings_that_are_not_finite_or_negative_decode_to_a_cold_start() {
+        let timed = Costs {
+            ready: Some(vec![0.0, 0.5, 0.25, 0.75]),
+            tail: Some(vec![1e-3; 4]),
+            ..Costs::default()
+        };
+        let planner = planner(&[64, 256, 1024, 2048], 2);
+        let cold = planner.plan(&Costs::default(), None);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e-3] {
+            for at in [1, 6] {
+                let mut v = timed.encode(true);
+                v[MODEL_SLOTS + at] = bad;
+                let agreed = Costs::decode(&v, true);
+                assert_eq!(
+                    (&agreed.ready, &agreed.tail),
+                    (&None, &None),
+                    "{bad} at {at}"
+                );
+                // One message per factor, exactly as before anything was timed.
+                assert_eq!(planner.plan(&agreed, None), cold);
+            }
+        }
+        // A timing block that does not split into ready and tail halves.
+        assert_eq!(Costs::decode(&[0.0, 0.5, 0.25], false).ready, None);
+    }
+
+    #[test]
+    fn the_g_pass_prices_tails_and_the_gradients_behind_its_buckets() {
+        use crate::iteration::LayerShape;
+        // `deep_mlp(32, 256, 4, 10)` at 2 B/element on 0.2 Gbit/s.
+        let mut cfg = DistributedConfig::new(2, Algorithm::SpdKfac);
+        cfg.comm_model = AlphaBetaModel::new(1e-4, 8e-8);
+        let widths = [32, 256, 256, 256, 256, 10];
+        let linear = |w: &[usize]| LayerShape {
+            grad_elems: w[0] * w[1] + w[1],
+            factor: Some((w[0] + 1, w[1])),
+        };
+        let relu = LayerShape {
+            grad_elems: 0,
+            factor: None,
+        };
+        let mut layers = Vec::new();
+        for w in widths.windows(2) {
+            layers.extend([linear(w), relu]);
+        }
+        layers.pop();
+        let dims: Vec<(usize, usize)> = layers.iter().filter_map(|l| l.factor).collect();
+        let bare = Planner::new(&cfg, &dims, 2);
+        let planner = Planner::new(&cfg, &dims, 2).with_layers(&layers);
+        assert_eq!(planner.trailing, [2570, 65792, 65792, 65792, 8448]);
+        // Ready times in the pass, an inversion per `A`, inversion plus
+        // preconditioning per `G`.
+        let a = [0.2e-3, 0.5e-3, 0.8e-3, 1.1e-3, 1.4e-3];
+        let g = [0.10e-3, 0.45e-3, 0.85e-3, 1.30e-3, 1.74e-3];
+        let costs = Costs {
+            ready: Some([a, g].concat()),
+            tail: Some([[0.6e-3; 5], [0.05e-3, 1.5e-3, 1.5e-3, 1.5e-3, 0.7e-3]].concat()),
+            ..Costs::default()
+        };
+        // Blind to tails and gradients, the last bucket carries three wide
+        // layers.
+        let blind = Costs {
+            tail: None,
+            ..costs.clone()
+        };
+        let eq15 = bare.plan(&blind, None);
+        let g_plan = eq15.g_fusion.as_ref().expect("SPD pipelines");
+        assert_eq!(g_plan.buckets(), &[vec![0], vec![1], vec![2, 3, 4]]);
+        let seen = planner.plan(&costs, None);
+        let g_plan = seen.g_fusion.as_ref().expect("SPD pipelines");
+        assert!(
+            g_plan.buckets().last().expect("a bucket").len() < 3,
+            "{g_plan:?}"
+        );
+        // The `A` pass has no tails: its plan is the blind one.
+        assert_eq!(seen.a_fusion, eq15.a_fusion);
+        // The gauge reads what the installed plan leaves after its last byte.
+        let m = MetricsRegistry::new();
+        planner.publish(&m, &seen, &costs);
+        let exposed = m.snapshot().gauges["fusion/g/exposed_tail_s"];
+        assert!((0.0..1.5e-3).contains(&exposed), "{exposed}");
+        planner.publish(&m, &eq15, &costs);
+        let exposed = m.snapshot().gauges["fusion/g/exposed_tail_s"];
+        assert!((exposed - 3.7e-3).abs() < 1e-9, "{exposed}");
     }
 
     #[test]

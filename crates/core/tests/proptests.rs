@@ -58,12 +58,15 @@ fn maybe<S: Strategy>(s: S) -> impl Strategy<Value = Option<S::Value>> {
 }
 
 /// Strategy: a cost record with any subset of its lines present, with or
-/// without `ready` times for `factors` factors.
+/// without `ready` and `tail` times for `factors` factors (tails only
+/// beside ready times).
 fn costs_strategy(factors: usize) -> impl Strategy<Value = Costs> {
     let comm = || maybe(comm_strategy());
     let lines = (comm(), comm(), maybe(inverse_strategy()), comm(), comm());
-    (lines, maybe(pvec(0.0f64..2.0, factors))).prop_map(|(lines, ready)| {
+    let times = || pvec(0.0f64..2.0, factors);
+    (lines, maybe((times(), maybe(times())))).prop_map(|(lines, timed)| {
         let (allreduce, broadcast, inverse, allreduce_wire, encode) = lines;
+        let (ready, tail) = timed.unzip();
         Costs {
             allreduce,
             broadcast,
@@ -71,8 +74,39 @@ fn costs_strategy(factors: usize) -> impl Strategy<Value = Costs> {
             allreduce_wire,
             encode,
             ready,
+            tail: tail.flatten(),
         }
     })
+}
+
+/// Strategy: a pipeline as [`pipeline_strategy`] gives, with a tail of up
+/// to 0.5 s per factor, up to 5 M trailing elements behind it (or none) and
+/// the compute thread free at 0–5 s.
+fn tailed_strategy() -> impl Strategy<Value = FactorPipeline> {
+    pipeline_strategy().prop_flat_map(|p| {
+        let n = p.len();
+        let trailing = (0usize..5_000_000).prop_map(|m| m.saturating_sub(1_000_000));
+        (pvec(0.0f64..0.5, n), pvec(trailing, n), 0.0f64..5.0).prop_map(
+            move |(tail, trailing, free_at)| {
+                p.clone()
+                    .with_tail(tail, trailing, free_at)
+                    .expect("constructed valid")
+            },
+        )
+    })
+}
+
+/// Every strategy the planner offers, the threshold one with `cycle_s`.
+fn strategies(cycle_s: f64) -> [FusionStrategy; 4] {
+    [
+        FusionStrategy::Naive,
+        FusionStrategy::LayerWise,
+        FusionStrategy::Threshold {
+            elems: 4_000_000,
+            cycle_s,
+        },
+        FusionStrategy::Optimal,
+    ]
 }
 
 /// An SPD-KFAC planner with time-weighted LBP and Eq. 15 fusion.
@@ -133,6 +167,59 @@ proptest! {
                 alt.finish
             );
         }
+    }
+
+    #[test]
+    fn zero_tails_plan_exactly_as_no_tails(
+        p in pipeline_strategy(),
+        comm in comm_strategy(),
+        free_at in 0.0f64..40.0,
+    ) {
+        // One code path: zero tails and no trailing messages score every
+        // plan as the tail-free timeline does, wherever the compute thread
+        // frees up.
+        let n = p.len();
+        let zero = p.clone().with_tail(vec![0.0; n], vec![0; n], free_at).expect("valid");
+        for s in strategies(0.01) {
+            prop_assert_eq!(fusion::plan(&zero, &comm, s), fusion::plan(&p, &comm, s), "{:?}", s);
+        }
+    }
+
+    #[test]
+    fn optimal_never_loses_to_baselines_with_tails(p in tailed_strategy(), comm in comm_strategy()) {
+        let [naive, layerwise, threshold, optimal] = strategies(0.005);
+        let finish = |s| fusion::simulate(&p, &fusion::plan(&p, &comm, s), &comm, 0.0).finish;
+        let otf = finish(optimal);
+        for s in [naive, layerwise, threshold] {
+            let alt = finish(s);
+            prop_assert!(otf <= alt + 1e-9, "Optimal {:.6} lost to {:?} {:.6}", otf, s, alt);
+        }
+    }
+
+    #[test]
+    fn a_tail_starts_once_its_bucket_has_landed_and_the_compute_thread_is_free(
+        p in tailed_strategy(),
+        comm in comm_strategy(),
+        pick in 0usize..4,
+    ) {
+        let plan = fusion::plan(&p, &comm, strategies(0.01)[pick]);
+        let out = fusion::simulate(&p, &plan, &comm, 0.0);
+        let mut compute_free = f64::NEG_INFINITY;
+        for (bucket, (&(_, landed), &(start, end))) in
+            plan.buckets().iter().zip(out.spans.iter().zip(&out.tails))
+        {
+            // The bucket's factor message, and its trailing message right
+            // behind it, are in: the span covers both.
+            let factor: usize = bucket.iter().map(|&i| p.sizes[i]).sum();
+            let ready = bucket.iter().map(|&i| p.ready[i]).fold(f64::MIN, f64::max);
+            prop_assert!(landed >= ready + comm.time(factor) - 1e-9);
+            prop_assert!(start >= landed - 1e-12, "tail at {start} before landing at {landed}");
+            prop_assert!(start >= compute_free - 1e-12, "tail at {start}, thread busy until {compute_free}");
+            prop_assert!(end >= start);
+            compute_free = end;
+        }
+        prop_assert!(out.finish >= out.link_end && out.finish >= out.tail_end);
+        prop_assert_eq!(out.finish, out.link_end.max(out.tail_end));
     }
 
     #[test]
@@ -349,7 +436,7 @@ proptest! {
         strategy_pick in 0usize..3,
     ) {
         let (dims, ready) = layers;
-        let lines = Costs { ready: None, ..lines };
+        let lines = Costs { ready: None, tail: None, ..lines };
         let strategy = [
             PlacementStrategy::SeqDist,
             PlacementStrategy::default(),
@@ -393,8 +480,9 @@ proptest! {
         };
         for models in [true, false] {
             // A record's encoding names its present lines, their
-            // coefficients and its ready times, so equal encodings are
-            // equal records (an empty series being "no ready times").
+            // coefficients and its ready and tail times, so equal encodings
+            // are equal records (an empty series being "no ready times",
+            // absent tails being zeros).
             let sent = costs.encode(models);
             let agreed = Costs::decode(&mean(&sent), models);
             let back = agreed.encode(models);
@@ -402,9 +490,9 @@ proptest! {
             for (got, want) in back.iter().zip(&sent) {
                 prop_assert!((got - want).abs() <= 1e-12 * want.abs(), "{got} vs {want}");
             }
-            // Without the model slots only the ready times travel.
+            // Without the model slots only the times travel.
             if !models {
-                prop_assert_eq!(Costs { ready: None, ..agreed }, Costs::default());
+                prop_assert_eq!(Costs { ready: None, tail: None, ..agreed }, Costs::default());
             }
         }
     }

@@ -7,10 +7,11 @@
 //! attributing ≥95% of wall time across the generation boundary.
 
 use spdkfac::core::distributed::{Algorithm, DistributedConfig, TrainSession};
-use spdkfac::core::perf::ExpInverseModel;
+use spdkfac::core::perf::{AlphaBetaModel, ExpInverseModel};
 use spdkfac::core::runtime::ReplanPolicy;
+use spdkfac::core::PlacementStrategy;
 use spdkfac::nn::data::gaussian_blobs;
-use spdkfac::nn::models::deep_mlp;
+use spdkfac::nn::models::{deep_mlp, mlp};
 use spdkfac::obs::{CollEdge, CriticalReport, Phase, RankMap, Recorder, Span};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -201,25 +202,97 @@ fn first_iteration_barrier_carries_ready_times_and_models_in_one_message() {
 
     // Rank 0, between the end of iteration 0's `Update` and the start of
     // iteration 1's forward pass: exactly one control all-reduce, holding
-    // the 15 model slots and a ready time per factor. (Two at the parent
-    // commit: 2L floats, then 15.)
+    // the 15 model slots and a ready and a tail time per factor.
+    let control = control_messages(&spans, world, 0);
+    let factors = 2 * deep_mlp(8, 24, 8, 3, 5).kfac_dims().len();
+    assert_eq!(control.len(), 1, "{control:?}");
+    assert_eq!(control[0].meta.edge, Some(CollEdge::Join));
+    assert_eq!(control[0].meta.size, Some(15 + 2 * factors));
+}
+
+/// Rank 0's control all-reduces between the end of iteration `iter`'s
+/// `Update` and the start of the next forward pass.
+fn control_messages(spans: &[Span], world: usize, iter: usize) -> Vec<&Span> {
     let update_end = spans
         .iter()
-        .find(|s| s.track == 0 && s.label == "iter0")
-        .expect("iteration 0's update span")
+        .find(|s| s.track == 0 && s.label == format!("iter{iter}"))
+        .expect("the iteration's update span")
         .end;
     let next_forward = spans
         .iter()
         .filter(|s| s.track == 0 && s.phase == Phase::FfBp && s.start >= update_end)
         .map(|s| s.start)
         .fold(f64::INFINITY, f64::min);
-    let control: Vec<&Span> = spans
+    spans
         .iter()
         .filter(|s| s.track == world && s.phase == Phase::Update)
         .filter(|s| s.start >= update_end && s.start < next_forward)
-        .collect();
-    let factors = 2 * deep_mlp(8, 24, 8, 3, 5).kfac_dims().len();
-    assert_eq!(control.len(), 1, "{control:?}");
-    assert_eq!(control[0].meta.edge, Some(CollEdge::Join));
-    assert_eq!(control[0].meta.size, Some(15 + factors));
+        .collect()
+}
+
+#[test]
+fn every_due_barrier_agrees_on_the_times_its_own_iteration_measured() {
+    // EveryN(2): barriers after iterations 1, 3 and 5; the first iteration
+    // agrees on its times alone. Every due barrier carries the 15 model
+    // slots and the ready and tail times measured in *that* iteration —
+    // not the segment's first iteration's, which the barrier used to reuse.
+    let world = 2;
+    let (rec, _, _) = run(&miscalibrated_cfg(world, ReplanPolicy::EveryN(2)), 6);
+    let spans = rec.spans();
+    let timed = 4 * deep_mlp(8, 24, 8, 3, 5).kfac_dims().len();
+    for iter in 0..6 {
+        let sizes: Vec<Option<usize>> = control_messages(&spans, world, iter)
+            .iter()
+            .map(|s| s.meta.size)
+            .collect();
+        let want = match iter {
+            0 => vec![Some(timed)],
+            1 | 3 | 5 => vec![Some(15 + timed)],
+            _ => vec![],
+        };
+        assert_eq!(sizes, want, "after iteration {iter}");
+    }
+}
+
+#[test]
+fn re_measured_times_alone_can_swap_the_plan() {
+    // Fixed models: the recorder holds only the compute track, so the
+    // calibrator never sees a collective and the fusion lines stay the
+    // configuration's, and `NonDist` placement ignores the inversion line.
+    // What moves between barriers is the measured times. Inverses are
+    // refreshed every other iteration, and on those the `A` inversion of
+    // the 513-wide factor keeps the compute thread busy past every `G`
+    // message: tails cannot overlap the link, and the plan is Eq. 15's,
+    // which merges the two `G` factors (taken well within 2α of each
+    // other). In between, the last layer's preconditioning (≫ 2α) can run
+    // while the 512-wide `G` is still on the wire, so the `G` pass splits.
+    // Both times scale with the build; α sits between them in either.
+    let alpha = if cfg!(debug_assertions) { 2e-2 } else { 8e-4 };
+    let world = 1;
+    let mut cfg = DistributedConfig::new(world, Algorithm::SpdKfac);
+    cfg.kfac.damping = 0.1;
+    cfg.kfac.lr = 0.05;
+    cfg.kfac.momentum = 0.0;
+    cfg.kfac.inv_update_freq = 2;
+    cfg.placement = Some(PlacementStrategy::NonDist);
+    cfg.comm_model = AlphaBetaModel::new(alpha, 1e-9);
+    cfg.replan = ReplanPolicy::EveryN(1);
+    let rec = Arc::new(Recorder::new(world));
+    let data = gaussian_blobs(3, 8, 8, 0.3, 42);
+    let out = TrainSession::builder(cfg)
+        .recorder(Arc::clone(&rec))
+        .run(&|| mlp(&[8, 512, 256], 5), &data, 4, 4)
+        .expect("local run");
+    assert!(out.losses.iter().all(|l| l.is_finite()));
+    let snap = rec.metrics().snapshot();
+    assert_eq!(snap.counters["runtime/checks"], 4);
+    assert_eq!(
+        snap.gauges["calib/allreduce/samples"], 0.0,
+        "the calibrator saw a collective"
+    );
+    assert!(
+        snap.counters.get("runtime/swaps").copied().unwrap_or(0) >= 1,
+        "the times re-measured at each barrier never moved the plan"
+    );
+    assert!(snap.counters["runtime/fusion_replans"] >= 1);
 }
