@@ -24,11 +24,12 @@
 //! cargo run --release -p spdkfac-bench --bin bench_scale -- --trace-dir traces
 //! ```
 //!
-//! `--smoke` shrinks the sweep (ResNet-50 at {64, 128} ranks) but writes a
-//! schema-complete artifact for `bench_diff --check`; the anchor gate still
-//! runs. `--trace-dir DIR` additionally exports the 1024-rank hierarchical
-//! LBP ResNet-50 schedule as a Chrome trace. Exit codes: 0 ok, 1 gate
-//! failed.
+//! The simulator is deterministic, so a full sweep reproduces the committed
+//! `BENCH_scale.json` to the byte; CI `cmp`s the two. `--smoke` shrinks the
+//! sweep (ResNet-50 at {64, 128} ranks) for a quick local look; the anchor
+//! gate still runs. `--trace-dir DIR` additionally exports the 1024-rank
+//! hierarchical LBP ResNet-50 schedule as a Chrome trace. Exit codes: 0 ok,
+//! 1 gate failed.
 
 use spdkfac_bench::{header, note};
 use spdkfac_models::{paper_models, ModelProfile};

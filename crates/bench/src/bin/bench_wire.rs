@@ -30,8 +30,8 @@
 //! ```
 //!
 //! `--smoke` shrinks the run and skips the speedup/loss gates (loopback
-//! timing in CI is too noisy to gate) but still writes a schema-complete
-//! artifact for `bench_diff --check`. Exit codes: 0 ok, 1 gate failed.
+//! timing in CI is too noisy to gate); the wire-byte ordering check still
+//! runs. Exit codes: 0 ok, 1 gate failed.
 
 use spdkfac_bench::{header, note};
 use spdkfac_collectives::tcp::RendezvousServer;

@@ -17,8 +17,8 @@
 //! `--csv` writes the per-rank attribution (shared formatter with
 //! `summary::render_summary_csv`), `--json` the machine-readable report of
 //! the *measured* run, `--sim-json` the same report for the *simulated*
-//! iteration (bit-for-bit deterministic — this is what the CI
-//! `bench_diff --critical` gate compares against its committed baseline),
+//! iteration (bit-for-bit deterministic — CI `cmp`s it against the
+//! committed `BENCH_critical_path.json`),
 //! `--trace` a Perfetto timeline with the critical path as an extra
 //! highlighted track.
 

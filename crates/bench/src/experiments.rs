@@ -1,11 +1,166 @@
-//! Structured experiment drivers: each paper table/figure as a function
-//! returning typed rows, consumed by the figure binaries, the `run_all`
-//! CSV exporter, and the test-suite.
+//! The experiment harness: every paper table / figure and every extension
+//! study is one function here, registered once in [`FIGURES`]. The `repro`
+//! binary runs them by name (`repro fig10`, `repro all`); the figures with
+//! typed rows ([`table2`], [`table3`], [`fig10`], [`fig12`], [`fig13`]) print
+//! from those rows and hand the same rows back as CSV, so a figure is
+//! computed once whether it is read on stdout, in a CSV or in the tests.
 
-use spdkfac_core::fusion::FusionStrategy;
-use spdkfac_core::placement::PlacementStrategy;
-use spdkfac_models::{paper_models, ModelProfile};
-use spdkfac_sim::{simulate_inverse_phase, simulate_iteration, Algo, FactorCommMode, SimConfig};
+use crate::{breakdown_line, header, note, PAPER_TABLE3};
+use spdkfac_collectives::{Backend, CommGroup};
+use spdkfac_core::fusion::{self, FactorPipeline, FusionStrategy};
+use spdkfac_core::perf::{AlphaBetaModel, CubicCostModel, ExpInverseModel};
+use spdkfac_core::placement::{place, LbpWeight, PlacementStrategy, TensorAssignment};
+use spdkfac_models::{paper_models, resnet50, vgg16, ModelProfile};
+use spdkfac_sim::trace::ascii_timeline;
+use spdkfac_sim::{
+    simulate_amortized_iteration, simulate_inverse_phase, simulate_iteration, Algo, FactorCommMode,
+    GradFusionMode, HardwareProfile, NetTopology, SimConfig,
+};
+use spdkfac_tensor::chol::spd_inverse;
+use spdkfac_tensor::rng::MatrixRng;
+use std::thread;
+use std::time::Instant;
+
+/// One reproducible experiment.
+pub struct Figure {
+    /// Its name on the `repro` command line; also the stem of its CSV.
+    pub name: &'static str,
+    /// What it regenerates.
+    pub about: &'static str,
+    /// Prints the experiment to stdout and returns its CSV, if it has
+    /// typed rows.
+    pub run: fn() -> Option<String>,
+}
+
+/// Every experiment, in the order `repro all` runs them: the paper's
+/// tables, its figures, then the extension studies.
+pub const FIGURES: [Figure; 24] = [
+    Figure {
+        name: "table2",
+        about: "Table II: parameters, layers and packed factor elements of the four CNNs",
+        run: print_table2,
+    },
+    Figure {
+        name: "table3",
+        about: "Table III: D-KFAC / MPD-KFAC / SPD-KFAC iteration time and speedups, 64 GPUs",
+        run: print_table3,
+    },
+    Figure {
+        name: "fig1",
+        about: "Fig. 1: ASCII task timelines of S-SGD, MPD-KFAC and SPD-KFAC (2 GPUs)",
+        run: print_fig1,
+    },
+    Figure {
+        name: "fig2",
+        about: "Fig. 2: time breakdowns of SGD, KFAC, S-SGD, D-KFAC, MPD-KFAC (ResNet-50)",
+        run: print_fig2,
+    },
+    Figure {
+        name: "fig3",
+        about: "Fig. 3: Kronecker-factor size distribution of the four CNNs",
+        run: print_fig3,
+    },
+    Figure {
+        name: "fig4",
+        about: "Fig. 4: the A-pass Eq. 15 fusion plan and its timeline (ResNet-50)",
+        run: print_fig4,
+    },
+    Figure {
+        name: "fig5",
+        about: "Fig. 5: Seq-Dist vs LBP vs Non-Dist placement of four tensors on two GPUs",
+        run: print_fig5,
+    },
+    Figure {
+        name: "fig7",
+        about: "Fig. 7: alpha-beta collective models, modelled and measured on this host",
+        run: print_fig7,
+    },
+    Figure {
+        name: "fig8",
+        about: "Fig. 8: inverse-time model, measured CPU Cholesky and the simulator's curve",
+        run: print_fig8,
+    },
+    Figure {
+        name: "fig9",
+        about: "Fig. 9: per-algorithm time breakdowns of the four CNNs, 64 GPUs",
+        run: print_fig9,
+    },
+    Figure {
+        name: "fig10",
+        about: "Fig. 10: factor-communication pipelining strategies (Naive / LW / TTF / OTF)",
+        run: print_fig10,
+    },
+    Figure {
+        name: "fig11",
+        about: "Fig. 11: inversion vs broadcast time per dimension (the NCT crossover)",
+        run: print_fig11,
+    },
+    Figure {
+        name: "fig12",
+        about: "Fig. 12: inverse phase under Non-Dist / Seq-Dist / LBP, 64 GPUs",
+        run: print_fig12,
+    },
+    Figure {
+        name: "fig13",
+        about: "Fig. 13 / Table IV: ablation of pipelining and LBP, 64 GPUs",
+        run: print_fig13,
+    },
+    Figure {
+        name: "ext_batch_sweep",
+        about: "Extension: ResNet-50 iteration time vs per-GPU batch size",
+        run: print_ext_batch_sweep,
+    },
+    Figure {
+        name: "ext_ekfac_timing",
+        about: "Extension: SPD-KFAC vs SPD-EKFAC projected iteration time",
+        run: print_ext_ekfac_timing,
+    },
+    Figure {
+        name: "ext_hierarchical",
+        about: "Extension: flat ring vs hierarchical all-reduce",
+        run: print_ext_hierarchical,
+    },
+    Figure {
+        name: "ext_lbp_weight",
+        about: "Extension: LBP bucket-weight variants (d, d^2, modelled time)",
+        run: print_ext_lbp_weight,
+    },
+    Figure {
+        name: "ext_mgwfbp",
+        about: "Extension: WFBP threshold vs MG-WFBP (Eq. 15) gradient fusion",
+        run: print_ext_mgwfbp,
+    },
+    Figure {
+        name: "ext_network_model",
+        about: "Extension: inverse phase under serialized vs per-root-parallel networks",
+        run: print_ext_network_model,
+    },
+    Figure {
+        name: "ext_scaling",
+        about: "Extension: Table III speedups vs cluster size (4 to 128 GPUs)",
+        run: print_ext_scaling,
+    },
+    Figure {
+        name: "ext_update_interval",
+        about: "Extension: average iteration time vs K-FAC update interval",
+        run: print_ext_update_interval,
+    },
+    Figure {
+        name: "ext_vgg_stress",
+        about: "Extension: VGG-16 and the limits of the exponential cost model",
+        run: print_ext_vgg_stress,
+    },
+    Figure {
+        name: "ext_wire_precision",
+        about: "Extension: iteration time under fp32 vs fp16 communication",
+        run: print_ext_wire_precision,
+    },
+];
+
+/// The registered experiment called `name`.
+pub fn find(name: &str) -> Option<&'static Figure> {
+    FIGURES.iter().find(|f| f.name == name)
+}
 
 /// One Table II row.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,6 +192,47 @@ pub fn table2() -> Vec<Table2Row> {
             g_elems: m.total_packed_g(),
         })
         .collect()
+}
+
+fn print_table2() -> Option<String> {
+    let rows = table2();
+    header("Table II: DNN details for experiments");
+    println!(
+        "{:<14} {:>10} {:>8} {:>6} {:>10} {:>10}",
+        "Model", "Param (M)", "Layers", "Batch", "As (M)", "Gs (M)"
+    );
+    for r in &rows {
+        println!(
+            "{:<14} {:>10.1} {:>8} {:>6} {:>10.1} {:>10.1}",
+            r.model,
+            r.params as f64 / 1e6,
+            r.layers,
+            r.batch,
+            r.a_elems as f64 / 1e6,
+            r.g_elems as f64 / 1e6,
+        );
+    }
+    note("paper:   25.6/54/32/62.3/14.6 · 60.2/156/8/162.0/32.9");
+    note("         20.0/201/16/131.0/(1.8*) · 42.7/150/16/116.4/4.7");
+    note("(*) Table II prints 18.0 for DenseNet-201 Gs; with every conv in");
+    note("    DenseNet-201 having ≤ 1000 output channels, Σ d(d+1)/2 cannot");
+    note("    reach 18M — we read it as a decimal-point erratum for 1.8.");
+    Some(to_csv(
+        &["model", "params", "layers", "batch", "a_elems", "g_elems"],
+        &rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.model.clone(),
+                    r.params.to_string(),
+                    r.layers.to_string(),
+                    r.batch.to_string(),
+                    r.a_elems.to_string(),
+                    r.g_elems.to_string(),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    ))
 }
 
 /// One Table III row (seconds).
@@ -75,6 +271,393 @@ pub fn table3(cfg: &SimConfig) -> Vec<Table3Row> {
             spd: simulate_iteration(m, cfg, Algo::SpdKfac).total,
         })
         .collect()
+}
+
+fn print_table3() -> Option<String> {
+    let rows = table3(&SimConfig::paper_testbed(64));
+    header("Table III: iteration time (s) and speedups, 64 GPUs");
+    println!(
+        "{:<14} {:>8} {:>8} {:>8} {:>6} {:>6}   paper: D / MPD / SPD (SP1, SP2)",
+        "Model", "D-KFAC", "MPD", "SPD", "SP1", "SP2"
+    );
+    for (r, (pname, pd, pmpd, pspd)) in rows.iter().zip(PAPER_TABLE3) {
+        assert_eq!(r.model, pname);
+        println!(
+            "{:<14} {:>8.4} {:>8.4} {:>8.4} {:>6.2} {:>6.2}   {:.4}/{:.4}/{:.4} ({:.2}, {:.2})",
+            r.model,
+            r.dkfac,
+            r.mpd,
+            r.spd,
+            r.sp1(),
+            r.sp2(),
+            pd,
+            pmpd,
+            pspd,
+            pd / pspd,
+            pmpd / pspd
+        );
+    }
+    note("shape criteria: SPD fastest everywhere; MPD slower than D-KFAC on");
+    note("DenseNet-201; SP1 within the paper's 10–35% band direction.");
+    Some(to_csv(
+        &["model", "dkfac_s", "mpd_s", "spd_s", "sp1", "sp2"],
+        &rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.model.clone(),
+                    format!("{:.4}", r.dkfac),
+                    format!("{:.4}", r.mpd),
+                    format!("{:.4}", r.spd),
+                    format!("{:.3}", r.sp1()),
+                    format!("{:.3}", r.sp2()),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    ))
+}
+
+/// Fig. 1: the timelines of S-SGD and the K-FAC variants, rendered as
+/// ASCII from simulated schedules (2 GPUs, as in the paper's figure).
+fn print_fig1() -> Option<String> {
+    let cfg = SimConfig::paper_testbed(2);
+    let m = resnet50();
+    for (title, algo) in [
+        (
+            "Fig. 1(a): S-SGD — gradient comm overlaps backward (WFBP)",
+            Algo::SSgd,
+        ),
+        (
+            "Fig. 1(b): MPD-KFAC — factor comm + distributed inverses",
+            Algo::MpdKfac,
+        ),
+        ("SPD-KFAC — pipelined factor comm + LBP", Algo::SpdKfac),
+    ] {
+        header(title);
+        let r = simulate_iteration(&m, &cfg, algo);
+        print!("{}", ascii_timeline(&r, 2, 100));
+    }
+    note("legend: F=FF&BP g=GradComm C=FactorComp c=FactorComm I=InverseComp");
+    note("        i=InverseComm U=update .=idle  (2 simulated GPUs, ResNet-50)");
+    None
+}
+
+/// Fig. 2: breakdowns of SGD / KFAC on one GPU and S-SGD / D-KFAC /
+/// MPD-KFAC on the 64-GPU cluster (ResNet-50, batch 32).
+fn print_fig2() -> Option<String> {
+    header("Fig. 2: time breakdowns of existing training schemes (ResNet-50, bs 32, 64 GPUs)");
+    let cfg = SimConfig::paper_testbed(64);
+    let m = resnet50();
+    let [sgd, kfac, _, d, mpd] = [
+        ("SGD (1 GPU)", Algo::SgdSingle),
+        ("KFAC (1 GPU)", Algo::KfacSingle),
+        ("S-SGD", Algo::SSgd),
+        ("D-KFAC", Algo::DKfac),
+        ("MPD-KFAC", Algo::MpdKfac),
+    ]
+    .map(|(name, algo)| {
+        let r = simulate_iteration(&m, &cfg, algo);
+        println!("{name:<14} {}", breakdown_line(&r));
+        r
+    });
+    note(&format!(
+        "KFAC/SGD single-GPU ratio = {:.2} (paper: ≈4)",
+        kfac.total / sgd.total
+    ));
+    note(&format!(
+        "D-KFAC inverse compute = {:.3}s (paper: 0.292s); MPD-KFAC inverse compute = {:.3}s (paper: ≈0.051s)",
+        d.breakdown.inverse_comp, mpd.breakdown.inverse_comp
+    ));
+    note(&format!(
+        "MPD-KFAC inverse broadcast = {:.3}s non-overlapped (paper: ≈0.134s)",
+        mpd.breakdown.inverse_comm
+    ));
+    None
+}
+
+/// Fig. 3: number of factors per packed size, per CNN.
+fn print_fig3() -> Option<String> {
+    header("Fig. 3: tensor size distribution (packed upper-triangle elements)");
+    for m in paper_models() {
+        let hist = m.factor_size_histogram();
+        println!(
+            "\n{} — {} factors, {} distinct sizes:",
+            m.name(),
+            2 * m.num_kfac_layers(),
+            hist.len()
+        );
+        println!("{:>12} {:>6}", "size", "count");
+        for (size, count) in &hist {
+            println!("{size:>12} {count:>6}");
+        }
+        note(&format!(
+            "min = {}, max = {}",
+            m.min_packed_factor(),
+            m.max_packed_factor()
+        ));
+    }
+    note("paper anchors (ResNet-50): min 2,080 / max 10,619,136 elements");
+    None
+}
+
+/// Fig. 4: which `A` factors the Eq. 15 plan merges into which all-reduce
+/// message on ResNet-50's forward pass, and when each message runs.
+fn print_fig4() -> Option<String> {
+    header("Fig. 4: pipelined A-factor communication with optimal tensor fusion (ResNet-50)");
+    let cfg = SimConfig::paper_testbed(64);
+    let hw = HardwareProfile::rtx2080ti_ib100();
+    let m = resnet50();
+    let batch = m.batch_size();
+
+    // Analytic ready times along the forward pass (factor computed in the
+    // pre-forward hook of each layer).
+    let mut ready = Vec::new();
+    let mut cursor = 0.0;
+    for l in m.layers() {
+        cursor += hw.factor_a_time(l, batch);
+        ready.push(cursor);
+        cursor += hw.ff_time(l, batch);
+    }
+    let sizes: Vec<usize> = m.layers().iter().map(|l| l.packed_a()).collect();
+    let pipeline = FactorPipeline::new(ready.clone(), sizes.clone()).expect("valid pipeline");
+    let plan = fusion::plan(&pipeline, &cfg.hw.allreduce, FusionStrategy::Optimal);
+    let out = fusion::simulate(&pipeline, &plan, &cfg.hw.allreduce, 0.0);
+
+    println!(
+        "{:>4} {:>12} {:>10} {:>10} {:>10}  layers",
+        "msg", "elems", "ready(ms)", "start(ms)", "end(ms)"
+    );
+    for (i, bucket) in plan.buckets().iter().enumerate() {
+        let elems: usize = bucket.iter().map(|&j| sizes[j]).sum();
+        let first = bucket.first().expect("bucket non-empty");
+        let last = bucket.last().expect("bucket non-empty");
+        let (s, e) = out.spans[i];
+        let label = if first == last {
+            format!("A{first}")
+        } else {
+            format!("A{first}..A{last}")
+        };
+        println!(
+            "{:>4} {:>12} {:>10.2} {:>10.2} {:>10.2}  {}",
+            i,
+            elems,
+            ready[*last] * 1e3,
+            s * 1e3,
+            e * 1e3,
+            label
+        );
+    }
+    note(&format!(
+        "{} factors fused into {} messages; A-pass comm finishes {:.1} ms after the last factor computation",
+        sizes.len(),
+        plan.num_messages(),
+        (out.finish - out.compute_end) * 1e3
+    ));
+    note("paper Fig. 4 example: A0 and A1 are merged and communicated together");
+    None
+}
+
+/// Fig. 5: four tensors on two GPUs under the Eq. 21 objective and the
+/// discrete-event simulator.
+fn print_fig5() -> Option<String> {
+    header("Fig. 5: placement of four tensors on two GPUs");
+    // Two large communication-bound tensors and two small compute-cheap ones,
+    // mirroring the figure's proportions. Under these models the small
+    // tensors fall below the Fig. 11 crossover and become NCTs.
+    let dims = vec![2600usize, 2400, 900, 800];
+    let comp = ExpInverseModel::new(5e-4, 1.5e-3);
+    let comm = AlphaBetaModel::new(2.5e-3, 6e-10);
+    let mut cfg = SimConfig::paper_testbed(2);
+    cfg.hw.inverse = comp;
+    cfg.hw.bcast = comm;
+
+    for (name, strategy) in [
+        ("(a) Seq-Dist (all CT)", PlacementStrategy::SeqDist),
+        ("(b)+(c) LBP w/ NCT", PlacementStrategy::default()),
+        ("    Non-Dist", PlacementStrategy::NonDist),
+    ] {
+        let p = place(&dims, 2, &comp, &comm, strategy);
+        let modeled = p.modeled_time(&dims, &comp, &comm);
+        let sim = simulate_inverse_phase(&dims, &cfg, &strategy);
+        let assignment: Vec<String> = p
+            .assignments()
+            .iter()
+            .enumerate()
+            .map(|(i, a)| match a {
+                TensorAssignment::AllGpus => format!("T{i}→all"),
+                TensorAssignment::Gpu(g) => format!("T{i}→GPU{g}"),
+            })
+            .collect();
+        println!(
+            "{name:<24} assignment = [{}]  Eq.21 = {:.2} ms, simulated = {:.2} ms",
+            assignment.join(", "),
+            modeled * 1e3,
+            sim.total * 1e3
+        );
+    }
+    note("expected shape: LBP balances the two large tensors across GPUs and");
+    note("turns the two small tensors into NCTs, beating Seq-Dist (Fig. 5c).");
+    None
+}
+
+/// Mean per-call seconds of `reps` in-process ring all-reduces
+/// (`allreduce`) or broadcasts of `elems` f64 over `world` threads, the
+/// slowest rank's.
+fn measure_ring(world: usize, elems: usize, allreduce: bool, reps: usize) -> f64 {
+    let endpoints = CommGroup::builder()
+        .world_size(world)
+        .backend(Backend::Local)
+        .build()
+        .expect("local backend is infallible")
+        .into_endpoints();
+    thread::scope(|s| {
+        let handles: Vec<_> = endpoints
+            .iter()
+            .map(|comm| {
+                s.spawn(move || {
+                    let mut buf = vec![1.0f64; elems];
+                    // Warmup.
+                    comm.allreduce_sum(&mut buf);
+                    let t0 = Instant::now();
+                    for _ in 0..reps {
+                        if allreduce {
+                            comm.allreduce_sum(&mut buf);
+                        } else {
+                            comm.broadcast(&mut buf, 0);
+                        }
+                    }
+                    t0.elapsed().as_secs_f64() / reps as f64
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker"))
+            .fold(0.0, f64::max)
+    })
+}
+
+/// Fig. 7: the simulated cluster's α-β models (Eq. 14 / Eq. 27) over the
+/// paper's 1–512 MB range, then the in-process ring collectives measured
+/// on this host and fitted the way the paper fits its cluster.
+fn print_fig7() -> Option<String> {
+    header("Fig. 7(a)+(b): cluster communication models (Eq. 14 / Eq. 27)");
+    let hw = HardwareProfile::rtx2080ti_ib100();
+    println!(
+        "all-reduce: t(m) = {:.3e} + {:.3e}·m   broadcast: t(m) = {:.3e} + {:.3e}·m",
+        hw.allreduce.alpha, hw.allreduce.beta, hw.bcast.alpha, hw.bcast.beta
+    );
+    println!(
+        "{:>10} {:>14} {:>14}",
+        "MB (fp32)", "allreduce (ms)", "broadcast (ms)"
+    );
+    for mb in (0..10).map(|k| 1usize << k) {
+        let elems = mb * 1024 * 1024 / 4;
+        println!(
+            "{:>10} {:>14.2} {:>14.2}",
+            mb,
+            hw.allreduce.time(elems) * 1e3,
+            hw.bcast.time(elems) * 1e3
+        );
+    }
+
+    header("Fig. 7 (real measurement): in-process ring collectives, P = 4 threads");
+    let world = 4;
+    let mut ar_samples = Vec::new();
+    let mut bc_samples = Vec::new();
+    println!(
+        "{:>10} {:>14} {:>14}",
+        "elements", "allreduce (ms)", "broadcast (ms)"
+    );
+    for &elems in &[1_000usize, 4_000, 16_000, 64_000, 256_000, 1_000_000] {
+        let t_ar = measure_ring(world, elems, true, 5);
+        let t_bc = measure_ring(world, elems, false, 5);
+        ar_samples.push((elems, t_ar));
+        bc_samples.push((elems, t_bc));
+        println!("{:>10} {:>14.3} {:>14.3}", elems, t_ar * 1e3, t_bc * 1e3);
+    }
+    let ar_fit = AlphaBetaModel::fit(&ar_samples);
+    let bc_fit = AlphaBetaModel::fit(&bc_samples);
+    note(&format!(
+        "fitted all-reduce: α = {:.3e}s, β = {:.3e}s/elem (R² = {:.3})",
+        ar_fit.alpha,
+        ar_fit.beta,
+        ar_fit.r_squared(&ar_samples)
+    ));
+    note(&format!(
+        "fitted broadcast:  α = {:.3e}s, β = {:.3e}s/elem (R² = {:.3})",
+        bc_fit.alpha,
+        bc_fit.beta,
+        bc_fit.r_squared(&bc_samples)
+    ));
+    note("paper finding: the linear α-β model fits both collectives well.");
+    None
+}
+
+/// Fig. 8: the real CPU Cholesky inverse timed across dimensions and
+/// fitted with Eq. 26 in log space, then the simulator's calibrated curve.
+fn print_fig8() -> Option<String> {
+    header("Fig. 8 (real measurement): CPU Cholesky-inverse time vs dimension");
+    let mut rng = MatrixRng::new(7);
+    let mut samples = Vec::new();
+    println!("{:>8} {:>12}", "dim", "time (ms)");
+    for &d in &[64usize, 96, 128, 192, 256, 384, 512, 768] {
+        let a = rng.spd_matrix(d, 0.5);
+        // Warmup + best-of-3 to de-noise.
+        let _ = spd_inverse(&a).expect("spd");
+        let mut best = f64::INFINITY;
+        for _ in 0..3 {
+            let t0 = Instant::now();
+            let inv = spd_inverse(&a).expect("spd");
+            let dt = t0.elapsed().as_secs_f64();
+            std::hint::black_box(inv);
+            best = best.min(dt);
+        }
+        samples.push((d, best));
+        println!("{d:>8} {:>12.3}", best * 1e3);
+    }
+    let fit = ExpInverseModel::fit(&samples);
+    note(&format!(
+        "fitted Eq. 26 on CPU: α_inv = {:.3e}s, β_inv = {:.3e} (log-space R² = {:.3})",
+        fit.alpha,
+        fit.beta,
+        fit.log_r_squared(&samples)
+    ));
+
+    header("Fig. 8 (simulator model): calibrated RTX 2080 Ti curve");
+    let hw = HardwareProfile::rtx2080ti_ib100();
+    println!(
+        "t(d) = {:.3e} · exp({:.3e}·d) seconds",
+        hw.inverse.alpha, hw.inverse.beta
+    );
+    println!("{:>8} {:>12}", "dim", "time (ms)");
+    for &d in &[64usize, 128, 256, 512, 1024, 2048, 4096, 8192] {
+        println!("{d:>8} {:>12.3}", hw.inverse_time(d) * 1e3);
+    }
+    note("calibration anchors: Σ over ResNet-50's 108 factors = 292 ms (Fig. 2,");
+    note("D-KFAC); round-robin max-GPU share on 64 GPUs ≈ 51–57 ms (MPD-KFAC).");
+    None
+}
+
+/// Fig. 9: D-KFAC / MPD-KFAC / SPD-KFAC breakdowns for the four CNNs.
+fn print_fig9() -> Option<String> {
+    header("Fig. 9: time breakdowns of different algorithms (64 GPUs)");
+    let cfg = SimConfig::paper_testbed(64);
+    for m in paper_models() {
+        println!("\n{}:", m.name());
+        for (name, algo) in [
+            ("D-KFAC", Algo::DKfac),
+            ("MPD-KFAC", Algo::MpdKfac),
+            ("SPD-KFAC", Algo::SpdKfac),
+        ] {
+            let r = simulate_iteration(&m, &cfg, algo);
+            println!("  {name:<10} {}", breakdown_line(&r));
+        }
+    }
+    note("expected shape: FF&BP / GradComm / FactorComp identical across");
+    note("algorithms; SPD hides most FactorComm; SPD trades a little");
+    note("InverseComp (NCT replication) for much less InverseComm than MPD.");
+    None
 }
 
 /// One Fig. 10 row: non-overlapped factor-communication seconds per
@@ -128,6 +711,85 @@ pub fn fig10(cfg: &SimConfig) -> Vec<Fig10Row> {
         .collect()
 }
 
+fn print_fig10() -> Option<String> {
+    let rows = fig10(&SimConfig::paper_testbed(64));
+    header("Fig. 10: factor computation + non-overlapped factor communication (s)");
+    println!(
+        "{:<14} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "Model", "FactorComp", "Naive", "LW w/o TF", "LW w/ TTF", "SP w/ OTF"
+    );
+    for r in &rows {
+        println!(
+            "{:<14} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.4}",
+            r.model, r.factor_comp, r.naive, r.layerwise, r.threshold, r.optimal,
+        );
+        let hidden = 1.0 - r.optimal / r.naive.max(1e-12);
+        note(&format!(
+            "{}: OTF hides {:.0}% more factor communication than the Naive overlap",
+            r.model,
+            hidden * 100.0
+        ));
+    }
+    note("paper finding: 50–84% more hidden than the overlapping solutions of");
+    note("Ueno et al. / Pauloski et al.; LW w/o TF can lose to Naive on deep");
+    note("models (startup-bound); OTF gives the fastest iterations overall.");
+    Some(to_csv(
+        &[
+            "model",
+            "factor_comp_s",
+            "naive_s",
+            "layerwise_s",
+            "threshold_s",
+            "optimal_s",
+        ],
+        &rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.model.clone(),
+                    format!("{:.4}", r.factor_comp),
+                    format!("{:.4}", r.naive),
+                    format!("{:.4}", r.layerwise),
+                    format!("{:.4}", r.threshold),
+                    format!("{:.4}", r.optimal),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    ))
+}
+
+/// Fig. 11: where the NCT / CT crossover of the computation (Eq. 26) and
+/// communication (Eq. 27) models falls on the 64-GPU cluster.
+fn print_fig11() -> Option<String> {
+    header("Fig. 11: inversion time vs broadcast time per tensor dimension");
+    let hw = HardwareProfile::rtx2080ti_ib100();
+    println!(
+        "{:>8} {:>14} {:>14} {:>8}",
+        "dim", "t_comp (ms)", "t_comm (ms)", "type"
+    );
+    for &d in &[
+        64usize, 128, 256, 384, 512, 640, 768, 896, 1024, 1536, 2048, 3072, 4096, 6144, 8192,
+    ] {
+        let tc = hw.inverse_time(d);
+        let tm = hw.bcast.time_packed(d);
+        println!(
+            "{d:>8} {:>14.3} {:>14.3} {:>8}",
+            tc * 1e3,
+            tm * 1e3,
+            if tc < tm { "NCT" } else { "CT" }
+        );
+    }
+    match hw.inverse.nct_threshold(&hw.bcast, 8192) {
+        Some(thr) => note(&format!(
+            "NCT threshold: tensors with d ≤ {thr} are cheaper to invert everywhere than to broadcast"
+        )),
+        None => note("no NCT region under these models"),
+    }
+    note("paper finding: below a dimension threshold it is better to make the");
+    note("tensor an NCT (computed locally on every GPU).");
+    None
+}
+
 /// One Fig. 12 row: inverse-phase seconds per placement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig12Row {
@@ -155,6 +817,42 @@ pub fn fig12(cfg: &SimConfig) -> Vec<Fig12Row> {
             }
         })
         .collect()
+}
+
+fn print_fig12() -> Option<String> {
+    let rows = fig12(&SimConfig::paper_testbed(64));
+    header("Fig. 12: inverse phase time (s) under different placements, 64 GPUs");
+    println!(
+        "{:<14} {:>10} {:>10} {:>10} {:>12}",
+        "Model", "Non-Dist", "Seq-Dist", "LBP", "LBP gain"
+    );
+    for r in &rows {
+        let gain = 1.0 - r.lbp / r.non_dist.min(r.seq_dist);
+        println!(
+            "{:<14} {:>10.4} {:>10.4} {:>10.4} {:>11.0}%",
+            r.model,
+            r.non_dist,
+            r.seq_dist,
+            r.lbp,
+            gain * 100.0
+        );
+    }
+    note("paper findings: LBP always best (10–62% gain); Seq-Dist worse than");
+    note("Non-Dist on DenseNet-201 (per-tensor broadcast startup dominates).");
+    Some(to_csv(
+        &["model", "non_dist_s", "seq_dist_s", "lbp_s"],
+        &rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.model.clone(),
+                    format!("{:.4}", r.non_dist),
+                    format!("{:.4}", r.seq_dist),
+                    format!("{:.4}", r.lbp),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    ))
 }
 
 /// One Fig. 13 row: iteration seconds per ablation cell.
@@ -201,6 +899,405 @@ pub fn fig13(cfg: &SimConfig) -> Vec<Fig13Row> {
             both: run(m, true, true),
         })
         .collect()
+}
+
+fn print_fig13() -> Option<String> {
+    let rows = fig13(&SimConfig::paper_testbed(64));
+    header("Fig. 13: ablation of pipelining and LBP (iteration time, s, 64 GPUs)");
+    println!(
+        "{:<14} {:>10} {:>10} {:>10} {:>10}  (improvement over -Pipe-LBP)",
+        "Model", "-Pipe-LBP", "+Pipe-LBP", "-Pipe+LBP", "+Pipe+LBP"
+    );
+    for r in &rows {
+        println!(
+            "{:<14} {:>10.4} {:>10.4} {:>10.4} {:>10.4}  (+{:.0}% / +{:.0}% / +{:.0}%)",
+            r.model,
+            r.base,
+            r.pipe,
+            r.lbp,
+            r.both,
+            (r.base / r.pipe - 1.0) * 100.0,
+            (r.base / r.lbp - 1.0) * 100.0,
+            (r.base / r.both - 1.0) * 100.0,
+        );
+    }
+    note("paper findings: +Pipe-LBP ≈ +10%; -Pipe+LBP ≈ +3–18%; the combined");
+    note("+Pipe+LBP ≈ +10–35% over the -Pipe-LBP (D-KFAC) baseline.");
+    Some(to_csv(
+        &["model", "base_s", "pipe_s", "lbp_s", "both_s"],
+        &rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.model.clone(),
+                    format!("{:.4}", r.base),
+                    format!("{:.4}", r.pipe),
+                    format!("{:.4}", r.lbp),
+                    format!("{:.4}", r.both),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    ))
+}
+
+/// Per-GPU batch sweep: factor and gradient traffic is batch-independent
+/// while compute shrinks, the regime of the paper's ResNet-152 (batch 8).
+fn print_ext_batch_sweep() -> Option<String> {
+    header("Extension: ResNet-50 iteration time vs per-GPU batch size (64 GPUs)");
+    let cfg = SimConfig::paper_testbed(64);
+    println!(
+        "{:>6} {:>10} {:>10} {:>10} {:>6} {:>16}",
+        "batch", "D-KFAC", "SPD", "S-SGD", "SP1", "SPD img/s/GPU"
+    );
+    for batch in [4usize, 8, 16, 32, 64] {
+        let m = resnet50().with_batch_size(batch);
+        let d = simulate_iteration(&m, &cfg, Algo::DKfac).total;
+        let spd = simulate_iteration(&m, &cfg, Algo::SpdKfac).total;
+        let ssgd = simulate_iteration(&m, &cfg, Algo::SSgd).total;
+        println!(
+            "{batch:>6} {:>10.4} {:>10.4} {:>10.4} {:>6.2} {:>16.1}",
+            d,
+            spd,
+            ssgd,
+            d / spd,
+            batch as f64 / spd
+        );
+    }
+    note("communication volumes are batch-independent, so small batches make");
+    note("the per-image cost of every KFAC variant worse — and make SPD's");
+    note("hiding of that communication relatively more valuable.");
+    None
+}
+
+/// Distributed EKFAC vs SPD-KFAC: 2L eigendecompositions (≈ 3× a
+/// Cholesky inverse on GPU) instead of 2L inversions, distributed by the
+/// same LBP, at two refresh intervals.
+fn print_ext_ekfac_timing() -> Option<String> {
+    header("Extension: SPD-KFAC vs SPD-EKFAC projected iteration time (64 GPUs)");
+    let kfac_cfg = SimConfig::paper_testbed(64);
+    let mut ekfac_cfg = kfac_cfg.clone();
+    // Eigendecomposition ≈ 3× the Cholesky-inverse cost at equal dimension.
+    ekfac_cfg.hw.inverse.alpha *= 3.0;
+    println!(
+        "{:<14} {:>10} {:>10} {:>12} {:>12}",
+        "Model", "KFAC k=1", "EKFAC k=1", "KFAC k=10", "EKFAC k=10"
+    );
+    for m in paper_models() {
+        let k1 = simulate_amortized_iteration(&m, &kfac_cfg, Algo::SpdKfac, 1);
+        let e1 = simulate_amortized_iteration(&m, &ekfac_cfg, Algo::SpdKfac, 1);
+        let k10 = simulate_amortized_iteration(&m, &kfac_cfg, Algo::SpdKfac, 10);
+        let e10 = simulate_amortized_iteration(&m, &ekfac_cfg, Algo::SpdKfac, 10);
+        println!(
+            "{:<14} {:>10.4} {:>10.4} {:>12.4} {:>12.4}",
+            m.name(),
+            k1,
+            e1,
+            k10,
+            e10
+        );
+    }
+    note("at every-iteration refresh EKFAC's 3x factor-op cost shows; at the");
+    note("k=10 refresh interval EKFAC's typical operating point, the gap all");
+    note("but disappears — the eigenbasis amortizes better than inverses");
+    note("because the per-step scale correction keeps the preconditioner");
+    note("fresh between refreshes (George et al. 2018).");
+    None
+}
+
+/// Flat vs two-level all-reduce on the 16×4 testbed: how much of the
+/// factor-communication problem a better collective alone would solve.
+fn print_ext_hierarchical() -> Option<String> {
+    header("Extension: flat ring vs hierarchical all-reduce (64 GPUs, 4/node)");
+    let flat = SimConfig::paper_testbed(64);
+    let mut hier = flat.clone();
+    // PCIe 3.0 x16 intra-node: ~10 GB/s effective ⇒ β_intra ≈ 0.4 ns/elem.
+    hier.hw = flat.hw.with_hierarchical_allreduce(4, 64, 4.0e-10, 5.0e-5);
+
+    println!(
+        "{:<14} {:>12} {:>12} {:>12} {:>12}",
+        "Model", "D flat", "D hier", "SPD flat", "SPD hier"
+    );
+    for m in paper_models() {
+        let d_flat = simulate_iteration(&m, &flat, Algo::DKfac).total;
+        let d_hier = simulate_iteration(&m, &hier, Algo::DKfac).total;
+        let s_flat = simulate_iteration(&m, &flat, Algo::SpdKfac).total;
+        let s_hier = simulate_iteration(&m, &hier, Algo::SpdKfac).total;
+        println!(
+            "{:<14} {:>12.4} {:>12.4} {:>12.4} {:>12.4}",
+            m.name(),
+            d_flat,
+            d_hier,
+            s_flat,
+            s_hier
+        );
+    }
+    note("a faster collective helps D-KFAC most (its factor all-reduce is");
+    note("fully exposed), but SPD-KFAC's pipelining + LBP still wins on top");
+    note("of it — the optimizations are complementary, not alternatives.");
+    None
+}
+
+/// Algorithm 1's weight ambiguity: the pseudocode adds `d_i` to the load
+/// bucket (lines 10/13) while Eq. 25 balances `d_i²`; plus a
+/// modelled-time weight.
+fn print_ext_lbp_weight() -> Option<String> {
+    header("Extension: LBP bucket-weight variants, inverse phase time (s), 64 GPUs");
+    let cfg = SimConfig::paper_testbed(64);
+    println!(
+        "{:<14} {:>10} {:>10} {:>12}",
+        "Model", "Dim (lit.)", "Dim² (Eq.25)", "ModeledTime"
+    );
+    for m in paper_models() {
+        let dims = m.all_factor_dims();
+        let run = |weight: LbpWeight| {
+            simulate_inverse_phase(&dims, &cfg, &PlacementStrategy::Lbp { weight }).total
+        };
+        println!(
+            "{:<14} {:>10.4} {:>10.4} {:>12.4}",
+            m.name(),
+            run(LbpWeight::Dim),
+            run(LbpWeight::DimSquared),
+            run(LbpWeight::ModeledTime)
+        );
+    }
+    note("the d² weight (the stated Eq. 25 objective, our default) and the");
+    note("modelled-time weight track each other; the pseudocode-literal d");
+    note("weight underweights large tensors and can lose balance.");
+    None
+}
+
+/// MG-WFBP (the paper's reference \[23\]) on the gradient aggregation of
+/// S-SGD and SPD-KFAC: Eq. 15's merging rule in both places.
+fn print_ext_mgwfbp() -> Option<String> {
+    header("Extension: WFBP (64MB threshold) vs MG-WFBP (Eq. 15) gradient fusion");
+    let thr = SimConfig::paper_testbed(64);
+    let mut opt = thr.clone();
+    opt.grad_fusion = GradFusionMode::Optimal;
+    println!(
+        "{:<14} {:>12} {:>12} {:>12} {:>12}",
+        "Model", "S-SGD thr", "S-SGD MG", "SPD thr", "SPD MG"
+    );
+    for m in paper_models() {
+        let s_thr = simulate_iteration(&m, &thr, Algo::SSgd).total;
+        let s_opt = simulate_iteration(&m, &opt, Algo::SSgd).total;
+        let k_thr = simulate_iteration(&m, &thr, Algo::SpdKfac).total;
+        let k_opt = simulate_iteration(&m, &opt, Algo::SpdKfac).total;
+        println!(
+            "{:<14} {:>12.4} {:>12.4} {:>12.4} {:>12.4}",
+            m.name(),
+            s_thr,
+            s_opt,
+            k_thr,
+            k_opt
+        );
+    }
+    note("gradient traffic is small next to factor traffic (§III-A), so the");
+    note("gains are modest — which is exactly why the paper applies the");
+    note("MG-WFBP idea to the Kronecker factors instead.");
+    None
+}
+
+/// Fig. 12 under two network models: Eq. 21 lets broadcasts from
+/// different roots overlap, Horovod serialises them. The paper's
+/// conclusion holds only if the orderings survive both.
+fn print_ext_network_model() -> Option<String> {
+    header("Extension: inverse phase under serialized vs per-root-parallel networks");
+    println!(
+        "{:<14} {:>24} {:>24}",
+        "", "serialized (Horovod)", "per-root parallel (Eq. 21)"
+    );
+    println!(
+        "{:<14} {:>8}{:>8}{:>8} {:>8}{:>8}{:>8}",
+        "Model", "NonDist", "SeqDist", "LBP", "NonDist", "SeqDist", "LBP"
+    );
+    for m in paper_models() {
+        let dims = m.all_factor_dims();
+        let row = |topology: NetTopology| {
+            let mut cfg = SimConfig::paper_testbed(64);
+            cfg.topology = topology;
+            [
+                PlacementStrategy::NonDist,
+                PlacementStrategy::SeqDist,
+                PlacementStrategy::default(),
+            ]
+            .map(|strategy| simulate_inverse_phase(&dims, &cfg, &strategy).total)
+        };
+        let [sn, ss, sl] = row(NetTopology::serialized());
+        let [pn, ps, pl] = row(NetTopology::per_root_parallel());
+        println!(
+            "{:<14} {:>8.4}{:>8.4}{:>8.4} {:>8.4}{:>8.4}{:>8.4}",
+            m.name(),
+            sn,
+            ss,
+            sl,
+            pn,
+            ps,
+            pl
+        );
+        assert!(
+            sl <= ss.min(sn) * 1.001,
+            "{}: LBP not best (serialized)",
+            m.name()
+        );
+    }
+    note("finding: under the serialized (Horovod) network LBP is always best,");
+    note("matching the paper's measurements. Under a hypothetical per-root-");
+    note("parallel network, broadcast startups overlap and Seq-Dist can beat");
+    note("LBP (e.g. ResNet-50): the NCT rule's t_comp < t_comm comparison is");
+    note("only meaningful when broadcasts contend for a shared resource —");
+    note("i.e. the paper's gains are a property of the real Horovod stack,");
+    note("not of the idealised Eq. 21 objective.");
+    None
+}
+
+/// Table III's speedups across cluster sizes (the paper reports 64 GPUs).
+fn print_ext_scaling() -> Option<String> {
+    header("Extension: SPD-KFAC speedup vs cluster size");
+    println!(
+        "{:<14} {:>6} {:>8} {:>8} {:>8} {:>6} {:>6}",
+        "Model", "GPUs", "D-KFAC", "MPD", "SPD", "SP1", "SP2"
+    );
+    for m in paper_models() {
+        for world in [4usize, 8, 16, 32, 64, 128] {
+            let cfg = SimConfig::paper_testbed(world);
+            let d = simulate_iteration(&m, &cfg, Algo::DKfac).total;
+            let mpd = simulate_iteration(&m, &cfg, Algo::MpdKfac).total;
+            let spd = simulate_iteration(&m, &cfg, Algo::SpdKfac).total;
+            println!(
+                "{:<14} {:>6} {:>8.4} {:>8.4} {:>8.4} {:>6.2} {:>6.2}",
+                m.name(),
+                world,
+                d,
+                mpd,
+                spd,
+                d / spd,
+                mpd / spd
+            );
+        }
+        println!();
+    }
+    note("the comm-side optimizations matter more as the cluster grows; at");
+    note("small scale the three algorithms converge (inversion is cheap to");
+    note("replicate and factor communication is minor).");
+    None
+}
+
+/// Stale-factor amortisation: average iteration time when the
+/// second-order work runs every k-th iteration (the paper refreshes every
+/// iteration).
+fn print_ext_update_interval() -> Option<String> {
+    header("Extension: average iteration time vs K-FAC update interval (64 GPUs)");
+    let cfg = SimConfig::paper_testbed(64);
+    let intervals = [1usize, 2, 5, 10, 50];
+    print!("{:<14} {:>8}", "Model", "S-SGD");
+    for k in intervals {
+        print!(" {:>8}", format!("k={k}"));
+    }
+    println!();
+    for m in paper_models() {
+        let ssgd = simulate_iteration(&m, &cfg, Algo::SSgd).total;
+        print!("{:<14} {:>8.4}", m.name(), ssgd);
+        for k in intervals {
+            let t = simulate_amortized_iteration(&m, &cfg, Algo::SpdKfac, k);
+            print!(" {:>8.4}", t);
+        }
+        println!();
+    }
+    note("with k=10 the second-order overhead over S-SGD shrinks to a few");
+    note("percent — the amortization later systems (KAISA) exploit; the");
+    note("paper's Table III corresponds to the k=1 column.");
+    None
+}
+
+/// VGG-16: a factor dimension (25088) far outside Eq. 26's calibrated
+/// `d ∈ [64, 8192]`.
+fn print_ext_vgg_stress() -> Option<String> {
+    header("Extension: VGG-16 and the limits of the exponential cost model");
+    let m = vgg16();
+    let cfg = SimConfig::paper_testbed(64);
+    let dims = m.all_factor_dims();
+    let max_d = *dims.iter().max().expect("non-empty");
+    println!(
+        "{}: {} factors, largest dimension {} (paper's Fig. 8 range tops out at 8192)",
+        m.name(),
+        dims.len(),
+        max_d
+    );
+    println!(
+        "Eq. 26 extrapolation for d = {max_d}: {:.3e} s — clearly unphysical",
+        cfg.hw.inverse.time(max_d)
+    );
+    // A cubic model fitted to the same calibrated curve inside the valid
+    // range extrapolates sanely.
+    let samples: Vec<(usize, f64)> = [256usize, 512, 1024, 2048, 4096, 8192]
+        .iter()
+        .map(|&d| (d, cfg.hw.inverse.time(d)))
+        .collect();
+    let cubic = CubicCostModel::fit(&samples);
+    println!(
+        "cubic refit on the in-range curve: t({max_d}) = {:.3} s",
+        cubic.time(max_d)
+    );
+
+    // LBP still produces a valid placement; the huge tensor becomes a CT
+    // pinned to one GPU and dominates whichever cost model is used.
+    let plc = place(
+        &dims,
+        64,
+        &cfg.hw.inverse,
+        &cfg.hw.bcast,
+        PlacementStrategy::default(),
+    );
+    let ncts = (0..dims.len()).filter(|&i| plc.is_nct(i)).count();
+    println!("LBP placement: {ncts} NCTs, {} CTs", dims.len() - ncts);
+    for s in [
+        PlacementStrategy::NonDist,
+        PlacementStrategy::SeqDist,
+        PlacementStrategy::default(),
+    ] {
+        let r = simulate_inverse_phase(&dims, &cfg, &s);
+        println!(
+            "  {s:?}: inverse phase = {:.2} s (exponential model)",
+            r.total
+        );
+    }
+    note("takeaway: the paper's Eq. 26 is a *measured-range* model; systems");
+    note("adopting it must re-fit (or switch to the cubic form) before");
+    note("applying LBP to architectures with out-of-range factor dims.");
+    None
+}
+
+/// fp32 vs fp16 collectives: how much of the communication problem
+/// half-precision wire removes, and whether SPD-KFAC still matters on top.
+fn print_ext_wire_precision() -> Option<String> {
+    header("Extension: iteration time under fp32 vs fp16 communication (64 GPUs)");
+    let fp32 = SimConfig::paper_testbed(64);
+    let mut fp16 = fp32.clone();
+    fp16.wire_bytes = 2.0;
+    println!(
+        "{:<14} {:>10} {:>10} {:>10} {:>10} {:>8}",
+        "Model", "D fp32", "D fp16", "SPD fp32", "SPD fp16", "SP1@fp16"
+    );
+    for m in paper_models() {
+        let d32 = simulate_iteration(&m, &fp32, Algo::DKfac).total;
+        let d16 = simulate_iteration(&m, &fp16, Algo::DKfac).total;
+        let s32 = simulate_iteration(&m, &fp32, Algo::SpdKfac).total;
+        let s16 = simulate_iteration(&m, &fp16, Algo::SpdKfac).total;
+        println!(
+            "{:<14} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>8.2}",
+            m.name(),
+            d32,
+            d16,
+            s32,
+            s16,
+            d16 / s16
+        );
+        assert!(d16 < d32 && s16 <= s32 + 1e-9);
+    }
+    note("halving the wire traffic shrinks everyone's comm, but the SPD-KFAC");
+    note("speedup over D-KFAC persists at fp16 — pipelining and placement");
+    note("compose with precision reduction rather than being replaced by it.");
+    None
 }
 
 /// Serialises rows of `(header, values)` into an RFC-4180-ish CSV string.
@@ -279,5 +1376,31 @@ mod tests {
             &[vec!["1".into(), "2".into()], vec!["3".into(), "4".into()]],
         );
         assert_eq!(csv, "a,b\n1,2\n3,4\n");
+    }
+
+    #[test]
+    fn every_experiment_is_registered_once() {
+        let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "duplicate name in {names:?}");
+        // The paper's two tables and twelve figures (Fig. 6 is a diagram),
+        // then ten extension studies.
+        let paper = names.iter().filter(|n| !n.starts_with("ext_")).count();
+        assert_eq!((paper, names.len() - paper), (14, 10));
+        for name in names {
+            assert_eq!(find(name).map(|f| f.name), Some(name));
+        }
+        assert!(find("fig6").is_none() && find("all").is_none());
+    }
+
+    #[test]
+    fn the_typed_figures_export_one_csv_row_per_model() {
+        for name in ["table2", "table3", "fig12"] {
+            let csv = (find(name).unwrap().run)().expect("a typed figure exports CSV");
+            assert_eq!(csv.lines().count(), 1 + 4, "{name}:\n{csv}");
+        }
+        assert!((find("fig11").unwrap().run)().is_none());
     }
 }

@@ -1,15 +1,17 @@
 //! # spdkfac-bench
 //!
-//! The experiment harness of the reproduction. Each paper table/figure has a
-//! dedicated binary that regenerates its rows/series (see DESIGN.md §3 for
-//! the index); `benches/` holds Criterion micro-benchmarks of the real CPU
-//! kernels (Cholesky inversion, factor construction, ring collectives,
-//! fusion/placement planning).
+//! The experiment harness of the reproduction. Every paper table / figure
+//! and extension study is one entry of [`experiments::FIGURES`], run by name
+//! through the `repro` binary (see DESIGN.md §3 for the index); the other
+//! binaries drive the real trainers (TCP launcher, wire / scale sweeps,
+//! observability gates), and `benches/` holds Criterion micro-benchmarks of
+//! the real CPU kernels (Cholesky inversion, factor construction, ring
+//! collectives, fusion/placement planning).
 //!
 //! Run an experiment with, e.g.:
 //!
 //! ```text
-//! cargo run --release -p spdkfac-bench --bin table3_iteration_time
+//! cargo run --release -p spdkfac-bench --bin repro -- table3
 //! ```
 
 pub mod experiments;
@@ -24,8 +26,8 @@ pub const PAPER_TABLE3: [(&str, f64, f64, f64); 4] = [
     ("Inception-v4", 1.1857, 1.1473, 0.9907),
 ];
 
-/// Formats a breakdown as the standard one-line summary used by the figure
-/// binaries.
+/// Formats a breakdown as the standard one-line summary used by the
+/// experiments.
 pub fn breakdown_line(r: &SimReport) -> String {
     let b = &r.breakdown;
     format!(

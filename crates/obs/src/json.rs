@@ -162,9 +162,9 @@ impl<'a> JsonWriter<'a> {
 /// A parsed JSON value.
 ///
 /// The deliberately small dependency-free counterpart of `serde_json`'s
-/// `Value`, used where this repo must *read* JSON back (e.g. `bench_diff`
-/// comparing two `BENCH_*.json` files). Numbers are `f64` (every number
-/// this repo writes fits), object keys keep insertion order.
+/// `Value`, used where this repo must *read* JSON back (e.g.
+/// `spdkfac_postmortem` merging the ranks' dumps). Numbers are `f64` (every
+/// number this repo writes fits), object keys keep insertion order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.

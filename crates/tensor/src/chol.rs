@@ -96,7 +96,7 @@ pub fn cholesky(a: &Matrix) -> Result<Cholesky, TensorError> {
 /// The seed factorization: serial unblocked column-by-column `LLᵀ`.
 ///
 /// The leaf of [`cholesky`] for diagonal blocks and matrices of at most one
-/// block, and the oracle of the parity tests and `bench_kernels`.
+/// block, and the oracle of the parity tests.
 ///
 /// # Errors
 ///
@@ -366,8 +366,7 @@ impl Cholesky {
 
     /// The seed inverse: serial triangular inversion followed by the scalar
     /// `MᵀM` product. The leaf of [`Cholesky::inverse`] for matrices of at
-    /// most one block, and the oracle of the parity tests and
-    /// `bench_kernels`.
+    /// most one block, and the oracle of the parity tests.
     pub fn inverse_unblocked(&self) -> Matrix {
         self.inverse_with_block(self.dim().max(1))
     }

@@ -37,7 +37,7 @@
 //!   and rounds differently.)
 //!
 //! [`matmul_reference`] and [`gramian_reference`] are the serial seed
-//! kernels, kept as oracles for the parity tests and `bench_kernels`.
+//! kernels, kept as oracles for the parity tests.
 
 use crate::pool::{self, SharedSlice};
 use std::cell::RefCell;
@@ -598,7 +598,7 @@ pub(crate) fn mirror_lower(c: &mut [f64], n: usize) {
 }
 
 /// The seed GEMM: serial cache-blocked i-k-j loop over row-major storage.
-/// An oracle for the parity tests and `bench_kernels`' `reference_s`.
+/// The oracle of the parity tests.
 pub fn matmul_reference(m: usize, k: usize, n: usize, a: &[f64], b: &[f64]) -> Vec<f64> {
     const BLOCK: usize = 64;
     let mut out = vec![0.0; m * n];
@@ -627,8 +627,8 @@ pub fn matmul_reference(m: usize, k: usize, n: usize, a: &[f64], b: &[f64]) -> V
     out
 }
 
-/// The seed Gramian: serial upper-triangle `XᵀX` accumulation. An oracle
-/// for the parity tests and `bench_kernels`' `reference_s`.
+/// The seed Gramian: serial upper-triangle `XᵀX` accumulation. The oracle
+/// of the parity tests.
 pub fn gramian_reference(rows: usize, d: usize, x: &[f64]) -> Vec<f64> {
     let mut out = vec![0.0; d * d];
     for s in 0..rows {
