@@ -1,9 +1,17 @@
 //! Criterion benchmark of the Kronecker-factor construction kernels
-//! (Eq. 7/8): Gramian accumulation and gradient preconditioning.
+//! (Eq. 7/8): Gramian accumulation and gradient preconditioning, and one
+//! layer's refresh plus preconditioning both ways — through the inverses
+//! (POTRF + POTRI, then products) and through `L` (POTRF, then solves).
+//!
+//! ```text
+//! SPDKFAC_THREADS=1 cargo bench -p spdkfac-bench --bench factor_kernels
+//! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use spdkfac_tensor::kron::precondition_gradient;
+use spdkfac_tensor::chol::{self, Side};
+use spdkfac_tensor::kron::{precondition_gradient, precondition_gradient_chol_in_place};
 use spdkfac_tensor::rng::MatrixRng;
+use spdkfac_tensor::Matrix;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -39,12 +47,124 @@ fn bench_precondition(c: &mut Criterion) {
     group.finish();
 }
 
+/// One layer of the benchmark model's hidden width: damped `A` and `G`
+/// (256 × 256), a weight gradient (256 × 256) and a bias gradient
+/// (256 × 1), with every buffer kept from call to call as the trainer
+/// keeps them.
+struct Layer {
+    a: Matrix,
+    g: Matrix,
+    grad: Matrix,
+    bias: Matrix,
+    a_work: Matrix,
+    g_work: Matrix,
+    out: Matrix,
+    bias_out: Matrix,
+    scratch: Matrix,
+}
+
+impl Layer {
+    fn new(d: usize) -> Layer {
+        let mut rng = MatrixRng::new(3);
+        Layer {
+            a: rng.spd_matrix(d, 0.1),
+            g: rng.spd_matrix(d, 0.1),
+            grad: rng.gaussian_matrix(d, d),
+            bias: rng.gaussian_matrix(d, 1),
+            a_work: Matrix::zeros(0, 0),
+            g_work: Matrix::zeros(0, 0),
+            out: Matrix::zeros(0, 0),
+            bias_out: Matrix::zeros(0, 0),
+            scratch: Matrix::zeros(0, 0),
+        }
+    }
+
+    /// `spd_inverse` of both factors.
+    fn refresh_inverse(&mut self) {
+        self.a.damped_into(0.0, &mut self.a_work);
+        self.g.damped_into(0.0, &mut self.g_work);
+        chol::spd_inverse_in_place(&mut self.a_work).expect("SPD");
+        chol::spd_inverse_in_place(&mut self.g_work).expect("SPD");
+    }
+
+    /// `G⁻¹ · ∇W · A⁻¹` and `G⁻¹ · ∇b`: three products.
+    fn precondition_inverse(&mut self) {
+        self.g_work.matmul_into(&self.grad, &mut self.scratch);
+        self.scratch.matmul_into(&self.a_work, &mut self.out);
+        self.g_work.matmul_into(&self.bias, &mut self.bias_out);
+    }
+
+    /// POTRF of both factors, into solve form.
+    fn refresh_cholesky(&mut self) {
+        self.a.damped_into(0.0, &mut self.a_work);
+        self.g.damped_into(0.0, &mut self.g_work);
+        chol::cholesky_in_place(&mut self.a_work).expect("SPD");
+        chol::cholesky_in_place(&mut self.g_work).expect("SPD");
+    }
+
+    /// The same directions by six solves.
+    fn precondition_solves(&mut self) {
+        self.out.clone_from(&self.grad);
+        precondition_gradient_chol_in_place(
+            &mut self.out,
+            &self.a_work,
+            &self.g_work,
+            &mut self.scratch,
+        );
+        self.bias_out.clone_from(&self.bias);
+        chol::solve_into(
+            &self.g_work,
+            Side::Left,
+            false,
+            &mut self.bias_out,
+            &mut self.scratch,
+        );
+        chol::solve_into(
+            &self.g_work,
+            Side::Left,
+            true,
+            &mut self.scratch,
+            &mut self.bias_out,
+        );
+    }
+}
+
+fn bench_layer(c: &mut Criterion) {
+    let mut group = c.benchmark_group("layer_256");
+    let mut layer = Layer::new(256);
+    group.bench_function("refresh/spd_inverse", |b| {
+        b.iter(|| layer.refresh_inverse())
+    });
+    layer.refresh_inverse();
+    group.bench_function("precondition/3_gemm", |b| {
+        b.iter(|| layer.precondition_inverse())
+    });
+    group.bench_function("both/spd_inverse+3_gemm", |b| {
+        b.iter(|| {
+            layer.refresh_inverse();
+            layer.precondition_inverse();
+        })
+    });
+    group.bench_function("refresh/potrf", |b| b.iter(|| layer.refresh_cholesky()));
+    layer.refresh_cholesky();
+    group.bench_function("precondition/6_solves", |b| {
+        b.iter(|| layer.precondition_solves())
+    });
+    group.bench_function("both/potrf+6_solves", |b| {
+        b.iter(|| {
+            layer.refresh_cholesky();
+            layer.precondition_solves();
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
-    targets = bench_gramian, bench_precondition
+    targets = bench_gramian, bench_precondition, bench_layer
 }
 criterion_main!(benches);

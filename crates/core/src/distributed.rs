@@ -694,8 +694,8 @@ struct Buffers {
     /// (its direction replaces its gradient before `Update`).
     kl_terms: Vec<f64>,
     /// Results between two kernels: a statistic between its Gramian and
-    /// its message, `G⁻¹ · ∇W` between the two preconditioning products;
-    /// with a KL clip, the raw gradient until its term is taken.
+    /// its message, every other solve of a direction; with a KL clip, the
+    /// raw gradient until its term is taken.
     scratch: [Matrix; 2],
 }
 
@@ -743,7 +743,7 @@ fn side(t: usize) -> FactorSide {
 /// |---|---|
 /// | factor message | the running `A`/`G` averages |
 /// | gradient message | the averaged gradients |
-/// | CT broadcast | the inverse |
+/// | CT broadcast | the factor's `L` (EKFAC: its eigenbasis) |
 struct Executor<'a> {
     cfg: &'a DistributedConfig,
     rank: usize,
@@ -834,8 +834,9 @@ impl Executor<'_> {
         }
     }
 
-    /// Inverts (EKFAC: eigendecomposes) CT `t` into its wire form, in the
-    /// payload its broadcast sends (`Invert` node `id`'s slot).
+    /// Inverts (K-FAC: factors; EKFAC: eigendecomposes) CT `t` into its
+    /// wire form, in the payload its broadcast sends (`Invert` node `id`'s
+    /// slot).
     fn invert_to_wire(&mut self, id: NodeId, t: usize) {
         let len = inverse_len(self.cfg.algorithm)(self.inv_dims[t]);
         if self.ekfac() {
@@ -846,12 +847,7 @@ impl Executor<'_> {
             values.copy_from_slice(&e.values);
         } else {
             self.kfac_invert(t);
-            let st = &self.states[t / 2];
-            let inv = match side(t) {
-                FactorSide::A => st.a_inv(),
-                FactorSide::G => st.g_inv(),
-            };
-            SymPacked::pack_into(inv.expect("just inverted"), self.bufs.arena.fill(id, len));
+            self.states[t / 2].pack_chol_into(side(t), self.bufs.arena.fill(id, len));
         }
     }
 
@@ -870,8 +866,9 @@ impl Executor<'_> {
         })
     }
 
-    /// Inverts tensor `t`'s damped factor into its inverse's storage
-    /// (exactly symmetric, so packing it for the wire loses nothing).
+    /// "Inverts" tensor `t`'s damped factor: its `L` in solve form, in
+    /// `L`'s storage (lower triangular, so packing it for the wire loses
+    /// nothing).
     fn kfac_invert(&mut self, t: usize) {
         // A sized span, as in `eig`.
         let _inv = self.obs.sized_span(Phase::InverseComp, self.inv_dims[t]);
@@ -881,14 +878,15 @@ impl Executor<'_> {
             .unwrap_or_else(|e| panic!("rank {rank}: inversion of tensor {t} failed: {e}"));
     }
 
-    /// Installs tensor `t`'s inverse from its wire form.
+    /// Installs tensor `t`'s inversion result (K-FAC: `L`; EKFAC: `Q‖λ`)
+    /// from its wire form.
     fn install_inverse(&mut self, t: usize, data: &[f64]) {
         let d = self.inv_dims[t];
         if self.ekfac() {
             let (q, values) = data.split_at(d * d);
             self.install_basis(t, Matrix::from_vec(d, d, q.to_vec()), values.to_vec());
         } else {
-            self.states[t / 2].set_inv_packed(side(t), d, data);
+            self.states[t / 2].set_chol_packed(side(t), d, data);
         }
     }
 

@@ -14,8 +14,8 @@
 //!
 //! ## SPMD safety across epochs
 //!
-//! K-FAC's factor/inverse state is *replicated* on every rank (factors are
-//! all-reduced, inverses broadcast), so any survivor holds the full
+//! K-FAC's factor state is *replicated* on every rank (factors are
+//! all-reduced, their Cholesky factors broadcast), so any survivor holds the full
 //! authoritative state. After a resize, rank 0 of the new epoch broadcasts
 //! this checkpoint and **every** rank — survivor or joiner — restores from
 //! it. Survivors don't strictly need the data, but restoring everyone from
@@ -27,13 +27,57 @@ use spdkfac_collectives::TcpConfig;
 use spdkfac_nn::optim::Sgd;
 use spdkfac_nn::Sequential;
 use spdkfac_tensor::Matrix;
+use std::fmt;
 
-/// Schema tag leading every packed checkpoint (`"ELCK"` + version 1).
-const PACK_MAGIC: f64 = 0x0045_4C43_4B01_u64 as f64;
+/// The `"ELCK"` tag above the version byte of [`PACK_MAGIC`].
+const PACK_TAG: u64 = 0x0045_4C43_4B00;
+
+/// The format version this build packs and unpacks. Version 1 held the
+/// damped inverses in a factor's slots; version 2 holds their Cholesky
+/// factors, so a version-1 stream must never be installed.
+const PACK_VERSION: u64 = 2;
+
+/// Schema tag leading every packed checkpoint (`"ELCK"` + version).
+const PACK_MAGIC: f64 = (PACK_TAG | PACK_VERSION) as f64;
+
+/// Why [`TrainCheckpoint::unpack`] refused a buffer.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CheckpointError {
+    /// A checkpoint of another format version (e.g. version 1, whose
+    /// factor slots hold inverses where this one expects `L`).
+    Version {
+        /// The version the buffer was packed with.
+        found: u64,
+        /// The version this build reads.
+        expected: u64,
+    },
+    /// Not a well-formed checkpoint: the first structural violation (bad
+    /// magic, truncated section, absurd count, trailing values).
+    Malformed(String),
+}
+
+impl fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CheckpointError::Version { found, expected } => {
+                write!(f, "checkpoint format version {found}, expected {expected}")
+            }
+            CheckpointError::Malformed(what) => f.write_str(what),
+        }
+    }
+}
+
+impl std::error::Error for CheckpointError {}
+
+impl From<String> for CheckpointError {
+    fn from(what: String) -> Self {
+        CheckpointError::Malformed(what)
+    }
+}
 
 /// One preconditionable layer's factor snapshot inside a
-/// [`TrainCheckpoint`]: the EMA factors and damped inverses, each absent
-/// until the training loop first produced them.
+/// [`TrainCheckpoint`]: the EMA factors and the Cholesky factors of their
+/// damped forms, each absent until the training loop first produced it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FactorCheckpoint {
     /// Network layer index this state belongs to.
@@ -42,10 +86,11 @@ pub struct FactorCheckpoint {
     pub a: Option<Matrix>,
     /// Running `G` EMA.
     pub g: Option<Matrix>,
-    /// Damped inverse of `A`.
-    pub a_inv: Option<Matrix>,
-    /// Damped inverse of `G`.
-    pub g_inv: Option<Matrix>,
+    /// `L` of the damped `A`, in solve form
+    /// ([`spdkfac_tensor::chol::cholesky_in_place`]).
+    pub a_chol: Option<Matrix>,
+    /// `L` of the damped `G`, in solve form.
+    pub g_chol: Option<Matrix>,
 }
 
 impl FactorCheckpoint {
@@ -55,8 +100,8 @@ impl FactorCheckpoint {
             layer: st.layer(),
             a: st.factor_a().cloned(),
             g: st.factor_g().cloned(),
-            a_inv: st.a_inv().cloned(),
-            g_inv: st.g_inv().cloned(),
+            a_chol: st.a_chol().cloned(),
+            g_chol: st.g_chol().cloned(),
         }
     }
 
@@ -70,11 +115,11 @@ impl FactorCheckpoint {
         if let Some(g) = &self.g {
             st.update_g(g.clone(), 0.0);
         }
-        if let Some(inv) = &self.a_inv {
-            st.set_a_inv(inv.clone());
+        if let Some(l) = &self.a_chol {
+            st.set_a_chol(l.clone());
         }
-        if let Some(inv) = &self.g_inv {
-            st.set_g_inv(inv.clone());
+        if let Some(l) = &self.g_chol {
+            st.set_g_chol(l.clone());
         }
         st
     }
@@ -142,8 +187,8 @@ impl TrainCheckpoint {
             out.push(f.layer as f64);
             pack_opt_matrix(&mut out, f.a.as_ref());
             pack_opt_matrix(&mut out, f.g.as_ref());
-            pack_opt_matrix(&mut out, f.a_inv.as_ref());
-            pack_opt_matrix(&mut out, f.g_inv.as_ref());
+            pack_opt_matrix(&mut out, f.a_chol.as_ref());
+            pack_opt_matrix(&mut out, f.g_chol.as_ref());
         }
         out.push(self.ekfac_bases.len() as f64);
         for b in &self.ekfac_bases {
@@ -167,14 +212,23 @@ impl TrainCheckpoint {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first structural violation (bad magic,
-    /// truncated section, absurd count) — which on the elastic path means
-    /// the handoff broadcast was corrupt and the joiner must abort.
-    pub fn unpack(data: &[f64]) -> Result<TrainCheckpoint, String> {
+    /// [`CheckpointError::Version`] for a checkpoint of another format
+    /// version, [`CheckpointError::Malformed`] with the first structural
+    /// violation otherwise — either of which on the elastic path means the
+    /// joiner must abort.
+    pub fn unpack(data: &[f64]) -> Result<TrainCheckpoint, CheckpointError> {
         let mut r = Reader { data, pos: 0 };
         let magic = r.f64()?;
         if magic.to_bits() != PACK_MAGIC.to_bits() {
-            return Err(format!("checkpoint magic mismatch: {magic}"));
+            let tag = magic as u64;
+            return Err(if tag & !0xFF == PACK_TAG && tag as f64 == magic {
+                CheckpointError::Version {
+                    found: tag & 0xFF,
+                    expected: PACK_VERSION,
+                }
+            } else {
+                format!("checkpoint magic mismatch: {magic}").into()
+            });
         }
         let iter = r.count("iter")?;
         let losses = r.vec("losses")?;
@@ -191,8 +245,8 @@ impl TrainCheckpoint {
                 layer: r.count("factor layer")?,
                 a: r.opt_matrix("factor A")?,
                 g: r.opt_matrix("factor G")?,
-                a_inv: r.opt_matrix("factor A⁻¹")?,
-                g_inv: r.opt_matrix("factor G⁻¹")?,
+                a_chol: r.opt_matrix("factor L_A")?,
+                g_chol: r.opt_matrix("factor L_G")?,
             });
         }
         let nb = r.count("basis count")?;
@@ -213,10 +267,7 @@ impl TrainCheckpoint {
             ekfac_scales.push(r.opt_matrix("scale")?);
         }
         if r.pos != data.len() {
-            return Err(format!(
-                "checkpoint has {} trailing values",
-                data.len() - r.pos
-            ));
+            return Err(format!("checkpoint has {} trailing values", data.len() - r.pos).into());
         }
         Ok(TrainCheckpoint {
             iter,
@@ -394,12 +445,12 @@ mod tests {
         assert_eq!(a.factors.len(), b.factors.len());
         for (x, y) in a.factors.iter().zip(&b.factors) {
             assert_eq!(x.layer, y.layer);
-            for (mx, my) in [(&x.a, &y.a), (&x.g, &y.g), (&x.a_inv, &y.a_inv)] {
+            for (mx, my) in [(&x.a, &y.a), (&x.g, &y.g), (&x.a_chol, &y.a_chol)] {
                 assert_eq!(mx.as_ref().map(mat_bits), my.as_ref().map(mat_bits));
             }
             assert_eq!(
-                x.g_inv.as_ref().map(mat_bits),
-                y.g_inv.as_ref().map(mat_bits)
+                x.g_chol.as_ref().map(mat_bits),
+                y.g_chol.as_ref().map(mat_bits)
             );
         }
         assert_eq!(a.ekfac_bases.len(), b.ekfac_bases.len());
@@ -453,8 +504,8 @@ mod tests {
                     layer,
                     a: (mask & 1 != 0).then(|| Matrix::from_vec(2, 2, vec![1.0, f64::NAN, -0.0, 4.0])),
                     g: (mask & 2 != 0).then(|| Matrix::from_vec(1, 3, vec![5.0, 6.0, 7.0])),
-                    a_inv: (mask & 4 != 0).then(|| Matrix::from_vec(2, 2, vec![0.5; 4])),
-                    g_inv: (mask & 8 != 0).then(|| Matrix::from_vec(3, 3, vec![0.25; 9])),
+                    a_chol: (mask & 4 != 0).then(|| Matrix::from_vec(2, 2, vec![0.5; 4])),
+                    g_chol: (mask & 8 != 0).then(|| Matrix::from_vec(3, 3, vec![0.25; 9])),
                 })
                 .collect();
             let l = factors.len();
@@ -503,11 +554,44 @@ mod tests {
     }
 
     #[test]
+    fn unpack_refuses_a_version_1_stream() {
+        // Version 1 put inverses in the factor slots; read as `L` they
+        // would precondition with garbage, so the whole stream is refused.
+        let mut st = FactorState::new(0);
+        st.set_a_chol(Matrix::identity(2));
+        let mut old = TrainCheckpoint {
+            iter: 1,
+            losses: vec![0.5],
+            params: vec![1.0],
+            velocity: vec![],
+            factors: vec![FactorCheckpoint::capture(&st)],
+            ekfac_bases: vec![None, None],
+            ekfac_scales: vec![None],
+        }
+        .pack();
+        assert!(TrainCheckpoint::unpack(&old).is_ok());
+        old[0] = 0x0045_4C43_4B01_u64 as f64;
+        assert_eq!(
+            TrainCheckpoint::unpack(&old),
+            Err(CheckpointError::Version {
+                found: 1,
+                expected: 2
+            })
+        );
+        // Anything else in the magic slot is malformed, not a version.
+        old[0] = 0.5;
+        assert!(matches!(
+            TrainCheckpoint::unpack(&old),
+            Err(CheckpointError::Malformed(_))
+        ));
+    }
+
+    #[test]
     fn factor_checkpoint_round_trips_through_factor_state() {
         let mut st = FactorState::new(4);
         st.update_a(Matrix::from_vec(2, 2, vec![2.0, 0.1, 0.1, 3.0]), 0.9);
         st.update_g(Matrix::from_vec(1, 1, vec![7.0]), 0.9);
-        st.set_a_inv(Matrix::from_vec(2, 2, vec![0.5, 0.0, 0.0, 0.5]));
+        st.set_a_chol(Matrix::from_vec(2, 2, vec![0.5, 0.0, 0.0, 0.5]));
         let snap = FactorCheckpoint::capture(&st);
         let back = snap.restore();
         assert_eq!(back.layer(), 4);
@@ -520,9 +604,9 @@ mod tests {
             st.factor_g().unwrap().as_slice()
         );
         assert_eq!(
-            back.a_inv().unwrap().as_slice(),
-            st.a_inv().unwrap().as_slice()
+            back.a_chol().unwrap().as_slice(),
+            st.a_chol().unwrap().as_slice()
         );
-        assert!(back.g_inv().is_none());
+        assert!(back.g_chol().is_none());
     }
 }

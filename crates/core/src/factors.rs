@@ -1,18 +1,21 @@
-//! Running Kronecker-factor statistics and damped inversion.
+//! Running Kronecker-factor statistics and their damped Cholesky factors.
 
 use crate::error::{FactorSide, KfacError};
 use spdkfac_nn::KfacCapture;
 use spdkfac_tensor::{chol, Matrix, SymPacked};
 
 /// Per-layer Kronecker-factor state: exponential moving averages of
-/// `A = E[a aᵀ]` and `G = E[ĝ ĝᵀ]` plus their damped inverses.
+/// `A = E[a aᵀ]` and `G = E[ĝ ĝᵀ]` plus the Cholesky factors `L` of their
+/// damped forms, `L Lᵀ = F + γI`, in the solve form the preconditioner
+/// reads ([`chol::cholesky_in_place`]). "Inverting" a factor (Eq. 12)
+/// means computing its `L`: the inverse itself is never formed.
 #[derive(Debug, Clone)]
 pub struct FactorState {
     layer: usize,
     a: Option<Matrix>,
     g: Option<Matrix>,
-    a_inv: Option<Matrix>,
-    g_inv: Option<Matrix>,
+    a_chol: Option<Matrix>,
+    g_chol: Option<Matrix>,
 }
 
 impl FactorState {
@@ -22,8 +25,8 @@ impl FactorState {
             layer,
             a: None,
             g: None,
-            a_inv: None,
-            g_inv: None,
+            a_chol: None,
+            g_chol: None,
         }
     }
 
@@ -90,28 +93,27 @@ impl FactorState {
         self.g.as_ref().expect("no G statistics yet").damped(gamma)
     }
 
-    /// Recomputes both damped inverses locally.
+    /// Recomputes both damped factors' `L` locally.
     ///
     /// # Errors
     ///
     /// Returns [`KfacError::FactorInversion`] when a damped factor is not
-    /// positive definite (damping too small); both inverses are then
-    /// cleared.
+    /// positive definite (damping too small); both `L` are then cleared.
     pub fn refresh_inverses(&mut self, gamma: f64) -> Result<(), KfacError> {
         let done = self
             .invert(FactorSide::A, gamma)
             .and_then(|()| self.invert(FactorSide::G, gamma));
         if done.is_err() {
-            (self.a_inv, self.g_inv) = (None, None);
+            (self.a_chol, self.g_chol) = (None, None);
         }
         done
     }
 
-    /// The running factor of `side` and its inverse.
+    /// The running factor of `side` and its `L`.
     fn side_mut(&mut self, side: FactorSide) -> (&mut Option<Matrix>, &mut Option<Matrix>) {
         match side {
-            FactorSide::A => (&mut self.a, &mut self.a_inv),
-            FactorSide::G => (&mut self.g, &mut self.g_inv),
+            FactorSide::A => (&mut self.a, &mut self.a_chol),
+            FactorSide::G => (&mut self.g, &mut self.g_chol),
         }
     }
 
@@ -125,13 +127,14 @@ impl FactorState {
         }
     }
 
-    /// Inverts the damped factor of `side` (Eq. 12) in its inverse's
-    /// storage, which only the first call allocates.
+    /// "Inverts" the damped factor of `side` (Eq. 12): factors `F + γI`
+    /// into its `L`, in `L`'s storage, which only the first call
+    /// allocates.
     ///
     /// # Errors
     ///
     /// Returns [`KfacError::FactorInversion`] when the damped factor is not
-    /// positive definite; the inverse of `side` is then cleared.
+    /// positive definite; the `L` of `side` is then cleared.
     ///
     /// # Panics
     ///
@@ -139,12 +142,12 @@ impl FactorState {
     pub fn invert(&mut self, side: FactorSide, gamma: f64) -> Result<(), KfacError> {
         let layer = self.layer;
         let (factor, slot) = self.side_mut(side);
-        let inv = slot.get_or_insert_with(|| Matrix::zeros(0, 0));
+        let l = slot.get_or_insert_with(|| Matrix::zeros(0, 0));
         factor
             .as_ref()
             .expect("no statistics yet")
-            .damped_into(gamma, inv);
-        chol::spd_inverse_in_place(inv).map_err(|source| {
+            .damped_into(gamma, l);
+        chol::cholesky_in_place(l).map_err(|source| {
             *slot = None;
             KfacError::FactorInversion {
                 layer,
@@ -154,31 +157,45 @@ impl FactorState {
         })
     }
 
-    /// Installs an externally-computed inverse of `side` from its packed
-    /// wire form (a broadcast's payload), in its storage.
-    pub fn set_inv_packed(&mut self, side: FactorSide, dim: usize, packed: &[f64]) {
-        let inv = self.side_mut(side).1;
-        SymPacked::unpack_into(packed, inv.get_or_insert_with(|| Matrix::zeros(dim, dim)));
+    /// Packs the `L` of `side` into its wire form, `dst` (a broadcast's
+    /// payload): its lower triangle ([`chol::pack_factor_into`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `side` has no `L` yet.
+    pub fn pack_chol_into(&self, side: FactorSide, dst: &mut [f64]) {
+        let l = match side {
+            FactorSide::A => &self.a_chol,
+            FactorSide::G => &self.g_chol,
+        };
+        chol::pack_factor_into(l.as_ref().expect("factored"), dst);
     }
 
-    /// Installs an externally-computed (e.g. broadcast) inverse of `A`.
-    pub fn set_a_inv(&mut self, inv: Matrix) {
-        self.a_inv = Some(inv);
+    /// Installs an externally-computed `L` of `side` from its packed wire
+    /// form (a broadcast's payload), in its storage.
+    pub fn set_chol_packed(&mut self, side: FactorSide, dim: usize, packed: &[f64]) {
+        let l = self.side_mut(side).1;
+        chol::unpack_factor_into(dim, packed, l.get_or_insert_with(|| Matrix::zeros(0, 0)));
     }
 
-    /// Installs an externally-computed (e.g. broadcast) inverse of `G`.
-    pub fn set_g_inv(&mut self, inv: Matrix) {
-        self.g_inv = Some(inv);
+    /// Installs an externally-computed `L` of the damped `A`, in solve form.
+    pub fn set_a_chol(&mut self, l: Matrix) {
+        self.a_chol = Some(l);
     }
 
-    /// Current inverse of the damped `A`, if computed.
-    pub fn a_inv(&self) -> Option<&Matrix> {
-        self.a_inv.as_ref()
+    /// Installs an externally-computed `L` of the damped `G`, in solve form.
+    pub fn set_g_chol(&mut self, l: Matrix) {
+        self.g_chol = Some(l);
     }
 
-    /// Current inverse of the damped `G`, if computed.
-    pub fn g_inv(&self) -> Option<&Matrix> {
-        self.g_inv.as_ref()
+    /// Current `L` of the damped `A` in solve form, if computed.
+    pub fn a_chol(&self) -> Option<&Matrix> {
+        self.a_chol.as_ref()
+    }
+
+    /// Current `L` of the damped `G` in solve form, if computed.
+    pub fn g_chol(&self) -> Option<&Matrix> {
+        self.g_chol.as_ref()
     }
 
     /// Packs the running factors for the wire (`A` then `G`), as the factor
@@ -270,10 +287,17 @@ mod tests {
         let mut st = FactorState::new(2);
         st.update_from_capture(&capture(3), 0.95);
         st.refresh_inverses(0.1).unwrap();
-        let prod = st.damped_a(0.1).matmul(st.a_inv().unwrap());
-        assert!(prod.max_abs_diff(&Matrix::identity(4)) < 1e-8);
-        let prod_g = st.damped_g(0.1).matmul(st.g_inv().unwrap());
-        assert!(prod_g.max_abs_diff(&Matrix::identity(3)) < 1e-8);
+        // (F + γI) · L⁻ᵀL⁻¹ = I, applied through the solves.
+        for (damped, l) in [
+            (st.damped_a(0.1), st.a_chol().unwrap()),
+            (st.damped_g(0.1), st.g_chol().unwrap()),
+        ] {
+            let (mut x, mut y) = (Matrix::identity(damped.rows()), Matrix::zeros(0, 0));
+            chol::solve_into(l, chol::Side::Left, false, &mut x, &mut y);
+            chol::solve_into(l, chol::Side::Left, true, &mut y, &mut x);
+            let prod = damped.matmul(&x);
+            assert!(prod.max_abs_diff(&Matrix::identity(damped.rows())) < 1e-8);
+        }
     }
 
     #[test]

@@ -1,18 +1,22 @@
-//! Gradient preconditioning with inverted Kronecker factors (Eq. 11).
+//! Gradient preconditioning with the damped Kronecker factors (Eq. 11),
+//! through their Cholesky factors: `G⁻¹ · ∇W · A⁻¹` is formed by
+//! triangular solves with `L_G` and `L_A`, never by a product with an
+//! inverse.
 
 use crate::factors::FactorState;
 use spdkfac_nn::layer::Param;
+use spdkfac_tensor::chol::{self, Side};
 use spdkfac_tensor::{kron, Matrix};
 
 /// Preconditions a weight gradient: `∇̃W = G⁻¹ · ∇W · A⁻¹`.
 ///
 /// # Panics
 ///
-/// Panics if the inverses have not been computed yet or shapes mismatch.
+/// Panics if the factors have not been "inverted" yet or shapes mismatch.
 pub fn precondition_weight(state: &FactorState, grad: &Matrix) -> Matrix {
-    let a_inv = state.a_inv().expect("A inverse not computed");
-    let g_inv = state.g_inv().expect("G inverse not computed");
-    kron::precondition_gradient(grad, a_inv, g_inv)
+    let mut out = grad.clone();
+    to_direction(0, &mut out, factors(state), &mut Matrix::zeros(0, 0));
+    out
 }
 
 /// Preconditions a bias gradient with the output-side factor only:
@@ -24,31 +28,33 @@ pub fn precondition_weight(state: &FactorState, grad: &Matrix) -> Matrix {
 ///
 /// # Panics
 ///
-/// Panics if the `G` inverse has not been computed yet or shapes mismatch.
+/// Panics if `G` has not been "inverted" yet or shapes mismatch.
 pub fn precondition_bias(state: &FactorState, grad: &Matrix) -> Matrix {
-    let g_inv = state.g_inv().expect("G inverse not computed");
-    g_inv.matmul(grad)
+    let mut out = grad.clone();
+    to_direction(1, &mut out, factors(state), &mut Matrix::zeros(0, 0));
+    out
 }
 
 /// Update directions of one layer's parameters (weight first, then bias):
-/// through the factor inverses when `state` has them, the raw gradients
+/// through the factors' `L` when `state` has them, the raw gradients
 /// otherwise. Layers are independent, so a caller may build them in any
 /// order — e.g. as each layer's averaged gradient arrives.
 pub fn layer_directions(params: &[&Param], state: Option<&FactorState>) -> Vec<Matrix> {
-    let inverses = state.and_then(inverses);
+    let factors = state.and_then(factors);
     let mut scratch = Matrix::zeros(0, 0);
     let mut direction = |(pi, p): (usize, &&Param)| {
         let mut d = p.grad.clone();
-        to_direction(pi, &mut d, inverses, &mut scratch);
+        to_direction(pi, &mut d, factors, &mut scratch);
         d
     };
     params.iter().enumerate().map(&mut direction).collect()
 }
 
 /// [`layer_directions`] in place: each parameter's gradient becomes its
-/// update direction, `G⁻¹ · ∇W` formed in `scratch[0]`. With `kl_terms`,
-/// parameter `i`'s KL clip term ([`kl_term`] of its direction and raw
-/// gradient, which `scratch[1]` keeps meanwhile) goes to `kl_terms[i]`.
+/// update direction, the solves alternating between it and `scratch[0]`.
+/// With `kl_terms`, parameter `i`'s KL clip term ([`kl_term`] of its
+/// direction and raw gradient, which `scratch[1]` keeps meanwhile) goes to
+/// `kl_terms[i]`.
 ///
 /// # Panics
 ///
@@ -59,43 +65,41 @@ pub fn precondition_in_place(
     scratch: &mut [Matrix; 2],
     mut kl_terms: Option<&mut [f64]>,
 ) {
-    let inverses = state.and_then(inverses);
-    let [g_inv_grad, raw] = scratch;
+    let factors = state.and_then(factors);
+    let [solved, raw] = scratch;
     for (pi, p) in params.iter_mut().enumerate() {
         if kl_terms.is_some() {
             raw.clone_from(&p.grad);
         }
-        to_direction(pi, &mut p.grad, inverses, g_inv_grad);
+        to_direction(pi, &mut p.grad, factors, solved);
         if let Some(kl) = kl_terms.as_deref_mut() {
             kl[pi] = kl_term(&p.grad, raw);
         }
     }
 }
 
-/// `state`'s `(A⁻¹, G⁻¹)`, once computed.
-fn inverses(state: &FactorState) -> Option<(&Matrix, &Matrix)> {
-    Some((
-        state.a_inv()?,
-        state.g_inv().expect("G inverse not computed"),
-    ))
+/// `state`'s `(L_A, L_G)`, once computed.
+fn factors(state: &FactorState) -> Option<(&Matrix, &Matrix)> {
+    Some((state.a_chol()?, state.g_chol().expect("G not factored")))
 }
 
 /// Turns parameter `pi`'s gradient into its update direction in place:
-/// `G⁻¹ · ∇W · A⁻¹` for the weight, `G⁻¹ · ∇b` for the bias (both through
-/// `scratch`), the gradient itself without inverses.
+/// `L_G⁻ᵀ L_G⁻¹ · ∇W · L_A⁻ᵀ L_A⁻¹ = G⁻¹ · ∇W · A⁻¹` for the weight,
+/// `L_G⁻ᵀ L_G⁻¹ · ∇b = G⁻¹ · ∇b` for the bias (the solves alternating
+/// with `scratch`), the gradient itself without factors.
 fn to_direction(
     pi: usize,
     grad: &mut Matrix,
-    inverses: Option<(&Matrix, &Matrix)>,
+    factors: Option<(&Matrix, &Matrix)>,
     scratch: &mut Matrix,
 ) {
-    match inverses {
-        Some((a_inv, g_inv)) if pi == 0 => {
-            kron::precondition_gradient_in_place(grad, a_inv, g_inv, scratch);
+    match factors {
+        Some((l_a, l_g)) if pi == 0 => {
+            kron::precondition_gradient_chol_in_place(grad, l_a, l_g, scratch);
         }
-        Some((_, g_inv)) => {
-            g_inv.matmul_into(grad, scratch);
-            grad.clone_from(scratch);
+        Some((_, l_g)) => {
+            chol::solve_into(l_g, Side::Left, false, grad, scratch);
+            chol::solve_into(l_g, Side::Left, true, scratch, grad);
         }
         None => {}
     }
@@ -192,11 +196,25 @@ mod tests {
         st
     }
 
+    /// `(A + γI)⁻¹` and `(G + γI)⁻¹` of a ready state, formed outright.
+    fn inverses(st: &FactorState, gamma: f64) -> (Matrix, Matrix) {
+        (
+            chol::spd_inverse(&st.damped_a(gamma)).unwrap(),
+            chol::spd_inverse(&st.damped_g(gamma)).unwrap(),
+        )
+    }
+
+    /// Largest element-wise difference relative to `want`'s largest element.
+    fn rel_diff(got: &Matrix, want: &Matrix) -> f64 {
+        let scale = want.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        got.max_abs_diff(want) / scale
+    }
+
     #[test]
     fn identity_factors_leave_grad_unchanged() {
         let mut st = FactorState::new(0);
-        st.set_a_inv(Matrix::identity(3));
-        st.set_g_inv(Matrix::identity(2));
+        st.set_a_chol(Matrix::identity(3));
+        st.set_g_chol(Matrix::identity(2));
         let mut rng = MatrixRng::new(1);
         let grad = rng.uniform_matrix(2, 3, -1.0, 1.0);
         let out = precondition_weight(&st, &grad);
@@ -209,12 +227,9 @@ mod tests {
         let mut rng = MatrixRng::new(3);
         let grad = rng.uniform_matrix(3, 4, -1.0, 1.0);
         let out = precondition_weight(&st, &grad);
-        let manual = st
-            .g_inv()
-            .unwrap()
-            .matmul(&grad)
-            .matmul(st.a_inv().unwrap());
-        assert!(out.max_abs_diff(&manual) < 1e-14);
+        let (a_inv, g_inv) = inverses(&st, 0.3);
+        let manual = g_inv.matmul(&grad).matmul(&a_inv);
+        assert!(out.max_abs_diff(&manual) < 1e-12);
     }
 
     #[test]
@@ -222,8 +237,36 @@ mod tests {
         let st = ready_state(4, 4, 3);
         let grad = Matrix::from_vec(3, 1, vec![1.0, -1.0, 0.5]);
         let out = precondition_bias(&st, &grad);
-        let manual = st.g_inv().unwrap().matmul(&grad);
-        assert!(out.max_abs_diff(&manual) < 1e-14);
+        let manual = inverses(&st, 0.3).1.matmul(&grad);
+        assert!(out.max_abs_diff(&manual) < 1e-12);
+    }
+
+    /// The directions the solves give against `spd_inverse` + two products,
+    /// at the benchmark model's gradient shapes (`d_out × d_in`).
+    #[test]
+    fn solve_directions_match_inverse_products_at_trainer_shapes() {
+        for (seed, (dout, din)) in [(256usize, 256usize), (256, 32), (10, 256)]
+            .into_iter()
+            .enumerate()
+        {
+            let mut rng = MatrixRng::new(40 + seed as u64);
+            let cap = KfacCapture {
+                a_rows: rng.gaussian_matrix(64, din),
+                g_rows: rng.gaussian_matrix(64, dout),
+                batch: 64,
+            };
+            let mut st = FactorState::new(0);
+            st.update_from_capture(&cap, 0.95);
+            st.refresh_inverses(0.1).unwrap();
+            let (a_inv, g_inv) = inverses(&st, 0.1);
+            let grad = rng.uniform_matrix(dout, din, -1.0, 1.0);
+            let want = g_inv.matmul(&grad).matmul(&a_inv);
+            let off = rel_diff(&precondition_weight(&st, &grad), &want);
+            assert!(off <= 1e-10, "weight {dout}x{din}: off by {off:e}");
+            let bias = rng.uniform_matrix(dout, 1, -1.0, 1.0);
+            let off = rel_diff(&precondition_bias(&st, &bias), &g_inv.matmul(&bias));
+            assert!(off <= 1e-10, "bias {dout}: off by {off:e}");
+        }
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Cholesky factorization and SPD inversion.
+//! Cholesky factorization, triangular solves and SPD inversion.
 //!
 //! The paper inverts every damped Kronecker factor `(A + γI)` and `(G + γI)`
 //! with cuSolver's Cholesky path (§V-B). This module is the CPU analogue:
-//! `LLᵀ` factorization ([`cholesky`]), triangular solves, and a full SPD
-//! inverse ([`spd_inverse`]) via inversion of the triangular factor — the
-//! POTRF + POTRI (= TRTRI + LAUUM) sequence. It is blocked so that all but
+//! `LLᵀ` factorization ([`cholesky`], [`cholesky_in_place`]), blocked
+//! triangular solves with `L` ([`solve_into`]), and a full SPD inverse
+//! ([`spd_inverse`]) via inversion of the triangular factor — the POTRF +
+//! POTRI (= TRTRI + LAUUM) sequence. All are blocked so that all but
 //! `O(n · nb²)` of the FLOPs are calls into the level-3 core
-//! ([`crate::gemm::gemm`]), and runs in place: one `n × n` buffer holds
-//! `A`'s lower triangle, then `L`, then `M = L⁻¹`, then `A⁻¹`.
+//! ([`crate::gemm::gemm`]), and run in caller storage: one `n × n` buffer
+//! holds `A`'s lower triangle, then `L`, then `M = L⁻¹`, then `A⁻¹`.
 //!
 //! | step | per block `I = [i0, i1)`, top to bottom | core calls |
 //! |---|---|---|
@@ -17,6 +18,7 @@
 //! | TRTRI | `M[I,I] = L[I,I]⁻¹` unblocked; `P = −M[I,I] · L[I,0:i0]` | 1 |
 //! | | `M[I,J] = P[:,j0:i0] · M[j0:i0,J]` for each block `J` left of `I` | `i0 / nb` |
 //! | LAUUM | `A⁻¹[I,0:i1] = M[I,I]ᵀ · M[I,0:i1] + M[i1:,I]ᵀ · M[i1:,0:i1]`, then mirror | 2 |
+//! | solve | halve `[lo, hi)` at a block edge `mid`; solve one half, subtract its product with `L[mid:hi,lo:mid]` from the other, solve that; a one-block half multiplies by `L[I,I]⁻¹` | 2 per level |
 //!
 //! Depth ranges are clipped to the triangles (`M[p,J] = 0` for `p < j0`,
 //! `M[p,I] = 0` for `p < i0`). An operand that shares rows with the block
@@ -28,6 +30,21 @@
 //! [`cholesky_unblocked`] and [`Cholesky::inverse_unblocked`] are the
 //! leaf kernels (diagonal blocks, matrices of at most one block) run on
 //! the whole matrix: the oracles of the parity tests.
+//!
+//! ## Solving with `L` instead of forming `A⁻¹`
+//!
+//! K-FAC uses each inverse once, in `A⁻¹ · X` or `X · A⁻¹`; with
+//! `A = LLᵀ` that is `L⁻ᵀ(L⁻¹X)` or `(XL⁻ᵀ)L⁻¹`, two triangular solves,
+//! the same FLOPs as the product with `A⁻¹`, and POTRI (two thirds of the
+//! inversion) is never run. The solves read `L` in *solve form*: `L` with
+//! each of its `nb × nb` diagonal blocks replaced by its inverse, which
+//! POTRF computes for the panel anyway ([`cholesky_in_place`] keeps them).
+//! The form is fixed by the block edge (`CHOL_NB` for every caller but the
+//! parity tests) and has `L`'s zero upper triangle, so its packed lower
+//! triangle ([`pack_factor_into`]) is `n(n+1)/2` elements like a packed
+//! inverse. A solve writes `X` into a second buffer and uses `B` as its
+//! workspace ([`solve_into`]): the halves it subtracts from and the halves
+//! it reads are then never the same storage, in either side's split.
 
 use crate::error::TensorError;
 use crate::gemm::{gemm, mirror_lower, Mask, Operand};
@@ -57,12 +74,24 @@ fn with_scratch<R>(n: usize, nb: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
     })
 }
 
+/// Which side of the unknown `op(L)` stands on in a triangular solve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// `op(L) · X = B`: `B` has `n` rows.
+    Left,
+    /// `X · op(L) = B`: `B` has `n` columns.
+    Right,
+}
+
 /// A lower-triangular Cholesky factor `L` with `A = L Lᵀ`.
 ///
 /// Produced by [`cholesky`]; provides solves and the SPD inverse.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cholesky {
     l: Matrix,
+    /// `L` in solve form at block edge `nb` (see the module docs).
+    solver: Matrix,
+    nb: usize,
 }
 
 /// Computes the Cholesky factorization `A = L Lᵀ` of a symmetric positive
@@ -121,13 +150,55 @@ pub fn cholesky_unblocked(a: &Matrix) -> Result<Cholesky, TensorError> {
 pub fn cholesky_with_block(a: &Matrix, nb: usize) -> Result<Cholesky, TensorError> {
     assert!(nb >= 1, "cholesky_with_block: block edge must be positive");
     let mut l = a.clone();
-    potrf(&mut l, nb)?;
-    Ok(Cholesky { l })
+    potrf(&mut l, nb, false)?;
+    // The blocks POTRF inverted for its panels, from the same `L[I,I]`.
+    let mut solver = l.clone();
+    let n = solver.rows();
+    with_scratch(n, nb, |scratch| {
+        for j0 in (0..n).step_by(nb) {
+            invert_diagonal_block(solver.as_mut_slice(), n, j0, nb.min(n - j0), scratch, true);
+        }
+    });
+    Ok(Cholesky { l, solver, nb })
+}
+
+/// POTRF in the matrix's own storage, for the solves: `a` holds the SPD
+/// matrix on entry (only its lower triangle is read) and on success `L` in
+/// solve form at block edge [`CHOL_NB`] — the form [`solve_into`] reads
+/// (module docs). With this thread's scratch warm it allocates nothing.
+/// On error `a` holds a partial factorization.
+///
+/// # Errors
+///
+/// Same contract as [`cholesky`].
+pub fn cholesky_in_place(a: &mut Matrix) -> Result<(), TensorError> {
+    potrf(a, CHOL_NB, true)
+}
+
+/// Inverts the `bw × bw` diagonal block of `w` (rows `n` apart) at `j0`
+/// into the start of `scratch`, and with `store` writes it over the block.
+fn invert_diagonal_block(
+    w: &mut [f64],
+    n: usize,
+    j0: usize,
+    bw: usize,
+    scratch: &mut [f64],
+    store: bool,
+) {
+    let dinv = &mut scratch[..bw * bw];
+    dinv.fill(0.0);
+    trti2(&w[j0 * n + j0..], n, dinv, bw, bw);
+    if store {
+        for (row, drow) in w[j0 * n + j0..].chunks_mut(n).zip(dinv.chunks(bw)) {
+            row[..bw].copy_from_slice(drow);
+        }
+    }
 }
 
 /// Factors the SPD matrix in `w` in place: on success `w` holds `L` with a
-/// zero upper triangle (only the lower triangle of `A` is read).
-fn potrf(w: &mut Matrix, nb: usize) -> Result<(), TensorError> {
+/// zero upper triangle (only the lower triangle of `A` is read), its
+/// diagonal blocks inverted when `solve_form`.
+fn potrf(w: &mut Matrix, nb: usize, solve_form: bool) -> Result<(), TensorError> {
     if !w.is_square() {
         return Err(TensorError::NotSquare {
             op: "cholesky",
@@ -143,12 +214,15 @@ fn potrf(w: &mut Matrix, nb: usize) -> Result<(), TensorError> {
             let (bw, below) = (j1 - j0, n - j1);
             potf2(&mut w[j0 * n + j0..], n, bw)
                 .map_err(|pivot| TensorError::NotPositiveDefinite { pivot: j0 + pivot })?;
+            if below == 0 && !solve_form {
+                break;
+            }
+            // The panel below reads L11⁻¹; L11 itself is not read again.
+            invert_diagonal_block(w, n, j0, bw, dinv, solve_form);
             if below == 0 {
                 break;
             }
-            let dinv = &mut dinv[..bw * bw];
-            dinv.fill(0.0);
-            trti2(&w[j0 * n + j0..], n, dinv, bw, bw);
+            let dinv = &dinv[..bw * bw];
             // Panel solve L21 · L11ᵀ = A21 as a product with L11⁻ᵀ.
             let panel = &mut panel[..below * bw];
             panel.fill(0.0);
@@ -307,54 +381,43 @@ impl Cholesky {
         self.l.rows()
     }
 
-    /// Solves `A x = b` using the factorization (forward then backward
-    /// substitution).
+    /// Solves `A x = b`: [`Cholesky::solve_matrix`] on one column.
     ///
     /// # Panics
     ///
     /// Panics if `b.len() != self.dim()`.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let n = self.dim();
-        assert_eq!(b.len(), n, "solve: rhs length mismatch");
-        // Forward: L y = b.
-        let mut y = b.to_vec();
-        for i in 0..n {
-            for k in 0..i {
-                y[i] -= self.l[(i, k)] * y[k];
-            }
-            y[i] /= self.l[(i, i)];
-        }
-        // Backward: Lᵀ x = y.
-        let mut x = y;
-        for i in (0..n).rev() {
-            for k in (i + 1)..n {
-                x[i] -= self.l[(k, i)] * x[k];
-            }
-            x[i] /= self.l[(i, i)];
-        }
-        x
+        assert_eq!(b.len(), self.dim(), "solve: rhs length mismatch");
+        self.solve_matrix(&Matrix::from_vec(b.len(), 1, b.to_vec()))
+            .into_vec()
     }
 
-    /// Solves `A X = B` column-by-column.
+    /// Solves `A X = B` as `X = L⁻ᵀ(L⁻¹B)`: two blocked solves.
     ///
     /// # Panics
     ///
     /// Panics if `B.rows() != self.dim()`.
     pub fn solve_matrix(&self, b: &Matrix) -> Matrix {
-        let n = self.dim();
-        assert_eq!(b.rows(), n, "solve_matrix: shape mismatch");
-        let mut out = Matrix::zeros(n, b.cols());
-        let mut col = vec![0.0; n];
-        for c in 0..b.cols() {
-            for r in 0..n {
-                col[r] = b[(r, c)];
-            }
-            let x = self.solve(&col);
-            for r in 0..n {
-                out[(r, c)] = x[r];
-            }
-        }
-        out
+        assert_eq!(b.rows(), self.dim(), "solve_matrix: shape mismatch");
+        let (mut y, mut x) = (b.clone(), Matrix::zeros(0, 0));
+        solve_with_block(&self.solver, self.nb, Side::Left, false, &mut y, &mut x);
+        solve_with_block(&self.solver, self.nb, Side::Left, true, &mut x, &mut y);
+        y
+    }
+
+    /// One triangular solve at this factorization's block edge:
+    /// `op(L)⁻¹ · B` on the [`Side::Left`], `B · op(L)⁻¹` on the
+    /// [`Side::Right`], `op(L) = Lᵀ` when `trans`. From
+    /// [`cholesky_unblocked`] it is one product with `op(L⁻¹)`: the oracle
+    /// of the parity tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b`'s solved dimension is not `self.dim()`.
+    pub fn solve_triangular(&self, side: Side, trans: bool, b: &Matrix) -> Matrix {
+        let (mut work, mut x) = (b.clone(), Matrix::zeros(0, 0));
+        solve_with_block(&self.solver, self.nb, side, trans, &mut work, &mut x);
+        x
     }
 
     /// Computes the full inverse `A⁻¹ = L⁻ᵀ L⁻¹` (POTRI-style).
@@ -394,6 +457,259 @@ impl Cholesky {
     }
 }
 
+/// The blocked triangular solve (module docs) with `l` in solve form at
+/// block edge [`CHOL_NB`], as [`cholesky_in_place`] leaves it: `x` becomes
+/// `op(L)⁻¹ · b` on the [`Side::Left`], `b · op(L)⁻¹` on the
+/// [`Side::Right`] (`op(L) = Lᵀ` when `trans`), reshaped to `b`'s shape
+/// with its storage reused. `b` is the solve's workspace and is left
+/// holding partial sums. With `x` large enough it allocates nothing; the
+/// result is bit-identical for any `SPDKFAC_THREADS` and across AVX2 /
+/// AVX-512 hosts.
+///
+/// # Panics
+///
+/// Panics if `l` is not square or `b`'s solved dimension is not its size.
+///
+/// # Example
+///
+/// ```
+/// use spdkfac_tensor::chol::{cholesky_in_place, solve_into, Side};
+/// use spdkfac_tensor::Matrix;
+///
+/// # fn main() -> Result<(), spdkfac_tensor::TensorError> {
+/// let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
+/// let mut l = a.clone();
+/// cholesky_in_place(&mut l)?;
+/// // A⁻¹b = L⁻ᵀ(L⁻¹b), ping-ponging between two buffers.
+/// let (mut b, mut y) = (Matrix::from_vec(2, 1, vec![1.0, 2.0]), Matrix::zeros(0, 0));
+/// solve_into(&l, Side::Left, false, &mut b, &mut y);
+/// solve_into(&l, Side::Left, true, &mut y, &mut b);
+/// assert!(a.matmul(&b).max_abs_diff(&Matrix::from_vec(2, 1, vec![1.0, 2.0])) < 1e-12);
+/// # Ok(())
+/// # }
+/// ```
+pub fn solve_into(l: &Matrix, side: Side, trans: bool, b: &mut Matrix, x: &mut Matrix) {
+    solve_with_block(l, CHOL_NB, side, trans, b, x);
+}
+
+/// [`solve_into`] with `l` in solve form at block edge `nb`.
+fn solve_with_block(
+    l: &Matrix,
+    nb: usize,
+    side: Side,
+    trans: bool,
+    b: &mut Matrix,
+    x: &mut Matrix,
+) {
+    let n = l.rows();
+    assert!(l.is_square(), "solve: factor is {:?}", l.shape());
+    let (solved, width) = match side {
+        Side::Left => b.shape(),
+        Side::Right => (b.cols(), b.rows()),
+    };
+    assert_eq!(
+        solved,
+        n,
+        "solve: {side:?} operand {:?} vs factor dim {n}",
+        b.shape()
+    );
+    x.reshape_for_overwrite(b.rows(), b.cols());
+    if n == 0 {
+        return;
+    }
+    // One column is stored as one row is: `op(L)⁻¹ b` is `bᵀ op(L)⁻ᵀ`, the
+    // same products in the same order, on 1-row instead of 1-column tiles
+    // (a tile is 8 rows of 24 columns with AVX-512).
+    let (side, trans) = match (side, width) {
+        (Side::Left, 1) => (Side::Right, !trans),
+        _ => (side, trans),
+    };
+    let trsm = Trsm {
+        l: l.as_slice(),
+        n,
+        nb,
+        side,
+        trans,
+        width,
+    };
+    trsm.run(0, n, b.as_mut_slice(), x.as_mut_slice());
+}
+
+/// One blocked triangular solve: `L` in solve form (`n × n`, block edge
+/// `nb`), the side and transpose, and the right-hand side's other
+/// dimension `width`. `b` and `x` are row-major, `n × width` on the left,
+/// `width × n` on the right.
+struct Trsm<'a> {
+    l: &'a [f64],
+    n: usize,
+    nb: usize,
+    side: Side,
+    trans: bool,
+    width: usize,
+}
+
+impl Trsm<'_> {
+    /// Solves for the unknowns `[lo, hi)` of the solved dimension (`lo` on
+    /// a block edge), all of whose dependencies outside the range are
+    /// already subtracted from `b`.
+    fn run(&self, lo: usize, hi: usize, b: &mut [f64], x: &mut [f64]) {
+        let blocks = (hi - lo).div_ceil(self.nb);
+        if blocks <= 1 {
+            return self.leaf(lo, hi, b, x);
+        }
+        let mid = lo + blocks / 2 * self.nb;
+        // `L[mid:hi, lo:mid]` couples the halves. Forward (`L` on the left,
+        // `Lᵀ` on the right) solves the top half first, backward the bottom.
+        let coupling = Operand::new(&self.l[mid * self.n + lo..], self.n);
+        let (n, w) = (self.n, self.width);
+        match (self.side, self.trans) {
+            (Side::Left, false) => {
+                self.run(lo, mid, b, x);
+                let xs = Operand::new(&x[lo * w..], w);
+                gemm(
+                    -1.0,
+                    hi - mid,
+                    mid - lo,
+                    w,
+                    coupling,
+                    xs,
+                    &mut b[mid * w..],
+                    w,
+                    Mask::Full,
+                );
+                self.run(mid, hi, b, x);
+            }
+            (Side::Left, true) => {
+                self.run(mid, hi, b, x);
+                let xs = Operand::new(&x[mid * w..], w);
+                gemm(
+                    -1.0,
+                    mid - lo,
+                    hi - mid,
+                    w,
+                    coupling.t(),
+                    xs,
+                    &mut b[lo * w..],
+                    w,
+                    Mask::Full,
+                );
+                self.run(lo, mid, b, x);
+            }
+            (Side::Right, false) => {
+                self.run(mid, hi, b, x);
+                let xs = Operand::new(&x[mid..], n);
+                gemm(
+                    -1.0,
+                    w,
+                    hi - mid,
+                    mid - lo,
+                    xs,
+                    coupling,
+                    &mut b[lo..],
+                    n,
+                    Mask::Full,
+                );
+                self.run(lo, mid, b, x);
+            }
+            (Side::Right, true) => {
+                self.run(lo, mid, b, x);
+                let xs = Operand::new(&x[lo..], n);
+                gemm(
+                    -1.0,
+                    w,
+                    mid - lo,
+                    hi - mid,
+                    xs,
+                    coupling.t(),
+                    &mut b[mid..],
+                    n,
+                    Mask::Full,
+                );
+                self.run(mid, hi, b, x);
+            }
+        }
+    }
+
+    /// One diagonal block `I = [lo, hi)`: `x[I] = op(L[I,I])⁻¹ · b[I]` (or
+    /// `b[:,I] · op(L[I,I])⁻¹`), a product with the stored inverse.
+    fn leaf(&self, lo: usize, hi: usize, b: &[f64], x: &mut [f64]) {
+        let (n, w, bw) = (self.n, self.width, hi - lo);
+        let dinv = Operand::new(&self.l[lo * n + lo..], n);
+        let dinv = if self.trans { dinv.t() } else { dinv };
+        match self.side {
+            Side::Left => {
+                let xs = &mut x[lo * w..hi * w];
+                xs.fill(0.0);
+                gemm(
+                    1.0,
+                    bw,
+                    bw,
+                    w,
+                    dinv,
+                    Operand::new(&b[lo * w..], w),
+                    xs,
+                    w,
+                    Mask::Full,
+                );
+            }
+            Side::Right => {
+                for row in x.chunks_mut(n) {
+                    row[lo..hi].fill(0.0);
+                }
+                let bs = Operand::new(&b[lo..], n);
+                gemm(1.0, w, bw, bw, bs, dinv, &mut x[lo..], n, Mask::Full);
+            }
+        }
+    }
+}
+
+/// Packs the lower triangle of the square `l` — row by row, `(0,0)`,
+/// `(1,0)`, `(1,1)`, … — into `dst`: the wire form of a factor in solve
+/// form, `n(n+1)/2` elements like a packed symmetric matrix.
+///
+/// # Panics
+///
+/// Panics if `l` is not square or `dst` is not `n(n+1)/2` long.
+pub fn pack_factor_into(l: &Matrix, dst: &mut [f64]) {
+    let n = l.rows();
+    assert!(
+        l.is_square() && dst.len() == n * (n + 1) / 2,
+        "pack_factor_into: {:?} factor into {} elements",
+        l.shape(),
+        dst.len()
+    );
+    let mut rest = dst;
+    for (i, row) in l.as_slice().chunks(n.max(1)).enumerate() {
+        let (head, tail) = rest.split_at_mut(i + 1);
+        head.copy_from_slice(&row[..=i]);
+        rest = tail;
+    }
+}
+
+/// The inverse of [`pack_factor_into`]: `out` (its storage reused)
+/// becomes the `dim × dim` lower-triangular matrix `packed` holds, with a
+/// zero upper triangle.
+///
+/// # Panics
+///
+/// Panics if `packed` is not `dim(dim+1)/2` long.
+pub fn unpack_factor_into(dim: usize, packed: &[f64], out: &mut Matrix) {
+    assert_eq!(
+        packed.len(),
+        dim * (dim + 1) / 2,
+        "unpack_factor_into: {} elements for dim {dim}",
+        packed.len()
+    );
+    out.reshape_for_overwrite(dim, dim);
+    let mut rest = packed;
+    for (i, row) in out.as_mut_slice().chunks_mut(dim.max(1)).enumerate() {
+        let (head, tail) = rest.split_at(i + 1);
+        row[..=i].copy_from_slice(head);
+        row[i + 1..].fill(0.0);
+        rest = tail;
+    }
+}
+
 /// Convenience wrapper: factorizes and inverts an SPD matrix in one call.
 ///
 /// This is the operation the paper's load-balancing placement distributes
@@ -430,7 +746,7 @@ pub fn spd_inverse(a: &Matrix) -> Result<Matrix, TensorError> {
 ///
 /// Same contract as [`cholesky`].
 pub fn spd_inverse_in_place(a: &mut Matrix) -> Result<(), TensorError> {
-    potrf(a, CHOL_NB)?;
+    potrf(a, CHOL_NB, false)?;
     potri(a, CHOL_NB);
     Ok(())
 }
@@ -520,6 +836,104 @@ mod tests {
         let x = ch.solve_matrix(&b);
         let ax = a.matmul(&x);
         assert!(ax.max_abs_diff(&b) < 1e-9);
+    }
+
+    #[test]
+    fn in_place_factor_is_the_solve_form_of_the_factorization() {
+        for n in [1usize, 5, 24, 25, 70] {
+            let a = random_spd(n, 300 + n as u64);
+            let mut l = a.clone();
+            cholesky_in_place(&mut l).unwrap();
+            let ch = cholesky(&a).unwrap();
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&l), bits(&ch.solver), "n={n}");
+            // Off the diagonal blocks it is `L` itself.
+            for i in 0..n {
+                for j in 0..i - i % CHOL_NB {
+                    assert_eq!(l[(i, j)].to_bits(), ch.factor()[(i, j)].to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_solve_inverts_its_product() {
+        let a = random_spd(53, 11);
+        let ch = cholesky_with_block(&a, 8).unwrap();
+        let l = ch.factor();
+        let mut rng = MatrixRng::new(12);
+        for side in [Side::Left, Side::Right] {
+            for trans in [false, true] {
+                let op = if trans { l.transpose() } else { l.clone() };
+                let b = match side {
+                    Side::Left => rng.uniform_matrix(53, 7, -1.0, 1.0),
+                    Side::Right => rng.uniform_matrix(7, 53, -1.0, 1.0),
+                };
+                let x = ch.solve_triangular(side, trans, &b);
+                let back = match side {
+                    Side::Left => op.matmul(&x),
+                    Side::Right => x.matmul(&op),
+                };
+                assert!(back.max_abs_diff(&b) < 1e-12, "{side:?} trans={trans}");
+            }
+        }
+    }
+
+    /// The ISA invariant of the solves: they are core calls and copies, so
+    /// every vector microkernel the host supports gives the same bits.
+    #[test]
+    fn solves_agree_bit_for_bit_across_vector_kernels() {
+        use crate::gemm::{with_kernel, Kernel};
+        let kernels: Vec<Kernel> = Kernel::ALL
+            .iter()
+            .copied()
+            .filter(|&k| k != Kernel::Portable && k.supported())
+            .collect();
+        if kernels.len() < 2 {
+            eprintln!("skipped: host supports {kernels:?} only");
+            return;
+        }
+        let mut rng = MatrixRng::new(13);
+        for (n, width) in [(23usize, 5usize), (49, 33), (130, 70)] {
+            let a = random_spd(n, 400 + n as u64);
+            for side in [Side::Left, Side::Right] {
+                for trans in [false, true] {
+                    let b = match side {
+                        Side::Left => rng.uniform_matrix(n, width, -1.0, 1.0),
+                        Side::Right => rng.uniform_matrix(width, n, -1.0, 1.0),
+                    };
+                    let run = |kernel| {
+                        with_kernel(kernel, || {
+                            let mut f = a.clone();
+                            cholesky_in_place(&mut f).unwrap();
+                            let (mut work, mut x) = (b.clone(), Matrix::zeros(0, 0));
+                            solve_into(&f, side, trans, &mut work, &mut x);
+                            x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                        })
+                    };
+                    let first = run(kernels[0]);
+                    for &other in &kernels[1..] {
+                        assert!(
+                            first == run(other),
+                            "n={n} {side:?} trans={trans} {other:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_factor_round_trips() {
+        for n in [0usize, 1, 4, 30] {
+            let mut l = random_spd(n, 500 + n as u64);
+            cholesky_in_place(&mut l).unwrap();
+            let mut packed = vec![f64::NAN; n * (n + 1) / 2];
+            pack_factor_into(&l, &mut packed);
+            let mut back = Matrix::from_vec(1, 3, vec![7.0; 3]);
+            unpack_factor_into(n, &packed, &mut back);
+            assert_eq!(back, l, "n={n}");
+        }
     }
 
     #[test]

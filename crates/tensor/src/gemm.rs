@@ -313,7 +313,7 @@ impl Micro for Portable {
 
 /// The microkernels, best first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kernel {
+pub(crate) enum Kernel {
     #[cfg(target_arch = "x86_64")]
     Avx512,
     #[cfg(target_arch = "x86_64")]
@@ -322,7 +322,7 @@ enum Kernel {
 }
 
 impl Kernel {
-    const ALL: &'static [Kernel] = &[
+    pub(crate) const ALL: &'static [Kernel] = &[
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx512,
         #[cfg(target_arch = "x86_64")]
@@ -331,7 +331,7 @@ impl Kernel {
     ];
 
     /// Whether this CPU can run the kernel.
-    fn supported(self) -> bool {
+    pub(crate) fn supported(self) -> bool {
         match self {
             #[cfg(target_arch = "x86_64")]
             Kernel::Avx512 => is_x86_feature_detected!("avx512f"),
@@ -356,6 +356,23 @@ impl Kernel {
 thread_local! {
     static PACK_A: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
     static PACK_B: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The microkernel [`gemm`] calls made from this thread run on.
+    static FORCED: std::cell::Cell<Option<Kernel>> = const { std::cell::Cell::new(None) };
+}
+
+/// Runs `f` with every [`gemm`] call it makes from this thread on
+/// `kernel`: the cross-ISA tests of the kernels built on the core. (A
+/// pool task runs the microkernel its caller picked.)
+#[cfg(test)]
+pub(crate) fn with_kernel<R>(kernel: Kernel, f: impl FnOnce() -> R) -> R {
+    let before = FORCED.with(|k| k.replace(Some(kernel)));
+    let out = f();
+    FORCED.with(|k| k.set(before));
+    out
 }
 
 /// Runs `f` on `len` elements of this thread's pack buffer, cache-line
@@ -393,7 +410,11 @@ pub fn gemm(
     ldc: usize,
     mask: Mask,
 ) {
-    gemm_with(Kernel::detect(), alpha, m, k, n, a, b, c, ldc, mask);
+    #[cfg(test)]
+    let kernel = FORCED.with(|k| k.get()).unwrap_or_else(Kernel::detect);
+    #[cfg(not(test))]
+    let kernel = Kernel::detect();
+    gemm_with(kernel, alpha, m, k, n, a, b, c, ldc, mask);
 }
 
 /// [`gemm`] on an explicit microkernel (the cross-ISA bit-identity test

@@ -3,9 +3,13 @@
 //! K-FAC never materialises `F̂_l = A_{l-1} ⊗ G_l` (Eq. 9): the preconditioned
 //! gradient of Eq. 11 is computed with the identity
 //! `(A⁻¹ ⊗ G⁻¹) vec(∇W) = G⁻¹ · ∇W · A⁻¹` where `∇W` is the `d_out × d_in`
-//! gradient matrix. The explicit [`kron`] is provided for testing that
-//! identity on small matrices.
+//! gradient matrix. The trainer never forms the inverses either: from the
+//! Cholesky factors `A = L_A L_Aᵀ`, `G = L_G L_Gᵀ` the same product is four
+//! triangular solves ([`precondition_gradient_chol_in_place`]). The
+//! explicit [`kron`] is provided for testing the identity on small
+//! matrices.
 
+use crate::chol::{solve_into, Side};
 use crate::matrix::Matrix;
 
 /// Explicit Kronecker product `a ⊗ b`.
@@ -81,23 +85,6 @@ pub fn unvec_col_major(v: &[f64], rows: usize, cols: usize) -> Matrix {
 /// assert_eq!(p[(0, 1)], 0.5);
 /// ```
 pub fn precondition_gradient(grad: &Matrix, a_inv: &Matrix, g_inv: &Matrix) -> Matrix {
-    let mut out = grad.clone();
-    precondition_gradient_in_place(&mut out, a_inv, g_inv, &mut Matrix::zeros(0, 0));
-    out
-}
-
-/// [`precondition_gradient`] in the gradient's own storage, with
-/// `G⁻¹ · ∇W` formed in `scratch` (reshaped, its storage reused).
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-pub fn precondition_gradient_in_place(
-    grad: &mut Matrix,
-    a_inv: &Matrix,
-    g_inv: &Matrix,
-    scratch: &mut Matrix,
-) {
     assert_eq!(
         grad.cols(),
         a_inv.rows(),
@@ -112,8 +99,28 @@ pub fn precondition_gradient_in_place(
         grad.rows(),
         g_inv.rows()
     );
-    g_inv.matmul_into(grad, scratch);
-    scratch.matmul_into(a_inv, grad);
+    g_inv.matmul(grad).matmul(a_inv)
+}
+
+/// [`precondition_gradient`] from the factors' Cholesky factors in solve
+/// form ([`crate::chol::cholesky_in_place`]), in the gradient's own
+/// storage: `∇W ← L_G⁻ᵀ L_G⁻¹ · ∇W · L_A⁻ᵀ L_A⁻¹`, four blocked solves
+/// ([`solve_into`]) alternating between `grad` and `scratch` (reshaped,
+/// its storage reused).
+///
+/// # Panics
+///
+/// Panics on shape mismatch.
+pub fn precondition_gradient_chol_in_place(
+    grad: &mut Matrix,
+    l_a: &Matrix,
+    l_g: &Matrix,
+    scratch: &mut Matrix,
+) {
+    solve_into(l_g, Side::Left, false, grad, scratch);
+    solve_into(l_g, Side::Left, true, scratch, grad);
+    solve_into(l_a, Side::Right, true, grad, scratch);
+    solve_into(l_a, Side::Right, false, scratch, grad);
 }
 
 #[cfg(test)]
@@ -186,6 +193,27 @@ mod tests {
         let pre = big.matvec(&v);
         let explicit = unvec_col_major(&pre, 4, 3);
         assert!(fast.max_abs_diff(&explicit) < 1e-10);
+    }
+
+    #[test]
+    fn solves_with_the_factors_match_the_inverses() {
+        let mut rng = MatrixRng::new(8);
+        for (dout, din) in [(4usize, 3usize), (30, 50), (10, 61)] {
+            let sa = rng.gaussian_matrix(din + 3, din).gramian().damped(0.3);
+            let sg = rng.gaussian_matrix(dout + 3, dout).gramian().damped(0.3);
+            let grad = rng.uniform_matrix(dout, din, -1.0, 1.0);
+            let want = precondition_gradient(
+                &grad,
+                &crate::chol::spd_inverse(&sa).unwrap(),
+                &crate::chol::spd_inverse(&sg).unwrap(),
+            );
+            let (mut l_a, mut l_g) = (sa, sg);
+            crate::chol::cholesky_in_place(&mut l_a).unwrap();
+            crate::chol::cholesky_in_place(&mut l_g).unwrap();
+            let (mut got, mut scratch) = (grad, Matrix::zeros(0, 0));
+            precondition_gradient_chol_in_place(&mut got, &l_a, &l_g, &mut scratch);
+            assert!(got.max_abs_diff(&want) < 1e-10, "{dout}x{din}");
+        }
     }
 
     #[test]

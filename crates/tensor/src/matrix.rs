@@ -99,6 +99,14 @@ impl Matrix {
         }
     }
 
+    /// Reshapes to `rows × cols`, reusing the storage when it is large
+    /// enough; the contents are unspecified, for a caller that overwrites
+    /// every element.
+    pub(crate) fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, 0.0);
+        (self.rows, self.cols) = (rows, cols);
+    }
+
     /// Creates the `n × n` identity matrix.
     pub fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);

@@ -77,6 +77,59 @@ fn level3_inverse_matches_oracles_at_block_and_factor_edges() {
     }
 }
 
+/// Solve dimensions: one block, either side of one and two block edges,
+/// and the trainer's factor sizes.
+const SOLVE_DIMS: [usize; 10] = [1, 23, 24, 25, 47, 48, 49, 255, 256, 257];
+
+/// Right-hand-side widths: a vector, a ragged tile count, and the
+/// trainer's widest gradients.
+const SOLVE_WIDTHS: [usize; 4] = [1, 33, 256, 257];
+
+/// Every blocked triangular solve of one SPD matrix's factor — both sides,
+/// both transposes — against the unblocked leaf (one product with
+/// `op(L⁻¹)`), and the trainer's path (`cholesky_in_place` +
+/// `solve_into`) to the bit against the factorization's.
+fn solves_match_oracle(d: usize, width: usize, seed: u64) -> Result<(), String> {
+    let mut rng = MatrixRng::new(seed);
+    let a = rng.spd_matrix(d, 0.5);
+    let blocked = chol::cholesky(&a).map_err(|e| e.to_string())?;
+    let oracle = chol::cholesky_unblocked(&a).map_err(|e| e.to_string())?;
+    let mut l = a.clone();
+    chol::cholesky_in_place(&mut l).map_err(|e| e.to_string())?;
+    for side in [chol::Side::Left, chol::Side::Right] {
+        let b = match side {
+            chol::Side::Left => rng.uniform_matrix(d, width, -1.0, 1.0),
+            chol::Side::Right => rng.uniform_matrix(width, d, -1.0, 1.0),
+        };
+        for trans in [false, true] {
+            let got = blocked.solve_triangular(side, trans, &b);
+            let off = rel_diff(&got, &oracle.solve_triangular(side, trans, &b));
+            if off > 1e-12 {
+                return Err(format!(
+                    "d={d} width={width} {side:?} trans={trans}: off by {off:e}"
+                ));
+            }
+            let (mut work, mut x) = (b.clone(), Matrix::zeros(0, 0));
+            chol::solve_into(&l, side, trans, &mut work, &mut x);
+            if bits(x.as_slice()) != bits(got.as_slice()) {
+                return Err(format!(
+                    "d={d} width={width} {side:?} trans={trans}: in-place bits differ"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn blocked_solves_match_the_unblocked_oracle_at_block_and_factor_edges() {
+    for (i, d) in SOLVE_DIMS.into_iter().enumerate() {
+        for (j, width) in SOLVE_WIDTHS.into_iter().enumerate() {
+            solves_match_oracle(d, width, (10 * i + j) as u64).unwrap();
+        }
+    }
+}
+
 #[test]
 fn blocked_cholesky_rejects_indefinite_and_nan_input() {
     let spd = MatrixRng::new(9).spd_matrix(100, 0.5);
@@ -113,10 +166,16 @@ fn pooled_and_serial_kernels_agree_bit_for_bit() {
         );
         let spd = rng.spd_matrix(d, 0.5);
         let kernels = || {
+            let mut l = spd.clone();
+            chol::cholesky_in_place(&mut l).expect("SPD");
+            let (mut work, mut solved) = (b.clone(), Matrix::zeros(0, 0));
+            chol::solve_into(&l, chol::Side::Right, true, &mut work, &mut solved);
             [
                 a.matmul(&b),
                 a.gramian(),
                 chol::spd_inverse(&spd).expect("SPD"),
+                l,
+                solved,
             ]
         };
         let pooled = kernels();
@@ -428,6 +487,15 @@ proptest! {
     #[test]
     fn level3_inverse_matches_oracles(d in 1usize..301, seed in 0u64..1_000_000) {
         let outcome = level3_matches_oracles(d, seed);
+        prop_assert!(outcome.is_ok(), "{:?}", outcome);
+    }
+
+    #[test]
+    fn blocked_solves_match_the_unblocked_oracle(
+        d in 1usize..301, pick in 0usize..8, small in 1usize..40, seed in 0u64..1_000_000,
+    ) {
+        let width = *SOLVE_WIDTHS.get(pick).unwrap_or(&small);
+        let outcome = solves_match_oracle(d, width, seed);
         prop_assert!(outcome.is_ok(), "{:?}", outcome);
     }
 }

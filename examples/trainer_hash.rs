@@ -3,6 +3,8 @@
 //!
 //! ```text
 //! cargo run --release --example trainer_hash > /tmp/hash.txt
+//! cargo run --release --example trainer_hash -- params > /tmp/params.txt
+//! cargo run --release --example trainer_hash -- compare /tmp/parent.txt /tmp/params.txt
 //! ```
 //!
 //! A change to the planner, the iteration graph or the worker loop that
@@ -14,12 +16,20 @@
 //! reproducible from run to run — which makes the output reproducible
 //! across runs too (CI runs it twice and compares). Only the public
 //! trainer API is used, so the file compiles unchanged on older commits.
+//!
+//! A change that moves the numbers on purpose (a different but equivalent
+//! kernel) is compared with a tolerance instead: `params` prints each
+//! configuration's final parameters (one line each, round-trip decimal),
+//! and `compare PARENT CHANGE` reads two such files and prints, per
+//! algorithm, the largest relative deviation `‖p − q‖∞ / ‖p‖∞` over its
+//! configurations.
 
 use spdkfac::core::distributed::{Algorithm, DistributedConfig, TrainSession};
 use spdkfac::core::perf::{AlphaBetaModel, ExpInverseModel};
 use spdkfac::core::{FusionStrategy, PlacementStrategy};
 use spdkfac::nn::data::gaussian_blobs;
 use spdkfac::nn::models::deep_mlp;
+use std::collections::BTreeMap;
 
 /// FNV-1a over the bit patterns of `values`.
 fn fnv(values: impl Iterator<Item = f64>) -> u64 {
@@ -30,7 +40,9 @@ fn fnv(values: impl Iterator<Item = f64>) -> u64 {
     h
 }
 
-fn main() {
+/// Runs the grid in order and hands each configuration's label, final
+/// parameters and losses to `report`.
+fn run_grid(mut report: impl FnMut(&str, &[f64], &[f64])) {
     let algorithms = [
         Algorithm::SSgd,
         Algorithm::DKfac,
@@ -60,16 +72,80 @@ fn main() {
                             let run = TrainSession::builder(cfg)
                                 .run(&|| deep_mlp(8, 24, 3, 3, 29), &data, 7, 4)
                                 .expect("local run");
-                            let hash = fnv(run.final_params.iter().chain(&run.losses).copied());
-                            println!(
+                            let label = format!(
                                 "{algorithm:?} world={world} placement={placement:?} \
                                  fusion={fusion:?} inv_update_freq={inv_update_freq} \
-                                 grad_fusion_elems={grad_fusion_elems} {hash:016x}"
+                                 grad_fusion_elems={grad_fusion_elems}"
                             );
+                            report(&label, &run.final_params, &run.losses);
                         }
                     }
                 }
             }
+        }
+    }
+}
+
+/// A `params` file: label → final parameters.
+fn read_params(path: &str) -> BTreeMap<String, Vec<f64>> {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    text.lines()
+        .map(|line| {
+            let (label, values) = line.split_once('\t').expect("label<TAB>values");
+            let values = values
+                .split(' ')
+                .map(|v| v.parse().unwrap_or_else(|e| panic!("{path}: {v}: {e}")))
+                .collect();
+            (label.to_string(), values)
+        })
+        .collect()
+}
+
+/// Per algorithm (the label's first word), the largest relative deviation
+/// of `change` from `parent` over its configurations.
+fn compare(parent: &str, change: &str) {
+    let (parent, change) = (read_params(parent), read_params(change));
+    assert_eq!(
+        parent.keys().collect::<Vec<_>>(),
+        change.keys().collect::<Vec<_>>(),
+        "the two files hold different configurations"
+    );
+    let mut worst: Vec<(String, f64)> = Vec::new();
+    for (label, p) in &parent {
+        let q = &change[label];
+        assert_eq!(p.len(), q.len(), "{label}: parameter counts differ");
+        let scale = p.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let dev = p
+            .iter()
+            .zip(q)
+            .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()))
+            / scale;
+        let algorithm = label.split(' ').next().expect("non-empty label");
+        match worst.iter_mut().find(|(a, _)| a == algorithm) {
+            Some((_, w)) => *w = w.max(dev),
+            None => worst.push((algorithm.to_string(), dev)),
+        }
+    }
+    for (algorithm, dev) in worst {
+        println!("{algorithm} {dev:.3e}");
+    }
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        [] => run_grid(|label, params, losses| {
+            let hash = fnv(params.iter().chain(losses).copied());
+            println!("{label} {hash:016x}");
+        }),
+        ["params"] => run_grid(|label, params, _| {
+            let values: Vec<String> = params.iter().map(|v| format!("{v:?}")).collect();
+            println!("{label}\t{}", values.join(" "));
+        }),
+        ["compare", parent, change] => compare(parent, change),
+        _ => {
+            eprintln!("usage: trainer_hash [params | compare PARENT CHANGE]");
+            std::process::exit(2);
         }
     }
 }

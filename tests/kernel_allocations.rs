@@ -2,12 +2,15 @@
 //! counting global allocator): once every pool lane's pack buffers have
 //! grown to the shapes in use, a product allocates its result and nothing
 //! else of 4 KiB or more — no per-call pack buffer, no per-block scratch —
-//! and an `_into` product or an in-place inverse allocates nothing.
+//! and an `_into` product, an in-place inverse or factorization, or a
+//! solve into kept storage allocates nothing.
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
 
 use counting_alloc::{CountingAlloc, ARMED, BIG, BIG_ALLOCS};
+use spdkfac::tensor::chol::Side;
+use spdkfac::tensor::kron::precondition_gradient_chol_in_place;
 use spdkfac::tensor::rng::MatrixRng;
 use spdkfac::tensor::{chol, pool, Matrix};
 use std::hint::black_box;
@@ -86,7 +89,14 @@ fn warm_in_place_kernels_allocate_nothing() {
         rng.uniform_matrix(BATCH, D - 1, -1.0, 1.0),
     );
     let factor = rng.spd_matrix(D, 0.1);
+    let bias = rng.uniform_matrix(D, 1, -1.0, 1.0);
     let (mut product, mut grad, mut stat, mut inv) = (
+        Matrix::zeros(0, 0),
+        Matrix::zeros(0, 0),
+        Matrix::zeros(0, 0),
+        Matrix::zeros(0, 0),
+    );
+    let (mut l, mut dir, mut dir_b, mut solved) = (
         Matrix::zeros(0, 0),
         Matrix::zeros(0, 0),
         Matrix::zeros(0, 0),
@@ -98,6 +108,15 @@ fn warm_in_place_kernels_allocate_nothing() {
         x.gramian_scaled_into(BATCH as f64, &mut stat);
         factor.damped_into(0.1, &mut inv);
         chol::spd_inverse_in_place(&mut inv).expect("SPD");
+        // The trainer's refresh and directions: POTRF into solve form,
+        // then a weight's four solves and a bias's two.
+        factor.damped_into(0.1, &mut l);
+        chol::cholesky_in_place(&mut l).expect("SPD");
+        dir.clone_from(&a);
+        precondition_gradient_chol_in_place(&mut dir, &l, &l, &mut solved);
+        dir_b.clone_from(&bias);
+        chol::solve_into(&l, Side::Left, false, &mut dir_b, &mut solved);
+        chol::solve_into(&l, Side::Left, true, &mut solved, &mut dir_b);
     };
     // Warm-up, on every lane of the pool as in the test above, then on
     // this thread: pack buffers, the inverse's scratch and the outputs.
