@@ -9,6 +9,7 @@
 //! (`CARGO_BIN_EXE_*`), so every byte crosses real process boundaries and
 //! real loopback sockets — the same path CI's kill-a-rank smoke exercises.
 
+use spdkfac_collectives::OpKind;
 use spdkfac_obs::{parse_json, JsonValue};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -97,19 +98,8 @@ fn killed_rank_is_identified_by_the_merged_postmortem() {
         "a broken ring must pin a first failure"
     );
     let op = get_str(first, "op").expect("first_failure.op");
-    let known = [
-        "allreduce",
-        "broadcast",
-        "reduce_scatter",
-        "allgather",
-        "reduce",
-        "gather",
-        "barrier",
-    ];
     assert!(
-        known
-            .iter()
-            .any(|k| op.contains(k) || k.contains(op) || op.eq_ignore_ascii_case(k)),
+        OpKind::ALL.iter().any(|k| k.name() == op),
         "first_failure.op {op:?} is not a collective kind"
     );
     assert!(get_f64(first, "seq").is_some(), "first_failure.seq missing");

@@ -56,19 +56,9 @@ use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Payload of a successfully completed collective.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OpOutput {
-    /// Offset of `data` within the logical buffer (non-zero only for
-    /// reduce-scatter shards).
-    pub offset: usize,
-    /// The produced elements.
-    pub data: Vec<f64>,
-}
-
 /// Result of a collective: the produced buffer, or the transport error
 /// that broke the ring.
-pub type OpResult = Result<OpOutput, CommError>;
+pub type OpResult = Result<Vec<f64>, CommError>;
 
 /// Handle to an in-flight asynchronous collective.
 ///
@@ -100,7 +90,7 @@ impl PendingOp {
 
     /// [`PendingOp::wait`] for callers on the infallible in-process path:
     /// unwraps the output, panicking with the transport error otherwise.
-    pub fn wait_expect(self) -> OpOutput {
+    pub fn wait_expect(self) -> Vec<f64> {
         self.wait()
             .unwrap_or_else(|e| panic!("collective failed: {e}"))
     }
@@ -124,14 +114,12 @@ impl PendingOp {
 fn edge(call: Collective) -> CollEdge {
     match call {
         Collective::Broadcast { root } => CollEdge::FanOut { root },
-        Collective::ReduceSum { root } | Collective::Gather { root } => CollEdge::FanIn { root },
-        _ => CollEdge::Join,
+        Collective::AllReduceSum | Collective::AllReduceAvg => CollEdge::Join,
     }
 }
 
 /// One queued collective (the payload of a [`Request::Op`]): the buffer it
-/// consumes — and, where the result has its shape, returns — and where the
-/// result goes.
+/// consumes and returns, and where the result goes.
 #[derive(Debug)]
 struct CollOp {
     call: Collective,
@@ -270,32 +258,11 @@ impl WorkerComm {
         self.submit(Collective::Broadcast { root }, data)
     }
 
-    /// Asynchronous averaging reduce-scatter; the result's `offset` gives the
-    /// shard position.
-    pub fn reduce_scatter_avg_async(&self, data: Vec<f64>) -> PendingOp {
-        self.submit(Collective::ReduceScatterAvg, data)
-    }
-
-    /// Asynchronous all-gather of a (possibly rank-dependent-length) shard.
-    pub fn allgather_async(&self, data: Vec<f64>) -> PendingOp {
-        self.submit(Collective::AllGather, data)
-    }
-
-    /// Asynchronous summing reduce to `root`; non-root results are empty.
-    pub fn reduce_sum_async(&self, data: Vec<f64>, root: usize) -> PendingOp {
-        self.submit(Collective::ReduceSum { root }, data)
-    }
-
-    /// Asynchronous gather to `root`; non-root results are empty.
-    pub fn gather_async(&self, data: Vec<f64>, root: usize) -> PendingOp {
-        self.submit(Collective::Gather { root }, data)
-    }
-
     /// Shared completion path of every synchronous wrapper: one span /
     /// stats / metadata code path with the async ops (the wrappers *are*
     /// the async submissions), panicking with rank context on transport
     /// failure — the documented contract of the synchronous surface.
-    fn wait_sync(&self, op: PendingOp) -> OpOutput {
+    fn wait_sync(&self, op: PendingOp) -> Vec<f64> {
         op.wait().unwrap_or_else(|e| {
             panic!(
                 "rank {}: synchronous collective failed: {e} \
@@ -310,54 +277,19 @@ impl WorkerComm {
     /// Thin wrapper over [`WorkerComm::allreduce_avg_async`]` + wait`;
     /// panics on transport failure (infallible on the in-process backend).
     pub fn allreduce_avg(&self, buf: &mut [f64]) {
-        let out = self.wait_sync(self.allreduce_avg_async(buf.to_vec()));
-        buf.copy_from_slice(&out.data);
+        buf.copy_from_slice(&self.wait_sync(self.allreduce_avg_async(buf.to_vec())));
     }
 
     /// Synchronous summing all-reduce, in place (thin wrapper over the
     /// async variant; panics on transport failure).
     pub fn allreduce_sum(&self, buf: &mut [f64]) {
-        let out = self.wait_sync(self.allreduce_sum_async(buf.to_vec()));
-        buf.copy_from_slice(&out.data);
+        buf.copy_from_slice(&self.wait_sync(self.allreduce_sum_async(buf.to_vec())));
     }
 
     /// Synchronous broadcast from `root`, in place (thin wrapper over the
     /// async variant; panics on transport failure).
     pub fn broadcast(&self, buf: &mut [f64], root: usize) {
-        let out = self.wait_sync(self.broadcast_async(buf.to_vec(), root));
-        buf.copy_from_slice(&out.data);
-    }
-
-    /// Synchronous averaging reduce-scatter: returns `(offset, shard)`
-    /// (thin wrapper over the async variant; panics on transport failure).
-    pub fn reduce_scatter_avg(&self, buf: &[f64]) -> (usize, Vec<f64>) {
-        let out = self.wait_sync(self.reduce_scatter_avg_async(buf.to_vec()));
-        (out.offset, out.data)
-    }
-
-    /// Synchronous all-gather: returns all shards concatenated in rank
-    /// order (thin wrapper over the async variant; panics on transport
-    /// failure).
-    pub fn allgather(&self, shard: &[f64]) -> Vec<f64> {
-        self.wait_sync(self.allgather_async(shard.to_vec())).data
-    }
-
-    /// Synchronous summing reduce: on `root` the buffer receives the sum;
-    /// other ranks' buffers are left unchanged (thin wrapper over the
-    /// async variant; panics on transport failure).
-    pub fn reduce_sum(&self, buf: &mut [f64], root: usize) {
-        let out = self.wait_sync(self.reduce_sum_async(buf.to_vec(), root));
-        if self.rank == root {
-            buf.copy_from_slice(&out.data);
-        }
-    }
-
-    /// Synchronous gather: `Some(all shards in rank order)` on `root`,
-    /// `None` elsewhere (thin wrapper over the async variant; panics on
-    /// transport failure).
-    pub fn gather(&self, shard: &[f64], root: usize) -> Option<Vec<f64>> {
-        let out = self.wait_sync(self.gather_async(shard.to_vec(), root));
-        (self.rank == root).then_some(out.data)
+        buf.copy_from_slice(&self.wait_sync(self.broadcast_async(buf.to_vec(), root)));
     }
 
     /// Blocks until every rank has reached the barrier.
@@ -856,29 +788,12 @@ fn execute(
         mut data,
         reply,
     } = op;
-    let mut offset = 0;
     let done = match call {
         Collective::AllReduceSum => ring.allreduce_sum(fmt, &mut data, ahead),
         Collective::AllReduceAvg => ring.allreduce_avg(fmt, &mut data, ahead),
         Collective::Broadcast { root } => ring.broadcast(fmt, &mut data, root, ahead),
-        Collective::ReduceScatterAvg => {
-            ring.reduce_scatter_avg(fmt, &mut data, ahead).map(|shard| {
-                data.truncate(shard.end);
-                data.drain(..shard.start);
-                offset = shard.start;
-            })
-        }
-        Collective::AllGather => ring.allgather(fmt, &mut data, ahead).map(|all| data = all),
-        Collective::ReduceSum { root } => ring.reduce_sum(fmt, &mut data, root, ahead).map(|()| {
-            if ring.rank != root {
-                data.clear();
-            }
-        }),
-        Collective::Gather { root } => ring
-            .gather(fmt, &data, root, ahead)
-            .map(|all| data = all.unwrap_or_default()),
     };
-    (reply, done.map(|()| OpOutput { offset, data }))
+    (reply, done.map(|()| data))
 }
 
 fn comm_thread_main(mut ring: RingEndpoint, mut inbox: Inbox) {
@@ -1088,39 +1003,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_scatter_shards_tile_the_buffer() {
-        let world = 4;
-        let len = 10;
-        let results = run_spmd(world, move |comm| {
-            let buf: Vec<f64> = (0..len).map(|i| (i + comm.rank()) as f64).collect();
-            comm.reduce_scatter_avg(&buf)
-        });
-        // Expected average at index i: i + mean(rank) = i + 1.5.
-        let mut covered = vec![false; len];
-        for (offset, shard) in results {
-            for (k, v) in shard.iter().enumerate() {
-                let idx = offset + k;
-                assert!(!covered[idx], "overlapping shards at {idx}");
-                covered[idx] = true;
-                assert!((v - (idx as f64 + 1.5)).abs() < 1e-12);
-            }
-        }
-        assert!(covered.iter().all(|&c| c), "shards did not tile buffer");
-    }
-
-    #[test]
-    fn allgather_variable_lengths() {
-        let results = run_spmd(3, |comm| {
-            let shard = vec![comm.rank() as f64; comm.rank() + 1];
-            comm.allgather(&shard)
-        });
-        let expected = vec![0.0, 1.0, 1.0, 2.0, 2.0, 2.0];
-        for r in results {
-            assert_eq!(r, expected);
-        }
-    }
-
-    #[test]
     fn async_ops_overlap_and_preserve_order() {
         let results = run_spmd(4, |comm| {
             // Queue three collectives back-to-back, then wait out of band.
@@ -1134,11 +1016,7 @@ mod tests {
                 },
                 2,
             );
-            (
-                h1.wait_expect().data,
-                h2.wait_expect().data,
-                h3.wait_expect().data,
-            )
+            (h1.wait_expect(), h2.wait_expect(), h3.wait_expect())
         });
         for (a, b, c) in results {
             assert_eq!(a, vec![4.0; 4]);
@@ -1153,65 +1031,22 @@ mod tests {
     }
 
     #[test]
-    fn reduce_sum_lands_only_on_root() {
-        for root in 0..4 {
-            let results = run_spmd(4, move |comm| {
-                let mut buf = vec![(comm.rank() + 1) as f64; 3];
-                comm.reduce_sum(&mut buf, root);
-                buf
-            });
-            for (rank, r) in results.into_iter().enumerate() {
-                if rank == root {
-                    assert_eq!(r, vec![10.0; 3], "root={root}");
-                } else {
-                    assert_eq!(r, vec![(rank + 1) as f64; 3], "non-root untouched");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        for root in 0..3 {
-            let results = run_spmd(3, move |comm| {
-                let shard = vec![comm.rank() as f64; comm.rank() + 1];
-                comm.gather(&shard, root)
-            });
-            for (rank, r) in results.into_iter().enumerate() {
-                if rank == root {
-                    assert_eq!(r, Some(vec![0.0, 1.0, 1.0, 2.0, 2.0, 2.0]), "root={root}");
-                } else {
-                    assert_eq!(r, None);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_and_gather_on_single_rank() {
-        let results = run_spmd(1, |comm| {
-            let mut buf = vec![5.0];
-            comm.reduce_sum(&mut buf, 0);
-            (buf, comm.gather(&[7.0], 0))
-        });
-        assert_eq!(results[0].0, vec![5.0]);
-        assert_eq!(results[0].1, Some(vec![7.0]));
-    }
-
-    #[test]
     fn traffic_matches_ring_cost() {
         let world = 4;
         let len = 1000usize;
+        let rec = Arc::new(Recorder::new(2 * world));
         let endpoints = local_endpoints(world);
         let stats = Arc::clone(&endpoints[0].stats);
         thread::scope(|s| {
             for comm in &endpoints {
+                comm.set_recorder(Arc::clone(&rec), world + comm.rank());
                 s.spawn(move || {
                     let mut buf = vec![1.0; len];
                     comm.allreduce_sum(&mut buf);
                 });
             }
         });
+        drop(endpoints);
         // Ring all-reduce sends 2(P-1) chunks of ~len/P per rank.
         let expected = (2 * (world - 1) * world) as u64 * (len / world) as u64;
         let sent = stats.elements_sent();
@@ -1220,14 +1055,15 @@ mod tests {
             "sent={sent} expected≈{expected}"
         );
         assert_eq!(stats.ops_executed(), world as u64);
-        // The per-kind view attributes everything to all-reduce.
-        assert_eq!(stats.elements_sent_by(OpKind::AllReduce), sent);
-        assert_eq!(stats.ops_executed_by(OpKind::AllReduce), world as u64);
-        assert_eq!(stats.elements_sent_by(OpKind::Broadcast), 0);
         // Default policy is the f64 pass-through: wire bytes == logical.
         assert_eq!(stats.wire_bytes_sent(), sent * 8);
-        assert_eq!(stats.wire_bytes_sent_by(OpKind::AllReduce), sent * 8);
-        drop(endpoints);
+        // The recorder's per-kind counters attribute all of it to the
+        // all-reduce: one op and one buffer per rank, every wire byte.
+        let counters = rec.metrics().snapshot().counters;
+        assert_eq!(counters["coll/allreduce/ops"], world as u64);
+        assert_eq!(counters["coll/allreduce/elements"], (world * len) as u64);
+        assert_eq!(counters["coll/allreduce/wire_bytes"], sent * 8);
+        assert_eq!(counters["coll/broadcast/ops"], 0);
     }
 
     fn policy_endpoints(world: usize, policy: WirePolicy) -> Vec<WorkerComm> {
@@ -1374,16 +1210,16 @@ mod tests {
                             k % 4,
                         ),
                     )),
-                    _ => handles.push((k, comm.allgather_async(vec![comm.rank() as f64]))),
+                    _ => handles.push((k, comm.allreduce_avg_async(vec![comm.rank() as f64; 3]))),
                 }
             }
             let mut ok = true;
             for (k, h) in handles {
-                let out = h.wait_expect().data;
+                let out = h.wait_expect();
                 match k % 3 {
                     0 => ok &= out == vec![4.0 * k as f64; 16],
                     1 => ok &= out == vec![k as f64; 8],
-                    _ => ok &= out == vec![0.0, 1.0, 2.0, 3.0],
+                    _ => ok &= out == vec![1.5; 3],
                 }
             }
             ok
@@ -1397,7 +1233,7 @@ mod tests {
             let mut h = comm.allreduce_sum_async(vec![3.0; 2]);
             loop {
                 match h.try_wait() {
-                    Ok(r) => break r.expect("transport error").data,
+                    Ok(r) => break r.expect("transport error"),
                     Err(again) => {
                         h = again;
                         std::thread::yield_now();

@@ -1,10 +1,10 @@
 //! # spdkfac-collectives
 //!
 //! A transport-abstracted substitute for the NCCL/Horovod communication
-//! stack the paper runs on: real **ring** all-reduce / reduce-scatter /
-//! all-gather and pipelined broadcast, with Horovod-style asynchronous
-//! operation handles (`hvd.allreduce_async_` →
-//! [`WorkerComm::allreduce_avg_async`]).
+//! stack the paper runs on: the two collectives its algorithms use — a real
+//! **ring** all-reduce (reduce-scatter + all-gather phases) and a pipelined
+//! broadcast — with Horovod-style asynchronous operation handles
+//! (`hvd.allreduce_async_` → [`WorkerComm::allreduce_avg_async`]).
 //!
 //! ## Model
 //!
@@ -14,7 +14,7 @@
 //!   separate OS *process* (joined via rendezvous, see [`tcp`]) and the
 //!   builder yields this process's single endpoint. Each endpoint is owned
 //!   by one worker (SPMD style, exactly like an MPI rank).
-//! - The ring algorithms ([`ring`]) are all built from one streaming
+//! - The ring algorithms ([`ring`]) are both built from one streaming
 //!   primitive, the *hop* — send at most one frame right, receive at most
 //!   one left, bodies travelling in slices of at most 64 KiB through reusable
 //!   buffers, the first slice of the next hop or of the next queued
@@ -84,8 +84,8 @@ pub mod transport;
 pub mod wire;
 
 pub use group::{
-    connect_elastic, Backend, CommGroup, CommGroupBuilder, ElasticEndpoint, OpOutput, OpResult,
-    PendingOp, WorkerComm,
+    connect_elastic, Backend, CommGroup, CommGroupBuilder, ElasticEndpoint, OpResult, PendingOp,
+    WorkerComm,
 };
 
 pub use error::CommError;

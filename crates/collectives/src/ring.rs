@@ -2,14 +2,15 @@
 //!
 //! All algorithms here are written from the perspective of a single rank
 //! that owns a point-to-point [`Transport`] to its ring neighbours (send
-//! right, receive left). They are the textbook NCCL-style ring collectives
-//! — all-reduce as reduce-scatter + all-gather (`2(P-1)` chunk frames per
-//! rank), broadcast as a cut-through relay from the root, and the phases
-//! and relays exposed individually — and every one of them is a sequence
-//! of calls to one primitive, [`RingEndpoint::hop`]: *send at most one
-//! frame right and receive at most one frame left, streaming both bodies
-//! in slices* ([`slices`]: near-equal pieces of at most [`SLICE_BYTES`]).
-//! Per slice the comm thread runs
+//! right, receive left). They are the two textbook NCCL-style ring
+//! collectives the trainers run — all-reduce as reduce-scatter +
+//! all-gather (`2(P-1)` chunk frames per rank) and broadcast as a
+//! cut-through relay from the root — and both are sequences of calls to
+//! one primitive, [`RingEndpoint::hop`]: *send at most one frame right and
+//! receive at most one frame left, streaming both bodies in slices*
+//! ([`slices`]: near-equal pieces of at most [`SLICE_BYTES`]). Every frame
+//! a rank receives lands in a destination whose length it knows. Per slice
+//! the comm thread runs
 //!
 //! ```text
 //!  encode i+1 ─▶ wait(link) ─▶ write i ─▶ read i ─▶ decode/reduce i
@@ -24,11 +25,11 @@
 //! and books slice 0 of whatever this rank sends next ([`Then`]) — the
 //! next hop's frame once the bytes it is made of have landed, or the first
 //! frame of the collective queued behind this one ([`Lookahead`]) — so the
-//! link stays booked across hops and across collectives. A chain relay
-//! (broadcast, gather) runs the slot as read → write → decode from the
-//! same receive buffer. All buffers belong to the endpoint and are reused:
-//! a steady-state collective allocates nothing. DESIGN.md §2.10 has the
-//! full picture.
+//! link stays booked across hops and across collectives. The broadcast's
+//! chain relay runs the slot as read → write → decode from the same
+//! receive buffer. All buffers belong to the endpoint and are reused: a
+//! steady-state collective allocates nothing. DESIGN.md §2.10 has the full
+//! picture.
 //!
 //! The same hop sequence runs whether the neighbours are threads (byte
 //! pipes) or processes (TCP sockets), which is what makes the two backends
@@ -38,11 +39,11 @@
 //! **Bit parity under lossy formats** rests on one rule: a value that must
 //! be identical on all ranks is encoded once, by the rank that completes
 //! it, and every rank — that one included — materialises it by decoding
-//! those bytes. Hops that accumulate (reduce-scatter, reduce) send freshly
-//! encoded partial sums ([`Tx::Fresh`]); hops that replicate (broadcast,
-//! all-gather, the all-gather phase of all-reduce) forward the origin's
-//! bytes verbatim, and the origin overwrites its own copy with its own
-//! decode ([`Tx::Replicated`]).
+//! those bytes. Hops that accumulate (the reduce-scatter phase) send
+//! freshly encoded partial sums ([`Tx::Fresh`]); hops that replicate
+//! (broadcast, the all-gather phase) forward the origin's bytes verbatim,
+//! and the origin overwrites its own copy with its own decode
+//! ([`Tx::Replicated`]).
 
 use crate::error::CommError;
 use crate::stats::{OpKind, TrafficStats};
@@ -159,7 +160,7 @@ impl Pacer {
 
 /// What a rank puts on the wire during one [`RingEndpoint::hop`].
 enum Tx<'a> {
-    /// Freshly encoded values (accumulating hops, gather shards).
+    /// Freshly encoded values (accumulating hops).
     Fresh(&'a [f64]),
     /// Freshly encoded values that every rank must end up agreeing on: each
     /// slice is overwritten with its own decode, landed through the sink.
@@ -167,7 +168,7 @@ enum Tx<'a> {
     /// The body kept by the previous hop, verbatim, under this origin.
     Carry { origin: usize },
     /// The frame this hop receives, header and all, slice by slice as it
-    /// arrives (chain relays).
+    /// arrives (the broadcast's chain relay).
     Forward,
 }
 
@@ -186,19 +187,10 @@ impl Tx<'_> {
 struct Rx<'a> {
     /// The origin the frame must name.
     origin: usize,
-    /// Where the decoded values go.
-    dst: Dst<'a>,
+    /// Where the decoded values go: the frame must carry exactly as many.
+    dst: &'a mut [f64],
     /// How they land there.
     sink: Sink,
-}
-
-enum Dst<'a> {
-    /// A destination of known length: the frame must carry exactly that.
-    Fixed(&'a mut [f64]),
-    /// A shard whose length only the sender knows; appended as it arrives.
-    Grow(&'a mut Vec<f64>),
-    /// Nothing (a relay that only forwards).
-    Discard,
 }
 
 /// The frame this rank sends *after* the current hop's, as far as the hop
@@ -230,18 +222,9 @@ impl<'q> Then<'q> {
     fn take(&mut self) -> Then<'q> {
         std::mem::replace(self, Then::Nothing)
     }
-
-    /// `Queued(ahead)` after a collective's last hop, `Nothing` otherwise.
-    fn queued_if(last: bool, ahead: &'q mut dyn Lookahead) -> Then<'q> {
-        if last {
-            Then::Queued(ahead)
-        } else {
-            Then::Nothing
-        }
-    }
 }
 
-/// The seven ring collectives, as a queued request names them.
+/// The ring collectives, as a queued request names them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Collective {
     /// [`RingEndpoint::allreduce_sum`].
@@ -253,20 +236,6 @@ pub enum Collective {
         /// The rank whose data every rank ends up with.
         root: usize,
     },
-    /// [`RingEndpoint::reduce_scatter_avg`].
-    ReduceScatterAvg,
-    /// [`RingEndpoint::allgather`].
-    AllGather,
-    /// [`RingEndpoint::reduce_sum`].
-    ReduceSum {
-        /// The rank that ends up with the sum.
-        root: usize,
-    },
-    /// [`RingEndpoint::gather`].
-    Gather {
-        /// The rank that ends up with every shard.
-        root: usize,
-    },
 }
 
 impl Collective {
@@ -275,10 +244,6 @@ impl Collective {
         match self {
             Collective::AllReduceSum | Collective::AllReduceAvg => OpKind::AllReduce,
             Collective::Broadcast { .. } => OpKind::Broadcast,
-            Collective::ReduceScatterAvg => OpKind::ReduceScatter,
-            Collective::AllGather => OpKind::AllGather,
-            Collective::ReduceSum { .. } => OpKind::Reduce,
-            Collective::Gather { .. } => OpKind::Gather,
         }
     }
 }
@@ -465,7 +430,7 @@ impl RingEndpoint {
             Tx::Fresh(vals) => wire::encode_body(fmt, vals, body),
             Tx::Replicated(vals, sink) => {
                 let err = wire::encode_body(fmt, vals, body);
-                wire::decode_body(fmt, body, Some(vals.len()), &mut self.scratch)
+                wire::decode_body(fmt, body, vals.len(), &mut self.scratch)
                     .expect("own encoding decodes");
                 sink.land_all(vals, &self.scratch);
                 err
@@ -536,16 +501,13 @@ impl RingEndpoint {
             return None;
         }
         match call {
-            Collective::AllReduceSum | Collective::AllReduceAvg | Collective::ReduceScatterAvg => {
+            Collective::AllReduceSum | Collective::AllReduceAvg => {
                 let data: &'a [f64] = data;
                 Some(Tx::Fresh(&data[chunk_range(data.len(), p, rank)]))
             }
             Collective::Broadcast { root } => {
                 (rank == root).then_some(Tx::Replicated(data, Sink::Store))
             }
-            Collective::AllGather => Some(Tx::Replicated(data, Sink::Store)),
-            Collective::ReduceSum { root } => (rank == (root + 1) % p).then_some(Tx::Fresh(data)),
-            Collective::Gather { root } => (rank != root).then_some(Tx::Fresh(data)),
         }
     }
 
@@ -583,16 +545,12 @@ impl RingEndpoint {
                 codec: OpCodecStats::default(),
             }),
             Then::Fresh | Then::Replicated(_) => {
-                let Some(Rx {
-                    dst: Dst::Fixed(got),
-                    ..
-                }) = rx
-                else {
-                    unreachable!("a hop re-sends only what it receives into a fixed destination")
+                let Some(rx) = rx else {
+                    unreachable!("a hop re-sends only what it receives")
                 };
                 let mut tx = match then {
-                    Then::Replicated(sink) => Tx::Replicated(got, *sink),
-                    _ => Tx::Fresh(got),
+                    Then::Replicated(sink) => Tx::Replicated(&mut *rx.dst, *sink),
+                    _ => Tx::Fresh(&*rx.dst),
                 };
                 // A self-describing body needs every value to be final.
                 fmt.dense_elem_bytes()
@@ -621,21 +579,16 @@ impl RingEndpoint {
                 h.origin, rx.origin
             )));
         }
-        let ok = match (fmt.dense_elem_bytes(), &rx.dst) {
-            (Some(eb), Dst::Fixed(d)) => h.nbytes == (d.len() * eb) as u64,
-            (Some(eb), _) => h.nbytes.is_multiple_of(eb as u64),
-            (None, Dst::Fixed(d)) => h.nbytes <= fmt.max_body_bytes(d.len()) as u64,
-            (None, _) => true,
+        let elems = rx.dst.len();
+        let ok = match fmt.dense_elem_bytes() {
+            Some(eb) => h.nbytes == (elems * eb) as u64,
+            None => h.nbytes <= fmt.max_body_bytes(elems) as u64,
         };
         match usize::try_from(h.nbytes) {
             Ok(n) if ok => Ok((raw, n)),
             _ => Err(self.malformed(format!(
-                "{} body bytes on a {fmt} hop{}",
-                h.nbytes,
-                match &rx.dst {
-                    Dst::Fixed(d) => format!(" of {} elements", d.len()),
-                    _ => String::new(),
-                }
+                "{} body bytes on a {fmt} hop of {elems} elements",
+                h.nbytes
             ))),
         }
     }
@@ -647,13 +600,12 @@ impl RingEndpoint {
     /// discards whatever was staged.
     fn hop(
         &mut self,
-        kind: OpKind,
         fmt: WireFormat,
         tx: Option<Tx<'_>>,
         rx: Option<Rx<'_>>,
         then: Then<'_>,
     ) -> Result<(), CommError> {
-        let done = self.stream(kind, fmt, tx, rx, then);
+        let done = self.stream(fmt, tx, rx, then);
         if done.is_err() {
             self.staged = None;
         }
@@ -662,7 +614,6 @@ impl RingEndpoint {
 
     fn stream(
         &mut self,
-        kind: OpKind,
         fmt: WireFormat,
         mut tx: Option<Tx<'_>>,
         mut rx: Option<Rx<'_>>,
@@ -769,29 +720,15 @@ impl RingEndpoint {
                     let t0 = Instant::now();
                     if let Some(eb) = dense {
                         let elems = bytes.start / eb..bytes.end / eb;
-                        match &mut rx.dst {
-                            Dst::Fixed(d) => wire::decode(fmt, got, &mut d[elems], rx.sink),
-                            Dst::Grow(v) => {
-                                let old = v.len();
-                                v.resize(old + elems.len(), 0.0);
-                                wire::decode(fmt, got, &mut v[old..], rx.sink);
-                            }
-                            Dst::Discard => {}
-                        }
+                        wire::decode(fmt, got, &mut rx.dst[elems], rx.sink);
                     } else if i + 1 == n_in {
                         let body = &self.rx[..in_total];
-                        let decoded = match &mut rx.dst {
-                            Dst::Fixed(d) => {
-                                wire::decode_body(fmt, body, Some(d.len()), &mut self.scratch)
-                                    .map(|()| rx.sink.land_all(d, &self.scratch))
-                            }
-                            Dst::Grow(v) => wire::decode_body(fmt, body, None, &mut self.scratch)
-                                .map(|()| v.extend_from_slice(&self.scratch)),
-                            Dst::Discard => Ok(()),
-                        };
-                        if let Err(why) = decoded {
+                        if let Err(why) =
+                            wire::decode_body(fmt, body, rx.dst.len(), &mut self.scratch)
+                        {
                             return Err(self.malformed(why));
                         }
+                        rx.sink.land_all(rx.dst, &self.scratch);
                     }
                     self.codec.codec_secs += t0.elapsed().as_secs_f64();
                     if forward {
@@ -808,13 +745,8 @@ impl RingEndpoint {
             i += 1;
         }
 
-        let in_elems = match (dense, &rx) {
-            (_, None) => 0,
-            (Some(eb), _) => in_total / eb,
-            (None, _) => {
-                wire::body_elems(fmt, &self.rx[..in_total]).map_err(|why| self.malformed(why))?
-            }
-        };
+        // The header check and the decode held the frame to this length.
+        let in_elems = rx.map_or(0, |rx| rx.dst.len());
         if forward {
             out_elems = in_elems;
         }
@@ -824,8 +756,7 @@ impl RingEndpoint {
             self.carry_elems = in_elems;
         }
         if tx.is_some() {
-            self.stats
-                .record_message_kind(kind, out_elems, out_total as u64);
+            self.stats.record_message(out_elems, out_total as u64);
             self.codec.wire_bytes += out_total as u64;
         }
         Ok(())
@@ -865,7 +796,6 @@ impl RingEndpoint {
     /// final step.
     fn reduce_scatter(
         &mut self,
-        kind: OpKind,
         fmt: WireFormat,
         buf: &mut [f64],
         mut last: Then<'_>,
@@ -877,7 +807,7 @@ impl RingEndpoint {
             let (send, recv) = disjoint(buf, send, recv);
             let rx = Rx {
                 origin: left,
-                dst: Dst::Fixed(recv),
+                dst: recv,
                 sink: Sink::Add,
             };
             let then = if step + 2 < p {
@@ -885,7 +815,7 @@ impl RingEndpoint {
             } else {
                 last.take()
             };
-            self.hop(kind, fmt, Some(Tx::Fresh(send)), Some(rx), then)?;
+            self.hop(fmt, Some(Tx::Fresh(send)), Some(rx), then)?;
         }
         Ok(())
     }
@@ -899,7 +829,7 @@ impl RingEndpoint {
     ) -> Result<(), CommError> {
         let (p, left) = (self.world, self.left());
         if p > 1 {
-            self.reduce_scatter(OpKind::AllReduce, fmt, buf, Then::Replicated(land))?;
+            self.reduce_scatter(fmt, buf, Then::Replicated(land))?;
             // All-gather the fully-reduced chunks: step 0 originates ours,
             // later steps forward what the previous step received.
             for step in 0..p - 1 {
@@ -913,7 +843,7 @@ impl RingEndpoint {
                 };
                 let rx = Rx {
                     origin: left,
-                    dst: Dst::Fixed(recv),
+                    dst: recv,
                     sink: land,
                 };
                 let then = if step + 2 < p {
@@ -921,10 +851,10 @@ impl RingEndpoint {
                 } else {
                     Then::Queued(&mut *ahead)
                 };
-                self.hop(OpKind::AllReduce, fmt, Some(tx), Some(rx), then)?;
+                self.hop(fmt, Some(tx), Some(rx), then)?;
             }
         }
-        self.stats.record_op_kind(OpKind::AllReduce);
+        self.stats.record_op();
         Ok(())
     }
 
@@ -952,170 +882,15 @@ impl RingEndpoint {
                 let last = (self.rank + 1) % self.world == root;
                 let rx = Rx {
                     origin: root,
-                    dst: Dst::Fixed(buf),
+                    dst: buf,
                     sink: Sink::Store,
                 };
                 ((!last).then_some(Tx::Forward), Some(rx))
             };
-            self.hop(OpKind::Broadcast, fmt, tx, rx, Then::Queued(ahead))?;
+            self.hop(fmt, tx, rx, Then::Queued(ahead))?;
         }
-        self.stats.record_op_kind(OpKind::Broadcast);
+        self.stats.record_op();
         Ok(())
-    }
-
-    /// Ring reduce-scatter (average), in place: returns the range of `buf`
-    /// that now holds this rank's fully-reduced, averaged shard (the rest
-    /// of `buf` holds partial sums).
-    ///
-    /// The shard assigned to rank `r` is chunk `(r + 1) % world` of the equal
-    /// partition (the chunk the ring algorithm completes on rank `r`).
-    pub fn reduce_scatter_avg(
-        &mut self,
-        fmt: WireFormat,
-        buf: &mut [f64],
-        ahead: &mut dyn Lookahead,
-    ) -> Result<Range<usize>, CommError> {
-        let p = self.world;
-        if p > 1 {
-            self.reduce_scatter(OpKind::ReduceScatter, fmt, buf, Then::Queued(ahead))?;
-        }
-        let own = chunk_range(buf.len(), p, (self.rank + 1) % p);
-        let inv = 1.0 / p as f64;
-        for v in &mut buf[own.clone()] {
-            *v *= inv;
-        }
-        self.stats.record_op_kind(OpKind::ReduceScatter);
-        Ok(own)
-    }
-
-    /// Ring reduce to `root`: after the call `root`'s buffer holds the
-    /// element-wise sum; other ranks' buffers hold the partial sum they
-    /// passed on. A relay around the ring ending at the root — each hop
-    /// adds its local contribution, so each hop sends fresh bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `root >= world`.
-    pub fn reduce_sum(
-        &mut self,
-        fmt: WireFormat,
-        buf: &mut [f64],
-        root: usize,
-        ahead: &mut dyn Lookahead,
-    ) -> Result<(), CommError> {
-        assert!(root < self.world, "reduce: root {root} out of range");
-        let p = self.world;
-        if p > 1 {
-            // The relay starts at the rank after the root.
-            if self.rank != (root + 1) % p {
-                let rx = Rx {
-                    origin: self.left(),
-                    dst: Dst::Fixed(buf),
-                    sink: Sink::Add,
-                };
-                let then = Then::queued_if(self.rank == root, &mut *ahead);
-                self.hop(OpKind::Reduce, fmt, None, Some(rx), then)?;
-            }
-            if self.rank != root {
-                let tx = Some(Tx::Fresh(buf));
-                self.hop(OpKind::Reduce, fmt, tx, None, Then::Queued(ahead))?;
-            }
-        }
-        self.stats.record_op_kind(OpKind::Reduce);
-        Ok(())
-    }
-
-    /// Ring gather to `root`: returns `Some(concatenation of all ranks'
-    /// shards in rank order)` on the root, `None` elsewhere. Relays
-    /// forward encoded shards verbatim (no mid-ring decode).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `root >= world`.
-    pub fn gather(
-        &mut self,
-        fmt: WireFormat,
-        shard: &[f64],
-        root: usize,
-        ahead: &mut dyn Lookahead,
-    ) -> Result<Option<Vec<f64>>, CommError> {
-        assert!(root < self.world, "gather: root {root} out of range");
-        let p = self.world;
-        // Every non-root sends its own shard, then forwards everything its
-        // left neighbour sends: that neighbour's shard first, then the ones
-        // from further upstream in the order they were passed along.
-        let rank = self.rank;
-        let upstream = move |k: usize| (rank + p - 1 - k) % p;
-        let mut gathered = None;
-        if self.rank == root {
-            let mut by_origin = vec![Vec::new(); p];
-            by_origin[root] = shard.to_vec();
-            for (k, origin) in (0..p - 1).map(upstream).enumerate() {
-                let rx = Rx {
-                    origin,
-                    dst: Dst::Grow(&mut by_origin[origin]),
-                    sink: Sink::Store,
-                };
-                let then = Then::queued_if(k + 2 == p, &mut *ahead);
-                self.hop(OpKind::Gather, fmt, None, Some(rx), then)?;
-            }
-            gathered = Some(by_origin.concat());
-        } else {
-            let relayed = p - 1 - (root + p - self.rank) % p;
-            let then = Then::queued_if(relayed == 0, &mut *ahead);
-            self.hop(OpKind::Gather, fmt, Some(Tx::Fresh(shard)), None, then)?;
-            for (k, origin) in (0..relayed).map(upstream).enumerate() {
-                let rx = Rx {
-                    origin,
-                    dst: Dst::Discard,
-                    sink: Sink::Store,
-                };
-                let then = Then::queued_if(k + 1 == relayed, &mut *ahead);
-                self.hop(OpKind::Gather, fmt, Some(Tx::Forward), Some(rx), then)?;
-            }
-        }
-        self.stats.record_op_kind(OpKind::Gather);
-        Ok(gathered)
-    }
-
-    /// Ring all-gather of variable-length shards.
-    ///
-    /// Returns the concatenation of all ranks' shards in rank order,
-    /// bit-identical on every rank: `shard` itself is overwritten with the
-    /// decode of its own encoding.
-    pub fn allgather(
-        &mut self,
-        fmt: WireFormat,
-        shard: &mut [f64],
-        ahead: &mut dyn Lookahead,
-    ) -> Result<Vec<f64>, CommError> {
-        let p = self.world;
-        let mut by_origin = vec![Vec::new(); p];
-        // Pass shards around the ring; at step s we forward what we received
-        // at step s-1 (starting with our own shard).
-        for step in 0..p - 1 {
-            let sent = (self.rank + p - step) % p;
-            let origin = (sent + p - 1) % p;
-            let tx = if step == 0 {
-                Tx::Replicated(&mut *shard, Sink::Store)
-            } else {
-                Tx::Carry { origin: sent }
-            };
-            let rx = Rx {
-                origin,
-                dst: Dst::Grow(&mut by_origin[origin]),
-                sink: Sink::Store,
-            };
-            let then = if step + 2 < p {
-                Then::Carry
-            } else {
-                Then::Queued(&mut *ahead)
-            };
-            self.hop(OpKind::AllGather, fmt, Some(tx), Some(rx), then)?;
-        }
-        by_origin[self.rank] = shard.to_vec();
-        self.stats.record_op_kind(OpKind::AllGather);
-        Ok(by_origin.concat())
     }
 }
 
@@ -1280,14 +1055,12 @@ mod tests {
     }
 
     #[test]
-    fn lossy_broadcast_and_allgather_agree_across_ranks() {
+    fn lossy_broadcast_agrees_across_ranks() {
         let fmt = WireFormat::F16;
         let results = spmd(3, |ep| {
             let mut b: Vec<f64> = (0..17).map(|i| i as f64 * 0.31 - 2.0).collect();
             ep.broadcast(fmt, &mut b, 1, &mut Idle).expect("broadcast");
-            let mut shard = vec![ep.rank as f64 + 0.123; 5];
-            let g = ep.allgather(fmt, &mut shard, &mut Idle).expect("allgather");
-            (b, g)
+            b
         });
         for r in &results[1..] {
             assert_eq!(r, &results[0], "ranks disagree");
@@ -1332,9 +1105,10 @@ mod tests {
 
     #[test]
     fn a_frame_staged_ahead_travels_under_its_own_format_and_account() {
-        // An f64 broadcast, then an f16 all-reduce with chunks of two
-        // slices, then an f32 all-gather: the last hop of each stages the
-        // first slice of the next, under the next one's format.
+        // An f64 broadcast from rank 0, then an f16 all-reduce with chunks
+        // of two slices, then an f32 broadcast from rank 1: the last hop of
+        // each stages the first slice of the next that the rank sends,
+        // under the next one's format.
         const ELEMS: usize = 24_000;
         let results = spmd(2, |ep| {
             let rank = ep.rank as f64;
@@ -1350,7 +1124,11 @@ mod tests {
                         WireFormat::F16,
                         vec![rank + 1.0; ELEMS],
                     ),
-                    (Collective::AllGather, WireFormat::F32, vec![rank + 0.25; 3]),
+                    (
+                        Collective::Broadcast { root: 1 },
+                        WireFormat::F32,
+                        vec![rank + 0.25; 3],
+                    ),
                 ]
                 .into(),
             );
@@ -1361,10 +1139,7 @@ mod tests {
                     Collective::Broadcast { root } => {
                         ep.broadcast(fmt, &mut data, root, &mut script).unwrap()
                     }
-                    Collective::AllReduceSum => {
-                        ep.allreduce_sum(fmt, &mut data, &mut script).unwrap()
-                    }
-                    _ => data = ep.allgather(fmt, &mut data, &mut script).unwrap(),
+                    _ => ep.allreduce_sum(fmt, &mut data, &mut script).unwrap(),
                 }
                 accounts.push(ep.take_codec());
                 outputs.push(data);
@@ -1374,18 +1149,20 @@ mod tests {
         for (rank, (accounts, outputs)) in results.iter().enumerate() {
             assert_eq!(outputs[0], vec![0.5; 5]);
             assert_eq!(outputs[1], vec![3.0; ELEMS]);
-            assert_eq!(outputs[2], vec![0.25, 0.25, 0.25, 1.25, 1.25, 1.25]);
+            assert_eq!(outputs[2], vec![1.25; 3]);
             // Bytes are counted where they are sent, whoever staged them:
-            // the root's 5 doubles, one f16 chunk per all-reduce hop, 3 f32.
+            // root 0's 5 doubles, one f16 chunk per all-reduce hop, root
+            // 1's 3 floats.
             let sent: Vec<u64> = accounts.iter().map(|a| a.wire_bytes).collect();
-            let root_bytes = if rank == 0 { 40 } else { 0 };
-            assert_eq!(sent, [root_bytes, ELEMS as u64 * 2, 12], "rank {rank}");
-            // The broadcast had nothing staged for it; both hops of the
-            // all-reduce were (by the broadcast's only hop — also on the
-            // rank that only receives it — and by its own first hop, two
-            // slices long); the all-gather's one hop was.
+            let (first, last) = if rank == 0 { (40, 0) } else { (0, 12) };
+            assert_eq!(sent, [first, ELEMS as u64 * 2, last], "rank {rank}");
+            // The first broadcast had nothing staged for it; both hops of
+            // the all-reduce were (by the broadcast's only hop — also on
+            // the rank that only receives it — and by its own first hop,
+            // two slices long); the second broadcast's one hop was, on the
+            // root that sends it, by the all-reduce's last hop.
             let staged: Vec<u64> = accounts.iter().map(|a| a.staged_hops).collect();
-            assert_eq!(staged, [0, 2, 1], "rank {rank}");
+            assert_eq!(staged, [0, 2, rank as u64], "rank {rank}");
             // f64 travels bit-exactly, so no rounding error may have leaked
             // from the f16 slice the broadcast staged into its account.
             assert_eq!(accounts[0].max_abs_err, 0.0, "rank {rank}");

@@ -2,44 +2,25 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The collective operations the group can execute, for per-kind traffic
-/// accounting and latency histograms.
+/// The collective operations the group can execute, for per-kind metrics
+/// and latency histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Ring all-reduce (sum or average; both phases).
     AllReduce,
     /// Pipelined broadcast.
     Broadcast,
-    /// Ring reduce-scatter.
-    ReduceScatter,
-    /// Ring all-gather.
-    AllGather,
-    /// Relay reduce to a root.
-    Reduce,
-    /// Relay gather to a root.
-    Gather,
 }
 
 impl OpKind {
     /// Every kind, in display order.
-    pub const ALL: [OpKind; 6] = [
-        OpKind::AllReduce,
-        OpKind::Broadcast,
-        OpKind::ReduceScatter,
-        OpKind::AllGather,
-        OpKind::Reduce,
-        OpKind::Gather,
-    ];
+    pub const ALL: [OpKind; 2] = [OpKind::AllReduce, OpKind::Broadcast];
 
     /// Stable lowercase name (used in metric names and trace labels).
     pub fn name(self) -> &'static str {
         match self {
             OpKind::AllReduce => "allreduce",
             OpKind::Broadcast => "broadcast",
-            OpKind::ReduceScatter => "reduce_scatter",
-            OpKind::AllGather => "allgather",
-            OpKind::Reduce => "reduce",
-            OpKind::Gather => "gather",
         }
     }
 
@@ -48,10 +29,6 @@ impl OpKind {
         match self {
             OpKind::AllReduce => 0,
             OpKind::Broadcast => 1,
-            OpKind::ReduceScatter => 2,
-            OpKind::AllGather => 3,
-            OpKind::Reduce => 4,
-            OpKind::Gather => 5,
         }
     }
 }
@@ -62,8 +39,6 @@ impl std::fmt::Display for OpKind {
     }
 }
 
-const NUM_KINDS: usize = OpKind::ALL.len();
-
 /// Cumulative wire-traffic counters for a communicator group.
 ///
 /// On the local backend of a [`crate::CommGroup`] the counters are shared by
@@ -71,8 +46,10 @@ const NUM_KINDS: usize = OpKind::ALL.len();
 /// each process counts only its own rank's sends. They let tests assert the
 /// textbook ring
 /// costs (`2(P-1)/P · n` elements per rank for an all-reduce) and let the
-/// experiment harness report measured traffic alongside modelled traffic,
-/// totalled and broken down per [`OpKind`].
+/// experiment harness report measured traffic alongside modelled traffic.
+/// The per-kind breakdown lives in the recorder's metrics
+/// (`coll/<kind>/{ops,elements,wire_bytes}`, see
+/// [`WorkerComm::set_recorder`](crate::WorkerComm::set_recorder)).
 ///
 /// Two byte views exist: *logical* bytes ([`TrafficStats::bytes_sent`],
 /// 8 bytes per `f64` element, independent of encoding) and *wire* bytes
@@ -86,10 +63,6 @@ pub struct TrafficStats {
     messages_sent: AtomicU64,
     ops_executed: AtomicU64,
     wire_bytes_sent: AtomicU64,
-    elements_by_kind: [AtomicU64; NUM_KINDS],
-    messages_by_kind: [AtomicU64; NUM_KINDS],
-    ops_by_kind: [AtomicU64; NUM_KINDS],
-    wire_bytes_by_kind: [AtomicU64; NUM_KINDS],
 }
 
 impl TrafficStats {
@@ -99,8 +72,7 @@ impl TrafficStats {
     }
 
     /// Records one point-to-point message of `elements` logical `f64`s that
-    /// occupied `wire_bytes` encoded bytes, with no per-kind attribution
-    /// (totals only).
+    /// occupied `wire_bytes` encoded bytes.
     pub fn record_message(&self, elements: usize, wire_bytes: u64) {
         self.elements_sent
             .fetch_add(elements as u64, Ordering::Relaxed);
@@ -109,25 +81,9 @@ impl TrafficStats {
             .fetch_add(wire_bytes, Ordering::Relaxed);
     }
 
-    /// Records one point-to-point message sent as part of a `kind`
-    /// collective.
-    pub fn record_message_kind(&self, kind: OpKind, elements: usize, wire_bytes: u64) {
-        self.record_message(elements, wire_bytes);
-        self.elements_by_kind[kind.index()].fetch_add(elements as u64, Ordering::Relaxed);
-        self.messages_by_kind[kind.index()].fetch_add(1, Ordering::Relaxed);
-        self.wire_bytes_by_kind[kind.index()].fetch_add(wire_bytes, Ordering::Relaxed);
-    }
-
-    /// Records completion of one collective operation on one rank, with no
-    /// per-kind attribution (totals only).
+    /// Records completion of one collective operation on one rank.
     pub fn record_op(&self) {
         self.ops_executed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records completion of one `kind` collective on one rank.
-    pub fn record_op_kind(&self, kind: OpKind) {
-        self.record_op();
-        self.ops_by_kind[kind.index()].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total `f64` elements sent over all point-to-point edges.
@@ -135,29 +91,14 @@ impl TrafficStats {
         self.elements_sent.load(Ordering::Relaxed)
     }
 
-    /// Elements sent by `kind` collectives.
-    pub fn elements_sent_by(&self, kind: OpKind) -> u64 {
-        self.elements_by_kind[kind.index()].load(Ordering::Relaxed)
-    }
-
     /// Total point-to-point messages sent.
     pub fn messages_sent(&self) -> u64 {
         self.messages_sent.load(Ordering::Relaxed)
     }
 
-    /// Messages sent by `kind` collectives.
-    pub fn messages_sent_by(&self, kind: OpKind) -> u64 {
-        self.messages_by_kind[kind.index()].load(Ordering::Relaxed)
-    }
-
     /// Total per-rank collective executions (a `P`-rank all-reduce counts `P`).
     pub fn ops_executed(&self) -> u64 {
         self.ops_executed.load(Ordering::Relaxed)
-    }
-
-    /// Per-rank executions of `kind` collectives.
-    pub fn ops_executed_by(&self, kind: OpKind) -> u64 {
-        self.ops_by_kind[kind.index()].load(Ordering::Relaxed)
     }
 
     /// Total *logical* bytes sent: 8 bytes per element (the in-memory `f64`
@@ -172,24 +113,12 @@ impl TrafficStats {
         self.wire_bytes_sent.load(Ordering::Relaxed)
     }
 
-    /// Wire bytes sent by `kind` collectives.
-    pub fn wire_bytes_sent_by(&self, kind: OpKind) -> u64 {
-        self.wire_bytes_by_kind[kind.index()].load(Ordering::Relaxed)
-    }
-
-    /// Zeroes every counter (totals and per-kind); use between measured
-    /// windows.
+    /// Zeroes every counter; use between measured windows.
     pub fn reset(&self) {
         self.elements_sent.store(0, Ordering::Relaxed);
         self.messages_sent.store(0, Ordering::Relaxed);
         self.ops_executed.store(0, Ordering::Relaxed);
         self.wire_bytes_sent.store(0, Ordering::Relaxed);
-        for i in 0..NUM_KINDS {
-            self.elements_by_kind[i].store(0, Ordering::Relaxed);
-            self.messages_by_kind[i].store(0, Ordering::Relaxed);
-            self.ops_by_kind[i].store(0, Ordering::Relaxed);
-            self.wire_bytes_by_kind[i].store(0, Ordering::Relaxed);
-        }
     }
 }
 
@@ -220,45 +149,24 @@ mod tests {
     }
 
     #[test]
-    fn per_kind_breakdown_sums_into_totals() {
-        let s = TrafficStats::new();
-        s.record_message_kind(OpKind::AllReduce, 100, 800);
-        s.record_message_kind(OpKind::Broadcast, 50, 400);
-        s.record_op_kind(OpKind::AllReduce);
-        s.record_op_kind(OpKind::Broadcast);
-        assert_eq!(s.elements_sent(), 150);
-        assert_eq!(s.elements_sent_by(OpKind::AllReduce), 100);
-        assert_eq!(s.elements_sent_by(OpKind::Broadcast), 50);
-        assert_eq!(s.elements_sent_by(OpKind::AllGather), 0);
-        assert_eq!(s.messages_sent_by(OpKind::AllReduce), 1);
-        assert_eq!(s.ops_executed_by(OpKind::Broadcast), 1);
-        assert_eq!(s.ops_executed(), 2);
-    }
-
-    #[test]
     fn wire_bytes_track_actual_encoding() {
         let s = TrafficStats::new();
         // 10 elements sent as f16: 20 wire bytes vs 80 logical.
-        s.record_message_kind(OpKind::AllGather, 10, 20);
+        s.record_message(10, 20);
         assert_eq!(s.bytes_sent(), 80); // logical: f64 in memory
         assert_eq!(s.wire_bytes_sent(), 20); // actual encoded payload
-        assert_eq!(s.wire_bytes_sent_by(OpKind::AllGather), 20);
-        assert_eq!(s.wire_bytes_sent_by(OpKind::AllReduce), 0);
     }
 
     #[test]
     fn reset_zeroes_everything() {
         let s = TrafficStats::new();
-        s.record_message_kind(OpKind::Reduce, 7, 56);
-        s.record_op_kind(OpKind::Reduce);
+        s.record_message(7, 56);
+        s.record_op();
         s.reset();
         assert_eq!(s.elements_sent(), 0);
         assert_eq!(s.messages_sent(), 0);
         assert_eq!(s.ops_executed(), 0);
         assert_eq!(s.wire_bytes_sent(), 0);
-        assert_eq!(s.elements_sent_by(OpKind::Reduce), 0);
-        assert_eq!(s.wire_bytes_sent_by(OpKind::Reduce), 0);
-        assert_eq!(s.ops_executed_by(OpKind::Reduce), 0);
     }
 
     #[test]

@@ -241,13 +241,12 @@ struct DelayRule {
 ///
 /// Spec grammar (env `SPDKFAC_INJECT_DELAY` or [`DelayInjection::parse`]):
 /// comma-separated `rank:op:multiplier` rules, `*` wildcards for rank and
-/// op, op names as in [`OpKind::name`] (`allreduce`, `broadcast`,
-/// `reduce_scatter`, `allgather`, `reduce`, `gather`). The multiplier may
-/// carry an `@afterN` suffix: the rule only activates once the rank has
-/// executed `N` collectives, which lets one static spec describe a
-/// *mid-run* perturbation (and, paired with a later `@after` rule that
-/// resets to 1.0, a bounded delay window). The **last** matching *active*
-/// rule wins, so broad defaults can precede narrow overrides:
+/// op, op names as in [`OpKind::name`] (`allreduce`, `broadcast`). The
+/// multiplier may carry an `@afterN` suffix: the rule only activates once
+/// the rank has executed `N` collectives, which lets one static spec
+/// describe a *mid-run* perturbation (and, paired with a later `@after`
+/// rule that resets to 1.0, a bounded delay window). The **last** matching
+/// *active* rule wins, so broad defaults can precede narrow overrides:
 ///
 /// ```text
 /// SPDKFAC_INJECT_DELAY="*:*:1.0,2:allreduce:3.0"   # rank 2's all-reduces 3× slower
@@ -499,10 +498,10 @@ mod tests {
 
     #[test]
     fn delay_spec_parses_with_wildcards_and_last_match_wins() {
-        let d = DelayInjection::parse("*:*:1.0, 2:allreduce:3.0, 2:broadcast:2.0").unwrap();
+        let d = DelayInjection::parse("*:*:1.0, 2:allreduce:3.0, 3:broadcast:2.0").unwrap();
         assert_eq!(d.multiplier(2, OpKind::AllReduce, 0), 3.0);
-        assert_eq!(d.multiplier(2, OpKind::Broadcast, 0), 2.0);
-        assert_eq!(d.multiplier(2, OpKind::Gather, 0), 1.0);
+        assert_eq!(d.multiplier(3, OpKind::Broadcast, 0), 2.0);
+        assert_eq!(d.multiplier(2, OpKind::Broadcast, 0), 1.0);
         assert_eq!(d.multiplier(0, OpKind::AllReduce, 0), 1.0);
         assert!(d.affects(2));
         assert!(!d.affects(0));
@@ -515,6 +514,9 @@ mod tests {
         assert!(DelayInjection::parse("1:allreduce").is_err());
         assert!(DelayInjection::parse("x:*:2.0").is_err());
         assert!(DelayInjection::parse("1:frobnicate:2.0").is_err());
+        // Only the collectives the ring runs have a name.
+        let err = DelayInjection::parse("1:gather:2.0").unwrap_err();
+        assert!(err.contains("unknown op kind"), "{err}");
         assert!(DelayInjection::parse("1:*:0.5").is_err());
         assert!(DelayInjection::parse("1:*:inf").is_err());
     }

@@ -607,7 +607,7 @@ pub fn encode_body(fmt: WireFormat, data: &[f64], out: &mut Vec<u8>) -> f64 {
 }
 
 /// Logical element count a self-describing body claims to carry.
-pub fn body_elems(fmt: WireFormat, body: &[u8]) -> Result<usize, String> {
+fn body_elems(fmt: WireFormat, body: &[u8]) -> Result<usize, String> {
     if body.len() < BODY_HEADER {
         return Err(format!("{fmt} body of {} bytes has no header", body.len()));
     }
@@ -623,20 +623,20 @@ pub fn body_elems(fmt: WireFormat, body: &[u8]) -> Result<usize, String> {
 
 /// Decodes a whole self-describing body into `out` (resized to the
 /// body's logical length, capacity reused). `expect` is the element count
-/// the receiver knows the hop carries, when it knows one. A body that
-/// contradicts its own header or that expectation — wrong size, index out
-/// of range, unknown kind — is an error, never a panic or an allocation
-/// sized by an unbacked length: the bytes come off a socket.
+/// the receiver knows the hop carries. A body that contradicts its own
+/// header or that expectation — wrong size, index out of range, unknown
+/// kind — is an error, never a panic or an allocation sized by an unbacked
+/// length: the bytes come off a socket.
 pub fn decode_body(
     fmt: WireFormat,
     body: &[u8],
-    expect: Option<usize>,
+    expect: usize,
     out: &mut Vec<f64>,
 ) -> Result<(), String> {
     let len = body_elems(fmt, body)?;
-    if let Some(want) = expect.filter(|&want| want != len) {
+    if len != expect {
         return Err(format!(
-            "{fmt} body carries {len} elements, hop expects {want}"
+            "{fmt} body carries {len} elements, hop expects {expect}"
         ));
     }
     let payload = &body[BODY_HEADER..];
@@ -656,12 +656,7 @@ pub fn decode_body(
             decode_into(WireFormat::F32, payload, out);
         }
         (WireFormat::TopK { .. }, _) => {
-            // Pairs do not back `len`, so only a hop that knows its length
-            // may size the output from it (top-k composes with the
-            // fixed-shape all-reduce only).
-            if expect.is_none() {
-                return Err(format!("{fmt} sparse body on a hop of unknown length"));
-            }
+            // Pairs do not back `len`; the hop's own expectation does.
             let Some((count, pairs)) = payload.split_first_chunk::<4>() else {
                 return Err(format!("{fmt} sparse body has no pair count"));
             };
@@ -768,7 +763,7 @@ pub fn decode_ref(payload: &WirePayload) -> (Vec<f64>, f64) {
     let mut out = vec![0.0; payload.elems];
     match payload.fmt.dense_elem_bytes() {
         Some(_) => decode_into(payload.fmt, &payload.body, &mut out),
-        None => decode_body(payload.fmt, &payload.body, Some(payload.elems), &mut out)
+        None => decode_body(payload.fmt, &payload.body, payload.elems, &mut out)
             .expect("payload produced by wire::encode"),
     }
     (out, t0.elapsed().as_secs_f64())
@@ -790,10 +785,11 @@ pub fn sparsify_with_residual(data: &mut [f64], ratio: f64, residual: &mut Vec<f
     for (d, r) in data.iter_mut().zip(residual.iter()) {
         *d += *r;
     }
-    let k = ((ratio * len as f64).ceil() as usize).clamp(1, len);
-    if k == len {
+    // At least one element is kept — of a buffer that has one.
+    let k = ((ratio * len as f64).ceil() as usize).clamp(1, len.max(1));
+    if k >= len {
         residual.iter_mut().for_each(|r| *r = 0.0);
-        return k;
+        return len;
     }
     let mut order: Vec<usize> = (0..len).collect();
     order.select_nth_unstable_by(k - 1, |&a, &b| {
@@ -979,6 +975,10 @@ mod tests {
         // 2.0 and 1.0 are now the largest remaining.
         assert_eq!(data2[3], 2.0);
         assert_eq!(data2[5], 1.0);
+        // An empty buffer (a zero-length all-reduce) keeps nothing.
+        let mut empty = Vec::new();
+        assert_eq!(sparsify_with_residual(&mut empty, 0.25, &mut residual), 0);
+        assert!(residual.is_empty());
     }
 
     #[test]
@@ -1074,33 +1074,30 @@ mod tests {
         let mut body = good.body.clone();
         assert_eq!(body[0], 1, "sparse kind");
         body[9..13].copy_from_slice(&99u32.to_le_bytes());
-        let err = decode_body(topk, &body, Some(16), &mut out).unwrap_err();
+        let err = decode_body(topk, &body, 16, &mut out).unwrap_err();
         assert!(err.contains("out of range"), "{err}");
-        // Pairs do not back the length they claim; a hop that does not know
-        // its length must not size a buffer from it.
-        assert!(decode_body(topk, &good.body, None, &mut out).is_err());
         // The hop's own expectation wins over the body's header.
-        assert!(decode_body(topk, &good.body, Some(17), &mut out).is_err());
+        assert!(decode_body(topk, &good.body, 17, &mut out).is_err());
         // A length field the payload cannot back, an unknown kind, a
         // missing header, a torn pair.
         let mut huge = good.body.clone();
         huge[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_body(topk, &huge, Some(16), &mut out).is_err());
+        assert!(decode_body(topk, &huge, 16, &mut out).is_err());
         let mut kind = good.body.clone();
         kind[0] = 7;
-        assert!(decode_body(topk, &kind, Some(16), &mut out).is_err());
-        assert!(decode_body(topk, &good.body[..3], Some(16), &mut out).is_err());
-        assert!(decode_body(topk, &good.body[..good.body.len() - 1], Some(16), &mut out).is_err());
+        assert!(decode_body(topk, &kind, 16, &mut out).is_err());
+        assert!(decode_body(topk, &good.body[..3], 16, &mut out).is_err());
+        assert!(decode_body(topk, &good.body[..good.body.len() - 1], 16, &mut out).is_err());
         // Packed-sym: a dimension whose triangle the payload cannot back
         // must be refused before d * d elements are allocated.
         let sym = WireFormat::PackedSymF16;
         let mut tri = vec![1u8];
         tri.extend_from_slice(&60_000u32.to_le_bytes());
         tri.extend_from_slice(&[0u8; 6]);
-        let err = decode_body(sym, &tri, None, &mut out).unwrap_err();
+        let err = decode_body(sym, &tri, 60_000 * 60_000, &mut out).unwrap_err();
         assert!(err.contains("triangle"), "{err}");
         // And the intact body still decodes.
-        decode_body(topk, &good.body, Some(16), &mut out).expect("intact body");
+        decode_body(topk, &good.body, 16, &mut out).expect("intact body");
         assert_eq!(out[3], 1.0);
     }
 
@@ -1153,8 +1150,9 @@ mod tests {
             p.format_for(Phase::GradComm, OpKind::AllReduce),
             WireFormat::TopK { ratio: 0.1 }
         );
+        let p = WirePolicy::parse("broadcast=topk:0.1").expect("kv");
         assert_eq!(
-            p.format_for(Phase::GradComm, OpKind::AllGather),
+            p.format_for(Phase::InverseComm, OpKind::Broadcast),
             WireFormat::F32
         );
 

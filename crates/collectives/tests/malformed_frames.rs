@@ -163,33 +163,6 @@ fn reduce_hop_rejects_a_short_chunk_instead_of_reducing_a_prefix() {
 }
 
 #[test]
-fn unknown_length_hops_still_check_what_they_can() {
-    // All-gather learns the shard length from the header: it must at least
-    // be a whole number of elements, from the rank whose turn it is.
-    for (head, needle) in [
-        (header(1, 0, 12), "12 body bytes on a f64 hop"),
-        (header(0, 0, 16), "origin 0"),
-        (header(1, 1, 16), "tag 1"),
-    ] {
-        let (mut ep, mut peer) = victim_and_peer();
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let _ = peer.send(&head, &[0u8; 16]);
-                let _ = peer.recv(&mut [0u8; 1]);
-            });
-            let err = ep
-                .allgather(WireFormat::F64, &mut [1.0, 2.0], &mut Idle)
-                .unwrap_err();
-            assert!(
-                matches!(&err, CommError::Io(m) if m.contains(needle)),
-                "{err}"
-            );
-            drop(ep);
-        });
-    }
-}
-
-#[test]
 fn self_describing_body_that_contradicts_itself_is_rejected() {
     // A sparse body claiming 1000 logical elements on a 4-element hop, then
     // one whose pair indexes past the hop's length.

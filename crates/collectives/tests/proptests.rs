@@ -73,8 +73,7 @@ fn run_spmd_on<T: Send>(
 /// which size.
 #[derive(Debug, Clone, Copy)]
 struct QueuedOp {
-    /// 0/1 all-reduce avg/sum, 2 broadcast, 3 reduce-scatter, 4 all-gather,
-    /// 5 gather.
+    /// 0/1 all-reduce avg/sum, 2 broadcast.
     kind: usize,
     phase: Phase,
     elems: usize,
@@ -94,7 +93,7 @@ const MIXED_POLICIES: [&str; 3] = [
 const QUEUED_ELEMS: [usize; 7] = [0, 1, 2, 700, 2_100, 9_000, 40_000];
 
 fn queued_op() -> impl Strategy<Value = QueuedOp> {
-    (0usize..6, 0usize..3, 0usize..QUEUED_ELEMS.len(), 0usize..5).prop_map(
+    (0usize..3, 0usize..3, 0usize..QUEUED_ELEMS.len(), 0usize..5).prop_map(
         |(kind, phase, size, root)| QueuedOp {
             kind,
             phase: [Phase::GradComm, Phase::FactorComm, Phase::Update][phase],
@@ -117,11 +116,7 @@ fn submit(comm: &WorkerComm, k: usize, op: QueuedOp) -> PendingOp {
     match op.kind {
         0 => comm.allreduce_avg_async(values(op.elems)),
         1 => comm.allreduce_sum_async(values(op.elems)),
-        2 => comm.broadcast_async(values(op.elems), root),
-        3 => comm.reduce_scatter_avg_async(values(op.elems)),
-        // Shards of rank-dependent length.
-        4 => comm.allgather_async(values(op.elems + rank)),
-        _ => comm.gather_async(values(op.elems + 2 * rank), root),
+        _ => comm.broadcast_async(values(op.elems), root),
     }
 }
 
@@ -137,9 +132,7 @@ fn run_queue(
 ) -> Vec<Vec<Vec<u64>>> {
     let bits = |op: PendingOp| -> Vec<u64> {
         let out = op.wait().expect("collective");
-        std::iter::once(out.offset as u64)
-            .chain(out.data.iter().map(|v| v.to_bits()))
-            .collect()
+        out.iter().map(|v| v.to_bits()).collect()
     };
     run_spmd_on(world, over_tcp, policy, |comm| {
         if queued {
@@ -181,12 +174,10 @@ proptest! {
         let together = run_queue(world, over_tcp, policy, &ops, true);
         let one_by_one = run_queue(world, over_tcp, policy, &ops, false);
         prop_assert_eq!(&together, &one_by_one);
-        // What every rank receives whole, every rank receives the same.
+        // Every rank receives the same.
         for (k, op) in ops.iter().enumerate() {
-            if matches!(op.kind, 0 | 1 | 2 | 4) {
-                for rank in 1..world {
-                    prop_assert_eq!(&together[rank][k], &together[0][k], "op {} {:?}", k, op);
-                }
+            for rank in 1..world {
+                prop_assert_eq!(&together[rank][k], &together[0][k], "op {} {:?}", k, op);
             }
         }
     }
@@ -240,49 +231,6 @@ proptest! {
         });
         for r in results {
             prop_assert_eq!(&r, root_data_ref);
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_then_allgather_equals_allreduce(
-        world in 1usize..5,
-        len in 0usize..50,
-    ) {
-        let results = run_spmd(world, move |comm| {
-            let buf: Vec<f64> = (0..len).map(|i| (i * (comm.rank() + 1)) as f64).collect();
-            // Path A: all-reduce average.
-            let mut direct = buf.clone();
-            comm.allreduce_avg(&mut direct);
-            // Path B: reduce-scatter + all-gather of (offset, shard) pairs.
-            let (offset, shard) = comm.reduce_scatter_avg(&buf);
-            // Gather shards; to reassemble we also need offsets, so gather
-            // them alongside as a one-element shard.
-            let offsets = comm.allgather(&[offset as f64]);
-            let gathered = comm.allgather(&shard);
-            (direct, offsets, gathered, shard.len())
-        });
-        for (direct, offsets, gathered, _shard_len) in results {
-            // Reassemble: shards arrive in rank order; sizes are implied by
-            // consecutive offsets (last shard runs to the end).
-            let mut rebuilt = vec![0.0; direct.len()];
-            let offs: Vec<usize> = offsets.iter().map(|&o| o as usize).collect();
-            // Compute shard lengths from the chunk partition.
-            let mut idx = 0usize;
-            for (r, &off) in offs.iter().enumerate() {
-                let next = gathered.len() - idx; // remaining
-                let _ = next;
-                // Shard r length: until next offset in sorted-by-rank order is
-                // unknown directly; instead reconstruct by filling
-                // sequentially in gather order using arithmetic below.
-                let shard_len = shard_len_for(direct.len(), offs.len(), r);
-                rebuilt[off..off + shard_len]
-                    .copy_from_slice(&gathered[idx..idx + shard_len]);
-                idx += shard_len;
-            }
-            prop_assert_eq!(idx, gathered.len());
-            for (a, b) in rebuilt.iter().zip(direct.iter()) {
-                prop_assert!((a - b).abs() < 1e-9);
-            }
         }
     }
 }
@@ -479,7 +427,7 @@ proptest! {
             },
         );
         // Every hop of the reduce-scatter re-encodes a partial sum, and
-        // the allgather re-encodes once more: <= world + 1 roundings of
+        // the all-gather phase re-encodes once more: <= world + 1 roundings of
         // magnitude <= abs_sum each, 2^-11 relative per rounding.
         let first = &results[0];
         for r in &results {
@@ -497,16 +445,4 @@ proptest! {
             }
         }
     }
-}
-
-/// Length of the reduce-scatter shard produced on rank `r`: the ring
-/// completes chunk `(r + 1) % world` of the maximally-equal partition.
-fn shard_len_for(len: usize, world: usize, rank: usize) -> usize {
-    if world == 1 {
-        return len;
-    }
-    let chunk = (rank + 1) % world;
-    let base = len / world;
-    let extra = len % world;
-    base + usize::from(chunk < extra)
 }

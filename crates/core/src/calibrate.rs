@@ -191,7 +191,6 @@ impl Calibrator {
             let kind = match s.meta.edge {
                 Some(CollEdge::Join) => Some(SampleKind::AllReduce),
                 Some(CollEdge::FanOut { .. }) => Some(SampleKind::Broadcast),
-                Some(CollEdge::FanIn { .. }) => None,
                 None if s.phase == Phase::InverseComp => Some(SampleKind::Inverse),
                 None => None,
             };
@@ -416,7 +415,8 @@ mod tests {
                 0.2,
             ),
             span(Phase::InverseComp, None, 32, 0.2, 0.3),
-            // unsized and FanIn spans carry no calibration signal
+            // unsized spans, and sized ones that are neither a collective
+            // nor an inversion, carry no calibration signal
             Span {
                 track: 0,
                 phase: Phase::FfBp,
@@ -425,13 +425,7 @@ mod tests {
                 end: 1.0,
                 meta: SpanMeta::default(),
             },
-            span(
-                Phase::FactorComm,
-                Some(CollEdge::FanIn { root: 0 }),
-                9,
-                0.3,
-                0.4,
-            ),
+            span(Phase::FactorComp, None, 9, 0.3, 0.4),
         ];
         assert_eq!(c.ingest_spans(&spans), 3);
         assert_eq!(c.len(SampleKind::AllReduce), 1);

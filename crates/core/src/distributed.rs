@@ -764,7 +764,7 @@ impl Executor<'_> {
     fn land_through(&mut self, upto: NodeId) -> Result<(), CommError> {
         while self.bufs.in_flight.front().is_some_and(|(c, _)| *c <= upto) {
             let (c, op) = self.bufs.in_flight.pop_front().expect("front checked");
-            self.land(c, op.wait()?.data);
+            self.land(c, op.wait()?);
         }
         Ok(())
     }
@@ -1236,10 +1236,7 @@ fn train_segment(
         // of every gradient message in the comm thread's queue: it landed
         // long ago, and nothing travels between `Update` and the next
         // forward pass.
-        let agreed = loss_op
-            .expect("an iteration runs a backward pass")
-            .wait()?
-            .data;
+        let agreed = loss_op.expect("an iteration runs a backward pass").wait()?;
         let loss = agreed[0];
         let resize_requested = agreed.get(1).is_some_and(|flag| *flag > 0.0);
         // Whatever else travels before the next forward pass (the plan
@@ -1284,7 +1281,7 @@ fn train_segment(
             // algorithm's first iteration) sends nothing.
             let mut message = local.encode(due);
             if !message.is_empty() {
-                message = comm.allreduce_avg_async(message).wait()?.data;
+                message = comm.allreduce_avg_async(message).wait()?;
             }
             let agreed = Costs::decode(&message, due);
             if first {
@@ -1430,9 +1427,9 @@ fn run_epochs(
                 Vec::new()
             };
             let len_buf = vec![packed.len() as f64];
-            let len = comm.broadcast_async(len_buf, src).wait()?.data[0] as usize;
+            let len = comm.broadcast_async(len_buf, src).wait()?[0] as usize;
             let payload = if rank == src { packed } else { vec![0.0; len] };
-            let data = comm.broadcast_async(payload, src).wait()?.data;
+            let data = comm.broadcast_async(payload, src).wait()?;
             if rank != src {
                 let ckpt = TrainCheckpoint::unpack(&data).map_err(|e| {
                     CommError::Io(format!("epoch {epoch}: state handoff corrupt: {e}"))

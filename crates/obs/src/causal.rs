@@ -225,7 +225,7 @@ impl CausalGraph {
     }
 
     /// Resolves a collective span to the group member that *determined* its
-    /// completion: the last-arriving member for a join or fan-in, the root
+    /// completion: the last-arriving member for a join, the root
     /// (if later than `idx` itself) for a fan-out. Non-collective spans and
     /// unmatched groups resolve to `idx` itself.
     pub fn determining_member(&self, idx: usize) -> usize {
@@ -238,7 +238,7 @@ impl CausalGraph {
             return idx;
         }
         match edge {
-            CollEdge::Join | CollEdge::FanIn { .. } => *members
+            CollEdge::Join => *members
                 .iter()
                 .max_by(|&&a, &&b| self.spans[a].start.total_cmp(&self.spans[b].start))
                 .expect("non-empty group"),

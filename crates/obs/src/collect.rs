@@ -338,7 +338,6 @@ fn encode_span(buf: &mut Vec<u8>, s: &Span) {
         None => (0u8, 0u32),
         Some(CollEdge::Join) => (1, 0),
         Some(CollEdge::FanOut { root }) => (2, root as u32),
-        Some(CollEdge::FanIn { root }) => (3, root as u32),
     };
     buf.push(edge);
     put_u32(buf, root);
@@ -498,7 +497,6 @@ fn decode_span(c: &mut Cursor<'_>) -> IoResult<Span> {
         0 => None,
         1 => Some(CollEdge::Join),
         2 => Some(CollEdge::FanOut { root }),
-        3 => Some(CollEdge::FanIn { root }),
         k => return Err(bad(format!("span with unknown edge kind {k}"))),
     };
     let flags = c.u8()?;
@@ -847,7 +845,7 @@ impl CollectorState {
 /// Checks the merged trace's cross-rank collective edges for causal
 /// consistency: within each `(generation, seq)` group, no participant may
 /// complete before the arrival that determines the op (the last member
-/// for joins, the root for fan-outs, the last peer for fan-ins). `tol`
+/// for joins, the root for fan-outs). `tol`
 /// absorbs clock-rebasing error — pass the summed/worst model
 /// uncertainty plus a small slack.
 ///
@@ -910,17 +908,6 @@ pub fn comm_edge_violations(spans: &[Span], map: &RankMap, tol: f64) -> Vec<Stri
                                 "completes before root submits",
                             ));
                         }
-                    }
-                }
-            }
-            CollEdge::FanIn { root } => {
-                if let Some(r) = members.iter().find(|s| map.rank_of(s.track) == Some(root)) {
-                    if r.end + tol < max_start {
-                        out.push(describe(
-                            r,
-                            max_start - r.end,
-                            "root completes before last peer arrives",
-                        ));
                     }
                 }
             }
@@ -1284,6 +1271,23 @@ mod tests {
         let mut huge = Vec::new();
         put_u32(&mut huge, (MAX_FRAME_BYTES + 1) as u32);
         assert!(read_frame(&mut &huge[..]).is_err());
+
+        // A span whose edge tag names no collective edge (1 = join and
+        // 2 = fan-out are the only ones).
+        let mut wire = encode_frame(&Frame::Batch(Batch {
+            rank: 0,
+            model: ClockModel::identity(),
+            dropped: 0,
+            spans: vec![comm_span(2, 1.0, 1.5, 9, CollEdge::FanOut { root: 1 })],
+        }));
+        // Length prefix, kind, rank, clock model, dropped count and span
+        // count; then the span's track, phase, start and end.
+        let edge_at = 4 + 1 + 4 + 4 * 8 + 8 + 4 + 4 + 1 + 2 * 8;
+        assert_eq!(wire[edge_at], 2, "the fan-out tag");
+        wire[edge_at] = 3;
+        let err = read_frame(&mut &wire[..]).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        assert!(err.to_string().contains("unknown edge kind 3"), "{err}");
     }
 
     #[test]

@@ -333,9 +333,6 @@ fn write_span(w: &mut JsonWriter<'_>, s: &Span) {
             Some(CollEdge::FanOut { root }) => {
                 w.key("edge").str("fanout").key("root").int(root as u64);
             }
-            Some(CollEdge::FanIn { root }) => {
-                w.key("edge").str("fanin").key("root").int(root as u64);
-            }
         }
         let ints = [
             ("seq", s.meta.seq),
@@ -355,11 +352,21 @@ fn write_span(w: &mut JsonWriter<'_>, s: &Span) {
 }
 
 /// Reads back one element of a dump's `spans` array (`None` when a
-/// required field is missing or malformed).
+/// required field is missing or malformed — an `edge` that names no
+/// [`CollEdge`], or a fan-out without its `root`, included).
 pub fn parse_span(v: &JsonValue) -> Option<Span> {
     let num = |key: &str| v.get(key).and_then(JsonValue::as_f64);
     let name = v.get("phase")?.as_str()?;
-    let root = num("root").map_or(0, |r| r as usize);
+    let edge = match v.get("edge") {
+        None => None,
+        Some(edge) => Some(match edge.as_str()? {
+            "join" => CollEdge::Join,
+            "fanout" => CollEdge::FanOut {
+                root: num("root")? as usize,
+            },
+            _ => return None,
+        }),
+    };
     Some(Span {
         track: num("track")? as usize,
         phase: Phase::ALL.iter().copied().find(|p| p.name() == name)?,
@@ -367,12 +374,7 @@ pub fn parse_span(v: &JsonValue) -> Option<Span> {
         start: num("t")?,
         end: num("end")?,
         meta: SpanMeta {
-            edge: match v.get("edge").and_then(JsonValue::as_str) {
-                Some("join") => Some(CollEdge::Join),
-                Some("fanout") => Some(CollEdge::FanOut { root }),
-                Some("fanin") => Some(CollEdge::FanIn { root }),
-                _ => None,
-            },
+            edge,
             seq: num("seq").map(|n| n as u64),
             size: num("size").map(|n| n as usize),
             generation: num("generation").map(|n| n as u64),
@@ -480,6 +482,29 @@ mod tests {
             .iter()
             .map(|s| parse_span(s).expect("span parses"))
             .collect()
+    }
+
+    #[test]
+    fn a_span_with_an_unknown_edge_or_a_rootless_fan_out_is_malformed() {
+        // The edge a dumped span parses to; `None` when the span is refused.
+        let edge = |tail: &str| {
+            let doc = format!(
+                r#"{{"track": 5, "phase": "GradComm", "label": "x", "t": 0.5, "end": 0.75{tail}}}"#
+            );
+            parse_span(&parse_json(&doc).expect("valid JSON")).map(|s| s.meta.edge)
+        };
+        assert_eq!(edge(""), Some(None));
+        assert_eq!(edge(r#", "edge": "join""#), Some(Some(CollEdge::Join)));
+        let fan_out = Some(Some(CollEdge::FanOut { root: 2 }));
+        assert_eq!(edge(r#", "edge": "fanout", "root": 2"#), fan_out);
+        for bad in [
+            r#", "edge": "fanin", "root": 0"#,
+            r#", "edge": "bogus""#,
+            r#", "edge": "fanout""#,
+            r#", "edge": 1"#,
+        ] {
+            assert_eq!(edge(bad), None, "{bad}");
+        }
     }
 
     #[test]

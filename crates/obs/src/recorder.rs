@@ -11,22 +11,16 @@ use std::time::Instant;
 ///
 /// The causal graph builder ([`crate::causal`]) uses this to draw edges
 /// between ranks: a [`CollEdge::Join`] op cannot finish anywhere before the
-/// last participant arrives, a [`CollEdge::FanOut`] op makes every peer wait
-/// on the root, and a [`CollEdge::FanIn`] op makes the root wait on every
-/// peer.
+/// last participant arrives, and a [`CollEdge::FanOut`] op makes every peer
+/// wait on the root.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollEdge {
-    /// Symmetric join (all-reduce, all-gather, barrier): every participant
-    /// blocks on the last arrival.
+    /// Symmetric join (all-reduce, barrier): every participant blocks on
+    /// the last arrival.
     Join,
-    /// Root-to-peers fan-out (broadcast, scatter).
+    /// Root-to-peers fan-out (broadcast).
     FanOut {
         /// Rank holding the source data.
-        root: usize,
-    },
-    /// Peers-to-root fan-in (reduce, gather).
-    FanIn {
-        /// Rank receiving the result.
         root: usize,
     },
 }

@@ -57,7 +57,6 @@ fn steady_state_collectives_do_not_allocate() {
                 let wait = |op: spdkfac::collectives::PendingOp| {
                     op.wait()
                         .unwrap_or_else(|e| panic!("rank {}: {e}", comm.rank()))
-                        .data
                 };
                 // Re-submit the returned buffers, as the trainer does, and
                 // queue the whole round before waiting on any of it.
@@ -206,7 +205,7 @@ fn pacer_holds_a_queue_of_collectives_to_the_link_rate() {
                 .map(|&elems| comm.allreduce_sum_async(vec![comm.rank() as f64 + 0.5; elems]))
                 .collect();
             for (op, &elems) in pending.into_iter().zip(&QUEUE) {
-                let sum = op.wait().expect("all-reduce").data;
+                let sum = op.wait().expect("all-reduce");
                 assert!(sum.len() == elems && sum.iter().all(|v| *v == 2.0));
             }
         });
@@ -253,13 +252,8 @@ fn queued_hops_book_their_first_slice_while_the_link_is_busy() {
                 comm.barrier();
                 let first = comm.allreduce_sum_async(vec![1.0; ELEMS]);
                 let second = comm.allreduce_sum_async(vec![2.0; ELEMS]);
-                assert!(first.wait().expect("first").data.iter().all(|v| *v == 2.0));
-                assert!(second
-                    .wait()
-                    .expect("second")
-                    .data
-                    .iter()
-                    .all(|v| *v == 4.0));
+                assert!(first.wait().expect("first").iter().all(|v| *v == 2.0));
+                assert!(second.wait().expect("second").iter().all(|v| *v == 4.0));
             },
         );
         let metrics = rec.metrics().snapshot();
