@@ -47,7 +47,8 @@ use spdkfac_nn::{Sequential, Tensor4};
 use spdkfac_obs::{Phase, Recorder, SpanGuard};
 use spdkfac_tensor::eig::{sym_eig, SymEig};
 use spdkfac_tensor::sym::packed_len;
-use spdkfac_tensor::{Matrix, SymPacked};
+use spdkfac_tensor::Matrix;
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -376,7 +377,11 @@ impl WorkerObs {
     /// recorder is attached. The per-iteration update spans are labeled
     /// `iter<N>` so the live telemetry monitor and merged traces have
     /// explicit iteration boundaries.
-    fn labeled_span(&self, phase: Phase, label: impl FnOnce() -> String) -> Option<SpanGuard<'_>> {
+    fn labeled_span<L: Into<Cow<'static, str>>>(
+        &self,
+        phase: Phase,
+        label: impl FnOnce() -> L,
+    ) -> Option<SpanGuard<'_>> {
         self.rec
             .as_deref()
             .map(|r| r.span_labeled(self.track, phase, label()))
@@ -693,8 +698,8 @@ struct Buffers {
     /// The KL clip's term of each parameter, in the model's flat order
     /// (its direction replaces its gradient before `Update`).
     kl_terms: Vec<f64>,
-    /// Results between two kernels: a statistic between its Gramian and
-    /// its message, every other solve of a direction; with a KL clip, the
+    /// Results between two kernels: the Gramian product a statistic is
+    /// packed from, every other solve of a direction; with a KL clip, the
     /// raw gradient until its term is taken.
     scratch: [Matrix; 2],
 }
@@ -764,7 +769,16 @@ impl Executor<'_> {
     fn land_through(&mut self, upto: NodeId) -> Result<(), CommError> {
         while self.bufs.in_flight.front().is_some_and(|(c, _)| *c <= upto) {
             let (c, op) = self.bufs.in_flight.pop_front().expect("front checked");
-            self.land(c, op.wait()?);
+            let data = op.wait()?;
+            // The landing is compute of the phase it installs for; unsized,
+            // so the calibrator's inversion fit does not read it.
+            let phase = match self.graph.nodes()[c].op {
+                Op::AllReduceFactors(_) => Phase::FactorComp,
+                Op::Broadcast { .. } => Phase::InverseComp,
+                _ => Phase::Update,
+            };
+            let _land = self.obs.labeled_span(phase, || "land");
+            self.land(c, data);
         }
         Ok(())
     }
@@ -861,7 +875,7 @@ impl Executor<'_> {
             FactorSide::A => st.factor_a(),
             FactorSide::G => st.factor_g(),
         };
-        sym_eig(factor.expect("no factor statistics")).unwrap_or_else(|err| {
+        sym_eig(&factor.expect("no factor statistics").to_matrix()).unwrap_or_else(|err| {
             panic!("rank {rank}: eigendecomposition of tensor {t} failed: {err}")
         })
     }
@@ -1132,19 +1146,19 @@ fn train_segment(
                     let layer = &mut ex.net.layers_mut()[*l];
                     ready[t] = pass_start.elapsed().as_secs_f64();
                     let _fc = obs.span(Phase::FactorComp);
-                    let stat = &mut ex.bufs.scratch[0];
-                    if g_side {
-                        let (rows, n) = layer.take_g_stat().expect("G statistic not captured");
-                        local_factor_g_into(&rows, n, stat);
-                    } else {
-                        let rows = layer.take_a_stat().expect("A statistic not captured");
-                        local_factor_a_into(&rows, stat);
-                    }
-                    // Packed straight into the statistic's slice of its
-                    // message.
+                    // Computed packed, straight into the statistic's slice
+                    // of its message.
                     let (c, at) = ex.bufs.stat_at[t];
                     let msg = ex.bufs.arena.fill(c, graph.nodes()[c].elems);
-                    SymPacked::pack_into(stat, &mut msg[at..at + packed_len(inv_dims[t])]);
+                    let dst = &mut msg[at..at + packed_len(inv_dims[t])];
+                    let scratch = &mut ex.bufs.scratch[0];
+                    if g_side {
+                        let (rows, n) = layer.take_g_stat().expect("G statistic not captured");
+                        local_factor_g_into(&rows, n, scratch, dst);
+                    } else {
+                        let rows = layer.take_a_stat().expect("A statistic not captured");
+                        local_factor_a_into(&rows, scratch, dst);
+                    }
                 }
                 Op::AllReduceFactors(tensors) => {
                     let payload = ex.bufs.arena.take(id, node.elems);

@@ -257,6 +257,7 @@ mod tests {
     use spdkfac_nn::loss::softmax_cross_entropy;
     use spdkfac_nn::models::mlp;
     use spdkfac_tensor::rng::MatrixRng;
+    use spdkfac_tensor::SymPacked;
 
     #[test]
     fn ekfac_equals_kfac_when_scales_are_eigenvalue_products() {
@@ -273,7 +274,10 @@ mod tests {
         let ek = precondition_ekfac(&grad, &ea.vectors, &eg.vectors, &scale, 0.0);
 
         let mut st = FactorState::new(0);
-        st.update_factors(a.clone(), g.clone(), 0.95);
+        for (side, f) in [(FactorSide::A, &a), (FactorSide::G, &g)] {
+            let f = SymPacked::from_matrix(f);
+            st.update_packed(side, f.dim(), f.as_slice(), 0.95);
+        }
         st.refresh_inverses(0.0).unwrap();
         let kf = crate::precond::precondition_weight(&st, &grad);
         assert!(

@@ -22,20 +22,23 @@
 //! one buffer re-establishes bit-identical replicas by construction, which
 //! is what makes the next epoch's collectives SPMD-safe (DESIGN §2.15).
 
+use crate::error::FactorSide;
 use crate::factors::FactorState;
 use spdkfac_collectives::TcpConfig;
 use spdkfac_nn::optim::Sgd;
 use spdkfac_nn::Sequential;
-use spdkfac_tensor::Matrix;
+use spdkfac_tensor::{Matrix, SymPacked};
 use std::fmt;
 
 /// The `"ELCK"` tag above the version byte of [`PACK_MAGIC`].
 const PACK_TAG: u64 = 0x0045_4C43_4B00;
 
 /// The format version this build packs and unpacks. Version 1 held the
-/// damped inverses in a factor's slots; version 2 holds their Cholesky
-/// factors, so a version-1 stream must never be installed.
-const PACK_VERSION: u64 = 2;
+/// damped inverses in a factor's slots and version 2 the running factors
+/// as dense matrices; version 3 holds the running factors as their packed
+/// triangles and the Cholesky factors of their damped forms, so neither
+/// older stream may be installed.
+const PACK_VERSION: u64 = 3;
 
 /// Schema tag leading every packed checkpoint (`"ELCK"` + version).
 const PACK_MAGIC: f64 = (PACK_TAG | PACK_VERSION) as f64;
@@ -44,7 +47,9 @@ const PACK_MAGIC: f64 = (PACK_TAG | PACK_VERSION) as f64;
 #[derive(Debug, Clone, PartialEq)]
 pub enum CheckpointError {
     /// A checkpoint of another format version (e.g. version 1, whose
-    /// factor slots hold inverses where this one expects `L`).
+    /// factor slots hold inverses where this one expects `L`, or version
+    /// 2, whose running factors are dense where this one expects packed
+    /// triangles).
     Version {
         /// The version the buffer was packed with.
         found: u64,
@@ -82,10 +87,10 @@ impl From<String> for CheckpointError {
 pub struct FactorCheckpoint {
     /// Network layer index this state belongs to.
     pub layer: usize,
-    /// Running `A` EMA.
-    pub a: Option<Matrix>,
-    /// Running `G` EMA.
-    pub g: Option<Matrix>,
+    /// Running `A` EMA, as its packed triangle.
+    pub a: Option<SymPacked>,
+    /// Running `G` EMA, as its packed triangle.
+    pub g: Option<SymPacked>,
     /// `L` of the damped `A`, in solve form
     /// ([`spdkfac_tensor::chol::cholesky_in_place`]).
     pub a_chol: Option<Matrix>,
@@ -108,12 +113,11 @@ impl FactorCheckpoint {
     /// Rebuilds a [`FactorState`] holding exactly this snapshot.
     pub fn restore(&self) -> FactorState {
         let mut st = FactorState::new(self.layer);
-        if let Some(a) = &self.a {
-            // First update installs the matrix directly (no EMA blend).
-            st.update_a(a.clone(), 0.0);
-        }
-        if let Some(g) = &self.g {
-            st.update_g(g.clone(), 0.0);
+        // The first update installs the factor as it is (no EMA blend).
+        for (side, f) in [(FactorSide::A, &self.a), (FactorSide::G, &self.g)] {
+            if let Some(f) = f {
+                st.update_packed(side, f.dim(), f.as_slice(), 0.0);
+            }
         }
         if let Some(l) = &self.a_chol {
             st.set_a_chol(l.clone());
@@ -185,8 +189,8 @@ impl TrainCheckpoint {
         out.push(self.factors.len() as f64);
         for f in &self.factors {
             out.push(f.layer as f64);
-            pack_opt_matrix(&mut out, f.a.as_ref());
-            pack_opt_matrix(&mut out, f.g.as_ref());
+            pack_opt_packed(&mut out, f.a.as_ref());
+            pack_opt_packed(&mut out, f.g.as_ref());
             pack_opt_matrix(&mut out, f.a_chol.as_ref());
             pack_opt_matrix(&mut out, f.g_chol.as_ref());
         }
@@ -243,8 +247,8 @@ impl TrainCheckpoint {
         for _ in 0..nf {
             factors.push(FactorCheckpoint {
                 layer: r.count("factor layer")?,
-                a: r.opt_matrix("factor A")?,
-                g: r.opt_matrix("factor G")?,
+                a: r.opt_packed("factor A")?,
+                g: r.opt_packed("factor G")?,
                 a_chol: r.opt_matrix("factor L_A")?,
                 g_chol: r.opt_matrix("factor L_G")?,
             });
@@ -290,6 +294,17 @@ fn pack_matrix(out: &mut Vec<f64>, m: &Matrix) {
     out.push(m.rows() as f64);
     out.push(m.cols() as f64);
     out.extend_from_slice(m.as_slice());
+}
+
+fn pack_opt_packed(out: &mut Vec<f64>, p: Option<&SymPacked>) {
+    match p {
+        None => out.push(0.0),
+        Some(p) => {
+            out.push(1.0);
+            out.push(p.dim() as f64);
+            out.extend_from_slice(p.as_slice());
+        }
+    }
 }
 
 fn pack_opt_matrix(out: &mut Vec<f64>, m: Option<&Matrix>) {
@@ -342,7 +357,7 @@ impl Reader<'_> {
     }
 
     fn slice(&mut self, n: usize, what: &str) -> Result<&[f64], String> {
-        if self.pos + n > self.data.len() {
+        if n > self.data.len() - self.pos {
             return Err(format!("checkpoint {what} truncated"));
         }
         let out = &self.data[self.pos..self.pos + n];
@@ -358,8 +373,26 @@ impl Reader<'_> {
     fn matrix(&mut self, what: &str) -> Result<Matrix, String> {
         let rows = self.count(what)?;
         let cols = self.count(what)?;
-        let data = self.slice(rows * cols, what)?.to_vec();
+        let n = rows
+            .checked_mul(cols)
+            .ok_or(format!("checkpoint {what} too large"))?;
+        let data = self.slice(n, what)?.to_vec();
         Ok(Matrix::from_vec(rows, cols, data))
+    }
+
+    fn opt_packed(&mut self, what: &str) -> Result<Option<SymPacked>, String> {
+        if !self.tag(what)? {
+            return Ok(None);
+        }
+        let dim = self.count(what)?;
+        let n = dim
+            .checked_mul(dim + 1)
+            .ok_or(format!("checkpoint {what} too large"))?
+            / 2;
+        Ok(Some(SymPacked::from_vec(
+            dim,
+            self.slice(n, what)?.to_vec(),
+        )))
     }
 
     fn opt_matrix(&mut self, what: &str) -> Result<Option<Matrix>, String> {
@@ -433,6 +466,10 @@ mod tests {
         (m.rows(), m.cols(), bits(m.as_slice()))
     }
 
+    fn packed_bits(p: &SymPacked) -> (usize, Vec<u64>) {
+        (p.dim(), bits(p.as_slice()))
+    }
+
     /// Structural + bit equality (PartialEq would reject NaN payloads).
     fn assert_bit_eq(a: &TrainCheckpoint, b: &TrainCheckpoint) {
         assert_eq!(a.iter, b.iter);
@@ -445,13 +482,12 @@ mod tests {
         assert_eq!(a.factors.len(), b.factors.len());
         for (x, y) in a.factors.iter().zip(&b.factors) {
             assert_eq!(x.layer, y.layer);
-            for (mx, my) in [(&x.a, &y.a), (&x.g, &y.g), (&x.a_chol, &y.a_chol)] {
+            for (px, py) in [(&x.a, &y.a), (&x.g, &y.g)] {
+                assert_eq!(px.as_ref().map(packed_bits), py.as_ref().map(packed_bits));
+            }
+            for (mx, my) in [(&x.a_chol, &y.a_chol), (&x.g_chol, &y.g_chol)] {
                 assert_eq!(mx.as_ref().map(mat_bits), my.as_ref().map(mat_bits));
             }
-            assert_eq!(
-                x.g_chol.as_ref().map(mat_bits),
-                y.g_chol.as_ref().map(mat_bits)
-            );
         }
         assert_eq!(a.ekfac_bases.len(), b.ekfac_bases.len());
         for (x, y) in a.ekfac_bases.iter().zip(&b.ekfac_bases) {
@@ -502,8 +538,8 @@ mod tests {
                 .iter()
                 .map(|&(layer, mask)| FactorCheckpoint {
                     layer,
-                    a: (mask & 1 != 0).then(|| Matrix::from_vec(2, 2, vec![1.0, f64::NAN, -0.0, 4.0])),
-                    g: (mask & 2 != 0).then(|| Matrix::from_vec(1, 3, vec![5.0, 6.0, 7.0])),
+                    a: (mask & 1 != 0).then(|| SymPacked::from_vec(2, vec![1.0, f64::NAN, -0.0])),
+                    g: (mask & 2 != 0).then(|| SymPacked::from_vec(1, vec![5.0])),
                     a_chol: (mask & 4 != 0).then(|| Matrix::from_vec(2, 2, vec![0.5; 4])),
                     g_chol: (mask & 8 != 0).then(|| Matrix::from_vec(3, 3, vec![0.25; 9])),
                 })
@@ -553,13 +589,12 @@ mod tests {
         assert!(TrainCheckpoint::unpack(&good).is_err());
     }
 
-    #[test]
-    fn unpack_refuses_a_version_1_stream() {
-        // Version 1 put inverses in the factor slots; read as `L` they
-        // would precondition with garbage, so the whole stream is refused.
+    /// A one-layer checkpoint holding a running factor and an `L`.
+    fn one_layer_checkpoint() -> TrainCheckpoint {
         let mut st = FactorState::new(0);
+        st.update_packed(FactorSide::A, 2, &[2.0, 0.1, 3.0], 0.9);
         st.set_a_chol(Matrix::identity(2));
-        let mut old = TrainCheckpoint {
+        TrainCheckpoint {
             iter: 1,
             losses: vec![0.5],
             params: vec![1.0],
@@ -568,14 +603,20 @@ mod tests {
             ekfac_bases: vec![None, None],
             ekfac_scales: vec![None],
         }
-        .pack();
+    }
+
+    #[test]
+    fn unpack_refuses_a_version_1_stream() {
+        // Version 1 put inverses in the factor slots; read as `L` they
+        // would precondition with garbage, so the whole stream is refused.
+        let mut old = one_layer_checkpoint().pack();
         assert!(TrainCheckpoint::unpack(&old).is_ok());
         old[0] = 0x0045_4C43_4B01_u64 as f64;
         assert_eq!(
             TrainCheckpoint::unpack(&old),
             Err(CheckpointError::Version {
                 found: 1,
-                expected: 2
+                expected: 3
             })
         );
         // Anything else in the magic slot is malformed, not a version.
@@ -587,22 +628,49 @@ mod tests {
     }
 
     #[test]
+    fn a_version_3_round_trip_is_bit_exact_and_version_2_is_refused() {
+        let ckpt = one_layer_checkpoint();
+        let mut packed = ckpt.pack();
+        assert_bit_eq(&ckpt, &TrainCheckpoint::unpack(&packed).unwrap());
+        // Version 2 held the running factors dense: its factor section
+        // does not parse as packed triangles, so it is refused by version
+        // before any of it is read.
+        packed[0] = 0x0045_4C43_4B02_u64 as f64;
+        assert_eq!(
+            TrainCheckpoint::unpack(&packed),
+            Err(CheckpointError::Version {
+                found: 2,
+                expected: 3
+            })
+        );
+    }
+
+    #[test]
+    fn unpack_refuses_a_triangle_too_large_to_count() {
+        let mut packed = one_layer_checkpoint().pack();
+        // The `A` slot: [.., layer, tag 1, dim 2, 3 values, ..].
+        let at = packed
+            .windows(5)
+            .position(|w| w == [0.0, 1.0, 2.0, 2.0, 0.1])
+            .expect("factor A slot");
+        packed[at + 2] = (1u64 << 39) as f64;
+        assert!(matches!(
+            TrainCheckpoint::unpack(&packed),
+            Err(CheckpointError::Malformed(_))
+        ));
+    }
+
+    #[test]
     fn factor_checkpoint_round_trips_through_factor_state() {
         let mut st = FactorState::new(4);
-        st.update_a(Matrix::from_vec(2, 2, vec![2.0, 0.1, 0.1, 3.0]), 0.9);
-        st.update_g(Matrix::from_vec(1, 1, vec![7.0]), 0.9);
+        st.update_packed(FactorSide::A, 2, &[2.0, 0.1, 3.0], 0.9);
+        st.update_packed(FactorSide::G, 1, &[7.0], 0.9);
         st.set_a_chol(Matrix::from_vec(2, 2, vec![0.5, 0.0, 0.0, 0.5]));
         let snap = FactorCheckpoint::capture(&st);
         let back = snap.restore();
         assert_eq!(back.layer(), 4);
-        assert_eq!(
-            back.factor_a().unwrap().as_slice(),
-            st.factor_a().unwrap().as_slice()
-        );
-        assert_eq!(
-            back.factor_g().unwrap().as_slice(),
-            st.factor_g().unwrap().as_slice()
-        );
+        assert_eq!(back.factor_a(), st.factor_a());
+        assert_eq!(back.factor_g(), st.factor_g());
         assert_eq!(
             back.a_chol().unwrap().as_slice(),
             st.a_chol().unwrap().as_slice()

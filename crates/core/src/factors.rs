@@ -2,18 +2,21 @@
 
 use crate::error::{FactorSide, KfacError};
 use spdkfac_nn::KfacCapture;
+use spdkfac_tensor::sym::packed_len;
 use spdkfac_tensor::{chol, Matrix, SymPacked};
 
 /// Per-layer Kronecker-factor state: exponential moving averages of
-/// `A = E[a aᵀ]` and `G = E[ĝ ĝᵀ]` plus the Cholesky factors `L` of their
-/// damped forms, `L Lᵀ = F + γI`, in the solve form the preconditioner
-/// reads ([`chol::cholesky_in_place`]). "Inverting" a factor (Eq. 12)
-/// means computing its `L`: the inverse itself is never formed.
+/// `A = E[a aᵀ]` and `G = E[ĝ ĝᵀ]`, kept as the packed upper triangles
+/// the factor all-reduce delivers (§V-B), plus the Cholesky factors `L` of
+/// their damped forms, `L Lᵀ = F + γI`, in the solve form the
+/// preconditioner reads ([`chol::cholesky_in_place`]). "Inverting" a
+/// factor (Eq. 12) means computing its `L`: the inverse itself is never
+/// formed, and a running factor is expanded only into `L`'s storage.
 #[derive(Debug, Clone)]
 pub struct FactorState {
     layer: usize,
-    a: Option<Matrix>,
-    g: Option<Matrix>,
+    a: Option<SymPacked>,
+    g: Option<SymPacked>,
     a_chol: Option<Matrix>,
     g_chol: Option<Matrix>,
 }
@@ -36,61 +39,44 @@ impl FactorState {
     }
 
     /// Folds a fresh capture into the running averages with decay
-    /// `stat_decay` (first update installs the statistics directly).
+    /// `stat_decay` (first update installs the statistics directly),
+    /// through the packed statistic and fold the distributed trainer runs.
     pub fn update_from_capture(&mut self, cap: &KfacCapture, stat_decay: f64) {
-        self.update_factors(cap.factor_a(), cap.factor_g(), stat_decay);
-    }
-
-    /// Folds externally-computed (e.g. all-reduced) factor matrices into the
-    /// running averages.
-    pub fn update_factors(&mut self, a_new: Matrix, g_new: Matrix, stat_decay: f64) {
-        self.update_a(a_new, stat_decay);
-        self.update_g(g_new, stat_decay);
-    }
-
-    /// Folds a fresh `A` factor alone (the forward-pass side of the SPD
-    /// pipeline, where `A` and `G` arrive in different passes).
-    pub fn update_a(&mut self, a_new: Matrix, stat_decay: f64) {
-        match &mut self.a {
-            Some(a) => a.ema_update(stat_decay, &a_new),
-            None => self.a = Some(a_new),
-        }
-    }
-
-    /// Folds a fresh `G` factor alone (the backward-pass side).
-    pub fn update_g(&mut self, g_new: Matrix, stat_decay: f64) {
-        match &mut self.g {
-            Some(g) => g.ema_update(stat_decay, &g_new),
-            None => self.g = Some(g_new),
-        }
+        let (da, dg) = cap.dims();
+        let (mut scratch, mut stat) = (Matrix::zeros(0, 0), vec![0.0; packed_len(da)]);
+        local_factor_a_into(&cap.a_rows, &mut scratch, &mut stat);
+        self.update_packed(FactorSide::A, da, &stat, stat_decay);
+        stat.resize(packed_len(dg), 0.0);
+        local_factor_g_into(&cap.g_rows, cap.batch, &mut scratch, &mut stat);
+        self.update_packed(FactorSide::G, dg, &stat, stat_decay);
     }
 
     /// Current running factor `A`, if any update has happened.
-    pub fn factor_a(&self) -> Option<&Matrix> {
+    pub fn factor_a(&self) -> Option<&SymPacked> {
         self.a.as_ref()
     }
 
     /// Current running factor `G`, if any update has happened.
-    pub fn factor_g(&self) -> Option<&Matrix> {
+    pub fn factor_g(&self) -> Option<&SymPacked> {
         self.g.as_ref()
     }
 
-    /// The damped input factor `A + γI` ready for inversion (Eq. 12).
+    /// The damped input factor `A + γI`, expanded (Eq. 12).
     ///
     /// # Panics
     ///
     /// Panics if no statistics have been accumulated yet.
     pub fn damped_a(&self, gamma: f64) -> Matrix {
-        self.a.as_ref().expect("no A statistics yet").damped(gamma)
+        damped(self.a.as_ref().expect("no A statistics yet"), gamma)
     }
 
-    /// The damped output factor `G + γI` ready for inversion (Eq. 12).
+    /// The damped output factor `G + γI`, expanded (Eq. 12).
     ///
     /// # Panics
     ///
     /// Panics if no statistics have been accumulated yet.
     pub fn damped_g(&self, gamma: f64) -> Matrix {
-        self.g.as_ref().expect("no G statistics yet").damped(gamma)
+        damped(self.g.as_ref().expect("no G statistics yet"), gamma)
     }
 
     /// Recomputes both damped factors' `L` locally.
@@ -110,7 +96,7 @@ impl FactorState {
     }
 
     /// The running factor of `side` and its `L`.
-    fn side_mut(&mut self, side: FactorSide) -> (&mut Option<Matrix>, &mut Option<Matrix>) {
+    fn side_mut(&mut self, side: FactorSide) -> (&mut Option<SymPacked>, &mut Option<Matrix>) {
         match side {
             FactorSide::A => (&mut self.a, &mut self.a_chol),
             FactorSide::G => (&mut self.g, &mut self.g_chol),
@@ -119,17 +105,17 @@ impl FactorState {
 
     /// Folds an aggregated statistic of `side`, given as its packed
     /// triangle (its slice of a factor message), into the running average
-    /// in place; the first one is installed as it is.
+    /// in one contiguous pass; the first one is installed as it is.
     pub fn update_packed(&mut self, side: FactorSide, dim: usize, packed: &[f64], stat_decay: f64) {
         match self.side_mut(side).0 {
-            Some(f) => f.ema_update_packed(stat_decay, packed),
-            slot => *slot = Some(SymPacked::unpack(dim, packed)),
+            Some(f) => f.ema_update(stat_decay, packed),
+            slot => *slot = Some(SymPacked::from_vec(dim, packed.to_vec())),
         }
     }
 
-    /// "Inverts" the damped factor of `side` (Eq. 12): factors `F + γI`
-    /// into its `L`, in `L`'s storage, which only the first call
-    /// allocates.
+    /// "Inverts" the damped factor of `side` (Eq. 12): expands `F + γI`
+    /// into `L`'s storage, which only the first call allocates, and
+    /// factors it there.
     ///
     /// # Errors
     ///
@@ -197,54 +183,30 @@ impl FactorState {
     pub fn g_chol(&self) -> Option<&Matrix> {
         self.g_chol.as_ref()
     }
-
-    /// Packs the running factors for the wire (`A` then `G`), as the factor
-    /// all-reduce does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no statistics have been accumulated yet.
-    pub fn packed_factors(&self) -> (SymPacked, SymPacked) {
-        (
-            SymPacked::from_matrix(self.a.as_ref().expect("no A statistics yet")),
-            SymPacked::from_matrix(self.g.as_ref().expect("no G statistics yet")),
-        )
-    }
-
-    /// Overwrites the running factors from packed wire buffers (the receive
-    /// side of the factor all-reduce).
-    pub fn set_factors_from_packed(&mut self, a: &SymPacked, g: &SymPacked) {
-        self.a = Some(a.to_matrix());
-        self.g = Some(g.to_matrix());
-    }
 }
 
-/// Computes the local `A` factor from captured input rows:
-/// `A = aᵀa / rows` (Eq. 7 averaged over batch × spatial positions).
-pub fn local_factor_a(a_rows: &Matrix) -> Matrix {
-    let mut a = Matrix::zeros(0, 0);
-    local_factor_a_into(a_rows, &mut a);
-    a
+/// `F + γI` of a packed running factor, expanded.
+fn damped(f: &SymPacked, gamma: f64) -> Matrix {
+    let mut m = Matrix::zeros(0, 0);
+    f.damped_into(gamma, &mut m);
+    m
 }
 
-/// [`local_factor_a`] into `out`, its storage reused.
-pub fn local_factor_a_into(a_rows: &Matrix, out: &mut Matrix) {
-    a_rows.gramian_scaled_into(a_rows.rows() as f64, out);
+/// The local `A` statistic `aᵀa / rows` (Eq. 7 averaged over batch ×
+/// spatial positions) from captured input rows, packed into `dst` (e.g.
+/// its slice of a factor message), with `scratch` as the product's
+/// workspace ([`Matrix::gramian_packed_into`]).
+pub fn local_factor_a_into(a_rows: &Matrix, scratch: &mut Matrix, dst: &mut [f64]) {
+    a_rows.gramian_packed_into(a_rows.rows() as f64, scratch, dst);
 }
 
-/// Computes the local `G` factor from captured (mean-reduced) output-gradient
-/// rows: `G = N²/rows · gᵀg` (Eq. 8 with per-sample rescaling, see
-/// `spdkfac_nn::KfacCapture::factor_g`).
-pub fn local_factor_g(g_rows: &Matrix, batch: usize) -> Matrix {
-    let mut g = Matrix::zeros(0, 0);
-    local_factor_g_into(g_rows, batch, &mut g);
-    g
-}
-
-/// [`local_factor_g`] into `out`, its storage reused.
-pub fn local_factor_g_into(g_rows: &Matrix, batch: usize, out: &mut Matrix) {
+/// The local `G` statistic `N²/rows · gᵀg` (Eq. 8 with per-sample
+/// rescaling, see `spdkfac_nn::KfacCapture::factor_g`) from captured
+/// (mean-reduced) output-gradient rows, packed into `dst` as
+/// [`local_factor_a_into`] does.
+pub fn local_factor_g_into(g_rows: &Matrix, batch: usize, scratch: &mut Matrix, dst: &mut [f64]) {
     let n = batch as f64;
-    g_rows.gramian_scaled_into(g_rows.rows() as f64 / (n * n), out);
+    g_rows.gramian_packed_into(g_rows.rows() as f64 / (n * n), scratch, dst);
 }
 
 #[cfg(test)]
@@ -261,13 +223,23 @@ mod tests {
         }
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn first_update_installs_factors() {
         let mut st = FactorState::new(0);
         let cap = capture(1);
         st.update_from_capture(&cap, 0.95);
-        assert!(st.factor_a().unwrap().max_abs_diff(&cap.factor_a()) < 1e-15);
-        assert!(st.factor_g().unwrap().max_abs_diff(&cap.factor_g()) < 1e-15);
+        assert_eq!(
+            st.factor_a(),
+            Some(&SymPacked::from_matrix(&cap.factor_a()))
+        );
+        assert_eq!(
+            st.factor_g(),
+            Some(&SymPacked::from_matrix(&cap.factor_g()))
+        );
     }
 
     #[test]
@@ -279,7 +251,41 @@ mod tests {
         st.update_from_capture(&c2, 0.9);
         let mut expect = c1.factor_a().clone();
         expect.ema_update(0.9, &c2.factor_a());
-        assert!(st.factor_a().unwrap().max_abs_diff(&expect) < 1e-14);
+        assert_eq!(st.factor_a().unwrap().to_matrix(), expect);
+    }
+
+    #[test]
+    fn k_packed_statistics_factor_to_the_dense_paths_bits() {
+        // The oracle is the dense path the running factors used to take: a
+        // mirrored, scaled Gramian, folded by `Matrix::ema_update`, damped
+        // by `Matrix::damped_into`, factored in place.
+        let mut rng = MatrixRng::new(41);
+        let (rows, da, dg, batch, decay, gamma) = (9, 70, 33, 3, 0.9, 0.05);
+        let n = batch as f64;
+        let mut st = FactorState::new(0);
+        let (mut dense_a, mut dense_g) = (None::<Matrix>, None::<Matrix>);
+        let fold = |running: &mut Option<Matrix>, fresh: Matrix| match running {
+            Some(f) => f.ema_update(decay, &fresh),
+            None => *running = Some(fresh),
+        };
+        let mut scratch = Matrix::zeros(0, 0);
+        let (mut sa, mut sg) = (vec![0.0; packed_len(da)], vec![0.0; packed_len(dg)]);
+        for _ in 0..5 {
+            let (xa, xg) = (rng.gaussian_matrix(rows, da), rng.gaussian_matrix(rows, dg));
+            local_factor_a_into(&xa, &mut scratch, &mut sa);
+            st.update_packed(FactorSide::A, da, &sa, decay);
+            local_factor_g_into(&xg, batch, &mut scratch, &mut sg);
+            st.update_packed(FactorSide::G, dg, &sg, decay);
+            fold(&mut dense_a, xa.gramian_scaled(rows as f64));
+            fold(&mut dense_g, xg.gramian_scaled(rows as f64 / (n * n)));
+        }
+        st.refresh_inverses(gamma).unwrap();
+        for (got, dense) in [(st.a_chol(), dense_a), (st.g_chol(), dense_g)] {
+            let mut l = Matrix::zeros(0, 0);
+            dense.unwrap().damped_into(gamma, &mut l);
+            chol::cholesky_in_place(&mut l).unwrap();
+            assert_eq!(bits(got.unwrap().as_slice()), bits(l.as_slice()));
+        }
     }
 
     #[test]
@@ -320,18 +326,18 @@ mod tests {
     #[test]
     fn local_factor_helpers_match_capture_methods() {
         let cap = capture(9);
-        assert!(local_factor_a(&cap.a_rows).max_abs_diff(&cap.factor_a()) < 1e-14);
-        assert!(local_factor_g(&cap.g_rows, cap.batch).max_abs_diff(&cap.factor_g()) < 1e-14);
-    }
-
-    #[test]
-    fn packed_roundtrip_preserves_factors() {
-        let mut st = FactorState::new(0);
-        st.update_from_capture(&capture(5), 0.95);
-        let (pa, pg) = st.packed_factors();
-        let mut st2 = FactorState::new(0);
-        st2.set_factors_from_packed(&pa, &pg);
-        assert!(st2.factor_a().unwrap().max_abs_diff(st.factor_a().unwrap()) < 1e-15);
-        assert!(st2.factor_g().unwrap().max_abs_diff(st.factor_g().unwrap()) < 1e-15);
+        let (da, dg) = cap.dims();
+        let mut scratch = Matrix::zeros(0, 0);
+        let (mut a, mut g) = (vec![0.0; packed_len(da)], vec![0.0; packed_len(dg)]);
+        local_factor_a_into(&cap.a_rows, &mut scratch, &mut a);
+        local_factor_g_into(&cap.g_rows, cap.batch, &mut scratch, &mut g);
+        assert_eq!(
+            bits(&a),
+            bits(SymPacked::from_matrix(&cap.factor_a()).as_slice())
+        );
+        assert_eq!(
+            bits(&g),
+            bits(SymPacked::from_matrix(&cap.factor_g()).as_slice())
+        );
     }
 }

@@ -8,6 +8,10 @@
 //!   statistics `E[aaᵀ]` / `E[ggᵀ]`): one [`Mask::Lower`] call — tiles
 //!   wholly above the diagonal are skipped, half the FLOPs — then
 //!   [`mirror_lower`].
+//! - `Matrix::gramian_packed_into` (the statistic the trainers put on the
+//!   wire as its packed upper triangle): one [`Mask::Upper`] call, no
+//!   mirror. Its element `(i, j)` is the `Lower` call's `(j, i)` to the
+//!   bit: the same products (multiplication commutes) in the same order.
 //! - The blocked Cholesky factorization and SPD inverse in [`crate::chol`]:
 //!   panel solve, trailing update, triangular inversion and `MᵀM` are core
 //!   calls on sub-blocks (an operand is a slice that starts at the block's
@@ -611,6 +615,23 @@ pub(crate) fn mirror_lower(c: &mut [f64], n: usize) {
             let j1 = (j0 + MIRROR_TILE).min(n);
             for i in i0..i1 {
                 for j in j0.max(i + 1)..j1 {
+                    c[i * n + j] = c[j * n + i];
+                }
+            }
+        }
+    }
+}
+
+/// Copies the strict upper triangle of a square row-major `n × n` buffer
+/// over the lower one, tile by tile: the transpose of [`mirror_lower`],
+/// writing each lower row segment contiguously.
+pub(crate) fn mirror_upper(c: &mut [f64], n: usize) {
+    for i0 in (0..n).step_by(MIRROR_TILE) {
+        let i1 = (i0 + MIRROR_TILE).min(n);
+        for j0 in (0..i1).step_by(MIRROR_TILE) {
+            let j1 = (j0 + MIRROR_TILE).min(n);
+            for i in i0..i1 {
+                for j in j0..j1.min(i) {
                     c[i * n + j] = c[j * n + i];
                 }
             }

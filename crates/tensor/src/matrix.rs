@@ -371,18 +371,68 @@ impl Matrix {
     /// K-FAC averages the factor statistics over the mini-batch (and over the
     /// spatial positions for convolutions), so this saves a second pass.
     pub fn gramian_scaled(&self, scale: f64) -> Matrix {
+        let x = self.operand();
         let mut g = Matrix::zeros(0, 0);
-        self.gramian_scaled_into(scale, &mut g);
+        product_into(
+            self.cols,
+            self.rows,
+            self.cols,
+            x.t(),
+            x,
+            Mask::Lower,
+            &mut g,
+        );
+        gemm::mirror_lower(&mut g.data, self.cols);
+        if scale != 1.0 {
+            g.scale(1.0 / scale);
+        }
         g
     }
 
-    /// [`Matrix::gramian_scaled`] into `out`, reshaped to `cols × cols`.
-    pub fn gramian_scaled_into(&self, scale: f64, out: &mut Matrix) {
+    /// [`Matrix::gramian_scaled`]'s upper triangle, bit for bit, packed
+    /// ([`crate::SymPacked`] layout) into `dst` — e.g. a statistic's slice
+    /// of its factor message. Only the tiles on or above the diagonal are
+    /// computed ([`Mask::Upper`]), in `scratch` (reshaped to
+    /// `cols × cols`; its lower triangle is left unspecified), and the
+    /// scale is applied while packing: no mirror pass, no full-matrix
+    /// scale pass, and no allocation once `scratch` is large enough.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is not `cols(cols+1)/2` long.
+    pub fn gramian_packed_into(&self, scale: f64, scratch: &mut Matrix, dst: &mut [f64]) {
+        let d = self.cols;
+        assert_eq!(
+            dst.len(),
+            crate::sym::packed_len(d),
+            "gramian_packed_into: {} elements for the triangle of dim {d}",
+            dst.len()
+        );
+        scratch.reshape_for_overwrite(d, d);
+        // The core adds into C: zero what is read back, the upper triangle.
+        for (i, row) in scratch.data.chunks_exact_mut(d.max(1)).enumerate() {
+            row[i..].fill(0.0);
+        }
         let x = self.operand();
-        product_into(self.cols, self.rows, self.cols, x.t(), x, Mask::Lower, out);
-        gemm::mirror_lower(&mut out.data, self.cols);
-        if scale != 1.0 {
-            out.scale(1.0 / scale);
+        gemm::gemm(
+            1.0,
+            d,
+            self.rows,
+            d,
+            x.t(),
+            x,
+            &mut scratch.data,
+            d,
+            Mask::Upper,
+        );
+        let inv = 1.0 / scale;
+        let mut rest = dst;
+        for (i, row) in scratch.data.chunks_exact(d.max(1)).enumerate() {
+            let (packed, tail) = rest.split_at_mut(d - i);
+            for (p, &v) in packed.iter_mut().zip(&row[i..]) {
+                *p = v * inv;
+            }
+            rest = tail;
         }
     }
 
@@ -466,37 +516,6 @@ impl Matrix {
         }
     }
 
-    /// [`Matrix::ema_update`] against a symmetric matrix given as its
-    /// packed upper triangle ([`crate::SymPacked`] layout) — the landing of
-    /// an aggregated factor message, without expanding it first. Each
-    /// element is updated exactly as against the expanded matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square or `packed` is not its triangle.
-    pub fn ema_update_packed(&mut self, decay: f64, packed: &[f64]) {
-        let n = self.rows;
-        assert!(
-            self.is_square() && packed.len() == crate::sym::packed_len(n),
-            "ema_update_packed: {} packed elements for a {}x{} matrix",
-            packed.len(),
-            self.rows,
-            self.cols
-        );
-        let mut rest = packed;
-        for i in 0..n {
-            let (row, tail) = rest.split_at(n - i);
-            rest = tail;
-            for (k, &b) in row.iter().enumerate() {
-                let j = i + k;
-                self.data[i * n + j] = ema(decay, self.data[i * n + j], b);
-                if k > 0 {
-                    self.data[j * n + i] = ema(decay, self.data[j * n + i], b);
-                }
-            }
-        }
-    }
-
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
@@ -575,7 +594,7 @@ fn product_into(
 }
 
 /// One exponential-moving-average step: `decay · a + (1 − decay) · b`.
-fn ema(decay: f64, a: f64, b: f64) -> f64 {
+pub(crate) fn ema(decay: f64, a: f64, b: f64) -> f64 {
     decay * a + (1.0 - decay) * b
 }
 

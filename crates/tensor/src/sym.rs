@@ -4,9 +4,14 @@
 //! the paper only ever communicates the `d(d+1)/2` upper-triangle elements
 //! (§III-A counts factor traffic this way; §V-B broadcasts inverses this
 //! way). [`SymPacked`] is that wire format: a flat buffer that all-reduce and
-//! broadcast operate on directly.
+//! broadcast operate on directly, and the form in which the trainers keep
+//! the running factors: a landing message is folded in with one contiguous
+//! EMA ([`SymPacked::ema_update`]) and a factor is expanded only into the
+//! storage that consumes it ([`SymPacked::damped_into`] writes `F + γI`
+//! into the buffer POTRF factors in place).
 
-use crate::matrix::Matrix;
+use crate::gemm::mirror_upper;
+use crate::matrix::{ema, Matrix};
 
 /// A symmetric `d × d` matrix stored as its packed upper triangle
 /// (row-major: `(0,0), (0,1), …, (0,d-1), (1,1), …`).
@@ -53,35 +58,13 @@ impl SymPacked {
     ///
     /// Panics if `m` is not square.
     pub fn from_matrix(m: &Matrix) -> Self {
-        let mut data = vec![0.0; packed_len(m.rows())];
-        SymPacked::pack_into(m, &mut data);
-        SymPacked {
-            dim: m.rows(),
-            data,
-        }
-    }
-
-    /// Packs the upper triangle of a square matrix into `dst` — e.g. its
-    /// slice of a fused all-reduce payload — without an owned
-    /// [`SymPacked`] in between.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is not square or `dst` is not `d(d+1)/2` long.
-    pub fn pack_into(m: &Matrix, dst: &mut [f64]) {
         assert!(m.is_square(), "SymPacked::from_matrix requires square");
         let d = m.rows();
-        assert_eq!(
-            dst.len(),
-            packed_len(d),
-            "SymPacked::pack_into: buffer length mismatch for dim {d}"
-        );
-        let mut rest = dst;
+        let mut data = Vec::with_capacity(packed_len(d));
         for i in 0..d {
-            let (row, tail) = rest.split_at_mut(d - i);
-            row.copy_from_slice(&m.row(i)[i..]);
-            rest = tail;
+            data.extend_from_slice(&m.row(i)[i..]);
         }
+        SymPacked { dim: d, data }
     }
 
     /// Wraps an existing packed buffer.
@@ -173,7 +156,10 @@ impl SymPacked {
     }
 
     /// [`SymPacked::unpack`] into an existing `dim × dim` matrix (every
-    /// element is overwritten).
+    /// element is overwritten): the packed rows are copied into the upper
+    /// triangle in order, then mirrored onto the lower one in 32 × 32 tile
+    /// pairs, so both the packed source and the dense rows are walked
+    /// contiguously.
     ///
     /// # Panics
     ///
@@ -189,11 +175,41 @@ impl SymPacked {
         for i in 0..dim {
             let (row, tail) = rest.split_at(dim - i);
             out[i * dim + i..(i + 1) * dim].copy_from_slice(row);
-            for (k, &v) in row.iter().enumerate().skip(1) {
-                out[(i + k) * dim + i] = v;
-            }
             rest = tail;
         }
+        mirror_upper(out, dim);
+    }
+
+    /// The running-average fold: `self = decay · self + (1 − decay) · p`,
+    /// with `p` a packed triangle of the same dimension (e.g. an
+    /// aggregated statistic's slice of its factor message), in one
+    /// contiguous pass. Each element is updated exactly as
+    /// [`Matrix::ema_update`] updates it in the expanded matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `packed` is not `d(d+1)/2` long.
+    pub fn ema_update(&mut self, decay: f64, packed: &[f64]) {
+        assert_eq!(
+            packed.len(),
+            self.data.len(),
+            "SymPacked::ema_update: buffer length mismatch for dim {}",
+            self.dim
+        );
+        for (a, &b) in self.data.iter_mut().zip(packed) {
+            *a = ema(decay, *a, b);
+        }
+    }
+
+    /// `self + γI`, expanded into `out` (reshaped to `d × d`, its storage
+    /// reused) — the buffer [`crate::chol::cholesky_in_place`] then factors
+    /// in place. Element for element the bits of [`Matrix::damped_into`]
+    /// on the expanded matrix.
+    pub fn damped_into(&self, gamma: f64, out: &mut Matrix) {
+        let d = self.dim;
+        out.reshape_for_overwrite(d, d);
+        SymPacked::unpack_into(&self.data, out);
+        out.add_scaled_identity(gamma);
     }
 
     /// `self += alpha * other`, element-wise on the packed buffers (what a
@@ -270,14 +286,15 @@ mod tests {
 
     #[test]
     fn unpack_from_slice_matches_to_matrix() {
-        // Two tensors back to back, as in a fused factor bucket.
-        let a = SymPacked::from_matrix(&random_sym(7, 3));
+        // Two tensors back to back, as in a fused factor bucket; the
+        // first spans three tile rows of the mirror.
+        let a = SymPacked::from_matrix(&random_sym(70, 3));
         let b = SymPacked::from_matrix(&random_sym(4, 5));
         let fused = [a.as_slice(), b.as_slice()].concat();
         let (head, tail) = fused.split_at(a.len());
         // Element-wise oracle, independent of `unpack`.
         let dense = |p: &SymPacked| Matrix::from_fn(p.dim(), p.dim(), |i, j| p.get(i, j));
-        assert_eq!(SymPacked::unpack(7, head), dense(&a));
+        assert_eq!(SymPacked::unpack(70, head), dense(&a));
         assert_eq!(SymPacked::unpack(4, tail), dense(&b));
         assert_eq!(SymPacked::unpack(0, &[]).shape(), (0, 0));
     }

@@ -2,8 +2,10 @@
 //! counting global allocator): once every pool lane's pack buffers have
 //! grown to the shapes in use, a product allocates its result and nothing
 //! else of 4 KiB or more — no per-call pack buffer, no per-block scratch —
-//! and an `_into` product, an in-place inverse or factorization, or a
-//! solve into kept storage allocates nothing.
+//! and an `_into` product, the packed statistic, its fold into a packed
+//! running factor, the damped expansion into `L`'s storage, an in-place
+//! inverse or factorization, or a solve into kept storage allocates
+//! nothing.
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
@@ -12,7 +14,8 @@ use counting_alloc::{CountingAlloc, ARMED, BIG, BIG_ALLOCS};
 use spdkfac::tensor::chol::Side;
 use spdkfac::tensor::kron::precondition_gradient_chol_in_place;
 use spdkfac::tensor::rng::MatrixRng;
-use spdkfac::tensor::{chol, pool, Matrix};
+use spdkfac::tensor::sym::packed_len;
+use spdkfac::tensor::{chol, pool, Matrix, SymPacked};
 use std::hint::black_box;
 use std::sync::atomic::Ordering;
 use std::sync::{Barrier, Mutex};
@@ -89,6 +92,8 @@ fn warm_in_place_kernels_allocate_nothing() {
         rng.uniform_matrix(BATCH, D - 1, -1.0, 1.0),
     );
     let factor = rng.spd_matrix(D, 0.1);
+    let mut running = SymPacked::from_matrix(&factor);
+    let mut packed_stat = vec![0.0; packed_len(D)];
     let bias = rng.uniform_matrix(D, 1, -1.0, 1.0);
     let (mut product, mut grad, mut stat, mut inv) = (
         Matrix::zeros(0, 0),
@@ -105,12 +110,16 @@ fn warm_in_place_kernels_allocate_nothing() {
     let mut kernels = || {
         a.matmul_into(&b, &mut product);
         g.matmul_tn_into(&x, &mut grad);
-        x.gramian_scaled_into(BATCH as f64, &mut stat);
         factor.damped_into(0.1, &mut inv);
         chol::spd_inverse_in_place(&mut inv).expect("SPD");
-        // The trainer's refresh and directions: POTRF into solve form,
-        // then a weight's four solves and a bias's two.
-        factor.damped_into(0.1, &mut l);
+        // The trainer's statistic, packed into its message slot, and its
+        // landing, folded into the packed running factor.
+        x.gramian_packed_into(BATCH as f64, &mut stat, &mut packed_stat);
+        running.ema_update(0.95, &packed_stat);
+        // The refresh and directions: the damped factor expanded into `L`'s
+        // storage, POTRF into solve form there, then a weight's four
+        // solves and a bias's two.
+        running.damped_into(0.1, &mut l);
         chol::cholesky_in_place(&mut l).expect("SPD");
         dir.clone_from(&a);
         precondition_gradient_chol_in_place(&mut dir, &l, &l, &mut solved);
