@@ -19,7 +19,6 @@ fn bench_trainers(c: &mut Criterion) {
         ("dkfac", Algorithm::DKfac),
         ("mpd", Algorithm::MpdKfac),
         ("spd", Algorithm::SpdKfac),
-        ("ekfac", Algorithm::EkfacSpd),
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &algo, |b, &algo| {
             b.iter(|| {

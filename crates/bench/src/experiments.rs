@@ -969,7 +969,8 @@ fn print_ext_batch_sweep() -> Option<String> {
     None
 }
 
-/// Distributed EKFAC vs SPD-KFAC: 2L eigendecompositions (≈ 3× a
+/// Distributed EKFAC vs SPD-KFAC, projected by the simulator (the trainer
+/// does not implement EKFAC): 2L eigendecompositions (≈ 3× a
 /// Cholesky inverse on GPU) instead of 2L inversions, distributed by the
 /// same LBP, at two refresh intervals.
 fn print_ext_ekfac_timing() -> Option<String> {

@@ -24,7 +24,7 @@
 //!   over in-process pipes or sockets.
 //! - A wire-format codec ([`wire`]) runs inside the hop, slice by slice:
 //!   payloads can travel as raw f64, f32, f16 (F16C/AVX2 where available),
-//!   or residual-compensated top-k / packed-symmetric bodies, selected per
+//!   or residual-compensated top-k bodies, selected per
 //!   operation kind via [`CommGroupBuilder::wire_policy`]. All ranks stay
 //!   bit-identical under lossy formats (encode-once-at-origin relays).
 //! - Each endpoint owns a background **communication thread**. Asynchronous

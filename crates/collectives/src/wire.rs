@@ -12,15 +12,13 @@
 //!   an F16C/AVX2 path behind a runtime probe; the software converters
 //!   ([`f32_to_f16_bits`], [`f16_bits_to_f32`], round-to-nearest-even) are
 //!   the fallback and the oracle — both paths produce the same bytes.
-//! - **Self-describing bodies** are encoded and decoded whole
-//!   ([`encode_body`] / [`decode_body`]): **top-k**
-//!   ([`WireFormat::TopK`]) ships index/value pairs of what
-//!   [`sparsify_with_residual`] kept (the dropped mass moves, bit-exactly,
-//!   into a residual the comm thread carries to the next same-shape
-//!   operation) and falls back to dense f32 when that is smaller;
-//!   **packed-sym** ships the upper triangle of an exactly symmetric matrix
-//!   in f16. Their decoders reject any body that contradicts its own header
-//!   — the bytes come off a socket.
+//! - **Top-k** ([`WireFormat::TopK`]) bodies are self-describing and are
+//!   encoded and decoded whole ([`encode_body`] / [`decode_body`]): they
+//!   ship index/value pairs of what [`sparsify_with_residual`] kept (the
+//!   dropped mass moves, bit-exactly, into a residual the comm thread
+//!   carries to the next same-shape operation) and fall back to dense f32
+//!   when that is smaller. The decoder rejects any body that contradicts
+//!   its own header — the bytes come off a socket.
 //!
 //! [`encode`] / [`decode_ref`] wrap the same kernels over fresh allocations
 //! for callers outside the ring (benchmarks, tests).
@@ -44,14 +42,6 @@ pub enum WireFormat {
         /// Fraction of elements kept, in `(0, 1]`.
         ratio: f64,
     },
-    /// §V-B packed-triangular symmetry composed with f16: a payload that
-    /// is a full `d × d` matrix and *exactly* symmetric ships only its
-    /// upper triangle (`d(d+1)/2` halves ≈ 1 byte per logical element);
-    /// anything else — asymmetric buffers, ring-chunk slices — falls back
-    /// to dense f16. The codec never symmetrizes: packing happens only
-    /// when the mirror elements already agree bit-for-bit, so the only
-    /// loss is f16 rounding.
-    PackedSymF16,
 }
 
 impl WireFormat {
@@ -63,8 +53,6 @@ impl WireFormat {
             WireFormat::F32 => 4.0,
             WireFormat::F16 => 2.0,
             WireFormat::TopK { ratio } => (ratio * 8.0).min(4.0),
-            // 2 bytes × d(d+1)/2 halves over d² logical elements → ~1.
-            WireFormat::PackedSymF16 => 1.0,
         }
     }
 
@@ -80,7 +68,6 @@ impl WireFormat {
             "f64" | "fp64" => Ok(WireFormat::F64),
             "f32" | "fp32" => Ok(WireFormat::F32),
             "f16" | "fp16" => Ok(WireFormat::F16),
-            "packed-f16" | "packedsym-f16" => Ok(WireFormat::PackedSymF16),
             _ => {
                 if let Some(r) = t.strip_prefix("topk:") {
                     let ratio: f64 = r
@@ -92,7 +79,7 @@ impl WireFormat {
                     Ok(WireFormat::TopK { ratio })
                 } else {
                     Err(format!(
-                        "unknown wire format {s:?} (expected f64|f32|f16|packed-f16|topk:<ratio>)"
+                        "unknown wire format {s:?} (expected f64|f32|f16|topk:<ratio>)"
                     ))
                 }
             }
@@ -107,7 +94,6 @@ impl std::fmt::Display for WireFormat {
             WireFormat::F32 => f.write_str("f32"),
             WireFormat::F16 => f.write_str("f16"),
             WireFormat::TopK { ratio } => write!(f, "topk:{ratio}"),
-            WireFormat::PackedSymF16 => f.write_str("packed-f16"),
         }
     }
 }
@@ -220,26 +206,25 @@ impl WirePolicy {
 
 impl WireFormat {
     /// Frame tag naming the body encoding (0 = f64, 1 = f32, 2 = f16,
-    /// 3 = sparse, 4 = packed-sym).
+    /// 3 = top-k).
     pub fn tag(&self) -> u8 {
         match self {
             WireFormat::F64 => 0,
             WireFormat::F32 => 1,
             WireFormat::F16 => 2,
             WireFormat::TopK { .. } => 3,
-            WireFormat::PackedSymF16 => 4,
         }
     }
 
     /// Wire bytes per element of the dense formats, whose bodies stream
-    /// slice by slice; `None` for the self-describing bodies (sparse,
-    /// packed-sym), which are encoded and decoded whole.
+    /// slice by slice; `None` for top-k, whose self-describing bodies are
+    /// encoded and decoded whole.
     pub fn dense_elem_bytes(&self) -> Option<usize> {
         match self {
             WireFormat::F64 => Some(8),
             WireFormat::F32 => Some(4),
             WireFormat::F16 => Some(2),
-            WireFormat::TopK { .. } | WireFormat::PackedSymF16 => None,
+            WireFormat::TopK { .. } => None,
         }
     }
 
@@ -249,7 +234,6 @@ impl WireFormat {
         match self {
             // Sparse pairs are only chosen when smaller than dense f32.
             WireFormat::TopK { .. } => 9 + 4 * elems,
-            WireFormat::PackedSymF16 => BODY_HEADER + 2 * elems,
             dense => dense.dense_elem_bytes().expect("dense format") * elems,
         }
     }
@@ -555,55 +539,37 @@ fn push_dense(fmt: WireFormat, data: &[f64], out: &mut Vec<u8>) -> f64 {
     encode_into(fmt, data, &mut out[at..])
 }
 
-/// Encodes a whole self-describing body (top-k → sparse, packed-sym) into
-/// `out`, reusing its capacity; returns the max absolute rounding error.
+/// Encodes a whole top-k body into `out`, reusing its capacity; returns
+/// the max absolute rounding error.
 ///
-/// The top-k path assumes sparsification already happened upstream (the
-/// comm thread owns the residual state) and serialises whatever
-/// zeros/non-zeros it is handed, picking index/value pairs only when they
-/// are smaller than a dense f32 body. The packed-sym path ships the upper
-/// triangle of an exactly symmetric square matrix and dense f16 otherwise.
+/// Sparsification already happened upstream (the comm thread owns the
+/// residual state): the body serialises whatever zeros/non-zeros it is
+/// handed, as index/value pairs only when they are smaller than a dense
+/// f32 body.
 pub fn encode_body(fmt: WireFormat, data: &[f64], out: &mut Vec<u8>) -> f64 {
+    assert!(
+        matches!(fmt, WireFormat::TopK { .. }),
+        "{fmt} bodies stream through the slice kernels"
+    );
     let len = data.len();
-    match fmt {
-        WireFormat::TopK { .. } => {
-            let nnz = data.iter().filter(|v| **v != 0.0).count();
-            // Sparse body: 8 bytes/non-zero vs. 4 bytes/element dense.
-            if 8 * nnz >= 4 * len {
-                push_body_header(out, 0, len);
-                return push_dense(WireFormat::F32, data, out);
-            }
-            push_body_header(out, 1, len);
-            out.extend_from_slice(&(nnz as u32).to_le_bytes());
-            let mut err = 0.0f64;
-            for (i, &x) in data.iter().enumerate() {
-                if x != 0.0 {
-                    let f = x as f32;
-                    err = max_ignoring_nan(err, (x - f as f64).abs());
-                    out.extend_from_slice(&(i as u32).to_le_bytes());
-                    out.extend_from_slice(&f.to_le_bytes());
-                }
-            }
-            err
-        }
-        WireFormat::PackedSymF16 => {
-            let d = (len as f64).sqrt().round() as usize;
-            let symmetric_square = d > 0
-                && d * d == len
-                && (0..d).all(|r| (r + 1..d).all(|c| data[r * d + c] == data[c * d + r]));
-            if !symmetric_square {
-                push_body_header(out, 0, len);
-                return push_dense(WireFormat::F16, data, out);
-            }
-            push_body_header(out, 1, d);
-            // Row r of the triangle is the contiguous run (r, r..d).
-            (0..d).fold(0.0, |err, r| {
-                let row = &data[r * d + r..(r + 1) * d];
-                max_ignoring_nan(err, push_dense(WireFormat::F16, row, out))
-            })
-        }
-        dense => unreachable!("{dense} bodies stream through the slice kernels"),
+    let nnz = data.iter().filter(|v| **v != 0.0).count();
+    // Sparse body: 8 bytes/non-zero vs. 4 bytes/element dense.
+    if 8 * nnz >= 4 * len {
+        push_body_header(out, 0, len);
+        return push_dense(WireFormat::F32, data, out);
     }
+    push_body_header(out, 1, len);
+    out.extend_from_slice(&(nnz as u32).to_le_bytes());
+    let mut err = 0.0f64;
+    for (i, &x) in data.iter().enumerate() {
+        if x != 0.0 {
+            let f = x as f32;
+            err = max_ignoring_nan(err, (x - f as f64).abs());
+            out.extend_from_slice(&(i as u32).to_le_bytes());
+            out.extend_from_slice(&f.to_le_bytes());
+        }
+    }
+    err
 }
 
 /// Logical element count a self-describing body claims to carry.
@@ -611,13 +577,9 @@ fn body_elems(fmt: WireFormat, body: &[u8]) -> Result<usize, String> {
     if body.len() < BODY_HEADER {
         return Err(format!("{fmt} body of {} bytes has no header", body.len()));
     }
-    let n = u32::from_le_bytes(body[1..5].try_into().expect("4-byte len")) as usize;
-    match (fmt, body[0]) {
-        (WireFormat::PackedSymF16, 1) => n
-            .checked_mul(n)
-            .ok_or_else(|| format!("packed-sym dimension {n} overflows")),
-        (WireFormat::TopK { .. }, 0 | 1) | (WireFormat::PackedSymF16, 0) => Ok(n),
-        (_, kind) => Err(format!("unknown {fmt} body kind {kind}")),
+    match body[0] {
+        0 | 1 => Ok(u32::from_le_bytes(body[1..5].try_into().expect("4-byte len")) as usize),
+        kind => Err(format!("unknown {fmt} body kind {kind}")),
     }
 }
 
@@ -649,13 +611,13 @@ pub fn decode_body(
         })
     };
     out.clear();
-    match (fmt, body[0]) {
-        (WireFormat::TopK { .. }, 0) => {
+    match body[0] {
+        0 => {
             want(len.saturating_mul(4), "dense")?;
             out.resize(len, 0.0);
             decode_into(WireFormat::F32, payload, out);
         }
-        (WireFormat::TopK { .. }, _) => {
+        _ => {
             // Pairs do not back `len`; the hop's own expectation does.
             let Some((count, pairs)) = payload.split_first_chunk::<4>() else {
                 return Err(format!("{fmt} sparse body has no pair count"));
@@ -673,29 +635,6 @@ pub fn decode_body(
                 let val = f32::from_le_bytes(pair[4..].try_into().expect("val"));
                 *out.get_mut(idx)
                     .ok_or_else(|| format!("sparse index {idx} out of range {len}"))? = val as f64;
-            }
-        }
-        (_, 0) => {
-            want(len.saturating_mul(2), "dense")?;
-            out.resize(len, 0.0);
-            decode_into(WireFormat::F16, payload, out);
-        }
-        _ => {
-            let d = u32::from_le_bytes(body[1..5].try_into().expect("4-byte dim")) as usize;
-            want(d.saturating_mul(d + 1), "triangle")?;
-            out.resize(len, 0.0);
-            let mut at = 0;
-            for r in 0..d {
-                let run = 2 * (d - r);
-                decode_into(
-                    WireFormat::F16,
-                    &payload[at..at + run],
-                    &mut out[r * d + r..(r + 1) * d],
-                );
-                at += run;
-                for c in r + 1..d {
-                    out[c * d + r] = out[r * d + c];
-                }
             }
         }
     }
@@ -1003,64 +942,29 @@ mod tests {
     }
 
     #[test]
-    fn packed_sym_round_trips_symmetric_matrix_within_f16_bounds() {
-        // A genuine KFAC-style factor: symmetric d×d, moderate magnitudes.
-        let d = 7usize;
-        let mut m = vec![0.0f64; d * d];
-        for r in 0..d {
-            for c in r..d {
-                let v = ((r * 13 + c * 7) as f64).mul_add(0.037, -1.5);
-                m[r * d + c] = v;
-                m[c * d + r] = v;
-            }
-        }
-        let (payload, cs) = encode(WireFormat::PackedSymF16, m.clone());
-        // Header (kind byte + u32 dim) + one f16 per upper-triangle slot.
-        let tri = d * (d + 1) / 2;
-        assert_eq!(payload.wire_bytes(), 5 + tri * 2);
-        assert_eq!(payload.elems(), d * d);
-        assert_eq!(payload.tag(), 4);
-        assert!(cs.max_abs_err <= 3.0 / 2048.0, "abs {}", cs.max_abs_err);
-        let (back, _) = decode_ref(&payload);
-        assert_eq!(back.len(), d * d);
-        for r in 0..d {
-            for c in 0..d {
-                // Reconstruction is exactly symmetric (mirrored slots share
-                // one wire value) and within the f16 bound of the input.
-                assert_eq!(back[r * d + c].to_bits(), back[c * d + r].to_bits());
-                let (x, y) = (m[r * d + c], back[r * d + c]);
-                assert!((x - y).abs() <= x.abs() / 2048.0, "({r},{c}) {x} -> {y}");
-            }
-        }
-    }
-
-    #[test]
-    fn packed_sym_falls_back_to_dense_for_asymmetric_or_nonsquare() {
-        // Asymmetric square: must ship the full body, never symmetrize.
-        let d = 4usize;
-        let mut m: Vec<f64> = (0..d * d).map(|i| i as f64).collect();
-        m[1] = 100.0; // m[0][1] != m[1][0]
-        let (payload, _) = encode(WireFormat::PackedSymF16, m.clone());
-        assert_eq!(payload.wire_bytes(), 5 + d * d * 2);
-        let (back, _) = decode_ref(&payload);
-        for (x, y) in m.iter().zip(back.iter()) {
-            assert_eq!(*y, (f16_bits_to_f32(f32_to_f16_bits(*x as f32))) as f64);
-        }
-        // Non-square length (a fused chunk): dense fallback too.
-        let chunk = vec![1.0f64; 10];
-        let (payload, _) = encode(WireFormat::PackedSymF16, chunk.clone());
-        assert_eq!(payload.wire_bytes(), 5 + 10 * 2);
-        assert_eq!(payload.elems(), 10);
-        let (back, _) = decode_ref(&payload);
-        assert_eq!(back, chunk);
-        // An off-diagonal NaN compares unequal to its mirror (even to
-        // another NaN), so the probe calls the matrix asymmetric and the
-        // codec falls back dense instead of inventing symmetry.
-        let mut nan_m = vec![0.0f64; 4];
-        nan_m[1] = f64::NAN;
-        nan_m[2] = f64::NAN;
-        let (payload, _) = encode(WireFormat::PackedSymF16, nan_m);
-        assert_eq!(payload.wire_bytes(), 5 + 4 * 2);
+    fn wire_bytes_shrink_with_the_format() {
+        // A gradient-like payload: dense, mixed signs and magnitudes.
+        let n = 1000;
+        let data: Vec<f64> = (0..n)
+            .map(|i| ((i * 37 % 101) as f64 - 50.0) * 1e-3)
+            .collect();
+        let bytes = |fmt| encode(fmt, data.clone()).0.wire_bytes();
+        let (w64, w32, w16) = (
+            bytes(WireFormat::F64),
+            bytes(WireFormat::F32),
+            bytes(WireFormat::F16),
+        );
+        // The f64 pass-through puts exactly the logical bytes on the wire,
+        // and every narrower format strictly fewer.
+        assert_eq!((w64, w32, w16), (8 * n, 4 * n, 2 * n));
+        // Top-k at 1 % after sparsification: a header, a pair count and
+        // one (index, value) pair per kept element.
+        let mut sparse = data.clone();
+        let kept = sparsify_with_residual(&mut sparse, 0.01, &mut Vec::new());
+        let mut body = Vec::new();
+        encode_body(WireFormat::TopK { ratio: 0.01 }, &sparse, &mut body);
+        assert_eq!(body.len(), 9 + 8 * kept);
+        assert!(body.len() < w16, "top-k {} vs f16 {w16}", body.len());
     }
 
     #[test]
@@ -1088,35 +992,9 @@ mod tests {
         assert!(decode_body(topk, &kind, 16, &mut out).is_err());
         assert!(decode_body(topk, &good.body[..3], 16, &mut out).is_err());
         assert!(decode_body(topk, &good.body[..good.body.len() - 1], 16, &mut out).is_err());
-        // Packed-sym: a dimension whose triangle the payload cannot back
-        // must be refused before d * d elements are allocated.
-        let sym = WireFormat::PackedSymF16;
-        let mut tri = vec![1u8];
-        tri.extend_from_slice(&60_000u32.to_le_bytes());
-        tri.extend_from_slice(&[0u8; 6]);
-        let err = decode_body(sym, &tri, 60_000 * 60_000, &mut out).unwrap_err();
-        assert!(err.contains("triangle"), "{err}");
         // And the intact body still decodes.
         decode_body(topk, &good.body, 16, &mut out).expect("intact body");
         assert_eq!(out[3], 1.0);
-    }
-
-    #[test]
-    fn packed_sym_format_parses_and_displays() {
-        assert_eq!(
-            WireFormat::parse("packed-f16").unwrap(),
-            WireFormat::PackedSymF16
-        );
-        assert_eq!(
-            WireFormat::parse("packedsym-f16").unwrap(),
-            WireFormat::PackedSymF16
-        );
-        assert_eq!(WireFormat::PackedSymF16.to_string(), "packed-f16");
-        assert!(!WireFormat::PackedSymF16.is_lossless());
-        assert_eq!(WireFormat::PackedSymF16.bytes_per_elem(), 1.0);
-        // Round-trip through the policy parser.
-        let p = WirePolicy::parse("factor=packed-f16").unwrap();
-        assert_eq!(p.factor, WireFormat::PackedSymF16);
     }
 
     #[test]

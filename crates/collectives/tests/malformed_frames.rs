@@ -93,14 +93,9 @@ fn oversized_length_is_rejected_before_any_body_byte() {
     }
     // Self-describing bodies are bounded by what the expected element
     // count can encode to.
-    let r = broadcast_against(
-        WireFormat::PackedSymF16,
-        4,
-        header(1, 4, 5 + 2 * 4 + 1),
-        &[0u8; 14],
-        false,
-    );
-    assert_malformed(r, "body bytes on a packed-f16 hop of 4 elements");
+    let topk = WireFormat::TopK { ratio: 0.25 };
+    let r = broadcast_against(topk, 4, header(1, 3, 9 + 4 * 4 + 1), &[0u8; 26], false);
+    assert_malformed(r, "body bytes on a topk:0.25 hop of 4 elements");
 }
 
 #[test]
@@ -109,6 +104,17 @@ fn wrong_tag_and_wrong_origin_are_rejected() {
     assert_malformed(r, "tag 2 on a f64 hop");
     let r = broadcast_against(WireFormat::F16, 3, header(1, 9, 6), &[0u8; 6], false);
     assert_malformed(r, "tag 9");
+    // Tag 4 named a packed-symmetric f16 body, a format no build sends any
+    // more: every hop refuses it.
+    for fmt in [
+        WireFormat::F64,
+        WireFormat::F32,
+        WireFormat::F16,
+        WireFormat::TopK { ratio: 0.25 },
+    ] {
+        let r = broadcast_against(fmt, 3, header(1, 4, 6), &[0u8; 6], false);
+        assert_malformed(r, &format!("tag 4 on a {fmt} hop"));
+    }
     let r = broadcast_against(WireFormat::F64, 3, header(0, 0, 24), &[0u8; 24], false);
     assert_malformed(r, "origin 0 where rank 1 was due");
 }

@@ -83,7 +83,7 @@ struct QueuedOp {
 /// Wire policies that put a different format on consecutive phases: the
 /// control phase stays f64 in all of them.
 const MIXED_POLICIES: [&str; 3] = [
-    "grad=topk:0.25,factor=f16,broadcast=packed-f16",
+    "grad=topk:0.25,factor=f16",
     "grad=f16,factor=f32,broadcast=f16",
     "grad=f32,factor=f64,broadcast=f32",
 ];
@@ -280,92 +280,6 @@ proptest! {
                 (a - b).abs() <= bound,
                 "f16({}) -> {} err {} > bound {}", b, a, (a - b).abs(), bound
             );
-        }
-    }
-
-    #[test]
-    fn packed_sym_round_trip_preserves_symmetry_within_f16_bound(
-        d in 1usize..12,
-        seed in pvec(-100.0f64..100.0, 144),
-    ) {
-        // Build an exactly-symmetric d×d factor from the seed's upper
-        // triangle (the §V-B packed-broadcast precondition).
-        let mut m = vec![0.0f64; d * d];
-        for r in 0..d {
-            for c in r..d {
-                let v = seed[r * 12 + c];
-                m[r * d + c] = v;
-                m[c * d + r] = v;
-            }
-        }
-        let (payload, _) = encode(WireFormat::PackedSymF16, m.clone());
-        // Only the upper triangle travels: header + one f16 per slot.
-        prop_assert_eq!(payload.wire_bytes(), 5 + d * (d + 1) / 2 * 2);
-        prop_assert_eq!(payload.elems(), d * d);
-        let (back, _) = decode_ref(&payload);
-        for r in 0..d {
-            for c in 0..d {
-                // Mirrored slots decode from the same wire value, so the
-                // reconstruction is exactly symmetric — not just close.
-                prop_assert_eq!(
-                    back[r * d + c].to_bits(),
-                    back[c * d + r].to_bits()
-                );
-                let x = m[r * d + c];
-                let y = back[r * d + c];
-                let bound = x.abs() * 1.01 * 2f64.powi(-11) + 2f64.powi(-24);
-                prop_assert!(
-                    (y - x).abs() <= bound,
-                    "packed f16({}) -> {} err {} > bound {}",
-                    x, y, (y - x).abs(), bound
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn packed_sym_broadcast_keeps_all_ranks_symmetric_and_bounded(
-        world in 1usize..5,
-        d in 1usize..8,
-        seed in pvec(-50.0f64..50.0, 64),
-    ) {
-        let mut m = vec![0.0f64; d * d];
-        for r in 0..d {
-            for c in r..d {
-                let v = seed[r * 8 + c];
-                m[r * d + c] = v;
-                m[c * d + r] = v;
-            }
-        }
-        let wire = WirePolicy::parse("broadcast=packed-f16").expect("policy");
-        let m_ref = &m;
-        let results = run_spmd_wire(world, wire, move |comm| {
-            let mut buf = if comm.rank() == 0 {
-                m_ref.clone()
-            } else {
-                vec![0.0; m_ref.len()]
-            };
-            comm.broadcast(&mut buf, 0);
-            buf
-        });
-        let first = &results[0];
-        for got in &results {
-            for r in 0..d {
-                for c in 0..d {
-                    prop_assert_eq!(
-                        got[r * d + c].to_bits(),
-                        got[c * d + r].to_bits()
-                    );
-                    let x = m[r * d + c];
-                    let y = got[r * d + c];
-                    let bound = x.abs() * 1.01 * 2f64.powi(-11) + 2f64.powi(-24);
-                    prop_assert!((y - x).abs() <= bound);
-                }
-            }
-            // Every rank decodes the identical wire bytes.
-            for (a, f) in got.iter().zip(first.iter()) {
-                prop_assert_eq!(a.to_bits(), f.to_bits());
-            }
         }
     }
 

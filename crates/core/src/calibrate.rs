@@ -32,7 +32,7 @@ pub enum SampleKind {
     AllReduce,
     /// Inverse-result broadcasts: `(elements, seconds)`.
     Broadcast,
-    /// Matrix inversions / eigendecompositions: `(dimension, seconds)`.
+    /// Matrix inversions: `(dimension, seconds)`.
     Inverse,
     /// All-reduces sized in *post-encoding wire bytes*: `(bytes, seconds)`.
     /// Under a compressed wire format the per-element fit conflates codec

@@ -22,8 +22,9 @@
 //! every worker executes that graph node by node, whatever the algorithm.
 
 use crate::calibrate::Calibrator;
-use crate::ekfac;
-use crate::elastic::{ElasticPolicy, FactorCheckpoint, MembershipSpan, TrainCheckpoint};
+use crate::elastic::{
+    handoff_buffer, ElasticPolicy, FactorCheckpoint, MembershipSpan, TrainCheckpoint,
+};
 use crate::error::FactorSide;
 use crate::factors::{local_factor_a_into, local_factor_g_into, FactorState};
 use crate::fusion::FusionStrategy;
@@ -40,12 +41,10 @@ use spdkfac_collectives::{
     WirePolicy, WorkerComm,
 };
 use spdkfac_nn::data::Dataset;
-use spdkfac_nn::layer::Param;
 use spdkfac_nn::loss::softmax_cross_entropy;
 use spdkfac_nn::optim::Sgd;
 use spdkfac_nn::{Sequential, Tensor4};
 use spdkfac_obs::{Phase, Recorder, SpanGuard};
-use spdkfac_tensor::eig::{sym_eig, SymEig};
 use spdkfac_tensor::sym::packed_len;
 use spdkfac_tensor::Matrix;
 use std::borrow::Cow;
@@ -68,11 +67,6 @@ pub enum Algorithm {
     /// SPD-KFAC: pipelined factor aggregation with dynamic tensor fusion +
     /// load-balancing inverse placement (the paper's contribution, §IV).
     SpdKfac,
-    /// Distributed EKFAC (extension): SPD-KFAC's pipelined aggregation and
-    /// LBP machinery, but the per-tensor operation is an eigendecomposition
-    /// (broadcasting `Q‖λ`) and preconditioning runs in the Kronecker
-    /// eigenbasis with moment-corrected scales (see [`crate::ekfac`]).
-    EkfacSpd,
 }
 
 /// Configuration of a distributed run.
@@ -97,12 +91,11 @@ pub struct DistributedConfig {
     /// WFBP gradient fusion-buffer capacity in elements: gradients are
     /// all-reduced asynchronously during backward once this many elements
     /// have accumulated (Horovod's 64 MB buffer ≙ 16 M fp32 elements). For
-    /// S-SGD, D-KFAC and MPD-KFAC this is the only flush rule. The pipelined
-    /// algorithms (SPD-KFAC, EKFAC-SPD) also flush whenever a G-factor
-    /// bucket flushes — Eq. 15 already decided a message boundary there
-    /// pays its α — so each layer group's gradients follow its factors on
-    /// the wire and can be preconditioned as they land; the cap still
-    /// applies within a group.
+    /// S-SGD, D-KFAC and MPD-KFAC this is the only flush rule. SPD-KFAC
+    /// also flushes whenever a G-factor bucket flushes — Eq. 15 already
+    /// decided a message boundary there pays its α — so each layer group's
+    /// gradients follow its factors on the wire and can be preconditioned
+    /// as they land; the cap still applies within a group.
     pub grad_fusion_elems: usize,
     /// Adaptive re-planning policy (see [`crate::runtime`]). At each due
     /// inter-iteration barrier every rank refits its calibrator, the fitted
@@ -146,7 +139,7 @@ impl DistributedConfig {
         self.placement.unwrap_or(match self.algorithm {
             Algorithm::SSgd | Algorithm::DKfac => PlacementStrategy::NonDist,
             Algorithm::MpdKfac => PlacementStrategy::SeqDist,
-            Algorithm::SpdKfac | Algorithm::EkfacSpd => PlacementStrategy::default(),
+            Algorithm::SpdKfac => PlacementStrategy::default(),
         })
     }
 }
@@ -411,8 +404,6 @@ struct WorkerState {
     net: Sequential,
     sgd: Sgd,
     states: Vec<FactorState>,
-    ekfac_bases: Vec<Option<(Matrix, Vec<f64>)>>,
-    ekfac_scales: Vec<Option<Matrix>>,
     losses: Vec<f64>,
     /// Next iteration to execute; prior iterations are complete.
     next_iter: usize,
@@ -422,12 +413,9 @@ impl WorkerState {
     fn fresh(cfg: &DistributedConfig, build: &(dyn Fn() -> Sequential + Sync)) -> WorkerState {
         let net = build();
         let pre = net.preconditionable();
-        let nlayers = pre.len();
         WorkerState {
             sgd: Sgd::new(cfg.kfac.lr, cfg.kfac.momentum, cfg.kfac.weight_decay),
             states: pre.iter().map(|&li| FactorState::new(li)).collect(),
-            ekfac_bases: vec![None; 2 * nlayers],
-            ekfac_scales: vec![None; nlayers],
             losses: Vec::new(),
             next_iter: 0,
             net,
@@ -441,8 +429,6 @@ impl WorkerState {
             &self.net,
             &self.sgd,
             &self.states,
-            &self.ekfac_bases,
-            &self.ekfac_scales,
         )
     }
 
@@ -450,8 +436,6 @@ impl WorkerState {
         self.net.set_flat_params(&ckpt.params);
         self.sgd.set_velocity(ckpt.velocity.clone());
         self.states = ckpt.factors.iter().map(FactorCheckpoint::restore).collect();
-        self.ekfac_bases = ckpt.ekfac_bases.clone();
-        self.ekfac_scales = ckpt.ekfac_scales.clone();
         self.losses = ckpt.losses.clone();
         self.next_iter = ckpt.iter;
     }
@@ -467,15 +451,6 @@ enum SegmentEnd {
     /// This rank's `leave_after` budget is spent; the caller should drop
     /// the endpoint without rejoining.
     Leave,
-}
-
-/// Wire length of a `d × d` tensor's inverse under `algorithm`.
-fn inverse_len(algorithm: Algorithm) -> fn(usize) -> usize {
-    match algorithm {
-        // An eigenbasis travels as `Q‖λ`.
-        Algorithm::EkfacSpd => |d| d * d + d,
-        _ => packed_len,
-    }
 }
 
 /// The schedule of one iteration of `cfg.algorithm` on `net` under `plan` —
@@ -505,7 +480,6 @@ pub fn iteration_graph(
         },
         placement: &plan.placement,
         refresh,
-        inverse_len: inverse_len(cfg.algorithm),
         deps: Deps::DataDeps,
     })
 }
@@ -693,8 +667,6 @@ struct Buffers {
     /// Submitted collectives in submission order — which is completion
     /// order, the comm thread being FIFO.
     in_flight: VecDeque<(NodeId, PendingOp)>,
-    /// Per tensor (EKFAC): has this iteration's eigenbasis been installed?
-    fresh: Vec<bool>,
     /// The KL clip's term of each parameter, in the model's flat order
     /// (its direction replaces its gradient before `Update`).
     kl_terms: Vec<f64>,
@@ -710,7 +682,6 @@ impl Buffers {
             arena: MessageArena::default(),
             stat_at: vec![(0, 0); tensors],
             in_flight: VecDeque::new(),
-            fresh: vec![false; tensors],
             kl_terms: vec![0.0; params],
             scratch: [Matrix::zeros(0, 0), Matrix::zeros(0, 0)],
         }
@@ -719,7 +690,6 @@ impl Buffers {
     /// Opens an iteration of the plan's graph `g` (`graph`).
     fn begin(&mut self, g: usize, graph: &IterationGraph, inv_dims: &[usize]) {
         self.arena.graph = g;
-        self.fresh.fill(false);
         for (c, node) in graph.nodes().iter().enumerate() {
             if let Op::AllReduceFactors(tensors) = &node.op {
                 let mut at = 0;
@@ -748,7 +718,7 @@ fn side(t: usize) -> FactorSide {
 /// |---|---|
 /// | factor message | the running `A`/`G` averages |
 /// | gradient message | the averaged gradients |
-/// | CT broadcast | the factor's `L` (EKFAC: its eigenbasis) |
+/// | CT broadcast | the factor's `L` |
 struct Executor<'a> {
     cfg: &'a DistributedConfig,
     rank: usize,
@@ -758,8 +728,6 @@ struct Executor<'a> {
     inv_dims: &'a [usize],
     net: &'a mut Sequential,
     states: &'a mut [FactorState],
-    ekfac_bases: &'a mut [Option<(Matrix, Vec<f64>)>],
-    ekfac_scales: &'a mut [Option<Matrix>],
     bufs: &'a mut Buffers,
 }
 
@@ -833,58 +801,12 @@ impl Executor<'_> {
         }
     }
 
-    fn ekfac(&self) -> bool {
-        self.cfg.algorithm == Algorithm::EkfacSpd
-    }
-
-    /// Inverts an NCT and installs the result on the spot: it is never on
-    /// the wire, so it skips the round trip through its wire form.
-    fn invert_in_place(&mut self, t: usize) {
-        if self.ekfac() {
-            let e = self.eig(t);
-            self.install_basis(t, e.vectors, e.values);
-        } else {
-            self.kfac_invert(t);
-        }
-    }
-
-    /// Inverts (K-FAC: factors; EKFAC: eigendecomposes) CT `t` into its
-    /// wire form, in the payload its broadcast sends (`Invert` node `id`'s
-    /// slot).
-    fn invert_to_wire(&mut self, id: NodeId, t: usize) {
-        let len = inverse_len(self.cfg.algorithm)(self.inv_dims[t]);
-        if self.ekfac() {
-            let e = self.eig(t);
-            let wire = self.bufs.arena.fill(id, len);
-            let (q, values) = wire.split_at_mut(e.vectors.rows() * e.vectors.cols());
-            q.copy_from_slice(e.vectors.as_slice());
-            values.copy_from_slice(&e.values);
-        } else {
-            self.kfac_invert(t);
-            self.states[t / 2].pack_chol_into(side(t), self.bufs.arena.fill(id, len));
-        }
-    }
-
-    /// The eigendecomposition of tensor `t`'s running factor.
-    fn eig(&self, t: usize) -> SymEig {
-        // One sized span per tensor: the calibrator reads (dimension,
-        // duration) pairs off these.
-        let _inv = self.obs.sized_span(Phase::InverseComp, self.inv_dims[t]);
-        let (st, rank) = (&self.states[t / 2], self.rank);
-        let factor = match side(t) {
-            FactorSide::A => st.factor_a(),
-            FactorSide::G => st.factor_g(),
-        };
-        sym_eig(&factor.expect("no factor statistics").to_matrix()).unwrap_or_else(|err| {
-            panic!("rank {rank}: eigendecomposition of tensor {t} failed: {err}")
-        })
-    }
-
     /// "Inverts" tensor `t`'s damped factor: its `L` in solve form, in
     /// `L`'s storage (lower triangular, so packing it for the wire loses
-    /// nothing).
-    fn kfac_invert(&mut self, t: usize) {
-        // A sized span, as in `eig`.
+    /// nothing). An NCT's `L` never leaves it.
+    fn invert(&mut self, t: usize) {
+        // One sized span per tensor: the calibrator reads (dimension,
+        // duration) pairs off these.
         let _inv = self.obs.sized_span(Phase::InverseComp, self.inv_dims[t]);
         let (rank, gamma) = (self.rank, self.cfg.kfac.damping);
         self.states[t / 2]
@@ -892,34 +814,17 @@ impl Executor<'_> {
             .unwrap_or_else(|e| panic!("rank {rank}: inversion of tensor {t} failed: {e}"));
     }
 
-    /// Installs tensor `t`'s inversion result (K-FAC: `L`; EKFAC: `Q‖λ`)
-    /// from its wire form.
-    fn install_inverse(&mut self, t: usize, data: &[f64]) {
-        let d = self.inv_dims[t];
-        if self.ekfac() {
-            let (q, values) = data.split_at(d * d);
-            self.install_basis(t, Matrix::from_vec(d, d, q.to_vec()), values.to_vec());
-        } else {
-            self.states[t / 2].set_chol_packed(side(t), d, data);
-        }
+    /// Inverts CT `t` and packs its `L` into the payload its broadcast
+    /// sends (`Invert` node `id`'s slot).
+    fn invert_to_wire(&mut self, id: NodeId, t: usize) {
+        self.invert(t);
+        let wire = self.bufs.arena.fill(id, packed_len(self.inv_dims[t]));
+        self.states[t / 2].pack_chol_into(side(t), wire);
     }
 
-    /// Installs tensor `t`'s eigenbasis. The layer's second basis to land
-    /// also reseeds its scales from the eigenvalue products (the K-FAC
-    /// spectrum), to be moment-corrected by the per-step EMA in
-    /// [`ekfac::layer_directions`].
-    fn install_basis(&mut self, t: usize, q: Matrix, values: Vec<f64>) {
-        let si = t / 2;
-        self.bufs.fresh[t] = true;
-        self.ekfac_bases[t] = Some((q, values));
-        // `t ^ 1` is the layer's other tensor.
-        if self.bufs.fresh[t ^ 1] {
-            let (_, va) = self.ekfac_bases[2 * si].as_ref().expect("A basis");
-            let (_, vg) = self.ekfac_bases[2 * si + 1].as_ref().expect("G basis");
-            self.ekfac_scales[si] = Some(Matrix::from_fn(vg.len(), va.len(), |i, j| {
-                (vg[i] * va[j]).max(0.0)
-            }));
-        }
+    /// Installs CT `t`'s `L` from its packed triangle.
+    fn install_inverse(&mut self, t: usize, data: &[f64]) {
+        self.states[t / 2].set_chol_packed(side(t), self.inv_dims[t], data);
     }
 
     /// Turns layer `li`'s averaged gradients into its update directions in
@@ -927,37 +832,11 @@ impl Executor<'_> {
     /// parameter's term goes to its slot of `kl` (the layer's range of the
     /// flat parameter order) first.
     fn precondition(&mut self, li: usize, si: Option<usize>, kl: Range<usize>) {
-        let ekfac = self.ekfac();
         let clip = self.cfg.kfac.kl_clip.is_some();
-        let mut kl = clip.then(|| &mut self.bufs.kl_terms[kl]);
+        let kl = clip.then(|| &mut self.bufs.kl_terms[kl]);
         let mut params = self.net.layers_mut()[li].params_mut();
-        match si {
-            Some(si) if ekfac && self.ekfac_scales[si].is_some() => {
-                let (q_a, _) = self.ekfac_bases[2 * si].as_ref().expect("A basis");
-                let (q_g, _) = self.ekfac_bases[2 * si + 1].as_ref().expect("G basis");
-                let scale = self.ekfac_scales[si].as_mut().expect("scale");
-                let kfac = &self.cfg.kfac;
-                let shared: Vec<&Param> = params.iter().map(|p| &**p).collect();
-                let dirs = ekfac::layer_directions(
-                    &shared,
-                    q_a,
-                    q_g,
-                    scale,
-                    kfac.stat_decay,
-                    kfac.damping,
-                );
-                for (pi, (p, d)) in params.iter_mut().zip(dirs).enumerate() {
-                    if let Some(kl) = kl.as_deref_mut() {
-                        kl[pi] = precond::kl_term(&d, &p.grad);
-                    }
-                    p.grad = d;
-                }
-            }
-            _ => {
-                let state = si.map(|si| &self.states[si]);
-                precond::precondition_in_place(&mut params, state, &mut self.bufs.scratch, kl);
-            }
-        }
+        let state = si.map(|si| &self.states[si]);
+        precond::precondition_in_place(&mut params, state, &mut self.bufs.scratch, kl);
     }
 }
 
@@ -984,8 +863,6 @@ fn train_segment(
         net,
         sgd,
         states,
-        ekfac_bases,
-        ekfac_scales,
         losses,
         next_iter,
     } = ws;
@@ -1024,7 +901,7 @@ fn train_segment(
     // What the standing plan was decided from.
     let mut costs = Costs::default();
     let mut epoch = planner.plan(&costs, None);
-    // SPD / EKFAC-SPD cut their factor messages from measured ready times.
+    // SPD-KFAC cuts its factor messages from measured ready times.
     let pipelined = epoch.a_fusion.is_some();
     // What the workers execute: rebuilt whenever the plan changes, not per
     // iteration.
@@ -1034,11 +911,6 @@ fn train_segment(
     // What the calibrator has already been fed: each re-plan barrier
     // ingests only the spans recorded since the previous one.
     let mut calibrated = obs.rec.as_ref().map(|r| r.flush_cursor());
-
-    // EKFAC extension state (per-tensor eigenbases and per-layer scales)
-    // lives in `ws` alongside the optimizer; assert shapes after a restore.
-    assert_eq!(ekfac_bases.len(), 2 * nlayers, "eigenbasis count mismatch");
-    assert_eq!(ekfac_scales.len(), nlayers, "eigenscale count mismatch");
 
     let flight = spdkfac_obs::flight::global();
     let seg_start = *next_iter;
@@ -1073,8 +945,6 @@ fn train_segment(
             inv_dims,
             net: &mut *net,
             states: &mut *states,
-            ekfac_bases: &mut *ekfac_bases,
-            ekfac_scales: &mut *ekfac_scales,
             bufs: &mut bufs,
         };
         // The activations on the way forward, the loss gradient on the way
@@ -1194,7 +1064,7 @@ fn train_segment(
                 Op::Invert(t) => {
                     let started = Instant::now();
                     match node.who {
-                        Who::Every => ex.invert_in_place(*t),
+                        Who::Every => ex.invert(*t),
                         Who::Rank(_) => ex.invert_to_wire(id, *t),
                     }
                     tail[*t] += started.elapsed().as_secs_f64();
@@ -1440,15 +1310,17 @@ fn run_epochs(
             } else {
                 Vec::new()
             };
+            let corrupt = |e| CommError::Io(format!("epoch {epoch}: state handoff corrupt: {e}"));
             let len_buf = vec![packed.len() as f64];
-            let len = comm.broadcast_async(len_buf, src).wait()?[0] as usize;
-            let payload = if rank == src { packed } else { vec![0.0; len] };
+            let len = comm.broadcast_async(len_buf, src).wait()?[0];
+            let payload = if rank == src {
+                packed
+            } else {
+                handoff_buffer(len).map_err(corrupt)?
+            };
             let data = comm.broadcast_async(payload, src).wait()?;
             if rank != src {
-                let ckpt = TrainCheckpoint::unpack(&data).map_err(|e| {
-                    CommError::Io(format!("epoch {epoch}: state handoff corrupt: {e}"))
-                })?;
-                state.restore(&ckpt);
+                state.restore(&TrainCheckpoint::unpack(&data).map_err(corrupt)?);
             }
         }
         membership.push(MembershipSpan {
@@ -1555,56 +1427,6 @@ mod tests {
             .expect("local run");
         assert_eq!(r.losses.len(), 5);
         assert!(r.losses.iter().all(|l| l.is_finite()));
-    }
-
-    #[test]
-    fn distributed_ekfac_trains_and_syncs() {
-        let r = run(Algorithm::EkfacSpd, 2, 8);
-        assert!(r.losses.iter().all(|l| l.is_finite()));
-        assert!(r.losses.last().unwrap() < &r.losses[0], "{:?}", r.losses);
-    }
-
-    #[test]
-    fn distributed_ekfac_matches_single_process_ekfac() {
-        use crate::ekfac::{EkfacConfig, EkfacOptimizer};
-        use spdkfac_nn::loss::softmax_cross_entropy;
-
-        let data = gaussian_blobs(3, 6, 24, 0.3, 83);
-        let iters = 5;
-        let batch = 6;
-        let build = || mlp(&[6, 10, 3], 4);
-
-        let mut cfg = DistributedConfig::new(1, Algorithm::EkfacSpd);
-        cfg.kfac.damping = 0.1;
-        cfg.kfac.lr = 0.05;
-        cfg.kfac.momentum = 0.0;
-        let dist = TrainSession::builder(cfg)
-            .run(&build, &data, iters, batch)
-            .expect("local run");
-
-        let mut net = build();
-        let mut opt = EkfacOptimizer::new(
-            &net,
-            EkfacConfig {
-                lr: 0.05,
-                momentum: 0.0,
-                damping: 0.1,
-                ..EkfacConfig::default()
-            },
-        );
-        for i in 0..iters {
-            let start = (i * batch) % (data.len() - batch + 1);
-            let (x, y) = data.batch(start, batch);
-            let out = net.forward(&x, true);
-            let (_, grad) = softmax_cross_entropy(&out, &y);
-            net.backward(&grad);
-            opt.step(&mut net).expect("ekfac step");
-        }
-        let d = max_diff(&dist.final_params, &net.flat_params());
-        assert!(
-            d < 1e-9,
-            "distributed EKFAC diverged from single-process: {d}"
-        );
     }
 
     #[test]
@@ -1869,8 +1691,6 @@ mod tests {
                     inv_dims: planner.inv_dims(),
                     net: &mut ws.net,
                     states: &mut ws.states,
-                    ekfac_bases: &mut ws.ekfac_bases,
-                    ekfac_scales: &mut ws.ekfac_scales,
                     bufs: &mut bufs,
                 };
                 let landing = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

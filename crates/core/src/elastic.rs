@@ -34,11 +34,12 @@ use std::fmt;
 const PACK_TAG: u64 = 0x0045_4C43_4B00;
 
 /// The format version this build packs and unpacks. Version 1 held the
-/// damped inverses in a factor's slots and version 2 the running factors
-/// as dense matrices; version 3 holds the running factors as their packed
-/// triangles and the Cholesky factors of their damped forms, so neither
-/// older stream may be installed.
-const PACK_VERSION: u64 = 3;
+/// damped inverses in a factor's slots, version 2 the running factors as
+/// dense matrices and version 3 an EKFAC section after the factors; version
+/// 4 holds the running factors as their packed triangles and the Cholesky
+/// factors of their damped forms, and nothing after them, so no older
+/// stream may be installed.
+const PACK_VERSION: u64 = 4;
 
 /// Schema tag leading every packed checkpoint (`"ELCK"` + version).
 const PACK_MAGIC: f64 = (PACK_TAG | PACK_VERSION) as f64;
@@ -47,9 +48,9 @@ const PACK_MAGIC: f64 = (PACK_TAG | PACK_VERSION) as f64;
 #[derive(Debug, Clone, PartialEq)]
 pub enum CheckpointError {
     /// A checkpoint of another format version (e.g. version 1, whose
-    /// factor slots hold inverses where this one expects `L`, or version
-    /// 2, whose running factors are dense where this one expects packed
-    /// triangles).
+    /// factor slots hold inverses where this one expects `L`, version 2,
+    /// whose running factors are dense where this one expects packed
+    /// triangles, or version 3, which carries an EKFAC section).
     Version {
         /// The version the buffer was packed with.
         found: u64,
@@ -143,25 +144,17 @@ pub struct TrainCheckpoint {
     pub velocity: Vec<Matrix>,
     /// Per-preconditionable-layer factor state, layer order.
     pub factors: Vec<FactorCheckpoint>,
-    /// EKFAC eigenbases `(Q, λ)` per inversion tensor (`2L`, A/G
-    /// interleaved); all `None` outside `Algorithm::EkfacSpd`.
-    pub ekfac_bases: Vec<Option<(Matrix, Vec<f64>)>>,
-    /// EKFAC eigenbasis second-moment scales per layer (`L`).
-    pub ekfac_scales: Vec<Option<Matrix>>,
 }
 
 impl TrainCheckpoint {
-    /// Snapshots a rank's live training state. `states`, `bases` and
-    /// `scales` are the trainer's working vectors; `net`/`sgd` contribute
-    /// parameters and momentum.
+    /// Snapshots a rank's live training state. `states` are the trainer's
+    /// factor states; `net`/`sgd` contribute parameters and momentum.
     pub fn capture(
         iter: usize,
         losses: &[f64],
         net: &Sequential,
         sgd: &Sgd,
         states: &[FactorState],
-        ekfac_bases: &[Option<(Matrix, Vec<f64>)>],
-        ekfac_scales: &[Option<Matrix>],
     ) -> TrainCheckpoint {
         TrainCheckpoint {
             iter,
@@ -169,8 +162,6 @@ impl TrainCheckpoint {
             params: net.flat_params(),
             velocity: sgd.velocity().to_vec(),
             factors: states.iter().map(FactorCheckpoint::capture).collect(),
-            ekfac_bases: ekfac_bases.to_vec(),
-            ekfac_scales: ekfac_scales.to_vec(),
         }
     }
 
@@ -193,21 +184,6 @@ impl TrainCheckpoint {
             pack_opt_packed(&mut out, f.g.as_ref());
             pack_opt_matrix(&mut out, f.a_chol.as_ref());
             pack_opt_matrix(&mut out, f.g_chol.as_ref());
-        }
-        out.push(self.ekfac_bases.len() as f64);
-        for b in &self.ekfac_bases {
-            match b {
-                None => out.push(0.0),
-                Some((q, vals)) => {
-                    out.push(1.0);
-                    pack_matrix(&mut out, q);
-                    pack_vec(&mut out, vals);
-                }
-            }
-        }
-        out.push(self.ekfac_scales.len() as f64);
-        for s in &self.ekfac_scales {
-            pack_opt_matrix(&mut out, s.as_ref());
         }
         out
     }
@@ -238,12 +214,12 @@ impl TrainCheckpoint {
         let losses = r.vec("losses")?;
         let params = r.vec("params")?;
         let nv = r.count("velocity count")?;
-        let mut velocity = Vec::with_capacity(nv);
+        let mut velocity = Vec::with_capacity(r.capped(nv));
         for _ in 0..nv {
             velocity.push(r.matrix("velocity")?);
         }
         let nf = r.count("factor count")?;
-        let mut factors = Vec::with_capacity(nf);
+        let mut factors = Vec::with_capacity(r.capped(nf));
         for _ in 0..nf {
             factors.push(FactorCheckpoint {
                 layer: r.count("factor layer")?,
@@ -252,23 +228,6 @@ impl TrainCheckpoint {
                 a_chol: r.opt_matrix("factor L_A")?,
                 g_chol: r.opt_matrix("factor L_G")?,
             });
-        }
-        let nb = r.count("basis count")?;
-        let mut ekfac_bases = Vec::with_capacity(nb);
-        for _ in 0..nb {
-            ekfac_bases.push(match r.tag("basis tag")? {
-                false => None,
-                true => {
-                    let q = r.matrix("basis Q")?;
-                    let vals = r.vec("basis λ")?;
-                    Some((q, vals))
-                }
-            });
-        }
-        let ns = r.count("scale count")?;
-        let mut ekfac_scales = Vec::with_capacity(ns);
-        for _ in 0..ns {
-            ekfac_scales.push(r.opt_matrix("scale")?);
         }
         if r.pos != data.len() {
             return Err(format!("checkpoint has {} trailing values", data.len() - r.pos).into());
@@ -279,10 +238,29 @@ impl TrainCheckpoint {
             params,
             velocity,
             factors,
-            ekfac_bases,
-            ekfac_scales,
         })
     }
+}
+
+/// The zeroed buffer a handoff receiver lands a checkpoint of `len`
+/// values in, `len` being the length the sender broadcast first.
+///
+/// # Errors
+///
+/// [`CheckpointError::Malformed`] when `len` is not a count a checkpoint
+/// can have (not finite, not integral, negative or absurdly large) or the
+/// buffer cannot be allocated — never a panic or an abort.
+pub(crate) fn handoff_buffer(len: f64) -> Result<Vec<f64>, CheckpointError> {
+    let len = Reader {
+        data: &[len],
+        pos: 0,
+    }
+    .count("length")?;
+    let mut buf = Vec::new();
+    buf.try_reserve_exact(len)
+        .map_err(|e| format!("checkpoint of {len} values: {e}"))?;
+    buf.resize(len, 0.0);
+    Ok(buf)
 }
 
 fn pack_vec(out: &mut Vec<f64>, v: &[f64]) {
@@ -343,6 +321,13 @@ impl Reader<'_> {
             return Err(format!("checkpoint {what} of {v} is not a count"));
         }
         Ok(v as usize)
+    }
+
+    /// A pre-allocation for `n` sections: every section takes at least one
+    /// value, so a count the rest of the stream cannot back reserves no more
+    /// than that rest.
+    fn capped(&self, n: usize) -> usize {
+        n.min(self.data.len() - self.pos)
     }
 
     fn tag(&mut self, what: &str) -> Result<bool, String> {
@@ -489,20 +474,6 @@ mod tests {
                 assert_eq!(mx.as_ref().map(mat_bits), my.as_ref().map(mat_bits));
             }
         }
-        assert_eq!(a.ekfac_bases.len(), b.ekfac_bases.len());
-        for (x, y) in a.ekfac_bases.iter().zip(&b.ekfac_bases) {
-            match (x, y) {
-                (None, None) => {}
-                (Some((qx, vx)), Some((qy, vy))) => {
-                    assert_eq!(mat_bits(qx), mat_bits(qy));
-                    assert_eq!(bits(vx), bits(vy));
-                }
-                _ => panic!("basis presence mismatch"),
-            }
-        }
-        for (x, y) in a.ekfac_scales.iter().zip(&b.ekfac_scales) {
-            assert_eq!(x.as_ref().map(mat_bits), y.as_ref().map(mat_bits));
-        }
     }
 
     /// Any f64, including ±∞, NaN and subnormals — payload slots must carry
@@ -532,7 +503,6 @@ mod tests {
             params in pvec(any_f64(), 0..200),
             velocity in pvec(any_matrix(5), 0..4),
             layers in pvec((0usize..32, 0u8..16), 0..4),
-            with_bases in (0u8..2).prop_map(|b| b == 1),
         ) {
             let factors: Vec<FactorCheckpoint> = layers
                 .iter()
@@ -544,24 +514,12 @@ mod tests {
                     g_chol: (mask & 8 != 0).then(|| Matrix::from_vec(3, 3, vec![0.25; 9])),
                 })
                 .collect();
-            let l = factors.len();
-            let ekfac_bases: Vec<Option<(Matrix, Vec<f64>)>> = (0..2 * l)
-                .map(|t| {
-                    (with_bases && t % 2 == 0)
-                        .then(|| (Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]), vec![0.5, 2.0]))
-                })
-                .collect();
-            let ekfac_scales: Vec<Option<Matrix>> = (0..l)
-                .map(|i| with_bases.then(|| Matrix::from_vec(1, 1, vec![i as f64])))
-                .collect();
             let ckpt = TrainCheckpoint {
                 iter,
                 losses,
                 params,
                 velocity,
                 factors,
-                ekfac_bases,
-                ekfac_scales,
             };
             let packed = ckpt.pack();
             let back = TrainCheckpoint::unpack(&packed).expect("round trip");
@@ -579,8 +537,6 @@ mod tests {
             params: vec![1.0, 2.0],
             velocity: vec![],
             factors: vec![],
-            ekfac_bases: vec![],
-            ekfac_scales: vec![],
         }
         .pack();
         // Truncation and trailing garbage both fail loudly.
@@ -600,8 +556,6 @@ mod tests {
             params: vec![1.0],
             velocity: vec![],
             factors: vec![FactorCheckpoint::capture(&st)],
-            ekfac_bases: vec![None, None],
-            ekfac_scales: vec![None],
         }
     }
 
@@ -616,7 +570,7 @@ mod tests {
             TrainCheckpoint::unpack(&old),
             Err(CheckpointError::Version {
                 found: 1,
-                expected: 3
+                expected: 4
             })
         );
         // Anything else in the magic slot is malformed, not a version.
@@ -628,21 +582,40 @@ mod tests {
     }
 
     #[test]
-    fn a_version_3_round_trip_is_bit_exact_and_version_2_is_refused() {
+    fn a_version_4_round_trip_is_bit_exact_and_versions_2_and_3_are_refused() {
         let ckpt = one_layer_checkpoint();
         let mut packed = ckpt.pack();
         assert_bit_eq(&ckpt, &TrainCheckpoint::unpack(&packed).unwrap());
-        // Version 2 held the running factors dense: its factor section
-        // does not parse as packed triangles, so it is refused by version
-        // before any of it is read.
-        packed[0] = 0x0045_4C43_4B02_u64 as f64;
-        assert_eq!(
-            TrainCheckpoint::unpack(&packed),
-            Err(CheckpointError::Version {
-                found: 2,
-                expected: 3
-            })
-        );
+        // Version 2 held the running factors dense and version 3 carried an
+        // EKFAC section after them: neither parses as this layout, so both
+        // are refused by version before any of it is read.
+        for found in [2, 3] {
+            packed[0] = (0x0045_4C43_4B00_u64 | found) as f64;
+            assert_eq!(
+                TrainCheckpoint::unpack(&packed),
+                Err(CheckpointError::Version { found, expected: 4 })
+            );
+        }
+    }
+
+    #[test]
+    fn a_hostile_velocity_count_is_malformed_not_an_allocation() {
+        // Magic, iter 0, no losses, no params, then 2³⁹ velocity matrices:
+        // reserving that many up front would abort the process.
+        let stream = [PACK_MAGIC, 0.0, 0.0, 0.0, (1u64 << 39) as f64];
+        assert!(matches!(
+            TrainCheckpoint::unpack(&stream),
+            Err(CheckpointError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn a_hostile_factor_count_is_malformed_not_an_allocation() {
+        let stream = [PACK_MAGIC, 0.0, 0.0, 0.0, 0.0, (1u64 << 39) as f64];
+        assert!(matches!(
+            TrainCheckpoint::unpack(&stream),
+            Err(CheckpointError::Malformed(_))
+        ));
     }
 
     #[test]
@@ -658,6 +631,17 @@ mod tests {
             TrainCheckpoint::unpack(&packed),
             Err(CheckpointError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn a_handoff_length_must_be_a_count() {
+        assert_eq!(handoff_buffer(3.0), Ok(vec![0.0; 3]));
+        for len in [f64::NAN, f64::INFINITY, -1.0, 2.5, (1u64 << 40) as f64] {
+            assert!(
+                matches!(handoff_buffer(len), Err(CheckpointError::Malformed(_))),
+                "{len}"
+            );
+        }
     }
 
     #[test]

@@ -61,11 +61,13 @@ impl FactorState {
         self.g.as_ref()
     }
 
-    /// The damped input factor `A + γI`, expanded (Eq. 12).
+    /// The damped input factor `A + γI`, expanded (Eq. 12) — the oracle the
+    /// tests check `L` against.
     ///
     /// # Panics
     ///
     /// Panics if no statistics have been accumulated yet.
+    #[cfg(test)]
     pub fn damped_a(&self, gamma: f64) -> Matrix {
         damped(self.a.as_ref().expect("no A statistics yet"), gamma)
     }
@@ -75,6 +77,7 @@ impl FactorState {
     /// # Panics
     ///
     /// Panics if no statistics have been accumulated yet.
+    #[cfg(test)]
     pub fn damped_g(&self, gamma: f64) -> Matrix {
         damped(self.g.as_ref().expect("no G statistics yet"), gamma)
     }
@@ -186,6 +189,7 @@ impl FactorState {
 }
 
 /// `F + γI` of a packed running factor, expanded.
+#[cfg(test)]
 fn damped(f: &SymPacked, gamma: f64) -> Matrix {
     let mut m = Matrix::zeros(0, 0);
     f.damped_into(gamma, &mut m);

@@ -44,7 +44,7 @@ pub enum Op {
     /// One all-reduce of these layers' gradients, back to back in this
     /// order.
     AllReduceGrads(Vec<usize>),
-    /// Inverts (EKFAC: eigendecomposes) a tensor's damped running average.
+    /// Inverts a tensor's damped running average.
     Invert(usize),
     /// Broadcast of a CT's inverse from its owner.
     Broadcast {
@@ -175,9 +175,6 @@ pub struct Spec<'a> {
     pub placement: &'a Placement,
     /// Whether this iteration recomputes the inverses.
     pub refresh: bool,
-    /// Wire length of a `d × d` tensor's inverse (its packed triangle;
-    /// `d² + d` for an EKFAC eigenbasis).
-    pub inverse_len: fn(usize) -> usize,
     /// Dependency policy.
     pub deps: Deps,
 }
@@ -226,18 +223,13 @@ impl IterationGraph {
 
     /// The paper's inverse phase alone (Fig. 12): inversion and broadcast
     /// of tensors of dimensions `dims` under `placement`, nothing before it.
-    pub fn inverse_phase(
-        dims: &[usize],
-        placement: &Placement,
-        inverse_len: fn(usize) -> usize,
-    ) -> IterationGraph {
+    pub fn inverse_phase(dims: &[usize], placement: &Placement) -> IterationGraph {
         let spec = Spec {
             layers: &[],
             factor_comm: FactorComm::Local,
             grad_cut: GradCut::Cap(usize::MAX),
             placement,
             refresh: true,
-            inverse_len,
             deps: Deps::PaperBarrier,
         };
         let mut b = Builder::new(spec, dims.to_vec());
@@ -510,7 +502,8 @@ impl<'a> Builder<'a> {
     }
 
     fn broadcast(&mut self, tensor: usize, root: usize, inverted: NodeId) -> NodeId {
-        let elems = (self.spec.inverse_len)(self.dims[tensor]);
+        // A CT travels as its `L`'s packed triangle.
+        let elems = packed_len(self.dims[tensor]);
         let op = Op::Broadcast { tensor, root };
         self.push(op, Who::Every, vec![inverted], elems)
     }
@@ -648,7 +641,6 @@ mod tests {
             grad_cut,
             placement,
             refresh: true,
-            inverse_len: packed_len,
             deps,
         })
     }

@@ -58,7 +58,6 @@
 
 pub mod calibrate;
 pub mod distributed;
-pub mod ekfac;
 pub mod elastic;
 pub mod error;
 pub mod factors;

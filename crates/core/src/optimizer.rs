@@ -6,33 +6,6 @@ use crate::precond::apply_kl_clip;
 use spdkfac_nn::optim::Sgd;
 use spdkfac_nn::Sequential;
 
-/// Levenberg–Marquardt damping adaptation (Martens & Grosse 2015, §6.5):
-/// every `interval` steps compare the actual loss change against the
-/// quadratic model's prediction and scale the damping by `omega` when the
-/// model is trustworthy (ρ > 3/4) or by `1/omega` when it is not (ρ < 1/4).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LmDamping {
-    /// Adaptation interval in steps.
-    pub interval: usize,
-    /// Multiplicative factor in `(0, 1)` applied when shrinking damping.
-    pub omega: f64,
-    /// Lower damping bound.
-    pub min: f64,
-    /// Upper damping bound.
-    pub max: f64,
-}
-
-impl Default for LmDamping {
-    fn default() -> Self {
-        LmDamping {
-            interval: 5,
-            omega: 0.95,
-            min: 1e-8,
-            max: 10.0,
-        }
-    }
-}
-
 /// Hyper-parameters of the K-FAC update (Eq. 12/13).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KfacConfig {
@@ -51,9 +24,6 @@ pub struct KfacConfig {
     pub inv_update_freq: usize,
     /// Optional KL trust-region clip on the preconditioned step.
     pub kl_clip: Option<f64>,
-    /// Optional Levenberg–Marquardt damping adaptation (use
-    /// [`KfacOptimizer::step_adaptive`] to drive it).
-    pub lm_damping: Option<LmDamping>,
 }
 
 impl Default for KfacConfig {
@@ -66,7 +36,6 @@ impl Default for KfacConfig {
             stat_decay: 0.95,
             inv_update_freq: 1,
             kl_clip: None,
-            lm_damping: None,
         }
     }
 }
@@ -85,8 +54,6 @@ pub struct KfacOptimizer {
     state_of_layer: Vec<Option<usize>>,
     sgd: Sgd,
     steps: usize,
-    /// Current damping (equals `cfg.damping` unless LM adaptation moves it).
-    damping: f64,
 }
 
 impl KfacOptimizer {
@@ -102,17 +69,11 @@ impl KfacOptimizer {
         }
         KfacOptimizer {
             sgd: Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay),
-            damping: cfg.damping,
             cfg,
             states,
             state_of_layer,
             steps: 0,
         }
-    }
-
-    /// The current damping value (moves under LM adaptation).
-    pub fn damping(&self) -> f64 {
-        self.damping
     }
 
     /// Number of layers that receive Kronecker preconditioning.
@@ -155,7 +116,7 @@ impl KfacOptimizer {
         // 2. Refresh inverses on schedule.
         if self.steps.is_multiple_of(self.cfg.inv_update_freq.max(1)) {
             for st in &mut self.states {
-                st.refresh_inverses(self.damping)?;
+                st.refresh_inverses(self.cfg.damping)?;
             }
         }
         // 3. Build preconditioned update directions in parameter order.
@@ -168,99 +129,6 @@ impl KfacOptimizer {
         self.sgd
             .step_with_directions(&mut net.parameters_mut(), &directions);
         self.steps += 1;
-        Ok(())
-    }
-
-    /// Like [`KfacOptimizer::step`], but also runs Levenberg–Marquardt
-    /// damping adaptation when `cfg.lm_damping` is set: `eval_loss` must
-    /// re-evaluate the mini-batch loss (without capture) so the actual loss
-    /// change can be compared against the quadratic model's prediction.
-    ///
-    /// Momentum should be zero when using LM adaptation (the quadratic model
-    /// predicts the pure preconditioned step).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KfacOptimizer::step`].
-    pub fn step_adaptive(
-        &mut self,
-        net: &mut Sequential,
-        eval_loss: &mut dyn FnMut(&mut Sequential) -> f64,
-    ) -> Result<(), KfacError> {
-        let Some(lm) = self.cfg.lm_damping else {
-            return self.step(net);
-        };
-        let adapt_now = self.steps.is_multiple_of(lm.interval.max(1));
-        if !adapt_now {
-            return self.step(net);
-        }
-        // Statistics + inverses, as in `step`.
-        let captures = net.take_captures();
-        for (layer, cap) in &captures {
-            let si = self.state_of_layer[*layer].expect("capture from unknown layer");
-            self.states[si].update_from_capture(cap, self.cfg.stat_decay);
-        }
-        for st in &mut self.states {
-            st.refresh_inverses(self.damping)?;
-        }
-        let (mut directions, raw) =
-            crate::precond::build_directions(net, &self.state_of_layer, &self.states);
-        if let Some(clip) = self.cfg.kl_clip {
-            apply_kl_clip(&mut directions, &raw, self.cfg.lr, clip);
-        }
-        // Quadratic model of the step δ = −lr·d:
-        //   M(δ) − M(0) = ∇ᵀδ + ½ δᵀ(F̂+γI)δ
-        // with F̂δ computed layer-wise via the Kronecker identity
-        // (G+γI) δ (A+γI); non-preconditioned parameters use F̂ = I.
-        let lr = self.cfg.lr;
-        let mut predicted = 0.0;
-        let mut di = 0usize;
-        for (li, layer) in net.layers().iter().enumerate() {
-            let params = layer.params();
-            let state = self.state_of_layer[li].map(|si| &self.states[si]);
-            for (pi, p) in params.iter().enumerate() {
-                let d = &directions[di];
-                let g = &p.grad;
-                let dot_gd: f64 = g
-                    .as_slice()
-                    .iter()
-                    .zip(d.as_slice())
-                    .map(|(a, b)| a * b)
-                    .sum();
-                let fd = match (state, pi) {
-                    (Some(st), 0) => {
-                        // (G+γI) d (A+γI).
-                        let ga = st.damped_g(self.damping).matmul(d);
-                        ga.matmul(&st.damped_a(self.damping))
-                    }
-                    (Some(st), _) => st.damped_g(self.damping).matmul(d),
-                    (None, _) => d.clone(),
-                };
-                let dot_dfd: f64 = d
-                    .as_slice()
-                    .iter()
-                    .zip(fd.as_slice())
-                    .map(|(a, b)| a * b)
-                    .sum();
-                predicted += -lr * dot_gd + 0.5 * lr * lr * dot_dfd;
-                di += 1;
-            }
-        }
-        let loss_before = eval_loss(net);
-        self.sgd
-            .step_with_directions(&mut net.parameters_mut(), &directions);
-        let loss_after = eval_loss(net);
-        self.steps += 1;
-        // Reduction ratio ρ; only adapt when the model predicts a decrease.
-        if predicted < 0.0 {
-            let rho = (loss_after - loss_before) / predicted;
-            if rho > 0.75 {
-                self.damping *= lm.omega;
-            } else if rho < 0.25 {
-                self.damping /= lm.omega;
-            }
-            self.damping = self.damping.clamp(lm.min, lm.max);
-        }
         Ok(())
     }
 }
@@ -372,64 +240,6 @@ mod tests {
             opt.step(&mut net).unwrap();
         }
         assert_eq!(opt.steps(), 3);
-    }
-
-    #[test]
-    fn lm_damping_adapts_and_keeps_training() {
-        let data = gaussian_blobs(3, 6, 20, 0.3, 29);
-        let (x, y) = data.batch(0, 60);
-        let mut net = mlp(&[6, 16, 3], 8);
-        let mut opt = KfacOptimizer::new(
-            &net,
-            KfacConfig {
-                lr: 0.05,
-                momentum: 0.0,
-                damping: 0.3,
-                lm_damping: Some(LmDamping {
-                    interval: 1,
-                    ..LmDamping::default()
-                }),
-                ..KfacConfig::default()
-            },
-        );
-        let initial = opt.damping();
-        let mut last = f64::INFINITY;
-        for _ in 0..30 {
-            let out = net.forward(&x, true);
-            let (loss, grad) = softmax_cross_entropy(&out, &y);
-            net.backward(&grad);
-            let (x2, y2) = (x.clone(), y.clone());
-            opt.step_adaptive(&mut net, &mut |n| {
-                let out = n.forward(&x2, false);
-                softmax_cross_entropy(&out, &y2).0
-            })
-            .unwrap();
-            last = loss;
-        }
-        assert!(last.is_finite() && last < 1.0, "training unstable: {last}");
-        assert_ne!(opt.damping(), initial, "damping never adapted");
-        assert!(opt.damping() >= 1e-8 && opt.damping() <= 10.0);
-    }
-
-    #[test]
-    fn step_adaptive_without_lm_config_is_plain_step() {
-        let data = gaussian_blobs(2, 4, 10, 0.3, 33);
-        let (x, y) = data.batch(0, 20);
-        let mut net = mlp(&[4, 8, 2], 6);
-        let mut opt = KfacOptimizer::new(
-            &net,
-            KfacConfig {
-                damping: 0.1,
-                momentum: 0.0,
-                ..KfacConfig::default()
-            },
-        );
-        let out = net.forward(&x, true);
-        let (_, grad) = softmax_cross_entropy(&out, &y);
-        net.backward(&grad);
-        opt.step_adaptive(&mut net, &mut |_| unreachable!("no eval without LM"))
-            .unwrap();
-        assert_eq!(opt.damping(), 0.1);
     }
 
     #[test]

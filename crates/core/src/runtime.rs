@@ -256,8 +256,7 @@ impl Planner {
             world,
             placement: cfg.effective_placement(),
             fusion: cfg.fusion,
-            pipelined: matches!(cfg.algorithm, Algorithm::SpdKfac | Algorithm::EkfacSpd)
-                && !dims.is_empty(),
+            pipelined: cfg.algorithm == Algorithm::SpdKfac && !dims.is_empty(),
             bytes_per_elem: cfg.wire.factor.bytes_per_elem(),
             grad_bytes_per_elem: cfg.wire.grad.bytes_per_elem(),
         }
@@ -374,9 +373,9 @@ impl Planner {
     /// the 2L tensors; `prev` is the standing placement (identical on every
     /// rank — it is part of the agreed epoch): with it, LBP charges a
     /// broadcast-priced migration cost before moving tensor ownership, so
-    /// marginal refits keep assignments sticky. The algorithms that
-    /// pipeline factor communication behind the passes (SPD, EKFAC-SPD)
-    /// also get a fusion plan per pass: one message per factor while
+    /// marginal refits keep assignments sticky. SPD-KFAC, which pipelines
+    /// factor communication behind the passes, also gets a fusion plan per
+    /// pass: one message per factor while
     /// `costs` holds no ready times, Eq. 15 under the configured strategy
     /// once it does — the `G` pass scored by when its last tail is done.
     ///

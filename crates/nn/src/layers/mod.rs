@@ -1,19 +1,15 @@
 //! Concrete layer implementations.
 
-mod activation;
 mod batchnorm;
 mod conv;
-mod dropout;
 mod flatten;
 mod linear;
 mod pool;
 mod relu;
 mod residual;
 
-pub use activation::{LeakyReLU, Tanh};
 pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;
-pub use dropout::Dropout;
 pub use flatten::Flatten;
 pub use linear::Linear;
 pub use pool::{AvgPool2d, MaxPool2d};

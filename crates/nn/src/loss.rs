@@ -62,46 +62,6 @@ pub fn mse_loss(pred: &Tensor4, target: &Tensor4) -> (f64, Tensor4) {
     (loss / n, Tensor4::from_vec(bn, c, h, w, data))
 }
 
-/// Softmax cross-entropy against label-smoothed targets: the true class gets
-/// probability `1 − eps`, the rest share `eps` uniformly (Szegedy et al. —
-/// standard for the Inception/ResNet training recipes the paper's testbed
-/// runs).
-///
-/// # Panics
-///
-/// Panics if shapes disagree, a label is out of range, or `eps ∉ [0, 1)`.
-pub fn softmax_cross_entropy_smoothed(
-    logits: &Tensor4,
-    labels: &[usize],
-    eps: f64,
-) -> (f64, Tensor4) {
-    assert!(
-        (0.0..1.0).contains(&eps),
-        "smoothing eps {eps} out of range"
-    );
-    let (n, k, h, w) = logits.shape();
-    assert_eq!((h, w), (1, 1), "expects (N, K, 1, 1) logits");
-    assert_eq!(labels.len(), n, "label count must match batch size");
-    let off = eps / k as f64;
-    let on = 1.0 - eps + off;
-    let mut grad = Tensor4::zeros(n, k, 1, 1);
-    let mut loss = 0.0;
-    for (s, &label) in labels.iter().enumerate() {
-        let row = logits.sample(s);
-        assert!(label < k, "label {label} out of range {k}");
-        let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let sum_exp: f64 = row.iter().map(|&v| (v - max).exp()).sum();
-        let log_z = max + sum_exp.ln();
-        for (c, &logit) in row.iter().enumerate() {
-            let target = if c == label { on } else { off };
-            let logp = logit - log_z;
-            loss -= target * logp;
-            *grad.at_mut(s, c, 0, 0) = (logp.exp() - target) / n as f64;
-        }
-    }
-    (loss / n as f64, grad)
-}
-
 /// Classification accuracy of argmax predictions.
 ///
 /// # Panics
@@ -180,47 +140,6 @@ mod tests {
                 grad.as_slice()[i]
             );
         }
-    }
-
-    #[test]
-    fn smoothed_loss_reduces_to_plain_at_zero_eps() {
-        let logits = Tensor4::from_vec(2, 3, 1, 1, vec![0.5, -1.0, 2.0, 0.1, 0.2, -0.3]);
-        let labels = [2usize, 0];
-        let (l0, g0) = softmax_cross_entropy(&logits, &labels);
-        let (ls, gs) = softmax_cross_entropy_smoothed(&logits, &labels, 0.0);
-        assert!((l0 - ls).abs() < 1e-12);
-        assert!(g0.max_abs_diff(&gs) < 1e-12);
-    }
-
-    #[test]
-    fn smoothed_gradient_finite_difference() {
-        let mut logits = Tensor4::from_vec(1, 4, 1, 1, vec![0.3, -0.2, 1.1, 0.0]);
-        let labels = [2usize];
-        let eps_s = 0.1;
-        let (_, grad) = softmax_cross_entropy_smoothed(&logits, &labels, eps_s);
-        let h = 1e-6;
-        for i in 0..4 {
-            let orig = logits.as_slice()[i];
-            logits.as_mut_slice()[i] = orig + h;
-            let (lp, _) = softmax_cross_entropy_smoothed(&logits, &labels, eps_s);
-            logits.as_mut_slice()[i] = orig - h;
-            let (lm, _) = softmax_cross_entropy_smoothed(&logits, &labels, eps_s);
-            logits.as_mut_slice()[i] = orig;
-            let fd = (lp - lm) / (2.0 * h);
-            assert!((fd - grad.as_slice()[i]).abs() < 1e-6, "elem {i}");
-        }
-    }
-
-    #[test]
-    fn smoothing_softens_confident_gradients() {
-        // With smoothing, a perfectly confident correct prediction still
-        // receives a non-zero gradient pulling probability off the peak.
-        let mut logits = Tensor4::zeros(1, 3, 1, 1);
-        *logits.at_mut(0, 0, 0, 0) = 30.0;
-        let (_, g_plain) = softmax_cross_entropy(&logits, &[0]);
-        let (_, g_smooth) = softmax_cross_entropy_smoothed(&logits, &[0], 0.1);
-        assert!(g_plain.at(0, 0, 0, 0).abs() < 1e-9);
-        assert!(g_smooth.at(0, 0, 0, 0) > 0.01);
     }
 
     #[test]

@@ -41,16 +41,6 @@ impl Sgd {
         }
     }
 
-    /// Current learning rate.
-    pub fn lr(&self) -> f64 {
-        self.lr
-    }
-
-    /// Updates the learning rate (e.g. for schedules).
-    pub fn set_lr(&mut self, lr: f64) {
-        self.lr = lr;
-    }
-
     /// The momentum buffers, positionally matching the parameter list of
     /// the last [`Sgd::step`] call; empty before the first step. Exposed
     /// for checkpointing (elastic state handoff).
@@ -132,72 +122,6 @@ impl Sgd {
     }
 }
 
-/// A learning-rate schedule: linear warmup followed by step decay — the
-/// shape large-batch CNN training (the paper's workload) uses.
-///
-/// # Example
-///
-/// ```
-/// use spdkfac_nn::optim::LrSchedule;
-///
-/// let s = LrSchedule::new(0.1).warmup(10).step_decay(100, 0.1);
-/// assert!(s.lr_at(0) < 0.011);      // warmup starts near base/warmup
-/// assert_eq!(s.lr_at(10), 0.1);     // warmed up
-/// assert!((s.lr_at(150) - 0.01).abs() < 1e-12); // one decay step
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LrSchedule {
-    base: f64,
-    warmup_steps: usize,
-    decay_every: Option<usize>,
-    decay_gamma: f64,
-}
-
-impl LrSchedule {
-    /// Constant schedule at `base`.
-    pub fn new(base: f64) -> Self {
-        LrSchedule {
-            base,
-            warmup_steps: 0,
-            decay_every: None,
-            decay_gamma: 1.0,
-        }
-    }
-
-    /// Adds linear warmup over the first `steps` steps.
-    pub fn warmup(mut self, steps: usize) -> Self {
-        self.warmup_steps = steps;
-        self
-    }
-
-    /// Multiplies the rate by `gamma` every `every` post-warmup steps.
-    pub fn step_decay(mut self, every: usize, gamma: f64) -> Self {
-        assert!(every > 0, "decay interval must be positive");
-        self.decay_every = Some(every);
-        self.decay_gamma = gamma;
-        self
-    }
-
-    /// Learning rate at `step` (0-based).
-    pub fn lr_at(&self, step: usize) -> f64 {
-        if self.warmup_steps > 0 && step < self.warmup_steps {
-            return self.base * (step + 1) as f64 / self.warmup_steps as f64;
-        }
-        match self.decay_every {
-            None => self.base,
-            Some(every) => {
-                let post = step - self.warmup_steps;
-                self.base * self.decay_gamma.powi((post / every) as i32)
-            }
-        }
-    }
-
-    /// Applies the schedule to an optimizer for the given step.
-    pub fn apply(&self, sgd: &mut Sgd, step: usize) {
-        sgd.set_lr(self.lr_at(step));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,31 +166,6 @@ mod tests {
         let mut opt = Sgd::new(1.0, 0.0, 0.0);
         opt.step_with_directions(&mut [&mut p], &[Matrix::from_rows(&[&[2.0]])]);
         assert!((p.value[(0, 0)] + 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn schedule_warmup_is_linear() {
-        let s = LrSchedule::new(1.0).warmup(4);
-        assert!((s.lr_at(0) - 0.25).abs() < 1e-12);
-        assert!((s.lr_at(1) - 0.5).abs() < 1e-12);
-        assert!((s.lr_at(3) - 1.0).abs() < 1e-12);
-        assert!((s.lr_at(4) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn schedule_decay_compounds() {
-        let s = LrSchedule::new(0.8).step_decay(10, 0.5);
-        assert!((s.lr_at(9) - 0.8).abs() < 1e-12);
-        assert!((s.lr_at(10) - 0.4).abs() < 1e-12);
-        assert!((s.lr_at(25) - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn schedule_applies_to_sgd() {
-        let mut sgd = Sgd::new(0.0, 0.0, 0.0);
-        let s = LrSchedule::new(0.3);
-        s.apply(&mut sgd, 7);
-        assert_eq!(sgd.lr(), 0.3);
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub enum Phase {
     FactorComp,
     /// Kronecker-factor all-reduce (dark brown).
     FactorComm,
-    /// Matrix-inversion (or eigendecomposition) compute.
+    /// Matrix-inversion compute.
     InverseComp,
     /// Inverse-result broadcast (red).
     InverseComm,

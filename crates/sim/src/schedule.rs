@@ -10,7 +10,7 @@ use crate::report::{attribute, SimReport};
 use crate::sched::PolicyHandle;
 use spdkfac_core::fusion::{self, FactorPipeline, FusionStrategy};
 use spdkfac_core::iteration::{
-    packed_len, Deps, FactorComm, GradCut, IterationGraph, LayerShape, Op, Spec, Who,
+    Deps, FactorComm, GradCut, IterationGraph, LayerShape, Op, Spec, Who,
 };
 use spdkfac_core::placement::{PlacementContext, PlacementPolicy, PlacementStrategy};
 use spdkfac_models::{LayerSpec, ModelProfile};
@@ -257,7 +257,6 @@ pub fn simulate_iteration_planned(
         },
         placement: &placement,
         refresh: true,
-        inverse_len: packed_len,
         deps: Deps::PaperBarrier,
     });
     lower(
@@ -429,7 +428,7 @@ pub fn simulate_inverse_phase(
     let ctx = PlacementContext::new(dims, world, &hw.inverse, &plan_bcast)
         .with_gpus_per_node(exec_net.gpus_per_node());
     // The paper's tail behind an empty barrier.
-    let graph = IterationGraph::inverse_phase(dims, &policy.place(&ctx), packed_len);
+    let graph = IterationGraph::inverse_phase(dims, &policy.place(&ctx));
     lower(&graph, |_| None, dims, 1, &hw, exec_net.as_mut(), world)
 }
 

@@ -45,7 +45,6 @@
 //! ```
 
 pub mod chol;
-pub mod eig;
 pub mod error;
 pub mod gemm;
 pub mod kron;

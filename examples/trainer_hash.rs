@@ -1,5 +1,5 @@
 //! Trainer identity harness: one hash of the final parameters and the loss
-//! trajectory per configuration, over a grid of 240 local runs.
+//! trajectory per configuration, over a grid of 192 local runs.
 //!
 //! ```text
 //! cargo run --release --example trainer_hash > /tmp/hash.txt
@@ -8,7 +8,7 @@
 //! ```
 //!
 //! A change to the planner, the iteration graph or the worker loop that
-//! claims "same optimizer, same schedule" must print the same 240 lines as
+//! claims "same optimizer, same schedule" must print the same 192 lines as
 //! its parent commit: copy this file into a clone of the parent, run both,
 //! `cmp` the outputs. The grid pins `Naive` / `LayerWise` fusion —
 //! `Optimal` cuts its messages from measured ready times, and the bucket
@@ -48,7 +48,6 @@ fn run_grid(mut report: impl FnMut(&str, &[f64], &[f64])) {
         Algorithm::DKfac,
         Algorithm::MpdKfac,
         Algorithm::SpdKfac,
-        Algorithm::EkfacSpd,
     ];
     for algorithm in algorithms {
         for world in [1usize, 2, 4] {

@@ -218,27 +218,23 @@ fn dependency_driven_tail_with_cts_keeps_replicas_bit_identical() {
         cfg
     };
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    for algo in [Algorithm::SpdKfac, Algorithm::EkfacSpd] {
-        let ranks = run_every_rank(&config(algo), &build, &data, 7, 4);
-        assert!(ranks[0].losses.iter().all(|l| l.is_finite()), "{algo:?}");
-        for (r, replica) in ranks.iter().enumerate().skip(1) {
-            assert_eq!(
-                bits(&replica.losses),
-                bits(&ranks[0].losses),
-                "{algo:?}: rank {r} losses"
-            );
-            assert_eq!(
-                bits(&replica.final_params),
-                bits(&ranks[0].final_params),
-                "{algo:?}: rank {r} parameters"
-            );
-        }
-        if algo == Algorithm::SpdKfac {
-            let d = TrainSession::builder(config(Algorithm::DKfac))
-                .run(&build, &data, 7, 4)
-                .expect("local run");
-            let diff = max_diff(&d.final_params, &ranks[0].final_params);
-            assert!(diff < 1e-8, "D vs SPD with CTs: {diff}");
-        }
+    let ranks = run_every_rank(&config(Algorithm::SpdKfac), &build, &data, 7, 4);
+    assert!(ranks[0].losses.iter().all(|l| l.is_finite()));
+    for (r, replica) in ranks.iter().enumerate().skip(1) {
+        assert_eq!(
+            bits(&replica.losses),
+            bits(&ranks[0].losses),
+            "rank {r} losses"
+        );
+        assert_eq!(
+            bits(&replica.final_params),
+            bits(&ranks[0].final_params),
+            "rank {r} parameters"
+        );
     }
+    let d = TrainSession::builder(config(Algorithm::DKfac))
+        .run(&build, &data, 7, 4)
+        .expect("local run");
+    let diff = max_diff(&d.final_params, &ranks[0].final_params);
+    assert!(diff < 1e-8, "D vs SPD with CTs: {diff}");
 }

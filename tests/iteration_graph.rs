@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use spdkfac::core::distributed::{iteration_graph, Algorithm, DistributedConfig, TrainSession};
 use spdkfac::core::fusion::{self, FactorPipeline, FusionPlan, FusionStrategy};
 use spdkfac::core::iteration::{
-    packed_len, Deps, FactorComm, GradCut, IterationGraph, LayerShape, Node, Op, Spec, Who,
+    Deps, FactorComm, GradCut, IterationGraph, LayerShape, Node, Op, Spec, Who,
 };
 use spdkfac::core::perf::{AlphaBetaModel, ExpInverseModel};
 use spdkfac::core::placement::{Placement, TensorAssignment};
@@ -191,7 +191,6 @@ proptest! {
             grad_cut,
             placement: &placement,
             refresh,
-            inverse_len: packed_len,
             deps,
         });
         let with_grad = shapes.iter().filter(|s| s.grad_elems > 0).count();
