@@ -70,7 +70,7 @@ fn simulate_cell(
     m: &ModelProfile,
     world: usize,
     topology: &NetTopology,
-    policy: Option<spdkfac_sim::PolicyHandle>,
+    policy: Option<spdkfac_core::placement::PolicyHandle>,
 ) -> spdkfac_sim::SimReport {
     let mut cfg = SimConfig::paper_testbed(world);
     cfg.topology = *topology;

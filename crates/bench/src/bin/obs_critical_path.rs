@@ -24,12 +24,12 @@
 
 use spdkfac_bench::{header, note};
 use spdkfac_core::distributed::{Algorithm, DistributedConfig, TrainSession};
+use spdkfac_core::graph::to_obs_spans;
 use spdkfac_models::resnet50;
 use spdkfac_nn::data::gaussian_blobs;
 use spdkfac_nn::models::deep_mlp;
 use spdkfac_obs::summary::render_summary_csv;
 use spdkfac_obs::{CriticalReport, RankMap, Recorder, TrackLayout};
-use spdkfac_sim::graph::to_obs_spans;
 use spdkfac_sim::{simulate_iteration, Algo, SimConfig};
 use std::sync::Arc;
 

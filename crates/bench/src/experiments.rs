@@ -421,7 +421,7 @@ fn print_fig4() -> Option<String> {
     let sizes: Vec<usize> = m.layers().iter().map(|l| l.packed_a()).collect();
     let pipeline = FactorPipeline::new(ready.clone(), sizes.clone()).expect("valid pipeline");
     let plan = fusion::plan(&pipeline, &cfg.hw.allreduce, FusionStrategy::Optimal);
-    let out = fusion::simulate(&pipeline, &plan, &cfg.hw.allreduce, 0.0);
+    let out = fusion::simulate(&pipeline, &plan, &cfg.hw.allreduce);
 
     println!(
         "{:>4} {:>12} {:>10} {:>10} {:>10}  layers",
@@ -451,7 +451,7 @@ fn print_fig4() -> Option<String> {
         "{} factors fused into {} messages; A-pass comm finishes {:.1} ms after the last factor computation",
         sizes.len(),
         plan.num_messages(),
-        (out.finish - out.compute_end) * 1e3
+        (out.finish - ready.last().expect("ResNet-50 has layers")) * 1e3
     ));
     note("paper Fig. 4 example: A0 and A1 are merged and communicated together");
     None
@@ -478,7 +478,7 @@ fn print_fig5() -> Option<String> {
     ] {
         let p = place(&dims, 2, &comp, &comm, strategy);
         let modeled = p.modeled_time(&dims, &comp, &comm);
-        let sim = simulate_inverse_phase(&dims, &cfg, &strategy);
+        let sim = simulate_inverse_phase(&dims, &cfg, strategy);
         let assignment: Vec<String> = p
             .assignments()
             .iter()
@@ -811,9 +811,9 @@ pub fn fig12(cfg: &SimConfig) -> Vec<Fig12Row> {
             let dims = m.all_factor_dims();
             Fig12Row {
                 model: m.name().to_string(),
-                non_dist: simulate_inverse_phase(&dims, cfg, &PlacementStrategy::NonDist).total,
-                seq_dist: simulate_inverse_phase(&dims, cfg, &PlacementStrategy::SeqDist).total,
-                lbp: simulate_inverse_phase(&dims, cfg, &PlacementStrategy::default()).total,
+                non_dist: simulate_inverse_phase(&dims, cfg, PlacementStrategy::NonDist).total,
+                seq_dist: simulate_inverse_phase(&dims, cfg, PlacementStrategy::SeqDist).total,
+                lbp: simulate_inverse_phase(&dims, cfg, PlacementStrategy::default()).total,
             }
         })
         .collect()
@@ -1051,7 +1051,7 @@ fn print_ext_lbp_weight() -> Option<String> {
     for m in paper_models() {
         let dims = m.all_factor_dims();
         let run = |weight: LbpWeight| {
-            simulate_inverse_phase(&dims, &cfg, &PlacementStrategy::Lbp { weight }).total
+            simulate_inverse_phase(&dims, &cfg, PlacementStrategy::Lbp { weight }).total
         };
         println!(
             "{:<14} {:>10.4} {:>10.4} {:>12.4}",
@@ -1121,7 +1121,7 @@ fn print_ext_network_model() -> Option<String> {
                 PlacementStrategy::SeqDist,
                 PlacementStrategy::default(),
             ]
-            .map(|strategy| simulate_inverse_phase(&dims, &cfg, &strategy).total)
+            .map(|strategy| simulate_inverse_phase(&dims, &cfg, strategy).total)
         };
         let [sn, ss, sl] = row(NetTopology::serialized());
         let [pn, ps, pl] = row(NetTopology::per_root_parallel());
@@ -1256,7 +1256,7 @@ fn print_ext_vgg_stress() -> Option<String> {
         PlacementStrategy::SeqDist,
         PlacementStrategy::default(),
     ] {
-        let r = simulate_inverse_phase(&dims, &cfg, &s);
+        let r = simulate_inverse_phase(&dims, &cfg, s);
         println!(
             "  {s:?}: inverse phase = {:.2} s (exponential model)",
             r.total

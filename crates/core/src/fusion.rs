@@ -9,8 +9,8 @@
 //! effectively started — so merging costs nothing and saves one startup.
 //!
 //! This module computes **fusion plans** (which consecutive factors share an
-//! all-reduce) for the four strategies of Fig. 10 and simulates the
-//! resulting timeline to obtain non-overlapped communication time.
+//! all-reduce) for the four strategies of Fig. 10 and prices the resulting
+//! timeline on the [`crate::graph`] engine.
 //!
 //! Eq. 15 asks only when the last byte lands. What a merge serialises after
 //! it is priced by an optional per-factor *tail* ([`FactorPipeline::with_tail`]):
@@ -20,7 +20,9 @@
 //! paper's timeline, so every plan is too.
 
 use crate::error::KfacError;
+use crate::graph::TaskGraph;
 use crate::perf::AlphaBetaModel;
+use spdkfac_obs::Phase;
 
 /// How factors are grouped into all-reduce messages (the Fig. 10 variants).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,12 +55,20 @@ pub enum FusionStrategy {
 /// behind the factor's message, have landed too — on a compute thread that
 /// is free from `compute_free_at` on. All zero unless set by
 /// [`FactorPipeline::with_tail`].
+///
+/// The fields are private, so the invariants the constructors check hold
+/// for the pipeline's whole life:
+///
+/// ```compile_fail
+/// use spdkfac_core::fusion::FactorPipeline;
+///
+/// let mut p = FactorPipeline::new(vec![0.0, 1.0], vec![4, 4]).unwrap();
+/// p.sizes.pop(); // error: field `sizes` is private
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FactorPipeline {
-    /// Monotonically non-decreasing ready times.
-    pub ready: Vec<f64>,
-    /// Packed element count per factor.
-    pub sizes: Vec<usize>,
+    ready: Vec<f64>,
+    sizes: Vec<usize>,
     tail: Vec<f64>,
     trailing: Vec<usize>,
     compute_free_at: f64,
@@ -137,6 +147,16 @@ impl FactorPipeline {
         })
     }
 
+    /// Ready time per factor, non-decreasing.
+    pub fn ready(&self) -> &[f64] {
+        &self.ready
+    }
+
+    /// Packed element count per factor.
+    pub fn sizes(&self) -> &[usize] {
+        &self.sizes
+    }
+
     /// Number of factors.
     pub fn len(&self) -> usize {
         self.ready.len()
@@ -211,54 +231,47 @@ pub fn plan(
     let buckets = match strategy {
         FusionStrategy::Naive => vec![(0..n).collect()],
         FusionStrategy::LayerWise => return FusionPlan::one_each(n),
-        FusionStrategy::Threshold { elems, cycle_s } => {
-            let mut out: Vec<Vec<usize>> = Vec::new();
-            let mut cur = vec![0usize];
-            let mut cur_elems = pipeline.sizes[0];
-            let mut cycle_start = pipeline.ready[0];
-            for i in 1..n {
-                let fits = cur_elems + pipeline.sizes[i] <= elems;
-                let same_cycle = pipeline.ready[i] - cycle_start <= cycle_s;
-                if fits && same_cycle {
-                    cur.push(i);
-                    cur_elems += pipeline.sizes[i];
-                } else {
-                    out.push(std::mem::take(&mut cur));
-                    cur = vec![i];
-                    cur_elems = pipeline.sizes[i];
-                    cycle_start = pipeline.ready[i];
-                }
-            }
-            out.push(cur);
-            out
-        }
+        FusionStrategy::Threshold { elems, cycle_s } => walk(n, |bucket, i| {
+            let held: usize = bucket.iter().map(|&j| pipeline.sizes[j]).sum();
+            let fits = held + pipeline.sizes[i] <= elems;
+            fits && pipeline.ready[i] - pipeline.ready[bucket[0]] <= cycle_s
+        }),
         FusionStrategy::Optimal => optimal_buckets(pipeline, comm),
     };
     FusionPlan { buckets }
+}
+
+/// Cuts factors `0..n` into runs, walking them in order: factor `i` joins
+/// the open bucket when `joins(bucket, i)`, and opens the next one
+/// otherwise.
+fn walk(n: usize, mut joins: impl FnMut(&[usize], usize) -> bool) -> Vec<Vec<usize>> {
+    let mut out = vec![vec![0]];
+    for i in 1..n {
+        let bucket = out.last_mut().expect("a bucket is open");
+        if joins(bucket, i) {
+            bucket.push(i);
+        } else {
+            out.push(vec![i]);
+        }
+    }
+    out
 }
 
 /// The Eq. 15 greedy walk: merge factor `i` into the current bucket iff it
 /// becomes ready within the startup window of the bucket's message
 /// (accounting for the network still draining the previous message).
 fn greedy_eq15_buckets(pipeline: &FactorPipeline, comm: &AlphaBetaModel) -> Vec<Vec<usize>> {
-    let n = pipeline.len();
-    let mut out: Vec<Vec<usize>> = Vec::new();
-    let mut cur = vec![0usize];
     let mut net_free = 0.0f64;
-    for i in 1..n {
-        let bucket_ready = pipeline.ready[*cur.last().expect("bucket non-empty")];
-        let bucket_start = bucket_ready.max(net_free);
-        if pipeline.ready[i] < bucket_start + comm.alpha {
-            cur.push(i);
-        } else {
-            let elems: usize = cur.iter().map(|&j| pipeline.sizes[j]).sum();
+    walk(pipeline.len(), |bucket, i| {
+        let last = *bucket.last().expect("bucket non-empty");
+        let bucket_start = pipeline.ready[last].max(net_free);
+        let joins = pipeline.ready[i] < bucket_start + comm.alpha;
+        if !joins {
+            let elems: usize = bucket.iter().map(|&j| pipeline.sizes[j]).sum();
             net_free = bucket_start + comm.time(elems);
-            out.push(std::mem::take(&mut cur));
-            cur = vec![i];
         }
-    }
-    out.push(cur);
-    out
+        joins
+    })
 }
 
 /// Optimal fusion: the Eq. 15 greedy solution refined by merge/split local
@@ -272,12 +285,11 @@ fn greedy_eq15_buckets(pipeline: &FactorPipeline, comm: &AlphaBetaModel) -> Vec<
 /// Without tails the finish is the link end, so the ordering is Eq. 15's.
 fn optimal_buckets(pipeline: &FactorPipeline, comm: &AlphaBetaModel) -> Vec<Vec<usize>> {
     let n = pipeline.len();
-    let score = |buckets: &[Vec<usize>]| -> (f64, f64, usize) {
-        let plan = FusionPlan {
-            buckets: buckets.to_vec(),
-        };
-        let out = simulate(pipeline, &plan, comm, 0.0);
-        (out.finish, out.link_end, buckets.len())
+    let mut pricer = Pricer::new();
+    let mut score = |buckets: &[Vec<usize>]| -> (f64, f64, usize) {
+        pricer.run(pipeline, buckets, comm);
+        let (link_end, tail_end) = pricer.ends();
+        (link_end.max(tail_end), link_end, buckets.len())
     };
     let better = |a: (f64, f64, usize), b: (f64, f64, usize)| -> bool {
         let tie = |x: f64, y: f64| (x - y).abs() < 1e-12;
@@ -295,22 +307,13 @@ fn optimal_buckets(pipeline: &FactorPipeline, comm: &AlphaBetaModel) -> Vec<Vec<
         vec![(0..n).collect()],
         (0..n).map(|i| vec![i]).collect(),
     ];
-    // A few coarse time-window seeds.
+    // A few coarse time-window seeds: threshold fusion without a capacity.
     for window in [2.0 * comm.alpha, 8.0 * comm.alpha, 32.0 * comm.alpha] {
-        let mut out: Vec<Vec<usize>> = Vec::new();
-        let mut cur = vec![0usize];
-        let mut start = pipeline.ready[0];
-        for i in 1..n {
-            if pipeline.ready[i] - start <= window {
-                cur.push(i);
-            } else {
-                out.push(std::mem::take(&mut cur));
-                cur = vec![i];
-                start = pipeline.ready[i];
-            }
-        }
-        out.push(cur);
-        seeds.push(out);
+        let windowed = FusionStrategy::Threshold {
+            elems: usize::MAX,
+            cycle_s: window,
+        };
+        seeds.push(plan(pipeline, comm, windowed).buckets);
     }
 
     // Candidate bucketing with its `(finish, link end, message count)` score.
@@ -369,8 +372,8 @@ fn optimal_buckets(pipeline: &FactorPipeline, comm: &AlphaBetaModel) -> Vec<Vec<
     best.expect("at least one seed").0
 }
 
-/// Timeline of one simulated pass: when each message starts/ends, when each
-/// bucket's tail runs, and how much failed to hide behind compute.
+/// Timeline of one simulated pass: when each message occupies the link and
+/// when each bucket's tail runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineOutcome {
     /// Per-bucket `(start, end)` network occupation — its factor message
@@ -378,22 +381,17 @@ pub struct PipelineOutcome {
     pub spans: Vec<(f64, f64)>,
     /// Per-bucket `(start, end)` of its tail on the compute thread.
     pub tails: Vec<(f64, f64)>,
-    /// Time the last byte lands.
+    /// Time the last byte lands (0 when nothing is sent).
     pub link_end: f64,
     /// Time the last tail is done (`link_end` when there are none).
     pub tail_end: f64,
     /// `max(link_end, tail_end)`: what the `Optimal` strategy minimises.
     pub finish: f64,
-    /// Time the compute pass completes (`ready.last()`).
-    pub compute_end: f64,
-    /// Communication and tail time not hidden by the pass:
-    /// `max(0, finish − compute_end)`.
-    pub non_overlapped: f64,
 }
 
-/// Simulates `plan` over `pipeline` on two serial resources: the network,
-/// free from `net_free_at`, and the compute thread that runs the tails, free
-/// from the pipeline's `compute_free_at`.
+/// Prices `plan` over `pipeline` as a [`TaskGraph`] on two serial
+/// resources: the network, and the compute thread that runs the tails,
+/// free from the pipeline's `compute_free_at`.
 ///
 /// Each message starts when its last member factor is ready and the network
 /// is free; messages never overlap each other but freely overlap compute —
@@ -405,42 +403,76 @@ pub fn simulate(
     pipeline: &FactorPipeline,
     plan: &FusionPlan,
     comm: &AlphaBetaModel,
-    net_free_at: f64,
 ) -> PipelineOutcome {
-    let (mut net_free, mut compute_free) = (net_free_at, pipeline.compute_free_at);
-    let mut spans = Vec::with_capacity(plan.buckets.len());
-    let mut tails = Vec::with_capacity(plan.buckets.len());
-    for bucket in &plan.buckets {
-        let ready = bucket
-            .iter()
-            .map(|&i| pipeline.ready[i])
-            .fold(f64::NEG_INFINITY, f64::max);
-        let start = ready.max(net_free);
-        let elems: usize = bucket.iter().map(|&i| pipeline.sizes[i]).sum();
-        let trailing: usize = bucket.iter().map(|&i| pipeline.trailing[i]).sum();
-        let mut end = start + comm.time(elems);
-        if trailing > 0 {
-            end += comm.time(trailing);
-        }
-        spans.push((start, end));
-        net_free = end;
-        let tail: f64 = bucket.iter().map(|&i| pipeline.tail[i]).sum();
-        let tail_start = compute_free.max(end);
-        compute_free = tail_start + tail;
-        tails.push((tail_start, compute_free));
-    }
-    let compute_end = pipeline.ready.last().copied().unwrap_or(0.0);
-    let link_end = spans.last().map_or(net_free_at, |&(_, e)| e);
-    let tail_end = tails.last().map_or(link_end, |&(_, e)| e);
-    let finish = link_end.max(tail_end);
+    let mut pricer = Pricer::new();
+    pricer.run(pipeline, &plan.buckets, comm);
+    let (link_end, tail_end) = pricer.ends();
+    let at = |id: usize| pricer.times[id];
     PipelineOutcome {
-        spans,
-        tails,
+        spans: pricer
+            .ids
+            .iter()
+            .map(|&(m, l, _)| (at(m).0, at(l).1))
+            .collect(),
+        tails: pricer.ids.iter().map(|&(.., r)| at(r)).collect(),
         link_end,
         tail_end,
-        finish,
-        compute_end,
-        non_overlapped: (finish - compute_end).max(0.0),
+        finish: link_end.max(tail_end),
+    }
+}
+
+/// One [`TaskGraph`] (resource 0 the link, 1 the compute thread) that every
+/// candidate cut is laid out on in turn, keeping its storage.
+struct Pricer {
+    graph: TaskGraph,
+    times: Vec<(f64, f64)>,
+    /// Per bucket: its factor message, its last link task and its tail.
+    ids: Vec<(usize, usize, usize)>,
+}
+
+impl Pricer {
+    fn new() -> Self {
+        Pricer {
+            graph: TaskGraph::new(2),
+            times: Vec::new(),
+            ids: Vec::new(),
+        }
+    }
+
+    /// [`simulate`]s the cut `buckets` of `p`, replacing the last candidate.
+    fn run(&mut self, p: &FactorPipeline, buckets: &[Vec<usize>], comm: &AlphaBetaModel) {
+        let g = &mut self.graph;
+        g.clear();
+        self.ids.clear();
+        for bucket in buckets {
+            let ready = bucket
+                .iter()
+                .map(|&i| p.ready[i])
+                .fold(f64::NEG_INFINITY, f64::max);
+            let elems: usize = bucket.iter().map(|&i| p.sizes[i]).sum();
+            let trailing: usize = bucket.iter().map(|&i| p.trailing[i]).sum();
+            let message = g.push(0, comm.time(elems), &[], Phase::FactorComm);
+            g.set_earliest(message, ready);
+            let landed = if trailing > 0 {
+                g.push(0, comm.time(trailing), &[], Phase::GradComm)
+            } else {
+                message
+            };
+            let tail: f64 = bucket.iter().map(|&i| p.tail[i]).sum();
+            let run = g.push(1, tail, &[landed], Phase::InverseComp);
+            g.set_earliest(run, p.compute_free_at);
+            self.ids.push((message, landed, run));
+        }
+        g.times_into(&mut self.times);
+    }
+
+    /// When the last cut's last byte lands (0 when it sends nothing) and
+    /// when its last tail is done.
+    fn ends(&self) -> (f64, f64) {
+        let end = |id: usize| self.times[id].1;
+        self.ids
+            .last()
+            .map_or((0.0, 0.0), |&(_, l, r)| (end(l), end(r)))
     }
 }
 
@@ -506,7 +538,7 @@ mod tests {
             .into_iter()
             .map(|s| {
                 let plan = plan(p, &c, s);
-                let out = simulate(p, &plan, &c, 0.0);
+                let out = simulate(p, &plan, &c);
                 (plan, out)
             })
             .collect()
@@ -535,7 +567,7 @@ mod tests {
         assert!(last.len() < 3, "{:?}", seen.buckets());
         // …and its modelled finish beats the tail-free plan's by more than
         // a layer's preconditioning.
-        let finish = |plan| simulate(&with_tail, plan, &c, 0.0).finish;
+        let finish = |plan| simulate(&with_tail, plan, &c).finish;
         assert!(finish(&seen) + 1.5e-3 < finish(&eq15));
         // Zero tails and no trailing elements: the tail-free plans exactly,
         // under every strategy.
@@ -551,7 +583,7 @@ mod tests {
             .unwrap();
         let c = comm();
         let lw = plan(&p, &c, FusionStrategy::LayerWise);
-        let out = simulate(&p, &lw, &c, 0.0);
+        let out = simulate(&p, &lw, &c);
         // Bucket 0: 0 → 0.6 (factor) → 1.15 (trailing); its tail waits for
         // the compute thread (free at 3) and runs 3 → 4.
         assert!((out.spans[0].1 - 1.15).abs() < 1e-12);
@@ -608,7 +640,7 @@ mod tests {
         // (the planner must not hold the big message back for them).
         let p = pipeline(&[0.0, 0.2, 1.0], &[1000, 1, 1]);
         let o = plan(&p, &comm(), FusionStrategy::Optimal);
-        let out = simulate(&p, &o, &comm(), 0.0);
+        let out = simulate(&p, &o, &comm());
         for s in [
             FusionStrategy::Naive,
             FusionStrategy::LayerWise,
@@ -617,7 +649,7 @@ mod tests {
                 cycle_s: 0.5,
             },
         ] {
-            let alt = simulate(&p, &plan(&p, &comm(), s), &comm(), 0.0);
+            let alt = simulate(&p, &plan(&p, &comm(), s), &comm());
             assert!(out.finish <= alt.finish + 1e-9, "{s:?} beat Optimal");
         }
         // The big factor goes out alone; the stragglers share one message.
@@ -632,14 +664,9 @@ mod tests {
         // earlier factors when that costs nothing.
         let p = pipeline(&[0.0, 2.0, 4.0], &[1, 1, 1]);
         let o = plan(&p, &comm(), FusionStrategy::Optimal);
-        let out = simulate(&p, &o, &comm(), 0.0);
-        let lw = simulate(
-            &p,
-            &plan(&p, &comm(), FusionStrategy::LayerWise),
-            &comm(),
-            0.0,
-        );
-        let naive = simulate(&p, &plan(&p, &comm(), FusionStrategy::Naive), &comm(), 0.0);
+        let out = simulate(&p, &o, &comm());
+        let lw = simulate(&p, &plan(&p, &comm(), FusionStrategy::LayerWise), &comm());
+        let naive = simulate(&p, &plan(&p, &comm(), FusionStrategy::Naive), &comm());
         assert!(out.finish < naive.finish);
         assert!(out.finish <= lw.finish + 1e-12);
         assert!(o.num_messages() >= 2, "last factor needs its own window");
@@ -649,7 +676,7 @@ mod tests {
     fn simulate_serialises_messages() {
         let p = pipeline(&[0.0, 0.0], &[10, 10]);
         let lw = plan(&p, &comm(), FusionStrategy::LayerWise);
-        let out = simulate(&p, &lw, &comm(), 0.0);
+        let out = simulate(&p, &lw, &comm());
         assert_eq!(out.spans.len(), 2);
         // Second message starts exactly when the first ends.
         assert!((out.spans[1].0 - out.spans[0].1).abs() < 1e-12);
@@ -659,7 +686,7 @@ mod tests {
     fn simulate_respects_ready_times() {
         let p = pipeline(&[0.0, 5.0], &[1, 1]);
         let lw = plan(&p, &comm(), FusionStrategy::LayerWise);
-        let out = simulate(&p, &lw, &comm(), 0.0);
+        let out = simulate(&p, &lw, &comm());
         assert!(out.spans[1].0 >= 5.0);
     }
 
@@ -667,9 +694,9 @@ mod tests {
     fn non_overlap_zero_when_comm_fits_inside_compute() {
         let p = pipeline(&[0.0, 100.0], &[1, 1]);
         let lw = plan(&p, &comm(), FusionStrategy::LayerWise);
-        let out = simulate(&p, &lw, &comm(), 0.0);
+        let out = simulate(&p, &lw, &comm());
         // First message fully hidden; only the last message sticks out.
-        assert!((out.non_overlapped - comm().time(1)).abs() < 1e-12);
+        assert!((out.finish - p.ready()[1] - comm().time(1)).abs() < 1e-12);
     }
 
     #[test]
@@ -681,8 +708,8 @@ mod tests {
         let sizes = vec![1usize; n];
         let p = FactorPipeline::new(ready, sizes).unwrap();
         let c = comm();
-        let lw_out = simulate(&p, &plan(&p, &c, FusionStrategy::LayerWise), &c, 0.0);
-        let ot_out = simulate(&p, &plan(&p, &c, FusionStrategy::Optimal), &c, 0.0);
+        let lw_out = simulate(&p, &plan(&p, &c, FusionStrategy::LayerWise), &c);
+        let ot_out = simulate(&p, &plan(&p, &c, FusionStrategy::Optimal), &c);
         assert!(
             ot_out.finish < lw_out.finish * 0.25,
             "optimal {:.3} vs layerwise {:.3}",
@@ -697,10 +724,9 @@ mod tests {
         // before sending anything; optimal hides earlier messages.
         let p = pipeline(&[0.0, 10.0, 20.0], &[500, 500, 500]);
         let c = comm();
-        let nv = simulate(&p, &plan(&p, &c, FusionStrategy::Naive), &c, 0.0);
-        let ot = simulate(&p, &plan(&p, &c, FusionStrategy::Optimal), &c, 0.0);
+        let nv = simulate(&p, &plan(&p, &c, FusionStrategy::Naive), &c);
+        let ot = simulate(&p, &plan(&p, &c, FusionStrategy::Optimal), &c);
         assert!(ot.finish < nv.finish);
-        assert!(ot.non_overlapped < nv.non_overlapped);
     }
 
     #[test]
@@ -708,8 +734,8 @@ mod tests {
         let p = FactorPipeline::new(vec![], vec![]).unwrap();
         let pl = plan(&p, &comm(), FusionStrategy::Optimal);
         assert_eq!(pl.num_messages(), 0);
-        let out = simulate(&p, &pl, &comm(), 3.0);
-        assert_eq!(out.finish, 3.0);
-        assert_eq!(out.non_overlapped, 3.0); // nothing computed either
+        let out = simulate(&p, &pl, &comm());
+        assert_eq!((out.link_end, out.tail_end, out.finish), (0.0, 0.0, 0.0));
+        assert!(out.spans.is_empty() && out.tails.is_empty());
     }
 }

@@ -1,11 +1,14 @@
-//! Stream-ordered task-graph simulation.
+//! Stream-ordered task-graph timing: the one engine that prices the
+//! simulator's cluster iterations and the fusion planner's candidate cuts.
 //!
 //! Tasks are issued to *resources* (GPU compute streams, the shared
 //! network). A resource executes its tasks strictly in issue order; a task
-//! additionally waits for its dependencies and an optional earliest-start
-//! time. This matches CUDA stream semantics and Horovod's single collective
-//! queue, and makes simulation a single deterministic forward pass over the
-//! issue order.
+//! additionally waits for its dependencies and an optional exact
+//! earliest-start time. This matches CUDA stream semantics and Horovod's
+//! single collective queue, and makes timing a single deterministic forward
+//! pass over the issue order.
+
+use std::ops::Range;
 
 use spdkfac_obs::{Phase, SpanMeta};
 
@@ -33,11 +36,14 @@ pub fn to_obs_spans(spans: &[TaskSpan]) -> Vec<spdkfac_obs::Span> {
 pub struct Task {
     /// Resource the task occupies (index into the graph's resource set).
     pub resource: usize,
-    /// Execution time (seconds).
+    /// Execution time (seconds). Any finite value: a fitted α-β line can
+    /// price a small message below zero, and pricing takes it as given.
     pub duration: f64,
-    /// Task ids that must complete before this task starts. Must all be
-    /// smaller than this task's id (issue order is causal).
-    pub deps: Vec<usize>,
+    /// The earliest time the task may start, if constrained. An executor
+    /// that does not honour it must reject a task that sets it.
+    pub earliest: Option<f64>,
+    /// The task's span of the graph's dependency list ([`TaskGraph::deps`]).
+    deps: Range<usize>,
     /// Breakdown category.
     pub phase: Phase,
     /// Collective metadata (edge/seq/size/generation) mirrored onto the
@@ -60,13 +66,15 @@ pub struct TaskSpan {
     pub meta: SpanMeta,
 }
 
-/// An append-only task graph over a fixed set of resources.
+/// An append-only task graph over a fixed set of resources; after
+/// [`TaskGraph::clear`], re-issuing a graph of the same shape allocates
+/// nothing.
 ///
 /// # Example
 ///
 /// ```
 /// use spdkfac_obs::Phase;
-/// use spdkfac_sim::graph::TaskGraph;
+/// use spdkfac_core::graph::TaskGraph;
 ///
 /// let mut g = TaskGraph::new(2); // one GPU stream + one network
 /// let a = g.push(0, 1.0, &[], Phase::FfBp);
@@ -78,6 +86,7 @@ pub struct TaskSpan {
 #[derive(Debug, Clone, Default)]
 pub struct TaskGraph {
     tasks: Vec<Task>,
+    deps: Vec<usize>,
     num_resources: usize,
 }
 
@@ -85,9 +94,15 @@ impl TaskGraph {
     /// Creates a graph over `num_resources` resources.
     pub fn new(num_resources: usize) -> Self {
         TaskGraph {
-            tasks: Vec::new(),
             num_resources,
+            ..TaskGraph::default()
         }
+    }
+
+    /// Removes every task, keeping the storage for the next ones.
+    pub fn clear(&mut self) {
+        self.tasks.clear();
+        self.deps.clear();
     }
 
     /// Number of resources.
@@ -95,21 +110,11 @@ impl TaskGraph {
         self.num_resources
     }
 
-    /// Number of tasks issued so far.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// `true` when no tasks have been issued.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
     /// Issues a task; returns its id.
     ///
     /// # Panics
     ///
-    /// Panics if `resource` is out of range, `duration` is negative/NaN, or
+    /// Panics if `resource` is out of range, `duration` is not finite, or
     /// any dependency id is not smaller than the new task's id.
     pub fn push(&mut self, resource: usize, duration: f64, deps: &[usize], phase: Phase) -> usize {
         self.push_meta(resource, duration, deps, phase, SpanMeta::default())
@@ -133,18 +138,18 @@ impl TaskGraph {
             resource < self.num_resources,
             "resource {resource} out of range"
         );
-        assert!(
-            duration.is_finite() && duration >= 0.0,
-            "invalid duration {duration}"
-        );
+        assert!(duration.is_finite(), "invalid duration {duration}");
         let id = self.tasks.len();
         for &d in deps {
             assert!(d < id, "dependency {d} must precede task {id}");
         }
+        let from = self.deps.len();
+        self.deps.extend_from_slice(deps);
         self.tasks.push(Task {
             resource,
             duration,
-            deps: deps.to_vec(),
+            earliest: None,
+            deps: from..self.deps.len(),
             phase,
             meta,
         });
@@ -156,46 +161,61 @@ impl TaskGraph {
         &self.tasks
     }
 
-    /// Overrides the duration of task `id` (used by the communication
-    /// contention fixed-point in `schedule`).
+    /// The ids task `id` waits for, each smaller than `id`.
+    pub fn deps(&self, id: usize) -> &[usize] {
+        &self.deps[self.tasks[id].deps.clone()]
+    }
+
+    /// Task `id` starts no earlier than `earliest`, a finite time ≥ 0 (or
+    /// this panics).
+    pub fn set_earliest(&mut self, id: usize, earliest: f64) {
+        let valid = earliest.is_finite() && earliest >= 0.0;
+        assert!(valid, "invalid earliest start {earliest}");
+        self.tasks[id].earliest = Some(earliest);
+    }
+
+    /// Overrides the duration of task `id` (used by the simulator's
+    /// communication-contention fixed point).
     ///
     /// # Panics
     ///
-    /// Panics if `id` is out of range or `duration` is negative/NaN.
+    /// Panics if `id` is out of range or `duration` is not finite.
     pub fn set_duration(&mut self, id: usize, duration: f64) {
-        assert!(
-            duration.is_finite() && duration >= 0.0,
-            "invalid duration {duration}"
-        );
+        assert!(duration.is_finite(), "invalid duration {duration}");
         self.tasks[id].duration = duration;
     }
 
     /// Runs the simulation: each task starts at
-    /// `max(resource free time, dependency ends)` in issue order.
+    /// `max(earliest start, dependency ends, resource free time)` in issue
+    /// order.
     pub fn simulate(&self) -> Vec<TaskSpan> {
+        let mut times = Vec::with_capacity(self.tasks.len());
+        self.times_into(&mut times);
+        let span = |(t, (start, end)): (&Task, _)| TaskSpan {
+            start,
+            end,
+            resource: t.resource,
+            phase: t.phase,
+            meta: t.meta,
+        };
+        self.tasks.iter().zip(times).map(span).collect()
+    }
+
+    /// The `(start, end)` of every task, as [`TaskGraph::simulate`] times
+    /// them, into `times` (replacing its contents).
+    pub fn times_into(&self, times: &mut Vec<(f64, f64)>) {
+        times.clear();
         let mut resource_free = vec![0.0f64; self.num_resources];
-        let mut spans = Vec::with_capacity(self.tasks.len());
         for t in &self.tasks {
-            let dep_ready = t
-                .deps
+            let dep_ready = self.deps[t.deps.clone()]
                 .iter()
-                .map(|&d| {
-                    let s: &TaskSpan = &spans[d];
-                    s.end
-                })
-                .fold(0.0f64, f64::max);
+                .map(|&d| times[d].1)
+                .fold(t.earliest.unwrap_or(f64::NEG_INFINITY), f64::max);
             let start = dep_ready.max(resource_free[t.resource]);
             let end = start + t.duration;
             resource_free[t.resource] = end;
-            spans.push(TaskSpan {
-                start,
-                end,
-                resource: t.resource,
-                phase: t.phase,
-                meta: t.meta,
-            });
+            times.push((start, end));
         }
-        spans
     }
 
     /// Completion time of the whole graph (0 for an empty graph).
@@ -251,6 +271,33 @@ mod tests {
         let s = g.simulate();
         assert_eq!(s[c].start, 5.0);
         assert_eq!(s[d].start, 6.0); // stream order, even without deps
+    }
+
+    #[test]
+    fn earliest_start_delays_a_task_exactly() {
+        let mut g = TaskGraph::new(2);
+        let a = g.push(0, 1.0, &[], Phase::FfBp);
+        let b = g.push(1, 0.5, &[], Phase::FactorComm);
+        g.set_earliest(b, 0.3);
+        let c = g.push(1, 0.5, &[a], Phase::FactorComm);
+        g.set_earliest(c, 0.1);
+        let s = g.simulate();
+        assert_eq!((s[b].start, s[b].end), (0.3, 0.8));
+        // A dependency that ends later wins over the earliest start.
+        assert_eq!(s[c].start, 1.0);
+        // The time enters as given, not as a sum of durations.
+        let mut g = TaskGraph::new(1);
+        let t = g.push(0, 0.0, &[], Phase::FfBp);
+        g.set_earliest(t, 0.3);
+        assert_eq!(g.simulate()[t].start.to_bits(), 0.3f64.to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid earliest start")]
+    fn a_negative_earliest_start_is_rejected() {
+        let mut g = TaskGraph::new(1);
+        let t = g.push(0, 1.0, &[], Phase::FfBp);
+        g.set_earliest(t, -1.0);
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //!   least-squares fitters (the Fig. 7/8 methodology).
 //! - [`fusion`]: pipelining of factor communication with **dynamic tensor
 //!   fusion** (§IV-A, Eq. 15) and the three baselines of Fig. 10.
+//! - [`graph`]: the task-graph engine that prices every schedule, the
+//!   simulator's and the fusion planner's.
 //! - [`iteration`]: **one iteration as a value** — the task graph of
 //!   Fig. 1/4 (passes, statistics, fused all-reduces, inversions, CT
 //!   broadcasts, preconditioning, update), built once per plan by a pure
@@ -62,6 +64,7 @@ pub mod elastic;
 pub mod error;
 pub mod factors;
 pub mod fusion;
+pub mod graph;
 pub mod iteration;
 pub mod optimizer;
 pub mod perf;

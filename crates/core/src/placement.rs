@@ -13,6 +13,9 @@
 //! each as NCT iff its modelled compute time is below its modelled broadcast
 //! time, and assigns CTs to the currently least-loaded GPU.
 
+use std::fmt;
+use std::sync::Arc;
+
 use crate::perf::{AlphaBetaModel, ExpInverseModel};
 
 /// Where a tensor's inversion runs.
@@ -200,6 +203,38 @@ pub trait PlacementPolicy: Send + Sync {
     fn place(&self, ctx: &PlacementContext<'_>) -> Placement;
 }
 
+/// Clonable, debuggable handle to any placement policy, for storage in a
+/// [`Planner`](crate::runtime::Planner) or a simulator configuration.
+#[derive(Clone)]
+pub struct PolicyHandle(Arc<dyn PlacementPolicy>);
+
+impl PolicyHandle {
+    /// Wraps a policy.
+    pub fn new(policy: impl PlacementPolicy + 'static) -> Self {
+        PolicyHandle(Arc::new(policy))
+    }
+}
+
+impl fmt::Debug for PolicyHandle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("PolicyHandle").field(&self.0.name()).finish()
+    }
+}
+
+impl<P: PlacementPolicy + 'static> From<P> for PolicyHandle {
+    fn from(p: P) -> Self {
+        PolicyHandle::new(p)
+    }
+}
+
+impl std::ops::Deref for PolicyHandle {
+    type Target = dyn PlacementPolicy;
+
+    fn deref(&self) -> &Self::Target {
+        &*self.0
+    }
+}
+
 impl PlacementPolicy for PlacementStrategy {
     fn name(&self) -> String {
         match self {
@@ -213,8 +248,27 @@ impl PlacementPolicy for PlacementStrategy {
         }
     }
 
+    /// With `ctx.prev`, LBP charges a broadcast-priced migration cost for
+    /// moving a CT away from its standing owner, so re-plans on marginally
+    /// drifted models keep assignments sticky instead of thrashing
+    /// ownership (and the factor state that lives with it).
     fn place(&self, ctx: &PlacementContext<'_>) -> Placement {
-        place_with_prev(ctx.dims, ctx.world, ctx.comp, ctx.comm, *self, ctx.prev)
+        let (dims, world) = (ctx.dims, ctx.world);
+        assert!(world > 0, "place requires at least one GPU");
+        match *self {
+            PlacementStrategy::NonDist => {
+                Placement::new(vec![TensorAssignment::AllGpus; dims.len()], world)
+            }
+            PlacementStrategy::SeqDist => Placement::new(
+                (0..dims.len())
+                    .map(|i| TensorAssignment::Gpu(i % world))
+                    .collect(),
+                world,
+            ),
+            PlacementStrategy::Lbp { weight } => {
+                lbp_with_prev(dims, world, ctx.comp, ctx.comm, weight, ctx.prev)
+            }
+        }
     }
 }
 
@@ -265,35 +319,7 @@ pub fn place(
     comm: &AlphaBetaModel,
     strategy: PlacementStrategy,
 ) -> Placement {
-    place_with_prev(dims, world, comp, comm, strategy, None)
-}
-
-/// As [`place`], but with the previous generation's assignments available:
-/// LBP then charges a broadcast-priced migration cost for moving a CT away
-/// from its standing owner, so re-plans on marginally drifted models keep
-/// assignments sticky instead of thrashing ownership (and the factor state
-/// that lives with it).
-pub fn place_with_prev(
-    dims: &[usize],
-    world: usize,
-    comp: &ExpInverseModel,
-    comm: &AlphaBetaModel,
-    strategy: PlacementStrategy,
-    prev: Option<&[TensorAssignment]>,
-) -> Placement {
-    assert!(world > 0, "place requires at least one GPU");
-    match strategy {
-        PlacementStrategy::NonDist => {
-            Placement::new(vec![TensorAssignment::AllGpus; dims.len()], world)
-        }
-        PlacementStrategy::SeqDist => Placement::new(
-            (0..dims.len())
-                .map(|i| TensorAssignment::Gpu(i % world))
-                .collect(),
-            world,
-        ),
-        PlacementStrategy::Lbp { weight } => lbp_with_prev(dims, world, comp, comm, weight, prev),
-    }
+    strategy.place(&PlacementContext::new(dims, world, comp, comm))
 }
 
 /// Algorithm 1: Load-Balancing Placement with dynamic tensor-type
@@ -570,14 +596,8 @@ mod tests {
         let dims = vec![3000, 2900, 2800, 2700, 300, 400];
         let first = place(&dims, 4, &comp, &comm, PlacementStrategy::default());
         let drifted = AlphaBetaModel::new(comm.alpha * 1.05, comm.beta * 0.97);
-        let second = place_with_prev(
-            &dims,
-            4,
-            &comp,
-            &drifted,
-            PlacementStrategy::default(),
-            Some(first.assignments()),
-        );
+        let ctx = PlacementContext::new(&dims, 4, &comp, &drifted);
+        let second = PlacementStrategy::default().place(&ctx.with_prev(Some(first.assignments())));
         for (i, (a, b)) in first
             .assignments()
             .iter()
@@ -598,14 +618,8 @@ mod tests {
         let (comp, comm) = toy_models();
         let dims = vec![3000, 3000, 3000, 3000];
         let skewed = Placement::new(vec![TensorAssignment::Gpu(0); 4], 4);
-        let rebal = place_with_prev(
-            &dims,
-            4,
-            &comp,
-            &comm,
-            PlacementStrategy::default(),
-            Some(skewed.assignments()),
-        );
+        let ctx = PlacementContext::new(&dims, 4, &comp, &comm);
+        let rebal = PlacementStrategy::default().place(&ctx.with_prev(Some(skewed.assignments())));
         let moved = rebal
             .assignments()
             .iter()

@@ -44,7 +44,8 @@ use crate::distributed::{Algorithm, DistributedConfig};
 use crate::fusion::{self, FactorPipeline, FusionPlan, FusionStrategy};
 use crate::iteration::LayerShape;
 use crate::perf::{AlphaBetaModel, ExpInverseModel};
-use crate::placement::{Placement, PlacementContext, PlacementPolicy, PlacementStrategy};
+use crate::placement::{Placement, PlacementContext, PolicyHandle};
+use spdkfac_collectives::WireFormat;
 use spdkfac_obs::MetricsRegistry;
 use spdkfac_tensor::sym::packed_len;
 
@@ -222,9 +223,10 @@ fn monotonize(ts: &[f64]) -> Vec<f64> {
 }
 
 /// Everything about a segment that planning needs and that does not change
-/// while it runs: the configuration's strategies and baseline models, the
-/// model's factor dimensions and gradient lengths, and the world size. Built
-/// once per segment.
+/// while it runs: the strategies and baseline models, the model's factor
+/// dimensions and gradient lengths, and the cluster's shape. Built once per
+/// segment by the trainer, and once per simulated iteration by the
+/// simulator.
 #[derive(Debug)]
 pub struct Planner {
     baselines: Costs,
@@ -232,33 +234,62 @@ pub struct Planner {
     /// Per `G`-pass position: the gradient elements sent right behind it.
     trailing: Vec<usize>,
     world: usize,
-    placement: PlacementStrategy,
-    fusion: FusionStrategy,
-    pipelined: bool,
+    gpus_per_node: usize,
+    placement: PolicyHandle,
+    /// How both factor passes are cut, when factor communication is
+    /// pipelined behind them (SPD-KFAC).
+    fusion: Option<FusionStrategy>,
     bytes_per_elem: f64,
     grad_bytes_per_elem: f64,
 }
 
 impl Planner {
     /// A planner for `cfg` on a model whose preconditionable layers have
-    /// the `(a_dim, g_dim)` factor dimensions `dims`, across `world` ranks.
-    /// It prices no gradient messages until [`Planner::with_layers`].
+    /// the `(a_dim, g_dim)` factor dimensions `dims`, across `world` ranks
+    /// of a flat cluster. It prices no gradient messages until
+    /// [`Planner::with_layers`].
     pub fn new(cfg: &DistributedConfig, dims: &[(usize, usize)], world: usize) -> Self {
+        let baselines = Costs {
+            allreduce: Some(cfg.comm_model),
+            broadcast: Some(cfg.comm_model),
+            inverse: Some(cfg.comp_model),
+            ..Costs::default()
+        };
+        let inv_dims = dims.iter().flat_map(|&(a, g)| [a, g]).collect();
+        let pipelined = cfg.algorithm == Algorithm::SpdKfac && !dims.is_empty();
+        let (placement, fusion) = (cfg.effective_placement(), pipelined.then_some(cfg.fusion));
         Planner {
-            baselines: Costs {
-                allreduce: Some(cfg.comm_model),
-                broadcast: Some(cfg.comm_model),
-                inverse: Some(cfg.comp_model),
-                ..Costs::default()
-            },
-            inv_dims: dims.iter().flat_map(|&(a, g)| [a, g]).collect(),
-            trailing: vec![0; dims.len()],
-            world,
-            placement: cfg.effective_placement(),
-            fusion: cfg.fusion,
-            pipelined: cfg.algorithm == Algorithm::SpdKfac && !dims.is_empty(),
             bytes_per_elem: cfg.wire.factor.bytes_per_elem(),
             grad_bytes_per_elem: cfg.wire.grad.bytes_per_elem(),
+            ..Planner::from_parts(baselines, inv_dims, world, 1, placement.into(), fusion)
+        }
+    }
+
+    /// A planner over tensors of dimensions `inv_dims` (`A_l`, `G_l`
+    /// interleaved), across `world` ranks in islands of `gpus_per_node`: it
+    /// places their inversions with `placement` and, given a `fusion`
+    /// strategy, cuts both factor passes with it. Absent cost lines are
+    /// priced with `baselines`, all-reduces on the f64 wire. It prices no
+    /// gradient messages until [`Planner::with_layers`].
+    pub fn from_parts(
+        baselines: Costs,
+        inv_dims: Vec<usize>,
+        world: usize,
+        gpus_per_node: usize,
+        placement: PolicyHandle,
+        fusion: Option<FusionStrategy>,
+    ) -> Self {
+        let f64_wire = WireFormat::F64.bytes_per_elem();
+        Planner {
+            baselines,
+            trailing: vec![0; inv_dims.len() / 2],
+            inv_dims,
+            world,
+            gpus_per_node,
+            placement,
+            fusion,
+            bytes_per_elem: f64_wire,
+            grad_bytes_per_elem: f64_wire,
         }
     }
 
@@ -273,7 +304,7 @@ impl Planner {
     /// Panics unless `layers` take statistics for the planner's factors
     /// (when it plans fusion at all).
     pub fn with_layers(mut self, layers: &[LayerShape]) -> Self {
-        if !self.pipelined {
+        if self.fusion.is_none() {
             return self;
         }
         let (mut trailing, mut open) = (Vec::new(), 0);
@@ -386,11 +417,12 @@ impl Planner {
     pub fn plan(&self, costs: &Costs, prev: Option<&Placement>) -> PlanEpoch {
         let (inverse, broadcast, allreduce, grads) = self.lines(costs);
         let ctx = PlacementContext::new(&self.inv_dims, self.world, &inverse, &broadcast)
-            .with_prev(prev.map(Placement::assignments));
-        let fusion = self.pipelined.then(|| {
+            .with_prev(prev.map(Placement::assignments))
+            .with_gpus_per_node(self.gpus_per_node);
+        let fusion = self.fusion.map(|strategy| {
             let layers = self.trailing.len();
             match self.pipelines(costs, &allreduce, &grads) {
-                Some(pipes) => pipes.map(|pipe| fusion::plan(&pipe, &allreduce, self.fusion)),
+                Some(pipes) => pipes.map(|pipe| fusion::plan(&pipe, &allreduce, strategy)),
                 None => [(); 2].map(|()| FusionPlan::one_each(layers)),
             }
         });
@@ -419,7 +451,7 @@ impl Planner {
         let (inverse, broadcast, allreduce, grads) = self.lines(costs);
         let pipes = self.pipelines(costs, &allreduce, &grads);
         if let (Some([_, pipe]), Some(g)) = (pipes, &plan.g_fusion) {
-            let out = fusion::simulate(&pipe, g, &allreduce, 0.0);
+            let out = fusion::simulate(&pipe, g, &allreduce);
             m.gauge("fusion/g/exposed_tail_s")
                 .set(out.tail_end - out.link_end);
         }
@@ -598,7 +630,7 @@ pub fn publish_replan_metrics(m: &MetricsRegistry, outcome: &ReplanOutcome, late
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::LbpWeight;
+    use crate::placement::{LbpWeight, PlacementStrategy};
 
     fn comm() -> AlphaBetaModel {
         AlphaBetaModel::new(2e-4, 2e-9)

@@ -96,6 +96,141 @@ fn tailed_strategy() -> impl Strategy<Value = FactorPipeline> {
     })
 }
 
+/// The raw inputs of a pipeline — ready times, sizes, and (when tailed)
+/// tails, trailing elements and the compute thread's free time — with the
+/// pipeline built from them.
+#[derive(Debug, Clone)]
+struct Inputs {
+    ready: Vec<f64>,
+    sizes: Vec<usize>,
+    tail: Vec<f64>,
+    trailing: Vec<usize>,
+    compute_free_at: f64,
+    pipeline: FactorPipeline,
+}
+
+/// Strategy: [`Inputs`] of 1..40 factors, with tails and trailing elements
+/// or without (zeros and a thread free from 0, the constructor's defaults).
+fn inputs_strategy() -> impl Strategy<Value = Inputs> {
+    (1usize..40).prop_flat_map(|n| {
+        let tailed = (
+            pvec(0.0f64..0.5, n),
+            pvec(0usize..3_000_000, n),
+            0.0f64..5.0,
+        );
+        // Factors ready together, often at 0, as well as spread out.
+        let gap = maybe(0.0f64..0.5).prop_map(Option::unwrap_or_default);
+        (pvec(gap, n), pvec(1usize..5_000_000, n), maybe(tailed)).prop_map(
+            move |(gaps, sizes, tailed): (Vec<f64>, Vec<usize>, _)| {
+                let ready: Vec<f64> = cumulative(&gaps).collect();
+                let bare = FactorPipeline::new(ready.clone(), sizes.clone()).expect("valid");
+                let (tail, trailing, compute_free_at) =
+                    tailed.unwrap_or((vec![0.0; n], vec![0; n], 0.0));
+                let pipeline = bare
+                    .with_tail(tail.clone(), trailing.clone(), compute_free_at)
+                    .expect("valid");
+                Inputs {
+                    ready,
+                    sizes,
+                    tail,
+                    trailing,
+                    compute_free_at,
+                    pipeline,
+                }
+            },
+        )
+    })
+}
+
+/// The parent's outcome fields, as the reference loop computes them.
+struct Reference {
+    spans: Vec<(f64, f64)>,
+    tails: Vec<(f64, f64)>,
+    link_end: f64,
+    tail_end: f64,
+    finish: f64,
+}
+
+/// The oracle for [`fusion::simulate`]: the hand-written loop over one link
+/// and one compute thread that priced every plan before the task-graph
+/// engine did, kept verbatim (the link free from 0).
+fn reference_simulate(x: &Inputs, buckets: &[Vec<usize>], comm: &AlphaBetaModel) -> Reference {
+    let net_free_at = 0.0;
+    let (mut net_free, mut compute_free) = (net_free_at, x.compute_free_at);
+    let mut spans = Vec::with_capacity(buckets.len());
+    let mut tails = Vec::with_capacity(buckets.len());
+    for bucket in buckets {
+        let ready = bucket
+            .iter()
+            .map(|&i| x.ready[i])
+            .fold(f64::NEG_INFINITY, f64::max);
+        let start = ready.max(net_free);
+        let elems: usize = bucket.iter().map(|&i| x.sizes[i]).sum();
+        let trailing: usize = bucket.iter().map(|&i| x.trailing[i]).sum();
+        let mut end = start + comm.time(elems);
+        if trailing > 0 {
+            end += comm.time(trailing);
+        }
+        spans.push((start, end));
+        net_free = end;
+        let tail: f64 = bucket.iter().map(|&i| x.tail[i]).sum();
+        let tail_start = compute_free.max(end);
+        compute_free = tail_start + tail;
+        tails.push((tail_start, compute_free));
+    }
+    let link_end = spans.last().map_or(net_free_at, |&(_, e)| e);
+    let tail_end = tails.last().map_or(link_end, |&(_, e)| e);
+    Reference {
+        spans,
+        tails,
+        link_end,
+        tail_end,
+        finish: link_end.max(tail_end),
+    }
+}
+
+/// `Optimal`'s order on `(finish, link end, messages)`: each within 1e-12
+/// is a tie, broken by the next.
+fn better(a: (f64, f64, usize), b: (f64, f64, usize)) -> bool {
+    let tie = |x: f64, y: f64| (x - y).abs() < 1e-12;
+    if !tie(a.0, b.0) {
+        return a.0 < b.0;
+    }
+    if !tie(a.1, b.1) {
+        return a.1 < b.1;
+    }
+    a.2 < b.2
+}
+
+/// Every partition one merge of adjacent buckets or one split of a bucket
+/// away from `buckets`: the moves `Optimal`'s hill climb tries.
+fn neighbours(buckets: &[Vec<usize>]) -> Vec<Vec<Vec<usize>>> {
+    let mut out = Vec::new();
+    for i in 0..buckets.len().saturating_sub(1) {
+        let mut cand = buckets.to_vec();
+        let right = cand.remove(i + 1);
+        cand[i].extend(right);
+        out.push(cand);
+    }
+    for i in 0..buckets.len() {
+        for cut in 1..buckets[i].len() {
+            let mut cand = buckets.to_vec();
+            let right = cand[i].split_off(cut);
+            cand.insert(i + 1, right);
+            out.push(cand);
+        }
+    }
+    out
+}
+
+/// The bit patterns of a list of `(start, end)` pairs.
+fn bits(pairs: &[(f64, f64)]) -> Vec<(u64, u64)> {
+    pairs
+        .iter()
+        .map(|(a, b)| (a.to_bits(), b.to_bits()))
+        .collect()
+}
+
 /// Every strategy the planner offers, the threshold one with `cycle_s`.
 fn strategies(cycle_s: f64) -> [FusionStrategy; 4] {
     [
@@ -138,14 +273,14 @@ proptest! {
     #[test]
     fn simulate_spans_are_serialized_and_causal(p in pipeline_strategy(), comm in comm_strategy()) {
         let plan = fusion::plan(&p, &comm, FusionStrategy::Optimal);
-        let out = fusion::simulate(&p, &plan, &comm, 0.0);
+        let out = fusion::simulate(&p, &plan, &comm);
         // Messages never overlap each other.
         for w in out.spans.windows(2) {
             prop_assert!(w[1].0 >= w[0].1 - 1e-12);
         }
         // A message never starts before its members are ready.
         for (bucket, &(start, end)) in plan.buckets().iter().zip(out.spans.iter()) {
-            let ready = bucket.iter().map(|&i| p.ready[i]).fold(f64::MIN, f64::max);
+            let ready = bucket.iter().map(|&i| p.ready()[i]).fold(f64::MIN, f64::max);
             prop_assert!(start >= ready - 1e-12);
             prop_assert!(end >= start);
         }
@@ -153,19 +288,56 @@ proptest! {
 
     #[test]
     fn optimal_never_loses_to_baselines_analytically(p in pipeline_strategy(), comm in comm_strategy()) {
-        let otf = fusion::simulate(&p, &fusion::plan(&p, &comm, FusionStrategy::Optimal), &comm, 0.0);
+        let otf = fusion::simulate(&p, &fusion::plan(&p, &comm, FusionStrategy::Optimal), &comm);
         for s in [
             FusionStrategy::Naive,
             FusionStrategy::LayerWise,
             FusionStrategy::Threshold { elems: 4_000_000, cycle_s: 0.005 },
         ] {
-            let alt = fusion::simulate(&p, &fusion::plan(&p, &comm, s), &comm, 0.0);
+            let alt = fusion::simulate(&p, &fusion::plan(&p, &comm, s), &comm);
             prop_assert!(
                 otf.finish <= alt.finish + 1e-9,
                 "Optimal {:.6} lost to {s:?} {:.6}",
                 otf.finish,
                 alt.finish
             );
+        }
+    }
+
+    #[test]
+    fn the_engine_prices_every_plan_bit_for_bit_as_the_reference_loop(
+        x in inputs_strategy(),
+        alpha in (maybe(-0.1f64..0.0), 0.0f64..5e-3).prop_map(|(neg, pos)| neg.unwrap_or(pos)),
+        beta in 1e-11f64..1e-8,
+        elems in 1usize..20_000_000,
+        cycle_s in 0.0f64..0.5,
+    ) {
+        // A negative α (a fitted line below zero for small messages) prices
+        // some messages below zero, and can end one before time 0; the
+        // engine takes them as given, like the loop did.
+        let comm = AlphaBetaModel::new(alpha, beta);
+        let mut strategies = strategies(cycle_s);
+        strategies[2] = FusionStrategy::Threshold { elems, cycle_s };
+        for s in strategies {
+            let plan = fusion::plan(&x.pipeline, &comm, s);
+            let got = fusion::simulate(&x.pipeline, &plan, &comm);
+            let want = reference_simulate(&x, plan.buckets(), &comm);
+            prop_assert_eq!(bits(&got.spans), bits(&want.spans), "{:?}", s);
+            prop_assert_eq!(bits(&got.tails), bits(&want.tails), "{:?}", s);
+            prop_assert_eq!(got.link_end.to_bits(), want.link_end.to_bits());
+            prop_assert_eq!(got.tail_end.to_bits(), want.tail_end.to_bits());
+            prop_assert_eq!(got.finish.to_bits(), want.finish.to_bits());
+        }
+        // The `Optimal` plan ends a hill climb: priced by the reference
+        // loop, no merge or split beats it.
+        let plan = fusion::plan(&x.pipeline, &comm, FusionStrategy::Optimal);
+        let score = |b: &[Vec<usize>]| {
+            let r = reference_simulate(&x, b, &comm);
+            (r.finish, r.link_end, b.len())
+        };
+        let here = score(plan.buckets());
+        for cand in neighbours(plan.buckets()) {
+            prop_assert!(!better(score(&cand), here), "{:?} beats {:?}", cand, plan.buckets());
         }
     }
 
@@ -188,7 +360,7 @@ proptest! {
     #[test]
     fn optimal_never_loses_to_baselines_with_tails(p in tailed_strategy(), comm in comm_strategy()) {
         let [naive, layerwise, threshold, optimal] = strategies(0.005);
-        let finish = |s| fusion::simulate(&p, &fusion::plan(&p, &comm, s), &comm, 0.0).finish;
+        let finish = |s| fusion::simulate(&p, &fusion::plan(&p, &comm, s), &comm).finish;
         let otf = finish(optimal);
         for s in [naive, layerwise, threshold] {
             let alt = finish(s);
@@ -203,15 +375,15 @@ proptest! {
         pick in 0usize..4,
     ) {
         let plan = fusion::plan(&p, &comm, strategies(0.01)[pick]);
-        let out = fusion::simulate(&p, &plan, &comm, 0.0);
+        let out = fusion::simulate(&p, &plan, &comm);
         let mut compute_free = f64::NEG_INFINITY;
         for (bucket, (&(_, landed), &(start, end))) in
             plan.buckets().iter().zip(out.spans.iter().zip(&out.tails))
         {
             // The bucket's factor message, and its trailing message right
             // behind it, are in: the span covers both.
-            let factor: usize = bucket.iter().map(|&i| p.sizes[i]).sum();
-            let ready = bucket.iter().map(|&i| p.ready[i]).fold(f64::MIN, f64::max);
+            let factor: usize = bucket.iter().map(|&i| p.sizes()[i]).sum();
+            let ready = bucket.iter().map(|&i| p.ready()[i]).fold(f64::MIN, f64::max);
             prop_assert!(landed >= ready + comm.time(factor) - 1e-9);
             prop_assert!(start >= landed - 1e-12, "tail at {start} before landing at {landed}");
             prop_assert!(start >= compute_free - 1e-12, "tail at {start}, thread busy until {compute_free}");

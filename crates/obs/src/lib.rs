@@ -7,9 +7,8 @@
 //! timeline, not just the simulator. This crate provides:
 //!
 //! - [`Span`] / [`Phase`]: one timeline slice, tagged with the paper's task
-//!   categories (mirroring `spdkfac_sim::graph::Tag`). The simulator and the
-//!   real trainers share this type, so a measured and a simulated timeline
-//!   are directly comparable.
+//!   categories. The simulator and the real trainers share this type, so a
+//!   measured and a simulated timeline are directly comparable.
 //! - [`Recorder`]: lock-cheap span recording. Each *track* (one per rank
 //!   compute stream, one per rank communication thread) owns a private ring
 //!   buffer behind its own mutex, so worker threads never contend. Spans are

@@ -2,10 +2,10 @@
 
 /// Category of a timeline slice — the Fig. 1 / Fig. 2 legend.
 ///
-/// Mirrors `spdkfac_sim::graph::Tag` (the simulator's task tag) so measured
-/// and simulated timelines attribute to the same buckets; `Update` is the
-/// counterpart of the simulator's `Other` (preconditioning, SGD step, factor
-/// install).
+/// The simulator tags its tasks (`spdkfac_core::graph::Task::phase`) with
+/// the same type, so measured and simulated timelines attribute to the same
+/// buckets; `Update` covers everything else (preconditioning, SGD step,
+/// factor install).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Phase {
     /// Feed-forward and back-propagation compute (green blocks in Fig. 1).

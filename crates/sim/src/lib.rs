@@ -39,7 +39,6 @@
 //! assert!(spd.total < d.total); // Table III: SP₁ > 1
 //! ```
 
-pub mod graph;
 pub mod hardware;
 pub mod net;
 pub mod report;
@@ -47,13 +46,10 @@ pub mod sched;
 pub mod schedule;
 pub mod trace;
 
-pub use graph::{Task, TaskGraph, TaskSpan};
 pub use hardware::HardwareProfile;
 pub use net::{HierSpec, HierarchicalModel, NetTopology, NetworkModel, SerializedQueue};
 pub use report::{Breakdown, SimReport};
-pub use sched::{
-    policy_registry, HeftPolicy, MemoryAwarePolicy, PolicyHandle, TopologyAwarePolicy,
-};
+pub use sched::{policy_registry, HeftPolicy, MemoryAwarePolicy, TopologyAwarePolicy};
 pub use schedule::{
     simulate_amortized_iteration, simulate_drift_replay, simulate_graph, simulate_inverse_phase,
     simulate_iteration, simulate_iteration_planned, Algo, DriftReplay, FactorCommMode,

@@ -23,8 +23,8 @@
 
 use std::collections::VecDeque;
 
-use crate::graph::{TaskGraph, TaskSpan};
 use crate::hardware::HardwareProfile;
+use spdkfac_core::graph::{TaskGraph, TaskSpan};
 use spdkfac_core::perf::AlphaBetaModel;
 use spdkfac_obs::{Phase, SpanMeta};
 
@@ -128,9 +128,6 @@ impl NetTopology {
 /// routing state), then hands the finished graph to `execute`, which owns
 /// the timing semantics — queueing, contention, event stepping.
 pub trait NetworkModel {
-    /// Human-readable name.
-    fn name(&self) -> String;
-
     /// Total graph resources, including the `world` compute streams.
     fn num_resources(&self) -> usize;
 
@@ -224,14 +221,6 @@ impl SerializedQueue {
 }
 
 impl NetworkModel for SerializedQueue {
-    fn name(&self) -> String {
-        if self.root_parallel {
-            "flat-root-parallel".into()
-        } else {
-            "flat".into()
-        }
-    }
-
     fn num_resources(&self) -> usize {
         self.world + 1 + if self.root_parallel { self.world } else { 0 }
     }
@@ -408,24 +397,9 @@ impl HierarchicalModel {
     fn island_of(&self, gpu: usize) -> usize {
         gpu / self.spec.gpus_per_node
     }
-
-    /// Closed-form (zero-contention) effective all-reduce model — the
-    /// `HardwareProfile::with_hierarchical_allreduce` formula.
-    fn allreduce_closed_form(&self) -> AlphaBetaModel {
-        let g = self.spec.gpus_per_node as f64;
-        let n = self.n_nodes as f64;
-        let beta_eff = 2.0 * (g - 1.0) / g * self.spec.beta_intra
-            + 2.0 * (n - 1.0) / n * self.allreduce_inter.beta / g;
-        let alpha_eff = 2.0 * self.spec.alpha_intra + self.allreduce_inter.alpha;
-        AlphaBetaModel::new(alpha_eff, beta_eff)
-    }
 }
 
 impl NetworkModel for HierarchicalModel {
-    fn name(&self) -> String {
-        format!("hier{}", self.spec.gpus_per_node)
-    }
-
     fn num_resources(&self) -> usize {
         // All transfers share one pseudo-resource id (`world`) for span
         // bookkeeping; actual timing comes from the fluid links.
@@ -505,8 +479,15 @@ impl NetworkModel for HierarchicalModel {
     }
 
     fn plan_allreduce(&self) -> AlphaBetaModel {
-        // No overlap-penalty uplift: contention is simulated, not assumed.
-        self.allreduce_closed_form()
+        // The zero-contention closed form (the
+        // `HardwareProfile::with_hierarchical_allreduce` formula), without
+        // an overlap-penalty uplift: contention is simulated, not assumed.
+        let g = self.spec.gpus_per_node as f64;
+        let n = self.n_nodes as f64;
+        let beta_eff = 2.0 * (g - 1.0) / g * self.spec.beta_intra
+            + 2.0 * (n - 1.0) / n * self.allreduce_inter.beta / g;
+        let alpha_eff = 2.0 * self.spec.alpha_intra + self.allreduce_inter.alpha;
+        AlphaBetaModel::new(alpha_eff, beta_eff)
     }
 
     fn plan_bcast(&self) -> AlphaBetaModel {
@@ -540,16 +521,25 @@ impl HierarchicalModel {
     /// the same link. Between events all rates are constant, so the engine
     /// jumps to the next completion (compute end, latency expiry, or
     /// segment drain), updates remaining work, and re-solves the rates.
+    /// It honours neither an earliest-start time nor a negative duration,
+    /// and panics on a task with either.
     fn execute_fluid(&self, g: &TaskGraph) -> Vec<TaskSpan> {
         const EPS: f64 = 1e-15;
         let tasks = g.tasks();
+        for (i, t) in tasks.iter().enumerate() {
+            let ok = t.earliest.is_none() && t.duration >= 0.0;
+            assert!(
+                ok,
+                "task {i}: the fluid engine honours no earliest start or negative duration"
+            );
+        }
         let n = tasks.len();
         let n_links = self.n_nodes + 1;
 
-        let mut dep_count: Vec<usize> = tasks.iter().map(|t| t.deps.len()).collect();
+        let mut dep_count: Vec<usize> = (0..n).map(|i| g.deps(i).len()).collect();
         let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, t) in tasks.iter().enumerate() {
-            for &d in &t.deps {
+        for i in 0..n {
+            for &d in g.deps(i) {
                 dependents[d].push(i);
             }
         }
@@ -915,6 +905,16 @@ mod tests {
         assert!((spans[bc].start - spans[c0].end).abs() < 1e-12);
         assert!((spans[c1].start - spans[c0].end).abs() < 1e-12);
         assert!(spans[c2].start >= spans[bc].end - 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "the fluid engine honours no earliest start")]
+    fn fluid_engine_rejects_an_earliest_start() {
+        let net = hier(8, 4);
+        let mut g = TaskGraph::new(net.num_resources());
+        let t = g.push(0, 1e-3, &[], Phase::FfBp);
+        g.set_earliest(t, 2e-3);
+        net.execute(&mut g);
     }
 
     #[test]

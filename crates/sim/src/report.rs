@@ -15,7 +15,7 @@
 //!    attributed to the compute);
 //! 4. nothing is busy → idle.
 
-use crate::graph::{to_obs_spans, TaskSpan};
+use spdkfac_core::graph::{to_obs_spans, TaskSpan};
 
 /// Per-category seconds of one simulated iteration; categories sum to
 /// [`SimReport::total`]. Alias of the shared
@@ -62,7 +62,7 @@ pub fn attribute(spans: Vec<TaskSpan>, num_gpus: usize) -> SimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{TaskGraph, TaskSpan};
+    use spdkfac_core::graph::{TaskGraph, TaskSpan};
     use spdkfac_obs::Phase;
 
     #[test]

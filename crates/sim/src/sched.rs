@@ -16,62 +16,12 @@
 //!   (`A_i`, `G_i`) on one island so their broadcasts share the cheap
 //!   intra-island link.
 //!
-//! [`PolicyHandle`] is the clonable, debuggable handle `SimConfig` stores;
-//! [`policy_registry`] enumerates everything the `bench_scale` sweep runs.
-
-use std::fmt;
-use std::sync::Arc;
+//! [`policy_registry`] enumerates everything the `bench_scale` sweep runs,
+//! each behind the [`PolicyHandle`] a `SimConfig` stores.
 
 use spdkfac_core::placement::{
-    Placement, PlacementContext, PlacementPolicy, PlacementStrategy, TensorAssignment,
+    Placement, PlacementContext, PlacementPolicy, PlacementStrategy, PolicyHandle, TensorAssignment,
 };
-
-/// Clonable, debuggable handle to a placement policy, for storage inside
-/// `SimConfig` (which derives `Debug` + `Clone`).
-#[derive(Clone)]
-pub struct PolicyHandle(Arc<dyn PlacementPolicy>);
-
-impl PolicyHandle {
-    /// Wraps a policy.
-    pub fn new(policy: impl PlacementPolicy + 'static) -> Self {
-        PolicyHandle(Arc::new(policy))
-    }
-
-    /// Wraps one of the paper's strategies.
-    pub fn strategy(s: PlacementStrategy) -> Self {
-        PolicyHandle::new(s)
-    }
-
-    /// The policy's name.
-    pub fn name(&self) -> String {
-        self.0.name()
-    }
-
-    /// Runs the policy.
-    pub fn place(&self, ctx: &PlacementContext<'_>) -> Placement {
-        self.0.place(ctx)
-    }
-}
-
-impl fmt::Debug for PolicyHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("PolicyHandle").field(&self.0.name()).finish()
-    }
-}
-
-impl<P: PlacementPolicy + 'static> From<P> for PolicyHandle {
-    fn from(p: P) -> Self {
-        PolicyHandle::new(p)
-    }
-}
-
-impl std::ops::Deref for PolicyHandle {
-    type Target = dyn PlacementPolicy;
-
-    fn deref(&self) -> &Self::Target {
-        &*self.0
-    }
-}
 
 /// NCT rule shared with LBP (Algorithm 1): a tensor is replicated when
 /// inverting it everywhere is cheaper than broadcasting it once.
@@ -212,9 +162,9 @@ impl PlacementPolicy for TopologyAwarePolicy {
 /// the paper's three strategies plus the three alternatives above.
 pub fn policy_registry() -> Vec<PolicyHandle> {
     vec![
-        PolicyHandle::strategy(PlacementStrategy::NonDist),
-        PolicyHandle::strategy(PlacementStrategy::SeqDist),
-        PolicyHandle::strategy(PlacementStrategy::default()),
+        PolicyHandle::new(PlacementStrategy::NonDist),
+        PolicyHandle::new(PlacementStrategy::SeqDist),
+        PolicyHandle::new(PlacementStrategy::default()),
         PolicyHandle::new(HeftPolicy),
         PolicyHandle::new(MemoryAwarePolicy),
         PolicyHandle::new(TopologyAwarePolicy),

@@ -1,18 +1,19 @@
-//! Simulating one training iteration: plan it (analytic ready times, Eq. 15
-//! fusion plans, inverse placement), build the paper's schedule of those
-//! plans as a [`spdkfac_core::iteration`] graph, and lower the graph's nodes
-//! to tasks on the simulated cluster.
+//! Simulating one training iteration: plan it (analytic ready times into
+//! the trainer's [`Planner`], which makes the Eq. 15 fusion plans and the
+//! inverse placement), build the paper's schedule of those plans as a
+//! [`spdkfac_core::iteration`] graph, and lower the graph's nodes to tasks
+//! on the simulated cluster.
 
-use crate::graph::{TaskGraph, TaskSpan};
 use crate::hardware::HardwareProfile;
 use crate::net::{self, NetTopology, NetworkModel};
 use crate::report::{attribute, SimReport};
-use crate::sched::PolicyHandle;
 use spdkfac_core::fusion::{self, FactorPipeline, FusionStrategy};
+use spdkfac_core::graph::{TaskGraph, TaskSpan};
 use spdkfac_core::iteration::{
     Deps, FactorComm, GradCut, IterationGraph, LayerShape, Op, Spec, Who,
 };
-use spdkfac_core::placement::{PlacementContext, PlacementPolicy, PlacementStrategy};
+use spdkfac_core::placement::{PlacementStrategy, PolicyHandle};
+use spdkfac_core::runtime::{Costs, Planner};
 use spdkfac_models::{LayerSpec, ModelProfile};
 use spdkfac_obs::SpanMeta;
 
@@ -194,45 +195,34 @@ pub fn simulate_iteration_planned(
             g_ready.push(cursor);
         }
     }
-    // Fusion plans are computed against the planning network's all-reduce
-    // model: for the flat queue that is the *contended* cost (the paper
-    // fits its models from measurements taken during training, which
-    // include compute contention); for hierarchical topologies it is the
-    // closed-form effective model, since contention is simulated directly.
-    let plan_comm = plan_net.plan_allreduce();
-    let eq15 = |ready: Vec<f64>, sizes: Vec<usize>, strategy: FusionStrategy| {
-        let pipeline = FactorPipeline::new(ready, sizes).expect("ready times increase");
-        fusion::plan(&pipeline, &plan_comm, strategy)
-    };
-    let factor_plans = match factor_mode {
-        FactorCommMode::Pipelined(strategy) => Some((
-            eq15(
-                a_ready,
-                layers.iter().map(|l| l.packed_a()).collect(),
-                strategy,
-            ),
-            eq15(
-                g_ready,
-                layers.iter().rev().map(|l| l.packed_g()).collect(),
-                strategy,
-            ),
-        )),
-        _ => None,
-    };
-    // MG-WFBP: the same Eq. 15 rule over the gradients' ready times.
-    let grad_plan = (!single && cfg.grad_fusion == GradFusionMode::Optimal).then(|| {
-        let sizes = layers.iter().rev().map(|l| l.params()).collect();
-        eq15(grad_ready, sizes, FusionStrategy::Optimal)
-    });
     let inv_dims = if precond {
         model.all_factor_dims()
     } else {
         Vec::new()
     };
-    let plan_bcast = plan_net.plan_bcast();
-    let ctx = PlacementContext::new(&inv_dims, world, &phw.inverse, &plan_bcast)
-        .with_gpus_per_node(plan_net.gpus_per_node());
-    let placement = policy.place(&ctx);
+    let fusion = match factor_mode {
+        FactorCommMode::Pipelined(strategy) => Some(strategy),
+        _ => None,
+    };
+    let planner = planner(&*plan_net, &phw, inv_dims.clone(), world, policy, fusion);
+    let ready = [a_ready, g_ready].concat();
+    let epoch = planner.plan(
+        &Costs {
+            ready: Some(ready),
+            ..Costs::default()
+        },
+        None,
+    );
+    // MG-WFBP: the same Eq. 15 rule over the gradients' ready times.
+    let grad_plan = (!single && cfg.grad_fusion == GradFusionMode::Optimal).then(|| {
+        let sizes = layers.iter().rev().map(|l| l.params()).collect();
+        let pipeline = FactorPipeline::new(grad_ready, sizes).expect("ready times increase");
+        fusion::plan(
+            &pipeline,
+            &plan_net.plan_allreduce(),
+            FusionStrategy::Optimal,
+        )
+    });
 
     // ---------------- The paper's schedule of those plans ------------------
     let shapes: Vec<LayerShape> = layers
@@ -245,17 +235,17 @@ pub fn simulate_iteration_planned(
         .collect();
     let graph = IterationGraph::build(&Spec {
         layers: &shapes,
-        factor_comm: match (factor_mode, &factor_plans) {
-            (FactorCommMode::Bulk, _) => FactorComm::Bulk,
-            (FactorCommMode::Naive, _) => FactorComm::Naive,
-            (FactorCommMode::Pipelined(_), Some((a, g))) => FactorComm::Pipelined { a, g },
+        factor_comm: match (factor_mode, &epoch.a_fusion, &epoch.g_fusion) {
+            (FactorCommMode::Bulk, ..) => FactorComm::Bulk,
+            (FactorCommMode::Naive, ..) => FactorComm::Naive,
+            (FactorCommMode::Pipelined(_), Some(a), Some(g)) => FactorComm::Pipelined { a, g },
             _ => FactorComm::Local,
         },
         grad_cut: match &grad_plan {
             Some(plan) => GradCut::Planned(plan),
             None => GradCut::Cap(cfg.grad_fusion_elems),
         },
-        placement: &placement,
+        placement: &epoch.placement,
         refresh: true,
         deps: Deps::PaperBarrier,
     });
@@ -268,6 +258,27 @@ pub fn simulate_iteration_planned(
         exec_net.as_mut(),
         world,
     )
+}
+
+/// The trainer's planner over the tensors `inv_dims` on `net`'s cluster,
+/// pricing with `net`'s planning lines (§2.14 of DESIGN.md: the flat
+/// queue's all-reduce is the *contended* cost the paper fits, the
+/// hierarchical one its closed form) and `profile`'s inversion model.
+fn planner(
+    net: &dyn NetworkModel,
+    profile: &HardwareProfile,
+    inv_dims: Vec<usize>,
+    world: usize,
+    policy: PolicyHandle,
+    fusion: Option<FusionStrategy>,
+) -> Planner {
+    let lines = Costs {
+        allreduce: Some(net.plan_allreduce()),
+        broadcast: Some(net.plan_bcast()),
+        inverse: Some(profile.inverse),
+        ..Costs::default()
+    };
+    Planner::from_parts(lines, inv_dims, world, net.gpus_per_node(), policy, fusion)
 }
 
 /// `profile` at `cfg`'s wire precision: β terms are calibrated for 4-byte
@@ -419,16 +430,15 @@ pub fn simulate_amortized_iteration(
 pub fn simulate_inverse_phase(
     dims: &[usize],
     cfg: &SimConfig,
-    policy: &dyn PlacementPolicy,
+    policy: impl Into<PolicyHandle>,
 ) -> SimReport {
     let world = cfg.world.max(1);
     let hw = on_the_wire(&cfg.hw, cfg);
     let mut exec_net = net::build(&cfg.topology, &hw, world);
-    let plan_bcast = exec_net.plan_bcast();
-    let ctx = PlacementContext::new(dims, world, &hw.inverse, &plan_bcast)
-        .with_gpus_per_node(exec_net.gpus_per_node());
+    let planner = planner(&*exec_net, &hw, dims.to_vec(), world, policy.into(), None);
     // The paper's tail behind an empty barrier.
-    let graph = IterationGraph::inverse_phase(dims, &policy.place(&ctx));
+    let placement = planner.plan(&Costs::default(), None).placement;
+    let graph = IterationGraph::inverse_phase(dims, &placement);
     lower(&graph, |_| None, dims, 1, &hw, exec_net.as_mut(), world)
 }
 
@@ -587,9 +597,9 @@ mod tests {
         // Fig. 12 orderings on all four models.
         for m in paper_models() {
             let dims = m.all_factor_dims();
-            let non = simulate_inverse_phase(&dims, &cfg(), &PlacementStrategy::NonDist).total;
-            let seq = simulate_inverse_phase(&dims, &cfg(), &PlacementStrategy::SeqDist).total;
-            let lbp = simulate_inverse_phase(&dims, &cfg(), &PlacementStrategy::default()).total;
+            let non = simulate_inverse_phase(&dims, &cfg(), PlacementStrategy::NonDist).total;
+            let seq = simulate_inverse_phase(&dims, &cfg(), PlacementStrategy::SeqDist).total;
+            let lbp = simulate_inverse_phase(&dims, &cfg(), PlacementStrategy::default()).total;
             assert!(
                 lbp <= non * 1.001,
                 "{}: LBP {lbp:.4} vs Non-Dist {non:.4}",
@@ -608,8 +618,8 @@ mod tests {
         // Fig. 12: Seq-Dist loses to Non-Dist on DenseNet-201.
         let m = densenet201();
         let dims = m.all_factor_dims();
-        let non = simulate_inverse_phase(&dims, &cfg(), &PlacementStrategy::NonDist).total;
-        let seq = simulate_inverse_phase(&dims, &cfg(), &PlacementStrategy::SeqDist).total;
+        let non = simulate_inverse_phase(&dims, &cfg(), PlacementStrategy::NonDist).total;
+        let seq = simulate_inverse_phase(&dims, &cfg(), PlacementStrategy::SeqDist).total;
         assert!(
             seq > non,
             "DenseNet-201: Seq-Dist {seq:.4} !> Non-Dist {non:.4}"
@@ -676,10 +686,10 @@ mod tests {
         for m in paper_models() {
             let dims = m.all_factor_dims();
             for strategy in [PlacementStrategy::SeqDist, PlacementStrategy::default()] {
-                let ser = simulate_inverse_phase(&dims, &cfg(), &strategy).total;
+                let ser = simulate_inverse_phase(&dims, &cfg(), strategy).total;
                 let mut pcfg = cfg();
                 pcfg.topology = NetTopology::per_root_parallel();
-                let par = simulate_inverse_phase(&dims, &pcfg, &strategy).total;
+                let par = simulate_inverse_phase(&dims, &pcfg, strategy).total;
                 assert!(par <= ser + 1e-9, "{}: {par} > {ser}", m.name());
             }
         }
@@ -756,7 +766,7 @@ mod tests {
         let expect: Vec<u64> = (0..comm.len() as u64).collect();
         assert_eq!(seqs, expect, "collective seqs must be 0..n unique");
         // The causal graph consumes the metadata end to end.
-        let obs = crate::graph::to_obs_spans(&r.spans);
+        let obs = spdkfac_core::graph::to_obs_spans(&r.spans);
         let report = spdkfac_obs::CriticalReport::from_spans(
             &obs,
             spdkfac_obs::RankMap::simulator(world, world + 1),
@@ -796,7 +806,7 @@ mod tests {
         // …and the causal analyzer still attributes ≥95% of wall time
         // across the generation boundary.
         let world = cfg().world;
-        let obs = crate::graph::to_obs_spans(&r.spans);
+        let obs = spdkfac_core::graph::to_obs_spans(&r.spans);
         let report = spdkfac_obs::CriticalReport::from_spans(
             &obs,
             spdkfac_obs::RankMap::simulator(world, world + 1),

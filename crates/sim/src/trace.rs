@@ -6,8 +6,8 @@
 //! stream plus one row for the network, with the task categories as named
 //! slices.
 
-use crate::graph::to_obs_spans;
 use crate::report::SimReport;
+use spdkfac_core::graph::to_obs_spans;
 use spdkfac_obs::{chrome_trace, Phase, TrackLayout};
 
 /// Serialises the schedule as a Chrome Tracing JSON document.

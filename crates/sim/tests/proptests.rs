@@ -3,10 +3,10 @@
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
+use spdkfac_core::graph::TaskGraph;
 use spdkfac_core::placement::{PlacementContext, TensorAssignment};
 use spdkfac_models::resnet50;
 use spdkfac_obs::Phase;
-use spdkfac_sim::graph::TaskGraph;
 use spdkfac_sim::{policy_registry, simulate_iteration, Algo, SimConfig};
 
 /// Strategy: a random but causally-valid task graph.
@@ -35,7 +35,7 @@ proptest! {
         let spans = g.simulate();
         // Every task starts after its deps and never overlaps a same-resource task.
         for (i, t) in g.tasks().iter().enumerate() {
-            for &d in &t.deps {
+            for &d in g.deps(i) {
                 prop_assert!(spans[i].start >= spans[d].end - 1e-12);
             }
             prop_assert!((spans[i].end - spans[i].start - t.duration).abs() < 1e-12);

@@ -76,7 +76,7 @@ fn main() {
         ("Seq-Dist", PlacementStrategy::SeqDist),
         ("LBP", PlacementStrategy::default()),
     ] {
-        let r = simulate_inverse_phase(&dims, &cfg, &strategy);
+        let r = simulate_inverse_phase(&dims, &cfg, strategy);
         println!("  {label:<9} {:.4}s", r.total);
     }
 }

@@ -151,8 +151,9 @@ fn same_critical_analysis_runs_on_simulator_traces() {
     // The analyzer must not care whether spans came from threads or from
     // the discrete-event simulator: metadata-free simulator spans with the
     // shared-network track convention go through the identical code path.
+    use spdkfac::core::graph::to_obs_spans;
     use spdkfac::models::resnet50;
-    use spdkfac::sim::{graph::to_obs_spans, simulate_iteration, Algo, SimConfig};
+    use spdkfac::sim::{simulate_iteration, Algo, SimConfig};
     let world = 4;
     let sim = simulate_iteration(&resnet50(), &SimConfig::paper_testbed(world), Algo::SpdKfac);
     let spans = to_obs_spans(&sim.spans);

@@ -35,8 +35,8 @@ fn densenet_is_the_mpd_pathology() {
     assert!(mpd > d);
     // And inside the inverse phase, Seq-Dist loses to Non-Dist.
     let dims = m.all_factor_dims();
-    let non = simulate_inverse_phase(&dims, &cfg(), &PlacementStrategy::NonDist).total;
-    let seq = simulate_inverse_phase(&dims, &cfg(), &PlacementStrategy::SeqDist).total;
+    let non = simulate_inverse_phase(&dims, &cfg(), PlacementStrategy::NonDist).total;
+    let seq = simulate_inverse_phase(&dims, &cfg(), PlacementStrategy::SeqDist).total;
     assert!(seq > non);
 }
 
@@ -45,9 +45,9 @@ fn lbp_gain_is_in_the_published_band() {
     // Fig. 12: 10–62% improvement over the best existing solution.
     for m in paper_models() {
         let dims = m.all_factor_dims();
-        let non = simulate_inverse_phase(&dims, &cfg(), &PlacementStrategy::NonDist).total;
-        let seq = simulate_inverse_phase(&dims, &cfg(), &PlacementStrategy::SeqDist).total;
-        let lbp = simulate_inverse_phase(&dims, &cfg(), &PlacementStrategy::default()).total;
+        let non = simulate_inverse_phase(&dims, &cfg(), PlacementStrategy::NonDist).total;
+        let seq = simulate_inverse_phase(&dims, &cfg(), PlacementStrategy::SeqDist).total;
+        let lbp = simulate_inverse_phase(&dims, &cfg(), PlacementStrategy::default()).total;
         let gain = 1.0 - lbp / non.min(seq);
         assert!(
             (0.02..=0.65).contains(&gain),
