@@ -29,7 +29,7 @@ use spdkfac_models::resnet50;
 use spdkfac_nn::data::gaussian_blobs;
 use spdkfac_nn::models::deep_mlp;
 use spdkfac_obs::summary::render_summary_csv;
-use spdkfac_obs::{CriticalReport, RankMap, Recorder, TrackLayout};
+use spdkfac_obs::{CriticalReport, Recorder, TrackLayout};
 use spdkfac_sim::{simulate_iteration, Algo, SimConfig};
 use std::sync::Arc;
 
@@ -67,7 +67,7 @@ fn main() {
         .expect("local run");
 
     let spans = rec.spans();
-    let real = CriticalReport::from_spans(&spans, RankMap::trainer(world));
+    let real = CriticalReport::from_spans(&spans, &TrackLayout::trainer(world));
     print!("{}", real.render_text());
     note(&format!(
         "path covers {:.1}% of wall time",
@@ -75,7 +75,7 @@ fn main() {
     ));
 
     if let Some(path) = &csv_path {
-        let mut csv = render_summary_csv(&rec, world);
+        let mut csv = render_summary_csv(&rec, &TrackLayout::trainer(world));
         csv.push('\n');
         csv.push_str(&real.rank_csv());
         std::fs::write(path, &csv).expect("failed to write CSV");
@@ -88,7 +88,7 @@ fn main() {
         note(&format!("wrote critical-path JSON to {path}"));
     }
     if let Some(path) = &trace_path {
-        let json = real.highlighted_trace(&spans, &TrackLayout::trainer(world));
+        let json = real.highlighted_trace(&spans);
         spdkfac_obs::validate_json(&json).expect("trace must be valid JSON");
         std::fs::write(path, &json).expect("failed to write trace");
         note(&format!(
@@ -103,7 +103,7 @@ fn main() {
     let sim_spans = to_obs_spans(&sim.spans);
     let max_track = sim_spans.iter().map(|s| s.track).max().unwrap_or(world);
     let sim_report =
-        CriticalReport::from_spans(&sim_spans, RankMap::simulator(world, max_track + 1));
+        CriticalReport::from_spans(&sim_spans, &TrackLayout::simulator(world, max_track));
     print!("{}", sim_report.render_text());
     note(&format!(
         "same analyzer, simulated input: path covers {:.1}% of wall time",

@@ -140,7 +140,7 @@ fn main() {
 
     let spd_rec = &runs[1].2;
     header("SPD-KFAC measured run summary");
-    print!("{}", render_summary(spd_rec, world));
+    print!("{}", render_summary(spd_rec, &TrackLayout::trainer(world)));
 
     if let Some(path) = trace_path {
         let json = chrome_trace(&spd_rec.spans(), &TrackLayout::trainer(world));

@@ -126,9 +126,8 @@ use spdkfac_nn::data::{gaussian_blobs, Dataset};
 use spdkfac_nn::models::deep_mlp;
 use spdkfac_nn::Sequential;
 use spdkfac_obs::collect::comm_edge_violations;
-use spdkfac_obs::export::{render_health_json, render_prometheus, HttpExporter};
 use spdkfac_obs::{
-    chrome_trace, parse_json, CriticalReport, JsonValue, Phase, RankMap, Recorder, TrackLayout,
+    chrome_trace, parse_json, CriticalReport, JsonValue, Phase, Recorder, TrackLayout,
 };
 use std::process::{Child, Command, ExitCode};
 use std::sync::Arc;
@@ -234,7 +233,6 @@ struct Args {
     /// This process is part of a drift demo (its parent, or a `run` child
     /// the parent passed `--drift-demo`).
     drift_demo: bool,
-    metrics_addr: Option<String>,
     elastic: bool,
 }
 
@@ -254,8 +252,7 @@ fn usage() -> ! {
          \x20      spdkfac_node spawn-local P [--elastic] [common options]\n\
          \x20      spdkfac_node smoke [P] [--elastic] [common options]\n\
          \x20      spdkfac_node drift-demo [common options]\n\
-         common options: [--iters N] [--batch B] [--wire POLICY] [--trace-dir DIR] [--monitor] \
-         [--metrics-addr IP:PORT]"
+         common options: [--iters N] [--batch B] [--wire POLICY] [--trace-dir DIR] [--monitor]"
     );
     std::process::exit(2)
 }
@@ -282,7 +279,6 @@ fn parse_args() -> Args {
         monitor: false,
         wire: None,
         drift_demo: mode == Mode::DriftDemo,
-        metrics_addr: None,
         elastic: false,
     };
     let mut i = 1;
@@ -317,7 +313,6 @@ fn parse_args() -> Args {
             "--trace-dir" => args.trace_dir = Some(value(&mut i)),
             "--monitor" => args.monitor = true,
             "--wire" => args.wire = Some(value(&mut i)),
-            "--metrics-addr" => args.metrics_addr = Some(value(&mut i)),
             other => {
                 eprintln!("unknown argument for this sub-command: {other}");
                 usage()
@@ -476,8 +471,8 @@ fn finalize_telemetry(args: &Args, world: usize, server: TelemetryServer) -> Res
         return Err("telemetry produced no spans to merge".into());
     }
 
-    let map = RankMap::trainer(world);
-    let report = CriticalReport::from_spans(&merged, map.clone());
+    let layout = TrackLayout::trainer(world);
+    let report = CriticalReport::from_spans(&merged, &layout);
     let coverage = if report.wall() > 0.0 {
         report.path_total() / report.wall()
     } else {
@@ -486,7 +481,7 @@ fn finalize_telemetry(args: &Args, world: usize, server: TelemetryServer) -> Res
     // Rebasing error bounds are per rank; a cross-rank comparison can be
     // off by both ends' bounds, plus a floor for scheduling noise.
     let tol = (2.0 * max_unc).max(EDGE_TOL_FLOOR);
-    let violations = comm_edge_violations(&merged, &map, tol);
+    let violations = comm_edge_violations(&merged, &layout, tol);
     eprintln!(
         "telemetry: merged {} spans across {world} ranks, critical-path coverage {:.1}%, \
          clock tolerance {:.0}us, remote drops {remote_dropped}, window evictions {evicted}",
@@ -501,11 +496,7 @@ fn finalize_telemetry(args: &Args, world: usize, server: TelemetryServer) -> Res
             let path = format!("{dir}/{name}");
             std::fs::write(&path, body).map_err(|e| format!("write {path}: {e}"))
         };
-        let layout = TrackLayout::trainer(world);
-        write(
-            "merged_trace.json",
-            report.highlighted_trace(&merged, &layout),
-        )?;
+        write("merged_trace.json", report.highlighted_trace(&merged))?;
         write("critical_path.json", report.to_json())?;
         write("critical_path.txt", report.render_text())?;
         eprintln!("telemetry: artifacts written to {dir}/");
@@ -533,12 +524,10 @@ fn finalize_telemetry(args: &Args, world: usize, server: TelemetryServer) -> Res
 /// Joins the TCP group as one rank and runs the training loop.
 fn run_rank(args: &Args) -> Result<RunResult, String> {
     let world = args.world;
-    let telemetry_on = args.trace_dir.is_some() || args.monitor || args.metrics_addr.is_some();
+    let telemetry_on = args.trace_dir.is_some() || args.monitor;
     if telemetry_on && args.rank.is_none() {
         return Err(
-            "--trace-dir/--monitor/--metrics-addr require an explicit --rank (rank 0 hosts \
-             the collector)"
-                .into(),
+            "--trace-dir/--monitor require an explicit --rank (rank 0 hosts the collector)".into(),
         );
     }
 
@@ -590,39 +579,16 @@ fn run_rank(args: &Args) -> Result<RunResult, String> {
     flight.configure(rank, world, args.trace_dir.as_deref());
 
     let mut streamer = None;
-    let mut exporter = None;
     if let Some(rec) = &rec {
         flight.set_recorder(Arc::clone(rec));
         if rank == 0 {
             let srv = server.as_ref().expect("rank 0 binds the collector");
             // No socket to itself: the same streamer loop hands rank 0's
-            // batches and heartbeats straight to the collector state.
+            // batches straight to the collector state.
             streamer = Some(
                 SpanStreamer::local(srv, rank, Arc::clone(rec), args.monitor)
                     .map_err(|e| format!("start rank-0 telemetry stream: {e}"))?,
             );
-            if let Some(addr) = &args.metrics_addr {
-                let health = srv.health();
-                let mrec = Arc::clone(rec);
-                let handler: spdkfac_obs::export::HttpHandler = Arc::new(move |path| {
-                    let hs = health.lock().expect("health registry").snapshot(mrec.now());
-                    match path {
-                        "/metrics" => Some((
-                            "text/plain; version=0.0.4",
-                            render_prometheus(Some(&mrec.metrics().snapshot()), Some(&hs)),
-                        )),
-                        "/health" => Some(("application/json", render_health_json(&hs))),
-                        _ => None,
-                    }
-                });
-                let exp = HttpExporter::spawn(addr, handler)
-                    .map_err(|e| format!("bind metrics endpoint {addr}: {e}"))?;
-                eprintln!(
-                    "metrics: serving Prometheus text at http://{}/metrics (health at /health)",
-                    exp.local_addr()
-                );
-                exporter = Some(exp);
-            }
         } else {
             let collector = aux_addrs.first().cloned().unwrap_or_default();
             if collector.is_empty() {
@@ -660,7 +626,6 @@ fn run_rank(args: &Args) -> Result<RunResult, String> {
         s.finish()
             .map_err(|e| format!("telemetry stream shutdown: {e}"))?;
     }
-    drop(exporter);
     if let Some(srv) = server {
         finalize_telemetry(args, world, srv)?;
     }
@@ -816,16 +781,13 @@ fn child_command(
     if args.elastic {
         cmd.arg("--elastic");
     }
-    // Every rank needs the telemetry flags (they turn its recorder and
-    // heartbeats on); only rank 0 binds the collector and the endpoint.
+    // Every rank needs the telemetry flags (they turn its recorder on);
+    // only rank 0 binds the collector.
     if let Some(dir) = &args.trace_dir {
         cmd.args(["--trace-dir", dir]);
     }
     if args.monitor {
         cmd.arg("--monitor");
-    }
-    if let Some(addr) = &args.metrics_addr {
-        cmd.args(["--metrics-addr", addr]);
     }
     if let Some(wire) = &args.wire {
         cmd.args(["--wire", wire]);

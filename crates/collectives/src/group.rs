@@ -197,8 +197,8 @@ impl WorkerComm {
     pub fn set_phase(&self, phase: Phase) {
         self.comm_phase
             .store(phase.index() as u8, Ordering::Relaxed);
-        // Mirror into the flight recorder so heartbeats and post-mortem
-        // dumps report the phase this rank last entered.
+        // Mirror into the flight recorder so a post-mortem dump reports
+        // the phase this rank last entered.
         spdkfac_obs::flight::global().set_phase(phase);
     }
 
@@ -217,8 +217,8 @@ impl WorkerComm {
     /// changed the global submission order.
     pub fn set_generation(&self, generation: u64) {
         self.plan_generation.store(generation, Ordering::Relaxed);
-        // Mirror into the flight recorder so post-mortem dumps and health
-        // heartbeats report the generation the rank last ran under.
+        // Mirror into the flight recorder so a post-mortem dump reports
+        // the generation the rank last ran under.
         spdkfac_obs::flight::global().set_generation(generation);
     }
 

@@ -95,6 +95,6 @@ pub use tcp::{
     elastic_poll, env_token, ElasticStatus, Join, JoinIntent, RendezvousHandle, RendezvousServer,
     TcpConfig, TOKEN_ENV,
 };
-pub use telemetry::{SpanStreamer, TelemetryClient, TelemetryServer};
+pub use telemetry::{SpanStreamer, TelemetryServer};
 pub use transport::{DelayInjection, KillInjection, Transport, KILL_EXIT_CODE};
 pub use wire::{WireFormat, WirePayload, WirePolicy};

@@ -10,16 +10,19 @@
 //!   ([`crate::tcp::TcpConfig::aux_addr`]). One accept thread plus one
 //!   reader thread per connected rank; `Ping`s are answered inline with
 //!   the collector [`Recorder`]'s clock (`t1`/`t2`), batches are rebased
-//!   and ingested into the shared [`CollectorState`].
-//! - [`TelemetryClient`] — a rank's connection: `Hello`, NTP-style ping
-//!   bursts feeding a [`ClockEstimator`], and span-batch sends stamped
-//!   with the current [`ClockModel`].
+//!   and ingested into the shared [`CollectorState`]. Each connection is
+//!   bound to the rank its `Hello` names: a client that names a different
+//!   group size, an out-of-range rank, a second `Hello`, or a `Batch` /
+//!   `Bye` for any rank but its own is dropped.
 //! - [`SpanStreamer`] — a background thread draining a rank's
 //!   [`Recorder`] through the incremental flush cursor every
 //!   [`STREAM_INTERVAL`], re-pinging every [`RESYNC_INTERVAL`] so drift
 //!   stays tracked on long runs, and sending a final flush plus `Bye` on
-//!   shutdown. Rank 0 runs the same loop ([`SpanStreamer::local`]) with the
-//!   collector's own state as the sink instead of a socket.
+//!   shutdown. Its connection (`Hello`, NTP-style ping bursts feeding a
+//!   [`ClockEstimator`], span batches stamped with the current
+//!   [`ClockModel`]) is private to this module. Rank 0 runs the same loop
+//!   ([`SpanStreamer::local`]) with the collector's own state as the sink
+//!   instead of a socket.
 //!
 //! The channel is deliberately independent of the ring: telemetry loss or
 //! latency can never corrupt training collectives, and the collector can
@@ -27,9 +30,7 @@
 
 use spdkfac_obs::collect::{
     read_frame, write_frame, Batch, ClockEstimator, ClockModel, ClockSample, CollectorState, Frame,
-    Heartbeat,
 };
-use spdkfac_obs::export::HealthRegistry;
 use spdkfac_obs::{Recorder, Span};
 use std::io::{BufReader, BufWriter, ErrorKind, Result as IoResult, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -74,7 +75,6 @@ fn is_poll_timeout(e: &std::io::Error) -> bool {
 pub struct TelemetryServer {
     addr: SocketAddr,
     state: Arc<Mutex<CollectorState>>,
-    health: Arc<Mutex<HealthRegistry>>,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
 }
@@ -88,20 +88,17 @@ impl TelemetryServer {
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let state = Arc::new(Mutex::new(CollectorState::new(world, 0)));
-        let health = Arc::new(Mutex::new(HealthRegistry::new(world)));
         let stop = Arc::new(AtomicBool::new(false));
         let accept = {
             let state = Arc::clone(&state);
-            let health = Arc::clone(&health);
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("spdkfac-telemetry-accept".into())
-                .spawn(move || accept_loop(listener, state, health, clock, stop))?
+                .spawn(move || accept_loop(listener, state, clock, stop))?
         };
         Ok(TelemetryServer {
             addr,
             state,
-            health,
             stop,
             accept: Some(accept),
         })
@@ -115,12 +112,6 @@ impl TelemetryServer {
     /// The shared collector state (lock briefly; readers hold the merge).
     pub fn state(&self) -> Arc<Mutex<CollectorState>> {
         Arc::clone(&self.state)
-    }
-
-    /// The shared health registry (heartbeats + per-op straggler state),
-    /// fed by the reader threads and served by the metrics endpoint.
-    pub fn health(&self) -> Arc<Mutex<HealthRegistry>> {
-        Arc::clone(&self.health)
     }
 
     /// Stops the accept loop and joins every reader thread. Connected
@@ -146,7 +137,6 @@ impl Drop for TelemetryServer {
 fn accept_loop(
     listener: TcpListener,
     state: Arc<Mutex<CollectorState>>,
-    health: Arc<Mutex<HealthRegistry>>,
     clock: Arc<Recorder>,
     stop: Arc<AtomicBool>,
 ) {
@@ -157,12 +147,11 @@ fn accept_loop(
                 let _ = stream.set_nodelay(true);
                 let _ = stream.set_read_timeout(Some(POLL_TIMEOUT));
                 let state = Arc::clone(&state);
-                let health = Arc::clone(&health);
                 let clock = Arc::clone(&clock);
                 let stop = Arc::clone(&stop);
                 if let Ok(h) = std::thread::Builder::new()
                     .name("spdkfac-telemetry-reader".into())
-                    .spawn(move || reader_loop(stream, state, health, clock, stop))
+                    .spawn(move || reader_loop(stream, state, clock, stop))
                 {
                     readers.push(h);
                 }
@@ -176,21 +165,11 @@ fn accept_loop(
     }
 }
 
-/// Feeds the comm-op spans of a batch into the health registry's rolling
-/// per-op durations (durations are offset-invariant, so the sender-clock
-/// stamps are fine as-is).
-fn feed_op_durations(health: &mut HealthRegistry, rank: usize, spans: &[Span]) {
-    for s in spans {
-        if s.phase.is_comm() && s.meta.seq.is_some() {
-            health.record_op_duration(rank, &s.label, s.end - s.start);
-        }
-    }
-}
-
+/// Serves one client until it hangs up, breaks the protocol, or the
+/// server stops. Returning drops the socket, which closes the connection.
 fn reader_loop(
     stream: TcpStream,
     state: Arc<Mutex<CollectorState>>,
-    health: Arc<Mutex<HealthRegistry>>,
     clock: Arc<Recorder>,
     stop: Arc<AtomicBool>,
 ) {
@@ -199,6 +178,9 @@ fn reader_loop(
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
+    let world = state.lock().expect("collector state").world();
+    // The rank this connection speaks for, fixed by its one `Hello`.
+    let mut bound: Option<usize> = None;
     loop {
         let frame = match read_frame(&mut reader) {
             Ok(f) => f,
@@ -211,8 +193,13 @@ fn reader_loop(
             Err(_) => return, // EOF or malformed stream: drop the client.
         };
         match frame {
-            Frame::Hello { rank, .. } => {
-                state.lock().expect("collector state").hello(rank as usize);
+            Frame::Hello { rank, world: w } => {
+                let rank = rank as usize;
+                if bound.is_some() || w as usize != world || rank >= world {
+                    return;
+                }
+                bound = Some(rank);
+                state.lock().expect("collector state").hello(rank);
             }
             Frame::Ping { t0 } => {
                 // t1/t2 on the collector clock; answered inline so the
@@ -227,29 +214,20 @@ fn reader_loop(
                 }
             }
             Frame::Batch(b) => {
+                let Some(rank) = bound.filter(|&r| r == b.rank as usize) else {
+                    return;
+                };
                 let now = clock.now();
-                feed_op_durations(
-                    &mut health.lock().expect("health registry"),
-                    b.rank as usize,
-                    &b.spans,
-                );
-                state.lock().expect("collector state").ingest(
-                    b.rank as usize,
-                    b.model,
-                    b.dropped,
-                    b.spans,
-                    now,
-                );
+                state
+                    .lock()
+                    .expect("collector state")
+                    .ingest(rank, b.model, b.dropped, b.spans, now);
             }
             Frame::Bye { rank } => {
-                state.lock().expect("collector state").bye(rank as usize);
-            }
-            Frame::Heartbeat(hb) => {
-                let now = clock.now();
-                health
-                    .lock()
-                    .expect("health registry")
-                    .record_heartbeat(&hb, now);
+                let Some(rank) = bound.filter(|&r| r == rank as usize) else {
+                    return;
+                };
+                state.lock().expect("collector state").bye(rank);
             }
             Frame::Pong { .. } => return, // protocol violation
         }
@@ -262,7 +240,7 @@ fn reader_loop(
 
 /// A rank's connection to the collector: clock sync + span batches.
 #[derive(Debug)]
-pub struct TelemetryClient {
+struct TelemetryClient {
     writer: BufWriter<TcpStream>,
     reader: BufReader<TcpStream>,
     rank: usize,
@@ -274,7 +252,7 @@ impl TelemetryClient {
     /// Connects, introduces itself, and runs the initial ping burst so a
     /// clock model exists before the first batch. `rec` is the rank's
     /// recorder — its epoch *is* the local clock being synchronized.
-    pub fn connect(
+    fn connect(
         addr: &str,
         rank: usize,
         world: usize,
@@ -303,7 +281,7 @@ impl TelemetryClient {
     }
 
     /// Runs `n` ping-pong exchanges, feeding the estimator.
-    pub fn ping_burst(&mut self, n: usize) -> IoResult<()> {
+    fn ping_burst(&mut self, n: usize) -> IoResult<()> {
         for _ in 0..n {
             let t0 = self.rec.now();
             write_frame(&mut self.writer, &Frame::Ping { t0 })?;
@@ -328,12 +306,12 @@ impl TelemetryClient {
     }
 
     /// The current fitted clock model (identity until the first pong).
-    pub fn model(&self) -> ClockModel {
+    fn model(&self) -> ClockModel {
         self.estimator.fit().unwrap_or_else(ClockModel::identity)
     }
 
     /// Sends one span batch stamped with the current clock model.
-    pub fn send_batch(&mut self, spans: Vec<Span>, dropped: u64) -> IoResult<()> {
+    fn send_batch(&mut self, spans: Vec<Span>, dropped: u64) -> IoResult<()> {
         let batch = Frame::Batch(Batch {
             rank: self.rank as u32,
             model: self.model(),
@@ -344,14 +322,8 @@ impl TelemetryClient {
         self.writer.flush()
     }
 
-    /// Sends one liveness heartbeat.
-    pub fn send_heartbeat(&mut self, hb: Heartbeat) -> IoResult<()> {
-        write_frame(&mut self.writer, &Frame::Heartbeat(hb))?;
-        self.writer.flush()
-    }
-
     /// Sends the end-of-stream marker.
-    pub fn bye(&mut self) -> IoResult<()> {
+    fn bye(&mut self) -> IoResult<()> {
         write_frame(
             &mut self.writer,
             &Frame::Bye {
@@ -373,20 +345,19 @@ enum Sink {
     Remote(TelemetryClient),
     Local {
         state: Arc<Mutex<CollectorState>>,
-        health: Arc<Mutex<HealthRegistry>>,
         /// Print the live dashboard to stderr every [`MONITOR_INTERVAL`].
         monitor: Option<Instant>,
     },
 }
 
 impl Sink {
-    /// Delivers one tick: the new spans, the heartbeat and, on the last
+    /// Delivers one tick of `rank`'s stream: the new spans and, on the last
     /// tick (`done`), the end-of-stream marker.
     fn deliver(
         &mut self,
         rec: &Recorder,
+        rank: usize,
         spans: Vec<Span>,
-        hb: Heartbeat,
         done: bool,
     ) -> IoResult<()> {
         match self {
@@ -394,25 +365,12 @@ impl Sink {
                 if !spans.is_empty() || done {
                     client.send_batch(spans, rec.dropped())?;
                 }
-                // Heartbeat piggybacks on every tick — cheaper than a span
-                // batch and the collector's staleness detector keys off its
-                // arrival cadence.
-                client.send_heartbeat(hb)?;
                 if done {
                     client.bye()?;
                 }
             }
-            Sink::Local {
-                state,
-                health,
-                monitor,
-            } => {
-                let (rank, now) = (hb.rank as usize, rec.now());
-                {
-                    let mut h = health.lock().expect("health registry");
-                    feed_op_durations(&mut h, rank, &spans);
-                    h.record_heartbeat(&hb, now);
-                }
+            Sink::Local { state, monitor } => {
+                let now = rec.now();
                 let mut st = state.lock().expect("collector state");
                 st.ingest(rank, ClockModel::identity(), rec.dropped(), spans, now);
                 if done {
@@ -467,7 +425,6 @@ impl SpanStreamer {
         server.state.lock().expect("collector state").hello(rank);
         let sink = Sink::Local {
             state: server.state(),
-            health: server.health(),
             monitor: monitor.then(Instant::now),
         };
         Self::start(sink, rank, rec)
@@ -485,12 +442,7 @@ impl SpanStreamer {
                 loop {
                     let done = stop2.load(Ordering::SeqCst);
                     let spans = rec.flush_since(&mut cursor);
-                    let hb = Heartbeat {
-                        rank: rank as u32,
-                        sent_at: rec.now(),
-                        ..flight.heartbeat()
-                    };
-                    sink.deliver(&rec, spans, hb, done)?;
+                    sink.deliver(&rec, rank, spans, done)?;
                     if done {
                         return Ok(());
                     }
@@ -592,72 +544,69 @@ mod tests {
     }
 
     #[test]
-    fn heartbeats_reach_the_health_registry() {
+    fn the_collector_drops_a_client_that_speaks_out_of_turn() {
+        use spdkfac_obs::collect::encode_frame;
+        use std::io::Read;
+
         let server_rec = Arc::new(Recorder::new(1));
         let server = TelemetryServer::spawn("127.0.0.1", 2, Arc::clone(&server_rec)).unwrap();
-        let addr = server.local_addr().to_string();
-        let client_rec = Arc::new(Recorder::new(2));
-        let mut client = TelemetryClient::connect(&addr, 1, 2, client_rec).unwrap();
-        client
-            .send_heartbeat(Heartbeat {
-                rank: 1,
-                iteration: 9,
-                generation: 2,
-                epoch: 1,
-                phase: 3,
-                loss: 0.25,
-                rss_bytes: 1 << 20,
-                sent_at: 0.0,
+        let state = server.state();
+        let hello = |rank, world| Frame::Hello { rank, world };
+        let batch = |rank| {
+            Frame::Batch(Batch {
+                rank,
+                model: ClockModel::identity(),
+                dropped: 0,
+                spans: vec![Span::new(rank as usize, Phase::FfBp, 0.0, 1.0)],
             })
-            .unwrap();
-
-        let health = server.health();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let snap = health.lock().unwrap().snapshot(server_rec.now());
-            if snap.ranks[1].heartbeats > 0 {
-                assert_eq!(snap.ranks[1].last.iteration, 9);
-                assert_eq!(snap.ranks[1].last.loss, 0.25);
-                assert_eq!(snap.ranks[1].last.phase, 3);
-                assert_eq!(snap.ranks[1].last.generation, 2);
-                assert_eq!(snap.ranks[1].last.epoch, 1);
-                assert_eq!(snap.ranks[1].last.rss_bytes, 1 << 20);
-                assert!(!snap.ranks[1].is_stale());
-                // Rank 0 never sent one.
-                assert_eq!(snap.ranks[0].staleness, None);
-                break;
+        };
+        // Each stream ends in a batch a collector that trusted every frame
+        // would ingest.
+        let cases = [
+            ("another group size", vec![hello(1, 3), batch(1)]),
+            ("a rank past the group", vec![hello(2, 2), batch(0)]),
+            ("a second hello", vec![hello(1, 2), hello(0, 2), batch(0)]),
+            ("a batch before hello", vec![batch(0)]),
+            (
+                "a bye before hello",
+                vec![Frame::Bye { rank: 0 }, hello(0, 2), batch(0)],
+            ),
+            ("another rank's batch", vec![hello(1, 2), batch(0)]),
+            (
+                "another rank's bye",
+                vec![hello(1, 2), Frame::Bye { rank: 0 }, batch(1)],
+            ),
+        ];
+        for (what, frames) in cases {
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let wire: Vec<u8> = frames.iter().flat_map(encode_frame).collect();
+            stream.write_all(&wire).unwrap();
+            // The server hangs up: EOF, or a reset if it left bytes unread.
+            match stream.read(&mut [0u8; 1]) {
+                Ok(0) => {}
+                Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+                other => panic!("{what}: the collector kept the client ({other:?})"),
             }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "heartbeat never arrived"
-            );
+            let st = state.lock().unwrap();
+            assert!(st.merged_spans().is_empty(), "{what}: a span landed");
+        }
+
+        // An honest client on the same server still lands its spans.
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let wire: Vec<u8> = [hello(1, 2), batch(1)]
+            .iter()
+            .flat_map(encode_frame)
+            .collect();
+        stream.write_all(&wire).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while state.lock().unwrap().merged_spans().is_empty() {
+            assert!(std::time::Instant::now() < deadline, "batch never arrived");
             std::thread::sleep(Duration::from_millis(5));
         }
         server.shutdown();
-    }
-
-    #[test]
-    fn batch_comm_spans_feed_straggler_state() {
-        let mut health = HealthRegistry::new(2);
-        let mk = |start: f64, end: f64| spdkfac_obs::Span {
-            track: 2,
-            phase: Phase::GradComm,
-            label: std::borrow::Cow::Borrowed("allreduce"),
-            start,
-            end,
-            meta: spdkfac_obs::SpanMeta {
-                seq: Some(0),
-                ..Default::default()
-            },
-        };
-        feed_op_durations(&mut health, 0, &[mk(0.0, 0.01)]);
-        feed_op_durations(&mut health, 1, &[mk(0.0, 0.50)]);
-        // A span without a seq (not a collective op span) is ignored.
-        let mut plain = mk(0.0, 9.0);
-        plain.meta.seq = None;
-        feed_op_durations(&mut health, 0, &[plain]);
-        let snap = health.snapshot(1.0);
-        assert!(snap.ranks[1].straggler_z > snap.ranks[0].straggler_z);
     }
 
     #[test]
@@ -703,7 +652,5 @@ mod tests {
         assert!(st.all_done());
         assert_eq!(st.merged_spans().len(), 3);
         assert_eq!(st.clock_model(0), ClockModel::identity());
-        let snap = server.health().lock().unwrap().snapshot(rec.now());
-        assert!(snap.ranks[0].heartbeats > 0);
     }
 }

@@ -17,7 +17,7 @@ use spdkfac_collectives::tcp::RendezvousServer;
 use spdkfac_collectives::telemetry::{SpanStreamer, TelemetryServer};
 use spdkfac_collectives::{Backend, CommGroup, TcpConfig};
 use spdkfac_obs::collect::{comm_edge_violations, ClockModel};
-use spdkfac_obs::{CausalGraph, CriticalReport, Phase, RankMap, Recorder};
+use spdkfac_obs::{CausalGraph, CriticalReport, Phase, Recorder, TrackLayout};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -167,8 +167,8 @@ fn skewed_ranks_merge_into_a_causally_consistent_trace() {
 
     // Collective matching is exact after rebasing: every (generation, seq)
     // group carries one comm span per rank.
-    let map = RankMap::trainer(world);
-    let graph = CausalGraph::build(&run.merged, map.clone());
+    let layout = TrackLayout::trainer(world);
+    let graph = CausalGraph::build(&run.merged, &layout);
     assert!(graph.num_groups() >= ITERS, "too few collective groups");
     for (key, members) in graph.groups() {
         assert_eq!(
@@ -184,7 +184,7 @@ fn skewed_ranks_merge_into_a_causally_consistent_trace() {
         tol < STAGGER.as_secs_f64() / 10.0,
         "clock uncertainty {tol:.4}s is too coarse for the test to mean anything"
     );
-    let violations = comm_edge_violations(&run.merged, &map, tol);
+    let violations = comm_edge_violations(&run.merged, &layout, tol);
     assert!(
         violations.is_empty(),
         "causal violations after rebasing: {violations:?}"
@@ -192,7 +192,7 @@ fn skewed_ranks_merge_into_a_causally_consistent_trace() {
 
     // And the merged critical path covers (nearly) the whole wall — the
     // spdkfac_node acceptance gate.
-    let report = CriticalReport::from_spans(&run.merged, map);
+    let report = CriticalReport::from_spans(&run.merged, &layout);
     let coverage = report.path_total() / report.wall();
     assert!(
         coverage >= 0.95,

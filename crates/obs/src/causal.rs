@@ -21,109 +21,8 @@
 //! analysis — [`crate::critical`] — runs unchanged on both.
 
 use crate::recorder::{CollEdge, Span};
+use crate::trace::TrackLayout;
 use std::collections::BTreeMap;
-
-/// What one track means for per-rank analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrackRole {
-    /// A rank's compute stream.
-    Compute {
-        /// Owning rank.
-        rank: usize,
-    },
-    /// A rank's dedicated communication thread.
-    Comm {
-        /// Owning rank.
-        rank: usize,
-    },
-    /// A communication resource shared by every rank (the simulator's
-    /// serialized network row and per-root links).
-    SharedComm,
-}
-
-/// Maps track ids to [`TrackRole`]s — the analysis-side companion of
-/// [`crate::TrackLayout`] (which only names rows for display).
-#[derive(Debug, Clone)]
-pub struct RankMap {
-    roles: Vec<TrackRole>,
-    num_ranks: usize,
-}
-
-impl RankMap {
-    /// Builds a map from explicit roles.
-    pub fn from_roles(roles: Vec<TrackRole>) -> Self {
-        let num_ranks = roles
-            .iter()
-            .filter_map(|r| match r {
-                TrackRole::Compute { rank } | TrackRole::Comm { rank } => Some(rank + 1),
-                TrackRole::SharedComm => None,
-            })
-            .max()
-            .unwrap_or(0);
-        RankMap { roles, num_ranks }
-    }
-
-    /// The live trainers' convention ([`crate::TrackLayout::trainer`]):
-    /// track `r` is rank `r`'s compute stream, track `world + r` its
-    /// communication thread.
-    pub fn trainer(world: usize) -> Self {
-        let mut roles = Vec::with_capacity(2 * world);
-        for r in 0..world {
-            roles.push(TrackRole::Compute { rank: r });
-        }
-        for r in 0..world {
-            roles.push(TrackRole::Comm { rank: r });
-        }
-        Self::from_roles(roles)
-    }
-
-    /// The simulator's convention ([`crate::TrackLayout::simulator`]):
-    /// tracks below `network_resource` are per-rank compute, the network
-    /// row and any per-root links above it are shared communication.
-    pub fn simulator(network_resource: usize, num_tracks: usize) -> Self {
-        let mut roles = Vec::with_capacity(num_tracks);
-        for t in 0..num_tracks.max(network_resource + 1) {
-            if t < network_resource {
-                roles.push(TrackRole::Compute { rank: t });
-            } else {
-                roles.push(TrackRole::SharedComm);
-            }
-        }
-        Self::from_roles(roles)
-    }
-
-    /// Number of ranks covered (max rank + 1).
-    pub fn num_ranks(&self) -> usize {
-        self.num_ranks
-    }
-
-    /// Number of mapped tracks.
-    pub fn num_tracks(&self) -> usize {
-        self.roles.len()
-    }
-
-    /// Role of `track`; unmapped tracks default to [`TrackRole::SharedComm`]
-    /// (analysis must never panic on extra tracks).
-    pub fn role(&self, track: usize) -> TrackRole {
-        self.roles
-            .get(track)
-            .copied()
-            .unwrap_or(TrackRole::SharedComm)
-    }
-
-    /// The rank owning `track`, if it is rank-private.
-    pub fn rank_of(&self, track: usize) -> Option<usize> {
-        match self.role(track) {
-            TrackRole::Compute { rank } | TrackRole::Comm { rank } => Some(rank),
-            TrackRole::SharedComm => None,
-        }
-    }
-
-    /// `true` when `track` carries communication (rank-private or shared).
-    pub fn is_comm(&self, track: usize) -> bool {
-        !matches!(self.role(track), TrackRole::Compute { .. })
-    }
-}
 
 /// Start-time slack below which two events are considered causally
 /// back-to-back (also absorbs f64 rounding of `Instant` differences).
@@ -142,7 +41,7 @@ pub(crate) const EPS: f64 = 5e-6;
 #[derive(Debug)]
 pub struct CausalGraph {
     spans: Vec<Span>,
-    map: RankMap,
+    layout: TrackLayout,
     /// Per-track span indices, ordered by start time.
     by_track: BTreeMap<usize, Vec<usize>>,
     /// Collective groups: (generation, seq) → member span indices (one per
@@ -153,8 +52,9 @@ pub struct CausalGraph {
 
 impl CausalGraph {
     /// Builds the graph from spans (any order; they are re-sorted to the
-    /// `(track, start)` contract) and a track-role map.
-    pub fn build(spans: &[Span], map: RankMap) -> Self {
+    /// `(track, start)` contract) and the layout that says which rank owns
+    /// each track.
+    pub fn build(spans: &[Span], layout: &TrackLayout) -> Self {
         let mut spans: Vec<Span> = spans.iter().filter(|s| s.end > s.start).cloned().collect();
         spans.sort_by(|a, b| {
             a.track
@@ -181,7 +81,7 @@ impl CausalGraph {
         }
         CausalGraph {
             spans,
-            map,
+            layout: layout.clone(),
             by_track,
             groups,
             window: (t0, t1),
@@ -193,9 +93,9 @@ impl CausalGraph {
         &self.spans
     }
 
-    /// The track-role map the graph was built with.
-    pub fn rank_map(&self) -> &RankMap {
-        &self.map
+    /// The track layout the graph was built with.
+    pub fn layout(&self) -> &TrackLayout {
+        &self.layout
     }
 
     /// `(earliest start, latest end)` over all spans.
@@ -248,7 +148,7 @@ impl CausalGraph {
                 let root_member = members
                     .iter()
                     .copied()
-                    .find(|&m| self.map.rank_of(self.spans[m].track) == Some(root));
+                    .find(|&m| self.layout.rank_of(self.spans[m].track) == Some(root));
                 match root_member {
                     Some(m) if self.spans[m].start > s.start => m,
                     _ => idx,
@@ -269,7 +169,7 @@ impl CausalGraph {
     /// walking predecessors terminates.
     pub fn predecessor(&self, idx: usize) -> Option<usize> {
         let s = &self.spans[idx];
-        let rank = self.map.rank_of(s.track);
+        let rank = self.layout.rank_of(s.track);
         // A rank-private span can be caused by its own rank's tracks or by
         // any shared communication resource (the simulator's network row);
         // shared-comm spans can be caused by anything.
@@ -278,20 +178,17 @@ impl CausalGraph {
             .keys()
             .copied()
             .filter(|&t| match rank {
-                Some(r) => {
-                    matches!(self.map.rank_of(t), Some(x) if x == r)
-                        || self.map.role(t) == TrackRole::SharedComm
-                }
+                Some(r) => self.layout.rank_of(t).is_none_or(|x| x == r),
                 None => true,
             })
             .collect();
 
         // Submission edge: a comm op starts inside the compute span that
         // submitted it.
-        if self.map.is_comm(s.track) {
+        if self.layout.is_comm(s.track) {
             let mut containing: Option<usize> = None;
             for &t in &candidate_tracks {
-                if self.map.is_comm(t) {
+                if self.layout.is_comm(t) {
                     continue;
                 }
                 for &i in &self.by_track[&t] {
@@ -338,6 +235,7 @@ mod tests {
     use super::*;
     use crate::phase::Phase;
     use crate::recorder::SpanMeta;
+    use crate::trace::TrackKind;
 
     fn sp(track: usize, phase: Phase, start: f64, end: f64, meta: SpanMeta) -> Span {
         Span {
@@ -363,21 +261,21 @@ mod tests {
 
     #[test]
     fn rank_map_conventions() {
-        let m = RankMap::trainer(3);
+        let m = TrackLayout::trainer(3);
         assert_eq!(m.num_ranks(), 3);
-        assert_eq!(m.role(1), TrackRole::Compute { rank: 1 });
-        assert_eq!(m.role(4), TrackRole::Comm { rank: 1 });
+        assert_eq!((m.kind(1), m.rank_of(1)), (TrackKind::Compute, Some(1)));
+        assert_eq!((m.kind(4), m.rank_of(4)), (TrackKind::Comm, Some(1)));
         assert!(m.is_comm(4));
         assert!(!m.is_comm(1));
 
-        let s = RankMap::simulator(2, 4);
+        let s = TrackLayout::simulator(2, 3);
         assert_eq!(s.num_ranks(), 2);
-        assert_eq!(s.role(0), TrackRole::Compute { rank: 0 });
-        assert_eq!(s.role(2), TrackRole::SharedComm);
-        assert_eq!(s.role(3), TrackRole::SharedComm);
-        assert_eq!(s.rank_of(2), None);
-        // Unmapped tracks never panic.
-        assert_eq!(s.role(99), TrackRole::SharedComm);
+        assert_eq!((s.kind(0), s.rank_of(0)), (TrackKind::Compute, Some(0)));
+        assert_eq!((s.kind(2), s.rank_of(2)), (TrackKind::Network, None));
+        assert_eq!((s.kind(3), s.rank_of(3)), (TrackKind::Network, None));
+        assert!(s.is_comm(2));
+        // Tracks past the end are shared and never panic.
+        assert_eq!((s.kind(99), s.rank_of(99)), (TrackKind::Network, None));
     }
 
     #[test]
@@ -388,7 +286,7 @@ mod tests {
             coll(2, 3.0, 4.0, 1, CollEdge::Join),
             coll(3, 3.0, 4.0, 1, CollEdge::Join),
         ];
-        let g = CausalGraph::build(&spans, RankMap::trainer(2));
+        let g = CausalGraph::build(&spans, &TrackLayout::trainer(2));
         assert_eq!(g.num_groups(), 2);
         assert_eq!(g.group(0, 0).len(), 2);
     }
@@ -406,7 +304,7 @@ mod tests {
         let mut d = coll(3, 3.2, 4.0, 0, CollEdge::Join);
         c.meta.generation = Some(1);
         d.meta.generation = Some(1);
-        let g = CausalGraph::build(&[a, b, c, d], RankMap::trainer(2));
+        let g = CausalGraph::build(&[a, b, c, d], &TrackLayout::trainer(2));
         assert_eq!(g.num_groups(), 2);
         assert_eq!(g.group(0, 0).len(), 2);
         assert_eq!(g.group(1, 0).len(), 2);
@@ -428,7 +326,7 @@ mod tests {
             coll(2, 1.0, 2.0, 0, CollEdge::Join),
             coll(3, 1.5, 2.0, 0, CollEdge::Join),
         ];
-        let g = CausalGraph::build(&spans, RankMap::trainer(2));
+        let g = CausalGraph::build(&spans, &TrackLayout::trainer(2));
         let early = g.spans().iter().position(|s| s.start == 1.0).expect("span");
         let late = g.spans().iter().position(|s| s.start == 1.5).expect("span");
         assert_eq!(g.determining_member(early), late);
@@ -442,7 +340,7 @@ mod tests {
             coll(2, 1.0, 2.0, 0, CollEdge::FanOut { root: 1 }),
             coll(3, 1.8, 2.0, 0, CollEdge::FanOut { root: 1 }),
         ];
-        let g = CausalGraph::build(&spans, RankMap::trainer(2));
+        let g = CausalGraph::build(&spans, &TrackLayout::trainer(2));
         let peer = g.spans().iter().position(|s| s.start == 1.0).expect("span");
         let root = g.spans().iter().position(|s| s.start == 1.8).expect("span");
         assert_eq!(g.determining_member(peer), root);
@@ -457,7 +355,7 @@ mod tests {
             sp(0, Phase::FfBp, 0.0, 3.0, SpanMeta::default()),
             coll(2, 1.0, 2.0, 0, CollEdge::Join),
         ];
-        let g = CausalGraph::build(&spans, RankMap::trainer(2));
+        let g = CausalGraph::build(&spans, &TrackLayout::trainer(2));
         let comm = g.spans().iter().position(|s| s.track == 2).expect("span");
         let ffbp = g.spans().iter().position(|s| s.track == 0).expect("span");
         assert_eq!(g.predecessor(comm), Some(ffbp));
@@ -471,7 +369,7 @@ mod tests {
             coll(2, 1.0, 2.0, 0, CollEdge::Join),
             sp(0, Phase::Update, 2.0, 2.5, SpanMeta::default()),
         ];
-        let g = CausalGraph::build(&spans, RankMap::trainer(2));
+        let g = CausalGraph::build(&spans, &TrackLayout::trainer(2));
         let upd = g
             .spans()
             .iter()
@@ -484,7 +382,7 @@ mod tests {
     #[test]
     fn window_start_has_no_predecessor() {
         let spans = vec![sp(0, Phase::FfBp, 0.0, 1.0, SpanMeta::default())];
-        let g = CausalGraph::build(&spans, RankMap::trainer(1));
+        let g = CausalGraph::build(&spans, &TrackLayout::trainer(1));
         assert_eq!(g.predecessor(0), None);
         assert_eq!(g.last_span(), Some(0));
         assert_eq!(g.window(), (0.0, 1.0));
@@ -498,7 +396,7 @@ mod tests {
             sp(1, Phase::FfBp, 0.0, 1.2, SpanMeta::default()),
             sp(2, Phase::FactorComm, 1.2, 2.0, SpanMeta::default()),
         ];
-        let g = CausalGraph::build(&spans, RankMap::simulator(2, 3));
+        let g = CausalGraph::build(&spans, &TrackLayout::simulator(2, 2));
         assert_eq!(g.num_groups(), 0);
         let comm = g.spans().iter().position(|s| s.track == 2).expect("span");
         // Timing inference: the network op started when gpu1 finished.

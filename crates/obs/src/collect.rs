@@ -31,17 +31,16 @@
 //!   multi-process spans fail this loudly; it is the acceptance gate for
 //!   the clock sync.
 //!
-//! The merged output of [`CollectorState::merged_spans`] follows the
-//! trainer track convention (track `r` = rank `r` compute, `world + r` =
-//! rank `r` comm), so it feeds the existing causal / critical-path /
-//! Chrome-trace exporters unchanged.
+//! The merged output of [`CollectorState::merged_spans`] keeps the tracks
+//! of [`TrackLayout::trainer`], so the causal / critical-path / Chrome-trace
+//! exporters read it unchanged.
 
-use crate::causal::RankMap;
 use crate::critical::CriticalReport;
 use crate::phase::Phase;
 use crate::recorder::{CollEdge, Span, SpanMeta};
 use crate::ring::Ring;
 use crate::table::Table;
+use crate::trace::TrackLayout;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::{Error, ErrorKind, Read, Result as IoResult, Write};
@@ -254,11 +253,13 @@ pub struct Batch {
 /// One telemetry channel message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// Client introduction after connecting.
+    /// Client introduction after connecting; binds the connection to
+    /// `rank`.
     Hello {
         /// Sending rank.
         rank: u32,
-        /// Group size the sender believes in (sanity-checked server-side).
+        /// Group size the sender believes in (the collector drops a client
+        /// whose `world` differs from its own).
         world: u32,
     },
     /// Clock probe: `t0` is the client's send time on its own clock.
@@ -283,34 +284,6 @@ pub enum Frame {
         /// Departing rank.
         rank: u32,
     },
-    /// A liveness heartbeat (piggybacked on the span stream at the
-    /// streaming cadence; feeds the rank-0 health registry).
-    Heartbeat(Heartbeat),
-}
-
-/// Per-rank liveness sample: read off the flight recorder's atomics
-/// ([`crate::flight::FlightRecorder::heartbeat`]), carried by
-/// [`Frame::Heartbeat`], kept by the health registry
-/// ([`crate::export::HealthRegistry`]).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Heartbeat {
-    /// Sending rank.
-    pub rank: u32,
-    /// Last completed training iteration.
-    pub iteration: u64,
-    /// Current plan generation.
-    pub generation: u64,
-    /// Elastic membership epoch (0 on fixed-world runs).
-    pub epoch: u64,
-    /// Current pipeline phase ([`Phase::index`]).
-    pub phase: u8,
-    /// Last recorded loss (NaN until the first iteration completes).
-    pub loss: f64,
-    /// Resident set size in bytes (0 where unsupported).
-    pub rss_bytes: u64,
-    /// Send time on the sender's clock (diagnostic only; the collector
-    /// stamps arrival on its own clock).
-    pub sent_at: f64,
 }
 
 fn put_u16(buf: &mut Vec<u8>, v: u16) {
@@ -419,17 +392,6 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             body.push(5);
             put_u32(&mut body, *rank);
         }
-        Frame::Heartbeat(hb) => {
-            body.push(6);
-            put_u32(&mut body, hb.rank);
-            put_u64(&mut body, hb.iteration);
-            put_u64(&mut body, hb.generation);
-            put_u64(&mut body, hb.epoch);
-            body.push(hb.phase);
-            put_f64(&mut body, hb.loss);
-            put_u64(&mut body, hb.rss_bytes);
-            put_f64(&mut body, hb.sent_at);
-        }
     }
     let mut out = Vec::with_capacity(4 + body.len());
     put_u32(&mut out, body.len() as u32);
@@ -493,13 +455,17 @@ fn decode_span(c: &mut Cursor<'_>) -> IoResult<Span> {
     let end = c.f64()?;
     let edge_kind = c.u8()?;
     let root = c.u32()? as usize;
-    let edge = match edge_kind {
-        0 => None,
-        1 => Some(CollEdge::Join),
-        2 => Some(CollEdge::FanOut { root }),
-        k => return Err(bad(format!("span with unknown edge kind {k}"))),
+    let edge = match (edge_kind, root) {
+        (0, 0) => None,
+        (1, 0) => Some(CollEdge::Join),
+        (2, root) => Some(CollEdge::FanOut { root }),
+        (0 | 1, r) => return Err(bad(format!("span with root {r} on a rootless edge"))),
+        (k, _) => return Err(bad(format!("span with unknown edge kind {k}"))),
     };
     let flags = c.u8()?;
+    if flags >= 32 {
+        return Err(bad(format!("span with unknown flag bits {flags:#04x}")));
+    }
     let seq = (flags & 1 != 0).then(|| c.u64()).transpose()?;
     let size = (flags & 2 != 0)
         .then(|| c.u64())
@@ -576,16 +542,6 @@ pub fn read_frame(r: &mut impl Read) -> IoResult<Frame> {
             })
         }
         5 => Frame::Bye { rank: c.u32()? },
-        6 => Frame::Heartbeat(Heartbeat {
-            rank: c.u32()?,
-            iteration: c.u64()?,
-            generation: c.u64()?,
-            epoch: c.u64()?,
-            phase: c.u8()?,
-            loss: c.f64()?,
-            rss_bytes: c.u64()?,
-            sent_at: c.f64()?,
-        }),
         k => return Err(bad(format!("unknown telemetry frame kind {k}"))),
     };
     if c.pos != body.len() {
@@ -605,6 +561,10 @@ pub const DEFAULT_WINDOW_CAPACITY: usize = 131_072;
 
 /// Drift magnitude (s/s) past which the live monitor raises a flag.
 pub const DRIFT_FLAG_THRESHOLD: f64 = 200e-6;
+
+/// Seconds since a rank's last batch past which the live monitor flags it
+/// stale.
+pub const STALE_FLAG_THRESHOLD: f64 = 5.0;
 
 #[derive(Debug)]
 struct RankWindow {
@@ -797,7 +757,7 @@ impl CollectorState {
             "window [{t0:.3}s, {t1:.3}s]  spans {}  iterations {iterations}  plan generation {generation}\n",
             spans.len()
         ));
-        let report = CriticalReport::from_spans(&spans, RankMap::trainer(self.world));
+        let report = CriticalReport::from_spans(&spans, &TrackLayout::trainer(self.world));
         let wall = report.wall().max(f64::MIN_POSITIVE);
         let mut t = Table::new([
             "rank", "spans", "offset", "drift", "±unc", "exposed", "idle", "flags",
@@ -810,7 +770,7 @@ impl CollectorState {
                 flags.push("waiting");
             } else if w.done {
                 flags.push("done");
-            } else if w.batches > 0 && now - w.last_seen > 5.0 {
+            } else if w.batches > 0 && now - w.last_seen > STALE_FLAG_THRESHOLD {
                 flags.push("stale");
             }
             if w.model.drift.abs() > DRIFT_FLAG_THRESHOLD {
@@ -853,10 +813,10 @@ impl CollectorState {
 /// multi-process spans — each rank on its own epoch — fail this check
 /// loudly, which is exactly the point: it is the acceptance gate that the
 /// clock sync actually worked (no negative-latency communication edges).
-pub fn comm_edge_violations(spans: &[Span], map: &RankMap, tol: f64) -> Vec<String> {
+pub fn comm_edge_violations(spans: &[Span], layout: &TrackLayout, tol: f64) -> Vec<String> {
     let mut groups: BTreeMap<(u64, u64), Vec<&Span>> = BTreeMap::new();
     for s in spans {
-        if !map.is_comm(s.track) {
+        if !layout.is_comm(s.track) {
             continue;
         }
         let (Some(seq), Some(_)) = (s.meta.seq, s.meta.edge) else {
@@ -899,7 +859,10 @@ pub fn comm_edge_violations(spans: &[Span], map: &RankMap, tol: f64) -> Vec<Stri
                 }
             }
             CollEdge::FanOut { root } => {
-                if let Some(r) = members.iter().find(|s| map.rank_of(s.track) == Some(root)) {
+                if let Some(r) = members
+                    .iter()
+                    .find(|s| layout.rank_of(s.track) == Some(root))
+                {
                     for m in members {
                         if m.end + tol < r.start {
                             out.push(describe(
@@ -1100,20 +1063,20 @@ mod tests {
 
     #[test]
     fn edge_check_catches_unrebased_clocks_and_passes_rebased_ones() {
-        let map = RankMap::trainer(2);
+        let layout = TrackLayout::trainer(2);
         let coherent = coherent_two_rank_spans();
-        assert!(comm_edge_violations(&coherent, &map, 1e-6).is_empty());
+        assert!(comm_edge_violations(&coherent, &layout, 1e-6).is_empty());
         // Rank 1's epoch is 2 s behind: its join members now "complete"
         // long before rank 0 submits — a negative-latency comm edge.
         let skewed = skew_rank1(&coherent, -2.0);
-        assert!(!comm_edge_violations(&skewed, &map, 1e-6).is_empty());
+        assert!(!comm_edge_violations(&skewed, &layout, 1e-6).is_empty());
     }
 
     #[test]
     fn causal_matching_is_exact_after_rebasing() {
-        let map = RankMap::trainer(2);
+        let layout = TrackLayout::trainer(2);
         let coherent = coherent_two_rank_spans();
-        let reference = CausalGraph::build(&coherent, map.clone());
+        let reference = CausalGraph::build(&coherent, &layout);
 
         // Skew rank 1 by -2 s, then rebase its spans through a collector
         // window with the matching clock model (offset +2 s).
@@ -1131,7 +1094,7 @@ mod tests {
         state.ingest(0, ClockModel::identity(), 0, rank0, 0.0);
         state.ingest(1, model1, 0, rank1, 0.0);
         let merged = state.merged_spans();
-        let rebuilt = CausalGraph::build(&merged, map.clone());
+        let rebuilt = CausalGraph::build(&merged, &layout);
 
         // Group structure identical: same groups, same membership sizes.
         assert_eq!(rebuilt.num_groups(), reference.num_groups());
@@ -1152,7 +1115,7 @@ mod tests {
             assert!((m.end - c.end).abs() < 1e-12);
         }
         // And the rebased trace passes the edge-consistency gate.
-        assert!(comm_edge_violations(&merged, &map, 1e-6).is_empty());
+        assert!(comm_edge_violations(&merged, &layout, 1e-6).is_empty());
     }
 
     #[test]
@@ -1207,16 +1170,6 @@ mod tests {
                 ],
             }),
             Frame::Bye { rank: 2 },
-            Frame::Heartbeat(Heartbeat {
-                rank: 1,
-                iteration: 42,
-                generation: 3,
-                epoch: 2,
-                phase: 4,
-                loss: 0.125,
-                rss_bytes: 7 << 20,
-                sent_at: 12.5,
-            }),
         ];
         let mut wire = Vec::new();
         for f in &frames {

@@ -14,7 +14,7 @@
 //! pure timing inference) — that symmetry is what makes measured-vs-
 //! simulated attribution tables meaningful.
 
-use crate::causal::{CausalGraph, RankMap, TrackRole, EPS};
+use crate::causal::{CausalGraph, EPS};
 use crate::json::escape_json;
 use crate::phase::Phase;
 use crate::recorder::{Span, SpanMeta};
@@ -110,6 +110,8 @@ pub struct CriticalReport {
     pub idle_path: f64,
     /// Cross-rank collective groups matched via span metadata.
     pub num_groups: usize,
+    /// The track layout the analysis read ranks from.
+    layout: TrackLayout,
 }
 
 impl CriticalReport {
@@ -133,12 +135,13 @@ impl CriticalReport {
             phase_path,
             idle_path,
             num_groups: graph.num_groups(),
+            layout: graph.layout().clone(),
         }
     }
 
     /// Convenience: build the graph and analyze in one call.
-    pub fn from_spans(spans: &[Span], map: RankMap) -> Self {
-        Self::analyze(&CausalGraph::build(spans, map))
+    pub fn from_spans(spans: &[Span], layout: &TrackLayout) -> Self {
+        Self::analyze(&CausalGraph::build(spans, layout))
     }
 
     /// Wall time of the analysis window.
@@ -318,11 +321,11 @@ impl CriticalReport {
     /// Chrome-trace JSON of `spans` with one extra highlighted row carrying
     /// the critical path — load in Perfetto and the bottleneck chain reads
     /// left to right, with flow arrows (`ph:"s"`/`ph:"f"`) drawing the
-    /// dependency hand-off between consecutive path segments. Phase
-    /// aggregate rows are disabled so the synthetic row does not distort
-    /// them.
-    pub fn highlighted_trace(&self, spans: &[Span], layout: &TrackLayout) -> String {
-        let mut layout = layout.clone().with_phase_rows(false);
+    /// dependency hand-off between consecutive path segments. The rows are
+    /// the layout the report was built with; phase aggregate rows are
+    /// disabled so the synthetic row does not distort them.
+    pub fn highlighted_trace(&self, spans: &[Span]) -> String {
+        let mut layout = self.layout.clone().with_phase_rows(false);
         let crit_track = layout.push("critical path", TrackKind::Compute);
         let mut all: Vec<Span> = spans.to_vec();
         let mut crit_segs: Vec<&CritSegment> = Vec::new();
@@ -377,7 +380,7 @@ impl CriticalReport {
 /// tiles the window.
 fn walk_path(graph: &CausalGraph) -> Vec<CritSegment> {
     let spans = graph.spans();
-    let map = graph.rank_map();
+    let layout = graph.layout();
     let Some(mut cur) = graph.last_span() else {
         return Vec::new();
     };
@@ -396,12 +399,12 @@ fn walk_path(graph: &CausalGraph) -> Vec<CritSegment> {
             segments.push(CritSegment {
                 start: seg_start,
                 end: cursor,
-                kind: if map.is_comm(s.track) {
+                kind: if layout.is_comm(s.track) {
                     SegmentKind::Comm
                 } else {
                     SegmentKind::Compute
                 },
-                rank: map.rank_of(s.track),
+                rank: layout.rank_of(s.track),
                 phase: Some(s.phase),
                 label: s.display_name().to_string(),
             });
@@ -420,7 +423,7 @@ fn walk_path(graph: &CausalGraph) -> Vec<CritSegment> {
                         start: pe,
                         end: cursor,
                         kind: SegmentKind::Idle,
-                        rank: map.rank_of(s.track),
+                        rank: layout.rank_of(s.track),
                         phase: None,
                         label: String::new(),
                     });
@@ -434,7 +437,7 @@ fn walk_path(graph: &CausalGraph) -> Vec<CritSegment> {
                         start: t0,
                         end: cursor,
                         kind: SegmentKind::Idle,
-                        rank: map.rank_of(s.track),
+                        rank: layout.rank_of(s.track),
                         phase: None,
                         label: String::new(),
                     });
@@ -492,25 +495,23 @@ pub(crate) fn total_len(iv: &[(f64, f64)]) -> f64 {
 fn attribute_ranks(graph: &CausalGraph) -> Vec<RankAttribution> {
     let (t0, t1) = graph.window();
     let wall = t1 - t0;
-    let map = graph.rank_map();
+    let layout = graph.layout();
     let spans = graph.spans();
-    let mut out = Vec::with_capacity(map.num_ranks());
-    for rank in 0..map.num_ranks() {
+    let mut out = Vec::with_capacity(layout.num_ranks());
+    for rank in 0..layout.num_ranks() {
         let clip = |s: &Span| (s.start.max(t0), s.end.min(t1));
         let compute_iv = union(
             spans
                 .iter()
-                .filter(|s| map.role(s.track) == TrackRole::Compute { rank })
+                .filter(|s| !layout.is_comm(s.track) && layout.rank_of(s.track) == Some(rank))
                 .map(clip)
                 .collect(),
         );
         let comm_iv = union(
             spans
                 .iter()
-                .filter(|s| match map.role(s.track) {
-                    TrackRole::Comm { rank: r } => r == rank,
-                    TrackRole::SharedComm => true,
-                    TrackRole::Compute { .. } => false,
+                .filter(|s| {
+                    layout.is_comm(s.track) && layout.rank_of(s.track).is_none_or(|r| r == rank)
                 })
                 .map(clip)
                 .collect(),
@@ -571,7 +572,7 @@ mod tests {
 
     #[test]
     fn path_routes_through_straggler_and_tiles_window() {
-        let rep = CriticalReport::from_spans(&straggler_spans(), RankMap::trainer(2));
+        let rep = CriticalReport::from_spans(&straggler_spans(), &TrackLayout::trainer(2));
         assert!((rep.wall() - 3.5).abs() < 1e-12);
         // The path tiles the window exactly: FfBp(rank1) 0..2, comm 2..3,
         // update 3..3.5.
@@ -589,7 +590,7 @@ mod tests {
 
     #[test]
     fn rank_attribution_is_exact_partition() {
-        let rep = CriticalReport::from_spans(&straggler_spans(), RankMap::trainer(2));
+        let rep = CriticalReport::from_spans(&straggler_spans(), &TrackLayout::trainer(2));
         for r in &rep.ranks {
             assert!(
                 (r.total() - rep.wall()).abs() < 1e-9,
@@ -615,7 +616,7 @@ mod tests {
     fn idle_gap_becomes_explicit_segment() {
         // One rank, a gap between two compute spans.
         let spans = vec![sp(0, Phase::FfBp, 0.0, 1.0), sp(0, Phase::Update, 2.0, 3.0)];
-        let rep = CriticalReport::from_spans(&spans, RankMap::trainer(1));
+        let rep = CriticalReport::from_spans(&spans, &TrackLayout::trainer(1));
         assert_eq!(rep.segments.len(), 3);
         assert_eq!(rep.segments[1].kind, SegmentKind::Idle);
         assert!((rep.idle_path - 1.0).abs() < 1e-12);
@@ -632,7 +633,7 @@ mod tests {
             sp(0, Phase::Update, 2.5, 3.0),
             sp(1, Phase::Update, 2.5, 3.0),
         ];
-        let rep = CriticalReport::from_spans(&spans, RankMap::simulator(2, 3));
+        let rep = CriticalReport::from_spans(&spans, &TrackLayout::simulator(2, 2));
         assert!((rep.path_total() - rep.wall()).abs() < 1e-9);
         assert_eq!(rep.num_groups, 0);
         // Network time 1.5..2.5 is exposed to both ranks.
@@ -644,7 +645,7 @@ mod tests {
 
     #[test]
     fn report_outputs_are_well_formed() {
-        let rep = CriticalReport::from_spans(&straggler_spans(), RankMap::trainer(2));
+        let rep = CriticalReport::from_spans(&straggler_spans(), &TrackLayout::trainer(2));
         let text = rep.render_text();
         assert!(text.contains("critical path"));
         assert!(text.contains("rank0"));
@@ -661,9 +662,8 @@ mod tests {
     #[test]
     fn highlighted_trace_adds_critical_row() {
         let spans = straggler_spans();
-        let rep = CriticalReport::from_spans(&spans, RankMap::trainer(2));
-        let layout = TrackLayout::trainer(2);
-        let json = rep.highlighted_trace(&spans, &layout);
+        let rep = CriticalReport::from_spans(&spans, &TrackLayout::trainer(2));
+        let json = rep.highlighted_trace(&spans);
         validate_json(&json).expect("highlighted trace must be valid JSON");
         assert!(json.contains("critical path"));
         assert!(json.contains("crit: "));
@@ -676,7 +676,7 @@ mod tests {
 
     #[test]
     fn empty_input_yields_empty_report() {
-        let rep = CriticalReport::from_spans(&[], RankMap::trainer(2));
+        let rep = CriticalReport::from_spans(&[], &TrackLayout::trainer(2));
         assert_eq!(rep.segments.len(), 0);
         assert_eq!(rep.wall(), 0.0);
         for r in &rep.ranks {

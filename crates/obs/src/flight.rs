@@ -9,7 +9,8 @@
 //! (comm-thread poisoning, panic hook, launcher teardown):
 //!
 //! 1. **Heartbeat atomics** (iteration, loss, phase, generation, membership
-//!    epoch), read lock-free by the telemetry streamer every tick.
+//!    epoch): written lock-free by the trainer and the comm thread, read
+//!    only when a dump is rendered (its `heartbeat` object).
 //! 2. **First failure wins.** The first recorded comm failure is the one a
 //!    post-mortem cares about (later errors are cascade noise). It is
 //!    pinned with or without a recorder attached, and stamped on the
@@ -24,7 +25,7 @@
 //! using each dump's embedded [`ClockModel`] and reconstructs the failure
 //! timeline.
 
-use crate::collect::{ClockModel, Heartbeat};
+use crate::collect::ClockModel;
 use crate::json::{JsonValue, JsonWriter};
 use crate::metrics::MetricsSnapshot;
 use crate::phase::Phase;
@@ -140,23 +141,23 @@ impl FlightRecorder {
         *self.clock.lock().expect("flight clock poisoned") = Some(model);
     }
 
-    /// Updates the current plan generation (heartbeat + dump field).
+    /// Updates the current plan generation (the dump's heartbeat).
     pub fn set_generation(&self, generation: u64) {
         self.generation.store(generation, Ordering::Relaxed);
     }
 
-    /// Updates the elastic membership epoch (heartbeat + dump field;
-    /// stays 0 on fixed-world runs).
+    /// Updates the elastic membership epoch (the dump's heartbeat; stays 0
+    /// on fixed-world runs).
     pub fn set_member_epoch(&self, epoch: u64) {
         self.member_epoch.store(epoch, Ordering::Relaxed);
     }
 
-    /// Updates the current pipeline phase (heartbeat field; atomics only).
+    /// Updates the current pipeline phase (the dump's heartbeat).
     pub fn set_phase(&self, phase: Phase) {
         self.phase_idx.store(phase.index(), Ordering::Relaxed);
     }
 
-    /// Records a completed training iteration in the heartbeat atomics.
+    /// Records a completed training iteration (the dump's heartbeat).
     pub fn record_iteration(&self, iteration: u64, loss: f64) {
         self.iteration.store(iteration, Ordering::Relaxed);
         self.loss_bits.store(loss.to_bits(), Ordering::Relaxed);
@@ -195,31 +196,11 @@ impl FlightRecorder {
             .clone()
     }
 
-    /// Lock-free heartbeat snapshot (reads atomics plus `/proc` for RSS)
-    /// under the configured rank (`u32::MAX` before [`configure`]). The
-    /// sender stamps `sent_at` — and the rank it streams as — on its own
-    /// clock.
-    ///
-    /// [`configure`]: FlightRecorder::configure
-    pub fn heartbeat(&self) -> Heartbeat {
-        Heartbeat {
-            rank: self.rank().map_or(u32::MAX, |r| r as u32),
-            iteration: self.iteration.load(Ordering::Relaxed),
-            generation: self.generation.load(Ordering::Relaxed),
-            epoch: self.member_epoch.load(Ordering::Relaxed),
-            phase: self.phase_idx.load(Ordering::Relaxed) as u8,
-            loss: f64::from_bits(self.loss_bits.load(Ordering::Relaxed)),
-            rss_bytes: rss_bytes(),
-            sent_at: 0.0,
-        }
-    }
-
     /// Serializes the full post-mortem document (always available, even
     /// without a trace dir — [`dump`] is the file-writing wrapper).
     ///
     /// [`dump`]: FlightRecorder::dump
     pub fn render_json(&self, reason: &str) -> String {
-        let hb = self.heartbeat();
         let rec = self.recorder();
         let clock = *self.clock.lock().expect("flight clock poisoned");
         let failure = self.failure();
@@ -237,14 +218,15 @@ impl FlightRecorder {
             w.key("reason").str(reason);
             w.key("wall_now")
                 .num(rec.as_ref().map_or(f64::NAN, |r| r.now()));
+            let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
             w.key("heartbeat").object(|w| {
-                w.key("iteration").int(hb.iteration);
-                w.key("loss").num(hb.loss);
-                let phase = Phase::from_index(hb.phase as usize).unwrap_or(Phase::Update);
-                w.key("phase").str(phase.name());
-                w.key("generation").int(hb.generation);
-                w.key("epoch").int(hb.epoch);
-                w.key("rss_bytes").int(hb.rss_bytes);
+                w.key("iteration").int(load(&self.iteration));
+                w.key("loss").num(f64::from_bits(load(&self.loss_bits)));
+                let phase = Phase::from_index(self.phase_idx.load(Ordering::Relaxed));
+                w.key("phase").str(phase.unwrap_or(Phase::Update).name());
+                w.key("generation").int(load(&self.generation));
+                w.key("epoch").int(load(&self.member_epoch));
+                w.key("rss_bytes").int(rss_bytes());
             });
             w.key("clock");
             match clock {
@@ -409,7 +391,7 @@ fn write_metrics(w: &mut JsonWriter<'_>, m: &MetricsSnapshot) {
 }
 
 /// Resident set size of this process in bytes (0 where `/proc` is absent).
-pub fn rss_bytes() -> u64 {
+fn rss_bytes() -> u64 {
     #[cfg(target_os = "linux")]
     {
         if let Ok(statm) = std::fs::read_to_string("/proc/self/statm") {
@@ -522,16 +504,23 @@ mod tests {
     #[test]
     fn heartbeat_reflects_latest_state() {
         let fr = FlightRecorder::new();
-        assert_eq!(fr.heartbeat().rank, u32::MAX);
+        assert_eq!(fr.rank(), None);
         fr.configure(3, 4, None);
         fr.record_iteration(12, 0.75);
         fr.set_phase(Phase::InverseComp);
         fr.set_generation(4);
         fr.set_member_epoch(2);
-        let hb = fr.heartbeat();
-        assert_eq!((hb.rank, hb.iteration, hb.loss), (3, 12, 0.75));
-        assert_eq!(hb.phase as usize, Phase::InverseComp.index());
-        assert_eq!((hb.generation, hb.epoch), (4, 2));
+        assert_eq!(fr.rank(), Some(3));
+        let doc = parse_json(&fr.render_json("heartbeat")).expect("valid JSON");
+        let hb = doc.get("heartbeat").expect("heartbeat object");
+        let num = |key: &str| hb.get(key).and_then(JsonValue::as_f64);
+        assert_eq!((num("iteration"), num("loss")), (Some(12.0), Some(0.75)));
+        assert_eq!(
+            hb.get("phase").and_then(JsonValue::as_str),
+            Some(Phase::InverseComp.name())
+        );
+        assert_eq!((num("generation"), num("epoch")), (Some(4.0), Some(2.0)));
+        assert!(num("rss_bytes").is_some());
     }
 
     #[test]

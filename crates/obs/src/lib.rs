@@ -22,6 +22,13 @@
 //! - [`IterationBreakdown`]: the Fig. 2 / Fig. 9 per-category attribution,
 //!   computable from a simulated schedule (`spdkfac_sim::report`) or from a
 //!   live [`Recorder`] via [`IterationBreakdown::from_recorder`].
+//! - [`TrackLayout`]: the one statement of what every track is — its row
+//!   name, its [`TrackKind`] and the rank that owns it — read alike by the
+//!   Chrome trace, the summary and the causal / critical-path analysis.
+//!
+//! Everything here renders to strings and files (traces, reports,
+//! post-mortem dumps); the crate opens no sockets. The telemetry transport
+//! that feeds [`collect`] lives in `spdkfac-collectives`.
 //!
 //! # Example
 //!
@@ -42,7 +49,6 @@ pub mod breakdown;
 pub mod causal;
 pub mod collect;
 pub mod critical;
-pub mod export;
 pub mod flight;
 pub mod json;
 pub mod metrics;
@@ -54,7 +60,7 @@ pub mod table;
 pub mod trace;
 
 pub use breakdown::{attribute, IterationBreakdown};
-pub use causal::{CausalGraph, RankMap};
+pub use causal::CausalGraph;
 pub use critical::{CriticalReport, RankAttribution};
 pub use json::{escape_json, parse_json, validate_json, JsonValue};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};

@@ -164,11 +164,6 @@ impl Recorder {
         }
     }
 
-    /// Number of tracks.
-    pub fn num_tracks(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Seconds elapsed since the recorder's epoch (monotonic).
     pub fn now(&self) -> f64 {
         self.epoch.elapsed().as_secs_f64()

@@ -10,25 +10,29 @@ use crate::metrics::MetricsSnapshot;
 use crate::phase::Phase;
 use crate::recorder::{Recorder, Span};
 use crate::table::{fmt_secs, Table};
+use crate::trace::{TrackKind, TrackLayout};
 
 /// Union length of the given `(start, end)` intervals.
 fn union_len(iv: Vec<(f64, f64)>) -> f64 {
     total_len(&union(iv))
 }
 
-/// Per-rank phase breakdowns, when the track layout is the symmetric
-/// trainer convention (`2 * num_compute` tracks: compute `r`, comm
-/// `num_compute + r`). Each rank's spans are remapped onto a private
-/// (compute, comm) pair and attributed independently.
-fn per_rank_breakdowns(spans: &[Span], num_compute: usize) -> Vec<IterationBreakdown> {
-    (0..num_compute)
+/// Per-rank phase breakdowns, when the layout gives the ranks their own
+/// communication rows (the trainer's). Each rank's spans are remapped onto
+/// a private (compute, comm) pair and attributed independently.
+fn per_rank_breakdowns(spans: &[Span], layout: &TrackLayout) -> Vec<IterationBreakdown> {
+    let has_comm_rows = (0..layout.len()).any(|t| layout.kind(t) == TrackKind::Comm);
+    if !has_comm_rows || layout.num_ranks() < 2 {
+        return Vec::new();
+    }
+    (0..layout.num_ranks())
         .map(|r| {
             let rank_spans: Vec<Span> = spans
                 .iter()
-                .filter(|s| s.track == r || s.track == num_compute + r)
+                .filter(|s| layout.rank_of(s.track) == Some(r))
                 .map(|s| {
                     let mut s = s.clone();
-                    s.track = if s.track == r { 0 } else { 1 };
+                    s.track = usize::from(layout.is_comm(s.track));
                     s
                 })
                 .collect();
@@ -37,21 +41,23 @@ fn per_rank_breakdowns(spans: &[Span], num_compute: usize) -> Vec<IterationBreak
         .collect()
 }
 
+/// The whole-run breakdown under [`attribute`]'s convention: the layout's
+/// compute rows come first.
+fn run_breakdown(spans: &[Span], layout: &TrackLayout) -> IterationBreakdown {
+    let num_compute = (0..layout.len()).filter(|&t| !layout.is_comm(t)).count();
+    attribute(spans, num_compute)
+}
+
 /// The per-phase table: total, share, and one column per rank (when the
-/// recorder follows the symmetric trainer layout). `raw_secs` switches the
-/// cells from human units to plain seconds for CSV consumption.
+/// layout gives ranks their own comm rows). `raw_secs` switches the cells
+/// from human units to plain seconds for CSV consumption.
 fn phase_table(
     spans: &[Span],
     breakdown: &IterationBreakdown,
-    num_tracks: usize,
-    num_compute: usize,
+    layout: &TrackLayout,
     raw_secs: bool,
 ) -> Table {
-    let ranks = if num_tracks == 2 * num_compute && num_compute > 1 {
-        per_rank_breakdowns(spans, num_compute)
-    } else {
-        Vec::new()
-    };
+    let ranks = per_rank_breakdowns(spans, layout);
     let mut headers = vec!["phase".to_string(), "time".to_string(), "share".to_string()];
     for r in 0..ranks.len() {
         headers.push(format!("rank{r}"));
@@ -102,16 +108,15 @@ fn phase_table(
 /// table for every histogram the recorder's metrics registry holds (the
 /// collectives register one per op kind).
 ///
-/// `num_compute` follows the [`attribute`] convention: tracks
-/// `0..num_compute` are compute streams, the rest communication.
-pub fn render_summary(rec: &Recorder, num_compute: usize) -> String {
+/// `layout` says what the recorder's tracks are; its compute rows come
+/// first, as [`attribute`] expects.
+pub fn render_summary(rec: &Recorder, layout: &TrackLayout) -> String {
     let spans = rec.spans();
-    let breakdown = attribute(&spans, num_compute);
+    let breakdown = run_breakdown(&spans, layout);
     let snapshot = rec.metrics().snapshot();
     render_summary_parts(
         &spans,
-        rec.num_tracks(),
-        num_compute,
+        layout,
         &breakdown,
         &spans_comm_busy(&spans),
         &snapshot,
@@ -124,10 +129,10 @@ pub fn render_summary(rec: &Recorder, num_compute: usize) -> String {
 /// `--csv` paths of the observability bins. A trailing `dropped_spans` row
 /// carries the recorder's ring-overflow count so downstream tooling can
 /// tell a complete export from a truncated one.
-pub fn render_summary_csv(rec: &Recorder, num_compute: usize) -> String {
+pub fn render_summary_csv(rec: &Recorder, layout: &TrackLayout) -> String {
     let spans = rec.spans();
-    let breakdown = attribute(&spans, num_compute);
-    let mut t = phase_table(&spans, &breakdown, rec.num_tracks(), num_compute, true);
+    let breakdown = run_breakdown(&spans, layout);
+    let mut t = phase_table(&spans, &breakdown, layout, true);
     t.push_row(["dropped_spans".to_string(), rec.dropped().to_string()]);
     t.render_csv()
 }
@@ -144,11 +149,9 @@ fn spans_comm_busy(spans: &[Span]) -> f64 {
     )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn render_summary_parts(
     spans: &[Span],
-    num_tracks: usize,
-    num_compute: usize,
+    layout: &TrackLayout,
     breakdown: &IterationBreakdown,
     comm_busy: &f64,
     snapshot: &MetricsSnapshot,
@@ -156,7 +159,7 @@ fn render_summary_parts(
 ) -> String {
     let mut out = String::new();
     out.push_str("== phase breakdown (non-overlapped attribution) ==\n");
-    out.push_str(&phase_table(spans, breakdown, num_tracks, num_compute, false).render_text());
+    out.push_str(&phase_table(spans, breakdown, layout, false).render_text());
 
     let exposed = breakdown.exposed_comm();
     let overlap = if *comm_busy > 0.0 {
@@ -227,7 +230,7 @@ mod tests {
         rec.record(sp(1, Phase::FactorComm, 0.0, 0.5));
         rec.metrics().histogram("coll/allreduce/secs").observe(0.5);
         rec.metrics().counter("coll/allreduce/ops").inc();
-        let s = render_summary(&rec, 1);
+        let s = render_summary(&rec, &TrackLayout::trainer(1));
         for p in Phase::ALL {
             assert!(s.contains(p.name()), "missing {}", p.name());
         }
@@ -245,11 +248,12 @@ mod tests {
         rec.record(sp(1, Phase::FfBp, 0.0, 2.0));
         rec.record(sp(2, Phase::FactorComm, 1.0, 1.5));
         rec.record(sp(3, Phase::FactorComm, 2.0, 2.5));
-        let s = render_summary(&rec, 2);
+        let layout = TrackLayout::trainer(2);
+        let s = render_summary(&rec, &layout);
         assert!(s.contains("rank0"), "summary was:\n{s}");
         assert!(s.contains("rank1"));
 
-        let csv = render_summary_csv(&rec, 2);
+        let csv = render_summary_csv(&rec, &layout);
         let header = csv.lines().next().expect("header");
         assert_eq!(header, "phase,time,share,rank0,rank1");
         let ffbp = csv
@@ -274,16 +278,17 @@ mod tests {
             rec.record(sp(0, Phase::FfBp, i as f64, i as f64 + 0.5));
         }
         assert!(rec.dropped() > 0);
-        let csv = render_summary_csv(&rec, 1);
+        let csv = render_summary_csv(&rec, &TrackLayout::trainer(1));
         let last = csv.lines().last().expect("dropped row");
         assert_eq!(last, format!("dropped_spans,{},", rec.dropped()));
     }
 
     #[test]
     fn non_trainer_layouts_omit_rank_columns() {
-        let rec = Recorder::new(3); // not 2 * num_compute
+        // Two compute rows and a shared network row: no rank owns a comm row.
+        let rec = Recorder::new(3);
         rec.record(sp(0, Phase::FfBp, 0.0, 1.0));
-        let csv = render_summary_csv(&rec, 2);
+        let csv = render_summary_csv(&rec, &TrackLayout::simulator(2, 2));
         assert_eq!(csv.lines().next().expect("header"), "phase,time,share");
     }
 }

@@ -23,12 +23,20 @@ pub enum TrackKind {
     Network,
 }
 
-/// Names the rows of a trace: track id → (name, kind), plus whether to
-/// synthesize one aggregate row per [`Phase`] category.
+/// The one statement of what every track is: its display name and its
+/// [`TrackKind`], from which the analysis reads the owning rank.
+///
+/// A `Compute` row belongs to the rank equal to its position among the
+/// `Compute` rows, a `Comm` row to the rank equal to its position among the
+/// `Comm` rows; `Network` rows, and any track past the end of the layout,
+/// are shared by every rank. The layout also says whether to synthesize one
+/// aggregate row per [`Phase`] category.
 #[derive(Debug, Clone, Default)]
 pub struct TrackLayout {
     names: Vec<String>,
     kinds: Vec<TrackKind>,
+    /// Owning rank per track (`None` = shared).
+    ranks: Vec<Option<usize>>,
     phase_rows: bool,
 }
 
@@ -40,8 +48,11 @@ impl TrackLayout {
 
     /// Appends a track, returning its id.
     pub fn push(&mut self, name: impl Into<String>, kind: TrackKind) -> usize {
+        let rank =
+            (kind != TrackKind::Network).then(|| self.kinds.iter().filter(|&&k| k == kind).count());
         self.names.push(name.into());
         self.kinds.push(kind);
+        self.ranks.push(rank);
         self.names.len() - 1
     }
 
@@ -96,6 +107,16 @@ impl TrackLayout {
         self.names.is_empty()
     }
 
+    /// Number of ranks that own a track.
+    pub fn num_ranks(&self) -> usize {
+        self.ranks
+            .iter()
+            .flatten()
+            .map(|r| r + 1)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Name of track `track` (`track{n}` fallback past the end).
     pub fn name(&self, track: usize) -> String {
         self.names
@@ -104,9 +125,19 @@ impl TrackLayout {
             .unwrap_or_else(|| format!("track{track}"))
     }
 
-    /// Kind of track `track` (Compute fallback past the end).
+    /// Kind of track `track` (`Network`, i.e. shared, past the end).
     pub fn kind(&self, track: usize) -> TrackKind {
-        self.kinds.get(track).copied().unwrap_or(TrackKind::Compute)
+        self.kinds.get(track).copied().unwrap_or(TrackKind::Network)
+    }
+
+    /// The rank owning `track`; `None` for a shared track.
+    pub fn rank_of(&self, track: usize) -> Option<usize> {
+        self.ranks.get(track).copied().flatten()
+    }
+
+    /// `true` when `track` carries communication (rank-private or shared).
+    pub fn is_comm(&self, track: usize) -> bool {
+        self.kind(track) != TrackKind::Compute
     }
 }
 

@@ -769,7 +769,7 @@ mod tests {
         let obs = spdkfac_core::graph::to_obs_spans(&r.spans);
         let report = spdkfac_obs::CriticalReport::from_spans(
             &obs,
-            spdkfac_obs::RankMap::simulator(world, world + 1),
+            &spdkfac_obs::TrackLayout::simulator(world, world),
         );
         assert!(report.path_total() >= 0.95 * report.wall());
     }
@@ -809,7 +809,7 @@ mod tests {
         let obs = spdkfac_core::graph::to_obs_spans(&r.spans);
         let report = spdkfac_obs::CriticalReport::from_spans(
             &obs,
-            spdkfac_obs::RankMap::simulator(world, world + 1),
+            &spdkfac_obs::TrackLayout::simulator(world, world),
         );
         assert!(
             report.path_total() >= 0.95 * report.wall(),

@@ -53,15 +53,10 @@ pub fn ascii_timeline(report: &SimReport, network_resource: usize, width: usize)
         Phase::InverseComm => 'i',
         Phase::Update => 'U',
     };
+    let layout = TrackLayout::simulator(network_resource, max_res);
     let mut out = String::new();
     for res in 0..=max_res {
-        let label = if res < network_resource {
-            format!("gpu{res:<4}")
-        } else if res == network_resource {
-            "network".to_string()
-        } else {
-            format!("link{:<3}", res - network_resource - 1)
-        };
+        let label = layout.name(res);
         let mut row = vec!['.'; width];
         for s in report.spans.iter().filter(|s| s.resource == res) {
             let c0 = ((s.start / total) * width as f64).floor() as usize;

@@ -12,7 +12,7 @@ use spdkfac::core::runtime::ReplanPolicy;
 use spdkfac::core::PlacementStrategy;
 use spdkfac::nn::data::gaussian_blobs;
 use spdkfac::nn::models::{deep_mlp, mlp};
-use spdkfac::obs::{CollEdge, CriticalReport, Phase, RankMap, Recorder, Span};
+use spdkfac::obs::{CollEdge, CriticalReport, Phase, Recorder, Span, TrackLayout};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -128,7 +128,7 @@ fn miscalibrated_run_replans_at_barrier_and_all_ranks_agree() {
     // The causal analyzer keeps per-(generation, seq) collective matching
     // sound across the swap: the critical path still tiles >=95% of the
     // iteration window even though the submission order changed mid-run.
-    let report = CriticalReport::from_spans(&spans, RankMap::trainer(world));
+    let report = CriticalReport::from_spans(&spans, &TrackLayout::trainer(world));
     let wall = report.wall();
     assert!(wall > 0.0);
     assert!(

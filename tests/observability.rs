@@ -11,8 +11,7 @@ use spdkfac::core::runtime::{Costs, Planner};
 use spdkfac::nn::data::gaussian_blobs;
 use spdkfac::nn::models::deep_mlp;
 use spdkfac::obs::{
-    chrome_trace, validate_json, CriticalReport, IterationBreakdown, Phase, RankMap, Recorder,
-    TrackLayout,
+    chrome_trace, validate_json, CriticalReport, IterationBreakdown, Phase, Recorder, TrackLayout,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -107,7 +106,7 @@ fn critical_path_attributes_iteration_wall_time() {
     let world = 4;
     let (rec, _, _) = run_with_recorder(world, Algorithm::SpdKfac, 6);
     let spans = rec.spans();
-    let report = CriticalReport::from_spans(&spans, RankMap::trainer(world));
+    let report = CriticalReport::from_spans(&spans, &TrackLayout::trainer(world));
     let wall = report.wall();
     assert!(wall > 0.0);
     assert_eq!(report.ranks.len(), world);
@@ -134,7 +133,7 @@ fn critical_path_attributes_iteration_wall_time() {
     // The machine-readable and highlighted-trace exports stay valid, and
     // the trace lands at a stable path CI uploads as a workflow artifact.
     validate_json(&report.to_json()).expect("report JSON");
-    let trace = report.highlighted_trace(&spans, &TrackLayout::trainer(world));
+    let trace = report.highlighted_trace(&spans);
     validate_json(&trace).expect("highlighted trace JSON");
     assert!(trace.contains("critical path"), "missing highlighted track");
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -158,7 +157,7 @@ fn same_critical_analysis_runs_on_simulator_traces() {
     let sim = simulate_iteration(&resnet50(), &SimConfig::paper_testbed(world), Algo::SpdKfac);
     let spans = to_obs_spans(&sim.spans);
     let max_track = spans.iter().map(|s| s.track).max().expect("sim spans");
-    let report = CriticalReport::from_spans(&spans, RankMap::simulator(world, max_track + 1));
+    let report = CriticalReport::from_spans(&spans, &TrackLayout::simulator(world, max_track));
     let wall = report.wall();
     assert!(wall > 0.0);
     assert_eq!(report.ranks.len(), world);

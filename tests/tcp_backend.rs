@@ -19,7 +19,7 @@ use spdkfac::collectives::{Backend, CommGroup, TcpConfig, WirePolicy, WorkerComm
 use spdkfac::core::distributed::{Algorithm, DistributedConfig, RunResult, TrainSession};
 use spdkfac::nn::data::{gaussian_blobs, Dataset};
 use spdkfac::nn::models::deep_mlp;
-use spdkfac::obs::{CriticalReport, RankMap, Recorder};
+use spdkfac::obs::{CriticalReport, Recorder, TrackLayout};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -119,7 +119,7 @@ fn critical_path_analyzer_covers_tcp_run() {
     let (_, wall) = train_over_tcp(world, Some(&rec));
     let spans = rec.spans();
     assert!(!spans.is_empty(), "no spans recorded over TCP");
-    let report = CriticalReport::from_spans(&spans, RankMap::trainer(world));
+    let report = CriticalReport::from_spans(&spans, &TrackLayout::trainer(world));
     let span_wall = report.wall();
     assert!(span_wall > 0.0);
     assert!(
