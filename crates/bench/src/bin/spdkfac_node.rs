@@ -81,42 +81,43 @@
 //! slowed 25x for a mid-run window ([`DRIFT_SPEC`], injected
 //! via `SPDKFAC_INJECT_DELAY`), while every rank runs with
 //! `ReplanPolicy::OnDrift` (the parent passes its `run` children
-//! `--drift-demo`). Rank 0 then asserts from its own telemetry that (a)
+//! `--drift-demo`). Rank 0 then asserts from its own recorder that (a)
 //! the runtime actually swapped plans at least once
 //! (`runtime/swaps` counter), (b) the straggler visibly slowed iterations
 //! (peak windowed iteration time >= [`DRIFT_SLOWDOWN_MIN`]x the fastest
 //! window), and (c) throughput recovered by the end of the run (tail
-//! window <= [`DRIFT_RECOVERY_MAX`]x the peak). The merged telemetry
+//! window <= [`DRIFT_RECOVERY_MAX`]x the peak). The merged
 //! trace (`--trace-dir`, defaulted to a temp dir) makes the perturbation,
 //! the re-plan barrier, and the recovery visible on one timeline.
 //!
-//! ## Telemetry (`--trace-dir`, `--monitor`)
+//! ## Traces (`--trace-dir DIR`)
 //!
-//! With either flag, every rank records spans and rank 0 runs the telemetry
-//! collector (`spdkfac_collectives::telemetry`): its address rides the
-//! rendezvous aux table, the other ranks stream clock-synchronized span
-//! batches to it, and after training rank 0 merges everything onto its own
-//! clock and (with `--trace-dir DIR`) writes the same unified artifacts an
-//! in-process run produces:
+//! With `--trace-dir`, every rank records spans and, on a clean exit,
+//! writes them to `DIR/trace.rank{N}.json` (on a failure it leaves
+//! `DIR/postmortem.rank{N}.json` instead). Nothing streams during the run.
+//! After the children exit, the parent merges the files: each rank's clock
+//! is fitted to rank 0's from the collectives both recorded
+//! (`spdkfac_bench::traces::merge`), and the merge writes the same unified
+//! artifacts an in-process run produces:
 //!
 //! - `DIR/merged_trace.json` — one Chrome trace across all ranks, with the
 //!   critical path highlighted;
 //! - `DIR/critical_path.json` — the `spdkfac-critical-path-v1` report;
 //! - `DIR/critical_path.txt` — the human-readable attribution.
 //!
-//! Rank 0 *fails the run* (exit 1) if the merged trace's critical path
+//! The merge *fails the run* (exit 1) if the merged trace's critical path
 //! covers < 95% of wall or any cross-rank collective edge is causally
-//! inconsistent after clock rebasing (a negative-latency comm edge means
-//! the clock sync failed). `--monitor` prints a live per-rank dashboard to
-//! stderr during training. These flags must be passed to every rank (the
-//! spawn-local parent forwards them).
+//! inconsistent after clock alignment (a negative-latency comm edge means
+//! the alignment failed). Every rank needs the flag (the spawn-local
+//! parent forwards it); for hand-launched `run` ranks,
+//! `spdkfac_postmortem DIR` runs the same merge.
 //!
 //! The workload is the deterministic observability workload (deep MLP on
 //! Gaussian blobs, SPD-KFAC), so runs are reproducible across modes.
 
+use spdkfac_bench::traces::{merge, read_rank_docs, COVERAGE_MIN};
 use spdkfac_bench::{header, note};
 use spdkfac_collectives::tcp::RendezvousServer;
-use spdkfac_collectives::telemetry::{SpanStreamer, TelemetryServer};
 use spdkfac_collectives::transport::{INJECT_DELAY_ENV, INJECT_KILL_ENV, KILL_EXIT_CODE};
 use spdkfac_collectives::{Backend, CommGroup, TcpConfig, WirePolicy};
 use spdkfac_core::distributed::{Algorithm, DistributedConfig, RunResult, TrainSession};
@@ -125,10 +126,7 @@ use spdkfac_core::runtime::ReplanPolicy;
 use spdkfac_nn::data::{gaussian_blobs, Dataset};
 use spdkfac_nn::models::deep_mlp;
 use spdkfac_nn::Sequential;
-use spdkfac_obs::collect::comm_edge_violations;
-use spdkfac_obs::{
-    chrome_trace, parse_json, CriticalReport, JsonValue, Phase, Recorder, TrackLayout,
-};
+use spdkfac_obs::{chrome_trace, parse_json, JsonValue, Phase, Recorder, TrackLayout};
 use std::process::{Child, Command, ExitCode};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -180,18 +178,6 @@ const DRIFT_RECOVERY_MAX: f64 = 0.6;
 /// statistics — wide enough to smooth scheduling noise on loopback.
 const DRIFT_WINDOW: usize = 5;
 
-/// Minimum fraction of wall time the merged critical path must cover —
-/// below this the merge lost whole stretches of the run.
-const COVERAGE_MIN: f64 = 0.95;
-
-/// Floor on the clock tolerance used for cross-rank edge checks (loopback
-/// uncertainties are sub-100 µs; scheduling noise still deserves slack).
-const EDGE_TOL_FLOOR: f64 = 1e-4;
-
-/// How long rank 0 waits after its own training for the other ranks'
-/// final telemetry flushes.
-const DRAIN_TIMEOUT: Duration = Duration::from_secs(15);
-
 /// Elastic rendezvous rejoin window: long enough for every survivor of a
 /// loopback kill to re-register, short enough to keep the smoke fast.
 const ELASTIC_REJOIN_WINDOW: Duration = Duration::from_secs(2);
@@ -228,7 +214,6 @@ struct Args {
     batch: usize,
     out: Option<String>,
     trace_dir: Option<String>,
-    monitor: bool,
     wire: Option<String>,
     /// This process is part of a drift demo (its parent, or a `run` child
     /// the parent passed `--drift-demo`).
@@ -252,7 +237,7 @@ fn usage() -> ! {
          \x20      spdkfac_node spawn-local P [--elastic] [common options]\n\
          \x20      spdkfac_node smoke [P] [--elastic] [common options]\n\
          \x20      spdkfac_node drift-demo [common options]\n\
-         common options: [--iters N] [--batch B] [--wire POLICY] [--trace-dir DIR] [--monitor]"
+         common options: [--iters N] [--batch B] [--wire POLICY] [--trace-dir DIR]"
     );
     std::process::exit(2)
 }
@@ -276,7 +261,6 @@ fn parse_args() -> Args {
         batch: 4,
         out: None,
         trace_dir: None,
-        monitor: false,
         wire: None,
         drift_demo: mode == Mode::DriftDemo,
         elastic: false,
@@ -311,7 +295,6 @@ fn parse_args() -> Args {
             "--iters" => args.iters = Some(value(&mut i).parse().unwrap_or_else(|_| usage())),
             "--batch" => args.batch = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--trace-dir" => args.trace_dir = Some(value(&mut i)),
-            "--monitor" => args.monitor = true,
             "--wire" => args.wire = Some(value(&mut i)),
             other => {
                 eprintln!("unknown argument for this sub-command: {other}");
@@ -442,95 +425,9 @@ fn assert_drift_demo(rec: &Recorder, iters: usize, ops: u64) -> Result<(), Strin
     Ok(())
 }
 
-/// Rank 0 post-run: waits for every rank's final flush, merges, writes
-/// artifacts, and enforces the coverage + causal-consistency gates.
-fn finalize_telemetry(args: &Args, world: usize, server: TelemetryServer) -> Result<(), String> {
-    let state = server.state();
-    let deadline = Instant::now() + DRAIN_TIMEOUT;
-    while Instant::now() < deadline {
-        if state.lock().expect("collector state").all_done() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    let (merged, max_unc, remote_dropped, evicted, all_done) = {
-        let st = state.lock().expect("collector state");
-        (
-            st.merged_spans(),
-            st.max_uncertainty(),
-            st.remote_dropped(),
-            st.evicted(),
-            st.all_done(),
-        )
-    };
-    server.shutdown();
-    if !all_done {
-        eprintln!("telemetry warning: some ranks never sent Bye; the merged trace may be partial");
-    }
-    if merged.is_empty() {
-        return Err("telemetry produced no spans to merge".into());
-    }
-
-    let layout = TrackLayout::trainer(world);
-    let report = CriticalReport::from_spans(&merged, &layout);
-    let coverage = if report.wall() > 0.0 {
-        report.path_total() / report.wall()
-    } else {
-        0.0
-    };
-    // Rebasing error bounds are per rank; a cross-rank comparison can be
-    // off by both ends' bounds, plus a floor for scheduling noise.
-    let tol = (2.0 * max_unc).max(EDGE_TOL_FLOOR);
-    let violations = comm_edge_violations(&merged, &layout, tol);
-    eprintln!(
-        "telemetry: merged {} spans across {world} ranks, critical-path coverage {:.1}%, \
-         clock tolerance {:.0}us, remote drops {remote_dropped}, window evictions {evicted}",
-        merged.len(),
-        100.0 * coverage,
-        tol * 1e6,
-    );
-
-    if let Some(dir) = &args.trace_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("create {dir}: {e}"))?;
-        let write = |name: &str, body: String| -> Result<(), String> {
-            let path = format!("{dir}/{name}");
-            std::fs::write(&path, body).map_err(|e| format!("write {path}: {e}"))
-        };
-        write("merged_trace.json", report.highlighted_trace(&merged))?;
-        write("critical_path.json", report.to_json())?;
-        write("critical_path.txt", report.render_text())?;
-        eprintln!("telemetry: artifacts written to {dir}/");
-    }
-
-    if !violations.is_empty() {
-        for v in violations.iter().take(5) {
-            eprintln!("telemetry: causal violation: {v}");
-        }
-        return Err(format!(
-            "{} cross-rank comm edge(s) inconsistent after clock rebasing",
-            violations.len()
-        ));
-    }
-    if coverage < COVERAGE_MIN {
-        return Err(format!(
-            "merged critical-path coverage {:.1}% is below the {:.0}% gate",
-            100.0 * coverage,
-            100.0 * COVERAGE_MIN
-        ));
-    }
-    Ok(())
-}
-
 /// Joins the TCP group as one rank and runs the training loop.
 fn run_rank(args: &Args) -> Result<RunResult, String> {
     let world = args.world;
-    let telemetry_on = args.trace_dir.is_some() || args.monitor;
-    if telemetry_on && args.rank.is_none() {
-        return Err(
-            "--trace-dir/--monitor require an explicit --rank (rank 0 hosts the collector)".into(),
-        );
-    }
-
     // Post-mortem forensics: configure the always-on flight recorder and
     // arm the panic hook before anything that can fail, so even a panic
     // during group formation leaves a dump behind.
@@ -547,62 +444,29 @@ fn run_rank(args: &Args) -> Result<RunResult, String> {
         tcp.host_rendezvous = false;
     }
 
-    // The recorder's epoch is this process's telemetry clock; 2 * world
-    // tracks (compute r, comm world + r) — this rank uses only its own two,
-    // so the rank-0 merge is track-disjoint by construction.
-    let rec = telemetry_on.then(|| Arc::new(Recorder::new(2 * world)));
-    // Rank 0 binds the collector *before* joining so its address can ride
-    // the rendezvous aux table.
-    let mut server = None;
-    if let (Some(rec), Some(0)) = (&rec, args.rank) {
-        let bind_ip = tcp.bind_ip.clone();
-        let srv = TelemetryServer::spawn(&bind_ip, world, Arc::clone(rec))
-            .map_err(|e| format!("bind telemetry collector: {e}"))?;
-        tcp.aux_addr = Some(srv.local_addr().to_string());
-        server = Some(srv);
-    }
-
+    // The recorder's epoch is this process's clock; 2 * world tracks
+    // (compute r, comm world + r) — this rank uses only its own two, so the
+    // merge is track-disjoint by construction.
+    let rec = args
+        .trace_dir
+        .is_some()
+        .then(|| Arc::new(Recorder::new(2 * world)));
     let (mut cfg, data) = workload(world);
     apply_overrides(&mut cfg, args)?;
 
-    let group = CommGroup::builder()
+    let comm = CommGroup::builder()
         .world_size(world)
         .wire_policy(cfg.wire)
         .backend(Backend::Tcp(tcp))
         .build()
-        .map_err(|e| format!("failed to join TCP group: {e}"))?;
-    let aux_addrs = group.aux_addrs().to_vec();
-    let comm = group.into_single();
+        .map_err(|e| format!("failed to join TCP group: {e}"))?
+        .into_single();
     let rank = comm.rank();
     // Re-configure with the joined rank: covers manual mode without an
     // explicit --rank, where the rendezvous assigned one.
     flight.configure(rank, world, args.trace_dir.as_deref());
-
-    let mut streamer = None;
     if let Some(rec) = &rec {
         flight.set_recorder(Arc::clone(rec));
-        if rank == 0 {
-            let srv = server.as_ref().expect("rank 0 binds the collector");
-            // No socket to itself: the same streamer loop hands rank 0's
-            // batches straight to the collector state.
-            streamer = Some(
-                SpanStreamer::local(srv, rank, Arc::clone(rec), args.monitor)
-                    .map_err(|e| format!("start rank-0 telemetry stream: {e}"))?,
-            );
-        } else {
-            let collector = aux_addrs.first().cloned().unwrap_or_default();
-            if collector.is_empty() {
-                return Err(
-                    "telemetry requested but rank 0 advertised no collector address \
-                     (pass --trace-dir/--monitor to every rank)"
-                        .into(),
-                );
-            }
-            streamer = Some(
-                SpanStreamer::spawn(&collector, rank, world, Arc::clone(rec))
-                    .map_err(|e| format!("connect telemetry collector {collector}: {e}"))?,
-            );
-        }
     }
 
     let build: &(dyn Fn() -> Sequential + Sync) = if args.drift_demo {
@@ -614,25 +478,17 @@ fn run_rank(args: &Args) -> Result<RunResult, String> {
     if let Some(r) = &rec {
         session = session.recorder(Arc::clone(r));
     }
-    let result = match session.run(build, &data, args.iters(), args.batch) {
-        Ok(r) => r,
-        // Return straight away: a broken ring means the peers are gone, so
-        // draining telemetry would only time out. main() leaves the
-        // post-mortem dump for this failure.
-        Err(e) => return Err(format!("rank {rank}: training failed: {e}")),
-    };
-
-    if let Some(s) = streamer {
-        s.finish()
-            .map_err(|e| format!("telemetry stream shutdown: {e}"))?;
-    }
-    if let Some(srv) = server {
-        finalize_telemetry(args, world, srv)?;
+    // main() leaves the post-mortem dump for a failure.
+    let result = session
+        .run(build, &data, args.iters(), args.batch)
+        .map_err(|e| format!("rank {rank}: training failed: {e}"))?;
+    if rec.is_some() {
+        flight.write_trace()?;
     }
     if args.drift_demo && rank == 0 {
         let rec = rec
             .as_ref()
-            .ok_or("drift demo requires telemetry (--trace-dir)")?;
+            .ok_or("drift demo requires a recorder (--trace-dir)")?;
         assert_drift_demo(rec, args.iters(), result.collective_ops)?;
     }
     eprintln!(
@@ -781,13 +637,9 @@ fn child_command(
     if args.elastic {
         cmd.arg("--elastic");
     }
-    // Every rank needs the telemetry flags (they turn its recorder on);
-    // only rank 0 binds the collector.
+    // Every rank needs the trace flag (it turns its recorder on).
     if let Some(dir) = &args.trace_dir {
         cmd.args(["--trace-dir", dir]);
-    }
-    if args.monitor {
-        cmd.arg("--monitor");
     }
     if let Some(wire) = &args.wire {
         cmd.args(["--wire", wire]);
@@ -882,14 +734,14 @@ fn spawn_local(args: &Args) -> Result<(Vec<f64>, Vec<usize>), String> {
     Ok((losses, killed))
 }
 
-/// Parent-side validation of the rank-0 telemetry artifacts: both JSON
-/// files parse, the critical-path report carries the expected schema and
-/// every rank, and the coverage gate holds here too (belt and braces —
-/// rank 0 already enforced it).
+/// Parent-side validation of the merged artifacts: both JSON files parse,
+/// the critical-path report carries the expected schema and every rank,
+/// and the coverage gate holds here too (belt and braces — the merge
+/// already enforced it).
 fn check_artifacts(dir: &str, world: usize) -> Result<(), String> {
     let read = |name: &str| -> Result<String, String> {
         std::fs::read_to_string(format!("{dir}/{name}"))
-            .map_err(|e| format!("telemetry artifact {dir}/{name}: {e}"))
+            .map_err(|e| format!("trace artifact {dir}/{name}: {e}"))
     };
     let trace = read("merged_trace.json")?;
     parse_json(&trace).map_err(|e| format!("merged_trace.json is not valid JSON: {e}"))?;
@@ -931,7 +783,7 @@ fn check_artifacts(dir: &str, world: usize) -> Result<(), String> {
         ));
     }
     println!(
-        "telemetry artifacts OK: merged trace + critical path cover all {world} ranks \
+        "trace artifacts OK: merged trace + critical path cover all {world} ranks \
          (coverage {:.1}%)",
         100.0 * path / wall
     );
@@ -1055,6 +907,15 @@ fn parent(args: &Args) -> Result<(), String> {
         "spdkfac_node: {world}-process {}SPD-KFAC over TCP loopback",
         if args.elastic { "*elastic* " } else { "" }
     ));
+    if let (Some(dir), false) = (&args.trace_dir, args.elastic) {
+        // A trace file an earlier run left here would join this run's merge.
+        for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if name.starts_with("trace.rank") && name.ends_with(".json") {
+                let _ = std::fs::remove_file(entry.path());
+            }
+        }
+    }
     let (losses, killed) = spawn_local(args)?;
     if args.elastic {
         let dir = args.trace_dir.as_deref().expect("defaulted by parse_args");
@@ -1065,6 +926,14 @@ fn parent(args: &Args) -> Result<(), String> {
             println!("{i:>5} {l:>22.15}");
         }
         if let Some(dir) = &args.trace_dir {
+            let docs = read_rank_docs(dir, "trace")?;
+            if docs.len() != world {
+                return Err(format!(
+                    "{}/{world} ranks left a trace file in {dir}",
+                    docs.len()
+                ));
+            }
+            merge(dir, &docs)?;
             check_artifacts(dir, world)?;
         }
     }
@@ -1109,8 +978,8 @@ fn main() -> ExitCode {
         }
         Err(e) => {
             eprintln!("{e}");
-            // Non-panic failures (rendezvous errors, telemetry shutdown
-            // failures after a peer died) still leave a post-mortem dump.
+            // Non-panic failures (rendezvous errors, a trace file that
+            // could not be written) still leave a post-mortem dump.
             let _ = spdkfac_obs::flight::global().dump(&format!("run failed: {e}"));
             ExitCode::FAILURE
         }

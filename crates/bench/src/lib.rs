@@ -15,6 +15,7 @@
 //! ```
 
 pub mod experiments;
+pub mod traces;
 
 use spdkfac_sim::SimReport;
 

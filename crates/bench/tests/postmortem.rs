@@ -10,6 +10,7 @@
 use spdkfac_collectives::OpKind;
 use spdkfac_obs::{parse_json, JsonValue};
 use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 /// Kill rank 2 before its 30th collective: mid-run for the 20-iteration
 /// workload (the drift demo counts 60+ collectives well before iteration
@@ -139,4 +140,94 @@ fn the_removed_metrics_flag_is_a_usage_error() {
         .status()
         .expect("launch spdkfac_node");
     assert_eq!(status.code(), Some(2));
+}
+
+#[test]
+fn the_removed_monitor_flag_is_a_usage_error() {
+    let status = Command::new(env!("CARGO_BIN_EXE_spdkfac_node"))
+        .args(["smoke", "2", "--monitor"])
+        .stderr(Stdio::null())
+        .status()
+        .expect("launch spdkfac_node");
+    assert_eq!(status.code(), Some(2));
+}
+
+/// A minimal per-rank document (schema `spdkfac-postmortem-v2`) with the
+/// given raw `rank` and `world` fields.
+fn document(rank: &str, world: &str) -> String {
+    format!(
+        r#"{{"schema":"spdkfac-postmortem-v2","rank":{rank},"world":{world},"reason":"test","wall_now":0,"heartbeat":{{"iteration":0,"phase":"Update","generation":0}},"clock":null,"failure":null,"dropped":0,"spans":[],"metrics":null}}"#
+    )
+}
+
+/// Runs `spdkfac_postmortem` on a fresh directory holding `files`
+/// (name, body) and returns its exit code; a run still going after 20 s
+/// is killed and reads as `None`.
+fn postmortem_exit(tag: &str, files: &[(&str, String)]) -> Option<i32> {
+    let dir = temp_dir(tag);
+    for (name, body) in files {
+        std::fs::write(format!("{dir}/{name}"), body).expect("write a document");
+    }
+    let mut child = Command::new(env!("CARGO_BIN_EXE_spdkfac_postmortem"))
+        .arg(&dir)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("launch spdkfac_postmortem");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let code = loop {
+        if let Some(status) = child.try_wait().expect("wait") {
+            break status.code();
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let _ = std::fs::remove_dir_all(&dir);
+    code
+}
+
+#[test]
+fn a_hostile_world_is_refused_not_enumerated() {
+    let lone = |world: &str| vec![("postmortem.rank0.json", document("0", world))];
+    assert_eq!(postmortem_exit("pm_world_ok", &lone("1")), Some(0));
+    for world in ["1e15", "1e19"] {
+        assert_eq!(
+            postmortem_exit("pm_world_huge", &lone(world)),
+            Some(1),
+            "world {world}"
+        );
+    }
+    // The trace files go through the same reader.
+    let trace = vec![("trace.rank0.json", document("0", "1e15"))];
+    assert_eq!(postmortem_exit("pm_trace_huge", &trace), Some(1));
+}
+
+#[test]
+fn a_document_outside_its_world_is_refused() {
+    for (rank, world) in [("0", "0"), ("5", "2"), ("2", "2")] {
+        let files = vec![("postmortem.rank0.json", document(rank, world))];
+        assert_eq!(
+            postmortem_exit("pm_outside", &files),
+            Some(1),
+            "rank {rank} of world {world}"
+        );
+    }
+}
+
+#[test]
+fn documents_that_disagree_on_world_or_rank_are_refused() {
+    let disagree = vec![
+        ("postmortem.rank0.json", document("0", "2")),
+        ("postmortem.rank1.json", document("1", "3")),
+    ];
+    assert_eq!(postmortem_exit("pm_disagree", &disagree), Some(1));
+    let twice = vec![
+        ("postmortem.rank0.json", document("0", "2")),
+        ("postmortem.rank00.json", document("0", "2")),
+    ];
+    assert_eq!(postmortem_exit("pm_twice", &twice), Some(1));
 }

@@ -354,8 +354,6 @@ pub struct ElasticEndpoint {
     /// The rank broadcasting authoritative training state this epoch;
     /// `None` only on a fresh epoch-0 start.
     pub state_source: Option<usize>,
-    /// Per-rank auxiliary service addresses for this epoch.
-    pub aux_addrs: Vec<String>,
 }
 
 /// Spawns the communication thread of a joined epoch.
@@ -365,7 +363,6 @@ fn endpoint(join: tcp::Join, policy: WirePolicy) -> ElasticEndpoint {
         comm: spawn_comm(join.rank, join.world, join.transport, stats, policy),
         epoch: join.epoch,
         state_source: join.state_source,
-        aux_addrs: join.aux_addrs,
     }
 }
 
@@ -395,7 +392,6 @@ fn join_fixed(cfg: &TcpConfig, world: usize) -> Result<tcp::Join, CommError> {
             world,
             state_source: None,
             transport: Box::new(channel_ring(1).remove(0)),
-            aux_addrs: vec![cfg.aux_addr.clone().unwrap_or_default()],
         });
     }
     if cfg.host_rendezvous {
@@ -487,18 +483,13 @@ impl CommGroupBuilder {
                         spawn_comm(rank, world, Box::new(t), Arc::clone(&stats), policy)
                     })
                     .collect();
-                Ok(CommGroup {
-                    world,
-                    endpoints,
-                    aux_addrs: vec![String::new(); world],
-                })
+                Ok(CommGroup { world, endpoints })
             }
             Backend::Tcp(cfg) => {
                 let ep = endpoint(join_fixed(&cfg, world)?, policy);
                 Ok(CommGroup {
                     world,
                     endpoints: vec![ep.comm],
-                    aux_addrs: ep.aux_addrs,
                 })
             }
         }
@@ -514,7 +505,6 @@ impl CommGroupBuilder {
 pub struct CommGroup {
     world: usize,
     endpoints: Vec<WorkerComm>,
-    aux_addrs: Vec<String>,
 }
 
 impl CommGroup {
@@ -532,14 +522,6 @@ impl CommGroup {
     /// number of endpoints this process holds).
     pub fn world_size(&self) -> usize {
         self.world
-    }
-
-    /// The rendezvous-distributed auxiliary address table (rank-indexed;
-    /// empty string = nothing advertised). On the TCP backend this is how
-    /// every rank learns rank 0's telemetry collector address; the local
-    /// backend has no rendezvous, so all entries are empty.
-    pub fn aux_addrs(&self) -> &[String] {
-        &self.aux_addrs
     }
 
     /// Consumes the group, yielding the endpoints this process holds in
@@ -773,10 +755,9 @@ impl Lookahead for Inbox {
 
 /// Runs one collective on the ring, returning the submitter's reply
 /// channel and the un-sent result. The caller sends the reply *after*
-/// recording the telemetry span — a waiter resumed by the reply may
-/// immediately flush the recorder (e.g. a final telemetry flush right
-/// after a barrier), and the span of the op that woke it must already be
-/// there.
+/// recording the op's span — a waiter resumed by the reply may
+/// immediately read the recorder (e.g. the trace file written right after
+/// a barrier), and the span of the op that woke it must already be there.
 fn execute(
     ring: &mut RingEndpoint,
     op: CollOp,
@@ -799,7 +780,7 @@ fn execute(
 fn comm_thread_main(mut ring: RingEndpoint, mut inbox: Inbox) {
     let mut telemetry: Option<CommTelemetry> = None;
     // Straggler fault injection (SPDKFAC_INJECT_DELAY): stretches this
-    // rank's matching collectives so peers — and the telemetry pipeline —
+    // rank's matching collectives so peers — and the merged trace —
     // observe a genuinely late completion.
     let inject = crate::transport::DelayInjection::from_env();
     // Kill injection (SPDKFAC_KILL): hard process death before a chosen
@@ -1354,11 +1335,8 @@ mod tests {
 
     #[test]
     fn world_one_needs_no_sockets() {
-        let mut cfg = TcpConfig::new("127.0.0.1:1"); // never dialled
-        cfg.aux_addr = Some("me:7".into());
-        let group = tcp_group(cfg, 1).unwrap();
-        assert_eq!(group.aux_addrs(), ["me:7"]);
-        let comm = group.into_single();
+        let cfg = TcpConfig::new("127.0.0.1:1"); // never dialled
+        let comm = tcp_group(cfg, 1).unwrap().into_single();
         assert_eq!((comm.rank(), comm.world_size()), (0, 1));
         let mut buf = vec![3.0, 4.0];
         comm.allreduce_avg(&mut buf);

@@ -79,7 +79,6 @@ pub mod group;
 pub mod ring;
 pub mod stats;
 pub mod tcp;
-pub mod telemetry;
 pub mod transport;
 pub mod wire;
 
@@ -95,6 +94,97 @@ pub use tcp::{
     elastic_poll, env_token, ElasticStatus, Join, JoinIntent, RendezvousHandle, RendezvousServer,
     TcpConfig, TOKEN_ENV,
 };
-pub use telemetry::{SpanStreamer, TelemetryServer};
 pub use transport::{DelayInjection, KillInjection, Transport, KILL_EXIT_CODE};
 pub use wire::{WireFormat, WirePayload, WirePolicy};
+
+/// The telemetry a group records, end to end: spans each rank records on
+/// its own recorder clock, written as that rank's document and put on rank
+/// 0's clock by the offline merge, which fits the offset from the
+/// collective spans the ring recorded.
+#[cfg(test)]
+mod telemetry {
+    #[cfg(test)]
+    mod tests {
+        use crate::{Backend, CommGroup};
+        use spdkfac_obs::collect::align;
+        use spdkfac_obs::flight::{parse_document, FlightRecorder};
+        use spdkfac_obs::{Phase, Recorder};
+        use std::sync::Arc;
+        use std::thread;
+        use std::time::Duration;
+
+        #[test]
+        fn client_syncs_clock_and_streams_batches() {
+            // Rank 0's clock: a recorder whose epoch started measurably
+            // earlier than rank 1's.
+            let world = 2;
+            let recs = {
+                let rec0 = Arc::new(Recorder::new(2 * world));
+                thread::sleep(Duration::from_millis(30));
+                [rec0, Arc::new(Recorder::new(2 * world))]
+            };
+            let endpoints = CommGroup::builder()
+                .world_size(world)
+                .backend(Backend::Local)
+                .build()
+                .expect("local backend is infallible")
+                .into_endpoints();
+            thread::scope(|s| {
+                for (comm, rec) in endpoints.into_iter().zip(&recs) {
+                    s.spawn(move || {
+                        comm.set_recorder(Arc::clone(rec), world + comm.rank());
+                        for _ in 0..16 {
+                            let mut buf = vec![comm.rank() as f64; 64];
+                            comm.allreduce_sum(&mut buf);
+                        }
+                        comm.barrier();
+                    });
+                }
+            });
+            // The true offset is the epoch gap, measured here as the now()
+            // difference at (nearly) the same wall instant.
+            let truth = recs[0].now() - recs[1].now();
+
+            // Rank 1 records one more span; the merge must hold it rebased.
+            {
+                let _g = recs[1].span(1, Phase::FfBp);
+                thread::sleep(Duration::from_millis(2));
+            }
+            let local_start = recs[1]
+                .spans()
+                .into_iter()
+                .find(|s| s.phase == Phase::FfBp)
+                .expect("the compute span was recorded")
+                .start;
+            let docs: Vec<_> = recs
+                .iter()
+                .enumerate()
+                .map(|(rank, rec)| {
+                    let flight = FlightRecorder::new();
+                    flight.configure(rank, world, None);
+                    flight.set_recorder(Arc::clone(rec));
+                    parse_document(&flight.render_json("clean exit"))
+                        .expect("the rank's document reads back")
+                })
+                .collect();
+            let run = align(&docs);
+
+            assert_eq!(run.reference, 0);
+            let model = run.clocks[1].model;
+            assert!(run.clocks[1].pairs > 0, "no collective pair matched");
+            assert!(
+                (model.offset - truth).abs() < 0.01,
+                "offset {} vs truth {truth}",
+                model.offset
+            );
+            assert!(model.uncertainty > 0.0 && model.uncertainty < 0.01);
+
+            let merged = run
+                .spans
+                .iter()
+                .find(|s| s.track == 1 && s.phase == Phase::FfBp)
+                .expect("rank 1's span reached the merge");
+            assert!((merged.start - model.rebase(local_start)).abs() < 1e-12);
+        }
+    }
+}

@@ -26,17 +26,15 @@
 //!
 //! | frame | magic | fields after the magic |
 //! |---|---|---|
-//! | `HELLO` | `SPDKFAC1` | token, `claim: i64` (−1 = any rank), ring listener address, aux address |
-//! | `REJOIN` | `SPDKFAC3` | token, `epoch: u64`, `old_rank: u64`, ring listener address, aux address |
+//! | `HELLO` | `SPDKFAC1` | token, `claim: i64` (−1 = any rank), ring listener address |
+//! | `REJOIN` | `SPDKFAC3` | token, `epoch: u64`, `old_rank: u64`, ring listener address |
 //! | `POLL` | `SPDKFAC4` | token |
 //! | `REJECT` | `SPDKFAC5` | reason |
 //! | `POLL_REPLY` | `SPDKFAC6` | `epoch: u64`, `world: u32`, `pending: u32` |
-//! | `ASSIGNMENT` | `SPDKFAC7` | `epoch: u64`, `rank: u32`, `world: u32`, `state_source: i64` (−1 = none), `world` ring addresses, `world` aux addresses |
+//! | `ASSIGNMENT` | `SPDKFAC7` | `epoch: u64`, `rank: u32`, `world: u32`, `state_source: i64` (−1 = none), `world` ring addresses |
 //!
 //! Strings are `u32` length (≤ 4096) + UTF-8. The token is the shared
-//! secret of `SPDKFAC_TOKEN` (both sides empty disables the check). The
-//! aux address is a service the member advertises to the group (rank 0's
-//! telemetry collector); empty = none.
+//! secret of `SPDKFAC_TOKEN` (both sides empty disables the check).
 //!
 //! The server holds `HELLO`s until the founding world is complete and
 //! assigns **epoch 0** (claims first, free ranks in arrival order).
@@ -126,10 +124,6 @@ pub struct TcpConfig {
     pub read_timeout: Option<Duration>,
     /// Socket write timeout for ring frames; `None` blocks forever.
     pub write_timeout: Option<Duration>,
-    /// Auxiliary service address advertised through the rendezvous (e.g.
-    /// rank 0's telemetry collector). Every member learns the whole aux
-    /// table from the assignment reply ([`Join::aux_addrs`]).
-    pub aux_addr: Option<String>,
     /// Shared rendezvous secret sent with every HELLO / REJOIN / POLL.
     /// `None` falls back to [`env_token`] (`SPDKFAC_TOKEN`); the server
     /// rejects mismatches with [`CommError::Rendezvous`].
@@ -148,7 +142,6 @@ impl TcpConfig {
             handshake_timeout: Duration::from_secs(30),
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
-            aux_addr: None,
             token: None,
         }
     }
@@ -227,7 +220,6 @@ struct Assignment {
     state_source: Option<usize>,
     /// Ring listener addresses in rank order; its length is the world.
     peers: Vec<String>,
-    aux_addrs: Vec<String>,
 }
 
 impl Assignment {
@@ -237,7 +229,7 @@ impl Assignment {
         write_u32(w, self.rank as u32)?;
         write_u32(w, self.peers.len() as u32)?;
         write_u64(w, self.state_source.map_or(-1, |s| s as i64) as u64)?;
-        for s in self.peers.iter().chain(&self.aux_addrs) {
+        for s in &self.peers {
             write_str(w, s)?;
         }
         w.flush()
@@ -271,14 +263,14 @@ impl Assignment {
                  {source} is no membership"
             )));
         }
-        let mut table =
-            || -> std::io::Result<Vec<String>> { (0..world).map(|_| read_str(r)).collect() };
         Ok(Assignment {
             epoch,
             rank,
             state_source: (source >= 0).then_some(source as usize),
-            peers: table().map_err(io)?,
-            aux_addrs: table().map_err(io)?,
+            peers: (0..world)
+                .map(|_| read_str(r))
+                .collect::<Result<_, _>>()
+                .map_err(io)?,
         })
     }
 }
@@ -292,7 +284,6 @@ impl Assignment {
 struct Held {
     stream: TcpStream,
     addr: String,
-    aux: String,
 }
 
 /// The rendezvous server: accepts registrations, lets the membership state
@@ -464,11 +455,11 @@ impl RendezvousServer {
                 old_rank: read_u64(&mut stream).ok()? as usize,
             },
         };
-        let (addr, aux) = match registration {
-            Registration::Poll => Default::default(),
-            _ => (read_str(&mut stream).ok()?, read_str(&mut stream).ok()?),
+        let addr = match registration {
+            Registration::Poll => String::new(),
+            _ => read_str(&mut stream).ok()?,
         };
-        Some((Held { stream, addr, aux }, registration))
+        Some((Held { stream, addr }, registration))
     }
 }
 
@@ -487,7 +478,6 @@ fn answer(reply: Reply<Held>) {
                 rank: 0,
                 state_source,
                 peers: members.iter().map(|m| m.addr.clone()).collect(),
-                aux_addrs: members.iter().map(|m| m.aux.clone()).collect(),
             };
             if epoch > 0 {
                 eprintln!(
@@ -675,10 +665,6 @@ pub struct Join {
     pub state_source: Option<usize>,
     /// The connected ring transport.
     pub transport: Box<dyn Transport>,
-    /// Per-rank auxiliary service addresses ([`TcpConfig::aux_addr`],
-    /// re-distributed every epoch; empty = that rank advertised none);
-    /// `aux_addrs[0]` is where rank 0's telemetry collector listens.
-    pub aux_addrs: Vec<String>,
 }
 
 /// Polls the rendezvous without blocking group formation: returns the
@@ -739,7 +725,6 @@ pub fn join(cfg: &TcpConfig, intent: &JoinIntent) -> Result<Join, CommError> {
             }
         }
         write_str(w, &my_addr)?;
-        write_str(w, cfg.aux_addr.as_deref().unwrap_or(""))?;
         w.flush()
     };
     rdv.set_read_timeout(Some(time_left(deadline)))
@@ -760,7 +745,6 @@ pub fn join(cfg: &TcpConfig, intent: &JoinIntent) -> Result<Join, CommError> {
         world,
         state_source: assigned.state_source,
         transport,
-        aux_addrs: assigned.aux_addrs,
     })
 }
 
@@ -819,13 +803,12 @@ mod tests {
     }
 
     /// A raw `HELLO` on a fresh connection, as [`join`] writes it.
-    fn hello(addr: SocketAddr, token: &str, claim: i64, ring: &str, aux: &str) -> TcpStream {
+    fn hello(addr: SocketAddr, token: &str, claim: i64, ring: &str) -> TcpStream {
         let mut s = TcpStream::connect(addr).unwrap();
         write_u64(&mut s, HELLO_MAGIC).unwrap();
         write_str(&mut s, token).unwrap();
         write_u64(&mut s, claim as u64).unwrap();
         write_str(&mut s, ring).unwrap();
-        write_str(&mut s, aux).unwrap();
         s
     }
 
@@ -863,17 +846,15 @@ mod tests {
         let addr = RendezvousServer::spawn("127.0.0.1:0", 3).unwrap();
         // The server decodes each registration as it accepts, so arrival
         // order is connect order. Claim rank 2 explicitly; the other two
-        // fill 0 and 1 in arrival order. The first of them advertises a
-        // telemetry address; everyone must see it at slot 0.
-        let sc = hello(addr, "", 2, "c:2", "");
-        let sa = hello(addr, "", -1, "a:1", "telemetry:9");
-        let sb = hello(addr, "", -1, "b:1", "");
+        // fill 0 and 1 in arrival order.
+        let sc = hello(addr, "", 2, "c:2");
+        let sa = hello(addr, "", -1, "a:1");
+        let sb = hello(addr, "", -1, "b:1");
         let [c, a, b] = [sc, sa, sb].map(|mut s| Assignment::read(&mut s).unwrap());
         assert_eq!((c.rank, a.rank, b.rank), (2, 0, 1));
         for got in [&a, &b, &c] {
             assert_eq!((got.epoch, got.state_source), (0, None));
             assert_eq!(got.peers, ["a:1", "b:1", "c:2"]);
-            assert_eq!(got.aux_addrs, ["telemetry:9", "", ""]);
         }
     }
 
@@ -892,14 +873,9 @@ mod tests {
             t.send(&[], &got.map(|b| b * 2)).unwrap();
             rank
         });
-        let mut cfg = TcpConfig::new(addr);
-        cfg.aux_addr = Some("me:1234".into());
-        let j = join(&cfg, FRESH).unwrap();
+        let j = join(&TcpConfig::new(addr), FRESH).unwrap();
         assert_eq!((j.epoch, j.world, j.state_source), (0, 2, None));
         let (rank, mut t) = (j.rank, j.transport);
-        // The aux table is rank-indexed and carries this member's entry.
-        assert_eq!(j.aux_addrs.len(), 2);
-        assert_eq!(j.aux_addrs[rank], "me:1234");
         // Head and body parts arrive as one stream.
         t.send(&[1, 2], &[3, 4]).unwrap();
         let mut back = [0u8; 4];
@@ -1022,7 +998,6 @@ mod tests {
             read_str(&mut s).unwrap();
             read_u64(&mut s).unwrap();
             read_str(&mut s).unwrap();
-            read_str(&mut s).unwrap();
             s.write_all(&reply).unwrap();
         });
         addr
@@ -1116,7 +1091,6 @@ mod tests {
             rank: 1,
             state_source: Some(0),
             peers: vec!["a:1".into(), "b:2".into()],
-            aux_addrs: vec![String::new(), "t:9".into()],
         };
         let mut bytes = Vec::new();
         sent.write(&mut bytes).unwrap();
@@ -1125,7 +1099,63 @@ mod tests {
             (got.epoch, got.rank, got.state_source),
             (sent.epoch, sent.rank, sent.state_source)
         );
-        assert_eq!((got.peers, got.aux_addrs), (sent.peers, sent.aux_addrs));
+        assert_eq!(got.peers, sent.peers);
+    }
+
+    fn written(a: &Assignment) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        a.write(&mut bytes).unwrap();
+        bytes
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn an_assignment_reads_back_only_as_the_bytes_it_was_read_from(
+            epoch in 0u64..u64::MAX,
+            world in 1usize..6,
+            picks in (0usize..6, 0usize..7),
+            addrs in proptest::collection::vec(proptest::collection::vec(0u8..128, 0..6), 6),
+            at in 0.0f64..1.0,
+            new_byte in 0u16..256,
+            noise in proptest::collection::vec(0u16..256, 0..64),
+        ) {
+            let sent = Assignment {
+                epoch,
+                rank: picks.0 % world,
+                state_source: picks.1.checked_sub(1).map(|s| s % world),
+                peers: addrs[..world]
+                    .iter()
+                    .map(|a| a.iter().map(|&c| c as char).collect())
+                    .collect(),
+            };
+            let wire = written(&sent);
+            // The assignment read off the front of some bytes, and how many
+            // it took.
+            let decode = |bytes: &[u8]| {
+                let mut rest = bytes;
+                Assignment::read(&mut rest).ok().map(|a| (a, bytes.len() - rest.len()))
+            };
+            let (got, used) = decode(&wire).expect("a written assignment reads back");
+            proptest::prop_assert_eq!(used, wire.len());
+            proptest::prop_assert_eq!(
+                (got.epoch, got.rank, got.state_source, &got.peers),
+                (sent.epoch, sent.rank, sent.state_source, &sent.peers)
+            );
+
+            // One byte changed anywhere, or arbitrary bytes: refused, or
+            // read as an assignment that writes back exactly the bytes read.
+            let mut mutated = wire;
+            let i = (at * mutated.len() as f64) as usize;
+            mutated[i] = new_byte as u8;
+            let noise: Vec<u8> = noise.iter().map(|&b| b as u8).collect();
+            for bytes in [mutated, noise] {
+                if let Some((a, used)) = decode(&bytes) {
+                    proptest::prop_assert_eq!(written(&a), bytes[..used].to_vec());
+                }
+            }
+        }
     }
 
     #[test]
@@ -1176,7 +1206,6 @@ mod tests {
         write_u64(&mut rejoining, 0).unwrap();
         write_u64(&mut rejoining, survivor as u64).unwrap();
         write_str(&mut rejoining, "survivor:1").unwrap();
-        write_str(&mut rejoining, "").unwrap();
         let silent = TcpStream::connect(handle.addr()).unwrap();
         let assigned = Assignment::read(&mut rejoining).unwrap();
         let took = t0.elapsed();

@@ -4,7 +4,7 @@
 //! Pure: it owns no socket and reads no clock. The server feeds it one
 //! decoded [`Registration`] (or nothing — a time step) with the current
 //! `Instant` and writes out the [`Reply`]s it returns; `M` is whatever the
-//! caller holds per member (the server: stream + addresses; tests: an id).
+//! caller holds per member (the server: stream + ring address; tests: an id).
 //! DESIGN §2.10 has the state × event table this implements.
 
 use std::time::{Duration, Instant};

@@ -236,8 +236,7 @@ struct DelayRule {
 
 /// Fault-injection knob for straggler experiments: slows selected ranks'
 /// collectives by a multiplier, so a real multi-rank run can demonstrate
-/// straggler detection (live-monitor drift/exposed flags) and OnDrift
-/// re-planning end-to-end.
+/// the straggler in its merged trace and OnDrift re-planning end-to-end.
 ///
 /// Spec grammar (env `SPDKFAC_INJECT_DELAY` or [`DelayInjection::parse`]):
 /// comma-separated `rank:op:multiplier` rules, `*` wildcards for rank and

@@ -368,8 +368,7 @@ impl WorkerObs {
 
     /// As [`WorkerObs::span`], with a display label, formatted only when a
     /// recorder is attached. The per-iteration update spans are labeled
-    /// `iter<N>` so the live telemetry monitor and merged traces have
-    /// explicit iteration boundaries.
+    /// `iter<N>` so merged traces have explicit iteration boundaries.
     fn labeled_span<L: Into<Cow<'static, str>>>(
         &self,
         phase: Phase,

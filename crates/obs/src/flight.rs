@@ -1,32 +1,34 @@
-//! Post-mortem state and dump-on-failure — the third drain of the recorder.
+//! The per-rank document: one writer and one reader for the clean trace
+//! file and the post-mortem dump.
 //!
-//! The streaming telemetry pipeline ([`crate::collect`]) only produces its
-//! merged artifacts on *clean* exits: a dead rank poisons the group and the
-//! evidence of what happened — which collective, at which plan generation,
-//! on which rank first — dies with the process. The spans themselves already
-//! sit in the attached [`Recorder`]'s bounded lanes; this module keeps the
-//! little that is *not* a span and writes both out when things go wrong
-//! (comm-thread poisoning, panic hook, launcher teardown):
+//! Every rank of a multi-process run records spans against its own
+//! [`Recorder`] epoch. This module writes them to disk in one schema
+//! ([`POSTMORTEM_SCHEMA`]) and reads them back ([`parse_document`]); an
+//! offline merge ([`crate::collect::align`]) puts the ranks on one clock
+//! after the run. Two files, one format:
+//!
+//! - **Trace file** ([`FlightRecorder::write_trace`]): on a clean exit,
+//!   `<trace-dir>/trace.rank{N}.json` carries every span the recorder holds.
+//! - **Dump** ([`FlightRecorder::dump`]): when things go wrong (comm-thread
+//!   poisoning, panic hook, launcher teardown), only the first request
+//!   writes `<trace-dir>/postmortem.rank{N}.json` with the newest
+//!   [`DUMP_WINDOW`] spans.
+//!
+//! Both carry what is *not* a span:
 //!
 //! 1. **Heartbeat atomics** (iteration, loss, phase, generation, membership
 //!    epoch): written lock-free by the trainer and the comm thread, read
-//!    only when a dump is rendered (its `heartbeat` object).
+//!    only when a document is rendered (its `heartbeat` object).
 //! 2. **First failure wins.** The first recorded comm failure is the one a
 //!    post-mortem cares about (later errors are cascade noise). It is
 //!    pinned with or without a recorder attached, and stamped on the
-//!    attached recorder's clock — the clock the stored [`ClockModel`] was
-//!    fitted for, so the merger can rebase it exactly.
-//! 3. **Dump once.** Only the first dump request writes
-//!    `<trace-dir>/postmortem.rank{N}.json`: the heartbeat, the clock model,
-//!    the pinned failure, the newest [`DUMP_WINDOW`] spans of the recorder
-//!    by end time with their [`SpanMeta`], and a metrics snapshot.
+//!    attached recorder's clock, the clock every other time in the
+//!    document is on.
 //!
-//! The companion `spdkfac_postmortem` bin merges surviving ranks' dumps
-//! using each dump's embedded [`ClockModel`] and reconstructs the failure
-//! timeline.
+//! The `clock` key is always `null`: the merge fits each rank's clock from
+//! the collectives the spans already record.
 
-use crate::collect::ClockModel;
-use crate::json::{JsonValue, JsonWriter};
+use crate::json::{parse_json, JsonValue, JsonWriter};
 use crate::metrics::MetricsSnapshot;
 use crate::phase::Phase;
 use crate::recorder::{CollEdge, Recorder, Span, SpanMeta};
@@ -37,7 +39,8 @@ use std::sync::{Arc, Mutex, Once, OnceLock};
 /// Spans a dump carries: the newest this many of the attached recorder.
 pub const DUMP_WINDOW: usize = 4096;
 
-/// Dump-file schema identifier (bumped on breaking layout changes).
+/// Schema of the per-rank document, trace file and dump alike (bumped on
+/// breaking layout changes).
 pub const POSTMORTEM_SCHEMA: &str = "spdkfac-postmortem-v2";
 
 /// The first comm failure observed by this rank — the forensic anchor.
@@ -73,7 +76,6 @@ pub struct FlightRecorder {
     loss_bits: AtomicU64,
     phase_idx: AtomicUsize,
     recorder: Mutex<Option<Arc<Recorder>>>,
-    clock: Mutex<Option<ClockModel>>,
     dumped: AtomicBool,
 }
 
@@ -97,7 +99,6 @@ impl FlightRecorder {
             loss_bits: AtomicU64::new(f64::NAN.to_bits()),
             phase_idx: AtomicUsize::new(Phase::Update.index()),
             recorder: Mutex::new(None),
-            clock: Mutex::new(None),
             dumped: AtomicBool::new(false),
         }
     }
@@ -133,12 +134,6 @@ impl FlightRecorder {
             .lock()
             .expect("flight recorder poisoned")
             .clone()
-    }
-
-    /// Publishes the latest rank-0-relative clock model (from the telemetry
-    /// ping exchange) so dump timestamps can be rebased post-mortem.
-    pub fn set_clock_model(&self, model: ClockModel) {
-        *self.clock.lock().expect("flight clock poisoned") = Some(model);
     }
 
     /// Updates the current plan generation (the dump's heartbeat).
@@ -196,16 +191,21 @@ impl FlightRecorder {
             .clone()
     }
 
-    /// Serializes the full post-mortem document (always available, even
-    /// without a trace dir — [`dump`] is the file-writing wrapper).
+    /// Serializes the post-mortem document: the newest [`DUMP_WINDOW`]
+    /// spans (always available, even without a trace dir — [`dump`] is the
+    /// file-writing wrapper).
     ///
     /// [`dump`]: FlightRecorder::dump
     pub fn render_json(&self, reason: &str) -> String {
-        let rec = self.recorder();
-        let clock = *self.clock.lock().expect("flight clock poisoned");
-        let failure = self.failure();
-        let spans = rec.as_ref().map_or(Vec::new(), |r| r.newest(DUMP_WINDOW));
+        let spans = self
+            .recorder()
+            .map_or(Vec::new(), |r| r.newest(DUMP_WINDOW));
+        self.render(reason, &spans)
+    }
 
+    fn render(&self, reason: &str, spans: &[Span]) -> String {
+        let rec = self.recorder();
+        let failure = self.failure();
         let mut out = String::with_capacity(4096 + spans.len() * 160);
         JsonWriter::new(&mut out).object(|w| {
             w.key("schema").str(POSTMORTEM_SCHEMA).key("rank");
@@ -228,16 +228,7 @@ impl FlightRecorder {
                 w.key("epoch").int(load(&self.member_epoch));
                 w.key("rss_bytes").int(rss_bytes());
             });
-            w.key("clock");
-            match clock {
-                None => w.null(),
-                Some(m) => w.object(|w| {
-                    w.key("offset").num(m.offset);
-                    w.key("drift").num(m.drift);
-                    w.key("reference").num(m.reference);
-                    w.key("uncertainty").num(m.uncertainty);
-                }),
-            };
+            w.key("clock").null();
             w.key("failure");
             match &failure {
                 None => w.null(),
@@ -253,7 +244,7 @@ impl FlightRecorder {
             w.key("dropped")
                 .int(rec.as_ref().map_or(0, |r| r.dropped()));
             w.key("spans").array(|w| {
-                for s in &spans {
+                for s in spans {
                     write_span(w, s);
                 }
             });
@@ -274,34 +265,150 @@ impl FlightRecorder {
     /// path on the write, `None` when no trace dir is configured, the
     /// recorder has no rank yet, or a dump already happened.
     pub fn dump(&self, reason: &str) -> Option<String> {
-        let rank = self.rank()?;
-        let dir = self
-            .trace_dir
-            .lock()
-            .expect("flight trace_dir poisoned")
-            .clone()?;
+        let (dir, rank) = (self.trace_dir()?, self.rank()?);
         if self.dumped.swap(true, Ordering::SeqCst) {
             return None;
         }
-        let doc = self.render_json(reason);
         let path = format!("{dir}/postmortem.rank{rank}.json");
-        let _ = std::fs::create_dir_all(&dir);
-        match std::fs::write(&path, doc) {
+        match write_file(&dir, &path, self.render_json(reason)) {
             Ok(()) => {
                 eprintln!("rank {rank}: post-mortem window written to {path}");
                 Some(path)
             }
             Err(e) => {
-                eprintln!("rank {rank}: post-mortem dump to {path} failed: {e}");
+                eprintln!("rank {rank}: {e}");
                 None
             }
         }
     }
+
+    /// Writes the clean-exit trace file `<trace-dir>/trace.rank{N}.json`:
+    /// the dump's document with every span the recorder holds. Returns its
+    /// path.
+    pub fn write_trace(&self) -> Result<String, String> {
+        let (Some(dir), Some(rank)) = (self.trace_dir(), self.rank()) else {
+            return Err("a trace file needs a rank and a trace directory".into());
+        };
+        let spans = self.recorder().map_or(Vec::new(), |r| r.spans());
+        let path = format!("{dir}/trace.rank{rank}.json");
+        write_file(&dir, &path, self.render("clean exit", &spans))?;
+        Ok(path)
+    }
+
+    fn trace_dir(&self) -> Option<String> {
+        self.trace_dir
+            .lock()
+            .expect("flight trace_dir poisoned")
+            .clone()
+    }
 }
 
-/// One span of a dump: times on the dumping rank's recorder clock, every
-/// [`SpanMeta`] field that is set. [`parse_span`] is the inverse.
-fn write_span(w: &mut JsonWriter<'_>, s: &Span) {
+fn write_file(dir: &str, path: &str, body: String) -> Result<(), String> {
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(path, body))
+        .map_err(|e| format!("write {path}: {e}"))
+}
+
+/// One per-rank document read back by [`parse_document`]. Every time in
+/// it is still on the writing rank's recorder clock.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RankDoc {
+    /// The writing rank.
+    pub rank: usize,
+    /// The group size it ran in.
+    pub world: usize,
+    /// Why it was written (`"clean exit"` for a trace file).
+    pub reason: String,
+    /// When it was rendered.
+    pub wall_now: f64,
+    /// The heartbeat's last completed iteration.
+    pub iteration: u64,
+    /// The heartbeat's pipeline phase name.
+    pub phase: String,
+    /// The heartbeat's plan generation.
+    pub generation: u64,
+    /// The pinned first failure.
+    pub failure: Option<FailureInfo>,
+    /// Spans the recorder's rings overwrote.
+    pub dropped: u64,
+    /// The spans, with every [`SpanMeta`] field they were written with.
+    pub spans: Vec<Span>,
+}
+
+/// A non-negative integral JSON number (`null` and absent are `None`).
+fn count(v: &JsonValue, key: &str) -> Option<u64> {
+    let n = v.get(key)?.as_f64()?;
+    (n >= 0.0 && n.fract() == 0.0 && n < u64::MAX as f64).then_some(n as u64)
+}
+
+/// Reads one per-rank document (trace file or dump). Refuses another
+/// schema, a `rank` or `world` that is not a count, a `world` of 0,
+/// `rank >= world`, and a malformed failure or span.
+pub fn parse_document(body: &str) -> Result<RankDoc, String> {
+    let doc = parse_json(body)?;
+    match doc.get("schema").and_then(JsonValue::as_str) {
+        Some(POSTMORTEM_SCHEMA) => {}
+        other => return Err(format!("unexpected schema {other:?}")),
+    }
+    let (Some(rank), Some(world)) = (count(&doc, "rank"), count(&doc, "world")) else {
+        return Err("rank and world must be counts".into());
+    };
+    if rank >= world {
+        return Err(format!("rank {rank} is outside a world of {world}"));
+    }
+    let hb = doc.get("heartbeat").ok_or("missing heartbeat")?;
+    let failure = match doc.get("failure") {
+        None | Some(JsonValue::Null) => None,
+        Some(f) => Some(parse_failure(f).ok_or("malformed failure")?),
+    };
+    let spans = doc
+        .get("spans")
+        .and_then(JsonValue::as_array)
+        .ok_or("missing spans")?
+        .iter()
+        .map(|v| parse_span(v).ok_or("malformed span"))
+        .collect::<Result<_, _>>()?;
+    Ok(RankDoc {
+        rank: rank as usize,
+        world: world as usize,
+        reason: text(&doc, "reason").unwrap_or_else(|| "unknown".into()),
+        wall_now: doc
+            .get("wall_now")
+            .and_then(JsonValue::as_f64)
+            .unwrap_or(0.0),
+        iteration: count(hb, "iteration").unwrap_or(0),
+        phase: text(hb, "phase").unwrap_or_else(|| "?".into()),
+        generation: count(hb, "generation").unwrap_or(0),
+        failure,
+        dropped: count(&doc, "dropped").unwrap_or(0),
+        spans,
+    })
+}
+
+fn text(v: &JsonValue, key: &str) -> Option<String> {
+    v.get(key)?.as_str().map(String::from)
+}
+
+/// The document's `failure` object (`t` is `null` when no recorder was
+/// attached).
+fn parse_failure(f: &JsonValue) -> Option<FailureInfo> {
+    Some(FailureInfo {
+        t: f.get("t")?.as_f64(),
+        op: text(f, "op")?,
+        seq: count(f, "seq")?,
+        generation: count(f, "generation")?,
+        phase: phase_named(f.get("phase")?.as_str()?)?,
+        error: text(f, "error")?,
+    })
+}
+
+fn phase_named(name: &str) -> Option<Phase> {
+    Phase::ALL.iter().copied().find(|p| p.name() == name)
+}
+
+/// One span of a document: times on the writing rank's recorder clock,
+/// every [`SpanMeta`] field that is set. [`parse_span`] is the inverse.
+pub fn write_span(w: &mut JsonWriter<'_>, s: &Span) {
     w.object(|w| {
         w.key("track").int(s.track as u64);
         w.key("phase").str(s.phase.name());
@@ -333,11 +440,16 @@ fn write_span(w: &mut JsonWriter<'_>, s: &Span) {
     });
 }
 
-/// Reads back one element of a dump's `spans` array (`None` when a
-/// required field is missing or malformed — an `edge` that names no
-/// [`CollEdge`], or a fan-out without its `root`, included).
+/// Reads back one element of a document's `spans` array (`None` when a
+/// required field is missing or malformed — a time that is not finite, an
+/// `edge` that names no [`CollEdge`], or a fan-out without its `root`,
+/// included).
 pub fn parse_span(v: &JsonValue) -> Option<Span> {
-    let num = |key: &str| v.get(key).and_then(JsonValue::as_f64);
+    let num = |key: &str| {
+        v.get(key)
+            .and_then(JsonValue::as_f64)
+            .filter(|n| n.is_finite())
+    };
     let name = v.get("phase")?.as_str()?;
     let edge = match v.get("edge") {
         None => None,
@@ -351,7 +463,7 @@ pub fn parse_span(v: &JsonValue) -> Option<Span> {
     };
     Some(Span {
         track: num("track")? as usize,
-        phase: Phase::ALL.iter().copied().find(|p| p.name() == name)?,
+        phase: phase_named(name)?,
         label: Cow::Owned(v.get("label")?.as_str()?.to_string()),
         start: num("t")?,
         end: num("end")?,
@@ -527,12 +639,6 @@ mod tests {
     fn render_json_is_valid_and_complete() {
         let fr = FlightRecorder::new();
         fr.configure(1, 4, None);
-        fr.set_clock_model(ClockModel {
-            offset: 0.5,
-            drift: 1e-6,
-            reference: 2.0,
-            uncertainty: 1e-4,
-        });
         let rec = Arc::new(Recorder::new(8));
         fr.set_recorder(Arc::clone(&rec));
         fr.record_iteration(3, f64::NAN); // non-finite must dump as null
@@ -564,8 +670,7 @@ mod tests {
         let spans = dumped_spans(&v);
         assert_eq!(spans.len(), 2);
         assert!(spans.contains(&comm_span(0.2, 0.25, 5)));
-        let clock = v.get("clock").expect("clock model");
-        assert_eq!(clock.get("offset").and_then(|o| o.as_f64()), Some(0.5));
+        assert_eq!(v.get("clock"), Some(&JsonValue::Null));
         let counters = v.get("metrics").and_then(|m| m.get("counters"));
         assert!(counters.and_then(|c| c.get("coll/allreduce/ops")).is_some());
     }
@@ -613,5 +718,60 @@ mod tests {
         // Second dump is suppressed (first-wins).
         assert!(fr.dump("again").is_none());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn trace_documents_round_trip() {
+        let dir = std::env::temp_dir().join(format!("spdkfac-trace-test-{}", std::process::id()));
+        let dir_s = dir.to_string_lossy().to_string();
+        let fr = FlightRecorder::new();
+        assert!(fr.write_trace().is_err(), "no rank or directory yet");
+        fr.configure(1, 2, Some(&dir_s));
+        let rec = Arc::new(Recorder::with_capacity(4, 8));
+        fr.set_recorder(Arc::clone(&rec));
+        fr.record_iteration(4, 0.5);
+        // A trace carries every span the recorder holds.
+        for i in 0..6 {
+            rec.record(comm_span(i as f64, i as f64 + 0.5, i));
+        }
+        rec.span_labeled(1, Phase::Update, "iter4").finish();
+        fr.note_comm_failure("broadcast", 3, 1, Phase::InverseComm, "peer gone");
+        let path = fr.write_trace().expect("trace written");
+        assert!(path.ends_with("trace.rank1.json"));
+        let doc = parse_document(&std::fs::read_to_string(&path).unwrap()).expect("reads back");
+        assert_eq!((doc.rank, doc.world, doc.iteration), (1, 2, 4));
+        assert_eq!(doc.reason, "clean exit");
+        assert_eq!(doc.failure, fr.failure());
+        assert_eq!(doc.spans, rec.spans());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_document_no_rank_writes_is_refused() {
+        let doc = |rank: &str, world: &str| {
+            let fr = FlightRecorder::new();
+            fr.configure(0, 2, None);
+            fr.render_json("test")
+                .replacen(r#""rank":0"#, &format!(r#""rank":{rank}"#), 1)
+                .replacen(r#""world":2"#, &format!(r#""world":{world}"#), 1)
+        };
+        assert!(parse_document(&doc("0", "2")).is_ok());
+        assert!(parse_document(&doc("1", "2")).is_ok());
+        for (rank, world) in [
+            ("0", "0"),
+            ("2", "2"),
+            ("5", "2"),
+            ("0", "1.5"),
+            ("0", "-1"),
+            ("-1", "2"),
+            ("null", "2"),
+        ] {
+            assert!(
+                parse_document(&doc(rank, world)).is_err(),
+                "rank {rank} of world {world}"
+            );
+        }
+        let other = doc("0", "2").replace(POSTMORTEM_SCHEMA, "spdkfac-postmortem-v1");
+        assert!(parse_document(&other).is_err());
     }
 }

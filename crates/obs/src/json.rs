@@ -229,7 +229,7 @@ pub fn parse_json(s: &str) -> Result<JsonValue, String> {
     let bytes = s.as_bytes();
     let mut pos = 0usize;
     skip_ws(bytes, &mut pos);
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -253,11 +253,19 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Containers nested deeper than this are refused: the parser recurses
+/// once per level, and no document this crate writes nests past 6.
+const MAX_DEPTH: usize = 128;
+
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     match b.get(*pos) {
         None => Err(format!("unexpected end of input at byte {pos}", pos = *pos)),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "containers nested deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => parse_string(b, pos).map(JsonValue::String),
         Some(b't') => parse_literal(b, pos, b"true").map(|_| JsonValue::Bool(true)),
         Some(b'f') => parse_literal(b, pos, b"false").map(|_| JsonValue::Bool(false)),
@@ -267,7 +275,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // '{'
     skip_ws(b, pos);
     let mut members = Vec::new();
@@ -287,7 +295,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         }
         *pos += 1;
         skip_ws(b, pos);
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         members.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -303,7 +311,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // '['
     skip_ws(b, pos);
     let mut items = Vec::new();
@@ -313,7 +321,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
     loop {
         skip_ws(b, pos);
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => {
@@ -485,6 +493,15 @@ mod tests {
         ] {
             assert!(validate_json(ok).is_ok(), "{ok} should validate");
         }
+    }
+
+    #[test]
+    fn nesting_past_the_depth_bound_is_refused_not_a_stack_overflow() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse_json(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(parse_json(&nested(1_000_000)).is_err());
+        assert!(parse_json(&"{\"a\":".repeat(1_000_000)).is_err());
     }
 
     #[test]

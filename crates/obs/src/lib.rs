@@ -26,9 +26,11 @@
 //!   name, its [`TrackKind`] and the rank that owns it — read alike by the
 //!   Chrome trace, the summary and the causal / critical-path analysis.
 //!
-//! Everything here renders to strings and files (traces, reports,
-//! post-mortem dumps); the crate opens no sockets. The telemetry transport
-//! that feeds [`collect`] lives in `spdkfac-collectives`.
+//! Everything here renders to strings and files (traces, reports, per-rank
+//! trace files and post-mortem dumps); the crate opens no sockets. A
+//! multi-process run is merged after it ends: each rank writes its
+//! document ([`flight`]) and [`collect::align`] puts the files on one
+//! clock.
 //!
 //! # Example
 //!

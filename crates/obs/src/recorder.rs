@@ -239,9 +239,9 @@ impl Recorder {
     /// Creates a flush cursor positioned at "nothing flushed yet".
     ///
     /// Pair with [`Recorder::flush_since`] for incremental, non-destructive
-    /// reads: the telemetry streamer and the re-plan barrier's calibrator
-    /// poll new spans without clearing the rings (end-of-run exporters and
-    /// the post-mortem dump keep seeing the full window).
+    /// reads: the re-plan barrier's calibrator polls new spans without
+    /// clearing the rings (end-of-run exporters and the per-rank documents
+    /// keep seeing the full window).
     pub fn flush_cursor(&self) -> FlushCursor {
         FlushCursor {
             per_track: vec![0; self.lanes.len()],

@@ -4,9 +4,9 @@
 //! what it overwrote. Every push advances a monotone *write index*, so a
 //! reader that remembers the index it stopped at ([`Ring::since`]) visits
 //! exactly the values pushed after it — O(new), without copying or scanning
-//! the retained window. [`crate::Recorder`] lanes and the collector's
-//! per-rank windows ([`crate::collect::CollectorState`]) are this type, and the
-//! post-mortem dump reads the recorder's lanes through it.
+//! the retained window. [`crate::Recorder`] lanes and the clock
+//! estimator's sample window ([`crate::collect::ClockEstimator`]) are this
+//! type, and the per-rank documents read the recorder's lanes through it.
 
 /// A fixed-capacity overwrite-oldest buffer with a monotone write index.
 #[derive(Debug)]

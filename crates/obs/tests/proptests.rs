@@ -3,22 +3,19 @@
 //! discipline), and the recorded spans must come back complete, in
 //! monotonically non-decreasing order, and non-overlapping per track.
 //!
-//! And for the telemetry frame decoder: it never panics, and every frame it
-//! accepts is one the encoder would write, byte for byte.
+//! And for the per-rank document reader: it never panics, and every span it
+//! accepts re-renders and re-reads to itself, bit for bit.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
-use spdkfac_obs::collect::{encode_frame, read_frame, Batch, ClockModel, Frame};
-use spdkfac_obs::{attribute, CollEdge, Phase, Recorder, Span, SpanMeta};
+use spdkfac_obs::flight::{parse_document, parse_span, write_span, FlightRecorder};
+use spdkfac_obs::json::JsonWriter;
+use spdkfac_obs::{attribute, parse_json, CollEdge, Phase, Recorder, Span, SpanMeta};
 use std::borrow::Cow;
 use std::sync::Arc;
 
 fn byte() -> impl Strategy<Value = u8> {
     (0u16..256).prop_map(|b| b as u8)
-}
-
-fn bits() -> impl Strategy<Value = f64> {
-    (0u64..u64::MAX).prop_map(f64::from_bits)
 }
 
 /// Spans with every edge kind and every subset of the optional fields.
@@ -47,35 +44,6 @@ fn span() -> impl Strategy<Value = Span> {
                     wire_bytes: (fields & 8 != 0).then_some(v >> 8),
                     codec_secs: (fields & 16 != 0).then_some(start / 8.0),
                 },
-            },
-        )
-}
-
-/// Every frame kind, span batches weighted up: they hold most of the bytes
-/// a decoder can misread.
-fn frame() -> impl Strategy<Value = Frame> {
-    (
-        (0u8..10, 0u32..u32::MAX, 0u32..u32::MAX),
-        (bits(), bits(), bits(), bits()),
-        (0u64..u64::MAX, pvec(span(), 1..4)),
-    )
-        .prop_map(
-            |((kind, a, b), (t0, t1, t2, t3), (dropped, spans))| match kind {
-                0 => Frame::Hello { rank: a, world: b },
-                1 => Frame::Ping { t0 },
-                2 => Frame::Pong { t0, t1, t2 },
-                3 => Frame::Bye { rank: a },
-                _ => Frame::Batch(Batch {
-                    rank: a,
-                    model: ClockModel {
-                        offset: t0,
-                        drift: t1,
-                        reference: t2,
-                        uncertainty: t3,
-                    },
-                    dropped,
-                    spans,
-                }),
             },
         )
 }
@@ -141,51 +109,93 @@ proptest! {
     }
 }
 
+/// Rank 1 of 2's document as [`FlightRecorder::render_json`] writes it,
+/// and the spans it holds: `spans`, each moved onto one of the rank's two
+/// tracks, in the document's order.
+fn document(spans: &[Span], failure: bool) -> (String, Vec<Span>) {
+    let fr = FlightRecorder::new();
+    fr.configure(1, 2, None);
+    let rec = Arc::new(Recorder::new(4));
+    fr.set_recorder(Arc::clone(&rec));
+    for s in spans {
+        rec.record(Span {
+            track: 1 + 2 * (s.track % 2),
+            ..s.clone()
+        });
+    }
+    if failure {
+        fr.note_comm_failure("allreduce", 3, 1, Phase::GradComm, "peer gone");
+    }
+    (fr.render_json("test"), rec.newest(usize::MAX))
+}
+
+/// Bit-exact span equality (times by `to_bits`).
+fn same_span(a: &Span, b: &Span) -> bool {
+    let bits = |s: &Span| {
+        (
+            s.start.to_bits(),
+            s.end.to_bits(),
+            s.meta.codec_secs.map(f64::to_bits),
+        )
+    };
+    bits(a) == bits(b)
+        && (a.track, a.phase, &a.label) == (b.track, b.phase, &b.label)
+        && (a.meta.edge, a.meta.seq, a.meta.size) == (b.meta.edge, b.meta.seq, b.meta.size)
+        && (a.meta.generation, a.meta.wire_bytes) == (b.meta.generation, b.meta.wire_bytes)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn the_frame_decoder_accepts_only_what_the_encoder_writes(
-        frame in frame(),
+    fn the_document_reader_accepts_only_spans_that_read_back_bit_for_bit(
+        spans in pvec(span(), 0..4),
+        failure in 0u8..2,
         at in 0.0f64..1.0,
         new_byte in byte(),
         noise in pvec(byte(), 0..96),
     ) {
-        // The frame read off the front of some bytes, and how many it took.
-        let decode = |bytes: &[u8]| {
-            let mut rest = bytes;
-            read_frame(&mut rest).ok().map(|f| (f, bytes.len() - rest.len()))
-        };
-        let wire = encode_frame(&frame);
-        let (back, used) = decode(&wire).expect("an encoded frame decodes");
-        prop_assert_eq!(used, wire.len());
-        prop_assert_eq!(encode_frame(&back), wire.clone());
+        let (doc, held) = document(&spans, failure == 1);
+        let read = parse_document(&doc).expect("a rendered document reads back");
+        prop_assert_eq!(read.spans.len(), held.len());
+        for (back, s) in read.spans.iter().zip(&held) {
+            // Counts travel as JSON numbers: exact below 2^53.
+            let exact = |v: Option<u64>| v.map(|n| n as f64 as u64);
+            let s = Span {
+                meta: SpanMeta {
+                    seq: exact(s.meta.seq),
+                    wire_bytes: exact(s.meta.wire_bytes),
+                    ..s.meta
+                },
+                ..s.clone()
+            };
+            prop_assert!(same_span(back, &s), "{:?} read back as {:?}", s, back);
+        }
 
-        // One byte changed anywhere, or arbitrary bytes: refused, or read
-        // as a frame that re-encodes to exactly the bytes consumed.
-        let mut mutated = wire;
+        // The document itself, one byte changed anywhere, or arbitrary
+        // bytes: refused, or read as spans that write and read back to
+        // themselves.
+        let mut mutated = doc.clone().into_bytes();
         let i = (at * mutated.len() as f64) as usize;
         mutated[i] = new_byte;
-        for bytes in [mutated, noise] {
-            if let Some((frame, used)) = decode(&bytes) {
-                prop_assert_eq!(encode_frame(&frame), bytes[..used].to_vec());
+        for bytes in [doc.into_bytes(), mutated, noise] {
+            let Ok(text) = String::from_utf8(bytes) else { continue };
+            let _ = parse_json(&text);
+            let Ok(read) = parse_document(&text) else { continue };
+            prop_assert!(read.rank < read.world);
+            let mut out = String::new();
+            JsonWriter::new(&mut out).array(|w| {
+                for s in &read.spans {
+                    write_span(w, s);
+                }
+            });
+            let again = parse_json(&out).expect("written spans are JSON");
+            let again = again.as_array().expect("an array");
+            prop_assert_eq!(again.len(), read.spans.len());
+            for (v, s) in again.iter().zip(&read.spans) {
+                let back = parse_span(v).expect("a written span reads back");
+                prop_assert!(same_span(&back, s), "{:?} read back as {:?}", s, back);
             }
         }
-    }
-
-    #[test]
-    fn frame_kind_6_is_unknown(
-        pick in 0u8..2,
-        heartbeat_sized in pvec(byte(), 53),
-        any_size in pvec(byte(), 0..96),
-    ) {
-        let body = if pick == 0 { heartbeat_sized } else { any_size };
-        // Kind 6 was the heartbeat; its 53-byte body is refused like any
-        // other length.
-        let mut wire = ((body.len() + 1) as u32).to_le_bytes().to_vec();
-        wire.push(6);
-        wire.extend_from_slice(&body);
-        let err = read_frame(&mut &wire[..]).expect_err("kind 6 is not a frame");
-        prop_assert!(err.to_string().contains("unknown telemetry frame kind 6"), "{}", err);
     }
 }
