@@ -25,8 +25,11 @@
 //!     (`postmortem_trace.json`) of the final window across all surviving
 //!     ranks, on one rebased timeline.
 //!
-//!   Output: a human timeline on stdout, and `DIR/postmortem_timeline.json`
-//!   (schema `spdkfac-postmortem-timeline-v1`) for the CI assertions.
+//!   Output: `DIR/postmortem_timeline.json` (schema
+//!   `spdkfac-postmortem-timeline-v1`) for the CI assertions, then a human
+//!   timeline on stdout. Both files are written before anything is
+//!   printed, and a reader that closes stdout early (`| head`) ends the
+//!   printing, not the run: the exit status stays 0.
 //!
 //! usage: `spdkfac_postmortem DIR [--out FILE]`
 
@@ -36,6 +39,8 @@ use spdkfac_obs::flight::{FailureInfo, RankDoc};
 use spdkfac_obs::json::JsonWriter;
 use spdkfac_obs::{chrome_trace, TrackLayout};
 use std::borrow::Cow;
+use std::fmt::Write as _;
+use std::io::{self, Write as _};
 use std::process::ExitCode;
 
 /// Schema tag of the merged timeline document.
@@ -131,40 +136,6 @@ fn run(dir: &str, out_path: Option<&str>) -> Result<(), String> {
         })
         .min_by(|a, b| a.0.total_cmp(&b.0));
 
-    println!(
-        "post-mortem: {}/{world} ranks left dumps in {dir}",
-        dumps.len()
-    );
-    if killed.is_empty() {
-        println!("  no missing ranks — every rank survived long enough to dump");
-    } else {
-        let names: Vec<String> = killed.iter().map(|r| format!("rank {r}")).collect();
-        println!(
-            "  presumed dead (no dump written): {} — a killed process cannot dump",
-            names.join(", ")
-        );
-    }
-    match first {
-        Some((t, rank, f)) => {
-            println!(
-                "  first failure: t={t:.6}s on rank {rank}: {} seq {} gen {} (phase {})",
-                f.op,
-                f.seq,
-                f.generation,
-                f.phase.name()
-            );
-            println!("    {}", f.error);
-        }
-        None => println!("  no rank recorded a collective failure (clean shutdown dumps?)"),
-    }
-    println!("  last known state per surviving rank:");
-    for d in &dumps {
-        println!(
-            "    rank {}: iteration {}, phase {}, generation {} — {}",
-            d.rank, d.iteration, d.phase, d.generation, d.reason
-        );
-    }
-
     // Merged Chrome trace of the final window, all ranks on one timeline.
     let trace = chrome_trace(&aligned.spans, &TrackLayout::trainer(world));
     let trace_path = format!("{dir}/postmortem_trace.json");
@@ -175,11 +146,66 @@ fn run(dir: &str, out_path: Option<&str>) -> Result<(), String> {
         .map(str::to_string)
         .unwrap_or_else(|| format!("{dir}/postmortem_timeline.json"));
     std::fs::write(&timeline_path, timeline).map_err(|e| format!("write {timeline_path}: {e}"))?;
-    println!(
+
+    // Writing to a `String` cannot fail.
+    let mut report = String::new();
+    let _ = writeln!(
+        report,
+        "post-mortem: {}/{world} ranks left dumps in {dir}",
+        dumps.len()
+    );
+    if killed.is_empty() {
+        let _ = writeln!(
+            report,
+            "  no missing ranks — every rank survived long enough to dump"
+        );
+    } else {
+        let names: Vec<String> = killed.iter().map(|r| format!("rank {r}")).collect();
+        let _ = writeln!(
+            report,
+            "  presumed dead (no dump written): {} — a killed process cannot dump",
+            names.join(", ")
+        );
+    }
+    let _ = match first {
+        Some((t, rank, f)) => writeln!(
+            report,
+            "  first failure: t={t:.6}s on rank {rank}: {} seq {} gen {} (phase {})\n    {}",
+            f.op,
+            f.seq,
+            f.generation,
+            f.phase.name(),
+            f.error
+        ),
+        None => writeln!(
+            report,
+            "  no rank recorded a collective failure (clean shutdown dumps?)"
+        ),
+    };
+    let _ = writeln!(report, "  last known state per surviving rank:");
+    for d in &dumps {
+        let _ = writeln!(
+            report,
+            "    rank {}: iteration {}, phase {}, generation {} — {}",
+            d.rank, d.iteration, d.phase, d.generation, d.reason
+        );
+    }
+    let _ = writeln!(
+        report,
         "  wrote {timeline_path} and {trace_path} ({} spans merged)",
         aligned.spans.len()
     );
-    Ok(())
+    print_report(&report)
+}
+
+/// Prints `report` on stdout. A reader that closed the pipe early (`|
+/// head`) has seen what it wanted: that is not an error.
+fn print_report(report: &str) -> Result<(), String> {
+    let mut out = io::stdout().lock();
+    match out.write_all(report.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => Err(format!("stdout: {e}")),
+        _ => Ok(()),
+    }
 }
 
 fn main() -> ExitCode {

@@ -231,3 +231,28 @@ fn documents_that_disagree_on_world_or_rank_are_refused() {
     ];
     assert_eq!(postmortem_exit("pm_twice", &twice), Some(1));
 }
+
+#[test]
+fn a_closed_stdout_ends_the_report_not_the_run() {
+    let dir = temp_dir("pm_closed_stdout");
+    std::fs::write(format!("{dir}/postmortem.rank0.json"), document("0", "1"))
+        .expect("write a document");
+    // A pipe whose read end is gone before the tool starts: every write to
+    // it fails with EPIPE, as under `spdkfac_postmortem DIR | head -0`.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let status = Command::new(env!("CARGO_BIN_EXE_spdkfac_postmortem"))
+        .arg(&dir)
+        .stdout(writer)
+        .stderr(Stdio::null())
+        .status()
+        .expect("launch spdkfac_postmortem");
+    assert_eq!(status.code(), Some(0), "exited {status}");
+    for name in ["postmortem_trace.json", "postmortem_timeline.json"] {
+        assert!(
+            std::path::Path::new(&format!("{dir}/{name}")).exists(),
+            "{name} was not written"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -36,10 +36,12 @@ const PACK_TAG: u64 = 0x0045_4C43_4B00;
 /// The format version this build packs and unpacks. Version 1 held the
 /// damped inverses in a factor's slots, version 2 the running factors as
 /// dense matrices and version 3 an EKFAC section after the factors; version
-/// 4 holds the running factors as their packed triangles and the Cholesky
-/// factors of their damped forms, and nothing after them, so no older
+/// 4 held the Cholesky factors with 24-wide inverted diagonal blocks.
+/// Version 5 holds the running factors as their packed triangles and the
+/// Cholesky factors of their damped forms in solve form at
+/// [`spdkfac_tensor::chol::SOLVE_NB`], and nothing after them, so no older
 /// stream may be installed.
-const PACK_VERSION: u64 = 4;
+const PACK_VERSION: u64 = 5;
 
 /// Schema tag leading every packed checkpoint (`"ELCK"` + version).
 const PACK_MAGIC: f64 = (PACK_TAG | PACK_VERSION) as f64;
@@ -50,7 +52,8 @@ pub enum CheckpointError {
     /// A checkpoint of another format version (e.g. version 1, whose
     /// factor slots hold inverses where this one expects `L`, version 2,
     /// whose running factors are dense where this one expects packed
-    /// triangles, or version 3, which carries an EKFAC section).
+    /// triangles, version 3, which carries an EKFAC section, or version 4,
+    /// whose `L` has other inverted diagonal blocks).
     Version {
         /// The version the buffer was packed with.
         found: u64,
@@ -570,7 +573,7 @@ mod tests {
             TrainCheckpoint::unpack(&old),
             Err(CheckpointError::Version {
                 found: 1,
-                expected: 4
+                expected: 5
             })
         );
         // Anything else in the magic slot is malformed, not a version.
@@ -582,19 +585,56 @@ mod tests {
     }
 
     #[test]
-    fn a_version_4_round_trip_is_bit_exact_and_versions_2_and_3_are_refused() {
+    fn a_version_5_round_trip_is_bit_exact_and_versions_2_to_4_are_refused() {
         let ckpt = one_layer_checkpoint();
         let mut packed = ckpt.pack();
         assert_bit_eq(&ckpt, &TrainCheckpoint::unpack(&packed).unwrap());
-        // Version 2 held the running factors dense and version 3 carried an
-        // EKFAC section after them: neither parses as this layout, so both
-        // are refused by version before any of it is read.
-        for found in [2, 3] {
+        // Version 2 held the running factors dense, version 3 carried an
+        // EKFAC section after them and version 4's `L` inverted other
+        // diagonal blocks (read as this solve form it would precondition
+        // with garbage): all are refused by version before any of it is
+        // read.
+        for found in [2, 3, 4] {
             packed[0] = (0x0045_4C43_4B00_u64 | found) as f64;
             assert_eq!(
                 TrainCheckpoint::unpack(&packed),
-                Err(CheckpointError::Version { found, expected: 4 })
+                Err(CheckpointError::Version { found, expected: 5 })
             );
+        }
+    }
+
+    #[test]
+    fn a_restored_checkpoint_preconditions_to_the_same_bits_across_solve_blocks() {
+        use spdkfac_tensor::chol::SOLVE_NB;
+        use spdkfac_tensor::rng::MatrixRng;
+        // 257 spans three inverted blocks of the solve form.
+        let d = 257;
+        assert!(d > 2 * SOLVE_NB);
+        let mut rng = MatrixRng::new(5);
+        let mut st = FactorState::new(0);
+        for side in [FactorSide::A, FactorSide::G] {
+            let f = SymPacked::from_matrix(&rng.spd_matrix(d, 0.1));
+            st.update_packed(side, d, f.as_slice(), 0.9);
+            st.invert(side, 0.01).expect("damped factor is SPD");
+        }
+        let ckpt = TrainCheckpoint {
+            iter: 3,
+            losses: vec![],
+            params: vec![],
+            velocity: vec![],
+            factors: vec![FactorCheckpoint::capture(&st)],
+        };
+        let back = TrainCheckpoint::unpack(&ckpt.pack()).expect("a v5 stream");
+        let restored = back.factors[0].restore();
+        let (grad, bias) = (rng.gaussian_matrix(d, d), rng.gaussian_matrix(d, 1));
+        let directions = |s: &FactorState| {
+            [
+                crate::precond::precondition_weight(s, &grad),
+                crate::precond::precondition_bias(s, &bias),
+            ]
+        };
+        for (x, y) in directions(&st).iter().zip(&directions(&restored)) {
+            assert_eq!(mat_bits(x), mat_bits(y));
         }
     }
 

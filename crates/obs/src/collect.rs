@@ -128,6 +128,14 @@ impl ClockEstimator {
     /// Fits offset (and, with enough temporal spread, drift) by weighted
     /// least squares over the quality-filtered samples. `None` without
     /// samples.
+    ///
+    /// A drift is kept only when it moves the offset by more than the
+    /// tightest used sample resolves: `|drift| × σ_t > min_u`, with `σ_t`
+    /// the weighted RMS spread of the samples' local times. Offsets that
+    /// stay within `±b` of a constant fit a slope with `|drift| × σ_t <=
+    /// b` (Cauchy–Schwarz), so a bias that wanders inside the brackets —
+    /// which end of each bracket the truth sits at — never reads as
+    /// drift; the offset-only fit's `max_resid` absorbs it instead.
     pub fn fit(&self) -> Option<ClockModel> {
         if self.samples.is_empty() {
             return None;
@@ -162,8 +170,10 @@ impl ClockEstimator {
                 .iter()
                 .map(|s| weight(s) * (s.local_mid - reference).powi(2))
                 .sum();
-            if den > 0.0 {
-                num / den
+            let drift = if den > 0.0 { num / den } else { 0.0 };
+            let rms_spread = (den / wsum).sqrt();
+            if drift.abs() * rms_spread > min_u {
+                drift
             } else {
                 0.0
             }
@@ -462,6 +472,30 @@ mod tests {
                 "t={t}: err {err} > reported uncertainty {}",
                 m.uncertainty
             );
+        }
+    }
+
+    #[test]
+    fn a_bias_that_flips_inside_the_brackets_is_not_drift() {
+        // No drift at all, but the truth sits 0.9 u below every bracket's
+        // middle for the first half of the window and 0.9 u above it for
+        // the second (which rank waits at a join changed halfway).
+        let (skew, u) = (0.75, 200e-6);
+        let mut est = ClockEstimator::new();
+        for i in 0..64 {
+            let t = 10.0 * i as f64 / 64.0;
+            let bias = if i < 32 { 0.9 * u } else { -0.9 * u };
+            est.add(ClockSample {
+                local_mid: t,
+                offset: skew + bias,
+                uncertainty: u,
+            });
+        }
+        let m = est.fit().expect("samples present");
+        assert_eq!(m.drift, 0.0);
+        for t in [0.0, 2.5, 5.0, 7.5, 10.0] {
+            let err = (m.rebase(t) - (t + skew)).abs();
+            assert!(err <= m.uncertainty, "t={t}: err {err} > {}", m.uncertainty);
         }
     }
 

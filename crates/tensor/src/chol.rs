@@ -2,34 +2,36 @@
 //!
 //! The paper inverts every damped Kronecker factor `(A + γI)` and `(G + γI)`
 //! with cuSolver's Cholesky path (§V-B). This module is the CPU analogue:
-//! `LLᵀ` factorization ([`cholesky`], [`cholesky_in_place`]), blocked
-//! triangular solves with `L` ([`solve_into`]), and a full SPD inverse
+//! `LLᵀ` factorization ([`cholesky`], [`cholesky_in_place`]), triangular
+//! solves with `L` ([`solve_into`]), and a full SPD inverse
 //! ([`spd_inverse`]) via inversion of the triangular factor — the POTRF +
-//! POTRI (= TRTRI + LAUUM) sequence. All are blocked so that all but
-//! `O(n · nb²)` of the FLOPs are calls into the level-3 core
-//! ([`crate::gemm::gemm`]), and run in caller storage: one `n × n` buffer
-//! holds `A`'s lower triangle, then `L`, then `M = L⁻¹`, then `A⁻¹`.
+//! POTRI (= TRTRI + LAUUM) sequence. All but `O(n · nb²)` of the FLOPs
+//! are a few large calls into the level-3 core ([`crate::gemm::gemm`]); a
+//! product with a triangle is one call with a triangular operand
+//! ([`Operand::triangle`]), which skips the zero half micro-panel by
+//! micro-panel and costs half a square. Everything runs in caller
+//! storage: one `n × n` buffer holds `A`'s lower triangle, then `L` in
+//! solve form, then `M = L⁻¹`, then `A⁻¹`.
 //!
-//! | step | per block `I = [i0, i1)`, top to bottom | core calls |
+//! | step | on a range `[lo, hi)` of `L`, halved at a block edge `mid` | core calls |
 //! |---|---|---|
-//! | POTRF | factor `L[I,I]` unblocked, invert it | — |
-//! | | panel `L[i1:,I] = A[i1:,I] · L[I,I]⁻ᵀ` | 1 |
-//! | | trailing `A[i1:,i1:] −= L[i1:,I] · L[i1:,I]ᵀ` | 1, [`Mask::Lower`] |
-//! | TRTRI | `M[I,I] = L[I,I]⁻¹` unblocked; `P = −M[I,I] · L[I,0:i0]` | 1 |
-//! | | `M[I,J] = P[:,j0:i0] · M[j0:i0,J]` for each block `J` left of `I` | `i0 / nb` |
-//! | LAUUM | `A⁻¹[I,0:i1] = M[I,I]ᵀ · M[I,0:i1] + M[i1:,I]ᵀ · M[i1:,0:i1]`, then mirror | 2 |
-//! | solve | halve `[lo, hi)` at a block edge `mid`; solve one half, subtract its product with `L[mid:hi,lo:mid]` from the other, solve that; a one-block half multiplies by `L[I,I]⁻¹` | 2 per level |
+//! | POTRF | factor the top half; `L21 = A21 · L11⁻ᵀ` (a right solve); `A22 −= L21 · L21ᵀ`; factor the bottom half | solve + 1, [`Mask::Lower`] |
+//! | | a [`CHOL_NB`] leaf: `potf2`, then `trti2` writes its inverse over it | — |
+//! | | a [`SOLVE_NB`] block: factored down to its leaves, then TRTRI on it | TRTRI |
+//! | TRTRI | invert both halves; `M21 = −(M22 · L21) · M11` | 2, triangular |
+//! | LAUUM | `A⁻¹ = MᵀM` on the lower tiles, then mirror | 1, both operands triangular |
+//! | solve | block by block in dependency order, not halved: subtract what the solved blocks contribute to block `I`, then apply its stored `L[I,I]⁻¹` | 2 per block, the second triangular |
 //!
-//! Depth ranges are clipped to the triangles (`M[p,J] = 0` for `p < j0`,
-//! `M[p,I] = 0` for `p < i0`). An operand that shares rows with the block
-//! being written (the solved panel, `P`, `M[I,0:i1]`) goes through a
-//! per-thread scratch of `nb × nb + n × nb` elements, kept across calls
-//! (it only ever grows); everything else is read where it lies, so a warm
-//! [`spd_inverse_in_place`] allocates nothing. The core keeps results
-//! bit-identical for any `SPDKFAC_THREADS` and across AVX2 / AVX-512 hosts.
-//! [`cholesky_unblocked`] and [`Cholesky::inverse_unblocked`] are the
-//! leaf kernels (diagonal blocks, matrices of at most one block) run on
-//! the whole matrix: the oracles of the parity tests.
+//! POTRF halves at a [`SOLVE_NB`] edge down to the solve blocks and at a
+//! [`CHOL_NB`] edge inside them, so each half's diagonal blocks are
+//! whole. An operand that shares rows with the block being written (the
+//! solved panel `L21`, the product `M22 · L21`, LAUUM's `M`) goes through
+//! a per-thread scratch that only ever grows, so a warm
+//! [`cholesky_in_place`] / [`solve_into`] / [`spd_inverse_in_place`]
+//! allocates nothing. The core keeps results bit-identical for any
+//! `SPDKFAC_THREADS` and across AVX2 / AVX-512 hosts. [`cholesky_unblocked`]
+//! and [`Cholesky::inverse_unblocked`] are the leaf kernels run on the
+//! whole matrix: the oracles of the parity tests.
 //!
 //! ## Solving with `L` instead of forming `A⁻¹`
 //!
@@ -37,41 +39,77 @@
 //! `A = LLᵀ` that is `L⁻ᵀ(L⁻¹X)` or `(XL⁻ᵀ)L⁻¹`, two triangular solves,
 //! the same FLOPs as the product with `A⁻¹`, and POTRI (two thirds of the
 //! inversion) is never run. The solves read `L` in *solve form*: `L` with
-//! each of its `nb × nb` diagonal blocks replaced by its inverse, which
-//! POTRF computes for the panel anyway ([`cholesky_in_place`] keeps them).
-//! The form is fixed by the block edge (`CHOL_NB` for every caller but the
-//! parity tests) and has `L`'s zero upper triangle, so its packed lower
+//! each of its [`SOLVE_NB`]-wide diagonal blocks replaced by its inverse,
+//! which POTRF builds from the [`CHOL_NB`] leaves it inverts for its own
+//! panels ([`cholesky_in_place`] keeps them). A leaf of the solve is then
+//! one triangular product `SOLVE_NB` deep instead of a chain of 24-wide
+//! slivers. The form has `L`'s zero upper triangle, so its packed lower
 //! triangle ([`pack_factor_into`]) is `n(n+1)/2` elements like a packed
 //! inverse. A solve writes `X` into a second buffer and uses `B` as its
-//! workspace ([`solve_into`]): the halves it subtracts from and the halves
-//! it reads are then never the same storage, in either side's split.
+//! workspace ([`solve_into`]): the blocks it subtracts from and the blocks
+//! it reads are then never the same storage, on either side.
 
 use crate::error::TensorError;
-use crate::gemm::{gemm, mirror_lower, Mask, Operand};
+use crate::gemm::{gemm, gemm_overwrite, mirror_lower, Mask, Operand};
 use crate::matrix::Matrix;
 use std::cell::RefCell;
 
-/// Block edge of the factorization and the inverse; matrices up to this
-/// size use the unblocked kernels.
+/// Edge of POTRF's unblocked leaves (`potf2`, then `trti2`); matrices up
+/// to this size are one leaf.
 pub const CHOL_NB: usize = 24;
+
+/// Edge of the solve form's inverted diagonal blocks, and so of the
+/// solves' leaves: a multiple of [`CHOL_NB`], chosen on the trainer's
+/// 256-wide layer (EXPERIMENTS "GEMM-grade factorization and solves").
+pub const SOLVE_NB: usize = 96;
+
+/// The two block edges of one factorization: `potf2` leaves of `leaf`,
+/// inverted diagonal blocks of `solve`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Edges {
+    leaf: usize,
+    solve: usize,
+}
+
+impl Edges {
+    /// [`CHOL_NB`] leaves in [`SOLVE_NB`] blocks: every caller but the
+    /// parity tests.
+    const DEFAULT: Edges = Edges {
+        leaf: CHOL_NB,
+        solve: SOLVE_NB,
+    };
+
+    /// Leaves of `nb`, in blocks of the default number of leaves.
+    fn scaled(nb: usize) -> Edges {
+        Edges {
+            leaf: nb,
+            solve: nb * (SOLVE_NB / CHOL_NB),
+        }
+    }
+}
 
 thread_local! {
     /// This thread's working storage of the blocked kernels (see the
-    /// module docs): grown to the largest matrix seen, never freed.
+    /// module docs): grown to the largest need seen, never freed.
     static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Runs `f` on this thread's scratch, grown to what an `n × n` matrix at
-/// block edge `nb` needs.
-fn with_scratch<R>(n: usize, nb: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+/// Runs `f` on `len` elements of this thread's scratch.
+fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
     SCRATCH.with(|cell| {
         let mut scratch = cell.borrow_mut();
-        let len = nb.min(n) * (nb.min(n) + n);
         if scratch.len() < len {
             scratch.resize(len, 0.0);
         }
         f(&mut scratch[..len])
     })
+}
+
+/// Scratch POTRF and TRTRI need on an `n × n` matrix with leaves of
+/// `leaf`: a leaf's inverse, or a product of two halves of one range
+/// (`w1 · w2 <= n² / 4`).
+fn factor_scratch(n: usize, leaf: usize) -> usize {
+    (n * n).div_ceil(4).max(leaf.min(n).pow(2))
 }
 
 /// Which side of the unknown `op(L)` stands on in a triangular solve.
@@ -89,9 +127,9 @@ pub enum Side {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cholesky {
     l: Matrix,
-    /// `L` in solve form at block edge `nb` (see the module docs).
+    /// `L` in solve form at `edges` (see the module docs).
     solver: Matrix,
-    nb: usize,
+    edges: Edges,
 }
 
 /// Computes the Cholesky factorization `A = L Lᵀ` of a symmetric positive
@@ -119,26 +157,28 @@ pub struct Cholesky {
 /// # }
 /// ```
 pub fn cholesky(a: &Matrix) -> Result<Cholesky, TensorError> {
-    cholesky_with_block(a, CHOL_NB)
+    cholesky_with_edges(a, Edges::DEFAULT)
 }
 
 /// The seed factorization: serial unblocked column-by-column `LLᵀ`.
 ///
-/// The leaf of [`cholesky`] for diagonal blocks and matrices of at most one
-/// block, and the oracle of the parity tests.
+/// The leaf of [`cholesky`], and the oracle of the parity tests: its solve
+/// form is the whole `L⁻¹`, so each of its solves is one product.
 ///
 /// # Errors
 ///
 /// Same contract as [`cholesky`].
 pub fn cholesky_unblocked(a: &Matrix) -> Result<Cholesky, TensorError> {
-    cholesky_with_block(a, a.rows().max(1))
+    let n = a.rows().max(1);
+    cholesky_with_edges(a, Edges { leaf: n, solve: n })
 }
 
-/// Blocked right-looking Cholesky with an explicit block edge `nb`.
+/// Recursive Cholesky with an explicit leaf edge `nb` (and solve-form
+/// blocks of `nb · SOLVE_NB / CHOL_NB`).
 ///
 /// Exposed (rather than hard-wiring [`cholesky`]'s default) so tests can
 /// force the blocked code path on small matrices. Matrices with
-/// `n <= nb` are one unblocked block.
+/// `n <= nb` are one unblocked leaf.
 ///
 /// # Errors
 ///
@@ -149,56 +189,45 @@ pub fn cholesky_unblocked(a: &Matrix) -> Result<Cholesky, TensorError> {
 /// Panics if `nb == 0`.
 pub fn cholesky_with_block(a: &Matrix, nb: usize) -> Result<Cholesky, TensorError> {
     assert!(nb >= 1, "cholesky_with_block: block edge must be positive");
-    let mut l = a.clone();
-    potrf(&mut l, nb, false)?;
-    // The blocks POTRF inverted for its panels, from the same `L[I,I]`.
-    let mut solver = l.clone();
-    let n = solver.rows();
-    with_scratch(n, nb, |scratch| {
-        for j0 in (0..n).step_by(nb) {
-            invert_diagonal_block(solver.as_mut_slice(), n, j0, nb.min(n - j0), scratch, true);
-        }
-    });
-    Ok(Cholesky { l, solver, nb })
+    cholesky_with_edges(a, Edges::scaled(nb))
+}
+
+fn cholesky_with_edges(a: &Matrix, edges: Edges) -> Result<Cholesky, TensorError> {
+    let mut solver = a.clone();
+    let mut l = Matrix::zeros(a.rows(), a.rows());
+    potrf(&mut solver, edges, Some(&mut l))?;
+    Ok(Cholesky { l, solver, edges })
 }
 
 /// POTRF in the matrix's own storage, for the solves: `a` holds the SPD
 /// matrix on entry (only its lower triangle is read) and on success `L` in
-/// solve form at block edge [`CHOL_NB`] — the form [`solve_into`] reads
-/// (module docs). With this thread's scratch warm it allocates nothing.
-/// On error `a` holds a partial factorization.
+/// solve form at [`SOLVE_NB`] — the form [`solve_into`] reads (module
+/// docs). With this thread's scratch warm it allocates nothing. On error
+/// `a` holds a partial factorization.
 ///
 /// # Errors
 ///
 /// Same contract as [`cholesky`].
 pub fn cholesky_in_place(a: &mut Matrix) -> Result<(), TensorError> {
-    potrf(a, CHOL_NB, true)
+    potrf(a, Edges::DEFAULT, None)
 }
 
-/// Inverts the `bw × bw` diagonal block of `w` (rows `n` apart) at `j0`
-/// into the start of `scratch`, and with `store` writes it over the block.
-fn invert_diagonal_block(
-    w: &mut [f64],
-    n: usize,
-    j0: usize,
-    bw: usize,
-    scratch: &mut [f64],
-    store: bool,
-) {
+/// Inverts the `bw × bw` lower-triangular diagonal block of `w` (rows `n`
+/// apart) at `j0` in place, through the start of `scratch`; the block's
+/// upper triangle becomes zero.
+fn invert_diagonal_block(w: &mut [f64], n: usize, j0: usize, bw: usize, scratch: &mut [f64]) {
     let dinv = &mut scratch[..bw * bw];
     dinv.fill(0.0);
     trti2(&w[j0 * n + j0..], n, dinv, bw, bw);
-    if store {
-        for (row, drow) in w[j0 * n + j0..].chunks_mut(n).zip(dinv.chunks(bw)) {
-            row[..bw].copy_from_slice(drow);
-        }
+    for (row, drow) in w[j0 * n + j0..].chunks_mut(n).zip(dinv.chunks(bw)) {
+        row[..bw].copy_from_slice(drow);
     }
 }
 
-/// Factors the SPD matrix in `w` in place: on success `w` holds `L` with a
-/// zero upper triangle (only the lower triangle of `A` is read), its
-/// diagonal blocks inverted when `solve_form`.
-fn potrf(w: &mut Matrix, nb: usize, solve_form: bool) -> Result<(), TensorError> {
+/// Factors the SPD matrix in `w` in place into `L` in solve form at
+/// `edges` (zero upper triangle; only the lower triangle of `A` is read).
+/// `plain`, when given (`n × n`, zero), receives `L` itself.
+fn potrf(w: &mut Matrix, edges: Edges, plain: Option<&mut Matrix>) -> Result<(), TensorError> {
     if !w.is_square() {
         return Err(TensorError::NotSquare {
             op: "cholesky",
@@ -206,44 +235,103 @@ fn potrf(w: &mut Matrix, nb: usize, solve_form: bool) -> Result<(), TensorError>
         });
     }
     let n = w.rows();
-    let w = w.as_mut_slice();
-    with_scratch(n, nb, |scratch| {
-        let (dinv, panel) = scratch.split_at_mut(nb.min(n) * nb.min(n));
-        for j0 in (0..n).step_by(nb) {
-            let j1 = (j0 + nb).min(n);
-            let (bw, below) = (j1 - j0, n - j1);
-            potf2(&mut w[j0 * n + j0..], n, bw)
-                .map_err(|pivot| TensorError::NotPositiveDefinite { pivot: j0 + pivot })?;
-            if below == 0 && !solve_form {
-                break;
-            }
-            // The panel below reads L11⁻¹; L11 itself is not read again.
-            invert_diagonal_block(w, n, j0, bw, dinv, solve_form);
-            if below == 0 {
-                break;
-            }
-            let dinv = &dinv[..bw * bw];
-            // Panel solve L21 · L11ᵀ = A21 as a product with L11⁻ᵀ.
-            let panel = &mut panel[..below * bw];
-            panel.fill(0.0);
-            let (a21, l11_inv) = (Operand::new(&w[j1 * n + j0..], n), Operand::new(dinv, bw));
-            gemm(1.0, below, bw, bw, a21, l11_inv.t(), panel, bw, Mask::Full);
-            for (wrow, prow) in w[j1 * n + j0..].chunks_mut(n).zip(panel.chunks(bw)) {
-                wrow[..bw].copy_from_slice(prow);
-            }
-            // Trailing update A22 −= L21 · L21ᵀ, lower-triangle tiles only.
-            let l21 = Operand::new(panel, bw);
-            let a22 = &mut w[j1 * n + j1..];
-            gemm(-1.0, below, bw, below, l21, l21.t(), a22, n, Mask::Lower);
-        }
-        Ok(())
-    })?;
+    let mut run = Potrf {
+        w: w.as_mut_slice(),
+        n,
+        leaf: edges.leaf,
+        plain: plain.map(|m| m.as_mut_slice()),
+    };
+    if n > 0 {
+        with_scratch(factor_scratch(n, edges.leaf), |scratch| {
+            run.factor(0, n, edges.solve, scratch)
+        })
+        .map_err(|pivot| TensorError::NotPositiveDefinite { pivot })?;
+    }
     // The upper triangle still holds `A`, and trailing-update tiles that
     // straddle the diagonal spilled above it.
     for i in 0..n {
-        w[i * n + i + 1..(i + 1) * n].fill(0.0);
+        run.w[i * n + i + 1..(i + 1) * n].fill(0.0);
     }
     Ok(())
+}
+
+/// The recursive POTRF over the `n × n` row-major `w`, leaves of `leaf`.
+struct Potrf<'a> {
+    w: &'a mut [f64],
+    n: usize,
+    leaf: usize,
+    /// Receives each leaf's `L` and each solved panel as they are written.
+    plain: Option<&'a mut [f64]>,
+}
+
+impl Potrf<'_> {
+    /// Factors `[lo, hi)`, whose updates from the columns left of `lo` are
+    /// already subtracted, into solve form at `edge` (`lo` on an edge).
+    /// `Err` carries the global index of the first non-positive or
+    /// non-finite pivot.
+    fn factor(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        edge: usize,
+        scratch: &mut [f64],
+    ) -> Result<(), usize> {
+        let (n, len) = (self.n, hi - lo);
+        if len <= self.leaf {
+            potf2(&mut self.w[lo * n + lo..], n, len).map_err(|pivot| lo + pivot)?;
+            if let Some(plain) = self.plain.as_deref_mut() {
+                for i in lo..hi {
+                    plain[i * n + lo..=i * n + i].copy_from_slice(&self.w[i * n + lo..=i * n + i]);
+                }
+            }
+            invert_diagonal_block(self.w, n, lo, len, scratch);
+            return Ok(());
+        }
+        if len <= edge {
+            // One inverted block of the solve form, built from its leaves.
+            self.factor(lo, hi, self.leaf, scratch)?;
+            trtri(self.w, n, lo, hi, self.leaf, scratch);
+            return Ok(());
+        }
+        let mid = lo + len.div_ceil(edge) / 2 * edge;
+        self.factor(lo, mid, edge, scratch)?;
+        let (w1, w2) = (mid - lo, hi - mid);
+        let (top, bottom) = self.w.split_at_mut(mid * n);
+        // L21 · L11ᵀ = A21: a right solve with L11 in solve form, A21 its
+        // workspace, L21 landing in the scratch.
+        let l21 = &mut scratch[..w2 * w1];
+        let trsm = Trsm {
+            l: &top[lo * n + lo..],
+            ldl: n,
+            edge,
+            side: Side::Right,
+            trans: true,
+            width: w2,
+            ldb: n,
+            ldx: w1,
+        };
+        trsm.run(w1, &mut bottom[lo..], l21);
+        // A22 −= L21 · L21ᵀ, lower-triangle tiles only.
+        let op = Operand::new(l21, w1);
+        gemm(
+            -1.0,
+            w2,
+            w1,
+            w2,
+            op,
+            op.t(),
+            &mut bottom[mid..],
+            n,
+            Mask::Lower,
+        );
+        for (r, src) in l21.chunks(w1).enumerate() {
+            bottom[r * n + lo..][..w1].copy_from_slice(src);
+            if let Some(plain) = self.plain.as_deref_mut() {
+                plain[(mid + r) * n + lo..][..w1].copy_from_slice(src);
+            }
+        }
+        self.factor(mid, hi, edge, scratch)
+    }
 }
 
 /// Unblocked in-place `LLᵀ` of the `n × n` block at the start of `w` (rows
@@ -291,19 +379,50 @@ fn trti2(l: &[f64], ldl: usize, m: &mut [f64], ldm: usize, n: usize) {
     }
 }
 
-/// Turns the square `L` in `w` (zero upper triangle) into `A⁻¹ = L⁻ᵀL⁻¹`
-/// in place: blocked TRTRI + LAUUM when `n > nb`, the unblocked seed
-/// kernels otherwise.
-fn potri(w: &mut Matrix, nb: usize) {
+/// TRTRI in place: the block `[lo, hi)` of `w` (rows `n` apart), `L` in
+/// solve form at `edge` (`lo` on an edge), becomes `L[lo:hi, lo:hi]⁻¹`.
+/// Halves at an edge, inverts both halves, then `M21 = −(M22 · L21) · M11`:
+/// two products with a triangular operand.
+fn trtri(w: &mut [f64], n: usize, lo: usize, hi: usize, edge: usize, scratch: &mut [f64]) {
+    let len = hi - lo;
+    if len <= edge {
+        return;
+    }
+    let mid = lo + len.div_ceil(edge) / 2 * edge;
+    trtri(w, n, lo, mid, edge, scratch);
+    trtri(w, n, mid, hi, edge, scratch);
+    let (w1, w2) = (mid - lo, hi - mid);
+    let (top, bottom) = w.split_at_mut(mid * n);
+    let t = &mut scratch[..w2 * w1];
+    let m22 = Operand::new(&bottom[mid..], n).triangle(Mask::Lower);
+    gemm_overwrite(
+        1.0,
+        w2,
+        w2,
+        w1,
+        m22,
+        Operand::new(&bottom[lo..], n),
+        t,
+        w1,
+        Mask::Full,
+    );
+    let m11 = Operand::new(&top[lo * n + lo..], n).triangle(Mask::Lower);
+    let t = Operand::new(t, w1);
+    gemm_overwrite(-1.0, w2, w1, w1, t, m11, &mut bottom[lo..], n, Mask::Full);
+}
+
+/// Turns `L` in solve form at `edges` (zero upper triangle) in `w` into
+/// `A⁻¹ = L⁻ᵀL⁻¹` in place: TRTRI, then LAUUM — the scalar seed `MᵀM`
+/// when `n` is at most one leaf, else one core call on the lower tiles
+/// with both operands triangular, mirrored.
+fn potri(w: &mut Matrix, edges: Edges) {
     let n = w.rows();
     let w = w.as_mut_slice();
-    with_scratch(n, nb, |scratch| {
-        if n <= nb {
-            // M = L⁻¹ (lower triangular), then A⁻¹ = MᵀM computed on the
-            // upper triangle and mirrored.
+    with_scratch(factor_scratch(n, edges.leaf).max(n * n), |scratch| {
+        trtri(w, n, 0, n, edges.solve, scratch);
+        if n <= edges.leaf {
             let m = &mut scratch[..n * n];
-            m.fill(0.0);
-            trti2(w, n, m, n, n);
+            m.copy_from_slice(w);
             for i in 0..n {
                 for j in i..n {
                     // Column i of M dotted with column j, rows ≥ max(i, j) = j.
@@ -317,55 +436,10 @@ fn potri(w: &mut Matrix, nb: usize) {
             }
             return;
         }
-        let (dinv, scratch) = scratch.split_at_mut(nb * nb);
-        // TRTRI: rows above i0 already hold M, rows from i0 on still L.
-        for i0 in (0..n).step_by(nb) {
-            let bh = nb.min(n - i0);
-            let (done, rows) = w.split_at_mut(i0 * n);
-            dinv.fill(0.0);
-            trti2(&rows[i0..], n, dinv, bh, bh);
-            // P = −M[I,I] · L[I,0:i0], then M[I,J] = P[:,j0:i0] · M[j0:i0,J].
-            let p = &mut scratch[..bh * i0];
-            p.fill(0.0);
-            gemm(
-                -1.0,
-                bh,
-                bh,
-                i0,
-                Operand::new(dinv, bh),
-                Operand::new(rows, n),
-                p,
-                i0,
-                Mask::Full,
-            );
-            for (row, drow) in rows.chunks_mut(n).zip(dinv.chunks(bh)).take(bh) {
-                row[..i0].fill(0.0);
-                row[i0..i0 + bh].copy_from_slice(drow);
-            }
-            for j0 in (0..i0).step_by(nb) {
-                let (pj, mj) = (
-                    Operand::new(&p[j0..], i0),
-                    Operand::new(&done[j0 * n + j0..], n),
-                );
-                gemm(1.0, bh, i0 - j0, nb, pj, mj, &mut rows[j0..], n, Mask::Full);
-            }
-        }
-        // LAUUM: rows above i0 already hold A⁻¹, rows from i0 on still M.
-        for i0 in (0..n).step_by(nb) {
-            let i1 = (i0 + nb).min(n);
-            let (rows, below) = w[i0 * n..].split_at_mut((i1 - i0) * n);
-            let mi = &mut scratch[..(i1 - i0) * i1];
-            for (row, srow) in rows.chunks_mut(n).zip(mi.chunks_mut(i1)) {
-                srow.copy_from_slice(&row[..i1]);
-                row[..i1].fill(0.0);
-            }
-            let (mii, mi) = (Operand::new(&mi[i0..], i1), Operand::new(mi, i1));
-            gemm(1.0, i1 - i0, i1 - i0, i1, mii.t(), mi, rows, n, Mask::Full);
-            if i1 < n {
-                let (mki, mk) = (Operand::new(&below[i0..], n), Operand::new(below, n));
-                gemm(1.0, i1 - i0, n - i1, i1, mki.t(), mk, rows, n, Mask::Full);
-            }
-        }
+        let m = &mut scratch[..n * n];
+        m.copy_from_slice(w);
+        let m = Operand::new(m, n).triangle(Mask::Lower);
+        gemm_overwrite(1.0, n, n, n, m.t(), m, w, n, Mask::Lower);
         mirror_lower(w, n);
     });
 }
@@ -392,7 +466,7 @@ impl Cholesky {
             .into_vec()
     }
 
-    /// Solves `A X = B` as `X = L⁻ᵀ(L⁻¹B)`: two blocked solves.
+    /// Solves `A X = B` as `X = L⁻ᵀ(L⁻¹B)`: two recursive solves.
     ///
     /// # Panics
     ///
@@ -400,12 +474,13 @@ impl Cholesky {
     pub fn solve_matrix(&self, b: &Matrix) -> Matrix {
         assert_eq!(b.rows(), self.dim(), "solve_matrix: shape mismatch");
         let (mut y, mut x) = (b.clone(), Matrix::zeros(0, 0));
-        solve_with_block(&self.solver, self.nb, Side::Left, false, &mut y, &mut x);
-        solve_with_block(&self.solver, self.nb, Side::Left, true, &mut x, &mut y);
+        let edge = self.edges.solve;
+        solve_with_block(&self.solver, edge, Side::Left, false, &mut y, &mut x);
+        solve_with_block(&self.solver, edge, Side::Left, true, &mut x, &mut y);
         y
     }
 
-    /// One triangular solve at this factorization's block edge:
+    /// One triangular solve on this factorization's solve form:
     /// `op(L)⁻¹ · B` on the [`Side::Left`], `B · op(L)⁻¹` on the
     /// [`Side::Right`], `op(L) = Lᵀ` when `trans`. From
     /// [`cholesky_unblocked`] it is one product with `op(L⁻¹)`: the oracle
@@ -416,15 +491,26 @@ impl Cholesky {
     /// Panics if `b`'s solved dimension is not `self.dim()`.
     pub fn solve_triangular(&self, side: Side, trans: bool, b: &Matrix) -> Matrix {
         let (mut work, mut x) = (b.clone(), Matrix::zeros(0, 0));
-        solve_with_block(&self.solver, self.nb, side, trans, &mut work, &mut x);
+        solve_with_block(
+            &self.solver,
+            self.edges.solve,
+            side,
+            trans,
+            &mut work,
+            &mut x,
+        );
         x
     }
 
-    /// Computes the full inverse `A⁻¹ = L⁻ᵀ L⁻¹` (POTRI-style).
+    /// Computes the full inverse `A⁻¹ = L⁻ᵀ L⁻¹` (POTRI-style) from this
+    /// factorization's solve form: the same bits as [`spd_inverse`] for a
+    /// [`cholesky`] factorization.
     ///
     /// The result is exactly symmetric by construction.
     pub fn inverse(&self) -> Matrix {
-        self.inverse_with_block(CHOL_NB)
+        let mut w = self.solver.clone();
+        potri(&mut w, self.edges);
+        w
     }
 
     /// The seed inverse: serial triangular inversion followed by the scalar
@@ -434,8 +520,8 @@ impl Cholesky {
         self.inverse_with_block(self.dim().max(1))
     }
 
-    /// Blocked inverse (TRTRI + LAUUM on the level-3 core, see the module
-    /// docs) with an explicit block edge `nb`.
+    /// Recursive inverse (TRTRI + LAUUM on the level-3 core, see the module
+    /// docs) of `L` with an explicit block edge `nb`.
     ///
     /// Exposed so tests can force the blocked code path on small matrices.
     /// Matrices with `n <= nb` fall back to
@@ -447,7 +533,19 @@ impl Cholesky {
     pub fn inverse_with_block(&self, nb: usize) -> Matrix {
         assert!(nb >= 1, "inverse_with_block: block edge must be positive");
         let mut w = self.l.clone();
-        potri(&mut w, nb);
+        let n = w.rows();
+        with_scratch(nb.min(n).pow(2), |scratch| {
+            for j0 in (0..n).step_by(nb) {
+                invert_diagonal_block(w.as_mut_slice(), n, j0, nb.min(n - j0), scratch);
+            }
+        });
+        potri(
+            &mut w,
+            Edges {
+                leaf: nb,
+                solve: nb,
+            },
+        );
         w
     }
 
@@ -457,8 +555,8 @@ impl Cholesky {
     }
 }
 
-/// The blocked triangular solve (module docs) with `l` in solve form at
-/// block edge [`CHOL_NB`], as [`cholesky_in_place`] leaves it: `x` becomes
+/// The recursive triangular solve (module docs) with `l` in solve form at
+/// [`SOLVE_NB`], as [`cholesky_in_place`] leaves it: `x` becomes
 /// `op(L)⁻¹ · b` on the [`Side::Left`], `b · op(L)⁻¹` on the
 /// [`Side::Right`] (`op(L) = Lᵀ` when `trans`), reshaped to `b`'s shape
 /// with its storage reused. `b` is the solve's workspace and is left
@@ -489,13 +587,13 @@ impl Cholesky {
 /// # }
 /// ```
 pub fn solve_into(l: &Matrix, side: Side, trans: bool, b: &mut Matrix, x: &mut Matrix) {
-    solve_with_block(l, CHOL_NB, side, trans, b, x);
+    solve_with_block(l, SOLVE_NB, side, trans, b, x);
 }
 
-/// [`solve_into`] with `l` in solve form at block edge `nb`.
+/// [`solve_into`] with `l` in solve form at block edge `edge`.
 fn solve_with_block(
     l: &Matrix,
-    nb: usize,
+    edge: usize,
     side: Side,
     trans: bool,
     b: &mut Matrix,
@@ -524,140 +622,123 @@ fn solve_with_block(
         (Side::Left, 1) => (Side::Right, !trans),
         _ => (side, trans),
     };
+    let ld = match side {
+        Side::Left => width,
+        Side::Right => n,
+    };
     let trsm = Trsm {
         l: l.as_slice(),
-        n,
-        nb,
+        ldl: n,
+        edge,
         side,
         trans,
         width,
+        ldb: ld,
+        ldx: ld,
     };
-    trsm.run(0, n, b.as_mut_slice(), x.as_mut_slice());
+    trsm.run(n, b.as_mut_slice(), x.as_mut_slice());
 }
 
-/// One blocked triangular solve: `L` in solve form (`n × n`, block edge
-/// `nb`), the side and transpose, and the right-hand side's other
-/// dimension `width`. `b` and `x` are row-major, `n × width` on the left,
+/// One recursive triangular solve: `L` in solve form at `edge` (element
+/// `(i, j)` at `l[i * ldl + j]`), the side and transpose, and the
+/// right-hand side's other dimension `width`. `b` and `x` are row-major
+/// with leading dimensions `ldb` / `ldx`, `n × width` on the left,
 /// `width × n` on the right.
 struct Trsm<'a> {
     l: &'a [f64],
-    n: usize,
-    nb: usize,
+    ldl: usize,
+    edge: usize,
     side: Side,
     trans: bool,
     width: usize,
+    ldb: usize,
+    ldx: usize,
 }
 
 impl Trsm<'_> {
-    /// Solves for the unknowns `[lo, hi)` of the solved dimension (`lo` on
-    /// a block edge), all of whose dependencies outside the range are
-    /// already subtracted from `b`.
-    fn run(&self, lo: usize, hi: usize, b: &mut [f64], x: &mut [f64]) {
-        let blocks = (hi - lo).div_ceil(self.nb);
-        if blocks <= 1 {
-            return self.leaf(lo, hi, b, x);
-        }
-        let mid = lo + blocks / 2 * self.nb;
-        // `L[mid:hi, lo:mid]` couples the halves. Forward (`L` on the left,
-        // `Lᵀ` on the right) solves the top half first, backward the bottom.
-        let coupling = Operand::new(&self.l[mid * self.n + lo..], self.n);
-        let (n, w) = (self.n, self.width);
-        match (self.side, self.trans) {
-            (Side::Left, false) => {
-                self.run(lo, mid, b, x);
-                let xs = Operand::new(&x[lo * w..], w);
-                gemm(
-                    -1.0,
-                    hi - mid,
-                    mid - lo,
-                    w,
-                    coupling,
-                    xs,
-                    &mut b[mid * w..],
-                    w,
-                    Mask::Full,
-                );
-                self.run(mid, hi, b, x);
+    /// Solves for all `n` unknowns of the solved dimension, block by block
+    /// in dependency order (forward for `L` on the left and `Lᵀ` on the
+    /// right, backward otherwise): one product subtracts what every solved
+    /// block contributes to block `I`, then a [`Trsm::leaf`] applies
+    /// `op(L[I,I])⁻¹`.
+    fn run(&self, n: usize, b: &mut [f64], x: &mut [f64]) {
+        let blocks = n.div_ceil(self.edge);
+        let forward = matches!(
+            (self.side, self.trans),
+            (Side::Left, false) | (Side::Right, true)
+        );
+        let (w, ldl, ldb, ldx) = (self.width, self.ldl, self.ldb, self.ldx);
+        for i in 0..blocks {
+            let lo = self.edge * if forward { i } else { blocks - 1 - i };
+            let hi = n.min(lo + self.edge);
+            let bw = hi - lo;
+            match (self.side, self.trans) {
+                // b[I] −= L[I, 0:lo] · x[0:lo]
+                (Side::Left, false) if lo > 0 => {
+                    let (l, xs) = (Operand::new(&self.l[lo * ldl..], ldl), Operand::new(x, ldx));
+                    gemm(-1.0, bw, lo, w, l, xs, &mut b[lo * ldb..], ldb, Mask::Full);
+                }
+                // b[I] −= L[hi:n, I]ᵀ · x[hi:n]
+                (Side::Left, true) if hi < n => {
+                    let l = Operand::new(&self.l[hi * ldl + lo..], ldl).t();
+                    let xs = Operand::new(&x[hi * ldx..], ldx);
+                    gemm(
+                        -1.0,
+                        bw,
+                        n - hi,
+                        w,
+                        l,
+                        xs,
+                        &mut b[lo * ldb..],
+                        ldb,
+                        Mask::Full,
+                    );
+                }
+                // b[:, I] −= x[:, hi:n] · L[hi:n, I]
+                (Side::Right, false) if hi < n => {
+                    let xs = Operand::new(&x[hi..], ldx);
+                    let l = Operand::new(&self.l[hi * ldl + lo..], ldl);
+                    gemm(-1.0, w, n - hi, bw, xs, l, &mut b[lo..], ldb, Mask::Full);
+                }
+                // b[:, I] −= x[:, 0:lo] · L[I, 0:lo]ᵀ
+                (Side::Right, true) if lo > 0 => {
+                    let (xs, l) = (
+                        Operand::new(x, ldx),
+                        Operand::new(&self.l[lo * ldl..], ldl).t(),
+                    );
+                    gemm(-1.0, w, lo, bw, xs, l, &mut b[lo..], ldb, Mask::Full);
+                }
+                _ => {}
             }
-            (Side::Left, true) => {
-                self.run(mid, hi, b, x);
-                let xs = Operand::new(&x[mid * w..], w);
-                gemm(
-                    -1.0,
-                    mid - lo,
-                    hi - mid,
-                    w,
-                    coupling.t(),
-                    xs,
-                    &mut b[lo * w..],
-                    w,
-                    Mask::Full,
-                );
-                self.run(lo, mid, b, x);
-            }
-            (Side::Right, false) => {
-                self.run(mid, hi, b, x);
-                let xs = Operand::new(&x[mid..], n);
-                gemm(
-                    -1.0,
-                    w,
-                    hi - mid,
-                    mid - lo,
-                    xs,
-                    coupling,
-                    &mut b[lo..],
-                    n,
-                    Mask::Full,
-                );
-                self.run(lo, mid, b, x);
-            }
-            (Side::Right, true) => {
-                self.run(lo, mid, b, x);
-                let xs = Operand::new(&x[lo..], n);
-                gemm(
-                    -1.0,
-                    w,
-                    mid - lo,
-                    hi - mid,
-                    xs,
-                    coupling.t(),
-                    &mut b[mid..],
-                    n,
-                    Mask::Full,
-                );
-                self.run(mid, hi, b, x);
-            }
+            self.leaf(lo, hi, b, x);
         }
     }
 
     /// One diagonal block `I = [lo, hi)`: `x[I] = op(L[I,I])⁻¹ · b[I]` (or
-    /// `b[:,I] · op(L[I,I])⁻¹`), a product with the stored inverse.
+    /// `b[:,I] · op(L[I,I])⁻¹`), one product with the stored inverse as a
+    /// triangular operand.
     fn leaf(&self, lo: usize, hi: usize, b: &[f64], x: &mut [f64]) {
-        let (n, w, bw) = (self.n, self.width, hi - lo);
-        let dinv = Operand::new(&self.l[lo * n + lo..], n);
+        let (w, bw, ldb, ldx) = (self.width, hi - lo, self.ldb, self.ldx);
+        let dinv = Operand::new(&self.l[lo * self.ldl + lo..], self.ldl).triangle(Mask::Lower);
         let dinv = if self.trans { dinv.t() } else { dinv };
         match self.side {
             Side::Left => {
-                let xs = &mut x[lo * w..hi * w];
-                xs.fill(0.0);
-                gemm(
+                let bs = Operand::new(&b[lo * ldb..], ldb);
+                gemm_overwrite(
                     1.0,
                     bw,
                     bw,
                     w,
                     dinv,
-                    Operand::new(&b[lo * w..], w),
-                    xs,
-                    w,
+                    bs,
+                    &mut x[lo * ldx..],
+                    ldx,
                     Mask::Full,
                 );
             }
             Side::Right => {
-                for row in x.chunks_mut(n) {
-                    row[lo..hi].fill(0.0);
-                }
-                let bs = Operand::new(&b[lo..], n);
-                gemm(1.0, w, bw, bw, bs, dinv, &mut x[lo..], n, Mask::Full);
+                let bs = Operand::new(&b[lo..], ldb);
+                gemm_overwrite(1.0, w, bw, bw, bs, dinv, &mut x[lo..], ldx, Mask::Full);
             }
         }
     }
@@ -746,8 +827,8 @@ pub fn spd_inverse(a: &Matrix) -> Result<Matrix, TensorError> {
 ///
 /// Same contract as [`cholesky`].
 pub fn spd_inverse_in_place(a: &mut Matrix) -> Result<(), TensorError> {
-    potrf(a, CHOL_NB, false)?;
-    potri(a, CHOL_NB);
+    potrf(a, Edges::DEFAULT, None)?;
+    potri(a, Edges::DEFAULT);
     Ok(())
 }
 
@@ -840,16 +921,16 @@ mod tests {
 
     #[test]
     fn in_place_factor_is_the_solve_form_of_the_factorization() {
-        for n in [1usize, 5, 24, 25, 70] {
+        for n in [1usize, 5, 24, 25, 70, SOLVE_NB + 1, 257] {
             let a = random_spd(n, 300 + n as u64);
             let mut l = a.clone();
             cholesky_in_place(&mut l).unwrap();
             let ch = cholesky(&a).unwrap();
             let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&l), bits(&ch.solver), "n={n}");
-            // Off the diagonal blocks it is `L` itself.
+            // Off the inverted diagonal blocks it is `L` itself.
             for i in 0..n {
-                for j in 0..i - i % CHOL_NB {
+                for j in 0..i - i % SOLVE_NB {
                     assert_eq!(l[(i, j)].to_bits(), ch.factor()[(i, j)].to_bits());
                 }
             }

@@ -1,27 +1,44 @@
 //! The level-3 core: one packed, cache-blocked, register-tiled
-//! `C += α·op(A)·op(B)` over strided row-major operands.
+//! `C += α·op(A)·op(B)` over strided row-major operands ([`gemm`]), or
+//! `C = α·op(A)·op(B)` without reading `C` ([`gemm_overwrite`]).
 //!
-//! Everything dense in this crate is a call into [`gemm`]:
+//! Everything dense in this crate is a call into it:
 //!
-//! - `Matrix::{matmul, matmul_nt, matmul_tn}`: one unmasked call.
+//! - `Matrix::{matmul, matmul_nt, matmul_tn}`: one unmasked overwrite.
 //! - `Matrix::{gramian, syrk_nt}` (`XᵀX` / `XXᵀ`, the Kronecker-factor
 //!   statistics `E[aaᵀ]` / `E[ggᵀ]`): one [`Mask::Lower`] call — tiles
 //!   wholly above the diagonal are skipped, half the FLOPs — then
 //!   [`mirror_lower`].
 //! - `Matrix::gramian_packed_into` (the statistic the trainers put on the
-//!   wire as its packed upper triangle): one [`Mask::Upper`] call, no
+//!   wire as its packed upper triangle): one [`Mask::Upper`] overwrite, no
 //!   mirror. Its element `(i, j)` is the `Lower` call's `(j, i)` to the
 //!   bit: the same products (multiplication commutes) in the same order.
-//! - The blocked Cholesky factorization and SPD inverse in [`crate::chol`]:
-//!   panel solve, trailing update, triangular inversion and `MᵀM` are core
-//!   calls on sub-blocks (an operand is a slice that starts at the block's
-//!   first element plus a leading dimension, so no block is ever copied
-//!   out to be multiplied).
+//! - The recursive Cholesky factorization, solves and SPD inverse in
+//!   [`crate::chol`]: panel solve, trailing update, triangular inversion
+//!   and `MᵀM` are core calls on sub-blocks (an operand is a slice that
+//!   starts at the block's first element plus a leading dimension, so no
+//!   block is ever copied out to be multiplied), every product with a
+//!   triangle one call with a triangular operand.
+//!
+//! **Triangular operands.** [`Operand::triangle`] marks the stored
+//! matrix's live triangle (`.t()` then reads the other one of `op(X)`).
+//! Each `MR` row panel of `op(A)` and `NR` column panel of `op(B)` can
+//! hold a live element only at some depths (`live_depths`): a lower
+//! `op(A)` panel `[i, i + MR)` at `[0, i + MR)`, an upper one at
+//! `[i, k)`, and the transposed cases for `op(B)`. A tile multiplies over
+//! the intersection of its two panels' ranges only, so a triangle costs
+//! half a square; each panel is packed over its own range, with the dead
+//! elements inside the panel's diagonal square packed as zeros, and
+//! nothing else of the dead triangle is read: it may hold anything.
 //!
 //! Structure (BLIS/GotoBLAS): `op(B)` is packed once per `KC × NC` cache
 //! block into `NR`-wide panels, each `MC`-row block of `op(A)` into
 //! `MR`-tall panels, and an `MR × NR` microkernel runs over panel pairs,
-//! adding its register tile straight into `C`. Packing absorbs
+//! adding its register tile straight into `C` (writing it, for the first
+//! depth block of an overwrite). The vector kernels prefetch their `C`
+//! tile before the depth loop and load all of it before storing any of
+//! it: rows of a tile 4 KiB apart (a leading dimension of 256) would
+//! otherwise stall each load behind the previous row's store. Packing absorbs
 //! transposition, `α` and the zero padding of ragged panels; the pack
 //! buffers are per-thread, grow to the largest block seen and are never
 //! cleared. The microkernel is chosen once per process from CPUID:
@@ -38,13 +55,17 @@
 //!   chain over `p` from zero, in order, over the same depth split, and add
 //!   it to `C` once per depth block — AVX2 and AVX-512 hosts produce
 //!   identical bits. (The portable kernel multiplies and adds separately
-//!   and rounds differently.)
+//!   and rounds differently.) A triangular clip drops only products with
+//!   a packed zero, which leave a finite chain unchanged, so where a tile
+//!   shape puts the clip does not move a bit; an overwrite's `C = acc` is
+//!   `0 + acc`.
 //!
 //! [`matmul_reference`] and [`gramian_reference`] are the serial seed
 //! kernels, kept as oracles for the parity tests.
 
 use crate::pool::{self, SharedSlice};
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::OnceLock;
 use std::thread::LocalKey;
 
@@ -74,6 +95,11 @@ pub struct Operand<'a> {
     pub data: &'a [f64],
     pub ld: usize,
     pub trans: bool,
+    /// The stored matrix's live triangle. With [`Mask::Lower`] the elements
+    /// right of its diagonal (`j > i`) are structural zeros, with
+    /// [`Mask::Upper`] those left of it: the core never multiplies them,
+    /// whatever the storage holds there. [`Mask::Full`] is a dense operand.
+    pub tri: Mask,
 }
 
 impl<'a> Operand<'a> {
@@ -83,6 +109,7 @@ impl<'a> Operand<'a> {
             data,
             ld,
             trans: false,
+            tri: Mask::Full,
         }
     }
 
@@ -91,6 +118,21 @@ impl<'a> Operand<'a> {
         Operand {
             trans: !self.trans,
             ..self
+        }
+    }
+
+    /// The same storage with only its `tri` triangle live (a transposed
+    /// view then has the other triangle of `op(self)` live).
+    pub fn triangle(self, tri: Mask) -> Self {
+        Operand { tri, ..self }
+    }
+
+    /// The live triangle of `op(self)`.
+    fn op_tri(&self) -> Mask {
+        if self.trans {
+            self.tri.flip()
+        } else {
+            self.tri
         }
     }
 
@@ -110,18 +152,45 @@ impl<'a> Operand<'a> {
     }
 }
 
-/// Which tiles of `C` the core computes. A tile that straddles the
-/// diagonal is computed in full, so the elements of the other triangle
-/// next to the diagonal hold partial garbage: callers mirror over them
+/// A triangle of a matrix indexed from its top-left corner: which tiles
+/// of `C` the core computes, or which elements of an operand are live
+/// ([`Operand::triangle`]). A tile of `C` that straddles the diagonal is
+/// computed in full, so the elements of the other triangle next to the
+/// diagonal hold partial garbage: callers mirror over them
 /// ([`mirror_lower`]) or ignore them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mask {
-    /// Every tile.
+    /// Every tile / element.
     Full,
-    /// Skip tiles wholly above the diagonal (`j > i` for all elements).
+    /// Skip tiles wholly above the diagonal (`j > i` for all elements); of
+    /// an operand, only `j <= i` is live.
     Lower,
-    /// Skip tiles wholly below the diagonal.
+    /// Skip tiles wholly below the diagonal; of an operand, only `j >= i`
+    /// is live.
     Upper,
+}
+
+impl Mask {
+    /// The same triangle of the transposed matrix.
+    fn flip(self) -> Mask {
+        match self {
+            Mask::Lower => Mask::Upper,
+            Mask::Upper => Mask::Lower,
+            Mask::Full => Mask::Full,
+        }
+    }
+}
+
+/// The depths `[lo, hi)` at which the vectors `[o, o + w)` of a packed
+/// operand (rows of `op(A)`, columns of `op(B)`) can hold a live element,
+/// for the live triangle `tri` of the `(vector, depth)` matrix (`Lower`:
+/// depth `<= vector`). The clip of every micro-panel.
+fn live_depths(tri: Mask, o: usize, w: usize) -> (usize, usize) {
+    match tri {
+        Mask::Full => (0, usize::MAX),
+        Mask::Lower => (0, o + w),
+        Mask::Upper => (o, usize::MAX),
+    }
 }
 
 /// A register-tile microkernel over packed panels.
@@ -131,13 +200,13 @@ trait Micro {
 
     /// `c[r * ldc + j] += Σ_p a[p * MR + r] · b[p * NR + j]` for the whole
     /// `MR × NR` tile: the sum runs over `p` in order from zero and is
-    /// added to `c` once.
+    /// added to `c` once — or, with `set`, written over `c` unread.
     ///
     /// # Safety
     /// The CPU supports the kernel's ISA; `a` and `b` are readable for
     /// `kc * MR` / `kc * NR` elements and `c` is writable for
     /// `(MR - 1) * ldc + NR`.
-    unsafe fn tile(kc: usize, a: *const f64, b: *const f64, c: *mut f64, ldc: usize);
+    unsafe fn tile(kc: usize, a: *const f64, b: *const f64, c: *mut f64, ldc: usize, set: bool);
 
     /// Transposing pack of four equally long source rows:
     /// `dst[p * w + r] = alpha · rows[r][p]` for `r < 4`.
@@ -150,6 +219,36 @@ trait Micro {
                 *d = alpha * v;
             }
         }
+    }
+
+    /// [`copy_rows`], compiled for the kernel's ISA.
+    ///
+    /// # Safety
+    /// The CPU supports the kernel's ISA.
+    unsafe fn copy_rows(
+        dst: &mut [f64],
+        w: usize,
+        src: &[f64],
+        ld: usize,
+        valid: usize,
+        alpha: f64,
+    ) {
+        copy_rows(dst, w, src, ld, valid, alpha);
+    }
+}
+
+/// Non-transposing pack of `dst.len() / w` source rows `ld` apart:
+/// `dst[p * w + r] = alpha · src[p * ld + r]` for `r < valid`, zero for
+/// `valid <= r < w`. Inlined into each kernel's [`Micro::copy_rows`], so
+/// it vectorizes at that kernel's width.
+#[inline(always)]
+fn copy_rows(dst: &mut [f64], w: usize, src: &[f64], ld: usize, valid: usize, alpha: f64) {
+    for (p, d) in dst.chunks_exact_mut(w).enumerate() {
+        let (d, pad) = d.split_at_mut(valid);
+        for (dv, &v) in d.iter_mut().zip(&src[p * ld..][..valid]) {
+            *dv = alpha * v;
+        }
+        pad.fill(0.0);
     }
 }
 
@@ -202,11 +301,27 @@ mod simd {
         const NR: usize = 24;
 
         #[target_feature(enable = "avx512f")]
-        unsafe fn tile(kc: usize, a: *const f64, b: *const f64, c: *mut f64, ldc: usize) {
+        unsafe fn tile(
+            kc: usize,
+            a: *const f64,
+            b: *const f64,
+            c: *mut f64,
+            ldc: usize,
+            set: bool,
+        ) {
             // SAFETY: the caller guarantees AVX-512F and the extents every
             // offset below stays within (`p < kc`, `r < 8`, three 8-wide
             // vectors per 24-wide row).
             unsafe {
+                // C's tile is touched once, after the loop: start pulling
+                // its 8 rows (three or four lines each) in now.
+                for r in 0..8 {
+                    let cp = c.add(r * ldc) as *const i8;
+                    _mm_prefetch::<_MM_HINT_T0>(cp);
+                    _mm_prefetch::<_MM_HINT_T0>(cp.add(64));
+                    _mm_prefetch::<_MM_HINT_T0>(cp.add(128));
+                    _mm_prefetch::<_MM_HINT_T0>(cp.add(184));
+                }
                 let mut acc = [[_mm512_setzero_pd(); 3]; 8];
                 for p in 0..kc {
                     let bp = b.add(p * 24);
@@ -222,10 +337,17 @@ mod simd {
                         }
                     }
                 }
+                // Every load of C before any store: rows two apart are
+                // 4 KiB apart at a leading dimension of 256, and a load
+                // behind a store to such an address stalls.
+                for (r, row) in acc.iter_mut().enumerate().filter(|_| !set) {
+                    for (v, x) in row.iter_mut().enumerate() {
+                        *x = _mm512_add_pd(_mm512_loadu_pd(c.add(r * ldc + v * 8)), *x);
+                    }
+                }
                 for (r, row) in acc.iter().enumerate() {
                     for (v, &x) in row.iter().enumerate() {
-                        let cp = c.add(r * ldc + v * 8);
-                        _mm512_storeu_pd(cp, _mm512_add_pd(_mm512_loadu_pd(cp), x));
+                        _mm512_storeu_pd(c.add(r * ldc + v * 8), x);
                     }
                 }
             }
@@ -237,6 +359,18 @@ mod simd {
         unsafe fn gather4(dst: &mut [f64], w: usize, rows: [&[f64]; 4], alpha: f64) {
             gather4(dst, w, rows, alpha);
         }
+
+        #[target_feature(enable = "avx512f")]
+        unsafe fn copy_rows(
+            dst: &mut [f64],
+            w: usize,
+            src: &[f64],
+            ld: usize,
+            valid: usize,
+            alpha: f64,
+        ) {
+            super::copy_rows(dst, w, src, ld, valid, alpha);
+        }
     }
 
     /// 4×8: 8 ymm accumulators (4 rows × 2 vectors of 4 doubles).
@@ -247,7 +381,14 @@ mod simd {
         const NR: usize = 8;
 
         #[target_feature(enable = "avx2,fma")]
-        unsafe fn tile(kc: usize, a: *const f64, b: *const f64, c: *mut f64, ldc: usize) {
+        unsafe fn tile(
+            kc: usize,
+            a: *const f64,
+            b: *const f64,
+            c: *mut f64,
+            ldc: usize,
+            set: bool,
+        ) {
             // SAFETY: the caller guarantees AVX2+FMA and the extents every
             // offset below stays within (`p < kc`, `r < 4`, two 4-wide
             // vectors per 8-wide row).
@@ -263,10 +404,15 @@ mod simd {
                         }
                     }
                 }
+                // Loads before stores, as in the AVX-512 kernel.
+                for (r, row) in acc.iter_mut().enumerate().filter(|_| !set) {
+                    for (v, x) in row.iter_mut().enumerate() {
+                        *x = _mm256_add_pd(_mm256_loadu_pd(c.add(r * ldc + v * 4)), *x);
+                    }
+                }
                 for (r, row) in acc.iter().enumerate() {
                     for (v, &x) in row.iter().enumerate() {
-                        let cp = c.add(r * ldc + v * 4);
-                        _mm256_storeu_pd(cp, _mm256_add_pd(_mm256_loadu_pd(cp), x));
+                        _mm256_storeu_pd(c.add(r * ldc + v * 4), x);
                     }
                 }
             }
@@ -276,6 +422,18 @@ mod simd {
         #[target_feature(enable = "avx2,fma")]
         unsafe fn gather4(dst: &mut [f64], w: usize, rows: [&[f64]; 4], alpha: f64) {
             gather4(dst, w, rows, alpha);
+        }
+
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn copy_rows(
+            dst: &mut [f64],
+            w: usize,
+            src: &[f64],
+            ld: usize,
+            valid: usize,
+            alpha: f64,
+        ) {
+            super::copy_rows(dst, w, src, ld, valid, alpha);
         }
     }
 }
@@ -288,7 +446,7 @@ impl Micro for Portable {
     const MR: usize = 4;
     const NR: usize = 8;
 
-    unsafe fn tile(kc: usize, a: *const f64, b: *const f64, c: *mut f64, ldc: usize) {
+    unsafe fn tile(kc: usize, a: *const f64, b: *const f64, c: *mut f64, ldc: usize, set: bool) {
         let mut acc = [[0.0f64; 8]; 4];
         // SAFETY: the caller guarantees `kc * 4`, `kc * 8` and
         // `3 * ldc + 8` elements behind `a`, `b` and `c`.
@@ -309,7 +467,7 @@ impl Micro for Portable {
             // SAFETY: as above, row `r < 4` of the tile.
             let crow = unsafe { std::slice::from_raw_parts_mut(c.add(r * ldc), 8) };
             for (cv, &x) in crow.iter_mut().zip(row) {
-                *cv += x;
+                *cv = if set { x } else { *cv + x };
             }
         }
     }
@@ -414,18 +572,55 @@ pub fn gemm(
     ldc: usize,
     mask: Mask,
 ) {
+    gemm_with(kernel(), Land::Add, alpha, m, k, n, a, b, c, ldc, mask);
+}
+
+/// [`gemm`] that writes `C` instead of adding to it: `c[i * ldc + j] =
+/// α · Σ_p …` on the tiles `mask` keeps, whose old contents are never
+/// read. The same bits as zeroing those tiles and calling [`gemm`].
+///
+/// # Panics
+///
+/// As [`gemm`].
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_overwrite(
+    alpha: f64,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: Operand,
+    b: Operand,
+    c: &mut [f64],
+    ldc: usize,
+    mask: Mask,
+) {
+    gemm_with(kernel(), Land::Set, alpha, m, k, n, a, b, c, ldc, mask);
+}
+
+/// The microkernel this thread's core calls run on.
+fn kernel() -> Kernel {
     #[cfg(test)]
     let kernel = FORCED.with(|k| k.get()).unwrap_or_else(Kernel::detect);
     #[cfg(not(test))]
     let kernel = Kernel::detect();
-    gemm_with(kernel, alpha, m, k, n, a, b, c, ldc, mask);
+    kernel
 }
 
-/// [`gemm`] on an explicit microkernel (the cross-ISA bit-identity test
-/// runs every supported one).
+/// How a product lands in `C`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Land {
+    /// Added to what `C` holds ([`gemm`]).
+    Add,
+    /// Written over it ([`gemm_overwrite`]).
+    Set,
+}
+
+/// [`gemm`] / [`gemm_overwrite`] on an explicit microkernel (the cross-ISA
+/// bit-identity test runs every supported one).
 #[allow(clippy::too_many_arguments)]
 fn gemm_with(
     kernel: Kernel,
+    land: Land,
     alpha: f64,
     m: usize,
     k: usize,
@@ -447,21 +642,32 @@ fn gemm_with(
         "gemm: C ({m}x{n}, ld {ldc}) overruns its {} elements",
         c.len()
     );
-    if m == 0 || n == 0 || k == 0 {
+    if m == 0 || n == 0 {
         return;
     }
+    if k == 0 {
+        if land == Land::Set {
+            for row in c.chunks_mut(ldc).take(m) {
+                row[..n].fill(0.0);
+            }
+        }
+        return;
+    }
+    let set = land == Land::Set;
     match kernel {
         #[cfg(target_arch = "x86_64")]
-        Kernel::Avx512 => run::<simd::Avx512>(alpha, m, k, n, a, b, c, ldc, mask),
+        Kernel::Avx512 => run::<simd::Avx512>(set, alpha, m, k, n, a, b, c, ldc, mask),
         #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => run::<simd::Avx2>(alpha, m, k, n, a, b, c, ldc, mask),
-        Kernel::Portable => run::<Portable>(alpha, m, k, n, a, b, c, ldc, mask),
+        Kernel::Avx2 => run::<simd::Avx2>(set, alpha, m, k, n, a, b, c, ldc, mask),
+        Kernel::Portable => run::<Portable>(set, alpha, m, k, n, a, b, c, ldc, mask),
     }
 }
 
 /// The blocked loop nest around microkernel `K`; shapes already checked.
+/// With `set` the first depth block writes `C` instead of adding to it.
 #[allow(clippy::too_many_arguments)]
 fn run<K: Micro>(
+    set: bool,
     alpha: f64,
     m: usize,
     k: usize,
@@ -477,12 +683,17 @@ fn run<K: Micro>(
     let kc_max = k.div_ceil(k.div_ceil(KC));
     let row_blocks = m.div_ceil(MC);
     let parallel = pool::is_parallel() && row_blocks > 1 && m * n * k >= PAR_FLOPS;
+    // Live triangles of the (vector, depth) matrices the packs hold: the
+    // rows of op(A) as they are, the columns of op(B) transposed.
+    let tris = (a.op_tri(), b.op_tri().flip());
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         for kb in (0..k).step_by(kc_max) {
             let kc = kc_max.min(k - kb);
+            let depth = kb..kb + kc;
             with_pack(&PACK_B, nc.div_ceil(K::NR) * K::NR * kc, |bpack| {
-                pack::<K>(K::NR, bpack, b.data, b.ld, b.trans, jc, nc, kb, kc, 1.0);
+                let src = (b.data, b.ld, b.trans);
+                pack::<K>(K::NR, bpack, src, tris.1, jc, nc, depth.clone(), 1.0);
                 let bpack = &*bpack;
                 let body = |blk: usize| {
                     let i0 = blk * MC;
@@ -490,8 +701,17 @@ fn run<K: Micro>(
                     // SAFETY: each task owns rows [i0, i0 + mc) of C.
                     let rows = unsafe { shared.slice_mut(i0 * ldc..c_len.min((i0 + mc) * ldc)) };
                     with_pack(&PACK_A, mc.div_ceil(K::MR) * K::MR * kc, |apack| {
-                        pack::<K>(K::MR, apack, a.data, a.ld, !a.trans, i0, mc, kb, kc, alpha);
-                        block::<K>(apack, bpack, mc, nc, kc, rows, ldc, i0, jc, mask);
+                        let src = (a.data, a.ld, !a.trans);
+                        pack::<K>(K::MR, apack, src, tris.0, i0, mc, depth.clone(), alpha);
+                        let place = Placement {
+                            i0,
+                            jc,
+                            depth: depth.clone(),
+                            mask,
+                            tris,
+                            set: set && kb == 0,
+                        };
+                        block::<K>(apack, bpack, mc, nc, rows, ldc, &place);
                     });
                 };
                 if parallel {
@@ -504,101 +724,157 @@ fn run<K: Micro>(
     }
 }
 
-/// Packs `len` vectors × `kc` depth of an operand into `w`-wide panels:
-/// `dst[(q * kc + p) * w + r] = alpha · x(o0 + q * w + r, p0 + p)`, zero
-/// where the last panel runs past `len`. `x(o, p)` is `src[o * ld + p]`
-/// when `outer_major`, else `src[p * ld + o]`.
+/// Packs `len` vectors × the `depth` range of an operand into `w`-wide
+/// panels: `dst[(q * kc + p) * w + r] = alpha · x(o0 + q * w + r, p0 + p)`
+/// (`p0..p0 + kc` = `depth`), zero where the last panel runs past `len`.
+/// `src` is `(data, ld, outer_major)`: `x(o, p)` is `data[o * ld + p]`
+/// when `outer_major`, else `data[p * ld + o]`. With a triangular `tri`,
+/// each panel is packed over its own clip ([`live_depths`]) only, and the
+/// dead elements the clip admits — those inside the panel's own diagonal
+/// square — are packed as zeros: the microkernel reads nothing else, so it
+/// never multiplies what the storage holds in the dead triangle.
 #[allow(clippy::too_many_arguments)]
 fn pack<K: Micro>(
     w: usize,
     dst: &mut [f64],
-    src: &[f64],
-    ld: usize,
-    outer_major: bool,
+    (src, ld, outer_major): (&[f64], usize, bool),
+    tri: Mask,
     o0: usize,
     len: usize,
-    p0: usize,
-    kc: usize,
+    depth: Range<usize>,
     alpha: f64,
 ) {
+    let (p0, kc) = (depth.start, depth.len());
     for (q, panel) in dst.chunks_exact_mut(kc * w).enumerate() {
         let o = o0 + q * w;
         let valid = w.min(o0 + len - o);
+        let (lo, hi) = live_depths(tri, o, valid);
+        // The panel's live depths, local to the block.
+        let (d0, d1) = (lo.clamp(p0, p0 + kc) - p0, hi.clamp(p0, p0 + kc) - p0);
+        if d0 >= d1 {
+            continue;
+        }
+        let live = &mut panel[d0 * w..d1 * w];
         if outer_major {
-            let row = |r: usize| &src[(o + r) * ld + p0..][..kc];
+            let row = |r: usize| &src[(o + r) * ld + p0 + d0..][..d1 - d0];
             for r in (0..valid - valid % 4).step_by(4) {
                 let rows = [row(r), row(r + 1), row(r + 2), row(r + 3)];
                 // SAFETY: `run` dispatched on a supported kernel.
-                unsafe { K::gather4(&mut panel[r..], w, rows, alpha) };
+                unsafe { K::gather4(&mut live[r..], w, rows, alpha) };
             }
             for r in valid - valid % 4..w {
-                for (p, d) in panel[r..].iter_mut().step_by(w).enumerate() {
+                for (p, d) in live[r..].iter_mut().step_by(w).enumerate() {
                     *d = if r < valid { alpha * row(r)[p] } else { 0.0 };
                 }
             }
         } else {
-            for (p, d) in panel.chunks_exact_mut(w).enumerate() {
-                let row = &src[(p0 + p) * ld + o..][..valid];
-                for (dv, &v) in d.iter_mut().zip(row) {
-                    *dv = alpha * v;
-                }
-                d[valid..].fill(0.0);
+            // SAFETY: `run` dispatched on a supported kernel.
+            unsafe { K::copy_rows(live, w, &src[(p0 + d0) * ld + o..], ld, valid, alpha) };
+        }
+        if tri == Mask::Full {
+            continue;
+        }
+        for r in 0..valid {
+            // Vector `o + r` is live at depths <= (Lower) / >= (Upper) its
+            // own; its dead depths inside the panel's own square.
+            let dead = match tri {
+                Mask::Lower => o + r + 1..o + valid,
+                _ => o..o + r,
+            };
+            for p in dead.start.max(p0)..dead.end.min(p0 + kc) {
+                panel[(p - p0) * w + r] = 0.0;
             }
         }
     }
 }
 
+/// Where a packed block lands and what it may skip: its first row of `C`
+/// (`i0`) and column (`jc`), its depth range, `C`'s tile mask, the live
+/// triangles of the packed `(vector, depth)` matrices of `op(A)` and
+/// `op(B)`, and whether it writes `C` instead of adding to it.
+struct Placement {
+    i0: usize,
+    jc: usize,
+    depth: Range<usize>,
+    mask: Mask,
+    tris: (Mask, Mask),
+    set: bool,
+}
+
 /// One packed `mc × kc` A block times the packed `kc × nc` B block into
-/// the task's rows of C (`c` starts at row `i0`, column 0; the block's
-/// first column is `jc`). `i0` / `jc` place the tiles for `mask`.
-#[allow(clippy::too_many_arguments)]
+/// the task's rows of C (`c` starts at row `place.i0`, column 0). Each
+/// tile skips what `place.mask` excludes and runs the microkernel over
+/// only the depths both of its panels can be live at.
 fn block<K: Micro>(
     apack: &[f64],
     bpack: &[f64],
     mc: usize,
     nc: usize,
-    kc: usize,
     c: &mut [f64],
     ldc: usize,
-    i0: usize,
-    jc: usize,
-    mask: Mask,
+    place: &Placement,
 ) {
     const { assert!(K::MR * K::NR <= MAX_TILE) };
+    let kc = place.depth.len();
     for (bpanel, jr) in bpack.chunks_exact(kc * K::NR).zip((0..nc).step_by(K::NR)) {
         let cols = K::NR.min(nc - jr);
         for (apanel, ir) in apack.chunks_exact(kc * K::MR).zip((0..mc).step_by(K::MR)) {
             let rows = K::MR.min(mc - ir);
-            let (i, j) = (i0 + ir, jc + jr);
-            match mask {
+            let (i, j) = (place.i0 + ir, place.jc + jr);
+            match place.mask {
                 Mask::Lower if j >= i + rows => continue,
                 Mask::Upper if i >= j + cols => continue,
                 _ => {}
             }
+            let (alo, ahi) = live_depths(place.tris.0, i, rows);
+            let (blo, bhi) = live_depths(place.tris.1, j, cols);
+            let lo = alo.max(blo).max(place.depth.start);
+            let hi = ahi.min(bhi).min(place.depth.end);
             let at = ir * ldc + j;
+            if lo >= hi {
+                // Nothing live: the product is zero here.
+                if place.set {
+                    for crow in c[at..].chunks_mut(ldc).take(rows) {
+                        crow[..cols].fill(0.0);
+                    }
+                }
+                continue;
+            }
+            let (off, depth) = (lo - place.depth.start, hi - lo);
+            let (ap, bp) = (&apanel[off * K::MR..], &bpanel[off * K::NR..]);
             if rows == K::MR && cols == K::NR {
                 let tile = &mut c[at..at + (K::MR - 1) * ldc + K::NR];
                 // SAFETY: `run` dispatched on a supported kernel; the
-                // panels hold `kc * MR` / `kc * NR` elements and `tile`
-                // spans the full register tile.
-                unsafe { K::tile(kc, apanel.as_ptr(), bpanel.as_ptr(), tile.as_mut_ptr(), ldc) };
+                // panels hold `depth * MR` / `depth * NR` elements from
+                // `ap` / `bp` on and `tile` spans the full register tile.
+                unsafe {
+                    K::tile(
+                        depth,
+                        ap.as_ptr(),
+                        bp.as_ptr(),
+                        tile.as_mut_ptr(),
+                        ldc,
+                        place.set,
+                    )
+                };
             } else {
                 let mut edge = [0.0f64; MAX_TILE];
                 // SAFETY: as above, with the tile landing in `edge`
                 // (`MR * NR <= MAX_TILE`, rows `NR` apart).
                 unsafe {
                     K::tile(
-                        kc,
-                        apanel.as_ptr(),
-                        bpanel.as_ptr(),
+                        depth,
+                        ap.as_ptr(),
+                        bp.as_ptr(),
                         edge.as_mut_ptr(),
                         K::NR,
+                        true,
                     )
                 };
                 for (r, erow) in edge.chunks_exact(K::NR).take(rows).enumerate() {
                     let crow = &mut c[at + r * ldc..][..cols];
                     for (cv, &e) in crow.iter_mut().zip(erow) {
-                        *cv += e;
+                        *cv = if place.set { e } else { *cv + e };
                     }
                 }
             }
@@ -749,6 +1025,7 @@ mod tests {
             data,
             ld: if trans { rows } else { cols },
             trans,
+            tri: Mask::Full,
         }
     }
 
@@ -868,7 +1145,7 @@ mod tests {
                         let mut c = seq(m * ldc, 0.5);
                         let (oa, ob) = (Operand::new(&a, lda), Operand::new(&b, ldb));
                         let (oa, ob) = (if ta { oa.t() } else { oa }, if tb { ob.t() } else { ob });
-                        gemm_with(kernel, alpha, m, k, n, oa, ob, &mut c, ldc, mask);
+                        gemm_with(kernel, Land::Add, alpha, m, k, n, oa, ob, &mut c, ldc, mask);
                         // What a masked call leaves in the other triangle
                         // depends on the tile shape; callers never read it.
                         let kept = |i: usize, j: usize| match mask {
@@ -888,6 +1165,68 @@ mod tests {
                             "{:?} vs {other:?} differ at {m}x{k}x{n} ta={ta} tb={tb} {mask:?}",
                             kernels[0]
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The same invariants with a triangular operand, on either side, read
+    /// as stored or transposed, landing by `+=` or by overwrite: every
+    /// vector microkernel gives the same bits, and so does a call nested in
+    /// a pool task (serial) against one issued at top level (pooled).
+    #[test]
+    fn triangular_operands_agree_bit_for_bit_across_kernels_and_the_pool() {
+        let kernels: Vec<Kernel> = Kernel::ALL
+            .iter()
+            .copied()
+            .filter(|&k| k != Kernel::Portable && k.supported())
+            .collect();
+        let run = |kernel: Kernel, land: Land, (m, k, n): (usize, usize, usize), case: usize| {
+            let (on_b, tri, trans) = (
+                case & 1 == 1,
+                [Mask::Lower, Mask::Upper][case >> 1 & 1],
+                case & 4 == 4,
+            );
+            let ld = m.max(k).max(n) + 3;
+            let (a, b) = (seq(ld * ld, 0.013), seq(ld * ld, 0.007));
+            let (mut oa, mut ob) = (Operand::new(&a, ld), Operand::new(&b, ld));
+            if on_b {
+                ob = ob.triangle(tri);
+            } else {
+                oa = oa.triangle(tri);
+            }
+            if trans {
+                (oa, ob) = (oa.t(), ob.t());
+            }
+            let mut c = seq(m * n, 0.5);
+            gemm_with(kernel, land, -1.0, m, k, n, oa, ob, &mut c, n, Mask::Full);
+            c.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+        };
+        let shapes = [(7, 33, 23), (65, KC + 1, 49), (257, 257, 257)];
+        for shape in shapes {
+            for case in 0..8 {
+                for land in [Land::Add, Land::Set] {
+                    if let [first, rest @ ..] = kernels.as_slice() {
+                        let want = run(*first, land, shape, case);
+                        for &other in rest {
+                            assert!(
+                                want == run(other, land, shape, case),
+                                "{other:?} {shape:?} case {case}"
+                            );
+                        }
+                    }
+                    let best = Kernel::detect();
+                    let pooled = run(best, land, shape, case);
+                    let nested = std::sync::Mutex::new(Vec::new());
+                    crate::pool::parallel_for(2, |_| {
+                        nested
+                            .lock()
+                            .expect("no panics")
+                            .push(run(best, land, shape, case));
+                    });
+                    for serial in nested.into_inner().expect("no panics") {
+                        assert!(pooled == serial, "pooled vs serial {shape:?} case {case}");
                     }
                 }
             }

@@ -409,12 +409,9 @@ impl Matrix {
             dst.len()
         );
         scratch.reshape_for_overwrite(d, d);
-        // The core adds into C: zero what is read back, the upper triangle.
-        for (i, row) in scratch.data.chunks_exact_mut(d.max(1)).enumerate() {
-            row[i..].fill(0.0);
-        }
+        // Every tile holding an element of the upper triangle is written.
         let x = self.operand();
-        gemm::gemm(
+        gemm::gemm_overwrite(
             1.0,
             d,
             self.rows,
@@ -589,8 +586,13 @@ fn product_into(
     mask: Mask,
     out: &mut Matrix,
 ) {
-    out.reset_zeros(m, n);
-    gemm::gemm(1.0, m, k, n, a, b, &mut out.data, n, mask);
+    if mask == Mask::Full {
+        out.reshape_for_overwrite(m, n);
+        gemm::gemm_overwrite(1.0, m, k, n, a, b, &mut out.data, n, mask);
+    } else {
+        out.reset_zeros(m, n);
+        gemm::gemm(1.0, m, k, n, a, b, &mut out.data, n, mask);
+    }
 }
 
 /// One exponential-moving-average step: `decay · a + (1 − decay) · b`.

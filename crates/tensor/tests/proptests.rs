@@ -2,7 +2,7 @@
 //! and determinism oracles of the level-3 core at real factor sizes.
 
 use proptest::prelude::*;
-use spdkfac_tensor::gemm::{gemm, Mask, Operand, KC};
+use spdkfac_tensor::gemm::{gemm, gemm_overwrite, matmul_reference, Mask, Operand, KC};
 use spdkfac_tensor::rng::MatrixRng;
 use spdkfac_tensor::{chol, kron, pool, Matrix, SymPacked, TensorError};
 use std::sync::Mutex;
@@ -126,6 +126,23 @@ fn blocked_solves_match_the_unblocked_oracle_at_block_and_factor_edges() {
     for (i, d) in SOLVE_DIMS.into_iter().enumerate() {
         for (j, width) in SOLVE_WIDTHS.into_iter().enumerate() {
             solves_match_oracle(d, width, (10 * i + j) as u64).unwrap();
+        }
+    }
+}
+
+/// Dimensions around the POTRF leaf ([`chol::CHOL_NB`]) and the solve
+/// form's inverted blocks ([`chol::SOLVE_NB`]), and the trainer's 257.
+fn solve_edge_dims() -> [usize; 8] {
+    let sb = chol::SOLVE_NB;
+    [1, 23, 24, 25, sb - 1, sb + 1, 2 * sb + 1, 257]
+}
+
+#[test]
+fn potrf_and_solves_match_the_oracles_around_the_solve_blocks() {
+    for (i, d) in solve_edge_dims().into_iter().enumerate() {
+        level3_matches_oracles(d, 70 + i as u64).unwrap();
+        for (j, width) in [1usize, 33, 257].into_iter().enumerate() {
+            solves_match_oracle(d, width, (90 + 10 * i + j) as u64).unwrap();
         }
     }
 }
@@ -362,6 +379,66 @@ proptest! {
                     prop_assert!((c[(i, j)] - (c0[(i, j)] + alpha * dot)).abs() < 1e-11);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn triangular_operand_core_matches_reference(
+        m in gemm_edge(), k in gemm_depth(), n in gemm_edge(), square in 0usize..3,
+        on_b in 0usize..2, upper in 0usize..2, ta in 0usize..2, tb in 0usize..2,
+        pad in (0usize..4, 0usize..4), negate in 0usize..2, seed in 0u64..1_000_000,
+    ) {
+        let (on_b, ta, tb) = (on_b == 1, ta == 1, tb == 1);
+        // A third of the cases square the triangular operand, so its
+        // diagonal runs corner to corner across panels.
+        let k = if square == 0 { if on_b { n } else { m } } else { k };
+        let tri = if upper == 1 { Mask::Upper } else { Mask::Lower };
+        let alpha = if negate == 1 { -1.0 } else { 1.0 };
+        let (ar, ac) = if ta { (k, m) } else { (m, k) };
+        let (br, bc) = if tb { (n, k) } else { (k, n) };
+        let (lda, ldb) = (ac + pad.0, bc + pad.1);
+        let mut rng = MatrixRng::new(seed);
+        let mut a = rng.uniform_matrix(ar, lda, -1.0, 1.0);
+        let mut b = rng.uniform_matrix(br, ldb, -1.0, 1.0);
+        // The dead triangle of the stored operand holds NaN: one multiply
+        // of it poisons the product.
+        let dead = |i: usize, j: usize| match tri {
+            Mask::Lower => j > i,
+            _ => j < i,
+        };
+        let stored = if on_b { &mut b } else { &mut a };
+        let (rows, cols) = stored.shape();
+        for i in 0..rows {
+            for j in 0..cols {
+                if dead(i, j) {
+                    stored[(i, j)] = f64::NAN;
+                }
+            }
+        }
+        // The oracle's operands: op(A) and op(B), dense, the dead triangle zero.
+        let live = |x: &Matrix, i: usize, j: usize, is_tri: bool| {
+            if is_tri && dead(i, j) { 0.0 } else { x[(i, j)] }
+        };
+        let op_a: Vec<f64> = (0..m * k)
+            .map(|e| { let (i, p) = (e / k, e % k); if ta { live(&a, p, i, !on_b) } else { live(&a, i, p, !on_b) } })
+            .collect();
+        let op_b: Vec<f64> = (0..k * n)
+            .map(|e| { let (p, j) = (e / n, e % n); if tb { live(&b, j, p, on_b) } else { live(&b, p, j, on_b) } })
+            .collect();
+        let want = matmul_reference(m, k, n, &op_a, &op_b);
+        let (oa, ob) = (Operand::new(a.as_slice(), lda), Operand::new(b.as_slice(), ldb));
+        let (oa, ob) = if on_b { (oa, ob.triangle(tri)) } else { (oa.triangle(tri), ob) };
+        let (oa, ob) = (if ta { oa.t() } else { oa }, if tb { ob.t() } else { ob });
+        let c0 = rng.uniform_matrix(m, n, -1.0, 1.0);
+        let mut c = c0.clone();
+        gemm(alpha, m, k, n, oa, ob, c.as_mut_slice(), n, Mask::Full);
+        // What C held is never read by the overwriting form.
+        let mut set = Matrix::from_vec(m, n, vec![f64::NAN; m * n]);
+        gemm_overwrite(alpha, m, k, n, oa, ob, set.as_mut_slice(), n, Mask::Full);
+        for (e, &want) in want.iter().enumerate() {
+            let (i, j) = (e / n, e % n);
+            prop_assert!((c[(i, j)] - (c0[(i, j)] + alpha * want)).abs() < 1e-11, "C += at ({i}, {j})");
+            prop_assert!((set[(i, j)] - alpha * want).abs() < 1e-11, "C = at ({i}, {j})");
         }
     }
 
