@@ -17,7 +17,7 @@
 //! |---|---|---|
 //! | POTRF | factor the top half; `L21 = A21 · L11⁻ᵀ` (a right solve); `A22 −= L21 · L21ᵀ`; factor the bottom half | solve + 1, [`Mask::Lower`] |
 //! | | a [`CHOL_NB`] leaf: `potf2`, then `trti2` writes its inverse over it | — |
-//! | | a [`SOLVE_NB`] block: factored down to its leaves, then TRTRI on it | TRTRI |
+//! | | inside a [`SOLVE_NB`] block: halves at a leaf edge, each half comes back inverted, `L21 = A21 · M11ᵀ` is one product, and the halves are joined by TRTRI's step | + 2, triangular |
 //! | TRTRI | invert both halves; `M21 = −(M22 · L21) · M11` | 2, triangular |
 //! | LAUUM | `A⁻¹ = MᵀM` on the lower tiles, then mirror | 1, both operands triangular |
 //! | solve | block by block in dependency order, not halved: subtract what the solved blocks contribute to block `I`, then apply its stored `L[I,I]⁻¹` | 2 per block, the second triangular |
@@ -266,9 +266,9 @@ struct Potrf<'a> {
 
 impl Potrf<'_> {
     /// Factors `[lo, hi)`, whose updates from the columns left of `lo` are
-    /// already subtracted, into solve form at `edge` (`lo` on an edge).
-    /// `Err` carries the global index of the first non-positive or
-    /// non-finite pivot.
+    /// already subtracted, into solve form at `edge` (`lo` on an edge): a
+    /// range of at most `edge` comes back as its inverse. `Err` carries
+    /// the global index of the first non-positive or non-finite pivot.
     fn factor(
         &mut self,
         lo: usize,
@@ -287,13 +287,12 @@ impl Potrf<'_> {
             invert_diagonal_block(self.w, n, lo, len, scratch);
             return Ok(());
         }
-        if len <= edge {
-            // One inverted block of the solve form, built from its leaves.
-            self.factor(lo, hi, self.leaf, scratch)?;
-            trtri(self.w, n, lo, hi, self.leaf, scratch);
-            return Ok(());
-        }
-        let mid = lo + len.div_ceil(edge) / 2 * edge;
+        // A range of at most one block is left inverted: it halves at a
+        // leaf edge, each half comes back inverted, and the halves are
+        // joined (TRTRI's step). A wider range halves at a block edge.
+        let invert = len <= edge;
+        let split = if invert { self.leaf } else { edge };
+        let mid = lo + len.div_ceil(split) / 2 * split;
         self.factor(lo, mid, edge, scratch)?;
         let (w1, w2) = (mid - lo, hi - mid);
         let (top, bottom) = self.w.split_at_mut(mid * n);
@@ -330,7 +329,11 @@ impl Potrf<'_> {
                 plain[(mid + r) * n + lo..][..w1].copy_from_slice(src);
             }
         }
-        self.factor(mid, hi, edge, scratch)
+        self.factor(mid, hi, edge, scratch)?;
+        if invert {
+            trtri_join(self.w, n, lo, mid, hi, scratch);
+        }
+        Ok(())
     }
 }
 
@@ -391,6 +394,13 @@ fn trtri(w: &mut [f64], n: usize, lo: usize, hi: usize, edge: usize, scratch: &m
     let mid = lo + len.div_ceil(edge) / 2 * edge;
     trtri(w, n, lo, mid, edge, scratch);
     trtri(w, n, mid, hi, edge, scratch);
+    trtri_join(w, n, lo, mid, hi, scratch);
+}
+
+/// TRTRI's step: with `[lo, mid)` and `[mid, hi)` of `w` inverted and
+/// `L21` between them, `[lo, hi)` becomes inverted:
+/// `M21 = −(M22 · L21) · M11`, two products with a triangular operand.
+fn trtri_join(w: &mut [f64], n: usize, lo: usize, mid: usize, hi: usize, scratch: &mut [f64]) {
     let (w1, w2) = (mid - lo, hi - mid);
     let (top, bottom) = w.split_at_mut(mid * n);
     let t = &mut scratch[..w2 * w1];
