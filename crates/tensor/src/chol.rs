@@ -13,25 +13,28 @@
 //! storage: one `n × n` buffer holds `A`'s lower triangle, then `L` in
 //! solve form, then `M = L⁻¹`, then `A⁻¹`.
 //!
-//! | step | on a range `[lo, hi)` of `L`, halved at a block edge `mid` | core calls |
+//! | step | on a range `[lo, hi)` of `L` | core calls |
 //! |---|---|---|
-//! | POTRF | factor the top half; `L21 = A21 · L11⁻ᵀ` (a right solve); `A22 −= L21 · L21ᵀ`; factor the bottom half | solve + 1, [`Mask::Lower`] |
-//! | | a [`CHOL_NB`] leaf: `potf2`, then `trti2` writes its inverse over it | — |
-//! | | inside a [`SOLVE_NB`] block: halves at a leaf edge, each half comes back inverted, `L21 = A21 · M11ᵀ` is one product, and the halves are joined by TRTRI's step | + 2, triangular |
-//! | TRTRI | invert both halves; `M21 = −(M22 · L21) · M11` | 2, triangular |
-//! | LAUUM | `A⁻¹ = MᵀM` on the lower tiles, then mirror | 1, both operands triangular |
+//! | POTRF | right-looking over [`SOLVE_NB`] blocks: factor and invert a block, then a panel below it (next row) | — |
+//! | | factor and invert a block: halve at a [`CHOL_NB`] edge; each half comes back inverted, so the panel between them is one product, and TRTRI's step joins them; a leaf is `potf2`, then `trti2` over it | + 2, triangular |
+//! | | panel: `L21 = A21 · M11ᵀ`, `A22 −= L21 · L21ᵀ`, in row chunks the scratch holds | 3 per chunk, [`Mask::Lower`] |
+//! | TRTRI | halve at a block edge; invert both halves; `M21 = −(M22 · L21) · M11` | 2, triangular |
+//! | LAUUM | halve at a leaf edge: the top half's `MᵀM`, `+= M21ᵀM21`, then `M21ᵀM22` above the diagonal, then the bottom half's; mirror the upper triangle | 2, one triangular |
 //! | solve | block by block in dependency order, not halved: subtract what the solved blocks contribute to block `I`, then apply its stored `L[I,I]⁻¹` | 2 per block, the second triangular |
 //!
-//! POTRF halves at a [`SOLVE_NB`] edge down to the solve blocks and at a
-//! [`CHOL_NB`] edge inside them, so each half's diagonal blocks are
-//! whole. An operand that shares rows with the block being written (the
-//! solved panel `L21`, the product `M22 · L21`, LAUUM's `M`) goes through
-//! a per-thread scratch that only ever grows, so a warm
-//! [`cholesky_in_place`] / [`solve_into`] / [`spd_inverse_in_place`]
-//! allocates nothing. The core keeps results bit-identical for any
-//! `SPDKFAC_THREADS` and across AVX2 / AVX-512 hosts. [`cholesky_unblocked`]
-//! and [`Cholesky::inverse_unblocked`] are the leaf kernels run on the
-//! whole matrix: the oracles of the parity tests.
+//! A product never writes the rows it reads (Rust slices are whole rows,
+//! so a block and the block beside it cannot be borrowed apart). Where it
+//! would, one operand goes through the free block above the diagonal —
+//! rows `[lo, mid)`, columns `[mid, hi)`, which holds nothing in any of
+//! these forms (TRTRI's `(M22 · L21)ᵀ`, LAUUM's `M21ᵀM22`) — or, for the
+//! panel, whose inputs share rows with that block, a per-thread scratch
+//! of `CHOL_NB · (CHOL_NB + n)` elements that only ever grows: `L21` a
+//! chunk of rows at a time. A warm [`cholesky_in_place`] / [`solve_into`]
+//! / [`spd_inverse_in_place`] allocates nothing. The core keeps results
+//! bit-identical for any `SPDKFAC_THREADS` and across AVX2 / AVX-512
+//! hosts. [`cholesky_unblocked`] and [`Cholesky::inverse_unblocked`] are
+//! the leaf kernels run on the whole matrix: the oracles of the parity
+//! tests.
 //!
 //! ## Solving with `L` instead of forming `A⁻¹`
 //!
@@ -50,7 +53,7 @@
 //! it reads are then never the same storage, on either side.
 
 use crate::error::TensorError;
-use crate::gemm::{gemm, gemm_overwrite, mirror_lower, Mask, Operand};
+use crate::gemm::{gemm, gemm_overwrite, mirror_upper, Mask, Operand};
 use crate::matrix::Matrix;
 use std::cell::RefCell;
 
@@ -63,34 +66,9 @@ pub const CHOL_NB: usize = 24;
 /// 256-wide layer (EXPERIMENTS "GEMM-grade factorization and solves").
 pub const SOLVE_NB: usize = 96;
 
-/// The two block edges of one factorization: `potf2` leaves of `leaf`,
-/// inverted diagonal blocks of `solve`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Edges {
-    leaf: usize,
-    solve: usize,
-}
-
-impl Edges {
-    /// [`CHOL_NB`] leaves in [`SOLVE_NB`] blocks: every caller but the
-    /// parity tests.
-    const DEFAULT: Edges = Edges {
-        leaf: CHOL_NB,
-        solve: SOLVE_NB,
-    };
-
-    /// Leaves of `nb`, in blocks of the default number of leaves.
-    fn scaled(nb: usize) -> Edges {
-        Edges {
-            leaf: nb,
-            solve: nb * (SOLVE_NB / CHOL_NB),
-        }
-    }
-}
-
 thread_local! {
-    /// This thread's working storage of the blocked kernels (see the
-    /// module docs): grown to the largest need seen, never freed.
+    /// This thread's copy of one leaf (see the module docs): grown to the
+    /// largest leaf seen, never freed.
     static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -103,13 +81,6 @@ fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
         }
         f(&mut scratch[..len])
     })
-}
-
-/// Scratch POTRF and TRTRI need on an `n × n` matrix with leaves of
-/// `leaf`: a leaf's inverse, or a product of two halves of one range
-/// (`w1 · w2 <= n² / 4`).
-fn factor_scratch(n: usize, leaf: usize) -> usize {
-    (n * n).div_ceil(4).max(leaf.min(n).pow(2))
 }
 
 /// Which side of the unknown `op(L)` stands on in a triangular solve.
@@ -126,10 +97,11 @@ pub enum Side {
 /// Produced by [`cholesky`]; provides solves and the SPD inverse.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cholesky {
+    /// `L`: the solve form with its diagonal blocks inverted back.
     l: Matrix,
-    /// `L` in solve form at `edges` (see the module docs).
+    /// `L` in solve form at `edge` (see the module docs).
     solver: Matrix,
-    edges: Edges,
+    edge: usize,
 }
 
 /// Computes the Cholesky factorization `A = L Lᵀ` of a symmetric positive
@@ -157,7 +129,7 @@ pub struct Cholesky {
 /// # }
 /// ```
 pub fn cholesky(a: &Matrix) -> Result<Cholesky, TensorError> {
-    cholesky_with_edges(a, Edges::DEFAULT)
+    factorize(a, CHOL_NB, SOLVE_NB)
 }
 
 /// The seed factorization: serial unblocked column-by-column `LLᵀ`.
@@ -170,7 +142,7 @@ pub fn cholesky(a: &Matrix) -> Result<Cholesky, TensorError> {
 /// Same contract as [`cholesky`].
 pub fn cholesky_unblocked(a: &Matrix) -> Result<Cholesky, TensorError> {
     let n = a.rows().max(1);
-    cholesky_with_edges(a, Edges { leaf: n, solve: n })
+    factorize(a, n, n)
 }
 
 /// Recursive Cholesky with an explicit leaf edge `nb` (and solve-form
@@ -189,14 +161,19 @@ pub fn cholesky_unblocked(a: &Matrix) -> Result<Cholesky, TensorError> {
 /// Panics if `nb == 0`.
 pub fn cholesky_with_block(a: &Matrix, nb: usize) -> Result<Cholesky, TensorError> {
     assert!(nb >= 1, "cholesky_with_block: block edge must be positive");
-    cholesky_with_edges(a, Edges::scaled(nb))
+    factorize(a, nb, nb * (SOLVE_NB / CHOL_NB))
 }
 
-fn cholesky_with_edges(a: &Matrix, edges: Edges) -> Result<Cholesky, TensorError> {
+/// POTRF at leaves of `leaf` into solve form at `edge`, plus `L` itself.
+fn factorize(a: &Matrix, leaf: usize, edge: usize) -> Result<Cholesky, TensorError> {
     let mut solver = a.clone();
-    let mut l = Matrix::zeros(a.rows(), a.rows());
-    potrf(&mut solver, edges, Some(&mut l))?;
-    Ok(Cholesky { l, solver, edges })
+    potrf(&mut solver, leaf, edge)?;
+    let (n, mut l) = (solver.rows(), solver.clone());
+    let mut dinv = vec![0.0; edge.min(n).pow(2)];
+    for j0 in (0..n).step_by(edge) {
+        invert_diagonal_block(l.as_mut_slice(), n, j0, edge.min(n - j0), &mut dinv);
+    }
+    Ok(Cholesky { l, solver, edge })
 }
 
 /// POTRF in the matrix's own storage, for the solves: `a` holds the SPD
@@ -209,7 +186,7 @@ fn cholesky_with_edges(a: &Matrix, edges: Edges) -> Result<Cholesky, TensorError
 ///
 /// Same contract as [`cholesky`].
 pub fn cholesky_in_place(a: &mut Matrix) -> Result<(), TensorError> {
-    potrf(a, Edges::DEFAULT, None)
+    potrf(a, CHOL_NB, SOLVE_NB)
 }
 
 /// Inverts the `bw × bw` lower-triangular diagonal block of `w` (rows `n`
@@ -224,10 +201,11 @@ fn invert_diagonal_block(w: &mut [f64], n: usize, j0: usize, bw: usize, scratch:
     }
 }
 
-/// Factors the SPD matrix in `w` in place into `L` in solve form at
-/// `edges` (zero upper triangle; only the lower triangle of `A` is read).
-/// `plain`, when given (`n × n`, zero), receives `L` itself.
-fn potrf(w: &mut Matrix, edges: Edges, plain: Option<&mut Matrix>) -> Result<(), TensorError> {
+/// Factors the SPD matrix in `w` in place into `L` in solve form at `edge`
+/// (zero upper triangle; only the lower triangle of `A` is read):
+/// right-looking over `edge`-wide blocks, each factored and inverted by
+/// [`factor_inverted`] and followed by a [`panel`].
+fn potrf(w: &mut Matrix, leaf: usize, edge: usize) -> Result<(), TensorError> {
     if !w.is_square() {
         return Err(TensorError::NotSquare {
             op: "cholesky",
@@ -235,111 +213,111 @@ fn potrf(w: &mut Matrix, edges: Edges, plain: Option<&mut Matrix>) -> Result<(),
         });
     }
     let n = w.rows();
-    let mut run = Potrf {
-        w: w.as_mut_slice(),
-        n,
-        leaf: edges.leaf,
-        plain: plain.map(|m| m.as_mut_slice()),
-    };
-    if n > 0 {
-        with_scratch(factor_scratch(n, edges.leaf), |scratch| {
-            run.factor(0, n, edges.solve, scratch)
-        })
-        .map_err(|pivot| TensorError::NotPositiveDefinite { pivot })?;
-    }
-    // The upper triangle still holds `A`, and trailing-update tiles that
-    // straddle the diagonal spilled above it.
+    let w = w.as_mut_slice();
+    let leaf_n = leaf.min(n);
+    with_scratch(leaf_n * (leaf_n + n), |scratch| {
+        for lo in (0..n).step_by(edge) {
+            let hi = n.min(lo + edge);
+            factor_inverted(w, n, lo, hi, leaf, scratch)?;
+            if hi < n {
+                panel(w, n, lo, hi, n, scratch);
+            }
+        }
+        Ok(())
+    })
+    .map_err(|pivot| TensorError::NotPositiveDefinite { pivot })?;
+    // Above the diagonal: `A`, the panels' operands, and trailing-update
+    // tiles that straddle the diagonal.
     for i in 0..n {
-        run.w[i * n + i + 1..(i + 1) * n].fill(0.0);
+        w[i * n + i + 1..(i + 1) * n].fill(0.0);
     }
     Ok(())
 }
 
-/// The recursive POTRF over the `n × n` row-major `w`, leaves of `leaf`.
-struct Potrf<'a> {
-    w: &'a mut [f64],
+/// Factors `[lo, hi)` of `w` (rows `n` apart), whose updates from the
+/// columns left of `lo` are already subtracted, and leaves it inverted:
+/// `L[lo:hi, lo:hi]⁻¹`. Halves at a `leaf` edge down to `potf2` + `trti2`
+/// leaves; each half comes back inverted, so the [`panel`] between them
+/// is one product, and TRTRI's step ([`trtri_join`]) joins them. `Err`
+/// carries the global index of the first non-positive or non-finite pivot.
+fn factor_inverted(
+    w: &mut [f64],
     n: usize,
+    lo: usize,
+    hi: usize,
     leaf: usize,
-    /// Receives each leaf's `L` and each solved panel as they are written.
-    plain: Option<&'a mut [f64]>,
+    scratch: &mut [f64],
+) -> Result<(), usize> {
+    let len = hi - lo;
+    if len <= leaf {
+        potf2(&mut w[lo * n + lo..], n, len).map_err(|pivot| lo + pivot)?;
+        invert_diagonal_block(w, n, lo, len, scratch);
+        return Ok(());
+    }
+    let mid = lo + len.div_ceil(leaf) / 2 * leaf;
+    factor_inverted(w, n, lo, mid, leaf, scratch)?;
+    panel(w, n, lo, mid, hi, scratch);
+    factor_inverted(w, n, mid, hi, leaf, scratch)?;
+    trtri_join(w, n, lo, mid, hi);
+    Ok(())
 }
 
-impl Potrf<'_> {
-    /// Factors `[lo, hi)`, whose updates from the columns left of `lo` are
-    /// already subtracted, into solve form at `edge` (`lo` on an edge): a
-    /// range of at most `edge` comes back as its inverse. `Err` carries
-    /// the global index of the first non-positive or non-finite pivot.
-    fn factor(
-        &mut self,
-        lo: usize,
-        hi: usize,
-        edge: usize,
-        scratch: &mut [f64],
-    ) -> Result<(), usize> {
-        let (n, len) = (self.n, hi - lo);
-        if len <= self.leaf {
-            potf2(&mut self.w[lo * n + lo..], n, len).map_err(|pivot| lo + pivot)?;
-            if let Some(plain) = self.plain.as_deref_mut() {
-                for i in lo..hi {
-                    plain[i * n + lo..=i * n + i].copy_from_slice(&self.w[i * n + lo..=i * n + i]);
-                }
-            }
-            invert_diagonal_block(self.w, n, lo, len, scratch);
-            return Ok(());
+/// With `[lo, mid)` of `w` factored and inverted (`M11`), the rows
+/// `[mid, hi)` below it get `L21 = A21 · M11ᵀ` over `A21` and
+/// `A22 −= L21 · L21ᵀ` on their lower-triangle tiles, in as few equal
+/// chunks of rows as `scratch` holds: a chunk's `L21` rows land in the scratch and
+/// are copied over its `A21` rows; then its rows of `A22` take the update
+/// from the `L21` rows above it and from its own. Every
+/// element of `L21` and of `A22` is one product over the whole depth, as
+/// in a single call.
+fn panel(w: &mut [f64], n: usize, lo: usize, mid: usize, hi: usize, scratch: &mut [f64]) {
+    let (w1, most) = (mid - lo, scratch.len() / (mid - lo));
+    // Whole register tiles where the scratch allows.
+    let step = (hi - mid).div_ceil((hi - mid).div_ceil(most));
+    let step = step.next_multiple_of(8).min(most);
+    for r0 in (mid..hi).step_by(step) {
+        let r1 = hi.min(r0 + step);
+        let (rows, chunk) = (r1 - r0, &mut scratch[..(r1 - r0) * w1]);
+        let (done, rest) = w.split_at_mut(r0 * n);
+        let m11 = Operand::new(&done[lo * n + lo..], n).triangle(Mask::Lower);
+        let a21 = Operand::new(&rest[lo..], n);
+        gemm_overwrite(1.0, rows, w1, w1, a21, m11.t(), chunk, w1, Mask::Full);
+        for (dst, src) in rest[lo..].chunks_mut(n).zip(chunk.chunks(w1)) {
+            dst[..w1].copy_from_slice(src);
         }
-        // A range of at most one block is left inverted: it halves at a
-        // leaf edge, each half comes back inverted, and the halves are
-        // joined (TRTRI's step). A wider range halves at a block edge.
-        let invert = len <= edge;
-        let split = if invert { self.leaf } else { edge };
-        let mid = lo + len.div_ceil(split) / 2 * split;
-        self.factor(lo, mid, edge, scratch)?;
-        let (w1, w2) = (mid - lo, hi - mid);
-        let (top, bottom) = self.w.split_at_mut(mid * n);
-        // L21 · L11ᵀ = A21: a right solve with L11 in solve form, A21 its
-        // workspace, L21 landing in the scratch.
-        let l21 = &mut scratch[..w2 * w1];
-        let trsm = Trsm {
-            l: &top[lo * n + lo..],
-            ldl: n,
-            edge,
-            side: Side::Right,
-            trans: true,
-            width: w2,
-            ldb: n,
-            ldx: w1,
-        };
-        trsm.run(w1, &mut bottom[lo..], l21);
-        // A22 −= L21 · L21ᵀ, lower-triangle tiles only.
-        let op = Operand::new(l21, w1);
+        let l21 = Operand::new(chunk, w1);
+        if r0 > mid {
+            let above = Operand::new(&done[mid * n + lo..], n);
+            gemm(
+                -1.0,
+                rows,
+                w1,
+                r0 - mid,
+                l21,
+                above.t(),
+                &mut rest[mid..],
+                n,
+                Mask::Full,
+            );
+        }
         gemm(
             -1.0,
-            w2,
+            rows,
             w1,
-            w2,
-            op,
-            op.t(),
-            &mut bottom[mid..],
+            rows,
+            l21,
+            l21.t(),
+            &mut rest[r0..],
             n,
             Mask::Lower,
         );
-        for (r, src) in l21.chunks(w1).enumerate() {
-            bottom[r * n + lo..][..w1].copy_from_slice(src);
-            if let Some(plain) = self.plain.as_deref_mut() {
-                plain[(mid + r) * n + lo..][..w1].copy_from_slice(src);
-            }
-        }
-        self.factor(mid, hi, edge, scratch)?;
-        if invert {
-            trtri_join(self.w, n, lo, mid, hi, scratch);
-        }
-        Ok(())
     }
 }
 
 /// Unblocked in-place `LLᵀ` of the `n × n` block at the start of `w` (rows
 /// `ld` apart; only the lower triangle is read or written). `Err` carries
 /// the block-local index of the first non-positive or non-finite pivot.
+/// Four rows' dot products run side by side, each in its own order.
 fn potf2(w: &mut [f64], ld: usize, n: usize) -> Result<(), usize> {
     for j in 0..n {
         // (The slice may end with the block's last row, short of `ld`.)
@@ -351,10 +329,29 @@ fn potf2(w: &mut [f64], ld: usize, n: usize) -> Result<(), usize> {
         }
         let dj = d.sqrt();
         rowj[j] = dj;
-        for rowi in below.chunks_mut(ld).take(n - j - 1) {
+        let (rowj, rows) = (&rowj[..j], n - j - 1);
+        let end = (rows * ld).min(below.len());
+        let below = &mut below[..end];
+        let mut quads = below.chunks_exact_mut(4 * ld);
+        for quad in &mut quads {
+            let (r0, rest) = quad.split_at_mut(ld);
+            let (r1, rest) = rest.split_at_mut(ld);
+            let (r2, r3) = rest.split_at_mut(ld);
+            let mut s = [r0[j], r1[j], r2[j], r3[j]];
+            for (k, &y) in rowj.iter().enumerate() {
+                s[0] -= r0[k] * y;
+                s[1] -= r1[k] * y;
+                s[2] -= r2[k] * y;
+                s[3] -= r3[k] * y;
+            }
+            for (row, s) in [r0, r1, r2, r3].into_iter().zip(s) {
+                row[j] = s / dj;
+            }
+        }
+        for rowi in quads.into_remainder().chunks_mut(ld) {
             let s = rowi[..j]
                 .iter()
-                .zip(&rowj[..j])
+                .zip(rowj)
                 .fold(rowi[j], |s, (&x, &y)| s - x * y);
             rowi[j] = s / dj;
         }
@@ -383,75 +380,123 @@ fn trti2(l: &[f64], ldl: usize, m: &mut [f64], ldm: usize, n: usize) {
 }
 
 /// TRTRI in place: the block `[lo, hi)` of `w` (rows `n` apart), `L` in
-/// solve form at `edge` (`lo` on an edge), becomes `L[lo:hi, lo:hi]⁻¹`.
-/// Halves at an edge, inverts both halves, then `M21 = −(M22 · L21) · M11`:
-/// two products with a triangular operand.
-fn trtri(w: &mut [f64], n: usize, lo: usize, hi: usize, edge: usize, scratch: &mut [f64]) {
+/// solve form at `edge` (`lo` on an edge), becomes `L[lo:hi, lo:hi]⁻¹`:
+/// halves at an edge, inverts both halves, then [`trtri_join`].
+fn trtri(w: &mut [f64], n: usize, lo: usize, hi: usize, edge: usize) {
     let len = hi - lo;
     if len <= edge {
         return;
     }
     let mid = lo + len.div_ceil(edge) / 2 * edge;
-    trtri(w, n, lo, mid, edge, scratch);
-    trtri(w, n, mid, hi, edge, scratch);
-    trtri_join(w, n, lo, mid, hi, scratch);
+    trtri(w, n, lo, mid, edge);
+    trtri(w, n, mid, hi, edge);
+    trtri_join(w, n, lo, mid, hi);
 }
 
 /// TRTRI's step: with `[lo, mid)` and `[mid, hi)` of `w` inverted and
 /// `L21` between them, `[lo, hi)` becomes inverted:
 /// `M21 = −(M22 · L21) · M11`, two products with a triangular operand.
-fn trtri_join(w: &mut [f64], n: usize, lo: usize, mid: usize, hi: usize, scratch: &mut [f64]) {
-    let (w1, w2) = (mid - lo, hi - mid);
+/// `(M22 · L21)ᵀ` lands in the free block above the diagonal, as in
+/// [`panel`].
+fn trtri_join(w: &mut [f64], n: usize, lo: usize, mid: usize, hi: usize) {
+    let (w1, w2, up) = (mid - lo, hi - mid, lo * n + mid);
     let (top, bottom) = w.split_at_mut(mid * n);
-    let t = &mut scratch[..w2 * w1];
+    let l21 = Operand::new(&bottom[lo..], n);
     let m22 = Operand::new(&bottom[mid..], n).triangle(Mask::Lower);
     gemm_overwrite(
         1.0,
+        w1,
         w2,
         w2,
-        w1,
-        m22,
-        Operand::new(&bottom[lo..], n),
-        t,
-        w1,
+        l21.t(),
+        m22.t(),
+        &mut top[up..],
+        n,
         Mask::Full,
     );
     let m11 = Operand::new(&top[lo * n + lo..], n).triangle(Mask::Lower);
-    let t = Operand::new(t, w1);
-    gemm_overwrite(-1.0, w2, w1, w1, t, m11, &mut bottom[lo..], n, Mask::Full);
+    let u = Operand::new(&top[up..], n);
+    gemm_overwrite(
+        -1.0,
+        w2,
+        w1,
+        w1,
+        u.t(),
+        m11,
+        &mut bottom[lo..],
+        n,
+        Mask::Full,
+    );
 }
 
-/// Turns `L` in solve form at `edges` (zero upper triangle) in `w` into
-/// `A⁻¹ = L⁻ᵀL⁻¹` in place: TRTRI, then LAUUM — the scalar seed `MᵀM`
-/// when `n` is at most one leaf, else one core call on the lower tiles
-/// with both operands triangular, mirrored.
-fn potri(w: &mut Matrix, edges: Edges) {
+/// LAUUM in place: `[lo, hi)` of `w` holds `M = L⁻¹` (lower) and its
+/// upper triangle, diagonal included, becomes that of `MᵀM` over the
+/// range's own rows. Halves at a `leaf` edge: the top half's own `MᵀM`,
+/// plus `M21ᵀM21` on its upper tiles, then `M21ᵀM22` into the free block
+/// above the diagonal, then the bottom half's; a leaf is the scalar seed
+/// `MᵀM` on a copy of its block. Nothing below the diagonal is read after
+/// the range it lies in is done.
+fn lauum(w: &mut [f64], n: usize, lo: usize, hi: usize, leaf: usize, scratch: &mut [f64]) {
+    let len = hi - lo;
+    if len <= leaf {
+        let m = &mut scratch[..len * len];
+        for (row, src) in m.chunks_mut(len).zip(w[lo * n + lo..].chunks(n)) {
+            row.copy_from_slice(&src[..len]);
+        }
+        for i in 0..len {
+            for j in i..len {
+                // Column i of M dotted with column j, rows ≥ max(i, j) = j.
+                let mut s = 0.0;
+                for k in j..len {
+                    s += m[k * len + i] * m[k * len + j];
+                }
+                w[(lo + i) * n + lo + j] = s;
+            }
+        }
+        return;
+    }
+    let mid = lo + len.div_ceil(leaf) / 2 * leaf;
+    let (w1, w2) = (mid - lo, hi - mid);
+    lauum(w, n, lo, mid, leaf, scratch);
+    let (top, bottom) = w.split_at_mut(mid * n);
+    let m21 = Operand::new(&bottom[lo..], n);
+    gemm(
+        1.0,
+        w1,
+        w2,
+        w1,
+        m21.t(),
+        m21,
+        &mut top[lo * n + lo..],
+        n,
+        Mask::Upper,
+    );
+    let m22 = Operand::new(&bottom[mid..], n).triangle(Mask::Lower);
+    gemm_overwrite(
+        1.0,
+        w1,
+        w2,
+        w2,
+        m21.t(),
+        m22,
+        &mut top[lo * n + mid..],
+        n,
+        Mask::Full,
+    );
+    lauum(w, n, mid, hi, leaf, scratch);
+}
+
+/// Turns `L` in solve form at `edge` (zero upper triangle) in `w` into
+/// `A⁻¹ = L⁻ᵀL⁻¹` in place: TRTRI, then LAUUM at leaves of `leaf`, then
+/// the upper triangle mirrored over the lower.
+fn potri(w: &mut Matrix, leaf: usize, edge: usize) {
     let n = w.rows();
     let w = w.as_mut_slice();
-    with_scratch(factor_scratch(n, edges.leaf).max(n * n), |scratch| {
-        trtri(w, n, 0, n, edges.solve, scratch);
-        if n <= edges.leaf {
-            let m = &mut scratch[..n * n];
-            m.copy_from_slice(w);
-            for i in 0..n {
-                for j in i..n {
-                    // Column i of M dotted with column j, rows ≥ max(i, j) = j.
-                    let mut s = 0.0;
-                    for k in j..n {
-                        s += m[k * n + i] * m[k * n + j];
-                    }
-                    w[i * n + j] = s;
-                    w[j * n + i] = s;
-                }
-            }
-            return;
-        }
-        let m = &mut scratch[..n * n];
-        m.copy_from_slice(w);
-        let m = Operand::new(m, n).triangle(Mask::Lower);
-        gemm_overwrite(1.0, n, n, n, m.t(), m, w, n, Mask::Lower);
-        mirror_lower(w, n);
+    trtri(w, n, 0, n, edge);
+    with_scratch(leaf.min(n).pow(2), |scratch| {
+        lauum(w, n, 0, n, leaf, scratch)
     });
+    mirror_upper(w, n);
 }
 
 impl Cholesky {
@@ -476,7 +521,7 @@ impl Cholesky {
             .into_vec()
     }
 
-    /// Solves `A X = B` as `X = L⁻ᵀ(L⁻¹B)`: two recursive solves.
+    /// Solves `A X = B` as `X = L⁻ᵀ(L⁻¹B)`: two block-by-block solves.
     ///
     /// # Panics
     ///
@@ -484,9 +529,8 @@ impl Cholesky {
     pub fn solve_matrix(&self, b: &Matrix) -> Matrix {
         assert_eq!(b.rows(), self.dim(), "solve_matrix: shape mismatch");
         let (mut y, mut x) = (b.clone(), Matrix::zeros(0, 0));
-        let edge = self.edges.solve;
-        solve_with_block(&self.solver, edge, Side::Left, false, &mut y, &mut x);
-        solve_with_block(&self.solver, edge, Side::Left, true, &mut x, &mut y);
+        solve_with_block(&self.solver, self.edge, Side::Left, false, &mut y, &mut x);
+        solve_with_block(&self.solver, self.edge, Side::Left, true, &mut x, &mut y);
         y
     }
 
@@ -501,14 +545,7 @@ impl Cholesky {
     /// Panics if `b`'s solved dimension is not `self.dim()`.
     pub fn solve_triangular(&self, side: Side, trans: bool, b: &Matrix) -> Matrix {
         let (mut work, mut x) = (b.clone(), Matrix::zeros(0, 0));
-        solve_with_block(
-            &self.solver,
-            self.edges.solve,
-            side,
-            trans,
-            &mut work,
-            &mut x,
-        );
+        solve_with_block(&self.solver, self.edge, side, trans, &mut work, &mut x);
         x
     }
 
@@ -519,13 +556,12 @@ impl Cholesky {
     /// The result is exactly symmetric by construction.
     pub fn inverse(&self) -> Matrix {
         let mut w = self.solver.clone();
-        potri(&mut w, self.edges);
+        potri(&mut w, CHOL_NB, self.edge);
         w
     }
 
     /// The seed inverse: serial triangular inversion followed by the scalar
-    /// `MᵀM` product. The leaf of [`Cholesky::inverse`] for matrices of at
-    /// most one block, and the oracle of the parity tests.
+    /// `MᵀM` product. The oracle of the parity tests.
     pub fn inverse_unblocked(&self) -> Matrix {
         self.inverse_with_block(self.dim().max(1))
     }
@@ -544,18 +580,11 @@ impl Cholesky {
         assert!(nb >= 1, "inverse_with_block: block edge must be positive");
         let mut w = self.l.clone();
         let n = w.rows();
-        with_scratch(nb.min(n).pow(2), |scratch| {
-            for j0 in (0..n).step_by(nb) {
-                invert_diagonal_block(w.as_mut_slice(), n, j0, nb.min(n - j0), scratch);
-            }
-        });
-        potri(
-            &mut w,
-            Edges {
-                leaf: nb,
-                solve: nb,
-            },
-        );
+        let mut dinv = vec![0.0; nb.min(n).pow(2)];
+        for j0 in (0..n).step_by(nb) {
+            invert_diagonal_block(w.as_mut_slice(), n, j0, nb.min(n - j0), &mut dinv);
+        }
+        potri(&mut w, nb, nb);
         w
     }
 
@@ -565,7 +594,7 @@ impl Cholesky {
     }
 }
 
-/// The recursive triangular solve (module docs) with `l` in solve form at
+/// The block-by-block triangular solve (module docs) with `l` in solve form at
 /// [`SOLVE_NB`], as [`cholesky_in_place`] leaves it: `x` becomes
 /// `op(L)⁻¹ · b` on the [`Side::Left`], `b · op(L)⁻¹` on the
 /// [`Side::Right`] (`op(L) = Lᵀ` when `trans`), reshaped to `b`'s shape
@@ -638,31 +667,26 @@ fn solve_with_block(
     };
     let trsm = Trsm {
         l: l.as_slice(),
-        ldl: n,
         edge,
         side,
         trans,
         width,
-        ldb: ld,
-        ldx: ld,
+        ld,
     };
     trsm.run(n, b.as_mut_slice(), x.as_mut_slice());
 }
 
-/// One recursive triangular solve: `L` in solve form at `edge` (element
-/// `(i, j)` at `l[i * ldl + j]`), the side and transpose, and the
-/// right-hand side's other dimension `width`. `b` and `x` are row-major
-/// with leading dimensions `ldb` / `ldx`, `n × width` on the left,
-/// `width × n` on the right.
+/// One triangular solve: the `n × n` `L` in solve form at `edge` (rows `n`
+/// apart), the side and transpose, and the right-hand side's other
+/// dimension `width`. `b` and `x` are row-major with rows `ld` apart,
+/// `n × width` on the left, `width × n` on the right.
 struct Trsm<'a> {
     l: &'a [f64],
-    ldl: usize,
     edge: usize,
     side: Side,
     trans: bool,
     width: usize,
-    ldb: usize,
-    ldx: usize,
+    ld: usize,
 }
 
 impl Trsm<'_> {
@@ -677,7 +701,7 @@ impl Trsm<'_> {
             (self.side, self.trans),
             (Side::Left, false) | (Side::Right, true)
         );
-        let (w, ldl, ldb, ldx) = (self.width, self.ldl, self.ldb, self.ldx);
+        let (w, ldl, ld) = (self.width, n, self.ld);
         for i in 0..blocks {
             let lo = self.edge * if forward { i } else { blocks - 1 - i };
             let hi = n.min(lo + self.edge);
@@ -685,13 +709,13 @@ impl Trsm<'_> {
             match (self.side, self.trans) {
                 // b[I] −= L[I, 0:lo] · x[0:lo]
                 (Side::Left, false) if lo > 0 => {
-                    let (l, xs) = (Operand::new(&self.l[lo * ldl..], ldl), Operand::new(x, ldx));
-                    gemm(-1.0, bw, lo, w, l, xs, &mut b[lo * ldb..], ldb, Mask::Full);
+                    let (l, xs) = (Operand::new(&self.l[lo * ldl..], ldl), Operand::new(x, ld));
+                    gemm(-1.0, bw, lo, w, l, xs, &mut b[lo * ld..], ld, Mask::Full);
                 }
                 // b[I] −= L[hi:n, I]ᵀ · x[hi:n]
                 (Side::Left, true) if hi < n => {
                     let l = Operand::new(&self.l[hi * ldl + lo..], ldl).t();
-                    let xs = Operand::new(&x[hi * ldx..], ldx);
+                    let xs = Operand::new(&x[hi * ld..], ld);
                     gemm(
                         -1.0,
                         bw,
@@ -699,56 +723,46 @@ impl Trsm<'_> {
                         w,
                         l,
                         xs,
-                        &mut b[lo * ldb..],
-                        ldb,
+                        &mut b[lo * ld..],
+                        ld,
                         Mask::Full,
                     );
                 }
                 // b[:, I] −= x[:, hi:n] · L[hi:n, I]
                 (Side::Right, false) if hi < n => {
-                    let xs = Operand::new(&x[hi..], ldx);
+                    let xs = Operand::new(&x[hi..], ld);
                     let l = Operand::new(&self.l[hi * ldl + lo..], ldl);
-                    gemm(-1.0, w, n - hi, bw, xs, l, &mut b[lo..], ldb, Mask::Full);
+                    gemm(-1.0, w, n - hi, bw, xs, l, &mut b[lo..], ld, Mask::Full);
                 }
                 // b[:, I] −= x[:, 0:lo] · L[I, 0:lo]ᵀ
                 (Side::Right, true) if lo > 0 => {
                     let (xs, l) = (
-                        Operand::new(x, ldx),
+                        Operand::new(x, ld),
                         Operand::new(&self.l[lo * ldl..], ldl).t(),
                     );
-                    gemm(-1.0, w, lo, bw, xs, l, &mut b[lo..], ldb, Mask::Full);
+                    gemm(-1.0, w, lo, bw, xs, l, &mut b[lo..], ld, Mask::Full);
                 }
                 _ => {}
             }
-            self.leaf(lo, hi, b, x);
+            self.leaf(n, lo, hi, b, x);
         }
     }
 
     /// One diagonal block `I = [lo, hi)`: `x[I] = op(L[I,I])⁻¹ · b[I]` (or
     /// `b[:,I] · op(L[I,I])⁻¹`), one product with the stored inverse as a
     /// triangular operand.
-    fn leaf(&self, lo: usize, hi: usize, b: &[f64], x: &mut [f64]) {
-        let (w, bw, ldb, ldx) = (self.width, hi - lo, self.ldb, self.ldx);
-        let dinv = Operand::new(&self.l[lo * self.ldl + lo..], self.ldl).triangle(Mask::Lower);
+    fn leaf(&self, n: usize, lo: usize, hi: usize, b: &[f64], x: &mut [f64]) {
+        let (w, bw, ld) = (self.width, hi - lo, self.ld);
+        let dinv = Operand::new(&self.l[lo * n + lo..], n).triangle(Mask::Lower);
         let dinv = if self.trans { dinv.t() } else { dinv };
         match self.side {
             Side::Left => {
-                let bs = Operand::new(&b[lo * ldb..], ldb);
-                gemm_overwrite(
-                    1.0,
-                    bw,
-                    bw,
-                    w,
-                    dinv,
-                    bs,
-                    &mut x[lo * ldx..],
-                    ldx,
-                    Mask::Full,
-                );
+                let bs = Operand::new(&b[lo * ld..], ld);
+                gemm_overwrite(1.0, bw, bw, w, dinv, bs, &mut x[lo * ld..], ld, Mask::Full);
             }
             Side::Right => {
-                let bs = Operand::new(&b[lo..], ldb);
-                gemm_overwrite(1.0, w, bw, bw, bs, dinv, &mut x[lo..], ldx, Mask::Full);
+                let bs = Operand::new(&b[lo..], ld);
+                gemm_overwrite(1.0, w, bw, bw, bs, dinv, &mut x[lo..], ld, Mask::Full);
             }
         }
     }
@@ -837,8 +851,8 @@ pub fn spd_inverse(a: &Matrix) -> Result<Matrix, TensorError> {
 ///
 /// Same contract as [`cholesky`].
 pub fn spd_inverse_in_place(a: &mut Matrix) -> Result<(), TensorError> {
-    potrf(a, Edges::DEFAULT, None)?;
-    potri(a, Edges::DEFAULT);
+    potrf(a, CHOL_NB, SOLVE_NB)?;
+    potri(a, CHOL_NB, SOLVE_NB);
     Ok(())
 }
 
@@ -945,6 +959,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The kernels' only working storage is one leaf-edge panel per
+    /// thread: the trainer's factorization, solves and inverse at d = 257
+    /// leave it at `CHOL_NB · (CHOL_NB + n)` elements.
+    #[test]
+    fn scratch_stays_one_leaf_panel() {
+        std::thread::spawn(|| {
+            let n = 257;
+            let a = random_spd(n, 31);
+            let mut l = a.clone();
+            cholesky_in_place(&mut l).unwrap();
+            let (mut b, mut x) = (
+                Matrix::from_fn(n, n, |i, j| (i + j) as f64),
+                Matrix::zeros(0, 0),
+            );
+            for side in [Side::Left, Side::Right] {
+                solve_into(&l, side, true, &mut b, &mut x);
+            }
+            let mut inv = a;
+            spd_inverse_in_place(&mut inv).unwrap();
+            let len = SCRATCH.with(|cell| cell.borrow().len());
+            assert_eq!(len, CHOL_NB * (CHOL_NB + n));
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]
