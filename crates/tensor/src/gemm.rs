@@ -220,6 +220,36 @@ trait Micro {
             }
         }
     }
+
+    /// [`copy_rows`], compiled for the kernel's ISA.
+    ///
+    /// # Safety
+    /// The CPU supports the kernel's ISA.
+    unsafe fn copy_rows(
+        dst: &mut [f64],
+        w: usize,
+        src: &[f64],
+        ld: usize,
+        valid: usize,
+        alpha: f64,
+    ) {
+        copy_rows(dst, w, src, ld, valid, alpha);
+    }
+}
+
+/// Non-transposing pack of `dst.len() / w` source rows `ld` apart:
+/// `dst[p * w + r] = alpha · src[p * ld + r]` for `r < valid`, zero for
+/// `valid <= r < w`. Inlined into each kernel's [`Micro::copy_rows`], so
+/// it vectorizes at that kernel's width.
+#[inline(always)]
+fn copy_rows(dst: &mut [f64], w: usize, src: &[f64], ld: usize, valid: usize, alpha: f64) {
+    for (p, d) in dst.chunks_exact_mut(w).enumerate() {
+        let (d, pad) = d.split_at_mut(valid);
+        for (dv, &v) in d.iter_mut().zip(&src[p * ld..][..valid]) {
+            *dv = alpha * v;
+        }
+        pad.fill(0.0);
+    }
 }
 
 /// AVX-512F and AVX2+FMA microkernels. The crate is compiled for baseline
@@ -329,6 +359,18 @@ mod simd {
         unsafe fn gather4(dst: &mut [f64], w: usize, rows: [&[f64]; 4], alpha: f64) {
             gather4(dst, w, rows, alpha);
         }
+
+        #[target_feature(enable = "avx512f")]
+        unsafe fn copy_rows(
+            dst: &mut [f64],
+            w: usize,
+            src: &[f64],
+            ld: usize,
+            valid: usize,
+            alpha: f64,
+        ) {
+            super::copy_rows(dst, w, src, ld, valid, alpha);
+        }
     }
 
     /// 4×8: 8 ymm accumulators (4 rows × 2 vectors of 4 doubles).
@@ -380,6 +422,18 @@ mod simd {
         #[target_feature(enable = "avx2,fma")]
         unsafe fn gather4(dst: &mut [f64], w: usize, rows: [&[f64]; 4], alpha: f64) {
             gather4(dst, w, rows, alpha);
+        }
+
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn copy_rows(
+            dst: &mut [f64],
+            w: usize,
+            src: &[f64],
+            ld: usize,
+            valid: usize,
+            alpha: f64,
+        ) {
+            super::copy_rows(dst, w, src, ld, valid, alpha);
         }
     }
 }
@@ -714,13 +768,8 @@ fn pack<K: Micro>(
                 }
             }
         } else {
-            for (p, d) in live.chunks_exact_mut(w).enumerate() {
-                let row = &src[(p0 + d0 + p) * ld + o..][..valid];
-                for (dv, &v) in d.iter_mut().zip(row) {
-                    *dv = alpha * v;
-                }
-                d[valid..].fill(0.0);
-            }
+            // SAFETY: `run` dispatched on a supported kernel.
+            unsafe { K::copy_rows(live, w, &src[(p0 + d0) * ld + o..], ld, valid, alpha) };
         }
         if tri == Mask::Full {
             continue;
