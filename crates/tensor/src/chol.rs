@@ -265,9 +265,9 @@ fn factor_inverted(
 /// With `[lo, mid)` of `w` factored and inverted (`M11`), the rows
 /// `[mid, hi)` below it get `L21 = A21 · M11ᵀ` over `A21` and
 /// `A22 −= L21 · L21ᵀ` on their lower-triangle tiles, in as few equal
-/// chunks of rows as `scratch` holds: a chunk's `L21` rows land in the scratch and
-/// are copied over its `A21` rows; then its rows of `A22` take the update
-/// from the `L21` rows above it and from its own. Every
+/// chunks of rows as `scratch` holds: a chunk's `L21` rows land in the
+/// scratch and are copied over its `A21` rows; then its rows of `A22`
+/// take the update from the `L21` rows above it and from its own. Every
 /// element of `L21` and of `A22` is one product over the whole depth, as
 /// in a single call.
 fn panel(w: &mut [f64], n: usize, lo: usize, mid: usize, hi: usize, scratch: &mut [f64]) {
