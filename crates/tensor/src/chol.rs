@@ -67,8 +67,9 @@ pub const CHOL_NB: usize = 24;
 pub const SOLVE_NB: usize = 96;
 
 thread_local! {
-    /// This thread's copy of one leaf (see the module docs): grown to the
-    /// largest leaf seen, never freed.
+    /// This thread's working storage for POTRF's panel chunks and leaf
+    /// inverses (see the module docs): `leaf · (leaf + n)` for the largest
+    /// matrix seen, never freed.
     static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
