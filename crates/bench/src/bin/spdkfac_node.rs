@@ -60,9 +60,8 @@
 //! ## Wire formats (`--wire POLICY`)
 //!
 //! `--wire` selects the per-op-kind wire encoding of the collectives layer
-//! (`spdkfac_collectives::wire`): a single format (`f64`, `f32`, `f16`,
-//! `topk:0.01`) applied uniformly, or a `grad=...,factor=...` key=value
-//! list. Every rank must receive the same policy (the spawn-local parent
+//! (`spdkfac_collectives::wire`): a single format (`f64`, `f32`, `f16`)
+//! applied uniformly, or a `grad=...,factor=...` key=value list. Every rank must receive the same policy (the spawn-local parent
 //! forwards the flag). With a lossless policy the `smoke` gate keeps its
 //! usual [`PARITY_TOL`] cross-backend bound. Lossy policies cannot be
 //! gated that tightly across *separate runs*: the factor fusion plans are

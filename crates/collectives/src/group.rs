@@ -47,10 +47,9 @@ use crate::ring::{Collective, Lookahead, OpCodecStats, Queued, RingEndpoint};
 use crate::stats::{OpKind, TrafficStats};
 use crate::tcp::{self, TcpConfig};
 use crate::transport::{channel_ring, Transport};
-use crate::wire::{self, WireFormat, WirePolicy};
+use crate::wire::{WireFormat, WirePolicy};
 use spdkfac_obs::{CollEdge, Phase, Recorder, Span, SpanMeta};
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
@@ -311,6 +310,11 @@ impl Drop for WorkerComm {
 
 /// Spawns a communication thread over `transport` and returns the worker
 /// endpoint wired to it.
+///
+/// # Panics
+///
+/// Panics if `policy` names [`WireFormat::TopK`]: the ring streams f64 /
+/// f32 / f16 frames only.
 fn spawn_comm(
     rank: usize,
     world: usize,
@@ -318,6 +322,11 @@ fn spawn_comm(
     stats: Arc<TrafficStats>,
     policy: WirePolicy,
 ) -> WorkerComm {
+    let formats = [policy.grad, policy.factor, policy.broadcast, policy.control];
+    assert!(
+        formats.iter().all(|f| f.dense_elem_bytes().is_some()),
+        "wire policy {policy:?}: the ring streams f64 / f32 / f16 frames only"
+    );
     let ring = RingEndpoint::new(rank, world, transport, Arc::clone(&stats));
     let (req_tx, req_rx) = channel::<Request>();
     let comm_thread = std::thread::Builder::new()
@@ -664,22 +673,10 @@ impl CommTelemetry {
 /// look-ahead: the ring asks for the collective queued behind the running
 /// one ([`Lookahead::peek`]) when it is about to release that one's last
 /// slice, and stages the queued one's first slice behind it.
-///
-/// Whichever way a request leaves the channel, what has to happen once per
-/// collective in submission order — the top-k error feedback — happens as
-/// it does.
 struct Inbox {
     requests: Receiver<Request>,
     /// The request after the running collective, once the ring has asked.
     peeked: Option<Request>,
-    /// Top-k error-feedback state: residuals carried to the next collective
-    /// of the same (phase, length) shape, in round-robin submission order
-    /// (the SPMD contract makes the k-th same-shape op line up across
-    /// iterations). Cleared on plan-generation changes: a re-plan changes
-    /// the op sequence, so carried residuals would pair with the wrong
-    /// buffers.
-    residuals: HashMap<(u8, usize), VecDeque<Vec<f64>>>,
-    last_generation: u64,
 }
 
 impl Inbox {
@@ -687,8 +684,6 @@ impl Inbox {
         Inbox {
             requests,
             peeked: None,
-            residuals: HashMap::new(),
-            last_generation: 0,
         }
     }
 
@@ -703,44 +698,14 @@ impl Inbox {
             Err(TryRecvError::Empty) => (self.requests.recv().ok()?, true),
             Err(TryRecvError::Disconnected) => return None,
         };
-        Some((self.dequeued(req), waited))
-    }
-
-    /// Per-collective preparation, as a request leaves the channel.
-    fn dequeued(&mut self, mut req: Request) -> Request {
-        if let Request::Op {
-            op,
-            phase,
-            generation,
-            fmt,
-        } = &mut req
-        {
-            if *generation != self.last_generation {
-                self.residuals.clear();
-                self.last_generation = *generation;
-            }
-            if let WireFormat::TopK { ratio } = *fmt {
-                // Error feedback: fold in the residual carried from the
-                // previous same-shape all-reduce, keep the top-k of the
-                // sum, carry the rest forward.
-                let queue = self
-                    .residuals
-                    .entry((phase.index() as u8, op.data.len()))
-                    .or_default();
-                let mut residual = queue.pop_front().unwrap_or_default();
-                wire::sparsify_with_residual(&mut op.data, ratio, &mut residual);
-                queue.push_back(residual);
-            }
-        }
-        req
+        Some((req, waited))
     }
 }
 
 impl Lookahead for Inbox {
     fn peek(&mut self) -> Option<Queued<'_>> {
         if self.peeked.is_none() {
-            let req = self.requests.try_recv().ok()?;
-            self.peeked = Some(self.dequeued(req));
+            self.peeked = Some(self.requests.try_recv().ok()?);
         }
         match &mut self.peeked {
             Some(Request::Op { op, fmt, .. }) => Some(Queued {
@@ -1127,31 +1092,13 @@ mod tests {
     }
 
     #[test]
-    fn topk_policy_conserves_mass_via_residual_feedback() {
-        // grad = topk:0.25 on a 4-element buffer keeps exactly one element
-        // per round and carries the rest in the comm-thread residual. Four
-        // rounds (three of them fed zeros) must drain the full sum.
-        let world = 2;
-        let policy = WirePolicy::parse("grad=topk:0.25").expect("policy");
-        let totals = run_spmd_policy(world, policy, |comm| {
-            comm.set_phase(Phase::GradComm);
-            let mut total = 0.0;
-            for round in 0..4 {
-                let mut buf = if round == 0 {
-                    vec![4.0, 3.0, 2.0, 1.0]
-                } else {
-                    vec![0.0; 4]
-                };
-                comm.allreduce_sum(&mut buf);
-                total += buf.iter().sum::<f64>();
-            }
-            total
-        });
-        // Each rank contributed 10.0; the drained allreduce totals must
-        // recover world x 10 exactly (top-k moves values bit-exactly).
-        for t in totals {
-            assert!((t - 20.0).abs() < 1e-12, "drained total {t}");
-        }
+    #[should_panic(expected = "the ring streams f64 / f32 / f16 frames only")]
+    fn a_top_k_policy_is_refused() {
+        let policy = WirePolicy {
+            grad: WireFormat::TopK { ratio: 0.25 },
+            ..WirePolicy::default()
+        };
+        policy_endpoints(2, policy);
     }
 
     #[test]

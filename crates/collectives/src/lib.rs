@@ -23,9 +23,10 @@
 //!   so the exact same algorithm code produces **bit-identical** results
 //!   over in-process pipes or sockets.
 //! - A wire-format codec ([`wire`]) runs inside the hop, slice by slice:
-//!   payloads can travel as raw f64, f32, f16 (F16C/AVX2 where available),
-//!   or residual-compensated top-k bodies, selected per
-//!   operation kind via [`CommGroupBuilder::wire_policy`]. All ranks stay
+//!   payloads travel as raw f64, f32 or f16 (F16C/AVX2 where available),
+//!   selected per operation kind via [`CommGroupBuilder::wire_policy`]. The
+//!   codec also has a top-k body, which the ring does not carry; the
+//!   benchmark times it through [`wire::encode`]. All ranks stay
 //!   bit-identical under lossy formats (encode-once-at-origin relays).
 //! - Each endpoint owns a background **communication thread**. Asynchronous
 //!   operations are queued to it and executed strictly in submission order —

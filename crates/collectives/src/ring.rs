@@ -6,11 +6,13 @@
 //! collectives the trainers run — all-reduce as reduce-scatter +
 //! all-gather (`2(P-1)` chunk frames per rank) and broadcast as a
 //! cut-through relay from the root — and both are sequences of calls to
-//! one primitive, [`RingEndpoint::hop`]: *send at most one frame right and
+//! one primitive, `RingEndpoint::hop`: *send at most one frame right and
 //! receive at most one frame left, streaming both bodies in slices*
-//! ([`slices`]: near-equal pieces of at most [`SLICE_BYTES`]). Every frame
-//! a rank receives lands in a destination whose length it knows. Per slice
-//! the comm thread runs
+//! (near-equal pieces of at most [`SLICE_BYTES`]). Frames are fixed-width
+//! (f64 / f32 / f16; a collective called with [`WireFormat::TopK`]
+//! panics) and every frame a rank receives lands in a destination whose
+//! length it knows, so each slice is encoded and decoded on its own. Per
+//! slice the comm thread runs
 //!
 //! ```text
 //!  encode i+1 ─▶ wait(link) ─▶ write i ─▶ read i ─▶ decode/reduce i
@@ -22,9 +24,9 @@
 //! every rank in `write` — and the codec work of one slice runs while the
 //! (emulated) link carries the one before. "The next slice" does not stop
 //! at the end of a frame: before a hop releases its *last* slice it stages
-//! and books slice 0 of whatever this rank sends next ([`Then`]) — the
-//! next hop's frame once the bytes it is made of have landed, or the first
-//! frame of the collective queued behind this one ([`Lookahead`]) — so the
+//! and books slice 0 of whatever this rank sends next — the next hop's
+//! frame once the bytes it is made of have landed, or the first frame of
+//! the collective queued behind this one ([`Lookahead`]) — so the
 //! link stays booked across hops and across collectives. The broadcast's
 //! chain relay runs the slot as read → write → decode from the same
 //! receive buffer. All buffers belong to the endpoint and are reused: a
@@ -40,10 +42,10 @@
 //! be identical on all ranks is encoded once, by the rank that completes
 //! it, and every rank — that one included — materialises it by decoding
 //! those bytes. Hops that accumulate (the reduce-scatter phase) send
-//! freshly encoded partial sums ([`Tx::Fresh`]); hops that replicate
+//! freshly encoded partial sums (`Tx::Fresh`); hops that replicate
 //! (broadcast, the all-gather phase) forward the origin's bytes verbatim,
 //! and the origin overwrites its own copy with its own decode
-//! ([`Tx::Replicated`]).
+//! (`Tx::Replicated`).
 
 use crate::error::CommError;
 use crate::stats::{OpKind, TrafficStats};
@@ -89,8 +91,8 @@ impl OpCodecStats {
 
 /// Environment variable naming an emulated NIC rate in Gb/s, read when an
 /// endpoint is built. When set, the endpoint's sends are released through
-/// a [`Pacer`] so loopback benchmarks become bandwidth-bound like the
-/// paper's testbed.
+/// a serialised link of that rate, so loopback benchmarks become
+/// bandwidth-bound like the paper's testbed.
 pub const PACE_ENV: &str = "SPDKFAC_PACE_GBPS";
 
 /// The emulated NIC of one endpoint: a serialised link of fixed rate.
@@ -199,7 +201,7 @@ struct Rx<'a> {
 ///
 /// | next frame | slice 0 is final | staged |
 /// |---|---|---|
-/// | `Fresh` / `Replicated`: the next hop encodes what this one receives | once receive-slice 0 has landed (dense formats, a hop of ≥ 2 slices) | encoded into the free `tx` half, booked |
+/// | `Fresh` / `Replicated`: the next hop encodes what this one receives | once receive-slice 0 has landed (a hop of ≥ 2 slices) | encoded into the free `tx` half, booked |
 /// | `Carry`: the next hop relays the body this one keeps | once receive-slice 0 has arrived | booked (the bytes stay where they are) |
 /// | `Queued`: the first frame of the collective behind this one | it was submitted whole | encoded under *its* format into the free `tx` half, booked |
 enum Then<'q> {
@@ -320,7 +322,7 @@ struct Staged {
     fmt: WireFormat,
     /// The frame's body length.
     total: usize,
-    /// The `tx` half slice 0 sits in (a self-describing body: all of it).
+    /// The `tx` half slice 0 sits in.
     half: usize,
     /// When the link releases slice 0.
     ready: Option<Instant>,
@@ -344,22 +346,20 @@ pub struct RingEndpoint {
     /// Accounting of the running collective since the last `take_codec`.
     codec: OpCodecStats,
     pacer: Pacer,
-    /// Send staging: slice `i` of the outgoing dense body is encoded into
+    /// Send staging: slice `i` of the outgoing body is encoded into
     /// `tx[(half + i) % 2]` while slice `i - 1` waits for the link in the
-    /// other; a self-describing body sits whole in `tx[half]`. The half the
-    /// last slice does not use takes slice 0 of the frame after it.
+    /// other. The half the last slice does not use takes slice 0 of the
+    /// frame after it.
     tx: [Vec<u8>; 2],
     half: usize,
     /// Slice 0 of the next outgoing frame, when the previous hop staged it.
     staged: Option<Staged>,
-    /// Receive buffer: one slice of a dense body, or the whole of a body
-    /// that is self-describing or kept for relay.
+    /// Receive buffer: one slice of a body, or the whole of a body kept
+    /// for relay.
     rx: Vec<u8>,
     /// Encoded body (and its element count) kept for [`Tx::Carry`].
     carry: Vec<u8>,
     carry_elems: usize,
-    /// Decoded self-describing body, before it lands.
-    scratch: Vec<f64>,
 }
 
 impl RingEndpoint {
@@ -385,7 +385,6 @@ impl RingEndpoint {
             rx: Vec::new(),
             carry: Vec::new(),
             carry_elems: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -421,30 +420,10 @@ impl RingEndpoint {
         self.codec.max_abs_err = self.codec.max_abs_err.max(err);
     }
 
-    /// Encodes a whole self-describing body into `tx[half]` (adopting its
-    /// decode for [`Tx::Replicated`]) and returns its length.
-    fn encode_whole(&mut self, fmt: WireFormat, tx: &mut Tx<'_>, half: usize) -> usize {
-        let t0 = Instant::now();
-        let body = &mut self.tx[half];
-        let err = match tx {
-            Tx::Fresh(vals) => wire::encode_body(fmt, vals, body),
-            Tx::Replicated(vals, sink) => {
-                let err = wire::encode_body(fmt, vals, body);
-                wire::decode_body(fmt, body, vals.len(), &mut self.scratch)
-                    .expect("own encoding decodes");
-                sink.land_all(vals, &self.scratch);
-                err
-            }
-            Tx::Carry { .. } | Tx::Forward => unreachable!("relays are never re-encoded"),
-        };
-        self.note_codec(t0, err);
-        self.tx[half].len()
-    }
-
     /// Makes slice `i` of a `total`-byte outgoing body whose slice 0 sits
-    /// in `tx[half]` ready to write — for fresh dense values, encodes it
-    /// into `tx[(half + i) % 2]` — and books it on the link. Returns when
-    /// the link releases it.
+    /// in `tx[half]` ready to write — for fresh values, encodes it into
+    /// `tx[(half + i) % 2]` — and books it on the link. Returns when the
+    /// link releases it.
     fn stage(
         &mut self,
         fmt: WireFormat,
@@ -454,7 +433,8 @@ impl RingEndpoint {
         total: usize,
     ) -> Option<Instant> {
         let bytes = slice(i, total);
-        if let (Some(eb), Tx::Fresh(_) | Tx::Replicated(..)) = (fmt.dense_elem_bytes(), &*tx) {
+        if let Tx::Fresh(_) | Tx::Replicated(..) = tx {
+            let eb = elem_bytes(fmt);
             let elems = bytes.start / eb..bytes.end / eb;
             let buf = window(&mut self.tx[(half + i) % 2], 0, bytes.len());
             let t0 = Instant::now();
@@ -475,14 +455,12 @@ impl RingEndpoint {
         self.pacer.reserve(bytes.len(), &mut self.codec)
     }
 
-    /// Opens an outgoing frame from `tx[half]`: sizes it (a self-describing
-    /// body is encoded whole to learn its length), stages slice 0 and books
-    /// it.
+    /// Opens an outgoing frame from `tx[half]`: sizes it, stages slice 0
+    /// and books it.
     fn open(&mut self, fmt: WireFormat, tx: &mut Tx<'_>, half: usize) -> Staged {
-        let total = match (&*tx, fmt.dense_elem_bytes()) {
-            (Tx::Carry { .. }, _) => self.carry.len(),
-            (_, Some(eb)) => tx.fresh_elems() * eb,
-            (_, None) => self.encode_whole(fmt, tx, half),
+        let total = match tx {
+            Tx::Carry { .. } => self.carry.len(),
+            _ => tx.fresh_elems() * elem_bytes(fmt),
         };
         Staged {
             fmt,
@@ -552,9 +530,7 @@ impl RingEndpoint {
                     Then::Replicated(sink) => Tx::Replicated(&mut *rx.dst, *sink),
                     _ => Tx::Fresh(&*rx.dst),
                 };
-                // A self-describing body needs every value to be final.
-                fmt.dense_elem_bytes()
-                    .map(|_| self.open(fmt, &mut tx, half))
+                Some(self.open(fmt, &mut tx, half))
             }
         };
     }
@@ -580,17 +556,14 @@ impl RingEndpoint {
             )));
         }
         let elems = rx.dst.len();
-        let ok = match fmt.dense_elem_bytes() {
-            Some(eb) => h.nbytes == (elems * eb) as u64,
-            None => h.nbytes <= fmt.max_body_bytes(elems) as u64,
-        };
-        match usize::try_from(h.nbytes) {
-            Ok(n) if ok => Ok((raw, n)),
-            _ => Err(self.malformed(format!(
+        let n = elems * elem_bytes(fmt);
+        if h.nbytes != n as u64 {
+            return Err(self.malformed(format!(
                 "{} body bytes on a {fmt} hop of {elems} elements",
                 h.nbytes
-            ))),
+            )));
         }
+        Ok((raw, n))
     }
 
     /// The streaming primitive under every collective: sends at most one
@@ -619,7 +592,7 @@ impl RingEndpoint {
         mut rx: Option<Rx<'_>>,
         mut then: Then<'_>,
     ) -> Result<(), CommError> {
-        let dense = fmt.dense_elem_bytes();
+        let eb = elem_bytes(fmt);
         let forward = matches!(tx, Some(Tx::Forward));
         debug_assert!(!forward || rx.is_some(), "forwarding needs a frame");
         let keep = matches!(then, Then::Carry);
@@ -642,13 +615,13 @@ impl RingEndpoint {
                 Tx::Carry { origin } => (origin, self.carry_elems),
                 _ => (self.rank, tx.fresh_elems()),
             };
-            let expected = match (&*tx, dense) {
-                (Tx::Carry { .. }, _) => Some(self.carry.len()),
-                (_, eb) => eb.map(|eb| out_elems * eb),
+            let expected = match tx {
+                Tx::Carry { .. } => self.carry.len(),
+                _ => out_elems * eb,
             };
             assert!(
-                staged.fmt == fmt && expected.is_none_or(|n| n == staged.total),
-                "rank {}: a {} frame of {} bytes was staged where a {fmt} frame of {expected:?} \
+                staged.fmt == fmt && expected == staged.total,
+                "rank {}: a {} frame of {} bytes was staged where a {fmt} frame of {expected} \
                  is sent",
                 self.rank,
                 staged.fmt,
@@ -681,16 +654,14 @@ impl RingEndpoint {
                 let next = if i + 1 < n_out {
                     self.stage(fmt, tx, self.half, i + 1, out_total)
                 } else {
-                    let used = if dense.is_some() { n_out } else { 1 };
-                    let free = (self.half + used) % 2;
+                    let free = (self.half + n_out) % 2;
                     self.stage_next(fmt, free, &mut then, rx.as_mut(), i.min(n_in), in_total);
                     None
                 };
                 Pacer::release_at(ready);
-                let body = match (&*tx, dense) {
-                    (Tx::Carry { .. }, _) => &self.carry[slice(i, out_total)],
-                    (_, Some(_)) => &self.tx[(self.half + i) % 2][..slice(i, out_total).len()],
-                    (_, None) => &self.tx[self.half][slice(i, out_total)],
+                let body = match tx {
+                    Tx::Carry { .. } => &self.carry[slice(i, out_total)],
+                    _ => &self.tx[(self.half + i) % 2][..slice(i, out_total).len()],
                 };
                 let head = if i == 0 { &out_head[..] } else { &[] };
                 self.transport.send(head, body)?;
@@ -706,30 +677,16 @@ impl RingEndpoint {
                 }
                 if i < n_in {
                     let bytes = slice(i, in_total);
-                    // Whole bodies accumulate; dense slices reuse the front.
-                    let at = if keep || dense.is_none() {
-                        bytes.start
-                    } else {
-                        0
-                    };
+                    // A kept body accumulates; other slices reuse the front.
+                    let at = if keep { bytes.start } else { 0 };
                     self.transport.recv(window(&mut self.rx, at, bytes.len()))?;
                     let released = forward
                         .then(|| self.pacer.reserve(bytes.len(), &mut self.codec))
                         .flatten();
                     let got = &self.rx[at..at + bytes.len()];
                     let t0 = Instant::now();
-                    if let Some(eb) = dense {
-                        let elems = bytes.start / eb..bytes.end / eb;
-                        wire::decode(fmt, got, &mut rx.dst[elems], rx.sink);
-                    } else if i + 1 == n_in {
-                        let body = &self.rx[..in_total];
-                        if let Err(why) =
-                            wire::decode_body(fmt, body, rx.dst.len(), &mut self.scratch)
-                        {
-                            return Err(self.malformed(why));
-                        }
-                        rx.sink.land_all(rx.dst, &self.scratch);
-                    }
+                    let elems = bytes.start / eb..bytes.end / eb;
+                    wire::decode(fmt, got, &mut rx.dst[elems], rx.sink);
                     self.codec.codec_secs += t0.elapsed().as_secs_f64();
                     if forward {
                         if i + 1 == n_in {
@@ -892,6 +849,13 @@ impl RingEndpoint {
         self.stats.record_op();
         Ok(())
     }
+}
+
+/// Wire bytes per element of `fmt`: the ring streams fixed-width frames
+/// only.
+fn elem_bytes(fmt: WireFormat) -> usize {
+    fmt.dense_elem_bytes()
+        .unwrap_or_else(|| panic!("the ring streams f64 / f32 / f16 frames, not {fmt}"))
 }
 
 /// `buf[a]` and `buf[b]` at once, for two ranges that do not overlap.

@@ -55,8 +55,7 @@ impl std::fmt::Display for OpKind {
 /// 8 bytes per `f64` element, independent of encoding) and *wire* bytes
 /// ([`TrafficStats::wire_bytes_sent`], the actual post-encoding payload
 /// size recorded by the ring endpoint — equal to logical bytes under the
-/// f64 pass-through, half/quarter under f32/f16, data-dependent under
-/// top-k).
+/// f64 pass-through, half/quarter under f32/f16).
 #[derive(Debug, Default)]
 pub struct TrafficStats {
     elements_sent: AtomicU64,

@@ -12,13 +12,14 @@
 //!   an F16C/AVX2 path behind a runtime probe; the software converters
 //!   ([`f32_to_f16_bits`], [`f16_bits_to_f32`], round-to-nearest-even) are
 //!   the fallback and the oracle — both paths produce the same bytes.
-//! - **Top-k** ([`WireFormat::TopK`]) bodies are self-describing and are
-//!   encoded and decoded whole ([`encode_body`] / [`decode_body`]): they
-//!   ship index/value pairs of what [`sparsify_with_residual`] kept (the
-//!   dropped mass moves, bit-exactly, into a residual the comm thread
-//!   carries to the next same-shape operation) and fall back to dense f32
-//!   when that is smaller. The decoder rejects any body that contradicts
-//!   its own header — the bytes come off a socket.
+//! - **Top-k** ([`WireFormat::TopK`]) is a codec only, never a ring
+//!   format: [`encode`] / [`decode_ref`] take it, the ring and
+//!   [`WirePolicy`] refuse it. Its bodies are self-describing and encoded
+//!   and decoded whole: index/value pairs of what
+//!   [`sparsify_with_residual`] kept (the dropped mass moves, bit-exactly,
+//!   into a residual for the next same-shape buffer), or dense f32 when
+//!   that is smaller. The decoder rejects any body that contradicts its
+//!   own header or the expected length.
 //!
 //! [`encode`] / [`decode_ref`] wrap the same kernels over fresh allocations
 //! for callers outside the ring (benchmarks, tests).
@@ -35,9 +36,10 @@ pub enum WireFormat {
     /// IEEE half precision, software-converted with round-to-nearest-even
     /// (2 bytes/element).
     F16,
-    /// Residual-compensated top-k sparsification: keep the `ratio`
-    /// fraction of largest-|v| elements as (u32 index, f32 value) pairs,
-    /// carry the rest as residual into the next same-shape operation.
+    /// Top-k sparsification: the `ratio` fraction of largest-|v| elements
+    /// as (u32 index, f32 value) pairs, the rest moved into a residual by
+    /// [`sparsify_with_residual`]. A codec only ([`encode`] /
+    /// [`decode_ref`]): the ring and [`WirePolicy`] refuse it.
     TopK {
         /// Fraction of elements kept, in `(0, 1]`.
         ratio: f64,
@@ -61,28 +63,13 @@ impl WireFormat {
         matches!(self, WireFormat::F64)
     }
 
-    /// Parses `"f64" | "f32" | "f16" | "topk:<ratio>"`.
+    /// Parses a ring format: `"f64" | "f32" | "f16"`.
     pub fn parse(s: &str) -> Result<WireFormat, String> {
-        let t = s.trim().to_ascii_lowercase();
-        match t.as_str() {
+        match s.trim().to_ascii_lowercase().as_str() {
             "f64" | "fp64" => Ok(WireFormat::F64),
             "f32" | "fp32" => Ok(WireFormat::F32),
             "f16" | "fp16" => Ok(WireFormat::F16),
-            _ => {
-                if let Some(r) = t.strip_prefix("topk:") {
-                    let ratio: f64 = r
-                        .parse()
-                        .map_err(|_| format!("bad top-k ratio {r:?} in wire format {s:?}"))?;
-                    if !(ratio > 0.0 && ratio <= 1.0) {
-                        return Err(format!("top-k ratio {ratio} outside (0, 1]"));
-                    }
-                    Ok(WireFormat::TopK { ratio })
-                } else {
-                    Err(format!(
-                        "unknown wire format {s:?} (expected f64|f32|f16|topk:<ratio>)"
-                    ))
-                }
-            }
+            _ => Err(format!("unknown wire format {s:?} (expected f64|f32|f16)")),
         }
     }
 }
@@ -129,25 +116,20 @@ impl Default for WirePolicy {
 
 impl WirePolicy {
     /// One format for gradients, factors, and broadcasts; control stays
-    /// f64. Top-k degrades to f32 for broadcasts (sparsifying an inverse
-    /// matrix fan-out makes no sense — the residual would never drain).
+    /// f64.
     pub fn uniform(f: WireFormat) -> Self {
-        let broadcast = match f {
-            WireFormat::TopK { .. } => WireFormat::F32,
-            other => other,
-        };
         WirePolicy {
             grad: f,
             factor: f,
-            broadcast,
+            broadcast: f,
             control: WireFormat::F64,
         }
     }
 
     /// Parses either a single format (`"f16"`, applied via [`uniform`]) or
     /// a comma-separated key=value list, e.g.
-    /// `"grad=topk:0.1,factor=f16,broadcast=f32"`. Unmentioned keys keep
-    /// their defaults.
+    /// `"grad=f16,factor=f32,broadcast=f32"`. Unmentioned keys keep their
+    /// defaults.
     ///
     /// [`uniform`]: WirePolicy::uniform
     pub fn parse(s: &str) -> Result<WirePolicy, String> {
@@ -184,22 +166,17 @@ impl WirePolicy {
     }
 
     /// The format a collective of `kind` submitted under `phase` travels
-    /// in. Sparsification only composes with the summing ring: under a
-    /// top-k entry everything but an all-reduce degrades to dense f32.
+    /// in.
     pub fn format_for(&self, phase: spdkfac_obs::Phase, kind: crate::stats::OpKind) -> WireFormat {
         use crate::stats::OpKind;
         use spdkfac_obs::Phase;
-        let fmt = match kind {
+        match kind {
             OpKind::Broadcast => self.broadcast,
             _ => match phase {
                 Phase::GradComm => self.grad,
                 Phase::FactorComm => self.factor,
                 _ => self.control,
             },
-        };
-        match fmt {
-            WireFormat::TopK { .. } if kind != OpKind::AllReduce => WireFormat::F32,
-            fmt => fmt,
         }
     }
 }
@@ -216,25 +193,15 @@ impl WireFormat {
         }
     }
 
-    /// Wire bytes per element of the dense formats, whose bodies stream
-    /// slice by slice; `None` for top-k, whose self-describing bodies are
-    /// encoded and decoded whole.
+    /// Wire bytes per element of the dense formats, the ones the ring
+    /// streams; `None` for top-k, whose self-describing bodies only
+    /// [`encode`] / [`decode_ref`] take.
     pub fn dense_elem_bytes(&self) -> Option<usize> {
         match self {
             WireFormat::F64 => Some(8),
             WireFormat::F32 => Some(4),
             WireFormat::F16 => Some(2),
             WireFormat::TopK { .. } => None,
-        }
-    }
-
-    /// Largest self-describing body `elems` logical elements can encode
-    /// to — the bound a receiver checks a frame length against.
-    pub fn max_body_bytes(&self, elems: usize) -> usize {
-        match self {
-            // Sparse pairs are only chosen when smaller than dense f32.
-            WireFormat::TopK { .. } => 9 + 4 * elems,
-            dense => dense.dense_elem_bytes().expect("dense format") * elems,
         }
     }
 }
@@ -259,17 +226,10 @@ impl Sink {
             Sink::Scaled(s) => *d = v * s,
         }
     }
-
-    /// Lands already-decoded values.
-    pub fn land_all(self, dst: &mut [f64], vals: &[f64]) {
-        for (d, v) in dst.iter_mut().zip(vals) {
-            self.land(d, *v);
-        }
-    }
 }
 
-/// The slice kernels take dense formats only; self-describing bodies go
-/// through [`encode_body`] / [`decode_body`].
+/// The slice kernels take dense formats only; top-k bodies go through
+/// [`encode`] / [`decode_ref`].
 const DENSE_ONLY: &str = "slice kernel called with a self-describing format";
 
 /// Encodes `src` into `dst` in a dense format and returns the max absolute
@@ -542,11 +502,10 @@ fn push_dense(fmt: WireFormat, data: &[f64], out: &mut Vec<u8>) -> f64 {
 /// Encodes a whole top-k body into `out`, reusing its capacity; returns
 /// the max absolute rounding error.
 ///
-/// Sparsification already happened upstream (the comm thread owns the
-/// residual state): the body serialises whatever zeros/non-zeros it is
-/// handed, as index/value pairs only when they are smaller than a dense
-/// f32 body.
-pub fn encode_body(fmt: WireFormat, data: &[f64], out: &mut Vec<u8>) -> f64 {
+/// Sparsification already happened upstream ([`sparsify_with_residual`]):
+/// the body serialises whatever zeros/non-zeros it is handed, as
+/// index/value pairs only when they are smaller than a dense f32 body.
+fn encode_body(fmt: WireFormat, data: &[f64], out: &mut Vec<u8>) -> f64 {
     assert!(
         matches!(fmt, WireFormat::TopK { .. }),
         "{fmt} bodies stream through the slice kernels"
@@ -588,8 +547,8 @@ fn body_elems(fmt: WireFormat, body: &[u8]) -> Result<usize, String> {
 /// the receiver knows the hop carries. A body that contradicts its own
 /// header or that expectation — wrong size, index out of range, unknown
 /// kind — is an error, never a panic or an allocation sized by an unbacked
-/// length: the bytes come off a socket.
-pub fn decode_body(
+/// length.
+fn decode_body(
     fmt: WireFormat,
     body: &[u8],
     expect: usize,
@@ -677,8 +636,8 @@ pub struct CodecStats {
     pub max_abs_err: f64,
 }
 
-/// Encodes a whole buffer in `fmt` — [`encode_into`] / [`encode_body`]
-/// over a fresh allocation, for callers outside the ring's buffers.
+/// Encodes a whole buffer in `fmt` — [`encode_into`], or the top-k body
+/// codec — over a fresh allocation, for callers outside the ring's buffers.
 pub fn encode(fmt: WireFormat, data: Vec<f64>) -> (WirePayload, CodecStats) {
     let t0 = Instant::now();
     let mut body = Vec::new();
@@ -1019,29 +978,32 @@ mod tests {
             WireFormat::F16
         );
 
-        let p = WirePolicy::parse("grad=topk:0.1,factor=f32").expect("kv");
-        assert_eq!(p.grad, WireFormat::TopK { ratio: 0.1 });
+        let p = WirePolicy::parse("grad=f16,factor=f32").expect("kv");
+        assert_eq!(p.grad, WireFormat::F16);
         assert_eq!(p.factor, WireFormat::F32);
         assert_eq!(p.broadcast, WireFormat::F64);
-        // Only the summing ring sparsifies.
         assert_eq!(
-            p.format_for(Phase::GradComm, OpKind::AllReduce),
-            WireFormat::TopK { ratio: 0.1 }
-        );
-        let p = WirePolicy::parse("broadcast=topk:0.1").expect("kv");
-        assert_eq!(
-            p.format_for(Phase::InverseComm, OpKind::Broadcast),
+            p.format_for(Phase::FactorComm, OpKind::AllReduce),
             WireFormat::F32
         );
-
-        // Top-k uniform policies keep broadcasts dense.
-        let p = WirePolicy::uniform(WireFormat::TopK { ratio: 0.01 });
-        assert_eq!(p.broadcast, WireFormat::F32);
+        assert_eq!(
+            p.format_for(Phase::InverseComm, OpKind::Broadcast),
+            WireFormat::F64
+        );
         assert!(!p.is_lossless());
         assert!(WirePolicy::default().is_lossless());
 
         assert!(WireFormat::parse("f8").is_err());
         assert!(WireFormat::parse("topk:1.5").is_err());
         assert!(WirePolicy::parse("grads=f16").is_err());
+    }
+
+    #[test]
+    fn policy_parse_refuses_top_k() {
+        // Top-k is a codec, not a ring format: no policy spec names it.
+        for spec in ["topk:0.1", "grad=topk:0.25"] {
+            let err = WirePolicy::parse(spec).unwrap_err();
+            assert!(err.contains("f64|f32|f16"), "{spec}: {err}");
+        }
     }
 }

@@ -83,7 +83,7 @@ struct QueuedOp {
 /// Wire policies that put a different format on consecutive phases: the
 /// control phase stays f64 in all of them.
 const MIXED_POLICIES: [&str; 3] = [
-    "grad=topk:0.25,factor=f16",
+    "grad=f32,factor=f16",
     "grad=f16,factor=f32,broadcast=f16",
     "grad=f32,factor=f64,broadcast=f32",
 ];

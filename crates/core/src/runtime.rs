@@ -485,13 +485,11 @@ pub enum ReplanPolicy {
     /// Never re-plan: the seed static-plan behavior.
     #[default]
     Off,
-    /// Enter the re-plan barrier after every `n`-th iteration and swap
-    /// whenever the agreed models produce a different plan.
-    EveryN(usize),
     /// Enter the barrier every `check_every` iterations, but swap only
     /// after the candidate plan has differed from the active one in
     /// `hysteresis` *consecutive* checks — transient drift (one noisy
-    /// window) never churns the plan.
+    /// window) never churns the plan. `hysteresis: 1` swaps whenever the
+    /// agreed models produce a different plan.
     OnDrift {
         /// Barrier cadence in iterations.
         check_every: usize,
@@ -506,7 +504,6 @@ impl ReplanPolicy {
     pub fn cadence(&self) -> Option<usize> {
         match self {
             ReplanPolicy::Off => None,
-            ReplanPolicy::EveryN(n) => Some((*n).max(1)),
             ReplanPolicy::OnDrift { check_every, .. } => Some((*check_every).max(1)),
         }
     }
@@ -864,7 +861,10 @@ mod tests {
         let agreed = baselines();
         let p0 = planner.plan(&agreed, None);
         let mut epoch = p0.clone();
-        let mut ctl = ReplanController::new(ReplanPolicy::EveryN(1));
+        let mut ctl = ReplanController::new(ReplanPolicy::OnDrift {
+            check_every: 1,
+            hysteresis: 1,
+        });
         for _ in 0..5 {
             let out = ctl.consider(&mut epoch, planner.plan(&agreed, None));
             assert!(!out.swapped, "identical models must not churn the plan");
@@ -885,7 +885,10 @@ mod tests {
     fn drifted_models_swap_and_bump_generation() {
         let planner = planner(&[64, 256, 1024, 2048, 32, 512], 4);
         let mut epoch = planner.plan(&baselines(), None);
-        let mut ctl = ReplanController::new(ReplanPolicy::EveryN(1));
+        let mut ctl = ReplanController::new(ReplanPolicy::OnDrift {
+            check_every: 1,
+            hysteresis: 1,
+        });
         // NCTs flip to CT, the placement changes.
         let candidate = planner.plan(&drifted(), None);
         let out = ctl.consider(&mut epoch, candidate.clone());
@@ -922,7 +925,10 @@ mod tests {
     fn due_follows_policy_cadence() {
         assert!(!ReplanController::new(ReplanPolicy::Off).due(0));
         assert!(!ReplanController::new(ReplanPolicy::Off).due(99));
-        let every3 = ReplanController::new(ReplanPolicy::EveryN(3));
+        let every3 = ReplanController::new(ReplanPolicy::OnDrift {
+            check_every: 3,
+            hysteresis: 1,
+        });
         assert!(!every3.due(0));
         assert!(!every3.due(1));
         assert!(every3.due(2));

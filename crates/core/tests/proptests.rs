@@ -587,7 +587,10 @@ proptest! {
         let p0 = planner.plan(&agreed, None);
         prop_assert!(p0.a_fusion.is_some() && p0.g_fusion.is_some());
         let mut epoch = p0.clone();
-        let mut ctl = ReplanController::new(ReplanPolicy::EveryN(1));
+        let mut ctl = ReplanController::new(ReplanPolicy::OnDrift {
+            check_every: 1,
+            hysteresis: 1,
+        });
         for round in 0..3 {
             // Re-planning with the standing placement as `prev` must also be
             // a fixed point: migration pricing only ever reinforces it.

@@ -11,7 +11,7 @@
 //!   communication thread;
 //! - **cross-rank collective edges**: the k-th collective submitted on
 //!   every rank's communication thread is the same logical operation (SPMD
-//!   submission contract), so spans sharing [`SpanMeta::seq`] form a group
+//!   submission contract), so spans sharing [`SpanMeta::seq`](crate::SpanMeta::seq) form a group
 //!   whose completion is gated by the group's *straggler* — the last
 //!   arrival for a join (all-reduce), the root for a fan-out (broadcast).
 //!

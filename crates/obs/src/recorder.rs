@@ -43,7 +43,7 @@ pub struct SpanMeta {
     /// inversions. Consumed by online cost-model calibration.
     pub size: Option<usize>,
     /// Plan generation the operation executed under. The adaptive runtime
-    /// ([`core::runtime`]) bumps the generation at every re-plan barrier, so
+    /// (`spdkfac_core::runtime`) bumps the generation at every re-plan barrier, so
     /// the k-th-collective SPMD matching in [`crate::causal`] must pair
     /// spans per `(generation, seq)` — a re-plan changes the number and
     /// order of collectives, making a global `seq` ambiguous across the

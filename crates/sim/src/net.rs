@@ -190,7 +190,7 @@ pub fn build(topology: &NetTopology, hw: &HardwareProfile, world: usize) -> Box<
 
 /// One shared α-β link; collectives run in issue order. Optionally one
 /// private egress link per broadcast root. Timing is
-/// [`simulate_with_contention`]'s fixed point over the `overlap_penalty`
+/// `simulate_with_contention`'s fixed point over the `overlap_penalty`
 /// scalar — exactly the pre-trait simulator.
 #[derive(Debug, Clone)]
 pub struct SerializedQueue {

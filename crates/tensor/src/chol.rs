@@ -2,7 +2,7 @@
 //!
 //! The paper inverts every damped Kronecker factor `(A + γI)` and `(G + γI)`
 //! with cuSolver's Cholesky path (§V-B). This module is the CPU analogue:
-//! `LLᵀ` factorization ([`cholesky`], [`cholesky_in_place`]), triangular
+//! `LLᵀ` factorization ([`cholesky_in_place`]), triangular
 //! solves with `L` ([`solve_into`]), and a full SPD inverse
 //! ([`spd_inverse`]) via inversion of the triangular factor — the POTRF +
 //! POTRI (= TRTRI + LAUUM) sequence. All but `O(n · nb²)` of the FLOPs
@@ -32,9 +32,10 @@
 //! chunk of rows at a time. A warm [`cholesky_in_place`] / [`solve_into`]
 //! / [`spd_inverse_in_place`] allocates nothing. The core keeps results
 //! bit-identical for any `SPDKFAC_THREADS` and across AVX2 / AVX-512
-//! hosts. [`cholesky_unblocked`] and [`Cholesky::inverse_unblocked`] are
-//! the leaf kernels run on the whole matrix: the oracles of the parity
-//! tests.
+//! hosts. The parity tests (`chol::tests`) force small edges through
+//! the same `potrf` / `solve_with_block` / `potri`; their oracle is the
+//! unblocked leaf run on the whole matrix (`potrf(w, n, n)`,
+//! `potri(w, n, n)`).
 //!
 //! ## Solving with `L` instead of forming `A⁻¹`
 //!
@@ -93,90 +94,6 @@ pub enum Side {
     Right,
 }
 
-/// A lower-triangular Cholesky factor `L` with `A = L Lᵀ`.
-///
-/// Produced by [`cholesky`]; provides solves and the SPD inverse.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Cholesky {
-    /// `L`: the solve form with its diagonal blocks inverted back.
-    l: Matrix,
-    /// `L` in solve form at `edge` (see the module docs).
-    solver: Matrix,
-    edge: usize,
-}
-
-/// Computes the Cholesky factorization `A = L Lᵀ` of a symmetric positive
-/// definite matrix.
-///
-/// Only the lower triangle of `a` is read, so numerically-slightly-asymmetric
-/// inputs are accepted (the upper triangle is ignored).
-///
-/// # Errors
-///
-/// - [`TensorError::NotSquare`] if `a` is rectangular.
-/// - [`TensorError::NotPositiveDefinite`] if a non-positive pivot appears.
-///
-/// # Example
-///
-/// ```
-/// use spdkfac_tensor::{Matrix, chol::cholesky};
-///
-/// # fn main() -> Result<(), spdkfac_tensor::TensorError> {
-/// let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
-/// let ch = cholesky(&a)?;
-/// let rebuilt = ch.factor().matmul(&ch.factor().transpose());
-/// assert!(rebuilt.max_abs_diff(&a) < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-pub fn cholesky(a: &Matrix) -> Result<Cholesky, TensorError> {
-    factorize(a, CHOL_NB, SOLVE_NB)
-}
-
-/// The seed factorization: serial unblocked column-by-column `LLᵀ`.
-///
-/// The leaf of [`cholesky`], and the oracle of the parity tests: its solve
-/// form is the whole `L⁻¹`, so each of its solves is one product.
-///
-/// # Errors
-///
-/// Same contract as [`cholesky`].
-pub fn cholesky_unblocked(a: &Matrix) -> Result<Cholesky, TensorError> {
-    let n = a.rows().max(1);
-    factorize(a, n, n)
-}
-
-/// Recursive Cholesky with an explicit leaf edge `nb` (and solve-form
-/// blocks of `nb · SOLVE_NB / CHOL_NB`).
-///
-/// Exposed (rather than hard-wiring [`cholesky`]'s default) so tests can
-/// force the blocked code path on small matrices. Matrices with
-/// `n <= nb` are one unblocked leaf.
-///
-/// # Errors
-///
-/// Same contract as [`cholesky`].
-///
-/// # Panics
-///
-/// Panics if `nb == 0`.
-pub fn cholesky_with_block(a: &Matrix, nb: usize) -> Result<Cholesky, TensorError> {
-    assert!(nb >= 1, "cholesky_with_block: block edge must be positive");
-    factorize(a, nb, nb * (SOLVE_NB / CHOL_NB))
-}
-
-/// POTRF at leaves of `leaf` into solve form at `edge`, plus `L` itself.
-fn factorize(a: &Matrix, leaf: usize, edge: usize) -> Result<Cholesky, TensorError> {
-    let mut solver = a.clone();
-    potrf(&mut solver, leaf, edge)?;
-    let (n, mut l) = (solver.rows(), solver.clone());
-    let mut dinv = vec![0.0; edge.min(n).pow(2)];
-    for j0 in (0..n).step_by(edge) {
-        invert_diagonal_block(l.as_mut_slice(), n, j0, edge.min(n - j0), &mut dinv);
-    }
-    Ok(Cholesky { l, solver, edge })
-}
-
 /// POTRF in the matrix's own storage, for the solves: `a` holds the SPD
 /// matrix on entry (only its lower triangle is read) and on success `L` in
 /// solve form at [`SOLVE_NB`] — the form [`solve_into`] reads (module
@@ -185,7 +102,9 @@ fn factorize(a: &Matrix, leaf: usize, edge: usize) -> Result<Cholesky, TensorErr
 ///
 /// # Errors
 ///
-/// Same contract as [`cholesky`].
+/// - [`TensorError::NotSquare`] if `a` is rectangular.
+/// - [`TensorError::NotPositiveDefinite`] if a non-positive or non-finite
+///   pivot appears.
 pub fn cholesky_in_place(a: &mut Matrix) -> Result<(), TensorError> {
     potrf(a, CHOL_NB, SOLVE_NB)
 }
@@ -500,101 +419,6 @@ fn potri(w: &mut Matrix, leaf: usize, edge: usize) {
     mirror_upper(w, n);
 }
 
-impl Cholesky {
-    /// Borrow the lower-triangular factor `L`.
-    pub fn factor(&self) -> &Matrix {
-        &self.l
-    }
-
-    /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
-        self.l.rows()
-    }
-
-    /// Solves `A x = b`: [`Cholesky::solve_matrix`] on one column.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != self.dim()`.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        assert_eq!(b.len(), self.dim(), "solve: rhs length mismatch");
-        self.solve_matrix(&Matrix::from_vec(b.len(), 1, b.to_vec()))
-            .into_vec()
-    }
-
-    /// Solves `A X = B` as `X = L⁻ᵀ(L⁻¹B)`: two block-by-block solves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `B.rows() != self.dim()`.
-    pub fn solve_matrix(&self, b: &Matrix) -> Matrix {
-        assert_eq!(b.rows(), self.dim(), "solve_matrix: shape mismatch");
-        let (mut y, mut x) = (b.clone(), Matrix::zeros(0, 0));
-        solve_with_block(&self.solver, self.edge, Side::Left, false, &mut y, &mut x);
-        solve_with_block(&self.solver, self.edge, Side::Left, true, &mut x, &mut y);
-        y
-    }
-
-    /// One triangular solve on this factorization's solve form:
-    /// `op(L)⁻¹ · B` on the [`Side::Left`], `B · op(L)⁻¹` on the
-    /// [`Side::Right`], `op(L) = Lᵀ` when `trans`. From
-    /// [`cholesky_unblocked`] it is one product with `op(L⁻¹)`: the oracle
-    /// of the parity tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b`'s solved dimension is not `self.dim()`.
-    pub fn solve_triangular(&self, side: Side, trans: bool, b: &Matrix) -> Matrix {
-        let (mut work, mut x) = (b.clone(), Matrix::zeros(0, 0));
-        solve_with_block(&self.solver, self.edge, side, trans, &mut work, &mut x);
-        x
-    }
-
-    /// Computes the full inverse `A⁻¹ = L⁻ᵀ L⁻¹` (POTRI-style) from this
-    /// factorization's solve form: the same bits as [`spd_inverse`] for a
-    /// [`cholesky`] factorization.
-    ///
-    /// The result is exactly symmetric by construction.
-    pub fn inverse(&self) -> Matrix {
-        let mut w = self.solver.clone();
-        potri(&mut w, CHOL_NB, self.edge);
-        w
-    }
-
-    /// The seed inverse: serial triangular inversion followed by the scalar
-    /// `MᵀM` product. The oracle of the parity tests.
-    pub fn inverse_unblocked(&self) -> Matrix {
-        self.inverse_with_block(self.dim().max(1))
-    }
-
-    /// Recursive inverse (TRTRI + LAUUM on the level-3 core, see the module
-    /// docs) of `L` with an explicit block edge `nb`.
-    ///
-    /// Exposed so tests can force the blocked code path on small matrices.
-    /// Matrices with `n <= nb` fall back to
-    /// [`Cholesky::inverse_unblocked`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nb == 0`.
-    pub fn inverse_with_block(&self, nb: usize) -> Matrix {
-        assert!(nb >= 1, "inverse_with_block: block edge must be positive");
-        let mut w = self.l.clone();
-        let n = w.rows();
-        let mut dinv = vec![0.0; nb.min(n).pow(2)];
-        for j0 in (0..n).step_by(nb) {
-            invert_diagonal_block(w.as_mut_slice(), n, j0, nb.min(n - j0), &mut dinv);
-        }
-        potri(&mut w, nb, nb);
-        w
-    }
-
-    /// Log-determinant of `A`: `2 Σ log L_ii`.
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
-}
-
 /// The block-by-block triangular solve (module docs) with `l` in solve form at
 /// [`SOLVE_NB`], as [`cholesky_in_place`] leaves it: `x` becomes
 /// `op(L)⁻¹ · b` on the [`Side::Left`], `b · op(L)⁻¹` on the
@@ -823,7 +647,7 @@ pub fn unpack_factor_into(dim: usize, packed: &[f64], out: &mut Matrix) {
 ///
 /// # Errors
 ///
-/// Propagates [`cholesky`] errors.
+/// Propagates [`cholesky_in_place`] errors.
 ///
 /// # Example
 ///
@@ -850,7 +674,7 @@ pub fn spd_inverse(a: &Matrix) -> Result<Matrix, TensorError> {
 ///
 /// # Errors
 ///
-/// Same contract as [`cholesky`].
+/// Same contract as [`cholesky_in_place`].
 pub fn spd_inverse_in_place(a: &mut Matrix) -> Result<(), TensorError> {
     potrf(a, CHOL_NB, SOLVE_NB)?;
     potri(a, CHOL_NB, SOLVE_NB);
@@ -861,6 +685,7 @@ pub fn spd_inverse_in_place(a: &mut Matrix) -> Result<(), TensorError> {
 mod tests {
     use super::*;
     use crate::rng::MatrixRng;
+    use proptest::prelude::*;
 
     fn random_spd(n: usize, seed: u64) -> Matrix {
         let mut rng = MatrixRng::new(seed);
@@ -870,12 +695,102 @@ mod tests {
         a
     }
 
+    /// POTRF of `a` at leaves of `leaf` into solve form at `edge`.
+    fn factor(a: &Matrix, leaf: usize, edge: usize) -> Result<Matrix, TensorError> {
+        let mut w = a.clone();
+        potrf(&mut w, leaf, edge)?;
+        Ok(w)
+    }
+
+    /// `m` with its `edge`-wide diagonal blocks inverted: plain `L` from
+    /// the solve form at `edge`, and the solve form from plain `L`.
+    fn invert_blocks(m: &Matrix, edge: usize) -> Matrix {
+        let (n, mut w) = (m.rows(), m.clone());
+        let mut dinv = vec![0.0; edge.min(n).pow(2)];
+        for j0 in (0..n).step_by(edge) {
+            invert_diagonal_block(w.as_mut_slice(), n, j0, edge.min(n - j0), &mut dinv);
+        }
+        w
+    }
+
+    /// Plain `L` at leaves of `leaf` and solve blocks of `4 · leaf`: the
+    /// edges a forced leaf moves together, as [`CHOL_NB`] and [`SOLVE_NB`].
+    fn factor_with_block(a: &Matrix, leaf: usize) -> Result<Matrix, TensorError> {
+        let edge = leaf * (SOLVE_NB / CHOL_NB);
+        Ok(invert_blocks(&factor(a, leaf, edge)?, edge))
+    }
+
+    /// Plain `L` at the default edges.
+    fn plain_factor(a: &Matrix) -> Result<Matrix, TensorError> {
+        Ok(invert_blocks(&factor(a, CHOL_NB, SOLVE_NB)?, SOLVE_NB))
+    }
+
+    /// The oracle: one unblocked leaf over the whole matrix, in solve form
+    /// (all of it `L⁻¹`, so each solve is one product).
+    fn unblocked(a: &Matrix) -> Result<Matrix, TensorError> {
+        let n = a.rows().max(1);
+        factor(a, n, n)
+    }
+
+    /// The oracle's plain `L`.
+    fn unblocked_factor(a: &Matrix) -> Result<Matrix, TensorError> {
+        Ok(invert_blocks(&unblocked(a)?, a.rows().max(1)))
+    }
+
+    /// POTRI of a solve form at `edge`, LAUUM at leaves of `leaf`.
+    fn inverse(solver: &Matrix, leaf: usize, edge: usize) -> Matrix {
+        let mut w = solver.clone();
+        potri(&mut w, leaf, edge);
+        w
+    }
+
+    /// The oracle's inverse: the unblocked leaf's TRTRI and scalar `MᵀM`.
+    fn unblocked_inverse(a: &Matrix) -> Result<Matrix, TensorError> {
+        let n = a.rows().max(1);
+        Ok(inverse(&unblocked(a)?, n, n))
+    }
+
+    /// POTRI from plain `l` at block edge `nb` (leaves and TRTRI blocks).
+    fn blocked_inverse(l: &Matrix, nb: usize) -> Matrix {
+        inverse(&invert_blocks(l, nb), nb, nb)
+    }
+
+    /// One triangular solve on a solve form at `edge`: `op(L)⁻¹ · b` on the
+    /// left, `b · op(L)⁻¹` on the right.
+    fn solve(solver: &Matrix, edge: usize, side: Side, trans: bool, b: &Matrix) -> Matrix {
+        let (mut work, mut x) = (b.clone(), Matrix::zeros(0, 0));
+        solve_with_block(solver, edge, side, trans, &mut work, &mut x);
+        x
+    }
+
+    /// `A⁻¹ · b` through the trainer's path: POTRF, then `L⁻ᵀ(L⁻¹b)`.
+    fn solve_spd(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut l = a.clone();
+        cholesky_in_place(&mut l).unwrap();
+        let (mut y, mut x) = (b.clone(), Matrix::zeros(0, 0));
+        solve_into(&l, Side::Left, false, &mut y, &mut x);
+        solve_into(&l, Side::Left, true, &mut x, &mut y);
+        y
+    }
+
+    /// Bit patterns, for `to_bits` equality.
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Largest element-wise difference, relative to the oracle's largest
+    /// element.
+    fn rel_diff(got: &Matrix, oracle: &Matrix) -> f64 {
+        let scale = oracle.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        got.max_abs_diff(oracle) / scale
+    }
+
     #[test]
     fn factor_reconstructs() {
         for n in [1, 2, 3, 8, 17, 40] {
             let a = random_spd(n, n as u64);
-            let ch = cholesky(&a).unwrap();
-            let rebuilt = ch.factor().matmul(&ch.factor().transpose());
+            let l = plain_factor(&a).unwrap();
+            let rebuilt = l.matmul(&l.transpose());
             assert!(
                 rebuilt.max_abs_diff(&a) < 1e-10,
                 "reconstruction failed at n={n}"
@@ -886,37 +801,37 @@ mod tests {
     #[test]
     fn factor_is_lower_triangular() {
         let a = random_spd(6, 42);
-        let ch = cholesky(&a).unwrap();
+        let l = plain_factor(&a).unwrap();
         for i in 0..6 {
             for j in (i + 1)..6 {
-                assert_eq!(ch.factor()[(i, j)], 0.0);
+                assert_eq!(l[(i, j)], 0.0);
             }
         }
     }
 
     #[test]
     fn rejects_rectangular() {
-        let a = Matrix::zeros(2, 3);
+        let mut a = Matrix::zeros(2, 3);
         assert!(matches!(
-            cholesky(&a),
+            cholesky_in_place(&mut a),
             Err(TensorError::NotSquare { op: "cholesky", .. })
         ));
     }
 
     #[test]
     fn rejects_indefinite() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]); // eigenvalues 3, -1
+        let mut a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]); // eigenvalues 3, -1
         assert!(matches!(
-            cholesky(&a),
+            cholesky_in_place(&mut a),
             Err(TensorError::NotPositiveDefinite { pivot: 1 })
         ));
     }
 
     #[test]
     fn rejects_negative_diagonal_immediately() {
-        let a = Matrix::from_rows(&[&[-1.0, 0.0], &[0.0, 1.0]]);
+        let mut a = Matrix::from_rows(&[&[-1.0, 0.0], &[0.0, 1.0]]);
         assert!(matches!(
-            cholesky(&a),
+            cholesky_in_place(&mut a),
             Err(TensorError::NotPositiveDefinite { pivot: 0 })
         ));
     }
@@ -924,10 +839,9 @@ mod tests {
     #[test]
     fn solve_matches_direct() {
         let a = random_spd(12, 3);
-        let ch = cholesky(&a).unwrap();
         let b: Vec<f64> = (0..12).map(|i| (i as f64).sin()).collect();
-        let x = ch.solve(&b);
-        let ax = a.matvec(&x);
+        let x = solve_spd(&a, &Matrix::from_vec(12, 1, b.clone()));
+        let ax = a.matvec(x.as_slice());
         for (l, r) in ax.iter().zip(b.iter()) {
             assert!((l - r).abs() < 1e-9);
         }
@@ -936,27 +850,38 @@ mod tests {
     #[test]
     fn solve_matrix_matches_columnwise_solve() {
         let a = random_spd(7, 8);
-        let ch = cholesky(&a).unwrap();
         let mut rng = MatrixRng::new(9);
         let b = rng.uniform_matrix(7, 3, -1.0, 1.0);
-        let x = ch.solve_matrix(&b);
+        let x = solve_spd(&a, &b);
         let ax = a.matmul(&x);
         assert!(ax.max_abs_diff(&b) < 1e-9);
     }
 
+    /// What [`cholesky_in_place`] leaves is `L` in solve form: a zero
+    /// upper triangle, `L` itself off the [`SOLVE_NB`] diagonal blocks and
+    /// their inverses on them — against the oracle's `L`.
     #[test]
     fn in_place_factor_is_the_solve_form_of_the_factorization() {
         for n in [1usize, 5, 24, 25, 70, SOLVE_NB + 1, 257] {
             let a = random_spd(n, 300 + n as u64);
             let mut l = a.clone();
             cholesky_in_place(&mut l).unwrap();
-            let ch = cholesky(&a).unwrap();
-            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&l), bits(&ch.solver), "n={n}");
-            // Off the inverted diagonal blocks it is `L` itself.
+            let oracle = unblocked_factor(&a).unwrap();
+            let scale = oracle.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
             for i in 0..n {
-                for j in 0..i - i % SOLVE_NB {
-                    assert_eq!(l[(i, j)].to_bits(), ch.factor()[(i, j)].to_bits());
+                let block = i - i % SOLVE_NB;
+                for j in 0..n {
+                    if j > i {
+                        assert_eq!(l[(i, j)], 0.0, "n={n} ({i}, {j})");
+                    } else if j < block {
+                        let off = (l[(i, j)] - oracle[(i, j)]).abs() / scale;
+                        assert!(off < 1e-12, "n={n} ({i}, {j}) off by {off:e}");
+                    } else {
+                        // Row i of the inverted block times column j of L.
+                        let id: f64 = (j..=i).map(|k| l[(i, k)] * oracle[(k, j)]).sum();
+                        let want = if i == j { 1.0 } else { 0.0 };
+                        assert!((id - want).abs() < 1e-10, "n={n} ({i}, {j}): {id}");
+                    }
                 }
             }
         }
@@ -991,8 +916,8 @@ mod tests {
     #[test]
     fn every_solve_inverts_its_product() {
         let a = random_spd(53, 11);
-        let ch = cholesky_with_block(&a, 8).unwrap();
-        let l = ch.factor();
+        let solver = factor(&a, 8, 32).unwrap();
+        let l = invert_blocks(&solver, 32);
         let mut rng = MatrixRng::new(12);
         for side in [Side::Left, Side::Right] {
             for trans in [false, true] {
@@ -1001,7 +926,7 @@ mod tests {
                     Side::Left => rng.uniform_matrix(53, 7, -1.0, 1.0),
                     Side::Right => rng.uniform_matrix(7, 53, -1.0, 1.0),
                 };
-                let x = ch.solve_triangular(side, trans, &b);
+                let x = solve(&solver, 32, side, trans, &b);
                 let back = match side {
                     Side::Left => op.matmul(&x),
                     Side::Right => x.matmul(&op),
@@ -1040,7 +965,7 @@ mod tests {
                             cholesky_in_place(&mut f).unwrap();
                             let (mut work, mut x) = (b.clone(), Matrix::zeros(0, 0));
                             solve_into(&f, side, trans, &mut work, &mut x);
-                            x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                            bits(&x)
                         })
                     };
                     let first = run(kernels[0]);
@@ -1098,22 +1023,15 @@ mod tests {
     }
 
     #[test]
-    fn log_det_matches_diagonal_case() {
-        let a = Matrix::from_diag(&[2.0, 3.0, 4.0]);
-        let ch = cholesky(&a).unwrap();
-        assert!((ch.log_det() - (24.0f64).ln()).abs() < 1e-12);
-    }
-
-    #[test]
     fn blocked_factorization_matches_unblocked() {
         for n in [5usize, 16, 33, 65, 130] {
             let a = random_spd(n, 500 + n as u64);
-            let unblocked = cholesky_unblocked(&a).unwrap();
+            let unblocked = unblocked_factor(&a).unwrap();
             // Small nb forces the blocked path even on tiny matrices.
             for nb in [2usize, 7, 16] {
-                let blocked = cholesky_with_block(&a, nb).unwrap();
+                let blocked = factor_with_block(&a, nb).unwrap();
                 assert!(
-                    blocked.factor().max_abs_diff(unblocked.factor()) < 1e-10,
+                    blocked.max_abs_diff(&unblocked) < 1e-10,
                     "blocked nb={nb} diverges at n={n}"
                 );
             }
@@ -1124,10 +1042,10 @@ mod tests {
     fn blocked_inverse_matches_unblocked() {
         for n in [5usize, 16, 33, 65] {
             let a = random_spd(n, 900 + n as u64);
-            let ch = cholesky(&a).unwrap();
-            let reference = ch.inverse_unblocked();
+            let l = plain_factor(&a).unwrap();
+            let reference = unblocked_inverse(&a).unwrap();
             for nb in [2usize, 7, 16] {
-                let blocked = ch.inverse_with_block(nb);
+                let blocked = blocked_inverse(&l, nb);
                 assert!(
                     blocked.max_abs_diff(&reference) < 1e-10,
                     "blocked inverse nb={nb} diverges at n={n}"
@@ -1142,7 +1060,7 @@ mod tests {
         // Indefinite beyond the first block: pivot index must be global.
         let mut a = random_spd(9, 77);
         a[(7, 7)] = -100.0;
-        match cholesky_with_block(&a, 4) {
+        match factor_with_block(&a, 4) {
             Err(TensorError::NotPositiveDefinite { pivot }) => assert_eq!(pivot, 7),
             other => panic!("expected NotPositiveDefinite, got {other:?}"),
         }
@@ -1153,8 +1071,185 @@ mod tests {
         // Rank-1 Gramian is singular; damping per Eq. 12 makes it invertible.
         let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0]]);
         let a = x.gramian();
-        assert!(cholesky(&a).is_err());
+        assert!(cholesky_in_place(&mut a.clone()).is_err());
         let damped = a.damped(1e-3);
         assert!(spd_inverse(&damped).is_ok());
+    }
+
+    /// Block edges the level-3 Cholesky / inverse are forced through: below,
+    /// at and above the default, and not a multiple of any register tile.
+    const BLOCK_EDGES: [usize; 4] = [8, 24, 32, 64];
+
+    /// Factor dimensions straddling the block edges and the trainer's real
+    /// sizes (256 for the workload MLP, 257 with a bias column).
+    const EDGE_DIMS: [usize; 9] = [31, 32, 33, 63, 64, 65, 255, 256, 257];
+
+    /// Level-3 POTRF / POTRI of one SPD matrix, at the default block edge
+    /// and every forced one, against the unblocked oracles.
+    fn level3_matches_oracles(d: usize, seed: u64) -> Result<(), String> {
+        let a = MatrixRng::new(seed).spd_matrix(d, 0.5);
+        let oracle = unblocked_factor(&a).map_err(|e| e.to_string())?;
+        let oracle_inv = unblocked_inverse(&a).map_err(|e| e.to_string())?;
+        let check = |what: String, l: &Matrix, inv: &Matrix| {
+            let (dl, di) = (rel_diff(l, &oracle), rel_diff(inv, &oracle_inv));
+            if dl > 1e-12 || di > 1e-12 {
+                return Err(format!(
+                    "d={d} {what}: factor off by {dl:e}, inverse by {di:e}"
+                ));
+            }
+            if inv.max_asymmetry() != 0.0 {
+                return Err(format!("d={d} {what}: asymmetric inverse"));
+            }
+            Ok(())
+        };
+        let l = plain_factor(&a).map_err(|e| e.to_string())?;
+        let inv = spd_inverse(&a).map_err(|e| e.to_string())?;
+        check("default".into(), &l, &inv)?;
+        for nb in BLOCK_EDGES {
+            let l = factor_with_block(&a, nb).map_err(|e| e.to_string())?;
+            check(format!("nb={nb}"), &l, &blocked_inverse(&l, nb))?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn level3_inverse_matches_oracles_at_block_and_factor_edges() {
+        for (i, d) in EDGE_DIMS.into_iter().enumerate() {
+            level3_matches_oracles(d, 40 + i as u64).unwrap();
+        }
+    }
+
+    /// Solve dimensions: one block, either side of one and two block edges,
+    /// and the trainer's factor sizes.
+    const SOLVE_DIMS: [usize; 10] = [1, 23, 24, 25, 47, 48, 49, 255, 256, 257];
+
+    /// Right-hand-side widths: a vector, a ragged tile count, and the
+    /// trainer's widest gradients.
+    const SOLVE_WIDTHS: [usize; 4] = [1, 33, 256, 257];
+
+    /// Every blocked triangular solve of one SPD matrix's factor — both
+    /// sides, both transposes — through the trainer's path
+    /// ([`cholesky_in_place`] + [`solve_into`]) against the unblocked leaf
+    /// (one product with `op(L⁻¹)`).
+    fn solves_match_oracle(d: usize, width: usize, seed: u64) -> Result<(), String> {
+        let mut rng = MatrixRng::new(seed);
+        let a = rng.spd_matrix(d, 0.5);
+        let oracle = unblocked(&a).map_err(|e| e.to_string())?;
+        let mut l = a.clone();
+        cholesky_in_place(&mut l).map_err(|e| e.to_string())?;
+        for side in [Side::Left, Side::Right] {
+            let b = match side {
+                Side::Left => rng.uniform_matrix(d, width, -1.0, 1.0),
+                Side::Right => rng.uniform_matrix(width, d, -1.0, 1.0),
+            };
+            for trans in [false, true] {
+                let (mut work, mut got) = (b.clone(), Matrix::zeros(0, 0));
+                solve_into(&l, side, trans, &mut work, &mut got);
+                let off = rel_diff(&got, &solve(&oracle, d.max(1), side, trans, &b));
+                if off > 1e-12 {
+                    return Err(format!(
+                        "d={d} width={width} {side:?} trans={trans}: off by {off:e}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn blocked_solves_match_the_unblocked_oracle_at_block_and_factor_edges() {
+        for (i, d) in SOLVE_DIMS.into_iter().enumerate() {
+            for (j, width) in SOLVE_WIDTHS.into_iter().enumerate() {
+                solves_match_oracle(d, width, (10 * i + j) as u64).unwrap();
+            }
+        }
+    }
+
+    /// Dimensions around the POTRF leaf ([`CHOL_NB`]) and the solve form's
+    /// inverted blocks ([`SOLVE_NB`]), and the trainer's 257.
+    fn solve_edge_dims() -> [usize; 8] {
+        let sb = SOLVE_NB;
+        [1, 23, 24, 25, sb - 1, sb + 1, 2 * sb + 1, 257]
+    }
+
+    #[test]
+    fn potrf_and_solves_match_the_oracles_around_the_solve_blocks() {
+        for (i, d) in solve_edge_dims().into_iter().enumerate() {
+            level3_matches_oracles(d, 70 + i as u64).unwrap();
+            for (j, width) in [1usize, 33, 257].into_iter().enumerate() {
+                solves_match_oracle(d, width, (90 + 10 * i + j) as u64).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_cholesky_rejects_indefinite_and_nan_input() {
+        let spd = MatrixRng::new(9).spd_matrix(100, 0.5);
+        let all_paths = |a: &Matrix| {
+            let mut out = vec![plain_factor(a), unblocked_factor(a)];
+            out.extend(BLOCK_EDGES.map(|nb| factor_with_block(a, nb)));
+            out
+        };
+        // Indefinite beyond the first block of every edge: the pivot is global.
+        let mut indefinite = spd.clone();
+        indefinite[(70, 70)] = -100.0;
+        for got in all_paths(&indefinite) {
+            assert_eq!(got, Err(TensorError::NotPositiveDefinite { pivot: 70 }));
+        }
+        let mut poisoned = spd;
+        poisoned[(50, 20)] = f64::NAN;
+        for got in all_paths(&poisoned) {
+            assert!(matches!(got, Err(TensorError::NotPositiveDefinite { .. })));
+            assert!(spd_inverse(&poisoned).is_err());
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn cholesky_reconstructs(d in 1usize..20, seed in 0u64..1_000_000) {
+            let mut rng = MatrixRng::new(seed);
+            let a = rng.spd_matrix(d, 0.1);
+            let l = plain_factor(&a).unwrap();
+            let rebuilt = l.matmul(&l.transpose());
+            prop_assert!(rebuilt.max_abs_diff(&a) < 1e-9);
+        }
+
+        #[test]
+        fn blocked_cholesky_matches_serial_reference(d in 2usize..40, nb in 1usize..17, seed in 0u64..1_000_000) {
+            let mut rng = MatrixRng::new(seed);
+            let a = rng.spd_matrix(d, 0.5);
+            let reference = unblocked_factor(&a).unwrap();
+            let blocked = factor_with_block(&a, nb).unwrap();
+            prop_assert!(blocked.max_abs_diff(&reference) < 1e-12);
+        }
+
+        #[test]
+        fn blocked_inverse_matches_serial_reference(d in 2usize..40, nb in 1usize..17, seed in 0u64..1_000_000) {
+            let mut rng = MatrixRng::new(seed);
+            let a = rng.spd_matrix(d, 0.5);
+            let blocked = blocked_inverse(&plain_factor(&a).unwrap(), nb);
+            prop_assert!(blocked.max_abs_diff(&unblocked_inverse(&a).unwrap()) < 1e-12);
+            prop_assert_eq!(blocked.max_asymmetry(), 0.0);
+        }
+    }
+
+    proptest! {
+        // The oracles are scalar O(d³): fewer, larger cases.
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn level3_inverse_matches_oracles(d in 1usize..301, seed in 0u64..1_000_000) {
+            let outcome = level3_matches_oracles(d, seed);
+            prop_assert!(outcome.is_ok(), "{:?}", outcome);
+        }
+
+        #[test]
+        fn blocked_solves_match_the_unblocked_oracle(
+            d in 1usize..301, pick in 0usize..8, small in 1usize..40, seed in 0u64..1_000_000,
+        ) {
+            let width = *SOLVE_WIDTHS.get(pick).unwrap_or(&small);
+            let outcome = solves_match_oracle(d, width, seed);
+            prop_assert!(outcome.is_ok(), "{:?}", outcome);
+        }
     }
 }

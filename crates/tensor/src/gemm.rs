@@ -8,7 +8,7 @@
 //! - `Matrix::{gramian, syrk_nt}` (`XᵀX` / `XXᵀ`, the Kronecker-factor
 //!   statistics `E[aaᵀ]` / `E[ggᵀ]`): one [`Mask::Lower`] call — tiles
 //!   wholly above the diagonal are skipped, half the FLOPs — then
-//!   [`mirror_lower`].
+//!   `mirror_lower`.
 //! - `Matrix::gramian_packed_into` (the statistic the trainers put on the
 //!   wire as its packed upper triangle): one [`Mask::Upper`] overwrite, no
 //!   mirror. Its element `(i, j)` is the `Lower` call's `(j, i)` to the
@@ -157,7 +157,7 @@ impl<'a> Operand<'a> {
 /// ([`Operand::triangle`]). A tile of `C` that straddles the diagonal is
 /// computed in full, so the elements of the other triangle next to the
 /// diagonal hold partial garbage: callers mirror over them
-/// ([`mirror_lower`]) or ignore them.
+/// (`mirror_lower`) or ignore them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mask {
     /// Every tile / element.

@@ -53,7 +53,7 @@ pub mod pool;
 pub mod rng;
 pub mod sym;
 
-pub use chol::{cholesky, spd_inverse, Cholesky};
+pub use chol::spd_inverse;
 pub use error::TensorError;
 pub use kron::{kron, precondition_gradient};
 pub use matrix::Matrix;

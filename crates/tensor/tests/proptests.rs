@@ -1,5 +1,7 @@
-//! Property-based tests for the linear-algebra substrate, and the parity
-//! and determinism oracles of the level-3 core at real factor sizes.
+//! Property-based tests for the linear-algebra substrate, and the
+//! determinism oracle of the level-3 core at real factor sizes. The
+//! Cholesky parity oracles force private block edges, so they live in
+//! `chol::tests`.
 
 use proptest::prelude::*;
 use spdkfac_tensor::gemm::{gemm, gemm_overwrite, matmul_reference, Mask, Operand, KC};
@@ -25,148 +27,6 @@ fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     let (m, k) = a.shape();
     let n = b.cols();
     Matrix::from_fn(m, n, |i, j| (0..k).map(|p| a[(i, p)] * b[(p, j)]).sum())
-}
-
-/// Block edges the level-3 Cholesky / inverse are forced through: below,
-/// at and above the default, and not a multiple of any register tile.
-const BLOCK_EDGES: [usize; 4] = [8, 24, 32, 64];
-
-/// Factor dimensions straddling the block edges and the trainer's real
-/// sizes (256 for the workload MLP, 257 with a bias column).
-const EDGE_DIMS: [usize; 9] = [31, 32, 33, 63, 64, 65, 255, 256, 257];
-
-/// Largest element-wise difference, relative to the oracle's largest
-/// element.
-fn rel_diff(got: &Matrix, oracle: &Matrix) -> f64 {
-    let scale = oracle.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
-    got.max_abs_diff(oracle) / scale
-}
-
-/// Level-3 `cholesky` / `spd_inverse` of one SPD matrix, at the default
-/// block edge and every forced one, against the unblocked oracles.
-fn level3_matches_oracles(d: usize, seed: u64) -> Result<(), String> {
-    let a = MatrixRng::new(seed).spd_matrix(d, 0.5);
-    let oracle = chol::cholesky_unblocked(&a).map_err(|e| e.to_string())?;
-    let oracle_inv = oracle.inverse_unblocked();
-    let check = |what: String, l: &Matrix, inv: &Matrix| {
-        let (dl, di) = (rel_diff(l, oracle.factor()), rel_diff(inv, &oracle_inv));
-        if dl > 1e-12 || di > 1e-12 {
-            return Err(format!(
-                "d={d} {what}: factor off by {dl:e}, inverse by {di:e}"
-            ));
-        }
-        if inv.max_asymmetry() != 0.0 {
-            return Err(format!("d={d} {what}: asymmetric inverse"));
-        }
-        Ok(())
-    };
-    let ch = chol::cholesky(&a).map_err(|e| e.to_string())?;
-    let inv = chol::spd_inverse(&a).map_err(|e| e.to_string())?;
-    check("default".into(), ch.factor(), &inv)?;
-    for nb in BLOCK_EDGES {
-        let ch = chol::cholesky_with_block(&a, nb).map_err(|e| e.to_string())?;
-        check(format!("nb={nb}"), ch.factor(), &ch.inverse_with_block(nb))?;
-    }
-    Ok(())
-}
-
-#[test]
-fn level3_inverse_matches_oracles_at_block_and_factor_edges() {
-    for (i, d) in EDGE_DIMS.into_iter().enumerate() {
-        level3_matches_oracles(d, 40 + i as u64).unwrap();
-    }
-}
-
-/// Solve dimensions: one block, either side of one and two block edges,
-/// and the trainer's factor sizes.
-const SOLVE_DIMS: [usize; 10] = [1, 23, 24, 25, 47, 48, 49, 255, 256, 257];
-
-/// Right-hand-side widths: a vector, a ragged tile count, and the
-/// trainer's widest gradients.
-const SOLVE_WIDTHS: [usize; 4] = [1, 33, 256, 257];
-
-/// Every blocked triangular solve of one SPD matrix's factor — both sides,
-/// both transposes — against the unblocked leaf (one product with
-/// `op(L⁻¹)`), and the trainer's path (`cholesky_in_place` +
-/// `solve_into`) to the bit against the factorization's.
-fn solves_match_oracle(d: usize, width: usize, seed: u64) -> Result<(), String> {
-    let mut rng = MatrixRng::new(seed);
-    let a = rng.spd_matrix(d, 0.5);
-    let blocked = chol::cholesky(&a).map_err(|e| e.to_string())?;
-    let oracle = chol::cholesky_unblocked(&a).map_err(|e| e.to_string())?;
-    let mut l = a.clone();
-    chol::cholesky_in_place(&mut l).map_err(|e| e.to_string())?;
-    for side in [chol::Side::Left, chol::Side::Right] {
-        let b = match side {
-            chol::Side::Left => rng.uniform_matrix(d, width, -1.0, 1.0),
-            chol::Side::Right => rng.uniform_matrix(width, d, -1.0, 1.0),
-        };
-        for trans in [false, true] {
-            let got = blocked.solve_triangular(side, trans, &b);
-            let off = rel_diff(&got, &oracle.solve_triangular(side, trans, &b));
-            if off > 1e-12 {
-                return Err(format!(
-                    "d={d} width={width} {side:?} trans={trans}: off by {off:e}"
-                ));
-            }
-            let (mut work, mut x) = (b.clone(), Matrix::zeros(0, 0));
-            chol::solve_into(&l, side, trans, &mut work, &mut x);
-            if bits(x.as_slice()) != bits(got.as_slice()) {
-                return Err(format!(
-                    "d={d} width={width} {side:?} trans={trans}: in-place bits differ"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-#[test]
-fn blocked_solves_match_the_unblocked_oracle_at_block_and_factor_edges() {
-    for (i, d) in SOLVE_DIMS.into_iter().enumerate() {
-        for (j, width) in SOLVE_WIDTHS.into_iter().enumerate() {
-            solves_match_oracle(d, width, (10 * i + j) as u64).unwrap();
-        }
-    }
-}
-
-/// Dimensions around the POTRF leaf ([`chol::CHOL_NB`]) and the solve
-/// form's inverted blocks ([`chol::SOLVE_NB`]), and the trainer's 257.
-fn solve_edge_dims() -> [usize; 8] {
-    let sb = chol::SOLVE_NB;
-    [1, 23, 24, 25, sb - 1, sb + 1, 2 * sb + 1, 257]
-}
-
-#[test]
-fn potrf_and_solves_match_the_oracles_around_the_solve_blocks() {
-    for (i, d) in solve_edge_dims().into_iter().enumerate() {
-        level3_matches_oracles(d, 70 + i as u64).unwrap();
-        for (j, width) in [1usize, 33, 257].into_iter().enumerate() {
-            solves_match_oracle(d, width, (90 + 10 * i + j) as u64).unwrap();
-        }
-    }
-}
-
-#[test]
-fn blocked_cholesky_rejects_indefinite_and_nan_input() {
-    let spd = MatrixRng::new(9).spd_matrix(100, 0.5);
-    let all_paths = |a: &Matrix| {
-        let mut out = vec![chol::cholesky(a), chol::cholesky_unblocked(a)];
-        out.extend(BLOCK_EDGES.map(|nb| chol::cholesky_with_block(a, nb)));
-        out
-    };
-    // Indefinite beyond the first block of every edge: the pivot is global.
-    let mut indefinite = spd.clone();
-    indefinite[(70, 70)] = -100.0;
-    for got in all_paths(&indefinite) {
-        assert_eq!(got, Err(TensorError::NotPositiveDefinite { pivot: 70 }));
-    }
-    let mut poisoned = spd;
-    poisoned[(50, 20)] = f64::NAN;
-    for got in all_paths(&poisoned) {
-        assert!(matches!(got, Err(TensorError::NotPositiveDefinite { .. })));
-        assert!(chol::spd_inverse(&poisoned).is_err());
-    }
 }
 
 /// The thread-count invariant: a product issued at top level (row blocks
@@ -237,23 +97,18 @@ proptest! {
     }
 
     #[test]
-    fn cholesky_reconstructs(d in dim(), seed in 0u64..1_000_000) {
-        let mut rng = MatrixRng::new(seed);
-        let a = rng.spd_matrix(d, 0.1);
-        let ch = chol::cholesky(&a).unwrap();
-        let rebuilt = ch.factor().matmul(&ch.factor().transpose());
-        prop_assert!(rebuilt.max_abs_diff(&a) < 1e-9);
-    }
-
-    #[test]
     fn solve_consistent_with_inverse(d in dim(), seed in 0u64..1_000_000) {
         let mut rng = MatrixRng::new(seed);
         let a = rng.spd_matrix(d, 0.2);
         let b = rng.uniform_vec(d, -1.0, 1.0);
-        let ch = chol::cholesky(&a).unwrap();
-        let x_solve = ch.solve(&b);
-        let x_inv = ch.inverse().matvec(&b);
-        for (l, r) in x_solve.iter().zip(x_inv.iter()) {
+        // A⁻¹b = L⁻ᵀ(L⁻¹b), ping-ponging between two buffers.
+        let mut l = a.clone();
+        chol::cholesky_in_place(&mut l).unwrap();
+        let (mut x_solve, mut y) = (Matrix::from_vec(d, 1, b.clone()), Matrix::zeros(0, 0));
+        chol::solve_into(&l, chol::Side::Left, false, &mut x_solve, &mut y);
+        chol::solve_into(&l, chol::Side::Left, true, &mut y, &mut x_solve);
+        let x_inv = chol::spd_inverse(&a).unwrap().matvec(&b);
+        for (l, r) in x_solve.as_slice().iter().zip(x_inv.iter()) {
             prop_assert!((l - r).abs() < 1e-7);
         }
     }
@@ -441,25 +296,6 @@ proptest! {
             prop_assert!((set[(i, j)] - alpha * want).abs() < 1e-11, "C = at ({i}, {j})");
         }
     }
-
-    #[test]
-    fn blocked_cholesky_matches_serial_reference(d in 2usize..40, nb in 1usize..17, seed in 0u64..1_000_000) {
-        let mut rng = MatrixRng::new(seed);
-        let a = rng.spd_matrix(d, 0.5);
-        let reference = chol::cholesky_unblocked(&a).unwrap();
-        let blocked = chol::cholesky_with_block(&a, nb).unwrap();
-        prop_assert!(blocked.factor().max_abs_diff(reference.factor()) < 1e-12);
-    }
-
-    #[test]
-    fn blocked_inverse_matches_serial_reference(d in 2usize..40, nb in 1usize..17, seed in 0u64..1_000_000) {
-        let mut rng = MatrixRng::new(seed);
-        let a = rng.spd_matrix(d, 0.5);
-        let ch = chol::cholesky(&a).unwrap();
-        let blocked = ch.inverse_with_block(nb);
-        prop_assert!(blocked.max_abs_diff(&ch.inverse_unblocked()) < 1e-12);
-        prop_assert_eq!(blocked.max_asymmetry(), 0.0);
-    }
 }
 
 /// Bit patterns, for `to_bits` equality.
@@ -572,8 +408,6 @@ proptest! {
         a.damped_into(gamma, &mut inv);
         chol::spd_inverse_in_place(&mut inv).unwrap();
         let damped = a.damped(gamma);
-        let twin = chol::cholesky(&damped).unwrap().inverse();
-        prop_assert_eq!(bits(inv.as_slice()), bits(twin.as_slice()));
         prop_assert_eq!(bits(inv.as_slice()), bits(chol::spd_inverse(&damped).unwrap().as_slice()));
     }
 
@@ -582,29 +416,9 @@ proptest! {
         let mut a = MatrixRng::new(seed).spd_matrix(d, 0.5);
         let p = at % d;
         a[(p, p)] = -100.0;
-        let expect = chol::cholesky(&a).map(|_| ());
+        let expect = chol::cholesky_in_place(&mut a.clone());
         prop_assert_eq!(&expect, &Err(TensorError::NotPositiveDefinite { pivot: p }));
         let mut in_place = a.clone();
         prop_assert_eq!(chol::spd_inverse_in_place(&mut in_place), expect);
-    }
-}
-
-proptest! {
-    // The oracles are scalar O(d³): fewer, larger cases.
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn level3_inverse_matches_oracles(d in 1usize..301, seed in 0u64..1_000_000) {
-        let outcome = level3_matches_oracles(d, seed);
-        prop_assert!(outcome.is_ok(), "{:?}", outcome);
-    }
-
-    #[test]
-    fn blocked_solves_match_the_unblocked_oracle(
-        d in 1usize..301, pick in 0usize..8, small in 1usize..40, seed in 0u64..1_000_000,
-    ) {
-        let width = *SOLVE_WIDTHS.get(pick).unwrap_or(&small);
-        let outcome = solves_match_oracle(d, width, seed);
-        prop_assert!(outcome.is_ok(), "{:?}", outcome);
     }
 }

@@ -16,6 +16,15 @@ use spdkfac::obs::{CollEdge, CriticalReport, Phase, Recorder, Span, TrackLayout}
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+/// A barrier after every `n`-th iteration that swaps whenever the agreed
+/// models give a different plan.
+fn every(n: usize) -> ReplanPolicy {
+    ReplanPolicy::OnDrift {
+        check_every: n,
+        hysteresis: 1,
+    }
+}
+
 /// A 4-rank SPD-KFAC config whose planning models believe inversion is
 /// ~1e9x costlier than it is: every tensor classifies CT at startup, so a
 /// calibration-driven re-plan (which sees the measured microsecond-scale
@@ -90,7 +99,7 @@ fn assert_matches_static_baseline(run: (&[f64], &[f64]), baseline: (&[f64], &[f6
 fn miscalibrated_run_replans_at_barrier_and_all_ranks_agree() {
     let world = 4;
     let iters = 8;
-    let (rec, losses, params) = run(&miscalibrated_cfg(world, ReplanPolicy::EveryN(2)), iters);
+    let (rec, losses, params) = run(&miscalibrated_cfg(world, every(2)), iters);
     let (_, base_losses, base_params) = run(&miscalibrated_cfg(world, ReplanPolicy::Off), iters);
 
     // The runtime entered its barriers and actuated at least one swap.
@@ -187,11 +196,11 @@ fn on_drift_policy_swaps_and_respects_hysteresis_cadence() {
 
 #[test]
 fn first_iteration_barrier_carries_ready_times_and_models_in_one_message() {
-    // EveryN(1): the segment's first iteration is also due, so its barrier
+    // every(1): the segment's first iteration is also due, so its barrier
     // agrees on the ready times *and* the cost lines — in one all-reduce.
     let world = 4;
     let iters = 5;
-    let (rec, losses, params) = run(&miscalibrated_cfg(world, ReplanPolicy::EveryN(1)), iters);
+    let (rec, losses, params) = run(&miscalibrated_cfg(world, every(1)), iters);
     let (_, base_losses, base_params) = run(&miscalibrated_cfg(world, ReplanPolicy::Off), iters);
 
     let snap = rec.metrics().snapshot();
@@ -232,12 +241,12 @@ fn control_messages(spans: &[Span], world: usize, iter: usize) -> Vec<&Span> {
 
 #[test]
 fn every_due_barrier_agrees_on_the_times_its_own_iteration_measured() {
-    // EveryN(2): barriers after iterations 1, 3 and 5; the first iteration
+    // every(2): barriers after iterations 1, 3 and 5; the first iteration
     // agrees on its times alone. Every due barrier carries the 15 model
     // slots and the ready and tail times measured in *that* iteration —
     // not the segment's first iteration's, which the barrier used to reuse.
     let world = 2;
-    let (rec, _, _) = run(&miscalibrated_cfg(world, ReplanPolicy::EveryN(2)), 6);
+    let (rec, _, _) = run(&miscalibrated_cfg(world, every(2)), 6);
     let spans = rec.spans();
     let timed = 4 * deep_mlp(8, 24, 8, 3, 5).kfac_dims().len();
     for iter in 0..6 {
@@ -276,7 +285,7 @@ fn re_measured_times_alone_can_swap_the_plan() {
     cfg.kfac.inv_update_freq = 2;
     cfg.placement = Some(PlacementStrategy::NonDist);
     cfg.comm_model = AlphaBetaModel::new(alpha, 1e-9);
-    cfg.replan = ReplanPolicy::EveryN(1);
+    cfg.replan = every(1);
     let rec = Arc::new(Recorder::new(world));
     let data = gaussian_blobs(3, 8, 8, 0.3, 42);
     let out = TrainSession::builder(cfg)
