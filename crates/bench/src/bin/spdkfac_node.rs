@@ -26,6 +26,17 @@
 //!   < 1e-12 — the CI acceptance gate for the transport abstraction.
 //! - **`drift-demo`** — the straggler re-planning story (see below).
 //!
+//! ## Fault injection (`--kill`)
+//!
+//! Faults are [`spdkfac_bench::fault`] decorators around the ring
+//! transport, installed through the one seam
+//! [`TcpConfig::wrap_transport`]; no flag or environment variable reaches
+//! the collectives layer. A parent's `--kill` (`spawn-local`, `smoke`) is
+//! forwarded to founding rank 2 only, which writes
+//! [`KILL_AFTER_FRAMES`] frame headers and then exits with code 113
+//! ([`EXIT_KILLED`]) before the next one, as if its machine died. A
+//! replacement joiner never gets the flag.
+//!
 //! ## Elastic membership (`--elastic`)
 //!
 //! With `--elastic` the parent tolerates deaths instead of failing on the
@@ -37,9 +48,9 @@
 //! the smaller world, and the new rank 0 broadcasting its full training
 //! checkpoint (parameters, momentum, factors, inverses, loss history) so
 //! every member resumes from identical state. The parent supervises the
-//! children: one dying with the kill-injection exit code (113,
-//! `SPDKFAC_KILL`) is replaced — only after the shrunk epoch has
-//! committed, so the contraction is observable — by a fresh joiner, which
+//! children: one dying with the kill exit code (113, `--kill`) is
+//! replaced — only after the shrunk epoch has committed, so the
+//! contraction is observable — by a fresh joiner, which
 //! rank 0's per-iteration rendezvous poll detects and absorbs at the next
 //! epoch, growing the world back with the handed-off state.
 //!
@@ -76,14 +87,14 @@
 //! ## Straggler drift demo (`drift-demo`)
 //!
 //! `drift-demo` runs the end-to-end adaptive re-planning story on one
-//! machine: a 4-process spawn-local run in which rank 1's collectives are
-//! slowed 25x for a mid-run window ([`DRIFT_SPEC`], injected
-//! via `SPDKFAC_INJECT_DELAY`), while every rank runs with
-//! `ReplanPolicy::OnDrift` (the parent passes its `run` children
-//! `--drift-demo`). Rank 0 then asserts from its own recorder that (a)
-//! the runtime actually swapped plans at least once
-//! (`runtime/swaps` counter), (b) the straggler visibly slowed iterations
-//! (peak windowed iteration time >= [`DRIFT_SLOWDOWN_MIN`]x the fastest
+//! machine: a 4-process spawn-local run in which rank 1's outgoing link
+//! turns slow for a mid-run window (each slice of its frames
+//! [`DRIFT_FRAMES`] held [`DRIFT_HOLD`], a [`Straggler`] its `run` child
+//! installs), while every rank runs with `ReplanPolicy::OnDrift` (the
+//! parent passes its `run` children `--drift-demo`). Rank 0 then asserts
+//! from its own recorder that (a) the runtime actually swapped plans at
+//! least once (`runtime/swaps` counter), (b) the straggler visibly slowed
+//! iterations (peak windowed iteration time >= [`DRIFT_SLOWDOWN_MIN`]x the fastest
 //! window), and (c) throughput recovered by the end of the run (tail
 //! window <= [`DRIFT_RECOVERY_MAX`]x the peak). The merged
 //! trace (`--trace-dir`, defaulted to a temp dir) makes the perturbation,
@@ -114,11 +125,11 @@
 //! The workload is the deterministic observability workload (deep MLP on
 //! Gaussian blobs, SPD-KFAC), so runs are reproducible across modes.
 
+use spdkfac_bench::fault::{Kill, Straggler, EXIT_KILLED};
 use spdkfac_bench::traces::{merge, read_rank_docs, COVERAGE_MIN};
 use spdkfac_bench::{header, note};
-use spdkfac_collectives::tcp::RendezvousServer;
-use spdkfac_collectives::transport::{INJECT_DELAY_ENV, INJECT_KILL_ENV, KILL_EXIT_CODE};
-use spdkfac_collectives::{Backend, CommGroup, TcpConfig, WirePolicy};
+use spdkfac_collectives::tcp::{RendezvousServer, WrapTransport};
+use spdkfac_collectives::{Backend, CommGroup, TcpConfig, Transport, WirePolicy};
 use spdkfac_core::distributed::{Algorithm, DistributedConfig, RunResult, TrainSession};
 use spdkfac_core::elastic::{ElasticPolicy, MembershipSpan};
 use spdkfac_core::runtime::ReplanPolicy;
@@ -126,6 +137,7 @@ use spdkfac_nn::data::{gaussian_blobs, Dataset};
 use spdkfac_nn::models::deep_mlp;
 use spdkfac_nn::Sequential;
 use spdkfac_obs::{chrome_trace, parse_json, JsonValue, Phase, Recorder, TrackLayout};
+use std::ops::Range;
 use std::process::{Child, Command, ExitCode};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -152,15 +164,29 @@ const DRIFT_WORLD: usize = 4;
 /// the OnDrift hysteresis to trip, and a clean tail to recover in.
 const DRIFT_ITERS: usize = 44;
 
-/// Mid-run perturbation injected into every drift-demo child via
-/// `SPDKFAC_INJECT_DELAY`: rank 1's collectives run 25x slower
-/// from its 60th executed collective until its 150th — a straggler that
-/// appears a few iterations in and disappears mid-run, bracketing the
-/// re-plan the OnDrift policy must produce. The disarm point leaves a
-/// wide post-recovery stretch (op counts per iteration vary a little
-/// with the fusion plan, which derives from measured times), so the
-/// tail window is sampled well clear of the straggler.
-const DRIFT_SPEC: &str = "1:*:25.0@after60,1:*:1.0@after150";
+/// The drift demo's straggler: this rank's outgoing link turns slow for
+/// [`DRIFT_FRAMES`].
+const DRIFT_STRAGGLER: usize = 1;
+
+/// Frames (0-based, in the order the straggler writes their headers) whose
+/// every slice it holds for [`DRIFT_HOLD`]: a slow link that appears a few
+/// iterations in and disappears mid-run, bracketing the re-plan the
+/// OnDrift policy must produce. The window closes well before the end
+/// (frame counts per iteration vary a little with the fusion plan, which
+/// derives from measured times), so the tail window is sampled clear of
+/// the straggler.
+const DRIFT_FRAMES: Range<u64> = 360..900;
+
+/// How long the straggler holds each slice inside [`DRIFT_FRAMES`].
+const DRIFT_HOLD: Duration = Duration::from_millis(2);
+
+/// The founding rank a parent's `--kill` is forwarded to.
+const KILL_RANK: usize = 2;
+
+/// Frame headers a `--kill` rank writes before it dies: mid-run for the
+/// 20-iteration post-mortem run and the elastic smoke alike, so every
+/// surviving rank is deep in steady state when the ring breaks.
+const KILL_AFTER_FRAMES: u64 = 360;
 
 /// OnDrift barrier cadence of the drift demo (iterations).
 const DRIFT_CHECK_EVERY: usize = 2;
@@ -218,6 +244,9 @@ struct Args {
     /// the parent passed `--drift-demo`).
     drift_demo: bool,
     elastic: bool,
+    /// `run`: die after [`KILL_AFTER_FRAMES`] frame headers; parents:
+    /// forward `--kill` to founding rank [`KILL_RANK`].
+    kill: bool,
 }
 
 impl Args {
@@ -232,9 +261,10 @@ impl Args {
 fn usage() -> ! {
     eprintln!(
         "usage: spdkfac_node run --rank R --world P --rendezvous HOST:PORT \
-         [--external-rendezvous] [--elastic] [--drift-demo] [--out FILE] [common options]\n\
-         \x20      spdkfac_node spawn-local P [--elastic] [common options]\n\
-         \x20      spdkfac_node smoke [P] [--elastic] [common options]\n\
+         [--external-rendezvous] [--elastic] [--drift-demo] [--kill] [--out FILE] \
+         [common options]\n\
+         \x20      spdkfac_node spawn-local P [--elastic] [--kill] [common options]\n\
+         \x20      spdkfac_node smoke [P] [--elastic] [--kill] [common options]\n\
          \x20      spdkfac_node drift-demo [common options]\n\
          common options: [--iters N] [--batch B] [--wire POLICY] [--trace-dir DIR]"
     );
@@ -263,6 +293,7 @@ fn parse_args() -> Args {
         wire: None,
         drift_demo: mode == Mode::DriftDemo,
         elastic: false,
+        kill: false,
     };
     let mut i = 1;
     // The child count of a parent is positional.
@@ -291,6 +322,7 @@ fn parse_args() -> Args {
             "--out" if run => args.out = Some(value(&mut i)),
             "--drift-demo" if run => args.drift_demo = true,
             "--elastic" if mode != Mode::DriftDemo => args.elastic = true,
+            "--kill" if mode != Mode::DriftDemo => args.kill = true,
             "--iters" => args.iters = Some(value(&mut i).parse().unwrap_or_else(|_| usage())),
             "--batch" => args.batch = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--trace-dir" => args.trace_dir = Some(value(&mut i)),
@@ -303,6 +335,10 @@ fn parse_args() -> Args {
         i += 1;
     }
     if args.world == 0 || (run && args.rendezvous.is_empty()) {
+        usage();
+    }
+    // A parent's kill needs a rank to forward it to.
+    if args.kill && !run && args.world <= KILL_RANK {
         usage();
     }
     // The drift parent's rank-0 assertions need a long enough run, and
@@ -335,8 +371,8 @@ fn build_model() -> Sequential {
 
 /// The drift demo trains a wider MLP: 96-wide hidden layers put the
 /// inverse-placement decision (broadcast a computed inverse vs. invert
-/// locally on every rank) near its cost boundary, so a 25x broadcast
-/// slowdown genuinely flips the LBP plan — which is the whole point of
+/// locally on every rank) near its cost boundary, so the straggler's slow
+/// link genuinely flips the LBP plan — which is the whole point of
 /// the demo. The tiny parity workload is insensitive: its inverses are so
 /// cheap that local inversion wins at any realistic broadcast cost.
 fn build_drift_model() -> Sequential {
@@ -424,6 +460,25 @@ fn assert_drift_demo(rec: &Recorder, iters: usize, ops: u64) -> Result<(), Strin
     Ok(())
 }
 
+/// The fault this rank's ring transport carries, installed through
+/// [`TcpConfig::wrap_transport`]: the kill on a `--kill` rank, else the
+/// slow link on the drift demo's straggler.
+fn fault(args: &Args) -> Option<WrapTransport> {
+    fn kill(t: Box<dyn Transport>) -> Box<dyn Transport> {
+        Box::new(Kill::new(t, KILL_AFTER_FRAMES))
+    }
+    fn straggle(t: Box<dyn Transport>) -> Box<dyn Transport> {
+        Box::new(Straggler::new(t, DRIFT_FRAMES, DRIFT_HOLD))
+    }
+    if args.kill {
+        Some(kill)
+    } else if args.drift_demo && args.rank == Some(DRIFT_STRAGGLER) {
+        Some(straggle)
+    } else {
+        None
+    }
+}
+
 /// Joins the TCP group as one rank and runs the training loop.
 fn run_rank(args: &Args) -> Result<RunResult, String> {
     let world = args.world;
@@ -442,6 +497,7 @@ fn run_rank(args: &Args) -> Result<RunResult, String> {
     if args.external_rendezvous {
         tcp.host_rendezvous = false;
     }
+    tcp.wrap_transport = fault(args);
 
     // The recorder's epoch is this process's clock; 2 * world tracks
     // (compute r, comm world + r) — this rank uses only its own two, so the
@@ -530,6 +586,7 @@ fn run_elastic_rank(args: &Args) -> Result<RunResult, String> {
     apply_overrides(&mut cfg, args)?;
     let mut policy = ElasticPolicy::new(TcpConfig::new(args.rendezvous.clone()));
     policy.tcp.rank = args.rank;
+    policy.tcp.wrap_transport = fault(args);
     // The recorder outlives every epoch; per-epoch track registration
     // happens inside the trainer. 4x the initial world leaves headroom for
     // the comm tracks of epochs that grow past the founding size. Every
@@ -624,14 +681,14 @@ fn child_command(
         .args(["--world", &args.world.to_string()])
         .args(["--iters", &args.iters().to_string()])
         .args(["--batch", &args.batch.to_string()]);
-    match rank {
-        Some(rank) => cmd.args(["--rank", &rank.to_string()]),
-        // After the shrink it may be assigned the victim's old rank, so it
-        // must not inherit the kill spec.
-        None => cmd.env_remove(INJECT_KILL_ENV),
-    };
+    if let Some(rank) = rank {
+        cmd.args(["--rank", &rank.to_string()]);
+    }
     if rank == Some(0) {
         cmd.args(["--out", out]);
+    }
+    if args.kill && rank == Some(KILL_RANK) {
+        cmd.arg("--kill");
     }
     if args.elastic {
         cmd.arg("--elastic");
@@ -644,10 +701,9 @@ fn child_command(
         cmd.args(["--wire", wire]);
     }
     if args.drift_demo {
-        // The perturbation rides the environment so the children's comm
-        // threads pick it up at group formation; the flag itself selects
-        // the OnDrift policy and the rank-0 assertions.
-        cmd.arg("--drift-demo").env(INJECT_DELAY_ENV, DRIFT_SPEC);
+        // Selects the OnDrift policy, the rank-0 assertions and, on rank
+        // DRIFT_STRAGGLER, the slow link.
+        cmd.arg("--drift-demo");
     }
     Ok(cmd)
 }
@@ -656,7 +712,7 @@ fn child_command(
 /// supervises them to the end. Returns rank 0's losses and the founding
 /// ranks whose kill was absorbed. A fixed world tolerates no death. An
 /// elastic one replaces a child that died with the kill-injection exit code
-/// ([`KILL_EXIT_CODE`]) by a fresh joiner — only once the shrunk epoch has
+/// ([`EXIT_KILLED`]) by a fresh joiner — only once the shrunk epoch has
 /// committed, so the world visibly contracts before it regrows.
 fn spawn_local(args: &Args) -> Result<(Vec<f64>, Vec<usize>), String> {
     let handle = RendezvousServer::bind("127.0.0.1:0", args.world)
@@ -697,14 +753,14 @@ fn spawn_local(args: &Args) -> Result<(Vec<f64>, Vec<usize>), String> {
             if status.success() {
                 continue;
             }
-            if !args.elastic || status.code() != Some(KILL_EXIT_CODE) {
+            if !args.elastic || status.code() != Some(EXIT_KILLED) {
                 failures.push(format!("{label} exited with {status}"));
                 continue;
             }
             killed.extend(founder);
             let target = handle.status().epoch + 1;
             eprintln!(
-                "elastic: {label} was hard-killed (exit {KILL_EXIT_CODE}); waiting for \
+                "elastic: {label} was hard-killed (exit {EXIT_KILLED}); waiting for \
                  epoch {target} to commit the shrink"
             );
             let deadline = Instant::now() + ELASTIC_EPOCH_TIMEOUT;
@@ -941,8 +997,9 @@ fn parent(args: &Args) -> Result<(), String> {
         // Rank 0 already asserted swaps + slowdown + recovery and exited
         // nonzero on failure; reaching here means they held.
         Mode::DriftDemo => println!(
-            "drift demo OK: straggler injected ({DRIFT_SPEC}), OnDrift re-planned, \
-             throughput recovered (see rank-0 stderr and the merged trace)"
+            "drift demo OK: rank {DRIFT_STRAGGLER} held each slice of frames {DRIFT_FRAMES:?} \
+             for {DRIFT_HOLD:?}, OnDrift re-planned, throughput recovered (see rank-0 stderr \
+             and the merged trace)"
         ),
         Mode::SpawnLocal | Mode::Run => {}
     }

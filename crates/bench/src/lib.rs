@@ -4,7 +4,8 @@
 //! and extension study is one entry of [`experiments::FIGURES`], run by name
 //! through the `repro` binary (see DESIGN.md §3 for the index); the other
 //! binaries drive the real trainers (TCP launcher, wire / scale sweeps,
-//! observability gates), and `benches/` holds Criterion micro-benchmarks of
+//! observability gates), [`fault`] holds the transport decorators the TCP
+//! launcher injects failures with, and `benches/` holds Criterion micro-benchmarks of
 //! the real CPU kernels (Cholesky inversion, factor construction, ring
 //! collectives, fusion/placement planning).
 //!
@@ -15,6 +16,7 @@
 //! ```
 
 pub mod experiments;
+pub mod fault;
 pub mod traces;
 
 use spdkfac_sim::SimReport;

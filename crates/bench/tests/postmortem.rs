@@ -12,12 +12,6 @@ use spdkfac_obs::{parse_json, JsonValue};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// Kill rank 2 before its 30th collective: mid-run for the 20-iteration
-/// workload (the drift demo counts 60+ collectives well before iteration
-/// 20), so every surviving rank is deep in steady state when the ring
-/// breaks.
-const KILL_SPEC: &str = "2:after30";
-
 fn temp_dir(tag: &str) -> String {
     let dir = std::env::temp_dir().join(format!("spdkfac_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -38,8 +32,17 @@ fn killed_rank_is_identified_by_the_merged_postmortem() {
     let world = 4;
     let dir = temp_dir("postmortem");
     let status = Command::new(env!("CARGO_BIN_EXE_spdkfac_node"))
-        .args(["spawn-local", "4", "--iters", "20", "--trace-dir", &dir])
-        .env("SPDKFAC_KILL", KILL_SPEC)
+        // Rank 2 dies mid-run (`spdkfac_node --kill`), so every surviving
+        // rank is deep in steady state when the ring breaks.
+        .args([
+            "spawn-local",
+            "4",
+            "--iters",
+            "20",
+            "--kill",
+            "--trace-dir",
+            &dir,
+        ])
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .status()

@@ -744,26 +744,13 @@ fn execute(
 
 fn comm_thread_main(mut ring: RingEndpoint, mut inbox: Inbox) {
     let mut telemetry: Option<CommTelemetry> = None;
-    // Straggler fault injection (SPDKFAC_INJECT_DELAY): stretches this
-    // rank's matching collectives so peers — and the merged trace —
-    // observe a genuinely late completion.
-    let inject = crate::transport::DelayInjection::from_env();
-    // Kill injection (SPDKFAC_KILL): hard process death before a chosen
-    // collective, for post-mortem forensics experiments. The spec arms only
-    // the first ring this process forms: an elastic worker builds a fresh
-    // ring per membership epoch with re-assigned ranks, and re-arming would
-    // kill whichever survivor inherits the victim's rank after the shrink.
-    static KILL_ARMED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-    let kill = crate::transport::KillInjection::from_env()
-        .filter(|_| !KILL_ARMED.swap(true, std::sync::atomic::Ordering::SeqCst));
     // Pins the first failure as the post-mortem anchor and dumps.
     let flight = spdkfac_obs::flight::global();
     // First transport failure observed; once set, the ring is broken and
     // every further op fails fast without touching the transport.
     let mut poison: Option<CommError> = None;
-    // Collectives executed so far — the clock of the `@afterN` delay rules
-    // and of the kill injection: deterministic, SPMD-identical submission
-    // order.
+    // Collectives executed so far: the sequence number stamped on each
+    // span, SPMD-identical because submission order is.
     let mut executed: u64 = 0;
     while let Some((req, waited)) = inbox.next() {
         match req {
@@ -779,37 +766,18 @@ fn comm_thread_main(mut ring: RingEndpoint, mut inbox: Inbox) {
                     ))));
                     continue;
                 }
-                if let Some(k) = &kill {
-                    if k.fires(ring.rank, executed) {
-                        eprintln!(
-                            "rank {}: SPDKFAC_KILL firing before collective {} — dying now",
-                            ring.rank, executed
-                        );
-                        std::process::exit(crate::transport::KILL_EXIT_CODE);
-                    }
-                }
                 if waited {
                     ring.nothing_was_ready();
                 }
                 let kind = op.call.kind();
                 let elements = op.data.len();
                 let edge = edge(op.call);
-                let mult = inject
-                    .as_ref()
-                    .map(|d| d.multiplier(ring.rank, kind, executed))
-                    .unwrap_or(1.0);
-                let stretch = |busy: f64| {
-                    if mult > 1.0 && busy > 0.0 {
-                        std::thread::sleep(std::time::Duration::from_secs_f64(busy * (mult - 1.0)));
-                    }
-                };
                 let seq = executed;
                 executed += 1;
                 let (reply, out) = match &telemetry {
                     Some(t) => {
                         let start = t.rec.now();
                         let (reply, out) = execute(&mut ring, op, fmt, &mut inbox);
-                        stretch(t.rec.now() - start);
                         let end = t.rec.now();
                         let codec = ring.take_codec();
                         t.record(
@@ -827,9 +795,7 @@ fn comm_thread_main(mut ring: RingEndpoint, mut inbox: Inbox) {
                         (reply, out)
                     }
                     None => {
-                        let start = std::time::Instant::now();
                         let (reply, out) = execute(&mut ring, op, fmt, &mut inbox);
-                        stretch(start.elapsed().as_secs_f64());
                         let _ = ring.take_codec();
                         (reply, out)
                     }

@@ -95,7 +95,7 @@ pub use tcp::{
     elastic_poll, env_token, ElasticStatus, Join, JoinIntent, RendezvousHandle, RendezvousServer,
     TcpConfig, TOKEN_ENV,
 };
-pub use transport::{DelayInjection, KillInjection, Transport, KILL_EXIT_CODE};
+pub use transport::Transport;
 pub use wire::{WireFormat, WirePayload, WirePolicy};
 
 /// The telemetry a group records, end to end: spans each rank records on

@@ -118,13 +118,27 @@ struct Pacer {
     excused: Instant,
 }
 
+/// Seconds per wire byte for a [`PACE_ENV`] value: 0 (un-paced) when it is
+/// unset, empty or zero.
+///
+/// # Panics
+///
+/// On any other value that is not a finite number of Gb/s ≥ 0: a rate
+/// that silently ran un-paced would measure raw loopback instead.
+fn s_per_byte(gbps: Option<&str>) -> f64 {
+    let Some(v) = gbps.filter(|v| !v.is_empty()) else {
+        return 0.0;
+    };
+    match v.parse::<f64>() {
+        Ok(0.0) => 0.0,
+        Ok(g) if g.is_finite() && g > 0.0 => 8.0 / (g * 1e9),
+        _ => panic!("invalid {PACE_ENV} value {v:?}: expected a finite rate in Gb/s >= 0"),
+    }
+}
+
 impl Pacer {
     fn from_env() -> Pacer {
-        let s_per_byte = std::env::var(PACE_ENV)
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .filter(|g| *g > 0.0)
-            .map_or(0.0, |gbps| 8.0 / (gbps * 1e9));
+        let s_per_byte = s_per_byte(std::env::var(PACE_ENV).ok().as_deref());
         let now = Instant::now();
         Pacer {
             s_per_byte,
@@ -386,11 +400,6 @@ impl RingEndpoint {
             carry: Vec::new(),
             carry_elems: 0,
         }
-    }
-
-    /// The backend name of the underlying transport (`"channel"`, `"tcp"`).
-    pub fn transport_kind(&self) -> &'static str {
-        self.transport.kind()
     }
 
     /// Drains the accounting of the collective that just ran. What it
@@ -910,6 +919,24 @@ mod tests {
                 let (mn, mx) = (*sizes.iter().min().unwrap(), *sizes.iter().max().unwrap());
                 assert!(mx - mn <= 1);
             }
+        }
+    }
+
+    #[test]
+    fn a_pace_rate_is_off_or_valid_never_silently_dropped() {
+        for off in [None, Some(""), Some("0"), Some("0.0")] {
+            assert_eq!(s_per_byte(off), 0.0, "{off:?}");
+        }
+        assert_eq!(s_per_byte(Some("0.2")), 8.0 / 0.2e9);
+        assert_eq!(s_per_byte(Some("10")), 8.0 / 10e9);
+        for bad in ["0.2Gbps", "-1", "inf", "NaN", "fast", " 0.2"] {
+            let err = std::panic::catch_unwind(|| s_per_byte(Some(bad)))
+                .expect_err(&format!("{bad:?} must be refused"));
+            let msg = err.downcast_ref::<String>().expect("a formatted message");
+            assert!(
+                msg.contains(PACE_ENV) && msg.contains(&format!("{bad:?}")),
+                "{msg}"
+            );
         }
     }
 

@@ -128,7 +128,16 @@ pub struct TcpConfig {
     /// `None` falls back to [`env_token`] (`SPDKFAC_TOKEN`); the server
     /// rejects mismatches with [`CommError::Rendezvous`].
     pub token: Option<String>,
+    /// Wraps the ring transport of every [`join`] (each membership epoch's
+    /// ring gets a fresh wrapper): the seam where a launcher installs a
+    /// decorator, such as a fault injector, under the ring algorithms.
+    /// `None` (the default) hands the transport over as connected.
+    pub wrap_transport: Option<WrapTransport>,
 }
+
+/// A transport decorator: takes a connected ring transport and returns the
+/// one the ring algorithms run on ([`TcpConfig::wrap_transport`]).
+pub type WrapTransport = fn(Box<dyn Transport>) -> Box<dyn Transport>;
 
 impl TcpConfig {
     /// Defaults tuned for single-machine loopback rings: 30 s to form the
@@ -143,6 +152,7 @@ impl TcpConfig {
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
             token: None,
+            wrap_transport: None,
         }
     }
 
@@ -630,10 +640,6 @@ impl Transport for TcpTransport {
             .read_exact(buf)
             .map_err(|e| CommError::from_io(&self.recv_ctx, e))
     }
-
-    fn kind(&self) -> &'static str {
-        "tcp"
-    }
 }
 
 /// What a member tells the rendezvous when it (re-)connects.
@@ -696,8 +702,9 @@ pub fn elastic_poll(cfg: &TcpConfig) -> Result<ElasticStatus, CommError> {
 
 /// Joins (or rejoins) a TCP group: registers `intent` at the rendezvous,
 /// blocks until the server forms the epoch this member belongs to, and
-/// wires that epoch's ring. The server decides rank and world; a
-/// fixed-world caller checks them ([`Backend::Tcp`](crate::Backend)).
+/// wires that epoch's ring, wrapped by [`TcpConfig::wrap_transport`] when
+/// set. The server decides rank and world; a fixed-world caller checks
+/// them ([`Backend::Tcp`](crate::Backend)).
 pub fn join(cfg: &TcpConfig, intent: &JoinIntent) -> Result<Join, CommError> {
     let deadline = Instant::now() + cfg.handshake_timeout;
 
@@ -738,6 +745,10 @@ pub fn join(cfg: &TcpConfig, intent: &JoinIntent) -> Result<Join, CommError> {
         Box::new(channel_ring(1).remove(0))
     } else {
         wire_ring(cfg, &listener, deadline, &assigned)?
+    };
+    let transport = match cfg.wrap_transport {
+        Some(wrap) => wrap(transport),
+        None => transport,
     };
     Ok(Join {
         epoch: assigned.epoch,
@@ -882,7 +893,27 @@ mod tests {
         t.recv(&mut back).unwrap();
         assert_eq!(back, [2, 4, 6, 8]);
         assert_ne!(rank, peer.join().unwrap());
-        assert_eq!(t.kind(), "tcp");
+        assert!(format!("{t:?}").starts_with("TcpTransport"), "{t:?}");
+    }
+
+    #[test]
+    fn join_hands_over_the_wrapped_transport() {
+        #[derive(Debug)]
+        struct Wrapped(Box<dyn Transport>);
+        impl Transport for Wrapped {
+            fn send(&mut self, head: &[u8], body: &[u8]) -> Result<(), CommError> {
+                self.0.send(head, body)
+            }
+            fn recv(&mut self, buf: &mut [u8]) -> Result<(), CommError> {
+                self.0.recv(buf)
+            }
+        }
+        let addr = RendezvousServer::spawn("127.0.0.1:0", 1).unwrap();
+        let mut cfg = TcpConfig::new(addr.to_string());
+        cfg.wrap_transport = Some(|t| Box::new(Wrapped(t)));
+        let j = join(&cfg, FRESH).unwrap();
+        let t = format!("{:?}", j.transport);
+        assert!(t.starts_with("Wrapped(ChannelTransport"), "{t}");
     }
 
     #[test]
@@ -1254,7 +1285,11 @@ mod tests {
         );
         assert_eq!((e1.epoch, e1.rank, e1.world), (1, 0, 1));
         assert_eq!(e1.state_source, Some(0));
-        assert_eq!(e1.transport.kind(), "channel");
+        assert!(
+            format!("{:?}", e1.transport).starts_with("ChannelTransport"),
+            "{:?}",
+            e1.transport
+        );
         assert_eq!(handle.status(), status(1, 1, 0));
 
         // A replacement HELLOs in: it queues as pending (visible to POLL),

@@ -16,6 +16,9 @@
 //!   by TCP sockets with configurable read/write timeouts and connect
 //!   retry — see [`crate::tcp`].
 //!
+//! A decorator that wraps a transport (the launcher's fault injectors) is
+//! installed through [`crate::tcp::TcpConfig::wrap_transport`].
+//!
 //! The contract is deliberately minimal: a transport is owned by exactly one
 //! communication thread (hence `&mut self` and `Send`, no `Sync`), buffers
 //! at least [`SLICE_BYTES`] plus a header per edge (so every rank of a ring
@@ -24,7 +27,6 @@
 //! ([`crate::PendingOp`]) forwards them to the submitting worker.
 
 use crate::error::CommError;
-use crate::stats::OpKind;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -92,9 +94,6 @@ pub trait Transport: Send + std::fmt::Debug {
     /// Fills `buf` from the left neighbour, blocking (subject to the
     /// backend's read timeout, if any) until every byte has arrived.
     fn recv(&mut self, buf: &mut [u8]) -> Result<(), CommError>;
-
-    /// Short backend name for diagnostics (`"channel"`, `"tcp"`, …).
-    fn kind(&self) -> &'static str;
 }
 
 /// Bytes one in-process ring edge buffers before its writer blocks.
@@ -190,10 +189,6 @@ impl Transport for ChannelTransport {
     fn recv(&mut self, buf: &mut [u8]) -> Result<(), CommError> {
         self.from_left.read(buf)
     }
-
-    fn kind(&self) -> &'static str {
-        "channel"
-    }
 }
 
 impl Drop for ChannelTransport {
@@ -217,212 +212,6 @@ pub fn channel_ring(world: usize) -> Vec<ChannelTransport> {
             from_left: Arc::clone(&edges[(rank + world - 1) % world]),
         })
         .collect()
-}
-
-/// Environment variable holding a [`DelayInjection`] spec.
-pub const INJECT_DELAY_ENV: &str = "SPDKFAC_INJECT_DELAY";
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct DelayRule {
-    /// `None` = any rank (`*`).
-    rank: Option<usize>,
-    /// `None` = any op kind (`*`).
-    op: Option<OpKind>,
-    mult: f64,
-    /// The rule only applies once the rank has executed at least this many
-    /// collectives (0 = from the start).
-    after: u64,
-}
-
-/// Fault-injection knob for straggler experiments: slows selected ranks'
-/// collectives by a multiplier, so a real multi-rank run can demonstrate
-/// the straggler in its merged trace and OnDrift re-planning end-to-end.
-///
-/// Spec grammar (env `SPDKFAC_INJECT_DELAY` or [`DelayInjection::parse`]):
-/// comma-separated `rank:op:multiplier` rules, `*` wildcards for rank and
-/// op, op names as in [`OpKind::name`] (`allreduce`, `broadcast`). The
-/// multiplier may carry an `@afterN` suffix: the rule only activates once
-/// the rank has executed `N` collectives, which lets one static spec
-/// describe a *mid-run* perturbation (and, paired with a later `@after`
-/// rule that resets to 1.0, a bounded delay window). The **last** matching
-/// *active* rule wins, so broad defaults can precede narrow overrides:
-///
-/// ```text
-/// SPDKFAC_INJECT_DELAY="*:*:1.0,2:allreduce:3.0"   # rank 2's all-reduces 3× slower
-/// SPDKFAC_INJECT_DELAY="1:*:2.5"                   # rank 1 slow on everything
-/// SPDKFAC_INJECT_DELAY="1:*:4.0@after60,1:*:1.0@after200"  # slow window [60, 200)
-/// ```
-///
-/// The delay is applied on the communication thread *after* the collective
-/// executes (the measured busy time is stretched by `mult − 1`), so peers
-/// observe the straggler through genuinely later completion and the
-/// straggler's own spans show the stretched duration.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DelayInjection {
-    rules: Vec<DelayRule>,
-}
-
-impl DelayInjection {
-    /// Reads the spec from `SPDKFAC_INJECT_DELAY`. `None` when unset or
-    /// empty; a malformed spec panics (fail fast — a silently ignored
-    /// injection would invalidate the experiment).
-    pub fn from_env() -> Option<DelayInjection> {
-        let spec = std::env::var(INJECT_DELAY_ENV).ok()?;
-        if spec.trim().is_empty() {
-            return None;
-        }
-        match DelayInjection::parse(&spec) {
-            Ok(d) => Some(d),
-            Err(e) => panic!("invalid {INJECT_DELAY_ENV} spec {spec:?}: {e}"),
-        }
-    }
-
-    /// Parses a spec string (see the type docs for the grammar).
-    pub fn parse(spec: &str) -> Result<DelayInjection, String> {
-        let mut rules = Vec::new();
-        for rule in spec.split(',') {
-            let rule = rule.trim();
-            if rule.is_empty() {
-                continue;
-            }
-            let parts: Vec<&str> = rule.split(':').collect();
-            let [rank, op, mult] = parts[..] else {
-                return Err(format!("rule {rule:?} is not rank:op:multiplier"));
-            };
-            let rank = match rank {
-                "*" => None,
-                r => Some(r.parse::<usize>().map_err(|e| format!("rank {r:?}: {e}"))?),
-            };
-            let op = match op {
-                "*" => None,
-                name => Some(
-                    OpKind::ALL
-                        .iter()
-                        .copied()
-                        .find(|k| k.name() == name)
-                        .ok_or_else(|| format!("unknown op kind {name:?}"))?,
-                ),
-            };
-            let (mult_str, after) = match mult.split_once('@') {
-                None => (mult, 0u64),
-                Some((m, suffix)) => {
-                    let n = suffix
-                        .strip_prefix("after")
-                        .ok_or_else(|| format!("bad suffix {suffix:?} (expected afterN)"))?;
-                    let after = n
-                        .parse::<u64>()
-                        .map_err(|e| format!("after-count {n:?}: {e}"))?;
-                    (m, after)
-                }
-            };
-            let mult = mult_str
-                .parse::<f64>()
-                .map_err(|e| format!("multiplier {mult_str:?}: {e}"))?;
-            if !mult.is_finite() || mult < 1.0 {
-                return Err(format!("multiplier {mult} must be finite and >= 1"));
-            }
-            rules.push(DelayRule {
-                rank,
-                op,
-                mult,
-                after,
-            });
-        }
-        if rules.is_empty() {
-            return Err("empty spec".into());
-        }
-        Ok(DelayInjection { rules })
-    }
-
-    /// The slowdown for `rank` executing `op` as its `executed`-th
-    /// collective (last matching active rule wins; 1.0 = no delay).
-    pub fn multiplier(&self, rank: usize, op: OpKind, executed: u64) -> f64 {
-        self.rules
-            .iter()
-            .rev()
-            .find(|r| {
-                r.rank.is_none_or(|rr| rr == rank)
-                    && r.op.is_none_or(|ro| ro == op)
-                    && executed >= r.after
-            })
-            .map(|r| r.mult)
-            .unwrap_or(1.0)
-    }
-
-    /// `true` when some op kind on `rank` is slowed at some point.
-    pub fn affects(&self, rank: usize) -> bool {
-        self.rules
-            .iter()
-            .any(|r| r.rank.is_none_or(|rr| rr == rank) && r.mult > 1.0)
-    }
-}
-
-/// Environment variable holding a [`KillInjection`] spec.
-pub const INJECT_KILL_ENV: &str = "SPDKFAC_KILL";
-
-/// Exit code a kill-injected process dies with (distinguishable from
-/// panics and clean failures in the launcher's failure report).
-pub const KILL_EXIT_CODE: i32 = 113;
-
-/// Fault-injection knob for failure-forensics experiments: hard-kills one
-/// rank's process mid-run, as if the machine died. The communication
-/// thread checks the trigger before each collective and calls
-/// `process::exit` — no dump, no goodbye, sockets reset — so the surviving
-/// ranks exercise the real poisoning + post-mortem path.
-///
-/// Spec grammar (env `SPDKFAC_KILL` or [`KillInjection::parse`]):
-/// `rank:afterN` — rank `rank` dies just before executing its `N`-th
-/// collective (0-based count of executed ops):
-///
-/// ```text
-/// SPDKFAC_KILL="2:after40"   # rank 2 dies before its 40th collective
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KillInjection {
-    /// The rank to kill.
-    pub rank: usize,
-    /// Die just before executing this many-th collective.
-    pub after: u64,
-}
-
-impl KillInjection {
-    /// Reads the spec from `SPDKFAC_KILL`. `None` when unset or empty; a
-    /// malformed spec panics (fail fast — a silently ignored injection
-    /// would invalidate the experiment).
-    pub fn from_env() -> Option<KillInjection> {
-        let spec = std::env::var(INJECT_KILL_ENV).ok()?;
-        if spec.trim().is_empty() {
-            return None;
-        }
-        match KillInjection::parse(&spec) {
-            Ok(k) => Some(k),
-            Err(e) => panic!("invalid {INJECT_KILL_ENV} spec {spec:?}: {e}"),
-        }
-    }
-
-    /// Parses a `rank:afterN` spec.
-    pub fn parse(spec: &str) -> Result<KillInjection, String> {
-        let (rank, suffix) = spec
-            .trim()
-            .split_once(':')
-            .ok_or_else(|| format!("spec {spec:?} is not rank:afterN"))?;
-        let rank = rank
-            .parse::<usize>()
-            .map_err(|e| format!("rank {rank:?}: {e}"))?;
-        let n = suffix
-            .strip_prefix("after")
-            .ok_or_else(|| format!("bad suffix {suffix:?} (expected afterN)"))?;
-        let after = n
-            .parse::<u64>()
-            .map_err(|e| format!("after-count {n:?}: {e}"))?;
-        Ok(KillInjection { rank, after })
-    }
-
-    /// True when `rank` should die before executing its `executed`-th
-    /// collective.
-    pub fn fires(&self, rank: usize, executed: u64) -> bool {
-        rank == self.rank && executed >= self.after
-    }
 }
 
 #[cfg(test)]
@@ -493,65 +282,5 @@ mod tests {
             t0.recv(&mut [0u8; 1]),
             Err(CommError::Disconnected(_))
         ));
-    }
-
-    #[test]
-    fn delay_spec_parses_with_wildcards_and_last_match_wins() {
-        let d = DelayInjection::parse("*:*:1.0, 2:allreduce:3.0, 3:broadcast:2.0").unwrap();
-        assert_eq!(d.multiplier(2, OpKind::AllReduce, 0), 3.0);
-        assert_eq!(d.multiplier(3, OpKind::Broadcast, 0), 2.0);
-        assert_eq!(d.multiplier(2, OpKind::Broadcast, 0), 1.0);
-        assert_eq!(d.multiplier(0, OpKind::AllReduce, 0), 1.0);
-        assert!(d.affects(2));
-        assert!(!d.affects(0));
-
-        // Narrow rule first, broad override after: the broad one wins.
-        let d = DelayInjection::parse("1:allreduce:4.0,1:*:1.5").unwrap();
-        assert_eq!(d.multiplier(1, OpKind::AllReduce, 0), 1.5);
-
-        assert!(DelayInjection::parse("").is_err());
-        assert!(DelayInjection::parse("1:allreduce").is_err());
-        assert!(DelayInjection::parse("x:*:2.0").is_err());
-        assert!(DelayInjection::parse("1:frobnicate:2.0").is_err());
-        // Only the collectives the ring runs have a name.
-        let err = DelayInjection::parse("1:gather:2.0").unwrap_err();
-        assert!(err.contains("unknown op kind"), "{err}");
-        assert!(DelayInjection::parse("1:*:0.5").is_err());
-        assert!(DelayInjection::parse("1:*:inf").is_err());
-    }
-
-    #[test]
-    fn delay_windows_activate_after_a_count() {
-        // A slow window [60, 200) on rank 1's collectives.
-        let d = DelayInjection::parse("1:*:4.0@after60,1:*:1.0@after200").unwrap();
-        assert_eq!(d.multiplier(1, OpKind::AllReduce, 0), 1.0);
-        assert_eq!(d.multiplier(1, OpKind::AllReduce, 59), 1.0);
-        assert_eq!(d.multiplier(1, OpKind::AllReduce, 60), 4.0);
-        assert_eq!(d.multiplier(1, OpKind::AllReduce, 199), 4.0);
-        assert_eq!(d.multiplier(1, OpKind::AllReduce, 200), 1.0);
-        assert_eq!(d.multiplier(0, OpKind::AllReduce, 100), 1.0);
-        assert!(d.affects(1));
-
-        assert!(DelayInjection::parse("1:*:2.0@60").is_err());
-        assert!(DelayInjection::parse("1:*:2.0@afterx").is_err());
-    }
-
-    #[test]
-    fn kill_spec_parses_and_fires_at_the_count() {
-        let k = KillInjection::parse("2:after40").unwrap();
-        assert_eq!(k, KillInjection { rank: 2, after: 40 });
-        assert!(!k.fires(2, 39));
-        assert!(k.fires(2, 40));
-        assert!(k.fires(2, 41));
-        assert!(!k.fires(1, 100));
-        // Immediate kill.
-        let now = KillInjection::parse("0:after0").unwrap();
-        assert!(now.fires(0, 0));
-
-        assert!(KillInjection::parse("").is_err());
-        assert!(KillInjection::parse("2").is_err());
-        assert!(KillInjection::parse("x:after3").is_err());
-        assert!(KillInjection::parse("2:40").is_err());
-        assert!(KillInjection::parse("2:afterx").is_err());
     }
 }
