@@ -191,6 +191,15 @@ const KILL_AFTER_FRAMES: u64 = 360;
 /// OnDrift barrier cadence of the drift demo (iterations).
 const DRIFT_CHECK_EVERY: usize = 2;
 
+/// OnDrift hysteresis of the drift demo: consecutive differing checks
+/// before a swap. No value ties `swaps > 0` to the straggler: the first
+/// re-plan from measured costs differs from the configured models' plan
+/// with or without one, so runs with the straggler's window emptied swapped
+/// (4 or 5 of 5) at every value tried from 1 to 22, the run's checks, while
+/// the real demo's swaps fall to 0–1 from 10 up (EXPERIMENTS "Drift demo
+/// hysteresis").
+const DRIFT_HYSTERESIS: usize = 1;
+
 /// The straggler must slow the worst iteration window at least this much
 /// over the fastest window, or the perturbation was not observable.
 const DRIFT_SLOWDOWN_MIN: f64 = 2.0;
@@ -389,7 +398,7 @@ fn apply_overrides(cfg: &mut DistributedConfig, args: &Args) -> Result<(), Strin
     if args.drift_demo {
         cfg.replan = ReplanPolicy::OnDrift {
             check_every: DRIFT_CHECK_EVERY,
-            hysteresis: 1,
+            hysteresis: DRIFT_HYSTERESIS,
         };
     }
     Ok(())

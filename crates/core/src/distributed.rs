@@ -397,8 +397,8 @@ impl WorkerObs {
 
 /// A rank's complete mutable training state, detached from any communicator
 /// — the unit that survives an elastic membership change. Everything else
-/// the loop needs (shards, placement, fusion plans, calibration) is derived
-/// per segment from this state plus the current world size.
+/// the loop needs (shard lengths, placement, fusion plans, calibration) is
+/// derived per segment from this state plus the current world size.
 struct WorkerState {
     net: Sequential,
     sgd: Sgd,
@@ -865,11 +865,12 @@ fn train_segment(
         losses,
         next_iter,
     } = ws;
-    let shard = dataset.shard(world, rank);
+    // This rank's samples are `rank, rank + world, …` of `dataset`; each
+    // batch is gathered from there into `x`, `y`.
+    let shard_len = dataset.shard_len(world, rank);
     assert!(
-        shard.len() >= batch,
-        "rank {rank}: shard of {} samples cannot supply batches of {batch}",
-        shard.len()
+        shard_len >= batch,
+        "rank {rank}: shard of {shard_len} samples cannot supply batches of {batch}"
     );
 
     // Preconditionable-layer bookkeeping. The factor states live in `ws`
@@ -925,8 +926,8 @@ fn train_segment(
     let mut ready = vec![0.0f64; 2 * nlayers];
     let mut tail = vec![0.0f64; 2 * nlayers];
     for iter in seg_start..iters {
-        let start = (iter * batch) % (shard.len() - batch + 1);
-        shard.batch_into(start, batch, &mut x, &mut y);
+        let start = (iter * batch) % (shard_len - batch + 1);
+        dataset.shard_batch_into(world, rank, start, batch, &mut x, &mut y);
         let capture = cfg.algorithm != Algorithm::SSgd;
         let refresh = capture && iter % cfg.kfac.inv_update_freq.max(1) == 0;
         tail.fill(0.0);

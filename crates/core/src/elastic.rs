@@ -548,6 +548,27 @@ mod tests {
         assert!(TrainCheckpoint::unpack(&good).is_err());
     }
 
+    #[test]
+    fn a_checkpoint_packs_a_velocity_only_with_momentum() {
+        for (momentum, matrices) in [(0.0, 0), (0.9, 10)] {
+            // Five layers: ten parameters.
+            let mut net = spdkfac_nn::models::deep_mlp(4, 6, 4, 3, 1);
+            let mut sgd = Sgd::new(0.1, momentum, 0.0);
+            sgd.step(&mut net.parameters_mut());
+            let ckpt = TrainCheckpoint::capture(1, &[0.5], &net, &sgd, &[]);
+            let wire = ckpt.pack();
+            // Magic, iter, losses, params, then the velocity count.
+            let count = 2 + (1 + 1) + (1 + net.num_params());
+            assert_eq!(wire[count], matrices as f64, "μ {momentum}");
+            let back = TrainCheckpoint::unpack(&wire).expect("a packed checkpoint unpacks");
+            assert_bit_eq(&ckpt, &back);
+            assert_eq!(back.velocity.len(), matrices, "μ {momentum}");
+            let mut restored = Sgd::new(0.1, momentum, 0.0);
+            restored.set_velocity(back.velocity);
+            assert_eq!(restored.velocity().len(), matrices, "μ {momentum}");
+        }
+    }
+
     /// A one-layer checkpoint holding a running factor and an `L`.
     fn one_layer_checkpoint() -> TrainCheckpoint {
         let mut st = FactorState::new(0);

@@ -56,28 +56,40 @@ impl Dataset {
     /// Panics if the range exceeds the dataset.
     pub fn batch(&self, start: usize, len: usize) -> (Tensor4, Vec<usize>) {
         let (mut x, mut y) = (Tensor4::zeros(0, 0, 0, 0), Vec::new());
-        self.batch_into(start, len, &mut x, &mut y);
+        self.shard_batch_into(1, 0, start, len, &mut x, &mut y);
         (x, y)
     }
 
-    /// [`Dataset::batch`] into caller-kept buffers, their storage reused.
+    /// Samples in round-robin shard `part` of `parts` (`part, part+parts,
+    /// …`): the data-parallel partitioning of the distributed trainers.
+    pub fn shard_len(&self, parts: usize, part: usize) -> usize {
+        assert!(part < parts, "shard index out of range");
+        self.len().saturating_sub(part).div_ceil(parts)
+    }
+
+    /// Batch `[start, start+len)` of round-robin shard `part` of `parts` —
+    /// samples `part + (start + j)·parts` — gathered from this dataset into
+    /// caller-kept buffers, their storage reused; no copy of the shard is
+    /// made.
     ///
     /// # Panics
     ///
-    /// Panics if the range exceeds the dataset.
-    pub fn batch_into(&self, start: usize, len: usize, x: &mut Tensor4, y: &mut Vec<usize>) {
-        assert!(start + len <= self.len(), "batch out of range");
-        let f = self.x.features();
-        let (_, c, h, w) = self.x.shape();
-        x.assign(
-            len,
-            c,
-            h,
-            w,
-            &self.x.as_slice()[start * f..(start + len) * f],
-        );
+    /// Panics if the range exceeds the shard.
+    pub fn shard_batch_into(
+        &self,
+        parts: usize,
+        part: usize,
+        start: usize,
+        len: usize,
+        x: &mut Tensor4,
+        y: &mut Vec<usize>,
+    ) {
+        let (end, (_, c, h, w)) = (start + len, self.x.shape());
+        assert!(end <= self.shard_len(parts, part), "batch out of range");
+        let samples = (start..end).map(|j| part + j * parts);
+        x.assign((len, c, h, w), samples.clone().map(|i| self.x.sample(i)));
         y.clear();
-        y.extend_from_slice(&self.y[start..start + len]);
+        y.extend(samples.map(|i| self.y[i]));
     }
 
     /// Returns a copy with samples permuted by a seeded Fisher–Yates
@@ -117,22 +129,6 @@ impl Dataset {
             batch,
             next: 0,
         }
-    }
-
-    /// Splits samples round-robin across `parts` shards (rank `p` gets
-    /// samples `p, p+parts, …`) — the data-parallel partitioning used by the
-    /// distributed trainers.
-    pub fn shard(&self, parts: usize, part: usize) -> Dataset {
-        assert!(part < parts, "shard index out of range");
-        let f = self.x.features();
-        let (_, c, h, w) = self.x.shape();
-        let mut data = Vec::new();
-        let mut labels = Vec::new();
-        for i in (part..self.len()).step_by(parts) {
-            data.extend_from_slice(&self.x.as_slice()[i * f..(i + 1) * f]);
-            labels.push(self.y[i]);
-        }
-        Dataset::new(Tensor4::from_vec(labels.len(), c, h, w, data), labels)
     }
 }
 
@@ -297,13 +293,26 @@ mod tests {
     #[test]
     fn shards_partition_all_samples() {
         let d = gaussian_blobs(2, 3, 10, 0.1, 3);
-        let parts = 4;
-        let shards: Vec<Dataset> = (0..parts).map(|p| d.shard(parts, p)).collect();
-        let total: usize = shards.iter().map(|s| s.len()).sum();
-        assert_eq!(total, d.len());
-        // Rank 1 gets samples 1, 5, 9, …
-        assert_eq!(shards[1].inputs().sample(0), d.inputs().sample(1));
-        assert_eq!(shards[1].labels()[1], d.labels()[5]);
+        let parts = 3;
+        let (mut x, mut y) = (Tensor4::zeros(0, 0, 0, 0), Vec::new());
+        let mut seen = 0;
+        for p in 0..parts {
+            // Shard `p` holds samples p, p+parts, …: 7, 7 and 6 of 20.
+            let len = d.shard_len(parts, p);
+            assert_eq!(len, (p..d.len()).step_by(parts).count());
+            seen += len;
+            for (start, n) in [(0, len), (1, len - 2), (len - 1, 1)] {
+                d.shard_batch_into(parts, p, start, n, &mut x, &mut y);
+                assert_eq!((x.shape(), y.len()), ((n, 3, 1, 1), n));
+                for (j, &label) in y.iter().enumerate() {
+                    let i = p + (start + j) * parts;
+                    assert_eq!(x.sample(j), d.inputs().sample(i));
+                    assert_eq!(label, d.labels()[i]);
+                }
+            }
+        }
+        assert_eq!(seen, d.len());
+        assert_eq!(d.shard_len(25, 21), 0);
     }
 
     #[test]

@@ -6,7 +6,8 @@ use spdkfac_tensor::Matrix;
 
 /// Stochastic gradient descent with classical momentum.
 ///
-/// `v ← μ·v + (g + λ·w)`, `w ← w − α·v`.
+/// `v ← μ·v + (g + λ·w)`, `w ← w − α·v`; at `μ = 0` no `v` is kept, and
+/// `w ← w − α·(g + λ·w)` rounds as that form does.
 ///
 /// # Example
 ///
@@ -19,7 +20,7 @@ use spdkfac_tensor::Matrix;
 /// p.grad = Matrix::from_rows(&[&[0.5]]);
 /// let mut sgd = Sgd::new(0.1, 0.0, 0.0);
 /// sgd.step(&mut [&mut p]);
-/// assert!((p.value[(0, 0)] - 0.95).abs() < 1e-12);
+/// assert!((p.value[(0, 0)] - 0.95).abs() < 1e-12 && sgd.velocity().is_empty());
 /// ```
 #[derive(Debug)]
 pub struct Sgd {
@@ -42,8 +43,8 @@ impl Sgd {
     }
 
     /// The momentum buffers, positionally matching the parameter list of
-    /// the last [`Sgd::step`] call; empty before the first step. Exposed
-    /// for checkpointing (elastic state handoff).
+    /// the last [`Sgd::step`] call; empty before the first step and at zero
+    /// momentum. Exposed for checkpointing (elastic state handoff).
     pub fn velocity(&self) -> &[Matrix] {
         &self.velocity
     }
@@ -51,46 +52,24 @@ impl Sgd {
     /// Restores momentum buffers from a checkpoint. An empty `velocity`
     /// resets to the pre-first-step state (buffers re-zero lazily);
     /// otherwise shapes must match the parameters of the next `step`, which
-    /// the step's own assertions enforce positionally.
+    /// the step's own assertions enforce positionally. Nothing is kept at
+    /// zero momentum.
     pub fn set_velocity(&mut self, velocity: Vec<Matrix>) {
-        self.velocity = velocity;
+        if self.momentum != 0.0 {
+            self.velocity = velocity;
+        }
     }
 
     /// Applies one update to `params` using their `grad` fields.
     ///
-    /// The parameter list must be identical (same order and shapes) on every
-    /// call, since momentum state is positional.
+    /// With momentum, the parameter list must be identical (same order and
+    /// shapes) on every call, since momentum state is positional.
     ///
     /// # Panics
     ///
-    /// Panics if the parameter count or shapes change between calls.
+    /// Panics if the parameter count or shapes change under momentum.
     pub fn step(&mut self, params: &mut [&mut Param]) {
-        if self.velocity.is_empty() {
-            self.velocity = params
-                .iter()
-                .map(|p| Matrix::zeros(p.value.rows(), p.value.cols()))
-                .collect();
-        }
-        assert_eq!(
-            self.velocity.len(),
-            params.len(),
-            "Sgd::step: parameter count changed"
-        );
-        for (p, v) in params.iter_mut().zip(self.velocity.iter_mut()) {
-            assert_eq!(
-                p.value.shape(),
-                v.shape(),
-                "Sgd::step: parameter shape changed"
-            );
-            // v = μ v + (g + λ w)
-            v.scale(self.momentum);
-            v.axpy(1.0, &p.grad);
-            if self.weight_decay != 0.0 {
-                v.axpy(self.weight_decay, &p.value);
-            }
-            // w -= α v
-            p.value.axpy(-self.lr, v);
-        }
+        self.update(params, None);
     }
 
     /// Applies an update with externally-supplied update directions (used by
@@ -101,23 +80,44 @@ impl Sgd {
     /// Panics if counts or shapes mismatch.
     pub fn step_with_directions(&mut self, params: &mut [&mut Param], directions: &[Matrix]) {
         assert_eq!(params.len(), directions.len(), "direction count mismatch");
-        if self.velocity.is_empty() {
+        self.update(params, Some(directions));
+    }
+
+    /// The step of both entry points: each parameter moves along its
+    /// `directions` entry, or its own gradient without one.
+    fn update(&mut self, params: &mut [&mut Param], directions: Option<&[Matrix]>) {
+        let (lr, wd) = (self.lr, self.weight_decay);
+        if self.momentum != 0.0 && self.velocity.is_empty() {
             self.velocity = params
                 .iter()
                 .map(|p| Matrix::zeros(p.value.rows(), p.value.cols()))
                 .collect();
         }
-        for ((p, v), d) in params
-            .iter_mut()
-            .zip(self.velocity.iter_mut())
-            .zip(directions.iter())
-        {
-            v.scale(self.momentum);
-            v.axpy(1.0, d);
-            if self.weight_decay != 0.0 {
-                v.axpy(self.weight_decay, &p.value);
+        let count = self.velocity.len();
+        assert!(
+            count == 0 || count == params.len(),
+            "Sgd::step: parameter count changed"
+        );
+        for (i, p) in params.iter_mut().enumerate() {
+            let Param { value, grad } = &mut **p;
+            let d = directions.map_or(&*grad, |ds| &ds[i]);
+            let v = self.velocity.get_mut(i);
+            let shape = v.as_ref().map_or(d.shape(), |v| v.shape());
+            assert_eq!(value.shape(), shape, "Sgd::step: parameter shape changed");
+            if let Some(v) = v {
+                // v = μ v + (d + λ w), w -= α v
+                v.scale(self.momentum);
+                v.axpy(1.0, d);
+                if wd != 0.0 {
+                    v.axpy(wd, value);
+                }
+                value.axpy(-lr, v);
+            } else {
+                // The same without v, each element rounded as above.
+                for (w, &g) in value.as_mut_slice().iter_mut().zip(d.as_slice()) {
+                    *w += -lr * if wd != 0.0 { g + wd * *w } else { g };
+                }
             }
-            p.value.axpy(-self.lr, v);
         }
     }
 }
@@ -166,6 +166,56 @@ mod tests {
         let mut opt = Sgd::new(1.0, 0.0, 0.0);
         opt.step_with_directions(&mut [&mut p], &[Matrix::from_rows(&[&[2.0]])]);
         assert!((p.value[(0, 0)] + 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn without_momentum_the_step_matches_the_buffered_form_to_the_bit() {
+        use spdkfac_tensor::rng::MatrixRng;
+        for weight_decay in [0.0, 1e-2] {
+            let mut rng = MatrixRng::new(5);
+            let shapes = [(7, 5), (1, 5), (3, 7)];
+            let mut direct: Vec<Param> = shapes
+                .iter()
+                .map(|&(r, c)| Param::new(rng.gaussian_matrix(r, c)))
+                .collect();
+            let mut buffered: Vec<Param> =
+                direct.iter().map(|p| Param::new(p.value.clone())).collect();
+            let mut opt = Sgd::new(0.3, 0.0, weight_decay);
+            // The form every μ = 0 step took before: a zero-momentum
+            // velocity, scaled by 0 and refilled each step.
+            let mut reference = Sgd::new(0.3, 0.0, weight_decay);
+            reference.velocity = shapes.iter().map(|&(r, c)| Matrix::zeros(r, c)).collect();
+            for step in 0..6 {
+                let dirs: Vec<Matrix> = shapes
+                    .iter()
+                    .map(|&(r, c)| rng.gaussian_matrix(r, c))
+                    .collect();
+                if step % 2 == 0 {
+                    opt.step_with_directions(&mut direct.iter_mut().collect::<Vec<_>>(), &dirs);
+                    reference
+                        .step_with_directions(&mut buffered.iter_mut().collect::<Vec<_>>(), &dirs);
+                } else {
+                    for (p, (q, d)) in direct.iter_mut().zip(buffered.iter_mut().zip(&dirs)) {
+                        p.grad = d.clone();
+                        q.grad = d.clone();
+                    }
+                    opt.step(&mut direct.iter_mut().collect::<Vec<_>>());
+                    reference.step(&mut buffered.iter_mut().collect::<Vec<_>>());
+                }
+                for (p, q) in direct.iter().zip(&buffered) {
+                    let bits =
+                        |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&p.value),
+                        bits(&q.value),
+                        "λ {weight_decay}, step {step}"
+                    );
+                }
+            }
+            assert!(opt.velocity().is_empty(), "μ = 0 keeps no velocity");
+            opt.set_velocity(reference.velocity.clone());
+            assert!(opt.velocity().is_empty(), "μ = 0 restores no velocity");
+        }
     }
 
     #[test]

@@ -137,10 +137,9 @@ impl Sequential {
 
     /// Flattens all parameter values into one vector (layer order).
     pub fn flat_params(&self) -> Vec<f64> {
-        self.parameters()
-            .iter()
-            .flat_map(|p| p.value.as_slice().iter().copied())
-            .collect()
+        let mut flat = Vec::with_capacity(self.num_params());
+        (self.parameters().iter()).for_each(|p| flat.extend_from_slice(p.value.as_slice()));
+        flat
     }
 
     /// Overwrites all parameter values from a [`Sequential::flat_params`]

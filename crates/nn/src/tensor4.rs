@@ -50,21 +50,25 @@ impl Tensor4 {
         Tensor4 { n, c, h, w, data }
     }
 
-    /// Overwrites this tensor with `data` as shape `(n, c, h, w)`, reusing
-    /// its storage.
+    /// Overwrites this tensor with the concatenated `samples` as shape
+    /// `(n, c, h, w)`, reusing its storage.
     ///
     /// # Panics
     ///
-    /// Panics if `data.len() != n * c * h * w`.
-    pub fn assign(&mut self, n: usize, c: usize, h: usize, w: usize, data: &[f64]) {
+    /// Panics unless the samples hold `n * c * h * w` values.
+    pub fn assign<'a>(
+        &mut self,
+        (n, c, h, w): (usize, usize, usize, usize),
+        samples: impl IntoIterator<Item = &'a [f64]>,
+    ) {
+        (self.n, self.c, self.h, self.w) = (n, c, h, w);
+        self.data.clear();
+        self.data.extend(samples.into_iter().flatten());
         assert_eq!(
-            data.len(),
+            self.data.len(),
             n * c * h * w,
             "Tensor4::assign: length mismatch"
         );
-        (self.n, self.c, self.h, self.w) = (n, c, h, w);
-        self.data.clear();
-        self.data.extend_from_slice(data);
     }
 
     /// Builds a flat `(N, D, 1, 1)` tensor from a row-major `N × D` matrix.

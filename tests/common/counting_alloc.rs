@@ -1,5 +1,5 @@
-//! A counting global allocator for the allocation gates. A test binary
-//! that wants it declares
+//! A counting global allocator for the allocation and memory gates. A
+//! test binary that wants it declares
 //! `#[global_allocator] static ALLOC: CountingAlloc = CountingAlloc;`
 //! and owns its process: the counters are process-wide.
 #![allow(dead_code)] // each gate reads a different subset
@@ -22,6 +22,12 @@ pub static ARMED: AtomicBool = AtomicBool::new(false);
 pub static BIG_ALLOCS: AtomicUsize = AtomicUsize::new(0);
 /// Allocations of at least [`HUGE`] bytes seen while counting.
 pub static HUGE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+/// Bytes allocated so far, on every thread, armed or not.
+pub static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
+/// Bytes allocated and not yet freed, on every thread, armed or not.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// The highest [`LIVE`] since [`reset_peak`].
+static PEAK: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// Counting happens on this thread, armed or not.
@@ -33,10 +39,29 @@ pub fn count_this_thread(on: bool) {
     COUNTED.with(|c| c.set(on));
 }
 
+/// Starts a high-water measurement: returns the bytes live now.
+pub fn reset_peak() -> usize {
+    let live = LIVE.load(Ordering::SeqCst);
+    PEAK.store(live, Ordering::SeqCst);
+    live
+}
+
+/// The most bytes live at once since [`reset_peak`].
+pub fn peak() -> usize {
+    PEAK.load(Ordering::SeqCst)
+}
+
 pub struct CountingAlloc;
 
 impl CountingAlloc {
+    fn grow(bytes: usize) {
+        ALLOCATED.fetch_add(bytes, Ordering::Relaxed);
+        let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        PEAK.fetch_max(live, Ordering::Relaxed);
+    }
+
     fn note(size: usize) {
+        Self::grow(size);
         if size < BIG {
             return;
         }
@@ -65,10 +90,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         Self::note(new_size);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
