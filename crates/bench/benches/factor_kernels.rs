@@ -1,17 +1,23 @@
 //! Criterion benchmark of the Kronecker-factor construction kernels
-//! (Eq. 7/8): Gramian accumulation and gradient preconditioning, and one
+//! (Eq. 7/8): Gramian accumulation and gradient preconditioning, one
 //! layer's refresh plus preconditioning both ways — through the inverses
-//! (POTRF + POTRI, then products) and through `L` (POTRF, then solves).
+//! (POTRF + POTRI, then products) and through `L` (POTRF, then solves) —
+//! and the trainer's whole factor path for one factor (`refresh`: a
+//! statistic's fold into the factor's square, the expansion and POTRF
+//! there), cycling ten factors so each call finds its data cold.
 //!
 //! ```text
 //! SPDKFAC_THREADS=1 cargo bench -p spdkfac-bench --bench factor_kernels
 //! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use spdkfac_core::error::FactorSide;
+use spdkfac_core::factors::FactorState;
 use spdkfac_tensor::chol::{self, Side};
 use spdkfac_tensor::kron::{precondition_gradient, precondition_gradient_chol_in_place};
 use spdkfac_tensor::rng::MatrixRng;
-use spdkfac_tensor::Matrix;
+use spdkfac_tensor::sym::packed_len;
+use spdkfac_tensor::{Matrix, SymPacked};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -159,12 +165,46 @@ fn bench_layer(c: &mut Criterion) {
     group.finish();
 }
 
+/// Factors a `refresh` call cycles through: 10 squares of 257 are 5.3 MB,
+/// more than a core's L2 (2 MiB on the Xeon the numbers in ROADMAP L
+/// come from), as the trainer's 10 factors are.
+const CYCLED: usize = 10;
+
+/// Fold + expansion + POTRF of one factor at the trainer's sizes, the
+/// factors and their statistics taken in turn from [`CYCLED`] of each.
+fn bench_refresh(c: &mut Criterion) {
+    let mut group = c.benchmark_group("refresh");
+    for d in [256usize, 257] {
+        let mut rng = MatrixRng::new(4);
+        let mut states: Vec<FactorState> = (0..CYCLED).map(FactorState::new).collect();
+        let mut stats = Vec::with_capacity(CYCLED);
+        for st in &mut states {
+            let f = SymPacked::from_matrix(&rng.spd_matrix(d, 0.1));
+            st.update_packed(FactorSide::G, d, f.as_slice(), 0.95);
+            let mut stat = vec![0.0; packed_len(d)];
+            let x = rng.gaussian_matrix(32, d);
+            x.gramian_packed_into(32.0, &mut Matrix::zeros(0, 0), &mut stat);
+            stats.push(stat);
+        }
+        let mut next = 0;
+        group.bench_function(BenchmarkId::new("fold+potrf", d), |b| {
+            b.iter(|| {
+                let st = &mut states[next];
+                st.update_packed(FactorSide::G, d, &stats[next], 0.95);
+                st.invert(FactorSide::G, 0.1).expect("SPD");
+                next = (next + 1) % CYCLED;
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
-    targets = bench_gramian, bench_precondition, bench_layer
+    targets = bench_gramian, bench_precondition, bench_layer, bench_refresh
 }
 criterion_main!(benches);

@@ -196,8 +196,9 @@ const DRIFT_CHECK_EVERY: usize = 2;
 /// re-plan from measured costs differs from the configured models' plan
 /// with or without one, so runs with the straggler's window emptied swapped
 /// (4 or 5 of 5) at every value tried from 1 to 22, the run's checks, while
-/// the real demo's swaps fall to 0–1 from 10 up (EXPERIMENTS "Drift demo
-/// hysteresis").
+/// the real demo's swaps fall to 0–1 from 10 up. Counting only the swaps
+/// after the first, or those inside the straggler's window, separates
+/// nothing either (EXPERIMENTS "Drift demo hysteresis").
 const DRIFT_HYSTERESIS: usize = 1;
 
 /// The straggler must slow the worst iteration window at least this much

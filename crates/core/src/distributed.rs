@@ -1693,7 +1693,10 @@ mod tests {
                     )
                 );
                 // Nothing was installed: no factor, no gradient moved.
-                assert!(ws.states.iter().all(|st| st.factor_a().is_none()));
+                assert!(ws
+                    .states
+                    .iter()
+                    .all(|st| st.running_factor(FactorSide::A).is_none()));
                 let grads = ws.net.parameters();
                 assert!(grads
                     .iter()

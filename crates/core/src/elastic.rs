@@ -103,31 +103,47 @@ pub struct FactorCheckpoint {
 }
 
 impl FactorCheckpoint {
-    /// Snapshots one layer's [`FactorState`].
+    /// Snapshots one layer's [`FactorState`]: each running factor packed
+    /// out of the upper triangle of its square, each `L` out of the lower
+    /// one, with a zero upper triangle.
     pub fn capture(st: &FactorState) -> FactorCheckpoint {
+        let l = |side| {
+            let sq: &Matrix = st.chol(side)?;
+            let lower = |i, j| if j <= i { sq[(i, j)] } else { 0.0 };
+            Some(Matrix::from_fn(sq.rows(), sq.cols(), lower))
+        };
         FactorCheckpoint {
             layer: st.layer(),
-            a: st.factor_a().cloned(),
-            g: st.factor_g().cloned(),
-            a_chol: st.a_chol().cloned(),
-            g_chol: st.g_chol().cloned(),
+            a: st.running_factor(FactorSide::A),
+            g: st.running_factor(FactorSide::G),
+            a_chol: l(FactorSide::A),
+            g_chol: l(FactorSide::G),
         }
     }
 
-    /// Rebuilds a [`FactorState`] holding exactly this snapshot.
+    /// Rebuilds a [`FactorState`] holding exactly this snapshot: both
+    /// halves of each factor's square written back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an `L` is not square or not its factor's size: the two
+    /// share one square.
     pub fn restore(&self) -> FactorState {
         let mut st = FactorState::new(self.layer);
-        // The first update installs the factor as it is (no EMA blend).
-        for (side, f) in [(FactorSide::A, &self.a), (FactorSide::G, &self.g)] {
+        let sides = [
+            (FactorSide::A, &self.a, &self.a_chol),
+            (FactorSide::G, &self.g, &self.g_chol),
+        ];
+        for (side, f, l) in sides {
+            // The first update installs the factor as it is (no EMA blend).
             if let Some(f) = f {
                 st.update_packed(side, f.dim(), f.as_slice(), 0.0);
             }
-        }
-        if let Some(l) = &self.a_chol {
-            st.set_a_chol(l.clone());
-        }
-        if let Some(l) = &self.g_chol {
-            st.set_g_chol(l.clone());
+            if let Some(l) = l {
+                let dim = f.as_ref().map_or(l.rows(), SymPacked::dim);
+                assert_eq!(l.shape(), (dim, dim), "layer {}: L of {side:?}", self.layer);
+                st.set_chol(side, l);
+            }
         }
         st
     }
@@ -573,7 +589,7 @@ mod tests {
     fn one_layer_checkpoint() -> TrainCheckpoint {
         let mut st = FactorState::new(0);
         st.update_packed(FactorSide::A, 2, &[2.0, 0.1, 3.0], 0.9);
-        st.set_a_chol(Matrix::identity(2));
+        st.set_chol(FactorSide::A, &Matrix::identity(2));
         TrainCheckpoint {
             iter: 1,
             losses: vec![0.5],
@@ -710,16 +726,56 @@ mod tests {
         let mut st = FactorState::new(4);
         st.update_packed(FactorSide::A, 2, &[2.0, 0.1, 3.0], 0.9);
         st.update_packed(FactorSide::G, 1, &[7.0], 0.9);
-        st.set_a_chol(Matrix::from_vec(2, 2, vec![0.5, 0.0, 0.0, 0.5]));
+        st.set_chol(
+            FactorSide::A,
+            &Matrix::from_vec(2, 2, vec![0.5, 0.0, 0.0, 0.5]),
+        );
         let snap = FactorCheckpoint::capture(&st);
         let back = snap.restore();
         assert_eq!(back.layer(), 4);
-        assert_eq!(back.factor_a(), st.factor_a());
-        assert_eq!(back.factor_g(), st.factor_g());
+        for side in [FactorSide::A, FactorSide::G] {
+            assert_eq!(back.running_factor(side), st.running_factor(side));
+        }
         assert_eq!(
-            back.a_chol().unwrap().as_slice(),
-            st.a_chol().unwrap().as_slice()
+            back.chol(FactorSide::A).unwrap().as_slice(),
+            st.chol(FactorSide::A).unwrap().as_slice()
         );
-        assert!(back.g_chol().is_none());
+        assert!(back.chol(FactorSide::G).is_none());
+    }
+
+    /// A live state's checkpoint survives pack, unpack, restore and a
+    /// second capture byte for byte, and the restored squares are the live
+    /// ones to the bit: `F` above the diagonal, `L` on and below it.
+    #[test]
+    fn capture_pack_unpack_restore_capture_is_byte_identical() {
+        use spdkfac_tensor::rng::MatrixRng;
+        let mut rng = MatrixRng::new(8);
+        let mut st = FactorState::new(3);
+        for (side, d) in [(FactorSide::A, 130), (FactorSide::G, 17)] {
+            for _ in 0..2 {
+                let f = SymPacked::from_matrix(&rng.spd_matrix(d, 0.1));
+                st.update_packed(side, d, f.as_slice(), 0.9);
+            }
+            st.invert(side, 0.01).expect("damped factor is SPD");
+        }
+        let ckpt = |st: &FactorState| TrainCheckpoint {
+            iter: 2,
+            losses: vec![0.5],
+            params: vec![1.0],
+            velocity: vec![],
+            factors: vec![FactorCheckpoint::capture(st)],
+        };
+        let wire = ckpt(&st).pack();
+        let restored = TrainCheckpoint::unpack(&wire).expect("a v5 stream").factors[0].restore();
+        let again = ckpt(&restored).pack();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert!(bits(&wire) == bits(&again));
+        for side in [FactorSide::A, FactorSide::G] {
+            let (live, back) = (st.chol(side).unwrap(), restored.chol(side).unwrap());
+            assert_eq!(mat_bits(live), mat_bits(back), "{side:?}");
+        }
+        // The packed `L` has a zero upper triangle, as it always had.
+        let l = ckpt(&st).factors[0].a_chol.clone().unwrap();
+        assert!((0..130).all(|i| l.row(i)[i + 1..].iter().all(|&v| v.to_bits() == 0)));
     }
 }

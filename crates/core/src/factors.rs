@@ -2,23 +2,129 @@
 
 use crate::error::{FactorSide, KfacError};
 use spdkfac_nn::KfacCapture;
+use spdkfac_tensor::gemm::mirror_upper;
+use spdkfac_tensor::matrix::ema;
 use spdkfac_tensor::sym::packed_len;
-use spdkfac_tensor::{chol, Matrix, SymPacked};
+use spdkfac_tensor::{chol, Matrix, SymPacked, TensorError};
 
 /// Per-layer Kronecker-factor state: exponential moving averages of
-/// `A = E[a aᵀ]` and `G = E[ĝ ĝᵀ]`, kept as the packed upper triangles
-/// the factor all-reduce delivers (§V-B), plus the Cholesky factors `L` of
+/// `A = E[a aᵀ]` and `G = E[ĝ ĝᵀ]`, folded from the packed triangles the
+/// factor all-reduce delivers (§V-B), plus the Cholesky factors `L` of
 /// their damped forms, `L Lᵀ = F + γI`, in the solve form the
 /// preconditioner reads ([`chol::cholesky_in_place`]). "Inverting" a
 /// factor (Eq. 12) means computing its `L`: the inverse itself is never
-/// formed, and a running factor is expanded only into `L`'s storage.
+/// formed. Each factor and its `L` share one `n × n` square: the
+/// running factor above the diagonal, `L` on and below it.
 #[derive(Debug, Clone)]
 pub struct FactorState {
     layer: usize,
-    a: Option<SymPacked>,
-    g: Option<SymPacked>,
-    a_chol: Option<Matrix>,
-    g_chol: Option<Matrix>,
+    a: Factor,
+    g: Factor,
+}
+
+/// One Kronecker factor in one `n × n` square. The strict upper triangle
+/// holds the running average `F` (its diagonal sits in `diag`), and the
+/// lower triangle `L` of `F + γI` in solve form. POTRF references only
+/// the lower triangle ([`chol`] module docs), so the two halves never
+/// overwrite each other: a fold between refreshes keeps `L`, and a
+/// broadcast `L` keeps `F`. A refresh mirrors `F` onto the lower triangle,
+/// puts `diag + γ` on the diagonal and factors there.
+#[derive(Debug, Clone)]
+struct Factor {
+    square: Matrix,
+    diag: Vec<f64>,
+    /// The upper triangle and `diag` hold `F`.
+    averaged: bool,
+    /// The lower triangle holds `L`.
+    factored: bool,
+}
+
+impl Factor {
+    fn new() -> Factor {
+        Factor {
+            square: Matrix::zeros(0, 0),
+            diag: Vec::new(),
+            averaged: false,
+            factored: false,
+        }
+    }
+
+    /// The square at `dim`, allocated on first use.
+    fn sized(&mut self, dim: usize) -> &mut Factor {
+        if self.square.shape() != (dim, dim) {
+            *self = Factor {
+                square: Matrix::zeros(dim, dim),
+                diag: vec![0.0; dim],
+                ..Factor::new()
+            };
+        }
+        self
+    }
+
+    /// Folds packed row `i` into `diag[i]` and row `i` of the square right
+    /// of the diagonal, each element as [`Matrix::ema_update`] folds it;
+    /// the first statistic is installed as it is.
+    fn fold(&mut self, dim: usize, packed: &[f64], decay: f64) {
+        assert_eq!(
+            packed.len(),
+            packed_len(dim),
+            "a statistic of dim {dim} is {} elements",
+            packed.len()
+        );
+        let Factor {
+            square,
+            diag,
+            averaged,
+            ..
+        } = self.sized(dim);
+        let (mut rest, rows) = (packed, square.as_mut_slice().chunks_exact_mut(dim.max(1)));
+        for (i, (row, d)) in rows.zip(diag).enumerate() {
+            let (head, tail) = rest.split_at(dim - i);
+            rest = tail;
+            let (upper, off) = (&mut row[i + 1..], &head[1..]);
+            if *averaged {
+                *d = ema(decay, *d, head[0]);
+                for (f, &p) in upper.iter_mut().zip(off) {
+                    *f = ema(decay, *f, p);
+                }
+            } else {
+                *d = head[0];
+                upper.copy_from_slice(off);
+            }
+        }
+        *averaged = true;
+    }
+
+    /// `F + γI` expanded over the lower triangle, then POTRF there.
+    fn invert(&mut self, gamma: f64) -> Result<(), TensorError> {
+        assert!(self.averaged, "no statistics yet");
+        let n = self.diag.len();
+        let w = self.square.as_mut_slice();
+        mirror_upper(w, n);
+        for (i, &d) in self.diag.iter().enumerate() {
+            w[i * n + i] = d + gamma;
+        }
+        let done = chol::cholesky_in_place(&mut self.square);
+        self.factored = done.is_ok();
+        done
+    }
+
+    /// `F`, packed, if it has been installed.
+    fn running(&self) -> Option<SymPacked> {
+        let n = self.diag.len();
+        self.averaged.then(|| {
+            let mut packed = Vec::with_capacity(packed_len(n));
+            for (i, row) in self.square.as_slice().chunks_exact(n.max(1)).enumerate() {
+                packed.push(self.diag[i]);
+                packed.extend_from_slice(&row[i + 1..]);
+            }
+            SymPacked::from_vec(n, packed)
+        })
+    }
+
+    fn chol(&self) -> Option<&Matrix> {
+        self.factored.then_some(&self.square)
+    }
 }
 
 impl FactorState {
@@ -26,16 +132,28 @@ impl FactorState {
     pub fn new(layer: usize) -> Self {
         FactorState {
             layer,
-            a: None,
-            g: None,
-            a_chol: None,
-            g_chol: None,
+            a: Factor::new(),
+            g: Factor::new(),
         }
     }
 
     /// The layer index this state belongs to.
     pub fn layer(&self) -> usize {
         self.layer
+    }
+
+    fn side(&self, side: FactorSide) -> &Factor {
+        match side {
+            FactorSide::A => &self.a,
+            FactorSide::G => &self.g,
+        }
+    }
+
+    fn side_mut(&mut self, side: FactorSide) -> &mut Factor {
+        match side {
+            FactorSide::A => &mut self.a,
+            FactorSide::G => &mut self.g,
+        }
     }
 
     /// Folds a fresh capture into the running averages with decay
@@ -51,35 +169,24 @@ impl FactorState {
         self.update_packed(FactorSide::G, dg, &stat, stat_decay);
     }
 
-    /// Current running factor `A`, if any update has happened.
-    pub fn factor_a(&self) -> Option<&SymPacked> {
-        self.a.as_ref()
+    /// A packed copy of the running factor of `side`, if any update has
+    /// happened.
+    pub fn running_factor(&self, side: FactorSide) -> Option<SymPacked> {
+        self.side(side).running()
     }
 
-    /// Current running factor `G`, if any update has happened.
-    pub fn factor_g(&self) -> Option<&SymPacked> {
-        self.g.as_ref()
-    }
-
-    /// The damped input factor `A + γI`, expanded (Eq. 12) — the oracle the
-    /// tests check `L` against.
+    /// The damped factor `F + γI` of `side`, expanded (Eq. 12) — the
+    /// oracle the tests check `L` against.
     ///
     /// # Panics
     ///
     /// Panics if no statistics have been accumulated yet.
     #[cfg(test)]
-    pub fn damped_a(&self, gamma: f64) -> Matrix {
-        damped(self.a.as_ref().expect("no A statistics yet"), gamma)
-    }
-
-    /// The damped output factor `G + γI`, expanded (Eq. 12).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no statistics have been accumulated yet.
-    #[cfg(test)]
-    pub fn damped_g(&self, gamma: f64) -> Matrix {
-        damped(self.g.as_ref().expect("no G statistics yet"), gamma)
+    pub fn damped(&self, side: FactorSide, gamma: f64) -> Matrix {
+        let f = self.running_factor(side).expect("no statistics yet");
+        let mut m = f.to_matrix();
+        m.add_scaled_identity(gamma);
+        m
     }
 
     /// Recomputes both damped factors' `L` locally.
@@ -93,57 +200,40 @@ impl FactorState {
             .invert(FactorSide::A, gamma)
             .and_then(|()| self.invert(FactorSide::G, gamma));
         if done.is_err() {
-            (self.a_chol, self.g_chol) = (None, None);
+            (self.a.factored, self.g.factored) = (false, false);
         }
         done
     }
 
-    /// The running factor of `side` and its `L`.
-    fn side_mut(&mut self, side: FactorSide) -> (&mut Option<SymPacked>, &mut Option<Matrix>) {
-        match side {
-            FactorSide::A => (&mut self.a, &mut self.a_chol),
-            FactorSide::G => (&mut self.g, &mut self.g_chol),
-        }
-    }
-
     /// Folds an aggregated statistic of `side`, given as its packed
     /// triangle (its slice of a factor message), into the running average
-    /// in one contiguous pass; the first one is installed as it is.
+    /// in one contiguous pass over the upper triangle of the factor's
+    /// square; the first one is installed as it is. `L` is not touched.
     pub fn update_packed(&mut self, side: FactorSide, dim: usize, packed: &[f64], stat_decay: f64) {
-        match self.side_mut(side).0 {
-            Some(f) => f.ema_update(stat_decay, packed),
-            slot => *slot = Some(SymPacked::from_vec(dim, packed.to_vec())),
-        }
+        self.side_mut(side).fold(dim, packed, stat_decay);
     }
 
-    /// "Inverts" the damped factor of `side` (Eq. 12): expands `F + γI`
-    /// into `L`'s storage, which only the first call allocates, and
-    /// factors it there.
+    /// "Inverts" the damped factor of `side` (Eq. 12): mirrors `F` onto
+    /// the lower triangle of its square, damps the diagonal and factors
+    /// there. `F` is not touched.
     ///
     /// # Errors
     ///
     /// Returns [`KfacError::FactorInversion`] when the damped factor is not
-    /// positive definite; the `L` of `side` is then cleared.
+    /// positive definite; `side` then has no `L`.
     ///
     /// # Panics
     ///
     /// Panics if no statistics have been accumulated yet.
     pub fn invert(&mut self, side: FactorSide, gamma: f64) -> Result<(), KfacError> {
         let layer = self.layer;
-        let (factor, slot) = self.side_mut(side);
-        let l = slot.get_or_insert_with(|| Matrix::zeros(0, 0));
-        factor
-            .as_ref()
-            .expect("no statistics yet")
-            .damped_into(gamma, l);
-        chol::cholesky_in_place(l).map_err(|source| {
-            *slot = None;
-            KfacError::FactorInversion {
+        self.side_mut(side)
+            .invert(gamma)
+            .map_err(|source| KfacError::FactorInversion {
                 layer,
                 factor: side,
                 source,
-            }
-        })
+            })
     }
 
     /// Packs the `L` of `side` into its wire form, `dst` (a broadcast's
@@ -153,47 +243,37 @@ impl FactorState {
     ///
     /// Panics if `side` has no `L` yet.
     pub fn pack_chol_into(&self, side: FactorSide, dst: &mut [f64]) {
-        let l = match side {
-            FactorSide::A => &self.a_chol,
-            FactorSide::G => &self.g_chol,
-        };
-        chol::pack_factor_into(l.as_ref().expect("factored"), dst);
+        chol::pack_factor_into(self.chol(side).expect("factored"), dst);
     }
 
     /// Installs an externally-computed `L` of `side` from its packed wire
-    /// form (a broadcast's payload), in its storage.
+    /// form (a broadcast's payload) over the lower triangle of its square.
     pub fn set_chol_packed(&mut self, side: FactorSide, dim: usize, packed: &[f64]) {
-        let l = self.side_mut(side).1;
-        chol::unpack_factor_into(dim, packed, l.get_or_insert_with(|| Matrix::zeros(0, 0)));
+        let f = self.side_mut(side).sized(dim);
+        chol::unpack_factor_into(dim, packed, &mut f.square);
+        f.factored = true;
     }
 
-    /// Installs an externally-computed `L` of the damped `A`, in solve form.
-    pub fn set_a_chol(&mut self, l: Matrix) {
-        self.a_chol = Some(l);
+    /// Installs an externally-computed `L` of `side`, in solve form: the
+    /// lower triangle of `l` (square) over that of the factor's square.
+    pub fn set_chol(&mut self, side: FactorSide, l: &Matrix) {
+        let n = l.rows();
+        assert!(l.is_square(), "an L is square, not {:?}", l.shape());
+        let f = self.side_mut(side).sized(n);
+        let rows = f.square.as_mut_slice().chunks_exact_mut(n.max(1));
+        for (i, (dst, src)) in rows.zip(l.as_slice().chunks_exact(n.max(1))).enumerate() {
+            dst[..=i].copy_from_slice(&src[..=i]);
+        }
+        f.factored = true;
     }
 
-    /// Installs an externally-computed `L` of the damped `G`, in solve form.
-    pub fn set_g_chol(&mut self, l: Matrix) {
-        self.g_chol = Some(l);
+    /// The square whose lower triangle is `L` of the damped factor of
+    /// `side` in solve form, once computed. Its strict upper triangle
+    /// holds the running factor: read the lower triangle only, as
+    /// [`chol::solve_into`] does.
+    pub fn chol(&self, side: FactorSide) -> Option<&Matrix> {
+        self.side(side).chol()
     }
-
-    /// Current `L` of the damped `A` in solve form, if computed.
-    pub fn a_chol(&self) -> Option<&Matrix> {
-        self.a_chol.as_ref()
-    }
-
-    /// Current `L` of the damped `G` in solve form, if computed.
-    pub fn g_chol(&self) -> Option<&Matrix> {
-        self.g_chol.as_ref()
-    }
-}
-
-/// `F + γI` of a packed running factor, expanded.
-#[cfg(test)]
-fn damped(f: &SymPacked, gamma: f64) -> Matrix {
-    let mut m = Matrix::zeros(0, 0);
-    f.damped_into(gamma, &mut m);
-    m
 }
 
 /// The local `A` statistic `aᵀa / rows` (Eq. 7 averaged over batch ×
@@ -231,18 +311,25 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// Bits of the lower triangle of the square `m`, row by row.
+    fn lower_bits(m: &Matrix) -> Vec<u64> {
+        let mut packed = vec![0.0; packed_len(m.rows())];
+        chol::pack_factor_into(m, &mut packed);
+        bits(&packed)
+    }
+
     #[test]
     fn first_update_installs_factors() {
         let mut st = FactorState::new(0);
         let cap = capture(1);
         st.update_from_capture(&cap, 0.95);
         assert_eq!(
-            st.factor_a(),
-            Some(&SymPacked::from_matrix(&cap.factor_a()))
+            st.running_factor(FactorSide::A),
+            Some(SymPacked::from_matrix(&cap.factor_a()))
         );
         assert_eq!(
-            st.factor_g(),
-            Some(&SymPacked::from_matrix(&cap.factor_g()))
+            st.running_factor(FactorSide::G),
+            Some(SymPacked::from_matrix(&cap.factor_g()))
         );
     }
 
@@ -255,7 +342,8 @@ mod tests {
         st.update_from_capture(&c2, 0.9);
         let mut expect = c1.factor_a().clone();
         expect.ema_update(0.9, &c2.factor_a());
-        assert_eq!(st.factor_a().unwrap().to_matrix(), expect);
+        let got = st.running_factor(FactorSide::A).unwrap().to_matrix();
+        assert_eq!(bits(got.as_slice()), bits(expect.as_slice()));
     }
 
     #[test]
@@ -284,11 +372,119 @@ mod tests {
             fold(&mut dense_g, xg.gramian_scaled(rows as f64 / (n * n)));
         }
         st.refresh_inverses(gamma).unwrap();
-        for (got, dense) in [(st.a_chol(), dense_a), (st.g_chol(), dense_g)] {
+        for (side, dense) in [(FactorSide::A, dense_a), (FactorSide::G, dense_g)] {
             let mut l = Matrix::zeros(0, 0);
             dense.unwrap().damped_into(gamma, &mut l);
             chol::cholesky_in_place(&mut l).unwrap();
-            assert_eq!(bits(got.unwrap().as_slice()), bits(l.as_slice()));
+            assert_eq!(lower_bits(st.chol(side).unwrap()), lower_bits(&l));
+        }
+    }
+
+    /// The packed-`F` + dense-`L` layout the square replaces, kept as its
+    /// oracle: `F` folded element by element in its packed triangle, `L`
+    /// expanded from it into a square of its own and factored there.
+    #[derive(Default)]
+    struct Oracle {
+        f: Vec<f64>,
+        l: Option<Matrix>,
+    }
+
+    impl Oracle {
+        fn fold(&mut self, packed: &[f64], decay: f64) {
+            if self.f.is_empty() {
+                self.f = packed.to_vec();
+            } else {
+                for (f, &p) in self.f.iter_mut().zip(packed) {
+                    *f = ema(decay, *f, p);
+                }
+            }
+        }
+
+        fn invert(&mut self, dim: usize, gamma: f64) -> bool {
+            let mut l = SymPacked::unpack(dim, &self.f);
+            l.add_scaled_identity(gamma);
+            self.l = chol::cholesky_in_place(&mut l).ok().map(|()| l);
+            self.l.is_some()
+        }
+    }
+
+    /// Fold, refresh and precondition over seven iterations, refreshing
+    /// every one and every third, with a broadcast `L` installed between
+    /// refreshes and a failed inversion the next refresh recovers from:
+    /// `F`, `L` and the directions are the oracle's to the bit throughout.
+    #[test]
+    fn the_factor_square_tracks_the_packed_f_and_dense_l_oracle_bit_for_bit() {
+        use crate::precond::{precondition_bias, precondition_weight};
+        use spdkfac_tensor::kron::precondition_gradient_chol_in_place;
+        // A spans two solve blocks, so POTRF joins through its scratch.
+        let (da, dg, rows, decay) = (130, 33, 40, 0.9);
+        for freq in [1, 3] {
+            let mut rng = MatrixRng::new(70 + freq as u64);
+            let mut st = FactorState::new(0);
+            let mut oracle: [Oracle; 2] = Default::default();
+            let mut scratch = Matrix::zeros(0, 0);
+            let sides = [(FactorSide::A, da), (FactorSide::G, dg)];
+            for it in 0..7 {
+                for (k, (side, dim)) in sides.into_iter().enumerate() {
+                    let mut stat = vec![0.0; packed_len(dim)];
+                    local_factor_a_into(&rng.gaussian_matrix(rows, dim), &mut scratch, &mut stat);
+                    st.update_packed(side, dim, &stat, decay);
+                    oracle[k].fold(&stat, decay);
+                }
+                if it % freq == 0 {
+                    // A damping that fails at the first pivot, once.
+                    let gamma = if it == 3 { -1e3 } else { 0.01 };
+                    let done = st.refresh_inverses(gamma).is_ok();
+                    let want = oracle[0].invert(da, gamma) && oracle[1].invert(dg, gamma);
+                    if !want {
+                        oracle[0].l = None;
+                        oracle[1].l = None;
+                    }
+                    assert_eq!(done, want, "freq {freq} iteration {it}");
+                }
+                if it == 1 {
+                    // `G`'s owner broadcast an `L` of its own.
+                    let mut l = rng.spd_matrix(dg, 0.5);
+                    chol::cholesky_in_place(&mut l).unwrap();
+                    let mut wire = vec![0.0; packed_len(dg)];
+                    chol::pack_factor_into(&l, &mut wire);
+                    st.set_chol_packed(FactorSide::G, dg, &wire);
+                    oracle[1].l = Some(l);
+                }
+                for (k, (side, dim)) in sides.into_iter().enumerate() {
+                    let got = st.running_factor(side).unwrap();
+                    assert_eq!(
+                        bits(got.as_slice()),
+                        bits(&oracle[k].f),
+                        "freq {freq} it {it} F"
+                    );
+                    assert_eq!(got.dim(), dim);
+                    assert_eq!(
+                        st.chol(side).map(lower_bits),
+                        oracle[k].l.as_ref().map(lower_bits),
+                        "freq {freq} it {it} L"
+                    );
+                }
+                let (grad, bias) = (rng.gaussian_matrix(dg, da), rng.gaussian_matrix(dg, 1));
+                let (mut want, mut want_b) = (grad.clone(), bias.clone());
+                if let [Oracle { l: Some(la), .. }, Oracle { l: Some(lg), .. }] = &oracle {
+                    precondition_gradient_chol_in_place(&mut want, la, lg, &mut scratch);
+                    chol::solve_into(lg, chol::Side::Left, false, &mut want_b, &mut scratch);
+                    chol::solve_into(lg, chol::Side::Left, true, &mut scratch, &mut want_b);
+                }
+                let got = precondition_weight(&st, &grad);
+                assert_eq!(
+                    bits(got.as_slice()),
+                    bits(want.as_slice()),
+                    "freq {freq} it {it}"
+                );
+                let got = precondition_bias(&st, &bias);
+                assert_eq!(
+                    bits(got.as_slice()),
+                    bits(want_b.as_slice()),
+                    "freq {freq} it {it}"
+                );
+            }
         }
     }
 
@@ -298,10 +494,8 @@ mod tests {
         st.update_from_capture(&capture(3), 0.95);
         st.refresh_inverses(0.1).unwrap();
         // (F + γI) · L⁻ᵀL⁻¹ = I, applied through the solves.
-        for (damped, l) in [
-            (st.damped_a(0.1), st.a_chol().unwrap()),
-            (st.damped_g(0.1), st.g_chol().unwrap()),
-        ] {
+        for side in [FactorSide::A, FactorSide::G] {
+            let (damped, l) = (st.damped(side, 0.1), st.chol(side).unwrap());
             let (mut x, mut y) = (Matrix::identity(damped.rows()), Matrix::zeros(0, 0));
             chol::solve_into(l, chol::Side::Left, false, &mut x, &mut y);
             chol::solve_into(l, chol::Side::Left, true, &mut y, &mut x);
@@ -325,6 +519,7 @@ mod tests {
             KfacError::FactorInversion { layer, .. } => assert_eq!(layer, 7),
             other => panic!("unexpected error {other:?}"),
         }
+        assert!(st.chol(FactorSide::A).is_none() && st.chol(FactorSide::G).is_none());
     }
 
     #[test]

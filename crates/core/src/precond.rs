@@ -3,6 +3,7 @@
 //! triangular solves with `L_G` and `L_A`, never by a product with an
 //! inverse.
 
+use crate::error::FactorSide;
 use crate::factors::FactorState;
 use spdkfac_nn::layer::Param;
 use spdkfac_tensor::chol::{self, Side};
@@ -78,9 +79,11 @@ pub fn precondition_in_place(
     }
 }
 
-/// `state`'s `(L_A, L_G)`, once computed.
+/// `state`'s `(L_A, L_G)`, once computed (each the lower triangle of its
+/// factor's square, which is all the solves read).
 fn factors(state: &FactorState) -> Option<(&Matrix, &Matrix)> {
-    Some((state.a_chol()?, state.g_chol().expect("G not factored")))
+    let l_a = state.chol(FactorSide::A)?;
+    Some((l_a, state.chol(FactorSide::G).expect("G not factored")))
 }
 
 /// Turns parameter `pi`'s gradient into its update direction in place:
@@ -199,8 +202,8 @@ mod tests {
     /// `(A + γI)⁻¹` and `(G + γI)⁻¹` of a ready state, formed outright.
     fn inverses(st: &FactorState, gamma: f64) -> (Matrix, Matrix) {
         (
-            chol::spd_inverse(&st.damped_a(gamma)).unwrap(),
-            chol::spd_inverse(&st.damped_g(gamma)).unwrap(),
+            chol::spd_inverse(&st.damped(FactorSide::A, gamma)).unwrap(),
+            chol::spd_inverse(&st.damped(FactorSide::G, gamma)).unwrap(),
         )
     }
 
@@ -213,8 +216,8 @@ mod tests {
     #[test]
     fn identity_factors_leave_grad_unchanged() {
         let mut st = FactorState::new(0);
-        st.set_a_chol(Matrix::identity(3));
-        st.set_g_chol(Matrix::identity(2));
+        st.set_chol(FactorSide::A, &Matrix::identity(3));
+        st.set_chol(FactorSide::G, &Matrix::identity(2));
         let mut rng = MatrixRng::new(1);
         let grad = rng.uniform_matrix(2, 3, -1.0, 1.0);
         let out = precondition_weight(&st, &grad);

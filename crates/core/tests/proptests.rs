@@ -684,3 +684,72 @@ proptest! {
         prop_assert!((fit.beta - beta).abs() / beta < 1e-6);
     }
 }
+
+/// A statistic's dimension: the tile and block edges of the packing and
+/// POTRF kernels and the trainer's 256 / 257 half the time, otherwise any
+/// up to 300.
+fn statistic_dim() -> impl Strategy<Value = usize> {
+    const EDGES: [usize; 12] = [1, 7, 8, 9, 23, 24, 25, 63, 64, 65, 256, 257];
+    (0usize..2 * EDGES.len(), 1usize..301).prop_map(|(pick, any)| *EDGES.get(pick).unwrap_or(&any))
+}
+
+/// Bit patterns, for `to_bits` equality.
+fn value_bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The trainer's statistic, packed into its slice of a message, and
+    /// its landing and refresh in the factor's square — the packed rows
+    /// folded into the upper triangle, `F + γI` expanded over the lower
+    /// one and factored there — against the dense path they replace: the
+    /// statistic expanded and folded into a dense running factor
+    /// (`Matrix::ema_update`), copied, damped, into a square of its own
+    /// (`Matrix::damped_into`) and factored there.
+    #[test]
+    fn packed_statistic_and_its_landing_are_bit_identical(
+        rows in 1usize..70, d in statistic_dim(), batch in 1usize..5,
+        decay in 0.0f64..1.0, gamma in 0.01f64..1.0, seed in 0u64..1_000_000,
+    ) {
+        use spdkfac_core::error::{FactorSide, KfacError};
+        use spdkfac_core::factors::{local_factor_g_into, FactorState};
+        use spdkfac_tensor::rng::MatrixRng;
+        use spdkfac_tensor::{chol, Matrix, SymPacked};
+        let mut rng = MatrixRng::new(seed);
+        let x = rng.uniform_matrix(rows, d, -1.0, 1.0);
+        // The statistic: upper tiles only, in a dirty scratch, scaled
+        // while packed into its slice of a message.
+        let mut scratch = rng.uniform_matrix(d + 3, 2, -1.0, 1.0);
+        let mut packed = vec![f64::NAN; d * (d + 1) / 2];
+        local_factor_g_into(&x, batch, &mut scratch, &mut packed);
+        let dense = x.gramian_scaled(rows as f64 / (batch * batch) as f64);
+        prop_assert_eq!(value_bits(&packed), value_bits(SymPacked::from_matrix(&dense).as_slice()));
+        prop_assert_eq!(value_bits(SymPacked::unpack(d, &packed).as_slice()), value_bits(dense.as_slice()));
+        // Its landing on a running factor, and the refresh.
+        let running = SymPacked::from_matrix(&rng.spd_matrix(d, 0.1));
+        let mut st = FactorState::new(0);
+        st.update_packed(FactorSide::G, d, running.as_slice(), decay);
+        st.update_packed(FactorSide::G, d, &packed, decay);
+        let factored = st.invert(FactorSide::G, gamma);
+        let mut expanded = running.to_matrix();
+        expanded.ema_update(decay, &SymPacked::unpack(d, &packed));
+        let mut l = Matrix::zeros(0, 0);
+        expanded.damped_into(gamma, &mut l);
+        let verdict = chol::cholesky_in_place(&mut l);
+        let got = st.running_factor(FactorSide::G).expect("folded");
+        prop_assert_eq!(value_bits(got.to_matrix().as_slice()), value_bits(expanded.as_slice()));
+        let factored = factored.map_err(|e| match e {
+            KfacError::FactorInversion { source, .. } => source,
+            other => panic!("not an inversion error: {other}"),
+        });
+        prop_assert_eq!(factored, verdict);
+        if let Some(square) = st.chol(FactorSide::G) {
+            let (mut want, mut have) = (vec![0.0; d * (d + 1) / 2], vec![0.0; d * (d + 1) / 2]);
+            chol::pack_factor_into(&l, &mut want);
+            chol::pack_factor_into(square, &mut have);
+            prop_assert_eq!(value_bits(&have), value_bits(&want));
+        }
+    }
+}

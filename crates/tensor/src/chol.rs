@@ -9,30 +9,37 @@
 //! are a few large calls into the level-3 core ([`crate::gemm::gemm`]); a
 //! product with a triangle is one call with a triangular operand
 //! ([`Operand::triangle`]), which skips the zero half micro-panel by
-//! micro-panel and costs half a square. Everything runs in caller
-//! storage: one `n × n` buffer holds `A`'s lower triangle, then `L` in
-//! solve form, then `M = L⁻¹`, then `A⁻¹`.
+//! micro-panel and costs half a square.
+//!
+//! **Storage.** Everything runs in caller storage, one `n × n` square.
+//! [`cholesky_in_place`] and [`solve_into`] reference its lower triangle
+//! only, as LAPACK's POTRF and TRSM with `UPLO = 'L'` do: POTRF turns
+//! `A`'s lower triangle into `L` in solve form and never reads or writes
+//! the strict upper triangle, which stays the caller's (the trainer keeps
+//! the running average of the factor there, `spdkfac_core::factors`).
+//! [`spd_inverse`] then uses the upper triangle as POTRI's workspace and
+//! leaves `A⁻¹` in the whole square.
 //!
 //! | step | on a range `[lo, hi)` of `L` | core calls |
 //! |---|---|---|
 //! | POTRF | right-looking over [`SOLVE_NB`] blocks: factor and invert a block, then a panel below it (next row) | — |
 //! | | factor and invert a block: halve at a [`CHOL_NB`] edge; each half comes back inverted, so the panel between them is one product, and TRTRI's step joins them; a leaf is `potf2`, then `trti2` over it | + 2, triangular |
 //! | | panel: `L21 = A21 · M11ᵀ`, `A22 −= L21 · L21ᵀ`, in row chunks the scratch holds | 3 per chunk, [`Mask::Lower`] |
-//! | TRTRI | halve at a block edge; invert both halves; `M21 = −(M22 · L21) · M11` | 2, triangular |
+//! | TRTRI | halve at a block edge; invert both halves; `M21 = −(M22 · L21) · M11` (POTRF's joins too) | 2, triangular |
 //! | LAUUM | halve at a leaf edge: the top half's `MᵀM`, `+= M21ᵀM21`, then `M21ᵀM22` above the diagonal, then the bottom half's; mirror the upper triangle | 2, one triangular |
 //! | solve | block by block in dependency order, not halved: subtract what the solved blocks contribute to block `I`, then apply its stored `L[I,I]⁻¹` | 2 per block, the second triangular |
 //!
 //! A product never writes the rows it reads (Rust slices are whole rows,
 //! so a block and the block beside it cannot be borrowed apart). Where it
-//! would, one operand goes through the free block above the diagonal —
-//! rows `[lo, mid)`, columns `[mid, hi)`, which holds nothing in any of
-//! these forms (TRTRI's `(M22 · L21)ᵀ`, LAUUM's `M21ᵀM22`) — or, for the
-//! panel, whose inputs share rows with that block, a per-thread scratch
-//! of `CHOL_NB · (CHOL_NB + n)` elements that only ever grows: `L21` a
-//! chunk of rows at a time. A warm [`cholesky_in_place`] / [`solve_into`]
-//! / [`spd_inverse_in_place`] allocates nothing. The core keeps results
-//! bit-identical for any `SPDKFAC_THREADS` and across AVX2 / AVX-512
-//! hosts. The parity tests (`chol::tests`) force small edges through
+//! would, one operand goes through a per-thread scratch of
+//! `CHOL_NB · (CHOL_NB + n)` elements that only ever grows — POTRF's
+//! panel `L21` a chunk of rows at a time, and its TRTRI steps'
+//! `(M22 · L21)ᵀ` — or, in POTRI, through the free block above the
+//! diagonal, rows `[lo, mid)`, columns `[mid, hi)` (TRTRI's
+//! `(M22 · L21)ᵀ`, LAUUM's `M21ᵀM22`). A warm [`cholesky_in_place`] /
+//! [`solve_into`] / [`spd_inverse_in_place`] allocates nothing. The core
+//! keeps results bit-identical for any `SPDKFAC_THREADS` and across AVX2 /
+//! AVX-512 hosts. The parity tests (`chol::tests`) force small edges through
 //! the same `potrf` / `solve_with_block` / `potri`; their oracle is the
 //! unblocked leaf run on the whole matrix (`potrf(w, n, n)`,
 //! `potri(w, n, n)`).
@@ -47,11 +54,11 @@
 //! which POTRF builds from the [`CHOL_NB`] leaves it inverts for its own
 //! panels ([`cholesky_in_place`] keeps them). A leaf of the solve is then
 //! one triangular product `SOLVE_NB` deep instead of a chain of 24-wide
-//! slivers. The form has `L`'s zero upper triangle, so its packed lower
-//! triangle ([`pack_factor_into`]) is `n(n+1)/2` elements like a packed
-//! inverse. A solve writes `X` into a second buffer and uses `B` as its
-//! workspace ([`solve_into`]): the blocks it subtracts from and the blocks
-//! it reads are then never the same storage, on either side.
+//! slivers. The form is lower-triangular, so its packed lower triangle
+//! ([`pack_factor_into`]) is `n(n+1)/2` elements like a packed inverse.
+//! A solve writes `X` into a second buffer and uses `B` as its workspace
+//! ([`solve_into`]): the blocks it subtracts from and the blocks it reads
+//! are then never the same storage, on either side.
 
 use crate::error::TensorError;
 use crate::gemm::{gemm, gemm_overwrite, mirror_upper, Mask, Operand};
@@ -94,11 +101,12 @@ pub enum Side {
     Right,
 }
 
-/// POTRF in the matrix's own storage, for the solves: `a` holds the SPD
-/// matrix on entry (only its lower triangle is read) and on success `L` in
-/// solve form at [`SOLVE_NB`] — the form [`solve_into`] reads (module
-/// docs). With this thread's scratch warm it allocates nothing. On error
-/// `a` holds a partial factorization.
+/// POTRF in the matrix's own storage, for the solves: `a`'s lower
+/// triangle holds the SPD matrix on entry and, on success, `L` in solve
+/// form at [`SOLVE_NB`] — the form [`solve_into`] reads (module docs).
+/// The strict upper triangle is neither read nor written. With this
+/// thread's scratch warm it allocates nothing. On error the lower triangle
+/// holds a partial factorization.
 ///
 /// # Errors
 ///
@@ -111,20 +119,24 @@ pub fn cholesky_in_place(a: &mut Matrix) -> Result<(), TensorError> {
 
 /// Inverts the `bw × bw` lower-triangular diagonal block of `w` (rows `n`
 /// apart) at `j0` in place, through the start of `scratch`; the block's
-/// upper triangle becomes zero.
+/// strict upper triangle is not touched.
 fn invert_diagonal_block(w: &mut [f64], n: usize, j0: usize, bw: usize, scratch: &mut [f64]) {
     let dinv = &mut scratch[..bw * bw];
     dinv.fill(0.0);
     trti2(&w[j0 * n + j0..], n, dinv, bw, bw);
-    for (row, drow) in w[j0 * n + j0..].chunks_mut(n).zip(dinv.chunks(bw)) {
-        row[..bw].copy_from_slice(drow);
+    for (r, (row, drow)) in w[j0 * n + j0..]
+        .chunks_mut(n)
+        .zip(dinv.chunks(bw))
+        .enumerate()
+    {
+        row[..=r].copy_from_slice(&drow[..=r]);
     }
 }
 
-/// Factors the SPD matrix in `w` in place into `L` in solve form at `edge`
-/// (zero upper triangle; only the lower triangle of `A` is read):
+/// Factors the SPD matrix in `w` in place into `L` in solve form at `edge`:
 /// right-looking over `edge`-wide blocks, each factored and inverted by
-/// [`factor_inverted`] and followed by a [`panel`].
+/// [`factor_inverted`] and followed by a [`panel`]. Only the lower
+/// triangle is read or written; the strict upper one is left as it is.
 fn potrf(w: &mut Matrix, leaf: usize, edge: usize) -> Result<(), TensorError> {
     if !w.is_square() {
         return Err(TensorError::NotSquare {
@@ -134,32 +146,32 @@ fn potrf(w: &mut Matrix, leaf: usize, edge: usize) -> Result<(), TensorError> {
     }
     let n = w.rows();
     let w = w.as_mut_slice();
-    let leaf_n = leaf.min(n);
-    with_scratch(leaf_n * (leaf_n + n), |scratch| {
-        for lo in (0..n).step_by(edge) {
-            let hi = n.min(lo + edge);
-            factor_inverted(w, n, lo, hi, leaf, scratch)?;
-            if hi < n {
-                panel(w, n, lo, hi, n, scratch);
+    // A panel's chunks and a leaf's inverse; a join's `w1 × w2` product
+    // (`w1 + w2 <= edge`) fits too at the default edges.
+    let (leaf_n, edge_n) = (leaf.min(n), edge.min(n));
+    with_scratch(
+        (leaf_n * (leaf_n + n)).max(edge_n * edge_n / 4),
+        |scratch| {
+            for lo in (0..n).step_by(edge) {
+                let hi = n.min(lo + edge);
+                factor_inverted(w, n, lo, hi, leaf, scratch)?;
+                if hi < n {
+                    panel(w, n, lo, hi, n, scratch);
+                }
             }
-        }
-        Ok(())
-    })
-    .map_err(|pivot| TensorError::NotPositiveDefinite { pivot })?;
-    // Above the diagonal: `A`, the panels' operands, and trailing-update
-    // tiles that straddle the diagonal.
-    for i in 0..n {
-        w[i * n + i + 1..(i + 1) * n].fill(0.0);
-    }
-    Ok(())
+            Ok(())
+        },
+    )
+    .map_err(|pivot| TensorError::NotPositiveDefinite { pivot })
 }
 
 /// Factors `[lo, hi)` of `w` (rows `n` apart), whose updates from the
 /// columns left of `lo` are already subtracted, and leaves it inverted:
 /// `L[lo:hi, lo:hi]⁻¹`. Halves at a `leaf` edge down to `potf2` + `trti2`
 /// leaves; each half comes back inverted, so the [`panel`] between them
-/// is one product, and TRTRI's step ([`trtri_join`]) joins them. `Err`
-/// carries the global index of the first non-positive or non-finite pivot.
+/// is one product, and TRTRI's step ([`trtri_join`]) joins them through
+/// `scratch`. `Err` carries the global index of the first non-positive or
+/// non-finite pivot.
 fn factor_inverted(
     w: &mut [f64],
     n: usize,
@@ -178,7 +190,7 @@ fn factor_inverted(
     factor_inverted(w, n, lo, mid, leaf, scratch)?;
     panel(w, n, lo, mid, hi, scratch);
     factor_inverted(w, n, mid, hi, leaf, scratch)?;
-    trtri_join(w, n, lo, mid, hi);
+    trtri_join(w, n, lo, mid, hi, Some(scratch));
     Ok(())
 }
 
@@ -310,32 +322,37 @@ fn trtri(w: &mut [f64], n: usize, lo: usize, hi: usize, edge: usize) {
     let mid = lo + len.div_ceil(edge) / 2 * edge;
     trtri(w, n, lo, mid, edge);
     trtri(w, n, mid, hi, edge);
-    trtri_join(w, n, lo, mid, hi);
+    trtri_join(w, n, lo, mid, hi, None);
 }
 
 /// TRTRI's step: with `[lo, mid)` and `[mid, hi)` of `w` inverted and
 /// `L21` between them, `[lo, hi)` becomes inverted:
 /// `M21 = −(M22 · L21) · M11`, two products with a triangular operand.
-/// `(M22 · L21)ᵀ` lands in the free block above the diagonal, as in
-/// [`panel`].
-fn trtri_join(w: &mut [f64], n: usize, lo: usize, mid: usize, hi: usize) {
+/// `(M22 · L21)ᵀ` lands at the start of `scratch` (POTRF, which leaves the
+/// upper triangle alone) or, without one, in the free block above the
+/// diagonal (POTRI).
+fn trtri_join(
+    w: &mut [f64],
+    n: usize,
+    lo: usize,
+    mid: usize,
+    hi: usize,
+    mut scratch: Option<&mut [f64]>,
+) {
     let (w1, w2, up) = (mid - lo, hi - mid, lo * n + mid);
     let (top, bottom) = w.split_at_mut(mid * n);
     let l21 = Operand::new(&bottom[lo..], n);
     let m22 = Operand::new(&bottom[mid..], n).triangle(Mask::Lower);
-    gemm_overwrite(
-        1.0,
-        w1,
-        w2,
-        w2,
-        l21.t(),
-        m22.t(),
-        &mut top[up..],
-        n,
-        Mask::Full,
-    );
+    let (dst, ldu) = match scratch.as_deref_mut() {
+        Some(s) => (s, w2),
+        None => (&mut top[up..], n),
+    };
+    gemm_overwrite(1.0, w1, w2, w2, l21.t(), m22.t(), dst, ldu, Mask::Full);
+    let u = match scratch.as_deref() {
+        Some(s) => Operand::new(s, ldu),
+        None => Operand::new(&top[up..], n),
+    };
     let m11 = Operand::new(&top[lo * n + lo..], n).triangle(Mask::Lower);
-    let u = Operand::new(&top[up..], n);
     gemm_overwrite(
         -1.0,
         w2,
@@ -406,9 +423,10 @@ fn lauum(w: &mut [f64], n: usize, lo: usize, hi: usize, leaf: usize, scratch: &m
     lauum(w, n, mid, hi, leaf, scratch);
 }
 
-/// Turns `L` in solve form at `edge` (zero upper triangle) in `w` into
-/// `A⁻¹ = L⁻ᵀL⁻¹` in place: TRTRI, then LAUUM at leaves of `leaf`, then
-/// the upper triangle mirrored over the lower.
+/// Turns `L` in solve form at `edge` in `w` into `A⁻¹ = L⁻ᵀL⁻¹` in
+/// place: TRTRI, then LAUUM at leaves of `leaf`, then the upper triangle
+/// mirrored over the lower. The strict upper triangle is its workspace:
+/// every element of it is written before it is read.
 fn potri(w: &mut Matrix, leaf: usize, edge: usize) {
     let n = w.rows();
     let w = w.as_mut_slice();
@@ -423,7 +441,7 @@ fn potri(w: &mut Matrix, leaf: usize, edge: usize) {
 /// [`SOLVE_NB`], as [`cholesky_in_place`] leaves it: `x` becomes
 /// `op(L)⁻¹ · b` on the [`Side::Left`], `b · op(L)⁻¹` on the
 /// [`Side::Right`] (`op(L) = Lᵀ` when `trans`), reshaped to `b`'s shape
-/// with its storage reused. `b` is the solve's workspace and is left
+/// with its storage reused. Only `l`'s lower triangle is read. `b` is the solve's workspace and is left
 /// holding partial sums. With `x` large enough it allocates nothing; the
 /// result is bit-identical for any `SPDKFAC_THREADS` and across AVX2 /
 /// AVX-512 hosts.
@@ -616,9 +634,10 @@ pub fn pack_factor_into(l: &Matrix, dst: &mut [f64]) {
     }
 }
 
-/// The inverse of [`pack_factor_into`]: `out` (its storage reused)
-/// becomes the `dim × dim` lower-triangular matrix `packed` holds, with a
-/// zero upper triangle.
+/// The inverse of [`pack_factor_into`]: the lower triangle of `out`
+/// (reshaped to `dim × dim`, its storage reused) becomes the one `packed`
+/// holds. The strict upper triangle is not written: a square `out` of
+/// that size keeps what it held there.
 ///
 /// # Panics
 ///
@@ -635,7 +654,6 @@ pub fn unpack_factor_into(dim: usize, packed: &[f64], out: &mut Matrix) {
     for (i, row) in out.as_mut_slice().chunks_mut(dim.max(1)).enumerate() {
         let (head, tail) = rest.split_at(i + 1);
         row[..=i].copy_from_slice(head);
-        row[i + 1..].fill(0.0);
         rest = tail;
     }
 }
@@ -668,7 +686,8 @@ pub fn spd_inverse(a: &Matrix) -> Result<Matrix, TensorError> {
 }
 
 /// [`spd_inverse`] in the matrix's own storage: `a` holds the SPD matrix
-/// on entry (only its lower triangle is read) and its inverse on success.
+/// on entry (only its lower triangle is read) and its inverse on success;
+/// POTRI writes every element above the diagonal before it reads it.
 /// With this thread's scratch warm (one earlier call at this size) it
 /// allocates nothing. On error `a` holds a partial factorization.
 ///
@@ -702,15 +721,21 @@ mod tests {
         Ok(w)
     }
 
-    /// `m` with its `edge`-wide diagonal blocks inverted: plain `L` from
-    /// the solve form at `edge`, and the solve form from plain `L`.
+    /// `m`'s lower triangle with its `edge`-wide diagonal blocks inverted,
+    /// zero above the diagonal: plain `L` from the solve form at `edge`,
+    /// and the solve form from plain `L`.
     fn invert_blocks(m: &Matrix, edge: usize) -> Matrix {
         let (n, mut w) = (m.rows(), m.clone());
         let mut dinv = vec![0.0; edge.min(n).pow(2)];
         for j0 in (0..n).step_by(edge) {
             invert_diagonal_block(w.as_mut_slice(), n, j0, edge.min(n - j0), &mut dinv);
         }
-        w
+        with_upper(&w, 0.0)
+    }
+
+    /// The square `a` with every element above the diagonal set to `v`.
+    fn with_upper(a: &Matrix, v: f64) -> Matrix {
+        Matrix::from_fn(a.rows(), a.cols(), |i, j| if j > i { v } else { a[(i, j)] })
     }
 
     /// Plain `L` at leaves of `leaf` and solve blocks of `4 · leaf`: the
@@ -798,13 +823,17 @@ mod tests {
         }
     }
 
+    /// Given only `A`'s lower triangle, POTRF leaves a lower-triangular
+    /// `L`: nothing lands above the diagonal.
     #[test]
     fn factor_is_lower_triangular() {
-        let a = random_spd(6, 42);
-        let l = plain_factor(&a).unwrap();
-        for i in 0..6 {
-            for j in (i + 1)..6 {
-                assert_eq!(l[(i, j)], 0.0);
+        for n in [6usize, 97] {
+            let mut l = with_upper(&random_spd(n, 42), 0.0);
+            cholesky_in_place(&mut l).unwrap();
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    assert_eq!(l[(i, j)].to_bits(), 0, "n={n} ({i}, {j})");
+                }
             }
         }
     }
@@ -857,9 +886,9 @@ mod tests {
         assert!(ax.max_abs_diff(&b) < 1e-9);
     }
 
-    /// What [`cholesky_in_place`] leaves is `L` in solve form: a zero
-    /// upper triangle, `L` itself off the [`SOLVE_NB`] diagonal blocks and
-    /// their inverses on them — against the oracle's `L`.
+    /// What [`cholesky_in_place`] leaves is `L` in solve form: the upper
+    /// triangle untouched, `L` itself off the [`SOLVE_NB`] diagonal blocks
+    /// and their inverses on them — against the oracle's `L`.
     #[test]
     fn in_place_factor_is_the_solve_form_of_the_factorization() {
         for n in [1usize, 5, 24, 25, 70, SOLVE_NB + 1, 257] {
@@ -872,7 +901,7 @@ mod tests {
                 let block = i - i % SOLVE_NB;
                 for j in 0..n {
                     if j > i {
-                        assert_eq!(l[(i, j)], 0.0, "n={n} ({i}, {j})");
+                        assert_eq!(l[(i, j)].to_bits(), a[(i, j)].to_bits(), "n={n} ({i}, {j})");
                     } else if j < block {
                         let off = (l[(i, j)] - oracle[(i, j)]).abs() / scale;
                         assert!(off < 1e-12, "n={n} ({i}, {j}) off by {off:e}");
@@ -980,6 +1009,8 @@ mod tests {
         }
     }
 
+    /// The packed lower triangle unpacks to the same lower triangle, into
+    /// storage of any shape; a square of the size keeps its upper one.
     #[test]
     fn packed_factor_round_trips() {
         for n in [0usize, 1, 4, 30] {
@@ -987,9 +1018,71 @@ mod tests {
             cholesky_in_place(&mut l).unwrap();
             let mut packed = vec![f64::NAN; n * (n + 1) / 2];
             pack_factor_into(&l, &mut packed);
-            let mut back = Matrix::from_vec(1, 3, vec![7.0; 3]);
+            let (mut back, mut square) = (
+                Matrix::from_vec(1, 3, vec![7.0; 3]),
+                Matrix::from_vec(n, n, vec![f64::NAN; n * n]),
+            );
             unpack_factor_into(n, &packed, &mut back);
-            assert_eq!(back, l, "n={n}");
+            unpack_factor_into(n, &packed, &mut square);
+            assert_eq!(back.shape(), (n, n));
+            for i in 0..n {
+                for j in 0..n {
+                    if j <= i {
+                        assert_eq!(back[(i, j)], l[(i, j)], "n={n} ({i}, {j})");
+                        assert_eq!(square[(i, j)], l[(i, j)], "n={n} ({i}, {j})");
+                    } else {
+                        assert!(square[(i, j)].is_nan(), "n={n} ({i}, {j})");
+                    }
+                }
+            }
+        }
+    }
+
+    /// POTRF references only the lower triangle, as with `UPLO = 'L'`: a
+    /// NaN sentinel in every element above the diagonal comes out
+    /// bit-untouched, `L` and every solve with it are bit-equal to a
+    /// zero-upper run's, and [`spd_inverse`] (whose POTRI uses the upper
+    /// triangle as workspace) gives the bits of a POTRI on a zeroed one.
+    #[test]
+    fn potrf_leaves_the_upper_triangle_untouched() {
+        let sentinel = f64::from_bits(0x7ff8_dead_beef_0001);
+        for (s, d) in [24usize, 95, 97, 193, 256, 257].into_iter().enumerate() {
+            let mut rng = MatrixRng::new(600 + s as u64);
+            let a = rng.spd_matrix(d, 0.5);
+            let (mut zero, mut marked) = (with_upper(&a, 0.0), with_upper(&a, sentinel));
+            cholesky_in_place(&mut zero).unwrap();
+            cholesky_in_place(&mut marked).unwrap();
+            for i in 0..d {
+                for j in 0..d {
+                    let want = if j > i { sentinel } else { zero[(i, j)] };
+                    assert_eq!(marked[(i, j)].to_bits(), want.to_bits(), "d={d} ({i}, {j})");
+                }
+            }
+            for side in [Side::Left, Side::Right] {
+                let b = match side {
+                    Side::Left => rng.uniform_matrix(d, 33, -1.0, 1.0),
+                    Side::Right => rng.uniform_matrix(33, d, -1.0, 1.0),
+                };
+                for trans in [false, true] {
+                    let [x, y] = [&zero, &marked].map(|l| {
+                        let (mut work, mut x) = (b.clone(), Matrix::zeros(0, 0));
+                        solve_into(l, side, trans, &mut work, &mut x);
+                        bits(&x)
+                    });
+                    assert!(x == y, "d={d} {side:?} trans={trans}");
+                }
+            }
+            // The oracle: POTRI on a zeroed upper triangle.
+            let mut zeroed = zero.clone();
+            potri(&mut zeroed, CHOL_NB, SOLVE_NB);
+            let mut poisoned = marked;
+            potri(&mut poisoned, CHOL_NB, SOLVE_NB);
+            let inv = spd_inverse(&a).unwrap();
+            assert!(bits(&inv) == bits(&zeroed), "d={d}: spd_inverse");
+            assert!(
+                bits(&poisoned) == bits(&zeroed),
+                "d={d}: POTRI read its workspace"
+            );
         }
     }
 

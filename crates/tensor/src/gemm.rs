@@ -83,7 +83,8 @@ const PAR_FLOPS: usize = 4 << 20;
 /// Edge of the square tiles [`mirror_lower`] walks (both tiles of a pair
 /// stay in L1).
 const MIRROR_TILE: usize = 32;
-/// Largest `MR · NR` of any microkernel: scratch for ragged edge tiles.
+/// Largest `MR · NR` of any microkernel: scratch for ragged edge tiles
+/// and tiles a mask cuts.
 const MAX_TILE: usize = 8 * 24;
 
 /// A strided row-major operand: element `(i, j)` of the stored matrix is
@@ -152,12 +153,13 @@ impl<'a> Operand<'a> {
     }
 }
 
-/// A triangle of a matrix indexed from its top-left corner: which tiles
-/// of `C` the core computes, or which elements of an operand are live
-/// ([`Operand::triangle`]). A tile of `C` that straddles the diagonal is
-/// computed in full, so the elements of the other triangle next to the
-/// diagonal hold partial garbage: callers mirror over them
-/// (`mirror_lower`) or ignore them.
+/// A triangle of a matrix indexed from its top-left corner: which
+/// elements of `C` the core writes, or which elements of an operand are
+/// live ([`Operand::triangle`]). Tiles wholly outside the triangle are
+/// skipped; a tile that straddles the diagonal is computed in full in a
+/// scratch tile and only its elements inside the triangle land in `C`, so
+/// the other triangle of `C` is never touched (a Cholesky factor keeps
+/// its running average there, [`crate::chol`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mask {
     /// Every tile / element.
@@ -803,8 +805,10 @@ struct Placement {
 
 /// One packed `mc × kc` A block times the packed `kc × nc` B block into
 /// the task's rows of C (`c` starts at row `place.i0`, column 0). Each
-/// tile skips what `place.mask` excludes and runs the microkernel over
-/// only the depths both of its panels can be live at.
+/// tile skips what `place.mask` excludes, runs the microkernel over only
+/// the depths both of its panels can be live at, and lands through the
+/// scratch tile, element by element, when it is ragged or the mask cuts
+/// it.
 fn block<K: Micro>(
     apack: &[f64],
     bpack: &[f64],
@@ -831,18 +835,29 @@ fn block<K: Micro>(
             let lo = alo.max(blo).max(place.depth.start);
             let hi = ahi.min(bhi).min(place.depth.end);
             let at = ir * ldc + j;
+            // The columns of the tile's row `r` that the mask keeps.
+            let kept = |r: usize| match place.mask {
+                Mask::Full => 0..cols,
+                Mask::Lower => 0..cols.min((i + r + 1).saturating_sub(j)),
+                Mask::Upper => (i + r).saturating_sub(j).min(cols)..cols,
+            };
             if lo >= hi {
                 // Nothing live: the product is zero here.
                 if place.set {
-                    for crow in c[at..].chunks_mut(ldc).take(rows) {
-                        crow[..cols].fill(0.0);
+                    for (r, crow) in c[at..].chunks_mut(ldc).take(rows).enumerate() {
+                        crow[kept(r)].fill(0.0);
                     }
                 }
                 continue;
             }
             let (off, depth) = (lo - place.depth.start, hi - lo);
             let (ap, bp) = (&apanel[off * K::MR..], &bpanel[off * K::NR..]);
-            if rows == K::MR && cols == K::NR {
+            let straddles = match place.mask {
+                Mask::Full => false,
+                Mask::Lower => j + cols > i + 1,
+                Mask::Upper => i + rows > j + 1,
+            };
+            if rows == K::MR && cols == K::NR && !straddles {
                 let tile = &mut c[at..at + (K::MR - 1) * ldc + K::NR];
                 // SAFETY: `run` dispatched on a supported kernel; the
                 // panels hold `depth * MR` / `depth * NR` elements from
@@ -872,8 +887,8 @@ fn block<K: Micro>(
                     )
                 };
                 for (r, erow) in edge.chunks_exact(K::NR).take(rows).enumerate() {
-                    let crow = &mut c[at + r * ldc..][..cols];
-                    for (cv, &e) in crow.iter_mut().zip(erow) {
+                    let (crow, keep) = (&mut c[at + r * ldc..][..cols], kept(r));
+                    for (cv, &e) in crow[keep.clone()].iter_mut().zip(&erow[keep]) {
                         *cv = if place.set { e } else { *cv + e };
                     }
                 }
@@ -899,9 +914,10 @@ pub(crate) fn mirror_lower(c: &mut [f64], n: usize) {
 }
 
 /// Copies the strict upper triangle of a square row-major `n × n` buffer
-/// over the lower one, tile by tile: the transpose of [`mirror_lower`],
-/// writing each lower row segment contiguously.
-pub(crate) fn mirror_upper(c: &mut [f64], n: usize) {
+/// over the lower one, tile by tile: the transpose of `mirror_lower`,
+/// writing each lower row segment contiguously (the expansion of a
+/// running factor kept in the upper triangle, `spdkfac_core::factors`).
+pub fn mirror_upper(c: &mut [f64], n: usize) {
     for i0 in (0..n).step_by(MIRROR_TILE) {
         let i1 = (i0 + MIRROR_TILE).min(n);
         for j0 in (0..i1).step_by(MIRROR_TILE) {
@@ -1146,17 +1162,7 @@ mod tests {
                         let (oa, ob) = (Operand::new(&a, lda), Operand::new(&b, ldb));
                         let (oa, ob) = (if ta { oa.t() } else { oa }, if tb { ob.t() } else { ob });
                         gemm_with(kernel, Land::Add, alpha, m, k, n, oa, ob, &mut c, ldc, mask);
-                        // What a masked call leaves in the other triangle
-                        // depends on the tile shape; callers never read it.
-                        let kept = |i: usize, j: usize| match mask {
-                            Mask::Full => true,
-                            Mask::Lower => j <= i,
-                            Mask::Upper => j >= i,
-                        };
-                        (0..m * ldc)
-                            .filter(|&at| kept(at / ldc, at % ldc))
-                            .map(|at| c[at].to_bits())
-                            .collect::<Vec<u64>>()
+                        c.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
                     };
                     let first = run(kernels[0]);
                     for &other in &kernels[1..] {

@@ -596,7 +596,7 @@ fn product_into(
 }
 
 /// One exponential-moving-average step: `decay · a + (1 − decay) · b`.
-pub(crate) fn ema(decay: f64, a: f64, b: f64) -> f64 {
+pub fn ema(decay: f64, a: f64, b: f64) -> f64 {
     decay * a + (1.0 - decay) * b
 }
 

@@ -4,14 +4,14 @@
 //! the paper only ever communicates the `d(d+1)/2` upper-triangle elements
 //! (§III-A counts factor traffic this way; §V-B broadcasts inverses this
 //! way). [`SymPacked`] is that wire format: a flat buffer that all-reduce and
-//! broadcast operate on directly, and the form in which the trainers keep
-//! the running factors: a landing message is folded in with one contiguous
-//! EMA ([`SymPacked::ema_update`]) and a factor is expanded only into the
-//! storage that consumes it ([`SymPacked::damped_into`] writes `F + γI`
-//! into the buffer POTRF factors in place).
+//! broadcast operate on directly, and the form in which a checkpoint
+//! carries a running factor. The trainers keep a running factor in the
+//! upper triangle of the square its Cholesky factor lives in
+//! (`spdkfac_core::factors`), folding a landing message's rows straight
+//! into it.
 
 use crate::gemm::mirror_upper;
-use crate::matrix::{ema, Matrix};
+use crate::matrix::Matrix;
 
 /// A symmetric `d × d` matrix stored as its packed upper triangle
 /// (row-major: `(0,0), (0,1), …, (0,d-1), (1,1), …`).
@@ -150,27 +150,15 @@ impl SymPacked {
     ///
     /// Panics if `packed.len() != dim*(dim+1)/2`.
     pub fn unpack(dim: usize, packed: &[f64]) -> Matrix {
-        let mut m = Matrix::zeros(dim, dim);
-        SymPacked::unpack_into(packed, &mut m);
-        m
-    }
-
-    /// [`SymPacked::unpack`] into an existing `dim × dim` matrix (every
-    /// element is overwritten): the packed rows are copied into the upper
-    /// triangle in order, then mirrored onto the lower one in 32 × 32 tile
-    /// pairs, so both the packed source and the dense rows are walked
-    /// contiguously.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is not square or `packed` is not its triangle.
-    pub fn unpack_into(packed: &[f64], out: &mut Matrix) {
-        let dim = out.rows();
-        assert!(
-            out.is_square() && packed.len() == packed_len(dim),
+        assert_eq!(
+            packed.len(),
+            packed_len(dim),
             "SymPacked::unpack: buffer length mismatch for dim {dim}"
         );
-        let out = out.as_mut_slice();
+        // The packed rows into the upper triangle in order, then mirrored
+        // onto the lower one in tile pairs: both walked contiguously.
+        let mut m = Matrix::zeros(dim, dim);
+        let out = m.as_mut_slice();
         let mut rest = packed;
         for i in 0..dim {
             let (row, tail) = rest.split_at(dim - i);
@@ -178,38 +166,7 @@ impl SymPacked {
             rest = tail;
         }
         mirror_upper(out, dim);
-    }
-
-    /// The running-average fold: `self = decay · self + (1 − decay) · p`,
-    /// with `p` a packed triangle of the same dimension (e.g. an
-    /// aggregated statistic's slice of its factor message), in one
-    /// contiguous pass. Each element is updated exactly as
-    /// [`Matrix::ema_update`] updates it in the expanded matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `packed` is not `d(d+1)/2` long.
-    pub fn ema_update(&mut self, decay: f64, packed: &[f64]) {
-        assert_eq!(
-            packed.len(),
-            self.data.len(),
-            "SymPacked::ema_update: buffer length mismatch for dim {}",
-            self.dim
-        );
-        for (a, &b) in self.data.iter_mut().zip(packed) {
-            *a = ema(decay, *a, b);
-        }
-    }
-
-    /// `self + γI`, expanded into `out` (reshaped to `d × d`, its storage
-    /// reused) — the buffer [`crate::chol::cholesky_in_place`] then factors
-    /// in place. Element for element the bits of [`Matrix::damped_into`]
-    /// on the expanded matrix.
-    pub fn damped_into(&self, gamma: f64, out: &mut Matrix) {
-        let d = self.dim;
-        out.reshape_for_overwrite(d, d);
-        SymPacked::unpack_into(&self.data, out);
-        out.add_scaled_identity(gamma);
+        m
     }
 
     /// `self += alpha * other`, element-wise on the packed buffers (what a

@@ -14,9 +14,10 @@
 //! every thread's allocations minus its frees, above what was live when
 //! the session started (the dataset is the caller's) — beside the state
 //! the shapes imply: parameters, gradients, a velocity when the momentum
-//! is not 0, the running packed factors, the dense `L`s and every message
-//! of an iteration (the arena's capacity when no two payloads share a
-//! slot). The difference is what the session holds that is not state.
+//! is not 0, the factor squares (each `n × n` square holds a running
+//! factor above its diagonal and its `L` on and below it, plus an
+//! `n`-vector for the running factor's diagonal) and every message of an
+//! iteration (the arena's capacity when no two payloads share a slot). The difference is what the session holds that is not state.
 //!
 //! **Iteration table.** Per algorithm, 2-rank in-process sessions (each
 //! rank on a thread of this program, its collectives on the group's own
@@ -183,15 +184,14 @@ fn config(algorithm: Algorithm, comm_model: Option<AlphaBetaModel>) -> Distribut
 }
 
 /// Bytes of the state a session of `cfg` on `net` has to hold, both ranks:
-/// `[parameters, gradients, velocity, running packed factors, dense Ls,
-/// messages]`.
-fn implied_state(cfg: &DistributedConfig, net: &Sequential) -> [usize; 6] {
+/// `[parameters, gradients, velocity, factor squares, messages]`.
+fn implied_state(cfg: &DistributedConfig, net: &Sequential) -> [usize; 5] {
     let params = net.num_params();
     let dims = net.kfac_dims().into_iter().flat_map(|(a, g)| [a, g]);
     let packed: usize = dims.clone().map(|d| d * (d + 1) / 2).sum();
-    let dense: usize = dims.map(|d| d * d).sum();
+    let squares: usize = dims.map(|d| d * d + d).sum();
     let velocity = if cfg.kfac.momentum != 0.0 { params } else { 0 };
-    [params, params, velocity, packed, dense, packed + params].map(|n| n * 8 * WORLD)
+    [params, params, velocity, squares, packed + params].map(|n| n * 8 * WORLD)
 }
 
 /// One `spd_loopback` set-up pass: 2 ranks joined over 127.0.0.1.
@@ -247,8 +247,7 @@ fn session_table(data: &Dataset) {
         "parameters",
         "gradients",
         "velocity",
-        "running packed factors",
-        "dense `L`s",
+        "factor squares (running factor + `L`)",
         "messages (arena capacity)",
     ];
     for (owner, bytes) in owners.iter().zip(state) {

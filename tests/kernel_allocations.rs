@@ -2,15 +2,17 @@
 //! counting global allocator): once every pool lane's pack buffers have
 //! grown to the shapes in use, a product allocates its result and nothing
 //! else of 4 KiB or more — no per-call pack buffer, no per-block scratch —
-//! and an `_into` product, the packed statistic, its fold into a packed
-//! running factor, the damped expansion into `L`'s storage, an in-place
-//! inverse or factorization, or a solve into kept storage allocates
-//! nothing.
+//! and an `_into` product, the packed statistic, its fold into the
+//! running factor's square, the refresh (expansion and factorization in
+//! that square), an in-place inverse, or a solve into kept storage
+//! allocates nothing.
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
 
 use counting_alloc::{CountingAlloc, ARMED, BIG, BIG_ALLOCS};
+use spdkfac::core::error::FactorSide;
+use spdkfac::core::factors::FactorState;
 use spdkfac::tensor::chol::Side;
 use spdkfac::tensor::kron::precondition_gradient_chol_in_place;
 use spdkfac::tensor::rng::MatrixRng;
@@ -92,7 +94,9 @@ fn warm_in_place_kernels_allocate_nothing() {
         rng.uniform_matrix(BATCH, D - 1, -1.0, 1.0),
     );
     let factor = rng.spd_matrix(D, 0.1);
-    let mut running = SymPacked::from_matrix(&factor);
+    let mut running = FactorState::new(0);
+    let first = SymPacked::from_matrix(&factor);
+    running.update_packed(FactorSide::G, D, first.as_slice(), 0.95);
     let mut packed_stat = vec![0.0; packed_len(D)];
     let bias = rng.uniform_matrix(D, 1, -1.0, 1.0);
     let (mut product, mut grad, mut stat, mut inv) = (
@@ -101,8 +105,7 @@ fn warm_in_place_kernels_allocate_nothing() {
         Matrix::zeros(0, 0),
         Matrix::zeros(0, 0),
     );
-    let (mut l, mut dir, mut dir_b, mut solved) = (
-        Matrix::zeros(0, 0),
+    let (mut dir, mut dir_b, mut solved) = (
         Matrix::zeros(0, 0),
         Matrix::zeros(0, 0),
         Matrix::zeros(0, 0),
@@ -113,19 +116,19 @@ fn warm_in_place_kernels_allocate_nothing() {
         factor.damped_into(0.1, &mut inv);
         chol::spd_inverse_in_place(&mut inv).expect("SPD");
         // The trainer's statistic, packed into its message slot, and its
-        // landing, folded into the packed running factor.
+        // landing, folded into the upper triangle of the factor's square.
         x.gramian_packed_into(BATCH as f64, &mut stat, &mut packed_stat);
-        running.ema_update(0.95, &packed_stat);
-        // The refresh and directions: the damped factor expanded into `L`'s
-        // storage, POTRF into solve form there, then a weight's four
-        // solves and a bias's two.
-        running.damped_into(0.1, &mut l);
-        chol::cholesky_in_place(&mut l).expect("SPD");
+        running.update_packed(FactorSide::G, D, &packed_stat, 0.95);
+        // The refresh and directions: the damped factor mirrored over the
+        // lower triangle, POTRF into solve form there, then a weight's
+        // four solves and a bias's two.
+        running.invert(FactorSide::G, 0.1).expect("SPD");
+        let l = running.chol(FactorSide::G).expect("factored");
         dir.clone_from(&a);
-        precondition_gradient_chol_in_place(&mut dir, &l, &l, &mut solved);
+        precondition_gradient_chol_in_place(&mut dir, l, l, &mut solved);
         dir_b.clone_from(&bias);
-        chol::solve_into(&l, Side::Left, false, &mut dir_b, &mut solved);
-        chol::solve_into(&l, Side::Left, true, &mut solved, &mut dir_b);
+        chol::solve_into(l, Side::Left, false, &mut dir_b, &mut solved);
+        chol::solve_into(l, Side::Left, true, &mut solved, &mut dir_b);
     };
     // Warm-up, on every lane of the pool as in the test above, then on
     // this thread: pack buffers, the inverse's scratch and the outputs.

@@ -54,16 +54,18 @@ fn config(momentum: f64) -> DistributedConfig {
 }
 
 /// Bytes of the state a session of `cfg` on `net` has to hold, both ranks:
-/// parameters, gradients, a velocity with momentum, the running packed
-/// factors, the dense `L`s and every message of an iteration.
+/// parameters, gradients, a velocity with momentum, one `n × n` square
+/// per Kronecker factor (the running factor above the diagonal, its `L` on
+/// and below it) plus an `n`-vector (the running factor's diagonal), and
+/// every message of an iteration.
 fn implied_state(cfg: &DistributedConfig, net: &Sequential) -> usize {
     let params = net.num_params();
     let dims = net.kfac_dims().into_iter().flat_map(|(a, g)| [a, g]);
     let packed: usize = dims.clone().map(|d| d * (d + 1) / 2).sum();
-    let dense: usize = dims.map(|d| d * d).sum();
+    let squares: usize = dims.map(|d| d * d + d).sum();
     let velocity = if cfg.kfac.momentum != 0.0 { params } else { 0 };
     let messages = packed + params;
-    (params + params + velocity + packed + dense + messages) * 8 * WORLD
+    (params + params + velocity + squares + messages) * 8 * WORLD
 }
 
 /// One in-process session: its live-heap high-water above what was live
