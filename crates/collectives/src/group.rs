@@ -20,6 +20,14 @@
 //! The endpoint API is identical on both backends, so the trainers in
 //! `spdkfac-core` run unchanged across threads or processes.
 //!
+//! ## Buffers
+//!
+//! A collective consumes its buffer and hands it back through its
+//! [`PendingOp`]: one flat `Vec<f64>`, or an ordered list of parts
+//! (`Vec<Vec<f64>>`, see [`Buffer`]) that the ring reduces as their
+//! concatenation — a gradient message travels in its parameters' own
+//! storage, each part coming back averaged in place.
+//!
 //! ## Failure model
 //!
 //! Collectives return [`OpResult`] — `Ok` with the produced buffer, or a
@@ -50,16 +58,53 @@ use crate::transport::{channel_ring, Transport};
 use crate::wire::{WireFormat, WirePolicy};
 use spdkfac_obs::{CollEdge, Phase, Recorder, Span, SpanMeta};
 use std::borrow::Cow;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Result of a collective: the produced buffer, or the transport error
-/// that broke the ring.
+/// Result of a collective on a flat buffer: the produced buffer, or the
+/// transport error that broke the ring.
 pub type OpResult = Result<Vec<f64>, CommError>;
 
-/// Handle to an in-flight asynchronous collective.
+/// What the comm thread hands back: the buffer's parts.
+type PartsResult = Result<Vec<Vec<f64>>, CommError>;
+
+/// What a collective runs over: a flat buffer (`Vec<f64>`, travelling as
+/// one part) or an ordered list of parts (`Vec<Vec<f64>>`) whose
+/// concatenation the ring reduces or broadcasts. The split into parts is
+/// local: ranks may cut the same buffer differently, and the frames and
+/// results are those of the flat concatenation.
+pub trait Buffer: Sized {
+    /// The buffer as the parts the ring runs over.
+    fn into_parts(self) -> Vec<Vec<f64>>;
+    /// The buffer back from the parts [`Buffer::into_parts`] made.
+    fn from_parts(parts: Vec<Vec<f64>>) -> Self;
+}
+
+impl Buffer for Vec<f64> {
+    fn into_parts(self) -> Vec<Vec<f64>> {
+        vec![self]
+    }
+
+    fn from_parts(parts: Vec<Vec<f64>>) -> Self {
+        let [flat] = <[Vec<f64>; 1]>::try_from(parts).expect("a flat buffer is one part");
+        flat
+    }
+}
+
+impl Buffer for Vec<Vec<f64>> {
+    fn into_parts(self) -> Vec<Vec<f64>> {
+        self
+    }
+
+    fn from_parts(parts: Vec<Vec<f64>>) -> Self {
+        parts
+    }
+}
+
+/// Handle to an in-flight asynchronous collective over a `B`.
 ///
 /// Dropping the handle without calling [`PendingOp::wait`] detaches the
 /// operation; it still completes on the communication thread (all ranks must
@@ -68,28 +113,32 @@ pub type OpResult = Result<Vec<f64>, CommError>;
 /// `drop(..)` or `let _ = ..` when that is really intended).
 #[derive(Debug)]
 #[must_use = "dropping a PendingOp silently discards the collective's transport error"]
-pub struct PendingOp {
-    reply: Receiver<OpResult>,
+pub struct PendingOp<B = Vec<f64>> {
+    reply: Receiver<PartsResult>,
+    buffer: PhantomData<fn() -> B>,
 }
 
-impl PendingOp {
-    /// Blocks until the collective finishes and returns its [`OpResult`].
+fn thread_gone() -> CommError {
+    CommError::Disconnected("communication thread terminated before op completed".into())
+}
+
+impl<B: Buffer> PendingOp<B> {
+    /// Blocks until the collective finishes and returns its buffer.
     ///
     /// Transport failures — including a communication thread that died
     /// before completing the operation — surface as `Err`, never as a
     /// panic.
-    #[must_use = "a dropped OpResult hides a possible transport failure"]
-    pub fn wait(self) -> OpResult {
-        self.reply.recv().unwrap_or_else(|_| {
-            Err(CommError::Disconnected(
-                "communication thread terminated before op completed".into(),
-            ))
-        })
+    #[must_use = "a dropped result hides a possible transport failure"]
+    pub fn wait(self) -> Result<B, CommError> {
+        self.reply
+            .recv()
+            .unwrap_or_else(|_| Err(thread_gone()))
+            .map(B::from_parts)
     }
 
     /// [`PendingOp::wait`] for callers on the infallible in-process path:
     /// unwraps the output, panicking with the transport error otherwise.
-    pub fn wait_expect(self) -> Vec<f64> {
+    pub fn wait_expect(self) -> B {
         self.wait()
             .unwrap_or_else(|e| panic!("collective failed: {e}"))
     }
@@ -97,13 +146,11 @@ impl PendingOp {
     /// Non-blocking completion check; returns the op's result when ready
     /// (which may itself be a transport error) or the handle to retry.
     #[must_use = "dropping the poll result loses both the handle and any transport error"]
-    pub fn try_wait(self) -> Result<OpResult, PendingOp> {
+    pub fn try_wait(self) -> Result<Result<B, CommError>, Self> {
         match self.reply.try_recv() {
-            Ok(r) => Ok(r),
+            Ok(r) => Ok(r.map(B::from_parts)),
             Err(TryRecvError::Empty) => Err(self),
-            Err(TryRecvError::Disconnected) => Ok(Err(CommError::Disconnected(
-                "communication thread terminated before op completed".into(),
-            ))),
+            Err(TryRecvError::Disconnected) => Ok(Err(thread_gone())),
         }
     }
 }
@@ -117,13 +164,13 @@ fn edge(call: Collective) -> CollEdge {
     }
 }
 
-/// One queued collective (the payload of a [`Request::Op`]): the buffer it
-/// consumes and returns, and where the result goes.
+/// One queued collective (the payload of a [`Request::Op`]): the parts of
+/// the buffer it consumes and returns, and where the result goes.
 #[derive(Debug)]
 struct CollOp {
     call: Collective,
-    data: Vec<f64>,
-    reply: Sender<OpResult>,
+    data: Vec<Vec<f64>>,
+    reply: Sender<PartsResult>,
 }
 
 #[derive(Debug)]
@@ -226,9 +273,10 @@ impl WorkerComm {
         self.plan_generation.load(Ordering::Relaxed)
     }
 
-    fn submit(&self, call: Collective, data: Vec<f64>) -> PendingOp {
+    fn submit<B: Buffer>(&self, call: Collective, data: B) -> PendingOp<B> {
         let (reply, result) = channel();
         let phase = self.phase();
+        let data = data.into_parts();
         self.req_tx
             .send(Request::Op {
                 fmt: self.policy.format_for(phase, call.kind()),
@@ -237,23 +285,26 @@ impl WorkerComm {
                 generation: self.generation(),
             })
             .expect("communication thread terminated");
-        PendingOp { reply: result }
+        PendingOp {
+            reply: result,
+            buffer: PhantomData,
+        }
     }
 
     /// Asynchronous averaging all-reduce; consumes the buffer and returns a
     /// handle producing the averaged buffer.
-    pub fn allreduce_avg_async(&self, data: Vec<f64>) -> PendingOp {
+    pub fn allreduce_avg_async<B: Buffer>(&self, data: B) -> PendingOp<B> {
         self.submit(Collective::AllReduceAvg, data)
     }
 
     /// Asynchronous summing all-reduce.
-    pub fn allreduce_sum_async(&self, data: Vec<f64>) -> PendingOp {
+    pub fn allreduce_sum_async<B: Buffer>(&self, data: B) -> PendingOp<B> {
         self.submit(Collective::AllReduceSum, data)
     }
 
     /// Asynchronous broadcast from `root`; non-root payloads are replaced by
     /// the root's data (they must still be sized correctly).
-    pub fn broadcast_async(&self, data: Vec<f64>, root: usize) -> PendingOp {
+    pub fn broadcast_async<B: Buffer>(&self, data: B, root: usize) -> PendingOp<B> {
         self.submit(Collective::Broadcast { root }, data)
     }
 
@@ -728,7 +779,7 @@ fn execute(
     op: CollOp,
     fmt: WireFormat,
     ahead: &mut dyn Lookahead,
-) -> (Sender<OpResult>, OpResult) {
+) -> (Sender<PartsResult>, PartsResult) {
     let CollOp {
         call,
         mut data,
@@ -770,7 +821,7 @@ fn comm_thread_main(mut ring: RingEndpoint, mut inbox: Inbox) {
                     ring.nothing_was_ready();
                 }
                 let kind = op.call.kind();
-                let elements = op.data.len();
+                let elements = op.data.iter().map(Vec::len).sum();
                 let edge = edge(op.call);
                 let seq = executed;
                 executed += 1;

@@ -35,6 +35,9 @@
 //! - Collective calls must be made by **all ranks in the same order**
 //!   (standard SPMD contract). The trainers in `spdkfac-core` guarantee this
 //!   by deriving the order from the deterministic layer traversal.
+//! - A collective's buffer is a flat `Vec<f64>` or an ordered list of
+//!   parts ([`Buffer`]) reduced as their concatenation, with the same
+//!   frames and bits either way.
 //! - Transport failures (TCP timeouts, peer hangups) surface as
 //!   [`CommError`] through [`PendingOp::wait`]'s [`OpResult`]; the
 //!   synchronous wrappers panic instead (they are documented thin wrappers
@@ -84,8 +87,8 @@ pub mod transport;
 pub mod wire;
 
 pub use group::{
-    connect_elastic, Backend, CommGroup, CommGroupBuilder, ElasticEndpoint, OpResult, PendingOp,
-    WorkerComm,
+    connect_elastic, Backend, Buffer, CommGroup, CommGroupBuilder, ElasticEndpoint, OpResult,
+    PendingOp, WorkerComm,
 };
 
 pub use error::CommError;

@@ -33,6 +33,12 @@
 //! steady-state collective allocates nothing. DESIGN.md §2.10 has the full
 //! picture.
 //!
+//! A collective's buffer is an ordered list of parts (a flat buffer is the
+//! one-part case): chunks and slices cut the parts' concatenation exactly
+//! as they would cut one flat buffer, and a slice is encoded and decoded
+//! piece by piece where it covers more than one part. Frames, and the
+//! order of every sum, do not depend on where the parts meet.
+//!
 //! The same hop sequence runs whether the neighbours are threads (byte
 //! pipes) or processes (TCP sockets), which is what makes the two backends
 //! bit-identical. Transport failures and frames that contradict what a hop
@@ -174,13 +180,130 @@ impl Pacer {
     }
 }
 
+/// Consecutive elements of the concatenation of a list of parts, borrowed
+/// as three kinds of piece: the end of the part they start in, the parts
+/// they cover whole, and the start of the part they end in. Cut with
+/// `split_at_mut` only, so a view costs no allocation wherever its edges
+/// fall.
+struct View<'a> {
+    head: &'a mut [f64],
+    whole: &'a mut [Vec<f64>],
+    tail: &'a mut [f64],
+}
+
+impl<'a> View<'a> {
+    /// All of `parts`.
+    fn new(parts: &'a mut [Vec<f64>]) -> View<'a> {
+        View {
+            head: &mut [],
+            whole: parts,
+            tail: &mut [],
+        }
+    }
+
+    fn len(&self) -> usize {
+        let whole: usize = self.whole.iter().map(Vec::len).sum();
+        self.head.len() + whole + self.tail.len()
+    }
+
+    /// The same elements, for a shorter borrow.
+    fn reborrow(&mut self) -> View<'_> {
+        View {
+            head: &mut *self.head,
+            whole: &mut *self.whole,
+            tail: &mut *self.tail,
+        }
+    }
+
+    /// Elements `..mid` and `mid..`.
+    fn split_at(self, mut mid: usize) -> (View<'a>, View<'a>) {
+        let View { head, whole, tail } = self;
+        if mid <= head.len() {
+            let (a, b) = head.split_at_mut(mid);
+            return (
+                View::piece(a),
+                View {
+                    head: b,
+                    whole,
+                    tail,
+                },
+            );
+        }
+        mid -= head.len();
+        // The whole part `mid` falls in, if it is not in the tail.
+        let mut i = 0;
+        while i < whole.len() && mid > whole[i].len() {
+            mid -= whole[i].len();
+            i += 1;
+        }
+        if i == whole.len() {
+            let (a, b) = tail.split_at_mut(mid);
+            return (
+                View {
+                    head,
+                    whole,
+                    tail: a,
+                },
+                View::piece(b),
+            );
+        }
+        let (before, rest) = whole.split_at_mut(i);
+        let (part, after) = rest.split_first_mut().expect("part i exists");
+        let (a, b) = part.split_at_mut(mid);
+        let left = View {
+            head,
+            whole: before,
+            tail: a,
+        };
+        let right = View {
+            head: b,
+            whole: after,
+            tail,
+        };
+        (left, right)
+    }
+
+    fn piece(head: &'a mut [f64]) -> View<'a> {
+        View {
+            head,
+            whole: &mut [],
+            tail: &mut [],
+        }
+    }
+
+    /// Elements `r`.
+    fn range(self, r: Range<usize>) -> View<'a> {
+        self.split_at(r.end).0.split_at(r.start).1
+    }
+
+    /// Calls `f(piece, at)` for the pieces elements `r` span, in order:
+    /// `at` is where `piece` starts within `r`.
+    fn pieces(&mut self, r: Range<usize>, mut f: impl FnMut(&mut [f64], usize)) {
+        let whole = self.whole.iter_mut().map(Vec::as_mut_slice);
+        let all = std::iter::once(&mut *self.head)
+            .chain(whole)
+            .chain(std::iter::once(&mut *self.tail));
+        let mut start = 0;
+        for p in all {
+            let (lo, hi) = (r.start.max(start), r.end.min(start + p.len()));
+            if lo < hi {
+                f(&mut p[lo - start..hi - start], lo - r.start);
+            }
+            start += p.len();
+            if start >= r.end {
+                break;
+            }
+        }
+    }
+}
+
 /// What a rank puts on the wire during one [`RingEndpoint::hop`].
 enum Tx<'a> {
     /// Freshly encoded values (accumulating hops).
-    Fresh(&'a [f64]),
+    Fresh(View<'a>),
     /// Freshly encoded values that every rank must end up agreeing on: each
     /// slice is overwritten with its own decode, landed through the sink.
-    Replicated(&'a mut [f64], Sink),
+    Replicated(View<'a>, Sink),
     /// The body kept by the previous hop, verbatim, under this origin.
     Carry { origin: usize },
     /// The frame this hop receives, header and all, slice by slice as it
@@ -204,7 +327,7 @@ struct Rx<'a> {
     /// The origin the frame must name.
     origin: usize,
     /// Where the decoded values go: the frame must carry exactly as many.
-    dst: &'a mut [f64],
+    dst: View<'a>,
     /// How they land there.
     sink: Sink,
 }
@@ -271,8 +394,9 @@ pub struct Queued<'a> {
     pub call: Collective,
     /// Its wire format — a property of its frames, not of the endpoint.
     pub fmt: WireFormat,
-    /// Its buffer, as [`RingEndpoint`]'s method of the same name takes it.
-    pub data: &'a mut [f64],
+    /// Its buffer's parts, as [`RingEndpoint`]'s method of the same name
+    /// takes them.
+    pub data: &'a mut [Vec<f64>],
 }
 
 /// The caller's queue of collectives, as far as the ring needs to see it.
@@ -442,25 +566,29 @@ impl RingEndpoint {
         total: usize,
     ) -> Option<Instant> {
         let bytes = slice(i, total);
-        if let Tx::Fresh(_) | Tx::Replicated(..) = tx {
-            let eb = elem_bytes(fmt);
-            let elems = bytes.start / eb..bytes.end / eb;
-            let buf = window(&mut self.tx[(half + i) % 2], 0, bytes.len());
-            let t0 = Instant::now();
-            let err = match tx {
-                Tx::Replicated(vals, sink) => {
-                    let err = wire::encode_into(fmt, &vals[elems.clone()], buf);
-                    // The lossless round trip is the identity.
-                    if !(fmt.is_lossless() && *sink == Sink::Store) {
-                        wire::decode(fmt, buf, &mut vals[elems], *sink);
-                    }
-                    err
-                }
-                Tx::Fresh(vals) => wire::encode_into(fmt, &vals[elems], buf),
-                Tx::Carry { .. } | Tx::Forward => unreachable!("matched above"),
-            };
-            self.note_codec(t0, err);
-        }
+        let (vals, back) = match tx {
+            Tx::Fresh(vals) => (vals, None),
+            // The lossless round trip is the identity.
+            Tx::Replicated(vals, sink) => {
+                let identity = fmt.is_lossless() && *sink == Sink::Store;
+                (vals, (!identity).then_some(*sink))
+            }
+            Tx::Carry { .. } | Tx::Forward => {
+                return self.pacer.reserve(bytes.len(), &mut self.codec)
+            }
+        };
+        let eb = elem_bytes(fmt);
+        let buf = window(&mut self.tx[(half + i) % 2], 0, bytes.len());
+        let t0 = Instant::now();
+        let mut err = 0.0f64;
+        vals.pieces(bytes.start / eb..bytes.end / eb, |piece, at| {
+            let out = &mut buf[at * eb..(at + piece.len()) * eb];
+            err = err.max(wire::encode_into(fmt, piece, out));
+            if let Some(sink) = back {
+                wire::decode(fmt, out, piece, sink);
+            }
+        });
+        self.note_codec(t0, err);
         self.pacer.reserve(bytes.len(), &mut self.codec)
     }
 
@@ -482,15 +610,16 @@ impl RingEndpoint {
 
     /// The frame a queued collective opens with on this rank, if its first
     /// hop sends one of its own.
-    fn first_tx<'a>(&self, call: Collective, data: &'a mut [f64]) -> Option<Tx<'a>> {
+    fn first_tx<'a>(&self, call: Collective, data: &'a mut [Vec<f64>]) -> Option<Tx<'a>> {
         let (p, rank) = (self.world, self.rank);
         if p == 1 {
             return None;
         }
+        let data = View::new(data);
         match call {
             Collective::AllReduceSum | Collective::AllReduceAvg => {
-                let data: &'a [f64] = data;
-                Some(Tx::Fresh(&data[chunk_range(data.len(), p, rank)]))
+                let mine = chunk_range(data.len(), p, rank);
+                Some(Tx::Fresh(data.range(mine)))
             }
             Collective::Broadcast { root } => {
                 (rank == root).then_some(Tx::Replicated(data, Sink::Store))
@@ -536,8 +665,8 @@ impl RingEndpoint {
                     unreachable!("a hop re-sends only what it receives")
                 };
                 let mut tx = match then {
-                    Then::Replicated(sink) => Tx::Replicated(&mut *rx.dst, *sink),
-                    _ => Tx::Fresh(&*rx.dst),
+                    Then::Replicated(sink) => Tx::Replicated(rx.dst.reborrow(), *sink),
+                    _ => Tx::Fresh(rx.dst.reborrow()),
                 };
                 Some(self.open(fmt, &mut tx, half))
             }
@@ -694,8 +823,10 @@ impl RingEndpoint {
                         .flatten();
                     let got = &self.rx[at..at + bytes.len()];
                     let t0 = Instant::now();
-                    let elems = bytes.start / eb..bytes.end / eb;
-                    wire::decode(fmt, got, &mut rx.dst[elems], rx.sink);
+                    let sink = rx.sink;
+                    rx.dst.pieces(bytes.start / eb..bytes.end / eb, |piece, k| {
+                        wire::decode(fmt, &got[k * eb..(k + piece.len()) * eb], piece, sink)
+                    });
                     self.codec.codec_secs += t0.elapsed().as_secs_f64();
                     if forward {
                         if i + 1 == n_in {
@@ -728,17 +859,19 @@ impl RingEndpoint {
         Ok(())
     }
 
-    /// In-place ring all-reduce (sum) over `buf`, travelling as `fmt`.
+    /// In-place ring all-reduce (sum) over the concatenation of `buf`'s
+    /// parts, travelling as `fmt`.
     ///
     /// After the call every rank holds the element-wise sum of all ranks'
     /// buffers — bit-identical across ranks even under lossy wire formats
-    /// (module docs, "Bit parity"). All ranks must pass buffers of
-    /// identical length. `ahead` is what the caller has queued behind this
-    /// collective ([`Idle`]: nothing), here and in every method below.
+    /// (module docs, "Bit parity"), and to the same call on one flat part.
+    /// All ranks must pass buffers of identical total length; where their
+    /// parts meet may differ. `ahead` is what the caller has queued behind
+    /// this collective ([`Idle`]: nothing), here and in every method below.
     pub fn allreduce_sum(
         &mut self,
         fmt: WireFormat,
-        buf: &mut [f64],
+        buf: &mut [Vec<f64>],
         ahead: &mut dyn Lookahead,
     ) -> Result<(), CommError> {
         self.allreduce(fmt, buf, Sink::Store, ahead)
@@ -749,7 +882,7 @@ impl RingEndpoint {
     pub fn allreduce_avg(
         &mut self,
         fmt: WireFormat,
-        buf: &mut [f64],
+        buf: &mut [Vec<f64>],
         ahead: &mut dyn Lookahead,
     ) -> Result<(), CommError> {
         self.allreduce(fmt, buf, Sink::Scaled(1.0 / self.world as f64), ahead)
@@ -763,13 +896,14 @@ impl RingEndpoint {
     fn reduce_scatter(
         &mut self,
         fmt: WireFormat,
-        buf: &mut [f64],
+        buf: &mut [Vec<f64>],
+        len: usize,
         mut last: Then<'_>,
     ) -> Result<(), CommError> {
         let (p, left) = (self.world, self.left());
         for step in 0..p - 1 {
-            let send = chunk_range(buf.len(), p, (self.rank + p - step) % p);
-            let recv = chunk_range(buf.len(), p, (self.rank + p - step - 1) % p);
+            let send = chunk_range(len, p, (self.rank + p - step) % p);
+            let recv = chunk_range(len, p, (self.rank + p - step - 1) % p);
             let (send, recv) = disjoint(buf, send, recv);
             let rx = Rx {
                 origin: left,
@@ -789,18 +923,19 @@ impl RingEndpoint {
     fn allreduce(
         &mut self,
         fmt: WireFormat,
-        buf: &mut [f64],
+        buf: &mut [Vec<f64>],
         land: Sink,
         ahead: &mut dyn Lookahead,
     ) -> Result<(), CommError> {
         let (p, left) = (self.world, self.left());
         if p > 1 {
-            self.reduce_scatter(fmt, buf, Then::Replicated(land))?;
+            let len = buf.iter().map(Vec::len).sum();
+            self.reduce_scatter(fmt, buf, len, Then::Replicated(land))?;
             // All-gather the fully-reduced chunks: step 0 originates ours,
             // later steps forward what the previous step received.
             for step in 0..p - 1 {
-                let send = chunk_range(buf.len(), p, (self.rank + 1 + p - step) % p);
-                let recv = chunk_range(buf.len(), p, (self.rank + p - step) % p);
+                let send = chunk_range(len, p, (self.rank + 1 + p - step) % p);
+                let recv = chunk_range(len, p, (self.rank + p - step) % p);
                 let (send, recv) = disjoint(buf, send, recv);
                 let tx = if step == 0 {
                     Tx::Replicated(send, land)
@@ -824,8 +959,8 @@ impl RingEndpoint {
         Ok(())
     }
 
-    /// Cut-through broadcast of `buf` from `root` to every rank: each relay
-    /// forwards a slice as soon as it has read it.
+    /// Cut-through broadcast of `buf`'s parts from `root` to every rank:
+    /// each relay forwards a slice as soon as it has read it.
     ///
     /// Non-root ranks overwrite `buf` with the root's data; under lossy
     /// formats all ranks, the root included, end bit-identical.
@@ -836,12 +971,13 @@ impl RingEndpoint {
     pub fn broadcast(
         &mut self,
         fmt: WireFormat,
-        buf: &mut [f64],
+        buf: &mut [Vec<f64>],
         root: usize,
         ahead: &mut dyn Lookahead,
     ) -> Result<(), CommError> {
         assert!(root < self.world, "broadcast: root {root} out of range");
         if self.world > 1 {
+            let buf = View::new(buf);
             let (tx, rx) = if self.rank == root {
                 (Some(Tx::Replicated(buf, Sink::Store)), None)
             } else {
@@ -867,15 +1003,17 @@ fn elem_bytes(fmt: WireFormat) -> usize {
         .unwrap_or_else(|| panic!("the ring streams f64 / f32 / f16 frames, not {fmt}"))
 }
 
-/// `buf[a]` and `buf[b]` at once, for two ranges that do not overlap.
-fn disjoint(buf: &mut [f64], a: Range<usize>, b: Range<usize>) -> (&mut [f64], &mut [f64]) {
+/// Elements `a` and `b` of the concatenation of `buf`'s parts at once, for
+/// two ranges that do not overlap.
+fn disjoint(buf: &mut [Vec<f64>], a: Range<usize>, b: Range<usize>) -> (View<'_>, View<'_>) {
+    let buf = View::new(buf);
     if a.end <= b.start {
-        let (lo, hi) = buf.split_at_mut(b.start);
-        (&mut lo[a], &mut hi[..b.len()])
+        let (lo, hi) = buf.split_at(b.start);
+        (lo.range(a), hi.range(0..b.len()))
     } else {
         assert!(b.end <= a.start, "ring chunks {a:?} and {b:?} overlap");
-        let (lo, hi) = buf.split_at_mut(a.start);
-        (&mut hi[..a.len()], &mut lo[b])
+        let (lo, hi) = buf.split_at(a.start);
+        (hi.range(0..a.len()), lo.range(b))
     }
 }
 
@@ -998,7 +1136,7 @@ mod tests {
         let mut ep = RingEndpoint::new(0, 2, Box::new(t0), stats);
         let mut buf = vec![1.0; 8];
         let err = ep
-            .allreduce_sum(WireFormat::F64, &mut buf, &mut Idle)
+            .allreduce_sum(WireFormat::F64, std::slice::from_mut(&mut buf), &mut Idle)
             .unwrap_err();
         assert!(matches!(err, CommError::Disconnected(_)), "{err}");
     }
@@ -1020,6 +1158,159 @@ mod tests {
         out.into_iter().map(|v| v.expect("rank result")).collect()
     }
 
+    /// A transport that folds every byte it sends into a digest (FNV-1a).
+    #[derive(Debug)]
+    struct Tap {
+        inner: crate::transport::ChannelTransport,
+        digest: Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl Transport for Tap {
+        fn send(&mut self, head: &[u8], body: &[u8]) -> Result<(), CommError> {
+            let mut h = self.digest.load(std::sync::atomic::Ordering::Relaxed);
+            for &b in head.iter().chain(body) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+            self.digest.store(h, std::sync::atomic::Ordering::Relaxed);
+            self.inner.send(head, body)
+        }
+
+        fn recv(&mut self, buf: &mut [u8]) -> Result<(), CommError> {
+            self.inner.recv(buf)
+        }
+    }
+
+    /// [`spmd`] over tapped transports: each rank's result and the digest
+    /// of every byte it sent.
+    fn tapped_spmd<T: Send>(
+        world: usize,
+        body: impl Fn(&mut RingEndpoint) -> T + Sync,
+    ) -> Vec<(T, u64)> {
+        let transports = crate::transport::channel_ring(world);
+        let mut out: Vec<Option<(T, u64)>> = (0..world).map(|_| None).collect();
+        std::thread::scope(|scope| {
+            for (rank, (t, slot)) in transports.into_iter().zip(out.iter_mut()).enumerate() {
+                let body = &body;
+                scope.spawn(move || {
+                    let digest = Arc::new(std::sync::atomic::AtomicU64::new(0xcbf2_9ce4_8422_2325));
+                    let tap = Tap {
+                        inner: t,
+                        digest: Arc::clone(&digest),
+                    };
+                    let stats = Arc::new(TrafficStats::new());
+                    let mut ep = RingEndpoint::new(rank, world, Box::new(tap), stats);
+                    let v = body(&mut ep);
+                    *slot = Some((v, digest.load(std::sync::atomic::Ordering::Relaxed)));
+                });
+            }
+        });
+        out.into_iter().map(|v| v.expect("rank result")).collect()
+    }
+
+    #[test]
+    fn a_parts_collective_is_the_flat_one_to_the_bit_and_the_wire_byte() {
+        for fmt in [WireFormat::F64, WireFormat::F32, WireFormat::F16] {
+            let eb = elem_bytes(fmt);
+            for world in [2, 3, 4] {
+                // Chunks of ~9000 elements: two slices and more each, in
+                // every format.
+                let len = world * 9_000 + 5;
+                let mut edges = Vec::new();
+                for k in 0..world {
+                    let chunk = chunk_range(len, world, k);
+                    let body = chunk.len() * eb;
+                    edges
+                        .extend((0..slices(body)).map(|i| chunk.start + slice(i, body).start / eb));
+                }
+                assert!(edges.len() >= 2 * world, "{fmt} world {world}: {edges:?}");
+                // Per rank its own cuts: an empty first, middle and last
+                // part, and a part of two or three elements around every
+                // chunk and slice edge.
+                let split = |rank: usize, flat: Vec<f64>| -> Vec<Vec<f64>> {
+                    let mut cuts = vec![0, 0];
+                    for &e in edges.iter().filter(|&&e| e > 1) {
+                        cuts.extend([e - 1 - rank % 2, e + 1]);
+                    }
+                    cuts.extend([cuts[3], len, len]);
+                    cuts.sort_unstable();
+                    cuts.windows(2).map(|w| flat[w[0]..w[1]].to_vec()).collect()
+                };
+                let data = |rank: usize| -> Vec<f64> {
+                    let x = |i: usize| ((i * 7 + rank * 13) % 101) as f64 * 0.37 - 17.0;
+                    (0..len).map(|i| x(i) + rank as f64 / 3.0).collect()
+                };
+                let calls = [
+                    Collective::AllReduceSum,
+                    Collective::AllReduceAvg,
+                    Collective::Broadcast { root: world - 1 },
+                ];
+                for call in calls {
+                    let run = |parted: bool| {
+                        tapped_spmd(world, |ep| {
+                            let flat = data(ep.rank);
+                            let mut parts = match parted {
+                                true => split(ep.rank, flat),
+                                false => vec![flat],
+                            };
+                            let ran = match call {
+                                Collective::AllReduceSum => {
+                                    ep.allreduce_sum(fmt, &mut parts, &mut Idle)
+                                }
+                                Collective::AllReduceAvg => {
+                                    ep.allreduce_avg(fmt, &mut parts, &mut Idle)
+                                }
+                                Collective::Broadcast { root } => {
+                                    ep.broadcast(fmt, &mut parts, root, &mut Idle)
+                                }
+                            };
+                            ran.expect("collective");
+                            parts.concat()
+                        })
+                    };
+                    let (flat, parts) = (run(false), run(true));
+                    for (rank, ((f, fd), (p, pd))) in flat.iter().zip(&parts).enumerate() {
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert!(
+                            bits(f) == bits(p),
+                            "{fmt} world {world} {call:?} rank {rank}: values"
+                        );
+                        assert_eq!(
+                            fd, pd,
+                            "{fmt} world {world} {call:?} rank {rank}: wire bytes"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_view_cuts_its_parts_where_the_concatenation_is_cut() {
+        let mut parts = vec![
+            vec![0.0, 1.0, 2.0],
+            vec![],
+            vec![3.0],
+            vec![4.0, 5.0, 6.0, 7.0],
+        ];
+        let flat: Vec<f64> = parts.concat();
+        for a in 0..=flat.len() {
+            for b in a..=flat.len() {
+                let mut seen = Vec::new();
+                let mut view = View::new(&mut parts).range(a..b);
+                assert_eq!(view.len(), b - a);
+                let n = view.len();
+                view.pieces(0..n, |piece, at| {
+                    assert_eq!(at, seen.len());
+                    assert!(!piece.is_empty());
+                    seen.extend_from_slice(piece);
+                });
+                assert_eq!(seen, flat[a..b]);
+            }
+        }
+        let (send, recv) = disjoint(&mut parts, 5..8, 1..4);
+        assert_eq!((send.len(), recv.len()), (3, 3));
+    }
+
     #[test]
     fn lossy_allreduce_is_bit_identical_across_ranks() {
         for fmt in [WireFormat::F32, WireFormat::F16] {
@@ -1027,7 +1318,7 @@ mod tests {
                 let mut buf: Vec<f64> = (0..23)
                     .map(|i| (i as f64 + 1.3) * (ep.rank as f64 - 1.1))
                     .collect();
-                ep.allreduce_sum(fmt, &mut buf, &mut Idle)
+                ep.allreduce_sum(fmt, std::slice::from_mut(&mut buf), &mut Idle)
                     .expect("allreduce");
                 buf
             });
@@ -1050,7 +1341,8 @@ mod tests {
         let fmt = WireFormat::F16;
         let results = spmd(3, |ep| {
             let mut b: Vec<f64> = (0..17).map(|i| i as f64 * 0.31 - 2.0).collect();
-            ep.broadcast(fmt, &mut b, 1, &mut Idle).expect("broadcast");
+            ep.broadcast(fmt, std::slice::from_mut(&mut b), 1, &mut Idle)
+                .expect("broadcast");
             b
         });
         for r in &results[1..] {
@@ -1062,7 +1354,7 @@ mod tests {
     fn codec_accounting_tracks_wire_bytes() {
         let results = spmd(2, |ep| {
             let mut buf = vec![1.0; 16];
-            ep.allreduce_sum(WireFormat::F16, &mut buf, &mut Idle)
+            ep.allreduce_sum(WireFormat::F16, std::slice::from_mut(&mut buf), &mut Idle)
                 .expect("allreduce");
             let codec = ep.take_codec();
             let wire = ep.stats.wire_bytes_sent();
@@ -1089,7 +1381,7 @@ mod tests {
             self.0.front_mut().map(|(call, fmt, data)| Queued {
                 call: *call,
                 fmt: *fmt,
-                data,
+                data: std::slice::from_mut(data),
             })
         }
     }
@@ -1127,10 +1419,12 @@ mod tests {
             let mut outputs = Vec::new();
             while let Some((call, fmt, mut data)) = script.0.pop_front() {
                 match call {
-                    Collective::Broadcast { root } => {
-                        ep.broadcast(fmt, &mut data, root, &mut script).unwrap()
-                    }
-                    _ => ep.allreduce_sum(fmt, &mut data, &mut script).unwrap(),
+                    Collective::Broadcast { root } => ep
+                        .broadcast(fmt, std::slice::from_mut(&mut data), root, &mut script)
+                        .unwrap(),
+                    _ => ep
+                        .allreduce_sum(fmt, std::slice::from_mut(&mut data), &mut script)
+                        .unwrap(),
                 }
                 accounts.push(ep.take_codec());
                 outputs.push(data);
@@ -1173,7 +1467,12 @@ mod tests {
         let mut script = Script([(Collective::AllReduceSum, WireFormat::F64, vec![1.0; 8])].into());
         let mut buf = vec![1.0; 8];
         let err = ep
-            .broadcast(WireFormat::F64, &mut buf, 0, &mut script)
+            .broadcast(
+                WireFormat::F64,
+                std::slice::from_mut(&mut buf),
+                0,
+                &mut script,
+            )
             .unwrap_err();
         assert!(matches!(err, CommError::Disconnected(_)), "{err}");
         assert!(ep.staged.is_none());

@@ -52,7 +52,9 @@ fn broadcast_against(
             }
         });
         let mut buf = vec![0.0; elems];
-        let r = ep.broadcast(fmt, &mut buf, 1, &mut Idle).map(|()| buf);
+        let r = ep
+            .broadcast(fmt, std::slice::from_mut(&mut buf), 1, &mut Idle)
+            .map(|()| buf);
         drop(ep);
         r
     })
@@ -132,7 +134,7 @@ fn short_body_and_mid_slice_truncation_are_typed_errors() {
         .expect("partial header");
     drop(peer);
     let err = ep
-        .broadcast(WireFormat::F64, &mut [0.0; 3], 1, &mut Idle)
+        .broadcast(WireFormat::F64, &mut [vec![0.0; 3]], 1, &mut Idle)
         .unwrap_err();
     assert!(matches!(err, CommError::Disconnected(_)), "{err}");
 }
@@ -149,7 +151,7 @@ fn reduce_hop_rejects_a_short_chunk_instead_of_reducing_a_prefix() {
         });
         let mut buf = vec![1.0; 8];
         let err = ep
-            .allreduce_sum(WireFormat::F64, &mut buf, &mut Idle)
+            .allreduce_sum(WireFormat::F64, std::slice::from_mut(&mut buf), &mut Idle)
             .unwrap_err();
         assert!(
             err.message().starts_with("malformed frame from rank 1"),

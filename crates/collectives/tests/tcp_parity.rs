@@ -139,6 +139,44 @@ fn four_rank_tcp_ring_is_bit_identical_to_local() {
     }
 }
 
+/// Three queued collectives over buffers of two-slice chunks: flat, or cut
+/// into parts — one of them empty, one straddling a chunk edge, and a
+/// single-part list.
+fn queued_round(comm: &WorkerComm, parted: bool) -> Vec<f64> {
+    let (rank, world) = (comm.rank(), comm.world_size());
+    let len = 20_011;
+    let flat: Vec<f64> = (0..len)
+        .map(|i| ((i * 31 + rank * 7) % 97) as f64 / 7.0 - 3.0)
+        .collect();
+    if !parted {
+        let sum = comm.allreduce_sum_async(flat.clone());
+        let avg = comm.allreduce_avg_async(flat.clone());
+        let bcast = comm.broadcast_async(flat, world - 1);
+        return [sum, avg, bcast].map(|op| op.wait_expect()).concat();
+    }
+    let cuts = [0, 1, 1, 6_666, 6_672 + rank, 15_000, len];
+    let split =
+        |v: &[f64]| -> Vec<Vec<f64>> { cuts.windows(2).map(|w| v[w[0]..w[1]].to_vec()).collect() };
+    let sum = comm.allreduce_sum_async(split(&flat));
+    let avg = comm.allreduce_avg_async(vec![flat.clone()]);
+    let bcast = comm.broadcast_async(split(&flat), world - 1);
+    [sum, avg, bcast]
+        .map(|op| op.wait_expect().concat())
+        .concat()
+}
+
+#[test]
+fn parts_over_tcp_are_the_flat_collectives_in_process_to_the_bit() {
+    let world = 3;
+    let local = run_local_spmd(world, |comm| queued_round(comm, false));
+    let tcp = run_tcp_spmd(world, |_| {}, |comm| queued_round(comm, true));
+    for rank in 0..world {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(local[rank].len(), 3 * 20_011);
+        assert!(bits(&local[rank]) == bits(&tcp[rank]), "rank {rank}");
+    }
+}
+
 #[test]
 fn tcp_traffic_counters_match_ring_cost_per_process() {
     // On TCP each process counts its own rank's sends: one rank of a ring

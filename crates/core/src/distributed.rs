@@ -613,7 +613,8 @@ struct Payload {
 /// The payloads of an iteration of `graph` on `rank`, each out from the
 /// node that first writes it — for a factor message the iteration's start
 /// (its statistics are packed in as they are taken), for a CT owner's
-/// inverse its `Invert`, for any other payload its submission.
+/// inverse its `Invert`, for a non-owner's broadcast its submission. A
+/// gradient message has none: it travels in its parameters' gradients.
 fn payloads(graph: &IterationGraph, rank: usize) -> Vec<Payload> {
     let nodes = graph.nodes();
     let payload = |taken_by, sent_by, len, start| Payload {
@@ -637,7 +638,6 @@ fn payloads(graph: &IterationGraph, rank: usize) -> Vec<Payload> {
             }
         }
         let taken = match node.op {
-            Op::AllReduceGrads(_) => Some((id, node.elems)),
             Op::Invert(t) if node.who != Who::Every => {
                 let bcast = |n: &Node| matches!(n.op, Op::Broadcast { tensor, .. } if tensor == t);
                 let b = nodes.iter().position(bcast).expect("a CT is broadcast");
@@ -658,14 +658,15 @@ fn payloads(graph: &IterationGraph, rank: usize) -> Vec<Payload> {
 /// The buffers a rank's iterations write, created with the segment and
 /// reused until it ends (DESIGN §2.6 "Buffers").
 struct Buffers {
-    /// Message payloads.
+    /// Factor and CT payloads.
     arena: MessageArena,
     /// Per tensor: the node of its factor message and its offset there;
     /// statistics are packed straight into the message.
     stat_at: Vec<(NodeId, usize)>,
     /// Submitted collectives in submission order — which is completion
-    /// order, the comm thread being FIFO.
-    in_flight: VecDeque<(NodeId, PendingOp)>,
+    /// order, the comm thread being FIFO. Each travels as a list of parts:
+    /// an arena buffer alone, or a gradient message's gradients.
+    in_flight: VecDeque<(NodeId, PendingOp<Vec<Vec<f64>>>)>,
     /// The KL clip's term of each parameter, in the model's flat order
     /// (its direction replaces its gradient before `Update`).
     kl_terms: Vec<f64>,
@@ -701,6 +702,28 @@ impl Buffers {
     }
 }
 
+/// Moves the gradients of `layers`' parameters out into the parts of their
+/// message, leaving each `Param::grad` empty until the message lands.
+fn lend_grads(net: &mut Sequential, layers: &[usize]) -> Vec<Vec<f64>> {
+    let mut parts = Vec::new();
+    for &li in layers {
+        for p in net.layers_mut()[li].params_mut() {
+            parts.push(std::mem::replace(&mut p.grad, Matrix::zeros(0, 0)).into_vec());
+        }
+    }
+    parts
+}
+
+/// Gives every parameter whose gradient was lent to a failed collective a
+/// zeroed one of its value's shape.
+fn reclaim_grads(net: &mut Sequential) {
+    for p in net.parameters_mut() {
+        if p.grad.shape() != p.value.shape() {
+            p.grad = Matrix::zeros(p.value.rows(), p.value.cols());
+        }
+    }
+}
+
 /// Which factor tensor `t` is (`A_l`, `G_l` interleaved).
 fn side(t: usize) -> FactorSide {
     if t.is_multiple_of(2) {
@@ -716,7 +739,7 @@ fn side(t: usize) -> FactorSide {
 /// | collective | landing it installs |
 /// |---|---|
 /// | factor message | the running `A`/`G` averages |
-/// | gradient message | the averaged gradients |
+/// | gradient message | the averaged gradients, in the storage it was lent |
 /// | CT broadcast | the factor's `L` |
 struct Executor<'a> {
     cfg: &'a DistributedConfig,
@@ -736,7 +759,7 @@ impl Executor<'_> {
     fn land_through(&mut self, upto: NodeId) -> Result<(), CommError> {
         while self.bufs.in_flight.front().is_some_and(|(c, _)| *c <= upto) {
             let (c, op) = self.bufs.in_flight.pop_front().expect("front checked");
-            let data = op.wait()?;
+            let parts = op.wait()?;
             // The landing is compute of the phase it installs for; unsized,
             // so the calibrator's inversion fit does not read it.
             let phase = match self.graph.nodes()[c].op {
@@ -745,30 +768,35 @@ impl Executor<'_> {
                 _ => Phase::Update,
             };
             let _land = self.obs.labeled_span(phase, || "land");
-            self.land(c, data);
+            self.land(c, parts);
         }
         Ok(())
     }
 
-    /// Installs what collective `c` delivered, then takes its buffer back.
+    /// Installs what collective `c` delivered: gives a gradient message's
+    /// parts back to their parameters, or installs an arena buffer's
+    /// contents and takes the buffer back.
     ///
     /// # Panics
     ///
-    /// Panics, before installing anything, unless `data` is as long as the
-    /// node's message.
-    fn land(&mut self, c: NodeId, data: Vec<f64>) {
+    /// Panics, before installing anything, unless `parts` hold as many
+    /// elements as the node's message.
+    fn land(&mut self, c: NodeId, mut parts: Vec<Vec<f64>>) {
         let node = &self.graph.nodes()[c];
+        let elems: usize = parts.iter().map(Vec::len).sum();
         assert!(
-            data.len() == node.elems,
-            "rank {}: node {c} ({:?}) landed {} elements, its message has {}",
+            elems == node.elems,
+            "rank {}: node {c} ({:?}) landed {elems} elements, its message has {}",
             self.rank,
             node.op,
-            data.len(),
             node.elems
         );
+        if let Op::AllReduceGrads(layers) = &node.op {
+            return self.install_grads(layers, parts);
+        }
+        let data = parts.pop().expect("an arena buffer travels as one part");
         match &node.op {
             Op::AllReduceFactors(tensors) => self.install_factors(tensors, &data),
-            Op::AllReduceGrads(layers) => self.install_grads(layers, &data),
             Op::Broadcast { tensor, .. } => self.install_inverse(*tensor, &data),
             _ => unreachable!("only collectives are in flight"),
         }
@@ -787,15 +815,15 @@ impl Executor<'_> {
         }
     }
 
-    /// Scatters an averaged gradient message back into its layers.
-    fn install_grads(&mut self, layers: &[usize], data: &[f64]) {
-        let mut rest = data;
+    /// Gives an averaged gradient message's parts back to the parameters
+    /// that lent them, in [`lend_grads`]' order.
+    fn install_grads(&mut self, layers: &[usize], parts: Vec<Vec<f64>>) {
+        let mut parts = parts.into_iter();
         for &li in layers {
             for p in self.net.layers_mut()[li].params_mut() {
-                let grad = p.grad.as_mut_slice();
-                let (head, tail) = rest.split_at(grad.len());
-                grad.copy_from_slice(head);
-                rest = tail;
+                let (rows, cols) = p.value.shape();
+                let part = parts.next().expect("one part per parameter");
+                p.grad = Matrix::from_vec(rows, cols, part);
             }
         }
     }
@@ -970,9 +998,11 @@ fn train_segment(
                 drop(pass.take());
             }
             // What the node needs off the wire has to land first; whatever
-            // was submitted before that lands with it.
+            // was submitted before that lands with it. A failed collective
+            // keeps the gradients lent to it and to those queued behind it.
             if let Some(upto) = graph.awaits(id) {
-                ex.land_through(upto)?;
+                ex.land_through(upto)
+                    .inspect_err(|_| reclaim_grads(ex.net))?;
             }
             match &node.op {
                 Op::Forward(l) => {
@@ -1035,7 +1065,7 @@ fn train_segment(
                     comm.set_phase(node.op.phase());
                     ex.bufs
                         .in_flight
-                        .push_back((id, comm.allreduce_avg_async(payload)));
+                        .push_back((id, comm.allreduce_avg_async(vec![payload])));
                     // A message of one pass's statistics is a realized
                     // Eq. 15 flush; the bulk message mixes both.
                     let side = |s: usize| tensors.iter().all(|t| t % 2 == s);
@@ -1046,20 +1076,11 @@ fn train_segment(
                     }
                 }
                 Op::AllReduceGrads(layers) => {
-                    let mut payload = ex.bufs.arena.take(id, node.elems);
-                    let mut rest = &mut payload[..];
-                    for &li in layers {
-                        for p in ex.net.layers()[li].params() {
-                            let (head, tail) = rest.split_at_mut(p.numel());
-                            head.copy_from_slice(p.grad.as_slice());
-                            rest = tail;
-                        }
-                    }
-                    assert!(rest.is_empty(), "node {id}: gradient message mis-sized");
+                    let parts = lend_grads(ex.net, layers);
                     comm.set_phase(node.op.phase());
                     ex.bufs
                         .in_flight
-                        .push_back((id, comm.allreduce_avg_async(payload)));
+                        .push_back((id, comm.allreduce_avg_async(parts)));
                 }
                 Op::Invert(t) => {
                     let started = Instant::now();
@@ -1080,7 +1101,7 @@ fn train_segment(
                     comm.set_phase(node.op.phase());
                     ex.bufs
                         .in_flight
-                        .push_back((id, comm.broadcast_async(payload, *root)));
+                        .push_back((id, comm.broadcast_async(vec![payload], *root)));
                 }
                 Op::Precondition(layers) => {
                     for &li in layers {
@@ -1636,16 +1657,95 @@ mod tests {
             let mut arena = MessageArena::default();
             arena.install(&graphs, 0);
             let held: usize = arena.slots.iter().flatten().map(Vec::capacity).sum();
+            // Gradient messages travel in the gradients: no slot, nothing
+            // held for them.
+            for (g, graph) in graphs.iter().enumerate() {
+                for (id, node) in graph.nodes().iter().enumerate() {
+                    if matches!(node.op, Op::AllReduceGrads(_)) {
+                        assert_eq!(arena.slot_of[g][id], None, "{node:?}");
+                    }
+                }
+            }
             let messages = graphs[1].nodes().iter().filter(|n| n.op.edge().is_some());
-            let sent: usize = messages.map(|n| n.elems).sum();
+            let sent: usize = messages
+                .filter(|n| !matches!(n.op, Op::AllReduceGrads(_)))
+                .map(|n| n.elems)
+                .sum();
+            assert!(sent > 0);
             if algorithm == Algorithm::DKfac {
-                // Every message is out at the end of backward.
+                // Every factor message is out at the end of backward.
                 assert_eq!(held, sent);
             } else {
                 // The broadcasts travel in the landed factor messages'
                 // buffers.
                 assert!(held < sent, "{algorithm:?}: {held} held for {sent} sent");
             }
+        }
+    }
+
+    #[test]
+    fn a_failed_segment_gives_every_lent_gradient_back() {
+        // Rank 1 leaves after one iteration: rank 0's second iteration
+        // lends its gradients to all-reduces that fail. Its segment must
+        // end in `Err` with every gradient back at its shape, and a
+        // follow-on segment of both ranks must train.
+        let data = gaussian_blobs(3, 6, 16, 0.3, 17);
+        let build = || mlp(&[6, 12, 3], 3);
+        let group = || {
+            CommGroup::builder()
+                .world_size(2)
+                .build()
+                .expect("local group")
+                .into_endpoints()
+        };
+        for algorithm in [Algorithm::SSgd, Algorithm::DKfac, Algorithm::SpdKfac] {
+            let mut cfg = DistributedConfig::new(2, algorithm);
+            cfg.kfac.damping = 0.1;
+            cfg.kfac.momentum = 0.0;
+            // One gradient message per layer.
+            cfg.grad_fusion_elems = 1;
+            let segment = |ws: &mut WorkerState, comm: WorkerComm, iters| {
+                let obs = WorkerObs {
+                    rec: None,
+                    track: comm.rank(),
+                };
+                train_segment(&cfg, ws, &data, iters, 4, &comm, &obs, None)
+            };
+            let mut states = [(); 2].map(|()| WorkerState::fresh(&cfg, &build));
+            let ends = std::thread::scope(|s| {
+                let runs: Vec<_> = (states.iter_mut().zip(group()).zip([3, 1]))
+                    .map(|((ws, comm), iters)| s.spawn(move || segment(ws, comm, iters).is_ok()))
+                    .collect();
+                runs.into_iter()
+                    .map(|r| r.join().unwrap())
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(ends, [false, true], "{algorithm:?}");
+            let params = states[0].net.parameters();
+            assert!(
+                params.iter().all(|p| p.grad.shape() == p.value.shape()),
+                "{algorithm:?}: a gradient was not given back"
+            );
+            let zeroed = params
+                .iter()
+                .filter(|p| p.grad.as_slice().iter().all(|&g| g == 0.0));
+            assert!(zeroed.count() > 0, "{algorithm:?}: no gradient was lent");
+            assert_eq!(states.each_ref().map(|ws| ws.next_iter), [1, 1]);
+
+            let ends = std::thread::scope(|s| {
+                let runs: Vec<_> = (states.iter_mut().zip(group()))
+                    .map(|(ws, comm)| s.spawn(move || segment(ws, comm, 3).is_ok()))
+                    .collect();
+                runs.into_iter()
+                    .map(|r| r.join().unwrap())
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(ends, [true, true], "{algorithm:?}");
+            for ws in &states {
+                assert_eq!(ws.losses.len(), 3);
+                assert!(ws.losses.iter().all(|l| l.is_finite()));
+            }
+            assert_eq!(states[0].net.flat_params(), states[1].net.flat_params());
         }
     }
 
@@ -1679,7 +1779,7 @@ mod tests {
                     bufs: &mut bufs,
                 };
                 let landing = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    ex.land(c, vec![1.0; len]);
+                    ex.land(c, vec![vec![1.0; len]]);
                 }));
                 let panic = landing.expect_err("a mis-sized message landed");
                 assert_eq!(

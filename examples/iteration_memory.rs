@@ -16,8 +16,11 @@
 //! the shapes imply: parameters, gradients, a velocity when the momentum
 //! is not 0, the factor squares (each `n × n` square holds a running
 //! factor above its diagonal and its `L` on and below it, plus an
-//! `n`-vector for the running factor's diagonal) and every message of an
-//! iteration (the arena's capacity when no two payloads share a slot). The difference is what the session holds that is not state.
+//! `n`-vector for the running factor's diagonal) and the factor messages
+//! of an iteration, one packed statistic per factor (gradient messages
+//! travel in the gradients, CT payloads in the buffers of factor messages
+//! that have landed). The difference is what the session holds that is
+//! not state.
 //!
 //! **Iteration table.** Per algorithm, 2-rank in-process sessions (each
 //! rank on a thread of this program, its collectives on the group's own
@@ -191,7 +194,7 @@ fn implied_state(cfg: &DistributedConfig, net: &Sequential) -> [usize; 5] {
     let packed: usize = dims.clone().map(|d| d * (d + 1) / 2).sum();
     let squares: usize = dims.map(|d| d * d + d).sum();
     let velocity = if cfg.kfac.momentum != 0.0 { params } else { 0 };
-    [params, params, velocity, squares, packed + params].map(|n| n * 8 * WORLD)
+    [params, params, velocity, squares, packed].map(|n| n * 8 * WORLD)
 }
 
 /// One `spd_loopback` set-up pass: 2 ranks joined over 127.0.0.1.
@@ -248,7 +251,7 @@ fn session_table(data: &Dataset) {
         "gradients",
         "velocity",
         "factor squares (running factor + `L`)",
-        "messages (arena capacity)",
+        "factor messages (packed statistics)",
     ];
     for (owner, bytes) in owners.iter().zip(state) {
         println!("| {owner} | {:.2} |", mb(bytes));

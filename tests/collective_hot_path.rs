@@ -12,7 +12,8 @@
 //!   per group, not latched.
 //! - **The link stays booked.** With a collective queued behind the running
 //!   one, every hop after the first has its first slice booked before the
-//!   hop begins — counted, not timed.
+//!   hop begins — counted, not timed — whether the buffers are flat or
+//!   lists of parts.
 
 mod common;
 #[path = "common/counting_alloc.rs"]
@@ -20,7 +21,7 @@ mod counting_alloc;
 
 use common::spmd;
 use counting_alloc::{CountingAlloc, ARMED, BIG, BIG_ALLOCS};
-use spdkfac::collectives::{WirePolicy, WorkerComm, PACE_ENV};
+use spdkfac::collectives::{Buffer, PendingOp, WirePolicy, WorkerComm, PACE_ENV};
 use spdkfac::obs::{Phase, Recorder};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier, Mutex};
@@ -40,7 +41,9 @@ fn steady_state_collectives_do_not_allocate() {
     const ROUNDS: usize = 50;
     // Gradient all-reduces travel as f16, factor all-reduces, broadcasts
     // and the control message as f64: both codecs are on the path, and each
-    // collective's first slice is staged by the one queued before it.
+    // collective's first slice is staged by the one queued before it. The
+    // gradient message is a 256 x 257 weight's and a bias's storage, as
+    // the trainer lends it: a list of parts between two flat buffers.
     let policy = WirePolicy::parse("grad=f16").expect("policy");
     let sync = Barrier::new(2);
     spmd(
@@ -49,29 +52,29 @@ fn steady_state_collectives_do_not_allocate() {
         policy,
         |_| {},
         |comm| {
-            let mut grad: Vec<f64> = (0..66_049).map(|i| (i % 251) as f64 * 0.01 - 1.0).collect();
-            let mut factor = grad.clone();
+            let mut factor: Vec<f64> = (0..66_049).map(|i| (i % 251) as f64 * 0.01 - 1.0).collect();
+            let mut grad = vec![factor[..256 * 257].to_vec(), factor[256 * 257..].to_vec()];
             let mut inverse = vec![0.5; 33_025];
             let mut loss = vec![0.25];
             let mut round = |comm: &WorkerComm| {
-                let wait = |op: spdkfac::collectives::PendingOp| {
+                fn wait<B: Buffer>(comm: &WorkerComm, op: PendingOp<B>) -> B {
                     op.wait()
                         .unwrap_or_else(|e| panic!("rank {}: {e}", comm.rank()))
-                };
+                }
                 // Re-submit the returned buffers, as the trainer does, and
                 // queue the whole round before waiting on any of it.
                 comm.set_phase(Phase::Update);
                 let loss_op = comm.allreduce_avg_async(std::mem::take(&mut loss));
-                comm.set_phase(Phase::GradComm);
-                let grad_op = comm.allreduce_avg_async(std::mem::take(&mut grad));
                 comm.set_phase(Phase::FactorComm);
                 let factor_op = comm.allreduce_avg_async(std::mem::take(&mut factor));
+                comm.set_phase(Phase::GradComm);
+                let grad_op = comm.allreduce_avg_async(std::mem::take(&mut grad));
                 comm.set_phase(Phase::InverseComm);
                 let inverse_op = comm.broadcast_async(std::mem::take(&mut inverse), 0);
-                loss = wait(loss_op);
-                grad = wait(grad_op);
-                factor = wait(factor_op);
-                inverse = wait(inverse_op);
+                loss = wait(comm, loss_op);
+                factor = wait(comm, factor_op);
+                grad = wait(comm, grad_op);
+                inverse = wait(comm, inverse_op);
             };
             for _ in 0..WARMUP {
                 round(comm);
@@ -89,7 +92,7 @@ fn steady_state_collectives_do_not_allocate() {
             if comm.rank() == 0 {
                 ARMED.store(false, Ordering::SeqCst);
             }
-            assert_eq!(grad.len(), 66_049);
+            assert_eq!(grad.iter().map(Vec::len).collect::<Vec<_>>(), [65_792, 257]);
             assert_eq!(inverse.len(), 33_025);
         },
     );
@@ -171,17 +174,27 @@ fn pacer_never_delivers_ahead_of_the_emulated_link() {
     }
 
     // The rate is read when a group is built: one built after the variable
-    // is gone runs at loopback speed, orders of magnitude under the floor.
+    // is gone books no link time at all.
     std::env::remove_var(PACE_ENV);
     for over_tcp in [true, false] {
-        let elapsed = timed(2, over_tcp, |comm| {
-            let mut buf = vec![1.0; ELEMS];
-            comm.allreduce_sum(&mut buf);
-        });
-        let floor = link_time(ELEMS * 8);
-        for e in elapsed {
-            assert!(e < floor, "tcp={over_tcp}: un-paced group took {e:?}");
-        }
+        let rec = Arc::new(Recorder::new(4));
+        spmd(
+            2,
+            over_tcp,
+            WirePolicy::default(),
+            |_| {},
+            |comm| {
+                comm.set_recorder(Arc::clone(&rec), 2 + comm.rank());
+                let mut buf = vec![1.0; ELEMS];
+                comm.allreduce_sum(&mut buf);
+            },
+        );
+        let booked = &rec.metrics().snapshot().histograms["coll/link/booked_seconds"];
+        assert_eq!(booked.count, 2, "tcp={over_tcp}: one entry per rank");
+        assert_eq!(
+            booked.sum, 0.0,
+            "tcp={over_tcp}: an un-paced group booked link time"
+        );
     }
 }
 
@@ -224,19 +237,23 @@ fn pacer_holds_a_queue_of_collectives_to_the_link_rate() {
 
 #[test]
 fn queued_hops_book_their_first_slice_while_the_link_is_busy() {
-    // Two all-reduces of two-slice chunks, the second queued behind the
-    // first. A hop's first slice is "staged" when it was encoded and booked
-    // before the hop began — that is, before the previous hop released its
-    // last slice, while the link was still carrying it. Of the four hops a
-    // rank runs, all but the very first must be: the all-gather step behind
-    // its reduce-scatter step (the chunk it sends is the one that step
-    // receives), and the queued collective behind the running one. The pace
-    // only makes sure the second all-reduce is queued (microseconds after
-    // the first) long before the first reaches its last slice (tens of
-    // milliseconds in); nothing here is timed.
+    // Two all-reduces of two-slice chunks, the second (a list of parts, one
+    // of them across the chunk edge) queued behind the first, and a
+    // broadcast from rank 0 behind both. A hop's first slice is "staged"
+    // when it was encoded and booked before the hop began — that is, before
+    // the previous hop released its last slice, while the link was still
+    // carrying it. Of the four all-reduce hops a rank runs, all but the
+    // very first must be: the all-gather step behind its reduce-scatter
+    // step (the chunk it sends is the one that step receives), and the
+    // queued collective behind the running one; so must the root's one
+    // broadcast hop. The pace only makes sure each collective is queued
+    // (microseconds after the first) long before the one ahead of it
+    // reaches its last slice (tens of milliseconds in); nothing here is
+    // timed.
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     const WORLD: usize = 2;
     const ELEMS: usize = 20_000;
+    const BCAST: usize = 3_000;
     std::env::set_var(PACE_ENV, "0.05");
     for over_tcp in [true, false] {
         let rec = Arc::new(Recorder::new(2 * WORLD));
@@ -251,24 +268,28 @@ fn queued_hops_book_their_first_slice_while_the_link_is_busy() {
                 // last hop: nothing of what follows can be staged by it.
                 comm.barrier();
                 let first = comm.allreduce_sum_async(vec![1.0; ELEMS]);
-                let second = comm.allreduce_sum_async(vec![2.0; ELEMS]);
+                let parts = vec![vec![2.0; 7_000], Vec::new(), vec![2.0; ELEMS - 7_000]];
+                let second = comm.allreduce_sum_async(parts);
+                let third = comm.broadcast_async(vec![comm.rank() as f64; BCAST], 0);
                 assert!(first.wait().expect("first").iter().all(|v| *v == 2.0));
-                assert!(second.wait().expect("second").iter().all(|v| *v == 4.0));
+                let second = second.wait().expect("second");
+                assert!(second.concat().iter().all(|v| *v == 4.0));
+                assert!(third.wait().expect("third").iter().all(|v| *v == 0.0));
             },
         );
         let metrics = rec.metrics().snapshot();
         assert_eq!(
             metrics.counters["coll/link/staged_hops"],
-            (3 * WORLD) as u64,
+            (3 * WORLD + 1) as u64,
             "tcp={over_tcp}: hops with a first slice booked ahead, of {} after the first",
-            3 * WORLD
+            3 * WORLD + 1
         );
         // The link's ledger has one entry per collective and rank (the
         // barrier's too: one element from each rank), and booked every byte
         // they sent.
         let booked = &metrics.histograms["coll/link/booked_seconds"];
-        assert_eq!(booked.count, (3 * WORLD) as u64);
-        let wire_s = ((2 * ELEMS + 1) * 8 * WORLD) as f64 * 8.0 / 0.05e9;
+        assert_eq!(booked.count, (4 * WORLD) as u64);
+        let wire_s = (((2 * ELEMS + 1) * WORLD + BCAST) * 8) as f64 * 8.0 / 0.05e9;
         assert!(
             (booked.sum - wire_s).abs() < 1e-6 * wire_s,
             "tcp={over_tcp}: booked {} s for {wire_s} s of wire time",

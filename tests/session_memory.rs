@@ -57,15 +57,16 @@ fn config(momentum: f64) -> DistributedConfig {
 /// parameters, gradients, a velocity with momentum, one `n × n` square
 /// per Kronecker factor (the running factor above the diagonal, its `L` on
 /// and below it) plus an `n`-vector (the running factor's diagonal), and
-/// every message of an iteration.
+/// the factor messages of an iteration, one packed statistic per factor.
+/// Gradient messages travel in the gradients, and CT payloads in the
+/// buffers of factor messages that have landed.
 fn implied_state(cfg: &DistributedConfig, net: &Sequential) -> usize {
     let params = net.num_params();
     let dims = net.kfac_dims().into_iter().flat_map(|(a, g)| [a, g]);
     let packed: usize = dims.clone().map(|d| d * (d + 1) / 2).sum();
     let squares: usize = dims.map(|d| d * d + d).sum();
     let velocity = if cfg.kfac.momentum != 0.0 { params } else { 0 };
-    let messages = packed + params;
-    (params + params + velocity + squares + messages) * 8 * WORLD
+    (params + params + velocity + squares + packed) * 8 * WORLD
 }
 
 /// One in-process session: its live-heap high-water above what was live
